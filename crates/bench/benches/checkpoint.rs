@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use onesql_connect::{register_nexmark_streams, PartitionedNexmarkSource};
 use onesql_core::durable::CheckpointStore;
-use onesql_core::{Engine, ShardedConfig, ShardedPipelineDriver};
+use onesql_core::{Engine, PipelineDriver, ShardedConfig};
 use onesql_state::Codec;
 
 const EVENTS: u64 = 20_000;
@@ -24,7 +24,7 @@ const SQL: &str = "SELECT auction, COUNT(*), SUM(price), MAX(price) \
 
 /// A sharded NEXMark pipeline stepped to roughly half-stream, where
 /// operator state is warm and a checkpoint is representative.
-fn mid_stream_driver() -> ShardedPipelineDriver {
+fn mid_stream_driver() -> PipelineDriver {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
     engine

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use onesql_connect::channel;
-use onesql_core::{DriverConfig, Engine, StreamBuilder};
+use onesql_core::{DriverConfig, Engine, ShardedConfig, StreamBuilder};
 use onesql_tvr::{Change, ChangeBatch};
 use onesql_types::{row, DataType, Row, Ts, Value};
 
@@ -142,13 +142,11 @@ fn run_driver(vectorize: bool) -> u64 {
             .unwrap();
     }
     drop(publisher);
-    let mut pipeline = engine
-        .run_pipeline(CHEAP_FILTER)
-        .unwrap()
-        .with_config(DriverConfig {
-            vectorize,
-            ..DriverConfig::default()
-        });
+    let config = ShardedConfig::default().with_driver(DriverConfig {
+        vectorize,
+        ..DriverConfig::default()
+    });
+    let mut pipeline = engine.run_sharded_pipeline(CHEAP_FILTER, config).unwrap();
     pipeline.run().unwrap().events_in
 }
 

@@ -1,15 +1,16 @@
 //! Ready-made scenarios: the NEXMark suite as full-stack SQL pipelines.
 //!
 //! [`NexmarkScenario`] runs one suite query end to end — `SET` knobs,
-//! `CREATE PARTITIONED SOURCE … connector = 'nexmark'`, a transactional
+//! `CREATE [PARTITIONED] SOURCE … connector = 'nexmark'`, a transactional
 //! CSV file sink, and the `INSERT` that assembles the pipeline — which
 //! is exactly what [`crate::harness::check`] needs to kill, restore, and
-//! re-run it under every oracle. Queries the sharded driver cannot split
-//! (join/grouping keys off the routing column) run with one worker but
-//! still under the sharded driver, so checkpoint/restore choreography
-//! applies to the whole suite.
+//! re-run it under every oracle. Queries hash routing cannot split
+//! (join/grouping keys off the routing column) run with one worker, and
+//! [`NexmarkScenario::plain`] swaps in a non-partitioned source; the
+//! checkpoint/restore choreography is the same for all of them.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onesql_connect::{session, Session, SqlPipeline};
 use onesql_nexmark::queries::{self, FullStackSpec, ScriptConfig};
@@ -50,10 +51,14 @@ impl NexmarkScenario {
             events,
             ..ScriptConfig::default()
         };
+        // Unique per scenario, not just per process: tests in one binary
+        // build scenarios for the same query concurrently.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let root = std::env::temp_dir().join("onesql_checker").join(format!(
-            "{}-{}",
+            "{}-{}-{}",
             spec.name,
-            std::process::id()
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&root);
         let run_dir = root.join("unstarted");
@@ -85,6 +90,13 @@ impl NexmarkScenario {
             self.spec.name
         );
         self.config.gated = true;
+        self
+    }
+
+    /// Feed the query from a plain `CREATE SOURCE` (one partition behind
+    /// the `SinglePartition` adapter) instead of a `PARTITIONED` one.
+    pub fn plain(mut self) -> NexmarkScenario {
+        self.config.partitions = 0;
         self
     }
 
@@ -146,7 +158,7 @@ impl Scenario for NexmarkScenario {
         let script = queries::full_stack_script(self.spec.sql, &self.sink_path(), &self.config);
         let mut s = session();
         let pipeline = s.execute_script(&script)?.into_pipeline()?;
-        debug_assert!(pipeline.is_sharded(), "PARTITIONED source => sharded");
+        debug_assert_eq!(pipeline.workers(), self.config.workers, "SET workers");
         Ok((s, pipeline))
     }
 

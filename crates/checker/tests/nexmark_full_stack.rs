@@ -68,6 +68,23 @@ fn q8_full_stack_survives_the_nemesis() {
     run("q8", 18);
 }
 
+/// A non-partitioned source: the kill/restore nemesis and every oracle
+/// over the inline one-worker path (q7 pins one worker), and — q5 being
+/// shardable — `SET workers = 2` over the same plain source, with 1- and
+/// 3-worker variations.
+#[test]
+fn plain_source_pipelines_survive_the_nemesis() {
+    for (name, seed) in [("q7", 31), ("q5_hot_items", 32)] {
+        let mut scenario = NexmarkScenario::by_name(name, EVENTS).plain();
+        let report = check_seeded(&mut scenario, seed);
+        assert!(
+            report.nemesis.incarnations >= 2,
+            "{name}: the nemesis plan should have killed at least once"
+        );
+        assert!(!report.reference.probes.is_empty());
+    }
+}
+
 /// Gated emission: the windowed queries under `EMIT STREAM AFTER
 /// WATERMARK`, with the emit-gated oracle armed.
 #[test]

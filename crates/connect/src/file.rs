@@ -388,7 +388,7 @@ impl Source for JsonLinesSource {
 ///
 /// Each partition replays its file independently (its own watermark from
 /// its own max event time, its own replayable offset counting parsed
-/// records), so the sharded driver can poll them round-robin, combine
+/// records), so the driver can poll them round-robin, combine
 /// their watermarks as the min, and seek any partition back to a
 /// checkpointed offset by re-reading its file. The `Vec<inner>` + offset
 /// plumbing is [`PartitionedVec`]; this type only opens the files.
@@ -1205,6 +1205,39 @@ mod tests {
         assert_eq!(rb.status, SourceStatus::Finished);
         assert_eq!(cb.status, SourceStatus::Finished);
         assert!(cb.columns.is_empty());
+    }
+
+    #[test]
+    fn seek_then_columnar_poll_resumes_on_the_same_row() {
+        use onesql_core::connect::{PartitionedSource, SinglePartition};
+        let content = "8:01,1,a\n8:02,2,b\n8:03,3,c\n8:04,4,d\n8:05,5,e\n";
+        let open = |name: &str| {
+            let path = scratch_file(name, content);
+            let source =
+                CsvFileSource::new(&path, "Bid", schema(), FileSourceConfig::default()).unwrap();
+            SinglePartition::new(Box::new(source))
+        };
+        // Uninterrupted: columnar polls all the way, counted in the offset.
+        let mut straight = open("seek_straight.csv");
+        let head = straight.poll_partition_columns(0, 2).unwrap().unwrap();
+        assert_eq!(head.columns.len(), 2);
+        assert_eq!(straight.offset(0), 2, "columnar rows advance the offset");
+        let rest = straight.poll_partition_columns(0, 16).unwrap().unwrap();
+        assert_eq!(straight.offset(0), 5);
+
+        // Resumed: `replay_seek` discards by *row* polls, then the driver
+        // goes back to columnar polls — both must count the same rows.
+        let mut resumed = open("seek_resumed.csv");
+        resumed.seek(0, 2).unwrap();
+        assert_eq!(resumed.offset(0), 2);
+        let tail = resumed.poll_partition_columns(0, 16).unwrap().unwrap();
+        assert_eq!(resumed.offset(0), 5);
+        assert_eq!(tail.columns.len(), rest.columns.len());
+        for i in 0..rest.columns.len() {
+            assert_eq!(tail.columns.timed_change(i), rest.columns.timed_change(i));
+        }
+        assert_eq!(tail.watermark, rest.watermark);
+        assert_eq!(tail.status, rest.status);
     }
 
     #[test]

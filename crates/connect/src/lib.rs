@@ -5,16 +5,16 @@
 //! `onesql-connect`: pluggable sources, sinks, and connectors for the
 //! onesql engine.
 //!
-//! The connector **runtime** — the [`Source`] / [`Sink`] traits and the
-//! [`PipelineDriver`] — lives in `onesql_core::connect` (so the engine can
-//! expose `attach_source` / `run_pipeline` directly) and is re-exported
-//! here. This crate adds the concrete connectors:
+//! The connector **runtime** — the [`Source`] / [`Sink`] traits in
+//! `onesql_core::connect` and the [`PipelineDriver`] in
+//! `onesql_core::driver` — lives in core (so the engine can expose
+//! `attach_source` / `run_pipeline` directly) and is re-exported here. This crate adds the concrete connectors:
 //!
 //! | Connector | Kind | Purpose |
 //! |---|---|---|
 //! | [`CsvFileSource`] / [`CsvFileSink`] | file | schema-driven CSV ingestion and materialization |
 //! | [`JsonLinesSource`] / [`JsonLinesSink`] | file | JSON-lines with typed fields |
-//! | [`PartitionedFileSource`] | file | one partition per file, for the sharded driver |
+//! | [`PartitionedFileSource`] | file | one partition per file |
 //! | [`channel()`] / [`channel_sink`] | memory | crossbeam-backed feeds for tests and multi-producer fan-in |
 //! | [`sharded_channel`] | memory | N channel shards as source partitions |
 //! | [`NexmarkSource`] | generator | the NEXMark Person/Auction/Bid workload as a source |
@@ -85,12 +85,12 @@ pub use trace::{trace_schema, TraceSource};
 
 pub use onesql_core::connect::{
     AdaptiveBatch, AnySource, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
-    PartitionedSource, PartitionedVec, PipelineDriver, PipelineMetrics, SinglePartition, Sink,
-    SinkConnector, SinkSpec, Source, SourceBatch, SourceConnector, SourceEvent, SourceMetrics,
-    SourceSpec, SourceStatus,
+    PartitionedSource, PartitionedVec, PipelineMetrics, SinglePartition, Sink, SinkConnector,
+    SinkSpec, Source, SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec,
+    SourceStatus,
 };
+pub use onesql_core::driver::{PipelineCheckpoint, PipelineDriver, ShardedConfig};
 pub use onesql_core::observe::{MetricKind, MetricRow, MetricsHub, PipelineSnapshot};
 pub use onesql_core::session::{
     PipelineInfo, ScriptOutcome, Session, SqlPipeline, StatementResult,
 };
-pub use onesql_core::shard::{PipelineCheckpoint, ShardedConfig, ShardedPipelineDriver};

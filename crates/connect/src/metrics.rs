@@ -237,7 +237,7 @@ mod tests {
             events_in,
             ..PipelineMetrics::default()
         };
-        observe::hub().publish(pipeline, at, false, finished, metrics);
+        observe::hub().publish(pipeline, at, finished, metrics);
     }
 
     #[test]

@@ -44,10 +44,10 @@
 //! themselves are the producer's batching decision, so for byte-identical
 //! resume keep the producer's `batch_events` aligned with the consumer's
 //! poll batch size (fixed, not adaptive), and checkpoint at poll
-//! boundaries — which is the only place the sharded driver checkpoints
+//! boundaries — which is the only place the driver checkpoints
 //! anyway.
 //!
-//! [`PipelineCheckpoint`]: onesql_core::shard::PipelineCheckpoint
+//! [`PipelineCheckpoint`]: onesql_core::driver::PipelineCheckpoint
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -2386,18 +2386,20 @@ fn parse_data_frame(
 }
 
 /// The single-partition network source: one listener, one producer
-/// connection, a plain [`Source`] for the unsharded [`PipelineDriver`].
+/// connection, a plain [`Source`] for the [`PipelineDriver`].
 ///
-/// The plain driver takes no checkpoints, so there is no restore path
-/// that could ever replay — which means holding the producer's spool
-/// hostage buys nothing. This source therefore **acknowledges as it
-/// consumes**: every poll that advances the offset sends an `ACK`, so
-/// the producer's bounded spool trims continuously and
+/// A plain [`Source`] has no ack hook for checkpoints to drive, and most
+/// consumers of one never checkpoint — holding the producer's spool
+/// hostage for them buys nothing. This source therefore **acknowledges
+/// as it consumes**: every poll that advances the offset sends an `ACK`,
+/// so the producer's bounded spool trims continuously and
 /// [`NetPublisher::wait_drained`] completes when the consumer catches
-/// up. When crash recovery matters, use [`PartitionedNetSource`] with
-/// the sharded driver, whose acks track durable checkpoints instead.
+/// up. The price is that a restored consumer has nothing to replay
+/// (lint OSQL004 warns); when crash recovery matters, use
+/// [`PartitionedNetSource`], whose acks track durable checkpoints
+/// instead.
 ///
-/// [`PipelineDriver`]: onesql_core::connect::PipelineDriver
+/// [`PipelineDriver`]: onesql_core::driver::PipelineDriver
 pub struct NetSource {
     inner: PartitionedNetSource,
     acked: u64,
@@ -3086,7 +3088,7 @@ mod tests {
 
     #[test]
     fn plain_net_source_acks_as_it_consumes() {
-        // The plain driver never checkpoints, so NetSource acks eagerly:
+        // Nothing checkpoints through a plain Source, so NetSource acks eagerly:
         // a producer's wait_drained must complete (and its spool trim)
         // without any checkpoint in the picture.
         let mut source = NetSource::bind(

@@ -307,7 +307,6 @@ mod tests {
         observe::hub().publish(
             label,
             Ts(10),
-            false,
             true,
             onesql_core::connect::PipelineMetrics::default(),
         );

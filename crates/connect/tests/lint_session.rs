@@ -159,6 +159,31 @@ fn warn_mode_executes_scripts_with_error_findings() {
 }
 
 #[test]
+fn plain_source_checkpoint_lints_clean_and_runs_under_strict() {
+    // The linter follows the runtime: a pipeline over a non-partitioned
+    // replayable source checkpoints, so strict mode has nothing to refuse.
+    let store = std::env::temp_dir().join(format!("lint_session_ck_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut session = onesql_connect::session();
+    session.execute("SET lint = 'strict'").unwrap();
+    let outcome = session
+        .execute_script(&format!(
+            "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 3, events = 100);
+             CREATE SINK sunk WITH (connector = 'changelog');
+             INSERT INTO sunk SELECT auction, price FROM Bid EMIT STREAM;
+             CHECKPOINT PIPELINE sunk TO '{}';",
+            store.display()
+        ))
+        .unwrap();
+    assert!(outcome.diagnostics.is_empty(), "{:?}", outcome.diagnostics);
+    assert!(matches!(
+        outcome.results.last(),
+        Some(StatementResult::Checkpointed { epoch: 1, .. })
+    ));
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn lint_script_uses_session_state_for_knob_checks() {
     let mut session = onesql_connect::session();
     session.execute("SET lint = 'off'").unwrap();

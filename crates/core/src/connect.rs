@@ -1,5 +1,7 @@
-//! The connector runtime: pluggable [`Source`]s / [`Sink`]s and the
-//! [`PipelineDriver`] that pumps them through a running query.
+//! The connector boundary: pluggable [`Source`]s / [`Sink`]s, the
+//! partition adapters, and the accounting the
+//! [`PipelineDriver`](crate::driver::PipelineDriver) keeps while pumping
+//! them through a running query.
 //!
 //! The paper's engines (§7–§8, Appendix B) consume time-varying relations
 //! from external connectors — Kafka topics, file sets — and materialize
@@ -13,16 +15,17 @@
 //! - A [`Sink`] consumes the query's output changelog, rendered as
 //!   [`StreamRow`]s (Extension 4's `undo` / `ptime` / `ver` encoding), plus
 //!   output-watermark notifications.
-//! - The [`PipelineDriver`] round-robins over sources, feeds a
-//!   [`RunningQuery`], propagates **monotone** per-stream watermarks (the
-//!   min over all sources feeding a stream, delivered only when it
-//!   advances), keeps output buffering bounded, and accounts everything in
-//!   [`PipelineMetrics`].
+//! - The [`PipelineDriver`](crate::driver::PipelineDriver) treats every
+//!   source as a [`PartitionedSource`] (a plain [`Source`] rides
+//!   [`SinglePartition`]), round-robins over the partitions, propagates
+//!   **monotone** per-stream watermarks (the min over all partitions
+//!   feeding a stream, delivered only when it advances), and accounts
+//!   everything in [`PipelineMetrics`].
 //!
 //! Concrete connectors (CSV / JSON-lines files, in-memory channels, the
 //! NEXMark generator, network endpoints, changelog renderers) live in the
-//! `onesql-connect` crate; this module holds only the traits and the
-//! driver so the engine can expose [`Engine::attach_source`] /
+//! `onesql-connect` crate; this module holds only the traits so the
+//! engine can expose [`Engine::attach_source`] /
 //! [`Engine::run_pipeline`] without a dependency cycle.
 //!
 //! # Example
@@ -89,10 +92,9 @@ use std::collections::BTreeMap;
 use onesql_exec::StreamRow;
 use onesql_time::{Watermark, WatermarkTracker};
 use onesql_tvr::{Change, ChangeBatch};
-use onesql_types::{Duration, Error, Result, Ts, Value};
+use onesql_types::{Error, Result, Ts, Value};
 
-use crate::observe::{self, Histogram, MetricRow, Stopwatch};
-use crate::query::RunningQuery;
+use crate::observe::{Histogram, MetricRow};
 
 pub mod registry;
 
@@ -194,9 +196,9 @@ pub trait Source {
     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch>;
 
     /// Columnar poll: sources that can produce changes already in
-    /// columnar form override this to return `Some`, and the driver feeds
-    /// the batch straight into the vectorized executor path without
-    /// materializing rows. `None` (the default) means "use
+    /// columnar form override this to return `Some`, and a one-worker
+    /// driver feeds the batch straight into the vectorized executor path
+    /// without materializing rows. `None` (the default) means "use
     /// [`Source::poll_batch`]". A vectorizing driver calls this *instead
     /// of* `poll_batch` each round, so an override must carry the same
     /// watermark/status progress a row batch would; a driver with
@@ -210,10 +212,10 @@ pub trait Source {
 /// replayable offset and its own watermark progress.
 ///
 /// Partitions are the unit of parallel ingestion *and* of recovery: the
-/// sharded driver polls them independently, combines their watermarks as
-/// the min (the way [`WatermarkTracker`] combines ports), and records one
-/// offset per partition in a [`crate::shard::PipelineCheckpoint`] so a
-/// killed pipeline can seek back and resume exactly-once.
+/// driver polls them independently, combines their watermarks as the min
+/// (the way [`WatermarkTracker`] combines ports), and records one offset
+/// per partition in a [`crate::driver::PipelineCheckpoint`] so a killed
+/// pipeline can seek back and resume exactly-once.
 ///
 /// Offsets count events: the offset of a partition is the number of events
 /// it has emitted so far, and [`PartitionedSource::seek`] repositions so
@@ -239,6 +241,21 @@ pub trait PartitionedSource {
     /// order, its watermark asserts only its own future events).
     fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch>;
 
+    /// Columnar poll of one partition, with [`Source::poll_columns`]'s
+    /// contract: `Some` replaces that round's [`poll_partition`] and must
+    /// advance [`offset`] by the rows it carries; `None` (the default)
+    /// means "use `poll_partition`".
+    ///
+    /// [`poll_partition`]: PartitionedSource::poll_partition
+    /// [`offset`]: PartitionedSource::offset
+    fn poll_partition_columns(
+        &mut self,
+        _partition: usize,
+        _max_events: usize,
+    ) -> Result<Option<ColumnarBatch>> {
+        Ok(None)
+    }
+
     /// The partition's replayable position: events emitted so far.
     fn offset(&self, partition: usize) -> u64;
 
@@ -261,9 +278,9 @@ pub trait PartitionedSource {
     /// whose upstream lives in **another process** forwards the ack over
     /// the wire so the remote producer can trim its bounded replay spool;
     /// everything the producer still holds is exactly what a
-    /// [`crate::shard::PipelineCheckpoint`] restore could ask it to
-    /// re-send. The sharded driver calls this from
-    /// [`crate::shard::ShardedPipelineDriver::ack_checkpoint`] (invoked
+    /// [`crate::driver::PipelineCheckpoint`] restore could ask it to
+    /// re-send. The driver calls this from
+    /// [`crate::driver::PipelineDriver::ack_checkpoint`] (invoked
     /// by the caller once a checkpoint is durably stored — never before,
     /// or a crash could strand every restorable state) and once more
     /// when the pipeline finishes.
@@ -320,11 +337,11 @@ pub fn replay_seek<S: PartitionedSource + ?Sized>(
     Ok(())
 }
 
-/// Adapts any [`Source`] into a 1-partition [`PartitionedSource`], so
-/// existing connectors work unchanged with the sharded driver. The single
-/// partition's offset counts the events polled; seeking uses the default
-/// replay-and-discard, so resume works for replayable sources (files,
-/// generators) without those connectors knowing about partitions.
+/// Adapts any [`Source`] into a 1-partition [`PartitionedSource`]: how
+/// every plain connector rides the driver. The single partition's offset
+/// counts the events polled, by rows or by columns; seeking uses the
+/// default replay-and-discard, so resume works for replayable sources
+/// (files, generators) without those connectors knowing about partitions.
 pub struct SinglePartition {
     inner: Box<dyn Source>,
     polled: u64,
@@ -337,6 +354,16 @@ impl SinglePartition {
             inner: source,
             polled: 0,
         }
+    }
+
+    fn only_partition_zero(&self, partition: usize) -> Result<()> {
+        if partition == 0 {
+            return Ok(());
+        }
+        Err(Error::exec(format!(
+            "source '{}' has a single partition; partition {partition} does not exist",
+            self.inner.name()
+        )))
     }
 }
 
@@ -354,15 +381,36 @@ impl PartitionedSource for SinglePartition {
     }
 
     fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-        debug_assert_eq!(partition, 0);
+        self.only_partition_zero(partition)?;
         let batch = self.inner.poll_batch(max_events)?;
         self.polled += batch.events.len() as u64;
         Ok(batch)
     }
 
+    fn poll_partition_columns(
+        &mut self,
+        partition: usize,
+        max_events: usize,
+    ) -> Result<Option<ColumnarBatch>> {
+        self.only_partition_zero(partition)?;
+        let batch = self.inner.poll_columns(max_events)?;
+        if let Some(batch) = &batch {
+            self.polled += batch.columns.len() as u64;
+        }
+        Ok(batch)
+    }
+
+    /// Events polled so far. `offset` cannot return an error, so asking
+    /// for a partition that does not exist panics — in release builds too
+    /// — rather than answer for partition 0.
     fn offset(&self, partition: usize) -> u64 {
-        debug_assert_eq!(partition, 0);
+        assert_eq!(partition, 0, "SinglePartition has only partition 0");
         self.polled
+    }
+
+    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
+        self.only_partition_zero(partition)?;
+        replay_seek(self, partition, offset)
     }
 }
 
@@ -475,6 +523,18 @@ impl<S: Source> PartitionedSource for PartitionedVec<S> {
         Ok(batch)
     }
 
+    fn poll_partition_columns(
+        &mut self,
+        partition: usize,
+        max_events: usize,
+    ) -> Result<Option<ColumnarBatch>> {
+        let batch = self.parts[partition].poll_columns(max_events)?;
+        if let Some(batch) = &batch {
+            self.offsets[partition] += batch.columns.len() as u64;
+        }
+        Ok(batch)
+    }
+
     fn offset(&self, partition: usize) -> u64 {
         self.offsets[partition]
     }
@@ -545,33 +605,23 @@ pub trait Sink {
 }
 
 /// Bounds and thresholds for adaptive batch sizing (backpressure beyond
-/// polling): the driver shrinks its per-poll batches while materialization
-/// trails ingestion and grows them while the query keeps up, instead of
+/// polling): the driver shrinks its per-poll batches while its merge
+/// buffer backs up and grows them while the merge keeps up, instead of
 /// buffering unboundedly behind a fixed poll size.
 ///
-/// Caveat: in this runtime every round is a barrier (all delivered input
-/// is fully processed before lag is measured), so watermark lag mostly
-/// reflects the query's *shape* — gates and `EMIT AFTER DELAY` hold the
-/// output watermark behind the input by a structural event-time offset —
-/// rather than instantaneous load. The thresholds are therefore
-/// deliberately coarse: `high_lag` defaults well above common window /
-/// delay offsets so structurally-lagging queries are not pinned to
-/// `min_batch`, and either way the controller only modulates poll size
-/// within hard bounds; it never affects results. Drivers that *can*
-/// measure real queued work — the sharded driver's pending merge-buffer
-/// depth — feed it through [`BatchController::observe_load`], which
-/// prefers that load-proportional signal and falls back to watermark lag
-/// only when no depth reading is available.
+/// The signal is the depth of the driver's merge buffer — worker output
+/// the deterministic merge has not yet been able to release to sinks. It
+/// measures real queued work in entries of real memory, unlike watermark
+/// lag, which under barrier-per-round scheduling mostly encodes the
+/// query's structural event-time offset (gates, `EMIT AFTER DELAY`). The
+/// controller only modulates poll size within hard bounds; it never
+/// affects results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveBatch {
     /// Batches never shrink below this (progress is always possible).
     pub min_batch: usize,
     /// Batches never grow beyond this (bounds per-round latency).
     pub max_batch: usize,
-    /// Watermark lag at or above which the batch size halves.
-    pub high_lag: Duration,
-    /// Watermark lag at or below which the batch size doubles.
-    pub low_lag: Duration,
     /// Pending merge-buffer depth (entries) at or above which the batch
     /// size halves. An absolute bound, not a per-size ratio: the buffer's
     /// steady-state content scales with the batch size itself, so only an
@@ -588,8 +638,6 @@ impl Default for AdaptiveBatch {
         AdaptiveBatch {
             min_batch: 32,
             max_batch: 4096,
-            high_lag: Duration::from_minutes(30),
-            low_lag: Duration::from_seconds(1),
             high_pending: 32_768,
             low_pending: 4_096,
         }
@@ -602,15 +650,11 @@ pub struct DriverConfig {
     /// Events requested from a source per poll; the *initial* size when
     /// [`DriverConfig::adaptive`] is set.
     pub batch_size: usize,
-    /// Drain output to sinks whenever at least this many changes are
-    /// pending (output is always drained at the end of a scheduling round,
-    /// so this bounds in-flight buffering *within* a round).
-    pub max_inflight: usize,
     /// Give up after this many consecutive all-idle rounds in
-    /// [`PipelineDriver::run`] (`None`: yield and keep spinning, for
-    /// channel sources fed by other threads).
+    /// [`PipelineDriver::run`](crate::driver::PipelineDriver::run) (`None`:
+    /// yield and keep spinning, for channel sources fed by other threads).
     pub max_idle_rounds: Option<u64>,
-    /// Adaptive batch sizing from watermark lag; `None` pins
+    /// Adaptive batch sizing from merge-buffer depth; `None` pins
     /// [`DriverConfig::batch_size`] for the whole run.
     pub adaptive: Option<AdaptiveBatch>,
     /// Feed consecutive same-stream events as columnar
@@ -625,7 +669,6 @@ impl Default for DriverConfig {
     fn default() -> DriverConfig {
         DriverConfig {
             batch_size: 256,
-            max_inflight: 1024,
             max_idle_rounds: None,
             adaptive: Some(AdaptiveBatch::default()),
             vectorize: true,
@@ -634,14 +677,14 @@ impl Default for DriverConfig {
 }
 
 /// The adaptive batch-size controller, isolated from the driver so its
-/// policy is unit-testable: one [`BatchController::observe`] per scheduling
-/// round with the current [`PipelineMetrics::watermark_lag`].
+/// policy is unit-testable: one [`BatchController::observe_load`] per
+/// scheduling round with the merge buffer's depth.
 ///
-/// Policy: multiplicative decrease when materialization trails ingestion
-/// past `high_lag` (halve, floored at `min_batch`), multiplicative increase
-/// when the query keeps up within `low_lag` (double, capped at
-/// `max_batch`), hold otherwise or when no lag is measurable yet. The
-/// configured initial size is honored as-is; bounds apply to adjustments.
+/// Policy: multiplicative decrease when the depth reaches `high_pending`
+/// (halve, floored at `min_batch`), multiplicative increase while it stays
+/// within `low_pending` (double, capped at `max_batch`), hold in between.
+/// The configured initial size is honored as-is; bounds apply to
+/// adjustments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchController {
     size: usize,
@@ -668,51 +711,26 @@ impl BatchController {
         self.size = size.max(1);
     }
 
-    /// Feed one round's watermark lag; returns the (possibly adjusted)
-    /// size for the next round. Equivalent to
-    /// [`BatchController::observe_load`] with no depth reading.
-    pub fn observe(&mut self, lag: Option<Duration>) -> usize {
-        self.observe_load(None, lag)
-    }
-
-    /// Feed one round's load signals; returns the (possibly adjusted)
-    /// size for the next round.
+    /// Feed one round's merge-buffer depth; returns the (possibly
+    /// adjusted) size for the next round.
     ///
-    /// Signal choice: `pending` is the depth of the driver's merge buffer
-    /// — output the workers already produced that the deterministic merge
-    /// has not yet been able to release to sinks. Unlike watermark lag
-    /// (which, under barrier-per-round scheduling, mostly encodes the
-    /// query's structural event-time offset — see [`AdaptiveBatch`]),
-    /// depth measures real queued work in entries of real memory. So when
-    /// a depth reading is present it drives the policy and lag is
-    /// ignored; lag is the fallback for drivers with no merge buffer to
-    /// measure.
-    ///
-    /// The depth thresholds are **absolute** (`high_pending` /
-    /// `low_pending` entries), deliberately not ratios of the current
-    /// batch size: the buffer's steady-state content — the clock-tie
-    /// cohort the deterministic merge must hold back every round — itself
-    /// grows with the batch size, so a relative threshold would cancel
-    /// out and never move. Absolute bounds make the controller an AIMD
-    /// loop on in-flight merge memory: grow while the buffer stays small,
-    /// back off when it crosses the bound (deep hold-back, stalled
-    /// clock), whatever the reason.
-    pub fn observe_load(&mut self, pending: Option<usize>, lag: Option<Duration>) -> usize {
+    /// The thresholds are **absolute** (`high_pending` / `low_pending`
+    /// entries), deliberately not ratios of the current batch size: the
+    /// buffer's steady-state content — the clock-tie cohort the
+    /// deterministic merge must hold back every round — itself grows with
+    /// the batch size, so a relative threshold would cancel out and never
+    /// move. Absolute bounds make the controller an AIMD loop on in-flight
+    /// merge memory: grow while the buffer stays small, back off when it
+    /// crosses the bound (deep hold-back, stalled clock), whatever the
+    /// reason.
+    pub fn observe_load(&mut self, pending: usize) -> usize {
         let Some(policy) = self.policy else {
             return self.size;
         };
-        if let Some(depth) = pending {
-            if depth >= policy.high_pending {
-                self.size = (self.size / 2).max(policy.min_batch).max(1);
-            } else if depth <= policy.low_pending {
-                self.size = (self.size * 2).min(policy.max_batch.max(1));
-            }
-        } else if let Some(lag) = lag {
-            if lag >= policy.high_lag {
-                self.size = (self.size / 2).max(policy.min_batch).max(1);
-            } else if lag <= policy.low_lag {
-                self.size = (self.size * 2).min(policy.max_batch.max(1));
-            }
+        if pending >= policy.high_pending {
+            self.size = (self.size / 2).max(policy.min_batch).max(1);
+        } else if pending <= policy.low_pending {
+            self.size = (self.size * 2).min(policy.max_batch.max(1));
         }
         self.size
     }
@@ -755,7 +773,7 @@ pub fn change_bytes(change: &Change) -> u64 {
 }
 
 /// Pipeline-wide accounting, readable at any time via
-/// [`PipelineDriver::metrics`].
+/// [`PipelineDriver::metrics`](crate::driver::PipelineDriver::metrics).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineMetrics {
     /// Total events fed into the query.
@@ -770,24 +788,24 @@ pub struct PipelineMetrics {
     pub rounds: u64,
     /// Rounds in which no source produced anything.
     pub idle_rounds: u64,
-    /// Rounds that fed at least one columnar batch (the vectorized path).
+    /// Rounds in which some worker fed at least one columnar batch (the
+    /// vectorized path), as the workers report at the drain barrier.
     pub vectorized_rounds: u64,
-    /// Rounds that fed at least one event per-row (stream doesn't
-    /// vectorize, single-event runs, or mixed-arity runs).
+    /// Rounds in which some worker fed at least one event per-row (stream
+    /// doesn't vectorize, single-event runs, or mixed-arity runs).
     pub fallback_rounds: u64,
-    /// Rows per columnar batch fed to the query (vectorized path only).
+    /// Rows per batch handed to a worker.
     pub batch_rows: Histogram,
     /// The batch size the adaptive controller chose for the next poll.
     pub batch_size: usize,
-    /// Depth of the sharded driver's deterministic-merge hold-back buffer
-    /// (0 for the plain driver, which has no merge buffer).
+    /// Depth of the deterministic-merge hold-back buffer after the round.
     pub pending_depth: u64,
     /// Wall-clock per scheduling round, in microseconds.
     pub round_micros: Histogram,
     /// Wall-clock spent polling sources per round, in microseconds.
     pub poll_micros: Histogram,
-    /// Wall-clock spent in the deterministic merge/drain of worker output
-    /// per round, in microseconds (sharded driver only).
+    /// Wall-clock spent in the drain barrier and deterministic merge of
+    /// worker output per round, in microseconds.
     pub merge_micros: Histogram,
     /// Wall-clock per output render+deliver drain, in microseconds.
     pub emit_micros: Histogram,
@@ -847,17 +865,10 @@ impl PipelineMetrics {
     /// output watermark: how far materialization trails ingestion. `None`
     /// until both watermarks carry real timestamps.
     pub fn watermark_lag(&self) -> Option<onesql_types::Duration> {
-        PipelineMetrics::lag_between(self.input_watermark, self.output_watermark)
-    }
-
-    /// [`PipelineMetrics::watermark_lag`] on raw watermarks, so drivers
-    /// can feed their batch controller each round without rebuilding the
-    /// whole metrics struct.
-    pub fn lag_between(input: Watermark, output: Watermark) -> Option<onesql_types::Duration> {
-        if input == Watermark::MIN || output == Watermark::MIN {
+        if self.input_watermark == Watermark::MIN || self.output_watermark == Watermark::MIN {
             return None;
         }
-        Some(input.ts() - output.ts())
+        Some(self.input_watermark.ts() - self.output_watermark.ts())
     }
 
     /// Render these metrics as stable `(name, kind, value)` rows — the one
@@ -985,8 +996,7 @@ pub struct WatermarkProvenance {
 /// Combines per-feeder watermarks into per-stream deliveries, the way
 /// [`WatermarkTracker`] combines operator ports: a stream's watermark is
 /// the min over all feeders (sources, or source partitions) feeding it,
-/// delivered only when it advances. Shared by [`PipelineDriver`] (one
-/// feeder per source) and the sharded driver (one feeder per partition).
+/// delivered only when it advances.
 ///
 /// Beyond combining, the ledger keeps *provenance*: which feeder holds
 /// each stream's minimum and when that feeder last produced an event
@@ -1104,571 +1114,6 @@ impl WatermarkLedger {
     }
 }
 
-struct SourceSlot {
-    source: Box<dyn Source>,
-    /// Lowercased stream names, resolved once at attach time.
-    streams: Vec<String>,
-    finished: bool,
-    events: u64,
-    bytes: u64,
-    non_empty_polls: u64,
-}
-
-/// Pumps N sources through one running query into M sinks.
-///
-/// Scheduling is round-robin over ready sources with per-poll batches of
-/// [`DriverConfig::batch_size`] events; watermark propagation is monotone
-/// per stream (see [`PipelineDriver::step`]); output is drained to sinks
-/// at least once per round.
-pub struct PipelineDriver {
-    query: RunningQuery,
-    sources: Vec<SourceSlot>,
-    sinks: Vec<Box<dyn Sink>>,
-    config: DriverConfig,
-    controller: BatchController,
-    metrics: PipelineMetrics,
-    /// Per-source watermark combining and monotone per-stream delivery.
-    ledger: WatermarkLedger,
-    /// Scratch buffer for ledger advances (avoids per-event allocation).
-    advances: Vec<(String, Watermark)>,
-    /// Monotone processing-time clock (the executor may not regress).
-    clock: Ts,
-    /// Changelog entries already rendered to sinks.
-    emitted: usize,
-    /// Output watermark already reported to sinks.
-    sink_watermark: Watermark,
-    /// Incremental `EMIT STREAM` rendering (shared with
-    /// `onesql_exec::render_stream`, so sink-side `ver` numbering cannot
-    /// diverge from `RunningQuery::stream_rows`).
-    renderer: onesql_exec::StreamRenderer,
-    /// When set, the driver publishes a metrics snapshot to the global
-    /// [`observe::hub`] under this name after every round.
-    label: Option<String>,
-    /// When set, every sink-observable event (rows, watermarks, finish)
-    /// is also appended here, in sink order.
-    tap: Option<crate::history::HistoryTap>,
-    /// Per-stream vectorization verdicts, cached after the first run (the
-    /// query's tree shape and generators cannot change under the driver).
-    vector_ok: BTreeMap<String, bool>,
-    finished: bool,
-}
-
-impl PipelineDriver {
-    /// Wrap an already-running query. Use [`crate::Engine::run_pipeline`]
-    /// to build one straight from SQL with attached connectors.
-    pub fn new(query: RunningQuery) -> PipelineDriver {
-        let ver_cols = onesql_exec::compile::version_columns(query.bound());
-        let clock = query.now();
-        let config = DriverConfig::default();
-        PipelineDriver {
-            query,
-            sources: Vec::new(),
-            sinks: Vec::new(),
-            config,
-            controller: BatchController::new(&config),
-            metrics: PipelineMetrics::default(),
-            ledger: WatermarkLedger::new(),
-            advances: Vec::new(),
-            clock,
-            emitted: 0,
-            sink_watermark: Watermark::MIN,
-            renderer: onesql_exec::StreamRenderer::new(ver_cols),
-            label: None,
-            tap: None,
-            vector_ok: BTreeMap::new(),
-            finished: false,
-        }
-    }
-
-    /// Install a [`crate::history::HistoryTap`]: every sink-observable
-    /// event — rendered rows, watermark deliveries, the finish marker —
-    /// is also appended to `tap`, in sink order. (The plain driver has no
-    /// checkpoint surface, so epoch events never appear here.)
-    pub fn set_history_tap(&mut self, tap: crate::history::HistoryTap) {
-        self.tap = Some(tap);
-    }
-
-    /// Whether `stream` takes the vectorized path, cached per stream.
-    fn stream_vectorizes(&mut self, stream: &str) -> bool {
-        if let Some(&ok) = self.vector_ok.get(stream) {
-            return ok;
-        }
-        let ok = self.query.vectorizes(stream);
-        self.vector_ok.insert(stream.to_string(), ok);
-        ok
-    }
-
-    /// Name this pipeline on the global [`observe::hub`]: every subsequent
-    /// round publishes a [`crate::PipelineSnapshot`] under `label`, which
-    /// is what the `metrics` source connector and `SHOW PIPELINES` read.
-    /// Unlabelled drivers never touch the hub.
-    pub fn set_label(&mut self, label: impl Into<String>) {
-        self.label = Some(label.into());
-    }
-
-    /// The hub label, if one was set.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
-    }
-
-    fn publish_snapshot(&mut self) {
-        if self.label.is_none() {
-            return;
-        }
-        self.refresh_metrics();
-        let label = self.label.as_deref().unwrap_or_default();
-        observe::hub().publish(
-            label,
-            self.clock,
-            false,
-            self.finished,
-            self.metrics.clone(),
-        );
-    }
-
-    /// Replace the driver configuration.
-    pub fn with_config(mut self, config: DriverConfig) -> PipelineDriver {
-        self.config = config;
-        self.controller = BatchController::new(&config);
-        self
-    }
-
-    /// The batch size the adaptive controller will use for the next poll.
-    pub fn current_batch_size(&self) -> usize {
-        self.controller.size()
-    }
-
-    /// Attach a source. Fails if the source declares no streams, or once
-    /// the pipeline has started (the per-stream watermark trackers are
-    /// sized at attach time; growing them mid-run would reset delivered
-    /// watermark floors).
-    pub fn attach_source(&mut self, source: Box<dyn Source>) -> Result<()> {
-        if self.metrics.rounds > 0 {
-            return Err(Error::plan("attach sources before stepping the pipeline"));
-        }
-        let streams: Vec<String> = source
-            .streams()
-            .iter()
-            .map(|s| s.to_ascii_lowercase())
-            .collect();
-        if streams.is_empty() {
-            return Err(Error::plan(format!(
-                "source '{}' declares no streams",
-                source.name()
-            )));
-        }
-        self.ledger.add_feeder(source.name(), &streams);
-        self.sources.push(SourceSlot {
-            source,
-            streams,
-            finished: false,
-            events: 0,
-            bytes: 0,
-            non_empty_polls: 0,
-        });
-        Ok(())
-    }
-
-    /// Attach a sink; it is immediately bound to the query's output
-    /// schema.
-    pub fn attach_sink(&mut self, mut sink: Box<dyn Sink>) -> Result<()> {
-        sink.bind(self.query.schema())?;
-        self.sinks.push(sink);
-        Ok(())
-    }
-
-    /// The wrapped query (table views, state metrics, …).
-    pub fn query(&self) -> &RunningQuery {
-        &self.query
-    }
-
-    /// The driver's monotone processing-time clock: the max ptime of any
-    /// event fed so far. `AS OF` probes strictly below it are stable.
-    pub fn clock(&self) -> Ts {
-        self.clock
-    }
-
-    /// Current accounting. Watermark fields are refreshed on access.
-    pub fn metrics(&mut self) -> &PipelineMetrics {
-        self.refresh_metrics();
-        &self.metrics
-    }
-
-    /// True once [`PipelineDriver::finish`] ran (all sources exhausted).
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    fn refresh_metrics(&mut self) {
-        self.metrics.sources = self
-            .sources
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SourceMetrics {
-                name: s.source.name().to_string(),
-                events: s.events,
-                bytes: s.bytes,
-                non_empty_polls: s.non_empty_polls,
-                watermark: self.ledger.feeder(i),
-                finished: s.finished,
-            })
-            .collect();
-        self.metrics.input_watermark = self.ledger.input_watermark();
-        self.metrics.output_watermark = self.query.output_watermark();
-        self.metrics.watermark_provenance = self.ledger.provenance();
-    }
-
-    /// Per-stream watermark provenance: which source holds each stream's
-    /// minimum watermark and when it last produced an event.
-    pub fn watermark_provenance(&self) -> Vec<WatermarkProvenance> {
-        self.ledger.provenance()
-    }
-
-    /// One scheduling round: poll every unfinished source once (up to
-    /// `batch_size` events each), feed the query, propagate watermarks,
-    /// and drain output. Returns how many events were ingested; `Ok(0)`
-    /// with unfinished sources means everything was idle.
-    pub fn step(&mut self) -> Result<usize> {
-        if self.finished {
-            return Ok(0);
-        }
-        if observe::enabled() {
-            observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
-        }
-        let _round = observe::TraceSpan::root("driver.round");
-        let round = Stopwatch::start();
-        let batch_size = self.controller.size();
-        let mut ingested = 0usize;
-        let mut poll_micros = 0u64;
-        let mut vectorized_round = false;
-        let mut fallback_round = false;
-        for slot in 0..self.sources.len() {
-            if self.sources[slot].finished {
-                continue;
-            }
-            let poll = Stopwatch::start();
-            // Columnar fast path: a source that parses straight into
-            // columns (chunked CSV) hands the driver a ready ChangeBatch.
-            if self.config.vectorize {
-                if let Some(cb) = self.sources[slot].source.poll_columns(batch_size)? {
-                    poll_micros = poll_micros.saturating_add(poll.micros());
-                    ingested +=
-                        self.ingest_columns(slot, cb, &mut vectorized_round, &mut fallback_round)?;
-                    self.deliver_advances()?;
-                    continue;
-                }
-            }
-            let batch = self.sources[slot].source.poll_batch(batch_size)?;
-            poll_micros = poll_micros.saturating_add(poll.micros());
-            let had_events = !batch.events.is_empty();
-            if had_events {
-                self.sources[slot].non_empty_polls += 1;
-            }
-            // The ingest span parents under the wire-carried producer span
-            // when the source supplied one, else under this round.
-            let _ingest = (had_events || batch.watermark.is_some()).then(|| {
-                observe::TraceSpan::with_parent("driver.ingest", batch.trace_parent.unwrap_or(0))
-                    .partition(slot.min(i32::MAX as usize) as i32)
-            });
-            let mut events = batch.events.into_iter().peekable();
-            while let Some(event) = events.next() {
-                let stream_idx = event.stream;
-                let stream = self.sources[slot]
-                    .streams
-                    .get(stream_idx)
-                    .cloned()
-                    .ok_or_else(|| {
-                        Error::exec(format!(
-                            "source '{}' produced an event for stream index {} \
-                                 but declares only {} streams",
-                            self.sources[slot].source.name(),
-                            stream_idx,
-                            self.sources[slot].streams.len()
-                        ))
-                    })?;
-                // Processing time is monotone across the whole pipeline;
-                // a source whose clock lags is dragged forward.
-                self.clock = self.clock.max(event.ptime);
-                // Gather the run of consecutive events for the same stream;
-                // clock clamping keeps the run's ptime lane monotone.
-                let mut run: Vec<(Ts, Change)> = vec![(self.clock, event.change)];
-                if self.config.vectorize && self.stream_vectorizes(&stream) {
-                    while let Some(next) = events.next_if(|next| next.stream == stream_idx) {
-                        self.clock = self.clock.max(next.ptime);
-                        run.push((self.clock, next.change));
-                    }
-                }
-                let run_events = run.len() as u64;
-                let run_bytes: u64 = run.iter().map(|(_, c)| change_bytes(c)).sum();
-                if run.len() > 1 {
-                    if let Some(columns) = ChangeBatch::from_changes(&run) {
-                        self.metrics.batch_rows.record(columns.len() as u64);
-                        self.metrics.vectorized_rounds += u64::from(!vectorized_round);
-                        vectorized_round = true;
-                        self.query.change_batch(&stream, &columns)?;
-                    } else {
-                        // Mixed-arity run: per-row feeding reproduces the
-                        // oracle's arity error exactly.
-                        self.metrics.fallback_rounds += u64::from(!fallback_round);
-                        fallback_round = true;
-                        for (ts, change) in run {
-                            self.query.change(&stream, ts, change)?;
-                        }
-                    }
-                } else {
-                    self.metrics.fallback_rounds += u64::from(!fallback_round);
-                    fallback_round = true;
-                    if let Some((ts, change)) = run.pop() {
-                        self.query.change(&stream, ts, change)?;
-                    }
-                }
-                self.sources[slot].events += run_events;
-                self.sources[slot].bytes += run_bytes;
-                self.metrics.events_in += run_events;
-                self.metrics.bytes_in += run_bytes;
-                ingested += run_events as usize;
-                // Bounded in-flight buffering: drain mid-round when the
-                // pending output grows past the configured bound.
-                if self.query.changelog().len() - self.emitted >= self.config.max_inflight {
-                    self.drain_output()?;
-                }
-            }
-            if had_events {
-                self.ledger.note_event(slot, self.clock);
-            }
-            if let Some(wm) = batch.watermark {
-                self.ledger.observe(slot, Watermark(wm), &mut self.advances);
-            }
-            if batch.status == SourceStatus::Finished {
-                self.sources[slot].finished = true;
-                // A finished source asserts completeness: it no longer
-                // constrains its streams' watermarks.
-                self.ledger
-                    .observe(slot, Watermark::MAX, &mut self.advances);
-            }
-            self.deliver_advances()?;
-        }
-        self.drain_output()?;
-        self.metrics.rounds += 1;
-        if ingested == 0 {
-            self.metrics.idle_rounds += 1;
-        }
-        if self.all_sources_finished() {
-            self.finish()?;
-        } else {
-            self.metrics.batch_size = self.controller.observe(PipelineMetrics::lag_between(
-                self.ledger.input_watermark(),
-                self.query.output_watermark(),
-            ));
-        }
-        self.metrics.poll_micros.record(poll_micros);
-        self.metrics.round_micros.record(round.micros());
-        self.publish_snapshot();
-        Ok(ingested)
-    }
-
-    /// Ingest one columnar source batch: clamp its ptime lane to the
-    /// driver's monotone clock, feed the vectorized path (or fall back
-    /// per-row when the plan cannot batch this stream), and apply the
-    /// batch's watermark/status exactly as the row path would. Returns
-    /// the number of rows ingested.
-    fn ingest_columns(
-        &mut self,
-        slot: usize,
-        cb: ColumnarBatch,
-        vectorized_round: &mut bool,
-        fallback_round: &mut bool,
-    ) -> Result<usize> {
-        let n = cb.columns.len();
-        if n > 0 {
-            self.sources[slot].non_empty_polls += 1;
-            let stream = self.sources[slot]
-                .streams
-                .get(cb.stream)
-                .cloned()
-                .ok_or_else(|| {
-                    Error::exec(format!(
-                        "source '{}' produced an event for stream index {} \
-                         but declares only {} streams",
-                        self.sources[slot].source.name(),
-                        cb.stream,
-                        self.sources[slot].streams.len()
-                    ))
-                })?;
-            // The same monotone-clock clamp the row path applies per event.
-            let columns = cb.columns.clamp_ptimes(self.clock);
-            self.clock = self.clock.max(columns.ptime(n - 1));
-            let bytes: u64 = (0..n).map(|i| columns.row_bytes(i)).sum();
-            if self.stream_vectorizes(&stream) {
-                self.metrics.batch_rows.record(n as u64);
-                self.metrics.vectorized_rounds += u64::from(!*vectorized_round);
-                *vectorized_round = true;
-                self.query.change_batch(&stream, &columns)?;
-            } else {
-                self.metrics.fallback_rounds += u64::from(!*fallback_round);
-                *fallback_round = true;
-                for i in 0..n {
-                    let (ts, change) = columns.timed_change(i);
-                    self.query.change(&stream, ts, change)?;
-                }
-            }
-            self.sources[slot].events += n as u64;
-            self.sources[slot].bytes += bytes;
-            self.metrics.events_in += n as u64;
-            self.metrics.bytes_in += bytes;
-            self.ledger.note_event(slot, self.clock);
-            if self.query.changelog().len() - self.emitted >= self.config.max_inflight {
-                self.drain_output()?;
-            }
-        }
-        if let Some(wm) = cb.watermark {
-            self.ledger.observe(slot, Watermark(wm), &mut self.advances);
-        }
-        if cb.status == SourceStatus::Finished {
-            self.sources[slot].finished = true;
-            self.ledger
-                .observe(slot, Watermark::MAX, &mut self.advances);
-        }
-        Ok(n)
-    }
-
-    /// Deliver per-stream watermark advancements queued by the ledger.
-    ///
-    /// A stream's watermark is the **min** over all sources feeding it
-    /// (any one source may still deliver old events); delivery is strictly
-    /// monotone — the query only hears a stream watermark when it exceeds
-    /// what was already delivered (both enforced by [`WatermarkLedger`]).
-    fn deliver_advances(&mut self) -> Result<()> {
-        let mut advances = std::mem::take(&mut self.advances);
-        for (stream, combined) in advances.drain(..) {
-            self.query.watermark(&stream, self.clock, combined.ts())?;
-            self.metrics.watermarks_in += 1;
-        }
-        self.advances = advances;
-        Ok(())
-    }
-
-    fn all_sources_finished(&self) -> bool {
-        !self.sources.is_empty() && self.sources.iter().all(|s| s.finished)
-    }
-
-    /// Render changelog entries not yet delivered and hand them to every
-    /// sink, with `ver` numbering identical to `EMIT STREAM` rendering.
-    fn drain_output(&mut self) -> Result<()> {
-        let entries = self.query.changelog().entries();
-        if self.emitted >= entries.len() {
-            self.notify_sink_watermark()?;
-            return Ok(());
-        }
-        // The emit span is the thread's current span while sinks write,
-        // so a `NetSink` can attach it to outgoing BATCH frames as the
-        // consumer side's trace parent.
-        let _emit_span = observe::TraceSpan::child("driver.emit");
-        let emit = Stopwatch::start();
-        let mut rows = Vec::with_capacity(entries.len() - self.emitted);
-        for entry in &entries[self.emitted..] {
-            self.renderer.render_into(entry, &mut rows)?;
-        }
-        self.emitted = entries.len();
-        self.metrics.events_out += rows.len() as u64;
-        for sink in &mut self.sinks {
-            sink.write(&rows)?;
-        }
-        if let Some(tap) = &self.tap {
-            tap.record_rows(&rows);
-        }
-        self.notify_sink_watermark()?;
-        self.metrics.emit_micros.record(emit.micros());
-        Ok(())
-    }
-
-    fn notify_sink_watermark(&mut self) -> Result<()> {
-        let wm = self.query.output_watermark();
-        if wm > self.sink_watermark {
-            self.sink_watermark = wm;
-            for sink in &mut self.sinks {
-                sink.on_watermark(wm)?;
-            }
-            if let Some(tap) = &self.tap {
-                tap.record(crate::history::HistoryEvent::Watermark(wm));
-            }
-        }
-        Ok(())
-    }
-
-    /// Declare the pipeline complete: final watermarks flush all gated /
-    /// delayed materialization, remaining output drains, and sinks flush.
-    /// Idempotent; called automatically when every source reports
-    /// [`SourceStatus::Finished`].
-    pub fn finish(&mut self) -> Result<()> {
-        if self.finished {
-            return Ok(());
-        }
-        self.finished = true;
-        if observe::enabled() {
-            observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
-        }
-        let _finish_span = observe::TraceSpan::root("driver.finish");
-        let span = Stopwatch::start();
-        self.query.finish(self.clock)?;
-        self.drain_output()?;
-        for sink in &mut self.sinks {
-            sink.flush()?;
-        }
-        if let Some(tap) = &self.tap {
-            tap.record(crate::history::HistoryEvent::Finished);
-        }
-        observe::sample("driver.finish_micros", span.micros());
-        self.refresh_metrics();
-        self.publish_snapshot();
-        Ok(())
-    }
-
-    /// Run until every source finishes. All-idle rounds yield the thread
-    /// (sources may be fed by other threads); `max_idle_rounds` bounds the
-    /// wait, erroring on exhaustion so a stuck pipeline is loud.
-    pub fn run(&mut self) -> Result<&PipelineMetrics> {
-        if self.sources.is_empty() {
-            return Err(Error::plan("pipeline has no sources"));
-        }
-        let mut idle_streak = 0u64;
-        while !self.finished {
-            let ingested = self.step()?;
-            if self.finished {
-                break;
-            }
-            if ingested == 0 {
-                idle_streak += 1;
-                if let Some(limit) = self.config.max_idle_rounds {
-                    if idle_streak > limit {
-                        return Err(Error::exec(format!(
-                            "pipeline made no progress for {idle_streak} rounds \
-                             (sources idle, none finished)"
-                        )));
-                    }
-                }
-                std::thread::yield_now();
-            } else {
-                idle_streak = 0;
-            }
-        }
-        self.refresh_metrics();
-        Ok(&self.metrics)
-    }
-}
-
-impl std::fmt::Debug for PipelineDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineDriver")
-            .field("sources", &self.sources.len())
-            .field("sinks", &self.sinks.len())
-            .field("events_in", &self.metrics.events_in)
-            .field("events_out", &self.metrics.events_out)
-            .field("finished", &self.finished)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1679,8 +1124,6 @@ mod tests {
             adaptive: Some(AdaptiveBatch {
                 min_batch: min,
                 max_batch: max,
-                high_lag: Duration::from_seconds(60),
-                low_lag: Duration::from_seconds(1),
                 high_pending: 1_000,
                 low_pending: 100,
             }),
@@ -1689,67 +1132,25 @@ mod tests {
     }
 
     #[test]
-    fn controller_shrinks_under_lag_and_grows_when_caught_up() {
+    fn controller_shrinks_on_backlog_and_grows_when_caught_up() {
         let mut c = controller(256, 32, 4096);
-        assert_eq!(c.observe(Some(Duration::from_seconds(120))), 128);
-        assert_eq!(c.observe(Some(Duration::from_seconds(60))), 64, "at high");
-        assert_eq!(c.observe(Some(Duration::from_seconds(30))), 64, "between");
-        assert_eq!(c.observe(Some(Duration::from_seconds(1))), 128, "at low");
-        assert_eq!(c.observe(Some(Duration::ZERO)), 256);
-    }
-
-    #[test]
-    fn controller_respects_bounds() {
-        let mut c = controller(64, 32, 128);
-        for _ in 0..10 {
-            c.observe(Some(Duration::from_minutes(10)));
-        }
-        assert_eq!(c.size(), 32, "floored at min_batch");
-        for _ in 0..10 {
-            c.observe(Some(Duration::ZERO));
-        }
-        assert_eq!(c.size(), 128, "capped at max_batch");
-    }
-
-    #[test]
-    fn depth_signal_preferred_over_lag() {
-        // A huge (structural) watermark lag must not shrink batches while
-        // the merge buffer shows the pipeline is keeping up — and a deep
-        // merge backlog must shrink them even with zero lag.
-        let mut c = controller(256, 32, 4096);
-        let lag = Some(Duration::from_minutes(60));
-        assert_eq!(c.observe_load(Some(0), lag), 512, "empty buffer: grow");
-        assert_eq!(c.observe_load(Some(1_000), None), 256, "backlog: halve");
-        let hold = c.observe_load(Some(500), Some(Duration::ZERO));
-        assert_eq!(hold, 256, "between the bounds: hold, even with zero lag");
+        assert_eq!(c.observe_load(0), 512, "empty buffer: grow");
+        assert_eq!(c.observe_load(1_000), 256, "at high: halve");
+        assert_eq!(c.observe_load(500), 256, "between the bounds: hold");
+        assert_eq!(c.observe_load(100), 512, "at low: grow");
     }
 
     #[test]
     fn depth_bounds_walk_to_the_limits() {
         let mut c = controller(256, 32, 512);
         for _ in 0..10 {
-            c.observe_load(Some(100_000), None);
+            c.observe_load(100_000);
         }
         assert_eq!(c.size(), 32, "deep backlog floors at min_batch");
         for _ in 0..10 {
-            c.observe_load(Some(0), None);
+            c.observe_load(0);
         }
         assert_eq!(c.size(), 512, "empty buffer caps at max_batch");
-    }
-
-    #[test]
-    fn no_depth_reading_falls_back_to_lag() {
-        let mut c = controller(256, 32, 4096);
-        assert_eq!(c.observe_load(None, Some(Duration::from_minutes(5))), 128);
-        assert_eq!(c.observe_load(None, Some(Duration::ZERO)), 256);
-        assert_eq!(c.observe_load(None, None), 256, "no signal at all: hold");
-    }
-
-    #[test]
-    fn controller_holds_without_lag_signal() {
-        let mut c = controller(256, 32, 4096);
-        assert_eq!(c.observe(None), 256);
-        assert_eq!(c.size(), 256);
     }
 
     #[test]
@@ -1759,8 +1160,8 @@ mod tests {
             adaptive: None,
             ..DriverConfig::default()
         });
-        assert_eq!(c.observe(Some(Duration::from_minutes(60))), 17);
-        assert_eq!(c.observe(Some(Duration::ZERO)), 17);
+        assert_eq!(c.observe_load(1_000_000), 17);
+        assert_eq!(c.observe_load(0), 17);
     }
 
     #[test]
@@ -1769,7 +1170,7 @@ mod tests {
         // adjustment, which snaps into bounds.
         let mut c = controller(4, 32, 4096);
         assert_eq!(c.size(), 4);
-        assert_eq!(c.observe(Some(Duration::from_minutes(5))), 32);
+        assert_eq!(c.observe_load(5_000), 32);
     }
 
     /// A tiny scripted source for adapter tests: emits `remaining` rows.
@@ -1848,6 +1249,23 @@ mod tests {
         let mut odd = Scripted::new(1);
         odd.streams = vec!["other".to_string()];
         assert!(PartitionedVec::new("pv", vec![Scripted::new(1), odd]).is_err());
+    }
+
+    #[test]
+    fn single_partition_refuses_partitions_it_does_not_have() {
+        let mut sp = SinglePartition::new(Box::new(Scripted::new(4)));
+        let refused = [
+            sp.poll_partition(7, 1).map(|_| ()),
+            sp.poll_partition_columns(7, 1).map(|_| ()),
+            sp.seek(7, 0),
+        ];
+        for result in refused {
+            let err = result.unwrap_err().to_string();
+            assert!(err.contains("single partition"), "{err}");
+        }
+        assert_eq!(sp.offset(0), 0, "a refused call polls nothing");
+        sp.poll_partition(0, 3).unwrap();
+        assert_eq!(sp.offset(0), 3);
     }
 
     #[test]

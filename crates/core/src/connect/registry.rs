@@ -36,9 +36,9 @@ use crate::connect::{PartitionedSource, Sink, Source};
 
 /// A built source, either flavor.
 pub enum AnySource {
-    /// A plain source (plain driver, or adapted for the sharded one).
+    /// A plain source; the engine adapts it to one partition.
     Plain(Box<dyn Source>),
-    /// A partitioned source (sharded driver only).
+    /// A partitioned source.
     Partitioned(Box<dyn PartitionedSource>),
 }
 

@@ -1,32 +1,40 @@
-//! The sharded pipeline runtime: partition-aware ingestion, parallel
-//! operator workers, and exactly-once checkpoint/resume.
+//! The pipeline driver: the one scheduling loop every pipeline runs on.
 //!
-//! [`crate::connect::PipelineDriver`] pumps sources through **one**
-//! running query on the calling thread. This module scales both sides of
-//! that loop together, the way the paper's engines do (Appendix B):
+//! A pipeline is N sources pumped through W ≥ 1 query workers into M
+//! sinks, the way the paper's engines do it (Appendix B). Every source is
+//! a [`PartitionedSource`] (a plain [`Source`] rides [`SinglePartition`]),
+//! and one [`PipelineDriver::step`] round is always the same: poll every
+//! unfinished partition, hand the round's events to the workers, then the
+//! round's per-stream watermark advances, then barrier, merge and emit.
+//! The only thing that varies is the **worker set**, chosen from the
+//! worker count alone:
 //!
-//! - **In**: [`PartitionedSource`]s expose N ordered partitions, each with
-//!   its own watermark and a replayable offset. The driver polls
-//!   partitions independently and combines their watermarks per stream as
-//!   the min, exactly as [`onesql_time::WatermarkTracker`] combines
-//!   operator ports.
-//! - **Across**: each event routes to one of W worker threads by the
-//!   stable hash of its partition key ([`PartitionedQuery::partition_of`]),
-//!   so rows that can ever combine (same group, same join key) always meet
-//!   in the same worker — the partition-alignment property of
-//!   [`crate::parallel`], now fed by connectors instead of direct inserts.
-//! - **Out**: worker changelogs merge through a deterministic
-//!   partition-aligned order — `(ptime, worker, per-worker sequence)` —
-//!   with entries at the current clock held back until the clock passes
-//!   them, so the sink-observed changelog is a pure function of the input
-//!   and never depends on thread scheduling.
-//! - **Recovery**: [`ShardedPipelineDriver::checkpoint`] barriers the
-//!   workers and captures operator state *plus* per-partition source
-//!   offsets *plus* the driver's merge/render cursors in one
-//!   [`PipelineCheckpoint`]. A fresh driver over fresh (replayable)
-//!   sources [`ShardedPipelineDriver::restore`]s it and continues as if
-//!   the crash never happened: the resumed sink output concatenated onto
-//!   the pre-crash output is byte-identical to an uninterrupted run.
+//! - **W = 1** runs the [`RunningQuery`] inline on the calling thread: no
+//!   routing hash, no channel, no thread hop. A source that polls straight
+//!   into columns ([`PartitionedSource::poll_partition_columns`]) feeds
+//!   the vectorized executor path without materializing rows.
+//! - **W > 1** spawns one thread per worker. Each event routes by the
+//!   stable hash of its partition key ([`partition_of`]), so rows that can
+//!   ever combine (same group, same join key) always meet in the same
+//!   worker — the partition-alignment property.
+//!
+//! On either worker set, worker changelogs merge through a deterministic
+//! order — `(ptime, worker, per-worker sequence)` — with entries at the
+//! current clock held back until the clock passes them, so the
+//! sink-observed changelog is a pure function of the input and never
+//! depends on thread scheduling. One worker follows the same rule: the
+//! hold-back (and the clock nudge that releases it when ptimes stall) is
+//! part of how the clock moves, and the clock — hence every `ptime` a sink
+//! sees — must not depend on the worker count. Partitions combine their
+//! watermarks per stream as the min, exactly as
+//! [`onesql_time::WatermarkTracker`] combines operator ports, and
+//! [`PipelineDriver::checkpoint`] barriers the workers and
+//! captures operator state *plus* per-partition source offsets *plus* the
+//! merge/render cursors in one [`PipelineCheckpoint`]. A fresh driver over
+//! fresh (replayable) sources [`PipelineDriver::restore`]s it and
+//! continues as if the crash never happened: the resumed sink output
+//! concatenated onto the pre-crash output is byte-identical to an
+//! uninterrupted run.
 //!
 //! The determinism argument for the merge: the driver's clock is monotone
 //! and every changelog entry a worker produces is stamped with the clock
@@ -38,9 +46,9 @@
 //!
 //! # Example
 //!
-//! Any plain [`crate::connect::Source`] rides the sharded driver through
-//! the 1-partition adapter; here three bids fan out over two hash-sharded
-//! workers and the merged result table comes back deterministic:
+//! Any plain [`Source`] rides the driver through the 1-partition adapter;
+//! here three bids fan out over two hash-sharded workers and the merged
+//! result table comes back deterministic:
 //!
 //! ```
 //! use onesql_core::connect::{Source, SourceBatch, SourceEvent, SourceStatus};
@@ -99,6 +107,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
@@ -108,26 +117,28 @@ use onesql_tvr::{Change, ChangeBatch, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
-    change_bytes, BatchController, DriverConfig, PartitionedSource, PipelineMetrics,
-    SinglePartition, Sink, Source, SourceMetrics, SourceStatus, WatermarkLedger,
+    change_bytes, BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PipelineMetrics,
+    SinglePartition, Sink, Source, SourceBatch, SourceMetrics, SourceStatus, WatermarkLedger,
     WatermarkProvenance,
 };
 use crate::engine::Engine;
+use crate::hash::partition_of;
 use crate::history::{HistoryEvent, HistoryTap};
 use crate::observe::{self, Stopwatch};
-use crate::parallel::PartitionedQuery;
 use crate::query::RunningQuery;
 
-/// Tuning for a sharded pipeline.
+/// Tuning for a pipeline: its worker set and the polling knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
-    /// Number of worker threads (= operator state shards).
+    /// Number of workers (= operator state shards). One worker runs inline
+    /// on the driver's thread; more run on a thread each.
     pub workers: usize,
     /// Which input column is the partition key, for every stream (the
     /// caller must pick a column consistent with the query's grouping /
-    /// join keys — the partition-alignment property).
+    /// join keys — the partition-alignment property). Unused with one
+    /// worker.
     pub partition_col: usize,
-    /// Polling and adaptive-batch knobs, shared with the simple driver.
+    /// Polling and adaptive-batch knobs.
     pub driver: DriverConfig,
 }
 
@@ -160,7 +171,7 @@ impl Default for ShardedConfig {
     }
 }
 
-/// A consistent snapshot of an entire sharded pipeline: per-worker
+/// A consistent snapshot of an entire pipeline: per-worker
 /// operator state, per-partition source offsets, and the driver's merge /
 /// render / watermark cursors. Everything needed to resume exactly-once.
 ///
@@ -214,144 +225,280 @@ struct DrainReply {
     entries: Vec<TimedChange>,
     /// The worker's current output watermark.
     watermark: Watermark,
+    /// Whether it fed a columnar batch since the previous drain.
+    fed_batch: bool,
+    /// Whether it fed any event per-row since the previous drain.
+    fed_rows: bool,
 }
 
-/// Commands from the driver's control thread to a worker.
-enum Cmd {
-    /// Declare a stream name; subsequent commands reference it by index.
-    Declare(String),
-    /// A routed batch of `(stream index, ptime, change)` events, plus the
-    /// control thread's current trace span (0 = tracing off/unsampled) so
-    /// worker-side processing spans stitch under the driver round.
-    Batch(Vec<(usize, Ts, Change)>, u64),
-    /// Deliver a stream watermark.
-    Watermark(usize, Ts, Ts),
-    /// All inputs complete: flush pending materialization.
-    Finish(Ts),
-    /// Barrier: report new changelog entries and the output watermark.
-    Drain(Sender<Result<DrainReply>>),
-    /// Barrier: snapshot operator state.
-    Checkpoint(Sender<Result<onesql_state::Checkpoint>>),
-    /// Load operator state (fresh workers only).
-    Restore(onesql_state::Checkpoint, Sender<Result<()>>),
-    /// Barrier: report this worker's table view as of a past ptime
-    /// (`AS OF` probe — see [`ShardedPipelineDriver::table_at`]).
-    TableAt(Ts, Sender<Result<Vec<Row>>>),
-}
-
-fn worker_loop(
-    worker: usize,
-    mut query: RunningQuery,
-    rx: Receiver<Cmd>,
+/// One worker: a running query plus the bookkeeping that lets the driver
+/// talk to it the same way inline and across a thread.
+struct Shard {
+    query: RunningQuery,
+    /// The driver's stream table — routed events reference streams by
+    /// index — with each stream's vectorization verdict (the query's tree
+    /// shape cannot change under the driver, so it is decided once).
+    streams: Vec<(String, bool)>,
     vectorize: bool,
-) -> RunningQuery {
-    observe::set_thread_worker(worker.min(i32::MAX as usize) as i32);
-    let mut streams: Vec<String> = Vec::new();
-    let mut drained = 0usize;
-    // The first failure wins; later data commands are skipped and every
-    // subsequent barrier reports it, so the control thread hears about it
-    // at the next drain instead of deadlocking or panicking.
-    let mut failure: Option<Error> = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Declare(name) => streams.push(name),
-            Cmd::Batch(events, trace_parent) => {
-                if failure.is_some() {
-                    continue;
-                }
-                // Span only when the driver round is being recorded, so
-                // an unsampled round doesn't spawn orphan worker trees.
-                let _span = (trace_parent != 0)
-                    .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
-                // Group consecutive same-stream events into columnar runs,
-                // mirroring `PipelineDriver::step`. Ptimes within a routed
-                // batch are monotone (the control thread stamps its clamped
-                // clock), so the run satisfies `ChangeBatch`'s ordering.
-                let mut events = events.into_iter().peekable();
-                while let Some((stream, ptime, change)) = events.next() {
-                    let mut run = vec![(ptime, change)];
-                    if vectorize && query.vectorizes(&streams[stream]) {
-                        while let Some((_, p, c)) = events.next_if(|(next, ..)| *next == stream) {
-                            run.push((p, c));
-                        }
+    /// Changelog entries already reported by [`Shard::drain`].
+    drained: usize,
+    fed_batch: bool,
+    fed_rows: bool,
+    /// The first failure wins; later data commands are skipped and every
+    /// subsequent barrier reports it, so the driver hears about it at the
+    /// next drain instead of deadlocking or panicking.
+    failure: Option<Error>,
+}
+
+impl Shard {
+    fn new(query: RunningQuery, vectorize: bool) -> Shard {
+        Shard {
+            query,
+            streams: Vec::new(),
+            vectorize,
+            drained: 0,
+            fed_batch: false,
+            fed_rows: false,
+            failure: None,
+        }
+    }
+
+    fn declare(&mut self, stream: String) {
+        let vectorizes = self.vectorize && self.query.vectorizes(&stream);
+        self.streams.push((stream, vectorizes));
+    }
+
+    fn healthy(&self) -> Result<()> {
+        self.failure.clone().map_or(Ok(()), Err)
+    }
+
+    /// Run one data command unless an earlier one already failed.
+    fn apply(&mut self, command: impl FnOnce(&mut Shard) -> Result<()>) {
+        if self.failure.is_none() {
+            self.failure = command(self).err();
+        }
+    }
+
+    /// Feed a routed batch of `(stream index, ptime, change)` events,
+    /// grouping consecutive same-stream events into columnar runs where
+    /// the plan vectorizes. Ptimes within a routed batch are monotone (the
+    /// driver stamps its clamped clock), so a run satisfies
+    /// [`ChangeBatch`]'s ordering. `trace_parent` is the driver round's
+    /// span (0 = tracing off or unsampled, so an unrecorded round spawns
+    /// no orphan worker tree).
+    fn feed(&mut self, events: Vec<(usize, Ts, Change)>, trace_parent: u64) {
+        let _span = (trace_parent != 0)
+            .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
+        self.apply(|shard| {
+            let mut events = events.into_iter().peekable();
+            while let Some((stream, ptime, change)) = events.next() {
+                let (name, vectorizes) = &shard.streams[stream];
+                let mut run = vec![(ptime, change)];
+                if *vectorizes {
+                    while let Some((_, p, c)) = events.next_if(|(next, ..)| *next == stream) {
+                        run.push((p, c));
                     }
-                    let res = if run.len() > 1 {
-                        match ChangeBatch::from_changes(&run) {
-                            Some(batch) => query.change_batch(&streams[stream], &batch),
-                            // Mixed arity (invalid rows): keep per-row order.
-                            None => run
-                                .into_iter()
-                                .try_for_each(|(p, c)| query.change(&streams[stream], p, c)),
-                        }
-                    } else {
-                        match run.pop() {
-                            Some((p, c)) => query.change(&streams[stream], p, c),
-                            None => Ok(()),
-                        }
-                    };
-                    if let Err(e) = res {
-                        failure = Some(e);
-                        break;
+                }
+                // A single event, or a mixed-arity run (invalid rows),
+                // feeds per-row: that reproduces the oracle's error exactly.
+                let batch = (run.len() > 1)
+                    .then(|| ChangeBatch::from_changes(&run))
+                    .flatten();
+                match batch {
+                    Some(batch) => {
+                        shard.fed_batch = true;
+                        shard.query.change_batch(name, &batch)?;
                     }
-                }
-            }
-            Cmd::Watermark(stream, ptime, wm) => {
-                if failure.is_some() {
-                    continue;
-                }
-                if let Err(e) = query.watermark(&streams[stream], ptime, wm) {
-                    failure = Some(e);
-                }
-            }
-            Cmd::Finish(at) => {
-                if failure.is_some() {
-                    continue;
-                }
-                if let Err(e) = query.finish(at) {
-                    failure = Some(e);
-                }
-            }
-            Cmd::Drain(reply) => {
-                let result = match &failure {
-                    Some(e) => Err(e.clone()),
                     None => {
-                        let entries = query.changelog_since(drained).to_vec();
-                        drained = query.changelog().len();
-                        Ok(DrainReply {
-                            entries,
-                            watermark: query.output_watermark(),
-                        })
+                        shard.fed_rows = true;
+                        for (p, c) in run {
+                            shard.query.change(name, p, c)?;
+                        }
                     }
-                };
-                let _ = reply.send(result);
+                }
             }
-            Cmd::Checkpoint(reply) => {
-                let result = match &failure {
-                    Some(e) => Err(e.clone()),
-                    None => query.checkpoint(),
-                };
-                let _ = reply.send(result);
+            Ok(())
+        });
+    }
+
+    /// Feed a batch a source produced already columnar.
+    fn feed_columns(&mut self, stream: usize, columns: &ChangeBatch, trace_parent: u64) {
+        let _span = (trace_parent != 0)
+            .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
+        self.apply(|shard| {
+            let (name, vectorizes) = &shard.streams[stream];
+            if *vectorizes {
+                shard.fed_batch = true;
+            } else {
+                shard.fed_rows = true;
             }
-            Cmd::Restore(checkpoint, reply) => {
-                let result = query.restore(&checkpoint);
-                drained = 0;
-                let _ = reply.send(result);
+            shard.query.change_batch(name, columns)
+        });
+    }
+
+    fn watermark(&mut self, stream: usize, ptime: Ts, wm: Ts) {
+        self.apply(|shard| shard.query.watermark(&shard.streams[stream].0, ptime, wm));
+    }
+
+    fn finish(&mut self, at: Ts) {
+        self.apply(|shard| shard.query.finish(at));
+    }
+
+    fn drain(&mut self) -> Result<DrainReply> {
+        self.healthy()?;
+        let entries = self.query.changelog_since(self.drained).to_vec();
+        self.drained = self.query.changelog().len();
+        Ok(DrainReply {
+            entries,
+            watermark: self.query.output_watermark(),
+            fed_batch: std::mem::take(&mut self.fed_batch),
+            fed_rows: std::mem::take(&mut self.fed_rows),
+        })
+    }
+
+    fn checkpoint(&self) -> Result<onesql_state::Checkpoint> {
+        self.healthy()?;
+        self.query.checkpoint()
+    }
+
+    /// Load operator state (fresh workers only).
+    fn restore(&mut self, checkpoint: &onesql_state::Checkpoint) -> Result<()> {
+        self.drained = 0;
+        self.query.restore(checkpoint)
+    }
+
+    fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
+        self.healthy()?;
+        self.query.table_at(at)
+    }
+}
+
+/// A command for a threaded worker: any of [`Shard`]'s methods, boxed.
+type Job = Box<dyn FnOnce(&mut Shard) + Send>;
+
+struct Worker {
+    tx: Sender<Job>,
+    handle: std::thread::JoinHandle<Shard>,
+}
+
+fn worker_loop(worker: usize, mut shard: Shard, rx: Receiver<Job>) -> Shard {
+    observe::set_thread_worker(worker.min(i32::MAX as usize) as i32);
+    while let Ok(job) = rx.recv() {
+        job(&mut shard);
+    }
+    shard
+}
+
+fn terminated<E>(_: E) -> Error {
+    Error::exec("pipeline worker terminated")
+}
+
+/// Where the workers run — the one thing the worker count decides.
+enum WorkerSet {
+    /// On the driver's own thread: the single worker of a W = 1 pipeline,
+    /// or every worker once `finish` joined their threads.
+    Inline(Vec<Shard>),
+    /// W > 1: one thread per worker behind a bounded command channel.
+    Threads(Vec<Worker>),
+}
+
+impl WorkerSet {
+    fn start(queries: Vec<RunningQuery>, vectorize: bool) -> WorkerSet {
+        let shards: Vec<Shard> = queries
+            .into_iter()
+            .map(|query| Shard::new(query, vectorize))
+            .collect();
+        if shards.len() == 1 {
+            return WorkerSet::Inline(shards);
+        }
+        WorkerSet::Threads(
+            shards
+                .into_iter()
+                .enumerate()
+                .map(|(w, shard)| {
+                    let (tx, rx) = bounded::<Job>(64);
+                    let handle = std::thread::spawn(move || worker_loop(w, shard, rx));
+                    Worker { tx, handle }
+                })
+                .collect(),
+        )
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            WorkerSet::Inline(shards) => shards.len(),
+            WorkerSet::Threads(workers) => workers.len(),
+        }
+    }
+
+    /// Hand worker `w` a data command. Inline it runs before returning;
+    /// a thread runs it in order with everything else it was sent.
+    fn send(&mut self, w: usize, job: impl FnOnce(&mut Shard) + Send + 'static) -> Result<()> {
+        match self {
+            WorkerSet::Inline(shards) => {
+                job(&mut shards[w]);
+                Ok(())
             }
-            Cmd::TableAt(at, reply) => {
-                let result = match &failure {
-                    Some(e) => Err(e.clone()),
-                    None => query.table_at(at),
-                };
-                let _ = reply.send(result);
+            WorkerSet::Threads(workers) => workers[w].tx.send(Box::new(job)).map_err(terminated),
+        }
+    }
+
+    fn broadcast(&mut self, job: impl Fn(&mut Shard) + Clone + Send + 'static) -> Result<()> {
+        (0..self.len()).try_for_each(|w| self.send(w, job.clone()))
+    }
+
+    /// Barrier: ask every worker, gather the answers in worker order. On
+    /// return every command sent so far has been fully processed. Sending
+    /// to all threads before receiving from any is what makes the barrier
+    /// run in parallel across them.
+    fn gather<T: Send + 'static>(
+        &mut self,
+        ask: impl Fn(usize, &mut Shard) -> Result<T> + Clone + Send + 'static,
+    ) -> Result<Vec<T>> {
+        match self {
+            WorkerSet::Inline(shards) => shards
+                .iter_mut()
+                .enumerate()
+                .map(|(w, shard)| ask(w, shard))
+                .collect(),
+            WorkerSet::Threads(workers) => {
+                let mut replies = Vec::with_capacity(workers.len());
+                for (w, worker) in workers.iter().enumerate() {
+                    let (tx, rx) = bounded(1);
+                    let ask = ask.clone();
+                    let job: Job = Box::new(move |shard| {
+                        let _ = tx.send(ask(w, shard));
+                    });
+                    worker.tx.send(job).map_err(terminated)?;
+                    replies.push(rx);
+                }
+                replies
+                    .into_iter()
+                    .map(|rx| rx.recv().map_err(terminated)?)
+                    .collect()
             }
         }
     }
-    query
-}
 
-struct Worker {
-    tx: Sender<Cmd>,
-    handle: std::thread::JoinHandle<RunningQuery>,
+    /// Stop the worker threads (if any) and bring their shards home. Every
+    /// thread is reaped even when one of them panicked.
+    fn join(&mut self) -> Result<()> {
+        let WorkerSet::Threads(workers) = self else {
+            return Ok(());
+        };
+        let expected = workers.len();
+        let mut shards = Vec::with_capacity(expected);
+        for worker in std::mem::take(workers) {
+            drop(worker.tx);
+            shards.extend(worker.handle.join());
+        }
+        let reaped = shards.len();
+        *self = WorkerSet::Inline(shards);
+        if reaped < expected {
+            return Err(Error::exec("pipeline worker panicked"));
+        }
+        Ok(())
+    }
 }
 
 /// One partition's driver-side state.
@@ -371,11 +518,11 @@ struct SourceSlot {
     non_empty_polls: u64,
 }
 
-/// Pumps partitioned sources through W hash-sharded query workers into
-/// sinks, with deterministic output order and whole-pipeline
-/// checkpoint/restore. See the module docs for the architecture.
-pub struct ShardedPipelineDriver {
-    workers: Vec<Worker>,
+/// Pumps partitioned sources through W query workers into sinks, with
+/// deterministic output order and whole-pipeline checkpoint/restore. See
+/// the module docs for the architecture.
+pub struct PipelineDriver {
+    workers: WorkerSet,
     sources: Vec<SourceSlot>,
     sinks: Vec<Box<dyn Sink>>,
     config: ShardedConfig,
@@ -406,7 +553,7 @@ pub struct ShardedPipelineDriver {
     /// polled events may never have reached a worker, so continuing — and
     /// above all checkpointing — would silently violate exactly-once.
     poisoned: bool,
-    /// Set by [`ShardedPipelineDriver::restore`]: the watermark ledger and
+    /// Set by [`PipelineDriver::restore`]: the watermark ledger and
     /// cursors now mirror a checkpoint, so the source/sink set is sealed
     /// even though no round has run yet.
     restored: bool,
@@ -416,40 +563,29 @@ pub struct ShardedPipelineDriver {
     /// When set, every sink-observable event (rows, watermarks, epoch
     /// transitions, finish) is also appended here, in sink order.
     tap: Option<HistoryTap>,
-    /// The workers' final queries, populated by `finish`.
-    final_queries: Vec<RunningQuery>,
 }
 
-impl ShardedPipelineDriver {
-    /// Plan `sql` on `engine` and spawn `config.workers` query workers.
-    /// Attach sources and sinks, then [`ShardedPipelineDriver::run`] (or
-    /// [`ShardedPipelineDriver::restore`] a checkpoint first).
-    pub fn new(engine: &Engine, sql: &str, config: ShardedConfig) -> Result<ShardedPipelineDriver> {
-        if config.workers == 0 {
+const POISONED: &str = "pipeline is poisoned by an earlier failure; \
+                        restore the last checkpoint into a fresh driver";
+
+impl PipelineDriver {
+    /// Plan `sql` on `engine` once per worker and start the worker set
+    /// (`config.workers` = 1 runs inline, more spawn a thread each).
+    /// Attach sources and sinks, then [`PipelineDriver::run`] (or
+    /// [`PipelineDriver::restore`] a checkpoint first).
+    pub fn new(engine: &Engine, sql: &str, config: ShardedConfig) -> Result<PipelineDriver> {
+        let queries = (0..config.workers)
+            .map(|_| engine.execute(sql))
+            .collect::<Result<Vec<RunningQuery>>>()?;
+        let Some(first) = queries.first() else {
             return Err(Error::exec("need at least one worker"));
-        }
-        let mut workers = Vec::with_capacity(config.workers);
-        let mut schema = None;
-        let mut ver_cols = Vec::new();
-        let mut clock = Ts::MIN;
-        for w in 0..config.workers {
-            let query = engine.execute(sql)?;
-            if schema.is_none() {
-                schema = Some(query.schema());
-                ver_cols = onesql_exec::compile::version_columns(query.bound());
-                clock = query.now();
-            }
-            let (tx, rx) = bounded::<Cmd>(64);
-            let vectorize = config.driver.vectorize;
-            let handle = std::thread::spawn(move || worker_loop(w, query, rx, vectorize));
-            workers.push(Worker { tx, handle });
-        }
-        let worker_count = workers.len();
-        let Some(schema) = schema else {
-            return Err(Error::exec("a sharded pipeline needs at least one worker"));
         };
-        Ok(ShardedPipelineDriver {
-            workers,
+        let schema = first.schema();
+        let ver_cols = onesql_exec::compile::version_columns(first.bound());
+        let clock = first.now();
+        let worker_count = queries.len();
+        Ok(PipelineDriver {
+            workers: WorkerSet::start(queries, config.driver.vectorize),
             sources: Vec::new(),
             sinks: Vec::new(),
             config,
@@ -471,7 +607,6 @@ impl ShardedPipelineDriver {
             restored: false,
             label: None,
             tap: None,
-            final_queries: Vec::new(),
         })
     }
 
@@ -503,7 +638,7 @@ impl ShardedPipelineDriver {
         }
         self.refresh_metrics();
         let label = self.label.as_deref().unwrap_or_default();
-        observe::hub().publish(label, self.clock, true, self.finished, self.metrics.clone());
+        observe::hub().publish(label, self.clock, self.finished, self.metrics.clone());
     }
 
     /// Record that a durable checkpoint at `epoch` was persisted in
@@ -546,7 +681,8 @@ impl ShardedPipelineDriver {
                 Some(id) => id,
                 None => {
                     self.streams.push(stream.clone());
-                    self.broadcast(|| Cmd::Declare(stream.clone()))?;
+                    self.workers
+                        .broadcast(move |shard| shard.declare(stream.clone()))?;
                     self.streams.len() - 1
                 }
             };
@@ -556,14 +692,21 @@ impl ShardedPipelineDriver {
             .iter()
             .map(|&i| self.streams[i].clone())
             .collect();
+        // One partition is the whole source: label it by the bare name.
+        let single = source.partitions() == 1;
         let parts = (0..source.partitions())
-            .map(|part| PartState {
-                feeder: self
-                    .ledger
-                    .add_feeder(format!("{}[{part}]", source.name()), &streams_lc),
-                finished: false,
-                events: 0,
-                bytes: 0,
+            .map(|part| {
+                let label = if single {
+                    source.name().to_string()
+                } else {
+                    format!("{}[{part}]", source.name())
+                };
+                PartState {
+                    feeder: self.ledger.add_feeder(label, &streams_lc),
+                    finished: false,
+                    events: 0,
+                    bytes: 0,
+                }
             })
             .collect();
         self.sources.push(SourceSlot {
@@ -588,7 +731,7 @@ impl ShardedPipelineDriver {
         Ok(())
     }
 
-    /// Number of worker shards.
+    /// Number of workers (= operator state shards).
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
@@ -610,8 +753,8 @@ impl ShardedPipelineDriver {
     }
 
     /// Events ingested so far. Maintained incrementally — cheap enough
-    /// for per-step loop conditions, unlike
-    /// [`ShardedPipelineDriver::metrics`] which rebuilds derived fields.
+    /// for per-step loop conditions, unlike [`PipelineDriver::metrics`]
+    /// which rebuilds derived fields.
     pub fn events_in(&self) -> u64 {
         self.metrics.events_in
     }
@@ -645,19 +788,11 @@ impl ShardedPipelineDriver {
         self.ledger.provenance()
     }
 
-    fn broadcast(&self, mut cmd: impl FnMut() -> Cmd) -> Result<()> {
-        for worker in &self.workers {
-            worker
-                .tx
-                .send(cmd())
-                .map_err(|_| Error::exec("pipeline worker terminated"))?;
-        }
-        Ok(())
-    }
-
-    /// One scheduling round: poll every unfinished partition once, route
-    /// events to workers by partition key, propagate watermarks, barrier,
-    /// and flush the deterministic merge. Returns events ingested.
+    /// One scheduling round: poll every unfinished partition once, hand
+    /// the round's events to the workers (routed by partition key when
+    /// there are several), then the round's watermark advances, then
+    /// barrier and flush the deterministic merge. Returns events ingested;
+    /// `Ok(0)` with unfinished sources means everything was idle.
     ///
     /// A step that errors after sources were polled poisons the driver:
     /// the polled events may never have reached a worker while the source
@@ -667,27 +802,20 @@ impl ShardedPipelineDriver {
     /// driver.
     pub fn step(&mut self) -> Result<usize> {
         if self.poisoned {
-            return Err(Error::exec(
-                "pipeline is poisoned by an earlier failed step; \
-                 restore the last checkpoint into a fresh driver",
-            ));
+            return Err(Error::exec(POISONED));
         }
         if self.sources.is_empty() {
             return Err(Error::plan("pipeline has no sources"));
         }
-        match self.step_inner() {
-            Ok(n) => Ok(n),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn step_inner(&mut self) -> Result<usize> {
         if self.finished {
             return Ok(0);
         }
+        let stepped = self.step_inner();
+        self.poisoned = stepped.is_err();
+        stepped
+    }
+
+    fn step_inner(&mut self) -> Result<usize> {
         if observe::enabled() {
             observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
         }
@@ -695,8 +823,12 @@ impl ShardedPipelineDriver {
         let round = Stopwatch::start();
         let round_clock = self.clock;
         let batch_size = self.controller.size();
+        let worker_count = self.workers.len();
+        // A lone inline worker can take a source's columns as they are;
+        // routing across several needs rows.
+        let columnar = worker_count == 1 && self.config.driver.vectorize;
         let mut routed: Vec<Vec<(usize, Ts, Change)>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
+            (0..worker_count).map(|_| Vec::new()).collect();
         let mut ingested = 0usize;
         let mut poll_micros = 0u64;
         for slot in 0..self.sources.len() {
@@ -705,59 +837,60 @@ impl ShardedPipelineDriver {
                     continue;
                 }
                 let poll = Stopwatch::start();
-                let batch = self.sources[slot].source.poll_partition(part, batch_size)?;
+                let source = &mut self.sources[slot].source;
+                let columns = if columnar {
+                    source.poll_partition_columns(part, batch_size)?
+                } else {
+                    None
+                };
+                // A columnar poll replaces the row poll; its progress half
+                // is handled exactly as a row batch's.
+                let mut batch = match &columns {
+                    Some(cb) => SourceBatch {
+                        watermark: cb.watermark,
+                        ..SourceBatch::empty(cb.status)
+                    },
+                    None => source.poll_partition(part, batch_size)?,
+                };
                 poll_micros = poll_micros.saturating_add(poll.micros());
-                let had_events = !batch.events.is_empty();
-                if had_events {
+                let polled = columns
+                    .as_ref()
+                    .map_or(batch.events.len(), |cb| cb.columns.len());
+                if polled > 0 {
                     self.sources[slot].non_empty_polls += 1;
                 }
                 // The ingest span parents under the wire-carried producer
                 // span when the partition supplied one, else this round.
-                let _ingest = (had_events || batch.watermark.is_some()).then(|| {
+                let _ingest = (polled > 0 || batch.watermark.is_some()).then(|| {
                     observe::TraceSpan::with_parent(
                         "driver.ingest",
                         batch.trace_parent.unwrap_or(0),
                     )
                     .partition(part.min(i32::MAX as usize) as i32)
                 });
-                for event in batch.events {
-                    let &stream_id =
-                        self.sources[slot]
-                            .stream_ids
-                            .get(event.stream)
-                            .ok_or_else(|| {
-                                Error::exec(format!(
-                                    "source '{}' produced an event for stream index {} \
-                                 but declares only {} streams",
-                                    self.sources[slot].source.name(),
-                                    event.stream,
-                                    self.sources[slot].stream_ids.len()
-                                ))
-                            })?;
+                let mut bytes = 0u64;
+                if let Some(cb) = columns.filter(|cb| !cb.columns.is_empty()) {
+                    // Rows polled earlier this round come first.
+                    self.dispatch(&mut routed)?;
+                    bytes = self.feed_columns(slot, cb)?;
+                }
+                for event in std::mem::take(&mut batch.events) {
+                    let stream_id = self.stream_id(slot, event.stream)?;
                     // Processing time is monotone across every partition;
                     // a partition whose clock lags is dragged forward.
                     self.clock = self.clock.max(event.ptime);
-                    let key = event
-                        .change
-                        .row
-                        .value(self.config.partition_col)
-                        .map_err(|_| {
-                            Error::exec(format!(
-                                "stream '{}' row has no partition column {}",
-                                self.streams[stream_id], self.config.partition_col
-                            ))
-                        })?;
-                    let worker = PartitionedQuery::partition_of(key, self.workers.len());
-                    let bytes = change_bytes(&event.change);
+                    let worker = self.worker_for(stream_id, &event.change)?;
+                    bytes += change_bytes(&event.change);
                     routed[worker].push((stream_id, self.clock, event.change));
-                    self.sources[slot].parts[part].events += 1;
-                    self.sources[slot].parts[part].bytes += bytes;
-                    self.metrics.events_in += 1;
-                    self.metrics.bytes_in += bytes;
-                    ingested += 1;
                 }
-                let feeder = self.sources[slot].parts[part].feeder;
-                if had_events {
+                let state = &mut self.sources[slot].parts[part];
+                state.events += polled as u64;
+                state.bytes += bytes;
+                self.metrics.events_in += polled as u64;
+                self.metrics.bytes_in += bytes;
+                ingested += polled;
+                let feeder = state.feeder;
+                if polled > 0 {
                     self.ledger.note_event(feeder, self.clock);
                 }
                 if let Some(wm) = batch.watermark {
@@ -776,26 +909,7 @@ impl ShardedPipelineDriver {
         // Events first (they were polled before the watermark assertions),
         // then the per-stream advances, broadcast to every worker because
         // watermarks are assertions about whole streams.
-        for (worker, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            // Routing-side accounting: workers group each routed batch into
-            // columnar runs themselves (and fall back per-row when the plan
-            // requires it), so the control thread samples the routed size.
-            self.metrics.batch_rows.record(batch.len() as u64);
-            self.workers[worker]
-                .tx
-                .send(Cmd::Batch(batch, observe::current_span()))
-                .map_err(|_| Error::exec("pipeline worker terminated"))?;
-        }
-        if ingested > 0 {
-            if self.config.driver.vectorize {
-                self.metrics.vectorized_rounds += 1;
-            } else {
-                self.metrics.fallback_rounds += 1;
-            }
-        }
+        self.dispatch(&mut routed)?;
         let mut advances = std::mem::take(&mut self.advances);
         for (stream, combined) in advances.drain(..) {
             let stream_id = self
@@ -805,7 +919,9 @@ impl ShardedPipelineDriver {
                 .ok_or_else(|| {
                     Error::exec(format!("watermark for unregistered stream '{stream}'"))
                 })?;
-            self.broadcast(|| Cmd::Watermark(stream_id, self.clock, combined.ts()))?;
+            let (ptime, wm) = (self.clock, combined.ts());
+            self.workers
+                .broadcast(move |shard| shard.watermark(stream_id, ptime, wm))?;
             self.metrics.watermarks_in += 1;
         }
         self.advances = advances;
@@ -839,25 +955,13 @@ impl ShardedPipelineDriver {
         {
             self.finish()?;
         } else {
-            // Backpressure signal choice: this driver has a real queue to
-            // measure — the pending merge buffers, holding worker output
+            // Backpressure: the pending merge buffers hold worker output
             // the deterministic merge has not yet been able to release to
-            // sinks. That depth is entries of real memory and grows
-            // without bound exactly when the merge cannot keep up (deep
-            // hold-back, stalled clock), unlike watermark lag, which
-            // under barrier-per-round scheduling mostly encodes the
-            // query's structural event-time offset (gates, delays). So
-            // depth drives the controller (against the absolute
-            // high/low_pending bounds — see BatchController::observe_load
-            // for why ratios of the batch size would cancel out); the lag
-            // reading rides along only as the documented fallback for
-            // depth-less drivers.
+            // sinks; that depth drives the batch controller (see
+            // `BatchController::observe_load`).
             let depth = self.pending.iter().map(|p| p.len()).sum::<usize>();
             self.metrics.pending_depth = depth as u64;
-            self.metrics.batch_size = self.controller.observe_load(
-                Some(depth),
-                PipelineMetrics::lag_between(self.ledger.input_watermark(), self.output_watermark),
-            );
+            self.metrics.batch_size = self.controller.observe_load(depth);
         }
         self.metrics.poll_micros.record(poll_micros);
         self.metrics.round_micros.record(round.micros());
@@ -865,42 +969,87 @@ impl ShardedPipelineDriver {
         Ok(ingested)
     }
 
-    /// Scatter a barrier command to every worker, then gather the replies
-    /// in worker order. Sending to all before receiving from any is what
-    /// makes the barrier run in parallel across workers.
-    fn gather<T>(&self, make: impl Fn(usize, Sender<Result<T>>) -> Cmd) -> Result<Vec<T>> {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for (w, worker) in self.workers.iter().enumerate() {
-            let (tx, rx) = bounded(1);
-            worker
-                .tx
-                .send(make(w, tx))
-                .map_err(|_| Error::exec("pipeline worker terminated"))?;
-            replies.push(rx);
+    /// The global stream id behind a source's local stream index.
+    fn stream_id(&self, slot: usize, stream: usize) -> Result<usize> {
+        let source = &self.sources[slot];
+        source.stream_ids.get(stream).copied().ok_or_else(|| {
+            Error::exec(format!(
+                "source '{}' produced an event for stream index {stream} \
+                 but declares only {} streams",
+                source.source.name(),
+                source.stream_ids.len()
+            ))
+        })
+    }
+
+    /// The worker that owns `change`'s partition key — worker 0 when it is
+    /// the only one, whatever the row holds.
+    fn worker_for(&self, stream_id: usize, change: &Change) -> Result<usize> {
+        let workers = self.workers.len();
+        if workers == 1 {
+            return Ok(0);
         }
-        replies
-            .into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| Error::exec("pipeline worker terminated"))?
-            })
-            .collect()
+        let key = change.row.value(self.config.partition_col).map_err(|_| {
+            Error::exec(format!(
+                "stream '{}' row has no partition column {}",
+                self.streams[stream_id], self.config.partition_col
+            ))
+        })?;
+        Ok(partition_of(key, workers))
+    }
+
+    /// Hand a (non-empty) columnar poll to the lone inline worker as it
+    /// is, under the same monotone-clock clamp the row path applies per
+    /// event. Returns its payload bytes.
+    fn feed_columns(&mut self, slot: usize, cb: ColumnarBatch) -> Result<u64> {
+        let stream_id = self.stream_id(slot, cb.stream)?;
+        let rows = cb.columns.len();
+        let columns = cb.columns.clamp_ptimes(self.clock);
+        self.clock = self.clock.max(columns.ptime(rows - 1));
+        self.metrics.batch_rows.record(rows as u64);
+        let bytes = (0..rows).map(|i| columns.row_bytes(i)).sum();
+        let span = observe::current_span();
+        self.workers.send(0, move |shard| {
+            shard.feed_columns(stream_id, &columns, span)
+        })?;
+        Ok(bytes)
+    }
+
+    /// Send each worker the events routed to it so far this round.
+    fn dispatch(&mut self, routed: &mut [Vec<(usize, Ts, Change)>]) -> Result<()> {
+        for (worker, batch) in routed.iter_mut().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let batch = std::mem::take(batch);
+            self.metrics.batch_rows.record(batch.len() as u64);
+            let span = observe::current_span();
+            self.workers
+                .send(worker, move |shard| shard.feed(batch, span))?;
+        }
+        Ok(())
     }
 
     /// Barrier: every worker reports its new changelog entries (into the
-    /// per-worker pending buffers) and its output watermark. On return,
-    /// every command sent so far has been fully processed.
+    /// per-worker pending buffers), its output watermark, and how it fed
+    /// this round's events. On return, every command sent so far has been
+    /// fully processed.
     fn drain_workers(&mut self) -> Result<()> {
-        let replies = self.gather(|_, tx| Cmd::Drain(tx))?;
+        let replies = self.workers.gather(|_, shard| shard.drain())?;
         let mut combined = Watermark::MAX;
+        let (mut fed_batch, mut fed_rows) = (false, false);
         for (w, reply) in replies.into_iter().enumerate() {
             for entry in reply.entries {
                 self.pending[w].push_back((self.next_seq[w], entry));
                 self.next_seq[w] += 1;
             }
             combined = combined.min(reply.watermark);
+            fed_batch |= reply.fed_batch;
+            fed_rows |= reply.fed_rows;
         }
         self.output_watermark = combined;
+        self.metrics.vectorized_rounds += u64::from(fed_batch);
+        self.metrics.fallback_rounds += u64::from(fed_rows);
         Ok(())
     }
 
@@ -963,19 +1112,18 @@ impl ShardedPipelineDriver {
     }
 
     /// Declare the pipeline complete: workers flush all gated
-    /// materialization, the merge drains entirely, sinks flush, and the
-    /// worker threads join. Idempotent on success; a failed finish
-    /// poisons the driver (it does NOT report finished), so callers can't
-    /// mistake a half-flushed pipeline for a completed one.
+    /// materialization, the merge drains entirely, sinks flush, and any
+    /// worker threads join. Idempotent on success, and called
+    /// automatically when every partition reports
+    /// [`SourceStatus::Finished`]; a failed finish poisons the driver (it
+    /// does NOT report finished), so callers can't mistake a half-flushed
+    /// pipeline for a completed one.
     pub fn finish(&mut self) -> Result<()> {
         if self.finished {
             return Ok(());
         }
         if self.poisoned {
-            return Err(Error::exec(
-                "pipeline is poisoned by an earlier failure; \
-                 restore the last checkpoint into a fresh driver",
-            ));
+            return Err(Error::exec(POISONED));
         }
         match self.finish_inner() {
             Ok(()) => {
@@ -999,7 +1147,9 @@ impl ShardedPipelineDriver {
             observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
         }
         let _finish_span = observe::TraceSpan::root("driver.finish");
-        self.broadcast(|| Cmd::Finish(self.clock))?;
+        let span = Stopwatch::start();
+        let clock = self.clock;
+        self.workers.broadcast(move |shard| shard.finish(clock))?;
         self.drain_workers()?;
         self.flush(true)?;
         for sink in &mut self.sinks {
@@ -1014,25 +1164,16 @@ impl ShardedPipelineDriver {
                 slot.source.ack(part, offset)?;
             }
         }
-        for worker in std::mem::take(&mut self.workers) {
-            drop(worker.tx);
-            let query = worker
-                .handle
-                .join()
-                .map_err(|_| Error::exec("pipeline worker panicked"))?;
-            self.final_queries.push(query);
-        }
+        self.workers.join()?;
+        observe::sample("driver.finish_micros", span.micros());
         self.refresh_metrics();
         Ok(())
     }
 
     /// Run until every partition finishes. All-idle rounds yield the
-    /// thread; `max_idle_rounds` bounds the wait, erroring on exhaustion
-    /// so a stuck pipeline is loud.
+    /// thread (sources may be fed by other threads); `max_idle_rounds`
+    /// bounds the wait, erroring on exhaustion so a stuck pipeline is loud.
     pub fn run(&mut self) -> Result<&PipelineMetrics> {
-        if self.sources.is_empty() {
-            return Err(Error::plan("pipeline has no sources"));
-        }
         let mut idle_streak = 0u64;
         while !self.finished {
             let ingested = self.step()?;
@@ -1058,60 +1199,42 @@ impl ShardedPipelineDriver {
         Ok(&self.metrics)
     }
 
-    /// The merged final table: the disjoint union of the workers' result
-    /// partitions, in row order. Only available after the pipeline
-    /// finished (before that the rows live in the worker threads).
-    pub fn table(&self) -> Result<Vec<Row>> {
-        if !self.finished {
-            return Err(Error::exec("table() requires a finished pipeline"));
-        }
-        let mut rows = Vec::new();
-        for query in &self.final_queries {
-            rows.extend(query.table()?);
-        }
-        rows.sort();
-        Ok(rows)
+    /// The merged result table over everything processed so far:
+    /// [`PipelineDriver::table_at`] the end of time.
+    pub fn table(&mut self) -> Result<Vec<Row>> {
+        self.table_at(Ts::MAX)
     }
 
     /// The merged table view **as of** processing time `at` (a temporal
-    /// `AS OF` probe): the union of the workers' `table_at` snapshots, in
-    /// sorted row order. Unlike [`ShardedPipelineDriver::table`] this
-    /// works mid-run — the probe barriers each worker, so it reflects
-    /// every event routed before the call. A probe at `at` strictly below
-    /// the current [`ShardedPipelineDriver::clock`] is *stable*: future
-    /// events are stamped at or above the clock, so re-reading the same
-    /// `at` later returns identical rows.
+    /// `AS OF` probe): the disjoint union of the workers' `table_at`
+    /// snapshots, in sorted row order. Works mid-run — the probe barriers
+    /// each worker, so it reflects every event handed over before the
+    /// call. A probe at `at` strictly below the current
+    /// [`PipelineDriver::clock`] is *stable*: future events are stamped at
+    /// or above the clock, so re-reading the same `at` later returns
+    /// identical rows.
     ///
     /// After a restore the workers' changelogs restart, so the probe only
     /// covers changes since the restore point — probes are meaningful
     /// within one incarnation.
-    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
-        if self.finished {
-            let mut rows = Vec::new();
-            for query in &self.final_queries {
-                rows.extend(query.table_at(at)?);
-            }
-            rows.sort();
-            return Ok(rows);
-        }
+    pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
         if self.poisoned {
-            return Err(Error::exec(
-                "pipeline is poisoned by an earlier failure; \
-                 restore the last checkpoint into a fresh driver",
-            ));
+            return Err(Error::exec(POISONED));
         }
-        let mut rows = Vec::new();
-        for part in self.gather(|_, tx| Cmd::TableAt(at, tx))? {
-            rows.extend(part);
-        }
+        let mut rows: Vec<Row> = self
+            .workers
+            .gather(move |_, shard| shard.table_at(at))?
+            .into_iter()
+            .flatten()
+            .collect();
         rows.sort();
         Ok(rows)
     }
 
     /// The driver's monotone processing-time clock: the max ptime stamped
-    /// onto any routed event so far. Changelog entries strictly below the
+    /// onto any ingested event so far. Changelog entries strictly below the
     /// clock are final (see the module docs' determinism argument), which
-    /// is what makes [`ShardedPipelineDriver::table_at`] probes below it
+    /// is what makes [`PipelineDriver::table_at`] probes below it
     /// stable.
     pub fn clock(&self) -> Ts {
         self.clock
@@ -1122,7 +1245,7 @@ impl ShardedPipelineDriver {
     /// driver's merge cursors. The pipeline keeps running afterwards.
     ///
     /// The snapshot is only in memory; once the caller has persisted it,
-    /// [`ShardedPipelineDriver::ack_checkpoint`] tells the sources (and
+    /// [`PipelineDriver::ack_checkpoint`] tells the sources (and
     /// any remote producers behind them) that everything below it may be
     /// garbage-collected.
     pub fn checkpoint(&mut self) -> Result<PipelineCheckpoint> {
@@ -1140,7 +1263,7 @@ impl ShardedPipelineDriver {
         // Barrier first: all in-flight commands processed, pending buffers
         // current, so the captured cursors and state agree.
         self.drain_workers()?;
-        let worker_states = self.gather(|_, tx| Cmd::Checkpoint(tx))?;
+        let worker_states = self.workers.gather(|_, shard| shard.checkpoint())?;
         // Stage the sinks under the new epoch *before* handing the
         // checkpoint to the caller: a transactional sink durably records
         // "everything written so far is epoch E" now, so whether or not
@@ -1196,7 +1319,7 @@ impl ShardedPipelineDriver {
     /// sources (and, through them, remote producers holding a replay
     /// spool) may release replay resources below it.
     ///
-    /// Deliberately separate from [`ShardedPipelineDriver::checkpoint`]:
+    /// Deliberately separate from [`PipelineDriver::checkpoint`]:
     /// taking a checkpoint only builds an in-memory struct, and acking it
     /// before it is persisted would let the upstream trim away the only
     /// data that could rebuild it — a crash in that window would leave
@@ -1325,7 +1448,9 @@ impl ShardedPipelineDriver {
 
     fn restore_inner(&mut self, checkpoint: &PipelineCheckpoint) -> Result<()> {
         // Workers first (operator state), then sources (replay position).
-        self.gather(|w, tx| Cmd::Restore(checkpoint.workers[w].clone(), tx))?;
+        let states: Arc<[onesql_state::Checkpoint]> = checkpoint.workers.clone().into();
+        self.workers
+            .gather(move |w, shard| shard.restore(&states[w]))?;
         // Sinks next: a transactional sink truncates everything staged
         // after this epoch, so the replayed rows append exactly where the
         // uninterrupted run had them.
@@ -1382,22 +1507,19 @@ impl ShardedPipelineDriver {
     }
 }
 
-impl Drop for ShardedPipelineDriver {
+impl Drop for PipelineDriver {
     fn drop(&mut self) {
         // Disconnect the command channels so worker threads exit their
         // recv loops, then reap them; leaking threads from an abandoned
         // (e.g. crashed-and-dropped) pipeline would accumulate in tests.
-        for worker in std::mem::take(&mut self.workers) {
-            drop(worker.tx);
-            let _ = worker.handle.join();
-        }
+        let _ = self.workers.join();
     }
 }
 
-impl std::fmt::Debug for ShardedPipelineDriver {
+impl std::fmt::Debug for PipelineDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedPipelineDriver")
-            .field("workers", &self.workers.len().max(self.final_queries.len()))
+        f.debug_struct("PipelineDriver")
+            .field("workers", &self.workers.len())
             .field("sources", &self.sources.len())
             .field("sinks", &self.sinks.len())
             .field("events_in", &self.metrics.events_in)
@@ -1494,8 +1616,7 @@ mod tests {
         let parts = vec![bids(40, 0), bids(40, 3), bids(40, 7)];
         let mut tables = Vec::new();
         for workers in [1usize, 2, 4] {
-            let mut driver =
-                ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(workers)).unwrap();
+            let mut driver = PipelineDriver::new(&e, AGG, ShardedConfig::new(workers)).unwrap();
             driver
                 .attach_partitioned_source(Box::new(ScriptPartitions::new(parts.clone())))
                 .unwrap();
@@ -1509,19 +1630,32 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         let e = engine();
-        assert!(ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(0)).is_err());
+        assert!(PipelineDriver::new(&e, AGG, ShardedConfig::new(0)).is_err());
     }
 
     #[test]
-    fn table_requires_finish() {
+    fn table_reads_mid_run_and_after_finish() {
         let e = engine();
-        let mut driver = ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(2)).unwrap();
-        driver
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
-            .unwrap();
-        assert!(driver.table().is_err());
-        driver.run().unwrap();
-        assert!(driver.table().is_ok());
+        for workers in [1usize, 2] {
+            let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+                batch_size: 2,
+                adaptive: None,
+                ..DriverConfig::default()
+            });
+            let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
+            driver
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
+                .unwrap();
+            driver.step().unwrap();
+            let counted = |rows: Vec<Row>| -> i64 {
+                rows.iter()
+                    .map(|r| r.value(1).unwrap().as_int().unwrap())
+                    .sum()
+            };
+            assert_eq!(counted(driver.table().unwrap()), 2, "{workers} workers");
+            driver.run().unwrap();
+            assert_eq!(counted(driver.table().unwrap()), 5, "{workers} workers");
+        }
     }
 
     #[test]
@@ -1533,7 +1667,7 @@ mod tests {
             adaptive: None,
             ..DriverConfig::default()
         });
-        let mut driver = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+        let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
         driver
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
             .unwrap();
@@ -1541,14 +1675,14 @@ mod tests {
         let cp = driver.checkpoint().unwrap();
 
         // Wrong worker count.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(3)).unwrap();
+        let mut other = PipelineDriver::new(&e, AGG, ShardedConfig::new(3)).unwrap();
         other
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
             .unwrap();
         assert!(other.restore(&cp).is_err());
 
         // Wrong partition count.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(2)).unwrap();
+        let mut other = PipelineDriver::new(&e, AGG, ShardedConfig::new(2)).unwrap();
         other
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![
                 bids(10, 0),
@@ -1558,7 +1692,7 @@ mod tests {
         assert!(other.restore(&cp).is_err());
 
         // A driver that already ran refuses restore.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+        let mut other = PipelineDriver::new(&e, AGG, config).unwrap();
         other
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
             .unwrap();
@@ -1568,7 +1702,7 @@ mod tests {
         // A restored driver seals its source set and refuses a second
         // restore: attaching would rebuild the watermark trackers and wipe
         // the state the restore just loaded.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+        let mut other = PipelineDriver::new(&e, AGG, config).unwrap();
         other
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
             .unwrap();
@@ -1582,6 +1716,63 @@ mod tests {
         assert!(other.is_finished());
     }
 
+    /// Collects every row the driver writes.
+    struct Collect(Arc<std::sync::Mutex<Vec<StreamRow>>>);
+
+    impl Sink for Collect {
+        fn name(&self) -> &str {
+            "collect"
+        }
+        fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
+            self.0.lock().unwrap().extend_from_slice(rows);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sink_rows_do_not_depend_on_the_worker_count() {
+        let e = engine();
+        // Partition 1 repeats one ptime, so rounds that poll only it leave
+        // the clock where they found it and the hold-back has to be
+        // released by the 1 ms nudge — on one inline worker exactly as on
+        // three threads, or the `ptime` column would differ.
+        let stalled: Vec<(Ts, Row)> = (0..30i64)
+            .map(|i| (Ts(40), row!(i % 5, i, Ts(40))))
+            .collect();
+        let parts = vec![bids(6, 0), stalled];
+        let mut outputs = Vec::new();
+        for workers in [1usize, 3] {
+            let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+                batch_size: 3,
+                adaptive: None,
+                ..DriverConfig::default()
+            });
+            let mut driver =
+                PipelineDriver::new(&e, "SELECT auction, price FROM Bid EMIT STREAM", config)
+                    .unwrap();
+            driver
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(parts.clone())))
+                .unwrap();
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+            driver.run().unwrap();
+            let mut rows: Vec<(Ts, Row, bool)> = seen
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|r: &StreamRow| (r.ptime, r.row.clone(), r.undo))
+                .collect();
+            // Equal-ptime rows interleave by worker; compare as a multiset.
+            rows.sort();
+            assert!(
+                rows.iter().any(|(ptime, ..)| *ptime > Ts(50)),
+                "no source ptime exceeds 50: later stamps come from the nudge"
+            );
+            outputs.push(rows);
+        }
+        assert_eq!(outputs[0], outputs[1]);
+    }
+
     #[test]
     fn failed_step_poisons_the_pipeline() {
         let e = engine();
@@ -1589,8 +1780,7 @@ mod tests {
         // source was polled, so the driver must refuse to continue or
         // checkpoint (the polled events never reached a worker).
         let mut driver =
-            ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(2).with_partition_col(9))
-                .unwrap();
+            PipelineDriver::new(&e, AGG, ShardedConfig::new(2).with_partition_col(9)).unwrap();
         driver
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
             .unwrap();

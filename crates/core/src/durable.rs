@@ -1,7 +1,7 @@
 //! Durable pipeline checkpoints: a versioned, CRC-protected on-disk
 //! format plus the [`CheckpointStore`] that manages a directory of them.
 //!
-//! [`crate::shard::PipelineCheckpoint`] is an in-memory struct — enough
+//! [`crate::driver::PipelineCheckpoint`] is an in-memory struct — enough
 //! for exactly-once *within* a process, useless across a kill. This
 //! module makes the checkpoint a durable artifact, the way the wire
 //! format in `onesql-connect` made a changelog a durable byte stream:
@@ -40,9 +40,9 @@ use onesql_time::Watermark;
 use onesql_tvr::TimedChange;
 use onesql_types::{Error, Result, Row, Schema, Ts};
 
+use crate::driver::PipelineCheckpoint;
+use crate::hash::StableHasher;
 use crate::observe;
-use crate::parallel::StableHasher;
-use crate::shard::PipelineCheckpoint;
 
 /// Magic opening an epoch (checkpoint) file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"OSQC";
@@ -471,7 +471,7 @@ impl CheckpointStore {
         if epoch == 0 {
             return Err(Error::exec(
                 "checkpoint has epoch 0; only checkpoints taken by \
-                 ShardedPipelineDriver::checkpoint can be persisted",
+                 PipelineDriver::checkpoint can be persisted",
             ));
         }
         if self.manifest.epochs.contains(&epoch) {

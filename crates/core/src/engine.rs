@@ -8,9 +8,9 @@ use onesql_plan::{bind, optimize, BoundQuery, Catalog, MemoryCatalog, TableKind}
 use onesql_state::TemporalTable;
 use onesql_types::{DataType, Duration, Error, Field, Result, Row, Schema, SchemaRef};
 
-use crate::connect::{PartitionedSource, PipelineDriver, Sink, Source};
+use crate::connect::{PartitionedSource, SinglePartition, Sink, Source};
+use crate::driver::{PipelineDriver, ShardedConfig};
 use crate::query::RunningQuery;
-use crate::shard::{ShardedConfig, ShardedPipelineDriver};
 
 /// Fluent schema builder for registering relations.
 #[derive(Debug, Default, Clone)]
@@ -64,13 +64,10 @@ pub struct Engine {
     tables: BTreeMap<String, TableData>,
     config: ExecConfig,
     /// Connectors registered via [`Engine::attach_source`] /
-    /// [`Engine::attach_sink`], consumed by the next
-    /// [`Engine::run_pipeline`] (or [`Engine::run_sharded_pipeline`]).
-    pending_sources: Vec<Box<dyn Source>>,
-    /// Partitioned connectors registered via
-    /// [`Engine::attach_partitioned_source`], consumed by the next
-    /// [`Engine::run_sharded_pipeline`].
-    pending_partitioned: Vec<Box<dyn PartitionedSource>>,
+    /// [`Engine::attach_partitioned_source`] / [`Engine::attach_sink`],
+    /// consumed by the next [`Engine::run_pipeline`] (or
+    /// [`Engine::run_sharded_pipeline`]).
+    pending_sources: Vec<Box<dyn PartitionedSource>>,
     pending_sinks: Vec<Box<dyn Sink>>,
 }
 
@@ -235,21 +232,19 @@ impl Engine {
         Ok(RunningQuery::new(bound, executor, input_schemas))
     }
 
-    /// Register a source connector for the next [`Engine::run_pipeline`]
-    /// call. Every stream the source declares must already be registered
-    /// on the engine.
+    /// Register a source connector for the next pipeline, as a
+    /// 1-partition source. Every stream the source declares must already
+    /// be registered on the engine.
     pub fn attach_source(&mut self, source: Box<dyn Source>) -> Result<()> {
-        self.validate_source_streams(source.name(), source.streams())?;
-        self.pending_sources.push(source);
-        Ok(())
+        self.attach_partitioned_source(Box::new(SinglePartition::new(source)))
     }
 
-    /// Register a partitioned source connector for the next
-    /// [`Engine::run_sharded_pipeline`] call. Every stream the source
-    /// declares must already be registered on the engine.
+    /// Register a partitioned source connector for the next pipeline.
+    /// Every stream the source declares must already be registered on the
+    /// engine.
     pub fn attach_partitioned_source(&mut self, source: Box<dyn PartitionedSource>) -> Result<()> {
         self.validate_source_streams(source.name(), source.streams())?;
-        self.pending_partitioned.push(source);
+        self.pending_sources.push(source);
         Ok(())
     }
 
@@ -273,60 +268,35 @@ impl Engine {
         Ok(())
     }
 
-    /// Register a sink connector for the next [`Engine::run_pipeline`]
-    /// call.
+    /// Register a sink connector for the next pipeline.
     pub fn attach_sink(&mut self, sink: Box<dyn Sink>) {
         self.pending_sinks.push(sink);
     }
 
-    /// Plan `sql` and wrap it in a [`PipelineDriver`] wired to every
-    /// connector attached since the last call. The driver is returned
-    /// ready to [`PipelineDriver::run`]; an end-to-end job is
-    /// `attach_source` + `attach_sink` + `run_pipeline(sql)?.run()`.
+    /// Plan `sql` and wrap it in a one-worker [`PipelineDriver`] — the
+    /// query runs inline on the calling thread — wired to every connector
+    /// attached since the last call. An end-to-end job is `attach_source`
+    /// + `attach_sink` + `run_pipeline(sql)?.run()`.
     pub fn run_pipeline(&mut self, sql: &str) -> Result<PipelineDriver> {
-        if !self.pending_partitioned.is_empty() {
-            return Err(Error::plan(
-                "partitioned sources are attached; use run_sharded_pipeline",
-            ));
-        }
-        if self.pending_sources.is_empty() {
-            return Err(Error::plan(
-                "run_pipeline needs at least one attached source",
-            ));
-        }
-        let query = self.execute(sql)?;
-        let mut driver = PipelineDriver::new(query);
-        for source in self.pending_sources.drain(..) {
-            driver.attach_source(source)?;
-        }
-        for sink in self.pending_sinks.drain(..) {
-            driver.attach_sink(sink)?;
-        }
-        Ok(driver)
+        self.run_sharded_pipeline(sql, ShardedConfig::default())
     }
 
-    /// Plan `sql` as `config.workers` hash-sharded query workers and wrap
-    /// it in a [`ShardedPipelineDriver`] wired to every connector attached
-    /// since the last call: partitioned sources directly, plain sources
-    /// via the 1-partition adapter. The driver is returned ready to
-    /// [`ShardedPipelineDriver::run`], or to
-    /// [`ShardedPipelineDriver::restore`] a checkpoint first.
+    /// Plan `sql` as `config.workers` query workers (hash-sharded when
+    /// there are several) and wrap it in a [`PipelineDriver`] wired to
+    /// every connector attached since the last call, in attach order. The
+    /// driver is returned ready to [`PipelineDriver::run`], or to
+    /// [`PipelineDriver::restore`] a checkpoint first.
     pub fn run_sharded_pipeline(
         &mut self,
         sql: &str,
         config: ShardedConfig,
-    ) -> Result<ShardedPipelineDriver> {
-        if self.pending_sources.is_empty() && self.pending_partitioned.is_empty() {
-            return Err(Error::plan(
-                "run_sharded_pipeline needs at least one attached source",
-            ));
+    ) -> Result<PipelineDriver> {
+        if self.pending_sources.is_empty() {
+            return Err(Error::plan("a pipeline needs at least one attached source"));
         }
-        let mut driver = ShardedPipelineDriver::new(self, sql, config)?;
-        for source in self.pending_partitioned.drain(..) {
-            driver.attach_partitioned_source(source)?;
-        }
+        let mut driver = PipelineDriver::new(self, sql, config)?;
         for source in self.pending_sources.drain(..) {
-            driver.attach_source(source)?;
+            driver.attach_partitioned_source(source)?;
         }
         for sink in self.pending_sinks.drain(..) {
             driver.attach_sink(sink)?;
@@ -339,7 +309,6 @@ impl Engine {
     /// into the next pipeline).
     pub fn discard_pending_connectors(&mut self) {
         self.pending_sources.clear();
-        self.pending_partitioned.clear();
         self.pending_sinks.clear();
     }
 

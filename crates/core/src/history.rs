@@ -1,4 +1,4 @@
-//! Observable pipeline history: the shared tap both drivers record into.
+//! Observable pipeline history: the tap the pipeline driver records into.
 //!
 //! Black-box consistency checking (the approach `onesql-checker` borrows
 //! from snapshot-isolation checkers) needs exactly one thing from the
@@ -7,8 +7,9 @@
 //! watermark deliveries, checkpoint/restore epoch transitions, and the
 //! finish marker — in the order the sinks observed them. A [`HistoryTap`]
 //! is a cheap, cloneable handle to that record; install it with
-//! [`crate::SqlPipeline::set_history_tap`] (or the drivers'
-//! `set_history_tap`) and the driver appends as it runs.
+//! [`crate::SqlPipeline::set_history_tap`] (or
+//! [`crate::PipelineDriver::set_history_tap`]) and the driver appends as
+//! it runs.
 //!
 //! The tap is deliberately shared (`Arc` underneath): a checker drives
 //! several *incarnations* of a killed-and-restored pipeline and installs

@@ -35,32 +35,32 @@
 //! ```
 
 pub mod connect;
+pub mod driver;
 pub mod durable;
 pub mod engine;
+pub mod hash;
 pub mod history;
 pub mod observe;
-pub mod parallel;
 pub mod query;
 pub mod session;
-pub mod shard;
 
 pub use connect::{
     AdaptiveBatch, AnySource, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
-    PartitionedSource, PipelineDriver, PipelineMetrics, SinglePartition, Sink, SinkConnector,
-    SinkSpec, Source, SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec,
-    SourceStatus, WatermarkProvenance,
+    PartitionedSource, PipelineMetrics, SinglePartition, Sink, SinkConnector, SinkSpec, Source,
+    SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus,
+    WatermarkProvenance,
 };
+pub use driver::{PipelineCheckpoint, PipelineDriver, ShardedConfig};
 pub use durable::{schema_fingerprint, CheckpointStore, DEFAULT_RETAIN};
 pub use engine::{Engine, StreamBuilder};
+pub use hash::{partition_of, StableHasher};
 pub use history::{HistoryEvent, HistoryTap};
 pub use observe::{
     FlightRecorder, Histogram, MetricKind, MetricRow, MetricsHub, PipelineSnapshot, TraceRecord,
     TraceSpan,
 };
-pub use parallel::{PartitionedQuery, StableHasher};
 pub use query::RunningQuery;
 pub use session::{PipelineInfo, ScriptOutcome, Session, SqlPipeline, StatementResult};
-pub use shard::{PipelineCheckpoint, ShardedConfig, ShardedPipelineDriver};
 
 pub use onesql_exec::{ExecConfig, StreamRow};
 pub use onesql_plan::{render_report, BoundQuery, Diagnostic, EmitSpec, LintMode, Severity};

@@ -249,7 +249,7 @@ pub struct TraceRecord {
     pub name: &'static str,
     /// Pipeline label in effect when the span opened ("" when unlabelled).
     pub pipeline: String,
-    /// Worker index, or -1 outside any sharded worker.
+    /// Worker index, or -1 outside any worker thread.
     pub worker: i32,
     /// Source partition, or -1 when the span is not partition-scoped.
     pub partition: i32,
@@ -969,8 +969,6 @@ pub struct PipelineSnapshot {
     /// Process-wide publication sequence number; strictly increasing, so
     /// consumers can skip snapshots they have already rendered.
     pub seq: u64,
-    /// Whether the publishing driver is sharded.
-    pub sharded: bool,
     /// Whether the pipeline has finished (entries are kept after finish so
     /// observers never race removal).
     pub finished: bool,
@@ -999,14 +997,7 @@ impl MetricsHub {
     }
 
     /// Publish (replace) the snapshot for `pipeline`.
-    pub fn publish(
-        &self,
-        pipeline: &str,
-        at: Ts,
-        sharded: bool,
-        finished: bool,
-        metrics: PipelineMetrics,
-    ) {
+    pub fn publish(&self, pipeline: &str, at: Ts, finished: bool, metrics: PipelineMetrics) {
         let mut inner = self
             .inner
             .lock()
@@ -1019,7 +1010,6 @@ impl MetricsHub {
                 pipeline: pipeline.to_string(),
                 at,
                 seq,
-                sharded,
                 finished,
                 metrics,
             },
@@ -1205,16 +1195,10 @@ mod tests {
             events_in: 5,
             ..PipelineMetrics::default()
         };
-        hub.publish("p1", Ts::from_millis(10), false, false, m.clone());
+        hub.publish("p1", Ts::from_millis(10), false, m.clone());
         m.events_in = 9;
-        hub.publish("p1", Ts::from_millis(20), false, true, m);
-        hub.publish(
-            "p2",
-            Ts::from_millis(5),
-            true,
-            false,
-            PipelineMetrics::default(),
-        );
+        hub.publish("p1", Ts::from_millis(20), true, m);
+        hub.publish("p2", Ts::from_millis(5), false, PipelineMetrics::default());
 
         let p1 = hub.latest("p1").unwrap();
         assert_eq!(p1.metrics.events_in, 9);

@@ -4,9 +4,9 @@
 //! controls belong in one SQL dialect. [`Session`] extends that to the
 //! pipeline boundary: `CREATE SOURCE` / `CREATE SINK` declare connectors
 //! in the SQL text, and `INSERT INTO <sink> SELECT ... EMIT ...`
-//! assembles a running pipeline — sharded exactly when the bound source
-//! is partitioned — so an end-to-end job is one script through
-//! [`Session::execute_script`], with no imperative wiring.
+//! assembles a running pipeline over `SET workers = N` workers, so an
+//! end-to-end job is one script through [`Session::execute_script`], with
+//! no imperative wiring.
 //!
 //! Definitions persist: a `CREATE` mutates the session catalog, later
 //! statements (in the same or a later script) bind against it, and every
@@ -150,12 +150,16 @@ use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 use crate::connect::registry::{
     AnySource, ConnectorRegistry, Exports, OptionBag, SinkSpec, SourceSpec,
 };
-use crate::connect::{DriverConfig, PipelineDriver, PipelineMetrics};
+use crate::connect::{DriverConfig, PipelineMetrics};
+use crate::driver::{PipelineDriver, ShardedConfig};
 use crate::engine::Engine;
 use crate::history::HistoryTap;
 use crate::observe::{self, MetricRow};
 use crate::query::RunningQuery;
-use crate::shard::{ShardedConfig, ShardedPipelineDriver};
+
+/// Side handles exported while building connectors, keyed by
+/// [`handle_key`], not yet committed to the session's handle store.
+type StagedHandles = Vec<(String, Vec<Box<dyn Any + Send>>)>;
 
 /// Handle-store key: kind-prefixed so a source and a sink sharing a
 /// name cannot clobber each other's exported handles.
@@ -187,27 +191,18 @@ struct SinkDef {
     options: ConnectorOptions,
 }
 
-/// The driver underneath a [`SqlPipeline`].
-enum SqlDriver {
-    /// Unsharded [`PipelineDriver`].
-    Plain(Box<PipelineDriver>),
-    /// Sharded, checkpointable [`ShardedPipelineDriver`].
-    Sharded(Box<ShardedPipelineDriver>),
-}
-
-/// A pipeline assembled by `INSERT INTO ... SELECT`: the plain driver, or
-/// the sharded one when the bound source was partitioned, plus the
-/// identity that makes it a durable artifact — its id (the `INSERT`
-/// target, which `CHECKPOINT PIPELINE <id>` / `RESTORE PIPELINE <id>`
-/// statements name) and the schema fingerprint of every relation it
-/// reads, captured at assembly time.
+/// A pipeline assembled by `INSERT INTO ... SELECT`: the
+/// [`PipelineDriver`] plus the identity that makes it a durable artifact —
+/// its id (the `INSERT` target, which `CHECKPOINT PIPELINE <id>` /
+/// `RESTORE PIPELINE <id>` statements name) and the schema fingerprint of
+/// every relation it reads, captured at assembly time.
 pub struct SqlPipeline {
     /// Lowercased `INSERT INTO` target.
     name: String,
     /// `(lowercased relation, schema hash)` for every relation the query
     /// scans, in sorted order.
     fingerprint: Vec<(String, u64)>,
-    driver: SqlDriver,
+    driver: Box<PipelineDriver>,
 }
 
 impl SqlPipeline {
@@ -217,49 +212,34 @@ impl SqlPipeline {
         &self.name
     }
 
-    /// Whether the sharded driver is underneath.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.driver, SqlDriver::Sharded(_))
+    /// Number of query workers (`SET workers` at assembly time).
+    pub fn workers(&self) -> usize {
+        self.driver.workers()
     }
 
-    /// One scheduling round; see the drivers' `step`.
+    /// One scheduling round; see [`PipelineDriver::step`].
     pub fn step(&mut self) -> Result<usize> {
-        match &mut self.driver {
-            SqlDriver::Plain(d) => d.step(),
-            SqlDriver::Sharded(d) => d.step(),
-        }
+        self.driver.step()
     }
 
     /// Run until every source finishes; returns the final metrics.
     pub fn run(&mut self) -> Result<PipelineMetrics> {
-        match &mut self.driver {
-            SqlDriver::Plain(d) => d.run().cloned(),
-            SqlDriver::Sharded(d) => d.run().cloned(),
-        }
+        self.driver.run().cloned()
     }
 
     /// Declare the pipeline complete (flush gates, drain, flush sinks).
     pub fn finish(&mut self) -> Result<()> {
-        match &mut self.driver {
-            SqlDriver::Plain(d) => d.finish(),
-            SqlDriver::Sharded(d) => d.finish(),
-        }
+        self.driver.finish()
     }
 
     /// Current accounting.
     pub fn metrics(&mut self) -> PipelineMetrics {
-        match &mut self.driver {
-            SqlDriver::Plain(d) => d.metrics().clone(),
-            SqlDriver::Sharded(d) => d.metrics().clone(),
-        }
+        self.driver.metrics().clone()
     }
 
     /// Events ingested so far (cheap — no full metrics clone).
-    pub fn events_in(&mut self) -> u64 {
-        match &mut self.driver {
-            SqlDriver::Plain(d) => d.metrics().events_in,
-            SqlDriver::Sharded(d) => d.events_in(),
-        }
+    pub fn events_in(&self) -> u64 {
+        self.driver.events_in()
     }
 
     /// Install a [`HistoryTap`] on the underlying driver: every
@@ -270,90 +250,41 @@ impl SqlPipeline {
     /// install it *before* [`SqlPipeline::restore_from`] so the restore
     /// marker lands in the record.
     pub fn set_history_tap(&mut self, tap: HistoryTap) {
-        match &mut self.driver {
-            SqlDriver::Plain(d) => d.set_history_tap(tap),
-            SqlDriver::Sharded(d) => d.set_history_tap(tap),
-        }
+        self.driver.set_history_tap(tap);
     }
 
     /// The driver's monotone processing-time clock; `AS OF` probes
     /// strictly below it are stable.
     pub fn clock(&self) -> Ts {
-        match &self.driver {
-            SqlDriver::Plain(d) => d.clock(),
-            SqlDriver::Sharded(d) => d.clock(),
-        }
+        self.driver.clock()
     }
 
-    /// The result table, in sorted row order (sharded pipelines require
-    /// [`SqlPipeline::finish`] first; the plain driver answers any time).
-    pub fn table(&self) -> Result<Vec<Row>> {
-        match &self.driver {
-            SqlDriver::Plain(d) => {
-                let mut rows = d.query().table()?;
-                rows.sort();
-                Ok(rows)
-            }
-            SqlDriver::Sharded(d) => d.table(),
-        }
+    /// The result table over everything processed so far, in sorted row
+    /// order.
+    pub fn table(&mut self) -> Result<Vec<Row>> {
+        self.driver.table()
     }
 
     /// Temporal `AS OF` probe: the result table as of processing time
-    /// `at`, in sorted row order. Works mid-run on both drivers (the
-    /// sharded one barriers its workers). After a restore the probe only
-    /// covers changes since the restore point.
-    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
-        match &self.driver {
-            SqlDriver::Plain(d) => {
-                let mut rows = d.query().table_at(at)?;
-                rows.sort();
-                Ok(rows)
-            }
-            SqlDriver::Sharded(d) => d.table_at(at),
-        }
+    /// `at`, in sorted row order. Works mid-run (the probe barriers the
+    /// workers). After a restore the probe only covers changes since the
+    /// restore point.
+    pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
+        self.driver.table_at(at)
     }
 
-    /// Unwrap the plain driver; errors on a sharded pipeline.
-    pub fn into_plain(self) -> Result<PipelineDriver> {
-        match self.driver {
-            SqlDriver::Plain(d) => Ok(*d),
-            SqlDriver::Sharded(_) => Err(Error::plan(
-                "pipeline is sharded (its source is partitioned); use into_sharded",
-            )),
-        }
+    /// The driver underneath (checkpoint/restore, provenance, ...).
+    pub fn driver_mut(&mut self) -> &mut PipelineDriver {
+        &mut self.driver
     }
 
-    /// Unwrap the sharded driver (for checkpoint/restore); errors on a
-    /// plain pipeline.
-    pub fn into_sharded(self) -> Result<ShardedPipelineDriver> {
-        match self.driver {
-            SqlDriver::Sharded(d) => Ok(*d),
-            SqlDriver::Plain(_) => Err(Error::plan(
-                "pipeline is not sharded (no partitioned source); use into_plain",
-            )),
-        }
+    /// Always `Some`: every pipeline runs the one driver. Kept for
+    /// `perfbench/src/workloads/ckpt.rs`, which the benchmark freezes.
+    pub fn as_sharded_mut(&mut self) -> Option<&mut PipelineDriver> {
+        Some(self.driver_mut())
     }
 
-    /// Borrow the sharded driver, if that is what is underneath.
-    pub fn as_sharded_mut(&mut self) -> Option<&mut ShardedPipelineDriver> {
-        match &mut self.driver {
-            SqlDriver::Sharded(d) => Some(d),
-            SqlDriver::Plain(_) => None,
-        }
-    }
-
-    fn sharded_for(&mut self, what: &str) -> Result<&mut ShardedPipelineDriver> {
-        match &mut self.driver {
-            SqlDriver::Sharded(d) => Ok(d),
-            SqlDriver::Plain(_) => Err(Error::plan(format!(
-                "{what} requires a sharded pipeline; '{}' runs the plain \
-                 driver (no PARTITIONED source feeds it)",
-                self.name
-            ))),
-        }
-    }
-
-    /// Persist a consistent snapshot of this (sharded) pipeline into the
+    /// Persist a consistent snapshot of this pipeline into the
     /// [`crate::durable::CheckpointStore`] directory at `path`, retaining
     /// [`crate::durable::DEFAULT_RETAIN`] epochs: take the checkpoint,
     /// write it durably (versioned + CRC-protected, atomic rename), then
@@ -371,27 +302,24 @@ impl SqlPipeline {
         path: impl AsRef<std::path::Path>,
         retain: usize,
     ) -> Result<u64> {
-        let name = self.name.clone();
-        let fingerprint = self.fingerprint.clone();
-        let driver = self.sharded_for("CHECKPOINT PIPELINE")?;
         let mut store = crate::durable::CheckpointStore::open_or_create(
             path.as_ref(),
-            &name,
-            fingerprint,
+            &self.name,
+            self.fingerprint.clone(),
             retain,
         )?;
-        let checkpoint = driver.checkpoint()?;
+        let checkpoint = self.driver.checkpoint()?;
         let persist = observe::Stopwatch::start();
         let epoch = store.save(&checkpoint)?;
         let persist_micros = persist.micros();
         // Only after the bytes are durable: let upstreams trim their
         // replay spools and two-phase sinks commit the staged epoch.
-        driver.ack_checkpoint(&checkpoint)?;
-        driver.note_checkpoint_persisted(epoch, persist_micros);
+        self.driver.ack_checkpoint(&checkpoint)?;
+        self.driver.note_checkpoint_persisted(epoch, persist_micros);
         Ok(epoch)
     }
 
-    /// Resume this freshly assembled (sharded, un-stepped) pipeline from
+    /// Resume this freshly assembled (un-stepped) pipeline from
     /// the newest epoch in the [`crate::durable::CheckpointStore`] at `path`. Refuses a
     /// store that belongs to a different pipeline id, and a store whose
     /// recorded schema fingerprint no longer matches the relations this
@@ -406,23 +334,19 @@ impl SqlPipeline {
             &self.fingerprint,
         )?;
         let (epoch, checkpoint) = store.load_latest()?;
-        let name = self.name.clone();
-        self.sharded_for("RESTORE PIPELINE")?
+        self.driver
             .restore(&checkpoint)
-            .map_err(|e| Error::exec(format!("RESTORE PIPELINE {name}: {e}")))?;
+            .map_err(|e| Error::exec(format!("RESTORE PIPELINE {}: {e}", self.name)))?;
         Ok(epoch)
     }
 }
 
 impl std::fmt::Debug for SqlPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("SqlPipeline");
-        s.field("name", &self.name);
-        match &self.driver {
-            SqlDriver::Plain(d) => s.field("driver", d),
-            SqlDriver::Sharded(d) => s.field("driver", d),
-        };
-        s.finish()
+        f.debug_struct("SqlPipeline")
+            .field("name", &self.name)
+            .field("driver", &self.driver)
+            .finish()
     }
 }
 
@@ -433,8 +357,8 @@ impl std::fmt::Debug for SqlPipeline {
 pub struct PipelineInfo {
     /// The pipeline id (lowercased `INSERT INTO` target).
     pub name: String,
-    /// Whether the sharded driver runs underneath.
-    pub sharded: bool,
+    /// Number of query workers.
+    pub workers: usize,
     /// Telemetry as stable `(name, kind, value)` rows.
     pub rows: Vec<MetricRow>,
 }
@@ -629,10 +553,9 @@ pub struct Session {
     /// addressable by `CHECKPOINT PIPELINE` / `RESTORE PIPELINE`
     /// statements across `execute` calls.
     pipelines: BTreeMap<String, SqlPipeline>,
-    /// Sharded settings for `INSERT`s over partitioned sources.
-    workers: usize,
-    partition_col: usize,
-    driver: DriverConfig,
+    /// Worker count, partition column and driver knobs for later
+    /// `INSERT`s (`SET workers` and friends).
+    config: ShardedConfig,
     /// Epochs a `CHECKPOINT PIPELINE` store retains (`SET
     /// checkpoint_retain = K`).
     checkpoint_retain: usize,
@@ -643,8 +566,8 @@ pub struct Session {
 
 impl Session {
     /// A session over a fresh [`Engine`], building connectors from
-    /// `registry`. Sharded `INSERT`s default to 1 worker, partition
-    /// column 0, and the default [`DriverConfig`]; see
+    /// `registry`. `INSERT`s default to 1 worker, partition column 0, and
+    /// the default [`DriverConfig`]; see
     /// [`Session::set_workers`] and friends.
     pub fn new(registry: ConnectorRegistry) -> Session {
         Session {
@@ -654,9 +577,7 @@ impl Session {
             sinks: Vec::new(),
             handles: BTreeMap::new(),
             pipelines: BTreeMap::new(),
-            workers: 1,
-            partition_col: 0,
-            driver: DriverConfig::default(),
+            config: ShardedConfig::default(),
             checkpoint_retain: crate::durable::DEFAULT_RETAIN,
             lint: LintMode::default(),
         }
@@ -673,20 +594,20 @@ impl Session {
         &mut self.engine
     }
 
-    /// Worker count for sharded pipelines assembled by later `INSERT`s.
+    /// Worker count for pipelines assembled by later `INSERT`s.
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers;
+        self.config.workers = workers;
     }
 
-    /// Partition-key column for sharded pipelines (see
+    /// Partition-key column for multi-worker pipelines (see
     /// [`ShardedConfig::partition_col`]).
     pub fn set_partition_col(&mut self, col: usize) {
-        self.partition_col = col;
+        self.config.partition_col = col;
     }
 
     /// Driver tuning for pipelines assembled by later `INSERT`s.
     pub fn set_driver_config(&mut self, config: DriverConfig) {
-        self.driver = config;
+        self.config.driver = config;
     }
 
     /// Run a multi-statement script: DDL mutates the catalog, `INSERT`s
@@ -753,8 +674,8 @@ impl Session {
     fn lint_context(&self, statements: &[SpannedStatement]) -> LintContext {
         let mut ctx = LintContext {
             catalog: self.engine.catalog().clone(),
-            workers: self.workers,
-            partition_col: self.partition_col,
+            workers: self.config.workers,
+            partition_col: self.config.partition_col,
             ..LintContext::default()
         };
         for def in &self.sources {
@@ -779,10 +700,9 @@ impl Session {
                 },
             });
         }
-        for (name, pipeline) in &self.pipelines {
+        for name in self.pipelines.keys() {
             ctx.pipelines.push(PipelineSeed {
                 name: name.clone(),
-                sharded: pipeline.is_sharded(),
                 // Adopted pipelines already hold live connectors; the
                 // analyzer has no definition to judge, so assume the best.
                 replayable: true,
@@ -950,7 +870,7 @@ impl Session {
                 for pipeline in self.pipelines.values_mut() {
                     infos.push(PipelineInfo {
                         name: pipeline.name().to_string(),
-                        sharded: pipeline.is_sharded(),
+                        workers: pipeline.workers(),
                         rows: pipeline.metrics().render_rows(),
                     });
                 }
@@ -960,7 +880,7 @@ impl Session {
                     if let StatementResult::Pipeline(p) = result {
                         infos.push(PipelineInfo {
                             name: p.name().to_string(),
-                            sharded: p.is_sharded(),
+                            workers: p.workers(),
                             rows: p.metrics().render_rows(),
                         });
                     }
@@ -1079,11 +999,15 @@ impl Session {
     /// built with.
     fn apply_knob(&mut self, knob: SessionKnob) -> Result<()> {
         match knob {
-            SessionKnob::Workers(n) => self.workers = n,
-            SessionKnob::PartitionCol(col) => self.partition_col = col,
-            SessionKnob::BatchSize(n) => self.driver.batch_size = n,
+            SessionKnob::Workers(n) => self.config.workers = n,
+            SessionKnob::PartitionCol(col) => self.config.partition_col = col,
+            SessionKnob::BatchSize(n) => self.config.driver.batch_size = n,
             SessionKnob::MinBatch(n) => {
-                let adaptive = self.driver.adaptive.get_or_insert_with(Default::default);
+                let adaptive = self
+                    .config
+                    .driver
+                    .adaptive
+                    .get_or_insert_with(Default::default);
                 if n > adaptive.max_batch {
                     return Err(Error::plan(format!(
                         "SET min_batch = {n}: exceeds max_batch ({})",
@@ -1093,7 +1017,11 @@ impl Session {
                 adaptive.min_batch = n;
             }
             SessionKnob::MaxBatch(n) => {
-                let adaptive = self.driver.adaptive.get_or_insert_with(Default::default);
+                let adaptive = self
+                    .config
+                    .driver
+                    .adaptive
+                    .get_or_insert_with(Default::default);
                 if n < adaptive.min_batch {
                     return Err(Error::plan(format!(
                         "SET max_batch = {n}: below min_batch ({})",
@@ -1103,7 +1031,7 @@ impl Session {
                 adaptive.max_batch = n;
             }
             SessionKnob::MaxIdleRounds(n) => {
-                self.driver.max_idle_rounds = if n == 0 { None } else { Some(n) };
+                self.config.driver.max_idle_rounds = if n == 0 { None } else { Some(n) };
             }
             SessionKnob::CheckpointRetain(k) => self.checkpoint_retain = k,
             SessionKnob::Lint(mode) => self.lint = mode,
@@ -1246,6 +1174,66 @@ impl Session {
             ));
         }
         fingerprint.sort();
+        // Handles are only *staged* here: committing them to the store
+        // before the whole pipeline assembles would let a failed INSERT
+        // clobber a live pipeline's handles with ones wired to discarded
+        // connectors.
+        let mut staged = self.attach_feeding_sources(&format!("INSERT INTO {sink}"), &streams)?;
+        let sink_box = self.build_sink(sink_idx, &mut staged)?;
+        self.engine.attach_sink(sink_box);
+
+        // `query_sql` is the bound query's canonical text (round-trip
+        // property-tested): re-planning it here costs one extra
+        // parse+bind, but keeps pipeline assembly on the exact
+        // Engine::run_*pipeline path the imperative API uses.
+        let name = sink.to_ascii_lowercase();
+        // A fresh pipeline under this id supersedes any telemetry a
+        // previous incarnation published.
+        observe::hub().clear(&name);
+        let mut driver = self.engine.run_sharded_pipeline(query_sql, self.config)?;
+        driver.set_label(&name);
+        for (key, items) in staged {
+            self.handles.insert(key, items);
+        }
+        Ok(StatementResult::Pipeline(SqlPipeline {
+            name,
+            fingerprint,
+            driver: Box::new(driver),
+        }))
+    }
+
+    /// `EXPLAIN ANALYZE`: render the optimized plan, then *actually
+    /// execute* the query — fresh connectors for every stream it reads,
+    /// no sink (the changelog is discarded) — and report the observed
+    /// telemetry next to the plan. The throwaway run keeps its handles
+    /// staged so it cannot clobber a live pipeline's exports, and it is
+    /// deliberately unlabelled so it never publishes to the metrics hub.
+    fn explain_analyze(
+        &mut self,
+        query: &onesql_plan::BoundQuery,
+        query_sql: &str,
+    ) -> Result<StatementResult> {
+        let plan = query.explain();
+        let (streams, _tables) = referenced_relations(query);
+        // The staged handles are dropped, never committed.
+        self.attach_feeding_sources("EXPLAIN ANALYZE", &streams)?;
+        let metrics = self
+            .engine
+            .run_sharded_pipeline(query_sql, self.config)?
+            .run()?
+            .clone();
+        Ok(StatementResult::Analyzed {
+            plan,
+            rows: metrics.render_rows(),
+        })
+    }
+
+    /// Instantiate a fresh connector from every stored source definition
+    /// that feeds one of `streams` and attach it through the engine's
+    /// (single) wiring path, in creation order. Returns the handles the
+    /// connectors exported, for the caller to commit or drop. `what` names
+    /// the statement in errors.
+    fn attach_feeding_sources(&mut self, what: &str, streams: &[String]) -> Result<StagedHandles> {
         let selected: Vec<usize> = (0..self.sources.len())
             .filter(|&i| self.sources[i].streams.iter().any(|s| streams.contains(s)))
             .collect();
@@ -1263,153 +1251,27 @@ impl Session {
             .collect();
         if !unfed.is_empty() {
             return Err(Error::plan(format!(
-                "INSERT INTO {sink}: no CREATE SOURCE feeds the query's \
-                 stream(s) [{}]",
+                "{what}: no CREATE SOURCE feeds the query's stream(s) [{}]",
                 unfed.join(", ")
             )));
         }
         if selected.is_empty() {
             return Err(Error::plan(format!(
-                "INSERT INTO {sink}: the query reads no streams; a pipeline \
-                 needs at least one stream-feeding source"
+                "{what}: the query reads no streams, so there is nothing to \
+                 run; a pipeline needs at least one stream-feeding source"
             )));
         }
-
-        // Instantiate fresh connectors from the stored definitions and
-        // attach them through the engine's (single) wiring path. Handles
-        // are only *staged* here: committing them to the store before
-        // the whole pipeline assembles would let a failed INSERT clobber
-        // a live pipeline's handles with ones wired to discarded
-        // connectors.
-        let mut staged: Vec<(String, Vec<Box<dyn Any + Send>>)> = Vec::new();
-        let mut sharded = false;
-        for &idx in &selected {
-            let built = self.build_source(idx, &mut staged)?;
-            match built {
-                AnySource::Plain(source) => self.engine.attach_source(source)?,
-                AnySource::Partitioned(source) => {
-                    sharded = true;
-                    self.engine.attach_partitioned_source(source)?;
-                }
-            }
-        }
-        let sink_box = self.build_sink(sink_idx, &mut staged)?;
-        self.engine.attach_sink(sink_box);
-
-        // `query_sql` is the bound query's canonical text (round-trip
-        // property-tested): re-planning it here costs one extra
-        // parse+bind, but keeps pipeline assembly on the exact
-        // Engine::run_*pipeline path the imperative API uses.
-        let name = sink.to_ascii_lowercase();
-        // A fresh pipeline under this id supersedes any telemetry a
-        // previous incarnation published.
-        observe::hub().clear(&name);
-        let driver = if sharded {
-            let config = ShardedConfig {
-                workers: self.workers,
-                partition_col: self.partition_col,
-                driver: self.driver,
-            };
-            let mut driver = self.engine.run_sharded_pipeline(query_sql, config)?;
-            driver.set_label(&name);
-            SqlDriver::Sharded(Box::new(driver))
-        } else {
-            let mut driver = self
-                .engine
-                .run_pipeline(query_sql)?
-                .with_config(self.driver);
-            driver.set_label(&name);
-            SqlDriver::Plain(Box::new(driver))
-        };
-        for (key, items) in staged {
-            self.handles.insert(key, items);
-        }
-        Ok(StatementResult::Pipeline(SqlPipeline {
-            name,
-            fingerprint,
-            driver,
-        }))
-    }
-
-    /// `EXPLAIN ANALYZE`: render the optimized plan, then *actually
-    /// execute* the query — fresh connectors for every stream it reads,
-    /// no sink (the changelog is discarded) — and report the observed
-    /// telemetry next to the plan. The throwaway run keeps its handles
-    /// staged so it cannot clobber a live pipeline's exports, and it is
-    /// deliberately unlabelled so it never publishes to the metrics hub.
-    fn explain_analyze(
-        &mut self,
-        query: &onesql_plan::BoundQuery,
-        query_sql: &str,
-    ) -> Result<StatementResult> {
-        let plan = query.explain();
-        let (streams, _tables) = referenced_relations(query);
-        let selected: Vec<usize> = (0..self.sources.len())
-            .filter(|&i| self.sources[i].streams.iter().any(|s| streams.contains(s)))
-            .collect();
-        let unfed: Vec<&str> = streams
-            .iter()
-            .filter(|s| {
-                !selected
-                    .iter()
-                    .any(|&i| self.sources[i].streams.contains(s))
-            })
-            .map(String::as_str)
-            .collect();
-        if !unfed.is_empty() {
-            return Err(Error::plan(format!(
-                "EXPLAIN ANALYZE: no CREATE SOURCE feeds the query's \
-                 stream(s) [{}]",
-                unfed.join(", ")
-            )));
-        }
-        if selected.is_empty() {
-            return Err(Error::plan(
-                "EXPLAIN ANALYZE: the query reads no streams, so there is \
-                 nothing to execute; plain EXPLAIN renders the plan without \
-                 running it",
-            ));
-        }
-        let mut staged: Vec<(String, Vec<Box<dyn Any + Send>>)> = Vec::new();
-        let mut sharded = false;
-        for &idx in &selected {
+        let mut staged = Vec::new();
+        for idx in selected {
             match self.build_source(idx, &mut staged)? {
                 AnySource::Plain(source) => self.engine.attach_source(source)?,
-                AnySource::Partitioned(source) => {
-                    sharded = true;
-                    self.engine.attach_partitioned_source(source)?;
-                }
+                AnySource::Partitioned(source) => self.engine.attach_partitioned_source(source)?,
             }
         }
-        drop(staged);
-        let metrics = if sharded {
-            let config = ShardedConfig {
-                workers: self.workers,
-                partition_col: self.partition_col,
-                driver: self.driver,
-            };
-            self.engine
-                .run_sharded_pipeline(query_sql, config)?
-                .run()?
-                .clone()
-        } else {
-            self.engine
-                .run_pipeline(query_sql)?
-                .with_config(self.driver)
-                .run()?
-                .clone()
-        };
-        Ok(StatementResult::Analyzed {
-            plan,
-            rows: metrics.render_rows(),
-        })
+        Ok(staged)
     }
 
-    fn build_source(
-        &mut self,
-        idx: usize,
-        staged: &mut Vec<(String, Vec<Box<dyn Any + Send>>)>,
-    ) -> Result<AnySource> {
+    fn build_source(&mut self, idx: usize, staged: &mut StagedHandles) -> Result<AnySource> {
         let def = &self.sources[idx];
         let factory = self.registry.source(&def.connector)?;
         let mut bag = OptionBag::new(
@@ -1434,7 +1296,7 @@ impl Session {
     fn build_sink(
         &mut self,
         idx: usize,
-        staged: &mut Vec<(String, Vec<Box<dyn Any + Send>>)>,
+        staged: &mut StagedHandles,
     ) -> Result<Box<dyn crate::connect::Sink>> {
         let def = &self.sinks[idx];
         let factory = self.registry.sink(&def.connector)?;
@@ -1552,7 +1414,7 @@ impl std::fmt::Debug for Session {
                     .map(|d| d.name.as_str())
                     .collect::<Vec<_>>(),
             )
-            .field("workers", &self.workers)
+            .field("workers", &self.config.workers)
             .finish()
     }
 }

@@ -92,7 +92,7 @@ pub struct FullStackSpec {
     /// The query text (no `EMIT` clause).
     pub sql: &'static str,
     /// Whether running with more than one worker leaves the final table
-    /// unchanged: the sharded driver hash-routes each stream on its
+    /// unchanged: the driver hash-routes each stream on its
     /// first column (`Bid.auction`, `Auction.id`, `Person.id`), so only
     /// queries whose join/grouping keys align with that routing are
     /// worker-count transparent.
@@ -139,11 +139,12 @@ pub fn full_stack() -> Vec<FullStackSpec> {
 /// Knobs for [`full_stack_script`].
 #[derive(Debug, Clone)]
 pub struct ScriptConfig {
-    /// Sharded-driver worker count.
+    /// Driver worker count.
     pub workers: usize,
     /// Fixed driver batch size.
     pub batch: usize,
-    /// NEXMark source partitions.
+    /// NEXMark source partitions; 0 declares a plain (non-partitioned)
+    /// `CREATE SOURCE` instead.
     pub partitions: usize,
     /// NEXMark generator seed.
     pub seed: u64,
@@ -166,22 +167,26 @@ impl Default for ScriptConfig {
     }
 }
 
-/// Render one suite query as a complete SQL script: knobs, a partitioned
-/// NEXMark source, a transactional CSV file sink at `sink_path`, and the
-/// `INSERT` that assembles the pipeline.
+/// Render one suite query as a complete SQL script: knobs, a NEXMark
+/// source (partitioned unless `config.partitions` is 0), a transactional
+/// CSV file sink at `sink_path`, and the `INSERT` that assembles the
+/// pipeline.
 pub fn full_stack_script(sql: &str, sink_path: &std::path::Path, config: &ScriptConfig) -> String {
+    let (partitioned, partitions) = match config.partitions {
+        0 => ("", String::new()),
+        n => (" PARTITIONED", format!(", partitions = {n}")),
+    };
     format!(
         "SET workers = {};
          SET batch_size = {};
-         CREATE PARTITIONED SOURCE nex
-           WITH (connector = 'nexmark', seed = {}, events = {}, partitions = {});
+         CREATE{partitioned} SOURCE nex
+           WITH (connector = 'nexmark', seed = {}, events = {}{partitions});
          CREATE SINK out WITH (connector = 'file', path = '{}', transactional = TRUE);
          INSERT INTO out {} EMIT STREAM{};",
         config.workers,
         config.batch,
         config.seed,
         config.events,
-        config.partitions,
         sink_path.display(),
         sql,
         if config.gated { " AFTER WATERMARK" } else { "" },

@@ -145,7 +145,7 @@ pub struct SourceSeed {
     pub name: String,
     /// Connector name, lowercased.
     pub connector: String,
-    /// `CREATE PARTITIONED SOURCE`: pipelines over it run sharded.
+    /// `CREATE PARTITIONED SOURCE`: the connector builds N partitions.
     pub partitioned: bool,
     /// Streams the source feeds, lowercased.
     pub streams: Vec<String>,
@@ -169,8 +169,6 @@ pub struct SinkSeed {
 pub struct PipelineSeed {
     /// Pipeline id (the `INSERT INTO` target), lowercased.
     pub name: String,
-    /// Whether the pipeline runs on the sharded driver.
-    pub sharded: bool,
     /// Whether all feeding connectors can replay after a restore.
     pub replayable: bool,
 }
@@ -284,18 +282,18 @@ enum ChangedKnob {
     MaxBatch,
 }
 
-/// Source connectors whose events cannot be replayed into a restored
-/// pipeline instance (the pre-crash events exist nowhere to re-read).
-const NON_REPLAYABLE: [&str; 1] = ["channel"];
-
-fn connector_replayable(connector: &str) -> bool {
-    !NON_REPLAYABLE
-        .iter()
-        .any(|c| connector.eq_ignore_ascii_case(c))
+/// Whether a source's events can be replayed into a restored pipeline
+/// instance. An in-memory `channel`'s pre-crash events exist nowhere to
+/// re-read; a non-partitioned `net` source acknowledges frames as it
+/// consumes them (so un-checkpointed consumers still trim the producer's
+/// spool), which leaves the producer nothing to re-send — only the
+/// `PARTITIONED` net source holds acks until a checkpoint is durable.
+fn source_replayable(source: &SourceSeed) -> bool {
+    let connector = source.connector.to_ascii_lowercase();
+    connector != "channel" && (connector != "net" || source.partitioned)
 }
 
 struct PipelineTraits {
-    sharded: bool,
     replayable: bool,
     /// Connectors that make the pipeline non-replayable, for messages.
     volatile: Vec<String>,
@@ -324,7 +322,6 @@ impl Linter {
             pipelines.insert(
                 p.name.to_ascii_lowercase(),
                 PipelineTraits {
-                    sharded: p.sharded,
                     replayable: p.replayable,
                     volatile: Vec::new(),
                 },
@@ -611,25 +608,23 @@ impl Linter {
         }
         let volatile: Vec<String> = feeding
             .iter()
-            .filter(|s| !connector_replayable(&s.connector))
+            .filter(|s| !source_replayable(s))
             .map(|s| format!("{} ({})", s.name, s.connector))
             .collect();
         self.pipelines.insert(
             sink.to_ascii_lowercase(),
             PipelineTraits {
-                sharded: feeding.iter().any(|s| s.partitioned),
                 replayable: volatile.is_empty(),
                 volatile,
             },
         );
     }
 
-    /// Streams the query's partitioned sources feed (lowercased) — the
-    /// scans that run sharded.
-    fn partitioned_streams(&self) -> BTreeSet<String> {
+    /// Streams any source feeds (lowercased) — the scans whose rows are
+    /// hash-routed across workers when there are several.
+    fn routed_streams(&self) -> BTreeSet<String> {
         self.sources
             .iter()
-            .filter(|s| s.partitioned)
             .flat_map(|s| s.streams.iter().cloned())
             .collect()
     }
@@ -650,12 +645,9 @@ impl Linter {
         if self.workers <= 1 {
             return;
         }
-        let partitioned = self.partitioned_streams();
-        if partitioned.is_empty() {
-            return;
-        }
+        let routed = self.routed_streams();
         let mut findings = Vec::new();
-        routed_columns(&query.plan, &partitioned, self.partition_col, &mut findings);
+        routed_columns(&query.plan, &routed, self.partition_col, &mut findings);
         for msg in findings {
             self.push(
                 "OSQL002",
@@ -715,20 +707,7 @@ impl Linter {
             );
             return;
         };
-        if !traits.sharded {
-            self.push(
-                "OSQL004",
-                Severity::Error,
-                span,
-                idx,
-                format!(
-                    "CHECKPOINT PIPELINE {pipeline}: the pipeline is fed only \
-                     by plain (non-partitioned) sources, and checkpointing \
-                     requires the sharded driver; CREATE PARTITIONED SOURCE \
-                     the inputs"
-                ),
-            );
-        } else if !traits.replayable {
+        if !traits.replayable {
             let volatile = traits.volatile.join(", ");
             self.push(
                 "OSQL004",
@@ -1033,11 +1012,11 @@ fn collect_unbounded_state(plan: &LogicalPlan, out: &mut Vec<String>) {
 }
 
 /// OSQL002 provenance walk. Returns the output columns that still carry a
-/// partitioned scan's routing key verbatim, and records misalignment
+/// routed scan's partition key verbatim, and records misalignment
 /// findings for stateful operators whose keys are not routed.
 fn routed_columns(
     plan: &LogicalPlan,
-    partitioned: &BTreeSet<String>,
+    routed: &BTreeSet<String>,
     partition_col: usize,
     out: &mut Vec<String>,
 ) -> BTreeSet<usize> {
@@ -1047,7 +1026,7 @@ fn routed_columns(
             schema,
             kind: TableKind::Stream,
             ..
-        } if partitioned.contains(&table.to_ascii_lowercase()) => {
+        } if routed.contains(&table.to_ascii_lowercase()) => {
             if partition_col < schema.arity() {
                 BTreeSet::from([partition_col])
             } else {
@@ -1058,10 +1037,10 @@ fn routed_columns(
         // Filters and windows keep input columns at their indices
         // (windows append wstart/wend after them).
         LogicalPlan::Filter { input, .. } | LogicalPlan::Window { input, .. } => {
-            routed_columns(input, partitioned, partition_col, out)
+            routed_columns(input, routed, partition_col, out)
         }
         LogicalPlan::Project { input, exprs, .. } => {
-            let inner = routed_columns(input, partitioned, partition_col, out);
+            let inner = routed_columns(input, routed, partition_col, out);
             exprs
                 .iter()
                 .enumerate()
@@ -1074,8 +1053,8 @@ fn routed_columns(
         LogicalPlan::Aggregate {
             input, group_exprs, ..
         } => {
-            let inner = routed_columns(input, partitioned, partition_col, out);
-            let sharded = scans_partitioned(input, partitioned);
+            let inner = routed_columns(input, routed, partition_col, out);
+            let sharded = scans_routed(input, routed);
             let routed_keys: BTreeSet<usize> = group_exprs
                 .iter()
                 .enumerate()
@@ -1086,7 +1065,7 @@ fn routed_columns(
                 .collect();
             if sharded && routed_keys.is_empty() {
                 out.push(
-                    "aggregate over a partitioned source groups by keys that \
+                    "aggregate over a source-fed stream groups by keys that \
                      do not include the routed partition column"
                         .to_string(),
                 );
@@ -1096,14 +1075,14 @@ fn routed_columns(
         LogicalPlan::Join {
             left, right, equi, ..
         } => {
-            let l = routed_columns(left, partitioned, partition_col, out);
-            let r = routed_columns(right, partitioned, partition_col, out);
-            let l_sharded = scans_partitioned(left, partitioned);
-            let r_sharded = scans_partitioned(right, partitioned);
+            let l = routed_columns(left, routed, partition_col, out);
+            let r = routed_columns(right, routed, partition_col, out);
+            let l_sharded = scans_routed(left, routed);
+            let r_sharded = scans_routed(right, routed);
             let aligned = equi.iter().any(|(lc, rc)| l.contains(lc) && r.contains(rc));
             if l_sharded && r_sharded && !aligned {
                 out.push(
-                    "stream-stream join over partitioned sources has no \
+                    "stream-stream join over source-fed streams has no \
                      equi-key pair on the routed partition columns"
                         .to_string(),
                 );
@@ -1116,15 +1095,15 @@ fn routed_columns(
             }
         }
         LogicalPlan::UnionAll { left, right } => {
-            let l = routed_columns(left, partitioned, partition_col, out);
-            let r = routed_columns(right, partitioned, partition_col, out);
+            let l = routed_columns(left, routed, partition_col, out);
+            let r = routed_columns(right, routed, partition_col, out);
             l.intersection(&r).copied().collect()
         }
         LogicalPlan::Distinct { input } => {
-            let inner = routed_columns(input, partitioned, partition_col, out);
-            if scans_partitioned(input, partitioned) && inner.is_empty() {
+            let inner = routed_columns(input, routed, partition_col, out);
+            if scans_routed(input, routed) && inner.is_empty() {
                 out.push(
-                    "DISTINCT over a partitioned source keeps no routed \
+                    "DISTINCT over a source-fed stream keeps no routed \
                      column, so duplicates landing on different workers \
                      survive"
                         .to_string(),
@@ -1135,17 +1114,14 @@ fn routed_columns(
     }
 }
 
-fn scans_partitioned(plan: &LogicalPlan, partitioned: &BTreeSet<String>) -> bool {
+fn scans_routed(plan: &LogicalPlan, routed: &BTreeSet<String>) -> bool {
     match plan {
         LogicalPlan::Scan {
             table,
             kind: TableKind::Stream,
             ..
-        } => partitioned.contains(&table.to_ascii_lowercase()),
-        _ => plan
-            .inputs()
-            .iter()
-            .any(|p| scans_partitioned(p, partitioned)),
+        } => routed.contains(&table.to_ascii_lowercase()),
+        _ => plan.inputs().iter().any(|p| scans_routed(p, routed)),
     }
 }
 

@@ -69,7 +69,7 @@ pub enum BoundStatement {
     CreateSource {
         /// Source name (verbatim).
         name: String,
-        /// Build a partitioned source; `INSERT`s over it run sharded.
+        /// Build a partitioned source.
         partitioned: bool,
         /// The inline schema, if one was declared.
         schema: Option<Schema>,
@@ -180,7 +180,7 @@ pub enum BoundStatement {
 /// has to apply a well-typed value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKnob {
-    /// `SET workers = N` — worker shards for later sharded `INSERT`s.
+    /// `SET workers = N` — query workers for later `INSERT`s.
     Workers(usize),
     /// `SET partition_col = N` — partition-key column index.
     PartitionCol(usize),

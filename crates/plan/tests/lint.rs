@@ -156,6 +156,21 @@ fn osql002_group_key_off_partition_column_fires() {
 }
 
 #[test]
+fn osql002_fires_over_a_non_partitioned_source_too() {
+    // `SET workers` applies to every pipeline, PARTITIONED keyword or not:
+    // column 0 of PRELUDE's bids is `t`, so grouping by auction splits.
+    let script = format!(
+        "SET workers = 2;
+         {PRELUDE}INSERT INTO out SELECT auction, wstart, COUNT(*) \
+         FROM Tumble(data => TABLE(bids), timecol => DESCRIPTOR(t), \
+         dur => INTERVAL '1' MINUTE) \
+         GROUP BY auction, wstart EMIT STREAM AFTER WATERMARK;"
+    );
+    assert_eq!(codes(&lint(&script)), vec!["OSQL002"]);
+    assert_eq!(lint(&script.replace("workers = 2", "workers = 1")), vec![]);
+}
+
+#[test]
 fn osql002_negative_group_key_on_partition_column_is_clean() {
     let script = format!(
         "{SHARDED_PRELUDE}INSERT INTO out SELECT auction, wstart, COUNT(*) \
@@ -213,19 +228,45 @@ fn osql003_negative_gated_or_unwindowed_is_clean() {
 // -- OSQL004: doomed CHECKPOINT ---------------------------------------------
 
 #[test]
-fn osql004_plain_pipeline_checkpoint_is_error() {
-    let script = format!(
-        "{PRELUDE}INSERT INTO out SELECT price FROM bids EMIT STREAM;
-         CHECKPOINT PIPELINE out TO '/tmp/lint-ck';"
-    );
-    let diags = lint(&script);
+fn osql004_negative_plain_replayable_pipeline_checkpoints_clean() {
+    // Every pipeline checkpoints: a non-partitioned, replayable (file)
+    // source is nothing to report.
+    let script = "CREATE SOURCE bids (t TIMESTAMP, price INT, WATERMARK FOR t)
+           WITH (connector = 'file', path = '/tmp/lint-in.csv');
+         CREATE SINK out WITH (connector = 'file', path = '/tmp/lint-out');
+         INSERT INTO out SELECT price FROM bids EMIT STREAM;
+         CHECKPOINT PIPELINE out TO '/tmp/lint-ck';";
+    assert_eq!(lint(script), vec![]);
+}
+
+#[test]
+fn osql004_non_partitioned_net_source_warns() {
+    // A plain `net` source acks frames as it consumes them, so the
+    // producer has nothing left to replay into a restored consumer; the
+    // PARTITIONED one holds acks until a checkpoint is durable.
+    let script = |partitioned: &str| {
+        format!(
+            "CREATE {partitioned} SOURCE feed (t TIMESTAMP, price INT, WATERMARK FOR t)
+               WITH (connector = 'net', addr = 'tcp:127.0.0.1:0');
+             CREATE SINK out WITH (connector = 'file', path = '/tmp/lint-out');
+             INSERT INTO out SELECT price FROM feed EMIT STREAM;
+             CHECKPOINT PIPELINE out TO '/tmp/lint-ck';"
+        )
+    };
+    let plain = script("");
+    let diags = lint(&plain);
     assert_eq!(codes(&diags), vec!["OSQL004"]);
-    assert_eq!(diags[0].severity, Severity::Error);
-    assert!(diags[0].message.contains("sharded"), "{}", diags[0].message);
+    assert_eq!(diags[0].severity, Severity::Warning);
+    assert!(
+        diags[0].message.contains("feed (net)") && diags[0].message.contains("not replayable"),
+        "{}",
+        diags[0].message
+    );
     assert!(diags[0]
         .span
-        .slice(&script)
+        .slice(&plain)
         .starts_with("CHECKPOINT PIPELINE"));
+    assert_eq!(lint(&script("PARTITIONED")), vec![]);
 }
 
 #[test]

@@ -150,8 +150,7 @@ pub struct WithOption {
 pub struct CreateSource {
     /// Source (and, with an inline schema, stream) name.
     pub name: String,
-    /// `PARTITIONED`: the connector must build a partitioned source, and
-    /// `INSERT`s reading it run on the sharded driver.
+    /// `PARTITIONED`: the connector must build a partitioned source.
     pub partitioned: bool,
     /// Inline schema columns; empty when the connector defines (or
     /// references) its streams itself.

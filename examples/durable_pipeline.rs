@@ -58,7 +58,7 @@ fn main() {
         .expect("script runs")
         .into_pipeline()
         .expect("one pipeline");
-    while victim.as_sharded_mut().expect("sharded").events_in() < EVENTS / 2 {
+    while victim.events_in() < EVENTS / 2 {
         victim.step().expect("step");
     }
     s1.adopt_pipeline(victim).expect("adopt");
@@ -69,14 +69,14 @@ fn main() {
         panic!("expected Checkpointed");
     };
     let mut victim = s1.take_pipeline("out").expect("still adopted");
-    while victim.as_sharded_mut().expect("sharded").events_in() < 2 * EVENTS / 3 {
+    while victim.events_in() < 2 * EVENTS / 3 {
         victim.step().expect("step");
     }
     println!(
         "killing the pipeline: checkpoint epoch {epoch} durable at {} events, \
          died at {} events (the overhang is uncommitted sink staging)",
         EVENTS / 2,
-        victim.as_sharded_mut().expect("sharded").events_in()
+        victim.events_in()
     );
     drop(victim);
     drop(s1); // the whole "process" is gone

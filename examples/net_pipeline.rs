@@ -11,8 +11,8 @@ use std::time::Duration as StdDuration;
 use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource, PartitionedSource};
 use onesql::core::StreamRow;
 use onesql::{
-    DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, PartitionedNetSource, ShardedConfig,
-    ShardedPipelineDriver, Sink, SourceStatus,
+    DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, PartitionedNetSource, PipelineDriver,
+    ShardedConfig, Sink, SourceStatus,
 };
 use onesql_types::Result;
 
@@ -90,7 +90,7 @@ fn run_producer(addr: NetAddr) -> Result<()> {
 
 /// The consumer "process": Q7 sharded over 2 workers, fed only by the
 /// socket, polls aligned with the producer's frames.
-fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, ShardedPipelineDriver) {
+fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let source = PartitionedNetSource::bind(
         NetAddr::unix(path),
         STREAMS.iter().map(|s| s.to_string()).collect(),

@@ -53,10 +53,10 @@ fn main() -> Result<()> {
         .take_handle::<Arc<Mutex<String>>>("lag")
         .expect("changelog sink exports its buffer");
 
-    // Interleave the two drivers: the observer samples the hub while Q7
+    // Interleave the two pipelines: the observer samples the hub while Q7
     // is mid-flight (a real deployment would run them in two threads or
     // two processes — the `metrics` hub is process-global).
-    while q7.as_sharded_mut().expect("sharded").events_in() < EVENTS {
+    while q7.events_in() < EVENTS {
         q7.step()?;
         observer.step()?;
     }
@@ -92,9 +92,9 @@ fn main() -> Result<()> {
                 .map_or(0, |r| r.value)
         };
         println!(
-            "{:8} sharded={:5} events_in={:6} events_out={:6} rounds={:4} p99_round={}us",
+            "{:8} workers={} events_in={:6} events_out={:6} rounds={:4} p99_round={}us",
             info.name,
-            info.sharded,
+            info.workers,
             value("events_in"),
             value("events_out"),
             value("rounds"),

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource};
 use onesql::core::StreamRow;
-use onesql::{Engine, ShardedConfig, ShardedPipelineDriver, Sink};
+use onesql::{Engine, PipelineDriver, ShardedConfig, Sink};
 
 const EVENTS: u64 = 20_000;
 const PARTITIONS: usize = 4;
@@ -30,7 +30,7 @@ impl Sink for CollectingSink {
     }
 }
 
-fn pipeline() -> (Arc<Mutex<Vec<StreamRow>>>, ShardedPipelineDriver) {
+fn pipeline() -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
     engine

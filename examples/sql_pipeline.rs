@@ -127,10 +127,7 @@ fn main() -> Result<()> {
     let addr = NetAddr::unix(&socket);
     let producer = std::thread::spawn(move || run_producer(addr));
 
-    assert!(
-        pipeline.is_sharded(),
-        "partitioned source => sharded driver"
-    );
+    assert_eq!(pipeline.workers(), WORKERS, "set_workers applied");
     let metrics = pipeline.run()?;
     producer.join().expect("producer thread")?;
 

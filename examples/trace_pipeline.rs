@@ -1,7 +1,7 @@
 //! Causal tracing across the wire, end to end: NEXMark Q7 runs as a
 //! producer pipeline whose output changelog ships through a `NetSink`;
 //! a consumer pipeline's only input is the socket. With `SET trace =
-//! 'on'`, both drivers record spans into the process flight recorder,
+//! 'on'`, both pipelines' drivers record spans into the process flight recorder,
 //! and the v2 OSQW BATCH frames carry the producer's span IDs — so the
 //! consumer's ingest spans parent under the producer's emit spans and
 //! the two pipelines stitch into ONE trace. `TRACE PIPELINE ... TO`

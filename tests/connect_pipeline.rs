@@ -1,5 +1,6 @@
 //! Integration tests for the connector subsystem: file / channel / NEXMark
-//! sources through real SQL into sinks, driven by `PipelineDriver`.
+//! sources through real SQL into sinks, driven by the one-worker
+//! `PipelineDriver`.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -8,8 +9,8 @@ use proptest::prelude::*;
 
 use onesql::connect::{
     channel, channel_sink, ChangelogSink, CsvFileSink, CsvFileSource, CsvSinkMode, DriverConfig,
-    FileSourceConfig, JsonLinesSink, JsonLinesSource, NexmarkSource, SinkEvent, Source,
-    SourceBatch, SourceEvent, SourceStatus,
+    FileSourceConfig, JsonLinesSink, JsonLinesSource, NexmarkSource, ShardedConfig, Sink,
+    SinkEvent, Source, SourceBatch, SourceEvent, SourceStatus,
 };
 use onesql::core::{Engine, StreamBuilder};
 use onesql_nexmark::queries;
@@ -121,7 +122,7 @@ fn csv_roundtrip_with_watermark_gated_emit() {
         .unwrap();
     readback.run().unwrap();
     assert_eq!(
-        readback.query().table().unwrap(),
+        readback.table().unwrap(),
         vec![
             row!(Ts::hm(8, 10), 11i64), // 2 + 4 + 5
             row!(Ts::hm(8, 20), 4i64),  // 3 + 1
@@ -138,7 +139,7 @@ fn csv_roundtrip_with_watermark_gated_emit() {
             .unwrap();
     }
     direct.finish(Ts(100)).unwrap();
-    assert_eq!(direct.table().unwrap(), readback.query().table().unwrap());
+    assert_eq!(direct.table().unwrap(), readback.table().unwrap());
 }
 
 /// The JSON-lines connectors round-trip typed rows the same way.
@@ -294,6 +295,94 @@ fn attach_source_validates_streams() {
 }
 
 // ---------------------------------------------------------------------------
+// A failed round or finish poisons a non-partitioned pipeline too.
+// ---------------------------------------------------------------------------
+
+/// A sink that fails on demand.
+struct FailingSink {
+    fail_write: bool,
+    fail_flush: bool,
+}
+
+impl Sink for FailingSink {
+    fn name(&self) -> &str {
+        "failing"
+    }
+    fn write(&mut self, _rows: &[onesql::core::StreamRow]) -> onesql_types::Result<()> {
+        if self.fail_write {
+            return Err(onesql_types::Error::exec("sink write refused"));
+        }
+        Ok(())
+    }
+    fn flush(&mut self) -> onesql_types::Result<()> {
+        if self.fail_flush {
+            return Err(onesql_types::Error::exec("sink flush refused"));
+        }
+        Ok(())
+    }
+}
+
+/// Six buffered bids into `sink`; the returned publisher keeps the
+/// channel (and so the pipeline) open.
+fn pipeline_into(sink: FailingSink) -> (onesql::ChannelPublisher, onesql::PipelineDriver) {
+    let mut engine = bid_engine();
+    let (publisher, source) = channel("Bid", 16);
+    engine.attach_source(Box::new(source)).unwrap();
+    engine.attach_sink(Box::new(sink));
+    for (i, (ts, price, item)) in paper_bids().into_iter().enumerate() {
+        publisher
+            .insert(Ts(i as i64), row!(ts, price, item))
+            .unwrap();
+    }
+    let pipeline = engine
+        .run_pipeline("SELECT item, price FROM Bid EMIT STREAM")
+        .unwrap();
+    (publisher, pipeline)
+}
+
+#[test]
+fn failed_finish_on_a_plain_pipeline_poisons_instead_of_finishing() {
+    let (_open, mut pipeline) = pipeline_into(FailingSink {
+        fail_write: false,
+        fail_flush: true,
+    });
+    assert_eq!(pipeline.step().unwrap(), 6);
+    let err = pipeline.finish().unwrap_err().to_string();
+    assert!(err.contains("sink flush refused"), "{err}");
+    assert!(
+        !pipeline.is_finished(),
+        "a half-flushed pipeline must not report finished"
+    );
+    for err in [
+        pipeline.finish().unwrap_err(),
+        pipeline.step().unwrap_err(),
+        pipeline.checkpoint().unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("poisoned"), "{err}");
+    }
+}
+
+#[test]
+fn failed_step_on_a_plain_pipeline_cannot_be_stepped_past() {
+    let (_open, mut pipeline) = pipeline_into(FailingSink {
+        fail_write: true,
+        fail_flush: false,
+    });
+    // The round polled all six events, then the sink refused their rows.
+    let err = pipeline.step().unwrap_err().to_string();
+    assert!(err.contains("sink write refused"), "{err}");
+    assert_eq!(pipeline.metrics().events_in, 6, "the source was polled");
+    // Stepping on would silently drop those six events; a checkpoint
+    // would record offsets past events no sink ever saw.
+    for err in [
+        pipeline.step().unwrap_err(),
+        pipeline.checkpoint().unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("poisoned"), "{err}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Watermark monotonicity under arbitrary source interleavings.
 // ---------------------------------------------------------------------------
 
@@ -380,13 +469,13 @@ proptest! {
         }
         let (sink, events) = channel_sink(1_000_000);
         engine.attach_sink(Box::new(sink));
+        let config = ShardedConfig::default().with_driver(DriverConfig {
+            batch_size: 4,
+            ..DriverConfig::default()
+        });
         let mut pipeline = engine
-            .run_pipeline("SELECT ts, v FROM S EMIT STREAM")
-            .unwrap()
-            .with_config(DriverConfig {
-                batch_size: 4,
-                ..DriverConfig::default()
-            });
+            .run_sharded_pipeline("SELECT ts, v FROM S EMIT STREAM", config)
+            .unwrap();
         let metrics = pipeline.run().unwrap().clone();
 
         let mut last = Watermark::MIN;

@@ -58,16 +58,13 @@ fn assemble(sink_path: &Path) -> (onesql::Session, SqlPipeline) {
         .unwrap()
         .into_pipeline()
         .unwrap();
-    assert!(
-        pipeline.is_sharded(),
-        "SET workers + PARTITIONED => sharded"
-    );
+    assert_eq!(pipeline.workers(), 2, "SET workers applied");
     (s, pipeline)
 }
 
 /// Step the pipeline until it has ingested at least `events`.
 fn step_until(pipeline: &mut SqlPipeline, events: u64) {
-    while pipeline.as_sharded_mut().expect("sharded").events_in() < events {
+    while pipeline.events_in() < events {
         pipeline.step().unwrap();
     }
 }
@@ -313,22 +310,96 @@ fn checkpoint_statement_requires_a_known_pipeline() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("no such pipeline"), "{err}");
+}
 
-    // Plain (unsharded) pipelines cannot checkpoint; the error says why.
-    let mut pipeline = s
-        .execute_script(
-            "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 1, events = 10);
-             CREATE SINK out WITH (connector = 'changelog');
-             INSERT INTO out SELECT auction FROM Bid EMIT STREAM;",
-        )
-        .unwrap()
-        .into_pipeline()
+// ---------------------------------------------------------------------------
+// Every pipeline checkpoints: a non-partitioned source, one inline worker.
+// ---------------------------------------------------------------------------
+
+/// A non-partitioned CSV `file` source — the columnar poll path — through
+/// a windowed `GROUP BY` into a transactional file sink.
+fn csv_script(input: &Path, sink_path: &Path) -> String {
+    format!(
+        "SET batch_size = 32;
+         SET max_batch = 32;
+         CREATE SOURCE Bid (auction INT, price INT, bidtime TIMESTAMP, WATERMARK FOR bidtime)
+           WITH (connector = 'file', path = '{}');
+         CREATE SINK out WITH (connector = 'file', path = '{}', transactional = TRUE);
+         INSERT INTO out
+           SELECT auction, wend, COUNT(*), SUM(price)
+           FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
+                       dur => INTERVAL '10' SECOND)
+           GROUP BY auction, wend EMIT STREAM;",
+        input.display(),
+        sink_path.display()
+    )
+}
+
+#[test]
+fn plain_csv_pipeline_checkpoints_and_restores_through_sql() {
+    const ROWS: u64 = 600;
+    let dir = scratch_dir("plain-csv");
+    let input = dir.join("bids.csv");
+    let csv: String = (0..ROWS)
+        .map(|i| format!("{},{},{}\n", i % 7, 10 + i % 13, i * 250))
+        .collect();
+    std::fs::write(&input, csv).unwrap();
+    let (store, reference, recovered) = (
+        dir.join("store"),
+        dir.join("reference.csv"),
+        dir.join("recovered.csv"),
+    );
+    let assemble = |sink: &Path| {
+        let mut s = session();
+        let pipeline = s
+            .execute_script(&csv_script(&input, sink))
+            .unwrap()
+            .into_pipeline()
+            .unwrap();
+        assert_eq!(pipeline.workers(), 1);
+        (s, pipeline)
+    };
+
+    let (_s, mut straight) = assemble(&reference);
+    let metrics = straight.run().unwrap();
+    assert_eq!(metrics.events_in, ROWS);
+    assert!(metrics.vectorized_rounds > 0 && metrics.fallback_rounds == 0);
+    let expected = std::fs::read(&reference).unwrap();
+
+    let (mut s1, mut victim) = assemble(&recovered);
+    step_until(&mut victim, ROWS / 3);
+    // Mid-run `AS OF` probe below the clock: stable across re-reads.
+    let probe_at = victim.clock() - onesql_types::Duration(1);
+    let probed = victim.table_at(probe_at).unwrap();
+    assert!(!probed.is_empty());
+    s1.adopt_pipeline(victim).unwrap();
+    let result = s1
+        .execute(&format!("CHECKPOINT PIPELINE out TO '{}'", store.display()))
         .unwrap();
-    let err = pipeline
-        .checkpoint_to("/tmp/anywhere")
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("plain driver"), "{err}");
+    assert!(matches!(
+        result,
+        StatementResult::Checkpointed { epoch: 1, .. }
+    ));
+    let mut victim = s1.take_pipeline("out").unwrap();
+    step_until(&mut victim, ROWS / 2);
+    assert_eq!(victim.table_at(probe_at).unwrap(), probed);
+    drop(victim); // kill
+    drop(s1);
+
+    let mut s2 = session();
+    let script = format!(
+        "{} RESTORE PIPELINE out FROM '{}';",
+        csv_script(&input, &recovered),
+        store.display()
+    );
+    let mut restored = s2.execute_script(&script).unwrap().into_pipeline().unwrap();
+    assert!(restored.events_in() >= ROWS / 3 && restored.events_in() < ROWS / 2);
+    restored.run().unwrap();
+    assert_eq!(
+        std::fs::read(&recovered).unwrap(),
+        expected,
+        "the killed-and-restored sink file differs from the uninterrupted run's"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -351,9 +422,9 @@ fn set_knobs_configure_later_inserts() {
         .unwrap()
         .into_pipeline()
         .unwrap();
-    let sharded = pipeline.as_sharded_mut().expect("sharded");
-    assert_eq!(sharded.workers(), 3, "SET workers applied");
-    assert_eq!(sharded.current_batch_size(), 16, "SET batch_size applied");
+    assert_eq!(pipeline.workers(), 3, "SET workers applied");
+    let batch_size = pipeline.driver_mut().current_batch_size();
+    assert_eq!(batch_size, 16, "SET batch_size applied");
     pipeline.run().unwrap();
 
     let err = s.execute("SET wrokers = 4").unwrap_err().to_string();

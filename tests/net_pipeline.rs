@@ -21,7 +21,7 @@ use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource, Partit
 use onesql::core::StreamRow;
 use onesql::{
     DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, NetSink, NetSource,
-    PartitionedNetSource, ShardedConfig, ShardedPipelineDriver, Sink, Source, StreamBuilder,
+    PartitionedNetSource, PipelineDriver, ShardedConfig, Sink, Source, StreamBuilder,
 };
 use onesql_nexmark::queries;
 use onesql_types::{row, DataType, Result, Ts};
@@ -159,14 +159,14 @@ fn run_producer_killed_at(addr: NetAddr, limit: u64) -> Result<()> {
 /// The consumer "process": a sharded Q7 pipeline whose only input is the
 /// socket. Fixed poll batches aligned with the producer's frames keep the
 /// changelog a pure function of the byte stream.
-fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, ShardedPipelineDriver) {
+fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     bind_consumer_with(path, net_config())
 }
 
 fn bind_consumer_with(
     path: &std::path::Path,
     config: NetConfig,
-) -> (Arc<Mutex<Vec<StreamRow>>>, ShardedPipelineDriver) {
+) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let source = PartitionedNetSource::bind(
         NetAddr::unix(path),
         STREAMS.iter().map(|s| s.to_string()).collect(),
@@ -443,7 +443,7 @@ fn pipelines_chain_through_net_sink() {
 
     // 60 bids, prices 0..60, filter keeps 11..59 → 49 rows across 5 keys.
     assert_eq!(driver.metrics().events_in, 49);
-    let mut table = driver.query().table().unwrap();
+    let mut table = driver.table().unwrap();
     table.sort();
     let total: i64 = (11..60).sum();
     let counted: i64 = table

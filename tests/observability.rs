@@ -1,7 +1,7 @@
 //! Observability, black-box: a live NEXMark Q7 pipeline observed *with
 //! SQL* — a second pipeline reading the `metrics` source connector — must
 //! see the first one's counters advance while it runs and land exactly on
-//! the final totals. `SHOW PIPELINES` reports both driver kinds,
+//! the final totals. `SHOW PIPELINES` reports each pipeline's worker count,
 //! `EXPLAIN ANALYZE` runs the query and returns real metrics, and the
 //! counters that describe *data* (not scheduling) survive kill →
 //! `RESTORE PIPELINE` bit-exactly. Finally, the latency histogram the
@@ -58,8 +58,38 @@ fn assemble(sink_path: &Path) -> (onesql::Session, SqlPipeline) {
 }
 
 fn step_until(pipeline: &mut SqlPipeline, events: u64) {
-    while pipeline.as_sharded_mut().expect("sharded").events_in() < events {
+    while pipeline.events_in() < events {
         pipeline.step().unwrap();
+    }
+}
+
+/// `vectorized_rounds` / `fallback_rounds` come from what the workers say
+/// they fed at the drain barrier, inline or threaded — not from the
+/// `vectorize` knob: a stream-stream join cannot batch, so its rounds are
+/// fallback rounds on either worker set.
+#[test]
+fn round_counters_report_what_the_workers_fed() {
+    for workers in [1usize, 2] {
+        let mut s = session();
+        let mut pipeline = s
+            .execute_script(&format!(
+                "SET workers = {workers};
+                 CREATE PARTITIONED SOURCE nex
+                   WITH (connector = 'nexmark', seed = 7, events = 2000, partitions = 2);
+                 CREATE SINK out WITH (connector = 'changelog');
+                 INSERT INTO out {} EMIT STREAM;",
+                queries::Q3
+            ))
+            .unwrap()
+            .into_pipeline()
+            .unwrap();
+        assert_eq!(pipeline.workers(), workers);
+        let metrics = pipeline.run().unwrap();
+        assert!(
+            metrics.fallback_rounds > 0,
+            "{workers} worker(s): a join feeds per-row: {metrics:?}"
+        );
+        assert!(metrics.fallback_rounds <= metrics.rounds);
     }
 }
 
@@ -107,13 +137,17 @@ fn sql_observes_a_live_nexmark_q7_pipeline() {
     assert_eq!(pipelines.len(), 2, "the script assembles two pipelines");
     let mut observer = pipelines.pop().unwrap();
     let mut q7 = pipelines.pop().unwrap();
-    assert!(q7.is_sharded() && !observer.is_sharded());
+    assert_eq!(
+        (q7.workers(), observer.workers()),
+        (2, 2),
+        "SET workers applies to both"
+    );
     let watch = s
         .take_handle::<Receiver<SinkEvent>>("watch")
         .expect("the channel sink exports its receiver");
 
     // Interleave: the observer polls the hub while Q7 is mid-flight.
-    while q7.as_sharded_mut().unwrap().events_in() < EVENTS {
+    while q7.events_in() < EVENTS {
         q7.step().unwrap();
         observer.step().unwrap();
     }
@@ -193,8 +227,7 @@ fn show_pipelines_reports_plain_and_sharded_drivers() {
     assert_eq!(infos.len(), 2);
     let plain_info = infos.iter().find(|i| i.name == "plain_out").unwrap();
     let sharded_info = infos.iter().find(|i| i.name == "sharded_out").unwrap();
-    assert!(!plain_info.sharded);
-    assert!(sharded_info.sharded);
+    assert_eq!((plain_info.workers, sharded_info.workers), (1, 2));
 
     let events_in = |rows: &[MetricRow]| {
         rows.iter()
@@ -384,7 +417,7 @@ fn hub_snapshots_are_ordered_by_label_not_publication() {
 
     let labels = ["zz_ordering_pin", "aa_ordering_pin", "mm_ordering_pin"];
     for label in labels {
-        hub().publish(label, Ts(1), false, true, PipelineMetrics::default());
+        hub().publish(label, Ts(1), true, PipelineMetrics::default());
     }
     let seen: Vec<String> = hub()
         .snapshots()
@@ -417,7 +450,7 @@ proptest! {
 
     /// Recording values in any order, or recording into shards and
     /// merging (in either order), yields the same histogram — the
-    /// property the sharded driver's per-worker merge depends on.
+    /// property merging per-worker histograms depends on.
     #[test]
     fn histogram_merge_is_order_independent(
         a in prop::collection::vec(any::<u64>(), 0..64),

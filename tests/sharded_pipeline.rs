@@ -19,7 +19,7 @@ use onesql::connect::{
     PartitionedSource, SourceBatch, SourceEvent, SourceStatus,
 };
 use onesql::core::StreamRow;
-use onesql::{DriverConfig, Engine, ShardedConfig, ShardedPipelineDriver, Sink, StreamBuilder};
+use onesql::{DriverConfig, Engine, PipelineDriver, ShardedConfig, Sink, StreamBuilder};
 use onesql_types::{row, DataType, Result, Row, Ts};
 
 /// A sink that appends every output row to shared memory, so tests can
@@ -65,7 +65,7 @@ fn nexmark_sharded(
     sql: &str,
     workers: usize,
     fixed_batch: bool,
-) -> (Arc<Mutex<Vec<StreamRow>>>, ShardedPipelineDriver) {
+) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
     engine
@@ -520,7 +520,7 @@ impl PartitionedSource for ScriptedPartitions {
 fn scripted_driver(
     scripts: &[Vec<(i64, i64)>],
     workers: usize,
-) -> (Arc<Mutex<Vec<StreamRow>>>, ShardedPipelineDriver) {
+) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let mut engine = bid_engine();
     engine
         .attach_partitioned_source(Box::new(ScriptedPartitions::new(scripts.to_vec())))

@@ -2,7 +2,7 @@
 //! by a SQL script (`CREATE SOURCE` / `CREATE SINK` / `INSERT INTO ...
 //! SELECT ... EMIT`) must behave exactly like the same pipeline wired
 //! imperatively through the `Engine` API — byte-identical sink
-//! changelogs for both the plain and sharded drivers — plus the
+//! changelogs on one worker and on several — plus the
 //! validation story: misspelled connectors and options, ill-typed
 //! values, and impossible recovery combinations all surface as
 //! descriptive errors, never panics.
@@ -73,9 +73,10 @@ fn sql_script_q7_matches_imperative_plain_driver() {
         .unwrap()
         .into_pipeline()
         .unwrap();
-    assert!(
-        !pipeline.is_sharded(),
-        "an unpartitioned source must assemble the plain driver"
+    assert_eq!(
+        pipeline.workers(),
+        1,
+        "one worker unless SET workers says otherwise"
     );
     let rendered = session
         .take_handle::<Arc<Mutex<String>>>("out")
@@ -103,10 +104,7 @@ fn sql_script_q7_matches_imperative_sharded_driver() {
         .unwrap()
         .into_pipeline()
         .unwrap();
-    assert!(
-        pipeline.is_sharded(),
-        "a partitioned source must assemble the sharded driver"
-    );
+    assert_eq!(pipeline.workers(), WORKERS, "SET workers applied");
     let rendered = session
         .take_handle::<Arc<Mutex<String>>>("out")
         .expect("the in-memory changelog sink exports its buffer");
@@ -533,11 +531,10 @@ fn non_replayable_source_checkpoint_restore_is_a_descriptive_error() {
             .insert(Ts(i), row!(Ts(i), i))
             .unwrap();
     }
-    let sharded = pipeline.as_sharded_mut().expect("partitioned => sharded");
-    while sharded.events_in() < 32 {
-        sharded.step().unwrap();
+    while pipeline.events_in() < 32 {
+        pipeline.step().unwrap();
     }
-    let checkpoint = sharded.checkpoint().unwrap();
+    let checkpoint = pipeline.driver_mut().checkpoint().unwrap();
     assert!(checkpoint.offsets.iter().flatten().any(|&o| o > 0));
 
     // A fresh pipeline from the same persistent definitions gets fresh
@@ -549,8 +546,7 @@ fn non_replayable_source_checkpoint_restore_is_a_descriptive_error() {
         panic!("expected a pipeline")
     };
     let err = fresh
-        .as_sharded_mut()
-        .unwrap()
+        .driver_mut()
         .restore(&checkpoint)
         .err()
         .unwrap()

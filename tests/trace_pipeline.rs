@@ -254,6 +254,10 @@ fn nexmark_q7_over_the_wire_stitches_into_one_trace() {
 
 #[test]
 fn watermark_provenance_names_the_stuck_partition() {
+    // The driver opens spans whenever another test has a sink installed.
+    let _guard = trace_lock()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (publishers, source) = sharded_channel("Bid", 2, 64);
     let mut engine = Engine::new();
     engine.register_stream(
