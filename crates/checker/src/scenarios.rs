@@ -93,8 +93,8 @@ impl NexmarkScenario {
         self
     }
 
-    /// Feed the query from a plain `CREATE SOURCE` (one partition behind
-    /// the `SinglePartition` adapter) instead of a `PARTITIONED` one.
+    /// Feed the query from a plain `CREATE SOURCE` (one partition) instead
+    /// of a `PARTITIONED` one.
     pub fn plain(mut self) -> NexmarkScenario {
         self.config.partitions = 0;
         self

@@ -58,6 +58,12 @@ impl ChannelPublisher {
         self.send(Feed::Finish)
     }
 
+    /// Items (changes, watermarks, finish markers) sent but not yet
+    /// polled by the source: the channel's backlog.
+    pub fn queued(&self) -> usize {
+        self.tx.len()
+    }
+
     fn send(&self, feed: Feed) -> Result<()> {
         self.tx
             .send(feed)
@@ -142,27 +148,32 @@ impl Source for ChannelSource {
         }
         Ok(batch)
     }
+
+    /// Events live only in memory: once polled, they exist nowhere else.
+    fn replayable(&self) -> bool {
+        false
+    }
 }
 
-/// A sharded channel source: N independent channel shards feeding one
+/// A sharded channel source: N ≥ 1 independent channel shards feeding one
 /// stream, one partition per shard. Producers route rows to shards
 /// themselves (typically by the same key the query partitions on);
 /// watermarks and finishes are per shard.
 ///
-/// Channels are **not replayable** — events live only in memory — so this
-/// source (a [`PartitionedVec::non_replayable`] over its shards) reports
-/// offsets (for observability and for checkpoints taken on a live
-/// instance) but refuses to seek anywhere except its current position:
-/// resuming a checkpoint over a fresh sharded channel would silently drop
-/// the pre-crash events. Use a file, generator, or network source when
-/// recovery matters.
+/// Channels are **not replayable** ([`Source::replayable`]), so this
+/// source reports offsets (for observability and for checkpoints taken on
+/// a live instance) but refuses to seek anywhere except its current
+/// position: resuming a checkpoint over a fresh channel would silently
+/// drop the pre-crash events. Use a file, generator, or partitioned
+/// network source when recovery matters.
 pub struct ShardedChannelSource(PartitionedVec<ChannelSource>);
 
 /// Create a channel-backed source with `shards` partitions, each holding
 /// at most `capacity` in-flight events. Returns one clonable publisher per
 /// shard, in partition order. `shards` is clamped to at least one (a
-/// source with no partitions could never be attached anyway).
-// `shards.max(1)` identically-named parts satisfy `PartitionedVec`'s
+/// source with no partitions could never be attached anyway); one shard
+/// is the plain [`channel`] source, under its name.
+// `shards.max(1)` parts over the same stream satisfy `PartitionedVec`'s
 // non-empty/uniform invariants, so the `expect` below cannot fire.
 #[allow(clippy::expect_used)]
 pub fn sharded_channel(
@@ -179,9 +190,8 @@ pub fn sharded_channel(
         publishers.push(publisher);
         sources.push(source);
     }
-    let adapter = PartitionedVec::new(format!("channel:{stream}x{shards}"), sources)
-        .expect("shards >= 1 and uniform streams")
-        .non_replayable();
+    let adapter = PartitionedVec::folded(format!("channel:{stream}x{shards}"), sources)
+        .expect("shards >= 1 and uniform streams");
     (publishers, ShardedChannelSource(adapter))
 }
 

@@ -297,7 +297,7 @@ impl TextFileSource {
 }
 
 // A single file partition is itself a well-formed source, which is what
-// lets `PartitionedVec` fold N of them into the partitioned connector.
+// lets `PartitionedVec` fold N ≥ 1 of them into the partitioned connector.
 impl Source for TextFileSource {
     fn name(&self) -> &str {
         &self.name
@@ -383,8 +383,9 @@ impl Source for JsonLinesSource {
     }
 }
 
-/// A partitioned file source: N files feeding one stream, one partition
-/// per file — the on-disk analog of a partitioned Kafka topic.
+/// A partitioned file source: N ≥ 1 files feeding one stream, one partition
+/// per file — the on-disk analog of a partitioned Kafka topic, and what
+/// the `file` connector builds for one path as for several.
 ///
 /// Each partition replays its file independently (its own watermark from
 /// its own max event time, its own replayable offset counting parsed
@@ -411,7 +412,8 @@ impl PartitionedFileSource {
             .iter()
             .map(|p| TextFileSource::open(p, stream, schema.clone(), format, config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        Ok(PartitionedFileSource(PartitionedVec::new(
+        // One file is the plain source, under the plain source's name.
+        Ok(PartitionedFileSource(PartitionedVec::folded(
             format!("files:{}x{}", paths[0].as_ref().display(), paths.len()),
             parts,
         )?))
@@ -454,6 +456,14 @@ impl PartitionedSource for PartitionedFileSource {
 
     fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
         self.0.poll_partition(partition, max_events)
+    }
+
+    fn poll_partition_columns(
+        &mut self,
+        partition: usize,
+        max_events: usize,
+    ) -> Result<Option<ColumnarBatch>> {
+        self.0.poll_partition_columns(partition, max_events)
     }
 
     fn offset(&self, partition: usize) -> u64 {
@@ -858,7 +868,10 @@ impl TxnFileSink {
         Ok(())
     }
 
-    fn active_writer(&mut self) -> Result<&mut BufWriter<File>> {
+    /// The open output, started fresh on first use, next to the renderer
+    /// (borrowed together so callers can render and name errors while
+    /// they write).
+    fn active(&mut self) -> Result<(&LineRenderer, &mut BufWriter<File>)> {
         match self.state {
             TxnState::Pending => self.start_fresh()?,
             TxnState::Active => {}
@@ -866,22 +879,23 @@ impl TxnFileSink {
                 return Err(self.err("write after the pipeline finished"));
             }
         }
-        self.writer
+        let writer = self
+            .writer
             .as_mut()
-            .ok_or_else(|| Error::exec("transactional sink is active without an open writer"))
+            .ok_or_else(|| Error::exec("transactional sink is active without an open writer"))?;
+        Ok((&self.renderer, writer))
     }
 
     /// Flush buffered lines and return the file's current byte length.
     fn flushed_len(&mut self) -> Result<u64> {
-        let name = self.renderer.name.clone();
-        let writer = self.active_writer()?;
+        let (renderer, writer) = self.active()?;
         writer
             .flush()
-            .map_err(|e| Error::exec(format!("{name}: flush error: {e}")))?;
+            .map_err(|e| Error::exec(format!("{}: flush error: {e}", renderer.name)))?;
         let meta = writer
             .get_ref()
             .metadata()
-            .map_err(|e| Error::exec(format!("{name}: cannot stat: {e}")))?;
+            .map_err(|e| Error::exec(format!("{}: cannot stat: {e}", renderer.name)))?;
         Ok(meta.len())
     }
 }
@@ -897,11 +911,14 @@ impl Sink for TxnFileSink {
     }
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let (renderer, writer) = self.active()?;
         for sr in rows {
-            let line = self.renderer.render(sr)?;
-            let name = self.renderer.name.clone();
-            writeln!(self.active_writer()?, "{line}")
-                .map_err(|e| Error::exec(format!("{name}: write error: {e}")))?;
+            let line = renderer.render(sr)?;
+            writeln!(writer, "{line}")
+                .map_err(|e| Error::exec(format!("{}: write error: {e}", renderer.name)))?;
         }
         Ok(())
     }
@@ -1209,13 +1226,13 @@ mod tests {
 
     #[test]
     fn seek_then_columnar_poll_resumes_on_the_same_row() {
-        use onesql_core::connect::{PartitionedSource, SinglePartition};
+        use onesql_core::connect::PartitionedSource;
         let content = "8:01,1,a\n8:02,2,b\n8:03,3,c\n8:04,4,d\n8:05,5,e\n";
         let open = |name: &str| {
             let path = scratch_file(name, content);
             let source =
                 CsvFileSource::new(&path, "Bid", schema(), FileSourceConfig::default()).unwrap();
-            SinglePartition::new(Box::new(source))
+            PartitionedVec::single(source)
         };
         // Uninterrupted: columnar polls all the way, counted in the offset.
         let mut straight = open("seek_straight.csv");

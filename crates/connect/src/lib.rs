@@ -84,10 +84,9 @@ pub use registry::{default_registry, session};
 pub use trace::{trace_schema, TraceSource};
 
 pub use onesql_core::connect::{
-    AdaptiveBatch, AnySource, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
-    PartitionedSource, PartitionedVec, PipelineMetrics, SinglePartition, Sink, SinkConnector,
-    SinkSpec, Source, SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec,
-    SourceStatus,
+    AdaptiveBatch, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
+    PartitionedSource, PartitionedVec, PipelineMetrics, Sink, SinkConnector, SinkSpec, Source,
+    SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus,
 };
 pub use onesql_core::driver::{PipelineCheckpoint, PipelineDriver, ShardedConfig};
 pub use onesql_core::observe::{MetricKind, MetricRow, MetricsHub, PipelineSnapshot};

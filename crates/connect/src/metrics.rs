@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use onesql_core::connect::{
-    AnySource, Exports, OptionBag, Source, SourceBatch, SourceConnector, SourceEvent, SourceSpec,
-    SourceStatus,
+    Exports, OptionBag, PartitionedSource, PartitionedVec, Source, SourceBatch, SourceConnector,
+    SourceEvent, SourceSpec, SourceStatus,
 };
 use onesql_core::observe::{hub, PipelineSnapshot};
 use onesql_tvr::Change;
@@ -161,6 +161,11 @@ impl Source for MetricsSource {
         };
         Ok(batch)
     }
+
+    /// The hub keeps only each pipeline's latest snapshot.
+    fn replayable(&self) -> bool {
+        false
+    }
 }
 
 /// Factory for `connector = 'metrics'`: requires `pipelines = 'a,b'`
@@ -218,11 +223,15 @@ impl SourceConnector for MetricsConnector {
         spec: &SourceSpec,
         options: &mut OptionBag,
         _exports: &mut Exports,
-    ) -> Result<AnySource> {
+    ) -> Result<Box<dyn PartitionedSource>> {
         let pipelines = Self::validate(spec, options)?;
-        Ok(AnySource::Plain(Box::new(MetricsSource::new(
+        Ok(Box::new(PartitionedVec::single(MetricsSource::new(
             spec.name, pipelines,
         ))))
+    }
+
+    fn replayable(&self, _spec: &SourceSpec) -> bool {
+        false
     }
 }
 

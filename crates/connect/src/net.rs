@@ -795,11 +795,6 @@ impl NetPublisher {
     fn note_frame(&mut self, bytes: usize) {
         self.stats.frames += 1;
         self.stats.bytes += bytes as u64;
-        if observe::enabled() {
-            let context = format!("net publisher {}#{}", self.addr, self.partition);
-            observe::counter(&format!("{context}.frames"), 1);
-            observe::counter(&format!("{context}.bytes"), bytes as u64);
-        }
     }
 
     /// Highest offset the consumer has acknowledged so far.
@@ -1367,15 +1362,6 @@ impl NetPublisher {
         let replayed = self.unsent.saturating_sub(was_unsent) as u64;
         self.stats.replayed += replayed;
         self.stats.connections += 1;
-        if observe::enabled() {
-            let context = format!("net publisher {}#{}", self.addr, self.partition);
-            if self.stats.connections > 1 {
-                observe::counter(&format!("{context}.reconnects"), 1);
-            }
-            if replayed > 0 {
-                observe::counter(&format!("{context}.replayed"), replayed);
-            }
-        }
         self.send_cursor = resume;
         self.finish_sent = false;
 
@@ -1912,7 +1898,6 @@ impl PartitionedSource for PartitionedNetSource {
         self.shared.parts[partition]
             .resume
             .store(offset, Ordering::Release);
-        self.inner.part_mut(partition); // partition bounds check
         self.inner.set_offset(partition, offset);
         Ok(())
     }
@@ -2196,20 +2181,13 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
     let _ = conn.set_read_timeout(None);
 
     let context = format!("{context}#{partition}");
-    let reconnect = slot.connections.fetch_add(1, Ordering::AcqRel) > 0;
-    if reconnect && observe::enabled() {
-        observe::counter(&format!("{context}.reconnects"), 1);
-    }
+    slot.connections.fetch_add(1, Ordering::AcqRel);
     let mut expected = resume;
     loop {
         match read_frame_raw(&mut conn, &context) {
             FrameRead::Frame(body) => {
                 slot.frames.fetch_add(1, Ordering::AcqRel);
                 slot.bytes.fetch_add(body.len() as u64, Ordering::AcqRel);
-                if observe::enabled() {
-                    observe::counter(&format!("{context}.frames"), 1);
-                    observe::counter(&format!("{context}.bytes"), body.len() as u64);
-                }
                 match parse_data_frame(&body, &context, &mut expected, &shared, version) {
                     Ok(Some(decoded)) => {
                         let finished = matches!(decoded, Decoded::Finished);
@@ -2394,8 +2372,10 @@ fn parse_data_frame(
 /// as it consumes**: every poll that advances the offset sends an `ACK`,
 /// so the producer's bounded spool trims continuously and
 /// [`NetPublisher::wait_drained`] completes when the consumer catches
-/// up. The price is that a restored consumer has nothing to replay
-/// (lint OSQL004 warns); when crash recovery matters, use
+/// up. The price is that a restored consumer has nothing to replay, so
+/// the source reports itself not [`replayable`](Source::replayable): a
+/// restore past offset 0 is refused (lint OSQL004 warns ahead of time).
+/// When crash recovery matters, use
 /// [`PartitionedNetSource`], whose acks track durable checkpoints
 /// instead.
 ///
@@ -2444,6 +2424,12 @@ impl Source for NetSource {
             self.acked = offset;
         }
         Ok(batch)
+    }
+
+    /// Acked on consume: the producer has already trimmed what a restore
+    /// would ask it to re-send.
+    fn replayable(&self) -> bool {
+        false
     }
 }
 

@@ -61,9 +61,10 @@ impl NexmarkSource {
     }
 }
 
-/// The NEXMark workload split across N partitions by seed range:
+/// The NEXMark workload split across N ≥ 1 partitions by seed range:
 /// partition `p` runs its own deterministic generator seeded with
 /// `base seed + p`, producing an equal share of the configured events.
+/// One partition is exactly the plain [`NexmarkSource`], name included.
 ///
 /// Each partition is independently replayable (the generator is a pure
 /// function of its seed), so a checkpointed pipeline reconstructs any
@@ -79,7 +80,7 @@ impl PartitionedNexmarkSource {
     /// `events + 1`), so the union of the partitions never produces two
     /// Persons or two Auctions sharing an ID — joins against `Person` /
     /// `Auction` behave like one workload, just partitioned.
-    // `partitions.max(1)` identically-named single-stream parts satisfy
+    // `partitions.max(1)` parts declaring the same three streams satisfy
     // `PartitionedVec`'s non-empty/uniform invariants, so the `expect`
     // below cannot fire.
     #[allow(clippy::expect_used)]
@@ -107,7 +108,7 @@ impl PartitionedNexmarkSource {
             })
             .collect();
         PartitionedNexmarkSource(
-            PartitionedVec::new(format!("nexmark:seed={}x{partitions}", config.seed), parts)
+            PartitionedVec::folded(format!("nexmark:seed={}x{partitions}", config.seed), parts)
                 .expect("partitions >= 1 and uniform streams"),
         )
     }

@@ -26,21 +26,20 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use onesql_core::connect::{
-    AnySource, ConnectorRegistry, Exports, OptionBag, Sink, SinkConnector, SinkSpec,
-    SourceConnector, SourceSpec,
+    ConnectorRegistry, Exports, OptionBag, PartitionedSource, PartitionedVec, Sink, SinkConnector,
+    SinkSpec, SourceConnector, SourceSpec,
 };
 use onesql_core::Session;
 use onesql_plan::TableKind;
 use onesql_types::{Duration, Error, Result, SchemaRef};
 
 use crate::changelog::ChangelogSink;
-use crate::channel::{channel, channel_sink, sharded_channel};
+use crate::channel::{channel_sink, sharded_channel};
 use crate::file::{
-    CsvFileSink, CsvFileSource, CsvSinkMode, FileSourceConfig, JsonLinesSink, JsonLinesSource,
-    PartitionedFileSource, TxnFileSink,
+    CsvFileSink, CsvSinkMode, FileSourceConfig, JsonLinesSink, PartitionedFileSource, TxnFileSink,
 };
 use crate::net::{NetAddr, NetConfig, NetSink, NetSource, PartitionedNetSource};
-use crate::nexmark::{NexmarkSource, PartitionedNexmarkSource};
+use crate::nexmark::PartitionedNexmarkSource;
 
 use onesql_nexmark::model::{Auction, Bid, Person};
 use onesql_nexmark::GeneratorConfig;
@@ -165,29 +164,17 @@ impl SourceConnector for FileConnector {
         spec: &SourceSpec,
         options: &mut OptionBag,
         _exports: &mut Exports,
-    ) -> Result<AnySource> {
+    ) -> Result<Box<dyn PartitionedSource>> {
         let paths = Self::paths(spec, options)?;
         let format = file_format(options)?;
         let config = Self::config(options, &format)?;
         let (stream, schema) = require_schema(spec)?;
-        if spec.partitioned {
-            let source = match format {
-                FileFormat::Csv => PartitionedFileSource::csv(&paths, &stream, schema, config)?,
-                FileFormat::JsonLines => {
-                    PartitionedFileSource::json_lines(&paths, &stream, schema, config)?
-                }
-            };
-            Ok(AnySource::Partitioned(Box::new(source)))
-        } else {
-            Ok(match format {
-                FileFormat::Csv => AnySource::Plain(Box::new(CsvFileSource::new(
-                    &paths[0], stream, schema, config,
-                )?)),
-                FileFormat::JsonLines => AnySource::Plain(Box::new(JsonLinesSource::new(
-                    &paths[0], stream, schema, config,
-                )?)),
-            })
-        }
+        Ok(Box::new(match format {
+            FileFormat::Csv => PartitionedFileSource::csv(&paths, &stream, schema, config)?,
+            FileFormat::JsonLines => {
+                PartitionedFileSource::json_lines(&paths, &stream, schema, config)?
+            }
+        }))
     }
 }
 
@@ -198,7 +185,7 @@ impl SourceConnector for FileConnector {
 /// In-memory channel source. Builds export the
 /// [`crate::ChannelPublisher`] handles (a `Vec<ChannelPublisher>`, one
 /// per partition) — retrieve them with `session.take_handle`. Channels
-/// are not replayable: a sharded pipeline over them can checkpoint, but
+/// are not replayable: a pipeline over them can checkpoint, but
 /// restoring into a fresh instance errors (the pre-crash events exist
 /// nowhere to replay from).
 struct ChannelConnector;
@@ -225,19 +212,18 @@ impl SourceConnector for ChannelConnector {
         spec: &SourceSpec,
         options: &mut OptionBag,
         exports: &mut Exports,
-    ) -> Result<AnySource> {
+    ) -> Result<Box<dyn PartitionedSource>> {
         let capacity = options.opt_u64("capacity")?.unwrap_or(64) as usize;
+        // `declare` refused `partitions` without PARTITIONED.
         let partitions = options.opt_u64("partitions")?.unwrap_or(1) as usize;
         let (stream, _) = require_schema(spec)?;
-        if spec.partitioned {
-            let (publishers, source) = sharded_channel(stream, partitions.max(1), capacity);
-            exports.put(publishers);
-            Ok(AnySource::Partitioned(Box::new(source)))
-        } else {
-            let (publisher, source) = channel(stream, capacity);
-            exports.put(vec![publisher]);
-            Ok(AnySource::Plain(Box::new(source)))
-        }
+        let (publishers, source) = sharded_channel(stream, partitions, capacity);
+        exports.put(publishers);
+        Ok(Box::new(source))
+    }
+
+    fn replayable(&self, _spec: &SourceSpec) -> bool {
+        false
     }
 }
 
@@ -291,21 +277,15 @@ impl SourceConnector for NexmarkConnector {
         spec: &SourceSpec,
         options: &mut OptionBag,
         _exports: &mut Exports,
-    ) -> Result<AnySource> {
+    ) -> Result<Box<dyn PartitionedSource>> {
         let (events, seed, partitions) = Self::validate(spec, options)?;
         let config = GeneratorConfig {
             seed,
             ..GeneratorConfig::default()
         };
-        if spec.partitioned {
-            Ok(AnySource::Partitioned(Box::new(
-                PartitionedNexmarkSource::new(config, events, partitions),
-            )))
-        } else {
-            Ok(AnySource::Plain(Box::new(NexmarkSource::new(
-                config, events,
-            ))))
-        }
+        Ok(Box::new(PartitionedNexmarkSource::new(
+            config, events, partitions,
+        )))
     }
 }
 
@@ -433,7 +413,7 @@ impl SourceConnector for NetSourceConnector {
         spec: &SourceSpec,
         options: &mut OptionBag,
         exports: &mut Exports,
-    ) -> Result<AnySource> {
+    ) -> Result<Box<dyn PartitionedSource>> {
         let context = options.context().to_string();
         let addr = parse_addr(&context, &options.require_str("addr")?)?;
         let config = net_source_config(options)?;
@@ -445,19 +425,20 @@ impl SourceConnector for NetSourceConnector {
         if spec.partitioned {
             let source = PartitionedNetSource::bind(addr, streams, partitions.max(1), config)?;
             exports.put(source.local_addr());
-            Ok(AnySource::Partitioned(Box::new(source)))
+            Ok(Box::new(source))
         } else {
-            if partitions > 1 {
-                return Err(Error::plan(format!(
-                    "source '{}': {partitions} partitions need \
-                     CREATE PARTITIONED SOURCE",
-                    spec.name
-                )));
-            }
+            // (`declare` refused `partitions > 1` without PARTITIONED.)
+            // Not `PartitionedNetSource` with one partition: `NetSource`
+            // acks as it consumes, so un-checkpointed consumers still trim
+            // the producer's spool — which is why it cannot replay.
             let source = NetSource::bind(addr, streams, config)?;
             exports.put(source.local_addr());
-            Ok(AnySource::Plain(Box::new(source)))
+            Ok(Box::new(PartitionedVec::single(source)))
         }
+    }
+
+    fn replayable(&self, spec: &SourceSpec) -> bool {
+        spec.partitioned
     }
 }
 

@@ -27,8 +27,8 @@
 use std::collections::VecDeque;
 
 use onesql_core::connect::{
-    AnySource, Exports, OptionBag, Source, SourceBatch, SourceConnector, SourceEvent, SourceSpec,
-    SourceStatus,
+    Exports, OptionBag, PartitionedSource, PartitionedVec, Source, SourceBatch, SourceConnector,
+    SourceEvent, SourceSpec, SourceStatus,
 };
 use onesql_core::observe::{hub, recorder, TraceRecord};
 use onesql_tvr::Change;
@@ -170,6 +170,11 @@ impl Source for TraceSource {
         };
         Ok(batch)
     }
+
+    /// The flight recorder is a lossy ring, not a durable log.
+    fn replayable(&self) -> bool {
+        false
+    }
 }
 
 /// Factory for `connector = 'trace'`: defines its own schema, optional
@@ -225,11 +230,15 @@ impl SourceConnector for TraceConnector {
         spec: &SourceSpec,
         options: &mut OptionBag,
         _exports: &mut Exports,
-    ) -> Result<AnySource> {
+    ) -> Result<Box<dyn PartitionedSource>> {
         let pipelines = Self::validate(spec, options)?;
-        Ok(AnySource::Plain(Box::new(TraceSource::new(
+        Ok(Box::new(PartitionedVec::single(TraceSource::new(
             spec.name, pipelines,
         ))))
+    }
+
+    fn replayable(&self, _spec: &SourceSpec) -> bool {
+        false
     }
 }
 

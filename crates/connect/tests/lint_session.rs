@@ -88,6 +88,108 @@ fn explain_lint_reports_bind_errors_with_position() {
 }
 
 // ---------------------------------------------------------------------------
+// OSQL004 follows the connector registry's replayability verdict
+// ---------------------------------------------------------------------------
+
+/// `CREATE <source>; INSERT; CHECKPOINT` over one source definition.
+fn checkpointed(create_source: &str, select: &str) -> String {
+    format!(
+        "{create_source};
+         CREATE SINK out WITH (connector = 'file', path = '/tmp/lint_ck.csv');
+         INSERT INTO out {select} EMIT STREAM;
+         CHECKPOINT PIPELINE out TO '/tmp/lint_ck';"
+    )
+}
+
+#[test]
+fn osql004_reads_replayability_from_the_registry() {
+    const COLS: &str = "(t TIMESTAMP, price INT, WATERMARK FOR t)";
+    let feed = |with: &str| format!("SOURCE feed {COLS} WITH ({with})");
+    // (source DDL, query, the connector named as volatile — None: clean)
+    let cases = [
+        (
+            format!("CREATE {}", feed("connector = 'channel'")),
+            "SELECT price FROM feed",
+            Some("feed (channel)"),
+        ),
+        (
+            format!(
+                "CREATE PARTITIONED {}",
+                feed("connector = 'channel', partitions = 2")
+            ),
+            "SELECT price FROM feed",
+            Some("feed (channel)"),
+        ),
+        // A plain `net` source acks as it consumes; the PARTITIONED one
+        // holds acks until a checkpoint is durable.
+        (
+            format!(
+                "CREATE {}",
+                feed("connector = 'net', addr = 'tcp:127.0.0.1:0'")
+            ),
+            "SELECT price FROM feed",
+            Some("feed (net)"),
+        ),
+        (
+            format!(
+                "CREATE PARTITIONED {}",
+                feed("connector = 'net', addr = 'tcp:127.0.0.1:0'")
+            ),
+            "SELECT price FROM feed",
+            None,
+        ),
+        (
+            format!(
+                "CREATE {}",
+                feed("connector = 'file', path = '/tmp/lint_in.csv'")
+            ),
+            "SELECT price FROM feed",
+            None,
+        ),
+        (
+            "CREATE SOURCE nex WITH (connector = 'nexmark', events = 10)".to_string(),
+            "SELECT price FROM Bid",
+            None,
+        ),
+        // Telemetry feeds read a latest-snapshot hub and a lossy ring.
+        (
+            "CREATE SOURCE sys WITH (connector = 'metrics', pipelines = 'q')".to_string(),
+            "SELECT metric FROM sys",
+            Some("sys (metrics)"),
+        ),
+        (
+            "CREATE SOURCE spans WITH (connector = 'trace')".to_string(),
+            "SELECT name FROM spans",
+            Some("spans (trace)"),
+        ),
+    ];
+    for (create, select, volatile) in &cases {
+        // In-script CREATE: the session asks the registry while seeding.
+        let in_script = onesql_connect::session().lint_script(&checkpointed(create, select));
+        // Pre-existing source: the verdict was stored at CREATE time.
+        let mut session = onesql_connect::session();
+        session.execute(create).unwrap();
+        let script = checkpointed("SET workers = 1", select);
+        let stored = session.lint_script(&script);
+        for diags in [&in_script, &stored] {
+            match volatile {
+                Some(named) => {
+                    assert_eq!(codes(diags), ["OSQL004"], "{create}: {diags:?}");
+                    assert_eq!(diags[0].severity, Severity::Warning);
+                    assert!(
+                        diags[0].message.contains(named)
+                            && diags[0].message.contains("not replayable"),
+                        "{create}: {}",
+                        diags[0].message
+                    );
+                }
+                None => assert!(codes(diags).is_empty(), "{create}: {diags:?}"),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The `lint` session knob
 // ---------------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 //! The connector boundary: pluggable [`Source`]s / [`Sink`]s, the
-//! partition adapters, and the accounting the
+//! partition adapter, and the accounting the
 //! [`PipelineDriver`](crate::driver::PipelineDriver) keeps while pumping
 //! them through a running query.
 //!
@@ -16,8 +16,8 @@
 //!   [`StreamRow`]s (Extension 4's `undo` / `ptime` / `ver` encoding), plus
 //!   output-watermark notifications.
 //! - The [`PipelineDriver`](crate::driver::PipelineDriver) treats every
-//!   source as a [`PartitionedSource`] (a plain [`Source`] rides
-//!   [`SinglePartition`]), round-robins over the partitions, propagates
+//!   source as a [`PartitionedSource`] (a plain [`Source`] is a one-part
+//!   [`PartitionedVec`]), round-robins over the partitions, propagates
 //!   **monotone** per-stream watermarks (the min over all partitions
 //!   feeding a stream, delivered only when it advances), and accounts
 //!   everything in [`PipelineMetrics`].
@@ -99,8 +99,7 @@ use crate::observe::{Histogram, MetricRow};
 pub mod registry;
 
 pub use registry::{
-    AnySource, ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceConnector,
-    SourceSpec,
+    ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceConnector, SourceSpec,
 };
 
 /// What a source reports after a poll; drives the scheduler.
@@ -206,6 +205,35 @@ pub trait Source {
     fn poll_columns(&mut self, _max_events: usize) -> Result<Option<ColumnarBatch>> {
         Ok(None)
     }
+
+    /// Whether a freshly constructed instance re-emits the same events in
+    /// the same order (files, seeded generators — the default). A source
+    /// whose history is gone once polled (an in-memory channel, a live
+    /// socket, a telemetry feed) returns `false`, and [`PartitionedVec`]
+    /// then refuses to seek it anywhere but its current offset instead of
+    /// polling the live input and discarding events that exist nowhere
+    /// else.
+    fn replayable(&self) -> bool {
+        true
+    }
+}
+
+impl<S: Source + ?Sized> Source for Box<S> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn streams(&self) -> &[String] {
+        (**self).streams()
+    }
+    fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
+        (**self).poll_batch(max_events)
+    }
+    fn poll_columns(&mut self, max_events: usize) -> Result<Option<ColumnarBatch>> {
+        (**self).poll_columns(max_events)
+    }
+    fn replayable(&self) -> bool {
+        (**self).replayable()
+    }
 }
 
 /// A Kafka-style input connector: N ordered partitions, each with a
@@ -219,11 +247,9 @@ pub trait Source {
 ///
 /// Offsets count events: the offset of a partition is the number of events
 /// it has emitted so far, and [`PartitionedSource::seek`] repositions so
-/// the next event emitted is the `offset`-th. A source is **replayable**
-/// when a freshly constructed instance re-emits the same events in the
-/// same order (files, seeded generators); only replayable sources can
-/// honor a seek, which is why the in-memory channel shards override
-/// [`PartitionedSource::seek`] to reject time travel.
+/// the next event emitted is the `offset`-th. Only a replayable source
+/// ([`Source::replayable`]) can honor a seek, which is why
+/// [`PartitionedVec`] rejects time travel over one that is not.
 pub trait PartitionedSource {
     /// Connector instance name (for metrics and errors).
     fn name(&self) -> &str;
@@ -337,98 +363,21 @@ pub fn replay_seek<S: PartitionedSource + ?Sized>(
     Ok(())
 }
 
-/// Adapts any [`Source`] into a 1-partition [`PartitionedSource`]: how
-/// every plain connector rides the driver. The single partition's offset
-/// counts the events polled, by rows or by columns; seeking uses the
-/// default replay-and-discard, so resume works for replayable sources
-/// (files, generators) without those connectors knowing about partitions.
-pub struct SinglePartition {
-    inner: Box<dyn Source>,
-    polled: u64,
-}
-
-impl SinglePartition {
-    /// Wrap `source` as a partitioned source with one partition.
-    pub fn new(source: Box<dyn Source>) -> SinglePartition {
-        SinglePartition {
-            inner: source,
-            polled: 0,
-        }
-    }
-
-    fn only_partition_zero(&self, partition: usize) -> Result<()> {
-        if partition == 0 {
-            return Ok(());
-        }
-        Err(Error::exec(format!(
-            "source '{}' has a single partition; partition {partition} does not exist",
-            self.inner.name()
-        )))
-    }
-}
-
-impl PartitionedSource for SinglePartition {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn streams(&self) -> &[String] {
-        self.inner.streams()
-    }
-
-    fn partitions(&self) -> usize {
-        1
-    }
-
-    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-        self.only_partition_zero(partition)?;
-        let batch = self.inner.poll_batch(max_events)?;
-        self.polled += batch.events.len() as u64;
-        Ok(batch)
-    }
-
-    fn poll_partition_columns(
-        &mut self,
-        partition: usize,
-        max_events: usize,
-    ) -> Result<Option<ColumnarBatch>> {
-        self.only_partition_zero(partition)?;
-        let batch = self.inner.poll_columns(max_events)?;
-        if let Some(batch) = &batch {
-            self.polled += batch.columns.len() as u64;
-        }
-        Ok(batch)
-    }
-
-    /// Events polled so far. `offset` cannot return an error, so asking
-    /// for a partition that does not exist panics — in release builds too
-    /// — rather than answer for partition 0.
-    fn offset(&self, partition: usize) -> u64 {
-        assert_eq!(partition, 0, "SinglePartition has only partition 0");
-        self.polled
-    }
-
-    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
-        self.only_partition_zero(partition)?;
-        replay_seek(self, partition, offset)
-    }
-}
-
-/// Folds N independent per-partition [`Source`]s into one
-/// [`PartitionedSource`], owning the `Vec<inner>` + per-partition offset
-/// bookkeeping every partitioned connector otherwise hand-rolls.
+/// Folds N ≥ 1 independent per-partition [`Source`]s into one
+/// [`PartitionedSource`]: the one way a [`Source`] reaches the driver,
+/// owning the `Vec<inner>` + per-partition offset bookkeeping.
 ///
 /// The file, channel, NEXMark, and network connector families all have the
-/// same shape — partition `p` is a self-contained single-stream source
-/// (one file, one channel shard, one seeded generator, one accepted
-/// connection) — and differ only in how (whether) a partition can be
-/// repositioned:
+/// same shape — partition `p` is a self-contained source (one file, one
+/// channel shard, one seeded generator, one accepted connection) — and a
+/// plain source is the N = 1 case ([`PartitionedVec::single`]). They differ
+/// only in how (whether) a partition can be repositioned, which each part
+/// declares itself through [`Source::replayable`]:
 ///
-/// - **Replayable** inners (files, generators): the default, seeks via
-///   [`replay_seek`].
-/// - **Non-replayable** inners (in-memory channels): construct with
-///   [`PartitionedVec::non_replayable`]; any seek away from the current
-///   offset errors instead of silently dropping events.
+/// - **Replayable** parts (files, generators) seek via [`replay_seek`].
+/// - **Non-replayable** parts (in-memory channels, live sockets): any seek
+///   away from the current offset errors instead of silently dropping
+///   events.
 /// - **Custom** repositioning (the network source's resume handshake):
 ///   wrap `PartitionedVec` and override [`PartitionedSource::seek`] /
 ///   [`PartitionedSource::ack`], keeping the offset books straight with
@@ -441,7 +390,6 @@ pub struct PartitionedVec<S: Source> {
     streams: Vec<String>,
     parts: Vec<S>,
     offsets: Vec<u64>,
-    replayable: bool,
 }
 
 impl<S: Source> PartitionedVec<S> {
@@ -470,28 +418,27 @@ impl<S: Source> PartitionedVec<S> {
             streams,
             offsets: vec![0; parts.len()],
             parts,
-            replayable: true,
         })
     }
 
-    /// Mark the partitions as non-replayable: seeks anywhere but the
-    /// current offset error (resume requires a replayable source), instead
-    /// of replay-and-discard silently eating events that exist nowhere
-    /// else. Use for in-memory inners whose history is gone once polled.
-    pub fn non_replayable(mut self) -> PartitionedVec<S> {
-        self.replayable = false;
-        self
+    /// [`PartitionedVec::new`], except that a lone part keeps its own name
+    /// ([`PartitionedVec::single`]): a connector that builds N ≥ 1 parts
+    /// names its one-partition case as the plain source, not `name`.
+    pub fn folded(name: impl Into<String>, mut parts: Vec<S>) -> Result<PartitionedVec<S>> {
+        if parts.len() == 1 {
+            return Ok(PartitionedVec::single(parts.remove(0)));
+        }
+        PartitionedVec::new(name, parts)
     }
 
-    /// Borrow partition `p`'s inner source.
-    pub fn part(&self, p: usize) -> &S {
-        &self.parts[p]
-    }
-
-    /// Mutably borrow partition `p`'s inner source, for wrappers layering
-    /// custom seek/ack behavior over the adapter.
-    pub fn part_mut(&mut self, p: usize) -> &mut S {
-        &mut self.parts[p]
+    /// A plain source as a one-partition source under its own name.
+    pub fn single(part: S) -> PartitionedVec<S> {
+        PartitionedVec {
+            name: part.name().to_string(),
+            streams: part.streams().to_vec(),
+            offsets: vec![0],
+            parts: vec![part],
+        }
     }
 
     /// Overwrite partition `p`'s recorded offset. Only for wrappers whose
@@ -501,6 +448,19 @@ impl<S: Source> PartitionedVec<S> {
     /// have emitted before its next one.
     pub fn set_offset(&mut self, p: usize, offset: u64) {
         self.offsets[p] = offset;
+    }
+
+    /// A typed error — not an index panic — for a partition the source
+    /// does not have.
+    fn check_partition(&self, partition: usize) -> Result<()> {
+        if partition < self.parts.len() {
+            return Ok(());
+        }
+        Err(Error::exec(format!(
+            "source '{}' has {} partition(s); partition {partition} does not exist",
+            self.name,
+            self.parts.len()
+        )))
     }
 }
 
@@ -518,6 +478,7 @@ impl<S: Source> PartitionedSource for PartitionedVec<S> {
     }
 
     fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
+        self.check_partition(partition)?;
         let batch = self.parts[partition].poll_batch(max_events)?;
         self.offsets[partition] += batch.events.len() as u64;
         Ok(batch)
@@ -528,6 +489,7 @@ impl<S: Source> PartitionedSource for PartitionedVec<S> {
         partition: usize,
         max_events: usize,
     ) -> Result<Option<ColumnarBatch>> {
+        self.check_partition(partition)?;
         let batch = self.parts[partition].poll_columns(max_events)?;
         if let Some(batch) = &batch {
             self.offsets[partition] += batch.columns.len() as u64;
@@ -535,12 +497,16 @@ impl<S: Source> PartitionedSource for PartitionedVec<S> {
         Ok(batch)
     }
 
+    /// Events polled so far, by rows or by columns. `offset` cannot
+    /// return an error, so a partition that does not exist panics — in
+    /// release builds too — rather than answer for another one.
     fn offset(&self, partition: usize) -> u64 {
         self.offsets[partition]
     }
 
     fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
-        if self.replayable {
+        self.check_partition(partition)?;
+        if self.parts[partition].replayable() {
             return replay_seek(self, partition, offset);
         }
         if offset == self.offsets[partition] {
@@ -1173,12 +1139,13 @@ mod tests {
         assert_eq!(c.observe_load(5_000), 32);
     }
 
-    /// A tiny scripted source for adapter tests: emits `remaining` rows.
+    /// A tiny scripted source for adapter tests: emits `total` rows.
     struct Scripted {
         name: String,
         streams: Vec<String>,
         emitted: i64,
         total: i64,
+        replayable: bool,
     }
 
     impl Scripted {
@@ -1188,6 +1155,7 @@ mod tests {
                 streams: vec!["s".to_string()],
                 emitted: 0,
                 total,
+                replayable: true,
             }
         }
     }
@@ -1215,6 +1183,9 @@ mod tests {
             }
             Ok(batch)
         }
+        fn replayable(&self) -> bool {
+            self.replayable
+        }
     }
 
     #[test]
@@ -1233,14 +1204,21 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_vec_non_replayable_refuses_seeks() {
-        let mut pv = PartitionedVec::new("pv", vec![Scripted::new(8)])
-            .unwrap()
-            .non_replayable();
+    fn parts_that_cannot_replay_refuse_seeks() {
+        let mut live = Scripted::new(8);
+        live.replayable = false;
+        // Boxed, as `Engine::attach_source` wraps a plain source: the
+        // verdict must survive the `Box<dyn Source>` forwarding impl.
+        let mut pv = PartitionedVec::single(Box::new(live) as Box<dyn Source>);
+        assert_eq!((pv.name(), pv.partitions()), ("scripted", 1));
         pv.poll_partition(0, 2).unwrap();
         assert!(pv.seek(0, 2).is_ok(), "current offset is a no-op");
         let err = pv.seek(0, 5).unwrap_err().to_string();
-        assert!(err.contains("not replayable"), "{err}");
+        assert!(
+            err.contains("scripted") && err.contains("not replayable"),
+            "{err}"
+        );
+        assert_eq!(pv.offset(0), 2, "a refused seek polls nothing");
     }
 
     #[test]
@@ -1253,7 +1231,7 @@ mod tests {
 
     #[test]
     fn single_partition_refuses_partitions_it_does_not_have() {
-        let mut sp = SinglePartition::new(Box::new(Scripted::new(4)));
+        let mut sp = PartitionedVec::new("x", vec![Scripted::new(4)]).unwrap();
         let refused = [
             sp.poll_partition(7, 1).map(|_| ()),
             sp.poll_partition_columns(7, 1).map(|_| ()),
@@ -1261,7 +1239,7 @@ mod tests {
         ];
         for result in refused {
             let err = result.unwrap_err().to_string();
-            assert!(err.contains("single partition"), "{err}");
+            assert!(err.contains("partition 7 does not exist"), "{err}");
         }
         assert_eq!(sp.offset(0), 0, "a refused call polls nothing");
         sp.poll_partition(0, 3).unwrap();

@@ -1,6 +1,5 @@
 //! The connector-factory registry: how `CREATE SOURCE ... WITH (...)`
-//! option bags become running [`Source`]s / [`PartitionedSource`]s /
-//! [`Sink`]s.
+//! option bags become running [`PartitionedSource`]s / [`Sink`]s.
 //!
 //! The registry is deliberately dumb: it maps a `connector='...'` name to
 //! a factory and owns nothing else. Each factory interprets a validated
@@ -32,15 +31,7 @@ use onesql_plan::{Catalog, ConnectorOptions};
 use onesql_sql::ast::OptionValue;
 use onesql_types::{Error, Result, SchemaRef};
 
-use crate::connect::{PartitionedSource, Sink, Source};
-
-/// A built source, either flavor.
-pub enum AnySource {
-    /// A plain source; the engine adapts it to one partition.
-    Plain(Box<dyn Source>),
-    /// A partitioned source.
-    Partitioned(Box<dyn PartitionedSource>),
-}
+use crate::connect::{PartitionedSource, Sink};
 
 /// Levenshtein distance, for "did you mean" suggestions on misspelled
 /// option keys and connector names.
@@ -252,13 +243,24 @@ pub trait SourceConnector: Send + Sync {
     ) -> Result<Vec<(String, SchemaRef)>>;
 
     /// Instantiate a fresh connector. Runs per `INSERT INTO ... SELECT`
-    /// so every pipeline gets its own connector instance.
+    /// so every pipeline gets its own connector instance. A connector
+    /// with one plain [`Source`](crate::connect::Source) wraps it with
+    /// [`PartitionedVec::single`](crate::connect::PartitionedVec::single).
     fn build(
         &self,
         spec: &SourceSpec,
         options: &mut OptionBag,
         exports: &mut Exports,
-    ) -> Result<AnySource>;
+    ) -> Result<Box<dyn PartitionedSource>>;
+
+    /// Whether a source built from `spec` can replay its events into a
+    /// restored pipeline — the static twin of
+    /// [`Source::replayable`](crate::connect::Source::replayable), which
+    /// the linter reads (OSQL004) without building anything. Default:
+    /// yes.
+    fn replayable(&self, _spec: &SourceSpec) -> bool {
+        true
+    }
 }
 
 /// Factory for one `connector='...'` sink family.
@@ -430,7 +432,7 @@ mod tests {
                 _: &SourceSpec,
                 _: &mut OptionBag,
                 _: &mut Exports,
-            ) -> Result<AnySource> {
+            ) -> Result<Box<dyn PartitionedSource>> {
                 Err(Error::plan("nope"))
             }
         }

@@ -2,10 +2,11 @@
 //!
 //! A pipeline is N sources pumped through W ≥ 1 query workers into M
 //! sinks, the way the paper's engines do it (Appendix B). Every source is
-//! a [`PartitionedSource`] (a plain [`Source`] rides [`SinglePartition`]),
-//! and one [`PipelineDriver::step`] round is always the same: poll every
-//! unfinished partition, hand the round's events to the workers, then the
-//! round's per-stream watermark advances, then barrier, merge and emit.
+//! a [`PartitionedSource`] (a plain [`Source`] is a one-part
+//! [`PartitionedVec`]), and one [`PipelineDriver::step`] round is always
+//! the same: poll every unfinished partition, hand the round's events to
+//! the workers, then the round's per-stream watermark advances, then
+//! barrier, merge and emit.
 //! The only thing that varies is the **worker set**, chosen from the
 //! worker count alone:
 //!
@@ -46,7 +47,7 @@
 //!
 //! # Example
 //!
-//! Any plain [`Source`] rides the driver through the 1-partition adapter;
+//! Any plain [`Source`] rides the driver as a one-part [`PartitionedVec`];
 //! here three bids fan out over two hash-sharded workers and the merged
 //! result table comes back deterministic:
 //!
@@ -117,8 +118,8 @@ use onesql_tvr::{Change, ChangeBatch, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
-    change_bytes, BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PipelineMetrics,
-    SinglePartition, Sink, Source, SourceBatch, SourceMetrics, SourceStatus, WatermarkLedger,
+    change_bytes, BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PartitionedVec,
+    PipelineMetrics, Sink, Source, SourceBatch, SourceMetrics, SourceStatus, WatermarkLedger,
     WatermarkProvenance,
 };
 use crate::engine::Engine;
@@ -718,9 +719,9 @@ impl PipelineDriver {
         Ok(())
     }
 
-    /// Attach a plain single-partition source via [`SinglePartition`].
+    /// Attach a plain source as a one-part [`PartitionedVec`].
     pub fn attach_source(&mut self, source: Box<dyn Source>) -> Result<()> {
-        self.attach_partitioned_source(Box::new(SinglePartition::new(source)))
+        self.attach_partitioned_source(Box::new(PartitionedVec::single(source)))
     }
 
     /// Attach a sink; it is immediately bound to the query's output
@@ -1147,7 +1148,6 @@ impl PipelineDriver {
             observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
         }
         let _finish_span = observe::TraceSpan::root("driver.finish");
-        let span = Stopwatch::start();
         let clock = self.clock;
         self.workers.broadcast(move |shard| shard.finish(clock))?;
         self.drain_workers()?;
@@ -1165,7 +1165,6 @@ impl PipelineDriver {
             }
         }
         self.workers.join()?;
-        observe::sample("driver.finish_micros", span.micros());
         self.refresh_metrics();
         Ok(())
     }
@@ -1497,7 +1496,6 @@ impl PipelineDriver {
         self.metrics.bytes_in = checkpoint.source_bytes.iter().flatten().sum();
         self.metrics.checkpoint_epoch = checkpoint.epoch;
         self.metrics.restores += 1;
-        observe::counter("driver.restores", 1);
         if let Some(tap) = &self.tap {
             tap.record(HistoryEvent::Restored {
                 epoch: checkpoint.epoch,
@@ -1789,53 +1787,5 @@ mod tests {
         assert!(err.contains("poisoned"), "{err}");
         let err = driver.checkpoint().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "{err}");
-    }
-
-    #[test]
-    fn single_partition_adapter_reports_offsets() {
-        struct Counting {
-            name: String,
-            streams: Vec<String>,
-            left: usize,
-        }
-        impl Source for Counting {
-            fn name(&self) -> &str {
-                &self.name
-            }
-            fn streams(&self) -> &[String] {
-                &self.streams
-            }
-            fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
-                let take = max_events.min(self.left);
-                self.left -= take;
-                let mut batch = SourceBatch::empty(if self.left == 0 {
-                    SourceStatus::Finished
-                } else {
-                    SourceStatus::Ready
-                });
-                for i in 0..take {
-                    batch.events.push(SourceEvent {
-                        stream: 0,
-                        ptime: Ts(i as i64),
-                        change: Change::insert(row!(1i64, 1i64, Ts(i as i64))),
-                    });
-                }
-                Ok(batch)
-            }
-        }
-        let mut adapted = SinglePartition::new(Box::new(Counting {
-            name: "counting".to_string(),
-            streams: vec!["Bid".to_string()],
-            left: 10,
-        }));
-        assert_eq!(adapted.partitions(), 1);
-        assert_eq!(adapted.offset(0), 0);
-        adapted.poll_partition(0, 4).unwrap();
-        assert_eq!(adapted.offset(0), 4);
-        // Default seek replays forward and refuses to rewind.
-        adapted.seek(0, 8).unwrap();
-        assert_eq!(adapted.offset(0), 8);
-        assert!(adapted.seek(0, 2).is_err());
-        assert!(adapted.seek(0, 100).is_err(), "exhausts at 10");
     }
 }

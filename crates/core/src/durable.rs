@@ -42,7 +42,6 @@ use onesql_types::{Error, Result, Row, Schema, Ts};
 
 use crate::driver::PipelineCheckpoint;
 use crate::hash::StableHasher;
-use crate::observe;
 
 /// Magic opening an epoch (checkpoint) file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"OSQC";
@@ -493,12 +492,9 @@ impl CheckpointStore {
             epoch,
             checkpoint: checkpoint.clone(),
         };
-        let serialize = observe::Stopwatch::start();
         let bytes = payload.to_bytes();
-        observe::sample("checkpoint.serialize_micros", serialize.micros());
         // File first, manifest second: a kill between the two leaves an
         // unreferenced file, never a referenced hole.
-        let persist = observe::Stopwatch::start();
         write_atomic(&self.epoch_path(epoch), CHECKPOINT_MAGIC, &bytes)?;
         self.manifest.epochs.push(epoch);
         let mut pruned = Vec::new();
@@ -506,8 +502,6 @@ impl CheckpointStore {
             pruned.push(self.manifest.epochs.remove(0));
         }
         self.write_manifest()?;
-        observe::sample("checkpoint.persist_micros", persist.micros());
-        observe::counter("checkpoint.saves", 1);
         // Delete pruned files only after the manifest stopped referencing
         // them; a failure here strands bytes, not correctness.
         for old in pruned {
@@ -537,11 +531,9 @@ impl CheckpointStore {
                 self.manifest.epochs
             )));
         }
-        let restore = observe::Stopwatch::start();
         let path = self.epoch_path(epoch);
         let payload = read_verified(&path, CHECKPOINT_MAGIC)?;
         let decoded = EpochPayload::from_bytes(&payload)?;
-        observe::sample("checkpoint.restore_micros", restore.micros());
         if decoded.pipeline != self.manifest.pipeline {
             return Err(Error::exec(format!(
                 "'{}' belongs to pipeline '{}', but the manifest is for '{}'",

@@ -8,7 +8,7 @@ use onesql_plan::{bind, optimize, BoundQuery, Catalog, MemoryCatalog, TableKind}
 use onesql_state::TemporalTable;
 use onesql_types::{DataType, Duration, Error, Field, Result, Row, Schema, SchemaRef};
 
-use crate::connect::{PartitionedSource, SinglePartition, Sink, Source};
+use crate::connect::{PartitionedSource, PartitionedVec, Sink, Source};
 use crate::driver::{PipelineDriver, ShardedConfig};
 use crate::query::RunningQuery;
 
@@ -236,7 +236,7 @@ impl Engine {
     /// 1-partition source. Every stream the source declares must already
     /// be registered on the engine.
     pub fn attach_source(&mut self, source: Box<dyn Source>) -> Result<()> {
-        self.attach_partitioned_source(Box::new(SinglePartition::new(source)))
+        self.attach_partitioned_source(Box::new(PartitionedVec::single(source)))
     }
 
     /// Register a partitioned source connector for the next pipeline.

@@ -45,10 +45,9 @@ pub mod query;
 pub mod session;
 
 pub use connect::{
-    AdaptiveBatch, AnySource, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
-    PartitionedSource, PipelineMetrics, SinglePartition, Sink, SinkConnector, SinkSpec, Source,
-    SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus,
-    WatermarkProvenance,
+    AdaptiveBatch, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
+    PartitionedSource, PipelineMetrics, Sink, SinkConnector, SinkSpec, Source, SourceBatch,
+    SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus, WatermarkProvenance,
 };
 pub use driver::{PipelineCheckpoint, PipelineDriver, ShardedConfig};
 pub use durable::{schema_fingerprint, CheckpointStore, DEFAULT_RETAIN};

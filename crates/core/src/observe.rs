@@ -6,10 +6,10 @@
 //! windowed SQL users write against their own data. This module supplies the
 //! three pieces that make that possible without any crates.io dependency:
 //!
-//! * a **tracing facade** ([`TraceEvent`], [`TraceSink`], [`install`]) that
-//!   hot paths emit span/counter/gauge/sample events into. When no sink is
-//!   installed the cost of an emission site is a single relaxed atomic load;
-//!   tests and tools install a sink to capture the raw event stream.
+//! * **causal tracing** ([`TraceSpan`], [`TraceSink`], [`install`]): hot
+//!   paths open RAII spans whose closed [`TraceRecord`]s go to the installed
+//!   sink — normally the process-wide [`FlightRecorder`]. When no sink is
+//!   installed a span site costs a single relaxed atomic load.
 //! * a log-bucketed latency [`Histogram`] with fixed power-of-two bucket
 //!   boundaries, so recorded artifacts (bench JSON, checkpoint summaries)
 //!   stay comparable across PRs and merges are order-independent.
@@ -18,7 +18,7 @@
 //!   [`PipelineMetrics`] — which the
 //!   `metrics` source connector turns back into rows with event-time.
 //!
-//! See `docs/OBSERVABILITY.md` for the span/counter vocabulary.
+//! See `docs/OBSERVABILITY.md` for the span and metric vocabulary.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,66 +33,18 @@ use onesql_types::Ts;
 use crate::connect::PipelineMetrics;
 
 // ---------------------------------------------------------------------------
-// Tracing facade
+// Trace sink
 // ---------------------------------------------------------------------------
 
-/// A single structured telemetry event.
+/// A consumer of closed [`TraceRecord`]s.
 ///
-/// Names are dot-separated, lowercase, and stable: they form the public
-/// vocabulary documented in `docs/OBSERVABILITY.md`. Durations are always
-/// microseconds; byte counts are always raw bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent<'a> {
-    /// A named operation began.
-    SpanEnter {
-        /// Span name, e.g. `checkpoint.save`.
-        name: &'a str,
-    },
-    /// A named operation finished after `micros` microseconds.
-    SpanExit {
-        /// Span name, matching the corresponding [`TraceEvent::SpanEnter`].
-        name: &'a str,
-        /// Wall-clock duration of the span in microseconds.
-        micros: u64,
-    },
-    /// A monotone counter advanced by `delta`.
-    Counter {
-        /// Counter name, e.g. `net.consumer.frames`.
-        name: &'a str,
-        /// Increment (never negative; counters are monotone).
-        delta: u64,
-    },
-    /// A point-in-time level, e.g. a queue depth or batch size.
-    Gauge {
-        /// Gauge name, e.g. `driver.batch_size`.
-        name: &'a str,
-        /// Current value.
-        value: i64,
-    },
-    /// One observation destined for a histogram.
-    Sample {
-        /// Series name, e.g. `checkpoint.persist_micros`.
-        name: &'a str,
-        /// Observed value.
-        value: u64,
-    },
-    /// A completed causal span (see [`TraceSpan`]). Unlike the
-    /// fire-and-forget `SpanEnter`/`SpanExit` pair, the record carries
-    /// span/parent IDs and scope, so a [`FlightRecorder`] can stitch
-    /// records into one causal trace across threads and processes.
-    Span {
-        /// The closed span. `record.seq` is 0 until a recorder assigns one.
-        record: &'a TraceRecord,
-    },
-}
-
-/// A consumer of [`TraceEvent`]s.
-///
-/// Implementations must be cheap and non-blocking: events are emitted from
-/// driver hot loops. The runtime never emits while holding its own locks.
+/// Implementations must be cheap and non-blocking: spans close inside
+/// driver hot loops. The runtime never records while holding its own
+/// locks.
 pub trait TraceSink: Send + Sync {
-    /// Receive one event. Borrowed names are only valid for the call.
-    fn event(&self, event: &TraceEvent<'_>);
+    /// Receive one closed span. `record.seq` is 0 until a recorder
+    /// assigns one.
+    fn record(&self, record: &TraceRecord);
 }
 
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
@@ -102,7 +54,8 @@ fn trace_slot() -> &'static Mutex<Option<Arc<dyn TraceSink>>> {
     SLOT.get_or_init(|| Mutex::new(None))
 }
 
-/// Install a global trace sink; subsequent [`emit`]s are delivered to it.
+/// Install a global trace sink; spans closed from now on are delivered to
+/// it.
 ///
 /// Replaces any previously installed sink. Tracing stays enabled until
 /// [`uninstall`] is called.
@@ -113,7 +66,7 @@ pub fn install(sink: Arc<dyn TraceSink>) {
     TRACE_ON.store(true, Ordering::Release);
 }
 
-/// Remove the global trace sink, returning emission sites to their
+/// Remove the global trace sink, returning span sites to their
 /// single-atomic-load fast path.
 pub fn uninstall() {
     TRACE_ON.store(false, Ordering::Release);
@@ -122,90 +75,29 @@ pub fn uninstall() {
         .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
-/// Whether a trace sink is currently installed.
-///
-/// Callers with non-trivial event construction cost should check this first;
-/// [`emit`] checks it again internally, so racing an [`uninstall`] is benign.
+/// Whether a trace sink is currently installed. Racing an [`uninstall`]
+/// is benign: a span that closes after it finds no sink.
 #[inline]
 pub fn enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed)
 }
 
-/// Deliver one event to the installed sink, if any.
-#[inline]
-pub fn emit(event: TraceEvent<'_>) {
-    if !enabled() {
-        return;
-    }
-    emit_slow(&event);
-}
-
+/// Deliver one closed span to the installed sink, if any.
 #[cold]
-fn emit_slow(event: &TraceEvent<'_>) {
+fn emit(record: &TraceRecord) {
     // Clone the Arc out of the slot so the sink runs without the lock held
-    // (a sink may itself emit, e.g. when wrapping another sink).
+    // (a sink may itself wrap another sink).
     let sink = trace_slot()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clone();
     if let Some(sink) = sink {
-        sink.event(event);
-    }
-}
-
-/// Emit a counter increment.
-#[inline]
-pub fn counter(name: &str, delta: u64) {
-    emit(TraceEvent::Counter { name, delta });
-}
-
-/// Emit a gauge level.
-#[inline]
-pub fn gauge(name: &str, value: i64) {
-    emit(TraceEvent::Gauge { name, value });
-}
-
-/// Emit a histogram observation.
-#[inline]
-pub fn sample(name: &str, value: u64) {
-    emit(TraceEvent::Sample { name, value });
-}
-
-/// RAII span: emits `SpanEnter` on construction and `SpanExit` (with the
-/// elapsed microseconds) on drop. Also usable as a plain stopwatch via
-/// [`Span::elapsed_micros`].
-pub struct Span {
-    name: &'static str,
-    start: Instant,
-}
-
-impl Span {
-    /// Start a span named `name`.
-    pub fn enter(name: &'static str) -> Span {
-        emit(TraceEvent::SpanEnter { name });
-        Span {
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    /// Microseconds since the span started, saturated to `u64`.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        emit(TraceEvent::SpanExit {
-            name: self.name,
-            micros: self.elapsed_micros(),
-        });
+        sink.record(record);
     }
 }
 
 /// A plain wall-clock stopwatch for code that records durations into a
-/// [`Histogram`] (and optionally also [`sample`]s them).
+/// [`Histogram`].
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -225,8 +117,8 @@ impl Stopwatch {
 // Causal spans and the flight recorder
 // ---------------------------------------------------------------------------
 
-/// A completed causal span: the flight recorder's unit of storage and the
-/// payload of [`TraceEvent::Span`].
+/// A completed causal span: what a [`TraceSink`] receives and the flight
+/// recorder's unit of storage.
 ///
 /// Span IDs are process-unique and never 0; `parent == 0` marks a root.
 /// IDs embed a per-process epoch in their high 32 bits, so records from a
@@ -379,10 +271,10 @@ pub fn current_span() -> u64 {
 }
 
 /// RAII causal span: allocates a process-unique ID at open, becomes the
-/// thread's current span, and on drop emits a [`TraceEvent::Span`] record
-/// (when tracing is enabled and the tree is sampled). When tracing is
-/// disabled at open the span is inert: one relaxed atomic load, nothing
-/// else.
+/// thread's current span, and on drop hands its [`TraceRecord`] to the
+/// installed [`TraceSink`] (when tracing is enabled and the tree is
+/// sampled). When tracing is disabled at open the span is inert: one
+/// relaxed atomic load, nothing else.
 pub struct TraceSpan {
     span: u64,
     parent: u64,
@@ -505,7 +397,7 @@ impl Drop for TraceSpan {
                 start_micros: self.start_micros,
                 end_micros: trace_now_micros(),
             };
-            emit(TraceEvent::Span { record: &record });
+            emit(&record);
         }
     }
 }
@@ -613,10 +505,8 @@ impl FlightRecorder {
 }
 
 impl TraceSink for FlightRecorder {
-    fn event(&self, event: &TraceEvent<'_>) {
-        if let TraceEvent::Span { record } = event {
-            self.push((*record).clone());
-        }
+    fn record(&self, record: &TraceRecord) {
+        self.push(record.clone());
     }
 }
 
@@ -1057,71 +947,11 @@ pub fn hub() -> &'static MetricsHub {
 mod tests {
     use super::*;
 
-    #[derive(Default)]
-    struct Capture(Mutex<Vec<String>>);
-
-    impl TraceSink for Capture {
-        fn event(&self, event: &TraceEvent<'_>) {
-            let line = match event {
-                TraceEvent::SpanEnter { name } => format!("enter {name}"),
-                TraceEvent::SpanExit { name, .. } => format!("exit {name}"),
-                TraceEvent::Counter { name, delta } => format!("counter {name} {delta}"),
-                TraceEvent::Gauge { name, value } => format!("gauge {name} {value}"),
-                TraceEvent::Sample { name, value } => format!("sample {name} {value}"),
-                TraceEvent::Span { record } => {
-                    format!("span {} parent={}", record.name, record.parent)
-                }
-            };
-            self.0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(line);
-        }
-    }
-
     /// Tests that install a global sink serialize on this lock so they
     /// don't clobber each other's sink mid-flight.
     fn install_lock() -> &'static Mutex<()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| Mutex::new(()))
-    }
-
-    #[test]
-    fn facade_is_silent_without_sink_and_captures_with_one() {
-        let _guard = install_lock()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // No sink: nothing observable, nothing panics.
-        counter("quiet.counter", 1);
-        assert!(!enabled());
-
-        let sink = Arc::new(Capture::default());
-        install(sink.clone());
-        assert!(enabled());
-        counter("loud.counter", 2);
-        gauge("loud.gauge", -3);
-        sample("loud.sample", 7);
-        {
-            let _span = Span::enter("loud.span");
-        }
-        uninstall();
-        counter("quiet.again", 9);
-
-        let lines = sink
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        assert_eq!(
-            lines,
-            vec![
-                "counter loud.counter 2",
-                "gauge loud.gauge -3",
-                "sample loud.sample 7",
-                "enter loud.span",
-                "exit loud.span",
-            ]
-        );
     }
 
     #[test]

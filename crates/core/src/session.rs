@@ -26,8 +26,9 @@
 //!
 //! ```
 //! use onesql_core::connect::{
-//!     AnySource, ConnectorRegistry, Exports, OptionBag, Sink, SinkConnector, SinkSpec,
-//!     Source, SourceBatch, SourceConnector, SourceEvent, SourceSpec, SourceStatus,
+//!     ConnectorRegistry, Exports, OptionBag, PartitionedSource, PartitionedVec, Sink,
+//!     SinkConnector, SinkSpec, Source, SourceBatch, SourceConnector, SourceEvent, SourceSpec,
+//!     SourceStatus,
 //! };
 //! use onesql_core::session::Session;
 //! use onesql_types::{row, Result, SchemaRef, Ts};
@@ -74,10 +75,10 @@
 //!         spec: &SourceSpec,
 //!         options: &mut OptionBag,
 //!         _exports: &mut Exports,
-//!     ) -> Result<AnySource> {
+//!     ) -> Result<Box<dyn PartitionedSource>> {
 //!         let events = options.require_u64("events")? as i64;
 //!         let streams = vec![spec.name.to_string()];
-//!         Ok(AnySource::Plain(Box::new(Counter(0, events, streams))))
+//!         Ok(Box::new(PartitionedVec::single(Counter(0, events, streams))))
 //!     }
 //! }
 //!
@@ -147,10 +148,8 @@ use onesql_sql::{Span, SpannedStatement};
 use onesql_state::TemporalTable;
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
-use crate::connect::registry::{
-    AnySource, ConnectorRegistry, Exports, OptionBag, SinkSpec, SourceSpec,
-};
-use crate::connect::{DriverConfig, PipelineMetrics};
+use crate::connect::registry::{ConnectorRegistry, Exports, OptionBag, SinkSpec, SourceSpec};
+use crate::connect::{DriverConfig, PartitionedSource, PipelineMetrics};
 use crate::driver::{PipelineDriver, ShardedConfig};
 use crate::engine::Engine;
 use crate::history::HistoryTap;
@@ -181,6 +180,8 @@ struct SourceDef {
     /// The subset of `streams` this CREATE itself registered in the
     /// catalog (vs. pre-existing ones), unregistered again on DROP.
     registered: Vec<String>,
+    /// The connector's `SourceConnector::replayable` verdict, for lint.
+    replayable: bool,
     options: ConnectorOptions,
 }
 
@@ -669,8 +670,9 @@ impl Session {
 
     /// The analyzer's seed: a catalog snapshot, the session's current
     /// definitions and knobs, and — by asking the connector registry —
-    /// the streams each schema-less in-script `CREATE SOURCE` would
-    /// declare (`nexmark` declares `Person`/`Auction`/`Bid`).
+    /// whether each in-script `CREATE SOURCE` could replay, plus the
+    /// streams each schema-less one would declare (`nexmark` declares
+    /// `Person`/`Auction`/`Bid`).
     fn lint_context(&self, statements: &[SpannedStatement]) -> LintContext {
         let mut ctx = LintContext {
             catalog: self.engine.catalog().clone(),
@@ -683,6 +685,7 @@ impl Session {
                 name: def.name.clone(),
                 connector: def.connector.clone(),
                 partitioned: def.partitioned,
+                replayable: def.replayable,
                 streams: def.streams.clone(),
                 partitions: match def.options.get("partitions") {
                     Some(OptionValue::Number(n)) => n.parse().ok(),
@@ -712,9 +715,6 @@ impl Session {
             let Statement::CreateSource(c) = &spanned.statement else {
                 continue;
             };
-            if !c.columns.is_empty() {
-                continue;
-            }
             let Ok(options) = ConnectorOptions::new(&c.options) else {
                 continue; // the analyzer reports the bind error itself
             };
@@ -731,8 +731,15 @@ impl Session {
                 schema: None,
                 catalog: self.engine.catalog(),
             };
-            if let Ok(declared) = factory.declare(&spec, &mut bag) {
-                ctx.declared.insert(c.name.to_ascii_lowercase(), declared);
+            let key = c.name.to_ascii_lowercase();
+            if !factory.replayable(&spec) {
+                ctx.non_replayable.insert(key.clone());
+            }
+            // An inline column list already names the one stream it feeds.
+            if c.columns.is_empty() {
+                if let Ok(declared) = factory.declare(&spec, &mut bag) {
+                    ctx.declared.insert(key, declared);
+                }
             }
         }
         ctx
@@ -1087,7 +1094,7 @@ impl Session {
         let mut bag = OptionBag::new(format!("source '{name}'"), &options);
         let connector = bag.require_str("connector")?;
         let factory = self.registry.source(&connector)?;
-        let declared = {
+        let (declared, replayable) = {
             let spec = SourceSpec {
                 name: &name,
                 partitioned,
@@ -1096,7 +1103,7 @@ impl Session {
             };
             let declared = factory.declare(&spec, &mut bag)?;
             bag.finish()?;
-            declared
+            (declared, factory.replayable(&spec))
         };
         if declared.is_empty() {
             return Err(Error::plan(format!(
@@ -1142,6 +1149,7 @@ impl Session {
                 .map(|(s, _)| s.to_ascii_lowercase())
                 .collect(),
             registered,
+            replayable,
             options,
         });
         Ok(StatementResult::Created(name))
@@ -1263,15 +1271,17 @@ impl Session {
         }
         let mut staged = Vec::new();
         for idx in selected {
-            match self.build_source(idx, &mut staged)? {
-                AnySource::Plain(source) => self.engine.attach_source(source)?,
-                AnySource::Partitioned(source) => self.engine.attach_partitioned_source(source)?,
-            }
+            let source = self.build_source(idx, &mut staged)?;
+            self.engine.attach_partitioned_source(source)?;
         }
         Ok(staged)
     }
 
-    fn build_source(&mut self, idx: usize, staged: &mut StagedHandles) -> Result<AnySource> {
+    fn build_source(
+        &mut self,
+        idx: usize,
+        staged: &mut StagedHandles,
+    ) -> Result<Box<dyn PartitionedSource>> {
         let def = &self.sources[idx];
         let factory = self.registry.source(&def.connector)?;
         let mut bag = OptionBag::new(

@@ -147,6 +147,10 @@ pub struct SourceSeed {
     pub connector: String,
     /// `CREATE PARTITIONED SOURCE`: the connector builds N partitions.
     pub partitioned: bool,
+    /// Whether the source's events can be replayed into a restored
+    /// pipeline instance: the connector family's own verdict
+    /// (`SourceConnector::replayable`), copied in by the session.
+    pub replayable: bool,
     /// Streams the source feeds, lowercased.
     pub streams: Vec<String>,
     /// The `partitions` WITH option, when present.
@@ -198,6 +202,11 @@ pub struct LintContext {
     /// analyzer assumes a single stream named after the source with an
     /// unknown schema and skips checks that need it.
     pub declared: BTreeMap<String, Vec<(String, SchemaRef)>>,
+    /// Lowercased names of in-script `CREATE SOURCE`s whose connector
+    /// reports it cannot replay. The session fills this by asking the
+    /// connector registry; a standalone caller may leave it empty, in
+    /// which case every in-script source is assumed replayable.
+    pub non_replayable: BTreeSet<String>,
 }
 
 impl Default for LintContext {
@@ -210,6 +219,7 @@ impl Default for LintContext {
             workers: 1,
             partition_col: 0,
             declared: BTreeMap::new(),
+            non_replayable: BTreeSet::new(),
         }
     }
 }
@@ -282,17 +292,6 @@ enum ChangedKnob {
     MaxBatch,
 }
 
-/// Whether a source's events can be replayed into a restored pipeline
-/// instance. An in-memory `channel`'s pre-crash events exist nowhere to
-/// re-read; a non-partitioned `net` source acknowledges frames as it
-/// consumes them (so un-checkpointed consumers still trim the producer's
-/// spool), which leaves the producer nothing to re-send — only the
-/// `PARTITIONED` net source holds acks until a checkpoint is durable.
-fn source_replayable(source: &SourceSeed) -> bool {
-    let connector = source.connector.to_ascii_lowercase();
-    connector != "channel" && (connector != "net" || source.partitioned)
-}
-
 struct PipelineTraits {
     replayable: bool,
     /// Connectors that make the pipeline non-replayable, for messages.
@@ -310,6 +309,7 @@ struct Linter {
     partition_col: usize,
     knobs: KnobState,
     declared: BTreeMap<String, Vec<(String, SchemaRef)>>,
+    non_replayable: BTreeSet<String>,
     created: Vec<CreatedObj>,
     referenced: BTreeSet<String>,
     diags: Vec<Diagnostic>,
@@ -337,6 +337,7 @@ impl Linter {
             partition_col: ctx.partition_col,
             knobs: KnobState::default(),
             declared: ctx.declared.clone(),
+            non_replayable: ctx.non_replayable.clone(),
             created: Vec::new(),
             referenced: BTreeSet::new(),
             diags: Vec::new(),
@@ -521,6 +522,7 @@ impl Linter {
             name: name.to_string(),
             connector,
             partitioned,
+            replayable: !self.non_replayable.contains(&name.to_ascii_lowercase()),
             streams: declared
                 .iter()
                 .map(|(s, _)| s.to_ascii_lowercase())
@@ -608,7 +610,7 @@ impl Linter {
         }
         let volatile: Vec<String> = feeding
             .iter()
-            .filter(|s| !source_replayable(s))
+            .filter(|s| !s.replayable)
             .map(|s| format!("{} ({})", s.name, s.connector))
             .collect();
         self.pipelines.insert(

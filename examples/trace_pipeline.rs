@@ -11,7 +11,6 @@
 //! Run with: `cargo run --release --example trace_pipeline`
 
 use onesql::connect::{json, register_nexmark_streams, session, NexmarkSource};
-use onesql::core::observe;
 use onesql::{ChangelogSink, Engine, NetAddr, NetConfig, NetSink, NetSource, StatementResult};
 use onesql_nexmark::queries;
 use onesql_types::{DataType, Result};
@@ -147,7 +146,6 @@ fn main() -> Result<()> {
     );
     assert_eq!(complete, spans, "one complete event per exported span");
     assert_eq!(processes, 2, "both pipelines on the timeline");
-    assert!(observe::sample_divisor() >= 1);
     let _ = std::fs::remove_file(&path);
     println!("== done: one stitched trace across two pipelines and a socket ==");
     Ok(())

@@ -235,6 +235,61 @@ fn restore_refuses_changed_schema_naming_the_relation() {
     assert!(err.contains("different"), "{err}");
 }
 
+#[test]
+fn restore_over_a_plain_channel_source_is_refused_without_draining_it() {
+    // A channel's pre-crash events exist nowhere to replay from. Seeking
+    // the fresh instance by poll-and-discard would instead eat the *live*
+    // input: up to CHECKPOINTED of the events published below.
+    const SCRIPT: &str = "CREATE SOURCE S (t TIMESTAMP, v INT, WATERMARK FOR t)
+           WITH (connector = 'channel');
+         CREATE SINK out WITH (connector = 'changelog');
+         INSERT INTO out SELECT v FROM S EMIT STREAM;";
+    const CHECKPOINTED: u64 = 5;
+    const LIVE: usize = 8;
+    let store = scratch_dir("plain-channel").join("store");
+    let assemble = || {
+        let mut s = session();
+        let pipeline = s.execute_script(SCRIPT).unwrap().into_pipeline().unwrap();
+        let publisher = s
+            .take_handle::<Vec<onesql::ChannelPublisher>>("S")
+            .expect("publishers exported")
+            .remove(0);
+        (s, pipeline, publisher)
+    };
+    let publish = |publisher: &onesql::ChannelPublisher, n: usize| {
+        for i in 0..n as i64 {
+            publisher
+                .insert(Ts(i), onesql_types::row!(Ts(i), i))
+                .unwrap();
+        }
+    };
+
+    let (mut s1, mut victim, publisher) = assemble();
+    publish(&publisher, CHECKPOINTED as usize);
+    step_until(&mut victim, CHECKPOINTED);
+    s1.adopt_pipeline(victim).unwrap();
+    s1.execute(&format!("CHECKPOINT PIPELINE out TO '{}'", store.display()))
+        .unwrap();
+    drop(s1); // kill
+
+    let (mut s2, fresh, publisher) = assemble();
+    s2.adopt_pipeline(fresh).unwrap();
+    publish(&publisher, LIVE);
+    let err = s2
+        .execute(&format!("RESTORE PIPELINE out FROM '{}'", store.display()))
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("channel:S") && err.contains("not replayable"),
+        "{err}"
+    );
+    assert_eq!(
+        publisher.queued(),
+        LIVE,
+        "the refused restore polled nothing"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Damaged artifacts surface as typed errors through the SQL path.
 // ---------------------------------------------------------------------------

@@ -383,6 +383,69 @@ fn filter_pipeline_over_tcp() {
     assert_eq!(rows.lock().unwrap().len(), 50);
 }
 
+#[test]
+fn restore_over_a_plain_net_source_is_refused() {
+    // `NetSource` acks as it consumes, so the producer has already trimmed
+    // what a restored consumer would need; seeking by poll-and-discard
+    // would eat whatever the live wire delivers next instead.
+    const EVENTS: u64 = 20;
+    let bid_engine = || {
+        let mut engine = Engine::new();
+        engine.register_stream(
+            "Bid",
+            StreamBuilder::new()
+                .column("auction", DataType::Int)
+                .column("price", DataType::Int)
+                .event_time_column("bidtime"),
+        );
+        engine
+    };
+    let consumer = || {
+        let source = NetSource::bind(
+            NetAddr::tcp("127.0.0.1:0"),
+            vec!["Bid".to_string()],
+            net_config(),
+        )
+        .unwrap();
+        let addr = source.local_addr();
+        let mut engine = bid_engine();
+        engine.attach_source(Box::new(source)).unwrap();
+        let driver = engine
+            .run_pipeline("SELECT auction, price FROM Bid EMIT STREAM")
+            .unwrap();
+        (addr, driver)
+    };
+
+    let (addr, mut victim) = consumer();
+    let (checkpointed, hold) = std::sync::mpsc::channel::<()>();
+    let producer = std::thread::spawn(move || -> Result<()> {
+        let mut publisher = NetPublisher::new(addr, 0, vec!["Bid".to_string()], net_config());
+        for i in 0..EVENTS as i64 {
+            publisher.insert(0, Ts(i), row!(i % 7, i, Ts(i)))?;
+        }
+        publisher.flush()?;
+        // Keep the connection open (the source unfinished) until the
+        // consumer has its checkpoint.
+        let _ = hold.recv();
+        Ok(())
+    });
+    while victim.events_in() < EVENTS {
+        victim.step().unwrap();
+    }
+    let checkpoint = victim.checkpoint().unwrap();
+    assert_eq!(checkpoint.offsets, vec![vec![EVENTS]]);
+    drop(victim); // kill
+    drop(checkpointed);
+    producer.join().unwrap().unwrap();
+
+    let (_addr, mut fresh) = consumer();
+    let err = fresh.restore(&checkpoint).unwrap_err().to_string();
+    assert!(
+        err.contains("net:tcp:127.0.0.1:0") && err.contains("not replayable"),
+        "{err}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Two pipelines chained across "processes": changelog out, stream in.
 // ---------------------------------------------------------------------------

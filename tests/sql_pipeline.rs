@@ -506,7 +506,7 @@ fn failed_insert_does_not_clobber_live_handles() {
 }
 
 #[test]
-fn non_replayable_source_checkpoint_restore_is_a_descriptive_error() {
+fn checkpoint_restore_over_a_non_replayable_source_is_a_descriptive_error() {
     // Channels are non-replayable: a sharded pipeline over them can run
     // and even checkpoint, but restoring that checkpoint into a fresh
     // pipeline must refuse descriptively (the pre-crash events exist
@@ -552,6 +552,83 @@ fn non_replayable_source_checkpoint_restore_is_a_descriptive_error() {
         .unwrap()
         .to_string();
     assert!(err.contains("not replayable"), "{err}");
+}
+
+#[test]
+fn sql_built_sources_keep_their_names() {
+    // Every connector builds one partitioned type for N >= 1; the names
+    // metrics rows and watermark-provenance labels are keyed by must not
+    // show it: one partition is named as the plain source always was.
+    let dir = std::env::temp_dir().join("onesql_sql_pipeline");
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join(format!("names-a-{}.csv", std::process::id()));
+    let b = dir.join(format!("names-b-{}.csv", std::process::id()));
+    std::fs::write(&a, "8:01,5\n").unwrap();
+    std::fs::write(&b, "8:02,6\n").unwrap();
+    const COLS: &str = "(t TIMESTAMP, v INT, WATERMARK FOR t)";
+    let cases = [
+        (
+            format!(
+                "CREATE SOURCE S {COLS} WITH (connector = 'file', path = '{}')",
+                a.display()
+            ),
+            "SELECT v FROM S",
+            format!("file:{}", a.display()),
+        ),
+        (
+            format!(
+                "CREATE PARTITIONED SOURCE S {COLS} WITH (connector = 'file', path = '{},{}')",
+                a.display(),
+                b.display()
+            ),
+            "SELECT v FROM S",
+            format!("files:{}x2", a.display()),
+        ),
+        (
+            format!("CREATE SOURCE S {COLS} WITH (connector = 'channel')"),
+            "SELECT v FROM S",
+            "channel:S".to_string(),
+        ),
+        (
+            format!(
+                "CREATE PARTITIONED SOURCE S {COLS} WITH (connector = 'channel', partitions = 2)"
+            ),
+            "SELECT v FROM S",
+            "channel:Sx2".to_string(),
+        ),
+        (
+            "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = 10)".to_string(),
+            "SELECT price FROM Bid",
+            "nexmark:seed=7".to_string(),
+        ),
+        (
+            "CREATE PARTITIONED SOURCE nex
+               WITH (connector = 'nexmark', seed = 7, events = 10, partitions = 4)"
+                .to_string(),
+            "SELECT price FROM Bid",
+            "nexmark:seed=7x4".to_string(),
+        ),
+    ];
+    for (create, select, name) in cases {
+        let mut session = session();
+        let mut pipeline = session
+            .execute_script(&format!(
+                "{create};
+                 CREATE SINK out WITH (connector = 'changelog');
+                 INSERT INTO out {select} EMIT STREAM;"
+            ))
+            .unwrap()
+            .into_pipeline()
+            .unwrap();
+        let metrics = pipeline.metrics();
+        assert_eq!(metrics.sources[0].name, name, "{create}");
+        let holder = &metrics.watermark_provenance[0].holder;
+        if create.contains("PARTITIONED") {
+            assert_eq!(*holder, format!("{name}[0]"), "{create}");
+        } else {
+            assert_eq!(*holder, name, "{create}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

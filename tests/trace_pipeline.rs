@@ -22,7 +22,7 @@ use onesql::connect::{
     json, register_nexmark_streams, sharded_channel, NexmarkSource, TraceSource,
 };
 use onesql::connect::{session, Source, SourceStatus};
-use onesql::core::observe::{self, FlightRecorder, TraceEvent, TraceRecord, TraceSink, TraceSpan};
+use onesql::core::observe::{self, FlightRecorder, TraceRecord, TraceSink, TraceSpan};
 use onesql::{
     ChangelogSink, Engine, NetAddr, NetConfig, NetSink, NetSource, ShardedConfig, StatementResult,
     StreamBuilder,
@@ -315,15 +315,15 @@ fn watermark_provenance_names_the_stuck_partition() {
 // Recorder invariants, property-style.
 // ---------------------------------------------------------------------------
 
-/// Delivers every event to two recorders: a small ring that evicts, and a
+/// Delivers every closed span to two recorders: a small ring that evicts, and a
 /// large one that sees everything (the ground truth for "was the parent
 /// ever recorded").
 struct Fanout(Arc<FlightRecorder>, Arc<FlightRecorder>);
 
 impl TraceSink for Fanout {
-    fn event(&self, event: &TraceEvent<'_>) {
-        self.0.event(event);
-        self.1.event(event);
+    fn record(&self, record: &TraceRecord) {
+        self.0.record(record);
+        self.1.record(record);
     }
 }
 
