@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use onesql_connect::{channel, NexmarkSource};
 use onesql_core::observe;
-use onesql_core::{Engine, StreamBuilder};
+use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
 use onesql_types::{row, DataType, Ts};
 
 const N: usize = 20_000;
@@ -34,16 +34,16 @@ fn bid_engine() -> Engine {
 }
 
 fn run_channel(instrumented: bool) -> u64 {
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publisher, source) = channel("Bid", N + 1);
-    engine.attach_source(Box::new(source)).unwrap();
     for i in 0..N as i64 {
         publisher
             .insert(Ts(i), row!(Ts(i), i % 100, "item"))
             .unwrap();
     }
     drop(publisher);
-    let mut pipeline = engine.run_pipeline(SQL).unwrap();
+    let mut pipeline = PipelineDriver::new(&engine, SQL, DriverConfig::default()).unwrap();
+    pipeline.attach_source(Box::new(source)).unwrap();
     if instrumented {
         pipeline.set_label(LABEL);
     }
@@ -53,11 +53,10 @@ fn run_channel(instrumented: bool) -> u64 {
 fn run_nexmark(instrumented: bool) -> u64 {
     let mut engine = Engine::new();
     onesql_connect::register_nexmark_streams(&mut engine);
-    engine
+    let sql = "SELECT auction, price FROM Bid WHERE price > 100";
+    let mut pipeline = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
+    pipeline
         .attach_source(Box::new(NexmarkSource::seeded(7, N as u64)))
-        .unwrap();
-    let mut pipeline = engine
-        .run_pipeline("SELECT auction, price FROM Bid WHERE price > 100")
         .unwrap();
     if instrumented {
         pipeline.set_label(LABEL);

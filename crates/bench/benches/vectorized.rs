@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use onesql_connect::channel;
-use onesql_core::{DriverConfig, Engine, ShardedConfig, StreamBuilder};
+use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
 use onesql_tvr::{Change, ChangeBatch};
 use onesql_types::{row, DataType, Row, Ts, Value};
 
@@ -125,9 +125,8 @@ fn run_vectorized(sql: &str, batches: &[ChangeBatch], wm_every: Option<usize>) -
 /// into batches itself, so this measures the full hot path including
 /// polling, run-grouping, and output drain.
 fn run_driver(vectorize: bool) -> u64 {
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publisher, source) = channel("Bid", N + 1);
-    engine.attach_source(Box::new(source)).unwrap();
     for i in 0..N {
         publisher
             .insert(
@@ -142,11 +141,12 @@ fn run_driver(vectorize: bool) -> u64 {
             .unwrap();
     }
     drop(publisher);
-    let config = ShardedConfig::default().with_driver(DriverConfig {
+    let config = DriverConfig {
         vectorize,
         ..DriverConfig::default()
-    });
-    let mut pipeline = engine.run_sharded_pipeline(CHEAP_FILTER, config).unwrap();
+    };
+    let mut pipeline = PipelineDriver::new(&engine, CHEAP_FILTER, config).unwrap();
+    pipeline.attach_source(Box::new(source)).unwrap();
     pipeline.run().unwrap().events_in
 }
 

@@ -10,6 +10,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 
 use onesql_core::connect::{
     PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceEvent, SourceStatus,
+    WrapsPartitioned,
 };
 use onesql_exec::StreamRow;
 use onesql_time::Watermark;
@@ -195,29 +196,13 @@ pub fn sharded_channel(
     (publishers, ShardedChannelSource(adapter))
 }
 
-impl PartitionedSource for ShardedChannelSource {
-    fn name(&self) -> &str {
-        self.0.name()
+impl WrapsPartitioned for ShardedChannelSource {
+    fn parts(&self) -> &dyn PartitionedSource {
+        &self.0
     }
 
-    fn streams(&self) -> &[String] {
-        self.0.streams()
-    }
-
-    fn partitions(&self) -> usize {
-        self.0.partitions()
-    }
-
-    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-        self.0.poll_partition(partition, max_events)
-    }
-
-    fn offset(&self, partition: usize) -> u64 {
-        self.0.offset(partition)
-    }
-
-    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
-        self.0.seek(partition, offset)
+    fn parts_mut(&mut self) -> &mut dyn PartitionedSource {
+        &mut self.0
     }
 }
 

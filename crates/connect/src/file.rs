@@ -17,7 +17,7 @@ use std::path::Path;
 
 use onesql_core::connect::{
     ColumnarBatch, PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceEvent,
-    SourceStatus,
+    SourceStatus, WrapsPartitioned,
 };
 use onesql_exec::StreamRow;
 use onesql_tvr::{Change, ChangeBatch};
@@ -441,37 +441,13 @@ impl PartitionedFileSource {
     }
 }
 
-impl PartitionedSource for PartitionedFileSource {
-    fn name(&self) -> &str {
-        self.0.name()
+impl WrapsPartitioned for PartitionedFileSource {
+    fn parts(&self) -> &dyn PartitionedSource {
+        &self.0
     }
 
-    fn streams(&self) -> &[String] {
-        self.0.streams()
-    }
-
-    fn partitions(&self) -> usize {
-        self.0.partitions()
-    }
-
-    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-        self.0.poll_partition(partition, max_events)
-    }
-
-    fn poll_partition_columns(
-        &mut self,
-        partition: usize,
-        max_events: usize,
-    ) -> Result<Option<ColumnarBatch>> {
-        self.0.poll_partition_columns(partition, max_events)
-    }
-
-    fn offset(&self, partition: usize) -> u64 {
-        self.0.offset(partition)
-    }
-
-    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
-        self.0.seek(partition, offset)
+    fn parts_mut(&mut self) -> &mut dyn PartitionedSource {
+        &mut self.0
     }
 }
 

@@ -7,8 +7,8 @@
 //!
 //! The connector **runtime** — the [`Source`] / [`Sink`] traits in
 //! `onesql_core::connect` and the [`PipelineDriver`] in
-//! `onesql_core::driver` — lives in core (so the engine can expose
-//! `attach_source` / `run_pipeline` directly) and is re-exported here. This crate adds the concrete connectors:
+//! `onesql_core::driver` — lives in core and is re-exported here. This
+//! crate adds the concrete connectors:
 //!
 //! | Connector | Kind | Purpose |
 //! |---|---|---|
@@ -26,7 +26,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use onesql_connect::{channel, ChangelogSink};
+//! use onesql_connect::{channel, ChangelogSink, DriverConfig, PipelineDriver};
 //! use onesql_core::{Engine, StreamBuilder};
 //! use onesql_types::{row, DataType, Ts};
 //!
@@ -41,12 +41,12 @@
 //! // A channel source: feed rows from the test (or another thread).
 //! let (publisher, source) = channel("Bid", 64);
 //! let (rendered, sink) = ChangelogSink::in_memory();
-//! engine.attach_source(Box::new(source)).unwrap();
-//! engine.attach_sink(Box::new(sink));
 //!
-//! let mut pipeline = engine
-//!     .run_pipeline("SELECT price FROM Bid WHERE price > 2")
-//!     .unwrap();
+//! // One constructor builds every pipeline; connectors attach to it.
+//! let sql = "SELECT price FROM Bid WHERE price > 2";
+//! let mut pipeline = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
+//! pipeline.attach_source(Box::new(source)).unwrap();
+//! pipeline.attach_sink(Box::new(sink)).unwrap();
 //! publisher.insert(Ts::hm(8, 8), row!(Ts::hm(8, 7), 5i64)).unwrap();
 //! publisher.finish().unwrap();
 //! let metrics = pipeline.run().unwrap();
@@ -87,8 +87,9 @@ pub use onesql_core::connect::{
     AdaptiveBatch, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
     PartitionedSource, PartitionedVec, PipelineMetrics, Sink, SinkConnector, SinkSpec, Source,
     SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus,
+    WrapsPartitioned,
 };
-pub use onesql_core::driver::{PipelineCheckpoint, PipelineDriver, ShardedConfig};
+pub use onesql_core::driver::{PipelineCheckpoint, PipelineDriver};
 pub use onesql_core::observe::{MetricKind, MetricRow, MetricsHub, PipelineSnapshot};
 pub use onesql_core::session::{
     PipelineInfo, ScriptOutcome, Session, SqlPipeline, StatementResult,

@@ -62,6 +62,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use onesql_core::connect::{
     PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceEvent, SourceStatus,
+    WrapsPartitioned,
 };
 use onesql_core::observe;
 use onesql_exec::StreamRow;
@@ -1848,25 +1849,13 @@ impl PartitionedNetSource {
     }
 }
 
-impl PartitionedSource for PartitionedNetSource {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl WrapsPartitioned for PartitionedNetSource {
+    fn parts(&self) -> &dyn PartitionedSource {
+        &self.inner
     }
 
-    fn streams(&self) -> &[String] {
-        self.inner.streams()
-    }
-
-    fn partitions(&self) -> usize {
-        self.inner.partitions()
-    }
-
-    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-        self.inner.poll_partition(partition, max_events)
-    }
-
-    fn offset(&self, partition: usize) -> u64 {
-        self.inner.offset(partition)
+    fn parts_mut(&mut self) -> &mut dyn PartitionedSource {
+        &mut self.inner
     }
 
     /// Seeking records the resume offset the handshake reply announces to
@@ -1874,7 +1863,7 @@ impl PartitionedSource for PartitionedNetSource {
     /// Only possible before the first poll (the handshake is held back
     /// until then, precisely so a checkpoint restore can land first);
     /// afterwards only the current offset is accepted.
-    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
+    fn seek_parts(&mut self, partition: usize, offset: u64) -> Result<()> {
         if offset == self.inner.offset(partition) && offset == 0 {
             // Fresh source, fresh start: the default resume of 0 stands.
             return Ok(());
@@ -1907,7 +1896,7 @@ impl PartitionedSource for PartitionedNetSource {
     /// no producer connected (or one that just died) there is nothing to
     /// trim — the handshake's resume offset will catch it up instead —
     /// so transport errors clear the stored writer and succeed.
-    fn ack(&mut self, partition: usize, offset: u64) -> Result<()> {
+    fn ack_parts(&mut self, partition: usize, offset: u64) -> Result<()> {
         let slot = &self.shared.parts[partition];
         let mut writer = slot
             .writer

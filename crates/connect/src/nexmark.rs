@@ -3,6 +3,7 @@
 
 use onesql_core::connect::{
     PartitionedSource, PartitionedVec, Source, SourceBatch, SourceEvent, SourceStatus,
+    WrapsPartitioned,
 };
 use onesql_core::Engine;
 use onesql_nexmark::model::{Auction, Bid, Person};
@@ -126,29 +127,13 @@ impl PartitionedNexmarkSource {
     }
 }
 
-impl PartitionedSource for PartitionedNexmarkSource {
-    fn name(&self) -> &str {
-        self.0.name()
+impl WrapsPartitioned for PartitionedNexmarkSource {
+    fn parts(&self) -> &dyn PartitionedSource {
+        &self.0
     }
 
-    fn streams(&self) -> &[String] {
-        self.0.streams()
-    }
-
-    fn partitions(&self) -> usize {
-        self.0.partitions()
-    }
-
-    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-        self.0.poll_partition(partition, max_events)
-    }
-
-    fn offset(&self, partition: usize) -> u64 {
-        self.0.offset(partition)
-    }
-
-    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
-        self.0.seek(partition, offset)
+    fn parts_mut(&mut self) -> &mut dyn PartitionedSource {
+        &mut self.0
     }
 }
 

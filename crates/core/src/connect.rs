@@ -24,68 +24,11 @@
 //!
 //! Concrete connectors (CSV / JSON-lines files, in-memory channels, the
 //! NEXMark generator, network endpoints, changelog renderers) live in the
-//! `onesql-connect` crate; this module holds only the traits so the
-//! engine can expose [`Engine::attach_source`] /
-//! [`Engine::run_pipeline`] without a dependency cycle.
+//! `onesql-connect` crate; this module holds only the traits, so the
+//! driver can name them without a dependency cycle.
 //!
-//! # Example
-//!
-//! A source is just a type that hands the driver batches; here a scripted
-//! three-event stream runs through a filter query end to end:
-//!
-//! ```
-//! use onesql_core::connect::{Source, SourceBatch, SourceEvent, SourceStatus};
-//! use onesql_core::{Engine, StreamBuilder};
-//! use onesql_tvr::Change;
-//! use onesql_types::{row, DataType, Result, Ts};
-//!
-//! struct Bids(Vec<(i64, i64)>, Vec<String>);
-//!
-//! impl Source for Bids {
-//!     fn name(&self) -> &str {
-//!         "bids"
-//!     }
-//!     fn streams(&self) -> &[String] {
-//!         &self.1
-//!     }
-//!     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
-//!         let take = max_events.min(self.0.len());
-//!         let mut batch = SourceBatch::empty(SourceStatus::Ready);
-//!         for (i, (auction, price)) in self.0.drain(..take).enumerate() {
-//!             let ptime = Ts(i as i64);
-//!             batch.events.push(SourceEvent {
-//!                 stream: 0,
-//!                 ptime,
-//!                 change: Change::insert(row!(auction, price, ptime)),
-//!             });
-//!         }
-//!         if self.0.is_empty() {
-//!             batch.status = SourceStatus::Finished;
-//!         }
-//!         Ok(batch)
-//!     }
-//! }
-//!
-//! let mut engine = Engine::new();
-//! engine.register_stream(
-//!     "Bid",
-//!     StreamBuilder::new()
-//!         .column("auction", DataType::Int)
-//!         .column("price", DataType::Int)
-//!         .event_time_column("bidtime"),
-//! );
-//! let script = Bids(vec![(1, 3), (2, 11), (1, 7)], vec!["Bid".to_string()]);
-//! engine.attach_source(Box::new(script)).unwrap();
-//! let mut driver = engine
-//!     .run_pipeline("SELECT auction, price FROM Bid WHERE price > 5")
-//!     .unwrap();
-//! let metrics = driver.run().unwrap();
-//! assert_eq!(metrics.events_in, 3);
-//! assert_eq!(metrics.events_out, 2);
-//! ```
-//!
-//! [`Engine::attach_source`]: crate::Engine::attach_source
-//! [`Engine::run_pipeline`]: crate::Engine::run_pipeline
+//! A source is just a type that hands the driver batches: the example in
+//! [`crate::driver`] implements one and runs it through a query end to end.
 
 use std::collections::BTreeMap;
 
@@ -379,9 +322,9 @@ pub fn replay_seek<S: PartitionedSource + ?Sized>(
 ///   away from the current offset errors instead of silently dropping
 ///   events.
 /// - **Custom** repositioning (the network source's resume handshake):
-///   wrap `PartitionedVec` and override [`PartitionedSource::seek`] /
-///   [`PartitionedSource::ack`], keeping the offset books straight with
-///   [`PartitionedVec::set_offset`].
+///   wrap `PartitionedVec` and override [`WrapsPartitioned::seek_parts`] /
+///   [`WrapsPartitioned::ack_parts`], keeping the offset books straight
+///   with [`PartitionedVec::set_offset`].
 ///
 /// Every inner must declare the same stream list; the adapter exposes it
 /// once for all partitions.
@@ -520,6 +463,70 @@ impl<S: Source> PartitionedSource for PartitionedVec<S> {
     }
 }
 
+/// A connector type that *is* a [`PartitionedVec`] plus a constructor or
+/// some side state (`PartitionedFileSource`, `PartitionedNetSource`, ...).
+/// Exposing the inner adapter makes it a [`PartitionedSource`]: the one
+/// blanket impl below forwards every method, so a wrapper cannot lose one
+/// (the columnar poll, the ack) by hand-copying the list.
+pub trait WrapsPartitioned {
+    /// The wrapped adapter.
+    fn parts(&self) -> &dyn PartitionedSource;
+
+    /// The wrapped adapter, mutably.
+    fn parts_mut(&mut self) -> &mut dyn PartitionedSource;
+
+    /// What [`PartitionedSource::seek`] does; override for repositioning
+    /// the adapter cannot perform itself (a network resume handshake).
+    fn seek_parts(&mut self, partition: usize, offset: u64) -> Result<()> {
+        self.parts_mut().seek(partition, offset)
+    }
+
+    /// What [`PartitionedSource::ack`] does; override to forward the
+    /// acknowledgement upstream.
+    fn ack_parts(&mut self, partition: usize, offset: u64) -> Result<()> {
+        self.parts_mut().ack(partition, offset)
+    }
+}
+
+impl<W: WrapsPartitioned> PartitionedSource for W {
+    fn name(&self) -> &str {
+        self.parts().name()
+    }
+
+    fn streams(&self) -> &[String] {
+        self.parts().streams()
+    }
+
+    fn partitions(&self) -> usize {
+        self.parts().partitions()
+    }
+
+    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
+        self.parts_mut().poll_partition(partition, max_events)
+    }
+
+    fn poll_partition_columns(
+        &mut self,
+        partition: usize,
+        max_events: usize,
+    ) -> Result<Option<ColumnarBatch>> {
+        self.parts_mut()
+            .poll_partition_columns(partition, max_events)
+    }
+
+    fn offset(&self, partition: usize) -> u64 {
+        self.parts().offset(partition)
+    }
+
+    fn seek(&mut self, partition: usize, offset: u64) -> Result<()> {
+        self.seek_parts(partition, offset)
+    }
+
+    fn ack(&mut self, partition: usize, offset: u64) -> Result<()> {
+        self.ack_parts(partition, offset)
+    }
+}
+
 /// A pluggable output connector. Receives the query's output changelog as
 /// [`StreamRow`]s: data columns plus `undo` / `ptime` / `ver` metadata.
 pub trait Sink {
@@ -570,10 +577,10 @@ pub trait Sink {
     }
 }
 
-/// Bounds and thresholds for adaptive batch sizing (backpressure beyond
-/// polling): the driver shrinks its per-poll batches while its merge
-/// buffer backs up and grows them while the merge keeps up, instead of
-/// buffering unboundedly behind a fixed poll size.
+/// Bounds for adaptive batch sizing (backpressure beyond polling): the
+/// driver shrinks its per-poll batches while its merge buffer backs up and
+/// grows them while the merge keeps up, instead of buffering unboundedly
+/// behind a fixed poll size.
 ///
 /// The signal is the depth of the driver's merge buffer — worker output
 /// the deterministic merge has not yet been able to release to sinks. It
@@ -588,15 +595,6 @@ pub struct AdaptiveBatch {
     pub min_batch: usize,
     /// Batches never grow beyond this (bounds per-round latency).
     pub max_batch: usize,
-    /// Pending merge-buffer depth (entries) at or above which the batch
-    /// size halves. An absolute bound, not a per-size ratio: the buffer's
-    /// steady-state content scales with the batch size itself, so only an
-    /// absolute threshold turns depth into backpressure (see
-    /// [`BatchController::observe_load`]).
-    pub high_pending: usize,
-    /// Pending merge-buffer depth at or below which the batch size
-    /// doubles.
-    pub low_pending: usize,
 }
 
 impl Default for AdaptiveBatch {
@@ -604,13 +602,11 @@ impl Default for AdaptiveBatch {
         AdaptiveBatch {
             min_batch: 32,
             max_batch: 4096,
-            high_pending: 32_768,
-            low_pending: 4_096,
         }
     }
 }
 
-/// Driver tuning knobs.
+/// Pipeline tuning: the worker set and the polling knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
     /// Events requested from a source per poll; the *initial* size when
@@ -623,12 +619,19 @@ pub struct DriverConfig {
     /// Adaptive batch sizing from merge-buffer depth; `None` pins
     /// [`DriverConfig::batch_size`] for the whole run.
     pub adaptive: Option<AdaptiveBatch>,
-    /// Feed consecutive same-stream events as columnar
-    /// [`ChangeBatch`]es when the query's operator
-    /// tree supports it (the vectorized hot path). Results are byte-identical
-    /// either way; disable to force the per-row oracle (e.g. for A/B
-    /// benchmarking).
+    /// Feed consecutive same-stream events as columnar [`ChangeBatch`]es
+    /// when the query's operator tree supports it (the vectorized hot
+    /// path). Results are byte-identical either way; disable to force the
+    /// per-row oracle (e.g. for A/B benchmarking).
     pub vectorize: bool,
+    /// Number of workers (= operator state shards). One worker runs inline
+    /// on the driver's thread; more run on a thread each.
+    pub workers: usize,
+    /// Which input column is the partition key, for every stream (the
+    /// caller must pick a column consistent with the query's grouping /
+    /// join keys — the partition-alignment property). Unused with one
+    /// worker.
+    pub partition_col: usize,
 }
 
 impl Default for DriverConfig {
@@ -638,6 +641,8 @@ impl Default for DriverConfig {
             max_idle_rounds: None,
             adaptive: Some(AdaptiveBatch::default()),
             vectorize: true,
+            workers: 1,
+            partition_col: 0,
         }
     }
 }
@@ -646,11 +651,11 @@ impl Default for DriverConfig {
 /// policy is unit-testable: one [`BatchController::observe_load`] per
 /// scheduling round with the merge buffer's depth.
 ///
-/// Policy: multiplicative decrease when the depth reaches `high_pending`
-/// (halve, floored at `min_batch`), multiplicative increase while it stays
-/// within `low_pending` (double, capped at `max_batch`), hold in between.
-/// The configured initial size is honored as-is; bounds apply to
-/// adjustments.
+/// Policy: multiplicative decrease when the depth reaches
+/// [`HIGH_PENDING`] (halve, floored at `min_batch`), multiplicative
+/// increase while it stays within [`LOW_PENDING`] (double, capped at
+/// `max_batch`), hold in between. The configured initial size is honored
+/// as-is; bounds apply to adjustments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchController {
     size: usize,
@@ -680,7 +685,7 @@ impl BatchController {
     /// Feed one round's merge-buffer depth; returns the (possibly
     /// adjusted) size for the next round.
     ///
-    /// The thresholds are **absolute** (`high_pending` / `low_pending`
+    /// The thresholds are **absolute** ([`HIGH_PENDING`] / [`LOW_PENDING`]
     /// entries), deliberately not ratios of the current batch size: the
     /// buffer's steady-state content — the clock-tie cohort the
     /// deterministic merge must hold back every round — itself grows with
@@ -693,14 +698,19 @@ impl BatchController {
         let Some(policy) = self.policy else {
             return self.size;
         };
-        if pending >= policy.high_pending {
+        if pending >= HIGH_PENDING {
             self.size = (self.size / 2).max(policy.min_batch).max(1);
-        } else if pending <= policy.low_pending {
+        } else if pending <= LOW_PENDING {
             self.size = (self.size * 2).min(policy.max_batch.max(1));
         }
         self.size
     }
 }
+
+/// Merge-buffer depth (entries) at or above which the batch size halves.
+pub const HIGH_PENDING: usize = 32_768;
+/// Merge-buffer depth at or below which the batch size doubles.
+pub const LOW_PENDING: usize = 4_096;
 
 /// Per-source accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1090,8 +1100,6 @@ mod tests {
             adaptive: Some(AdaptiveBatch {
                 min_batch: min,
                 max_batch: max,
-                high_pending: 1_000,
-                low_pending: 100,
             }),
             ..DriverConfig::default()
         })
@@ -1101,9 +1109,9 @@ mod tests {
     fn controller_shrinks_on_backlog_and_grows_when_caught_up() {
         let mut c = controller(256, 32, 4096);
         assert_eq!(c.observe_load(0), 512, "empty buffer: grow");
-        assert_eq!(c.observe_load(1_000), 256, "at high: halve");
-        assert_eq!(c.observe_load(500), 256, "between the bounds: hold");
-        assert_eq!(c.observe_load(100), 512, "at low: grow");
+        assert_eq!(c.observe_load(HIGH_PENDING), 256, "at high: halve");
+        assert_eq!(c.observe_load(HIGH_PENDING - 1), 256, "between: hold");
+        assert_eq!(c.observe_load(LOW_PENDING), 512, "at low: grow");
     }
 
     #[test]
@@ -1136,7 +1144,7 @@ mod tests {
         // adjustment, which snaps into bounds.
         let mut c = controller(4, 32, 4096);
         assert_eq!(c.size(), 4);
-        assert_eq!(c.observe_load(5_000), 32);
+        assert_eq!(c.observe_load(HIGH_PENDING), 32);
     }
 
     /// A tiny scripted source for adapter tests: emits `total` rows.
@@ -1207,7 +1215,7 @@ mod tests {
     fn parts_that_cannot_replay_refuse_seeks() {
         let mut live = Scripted::new(8);
         live.replayable = false;
-        // Boxed, as `Engine::attach_source` wraps a plain source: the
+        // Boxed, as `PipelineDriver::attach_source` wraps a plain source: the
         // verdict must survive the `Box<dyn Source>` forwarding impl.
         let mut pv = PartitionedVec::single(Box::new(live) as Box<dyn Source>);
         assert_eq!((pv.name(), pv.partitions()), ("scripted", 1));

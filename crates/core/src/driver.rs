@@ -53,7 +53,7 @@
 //!
 //! ```
 //! use onesql_core::connect::{Source, SourceBatch, SourceEvent, SourceStatus};
-//! use onesql_core::{Engine, ShardedConfig, StreamBuilder};
+//! use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
 //! use onesql_tvr::Change;
 //! use onesql_types::{row, DataType, Result, Ts};
 //!
@@ -93,13 +93,13 @@
 //!         .event_time_column("bidtime"),
 //! );
 //! let script = Bids(vec![(1, 3), (2, 11), (1, 7)], vec!["Bid".to_string()]);
-//! engine.attach_source(Box::new(script)).unwrap();
-//! let mut driver = engine
-//!     .run_sharded_pipeline(
-//!         "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction",
-//!         ShardedConfig::new(2),
-//!     )
-//!     .unwrap();
+//! let sql = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
+//! let config = DriverConfig {
+//!     workers: 2,
+//!     ..DriverConfig::default()
+//! };
+//! let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
+//! driver.attach_source(Box::new(script)).unwrap();
 //! driver.run().unwrap();
 //! assert_eq!(
 //!     driver.table().unwrap(),
@@ -113,6 +113,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use onesql_exec::{StreamRenderer, StreamRow};
+use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, TableKind};
 use onesql_time::Watermark;
 use onesql_tvr::{Change, ChangeBatch, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
@@ -127,50 +128,6 @@ use crate::hash::partition_of;
 use crate::history::{HistoryEvent, HistoryTap};
 use crate::observe::{self, Stopwatch};
 use crate::query::RunningQuery;
-
-/// Tuning for a pipeline: its worker set and the polling knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedConfig {
-    /// Number of workers (= operator state shards). One worker runs inline
-    /// on the driver's thread; more run on a thread each.
-    pub workers: usize,
-    /// Which input column is the partition key, for every stream (the
-    /// caller must pick a column consistent with the query's grouping /
-    /// join keys — the partition-alignment property). Unused with one
-    /// worker.
-    pub partition_col: usize,
-    /// Polling and adaptive-batch knobs.
-    pub driver: DriverConfig,
-}
-
-impl ShardedConfig {
-    /// A config with `workers` workers, partitioning on column 0.
-    pub fn new(workers: usize) -> ShardedConfig {
-        ShardedConfig {
-            workers,
-            partition_col: 0,
-            driver: DriverConfig::default(),
-        }
-    }
-
-    /// Set the partition-key column.
-    pub fn with_partition_col(mut self, col: usize) -> ShardedConfig {
-        self.partition_col = col;
-        self
-    }
-
-    /// Replace the driver knobs.
-    pub fn with_driver(mut self, driver: DriverConfig) -> ShardedConfig {
-        self.driver = driver;
-        self
-    }
-}
-
-impl Default for ShardedConfig {
-    fn default() -> ShardedConfig {
-        ShardedConfig::new(1)
-    }
-}
 
 /// A consistent snapshot of an entire pipeline: per-worker
 /// operator state, per-partition source offsets, and the driver's merge /
@@ -526,7 +483,10 @@ pub struct PipelineDriver {
     workers: WorkerSet,
     sources: Vec<SourceSlot>,
     sinks: Vec<Box<dyn Sink>>,
-    config: ShardedConfig,
+    config: DriverConfig,
+    /// The engine's relations as of construction: what a source's declared
+    /// streams are checked against at attach time.
+    catalog: MemoryCatalog,
     controller: BatchController,
     metrics: PipelineMetrics,
     ledger: WatermarkLedger,
@@ -570,34 +530,44 @@ const POISONED: &str = "pipeline is poisoned by an earlier failure; \
                         restore the last checkpoint into a fresh driver";
 
 impl PipelineDriver {
-    /// Plan `sql` on `engine` once per worker and start the worker set
-    /// (`config.workers` = 1 runs inline, more spawn a thread each).
-    /// Attach sources and sinks, then [`PipelineDriver::run`] (or
-    /// [`PipelineDriver::restore`] a checkpoint first).
-    pub fn new(engine: &Engine, sql: &str, config: ShardedConfig) -> Result<PipelineDriver> {
+    /// [`Engine::plan`] `sql`, then [`PipelineDriver::with_query`].
+    pub fn new(engine: &Engine, sql: &str, config: DriverConfig) -> Result<PipelineDriver> {
+        PipelineDriver::with_query(engine, engine.plan(sql)?, config)
+    }
+
+    /// The one way a pipeline comes to exist: run the planned `query` once
+    /// per worker and start the worker set (`config.workers` = 1 runs
+    /// inline, more spawn a thread each). Attach sources and sinks, then
+    /// [`PipelineDriver::run`] (or [`PipelineDriver::restore`] a
+    /// checkpoint first). The engine is only borrowed.
+    pub fn with_query(
+        engine: &Engine,
+        query: BoundQuery,
+        config: DriverConfig,
+    ) -> Result<PipelineDriver> {
         let queries = (0..config.workers)
-            .map(|_| engine.execute(sql))
+            .map(|_| engine.run(query.clone()))
             .collect::<Result<Vec<RunningQuery>>>()?;
         let Some(first) = queries.first() else {
             return Err(Error::exec("need at least one worker"));
         };
         let schema = first.schema();
-        let ver_cols = onesql_exec::compile::version_columns(first.bound());
+        let ver_cols = onesql_exec::compile::version_columns(&query);
         let clock = first.now();
-        let worker_count = queries.len();
         Ok(PipelineDriver {
-            workers: WorkerSet::start(queries, config.driver.vectorize),
+            workers: WorkerSet::start(queries, config.vectorize),
             sources: Vec::new(),
             sinks: Vec::new(),
             config,
-            controller: BatchController::new(&config.driver),
+            catalog: engine.catalog().clone(),
+            controller: BatchController::new(&config),
             metrics: PipelineMetrics::default(),
             ledger: WatermarkLedger::new(),
             advances: Vec::new(),
             streams: Vec::new(),
             clock,
-            pending: (0..worker_count).map(|_| VecDeque::new()).collect(),
-            next_seq: vec![0; worker_count],
+            pending: (0..config.workers).map(|_| VecDeque::new()).collect(),
+            next_seq: vec![0; config.workers],
             renderer: StreamRenderer::new(ver_cols),
             schema,
             output_watermark: Watermark::MIN,
@@ -653,7 +623,9 @@ impl PipelineDriver {
         self.publish_snapshot();
     }
 
-    /// Attach a partitioned source. Fails once the pipeline has started
+    /// Attach a partitioned source. Every stream it declares must be a
+    /// registered stream, wide enough to hold the partition column when
+    /// several workers share the rows. Fails once the pipeline has started
     /// or restored a checkpoint (the per-stream watermark trackers are
     /// sized at attach time; growing them afterwards would wipe observed
     /// watermark state).
@@ -674,6 +646,32 @@ impl PipelineDriver {
                 "source '{}' declares no partitions",
                 source.name()
             )));
+        }
+        let name = source.name();
+        for stream in source.streams() {
+            let schema = match self.catalog.resolve(stream) {
+                Ok((schema, TableKind::Stream)) => schema,
+                Ok((_, TableKind::Table)) => {
+                    return Err(Error::plan(format!(
+                        "source '{name}' targets '{stream}', which is a table, \
+                         not a stream"
+                    )))
+                }
+                Err(_) => {
+                    return Err(Error::catalog(format!(
+                        "source '{name}' targets unregistered stream '{stream}'"
+                    )))
+                }
+            };
+            let col = self.config.partition_col;
+            if self.workers.len() > 1 && col >= schema.arity() {
+                return Err(Error::plan(format!(
+                    "source '{name}': stream '{stream}' has {} columns, so rows \
+                     cannot be routed to {} workers by partition column {col}",
+                    schema.arity(),
+                    self.workers.len()
+                )));
+            }
         }
         let mut stream_ids = Vec::with_capacity(source.streams().len());
         for stream in source.streams() {
@@ -827,7 +825,7 @@ impl PipelineDriver {
         let worker_count = self.workers.len();
         // A lone inline worker can take a source's columns as they are;
         // routing across several needs rows.
-        let columnar = worker_count == 1 && self.config.driver.vectorize;
+        let columnar = worker_count == 1 && self.config.vectorize;
         let mut routed: Vec<Vec<(usize, Ts, Change)>> =
             (0..worker_count).map(|_| Vec::new()).collect();
         let mut ingested = 0usize;
@@ -1181,7 +1179,7 @@ impl PipelineDriver {
             }
             if ingested == 0 {
                 idle_streak += 1;
-                if let Some(limit) = self.config.driver.max_idle_rounds {
+                if let Some(limit) = self.config.max_idle_rounds {
                     if idle_streak > limit {
                         return Err(Error::exec(format!(
                             "pipeline made no progress for {idle_streak} rounds \
@@ -1530,8 +1528,12 @@ impl std::fmt::Debug for PipelineDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connect::{SourceBatch, SourceEvent};
+    use crate::connect::{
+        ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceBatch,
+        SourceConnector, SourceEvent, SourceSpec,
+    };
     use crate::engine::StreamBuilder;
+    use crate::session::Session;
     use onesql_types::{row, DataType};
 
     fn engine() -> Engine {
@@ -1546,58 +1548,38 @@ mod tests {
         e
     }
 
-    /// A replayable partitioned source: each partition emits its scripted
-    /// events in order, asserting a watermark at its max event time.
-    struct ScriptPartitions {
-        name: String,
-        streams: Vec<String>,
-        parts: Vec<Vec<(Ts, Row)>>,
-        cursors: Vec<usize>,
-    }
+    /// One replayable partition: emits its scripted events in order,
+    /// asserting a watermark at its max event time.
+    struct Script(Vec<(Ts, Row)>, Vec<String>);
 
-    impl ScriptPartitions {
-        fn new(parts: Vec<Vec<(Ts, Row)>>) -> ScriptPartitions {
-            ScriptPartitions {
-                name: "script".to_string(),
-                streams: vec!["Bid".to_string()],
-                cursors: vec![0; parts.len()],
-                parts,
-            }
-        }
-    }
-
-    impl PartitionedSource for ScriptPartitions {
+    impl Source for Script {
         fn name(&self) -> &str {
-            &self.name
+            "script"
         }
         fn streams(&self) -> &[String] {
-            &self.streams
+            &self.1
         }
-        fn partitions(&self) -> usize {
-            self.parts.len()
-        }
-        fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
-            let cursor = self.cursors[partition];
-            let script = &self.parts[partition];
-            let take = max_events.min(script.len() - cursor);
+        fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
             let mut batch = SourceBatch::empty(SourceStatus::Ready);
-            for (ptime, row) in &script[cursor..cursor + take] {
+            for (ptime, row) in self.0.drain(..max_events.min(self.0.len())) {
+                batch.watermark = Some(batch.watermark.map_or(ptime, |w: Ts| w.max(ptime)));
                 batch.events.push(SourceEvent {
                     stream: 0,
-                    ptime: *ptime,
-                    change: Change::insert(row.clone()),
+                    ptime,
+                    change: Change::insert(row),
                 });
-                batch.watermark = Some(batch.watermark.map_or(*ptime, |w: Ts| w.max(*ptime)));
             }
-            self.cursors[partition] += take;
-            if self.cursors[partition] == script.len() {
+            if self.0.is_empty() {
                 batch.status = SourceStatus::Finished;
             }
             Ok(batch)
         }
-        fn offset(&self, partition: usize) -> u64 {
-            self.cursors[partition] as u64
-        }
+    }
+
+    fn script(parts: Vec<Vec<(Ts, Row)>>) -> Box<PartitionedVec<Script>> {
+        let part = |events| Script(events, vec!["Bid".to_string()]);
+        let parts = parts.into_iter().map(part).collect();
+        Box::new(PartitionedVec::new("script", parts).unwrap())
     }
 
     fn bids(n: i64, salt: i64) -> Vec<(Ts, Row)> {
@@ -1608,15 +1590,22 @@ mod tests {
 
     const AGG: &str = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
 
+    fn sharded(workers: usize) -> DriverConfig {
+        DriverConfig {
+            workers,
+            ..DriverConfig::default()
+        }
+    }
+
     #[test]
     fn sharded_matches_unsharded_table() {
         let e = engine();
         let parts = vec![bids(40, 0), bids(40, 3), bids(40, 7)];
         let mut tables = Vec::new();
         for workers in [1usize, 2, 4] {
-            let mut driver = PipelineDriver::new(&e, AGG, ShardedConfig::new(workers)).unwrap();
+            let mut driver = PipelineDriver::new(&e, AGG, sharded(workers)).unwrap();
             driver
-                .attach_partitioned_source(Box::new(ScriptPartitions::new(parts.clone())))
+                .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
             driver.run().unwrap();
             tables.push(driver.table().unwrap());
@@ -1628,21 +1617,21 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         let e = engine();
-        assert!(PipelineDriver::new(&e, AGG, ShardedConfig::new(0)).is_err());
+        assert!(PipelineDriver::new(&e, AGG, sharded(0)).is_err());
     }
 
     #[test]
     fn table_reads_mid_run_and_after_finish() {
         let e = engine();
         for workers in [1usize, 2] {
-            let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+            let config = DriverConfig {
                 batch_size: 2,
                 adaptive: None,
-                ..DriverConfig::default()
-            });
+                ..sharded(workers)
+            };
             let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
             driver
-                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
+                .attach_partitioned_source(script(vec![bids(5, 0)]))
                 .unwrap();
             driver.step().unwrap();
             let counted = |rows: Vec<Row>| -> i64 {
@@ -1660,39 +1649,36 @@ mod tests {
     fn restore_validates_shapes() {
         let e = engine();
         // Small fixed batches so one step leaves the source mid-stream.
-        let config = ShardedConfig::new(2).with_driver(DriverConfig {
+        let config = DriverConfig {
             batch_size: 4,
             adaptive: None,
-            ..DriverConfig::default()
-        });
+            ..sharded(2)
+        };
         let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
         driver
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+            .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
         driver.step().unwrap();
         let cp = driver.checkpoint().unwrap();
 
         // Wrong worker count.
-        let mut other = PipelineDriver::new(&e, AGG, ShardedConfig::new(3)).unwrap();
+        let mut other = PipelineDriver::new(&e, AGG, sharded(3)).unwrap();
         other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+            .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
         assert!(other.restore(&cp).is_err());
 
         // Wrong partition count.
-        let mut other = PipelineDriver::new(&e, AGG, ShardedConfig::new(2)).unwrap();
+        let mut other = PipelineDriver::new(&e, AGG, sharded(2)).unwrap();
         other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![
-                bids(10, 0),
-                bids(10, 1),
-            ])))
+            .attach_partitioned_source(script(vec![bids(10, 0), bids(10, 1)]))
             .unwrap();
         assert!(other.restore(&cp).is_err());
 
         // A driver that already ran refuses restore.
         let mut other = PipelineDriver::new(&e, AGG, config).unwrap();
         other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+            .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
         other.step().unwrap();
         assert!(other.restore(&cp).is_err());
@@ -1702,11 +1688,11 @@ mod tests {
         // the state the restore just loaded.
         let mut other = PipelineDriver::new(&e, AGG, config).unwrap();
         other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+            .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
         other.restore(&cp).unwrap();
         assert!(other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+            .attach_partitioned_source(script(vec![bids(20, 0)]))
             .is_err());
         assert!(other.restore(&cp).is_err());
         // But it still runs to completion normally.
@@ -1727,8 +1713,49 @@ mod tests {
         }
     }
 
+    /// `script` / `Collect` as SQL connectors, so a [`Session`]
+    /// can assemble the pipeline the tests build by hand.
+    struct ScriptConnector(Vec<Vec<(Ts, Row)>>);
+
+    impl SourceConnector for ScriptConnector {
+        fn declare(
+            &self,
+            spec: &SourceSpec,
+            _: &mut OptionBag,
+        ) -> Result<Vec<(String, SchemaRef)>> {
+            Ok(vec![(spec.name.to_string(), spec.schema.clone().unwrap())])
+        }
+        fn build(
+            &self,
+            _: &SourceSpec,
+            _: &mut OptionBag,
+            _: &mut Exports,
+        ) -> Result<Box<dyn PartitionedSource>> {
+            Ok(script(self.0.clone()))
+        }
+    }
+
+    struct CollectConnector;
+
+    impl SinkConnector for CollectConnector {
+        fn declare(&self, _: &SinkSpec, _: &mut OptionBag) -> Result<()> {
+            Ok(())
+        }
+        fn build(
+            &self,
+            _: &SinkSpec,
+            _: &mut OptionBag,
+            out: &mut Exports,
+        ) -> Result<Box<dyn Sink>> {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            out.put(seen.clone());
+            Ok(Box::new(Collect(seen)))
+        }
+    }
+
     #[test]
     fn sink_rows_do_not_depend_on_the_worker_count() {
+        const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
         let e = engine();
         // Partition 1 repeats one ptime, so rounds that poll only it leave
         // the clock where they found it and the hold-back has to be
@@ -1740,20 +1767,43 @@ mod tests {
         let parts = vec![bids(6, 0), stalled];
         let mut outputs = Vec::new();
         for workers in [1usize, 3] {
-            let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+            let config = DriverConfig {
                 batch_size: 3,
                 adaptive: None,
-                ..DriverConfig::default()
-            });
-            let mut driver =
-                PipelineDriver::new(&e, "SELECT auction, price FROM Bid EMIT STREAM", config)
-                    .unwrap();
+                ..sharded(workers)
+            };
+            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
             driver
-                .attach_partitioned_source(Box::new(ScriptPartitions::new(parts.clone())))
+                .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
             let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
             driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
             driver.run().unwrap();
+
+            // Nor on who assembled the pipeline: a `Session` hands the
+            // same constructor the query it bound, and its sink sees the
+            // same rows in the same order.
+            let mut registry = ConnectorRegistry::new();
+            registry.register_source("script", ScriptConnector(parts.clone()));
+            registry.register_sink("collect", CollectConnector);
+            let mut session = Session::new(registry);
+            session.set_driver_config(config);
+            let mut pipeline = session
+                .execute_script(&format!(
+                    "CREATE PARTITIONED SOURCE Bid (auction INT, price INT, ts TIMESTAMP, \
+                     WATERMARK FOR ts) WITH (connector = 'script');
+                     CREATE SINK out WITH (connector = 'collect');
+                     INSERT INTO out {SQL};"
+                ))
+                .unwrap()
+                .into_pipeline()
+                .unwrap();
+            assert_eq!(pipeline.workers(), workers);
+            pipeline.run().unwrap();
+            let via_sql: Arc<std::sync::Mutex<Vec<StreamRow>>> =
+                session.take_handle("out").unwrap();
+            assert_eq!(*via_sql.lock().unwrap(), *seen.lock().unwrap());
+
             let mut rows: Vec<(Ts, Row, bool)> = seen
                 .lock()
                 .unwrap()
@@ -1774,18 +1824,38 @@ mod tests {
     #[test]
     fn failed_step_poisons_the_pipeline() {
         let e = engine();
-        // Partition column out of range: the first step fails after the
-        // source was polled, so the driver must refuse to continue or
-        // checkpoint (the polled events never reached a worker).
-        let mut driver =
-            PipelineDriver::new(&e, AGG, ShardedConfig::new(2).with_partition_col(9)).unwrap();
+        // A row too short to hold the partition column: the first step
+        // fails after the source was polled, so the driver must refuse to
+        // continue or checkpoint (the polled events never reached a
+        // worker).
+        let mut driver = PipelineDriver::new(&e, AGG, sharded(2)).unwrap();
         driver
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
+            .attach_partitioned_source(script(vec![vec![(Ts(0), Row::new(vec![]))]]))
             .unwrap();
         assert!(driver.step().is_err());
         let err = driver.step().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "{err}");
         let err = driver.checkpoint().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "{err}");
+    }
+
+    #[test]
+    fn attach_refuses_a_partition_column_the_stream_does_not_have() {
+        let e = engine();
+        let off_the_end = |workers| DriverConfig {
+            partition_col: 3,
+            ..sharded(workers)
+        };
+        let source = || script(vec![bids(5, 0)]);
+        let mut driver = PipelineDriver::new(&e, AGG, off_the_end(2)).unwrap();
+        let err = driver
+            .attach_partitioned_source(source())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("partition column 3"), "{err}");
+        // One worker routes nothing, so the column is never read.
+        let mut driver = PipelineDriver::new(&e, AGG, off_the_end(1)).unwrap();
+        driver.attach_partitioned_source(source()).unwrap();
+        driver.run().unwrap();
     }
 }

@@ -8,8 +8,6 @@ use onesql_plan::{bind, optimize, BoundQuery, Catalog, MemoryCatalog, TableKind}
 use onesql_state::TemporalTable;
 use onesql_types::{DataType, Duration, Error, Field, Result, Row, Schema, SchemaRef};
 
-use crate::connect::{PartitionedSource, PartitionedVec, Sink, Source};
-use crate::driver::{PipelineDriver, ShardedConfig};
 use crate::query::RunningQuery;
 
 /// Fluent schema builder for registering relations.
@@ -63,12 +61,6 @@ pub struct Engine {
     catalog: MemoryCatalog,
     tables: BTreeMap<String, TableData>,
     config: ExecConfig,
-    /// Connectors registered via [`Engine::attach_source`] /
-    /// [`Engine::attach_partitioned_source`] / [`Engine::attach_sink`],
-    /// consumed by the next [`Engine::run_pipeline`] (or
-    /// [`Engine::run_sharded_pipeline`]).
-    pending_sources: Vec<Box<dyn PartitionedSource>>,
-    pending_sinks: Vec<Box<dyn Sink>>,
 }
 
 impl Engine {
@@ -202,7 +194,7 @@ impl Engine {
         executor.initialize()?;
 
         // Load static/temporal tables into their scan leaves.
-        for source in executor.sources() {
+        for source in executor.sources().to_vec() {
             let Some(data) = self.tables.get(&source.table.to_ascii_lowercase()) else {
                 continue;
             };
@@ -230,86 +222,6 @@ impl Engine {
 
         let input_schemas = self.stream_schemas();
         Ok(RunningQuery::new(bound, executor, input_schemas))
-    }
-
-    /// Register a source connector for the next pipeline, as a
-    /// 1-partition source. Every stream the source declares must already
-    /// be registered on the engine.
-    pub fn attach_source(&mut self, source: Box<dyn Source>) -> Result<()> {
-        self.attach_partitioned_source(Box::new(PartitionedVec::single(source)))
-    }
-
-    /// Register a partitioned source connector for the next pipeline.
-    /// Every stream the source declares must already be registered on the
-    /// engine.
-    pub fn attach_partitioned_source(&mut self, source: Box<dyn PartitionedSource>) -> Result<()> {
-        self.validate_source_streams(source.name(), source.streams())?;
-        self.pending_sources.push(source);
-        Ok(())
-    }
-
-    fn validate_source_streams(&self, name: &str, streams: &[String]) -> Result<()> {
-        for stream in streams {
-            match self.catalog.resolve(stream) {
-                Ok((_, TableKind::Stream)) => {}
-                Ok((_, TableKind::Table)) => {
-                    return Err(Error::plan(format!(
-                        "source '{name}' targets '{stream}', which is a table, \
-                         not a stream"
-                    )))
-                }
-                Err(_) => {
-                    return Err(Error::catalog(format!(
-                        "source '{name}' targets unregistered stream '{stream}'"
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Register a sink connector for the next pipeline.
-    pub fn attach_sink(&mut self, sink: Box<dyn Sink>) {
-        self.pending_sinks.push(sink);
-    }
-
-    /// Plan `sql` and wrap it in a one-worker [`PipelineDriver`] — the
-    /// query runs inline on the calling thread — wired to every connector
-    /// attached since the last call. An end-to-end job is `attach_source`
-    /// + `attach_sink` + `run_pipeline(sql)?.run()`.
-    pub fn run_pipeline(&mut self, sql: &str) -> Result<PipelineDriver> {
-        self.run_sharded_pipeline(sql, ShardedConfig::default())
-    }
-
-    /// Plan `sql` as `config.workers` query workers (hash-sharded when
-    /// there are several) and wrap it in a [`PipelineDriver`] wired to
-    /// every connector attached since the last call, in attach order. The
-    /// driver is returned ready to [`PipelineDriver::run`], or to
-    /// [`PipelineDriver::restore`] a checkpoint first.
-    pub fn run_sharded_pipeline(
-        &mut self,
-        sql: &str,
-        config: ShardedConfig,
-    ) -> Result<PipelineDriver> {
-        if self.pending_sources.is_empty() {
-            return Err(Error::plan("a pipeline needs at least one attached source"));
-        }
-        let mut driver = PipelineDriver::new(self, sql, config)?;
-        for source in self.pending_sources.drain(..) {
-            driver.attach_partitioned_source(source)?;
-        }
-        for sink in self.pending_sinks.drain(..) {
-            driver.attach_sink(sink)?;
-        }
-        Ok(driver)
-    }
-
-    /// Drop every connector attached since the last pipeline was built
-    /// (cleanup after a failed assembly, so stale connectors cannot leak
-    /// into the next pipeline).
-    pub fn discard_pending_connectors(&mut self) {
-        self.pending_sources.clear();
-        self.pending_sinks.clear();
     }
 
     fn stream_schemas(&self) -> BTreeMap<String, SchemaRef> {

@@ -49,7 +49,7 @@ pub use connect::{
     PartitionedSource, PipelineMetrics, Sink, SinkConnector, SinkSpec, Source, SourceBatch,
     SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus, WatermarkProvenance,
 };
-pub use driver::{PipelineCheckpoint, PipelineDriver, ShardedConfig};
+pub use driver::{PipelineCheckpoint, PipelineDriver};
 pub use durable::{schema_fingerprint, CheckpointStore, DEFAULT_RETAIN};
 pub use engine::{Engine, StreamBuilder};
 pub use hash::{partition_of, StableHasher};

@@ -60,11 +60,6 @@ impl RunningQuery {
         self.executor.schema()
     }
 
-    /// The bound query (plan, ORDER BY/LIMIT, EMIT spec).
-    pub fn bound(&self) -> &BoundQuery {
-        &self.query
-    }
-
     /// Attach a watermark generator to a stream: each inserted event feeds
     /// the generator with the value of the stream's first event-time
     /// column, and any watermark advancement is delivered automatically.
@@ -132,8 +127,8 @@ impl RunningQuery {
     /// watermark generator on the stream (a generator may emit a watermark
     /// after *every* event, which a whole-batch feed cannot interleave).
     pub fn vectorizes(&self, table: &str) -> bool {
-        !self.generators.contains_key(&table.to_ascii_lowercase())
-            && self.executor.supports_batches(table)
+        let generated = |name: &String| name.eq_ignore_ascii_case(table);
+        !self.generators.keys().any(generated) && self.executor.supports_batches(table)
     }
 
     /// Apply a columnar run of changes, each at its own processing time.

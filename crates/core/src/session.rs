@@ -11,9 +11,9 @@
 //! Definitions persist: a `CREATE` mutates the session catalog, later
 //! statements (in the same or a later script) bind against it, and every
 //! `INSERT` instantiates fresh connectors from the stored definitions.
-//! Pipeline assembly itself goes through the same [`crate::Engine`]
-//! attach/run methods the imperative API uses, so there is exactly one
-//! wiring code path.
+//! Pipeline assembly itself is [`PipelineDriver::with_query`] plus the
+//! driver's attach methods — the one constructor the imperative API uses
+//! too, handed the query the statement already bound.
 //!
 //! Connector factories come from a [`ConnectorRegistry`] — the
 //! `onesql-connect` crate registers the built-in families (`file`,
@@ -141,7 +141,8 @@ use onesql_plan::lint::{
 };
 use onesql_plan::statement::referenced_relations;
 use onesql_plan::{
-    bind_statement, BoundStatement, Catalog, ConnectorOptions, SessionKnob, TableKind, TraceMode,
+    bind_statement, BoundQuery, BoundStatement, Catalog, ConnectorOptions, SessionKnob, TableKind,
+    TraceMode,
 };
 use onesql_sql::ast::{DropKind, OptionValue, Statement};
 use onesql_sql::{Span, SpannedStatement};
@@ -150,7 +151,7 @@ use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::registry::{ConnectorRegistry, Exports, OptionBag, SinkSpec, SourceSpec};
 use crate::connect::{DriverConfig, PartitionedSource, PipelineMetrics};
-use crate::driver::{PipelineDriver, ShardedConfig};
+use crate::driver::PipelineDriver;
 use crate::engine::Engine;
 use crate::history::HistoryTap;
 use crate::observe::{self, MetricRow};
@@ -554,9 +555,9 @@ pub struct Session {
     /// addressable by `CHECKPOINT PIPELINE` / `RESTORE PIPELINE`
     /// statements across `execute` calls.
     pipelines: BTreeMap<String, SqlPipeline>,
-    /// Worker count, partition column and driver knobs for later
+    /// Worker count, partition column and polling knobs for later
     /// `INSERT`s (`SET workers` and friends).
-    config: ShardedConfig,
+    config: DriverConfig,
     /// Epochs a `CHECKPOINT PIPELINE` store retains (`SET
     /// checkpoint_retain = K`).
     checkpoint_retain: usize,
@@ -568,8 +569,8 @@ pub struct Session {
 impl Session {
     /// A session over a fresh [`Engine`], building connectors from
     /// `registry`. `INSERT`s default to 1 worker, partition column 0, and
-    /// the default [`DriverConfig`]; see
-    /// [`Session::set_workers`] and friends.
+    /// the default [`DriverConfig`]; see `SET workers` and friends, or
+    /// [`Session::set_driver_config`].
     pub fn new(registry: ConnectorRegistry) -> Session {
         Session {
             engine: Engine::new(),
@@ -578,7 +579,7 @@ impl Session {
             sinks: Vec::new(),
             handles: BTreeMap::new(),
             pipelines: BTreeMap::new(),
-            config: ShardedConfig::default(),
+            config: DriverConfig::default(),
             checkpoint_retain: crate::durable::DEFAULT_RETAIN,
             lint: LintMode::default(),
         }
@@ -595,20 +596,10 @@ impl Session {
         &mut self.engine
     }
 
-    /// Worker count for pipelines assembled by later `INSERT`s.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.config.workers = workers;
-    }
-
-    /// Partition-key column for multi-worker pipelines (see
-    /// [`ShardedConfig::partition_col`]).
-    pub fn set_partition_col(&mut self, col: usize) {
-        self.config.partition_col = col;
-    }
-
-    /// Driver tuning for pipelines assembled by later `INSERT`s.
+    /// Replace the whole configuration — worker count and partition
+    /// column included — for pipelines assembled by later `INSERT`s.
     pub fn set_driver_config(&mut self, config: DriverConfig) {
-        self.config.driver = config;
+        self.config = config;
     }
 
     /// Run a multi-statement script: DDL mutates the catalog, `INSERT`s
@@ -858,13 +849,7 @@ impl Session {
                 Ok(StatementResult::Query(Box::new(self.engine.run(query)?)))
             }
             BoundStatement::Explain(query) => Ok(StatementResult::Explained(query.explain())),
-            BoundStatement::ExplainAnalyze { query, query_sql } => {
-                let result = self.explain_analyze(&query, &query_sql);
-                if result.is_err() {
-                    self.engine.discard_pending_connectors();
-                }
-                result
-            }
+            BoundStatement::ExplainAnalyze(query) => self.explain_analyze(query),
             BoundStatement::ExplainLint { script } => {
                 let diagnostics = self.lint_script(&script);
                 Ok(StatementResult::Diagnostics {
@@ -980,19 +965,7 @@ impl Session {
                 });
                 Ok(StatementResult::Created(name))
             }
-            BoundStatement::Insert {
-                sink,
-                query,
-                query_sql,
-            } => {
-                let result = self.assemble_pipeline(&sink, &query, &query_sql);
-                if result.is_err() {
-                    // Never leak half-attached connectors into the next
-                    // pipeline.
-                    self.engine.discard_pending_connectors();
-                }
-                result
-            }
+            BoundStatement::Insert { sink, query } => self.assemble_pipeline(&sink, query),
             BoundStatement::Drop {
                 kind,
                 if_exists,
@@ -1008,13 +981,9 @@ impl Session {
         match knob {
             SessionKnob::Workers(n) => self.config.workers = n,
             SessionKnob::PartitionCol(col) => self.config.partition_col = col,
-            SessionKnob::BatchSize(n) => self.config.driver.batch_size = n,
+            SessionKnob::BatchSize(n) => self.config.batch_size = n,
             SessionKnob::MinBatch(n) => {
-                let adaptive = self
-                    .config
-                    .driver
-                    .adaptive
-                    .get_or_insert_with(Default::default);
+                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
                 if n > adaptive.max_batch {
                     return Err(Error::plan(format!(
                         "SET min_batch = {n}: exceeds max_batch ({})",
@@ -1024,11 +993,7 @@ impl Session {
                 adaptive.min_batch = n;
             }
             SessionKnob::MaxBatch(n) => {
-                let adaptive = self
-                    .config
-                    .driver
-                    .adaptive
-                    .get_or_insert_with(Default::default);
+                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
                 if n < adaptive.min_batch {
                     return Err(Error::plan(format!(
                         "SET max_batch = {n}: below min_batch ({})",
@@ -1038,7 +1003,7 @@ impl Session {
                 adaptive.max_batch = n;
             }
             SessionKnob::MaxIdleRounds(n) => {
-                self.config.driver.max_idle_rounds = if n == 0 { None } else { Some(n) };
+                self.config.max_idle_rounds = if n == 0 { None } else { Some(n) };
             }
             SessionKnob::CheckpointRetain(k) => self.checkpoint_retain = k,
             SessionKnob::Lint(mode) => self.lint = mode,
@@ -1155,12 +1120,7 @@ impl Session {
         Ok(StatementResult::Created(name))
     }
 
-    fn assemble_pipeline(
-        &mut self,
-        sink: &str,
-        query: &onesql_plan::BoundQuery,
-        query_sql: &str,
-    ) -> Result<StatementResult> {
+    fn assemble_pipeline(&mut self, sink: &str, query: BoundQuery) -> Result<StatementResult> {
         let Some(sink_idx) = self.find_sink(sink) else {
             let known: Vec<&str> = self.sinks.iter().map(|d| d.name.as_str()).collect();
             return Err(Error::catalog(format!(
@@ -1168,7 +1128,7 @@ impl Session {
                 known.join(", ")
             )));
         };
-        let (streams, tables) = referenced_relations(query);
+        let (streams, tables) = referenced_relations(&query);
         // The pipeline's schema fingerprint: every relation the query
         // scans, hashed as defined *right now*. A durable checkpoint
         // records this so a restore under changed definitions is refused
@@ -1182,23 +1142,19 @@ impl Session {
             ));
         }
         fingerprint.sort();
-        // Handles are only *staged* here: committing them to the store
-        // before the whole pipeline assembles would let a failed INSERT
-        // clobber a live pipeline's handles with ones wired to discarded
-        // connectors.
-        let mut staged = self.attach_feeding_sources(&format!("INSERT INTO {sink}"), &streams)?;
-        let sink_box = self.build_sink(sink_idx, &mut staged)?;
-        self.engine.attach_sink(sink_box);
+        // Connectors attach straight to the driver, so a failed assembly
+        // drops them with it. Their handles are only *staged*: committing
+        // them before the whole pipeline assembles would let a failed
+        // INSERT clobber a live pipeline's handles with dead ones.
+        let mut driver = PipelineDriver::with_query(&self.engine, query, self.config)?;
+        let mut staged =
+            self.attach_feeding_sources(&mut driver, &format!("INSERT INTO {sink}"), &streams)?;
+        driver.attach_sink(self.build_sink(sink_idx, &mut staged)?)?;
 
-        // `query_sql` is the bound query's canonical text (round-trip
-        // property-tested): re-planning it here costs one extra
-        // parse+bind, but keeps pipeline assembly on the exact
-        // Engine::run_*pipeline path the imperative API uses.
         let name = sink.to_ascii_lowercase();
         // A fresh pipeline under this id supersedes any telemetry a
         // previous incarnation published.
         observe::hub().clear(&name);
-        let mut driver = self.engine.run_sharded_pipeline(query_sql, self.config)?;
         driver.set_label(&name);
         for (key, items) in staged {
             self.handles.insert(key, items);
@@ -1216,32 +1172,26 @@ impl Session {
     /// telemetry next to the plan. The throwaway run keeps its handles
     /// staged so it cannot clobber a live pipeline's exports, and it is
     /// deliberately unlabelled so it never publishes to the metrics hub.
-    fn explain_analyze(
-        &mut self,
-        query: &onesql_plan::BoundQuery,
-        query_sql: &str,
-    ) -> Result<StatementResult> {
+    fn explain_analyze(&self, query: BoundQuery) -> Result<StatementResult> {
         let plan = query.explain();
-        let (streams, _tables) = referenced_relations(query);
+        let (streams, _tables) = referenced_relations(&query);
+        let mut driver = PipelineDriver::with_query(&self.engine, query, self.config)?;
         // The staged handles are dropped, never committed.
-        self.attach_feeding_sources("EXPLAIN ANALYZE", &streams)?;
-        let metrics = self
-            .engine
-            .run_sharded_pipeline(query_sql, self.config)?
-            .run()?
-            .clone();
-        Ok(StatementResult::Analyzed {
-            plan,
-            rows: metrics.render_rows(),
-        })
+        self.attach_feeding_sources(&mut driver, "EXPLAIN ANALYZE", &streams)?;
+        let rows = driver.run()?.render_rows();
+        Ok(StatementResult::Analyzed { plan, rows })
     }
 
     /// Instantiate a fresh connector from every stored source definition
-    /// that feeds one of `streams` and attach it through the engine's
-    /// (single) wiring path, in creation order. Returns the handles the
-    /// connectors exported, for the caller to commit or drop. `what` names
-    /// the statement in errors.
-    fn attach_feeding_sources(&mut self, what: &str, streams: &[String]) -> Result<StagedHandles> {
+    /// that feeds one of `streams` and attach it to `driver`, in creation
+    /// order. Returns the handles the connectors exported, for the caller
+    /// to commit or drop. `what` names the statement in errors.
+    fn attach_feeding_sources(
+        &self,
+        driver: &mut PipelineDriver,
+        what: &str,
+        streams: &[String],
+    ) -> Result<StagedHandles> {
         let selected: Vec<usize> = (0..self.sources.len())
             .filter(|&i| self.sources[i].streams.iter().any(|s| streams.contains(s)))
             .collect();
@@ -1271,14 +1221,13 @@ impl Session {
         }
         let mut staged = Vec::new();
         for idx in selected {
-            let source = self.build_source(idx, &mut staged)?;
-            self.engine.attach_partitioned_source(source)?;
+            driver.attach_partitioned_source(self.build_source(idx, &mut staged)?)?;
         }
         Ok(staged)
     }
 
     fn build_source(
-        &mut self,
+        &self,
         idx: usize,
         staged: &mut StagedHandles,
     ) -> Result<Box<dyn PartitionedSource>> {
@@ -1290,21 +1239,19 @@ impl Session {
         );
         let _ = bag.require_str("connector")?;
         let mut exports = Exports::default();
-        let built = {
-            let spec = SourceSpec {
-                name: &def.name,
-                partitioned: def.partitioned,
-                schema: def.schema.clone(),
-                catalog: self.engine.catalog(),
-            };
-            factory.build(&spec, &mut bag, &mut exports)?
+        let spec = SourceSpec {
+            name: &def.name,
+            partitioned: def.partitioned,
+            schema: def.schema.clone(),
+            catalog: self.engine.catalog(),
         };
+        let built = factory.build(&spec, &mut bag, &mut exports)?;
         staged.push((handle_key("source", &def.name), exports.into_items()));
         Ok(built)
     }
 
     fn build_sink(
-        &mut self,
+        &self,
         idx: usize,
         staged: &mut StagedHandles,
     ) -> Result<Box<dyn crate::connect::Sink>> {

@@ -202,9 +202,9 @@ impl OpNode {
         m
     }
 
-    fn collect_sources<'a>(&'a self, out: &mut Vec<&'a SourceInfo>) {
+    fn collect_sources(&self, out: &mut Vec<SourceInfo>) {
         if let Some(info) = &self.source {
-            out.push(info);
+            out.push(info.clone());
         }
         for c in &self.children {
             c.collect_sources(out);
@@ -258,12 +258,21 @@ pub struct Executor {
     output: Changelog,
     watermark: Watermark,
     initialized: bool,
+    /// Every source leaf in tree order, and whether any operator schedules
+    /// processing-time timers: the tree's shape never changes, so both are
+    /// resolved once.
+    sources: Vec<SourceInfo>,
+    uses_timers: bool,
 }
 
 impl Executor {
     /// Wrap a compiled operator tree.
     pub fn new(root: OpNode, schema: SchemaRef) -> Executor {
+        let mut sources = Vec::new();
+        root.collect_sources(&mut sources);
         Executor {
+            uses_timers: root.uses_timers(),
+            sources,
             root,
             schema,
             now: Ts(0),
@@ -279,10 +288,18 @@ impl Executor {
     }
 
     /// All source leaves in tree order.
-    pub fn sources(&self) -> Vec<SourceInfo> {
-        let mut out = Vec::new();
-        self.root.collect_sources(&mut out);
-        out.into_iter().cloned().collect()
+    pub fn sources(&self) -> &[SourceInfo] {
+        &self.sources
+    }
+
+    /// The id of the `n`-th source leaf scanning `table`, if it has that
+    /// many.
+    fn leaf(&self, table: &str, n: usize) -> Option<usize> {
+        let mut scanning = self
+            .sources
+            .iter()
+            .filter(|s| s.table.eq_ignore_ascii_case(table));
+        scanning.nth(n).map(|s| s.id)
     }
 
     /// Current processing time.
@@ -365,21 +382,14 @@ impl Executor {
     /// Feed one element into every source leaf scanning `table`.
     pub fn feed(&mut self, table: &str, ptime: Ts, elem: Element) -> Result<()> {
         self.advance_to(ptime)?;
-        let ids: Vec<usize> = self
-            .sources()
-            .iter()
-            .filter(|s| s.table.eq_ignore_ascii_case(table))
-            .map(|s| s.id)
-            .collect();
-        if ids.is_empty() {
-            // The query does not read this table; ignore.
-            return Ok(());
-        }
-        for id in ids {
+        // No leaf at all: the query does not read this table; ignore.
+        let mut n = 0;
+        while let Some(id) = self.leaf(table, n) {
             let mut out = Vec::new();
             let now = self.now;
             self.root.feed(id, &elem, now, &mut out)?;
             self.record(out);
+            n += 1;
         }
         Ok(())
     }
@@ -390,14 +400,7 @@ impl Executor {
     /// which a whole-batch feed cannot reproduce) and no operator in the
     /// tree schedules processing-time timers.
     pub fn supports_batches(&self, table: &str) -> bool {
-        if self.root.uses_timers() {
-            return false;
-        }
-        self.sources()
-            .iter()
-            .filter(|s| s.table.eq_ignore_ascii_case(table))
-            .count()
-            == 1
+        !self.uses_timers && self.leaf(table, 0).is_some() && self.leaf(table, 1).is_none()
     }
 
     /// Feed a columnar batch of data changes for `table`, each row at its
@@ -418,13 +421,7 @@ impl Executor {
             return Ok(());
         }
         self.advance_to(batch.ptime(0))?;
-        let ids: Vec<usize> = self
-            .sources()
-            .iter()
-            .filter(|s| s.table.eq_ignore_ascii_case(table))
-            .map(|s| s.id)
-            .collect();
-        let Some(&id) = ids.first() else {
+        let Some(id) = self.leaf(table, 0) else {
             // The query does not read this table; ignore.
             return Ok(());
         };
@@ -443,8 +440,8 @@ impl Executor {
     /// sources: the input will never change again.
     pub fn finish(&mut self, at: Ts) -> Result<()> {
         self.advance_to(at)?;
-        for info in self.sources() {
-            self.feed_source(info.id, at, Element::Watermark(Watermark::MAX))?;
+        for i in 0..self.sources.len() {
+            self.feed_source(self.sources[i].id, at, Element::Watermark(Watermark::MAX))?;
         }
         // Final watermark may have armed last-gasp delay timers.
         while let Some(deadline) = self.root.next_timer() {

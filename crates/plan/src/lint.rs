@@ -387,7 +387,7 @@ impl Linter {
                 self.check_shard_alignment(query, span, idx);
                 self.check_no_event_time(query, span, idx);
             }
-            BoundStatement::ExplainAnalyze { query, .. } => {
+            BoundStatement::ExplainAnalyze(query) => {
                 self.mark_query_refs(query);
                 self.check_unfed_streams("EXPLAIN ANALYZE", query, span, idx);
                 self.check_unbounded_state(query, span, idx);
@@ -435,7 +435,7 @@ impl Linter {
                 }
                 self.record_created(name, CreatedKind::Sink, span, idx);
             }
-            BoundStatement::Insert { sink, query, .. } => self.visit_insert(sink, query, span, idx),
+            BoundStatement::Insert { sink, query } => self.visit_insert(sink, query, span, idx),
             BoundStatement::Set(knob) => self.visit_set(*knob, span, idx),
             BoundStatement::CheckpointPipeline { pipeline, .. } => {
                 self.referenced.insert(pipeline.to_ascii_lowercase());

@@ -107,21 +107,12 @@ pub enum BoundStatement {
         sink: String,
         /// The bound, optimized query.
         query: BoundQuery,
-        /// Canonical SQL text of the query (reparses to the same plan),
-        /// for engines that plan per worker from text.
-        query_sql: String,
     },
     /// `EXPLAIN <query>`.
     Explain(BoundQuery),
     /// `EXPLAIN ANALYZE <query>`: run the query over the session's
     /// sources and report plan plus execution metrics.
-    ExplainAnalyze {
-        /// The bound, optimized query.
-        query: BoundQuery,
-        /// Canonical SQL text of the query (reparses to the same plan),
-        /// for engines that plan per worker from text.
-        query_sql: String,
-    },
+    ExplainAnalyze(BoundQuery),
     /// `EXPLAIN LINT ...`: run the static analyzer over `script` (for the
     /// single-statement form, the statement's canonical SQL text) and
     /// report diagnostics. The script is *not* bound here — the session
@@ -333,10 +324,9 @@ pub fn bind_statement(stmt: &Statement, catalog: &dyn Catalog) -> Result<BoundSt
     match stmt {
         Statement::Query(q) => Ok(BoundStatement::Query(optimize(crate::bind(q, catalog)?))),
         Statement::Explain(q) => Ok(BoundStatement::Explain(optimize(crate::bind(q, catalog)?))),
-        Statement::ExplainAnalyze(q) => Ok(BoundStatement::ExplainAnalyze {
-            query: optimize(crate::bind(q, catalog)?),
-            query_sql: q.to_string(),
-        }),
+        Statement::ExplainAnalyze(q) => Ok(BoundStatement::ExplainAnalyze(optimize(crate::bind(
+            q, catalog,
+        )?))),
         Statement::ExplainLint(target) => Ok(BoundStatement::ExplainLint {
             script: match target {
                 // Canonical text: spans in the diagnostics refer to it,
@@ -354,14 +344,10 @@ pub fn bind_statement(stmt: &Statement, catalog: &dyn Catalog) -> Result<BoundSt
             pipeline: pipeline.clone(),
             path: path.clone(),
         }),
-        Statement::Insert { sink, query } => {
-            let bound = optimize(crate::bind(query, catalog)?);
-            Ok(BoundStatement::Insert {
-                sink: sink.clone(),
-                query: bound,
-                query_sql: query.to_string(),
-            })
-        }
+        Statement::Insert { sink, query } => Ok(BoundStatement::Insert {
+            sink: sink.clone(),
+            query: optimize(crate::bind(query, catalog)?),
+        }),
         Statement::CreateSource(c) => {
             let schema = if c.columns.is_empty() {
                 if let Some(wm) = &c.watermark {
@@ -646,20 +632,15 @@ mod tests {
 
     #[test]
     fn insert_binds_query_against_catalog() {
-        let b = bind_text("INSERT INTO out SELECT price FROM Bid WHERE price > 2").unwrap();
-        let BoundStatement::Insert {
-            sink,
-            query,
-            query_sql,
-        } = b
-        else {
+        let sql = "INSERT INTO out SELECT price FROM Bid WHERE price > 2";
+        let BoundStatement::Insert { sink, query } = bind_text(sql).unwrap() else {
             panic!()
         };
         assert_eq!(sink, "out");
         assert_eq!(query.schema().arity(), 1);
-        // The canonical text must rebind to the same plan.
-        let reparsed = bind_text(&format!("INSERT INTO out {query_sql}")).unwrap();
-        let BoundStatement::Insert { query: q2, .. } = reparsed else {
+        // The statement's canonical text must rebind to the same plan.
+        let canonical = parse_statement(sql).unwrap().to_string();
+        let BoundStatement::Insert { query: q2, .. } = bind_text(&canonical).unwrap() else {
             panic!()
         };
         assert_eq!(query.plan, q2.plan);

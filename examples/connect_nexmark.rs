@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example connect_nexmark`
 
-use onesql::connect::{ChangelogSink, NexmarkSource};
+use onesql::connect::{ChangelogSink, DriverConfig, NexmarkSource, PipelineDriver};
 use onesql::core::Engine;
 use onesql_nexmark::queries;
 
@@ -13,12 +13,15 @@ fn main() {
     onesql::connect::register_nexmark_streams(&mut engine);
 
     // An end-to-end job is three lines: source, sink, SQL.
-    engine
+    let (rendered, sink) = ChangelogSink::in_memory();
+    let mut pipeline =
+        PipelineDriver::new(&engine, queries::Q7, DriverConfig::default()).expect("Q7 plans");
+    pipeline
         .attach_source(Box::new(NexmarkSource::seeded(42, 5_000)))
         .expect("streams registered");
-    let (rendered, sink) = ChangelogSink::in_memory();
-    engine.attach_sink(Box::new(sink.with_watermarks()));
-    let mut pipeline = engine.run_pipeline(queries::Q7).expect("Q7 plans");
+    pipeline
+        .attach_sink(Box::new(sink.with_watermarks()))
+        .unwrap();
 
     let metrics = pipeline.run().expect("pipeline runs").clone();
 

@@ -12,7 +12,7 @@ use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource, Partit
 use onesql::core::StreamRow;
 use onesql::{
     DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, PartitionedNetSource, PipelineDriver,
-    ShardedConfig, Sink, SourceStatus,
+    Sink, SourceStatus,
 };
 use onesql_types::Result;
 
@@ -100,16 +100,17 @@ fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, Pipelin
     .unwrap();
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
     let rows = Arc::new(Mutex::new(Vec::new()));
-    engine.attach_sink(Box::new(CollectingSink { rows: rows.clone() }));
-    let config = ShardedConfig::new(2).with_driver(DriverConfig {
+    let config = DriverConfig {
+        workers: 2,
         batch_size: BATCH,
         adaptive: None,
         ..DriverConfig::default()
-    });
-    let driver = engine
-        .run_sharded_pipeline(onesql_nexmark::queries::Q7, config)
+    };
+    let mut driver = PipelineDriver::new(&engine, onesql_nexmark::queries::Q7, config).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    driver
+        .attach_sink(Box::new(CollectingSink { rows: rows.clone() }))
         .unwrap();
     (rows, driver)
 }

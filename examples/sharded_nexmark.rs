@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource};
 use onesql::core::StreamRow;
-use onesql::{Engine, PipelineDriver, ShardedConfig, Sink};
+use onesql::{DriverConfig, Engine, PipelineDriver, Sink};
 
 const EVENTS: u64 = 20_000;
 const PARTITIONS: usize = 4;
@@ -33,16 +33,20 @@ impl Sink for CollectingSink {
 fn pipeline() -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine
+    let rows = Arc::new(Mutex::new(Vec::new()));
+    let config = DriverConfig {
+        workers: WORKERS,
+        ..DriverConfig::default()
+    };
+    let mut driver = PipelineDriver::new(&engine, SQL, config).expect("pipeline plans");
+    driver
         .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(
             42, EVENTS, PARTITIONS,
         )))
         .expect("streams registered");
-    let rows = Arc::new(Mutex::new(Vec::new()));
-    engine.attach_sink(Box::new(CollectingSink(rows.clone())));
-    let driver = engine
-        .run_sharded_pipeline(SQL, ShardedConfig::new(WORKERS))
-        .expect("pipeline plans");
+    driver
+        .attach_sink(Box::new(CollectingSink(rows.clone())))
+        .unwrap();
     (rows, driver)
 }
 

@@ -107,7 +107,7 @@ fn main() -> Result<()> {
     );
 
     let mut session = session();
-    session.set_workers(WORKERS);
+    session.execute(&format!("SET workers = {WORKERS}"))?;
 
     // Lint before running: the only finding should be the deliberately
     // ungated EMIT (this example exists to show the raw changelog).
@@ -127,7 +127,7 @@ fn main() -> Result<()> {
     let addr = NetAddr::unix(&socket);
     let producer = std::thread::spawn(move || run_producer(addr));
 
-    assert_eq!(pipeline.workers(), WORKERS, "set_workers applied");
+    assert_eq!(pipeline.workers(), WORKERS, "SET workers applied");
     let metrics = pipeline.run()?;
     producer.join().expect("producer thread")?;
 

@@ -11,7 +11,10 @@
 //! Run with: `cargo run --release --example trace_pipeline`
 
 use onesql::connect::{json, register_nexmark_streams, session, NexmarkSource};
-use onesql::{ChangelogSink, Engine, NetAddr, NetConfig, NetSink, NetSource, StatementResult};
+use onesql::{
+    ChangelogSink, DriverConfig, Engine, NetAddr, NetConfig, NetSink, NetSource, PipelineDriver,
+    StatementResult,
+};
 use onesql_nexmark::queries;
 use onesql_types::{DataType, Result};
 
@@ -38,14 +41,18 @@ fn main() -> Result<()> {
     let producer = std::thread::spawn(move || -> Result<u64> {
         let mut engine = Engine::new();
         register_nexmark_streams(&mut engine);
-        engine.attach_source(Box::new(NexmarkSource::seeded(7, EVENTS)))?;
-        engine.attach_sink(Box::new(NetSink::connect(
+        let mut driver = PipelineDriver::new(
+            &engine,
+            &format!("{} EMIT STREAM", queries::Q7),
+            DriverConfig::default(),
+        )?;
+        driver.attach_source(Box::new(NexmarkSource::seeded(7, EVENTS)))?;
+        driver.attach_sink(Box::new(NetSink::connect(
             addr,
             "Mid",
             0,
             NetConfig::default(),
-        )));
-        let mut driver = engine.run_pipeline(&format!("{} EMIT STREAM", queries::Q7))?;
+        )))?;
         driver.set_label(PRODUCER);
         Ok(driver.run()?.events_out)
     });
@@ -61,10 +68,11 @@ fn main() -> Result<()> {
             .column("price", DataType::Int)
             .column("auction", DataType::Int),
     );
-    engine.attach_source(Box::new(source))?;
     let (rendered, sink) = ChangelogSink::in_memory();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine.run_pipeline("SELECT wstart, price, auction FROM Mid EMIT STREAM")?;
+    let sql = "SELECT wstart, price, auction FROM Mid EMIT STREAM";
+    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default())?;
+    driver.attach_source(Box::new(source))?;
+    driver.attach_sink(Box::new(sink))?;
     driver.set_label(CONSUMER);
     let consumed = driver.run()?.events_in;
     let shipped = producer.join().expect("producer thread")?;

@@ -18,8 +18,8 @@ pub use onesql_connect::{
     NetAddr, NetConfig, NetPublisher, NetSink, NetSource, NexmarkSource, PartitionedFileSource,
     PartitionedNetSource, PartitionedNexmarkSource, PartitionedSource, PartitionedVec,
     PipelineCheckpoint, PipelineDriver, PipelineMetrics, ScriptOutcome, Session,
-    ShardedChannelSource, ShardedConfig, Sink, Source, SourceBatch, SourceEvent, SourceStatus,
-    SqlPipeline, StatementResult, TxnFileSink,
+    ShardedChannelSource, Sink, Source, SourceBatch, SourceEvent, SourceStatus, SqlPipeline,
+    StatementResult, TxnFileSink,
 };
 pub use onesql_core::{
     CheckpointStore, Engine, HistoryEvent, HistoryTap, RunningQuery, StreamBuilder,

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use onesql::connect::{
     channel, channel_sink, ChangelogSink, CsvFileSink, CsvFileSource, CsvSinkMode, DriverConfig,
-    FileSourceConfig, JsonLinesSink, JsonLinesSource, NexmarkSource, ShardedConfig, Sink,
+    FileSourceConfig, JsonLinesSink, JsonLinesSource, NexmarkSource, PipelineDriver, Sink,
     SinkEvent, Source, SourceBatch, SourceEvent, SourceStatus,
 };
 use onesql::core::{Engine, StreamBuilder};
@@ -77,8 +77,9 @@ fn csv_roundtrip_with_watermark_gated_emit() {
 
     // Events are up to 6 minutes out of order; lateness must cover it for
     // the watermark gate to hold windows until truly complete.
-    let mut engine = bid_engine();
-    engine
+    let engine = bid_engine();
+    let mut pipeline = PipelineDriver::new(&engine, WINDOWED_SQL, DriverConfig::default()).unwrap();
+    pipeline
         .attach_source(Box::new(
             CsvFileSource::new(
                 &input,
@@ -92,10 +93,11 @@ fn csv_roundtrip_with_watermark_gated_emit() {
             .unwrap(),
         ))
         .unwrap();
-    engine.attach_sink(Box::new(
-        CsvFileSink::headerless(&output, CsvSinkMode::Appends).unwrap(),
-    ));
-    let mut pipeline = engine.run_pipeline(WINDOWED_SQL).unwrap();
+    pipeline
+        .attach_sink(Box::new(
+            CsvFileSink::headerless(&output, CsvSinkMode::Appends).unwrap(),
+        ))
+        .unwrap();
     let metrics = pipeline.run().unwrap().clone();
     assert_eq!(metrics.events_in, 6);
     assert!(metrics.watermarks_in >= 1, "{metrics:?}");
@@ -111,14 +113,17 @@ fn csv_roundtrip_with_watermark_gated_emit() {
     );
     let mut reader = Engine::new();
     reader.register_stream_schema("Windows", (*out_schema).clone());
-    reader
+    let mut readback = PipelineDriver::new(
+        &reader,
+        "SELECT wend, total FROM Windows",
+        DriverConfig::default(),
+    )
+    .unwrap();
+    readback
         .attach_source(Box::new(
             CsvFileSource::new(&output, "Windows", out_schema, FileSourceConfig::default())
                 .unwrap(),
         ))
-        .unwrap();
-    let mut readback = reader
-        .run_pipeline("SELECT wend, total FROM Windows")
         .unwrap();
     readback.run().unwrap();
     assert_eq!(
@@ -160,8 +165,14 @@ fn jsonl_roundtrip() {
     }
     drop(f);
 
-    let mut engine = bid_engine();
-    engine
+    let engine = bid_engine();
+    let mut pipeline = PipelineDriver::new(
+        &engine,
+        "SELECT item, price FROM Bid WHERE price >= 3",
+        DriverConfig::default(),
+    )
+    .unwrap();
+    pipeline
         .attach_source(Box::new(
             JsonLinesSource::new(
                 &input,
@@ -175,11 +186,10 @@ fn jsonl_roundtrip() {
             .unwrap(),
         ))
         .unwrap();
-    engine.attach_sink(Box::new(
-        JsonLinesSink::new(&output, CsvSinkMode::Changelog).unwrap(),
-    ));
-    let mut pipeline = engine
-        .run_pipeline("SELECT item, price FROM Bid WHERE price >= 3")
+    pipeline
+        .attach_sink(Box::new(
+            JsonLinesSink::new(&output, CsvSinkMode::Changelog).unwrap(),
+        ))
         .unwrap();
     let metrics = pipeline.run().unwrap();
     assert_eq!(metrics.events_in, 6);
@@ -197,13 +207,15 @@ fn jsonl_roundtrip() {
 fn nexmark_to_changelog_sink_end_to_end() {
     let mut engine = Engine::new();
     onesql::connect::register_nexmark_streams(&mut engine);
-    engine
+    let (rendered, sink) = ChangelogSink::in_memory();
+
+    let mut pipeline = PipelineDriver::new(&engine, queries::Q7, DriverConfig::default()).unwrap();
+    pipeline
         .attach_source(Box::new(NexmarkSource::seeded(42, 2_000)))
         .unwrap();
-    let (rendered, sink) = ChangelogSink::in_memory();
-    engine.attach_sink(Box::new(sink.with_watermarks()));
-
-    let mut pipeline = engine.run_pipeline(queries::Q7).unwrap();
+    pipeline
+        .attach_sink(Box::new(sink.with_watermarks()))
+        .unwrap();
     let metrics = pipeline.run().unwrap();
 
     assert_eq!(metrics.events_in, 2_000);
@@ -229,14 +241,17 @@ fn nexmark_to_changelog_sink_end_to_end() {
 /// single-writer in-process run.
 #[test]
 fn channel_fan_in_across_threads() {
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publisher, source) = channel("Bid", 128);
-    engine.attach_source(Box::new(source)).unwrap();
     let (sink, events) = channel_sink(1024);
-    engine.attach_sink(Box::new(sink));
-    let mut pipeline = engine
-        .run_pipeline("SELECT item, price FROM Bid WHERE price > 0")
-        .unwrap();
+    let mut pipeline = PipelineDriver::new(
+        &engine,
+        "SELECT item, price FROM Bid WHERE price > 0",
+        DriverConfig::default(),
+    )
+    .unwrap();
+    pipeline.attach_source(Box::new(source)).unwrap();
+    pipeline.attach_sink(Box::new(sink)).unwrap();
 
     let writers: Vec<_> = [0i64, 1]
         .into_iter()
@@ -284,14 +299,23 @@ fn attach_source_validates_streams() {
             vec![row!(1i64)],
         )
         .unwrap();
-    let (_pub1, source) = channel("Nope", 4);
-    assert!(engine.attach_source(Box::new(source)).is_err());
-    let (_pub2, source) = channel("Category", 4);
-    assert!(engine.attach_source(Box::new(source)).is_err());
-    assert!(
-        engine.run_pipeline("SELECT item FROM Bid").is_err(),
-        "no sources"
-    );
+    let mut pipeline =
+        PipelineDriver::new(&engine, "SELECT item FROM Bid", DriverConfig::default()).unwrap();
+    for (stream, refusal) in [
+        ("Nope", "targets unregistered stream 'Nope'"),
+        ("Category", "which is a table, not a stream"),
+    ] {
+        let (_publisher, source) = channel(stream, 4);
+        let err = pipeline.attach_source(Box::new(source)).unwrap_err();
+        assert!(err.to_string().contains(refusal), "{err}");
+    }
+    assert!(pipeline.step().is_err(), "no sources");
+    // A refused attach costs nothing: no offset moved, nothing is
+    // poisoned, and the pipeline runs over the source it does accept.
+    let (publisher, source) = channel("Bid", 4);
+    pipeline.attach_source(Box::new(source)).unwrap();
+    publisher.finish().unwrap();
+    assert!(pipeline.run().unwrap().output_watermark.is_final());
 }
 
 // ---------------------------------------------------------------------------
@@ -325,18 +349,21 @@ impl Sink for FailingSink {
 /// Six buffered bids into `sink`; the returned publisher keeps the
 /// channel (and so the pipeline) open.
 fn pipeline_into(sink: FailingSink) -> (onesql::ChannelPublisher, onesql::PipelineDriver) {
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publisher, source) = channel("Bid", 16);
-    engine.attach_source(Box::new(source)).unwrap();
-    engine.attach_sink(Box::new(sink));
     for (i, (ts, price, item)) in paper_bids().into_iter().enumerate() {
         publisher
             .insert(Ts(i as i64), row!(ts, price, item))
             .unwrap();
     }
-    let pipeline = engine
-        .run_pipeline("SELECT item, price FROM Bid EMIT STREAM")
-        .unwrap();
+    let mut pipeline = PipelineDriver::new(
+        &engine,
+        "SELECT item, price FROM Bid EMIT STREAM",
+        DriverConfig::default(),
+    )
+    .unwrap();
+    pipeline.attach_source(Box::new(source)).unwrap();
+    pipeline.attach_sink(Box::new(sink)).unwrap();
     (publisher, pipeline)
 }
 
@@ -443,6 +470,12 @@ proptest! {
             "S",
             StreamBuilder::new().event_time_column("ts").column("v", DataType::Int),
         );
+        let config = DriverConfig {
+            batch_size: 4,
+            ..DriverConfig::default()
+        };
+        let mut pipeline =
+            PipelineDriver::new(&engine, "SELECT ts, v FROM S EMIT STREAM", config).unwrap();
         for (i, script) in scripts.iter().enumerate() {
             let batches: Vec<SourceBatch> = script
                 .iter()
@@ -459,7 +492,7 @@ proptest! {
                     batch
                 })
                 .collect();
-            engine
+            pipeline
                 .attach_source(Box::new(ScriptedSource::new(
                     &format!("scripted-{i}"),
                     "S",
@@ -468,14 +501,7 @@ proptest! {
                 .unwrap();
         }
         let (sink, events) = channel_sink(1_000_000);
-        engine.attach_sink(Box::new(sink));
-        let config = ShardedConfig::default().with_driver(DriverConfig {
-            batch_size: 4,
-            ..DriverConfig::default()
-        });
-        let mut pipeline = engine
-            .run_sharded_pipeline("SELECT ts, v FROM S EMIT STREAM", config)
-            .unwrap();
+        pipeline.attach_sink(Box::new(sink)).unwrap();
         let metrics = pipeline.run().unwrap().clone();
 
         let mut last = Watermark::MIN;
@@ -522,13 +548,14 @@ fn input_watermark_is_min_over_sources() {
         status: SourceStatus::Ready,
         ..SourceBatch::default()
     }];
-    engine
+    let mut pipeline =
+        PipelineDriver::new(&engine, "SELECT ts, v FROM S", DriverConfig::default()).unwrap();
+    pipeline
         .attach_source(Box::new(ScriptedSource::new("fast", "S", fast)))
         .unwrap();
-    engine
+    pipeline
         .attach_source(Box::new(ScriptedSource::new("slow", "S", slow)))
         .unwrap();
-    let mut pipeline = engine.run_pipeline("SELECT ts, v FROM S").unwrap();
     pipeline.step().unwrap();
     assert_eq!(pipeline.metrics().input_watermark, Watermark(Ts(100)));
     // Both scripts exhausted -> next steps finish the pipeline.

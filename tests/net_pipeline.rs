@@ -21,7 +21,7 @@ use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource, Partit
 use onesql::core::StreamRow;
 use onesql::{
     DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, NetSink, NetSource,
-    PartitionedNetSource, PipelineDriver, ShardedConfig, Sink, Source, StreamBuilder,
+    PartitionedNetSource, PipelineDriver, Sink, Source, StreamBuilder,
 };
 use onesql_nexmark::queries;
 use onesql_types::{row, DataType, Result, Ts};
@@ -176,15 +176,16 @@ fn bind_consumer_with(
     .unwrap();
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
     let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let config = ShardedConfig::new(2).with_driver(DriverConfig {
+    let config = DriverConfig {
+        workers: 2,
         batch_size: BATCH,
         adaptive: None,
         ..DriverConfig::default()
-    });
-    let driver = engine.run_sharded_pipeline(queries::Q7, config).unwrap();
+    };
+    let mut driver = PipelineDriver::new(&engine, queries::Q7, config).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     (rows, driver)
 }
 
@@ -370,12 +371,11 @@ fn filter_pipeline_over_tcp() {
             .column("price", DataType::Int)
             .event_time_column("bidtime"),
     );
-    engine.attach_source(Box::new(source)).unwrap();
     let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine
-        .run_pipeline("SELECT auction, price FROM Bid WHERE price >= 50 EMIT STREAM")
-        .unwrap();
+    let sql = "SELECT auction, price FROM Bid WHERE price >= 50 EMIT STREAM";
+    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
+    driver.attach_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     let metrics = driver.run().unwrap();
     assert_eq!(metrics.events_in, 100);
     assert_eq!(metrics.events_out, 50);
@@ -408,11 +408,14 @@ fn restore_over_a_plain_net_source_is_refused() {
         )
         .unwrap();
         let addr = source.local_addr();
-        let mut engine = bid_engine();
-        engine.attach_source(Box::new(source)).unwrap();
-        let driver = engine
-            .run_pipeline("SELECT auction, price FROM Bid EMIT STREAM")
-            .unwrap();
+        let engine = bid_engine();
+        let mut driver = PipelineDriver::new(
+            &engine,
+            "SELECT auction, price FROM Bid EMIT STREAM",
+            DriverConfig::default(),
+        )
+        .unwrap();
+        driver.attach_source(Box::new(source)).unwrap();
         (addr, driver)
     };
 
@@ -473,15 +476,15 @@ fn pipelines_chain_through_net_sink() {
                 .column("price", DataType::Int)
                 .event_time_column("bidtime"),
         );
-        engine.attach_source(Box::new(channel_source))?;
-        engine.attach_sink(Box::new(NetSink::connect(
+        let sql = "SELECT auction, price FROM Bid WHERE price > 10 EMIT STREAM";
+        let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default())?;
+        driver.attach_source(Box::new(channel_source))?;
+        driver.attach_sink(Box::new(NetSink::connect(
             addr,
             "Mid",
             0,
             NetConfig::default(),
-        )));
-        let mut driver =
-            engine.run_pipeline("SELECT auction, price FROM Bid WHERE price > 10 EMIT STREAM")?;
+        )))?;
         for i in 0..60i64 {
             publisher.insert(Ts(i), row!(i % 5, i, Ts(i)))?;
         }
@@ -497,10 +500,9 @@ fn pipelines_chain_through_net_sink() {
             .column("auction", DataType::Int)
             .column("price", DataType::Int),
     );
-    engine.attach_source(Box::new(source)).unwrap();
-    let mut driver = engine
-        .run_pipeline("SELECT auction, COUNT(*), SUM(price) FROM Mid GROUP BY auction")
-        .unwrap();
+    let sql = "SELECT auction, COUNT(*), SUM(price) FROM Mid GROUP BY auction";
+    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
+    driver.attach_source(Box::new(source)).unwrap();
     driver.run().unwrap();
     upstream.join().unwrap().unwrap();
 
@@ -548,10 +550,13 @@ fn malformed_frames_poison_the_sharded_driver() {
             .column("price", DataType::Int)
             .event_time_column("bidtime"),
     );
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
-    let mut driver = engine
-        .run_sharded_pipeline("SELECT auction, price FROM Bid", ShardedConfig::new(2))
-        .unwrap();
+    let config = DriverConfig {
+        workers: 2,
+        ..DriverConfig::default()
+    };
+    let mut driver =
+        PipelineDriver::new(&engine, "SELECT auction, price FROM Bid", config).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
 
     // A "producer" speaking a future protocol version: the handshake is
     // rejected and the failure must reach the driver as a source error.

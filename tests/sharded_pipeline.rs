@@ -19,7 +19,7 @@ use onesql::connect::{
     PartitionedSource, SourceBatch, SourceEvent, SourceStatus,
 };
 use onesql::core::StreamRow;
-use onesql::{DriverConfig, Engine, PipelineDriver, ShardedConfig, Sink, StreamBuilder};
+use onesql::{DriverConfig, Engine, PipelineDriver, Sink, StreamBuilder};
 use onesql_types::{row, DataType, Result, Row, Ts};
 
 /// A sink that appends every output row to shared memory, so tests can
@@ -61,6 +61,13 @@ const GATED_SQL: &str = "SELECT wend, auction, COUNT(*), SUM(price) \
 /// duplicate or lost event after resume is immediately visible.
 const STREAMING_SQL: &str = "SELECT auction, price FROM Bid WHERE price > 100 EMIT STREAM";
 
+fn sharded(workers: usize) -> DriverConfig {
+    DriverConfig {
+        workers,
+        ..DriverConfig::default()
+    }
+}
+
 fn nexmark_sharded(
     sql: &str,
     workers: usize,
@@ -68,24 +75,21 @@ fn nexmark_sharded(
 ) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine
+    let (rows, sink) = collecting_sink();
+    let mut config = sharded(workers);
+    if fixed_batch {
+        // Predictable round sizes, so tests can aim kills between rounds.
+        config.adaptive = None;
+    }
+    let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
+    driver
         .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(
             7,
             NEXMARK_EVENTS,
             NEXMARK_PARTS,
         )))
         .unwrap();
-    let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let mut config = ShardedConfig::new(workers);
-    if fixed_batch {
-        // Predictable round sizes, so tests can aim kills between rounds.
-        config = config.with_driver(DriverConfig {
-            adaptive: None,
-            ..DriverConfig::default()
-        });
-    }
-    let driver = engine.run_sharded_pipeline(sql, config).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     (rows, driver)
 }
 
@@ -243,14 +247,12 @@ fn partitioned_files_match_direct_execution() {
             .event_time_column("bidtime")
             .build(),
     );
-    let mut engine = bid_engine();
-    engine
+    let engine = bid_engine();
+    let mut driver = PipelineDriver::new(&engine, sql, sharded(3)).unwrap();
+    driver
         .attach_partitioned_source(Box::new(
             PartitionedFileSource::csv(&paths, "Bid", schema, Default::default()).unwrap(),
         ))
-        .unwrap();
-    let mut driver = engine
-        .run_sharded_pipeline(sql, ShardedConfig::new(3))
         .unwrap();
     let metrics = driver.run().unwrap();
     assert_eq!(metrics.events_in, all_rows.len() as u64);
@@ -272,17 +274,13 @@ fn partitioned_files_match_direct_execution() {
 
 #[test]
 fn sharded_channels_fan_in_from_threads() {
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publishers, source) = sharded_channel("Bid", 4, 64);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
     let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine
-        .run_sharded_pipeline(
-            "SELECT auction, price FROM Bid WHERE price >= 0 EMIT STREAM",
-            ShardedConfig::new(2),
-        )
-        .unwrap();
+    let sql = "SELECT auction, price FROM Bid WHERE price >= 0 EMIT STREAM";
+    let mut driver = PipelineDriver::new(&engine, sql, sharded(2)).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
 
     let handles: Vec<_> = publishers
         .into_iter()
@@ -320,19 +318,15 @@ fn idle_rounds_release_watermarked_results_without_finish() {
     // A live pipeline (producers still connected) must deliver results a
     // watermark already released, even though no further events arrive to
     // advance the merge clock past them.
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publishers, source) = sharded_channel("Bid", 2, 32);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
     let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine
-        .run_sharded_pipeline(
-            "SELECT wend, auction, SUM(price) FROM Tumble(data => TABLE(Bid), \
+    let sql = "SELECT wend, auction, SUM(price) FROM Tumble(data => TABLE(Bid), \
              timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
-             GROUP BY wend, auction EMIT AFTER WATERMARK",
-            ShardedConfig::new(2),
-        )
-        .unwrap();
+             GROUP BY wend, auction EMIT AFTER WATERMARK";
+    let mut driver = PipelineDriver::new(&engine, sql, sharded(2)).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
 
     publishers[0]
         .insert(Ts::hm(8, 1), row!(1i64, 5i64, Ts::hm(8, 1)))
@@ -372,19 +366,15 @@ fn stalled_ptime_busy_rounds_still_release_results() {
     // with a frozen clock) must not withhold watermark-released results:
     // the clock nudge applies to any non-advancing round, not just idle
     // ones.
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publishers, source) = sharded_channel("Bid", 1, 32);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
     let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine
-        .run_sharded_pipeline(
-            "SELECT wend, auction, SUM(price) FROM Tumble(data => TABLE(Bid), \
+    let sql = "SELECT wend, auction, SUM(price) FROM Tumble(data => TABLE(Bid), \
              timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
-             GROUP BY wend, auction EMIT AFTER WATERMARK",
-            ShardedConfig::new(1),
-        )
-        .unwrap();
+             GROUP BY wend, auction EMIT AFTER WATERMARK";
+    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
 
     publishers[0]
         .insert(Ts::hm(8, 1), row!(1i64, 5i64, Ts::hm(8, 1)))
@@ -412,21 +402,21 @@ fn sources_cannot_attach_mid_run() {
     // Both drivers size their per-stream watermark trackers at attach
     // time; attaching after the first step must be rejected, not corrupt
     // watermark delivery.
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (pubs, source) = sharded_channel("Bid", 1, 8);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
-    let mut sharded = engine
-        .run_sharded_pipeline("SELECT auction FROM Bid", ShardedConfig::new(1))
-        .unwrap();
+    let mut sharded =
+        PipelineDriver::new(&engine, "SELECT auction FROM Bid", DriverConfig::default()).unwrap();
+    sharded.attach_partitioned_source(Box::new(source)).unwrap();
     sharded.step().unwrap();
     let (_p2, late) = sharded_channel("Bid", 1, 8);
     assert!(sharded.attach_partitioned_source(Box::new(late)).is_err());
     drop(pubs);
 
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (pubs, source) = onesql::connect::channel("Bid", 8);
-    engine.attach_source(Box::new(source)).unwrap();
-    let mut plain = engine.run_pipeline("SELECT auction FROM Bid").unwrap();
+    let mut plain =
+        PipelineDriver::new(&engine, "SELECT auction FROM Bid", DriverConfig::default()).unwrap();
+    plain.attach_source(Box::new(source)).unwrap();
     plain.step().unwrap();
     let (_p2, late) = onesql::connect::channel("Bid", 8);
     assert!(plain.attach_source(Box::new(late)).is_err());
@@ -437,11 +427,9 @@ fn sources_cannot_attach_mid_run() {
 fn adaptive_batches_grow_while_query_keeps_up() {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine
+    let mut driver = PipelineDriver::new(&engine, STREAMING_SQL, sharded(2)).unwrap();
+    driver
         .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(3, 20_000, 4)))
-        .unwrap();
-    let mut driver = engine
-        .run_sharded_pipeline(STREAMING_SQL, ShardedConfig::new(2))
         .unwrap();
     let initial = driver.current_batch_size();
     let mut grew = false;
@@ -521,23 +509,20 @@ fn scripted_driver(
     scripts: &[Vec<(i64, i64)>],
     workers: usize,
 ) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    let mut engine = bid_engine();
-    engine
-        .attach_partitioned_source(Box::new(ScriptedPartitions::new(scripts.to_vec())))
-        .unwrap();
+    let engine = bid_engine();
     let (rows, sink) = collecting_sink();
-    engine.attach_sink(Box::new(sink));
-    let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+    let config = DriverConfig {
+        workers,
         batch_size: 3, // tiny rounds: many interleavings, many split points
         adaptive: None,
         ..DriverConfig::default()
-    });
-    let driver = engine
-        .run_sharded_pipeline(
-            "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction",
-            config,
-        )
+    };
+    let sql = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
+    let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
+    driver
+        .attach_partitioned_source(Box::new(ScriptedPartitions::new(scripts.to_vec())))
         .unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     (rows, driver)
 }
 
@@ -623,12 +608,15 @@ fn checkpoint_records_per_partition_offsets() {
 
 #[test]
 fn restore_rejects_non_replayable_source() {
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (publishers, source) = sharded_channel("Bid", 2, 16);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
-    let mut driver = engine
-        .run_sharded_pipeline("SELECT auction, price FROM Bid", ShardedConfig::new(1))
-        .unwrap();
+    let mut driver = PipelineDriver::new(
+        &engine,
+        "SELECT auction, price FROM Bid",
+        DriverConfig::default(),
+    )
+    .unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
     publishers[0]
         .insert(Ts(0), row!(1i64, 1i64, Ts(0)))
         .unwrap();
@@ -641,12 +629,15 @@ fn restore_rejects_non_replayable_source() {
     drop(driver);
 
     // A fresh channel source cannot replay the two consumed events.
-    let mut engine = bid_engine();
+    let engine = bid_engine();
     let (_pubs, source) = sharded_channel("Bid", 2, 16);
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
-    let mut fresh = engine
-        .run_sharded_pipeline("SELECT auction, price FROM Bid", ShardedConfig::new(1))
-        .unwrap();
+    let mut fresh = PipelineDriver::new(
+        &engine,
+        "SELECT auction, price FROM Bid",
+        DriverConfig::default(),
+    )
+    .unwrap();
+    fresh.attach_partitioned_source(Box::new(source)).unwrap();
     let err = fresh.restore(&cp).unwrap_err().to_string();
     assert!(err.contains("not replayable"), "{err}");
 }

@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 use onesql::connect::{register_nexmark_streams, session};
 use onesql::{
-    ChangelogSink, ChannelPublisher, Engine, NexmarkSource, PartitionedNexmarkSource,
-    ShardedConfig, StatementResult,
+    ChangelogSink, ChannelPublisher, DriverConfig, Engine, NexmarkSource, PartitionedNexmarkSource,
+    PipelineDriver, StatementResult,
 };
 use onesql_nexmark::queries;
 use onesql_types::{row, Ts};
@@ -30,12 +30,12 @@ fn q7_emit() -> String {
 fn imperative_plain() -> String {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine
+    let (rendered, sink) = ChangelogSink::in_memory();
+    let mut driver = PipelineDriver::new(&engine, &q7_emit(), DriverConfig::default()).unwrap();
+    driver
         .attach_source(Box::new(NexmarkSource::seeded(7, EVENTS)))
         .unwrap();
-    let (rendered, sink) = ChangelogSink::in_memory();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine.run_pipeline(&q7_emit()).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     driver.run().unwrap();
     let out = rendered.lock().unwrap().clone();
     assert!(!out.is_empty(), "imperative Q7 produced no output");
@@ -46,14 +46,16 @@ fn imperative_plain() -> String {
 fn imperative_sharded() -> String {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
-    engine
+    let (rendered, sink) = ChangelogSink::in_memory();
+    let config = DriverConfig {
+        workers: WORKERS,
+        ..DriverConfig::default()
+    };
+    let mut driver = PipelineDriver::new(&engine, &q7_emit(), config).unwrap();
+    driver
         .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(7, EVENTS, PARTS)))
         .unwrap();
-    let (rendered, sink) = ChangelogSink::in_memory();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine
-        .run_sharded_pipeline(&q7_emit(), ShardedConfig::new(WORKERS))
-        .unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     driver.run().unwrap();
     let out = rendered.lock().unwrap().clone();
     out
@@ -482,6 +484,7 @@ fn failed_insert_does_not_clobber_live_handles() {
             "CREATE SOURCE S (t TIMESTAMP, v INT, WATERMARK FOR t)
                WITH (connector = 'channel');
              CREATE SINK good WITH (connector = 'changelog');
+             CREATE SINK other WITH (connector = 'changelog');
              CREATE SINK bad WITH (connector = 'file', path = '/nonexistent-dir/x.csv');
              INSERT INTO good SELECT v FROM S EMIT STREAM;",
         )
@@ -503,6 +506,92 @@ fn failed_insert_does_not_clobber_live_handles() {
     publishers[0].finish().unwrap();
     let metrics = pipeline.run().unwrap();
     assert_eq!(metrics.events_in, 1, "the live pipeline still ingests");
+
+    // The channel the failed INSERT built died with its driver: the next
+    // INSERT is fed by its own connectors only (a stale channel nobody
+    // can finish would also hang this run).
+    let StatementResult::Pipeline(mut next) = session
+        .execute("INSERT INTO other SELECT v FROM S EMIT STREAM")
+        .unwrap()
+    else {
+        panic!("expected a pipeline")
+    };
+    let publishers = session
+        .take_handle::<Vec<ChannelPublisher>>("S")
+        .expect("the new pipeline's publishers");
+    publishers[0].insert(Ts(0), row!(Ts(0), 4i64)).unwrap();
+    publishers[0].finish().unwrap();
+    let metrics = next.run().unwrap();
+    assert_eq!((metrics.sources.len(), metrics.events_in), (1, 1));
+}
+
+/// The one behaviour change of folding the worker set into
+/// [`DriverConfig`]: the setter replaces the whole configuration, `SET
+/// workers` and `SET partition_col` included.
+#[test]
+fn set_driver_config_replaces_workers_and_partition_col_too() {
+    let insert = "INSERT INTO out SELECT auction, COUNT(*) FROM Bid GROUP BY auction;";
+    let mut session = session();
+    session
+        .execute_script(
+            "SET workers = 4; SET partition_col = 1;
+             CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = 200);
+             CREATE SINK out WITH (connector = 'changelog');",
+        )
+        .unwrap();
+    let misrouted = |session: &onesql::Session| {
+        let report = session.lint_script(insert);
+        report.iter().any(|d| d.code == "OSQL002")
+    };
+    assert!(misrouted(&session), "4 workers keyed on price split groups");
+
+    session.set_driver_config(DriverConfig {
+        vectorize: false,
+        ..DriverConfig::default()
+    });
+    let pipeline = session.execute(insert).unwrap();
+    let StatementResult::Pipeline(pipeline) = pipeline else {
+        panic!("expected a pipeline")
+    };
+    assert_eq!(pipeline.workers(), 1, "workers went back to the default");
+    session.execute("SET workers = 4").unwrap();
+    assert!(!misrouted(&session), "and so did the partition column");
+}
+
+/// `EXPLAIN ANALYZE` and `INSERT INTO` build the same pipeline from the
+/// same bound query, on one worker or two: what goes in and what comes
+/// out do not depend on which statement ran it.
+#[test]
+fn explain_analyze_and_insert_count_the_same_events() {
+    for workers in [1, WORKERS] {
+        let mut session = session();
+        session
+            .execute_script(&format!(
+                "SET workers = {workers};
+                 CREATE PARTITIONED SOURCE nex
+                   WITH (connector = 'nexmark', seed = 7, events = {EVENTS}, partitions = {PARTS});
+                 CREATE SINK out WITH (connector = 'changelog');"
+            ))
+            .unwrap();
+        let analyzed = session
+            .execute(&format!("EXPLAIN ANALYZE {}", q7_emit()))
+            .unwrap();
+        let StatementResult::Analyzed { rows, .. } = analyzed else {
+            panic!("expected Analyzed")
+        };
+        let analyzed = |name: &str| rows.iter().find(|r| r.name == name).unwrap().value;
+        let inserted = session
+            .execute(&format!("INSERT INTO out {}", q7_emit()))
+            .unwrap();
+        let StatementResult::Pipeline(mut pipeline) = inserted else {
+            panic!("expected a pipeline")
+        };
+        let metrics = pipeline.run().unwrap();
+        assert_eq!(metrics.events_in, EVENTS);
+        assert!(metrics.events_out > 0);
+        assert_eq!(analyzed("events_in"), metrics.events_in as i64);
+        assert_eq!(analyzed("events_out"), metrics.events_out as i64);
+    }
 }
 
 #[test]

@@ -24,8 +24,8 @@ use onesql::connect::{
 use onesql::connect::{session, Source, SourceStatus};
 use onesql::core::observe::{self, FlightRecorder, TraceRecord, TraceSink, TraceSpan};
 use onesql::{
-    ChangelogSink, Engine, NetAddr, NetConfig, NetSink, NetSource, ShardedConfig, StatementResult,
-    StreamBuilder,
+    ChangelogSink, DriverConfig, Engine, NetAddr, NetConfig, NetSink, NetSource, PipelineDriver,
+    StatementResult, StreamBuilder,
 };
 use onesql_nexmark::queries;
 use onesql_types::{row, DataType, Result, Ts};
@@ -72,14 +72,18 @@ fn nexmark_q7_over_the_wire_stitches_into_one_trace() {
     let producer = std::thread::spawn(move || -> Result<()> {
         let mut engine = Engine::new();
         register_nexmark_streams(&mut engine);
-        engine.attach_source(Box::new(NexmarkSource::seeded(7, 1_500)))?;
-        engine.attach_sink(Box::new(NetSink::connect(
+        let mut driver = PipelineDriver::new(
+            &engine,
+            &format!("{} EMIT STREAM", queries::Q7),
+            DriverConfig::default(),
+        )?;
+        driver.attach_source(Box::new(NexmarkSource::seeded(7, 1_500)))?;
+        driver.attach_sink(Box::new(NetSink::connect(
             addr,
             "Mid",
             0,
             NetConfig::default(),
-        )));
-        let mut driver = engine.run_pipeline(&format!("{} EMIT STREAM", queries::Q7))?;
+        )))?;
         driver.set_label(PRODUCER);
         driver.run()?;
         Ok(())
@@ -97,12 +101,11 @@ fn nexmark_q7_over_the_wire_stitches_into_one_trace() {
             .column("price", DataType::Int)
             .column("auction", DataType::Int),
     );
-    engine.attach_source(Box::new(source)).unwrap();
     let (rendered, sink) = ChangelogSink::in_memory();
-    engine.attach_sink(Box::new(sink));
-    let mut driver = engine
-        .run_pipeline("SELECT wstart, price, auction FROM Mid EMIT STREAM")
-        .unwrap();
+    let sql = "SELECT wstart, price, auction FROM Mid EMIT STREAM";
+    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
+    driver.attach_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
     driver.set_label(CONSUMER);
     driver.run().unwrap();
     producer.join().unwrap().unwrap();
@@ -267,10 +270,13 @@ fn watermark_provenance_names_the_stuck_partition() {
             .column("price", DataType::Int)
             .event_time_column("bidtime"),
     );
-    engine.attach_partitioned_source(Box::new(source)).unwrap();
-    let mut driver = engine
-        .run_sharded_pipeline("SELECT auction, price FROM Bid", ShardedConfig::new(2))
-        .unwrap();
+    let config = DriverConfig {
+        workers: 2,
+        ..DriverConfig::default()
+    };
+    let mut driver =
+        PipelineDriver::new(&engine, "SELECT auction, price FROM Bid", config).unwrap();
+    driver.attach_partitioned_source(Box::new(source)).unwrap();
 
     // Partition 0 races ahead; partition 1 says nothing at all.
     publishers[0]
