@@ -319,7 +319,7 @@ fn execute_run(
     scenario.begin_run(kind)?;
     let tap = HistoryTap::new();
     let (mut session, mut pipeline) = scenario.build(0)?;
-    pipeline.set_history_tap(tap.clone());
+    pipeline.driver_mut().attach_sink(Box::new(tap.clone()))?;
 
     let total = scenario.total_events();
     let store = scenario.checkpoint_store();
@@ -360,7 +360,7 @@ fn execute_run(
                     scenario.after_kill()?;
                     incarnation += 1;
                     let (s, mut p) = scenario.build(incarnation)?;
-                    p.set_history_tap(tap.clone());
+                    p.driver_mut().attach_sink(Box::new(tap.clone()))?;
                     p.restore_from(&store)?;
                     session = s;
                     pipeline = p;

@@ -46,7 +46,7 @@ impl fmt::Display for Violation {
 /// after the matching [`HistoryEvent::CheckpointTaken`]`{epoch}` was
 /// uncommitted staging that the crash discarded, so it is dropped — the
 /// restored incarnation regenerates it. If no matching checkpoint marker
-/// exists (the tap was installed after the checkpoint was taken), the
+/// exists (the tap was attached after the checkpoint was taken), the
 /// whole prefix is void. Epoch markers themselves are filtered out of the
 /// result: the effective history contains only the three observable
 /// event kinds (rows, watermarks, the finish marker).

@@ -80,8 +80,12 @@ fn run_observed(dir: &Path, kill_at: Option<u64>) -> RunTaps {
     assert_eq!(pipelines.len(), 2, "the script assembles two pipelines");
     let mut observer = pipelines.pop().unwrap();
     let mut watched = pipelines.pop().unwrap();
-    watched.set_history_tap(watched_tap.clone());
-    observer.set_history_tap(observer_tap.clone());
+    let attach = |pipeline: &mut SqlPipeline, tap: &HistoryTap| {
+        let sink = Box::new(tap.clone());
+        pipeline.driver_mut().attach_sink(sink).unwrap();
+    };
+    attach(&mut watched, &watched_tap);
+    attach(&mut observer, &observer_tap);
 
     // Killed incarnations rebuild in their own session — the old one is
     // "a different process" — but the observer keeps the first session's
@@ -109,7 +113,7 @@ fn run_observed(dir: &Path, kill_at: Option<u64>) -> RunTaps {
                     .into_pipeline()
                     .unwrap();
                 // Tap first, so the history records the epoch splice.
-                restored.set_history_tap(watched_tap.clone());
+                attach(&mut restored, &watched_tap);
                 restored.restore_from(&store).unwrap();
                 spare_sessions.push(s2);
                 watched = restored;

@@ -23,7 +23,8 @@ fn record(name: &str, gated: bool, events: u64) -> (Vec<HistoryEvent>, Vec<Row>)
     scenario.begin_run(RunKind::Reference).unwrap();
     let (_session, mut pipeline) = scenario.build(0).unwrap();
     let tap = HistoryTap::new();
-    pipeline.set_history_tap(tap.clone());
+    let sink = Box::new(tap.clone());
+    pipeline.driver_mut().attach_sink(sink).unwrap();
     pipeline.run().unwrap();
     let table = pipeline.table().unwrap();
     (tap.events(), table)

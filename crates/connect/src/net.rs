@@ -73,21 +73,14 @@ use onesql_types::{Error, Result, Row, Ts, Value};
 /// First bytes of every connection: `b"OSQW"` (onesql wire).
 pub const WIRE_MAGIC: [u8; 4] = *b"OSQW";
 /// Protocol version carried right after the magic; bumped on any change
-/// to the frame layout. Version 2 appends two optional trailing sections
-/// to version-1 bodies: `BATCH` gains a trace-context field (`u8` flag +
+/// to the frame layout. Version 2 appended two optional trailing sections
+/// to version-1 bodies: `BATCH` gained a trace-context field (`u8` flag +
 /// `u64` producer span id) so consumer-side spans can stitch into the
-/// producer's trace, and `KEEPALIVE` gains the producer's current
+/// producer's trace, and `KEEPALIVE` gained the producer's current
 /// watermark (`u8` flag + `i64` millis) so lag attribution survives idle
-/// stretches. Producers always write [`WIRE_VERSION`]; consumers accept
-/// any version in [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] and parse
-/// each connection at the version its preamble announced — so upgrade
-/// consumers first: a new consumer reads old producers, but an old
-/// consumer rejects a new producer's preamble.
+/// stretches. Producers write [`WIRE_VERSION`] and consumers accept
+/// nothing else: any other announced version is refused at the preamble.
 pub const WIRE_VERSION: u16 = 2;
-/// Oldest protocol version a consumer still accepts. Version-1 bodies
-/// are parsed exactly as a version-1 build would: the version-2 trailing
-/// sections are simply absent.
-pub const MIN_WIRE_VERSION: u16 = 1;
 /// Upper bound on a frame body; larger length prefixes are rejected as
 /// corruption before any allocation happens.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
@@ -530,9 +523,8 @@ fn read_frame(conn: &mut NetConn, context: &str) -> Result<Option<Vec<u8>>> {
 /// How a connection preamble read ended. Protocol violations (bad
 /// magic, wrong version) stay `Err`: the peer *spoke* and got it wrong.
 enum Preamble {
-    /// Magic matched and the version is one this build speaks; carries
-    /// the peer's announced version so frames parse at the right layout.
-    Valid(u16),
+    /// Magic matched and the version is the one this build speaks.
+    Valid,
     /// The peer never sent a byte — it closed cleanly or sat silent
     /// past the handshake read timeout. That is a port scan, a
     /// load-balancer health check, or a stray `nc`, not a producer;
@@ -579,13 +571,12 @@ fn read_preamble(conn: &mut NetConn, context: &str) -> Result<Preamble> {
     let mut version_bytes = [0u8; 2];
     version_bytes.copy_from_slice(&preamble[4..6]);
     let version = u16::from_le_bytes(version_bytes);
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(Error::exec(format!(
-            "{context}: wire version {version} (this build speaks \
-             {MIN_WIRE_VERSION}..={WIRE_VERSION})"
+            "{context}: wire version {version} (this build speaks {WIRE_VERSION})"
         )));
     }
-    Ok(Preamble::Valid(version))
+    Ok(Preamble::Valid)
 }
 
 // ---------------------------------------------------------------------------
@@ -1989,8 +1980,8 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
     // dropped while a connection dangles does not leak this thread
     // forever.
     let _ = conn.set_read_timeout(Some(StdDuration::from_secs(30)));
-    let version = match read_preamble(&mut conn, &context) {
-        Ok(Preamble::Valid(version)) => version,
+    match read_preamble(&mut conn, &context) {
+        Ok(Preamble::Valid) => {}
         Ok(Preamble::Silent) => {
             conn.shutdown();
             return;
@@ -2010,7 +2001,7 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
             conn.shutdown();
             return;
         }
-    };
+    }
     let hello = match read_frame_raw(&mut conn, &context) {
         FrameRead::Frame(body) => body,
         // Same classification as the preamble: dying between preamble
@@ -2177,7 +2168,7 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
             FrameRead::Frame(body) => {
                 slot.frames.fetch_add(1, Ordering::AcqRel);
                 slot.bytes.fetch_add(body.len() as u64, Ordering::AcqRel);
-                match parse_data_frame(&body, &context, &mut expected, &shared, version) {
+                match parse_data_frame(&body, &context, &mut expected, &shared) {
                     Ok(Some(decoded)) => {
                         let finished = matches!(decoded, Decoded::Finished);
                         if tx.send(decoded).is_err() {
@@ -2264,16 +2255,12 @@ fn parse_hello(body: &[u8]) -> Result<(usize, Vec<String>)> {
 }
 
 /// Decode a post-handshake frame into a channel message, enforcing offset
-/// continuity. `Ok(None)` means "nothing to forward". `version` is the
-/// wire version this connection's preamble announced: version-2 bodies
-/// carry trailing sections (trace context on `BATCH`, watermark on
-/// `KEEPALIVE`) that version-1 bodies lack.
+/// continuity. `Ok(None)` means "nothing to forward".
 fn parse_data_frame(
     body: &[u8],
     context: &str,
     expected: &mut u64,
     shared: &ListenerShared,
-    version: u16,
 ) -> Result<Option<Decoded>> {
     let mut reader = FrameReader::new(body);
     match reader.u8()? {
@@ -2305,13 +2292,9 @@ fn parse_data_frame(
                     change: Change::with_diff(event.row, event.diff),
                 });
             }
-            let trace = if version >= 2 {
-                let has_trace = reader.u8()? != 0;
-                let span = reader.u64()?;
-                (has_trace && span != 0).then_some(span)
-            } else {
-                None
-            };
+            let has_trace = reader.u8()? != 0;
+            let span = reader.u64()?;
+            let trace = (has_trace && span != 0).then_some(span);
             reader.done()?;
             *expected += count as u64;
             Ok(Some(Decoded::Batch {
@@ -2333,18 +2316,15 @@ fn parse_data_frame(
         }
         KIND_KEEPALIVE => {
             // Proof of life: the payload (the producer's send cursor) is
-            // informational and the frame moves no offsets. Wire v2 may
-            // restate the producer's current watermark.
+            // informational and the frame moves no offsets. It may restate
+            // the producer's current watermark.
             let _cursor = reader.u64()?;
-            let watermark = if version >= 2 {
-                let has_wm = reader.u8()? != 0;
-                let wm_millis = reader.i64()?;
-                has_wm.then_some(Ts(wm_millis))
-            } else {
-                None
-            };
+            let has_wm = reader.u8()? != 0;
+            let wm_millis = reader.i64()?;
             reader.done()?;
-            Ok(Some(Decoded::Keepalive { watermark }))
+            Ok(Some(Decoded::Keepalive {
+                watermark: has_wm.then_some(Ts(wm_millis)),
+            }))
         }
         kind => Err(Error::exec(format!(
             "{context}: unexpected frame kind {kind} after handshake"
@@ -2449,15 +2429,9 @@ mod tests {
     /// Raw client: preamble + HELLO for partition 0, then read HELLO_ACK.
     /// Blocks until the source side is polled (which releases the reply).
     fn raw_handshake(addr: &NetAddr, streams: &[&str]) -> NetConn {
-        raw_handshake_versioned(addr, streams, WIRE_VERSION)
-    }
-
-    /// Like [`raw_handshake`], but announcing an explicit wire version —
-    /// the interop tests speak old dialects on purpose.
-    fn raw_handshake_versioned(addr: &NetAddr, streams: &[&str], version: u16) -> NetConn {
         let mut conn = addr.connect().unwrap();
         conn.write_all(&WIRE_MAGIC).unwrap();
-        conn.write_all(&version.to_le_bytes()).unwrap();
+        conn.write_all(&WIRE_VERSION.to_le_bytes()).unwrap();
         let mut body = vec![KIND_HELLO];
         put_u32(&mut body, 0);
         put_u16(&mut body, streams.len() as u16);
@@ -2554,76 +2528,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_producer_interops_with_v2_consumer() {
-        // An old producer announces version 1 and writes version-1
-        // bodies (no trailing trace context, bare keepalives); a current
-        // consumer must parse the connection at that dialect.
-        let mut source = tcp_source(&["S"], 1);
-        let addr = source.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut conn = raw_handshake_versioned(&addr, &["S"], 1);
-            // v1 BATCH: base, wm flag + millis, count, events — nothing
-            // after the events.
-            let mut body = vec![KIND_BATCH];
-            put_u64(&mut body, 0);
-            body.push(1);
-            put_i64(&mut body, 41);
-            put_u32(&mut body, 2);
-            for i in 0..2i64 {
-                put_event(
-                    &mut body,
-                    &WireEvent {
-                        stream: 0,
-                        ptime: Ts(i),
-                        diff: 1,
-                        row: row!(i),
-                    },
-                );
-            }
-            write_frame(&mut conn, "v1 client", &body).unwrap();
-            // v1 KEEPALIVE: kind + cursor only.
-            let mut body = vec![KIND_KEEPALIVE];
-            put_u64(&mut body, 2);
-            write_frame(&mut conn, "v1 client", &body).unwrap();
-            let mut body = vec![KIND_FINISH];
-            put_u64(&mut body, 2);
-            write_frame(&mut conn, "v1 client", &body).unwrap();
-        });
-        let mut events = Vec::new();
-        let mut watermark = None;
-        let mut traces = Vec::new();
-        for _ in 0..200 {
-            let batch = source.poll_partition(0, 16).unwrap();
-            if !batch.events.is_empty() {
-                traces.push(batch.trace_parent);
-            }
-            events.extend(batch.events);
-            if let Some(wm) = batch.watermark {
-                watermark = Some(wm);
-            }
-            if batch.status == SourceStatus::Finished {
-                break;
-            }
+    fn any_other_wire_version_is_refused() {
+        // 1 is what an old producer announces: nothing writes that
+        // dialect any more, so it is refused like 0 or a future version.
+        for version in [0u16, 1, 99] {
+            let mut source = tcp_source(&["S"], 1);
+            let addr = source.local_addr();
+            let client = std::thread::spawn(move || {
+                let mut conn = addr.connect().unwrap();
+                conn.write_all(&WIRE_MAGIC).unwrap();
+                conn.write_all(&version.to_le_bytes()).unwrap();
+            });
+            let err = poll_until_err(&mut source);
+            client.join().unwrap();
+            let refusal = format!("wire version {version} (this build speaks 2)");
+            assert!(err.contains(&refusal), "{err}");
         }
-        client.join().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(watermark, Some(Ts(41)));
-        assert_eq!(traces, vec![None], "v1 frames carry no trace context");
-        assert_eq!(source.offset(0), 2);
-    }
-
-    #[test]
-    fn wire_version_zero_is_rejected() {
-        let mut source = tcp_source(&["S"], 1);
-        let addr = source.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut conn = addr.connect().unwrap();
-            conn.write_all(&WIRE_MAGIC).unwrap();
-            conn.write_all(&0u16.to_le_bytes()).unwrap();
-        });
-        let err = poll_until_err(&mut source);
-        client.join().unwrap();
-        assert!(err.contains("wire version 0"), "{err}");
     }
 
     #[test]
@@ -2796,20 +2716,6 @@ mod tests {
         let err = poll_until_err(&mut source);
         client.join().unwrap();
         assert!(err.contains("CRC mismatch"), "{err}");
-    }
-
-    #[test]
-    fn version_mismatch_surfaces_as_error() {
-        let mut source = tcp_source(&["S"], 1);
-        let addr = source.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut conn = addr.connect().unwrap();
-            conn.write_all(&WIRE_MAGIC).unwrap();
-            conn.write_all(&99u16.to_le_bytes()).unwrap();
-        });
-        let err = poll_until_err(&mut source);
-        client.join().unwrap();
-        assert!(err.contains("wire version 99"), "{err}");
     }
 
     #[test]

@@ -19,11 +19,16 @@
 //!   ever combine (same group, same join key) always meet in the same
 //!   worker — the partition-alignment property.
 //!
-//! On either worker set, worker changelogs merge through a deterministic
-//! order — `(ptime, worker, per-worker sequence)` — with entries at the
-//! current clock held back until the clock passes them, so the
-//! sink-observed changelog is a pure function of the input and never
-//! depends on thread scheduling. One worker follows the same rule: the
+//! Workers keep no output. Every round's drain barrier moves what each
+//! worker produced into the driver's per-worker FIFO queue, and the merge
+//! releases the queue fronts in `(ptime, worker, arrival)` order — each
+//! queue already is in ptime order, so no sort — with entries at the
+//! current clock held back until the clock passes them. Released entries
+//! are rendered for the sinks and appended to the one merged
+//! [`PipelineDriver::changelog`]: that log *is* the result TVR, the
+//! history the sinks observed, and what [`PipelineDriver::table_at`]
+//! snapshots. It is a pure function of the input and never depends on
+//! thread scheduling. One worker follows the same rule: the
 //! hold-back (and the clock nudge that releases it when ptimes stall) is
 //! part of how the clock moves, and the clock — hence every `ptime` a sink
 //! sees — must not depend on the worker count. Partitions combine their
@@ -41,9 +46,9 @@
 //! and every changelog entry a worker produces is stamped with the clock
 //! value of the command that caused it. Once the clock has advanced past
 //! `t`, no worker can ever produce another entry with `ptime <= t`, so
-//! entries strictly below the clock can be flushed in globally sorted
-//! order; ties at the clock wait (a slower worker may still produce a
-//! same-`ptime` entry that sorts between them).
+//! entries strictly below the clock can be released in their final order;
+//! ties at the clock wait (a slower worker may still produce a same-`ptime`
+//! entry that goes between them).
 //!
 //! # Example
 //!
@@ -115,7 +120,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use onesql_exec::{StreamRenderer, StreamRow};
 use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, TableKind};
 use onesql_time::Watermark;
-use onesql_tvr::{Change, ChangeBatch, TimedChange};
+use onesql_tvr::{Change, ChangeBatch, Changelog, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
@@ -125,9 +130,8 @@ use crate::connect::{
 };
 use crate::engine::Engine;
 use crate::hash::partition_of;
-use crate::history::{HistoryEvent, HistoryTap};
 use crate::observe::{self, Stopwatch};
-use crate::query::RunningQuery;
+use crate::query::{apply_presentation, RunningQuery};
 
 /// A consistent snapshot of an entire pipeline: per-worker
 /// operator state, per-partition source offsets, and the driver's merge /
@@ -152,11 +156,9 @@ pub struct PipelineCheckpoint {
     /// exactly as the uninterrupted run would.
     pub batch_size: usize,
     /// Changelog entries drained from workers but still held back by the
-    /// deterministic merge (ptime == clock ties), per worker with their
-    /// merge sequence numbers.
-    pub pending: Vec<Vec<(u64, TimedChange)>>,
-    /// Next merge sequence number per worker.
-    pub next_seq: Vec<u64>,
+    /// deterministic merge (ptime == clock ties), per worker in arrival
+    /// order.
+    pub pending: Vec<Vec<TimedChange>>,
     /// `EMIT STREAM` per-grouping version counters at the flush cursor.
     pub renderer_versions: Vec<(Row, u64)>,
     /// Output watermark already reported to sinks.
@@ -179,8 +181,9 @@ pub struct PipelineCheckpoint {
 
 /// What a worker reports at a drain barrier.
 struct DrainReply {
-    /// Changelog entries produced since the previous drain.
-    entries: Vec<TimedChange>,
+    /// Everything the worker produced since the previous drain, moved out
+    /// of it.
+    entries: Changelog,
     /// The worker's current output watermark.
     watermark: Watermark,
     /// Whether it fed a columnar batch since the previous drain.
@@ -198,8 +201,6 @@ struct Shard {
     /// shape cannot change under the driver, so it is decided once).
     streams: Vec<(String, bool)>,
     vectorize: bool,
-    /// Changelog entries already reported by [`Shard::drain`].
-    drained: usize,
     fed_batch: bool,
     fed_rows: bool,
     /// The first failure wins; later data commands are skipped and every
@@ -214,7 +215,6 @@ impl Shard {
             query,
             streams: Vec::new(),
             vectorize,
-            drained: 0,
             fed_batch: false,
             fed_rows: false,
             failure: None,
@@ -304,10 +304,8 @@ impl Shard {
 
     fn drain(&mut self) -> Result<DrainReply> {
         self.healthy()?;
-        let entries = self.query.changelog_since(self.drained).to_vec();
-        self.drained = self.query.changelog().len();
         Ok(DrainReply {
-            entries,
+            entries: self.query.take_changelog(),
             watermark: self.query.output_watermark(),
             fed_batch: std::mem::take(&mut self.fed_batch),
             fed_rows: std::mem::take(&mut self.fed_rows),
@@ -317,17 +315,6 @@ impl Shard {
     fn checkpoint(&self) -> Result<onesql_state::Checkpoint> {
         self.healthy()?;
         self.query.checkpoint()
-    }
-
-    /// Load operator state (fresh workers only).
-    fn restore(&mut self, checkpoint: &onesql_state::Checkpoint) -> Result<()> {
-        self.drained = 0;
-        self.query.restore(checkpoint)
-    }
-
-    fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
-        self.healthy()?;
-        self.query.table_at(at)
     }
 }
 
@@ -495,10 +482,14 @@ pub struct PipelineDriver {
     streams: Vec<String>,
     /// Monotone processing-time clock across all partitions.
     clock: Ts,
-    /// Held-back changelog entries per worker: `(merge seq, entry)`, in
-    /// per-worker order (which is ptime-then-seq order by construction).
-    pending: Vec<VecDeque<(u64, TimedChange)>>,
-    next_seq: Vec<u64>,
+    /// Held-back changelog entries per worker, in arrival order (which is
+    /// ptime order by construction).
+    pending: Vec<VecDeque<TimedChange>>,
+    /// Every entry the merge released, in the order the sinks saw it: the
+    /// result TVR. The pipeline's only retained output.
+    changelog: Changelog,
+    /// The planned query, for the table view's `ORDER BY` / `LIMIT`.
+    query: BoundQuery,
     renderer: StreamRenderer,
     schema: SchemaRef,
     /// Combined (min) worker output watermark as of the last drain.
@@ -521,9 +512,22 @@ pub struct PipelineDriver {
     /// When set, the driver publishes a metrics snapshot to the global
     /// [`observe::hub`] under this name after every round.
     label: Option<String>,
-    /// When set, every sink-observable event (rows, watermarks, epoch
-    /// transitions, finish) is also appended here, in sink order.
-    tap: Option<HistoryTap>,
+}
+
+/// Take the merge's next entry: the front with the smallest ptime among
+/// the queue fronts below `below` (among all fronts when `None`), the
+/// lowest worker winning ties (`min_by_key` keeps the first minimum). Each
+/// queue is in ptime order, so that front is the smallest held entry
+/// overall, and taking one front at a time keeps a worker's equal-ptime
+/// entries in arrival order — `(ptime, worker, arrival)` without a sort.
+/// With one worker this is "the prefix below the clock".
+fn pop_ready(pending: &mut [VecDeque<TimedChange>], below: Option<Ts>) -> Option<TimedChange> {
+    let ready = |entry: &TimedChange| below.is_none_or(|clock| entry.ptime < clock);
+    pending
+        .iter_mut()
+        .filter(|queue| queue.front().is_some_and(ready))
+        .min_by_key(|queue| queue.front().map(|entry| entry.ptime))
+        .and_then(VecDeque::pop_front)
 }
 
 const POISONED: &str = "pipeline is poisoned by an earlier failure; \
@@ -567,7 +571,8 @@ impl PipelineDriver {
             streams: Vec::new(),
             clock,
             pending: (0..config.workers).map(|_| VecDeque::new()).collect(),
-            next_seq: vec![0; config.workers],
+            changelog: Changelog::new(),
+            query,
             renderer: StreamRenderer::new(ver_cols),
             schema,
             output_watermark: Watermark::MIN,
@@ -577,7 +582,6 @@ impl PipelineDriver {
             poisoned: false,
             restored: false,
             label: None,
-            tap: None,
         })
     }
 
@@ -592,15 +596,6 @@ impl PipelineDriver {
     /// The hub label, if one was set.
     pub fn label(&self) -> Option<&str> {
         self.label.as_deref()
-    }
-
-    /// Install a [`HistoryTap`]: every sink-observable event — rendered
-    /// rows, watermark deliveries, checkpoint/restore epoch transitions,
-    /// the finish marker — is also appended to `tap`, in sink order.
-    /// Installing the same (cloned) tap on successive incarnations of a
-    /// killed-and-restored pipeline yields one crash-spanning history.
-    pub fn set_history_tap(&mut self, tap: HistoryTap) {
-        self.tap = Some(tap);
     }
 
     fn publish_snapshot(&mut self) {
@@ -1038,10 +1033,7 @@ impl PipelineDriver {
         let mut combined = Watermark::MAX;
         let (mut fed_batch, mut fed_rows) = (false, false);
         for (w, reply) in replies.into_iter().enumerate() {
-            for entry in reply.entries {
-                self.pending[w].push_back((self.next_seq[w], entry));
-                self.next_seq[w] += 1;
-            }
+            self.pending[w].extend(reply.entries);
             combined = combined.min(reply.watermark);
             fed_batch |= reply.fed_batch;
             fed_rows |= reply.fed_rows;
@@ -1052,39 +1044,27 @@ impl PipelineDriver {
         Ok(())
     }
 
-    /// Flush the deterministic merge: emit every held entry with
+    /// Flush the deterministic merge: release every held entry with
     /// `ptime < clock` (or all of them at finish) in `(ptime, worker,
-    /// seq)` order, rendered with `EMIT STREAM` version numbering shared
-    /// across all workers.
+    /// arrival)` order, rendered with `EMIT STREAM` version numbering
+    /// shared across all workers, and append it to the merged changelog.
     fn flush(&mut self, everything: bool) -> Result<()> {
-        let mut batch: Vec<(Ts, usize, u64, TimedChange)> = Vec::new();
-        let clock = self.clock;
-        for (w, pending) in self.pending.iter_mut().enumerate() {
-            while pending
-                .front()
-                .is_some_and(|(_, entry)| everything || entry.ptime < clock)
-            {
-                if let Some((seq, entry)) = pending.pop_front() {
-                    batch.push((entry.ptime, w, seq, entry));
-                }
-            }
-        }
-        if !batch.is_empty() {
+        let below = (!everything).then_some(self.clock);
+        let held = self.pending.iter().map(VecDeque::len).sum();
+        let mut released = std::iter::from_fn(|| pop_ready(&mut self.pending, below)).peekable();
+        if released.peek().is_some() {
             // Current span while sinks write: a `NetSink` attaches it to
             // outgoing BATCH frames as the consumer side's trace parent.
             let _emit_span = observe::TraceSpan::child("driver.emit");
             let emit = Stopwatch::start();
-            batch.sort_by_key(|&(ptime, worker, seq, _)| (ptime, worker, seq));
-            let mut rows: Vec<StreamRow> = Vec::with_capacity(batch.len());
-            for (_, _, _, entry) in &batch {
-                self.renderer.render_into(entry, &mut rows)?;
+            let mut rows: Vec<StreamRow> = Vec::with_capacity(held);
+            for entry in released {
+                self.renderer.render_into(&entry, &mut rows)?;
+                self.changelog.push(entry.ptime, entry.change);
             }
             self.metrics.events_out += rows.len() as u64;
             for sink in &mut self.sinks {
                 sink.write(&rows)?;
-            }
-            if let Some(tap) = &self.tap {
-                tap.record_rows(&rows);
             }
             self.metrics.emit_micros.record(emit.micros());
         }
@@ -1102,9 +1082,6 @@ impl PipelineDriver {
             self.sink_watermark = self.output_watermark;
             for sink in &mut self.sinks {
                 sink.on_watermark(self.sink_watermark)?;
-            }
-            if let Some(tap) = &self.tap {
-                tap.record(HistoryEvent::Watermark(self.sink_watermark));
             }
         }
         Ok(())
@@ -1128,9 +1105,6 @@ impl PipelineDriver {
             Ok(()) => {
                 self.finished = true;
                 self.metrics.pending_depth = 0;
-                if let Some(tap) = &self.tap {
-                    tap.record(HistoryEvent::Finished);
-                }
                 self.publish_snapshot();
                 Ok(())
             }
@@ -1196,35 +1170,44 @@ impl PipelineDriver {
         Ok(&self.metrics)
     }
 
-    /// The merged result table over everything processed so far:
+    /// The result TVR in its stream encoding: every changelog entry the
+    /// merge has released, in the order the sinks observed it. Entries
+    /// still held back at the clock are not in it yet. This is the
+    /// pipeline's only retained output — the workers keep none.
+    pub fn changelog(&self) -> &Changelog {
+        &self.changelog
+    }
+
+    /// The result table over everything processed so far:
     /// [`PipelineDriver::table_at`] the end of time.
-    pub fn table(&mut self) -> Result<Vec<Row>> {
+    pub fn table(&self) -> Result<Vec<Row>> {
         self.table_at(Ts::MAX)
     }
 
-    /// The merged table view **as of** processing time `at` (a temporal
-    /// `AS OF` probe): the disjoint union of the workers' `table_at`
-    /// snapshots, in sorted row order. Works mid-run — the probe barriers
-    /// each worker, so it reflects every event handed over before the
-    /// call. A probe at `at` strictly below the current
-    /// [`PipelineDriver::clock`] is *stable*: future events are stamped at
-    /// or above the clock, so re-reading the same `at` later returns
-    /// identical rows.
+    /// The table view **as of** processing time `at` (a temporal `AS OF`
+    /// probe): the snapshot of [`PipelineDriver::changelog`] at `at` —
+    /// plus, when `at` reaches the clock, the entries the merge still
+    /// holds back there — with the query's `ORDER BY` / `LIMIT` applied
+    /// once, over the whole result. It reads the driver's own log and asks
+    /// nothing of the workers; every [`PipelineDriver::step`] ends with a
+    /// drain, so mid-run it reflects every event ingested so far. A probe
+    /// at `at` strictly below the current [`PipelineDriver::clock`] is
+    /// *stable*: future events are stamped at or above the clock, so
+    /// re-reading the same `at` later returns identical rows.
     ///
-    /// After a restore the workers' changelogs restart, so the probe only
-    /// covers changes since the restore point — probes are meaningful
-    /// within one incarnation.
-    pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
+    /// The log starts empty in a restored driver, so after a restore the
+    /// probe only covers changes since the restore point — probes are
+    /// meaningful within one incarnation.
+    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
         if self.poisoned {
             return Err(Error::exec(POISONED));
         }
-        let mut rows: Vec<Row> = self
-            .workers
-            .gather(move |_, shard| shard.table_at(at))?
-            .into_iter()
-            .flatten()
-            .collect();
-        rows.sort();
+        let mut table = self.changelog.snapshot_at(at);
+        let held = self.pending.iter().flatten();
+        let held = held.filter(|entry| entry.ptime <= at);
+        table.apply(held.map(|entry| entry.change.clone()));
+        let mut rows = table.to_rows();
+        apply_presentation(&self.query, &mut rows)?;
         Ok(rows)
     }
 
@@ -1270,9 +1253,6 @@ impl PipelineDriver {
         for sink in &mut self.sinks {
             sink.on_checkpoint(self.epoch)?;
         }
-        if let Some(tap) = &self.tap {
-            tap.record(HistoryEvent::CheckpointTaken { epoch: self.epoch });
-        }
         let checkpoint = PipelineCheckpoint {
             workers: worker_states,
             offsets: self
@@ -1293,7 +1273,6 @@ impl PipelineDriver {
                 .iter()
                 .map(|p| p.iter().cloned().collect())
                 .collect(),
-            next_seq: self.next_seq.clone(),
             renderer_versions: self.renderer.versions(),
             sink_watermark: self.sink_watermark,
             output_watermark: self.output_watermark,
@@ -1408,13 +1387,10 @@ impl PipelineDriver {
                 "checkpoint byte counters do not match its offsets shape",
             ));
         }
-        if checkpoint.pending.len() != self.workers.len()
-            || checkpoint.next_seq.len() != self.workers.len()
-        {
+        if checkpoint.pending.len() != self.workers.len() {
             return Err(Error::exec(format!(
-                "checkpoint pending/next_seq cover {}/{} workers, driver has {}",
+                "checkpoint pending covers {} workers, driver has {}",
                 checkpoint.pending.len(),
-                checkpoint.next_seq.len(),
                 self.workers.len()
             )));
         }
@@ -1447,7 +1423,7 @@ impl PipelineDriver {
         // Workers first (operator state), then sources (replay position).
         let states: Arc<[onesql_state::Checkpoint]> = checkpoint.workers.clone().into();
         self.workers
-            .gather(move |w, shard| shard.restore(&states[w]))?;
+            .gather(move |w, shard| shard.query.restore(&states[w]))?;
         // Sinks next: a transactional sink truncates everything staged
         // after this epoch, so the replayed rows append exactly where the
         // uninterrupted run had them.
@@ -1482,7 +1458,6 @@ impl PipelineDriver {
             .iter()
             .map(|p| p.iter().cloned().collect())
             .collect();
-        self.next_seq = checkpoint.next_seq.clone();
         self.renderer
             .set_versions(checkpoint.renderer_versions.clone());
         self.sink_watermark = checkpoint.sink_watermark;
@@ -1494,11 +1469,6 @@ impl PipelineDriver {
         self.metrics.bytes_in = checkpoint.source_bytes.iter().flatten().sum();
         self.metrics.checkpoint_epoch = checkpoint.epoch;
         self.metrics.restores += 1;
-        if let Some(tap) = &self.tap {
-            tap.record(HistoryEvent::Restored {
-                epoch: checkpoint.epoch,
-            });
-        }
         Ok(())
     }
 }
@@ -1819,6 +1789,90 @@ mod tests {
             outputs.push(rows);
         }
         assert_eq!(outputs[0], outputs[1]);
+    }
+
+    #[test]
+    fn the_merged_changelog_is_the_only_retained_output() {
+        let e = engine();
+        for workers in [1usize, 2] {
+            let config = DriverConfig {
+                batch_size: 4,
+                adaptive: None,
+                ..sharded(workers)
+            };
+            let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
+            driver
+                .attach_partitioned_source(script(vec![bids(20, 0), bids(20, 3)]))
+                .unwrap();
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+
+            // Mid-run, a probe below the clock is a snapshot of the log.
+            for _ in 0..3 {
+                driver.step().unwrap();
+            }
+            let at = driver.clock() - onesql_types::Duration(1);
+            let snapshot = driver.changelog().snapshot_at(at);
+            assert!(!snapshot.is_empty(), "{workers} workers");
+            assert_eq!(driver.table_at(at).unwrap(), snapshot.to_rows());
+
+            driver.run().unwrap();
+            let WorkerSet::Inline(shards) = &driver.workers else {
+                panic!("finish joins the worker threads");
+            };
+            assert_eq!(shards.len(), workers);
+            assert!(shards.iter().all(|s| s.query.changelog().is_empty()));
+
+            // The log is what the sinks saw: rendering it again from
+            // scratch reproduces their rows, `ver` numbers included.
+            let ver_cols = onesql_exec::compile::version_columns(&e.plan(AGG).unwrap());
+            let rendered = onesql_exec::render_stream(driver.changelog(), &ver_cols).unwrap();
+            assert!(!rendered.is_empty());
+            assert_eq!(rendered, *seen.lock().unwrap(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn merge_releases_fronts_by_ptime_then_worker_then_arrival() {
+        let e = engine();
+        let mut driver =
+            PipelineDriver::new(&e, "SELECT auction, price FROM Bid", sharded(3)).unwrap();
+        // `(worker, arrival)` rows: every worker holds entries at ptime 5.
+        let queue = |worker: i64, ptimes: &[i64]| -> VecDeque<TimedChange> {
+            let entry = |(arrival, &ptime): (usize, &i64)| TimedChange {
+                ptime: Ts(ptime),
+                change: Change::insert(row!(worker, arrival as i64)),
+            };
+            ptimes.iter().enumerate().map(entry).collect()
+        };
+        driver.pending = vec![
+            queue(0, &[5, 5, 7]),
+            queue(1, &[5, 6]),
+            queue(2, &[4, 5, 5]),
+        ];
+        driver.clock = Ts(7);
+        driver.flush(false).unwrap();
+        let released = |driver: &PipelineDriver| -> Vec<(i64, Row)> {
+            let entries = driver.changelog().entries().iter();
+            entries
+                .map(|entry| (entry.ptime.millis(), entry.change.row.clone()))
+                .collect()
+        };
+        let mut expected = vec![
+            (4, row!(2i64, 0i64)),
+            (5, row!(0i64, 0i64)),
+            (5, row!(0i64, 1i64)),
+            (5, row!(1i64, 0i64)),
+            (5, row!(2i64, 1i64)),
+            (5, row!(2i64, 2i64)),
+            (6, row!(1i64, 1i64)),
+        ];
+        assert_eq!(released(&driver), expected);
+        // The entry at the clock waits for the clock to pass it.
+        assert_eq!(driver.pending[0].len(), 1);
+        driver.flush(true).unwrap();
+        expected.push((7, row!(0i64, 2i64)));
+        assert_eq!(released(&driver), expected);
     }
 
     #[test]

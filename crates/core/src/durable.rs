@@ -49,8 +49,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"OSQC";
 pub const MANIFEST_MAGIC: [u8; 4] = *b"OSQM";
 /// Current on-disk format version (shared by manifest and epoch files).
 /// Version 2 appended per-source/per-partition byte counters to the
-/// checkpoint payload (metrics continuity across restores).
-pub const FORMAT_VERSION: u16 = 2;
+/// checkpoint payload (metrics continuity across restores); version 3
+/// dropped the merge sequence numbers (a per-worker counter, and one
+/// beside every held-back entry) the sort-free merge no longer has.
+pub const FORMAT_VERSION: u16 = 3;
 /// Epochs a store keeps by default before pruning the oldest.
 pub const DEFAULT_RETAIN: usize = 3;
 
@@ -233,7 +235,6 @@ impl Codec for PipelineCheckpoint {
         self.clock.encode(buf);
         (self.batch_size as u64).encode(buf);
         self.pending.encode(buf);
-        self.next_seq.encode(buf);
         self.renderer_versions.encode(buf);
         self.sink_watermark.encode(buf);
         self.output_watermark.encode(buf);
@@ -252,8 +253,7 @@ impl Codec for PipelineCheckpoint {
             clock: Ts::decode(input)?,
             batch_size: usize::try_from(u64::decode(input)?)
                 .map_err(|_| Error::exec("checkpoint batch size overflows usize"))?,
-            pending: Vec::<Vec<(u64, TimedChange)>>::decode(input)?,
-            next_seq: Vec::<u64>::decode(input)?,
+            pending: Vec::<Vec<TimedChange>>::decode(input)?,
             renderer_versions: Vec::<(Row, u64)>::decode(input)?,
             sink_watermark: Watermark::decode(input)?,
             output_watermark: Watermark::decode(input)?,
@@ -606,16 +606,12 @@ mod tests {
             clock: Ts(41),
             batch_size: 128,
             pending: vec![
-                vec![(
-                    7,
-                    TimedChange {
-                        ptime: Ts(41),
-                        change: onesql_tvr::Change::insert(row!(1i64, "x")),
-                    },
-                )],
+                vec![TimedChange {
+                    ptime: Ts(41),
+                    change: onesql_tvr::Change::insert(row!(1i64, "x")),
+                }],
                 Vec::new(),
             ],
-            next_seq: vec![8, 2],
             renderer_versions: vec![(row!(1i64), 3)],
             sink_watermark: Watermark(Ts(39)),
             output_watermark: Watermark(Ts(40)),
@@ -634,7 +630,6 @@ mod tests {
         assert_eq!(a.clock, b.clock);
         assert_eq!(a.batch_size, b.batch_size);
         assert_eq!(a.pending, b.pending);
-        assert_eq!(a.next_seq, b.next_seq);
         assert_eq!(a.renderer_versions, b.renderer_versions);
         assert_eq!(a.sink_watermark, b.sink_watermark);
         assert_eq!(a.output_watermark, b.output_watermark);
@@ -717,12 +712,16 @@ mod tests {
         let err = store.load_epoch(1).unwrap_err().to_string();
         assert!(err.contains("magic"), "{err}");
 
-        // Future version.
-        let mut future = pristine.clone();
-        future[4] = 0xFF;
-        fs::write(&path, &future).unwrap();
-        let err = store.load_epoch(1).unwrap_err().to_string();
-        assert!(err.contains("version"), "{err}");
+        // Future version, and the previous one (a version 2 file: its
+        // payload still carries the merge sequence numbers).
+        for (byte, version) in [(0xFF, "version 255"), (2, "version 2,")] {
+            let mut other = pristine.clone();
+            other[4] = byte;
+            fs::write(&path, &other).unwrap();
+            let err = store.load_epoch(1).unwrap_err().to_string();
+            assert!(err.contains(version), "{err}");
+            assert!(err.contains("reads version 3"), "{err}");
+        }
 
         // Restore intact, then break the manifest instead.
         fs::write(&path, &pristine).unwrap();
@@ -800,7 +799,6 @@ mod tests {
             clock: Ts(41),
             batch_size: 128,
             pending: vec![Vec::new()],
-            next_seq: vec![1],
             renderer_versions: Vec::new(),
             sink_watermark: Watermark(Ts(39)),
             output_watermark: Watermark(Ts(40)),
@@ -821,7 +819,7 @@ mod tests {
         };
         assert_eq!(
             hex(dir.join("MANIFEST")),
-            "4f 53 51 4d 02 00 3e 00 00 00 00 00 00 00 fc 98 \
+            "4f 53 51 4d 03 00 3e 00 00 00 00 00 00 00 fc 98 \
              54 41 03 00 00 00 00 00 00 00 6f 75 74 01 00 00 \
              00 00 00 00 00 03 00 00 00 00 00 00 00 62 69 64 \
              f3 31 e5 9b b6 e8 6b 15 03 00 00 00 00 00 00 00 \
@@ -832,8 +830,8 @@ mod tests {
         );
         assert_eq!(
             hex(dir.join("epoch-1.ckpt")),
-            "4f 53 51 43 02 00 d6 00 00 00 00 00 00 00 60 ff \
-             81 87 03 00 00 00 00 00 00 00 6f 75 74 01 00 00 \
+            "4f 53 51 43 03 00 c6 00 00 00 00 00 00 00 0e 79 \
+             b2 a0 03 00 00 00 00 00 00 00 6f 75 74 01 00 00 \
              00 00 00 00 00 01 00 00 00 00 00 00 00 02 00 00 \
              00 00 00 00 00 77 30 01 00 00 00 00 00 00 00 01 \
              00 00 00 00 00 00 00 03 00 00 00 00 00 00 00 01 \
@@ -841,7 +839,6 @@ mod tests {
              01 00 00 00 00 00 00 00 28 00 00 00 00 00 00 00 \
              29 00 00 00 00 00 00 00 80 00 00 00 00 00 00 00 \
              01 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 \
-             01 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 \
              00 00 00 00 00 00 00 00 27 00 00 00 00 00 00 00 \
              28 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00 \
              01 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 \

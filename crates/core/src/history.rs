@@ -1,4 +1,4 @@
-//! Observable pipeline history: the tap the pipeline driver records into.
+//! Observable pipeline history: a sink that records what sinks observe.
 //!
 //! Black-box consistency checking (the approach `onesql-checker` borrows
 //! from snapshot-isolation checkers) needs exactly one thing from the
@@ -6,22 +6,25 @@
 //! seen. That is four kinds of event — rendered changelog rows, sink
 //! watermark deliveries, checkpoint/restore epoch transitions, and the
 //! finish marker — in the order the sinks observed them. A [`HistoryTap`]
-//! is a cheap, cloneable handle to that record; install it with
-//! [`crate::SqlPipeline::set_history_tap`] (or
-//! [`crate::PipelineDriver::set_history_tap`]) and the driver appends as
-//! it runs.
+//! is a cheap, cloneable handle to that record and a [`Sink`] like any
+//! other: attach a clone with [`crate::PipelineDriver::attach_sink`] and
+//! every sink callback appends the matching [`HistoryEvent`].
 //!
 //! The tap is deliberately shared (`Arc` underneath): a checker drives
-//! several *incarnations* of a killed-and-restored pipeline and installs
-//! the same tap on each, so the concatenated record spans crashes. The
-//! [`HistoryEvent::Restored`] marker is what lets a checker splice out
-//! the uncommitted suffix a crash discarded (mirroring what a
+//! several *incarnations* of a killed-and-restored pipeline and attaches
+//! a clone of the same tap to each — before restoring, so the restore
+//! marker lands in the record — and the concatenated record spans
+//! crashes. The [`HistoryEvent::Restored`] marker is what lets a checker
+//! splice out the uncommitted suffix a crash discarded (mirroring what a
 //! transactional sink's truncation does to its file).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use onesql_exec::StreamRow;
 use onesql_time::Watermark;
+use onesql_types::Result;
+
+use crate::connect::Sink;
 
 /// One observable event in a pipeline's history, in sink order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,54 +64,48 @@ impl HistoryTap {
         HistoryTap::default()
     }
 
-    /// Append one event.
-    pub fn record(&self, event: HistoryEvent) {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(event);
-    }
-
-    /// Append a batch of emitted rows (one [`HistoryEvent::Emitted`] per
-    /// row, in slice order — the order the sinks received them).
-    pub fn record_rows(&self, rows: &[StreamRow]) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut events = self
-            .events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        events.extend(rows.iter().cloned().map(HistoryEvent::Emitted));
-    }
-
     /// A snapshot of everything recorded so far.
     pub fn events(&self) -> Vec<HistoryEvent> {
+        self.log().clone()
+    }
+
+    fn log(&self) -> MutexGuard<'_, Vec<HistoryEvent>> {
         self.events
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+    }
+}
+
+impl Sink for HistoryTap {
+    fn name(&self) -> &str {
+        "history"
     }
 
-    /// How many events are recorded.
-    pub fn len(&self) -> usize {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+    /// One [`HistoryEvent::Emitted`] per row, in slice order.
+    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
+        self.log()
+            .extend(rows.iter().cloned().map(HistoryEvent::Emitted));
+        Ok(())
     }
 
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn on_watermark(&mut self, wm: Watermark) -> Result<()> {
+        self.log().push(HistoryEvent::Watermark(wm));
+        Ok(())
     }
 
-    /// Discard everything recorded so far (the handle stays installed).
-    pub fn clear(&self) {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
+    fn on_checkpoint(&mut self, epoch: u64) -> Result<()> {
+        self.log().push(HistoryEvent::CheckpointTaken { epoch });
+        Ok(())
+    }
+
+    fn on_restore(&mut self, epoch: u64) -> Result<()> {
+        self.log().push(HistoryEvent::Restored { epoch });
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.log().push(HistoryEvent::Finished);
+        Ok(())
     }
 }
 
@@ -118,26 +115,29 @@ mod tests {
     use onesql_types::{row, Ts};
 
     #[test]
-    fn clones_share_the_record() {
-        let tap = HistoryTap::new();
-        let other = tap.clone();
-        tap.record(HistoryEvent::CheckpointTaken { epoch: 1 });
-        other.record_rows(&[StreamRow {
+    fn clones_share_the_record_in_callback_order() {
+        let mut tap = HistoryTap::new();
+        let mut other = tap.clone();
+        let row = StreamRow {
             row: row!(1i64),
             undo: false,
             ptime: Ts(5),
             ver: 0,
-        }]);
-        assert_eq!(tap.len(), 2);
-        assert_eq!(other.events(), tap.events());
-        tap.clear();
-        assert!(other.is_empty());
-    }
-
-    #[test]
-    fn empty_row_batches_record_nothing() {
-        let tap = HistoryTap::new();
-        tap.record_rows(&[]);
-        assert!(tap.is_empty());
+        };
+        tap.on_restore(1).unwrap();
+        other.write(std::slice::from_ref(&row)).unwrap();
+        other.write(&[]).unwrap();
+        tap.on_watermark(Watermark(Ts(4))).unwrap();
+        other.on_checkpoint(2).unwrap();
+        tap.flush().unwrap();
+        let expected = vec![
+            HistoryEvent::Restored { epoch: 1 },
+            HistoryEvent::Emitted(row),
+            HistoryEvent::Watermark(Watermark(Ts(4))),
+            HistoryEvent::CheckpointTaken { epoch: 2 },
+            HistoryEvent::Finished,
+        ];
+        assert_eq!(tap.events(), expected);
+        assert_eq!(other.events(), expected);
     }
 }

@@ -407,7 +407,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 #[derive(Default)]
 struct RecorderInner {
-    next_seq: u64,
+    last_seq: u64,
     ring: VecDeque<TraceRecord>,
 }
 
@@ -446,8 +446,8 @@ impl FlightRecorder {
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.next_seq += 1;
-        let seq = inner.next_seq;
+        inner.last_seq += 1;
+        let seq = inner.last_seq;
         record.seq = seq;
         if inner.ring.len() == self.capacity {
             inner.ring.pop_front();
@@ -868,7 +868,7 @@ pub struct PipelineSnapshot {
 
 #[derive(Default)]
 struct HubInner {
-    next_seq: u64,
+    last_seq: u64,
     pipelines: BTreeMap<String, PipelineSnapshot>,
 }
 
@@ -892,8 +892,8 @@ impl MetricsHub {
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.next_seq += 1;
-        let seq = inner.next_seq;
+        inner.last_seq += 1;
+        let seq = inner.last_seq;
         inner.pipelines.insert(
             pipeline.to_string(),
             PipelineSnapshot {

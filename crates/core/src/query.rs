@@ -200,12 +200,12 @@ impl RunningQuery {
         self.executor.changelog()
     }
 
-    /// Changelog entries appended since `cursor` (a previous
-    /// `changelog().len()`), for incremental consumers like the sharded
-    /// driver's drain barrier. After [`RunningQuery::restore`] the
-    /// changelog restarts, so cursors must reset to zero.
-    pub fn changelog_since(&self, cursor: usize) -> &[onesql_tvr::TimedChange] {
-        &self.executor.changelog().entries()[cursor.min(self.executor.changelog().len())..]
+    /// Move the changelog recorded so far out, leaving it empty: the
+    /// pipeline driver's drain, which appends the entries to its own merged
+    /// log. From then on [`RunningQuery::changelog`], the table view and
+    /// the stream view cover only what came after the take.
+    pub fn take_changelog(&mut self) -> Changelog {
+        self.executor.take_output()
     }
 
     /// Take a consistent checkpoint of all operator state (Appendix B.2.1).
@@ -227,7 +227,7 @@ impl RunningQuery {
     /// with the query's `ORDER BY` / `LIMIT` applied.
     pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
         let mut rows = self.executor.changelog().snapshot_at(at).to_rows();
-        self.apply_presentation(&mut rows)?;
+        apply_presentation(&self.query, &mut rows)?;
         Ok(rows)
     }
 
@@ -289,37 +289,39 @@ impl RunningQuery {
             .collect();
         Ok(format_table(&headers, &cells))
     }
+}
 
-    fn apply_presentation(&self, rows: &mut Vec<Row>) -> Result<()> {
-        if !self.query.order_by.is_empty() {
-            let keys = &self.query.order_by;
-            let mut err = None;
-            rows.sort_by(|a, b| {
-                for key in keys {
-                    let (va, vb) = match (key.expr.eval(a), key.expr.eval(b)) {
-                        (Ok(va), Ok(vb)) => (va, vb),
-                        (Err(e), _) | (_, Err(e)) => {
-                            err.get_or_insert(e);
-                            return std::cmp::Ordering::Equal;
-                        }
-                    };
-                    let ord = va.cmp(&vb);
-                    let ord = if key.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
+/// The table view's presentation step: `query`'s `ORDER BY`, then its
+/// `LIMIT`, over a snapshot of the whole result — the one place either is
+/// applied, for a [`RunningQuery`] and for a pipeline's merged log alike.
+pub(crate) fn apply_presentation(query: &BoundQuery, rows: &mut Vec<Row>) -> Result<()> {
+    if !query.order_by.is_empty() {
+        let mut err = None;
+        rows.sort_by(|a, b| {
+            for key in &query.order_by {
+                let (va, vb) = match (key.expr.eval(a), key.expr.eval(b)) {
+                    (Ok(va), Ok(vb)) => (va, vb),
+                    (Err(e), _) | (_, Err(e)) => {
+                        err.get_or_insert(e);
+                        return std::cmp::Ordering::Equal;
                     }
+                };
+                let ord = va.cmp(&vb);
+                let ord = if key.desc { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
                 }
-                std::cmp::Ordering::Equal
-            });
-            if let Some(e) = err {
-                return Err(e);
             }
+            std::cmp::Ordering::Equal
+        });
+        if let Some(e) = err {
+            return Err(e);
         }
-        if let Some(limit) = self.query.limit {
-            rows.truncate(limit);
-        }
-        Ok(())
     }
+    if let Some(limit) = query.limit {
+        rows.truncate(limit);
+    }
+    Ok(())
 }
 
 /// Columnar mirror of `validate_row`: find the first logical row the per-row

@@ -153,7 +153,6 @@ use crate::connect::registry::{ConnectorRegistry, Exports, OptionBag, SinkSpec, 
 use crate::connect::{DriverConfig, PartitionedSource, PipelineMetrics};
 use crate::driver::PipelineDriver;
 use crate::engine::Engine;
-use crate::history::HistoryTap;
 use crate::observe::{self, MetricRow};
 use crate::query::RunningQuery;
 
@@ -244,34 +243,23 @@ impl SqlPipeline {
         self.driver.events_in()
     }
 
-    /// Install a [`HistoryTap`] on the underlying driver: every
-    /// sink-observable event (rendered rows, watermark deliveries, epoch
-    /// transitions, finish) is appended to `tap` in sink order. Install
-    /// the same (cloned) tap on successive incarnations of a
-    /// killed-and-restored pipeline to record one crash-spanning history;
-    /// install it *before* [`SqlPipeline::restore_from`] so the restore
-    /// marker lands in the record.
-    pub fn set_history_tap(&mut self, tap: HistoryTap) {
-        self.driver.set_history_tap(tap);
-    }
-
     /// The driver's monotone processing-time clock; `AS OF` probes
     /// strictly below it are stable.
     pub fn clock(&self) -> Ts {
         self.driver.clock()
     }
 
-    /// The result table over everything processed so far, in sorted row
-    /// order.
-    pub fn table(&mut self) -> Result<Vec<Row>> {
+    /// The result table over everything processed so far; see
+    /// [`PipelineDriver::table_at`].
+    pub fn table(&self) -> Result<Vec<Row>> {
         self.driver.table()
     }
 
     /// Temporal `AS OF` probe: the result table as of processing time
-    /// `at`, in sorted row order. Works mid-run (the probe barriers the
-    /// workers). After a restore the probe only covers changes since the
-    /// restore point.
-    pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
+    /// `at`, with the query's `ORDER BY` / `LIMIT` applied. Works mid-run.
+    /// After a restore the probe only covers changes since the restore
+    /// point. See [`PipelineDriver::table_at`].
+    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
         self.driver.table_at(at)
     }
 

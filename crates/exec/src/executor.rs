@@ -318,6 +318,18 @@ impl Executor {
         &self.output
     }
 
+    /// Move the output recorded so far out, leaving the changelog empty:
+    /// for a consumer that keeps the result TVR itself (the pipeline
+    /// driver's merged log), so the executor retains nothing. Callers that
+    /// never take read the whole history from [`Executor::changelog`].
+    pub fn take_output(&mut self) -> Changelog {
+        let taken = std::mem::take(&mut self.output);
+        // The next round's output is likely about this size: one allocation
+        // then, instead of growing from nothing.
+        self.output.reserve(taken.len());
+        taken
+    }
+
     /// Aggregate state footprint across all operators.
     pub fn state_metrics(&self) -> StateMetrics {
         self.root.metrics()

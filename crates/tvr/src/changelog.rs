@@ -125,6 +125,18 @@ impl Changelog {
     }
 }
 
+/// Consume the log entry by entry, in processing-time order — how a
+/// consumer that takes a log over (the pipeline driver's merge) moves the
+/// entries on instead of copying them.
+impl IntoIterator for Changelog {
+    type Item = TimedChange;
+    type IntoIter = std::vec::IntoIter<TimedChange>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
+    }
+}
+
 impl fmt::Display for Changelog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for e in &self.entries {

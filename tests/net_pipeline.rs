@@ -195,7 +195,7 @@ fn reference_history(tag: &str, config: NetConfig) -> Vec<onesql::HistoryEvent> 
     let path = socket_path(tag);
     let (_rows, mut driver) = bind_consumer_with(&path, config);
     let tap = onesql::HistoryTap::new();
-    driver.set_history_tap(tap.clone());
+    driver.attach_sink(Box::new(tap.clone())).unwrap();
     let addr = NetAddr::unix(&path);
     let producer = std::thread::spawn(move || run_producer(addr));
     driver.run().unwrap();
@@ -233,7 +233,7 @@ fn nexmark_q7_survives_consumer_kills_under_the_nemesis() {
     };
     let tap = onesql::HistoryTap::new();
     let (_rows, mut victim) = bind_consumer(&path);
-    victim.set_history_tap(tap.clone());
+    victim.attach_sink(Box::new(tap.clone())).unwrap();
 
     for cycle in &plan.cycles {
         while !victim.is_finished() && victim.events_in() < cycle.checkpoint_at {
@@ -260,7 +260,7 @@ fn nexmark_q7_survives_consumer_kills_under_the_nemesis() {
         let (rows, resumed) = bind_consumer(&path);
         let _ = rows;
         victim = resumed;
-        victim.set_history_tap(tap.clone());
+        victim.attach_sink(Box::new(tap.clone())).unwrap();
         victim.restore(&checkpoint).unwrap();
         let restored_events: u64 = checkpoint.offsets.iter().flatten().sum();
         assert_eq!(victim.metrics().events_in, restored_events);
@@ -307,7 +307,7 @@ fn nexmark_q7_survives_producer_kill_and_restart() {
     let addr = NetAddr::unix(&path);
     let (_rows, mut driver) = bind_consumer_with(&path, restart_config);
     let tap = onesql::HistoryTap::new();
-    driver.set_history_tap(tap.clone());
+    driver.attach_sink(Box::new(tap.clone())).unwrap();
     let kill_at = NEXMARK_EVENTS / PARTS as u64 / 2;
     let first = {
         let addr = addr.clone();

@@ -273,6 +273,28 @@ fn partitioned_files_match_direct_execution() {
 }
 
 #[test]
+fn table_honours_order_by_and_limit_for_every_worker_count() {
+    // ORDER BY / LIMIT are properties of the whole result, applied once
+    // to the merged table — not once per worker and then re-sorted away.
+    let sql = "SELECT auction, price FROM Bid ORDER BY price DESC LIMIT 2";
+    let bids = vec![(1i64, 30i64), (2, 10), (3, 40), (4, 20)];
+    let mut direct = bid_engine().execute(sql).unwrap();
+    for (i, (auction, price)) in bids.iter().enumerate() {
+        let row = row!(*auction, *price, Ts(*price));
+        direct.insert("Bid", Ts(i as i64), row).unwrap();
+    }
+    let expected = direct.table().unwrap();
+    assert_eq!(expected, vec![row!(3i64, 40i64), row!(1i64, 30i64)]);
+    for workers in [1usize, 2] {
+        let mut driver = PipelineDriver::new(&bid_engine(), sql, sharded(workers)).unwrap();
+        let source = ScriptedPartitions::new(vec![bids.clone()]);
+        driver.attach_partitioned_source(Box::new(source)).unwrap();
+        driver.run().unwrap();
+        assert_eq!(driver.table().unwrap(), expected, "{workers} workers");
+    }
+}
+
+#[test]
 fn sharded_channels_fan_in_from_threads() {
     let engine = bid_engine();
     let (publishers, source) = sharded_channel("Bid", 4, 64);
