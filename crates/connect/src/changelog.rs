@@ -9,6 +9,7 @@
 //! 8:14  undo  8:10, 3                   ver=1
 //! ```
 
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -31,6 +32,10 @@ pub struct ChangelogSink {
     /// Also render watermark advancements as `-- watermark: …` lines.
     show_watermarks: bool,
     columns: Vec<String>,
+    /// The row being rendered — its `ptime` and its data cells — in
+    /// buffers reused across rows.
+    ptime: String,
+    data: String,
 }
 
 impl ChangelogSink {
@@ -41,6 +46,8 @@ impl ChangelogSink {
             target: Target::Writer(Box::new(writer)),
             show_watermarks: false,
             columns: Vec::new(),
+            ptime: String::new(),
+            data: String::new(),
         }
     }
 
@@ -69,6 +76,8 @@ impl ChangelogSink {
                 target: Target::Shared(buffer),
                 show_watermarks: false,
                 columns: Vec::new(),
+                ptime: String::new(),
+                data: String::new(),
             },
         )
     }
@@ -79,16 +88,19 @@ impl ChangelogSink {
         self
     }
 
-    fn emit(&mut self, line: String) -> Result<()> {
-        match &mut self.target {
-            Target::Writer(w) => writeln!(w, "{line}")
-                .map_err(|e| Error::exec(format!("{}: write error: {e}", self.name))),
+    /// Write one line. Over the two fields it needs, not `self`, so
+    /// `write` can format from its row buffers while it emits.
+    fn emit(target: &mut Target, name: &str, line: fmt::Arguments<'_>) -> Result<()> {
+        match target {
+            Target::Writer(w) => {
+                writeln!(w, "{line}").map_err(|e| Error::exec(format!("{name}: write error: {e}")))
+            }
             Target::Shared(buf) => {
                 let mut buf = buf
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                buf.push_str(&line);
-                buf.push('\n');
+                // Writing into a `String` cannot fail.
+                let _ = writeln!(buf, "{line}");
                 Ok(())
             }
         }
@@ -102,26 +114,33 @@ impl Sink for ChangelogSink {
 
     fn bind(&mut self, schema: SchemaRef) -> Result<()> {
         self.columns = schema.names().iter().map(|n| n.to_string()).collect();
-        self.emit(format!("-- changelog of ({})", self.columns.join(", ")))
+        let columns = self.columns.join(", ");
+        let header = format_args!("-- changelog of ({columns})");
+        ChangelogSink::emit(&mut self.target, &self.name, header)
     }
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
         for sr in rows {
-            let cells: Vec<String> = sr.row.values().iter().map(|v| v.to_string()).collect();
+            // Writing into a `String` cannot fail.
+            self.ptime.clear();
+            let _ = write!(self.ptime, "{}", sr.ptime);
+            self.data.clear();
+            for (i, value) in sr.row.values().iter().enumerate() {
+                let sep = if i > 0 { ", " } else { "" };
+                let _ = write!(self.data, "{sep}{value}");
+            }
+            let (ptime, data, ver) = (&self.ptime, &self.data, sr.ver);
             let tag = if sr.undo { "undo" } else { "+" };
-            self.emit(format!(
-                "{ptime:>8}  {tag:<4}  {data:<40} ver={ver}",
-                ptime = sr.ptime.to_clock_string(),
-                data = cells.join(", "),
-                ver = sr.ver,
-            ))?;
+            let line = format_args!("{ptime:>8}  {tag:<4}  {data:<40} ver={ver}");
+            ChangelogSink::emit(&mut self.target, &self.name, line)?;
         }
         Ok(())
     }
 
     fn on_watermark(&mut self, wm: Watermark) -> Result<()> {
         if self.show_watermarks {
-            self.emit(format!("-- watermark: {wm}"))?;
+            let line = format_args!("-- watermark: {wm}");
+            ChangelogSink::emit(&mut self.target, &self.name, line)?;
         }
         Ok(())
     }

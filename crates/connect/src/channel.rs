@@ -113,7 +113,7 @@ impl Source for ChannelSource {
         if self.finished {
             return Ok(SourceBatch::empty(SourceStatus::Finished));
         }
-        let mut batch = SourceBatch::empty(SourceStatus::Ready);
+        let mut batch = SourceBatch::empty(SourceStatus::Idle);
         while batch.events.len() < max_events {
             match self.rx.try_recv() {
                 Ok(Feed::Change(ptime, change)) => {
@@ -140,12 +140,16 @@ impl Source for ChannelSource {
                     if self.finishing {
                         self.finished = true;
                         batch.status = SourceStatus::Finished;
-                    } else if batch.events.is_empty() && batch.watermark.is_none() {
-                        batch.status = SourceStatus::Idle;
                     }
                     break;
                 }
             }
+        }
+        // Drained, the channel answers `Idle` with what it held: what comes
+        // next is a producer's to send. Only a poll that `max_events` cut
+        // short of a queue still holding something has a backlog to promise.
+        if batch.events.len() == max_events && !self.rx.is_empty() {
+            batch.status = SourceStatus::Ready;
         }
         Ok(batch)
     }
@@ -280,6 +284,32 @@ mod tests {
         let batch = source.poll_batch(16).unwrap();
         assert_eq!(batch.events.len(), 2, "event behind Finish was dropped");
         assert_eq!(batch.status, SourceStatus::Finished);
+    }
+
+    #[test]
+    fn ready_is_answered_only_over_a_backlog() {
+        let (publisher, mut source) = channel("S", 16);
+        for i in 0..5i64 {
+            publisher.insert(Ts(i), row!(i)).unwrap();
+        }
+        // Cut short by `max_events` with more queued: the next poll
+        // returns it whatever the producers do.
+        let batch = source.poll_batch(2).unwrap();
+        assert_eq!(batch.events.len(), 2);
+        assert_eq!(batch.status, SourceStatus::Ready);
+        let batch = source.poll_batch(2).unwrap();
+        assert_eq!(batch.events.len(), 2);
+        assert_eq!(batch.status, SourceStatus::Ready);
+        // A full batch that emptied the queue promises nothing, and
+        // neither does one the queue could not fill.
+        let batch = source.poll_batch(1).unwrap();
+        assert_eq!(batch.events.len(), 1);
+        assert_eq!(batch.status, SourceStatus::Idle);
+        publisher.insert(Ts(5), row!(5i64)).unwrap();
+        let batch = source.poll_batch(4).unwrap();
+        assert_eq!(batch.events.len(), 1);
+        assert_eq!(batch.status, SourceStatus::Idle);
+        assert_eq!(source.poll_batch(4).unwrap().status, SourceStatus::Idle);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! columns plus `undo` / `ptime` / `ver`) or, for final-only streams, as
 //! plain appended records that a source with the same schema reads back.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
 use std::path::Path;
@@ -465,7 +466,7 @@ pub enum CsvSinkMode {
 /// Names of the metadata columns a changelog-mode sink appends.
 const META_NAMES: [&str; 3] = onesql_exec::STREAM_META_COLUMNS;
 
-/// Row-to-line rendering shared by the plain and transactional file
+/// Row-to-bytes rendering shared by the plain and transactional file
 /// sinks: CSV or JSON-lines, changelog or appends mode, with the
 /// bind-time header line and extended JSON schema.
 struct LineRenderer {
@@ -476,6 +477,9 @@ struct LineRenderer {
     /// changelog mode; built once at bind time.
     json_schema: Option<Schema>,
     header: bool,
+    /// The lines of one `write` call; reused, so rendering a row
+    /// allocates nothing once the buffer has grown to a round's size.
+    buf: String,
 }
 
 impl LineRenderer {
@@ -486,27 +490,24 @@ impl LineRenderer {
             format,
             json_schema: None,
             header,
+            buf: String::new(),
         }
     }
 
     /// Bind the output schema, returning the header line to write (CSV
     /// with headers enabled only).
     fn bind(&mut self, schema: SchemaRef) -> Result<Option<String>> {
-        let header = if self.header && matches!(self.format, LineFormat::Csv) {
-            let mut names: Vec<String> = schema
-                .names()
-                .into_iter()
-                .map(text::escape_csv_field)
-                .collect();
-            if self.mode == CsvSinkMode::Changelog {
-                names.extend(META_NAMES.iter().map(|n| n.to_string()));
-            }
-            Some(names.join(","))
-        } else {
-            None
-        };
+        let changelog = self.mode == CsvSinkMode::Changelog;
+        let header = (self.header && matches!(self.format, LineFormat::Csv)).then(|| {
+            // Column names are quoted as the string values they are.
+            let meta = if changelog { &META_NAMES[..] } else { &[] };
+            let names = schema.names().into_iter().chain(meta.iter().copied());
+            let mut line = String::new();
+            text::push_csv_row(&mut line, &Row::from_values(names.map(Value::str)));
+            line
+        });
         let mut fields = schema.fields().to_vec();
-        if self.mode == CsvSinkMode::Changelog {
+        if changelog {
             fields.push(onesql_types::Field::new(
                 META_NAMES[0],
                 onesql_types::DataType::Bool,
@@ -524,48 +525,60 @@ impl LineRenderer {
         Ok(header)
     }
 
-    fn render(&self, sr: &StreamRow) -> Result<String> {
-        if self.mode == CsvSinkMode::Appends && sr.undo {
-            return Err(Error::exec(format!(
-                "{}: retraction reached an appends-mode sink; use \
-                 CsvSinkMode::Changelog or a watermark-gated query",
-                self.name
-            )));
-        }
-        Ok(match (&self.format, &self.mode) {
-            (LineFormat::Csv, CsvSinkMode::Appends) => text::row_to_csv(&sr.row),
-            (LineFormat::Csv, CsvSinkMode::Changelog) => {
-                let mut fields: Vec<String> = sr
-                    .row
-                    .values()
-                    .iter()
-                    .map(|v| text::escape_csv_field(&text::format_value(v)))
-                    .collect();
-                // `true`/`false` (not the paper's "undo" rendering, which
-                // ChangelogSink provides) so the column parses back as the
-                // Bool the meta schema declares.
-                fields.push(sr.undo.to_string());
-                fields.push(sr.ptime.to_clock_string());
-                fields.push(sr.ver.to_string());
-                fields.join(",")
+    /// Append `rows` to `out`, one terminated line each. On an error,
+    /// `out` holds the lines of the rows before the offending one.
+    fn render_into(&self, rows: &[StreamRow], out: &mut String) -> Result<()> {
+        let changelog = self.mode == CsvSinkMode::Changelog;
+        for sr in rows {
+            if !changelog && sr.undo {
+                return Err(Error::exec(format!(
+                    "{}: retraction reached an appends-mode sink; use \
+                     CsvSinkMode::Changelog or a watermark-gated query",
+                    self.name
+                )));
             }
-            (LineFormat::JsonLines, mode) => {
-                let schema = self
-                    .json_schema
-                    .as_ref()
-                    .ok_or_else(|| Error::exec(format!("{}: sink was never bound", self.name)))?;
-                let row = if *mode == CsvSinkMode::Changelog {
-                    sr.row.with_appended(&[
+            match self.format {
+                LineFormat::Csv => {
+                    text::push_csv_row(out, &sr.row);
+                    if changelog {
+                        // `true`/`false` (not the paper's "undo" rendering,
+                        // which ChangelogSink provides) so the column parses
+                        // back as the Bool the meta schema declares.
+                        out.push_str(if sr.undo { ",true," } else { ",false," });
+                        // Writing into a `String` cannot fail.
+                        let _ = sr.ptime.write_clock(out);
+                        let _ = write!(out, ",{}", sr.ver);
+                    }
+                }
+                LineFormat::JsonLines => {
+                    let schema = self.json_schema.as_ref().ok_or_else(|| {
+                        Error::exec(format!("{}: sink was never bound", self.name))
+                    })?;
+                    let meta = [
                         Value::Bool(sr.undo),
                         Value::Ts(sr.ptime),
                         Value::Int(sr.ver as i64),
-                    ])
-                } else {
-                    sr.row.clone()
-                };
-                json::row_to_json(&row, schema)
+                    ];
+                    let meta = if changelog { &meta[..] } else { &[] };
+                    json::push_row(out, schema, sr.row.values().iter().chain(meta));
+                }
             }
-        })
+            out.push('\n');
+        }
+        Ok(())
+    }
+
+    /// Render `rows` into the reused buffer and hand the writer all of
+    /// their bytes in one `write_all`. A row that cannot be rendered fails
+    /// the call after the rows before it were written; none after it are.
+    fn write_rows(&mut self, rows: &[StreamRow], writer: &mut impl Write) -> Result<()> {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        let rendered = self.render_into(rows, &mut buf);
+        let written = writer.write_all(buf.as_bytes());
+        self.buf = buf;
+        written.map_err(|e| Error::exec(format!("{}: write error: {e}", self.name)))?;
+        rendered
     }
 }
 
@@ -603,12 +616,7 @@ impl TextFileSink {
     }
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        for sr in rows {
-            let line = self.renderer.render(sr)?;
-            writeln!(self.writer, "{line}")
-                .map_err(|e| Error::exec(format!("{}: write error: {e}", self.renderer.name)))?;
-        }
-        Ok(())
+        self.renderer.write_rows(rows, &mut self.writer)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -847,7 +855,7 @@ impl TxnFileSink {
     /// The open output, started fresh on first use, next to the renderer
     /// (borrowed together so callers can render and name errors while
     /// they write).
-    fn active(&mut self) -> Result<(&LineRenderer, &mut BufWriter<File>)> {
+    fn active(&mut self) -> Result<(&mut LineRenderer, &mut BufWriter<File>)> {
         match self.state {
             TxnState::Pending => self.start_fresh()?,
             TxnState::Active => {}
@@ -859,7 +867,7 @@ impl TxnFileSink {
             .writer
             .as_mut()
             .ok_or_else(|| Error::exec("transactional sink is active without an open writer"))?;
-        Ok((&self.renderer, writer))
+        Ok((&mut self.renderer, writer))
     }
 
     /// Flush buffered lines and return the file's current byte length.
@@ -891,12 +899,7 @@ impl Sink for TxnFileSink {
             return Ok(());
         }
         let (renderer, writer) = self.active()?;
-        for sr in rows {
-            let line = renderer.render(sr)?;
-            writeln!(writer, "{line}")
-                .map_err(|e| Error::exec(format!("{}: write error: {e}", renderer.name)))?;
-        }
-        Ok(())
+        renderer.write_rows(rows, writer)
     }
 
     fn on_checkpoint(&mut self, epoch: u64) -> Result<()> {
@@ -1088,6 +1091,274 @@ mod tests {
             "v",
             DataType::Int,
         )]))
+    }
+
+    /// The renderer `LineRenderer::render_into` replaced — a `String` per value,
+    /// per field and per line — kept as the oracle its bytes are pinned to.
+    mod old {
+        use super::*;
+
+        fn clock_string(ts: Ts) -> String {
+            if ts == Ts::MAX {
+                return "+inf".to_string();
+            }
+            if ts == Ts::MIN {
+                return "-inf".to_string();
+            }
+            let (sign, ms) = if ts.0 < 0 { ("-", -ts.0) } else { ("", ts.0) };
+            let (hours, minutes) = (ms / 3_600_000, (ms % 3_600_000) / 60_000);
+            let rem_ms = ms % 60_000;
+            if rem_ms == 0 {
+                format!("{sign}{hours}:{minutes:02}")
+            } else {
+                let (seconds, millis) = (rem_ms / 1_000, rem_ms % 1_000);
+                format!("{sign}{hours}:{minutes:02}:{seconds:02}.{millis:03}")
+            }
+        }
+
+        fn compact_string(d: Duration) -> String {
+            let ms = d.0;
+            if ms % 3_600_000 == 0 {
+                format!("{}h", ms / 3_600_000)
+            } else if ms % 60_000 == 0 {
+                format!("{}m", ms / 60_000)
+            } else if ms % 1_000 == 0 {
+                format!("{}s", ms / 1_000)
+            } else {
+                format!("{ms}ms")
+            }
+        }
+
+        fn format_value(value: &Value) -> String {
+            match value {
+                Value::Null => String::new(),
+                Value::Ts(t) => clock_string(*t),
+                Value::Interval(d) => compact_string(*d),
+                Value::Bool(b) => b.to_string(),
+                Value::Int(i) => i.to_string(),
+                Value::Float(v) => v.to_string(),
+                Value::Str(s) => s.to_string(),
+            }
+        }
+
+        pub fn escape_csv_field(text: &str) -> String {
+            if text.contains(',') || text.contains('"') || text.contains('\n') {
+                format!("\"{}\"", text.replace('"', "\"\""))
+            } else {
+                text.to_string()
+            }
+        }
+
+        fn escape_json_string(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        fn value_to_json(value: &Value) -> String {
+            match value {
+                Value::Null => "null".to_string(),
+                Value::Bool(b) => b.to_string(),
+                Value::Int(i) => i.to_string(),
+                Value::Float(f) if f.is_finite() => f.to_string(),
+                Value::Float(f) => escape_json_string(&f.to_string()),
+                Value::Str(s) => escape_json_string(s),
+                Value::Ts(t) => t.millis().to_string(),
+                Value::Interval(d) => d.millis().to_string(),
+            }
+        }
+
+        pub fn render(r: &LineRenderer, sr: &StreamRow) -> Result<String> {
+            if r.mode == CsvSinkMode::Appends && sr.undo {
+                return Err(Error::exec(format!(
+                    "{}: retraction reached an appends-mode sink; use \
+                     CsvSinkMode::Changelog or a watermark-gated query",
+                    r.name
+                )));
+            }
+            let cells = |row: &Row| -> Vec<String> {
+                let cell = |v| escape_csv_field(&format_value(v));
+                row.values().iter().map(cell).collect()
+            };
+            Ok(match (&r.format, &r.mode) {
+                (LineFormat::Csv, CsvSinkMode::Appends) => cells(&sr.row).join(","),
+                (LineFormat::Csv, CsvSinkMode::Changelog) => {
+                    let mut fields = cells(&sr.row);
+                    fields.push(sr.undo.to_string());
+                    fields.push(clock_string(sr.ptime));
+                    fields.push(sr.ver.to_string());
+                    fields.join(",")
+                }
+                (LineFormat::JsonLines, mode) => {
+                    let row = if *mode == CsvSinkMode::Changelog {
+                        sr.row.with_appended(&[
+                            Value::Bool(sr.undo),
+                            Value::Ts(sr.ptime),
+                            Value::Int(sr.ver as i64),
+                        ])
+                    } else {
+                        sr.row.clone()
+                    };
+                    let schema = r.json_schema.as_ref().unwrap();
+                    let pairs = schema.fields().iter().zip(row.values());
+                    let pair = |(f, v): (&onesql_types::Field, _)| {
+                        format!("{}:{}", escape_json_string(&f.name), value_to_json(v))
+                    };
+                    format!("{{{}}}", pairs.map(pair).collect::<Vec<_>>().join(","))
+                }
+            })
+        }
+    }
+
+    mod bytes {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_ts() -> impl Strategy<Value = Ts> {
+            prop_oneof![
+                any::<i64>().prop_map(Ts),
+                // Whole minutes, both signs; sub-minute remainders.
+                (-100_000i64..100_000).prop_map(Ts::from_minutes),
+                (-200_000i64..200_000).prop_map(Ts),
+                Just(Ts::MAX),
+                Just(Ts::MIN),
+                Just(Ts(i64::MIN + 1)),
+            ]
+        }
+
+        fn arb_text() -> impl Strategy<Value = String> {
+            let chars = [
+                ',', '"', '\n', '\r', '\t', '\\', '\u{1}', 'a', ' ', 'é', '7',
+            ];
+            let one = (0..chars.len()).prop_map(move |i| chars[i]);
+            prop::collection::vec(one, 0..6).prop_map(|cs| cs.into_iter().collect())
+        }
+
+        fn arb_value() -> impl Strategy<Value = Value> {
+            let floats = [
+                0.0,
+                -0.0,
+                0.1,
+                -2.5,
+                8580.0,
+                1e21,
+                1e-7,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ];
+            prop_oneof![
+                Just(Value::Null),
+                prop::bool::ANY.prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                (0..floats.len()).prop_map(move |i| Value::Float(floats[i])),
+                any::<i64>().prop_map(|i| Value::Float(i as f64 / 1024.0)),
+                arb_text().prop_map(Value::str),
+                arb_ts().prop_map(Value::Ts),
+                any::<i64>().prop_map(|ms| Value::Interval(Duration(ms))),
+                (-50_000i64..50_000).prop_map(|s| Value::Interval(Duration(s * 1_000))),
+            ]
+        }
+
+        const ARITY: usize = 3;
+
+        fn arb_stream_row() -> impl Strategy<Value = StreamRow> {
+            let row = prop::collection::vec(arb_value(), ARITY..ARITY + 1);
+            (row, prop::bool::ANY, arb_ts(), any::<u64>()).prop_map(|(values, undo, ptime, ver)| {
+                StreamRow {
+                    row: Row::new(values),
+                    undo,
+                    ptime,
+                    ver,
+                }
+            })
+        }
+
+        fn renderer(format: LineFormat, mode: CsvSinkMode) -> LineRenderer {
+            let mut renderer = LineRenderer::new("sink".to_string(), mode, format, true);
+            let names = ["plain", "quo\"ted", "com,ma"];
+            let field = |name: &&str| onesql_types::Field::new(*name, DataType::String);
+            let schema = Schema::new(names.iter().map(field).collect());
+            let header = renderer.bind(Arc::new(schema)).unwrap();
+            // The header quotes what a data field would.
+            if matches!(format, LineFormat::Csv) {
+                let mut expected: Vec<String> =
+                    names.iter().map(|n| old::escape_csv_field(n)).collect();
+                if mode == CsvSinkMode::Changelog {
+                    expected.extend(META_NAMES.iter().map(|n| n.to_string()));
+                }
+                assert_eq!(header, Some(expected.join(",")));
+            } else {
+                assert_eq!(header, None);
+            }
+            renderer
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn rendered_bytes_are_the_old_renderers(
+                rows in prop::collection::vec(arb_stream_row(), 0..8)
+            ) {
+                for format in [LineFormat::Csv, LineFormat::JsonLines] {
+                    for mode in [CsvSinkMode::Changelog, CsvSinkMode::Appends] {
+                        let mut renderer = renderer(format, mode);
+                        // Stale bytes of an earlier call must not leak.
+                        renderer.buf.push_str("stale");
+                        let mut sunk = Vec::new();
+                        let outcome = renderer.write_rows(&rows, &mut sunk);
+                        let mut expected = String::new();
+                        let mut refused = None;
+                        for sr in &rows {
+                            match old::render(&renderer, sr) {
+                                Ok(line) => expected.push_str(&format!("{line}\n")),
+                                // Nothing of the call's later rows is written.
+                                Err(e) => {
+                                    refused = Some(e.to_string());
+                                    break;
+                                }
+                            }
+                        }
+                        prop_assert_eq!(String::from_utf8(sunk).unwrap(), expected);
+                        prop_assert_eq!(outcome.err().map(|e| e.to_string()), refused.clone());
+                        let retracts = rows.iter().any(|sr| sr.undo);
+                        prop_assert_eq!(
+                            refused.is_some(),
+                            mode == CsvSinkMode::Appends && retracts
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn appends_mode_refuses_a_retraction_mid_call() {
+            let mut renderer = renderer(LineFormat::Csv, CsvSinkMode::Appends);
+            let mut rows = vec![stream_row(1), stream_row(2), stream_row(3)];
+            rows[1].undo = true;
+            let mut sunk = Vec::new();
+            let err = renderer.write_rows(&rows, &mut sunk).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "execution error: sink: retraction reached an appends-mode sink; use \
+                 CsvSinkMode::Changelog or a watermark-gated query"
+            );
+            assert_eq!(sunk, b"1\n");
+        }
     }
 
     #[test]

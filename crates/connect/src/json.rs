@@ -271,9 +271,8 @@ impl Parser<'_> {
     }
 }
 
-/// Escape and quote a string for JSON output.
-pub fn escape_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s`, escaped and quoted, as a JSON string.
+pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -289,28 +288,26 @@ pub fn escape_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
-/// Render a [`Value`] as a JSON fragment. Timestamps and intervals are
+/// Append a [`Value`] as a JSON fragment. Timestamps and intervals are
 /// integer milliseconds (lossless; the schema recovers the type on read).
-pub fn value_to_json(value: &Value) -> String {
-    match value {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_finite() {
-                f.to_string()
-            } else {
-                // JSON has no infinities/NaN; encode as string.
-                escape_string(&f.to_string())
-            }
+pub fn push_value(out: &mut String, value: &Value) {
+    // Writing into a `String` cannot fail.
+    let _ = match value {
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(f) if f.is_finite() => write!(out, "{f}"),
+        // JSON has no infinities/NaN; encode as string.
+        Value::Float(f) => write!(out, "\"{f}\""),
+        Value::Str(s) => {
+            push_string(out, s);
+            Ok(())
         }
-        Value::Str(s) => escape_string(s),
-        Value::Ts(t) => t.millis().to_string(),
-        Value::Interval(d) => d.millis().to_string(),
-    }
+        Value::Ts(t) => write!(out, "{}", t.millis()),
+        Value::Interval(d) => write!(out, "{}", d.millis()),
+    };
 }
 
 /// Convert a parsed JSON scalar to a [`Value`] of the schema's type.
@@ -341,19 +338,24 @@ pub fn json_to_value(json: &Json, data_type: DataType) -> Result<Value> {
     }
 }
 
-/// Render a row as a one-line JSON object keyed by schema field names.
-pub fn row_to_json(row: &Row, schema: &Schema) -> String {
-    let mut out = String::from("{");
-    for (i, (field, value)) in schema.fields().iter().zip(row.values()).enumerate() {
+/// Append `values` as a one-line JSON object keyed by the schema's field
+/// names (the two are zipped, so a changelog sink chains its metadata
+/// values after a row's without building the wider row).
+pub fn push_row<'a>(
+    out: &mut String,
+    schema: &Schema,
+    values: impl IntoIterator<Item = &'a Value>,
+) {
+    out.push('{');
+    for (i, (field, value)) in schema.fields().iter().zip(values).enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&escape_string(&field.name));
+        push_string(out, &field.name);
         out.push(':');
-        out.push_str(&value_to_json(value));
+        push_value(out, value);
     }
     out.push('}');
-    out
 }
 
 /// Parse a one-line JSON object into a row matching the schema. Missing
@@ -394,7 +396,8 @@ mod tests {
     fn row_round_trips() {
         let s = schema();
         let r = row!(Ts::hm(8, 7), 42i64, "tea \"pot\", etc.");
-        let line = row_to_json(&r, &s);
+        let mut line = String::new();
+        push_row(&mut line, &s, r.values());
         assert_eq!(json_to_row(&line, &s).unwrap(), r);
     }
 
@@ -456,7 +459,8 @@ mod tests {
         ]);
         let big = (1i64 << 53) + 1;
         let r = row!(big, Ts(i64::MAX - 7));
-        let line = row_to_json(&r, &s);
+        let mut line = String::new();
+        push_row(&mut line, &s, r.values());
         assert_eq!(json_to_row(&line, &s).unwrap(), r);
         // Float syntax still parses as float.
         let f = json_to_row(r#"{"id": 5, "t": 9}"#, &s).unwrap();

@@ -152,9 +152,11 @@ impl Source for MetricsSource {
             }
         }
 
-        batch.status = if !self.pending.is_empty() || !batch.events.is_empty() {
+        // `Ready` only while rows `max_events` cut off are still buffered:
+        // the next poll returns those whatever the watched pipelines do.
+        batch.status = if !self.pending.is_empty() {
             SourceStatus::Ready
-        } else if self.cursors.values().all(|c| c.finished) {
+        } else if batch.events.is_empty() && self.cursors.values().all(|c| c.finished) {
             SourceStatus::Finished
         } else {
             SourceStatus::Idle
@@ -265,7 +267,8 @@ mod tests {
         let batch = source.poll_batch(1024).unwrap();
         assert!(!batch.events.is_empty());
         assert_eq!(batch.watermark, Some(Ts(99)));
-        assert_eq!(batch.status, SourceStatus::Ready);
+        // The whole snapshot fitted: nothing is left buffered.
+        assert_eq!(batch.status, SourceStatus::Idle);
         let row = &batch.events[0].change.row;
         assert_eq!(row.values()[0], Value::Ts(Ts(100)));
         assert_eq!(row.values()[1], Value::from(label));

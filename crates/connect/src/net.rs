@@ -1662,7 +1662,6 @@ impl Source for NetPartition {
         if self.finished && self.pending.is_empty() {
             return Ok(SourceBatch::empty(SourceStatus::Finished));
         }
-        let mut received = false;
         if self.pending.is_empty() {
             match self.rx.recv_timeout(self.poll_wait) {
                 Ok(Decoded::Batch {
@@ -1674,7 +1673,6 @@ impl Source for NetPartition {
                     self.pending_wm = watermark;
                     self.pending_trace = trace;
                     self.last_heard = Some(Instant::now());
-                    received = true;
                 }
                 Ok(Decoded::Keepalive { watermark }) => {
                     // Proof of life; a v2 keepalive may also restate the
@@ -1713,15 +1711,15 @@ impl Source for NetPartition {
         if self.pending.is_empty() {
             batch.watermark = self.pending_wm.take();
             self.pending_trace = None;
-            if self.finished {
-                batch.status = SourceStatus::Finished;
-            }
-        }
-        if batch.events.is_empty() && batch.watermark.is_none() && !received {
+            // The frame is used up. Unless the reader thread has already
+            // queued the next one, the next poll waits for the peer (up to
+            // `poll_wait`), and `Ready` would promise that it does not.
             batch.status = if self.finished {
                 SourceStatus::Finished
-            } else {
+            } else if self.rx.is_empty() {
                 SourceStatus::Idle
+            } else {
+                SourceStatus::Ready
             };
         }
         Ok(batch)
@@ -2525,6 +2523,35 @@ mod tests {
         assert_eq!(source.offset(0), 10);
         assert_eq!(events[3].change.row, row!(3i64, 6i64));
         assert_eq!(watermark, Some(Ts(9)));
+    }
+
+    #[test]
+    fn ready_is_answered_only_over_a_backlog() {
+        let mut source = tcp_source(&["S"], 1);
+        let addr = source.local_addr();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let producer = std::thread::spawn(move || {
+            let mut publisher = NetPublisher::new(addr, 0, vec!["S".to_string()], test_config());
+            // One whole frame, then silence until the consumer says so.
+            for i in 0..4i64 {
+                publisher.insert(0, Ts(i), row!(i, i)).unwrap();
+            }
+            wait.recv().unwrap();
+            publisher.finish().unwrap();
+        });
+        let mut polled = Vec::new();
+        while polled.len() < 2 {
+            let batch = source.poll_partition(0, 3).unwrap();
+            if !batch.events.is_empty() {
+                polled.push((batch.events.len(), batch.status));
+            }
+        }
+        // The frame's remainder is buffered: the next poll returns it
+        // without a look at the socket. Once it is used up and the peer is
+        // silent, the next poll would wait out `poll_wait`.
+        assert_eq!(polled, [(3, SourceStatus::Ready), (1, SourceStatus::Idle)]);
+        go.send(()).unwrap();
+        producer.join().unwrap();
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! guidance, so a file written by a sink round-trips through a source with
 //! the same schema.
 
+use std::fmt::Write as _;
+
 use onesql_types::{ColumnBuilder, DataType, Duration, Error, Result, Row, Schema, Ts, Value};
 
 /// Parse one text field into a [`Value`] of the given type. Empty text is
@@ -145,11 +147,14 @@ pub fn parse_interval(text: &str) -> Result<Duration> {
     Ok(Duration(n * scale))
 }
 
-/// Render a value for a text field. NULL renders empty.
-pub fn format_value(value: &Value) -> String {
-    match value {
-        Value::Null => String::new(),
-        other => other.to_string(),
+/// Append a value's text-field form to `out`: what its `Display` writes
+/// (timestamps as clock strings, intervals compactly), NULL as nothing.
+/// Every text sink renders through here, into a buffer it reuses, so a
+/// value costs no allocation.
+pub fn push_value(out: &mut String, value: &Value) {
+    if !value.is_null() {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{value}");
     }
 }
 
@@ -202,27 +207,42 @@ pub fn split_csv_line(line: &str) -> Vec<String> {
 /// complete CSV record. Records whose quoted fields embed newlines span
 /// several physical lines; readers join lines until this holds. (Bare
 /// quotes inside unquoted fields are invalid CSV and not produced by
-/// [`escape_csv_field`].)
+/// [`push_csv_row`].)
 pub fn csv_quotes_balanced(line: &str) -> bool {
     line.chars().filter(|&c| c == '"').count() % 2 == 0
 }
 
-/// Render one CSV field, quoting only when necessary.
-pub fn escape_csv_field(text: &str) -> String {
-    if text.contains(',') || text.contains('"') || text.contains('\n') {
-        format!("\"{}\"", text.replace('"', "\"\""))
-    } else {
-        text.to_string()
+/// Make `out[start..]`, a field just appended, a valid CSV field: when it
+/// holds a comma, a quote or a newline it is wrapped in quotes and its
+/// quotes doubled, in place; otherwise (nearly always) it is only scanned.
+fn quote_csv_field(out: &mut String, start: usize) {
+    let needs_quoting = |b: &u8| matches!(b, b',' | b'"' | b'\n');
+    if !out.as_bytes()[start..].iter().any(needs_quoting) {
+        return;
     }
+    out.insert(start, '"');
+    let mut scanned = start + 1;
+    while let Some(quote) = out[scanned..].find('"') {
+        out.insert(scanned + quote, '"');
+        scanned += quote + 2;
+    }
+    out.push('"');
 }
 
-/// Render a row as one CSV line.
-pub fn row_to_csv(row: &Row) -> String {
-    row.values()
-        .iter()
-        .map(|v| escape_csv_field(&format_value(v)))
-        .collect::<Vec<_>>()
-        .join(",")
+/// Append a row as one CSV record (no line terminator).
+pub fn push_csv_row(out: &mut String, row: &Row) {
+    for (i, value) in row.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let start = out.len();
+        push_value(out, value);
+        // Only a string can hold a comma, a quote or a newline: the other
+        // types write digits, letters and `-` `+` `.` `:`.
+        if matches!(value, Value::Str(_)) {
+            quote_csv_field(out, start);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -249,7 +269,8 @@ mod tests {
             (Value::Null, DataType::Int),
         ];
         for (value, dt) in cases {
-            let text = format_value(&value);
+            let mut text = String::new();
+            push_value(&mut text, &value);
             let back = parse_value(&text, dt).unwrap();
             assert_eq!(back, value, "via {text:?}");
         }
@@ -258,7 +279,9 @@ mod tests {
     #[test]
     fn csv_quoting_round_trips() {
         let r = row!("a,b", "say \"hi\"", 7i64);
-        let line = row_to_csv(&r);
+        let mut line = String::new();
+        push_csv_row(&mut line, &r);
+        assert_eq!(line, "\"a,b\",\"say \"\"hi\"\"\",7");
         let fields = split_csv_line(&line);
         assert_eq!(fields, vec!["a,b", "say \"hi\"", "7"]);
     }

@@ -161,9 +161,11 @@ impl Source for TraceSource {
                 .pipelines
                 .iter()
                 .all(|p| hub().latest(p).is_some_and(|s| s.finished));
-        batch.status = if !self.pending.is_empty() || !batch.events.is_empty() {
+        // `Ready` only while rows `max_events` cut off are still buffered:
+        // the next poll returns those whatever the watched pipelines do.
+        batch.status = if !self.pending.is_empty() {
             SourceStatus::Ready
-        } else if finished {
+        } else if batch.events.is_empty() && finished {
             SourceStatus::Finished
         } else {
             SourceStatus::Idle
@@ -293,7 +295,8 @@ mod tests {
         assert_eq!(row.values()[4], Value::from("0x10"));
         // Watermark trails the newest rendered close (3250ms) by 1.
         assert_eq!(batch.watermark, Some(Ts(3249)));
-        assert_eq!(batch.status, SourceStatus::Ready);
+        // Every span fitted: nothing is left buffered.
+        assert_eq!(batch.status, SourceStatus::Idle);
 
         // Nothing new: idle, watermark already asserted.
         let batch = source.poll_batch(1024).unwrap();

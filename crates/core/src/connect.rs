@@ -48,10 +48,18 @@ pub use registry::{
 /// What a source reports after a poll; drives the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceStatus {
-    /// More data may be immediately available: poll again soon.
+    /// The source holds a backlog: the next poll returns more without
+    /// waiting for anyone (a file with bytes left, a seeded generator, the
+    /// buffered remainder of a poll that `max_events` cut short). This is
+    /// a promise, not a guess. A threaded driver whose every partition
+    /// answered `Ready` with events leaves the round's output unwritten
+    /// until it has polled again, so a source that answers `Ready` and then
+    /// waits for input withholds that output for as long as it waits.
     Ready,
-    /// No data right now, but the source is not done (e.g. an in-memory
-    /// channel whose producers are still alive). The driver backs off.
+    /// Nothing more right now, but the source is not done: whatever events
+    /// the batch carries drained it, and the next poll depends on someone
+    /// else (a channel's producers, a socket's peer). What a live source
+    /// answers unless it can prove a backlog.
     #[default]
     Idle,
     /// The source will never produce again; its streams get final
@@ -134,7 +142,8 @@ pub trait Source {
 
     /// Produce up to `max_events` events. Must not block; a source with
     /// nothing buffered returns an empty batch with status
-    /// [`SourceStatus::Idle`] (or `Finished`).
+    /// [`SourceStatus::Idle`] (or `Finished`), and one whose batch emptied
+    /// its buffer answers `Idle` with the events.
     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch>;
 
     /// Columnar poll: sources that can produce changes already in

@@ -6,7 +6,8 @@
 //! [`PartitionedVec`]), and one [`PipelineDriver::step`] round is always
 //! the same: poll every unfinished partition, hand the round's events to
 //! the workers, then the round's per-stream watermark advances, then
-//! barrier, merge and emit.
+//! barrier, merge and emit (the emit one step later when the input is
+//! saturated, see below).
 //! The only thing that varies is the **worker set**, chosen from the
 //! worker count alone:
 //!
@@ -49,6 +50,32 @@
 //! entries strictly below the clock can be released in their final order;
 //! ties at the clock wait (a slower worker may still produce a same-`ptime`
 //! entry that goes between them).
+//!
+//! The same argument lets the emit leave the round's critical path. With
+//! worker threads and saturated input the post-gather flush is deferred:
+//! the round saves its clock as the **release bound**, and the next round
+//! runs poll → dispatch → *emit previous* → gather, rendering and writing
+//! round N−1 while the workers compute round N. What is below a gather's
+//! clock is final whenever it is released, so a step later the same entries
+//! leave in the same order; the saved bound (not the newer clock) is what
+//! the late flush must use, because round N may still add entries *at* that
+//! bound which merge in between.
+//!
+//! Saturated means every partition polled this round answered
+//! [`SourceStatus::Ready`] with events, and the clock advanced. `Ready` is
+//! a source's promise that its next poll returns more without waiting for
+//! anyone, so the poll that stands between a deferred round and its sinks
+//! never waits. A channel, a socket or a telemetry feed answers `Idle`
+//! with the events that drained it: live input is written in the step that
+//! polled it, whatever the worker count. An idle or finished poll, a round
+//! that left the clock in place (the nudge must see what is held at the
+//! clock), [`PipelineDriver::checkpoint`], [`PipelineDriver::finish`] and
+//! the inline W = 1 set all flush at once. Every `ptime` and `ver`, every
+//! sink callback in order, the sink bytes and the checkpoint bytes are
+//! therefore those of a driver that never defers; only *when* a sink hears
+//! of a round moves. Mid-run, [`PipelineDriver::changelog`] and
+//! `events_out` are the released prefix, and the load signal counts only
+//! entries held at or past the clock.
 //!
 //! # Example
 //!
@@ -485,6 +512,11 @@ pub struct PipelineDriver {
     /// Held-back changelog entries per worker, in arrival order (which is
     /// ptime order by construction).
     pending: Vec<VecDeque<TimedChange>>,
+    /// The release bound (the clock at its gather) of a round whose flush
+    /// is still owed: a saturated round on worker threads leaves its
+    /// output in `pending` and the next `step` emits it while the workers
+    /// compute. `None` whenever nothing releasable is held.
+    deferred: Option<Ts>,
     /// Every entry the merge released, in the order the sinks saw it: the
     /// result TVR. The pipeline's only retained output.
     changelog: Changelog,
@@ -571,6 +603,7 @@ impl PipelineDriver {
             streams: Vec::new(),
             clock,
             pending: (0..config.workers).map(|_| VecDeque::new()).collect(),
+            deferred: None,
             changelog: Changelog::new(),
             query,
             renderer: StreamRenderer::new(ver_cols),
@@ -825,6 +858,9 @@ impl PipelineDriver {
             (0..worker_count).map(|_| Vec::new()).collect();
         let mut ingested = 0usize;
         let mut poll_micros = 0u64;
+        // Saturated input: every partition polled answered `Ready` with
+        // events, each one's promise that its next poll will not wait.
+        let mut saturated = true;
         for slot in 0..self.sources.len() {
             for part in 0..self.sources[slot].parts.len() {
                 if self.sources[slot].parts[part].finished {
@@ -853,6 +889,7 @@ impl PipelineDriver {
                 if polled > 0 {
                     self.sources[slot].non_empty_polls += 1;
                 }
+                saturated &= polled > 0 && batch.status == SourceStatus::Ready;
                 // The ingest span parents under the wire-carried producer
                 // span when the partition supplied one, else this round.
                 let _ingest = (polled > 0 || batch.watermark.is_some()).then(|| {
@@ -921,11 +958,23 @@ impl PipelineDriver {
         self.advances = advances;
 
         let merge = Stopwatch::start();
+        // The workers are computing this round: emit the previous one.
+        self.flush_deferred()?;
         {
             let _gather = observe::TraceSpan::child("driver.gather");
             self.drain_workers()?;
         }
-        self.flush(false)?;
+        // Everything below the clock is final and could go to the sinks
+        // now. With saturated input on worker threads it waits instead
+        // for the next step to emit it beside the workers, under the bound
+        // it has here; a round that left the clock in place flushes now,
+        // so that the nudge below sees exactly what is held at the clock.
+        let threads = matches!(self.workers, WorkerSet::Threads(_));
+        if threads && saturated && self.clock > round_clock {
+            self.deferred = Some(self.clock);
+        } else {
+            self.flush(Some(self.clock))?;
+        }
         self.metrics.merge_micros.record(merge.micros());
         self.metrics.rounds += 1;
         if ingested == 0 {
@@ -938,9 +987,9 @@ impl PipelineDriver {
         // future events are clamped monotone anyway, so merge order is
         // preserved, and the nudge is a deterministic function of the
         // replayed rounds, so checkpointed resumes still reproduce it.
-        if self.clock == round_clock && !self.pending.iter().all(|p| p.is_empty()) {
+        if self.clock == round_clock && self.held_back() > 0 {
             self.clock += onesql_types::Duration(1);
-            self.flush(false)?;
+            self.flush(Some(self.clock))?;
         }
         if self
             .sources
@@ -949,11 +998,14 @@ impl PipelineDriver {
         {
             self.finish()?;
         } else {
-            // Backpressure: the pending merge buffers hold worker output
-            // the deterministic merge has not yet been able to release to
+            // Backpressure: the entries held at or past the clock are
+            // worker output the deterministic merge cannot yet release to
             // sinks; that depth drives the batch controller (see
-            // `BatchController::observe_load`).
-            let depth = self.pending.iter().map(|p| p.len()).sum::<usize>();
+            // `BatchController::observe_load`). A deferred round's
+            // releasable entries are not in it, or batch sizes — and
+            // through the clamped clock every `ptime` — would depend on
+            // the worker count.
+            let depth = self.held_back();
             self.metrics.pending_depth = depth as u64;
             self.metrics.batch_size = self.controller.observe_load(depth);
         }
@@ -1044,12 +1096,30 @@ impl PipelineDriver {
         Ok(())
     }
 
+    /// Entries the merge must hold whatever happens: those stamped at or
+    /// past the clock (each queue is in ptime order, so a suffix of it).
+    fn held_back(&self) -> usize {
+        let held = |queue: &VecDeque<TimedChange>| {
+            queue.len() - queue.partition_point(|entry| entry.ptime < self.clock)
+        };
+        self.pending.iter().map(held).sum()
+    }
+
+    /// Emit the round a saturated step left in `pending`, under the bound
+    /// saved at its gather: later rounds may still add entries at that
+    /// bound, which must merge in before anything at it is released.
+    fn flush_deferred(&mut self) -> Result<()> {
+        match self.deferred.take() {
+            Some(bound) => self.flush(Some(bound)),
+            None => Ok(()),
+        }
+    }
+
     /// Flush the deterministic merge: release every held entry with
-    /// `ptime < clock` (or all of them at finish) in `(ptime, worker,
+    /// `ptime < below` (all of them at finish, `None`) in `(ptime, worker,
     /// arrival)` order, rendered with `EMIT STREAM` version numbering
     /// shared across all workers, and append it to the merged changelog.
-    fn flush(&mut self, everything: bool) -> Result<()> {
-        let below = (!everything).then_some(self.clock);
+    fn flush(&mut self, below: Option<Ts>) -> Result<()> {
         let held = self.pending.iter().map(VecDeque::len).sum();
         let mut released = std::iter::from_fn(|| pop_ready(&mut self.pending, below)).peekable();
         if released.peek().is_some() {
@@ -1120,10 +1190,11 @@ impl PipelineDriver {
             observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
         }
         let _finish_span = observe::TraceSpan::root("driver.finish");
+        self.flush_deferred()?;
         let clock = self.clock;
         self.workers.broadcast(move |shard| shard.finish(clock))?;
         self.drain_workers()?;
-        self.flush(true)?;
+        self.flush(None)?;
         for sink in &mut self.sinks {
             sink.flush()?;
         }
@@ -1172,8 +1243,10 @@ impl PipelineDriver {
 
     /// The result TVR in its stream encoding: every changelog entry the
     /// merge has released, in the order the sinks observed it. Entries
-    /// still held back at the clock are not in it yet. This is the
-    /// pipeline's only retained output — the workers keep none.
+    /// still held back at the clock are not in it yet, nor — between two
+    /// steps of worker threads over saturated input — is the last gathered
+    /// round. This is the pipeline's only retained output — the workers
+    /// keep none.
     pub fn changelog(&self) -> &Changelog {
         &self.changelog
     }
@@ -1186,11 +1259,12 @@ impl PipelineDriver {
 
     /// The table view **as of** processing time `at` (a temporal `AS OF`
     /// probe): the snapshot of [`PipelineDriver::changelog`] at `at` —
-    /// plus, when `at` reaches the clock, the entries the merge still
-    /// holds back there — with the query's `ORDER BY` / `LIMIT` applied
-    /// once, over the whole result. It reads the driver's own log and asks
-    /// nothing of the workers; every [`PipelineDriver::step`] ends with a
-    /// drain, so mid-run it reflects every event ingested so far. A probe
+    /// plus the entries up to `at` the driver still holds (those at the
+    /// clock, and a round whose flush is deferred) — with the query's
+    /// `ORDER BY` / `LIMIT` applied once, over the whole result. It reads
+    /// the driver's own log and asks nothing of the workers; every
+    /// [`PipelineDriver::step`] ends with a drain, so mid-run it reflects
+    /// every event ingested so far. A probe
     /// at `at` strictly below the current [`PipelineDriver::clock`] is
     /// *stable*: future events are stamped at or above the clock, so
     /// re-reading the same `at` later returns identical rows.
@@ -1243,6 +1317,12 @@ impl PipelineDriver {
         // Barrier first: all in-flight commands processed, pending buffers
         // current, so the captured cursors and state agree.
         self.drain_workers()?;
+        // A deferred round is output of the epoch being staged: release it
+        // first, so the sinks' staged lengths and `pending` below are what
+        // they would be had nothing been deferred. Entries already popped
+        // when a sink fails cannot be put back, hence the poisoning.
+        self.flush_deferred()
+            .inspect_err(|_| self.poisoned = true)?;
         let worker_states = self.workers.gather(|_, shard| shard.checkpoint())?;
         // Stage the sinks under the new epoch *before* handing the
         // checkpoint to the caller: a transactional sink durably records
@@ -1499,8 +1579,8 @@ impl std::fmt::Debug for PipelineDriver {
 mod tests {
     use super::*;
     use crate::connect::{
-        ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceBatch,
-        SourceConnector, SourceEvent, SourceSpec,
+        AdaptiveBatch, ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceBatch,
+        SourceConnector, SourceEvent, SourceSpec, LOW_PENDING,
     };
     use crate::engine::StreamBuilder;
     use crate::session::Session;
@@ -1794,6 +1874,8 @@ mod tests {
     #[test]
     fn the_merged_changelog_is_the_only_retained_output() {
         let e = engine();
+        let ver_cols = onesql_exec::compile::version_columns(&e.plan(AGG).unwrap());
+        let mut mid_run = Vec::new();
         for workers in [1usize, 2] {
             let config = DriverConfig {
                 batch_size: 4,
@@ -1807,14 +1889,21 @@ mod tests {
             let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
             driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
 
-            // Mid-run, a probe below the clock is a snapshot of the log.
+            // Mid-run the log is the released prefix — what the sinks
+            // hold — while a probe below the clock also sees the entries
+            // the driver still holds, a deferred round's included.
             for _ in 0..3 {
                 driver.step().unwrap();
             }
+            let rendered = onesql_exec::render_stream(driver.changelog(), &ver_cols).unwrap();
+            assert_eq!(rendered, *seen.lock().unwrap(), "{workers} workers");
             let at = driver.clock() - onesql_types::Duration(1);
-            let snapshot = driver.changelog().snapshot_at(at);
-            assert!(!snapshot.is_empty(), "{workers} workers");
-            assert_eq!(driver.table_at(at).unwrap(), snapshot.to_rows());
+            let probe = driver.table_at(at).unwrap();
+            assert!(!probe.is_empty(), "{workers} workers");
+            if workers == 1 {
+                assert_eq!(probe, driver.changelog().snapshot_at(at).to_rows());
+            }
+            mid_run.push((at, probe, driver.changelog().len()));
 
             driver.run().unwrap();
             let WorkerSet::Inline(shards) = &driver.workers else {
@@ -1825,11 +1914,192 @@ mod tests {
 
             // The log is what the sinks saw: rendering it again from
             // scratch reproduces their rows, `ver` numbers included.
-            let ver_cols = onesql_exec::compile::version_columns(&e.plan(AGG).unwrap());
             let rendered = onesql_exec::render_stream(driver.changelog(), &ver_cols).unwrap();
             assert!(!rendered.is_empty());
             assert_eq!(rendered, *seen.lock().unwrap(), "{workers} workers");
         }
+        // One inline worker defers nothing, so below the clock its log
+        // alone answers the probe; two threads over a source that is never
+        // idle still owe the sinks their last round, and answer the same.
+        let [(at, inline, released), (at2, threads, released2)] = &mid_run[..] else {
+            panic!("one probe per worker count");
+        };
+        assert_eq!((at, inline), (at2, threads));
+        assert!(released2 < released, "{released2} vs {released}");
+    }
+
+    #[test]
+    fn load_signal_and_clock_do_not_depend_on_the_worker_count() {
+        const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
+        let e = engine();
+        // Never idle: two threads defer every round of the first stretch.
+        // The second partition outlasts the first and then repeats one
+        // ptime, so its rounds leave the clock in place and are released
+        // by the nudge. Rounds grow past LOW_PENDING output rows: a load
+        // signal that counted a deferred round's releasable entries would
+        // stop the two-worker batch sizes doubling there.
+        let stalled = (0..20_000i64).map(|i| (Ts(50), row!(i % 5, i, Ts(50))));
+        let parts = vec![
+            bids(30_000, 0),
+            bids(30_000, 3).into_iter().chain(stalled).collect(),
+        ];
+        let mut outcomes = Vec::new();
+        for workers in [1usize, 2] {
+            let config = DriverConfig {
+                adaptive: Some(AdaptiveBatch {
+                    min_batch: 32,
+                    max_batch: 16_384,
+                }),
+                ..sharded(workers)
+            };
+            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            driver
+                .attach_partitioned_source(script(parts.clone()))
+                .unwrap();
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+            let mut sizes = Vec::new();
+            while !driver.is_finished() {
+                driver.step().unwrap();
+                sizes.push((driver.current_batch_size(), driver.metrics().pending_depth));
+            }
+            let rounds = driver.metrics().rounds;
+            let mut rows: Vec<(Ts, Row, bool)> = seen
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|r: &StreamRow| (r.ptime, r.row.clone(), r.undo))
+                .collect();
+            // Equal-ptime rows interleave by worker; compare as a multiset.
+            rows.sort();
+            outcomes.push((sizes, rounds, rows));
+        }
+        let (sizes, _, rows) = &outcomes[0];
+        assert!(sizes.iter().any(|&(size, _)| size > LOW_PENDING));
+        assert!(
+            rows.iter().any(|(ptime, ..)| *ptime > Ts(299_993)),
+            "nudged"
+        );
+        assert!(outcomes[0] == outcomes[1], "one worker vs two");
+    }
+
+    /// `inner`, answering every other poll `Idle` and empty.
+    struct EveryOtherPollIdle(Script, bool);
+
+    impl Source for EveryOtherPollIdle {
+        fn name(&self) -> &str {
+            "halting"
+        }
+        fn streams(&self) -> &[String] {
+            self.0.streams()
+        }
+        fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
+            self.1 = !self.1;
+            if self.1 {
+                self.0.poll_batch(max_events)
+            } else {
+                Ok(SourceBatch::empty(SourceStatus::Idle))
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_is_deferred_across_a_poll_that_saw_idle() {
+        const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
+        let e = engine();
+        let config = DriverConfig {
+            batch_size: 4,
+            adaptive: None,
+            ..sharded(2)
+        };
+        let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+        let steady = Script(bids(40, 0), vec!["Bid".to_string()]);
+        let halting = EveryOtherPollIdle(Script(bids(40, 3), vec!["Bid".to_string()]), false);
+        driver.attach_source(Box::new(steady)).unwrap();
+        driver.attach_source(Box::new(halting)).unwrap();
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+        for step in 0..8 {
+            driver.step().unwrap();
+            let owed = driver
+                .pending
+                .iter()
+                .flatten()
+                .filter(|entry| entry.ptime < driver.clock)
+                .count();
+            if step % 2 == 0 {
+                // Both sources answered `Ready` with events: the round's
+                // output waits for the next step.
+                assert!(driver.deferred.is_some() && owed > 0, "step {step}");
+            } else {
+                // One answered `Idle` — the next poll may wait for input —
+                // so the sink already holds every entry below the clock.
+                assert!(driver.deferred.is_none() && owed == 0, "step {step}");
+                assert_eq!(seen.lock().unwrap().len(), driver.changelog().len());
+                // Four rows a step from one source, four every other step
+                // from the other: all out but those at the clock.
+                let ingested = (step + 1) * 6;
+                assert_eq!(driver.changelog().len(), ingested - driver.held_back());
+            }
+        }
+    }
+
+    /// Accepts `budget` writes, then fails every one.
+    struct FailingSink(usize);
+
+    impl Sink for FailingSink {
+        fn name(&self) -> &str {
+            "failing"
+        }
+        fn write(&mut self, _: &[StreamRow]) -> Result<()> {
+            self.0 = self.0.checked_sub(1).ok_or(Error::exec("sink is full"))?;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_failing_in_a_deferred_flush_poisons_the_pipeline() {
+        const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
+        let e = engine();
+        let config = DriverConfig {
+            batch_size: 4,
+            adaptive: None,
+            ..sharded(2)
+        };
+        let deferring = |budget| {
+            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            driver
+                .attach_partitioned_source(script(vec![bids(40, 0)]))
+                .unwrap();
+            driver.attach_sink(Box::new(FailingSink(budget))).unwrap();
+            // A saturated round: gathered, nothing written yet.
+            driver.step().unwrap();
+            assert!(driver.deferred.is_some());
+            driver
+        };
+        // The next step emits it, and fails there, not a round later.
+        let mut driver = deferring(0);
+        let err = driver.step().unwrap_err().to_string();
+        assert!(err.contains("sink is full"), "{err}");
+        let err = driver.checkpoint().unwrap_err().to_string();
+        assert!(err.contains("poisoned"), "{err}");
+        // So does a checkpoint: the entries it popped cannot be put back.
+        let mut driver = deferring(0);
+        let err = driver.checkpoint().unwrap_err().to_string();
+        assert!(err.contains("sink is full"), "{err}");
+        let err = driver.step().unwrap_err().to_string();
+        assert!(err.contains("poisoned"), "{err}");
+        // A healthy sink sees the round at the checkpoint, which then
+        // holds back only what the clock does.
+        let mut driver = deferring(usize::MAX);
+        let checkpoint = driver.checkpoint().unwrap();
+        assert!(driver.deferred.is_none());
+        let held = checkpoint.pending.iter().flatten();
+        assert!(held
+            .into_iter()
+            .all(|entry| entry.ptime >= checkpoint.clock));
+        assert_eq!(checkpoint.events_out, driver.changelog().len() as u64);
+        assert!(checkpoint.events_out > 0);
     }
 
     #[test]
@@ -1851,7 +2121,7 @@ mod tests {
             queue(2, &[4, 5, 5]),
         ];
         driver.clock = Ts(7);
-        driver.flush(false).unwrap();
+        driver.flush(Some(Ts(7))).unwrap();
         let released = |driver: &PipelineDriver| -> Vec<(i64, Row)> {
             let entries = driver.changelog().entries().iter();
             entries
@@ -1870,7 +2140,7 @@ mod tests {
         assert_eq!(released(&driver), expected);
         // The entry at the clock waits for the clock to pass it.
         assert_eq!(driver.pending[0].len(), 1);
-        driver.flush(true).unwrap();
+        driver.flush(None).unwrap();
         expected.push((7, row!(0i64, 2i64)));
         assert_eq!(released(&driver), expected);
     }

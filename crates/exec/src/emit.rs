@@ -17,6 +17,8 @@
 //!   changelog with the `undo` / `ptime` / `ver` metadata columns, where
 //!   `ver` numbers revisions per event-time grouping (Listing 9).
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use onesql_state::{Checkpoint, Codec, StateMetrics};
@@ -355,13 +357,60 @@ pub fn render_stream(changelog: &Changelog, grouping_cols: &[usize]) -> Result<V
     Ok(out)
 }
 
+/// A grouping's key in a [`StreamRenderer`]'s version map. It compares as
+/// the slice of its grouping values, so the map iterates in the order rows
+/// of those values sort in and can be probed with a borrowed slice. Nearly
+/// every query numbers versions per *one* event-time column, and that one
+/// value is kept inline: a lookup then compares values held in the tree's
+/// own nodes instead of following a pointer per key, and building a key
+/// allocates nothing.
+enum GroupKey {
+    One(Value),
+    Row(Row),
+}
+
+impl Borrow<[Value]> for GroupKey {
+    fn borrow(&self) -> &[Value] {
+        match self {
+            GroupKey::One(value) => std::slice::from_ref(value),
+            GroupKey::Row(row) => row.values(),
+        }
+    }
+}
+
+impl Ord for GroupKey {
+    fn cmp(&self, other: &GroupKey) -> Ordering {
+        match (self, other) {
+            (GroupKey::One(a), GroupKey::One(b)) => a.cmp(b),
+            _ => Borrow::<[Value]>::borrow(self).cmp(other.borrow()),
+        }
+    }
+}
+
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &GroupKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for GroupKey {
+    fn eq(&self, other: &GroupKey) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for GroupKey {}
+
 /// Incremental form of [`render_stream`]: renders changelog entries as they
 /// materialize, keeping per-grouping `ver` counters across calls so a
 /// long-running consumer (e.g. a pipeline sink) numbers revisions exactly
 /// as a one-shot rendering of the full changelog would.
 pub struct StreamRenderer {
     grouping_cols: Vec<usize>,
-    versions: BTreeMap<Row, u64>,
+    versions: BTreeMap<GroupKey, u64>,
+    /// The current entry's grouping values when there are several: what
+    /// the map is probed with, in a buffer reused across entries.
+    key: Vec<Value>,
 }
 
 impl StreamRenderer {
@@ -369,23 +418,32 @@ impl StreamRenderer {
     /// `grouping_cols` (typically [`crate::compile::version_columns`]).
     pub fn new(grouping_cols: Vec<usize>) -> StreamRenderer {
         StreamRenderer {
+            key: Vec::with_capacity(grouping_cols.len()),
             grouping_cols,
             versions: BTreeMap::new(),
         }
     }
 
-    /// Snapshot the per-grouping version counters, for inclusion in a
-    /// pipeline checkpoint: a restarted renderer seeded with
-    /// [`StreamRenderer::set_versions`] numbers post-restore revisions
-    /// exactly as the uninterrupted rendering would.
+    /// Snapshot the per-grouping version counters, in key order, for
+    /// inclusion in a pipeline checkpoint: a restarted renderer seeded
+    /// with [`StreamRenderer::set_versions`] numbers post-restore
+    /// revisions exactly as the uninterrupted rendering would.
     pub fn versions(&self) -> Vec<(Row, u64)> {
-        self.versions.iter().map(|(k, v)| (k.clone(), *v)).collect()
+        let entry = |(key, next): (&GroupKey, &u64)| match key {
+            GroupKey::One(value) => (Row::from_values([value.clone()]), *next),
+            GroupKey::Row(row) => (row.clone(), *next),
+        };
+        self.versions.iter().map(entry).collect()
     }
 
     /// Restore counters captured by [`StreamRenderer::versions`],
     /// replacing any current state.
     pub fn set_versions(&mut self, versions: Vec<(Row, u64)>) {
-        self.versions = versions.into_iter().collect();
+        let entry = |(key, next): (Row, u64)| match key.values() {
+            [one] => (GroupKey::One(one.clone()), next),
+            _ => (GroupKey::Row(key), next),
+        };
+        self.versions = versions.into_iter().map(entry).collect();
     }
 
     /// Render one changelog entry, appending its unit revisions to `out`.
@@ -394,18 +452,42 @@ impl StreamRenderer {
         entry: &onesql_tvr::TimedChange,
         out: &mut Vec<StreamRow>,
     ) -> Result<()> {
-        let key = grouping_key(&entry.change.row, &self.grouping_cols)?;
-        let counter = self.versions.entry(key).or_insert(0);
+        let change = &entry.change;
         // A change with |diff| > 1 renders as that many unit revisions.
-        for _ in 0..entry.change.diff.unsigned_abs() {
-            out.push(StreamRow {
-                row: entry.change.row.clone(),
-                undo: entry.change.diff < 0,
-                ptime: entry.ptime,
-                ver: *counter,
-            });
-            *counter += 1;
-        }
+        let revisions = change.diff.unsigned_abs();
+        let first = match self.grouping_cols[..] {
+            // One grouping column, and a fresh value of it on most rows (a
+            // projection's own event time): the key is a copy of the
+            // value, so one descent finds or inserts it.
+            [col] => {
+                let key = GroupKey::One(change.row.value(col)?.clone());
+                let next = self.versions.entry(key).or_insert(0);
+                std::mem::replace(next, *next + revisions)
+            }
+            // A window's bounds (or no grouping at all), seen again on
+            // most rows: probe with the values in a reused buffer, and
+            // build a key row only for a grouping seen for the first time.
+            _ => {
+                self.key.clear();
+                for &col in &self.grouping_cols {
+                    self.key.push(change.row.value(col)?.clone());
+                }
+                match self.versions.get_mut(self.key.as_slice()) {
+                    Some(next) => std::mem::replace(next, *next + revisions),
+                    None => {
+                        let key = Row::from_values(self.key.iter().cloned());
+                        self.versions.insert(GroupKey::Row(key), revisions);
+                        0
+                    }
+                }
+            }
+        };
+        out.extend((first..first + revisions).map(|ver| StreamRow {
+            row: change.row.clone(),
+            undo: change.diff < 0,
+            ptime: entry.ptime,
+            ver,
+        }));
         Ok(())
     }
 }

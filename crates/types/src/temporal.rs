@@ -69,34 +69,60 @@ impl Ts {
     /// Render as `H:MM` when the value is a whole number of minutes (as in
     /// all of the paper's examples), otherwise as `H:MM:SS.mmm`.
     pub fn to_clock_string(self) -> String {
+        self.to_string()
+    }
+
+    /// Write the [`Ts::to_clock_string`] form into `out`, digit by digit:
+    /// no intermediate string and no format machinery, so a sink rendering
+    /// two timestamps per row can afford it. [`fmt::Display`] is this.
+    pub fn write_clock<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
         if self == Ts::MAX {
-            return "+inf".to_string();
+            return out.write_str("+inf");
         }
         if self == Ts::MIN {
-            return "-inf".to_string();
+            return out.write_str("-inf");
         }
-        let total_ms = self.0;
-        let (sign, ms) = if total_ms < 0 {
-            ("-", -total_ms)
-        } else {
-            ("", total_ms)
-        };
-        let hours = ms / MILLIS_PER_HOUR;
-        let minutes = (ms % MILLIS_PER_HOUR) / MILLIS_PER_MINUTE;
-        let rem_ms = ms % MILLIS_PER_MINUTE;
-        if rem_ms == 0 {
-            format!("{sign}{hours}:{minutes:02}")
-        } else {
-            let seconds = rem_ms / MILLIS_PER_SECOND;
-            let millis = rem_ms % MILLIS_PER_SECOND;
-            format!("{sign}{hours}:{minutes:02}:{seconds:02}.{millis:03}")
+        if self.0 < 0 {
+            out.write_char('-')?;
+        }
+        let ms = self.0.unsigned_abs();
+        let (hour, minute) = (MILLIS_PER_HOUR as u64, MILLIS_PER_MINUTE as u64);
+        write_digits(out, ms / hour, 1)?;
+        out.write_char(':')?;
+        write_digits(out, ms % hour / minute, 2)?;
+        let rem_ms = ms % minute;
+        if rem_ms != 0 {
+            out.write_char(':')?;
+            write_digits(out, rem_ms / MILLIS_PER_SECOND as u64, 2)?;
+            out.write_char('.')?;
+            write_digits(out, rem_ms % MILLIS_PER_SECOND as u64, 3)?;
+        }
+        Ok(())
+    }
+}
+
+/// Write `n` in decimal, zero-padded on the left to at least `width` digits.
+fn write_digits<W: fmt::Write>(out: &mut W, mut n: u64, width: usize) -> fmt::Result {
+    // u64::MAX has 20 digits.
+    let mut digits = [b'0'; 20];
+    let mut first = digits.len();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    let first = first.min(digits.len().saturating_sub(width));
+    digits[first..]
+        .iter()
+        .try_for_each(|&digit| out.write_char(digit as char))
 }
 
 impl fmt::Display for Ts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_clock_string())
+        self.write_clock(f)
     }
 }
 
@@ -170,22 +196,22 @@ impl Duration {
 
     /// Render compactly, e.g. `10m`, `1h30m`, `250ms`.
     pub fn to_compact_string(self) -> String {
-        let ms = self.0;
-        if ms % MILLIS_PER_HOUR == 0 {
-            format!("{}h", ms / MILLIS_PER_HOUR)
-        } else if ms % MILLIS_PER_MINUTE == 0 {
-            format!("{}m", ms / MILLIS_PER_MINUTE)
-        } else if ms % MILLIS_PER_SECOND == 0 {
-            format!("{}s", ms / MILLIS_PER_SECOND)
-        } else {
-            format!("{ms}ms")
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for Duration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_compact_string())
+        let ms = self.0;
+        if ms % MILLIS_PER_HOUR == 0 {
+            write!(f, "{}h", ms / MILLIS_PER_HOUR)
+        } else if ms % MILLIS_PER_MINUTE == 0 {
+            write!(f, "{}m", ms / MILLIS_PER_MINUTE)
+        } else if ms % MILLIS_PER_SECOND == 0 {
+            write!(f, "{}s", ms / MILLIS_PER_SECOND)
+        } else {
+            write!(f, "{ms}ms")
+        }
     }
 }
 
@@ -224,6 +250,9 @@ mod tests {
     #[test]
     fn negative_display() {
         assert_eq!(Ts::from_minutes(-61).to_clock_string(), "-1:01");
+        assert_eq!(Ts(-61_001).to_string(), "-0:01:01.001");
+        // One past the `-inf` sentinel: the widest value there is.
+        assert_eq!(Ts(i64::MIN + 1).to_string(), "-2562047788015:12:55.807");
     }
 
     #[test]

@@ -586,6 +586,64 @@ fn malformed_frames_poison_the_sharded_driver() {
     assert!(err.contains("poisoned"), "{err}");
 }
 
+/// Worker threads write a trickling socket's rows in the step that polled
+/// them. The next poll waits for the peer (`poll_wait`, 2 s by default),
+/// and a round must not be left unwritten across a wait.
+#[test]
+fn a_trickling_net_source_is_written_as_it_arrives_on_two_workers() {
+    let source = NetSource::bind(
+        NetAddr::tcp("127.0.0.1:0"),
+        vec!["Bid".to_string()],
+        NetConfig::default(),
+    )
+    .unwrap();
+    let addr = source.local_addr();
+    let (go, wait) = std::sync::mpsc::channel::<()>();
+    let producer = std::thread::spawn(move || -> Result<()> {
+        let mut publisher =
+            NetPublisher::new(addr, 0, vec!["Bid".to_string()], NetConfig::default());
+        for frame in 0..3i64 {
+            for i in frame * 5..frame * 5 + 5 {
+                publisher.insert(0, Ts(i), row!(i % 7, i, Ts(i)))?;
+            }
+            publisher.flush()?;
+            // Silent until the consumer has looked at its sink.
+            wait.recv().unwrap();
+        }
+        publisher.finish()
+    });
+
+    let mut engine = Engine::new();
+    engine.register_stream(
+        "Bid",
+        StreamBuilder::new()
+            .column("auction", DataType::Int)
+            .column("price", DataType::Int)
+            .event_time_column("bidtime"),
+    );
+    let (rows, sink) = collecting_sink();
+    let config = DriverConfig {
+        workers: 2,
+        ..DriverConfig::default()
+    };
+    let sql = "SELECT auction, price FROM Bid EMIT STREAM";
+    let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
+    driver.attach_source(Box::new(source)).unwrap();
+    driver.attach_sink(Box::new(sink)).unwrap();
+    for frame in 1..=3u64 {
+        while driver.metrics().events_in < frame * 5 {
+            driver.step().unwrap();
+        }
+        // All of the frame but its last row, which sits at the clock.
+        assert_eq!(rows.lock().unwrap().len() as u64, frame * 5 - 1);
+        go.send(()).unwrap();
+    }
+    let metrics = driver.run().unwrap();
+    producer.join().unwrap().unwrap();
+    assert_eq!(metrics.events_out, 15);
+    assert_eq!(rows.lock().unwrap().len(), 15);
+}
+
 /// Checkpoints of a net-fed pipeline record per-partition offsets, and a
 /// fresh (never-streamed) net source accepts the seek restore performs.
 #[test]

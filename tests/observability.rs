@@ -337,7 +337,10 @@ fn metrics_survive_kill_and_restore() {
     // lands in the pipeline's own metrics), keep running, get killed.
     let (mut s1, mut victim) = assemble(&recovered);
     step_until(&mut victim, EVENTS / 3);
-    let at_checkpoint = victim.metrics();
+    // Mid-run, `events_out` counts the released prefix: with two workers
+    // and a source that is never idle, the last round's output is still
+    // owed to the sinks. The checkpoint releases it before it snapshots.
+    let released = victim.metrics().events_out;
     s1.adopt_pipeline(victim).unwrap();
     s1.execute(&format!("CHECKPOINT PIPELINE out TO '{}'", store.display()))
         .unwrap();
@@ -354,6 +357,11 @@ fn metrics_survive_kill_and_restore() {
         "the SQL checkpoint shows up in the pipeline's own counters"
     );
     let mut victim = s1.take_pipeline("out").unwrap();
+    let at_checkpoint = victim.metrics();
+    assert!(
+        released < at_checkpoint.events_out,
+        "the checkpoint released the deferred round"
+    );
     step_until(&mut victim, EVENTS / 2); // rows past the checkpoint: discarded
     drop(victim);
     drop(s1); // kill

@@ -206,6 +206,146 @@ fn double_kill_is_still_exactly_once() {
 }
 
 // ---------------------------------------------------------------------------
+// Worker threads over a source that is never idle emit round N−1 while
+// they compute round N. That moves *when* the sinks hear of a round and
+// nothing else: every sink callback, in order, and every checkpoint, byte
+// for byte, is what a driver that flushes each round at once produces.
+// ---------------------------------------------------------------------------
+
+/// `inner` with `Ready` relabelled `Idle`. A round depends on the label
+/// only to decide whether its flush may wait (`Finished` and an empty
+/// round are what end and pace a pipeline), so a driver over this polls,
+/// routes and stamps exactly as over `inner` but flushes every round at
+/// once — the one behaviour there was before rounds could be deferred.
+struct NeverSaturated(PartitionedNexmarkSource);
+
+impl PartitionedSource for NeverSaturated {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn streams(&self) -> &[String] {
+        self.0.streams()
+    }
+    fn partitions(&self) -> usize {
+        self.0.partitions()
+    }
+    fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch> {
+        let mut batch = self.0.poll_partition(partition, max_events)?;
+        if batch.status == SourceStatus::Ready {
+            batch.status = SourceStatus::Idle;
+        }
+        Ok(batch)
+    }
+    fn offset(&self, partition: usize) -> u64 {
+        self.0.offset(partition)
+    }
+}
+
+#[test]
+fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
+    use onesql::{HistoryEvent, HistoryTap};
+    use onesql_state::Codec;
+    let mut engine = Engine::new();
+    register_nexmark_streams(&mut engine);
+    let config = DriverConfig {
+        batch_size: 16,
+        adaptive: None,
+        ..sharded(2)
+    };
+    // The checker's two-worker scenarios: the suite's shardable queries.
+    let suite = onesql_nexmark::queries::full_stack();
+    for spec in suite.iter().filter(|spec| spec.shardable) {
+        let sql = format!("{} EMIT STREAM", spec.sql);
+        let build = |saturated: bool| {
+            let source = PartitionedNexmarkSource::seeded(7, 3_000, NEXMARK_PARTS);
+            let source: Box<dyn PartitionedSource> = if saturated {
+                Box::new(source)
+            } else {
+                Box::new(NeverSaturated(source))
+            };
+            let mut driver = PipelineDriver::new(&engine, &sql, config).unwrap();
+            driver.attach_partitioned_source(source).unwrap();
+            let tap = HistoryTap::new();
+            driver.attach_sink(Box::new(tap.clone())).unwrap();
+            (driver, tap)
+        };
+        let (mut deferring, deferred_history) = build(true);
+        let (mut immediate, history) = build(false);
+        let mut owed_rows = 0;
+        for step in 1.. {
+            immediate.step().unwrap();
+            deferring.step().unwrap();
+            if immediate.is_finished() {
+                break;
+            }
+            assert_eq!(deferring.clock(), immediate.clock(), "{}", spec.name);
+            let emitted = |events: Vec<HistoryEvent>| {
+                let is_row = |e: &&HistoryEvent| matches!(e, HistoryEvent::Emitted(_));
+                events.iter().filter(is_row).count()
+            };
+            owed_rows += emitted(history.events()) - emitted(deferred_history.events());
+            // A checkpoint releases what is owed before it snapshots.
+            if step % 7 == 0 {
+                let ours = deferring.checkpoint().unwrap();
+                let theirs = immediate.checkpoint().unwrap();
+                assert_eq!(ours.to_bytes(), theirs.to_bytes(), "{}", spec.name);
+                assert_eq!(deferred_history.events(), history.events(), "{}", spec.name);
+            }
+        }
+        assert!(deferring.is_finished());
+        assert!(owed_rows > 0, "{}: no round was ever deferred", spec.name);
+        assert_eq!(deferred_history.events(), history.events(), "{}", spec.name);
+        assert_eq!(history.events().last(), Some(&HistoryEvent::Finished));
+    }
+}
+
+/// A channel that a poll drained answers `Idle` with its events, so a
+/// caller who publishes, steps and looks at the sink finds the rows there
+/// for every worker count; only a backlog longer than the batch is
+/// deferred, across a poll that returns it without waiting.
+#[test]
+fn a_drained_channel_is_written_in_the_step_that_polled_it() {
+    let engine = bid_engine();
+    for workers in [1usize, 2] {
+        let config = DriverConfig {
+            batch_size: 8,
+            adaptive: None,
+            ..sharded(workers)
+        };
+        let (publishers, source) = sharded_channel("Bid", 1, 64);
+        let sql = "SELECT auction, price FROM Bid EMIT STREAM";
+        let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
+        driver.attach_partitioned_source(Box::new(source)).unwrap();
+        let (rows, sink) = collecting_sink();
+        driver.attach_sink(Box::new(sink)).unwrap();
+        let publish = |range: std::ops::Range<i64>| {
+            for i in range {
+                publishers[0].insert(Ts(i), row!(i % 3, i, Ts(i))).unwrap();
+            }
+        };
+        // Fewer than a batch, then exactly a batch: drained both times,
+        // so all but the row at the clock is out when `step` returns.
+        publish(0..5);
+        assert_eq!(driver.step().unwrap(), 5);
+        assert_eq!(rows.lock().unwrap().len(), 4, "{workers} workers");
+        publish(5..13);
+        assert_eq!(driver.step().unwrap(), 8);
+        assert_eq!(rows.lock().unwrap().len(), 12, "{workers} workers");
+        // A backlog: threads leave the round for the next step, whose
+        // poll is handed the rest of the queue at once.
+        publish(13..25);
+        assert_eq!(driver.step().unwrap(), 8);
+        let written = if workers == 1 { 20 } else { 12 };
+        assert_eq!(rows.lock().unwrap().len(), written, "{workers} workers");
+        assert_eq!(driver.step().unwrap(), 4);
+        assert_eq!(rows.lock().unwrap().len(), 24, "{workers} workers");
+        drop(publishers);
+        driver.run().unwrap();
+        assert_eq!(rows.lock().unwrap().len(), 25, "{workers} workers");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Sharded runs agree with unsharded execution, through real connectors.
 // ---------------------------------------------------------------------------
 
