@@ -777,7 +777,8 @@ pub struct PipelineMetrics {
     /// vectorized path), as the workers report at the drain barrier.
     pub vectorized_rounds: u64,
     /// Rounds in which some worker fed at least one event per-row (stream
-    /// doesn't vectorize, single-event runs, or mixed-arity runs).
+    /// doesn't vectorize, single-event runs, or mixed-arity runs). Events
+    /// of a stream the plan does not read are no feed and count in neither.
     pub fallback_rounds: u64,
     /// Rows per batch handed to a worker.
     pub batch_rows: Histogram,

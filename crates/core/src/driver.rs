@@ -219,14 +219,26 @@ struct DrainReply {
     fed_rows: bool,
 }
 
+/// How a worker feeds the events of one stream.
+#[derive(Clone, Copy, PartialEq)]
+enum Feed {
+    /// Consecutive events as one columnar run.
+    Columns,
+    /// One `change` per event: the row oracle.
+    Rows,
+    /// No leaf of the plan scans the stream: an event is checked and moves
+    /// the clock, and there is nothing to feed.
+    Unread,
+}
+
 /// One worker: a running query plus the bookkeeping that lets the driver
 /// talk to it the same way inline and across a thread.
 struct Shard {
     query: RunningQuery,
     /// The driver's stream table — routed events reference streams by
-    /// index — with each stream's vectorization verdict (the query's tree
-    /// shape cannot change under the driver, so it is decided once).
-    streams: Vec<(String, bool)>,
+    /// index — with how each stream is fed (the query's tree shape cannot
+    /// change under the driver, so it is decided once).
+    streams: Vec<(String, Feed)>,
     vectorize: bool,
     fed_batch: bool,
     fed_rows: bool,
@@ -249,8 +261,14 @@ impl Shard {
     }
 
     fn declare(&mut self, stream: String) {
-        let vectorizes = self.vectorize && self.query.vectorizes(&stream);
-        self.streams.push((stream, vectorizes));
+        let feed = if self.query.ignores(&stream) {
+            Feed::Unread
+        } else if self.vectorize && self.query.vectorizes(&stream) {
+            Feed::Columns
+        } else {
+            Feed::Rows
+        };
+        self.streams.push((stream, feed));
     }
 
     fn healthy(&self) -> Result<()> {
@@ -268,37 +286,68 @@ impl Shard {
     /// grouping consecutive same-stream events into columnar runs where
     /// the plan vectorizes. Ptimes within a routed batch are monotone (the
     /// driver stamps its clamped clock), so a run satisfies
-    /// [`ChangeBatch`]'s ordering. `trace_parent` is the driver round's
-    /// span (0 = tracing off or unsampled, so an unrecorded round spawns
-    /// no orphan worker tree).
+    /// [`ChangeBatch`]'s ordering. An event of a stream the plan does not
+    /// read ends no run: it is checked where it stands and the run goes on
+    /// past it. `trace_parent` is the driver round's span (0 = tracing off
+    /// or unsampled, so an unrecorded round spawns no orphan worker tree).
     fn feed(&mut self, events: Vec<(usize, Ts, Change)>, trace_parent: u64) {
         let _span = (trace_parent != 0)
             .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
         self.apply(|shard| {
             let mut events = events.into_iter().peekable();
             while let Some((stream, ptime, change)) = events.next() {
-                let (name, vectorizes) = &shard.streams[stream];
-                let mut run = vec![(ptime, change)];
-                if *vectorizes {
-                    while let Some((_, p, c)) = events.next_if(|(next, ..)| *next == stream) {
-                        run.push((p, c));
+                let (name, feed) = &shard.streams[stream];
+                match feed {
+                    Feed::Unread => {
+                        shard.query.validate(name, &change.row)?;
+                        shard.query.advance_to(ptime)?;
                     }
-                }
-                // A single event, or a mixed-arity run (invalid rows),
-                // feeds per-row: that reproduces the oracle's error exactly.
-                let batch = (run.len() > 1)
-                    .then(|| ChangeBatch::from_changes(&run))
-                    .flatten();
-                match batch {
-                    Some(batch) => {
-                        shard.fed_batch = true;
-                        shard.query.change_batch(name, &batch)?;
-                    }
-                    None => {
+                    Feed::Rows => {
                         shard.fed_rows = true;
-                        for (p, c) in run {
-                            shard.query.change(name, p, c)?;
+                        shard.query.change(name, ptime, change)?;
+                    }
+                    Feed::Columns => {
+                        let mut run = vec![(ptime, change)];
+                        // What the unread events inside the run come to:
+                        // the clock the last valid one asks for, and the
+                        // error of the first invalid one, which ends it.
+                        let mut passed = ptime;
+                        let mut unread = Ok(());
+                        let in_run =
+                            |next: usize| next == stream || shard.streams[next].1 == Feed::Unread;
+                        while let Some((next, p, c)) = events.next_if(|(next, ..)| in_run(*next)) {
+                            if next == stream {
+                                run.push((p, c));
+                                continue;
+                            }
+                            unread = shard.query.validate(&shard.streams[next].0, &c.row);
+                            if unread.is_err() {
+                                break;
+                            }
+                            passed = p;
                         }
+                        // A single event, or a mixed-arity run (invalid
+                        // rows), feeds per-row: that reproduces the
+                        // oracle's error exactly.
+                        let batch = (run.len() > 1)
+                            .then(|| ChangeBatch::from_changes(&run))
+                            .flatten();
+                        match batch {
+                            Some(batch) => {
+                                shard.fed_batch = true;
+                                shard.query.change_batch(name, &batch)?;
+                            }
+                            None => {
+                                shard.fed_rows = true;
+                                for (p, c) in run {
+                                    shard.query.change(name, p, c)?;
+                                }
+                            }
+                        }
+                        // An unread event after the run's last row left the
+                        // clock at its ptime.
+                        shard.query.advance_to(passed.max(shard.query.now()))?;
+                        unread?;
                     }
                 }
             }
@@ -311,11 +360,11 @@ impl Shard {
         let _span = (trace_parent != 0)
             .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
         self.apply(|shard| {
-            let (name, vectorizes) = &shard.streams[stream];
-            if *vectorizes {
-                shard.fed_batch = true;
-            } else {
-                shard.fed_rows = true;
+            let (name, feed) = &shard.streams[stream];
+            match feed {
+                Feed::Columns => shard.fed_batch = true,
+                Feed::Rows => shard.fed_rows = true,
+                Feed::Unread => {}
             }
             shard.query.change_batch(name, columns)
         });
@@ -2143,6 +2192,122 @@ mod tests {
         driver.flush(None).unwrap();
         expected.push((7, row!(0i64, 2i64)));
         assert_eq!(released(&driver), expected);
+    }
+
+    /// Bid as in [`engine`], beside the two streams of a seller join.
+    fn auction_engine() -> Engine {
+        let mut e = engine();
+        e.register_stream(
+            "Person",
+            StreamBuilder::new()
+                .column("id", DataType::Int)
+                .column("name", DataType::String),
+        );
+        e.register_stream(
+            "Auction",
+            StreamBuilder::new()
+                .column("id", DataType::Int)
+                .column("seller", DataType::Int),
+        );
+        e
+    }
+
+    /// A worker over `sql` with Bid, Person and Auction declared as streams
+    /// 0, 1 and 2, and the same query to feed one change at a time.
+    fn shard_and_oracle(sql: &str) -> (Shard, RunningQuery) {
+        let e = auction_engine();
+        let mut shard = Shard::new(e.execute(sql).unwrap(), true);
+        for stream in ["bid", "person", "auction"] {
+            shard.declare(stream.to_string());
+        }
+        (shard, e.execute(sql).unwrap())
+    }
+
+    /// Feed `events` to the worker as one routed batch and to the oracle per
+    /// row, up to its first error; both end in the same state.
+    fn assert_feeds_like_the_oracle(
+        shard: &mut Shard,
+        oracle: &mut RunningQuery,
+        events: Vec<(usize, Ts, Row)>,
+    ) {
+        let oracle_err = events.iter().find_map(|(stream, ptime, row)| {
+            let name = ["bid", "person", "auction"][*stream];
+            oracle.insert(name, *ptime, row.clone()).err()
+        });
+        let routed = |(stream, ptime, row)| (stream, ptime, Change::insert(row));
+        shard.feed(events.into_iter().map(routed).collect(), 0);
+        assert_eq!(
+            shard.failure.as_ref().map(Error::to_string),
+            oracle_err.as_ref().map(Error::to_string)
+        );
+        assert_eq!(shard.query.changelog(), oracle.changelog());
+        assert_eq!(shard.query.now(), oracle.now());
+    }
+
+    #[test]
+    fn an_unread_stream_ends_no_run_and_moves_the_clock() {
+        let (mut shard, mut oracle) = shard_and_oracle(AGG);
+        let feeds: Vec<Feed> = shard.streams.iter().map(|(_, feed)| *feed).collect();
+        assert!(feeds == [Feed::Columns, Feed::Unread, Feed::Unread]);
+        let bid = |i: i64| (0, Ts(i * 10), row!(i % 2, i, Ts(i * 10)));
+        let person = |i: i64| (1, Ts(i * 10), row!(i, "p"));
+        let events = vec![person(0), bid(1), bid(2), person(3), bid(4), person(5)];
+        assert_feeds_like_the_oracle(&mut shard, &mut oracle, events);
+        // One run of three Bids, no event fed per row, and the trailing
+        // Person left the clock at its ptime.
+        assert!(shard.fed_batch && !shard.fed_rows);
+        assert_eq!(shard.query.now(), Ts(50));
+        assert_eq!(shard.query.changelog().len(), 4);
+    }
+
+    #[test]
+    fn an_invalid_unread_event_fails_where_it_stands() {
+        let (mut shard, mut oracle) = shard_and_oracle(AGG);
+        let bid = |i: i64| (0, Ts(i * 10), row!(0i64, i, Ts(i * 10)));
+        let events = vec![
+            bid(1),
+            (1, Ts(15), row!(7i64, "valid")),
+            bid(2),
+            (1, Ts(25), row!(8i64)),
+            bid(3),
+        ];
+        assert_feeds_like_the_oracle(&mut shard, &mut oracle, events);
+        let failure = shard.failure.as_ref().map(Error::to_string);
+        assert_eq!(
+            failure.as_deref(),
+            Some("execution error: row arity 1 does not match schema arity 2")
+        );
+        // Exactly the two Bids before it were fed: insert, retract, insert.
+        assert_eq!(shard.query.changelog().len(), 3);
+        assert_eq!(shard.query.now(), Ts(20));
+    }
+
+    #[test]
+    fn streams_the_plan_joins_still_end_each_others_runs() {
+        let sql = "SELECT P.name, A.id FROM Auction A JOIN Person P ON A.seller = P.id";
+        let (mut shard, mut oracle) = shard_and_oracle(sql);
+        let feeds: Vec<Feed> = shard.streams.iter().map(|(_, feed)| *feed).collect();
+        assert!(feeds == [Feed::Unread, Feed::Columns, Feed::Columns]);
+        // The auction arrives between its seller's two registrations; had
+        // the Person run gone on past it, both matches would carry the
+        // auction's ptime instead of one the second registration's.
+        let events = vec![
+            (1, Ts(10), row!(1i64, "early")),
+            (1, Ts(20), row!(2i64, "other")),
+            (0, Ts(25), row!(0i64, 1i64, Ts(25))),
+            (2, Ts(30), row!(100i64, 1i64)),
+            (1, Ts(40), row!(1i64, "late")),
+            (1, Ts(50), row!(3i64, "last")),
+        ];
+        assert_feeds_like_the_oracle(&mut shard, &mut oracle, events);
+        let ptimes: Vec<Ts> = shard
+            .query
+            .changelog()
+            .entries()
+            .iter()
+            .map(|e| e.ptime)
+            .collect();
+        assert_eq!(ptimes, [Ts(30), Ts(40)]);
     }
 
     #[test]

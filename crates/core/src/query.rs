@@ -99,10 +99,27 @@ impl RunningQuery {
         self.change(table, ptime, Change::retract(row))
     }
 
+    /// Check `row` against the schema of stream `table`, as every way of
+    /// feeding a change does first.
+    pub(crate) fn validate(&self, table: &str, row: &Row) -> Result<()> {
+        let schema = self.stream_schema(table)?;
+        validate_row(&schema, row)
+    }
+
+    /// Whether a valid change to `table` can only move the clock: no leaf of
+    /// the plan scans the stream and no watermark generator follows it.
+    pub(crate) fn ignores(&self, table: &str) -> bool {
+        !self.executor.scans(table) && !self.has_generator(table)
+    }
+
+    fn has_generator(&self, table: &str) -> bool {
+        let generated = |name: &String| name.eq_ignore_ascii_case(table);
+        self.generators.keys().any(generated)
+    }
+
     /// Apply an arbitrary change.
     pub fn change(&mut self, table: &str, ptime: Ts, change: Change) -> Result<()> {
-        let schema = self.stream_schema(table)?;
-        validate_row(&schema, &change.row)?;
+        self.validate(table, &change.row)?;
         let key = table.to_ascii_lowercase();
         // Drive the optional watermark generator from the event timestamp.
         let generated = if let Some((col, generator)) = self.generators.get_mut(&key) {
@@ -127,8 +144,7 @@ impl RunningQuery {
     /// watermark generator on the stream (a generator may emit a watermark
     /// after *every* event, which a whole-batch feed cannot interleave).
     pub fn vectorizes(&self, table: &str) -> bool {
-        let generated = |name: &String| name.eq_ignore_ascii_case(table);
-        !self.generators.keys().any(generated) && self.executor.supports_batches(table)
+        !self.has_generator(table) && self.executor.supports_batches(table)
     }
 
     /// Apply a columnar run of changes, each at its own processing time.

@@ -1,23 +1,28 @@
 //! Property test: the vectorized batch path is byte-identical to the
 //! row-at-a-time oracle.
 //!
-//! Arbitrary expressions (filters, projections, aggregates, windows),
-//! arbitrary event interleavings (inserts, retractions, watermarks),
-//! arbitrary batch boundaries, and an optional checkpoint/restore in the
-//! middle of the stream: feeding the same changes through
-//! [`RunningQuery::change_batch`] must produce exactly the changelog the
-//! per-row [`RunningQuery::change`] oracle produces — including the
-//! position and message of any runtime error (division by zero), whose
-//! pre-error prefix must also match.
+//! Arbitrary expressions (filters, projections, aggregates over tumbling
+//! and hopping windows, fallible projections and `HAVING` filters above
+//! them), arbitrary event interleavings (inserts, retractions, watermarks,
+//! rows an allowed lateness still admits or no longer does), arbitrary
+//! batch boundaries down to batches of one, and an optional
+//! checkpoint/restore in the middle of the stream: feeding the same changes
+//! through [`RunningQuery::change_batch`] must produce exactly the
+//! changelog and the clock the per-row [`RunningQuery::change`] oracle
+//! produces — including the position and message of any runtime error
+//! (division by zero), whose pre-error prefix must also match, with all
+//! outputs of the failing event dropped.
 
 use proptest::prelude::*;
 
 use onesql_core::{Engine, StreamBuilder};
 use onesql_tvr::{Change, ChangeBatch, TimedChange};
-use onesql_types::{DataType, Row, Ts, Value};
+use onesql_types::{DataType, Duration, Row, Ts, Value};
 
-fn engine() -> Engine {
-    let mut e = Engine::new();
+/// An engine whose event-time groups stay open `lateness` minutes past the
+/// watermark.
+fn engine(lateness: i64) -> Engine {
+    let mut e = Engine::new().with_allowed_lateness(Duration::from_minutes(lateness));
     e.register_stream(
         "Bid",
         StreamBuilder::new()
@@ -88,8 +93,15 @@ fn bool_expr(depth: u32) -> BoxedStrategy<String> {
     .boxed()
 }
 
+const TUMBLE: &str = "Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(ts), \
+                      dur => INTERVAL '10' MINUTE)";
+/// Two window assignments per row: several aggregate inputs per event.
+const HOP: &str = "Hop(data => TABLE(Bid), timecol => DESCRIPTOR(ts), \
+                   dur => INTERVAL '10' MINUTE, hopsize => INTERVAL '5' MINUTE)";
+
 /// An arbitrary query over the Bid stream: filter/project, global
-/// aggregate, or windowed aggregate, with an arbitrary emit clause.
+/// aggregate, or windowed or keyed aggregate — under a fallible projection
+/// or `HAVING` filter or bare — with an arbitrary emit clause.
 fn query(depth: u32) -> BoxedStrategy<String> {
     let emit = prop_oneof![
         Just("".to_string()),
@@ -104,9 +116,28 @@ fn query(depth: u32) -> BoxedStrategy<String> {
             .prop_map(|(p1, p2, f)| format!("SELECT {p1}, {p2} FROM Bid WHERE {f}")),
         (int_expr(depth), bool_expr(depth), emit.clone())
             .prop_map(|(x, f, e)| format!("SELECT COUNT(*), SUM({x}) FROM Bid WHERE {f}{e}")),
-        (int_expr(depth), emit).prop_map(|(x, e)| format!(
-            "SELECT wend, COUNT(*), SUM({x}) FROM Tumble(data => TABLE(Bid), \
-             timecol => DESCRIPTOR(ts), dur => INTERVAL '10' MINUTE) GROUP BY wend{e}"
+        (int_expr(depth), emit.clone()).prop_map(|(x, e)| format!(
+            "SELECT wend, COUNT(*), SUM({x}) FROM {TUMBLE} GROUP BY wend{e}"
+        )),
+        // Two grouping keys over a hopping window, every aggregate function.
+        (int_expr(depth), emit.clone()).prop_map(|(x, e)| format!(
+            "SELECT wend, s, COUNT(*), SUM({x}), MIN(a), MAX(b), AVG(a) \
+             FROM {HOP} GROUP BY wend, s{e}"
+        )),
+        // Four groups at most: under retractions they empty and reappear
+        // inside one batch.
+        int_expr(depth).prop_map(|x| format!(
+            "SELECT s, COUNT(a), SUM({x}), MIN(b), MAX(a), AVG(b) FROM Bid GROUP BY s"
+        )),
+        // A fallible projection above the aggregate: the insert of a
+        // retract/insert pair can fail after its retract went through.
+        (0i64..4, emit).prop_map(|(k, e)| format!(
+            "SELECT wend, 10 / (COUNT(*) - {k}), MAX(a) FROM {TUMBLE} GROUP BY wend{e}"
+        )),
+        // A filter above the aggregate, fallible too.
+        (0i64..4).prop_map(|k| format!(
+            "SELECT wend, s, SUM(a) FROM {HOP} GROUP BY wend, s \
+             HAVING 10 / (COUNT(*) - {k}) > 0"
         )),
     ]
     .boxed()
@@ -175,8 +206,10 @@ fn op_row(op: &Op) -> (Ts, Change) {
 // ---------------------------------------------------------------------------
 
 /// Feed every op per-row; stop at the first error (drivers poison).
-fn run_oracle(sql: &str, ops: &[Op]) -> (Vec<TimedChange>, Option<String>, Ts) {
-    let mut q = engine().execute(sql).expect("generated SQL compiles");
+fn run_oracle(sql: &str, ops: &[Op], lateness: i64) -> (Vec<TimedChange>, Option<String>, Ts) {
+    let mut q = engine(lateness)
+        .execute(sql)
+        .expect("generated SQL compiles");
     let mut failure = None;
     for (i, op) in ops.iter().enumerate() {
         let ptime = Ts(i as i64 * 1_000);
@@ -203,8 +236,9 @@ fn run_vectorized(
     ops: &[Op],
     chunks: &[usize],
     restore_at: Option<usize>,
+    lateness: i64,
 ) -> (Vec<TimedChange>, Option<String>, Ts) {
-    let e = engine();
+    let e = engine(lateness);
     let mut q = e.execute(sql).expect("generated SQL compiles");
     let mut pre: Vec<TimedChange> = Vec::new();
     let mut failure = None;
@@ -265,8 +299,15 @@ fn mid_batch_error_splits_exactly_like_the_oracle() {
         .enumerate()
         .map(|(i, &a)| Op::Data(i as i64, Some(a), Some(i as i64), None, 1))
         .collect();
-    let (oracle_log, oracle_err, _) = run_oracle(sql, &ops);
-    let (vec_log, vec_err, _) = run_vectorized(sql, &ops, &[8], None);
+    let oracle_log = assert_fails_like_the_oracle(sql, &ops);
+    assert_eq!(oracle_log.len(), 2, "the two pre-error rows were emitted");
+}
+
+/// Both sides fail dividing by zero somewhere in `ops`, fed as one batch:
+/// same changelog, same error, same clock. Returns the changelog.
+fn assert_fails_like_the_oracle(sql: &str, ops: &[Op]) -> Vec<TimedChange> {
+    let (oracle_log, oracle_err, oracle_now) = run_oracle(sql, ops, 0);
+    let (vec_log, vec_err, vec_now) = run_vectorized(sql, ops, &[ops.len()], None, 0);
     assert!(
         oracle_err
             .as_deref()
@@ -275,7 +316,38 @@ fn mid_batch_error_splits_exactly_like_the_oracle() {
     );
     assert_eq!(vec_err, oracle_err);
     assert_eq!(vec_log, oracle_log);
-    assert_eq!(oracle_log.len(), 2, "the two pre-error rows were emitted");
+    assert_eq!(vec_now, oracle_now);
+    oracle_log
+}
+
+/// All outputs of one source event are recorded or none. A hopping window
+/// makes two rows of an event; when the projection above fails on the
+/// second, the first must not stay behind in the changelog.
+#[test]
+fn a_hop_event_failing_on_its_second_window_leaves_no_output() {
+    let sql = "SELECT CASE WHEN wstart >= ts AND a = 0 THEN 10 / a ELSE b END FROM \
+               Hop(data => TABLE(Bid), timecol => DESCRIPTOR(ts), \
+               dur => INTERVAL '2' MINUTE, hopsize => INTERVAL '1' MINUTE)";
+    let ops: Vec<Op> = [1, 2, 0, 5]
+        .iter()
+        .enumerate()
+        .map(|(i, &a)| Op::Data(i as i64, Some(a), Some(i as i64), None, 1))
+        .collect();
+    let oracle_log = assert_fails_like_the_oracle(sql, &ops);
+    assert_eq!(oracle_log.len(), 4, "two windows for each pre-error event");
+}
+
+/// The same rule for an aggregate's retract/insert pair: the second event
+/// of a window retracts `COUNT(*) = 1` and inserts `COUNT(*) = 2`, on which
+/// the projection above divides by zero — the retraction must go with it.
+#[test]
+fn a_failing_insert_takes_the_retraction_of_its_event_with_it() {
+    let sql = format!("SELECT wend, 10 / (COUNT(*) - 2) FROM {TUMBLE} GROUP BY wend");
+    let ops: Vec<Op> = (0..3)
+        .map(|i| Op::Data(i, Some(i), None, None, 1))
+        .collect();
+    let oracle_log = assert_fails_like_the_oracle(&sql, &ops);
+    assert_eq!(oracle_log.len(), 1, "the first event's insert alone");
 }
 
 proptest! {
@@ -285,19 +357,23 @@ proptest! {
     fn vectorized_changelog_is_byte_identical(
         sql in query(2),
         ops in ops(),
-        chunks in prop::collection::vec(1usize..9, 1..=4),
+        chunks in prop_oneof![
+            prop::collection::vec(1usize..9, 1..=4).boxed(),
+            // Batches of one, and whole runs between watermarks.
+            Just(vec![1]).boxed(),
+            Just(vec![64]).boxed(),
+        ],
         restore_frac in prop::option::of(0usize..100),
+        lateness in prop_oneof![Just(0i64), Just(0i64), 1i64..15],
     ) {
         let restore_at = restore_frac
             .filter(|_| !ops.is_empty())
             .map(|f| f * ops.len() / 100);
-        let (oracle_log, oracle_err, oracle_now) = run_oracle(&sql, &ops);
+        let (oracle_log, oracle_err, oracle_now) = run_oracle(&sql, &ops, lateness);
         let (vec_log, vec_err, vec_now) =
-            run_vectorized(&sql, &ops, &chunks, restore_at);
+            run_vectorized(&sql, &ops, &chunks, restore_at, lateness);
         prop_assert_eq!(&vec_err, &oracle_err, "error mismatch for {}", sql);
         prop_assert_eq!(&vec_log, &oracle_log, "changelog mismatch for {}", sql);
-        if oracle_err.is_none() {
-            prop_assert_eq!(vec_now, oracle_now, "clock mismatch for {}", sql);
-        }
+        prop_assert_eq!(vec_now, oracle_now, "clock mismatch for {}", sql);
     }
 }

@@ -17,14 +17,16 @@ use std::collections::BTreeMap;
 
 use bytes::BufMut;
 
-use onesql_plan::{compile_kernel, eval_kernel, AggCall, AggFunc, Frame, Kernel, ScalarExpr};
+use onesql_plan::{
+    compile_kernel, eval_kernel, AggCall, AggFunc, Frame, Kernel, KernelError, ScalarExpr, Vector,
+};
 use onesql_state::{Checkpoint, Codec, Decoder, KeyedState, StateMetrics};
 use onesql_time::Watermark;
 use onesql_tvr::{BatchOut, ChangeBatch, Element};
-use onesql_types::{Duration, Error, Result, Row, Ts, Value};
+use onesql_types::{Column, ColumnBuilder, Duration, Error, Result, Row, Ts, Value};
 
 use crate::operator::Operator;
-use crate::vector::process_row_fallback;
+use crate::vector::split_and_repair;
 
 /// A retractable accumulator for one aggregate call within one group.
 ///
@@ -157,7 +159,7 @@ impl Accumulator {
                     Ok(Value::Int(self.nonnull))
                 }
             }
-            AggFunc::Sum => self.sum_value(false),
+            AggFunc::Sum => self.sum_value(),
             AggFunc::Avg => {
                 let (sum, count) = if self.distinct {
                     let mut s = 0.0;
@@ -191,7 +193,7 @@ impl Accumulator {
         }
     }
 
-    fn sum_value(&self, _distinct: bool) -> Result<Value> {
+    fn sum_value(&self) -> Result<Value> {
         if self.distinct {
             // `distinct` keeps `values`; an absent map means no input yet.
             let Some(values) = self.values.as_ref() else {
@@ -308,6 +310,26 @@ struct GroupState {
     live_rows: i64,
 }
 
+impl GroupState {
+    fn fresh(aggs: &[AggCall]) -> GroupState {
+        GroupState {
+            accs: aggs
+                .iter()
+                .map(|a| Accumulator::with_count_star(a.func, a.distinct, a.arg.is_none()))
+                .collect(),
+            live_rows: 0,
+        }
+    }
+
+    /// Append the current value of every aggregate to `out`.
+    fn values_into(&self, out: &mut Vec<Value>) -> Result<()> {
+        for acc in &self.accs {
+            out.push(acc.value()?);
+        }
+        Ok(())
+    }
+}
+
 impl Codec for GroupState {
     fn encode(&self, buf: &mut bytes::BytesMut) {
         self.accs.encode(buf);
@@ -317,6 +339,70 @@ impl Codec for GroupState {
         Ok(GroupState {
             accs: Vec::decode(input)?,
             live_rows: i64::decode(input)?,
+        })
+    }
+}
+
+/// The output of folding one batch, columnar: which input rows emitted
+/// (their key columns are gathered at the end), the aggregate values they
+/// emitted, and the lanes — −1/+1 diffs, the emitting row's ptime, and its
+/// origin, since a retract/insert pair is one event's output.
+struct FoldOutput {
+    rows: Vec<u32>,
+    aggs: Vec<ColumnBuilder>,
+    diffs: Vec<i64>,
+    ptimes: Vec<Ts>,
+    origins: Vec<u32>,
+}
+
+impl FoldOutput {
+    fn new(aggs: usize, capacity: usize) -> FoldOutput {
+        FoldOutput {
+            rows: Vec::with_capacity(capacity),
+            aggs: (0..aggs)
+                .map(|_| ColumnBuilder::with_capacity(capacity))
+                .collect(),
+            diffs: Vec::with_capacity(capacity),
+            ptimes: Vec::with_capacity(capacity),
+            origins: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// One output row of `batch`'s logical row `i`, draining its aggregate
+    /// values out of `values`.
+    fn push(&mut self, batch: &ChangeBatch, i: usize, diff: i64, values: &mut Vec<Value>) {
+        self.rows.push(i as u32);
+        for (column, value) in self.aggs.iter_mut().zip(values.drain(..)) {
+            column.push(value);
+        }
+        self.diffs.push(diff);
+        self.ptimes.push(batch.ptime(i));
+        self.origins.push(batch.origin(i));
+    }
+
+    /// The batch: group-key columns (`keys`, as evaluated over the input)
+    /// gathered at the emitting rows, then the aggregate columns. When the
+    /// fold failed at an event, the rows that event already emitted — the
+    /// trailing ones — go with it.
+    fn finish(self, keys: &[Vector], failed: Option<u32>) -> Option<ChangeBatch> {
+        let built = self.rows.len();
+        let is_failed = |origin: &&u32| Some(**origin) == failed;
+        let kept = built - self.origins.iter().rev().take_while(is_failed).count();
+        if kept == 0 {
+            return None;
+        }
+        let key_columns = keys.iter().map(|key| match key {
+            Vector::Col(column) => column.gather(&self.rows),
+            Vector::Scalar(value) => Column::repeat(value, built),
+        });
+        let agg_columns = self.aggs.into_iter().map(ColumnBuilder::finish);
+        let columns = key_columns.chain(agg_columns).collect();
+        let batch =
+            ChangeBatch::new_dense(columns, self.diffs, self.ptimes).with_origins(self.origins);
+        Some(if kept < built {
+            batch.slice(0, kept)
+        } else {
+            batch
         })
     }
 }
@@ -364,45 +450,27 @@ impl Aggregate {
         self.late_dropped
     }
 
-    fn key_of(&self, row: &Row) -> Result<Row> {
-        let mut vals = Vec::with_capacity(self.group_exprs.len());
-        for e in &self.group_exprs {
-            vals.push(e.eval(row)?);
-        }
-        Ok(Row::new(vals))
+    fn key_of(&self, row: &Row) -> Result<Vec<Value>> {
+        self.group_exprs.iter().map(|e| e.eval(row)).collect()
     }
 
-    fn group_ts(&self, key: &Row) -> Result<Option<Ts>> {
+    fn group_ts(&self, key: &[Value]) -> Result<Option<Ts>> {
         match self.event_time_key {
             None => Ok(None),
-            Some(i) => match key.value(i)? {
-                Value::Ts(t) => Ok(Some(*t)),
-                Value::Null => Err(Error::exec("NULL event-time grouping key is not allowed")),
-                other => Err(Error::exec(format!(
+            Some(i) => match key.get(i) {
+                Some(Value::Ts(t)) => Ok(Some(*t)),
+                Some(Value::Null) => {
+                    Err(Error::exec("NULL event-time grouping key is not allowed"))
+                }
+                Some(other) => Err(Error::exec(format!(
                     "event-time grouping key must be TIMESTAMP, got {}",
                     other.data_type()
                 ))),
+                None => Err(Error::exec(format!(
+                    "event-time grouping key {i} out of range for {} keys",
+                    key.len()
+                ))),
             },
-        }
-    }
-
-    fn output_row(&self, key: &Row, group: &GroupState) -> Result<Row> {
-        let mut vals = Vec::with_capacity(key.arity() + group.accs.len());
-        vals.extend_from_slice(key.values());
-        for acc in &group.accs {
-            vals.push(acc.value()?);
-        }
-        Ok(Row::new(vals))
-    }
-
-    fn fresh_group(&self) -> GroupState {
-        GroupState {
-            accs: self
-                .aggs
-                .iter()
-                .map(|a| Accumulator::with_count_star(a.func, a.distinct, a.arg.is_none()))
-                .collect(),
-            live_rows: 0,
         }
     }
 
@@ -413,7 +481,7 @@ impl Aggregate {
 
     /// Extension 2: inputs for groups the watermark has closed (plus
     /// lateness) are dropped. Returns `true` if the input was dropped.
-    fn check_late(&mut self, key: &Row) -> Result<bool> {
+    fn check_late(&mut self, key: &[Value]) -> Result<bool> {
         if let Some(ts) = self.group_ts(key)? {
             if self.watermark.closes(self.retirement_ts(ts)) {
                 self.late_dropped += 1;
@@ -423,60 +491,105 @@ impl Aggregate {
         Ok(false)
     }
 
-    /// Fold one change (with pre-evaluated group key and aggregate
-    /// arguments) into group state, emitting the output delta. Shared by the
-    /// per-row and batch paths so their changelogs agree byte for byte.
+    /// Fold one change into the group `key` names — found in one descent
+    /// by the borrowed values; a key row and a fresh group are built only
+    /// on the group's first sight — and leave the aggregate values of its
+    /// output row before and after the change in `old` and `new`. Returns
+    /// whether the group had an output row before, and whether it has one
+    /// now. `arg(j)` is the change's argument to aggregate `j` (`None` for
+    /// `COUNT(*)`). Shared by the per-row and batch paths so their
+    /// changelogs agree byte for byte.
+    fn fold(
+        &mut self,
+        key: &[Value],
+        arg: impl Fn(usize) -> Option<Value>,
+        diff: i64,
+        old: &mut Vec<Value>,
+        new: &mut Vec<Value>,
+    ) -> Result<(bool, bool)> {
+        // The global group (no GROUP BY) shows a row even when empty.
+        let is_global = self.group_exprs.is_empty();
+        old.clear();
+        new.clear();
+        let (group, had_row) = match self.state.get_mut(key) {
+            Some(group) => {
+                let had_row = group.live_rows > 0 || is_global;
+                if had_row {
+                    group.values_into(old)?;
+                }
+                (group, had_row)
+            }
+            None => {
+                let key = Row::from_values(key.iter().cloned());
+                let aggs = &self.aggs;
+                let fresh = || GroupState::fresh(aggs);
+                (self.state.entry_or_insert_with(key, fresh), false)
+            }
+        };
+        group.live_rows += diff;
+        for (j, acc) in group.accs.iter_mut().enumerate() {
+            acc.add(arg(j).as_ref(), diff)?;
+        }
+        let has_row = group.live_rows > 0 || is_global;
+        if has_row {
+            group.values_into(new)?;
+        } else {
+            self.state.remove(key);
+        }
+        Ok((had_row, has_row))
+    }
+
+    /// The row oracle's fold of one change (with pre-evaluated group key
+    /// and aggregate arguments): retract the group's old output row, insert
+    /// its new one, unless they are the same.
     fn apply_data(
         &mut self,
-        key: Row,
-        args: Vec<Option<Value>>,
+        key: &[Value],
+        args: &[Option<Value>],
         diff: i64,
         out: &mut Vec<Element>,
     ) -> Result<()> {
-        let is_global = self.group_exprs.is_empty();
-        let old_row = match self.state.get(&key) {
-            Some(g) if g.live_rows > 0 || is_global => Some(self.output_row(&key, g)?),
-            _ => None,
-        };
-
-        // Apply the change.
-        {
-            if self.state.get(&key).is_none() {
-                let fresh = self.fresh_group();
-                self.state.put(key.clone(), fresh);
-            }
-            let Some(group) = self.state.get_mut(&key) else {
-                return Err(Error::exec("aggregate group vanished mid-update"));
-            };
-            group.live_rows += diff;
-            for (acc, arg) in group.accs.iter_mut().zip(&args) {
-                acc.add(arg.as_ref(), diff)?;
-            }
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        let (had_row, has_row) = self.fold(key, |j| args[j].clone(), diff, &mut old, &mut new)?;
+        if had_row == has_row && old == new {
+            return Ok(());
         }
-
-        let Some(group) = self.state.get(&key) else {
-            return Err(Error::exec("aggregate group vanished mid-update"));
-        };
-        let new_row = if group.live_rows > 0 || is_global {
-            Some(self.output_row(&key, group)?)
-        } else {
-            None
-        };
-        if group.live_rows <= 0 && !is_global {
-            self.state.remove(&key);
+        // Retract before insert so downstream sees a consistent transition.
+        let output = |aggs: Vec<Value>| Row::from_values(key.iter().cloned().chain(aggs));
+        if had_row {
+            out.push(Element::retract(output(old)));
         }
-
-        // Emit the delta (retract before insert so downstream sees a
-        // consistent transition).
-        if old_row != new_row {
-            if let Some(old) = old_row {
-                out.push(Element::retract(old));
-            }
-            if let Some(new) = new_row {
-                out.push(Element::insert(new));
-            }
+        if has_row {
+            out.push(Element::insert(output(new)));
         }
         Ok(())
+    }
+
+    /// Evaluate the group keys and aggregate arguments of `batch` columnar,
+    /// compiling the kernels on first use.
+    fn eval_columns(
+        &mut self,
+        batch: &ChangeBatch,
+    ) -> std::result::Result<(Vec<Vector>, Vec<Option<Vector>>), KernelError> {
+        let (group_kernels, arg_kernels) = self.kernels.get_or_insert_with(|| {
+            (
+                self.group_exprs.iter().map(compile_kernel).collect(),
+                self.aggs
+                    .iter()
+                    .map(|a| a.arg.as_ref().map(compile_kernel))
+                    .collect(),
+            )
+        });
+        let frame = Frame::new(batch.columns(), batch.selection(), batch.len());
+        let keys = group_kernels
+            .iter()
+            .map(|k| eval_kernel(k, &frame, None))
+            .collect::<std::result::Result<_, _>>()?;
+        let args = arg_kernels
+            .iter()
+            .map(|o| o.as_ref().map(|k| eval_kernel(k, &frame, None)).transpose())
+            .collect::<std::result::Result<_, _>>()?;
+        Ok((keys, args))
     }
 }
 
@@ -485,11 +598,11 @@ impl Operator for Aggregate {
         // A global aggregate (no GROUP BY) over an empty input is one row
         // (COUNT = 0, other aggregates NULL), per standard SQL. Seed it.
         if self.group_exprs.is_empty() {
-            let key = Row::empty();
-            let group = self.fresh_group();
-            let initial = self.output_row(&key, &group)?;
-            self.state.put(key, group);
-            out.push(Element::insert(initial));
+            let group = GroupState::fresh(&self.aggs);
+            let mut initial = Vec::new();
+            group.values_into(&mut initial)?;
+            self.state.put(Row::empty(), group);
+            out.push(Element::insert(Row::new(initial)));
         }
         Ok(())
     }
@@ -514,7 +627,7 @@ impl Operator for Aggregate {
                         None => None,
                     });
                 }
-                self.apply_data(key, args, change.diff, out)?;
+                self.apply_data(&key, &args, change.diff, out)?;
             }
             Element::Watermark(wm) => {
                 if !self.watermark.advance_to(wm) {
@@ -535,6 +648,12 @@ impl Operator for Aggregate {
         Ok(())
     }
 
+    /// Keys and arguments evaluate columnar; the fold then visits the rows
+    /// in order, because every change emits against the state the changes
+    /// before it left. Nothing is built per row: the key is read into one
+    /// reused buffer, arguments go from their columns to the accumulators,
+    /// and the output — the per-change retract/insert sequence the
+    /// changelog encodes — is gathered into one columnar batch.
     fn process_batch(
         &mut self,
         port: usize,
@@ -544,62 +663,52 @@ impl Operator for Aggregate {
         if batch.is_empty() {
             return Ok(());
         }
-        if self.kernels.is_none() {
-            self.kernels = Some((
-                self.group_exprs.iter().map(compile_kernel).collect(),
-                self.aggs
-                    .iter()
-                    .map(|a| a.arg.as_ref().map(compile_kernel))
-                    .collect(),
-            ));
-        }
-        let n = batch.len();
-        // Phase 1: evaluate group keys and aggregate arguments columnar.
         // (Evaluating arguments for rows the lateness check later drops is
         // unobservable on the success path; a kernel error at such a row is
-        // repaired below by replaying that row through the per-row oracle,
-        // which drops it without error — exactly as the oracle would.)
-        let evald = {
-            let Some((gk, ak)) = self.kernels.as_ref() else {
-                return Err(Error::exec("aggregate kernels not compiled"));
-            };
-            let frame = Frame::new(batch.columns(), batch.selection(), n);
-            gk.iter()
-                .map(|k| eval_kernel(k, &frame, None))
-                .collect::<std::result::Result<Vec<_>, _>>()
-                .and_then(|keys| {
-                    ak.iter()
-                        .map(|o| o.as_ref().map(|k| eval_kernel(k, &frame, None)).transpose())
-                        .collect::<std::result::Result<Vec<_>, _>>()
-                        .map(|args| (keys, args))
-                })
+        // repaired by replaying its event through the per-row oracle, which
+        // drops the row without error — exactly as the oracle would.)
+        let (keys, args) = match self.eval_columns(batch) {
+            Ok(evald) => evald,
+            Err(e) => return split_and_repair(self, port, batch, e.row, out),
         };
-        match evald {
-            Err(e) => {
-                let (prefix, rest) = batch.split_at(e.row);
-                self.process_batch(port, &prefix, out)?;
-                process_row_fallback(self, port, &rest, 0, out)?;
-                self.process_batch(port, &rest.slice(1, rest.len()), out)
-            }
-            Ok((keys, args)) => {
-                // Phase 2: fold row by row, preserving the per-change
-                // retract/insert emission the changelog encodes.
-                for i in 0..n {
-                    let ts = batch.ptime(i);
-                    let key = Row::new(keys.iter().map(|v| v.value_at(i)).collect());
-                    let mut tmp = Vec::new();
-                    if !self.check_late(&key)? {
-                        let argv: Vec<Option<Value>> = args
-                            .iter()
-                            .map(|o| o.as_ref().map(|v| v.value_at(i)))
-                            .collect();
-                        self.apply_data(key, argv, batch.diff(i), &mut tmp)?;
+        let n = batch.len();
+        let mut output = FoldOutput::new(self.aggs.len(), 2 * n);
+        let mut key = Vec::with_capacity(keys.len());
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        let mut failed = None;
+        for i in 0..n {
+            key.clear();
+            key.extend(keys.iter().map(|k| k.value_at(i)));
+            let arg = |j: usize| args[j].as_ref().map(|a: &Vector| a.value_at(i));
+            let change = self.check_late(&key).and_then(|late| {
+                if late {
+                    return Ok((false, false));
+                }
+                self.fold(&key, arg, batch.diff(i), &mut old, &mut new)
+            });
+            match change {
+                Ok((had_row, has_row)) if had_row != has_row || old != new => {
+                    if had_row {
+                        output.push(batch, i, -1, &mut old);
                     }
-                    if !tmp.is_empty() {
-                        out.push(BatchOut::Rows(ts, tmp));
+                    if has_row {
+                        output.push(batch, i, 1, &mut new);
                     }
                 }
-                Ok(())
+                Ok(_) => {}
+                Err(e) => {
+                    failed = Some((i, e));
+                    break;
+                }
+            }
+        }
+        let failed_event = failed.as_ref().map(|(i, _)| batch.origin(*i));
+        out.extend(output.finish(&keys, failed_event).map(BatchOut::Batch));
+        match failed {
+            None => Ok(()),
+            Some((i, e)) => {
+                out.push(BatchOut::failed_at(batch.ptime(i)));
+                Err(e)
             }
         }
     }

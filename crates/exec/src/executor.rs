@@ -155,12 +155,19 @@ impl OpNode {
         for item in child_out {
             match item {
                 BatchOut::Batch(b) => self.op.process_batch(port, &b, out)?,
+                // The child failed there; its error follows.
+                BatchOut::Rows(ts, elems) if elems.is_empty() => {
+                    out.push(BatchOut::failed_at(ts));
+                }
                 BatchOut::Rows(ts, elems) => {
                     let mut tmp = Vec::new();
                     for e in elems {
                         // On error, `tmp` is dropped: the per-row engine
                         // discards a failing event's outputs wholesale.
-                        self.op.process(port, e, ts, &mut tmp)?;
+                        if let Err(e) = self.op.process(port, e, ts, &mut tmp) {
+                            out.push(BatchOut::failed_at(ts));
+                            return Err(e);
+                        }
                     }
                     if !tmp.is_empty() {
                         out.push(BatchOut::Rows(ts, tmp));
@@ -406,13 +413,19 @@ impl Executor {
         Ok(())
     }
 
+    /// Whether any source leaf scans `table`. Feeding a table none does
+    /// only advances the clock.
+    pub fn scans(&self, table: &str) -> bool {
+        self.leaf(table, 0).is_some()
+    }
+
     /// Whether [`Executor::feed_batch`] takes the vectorized path for
     /// `table`: exactly one source leaf scans it (multi-leaf fan-out, e.g.
     /// NEXMark Q7's double Bid scan, interleaves per *event* across leaves,
     /// which a whole-batch feed cannot reproduce) and no operator in the
     /// tree schedules processing-time timers.
     pub fn supports_batches(&self, table: &str) -> bool {
-        !self.uses_timers && self.leaf(table, 0).is_some() && self.leaf(table, 1).is_none()
+        !self.uses_timers && self.scans(table) && self.leaf(table, 1).is_none()
     }
 
     /// Feed a columnar batch of data changes for `table`, each row at its
@@ -439,8 +452,9 @@ impl Executor {
         };
         let mut out = Vec::new();
         let res = self.root.feed_batch(id, batch, &mut out);
-        // Record even on error: `out` holds the outputs of rows before the
-        // failing row, which per-row feeding would have recorded already.
+        // Record even on error: `out` holds the outputs of the events before
+        // the failing one, which per-row feeding would have recorded already,
+        // and the failing event's ptime, which it would have advanced to.
         self.record_batch(out);
         if res.is_ok() {
             self.now = self.now.max(batch.ptime(batch.len() - 1));

@@ -40,9 +40,11 @@ pub trait Operator: Send {
     /// outputs (and any error) must be *byte-identical* to feeding the rows
     /// one at a time, each at its own ptime.
     ///
-    /// Error contract: on `Err`, `out` holds exactly the outputs of rows
-    /// strictly before the failing row (the failing row's outputs are
-    /// discarded, as the per-row engine does for a failing event).
+    /// Error contract: on `Err`, `out` holds exactly the outputs of the
+    /// source events strictly before the failing row's (all rows of
+    /// [`ChangeBatch::event_range`] are one event, and its outputs are
+    /// discarded together, as the per-row engine does for a failing event),
+    /// then a [`BatchOut::failed_at`] that event's ptime.
     ///
     /// [`process`]: Operator::process
     fn process_batch(

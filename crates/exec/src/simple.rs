@@ -8,7 +8,7 @@ use onesql_tvr::{Bag, BatchOut, Change, ChangeBatch, Element};
 use onesql_types::{ColumnData, Result, Row, Ts, Value};
 
 use crate::operator::Operator;
-use crate::vector::process_row_fallback;
+use crate::vector::split_and_repair;
 
 /// A stream/table source leaf. The executor routes externally fed elements
 /// for the source's table here; the operator forwards them verbatim.
@@ -156,15 +156,7 @@ impl Operator for Filter {
                 }
                 Ok(())
             }
-            Err(e) => {
-                // Split-and-repair: rows before the kernel error stay
-                // vectorized; the failing row goes through the row oracle for
-                // the exact per-row error; the suffix resumes vectorized.
-                let (prefix, rest) = batch.split_at(e.row);
-                self.process_batch(port, &prefix, out)?;
-                process_row_fallback(self, port, &rest, 0, out)?;
-                self.process_batch(port, &rest.slice(1, rest.len()), out)
-            }
+            Err(e) => split_and_repair(self, port, batch, e.row, out),
         }
     }
 
@@ -232,12 +224,7 @@ impl Operator for Project {
                 out.push(BatchOut::Batch(batch.with_columns(cols)));
                 Ok(())
             }
-            Err(e) => {
-                let (prefix, rest) = batch.split_at(e.row);
-                self.process_batch(port, &prefix, out)?;
-                process_row_fallback(self, port, &rest, 0, out)?;
-                self.process_batch(port, &rest.slice(1, rest.len()), out)
-            }
+            Err(e) => split_and_repair(self, port, batch, e.row, out),
         }
     }
 

@@ -12,7 +12,7 @@ use onesql_tvr::{BatchOut, Change, ChangeBatch, Element};
 use onesql_types::{Column, ColumnData, Duration, Error, Result, Ts, Value};
 
 use crate::operator::Operator;
-use crate::vector::{process_batch_rowwise, process_row_fallback};
+use crate::vector::{process_batch_rowwise, split_and_repair};
 
 /// Assign the single tumbling window containing `ts`.
 ///
@@ -29,20 +29,33 @@ pub fn tumble_window(ts: Ts, dur: Duration, offset: Duration) -> (Ts, Ts) {
 /// Window starts are the instants `k*hopsize + offset`; a window covers
 /// `[start, start + dur)`.
 pub fn hop_windows(ts: Ts, dur: Duration, hopsize: Duration, offset: Duration) -> Vec<(Ts, Ts)> {
-    let shifted = ts.millis() - offset.millis();
-    // Largest aligned start <= ts.
-    let max_start = shifted.div_euclid(hopsize.millis()) * hopsize.millis() + offset.millis();
-    let mut starts = Vec::new();
-    let mut s = max_start;
-    while s + dur.millis() > ts.millis() {
-        starts.push(s);
-        s -= hopsize.millis();
-    }
-    starts.reverse();
-    starts
-        .into_iter()
-        .map(|s| (Ts(s), Ts(s + dur.millis())))
-        .collect()
+    let (first, count) = hop_starts(ts, dur, hopsize, offset);
+    windows(first, count, hopsize, dur).collect()
+}
+
+/// The earliest start of a hopping window containing `ts`, and how many
+/// windows (starting one `hopsize` apart) contain it: none when `ts` falls
+/// into the gap a `hopsize` longer than `dur` leaves.
+fn hop_starts(ts: Ts, dur: Duration, hopsize: Duration, offset: Duration) -> (Ts, i64) {
+    let hop = hopsize.millis();
+    // Largest aligned start <= ts; a start `k` hops earlier still covers
+    // `ts` while `k * hop < covered`.
+    let max_start = (ts.millis() - offset.millis()).div_euclid(hop) * hop + offset.millis();
+    let covered = max_start + dur.millis() - ts.millis();
+    let count = if covered > 0 {
+        (covered + hop - 1) / hop
+    } else {
+        0
+    };
+    (Ts(max_start - (count - 1) * hop), count)
+}
+
+/// `count` windows of length `len`, the first at `first`, `step` apart.
+fn windows(first: Ts, count: i64, step: Duration, len: Duration) -> impl Iterator<Item = (Ts, Ts)> {
+    (0..count).map(move |k| {
+        let start = first.millis() + k * step.millis();
+        (Ts(start), Ts(start + len.millis()))
+    })
 }
 
 /// The windowing operator: appends `wstart`/`wend` columns per assignment.
@@ -57,26 +70,34 @@ impl Window {
         Window { kind, time_col }
     }
 
-    fn assign(&self, ts: Ts) -> Result<Vec<(Ts, Ts)>> {
-        Ok(match self.kind {
-            WindowKind::Tumble { dur, offset } => vec![tumble_window(ts, dur, offset)],
+    /// The windows `ts` is assigned to, in ascending `wstart` order — as an
+    /// iterator, so that the batch path allocates nothing per row.
+    fn assign(&self, ts: Ts) -> impl Iterator<Item = (Ts, Ts)> {
+        match self.kind {
+            WindowKind::Tumble { dur, offset } => {
+                windows(tumble_window(ts, dur, offset).0, 1, dur, dur)
+            }
             WindowKind::Hop {
                 dur,
                 hopsize,
                 offset,
-            } => hop_windows(ts, dur, hopsize, offset),
+            } => {
+                let (first, count) = hop_starts(ts, dur, hopsize, offset);
+                windows(first, count, hopsize, dur)
+            }
             // Session windows assign a provisional [ts, ts+gap) interval per
             // row; downstream session-merging is the aggregate's job. The
             // paper lists full sessionization as future work (§8); we expose
             // the per-row gap window, which is the standard building block.
-            WindowKind::Session { gap } => vec![(ts, ts + gap)],
-        })
+            WindowKind::Session { gap } => windows(ts, 1, gap, gap),
+        }
     }
 
     /// Build the expanded output batch: source columns gathered per
     /// assignment (`idx[j]` = source logical row of output row `j`) plus the
     /// appended `wstart`/`wend` columns. Lanes are gathered the same way so
-    /// per-output-row diffs/ptimes match the row oracle exactly.
+    /// per-output-row diffs/ptimes match the row oracle exactly, and the
+    /// assignments of one row share its origin: they stand or fall together.
     fn emit_expanded(
         &self,
         batch: &ChangeBatch,
@@ -100,7 +121,9 @@ impl Window {
         }));
         let diffs: Vec<i64> = idx.iter().map(|&i| batch.diff(i as usize)).collect();
         let ptimes: Vec<Ts> = idx.iter().map(|&i| batch.ptime(i as usize)).collect();
-        out.push(BatchOut::Batch(ChangeBatch::new_dense(cols, diffs, ptimes)));
+        let origins = idx.iter().map(|&i| batch.origin(i as usize)).collect();
+        let expanded = ChangeBatch::new_dense(cols, diffs, ptimes).with_origins(origins);
+        out.push(BatchOut::Batch(expanded));
     }
 }
 
@@ -126,7 +149,7 @@ impl Operator for Window {
                         )))
                     }
                 };
-                for (wstart, wend) in self.assign(ts)? {
+                for (wstart, wend) in self.assign(ts) {
                     let row = change
                         .row
                         .with_appended(&[Value::Ts(wstart), Value::Ts(wend)]);
@@ -164,16 +187,10 @@ impl Operator for Window {
         for i in 0..n {
             let ts = match batch.value(i, self.time_col) {
                 Value::Ts(t) => t,
-                _ => {
-                    // Flush the clean prefix, surface the exact per-row error
-                    // for row `i`, and (if it somehow succeeds) resume with
-                    // the suffix.
-                    self.emit_expanded(batch, &idx, wstarts, wends, out);
-                    process_row_fallback(self, port, batch, i, out)?;
-                    return self.process_batch(port, &batch.slice(i + 1, n), out);
-                }
+                // The row oracle has the exact error for row `i`.
+                _ => return split_and_repair(self, port, batch, i, out),
             };
-            for (ws, we) in self.assign(ts)? {
+            for (ws, we) in self.assign(ts) {
                 idx.push(i as u32);
                 wstarts.push(ws);
                 wends.push(we);

@@ -1,5 +1,6 @@
 //! Keyed operator state with checkpoint/restore.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -66,8 +67,14 @@ impl<V> KeyedState<V> {
         self.map.get(key)
     }
 
-    /// Mutably borrow the value for `key`.
-    pub fn get_mut(&mut self, key: &Row) -> Option<&mut V> {
+    /// Mutably borrow the value for `key`: a `&Row`, or the bare
+    /// `&[Value]` a row borrows as, so a hot path probes with a reused
+    /// buffer and builds a key row only for a key it has to insert.
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        Row: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.map.get_mut(key)
     }
 
@@ -84,9 +91,20 @@ impl<V> KeyedState<V> {
         self.map.entry(key).or_default()
     }
 
-    /// Remove a key. Freeing state this way when watermarks pass is the
-    /// linchpin of bounded-state streaming execution (§5, lesson 1).
-    pub fn remove(&mut self, key: &Row) -> Option<V> {
+    /// Get the value for `key`, inserting `fresh()` first if absent.
+    pub fn entry_or_insert_with(&mut self, key: Row, fresh: impl FnOnce() -> V) -> &mut V {
+        self.map.entry(key).or_insert_with(fresh)
+    }
+
+    /// Remove a key (a `&Row` or its `&[Value]`, as for
+    /// [`KeyedState::get_mut`]). Freeing state this way when watermarks
+    /// pass is the linchpin of bounded-state streaming execution (§5,
+    /// lesson 1).
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        Row: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.map.remove(key)
     }
 
@@ -176,6 +194,20 @@ mod tests {
         assert_eq!(s.get(&row!("a")), Some(&11));
         assert_eq!(s.remove(&row!("b")), Some(2));
         assert_eq!(s.get(&row!("b")), None);
+    }
+
+    #[test]
+    fn probes_by_borrowed_values() {
+        use onesql_types::Value;
+        let mut s: KeyedState<i64> = KeyedState::new();
+        let key = [Value::Int(7), Value::str("w")];
+        assert_eq!(s.get_mut(&key[..]), None);
+        *s.entry_or_insert_with(Row::new(key.to_vec()), || 40) += 1;
+        *s.entry_or_insert_with(Row::new(key.to_vec()), || 0) += 1;
+        assert_eq!(s.get_mut(&key[..]), Some(&mut 42));
+        assert_eq!(s.get(&row!(7i64, "w")), Some(&42));
+        assert_eq!(s.remove(&key[..]), Some(42));
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! Logical vs physical indices: all public row accessors take *logical*
 //! indices `0..len()`; the selection vector (if any) maps them to physical
 //! storage rows. See `docs/VECTORIZED.md`.
+//!
+//! Events: the rows one source event produced are adjacent, and an operator
+//! that makes several rows out of one (a hopping window, an aggregate's
+//! retract/insert pair) marks them with an *origin* lane, because an error
+//! on any of them discards them all ([`ChangeBatch::event_range`]).
 
 use std::sync::Arc;
 
@@ -26,6 +31,9 @@ pub struct ChangeBatch {
     cols: Vec<Column>,
     diffs: Arc<[i64]>,
     ptimes: Arc<[Ts]>,
+    /// Per physical row, an ordinal shared by exactly the rows that came
+    /// from one source event. `None`: every row is an event of its own.
+    origins: Option<Arc<[u32]>>,
     sel: Option<Vec<u32>>,
 }
 
@@ -43,8 +51,25 @@ impl ChangeBatch {
             cols,
             diffs: diffs.into(),
             ptimes: ptimes.into(),
+            origins: None,
             sel: None,
         }
+    }
+
+    /// Mark which rows of a dense batch came from the same source event:
+    /// `origins[i]` is row `i`'s event, under any numbering that gives the
+    /// rows of one event — which are adjacent — the same ordinal and
+    /// neighbouring events different ones. A batch without the lane holds
+    /// one row per event.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if the batch is filtered or the lane's
+    /// length is not the batch's.
+    pub fn with_origins(mut self, origins: Vec<u32>) -> ChangeBatch {
+        debug_assert!(self.sel.is_none());
+        debug_assert_eq!(origins.len(), self.diffs.len());
+        self.origins = Some(origins.into());
+        self
     }
 
     /// Columnarize a run of timed changes.
@@ -123,6 +148,33 @@ impl ChangeBatch {
         self.ptimes[self.phys(i)]
     }
 
+    /// The ordinal of the source event logical row `i` came from, for
+    /// comparing rows of this batch (and handing on to a batch derived
+    /// from it): equal exactly for the rows of one event.
+    #[inline]
+    pub fn origin(&self, i: usize) -> u32 {
+        let p = self.phys(i);
+        self.origins.as_ref().map_or(p as u32, |lane| lane[p])
+    }
+
+    /// The logical rows that came from the same source event as row `i`.
+    /// The executor records all outputs of an event or none, so a row that
+    /// fails takes this whole range with it.
+    pub fn event_range(&self, i: usize) -> std::ops::Range<usize> {
+        if self.origins.is_none() {
+            return i..i + 1;
+        }
+        let event = self.origin(i);
+        let from = (0..i)
+            .rev()
+            .find(|&j| self.origin(j) != event)
+            .map_or(0, |j| j + 1);
+        let to = (i + 1..self.len())
+            .find(|&j| self.origin(j) != event)
+            .unwrap_or(self.len());
+        from..to
+    }
+
     /// The value at (logical row `i`, column `col`).
     pub fn value(&self, i: usize, col: usize) -> Value {
         self.cols[col].value(self.phys(i))
@@ -157,12 +209,14 @@ impl ChangeBatch {
             cols: self.cols.clone(),
             diffs: self.diffs.clone(),
             ptimes: self.ptimes.clone(),
+            origins: self.origins.clone(),
             sel: Some(sel),
         }
     }
 
     /// Replace the columns with `cols` (a projection result), gathering the
-    /// lanes to logical (dense) order.
+    /// lanes — the origin lane too, when there is one — to logical (dense)
+    /// order.
     ///
     /// # Panics
     /// Panics (in debug builds) if any new column's length differs from
@@ -176,15 +230,21 @@ impl ChangeBatch {
                 cols,
                 diffs: self.diffs.clone(),
                 ptimes: self.ptimes.clone(),
+                origins: self.origins.clone(),
                 sel: None,
             };
         }
         let diffs: Vec<i64> = (0..len).map(|i| self.diff(i)).collect();
         let ptimes: Vec<Ts> = (0..len).map(|i| self.ptime(i)).collect();
+        let origins = self
+            .origins
+            .is_some()
+            .then(|| (0..len).map(|i| self.origin(i)).collect());
         ChangeBatch {
             cols,
             diffs: diffs.into(),
             ptimes: ptimes.into(),
+            origins,
             sel: None,
         }
     }
@@ -205,6 +265,7 @@ impl ChangeBatch {
             cols: self.cols.clone(),
             diffs: self.diffs.clone(),
             ptimes: self.ptimes.clone(),
+            origins: self.origins.clone(),
             sel: Some(sel),
         }
     }
@@ -219,6 +280,7 @@ impl ChangeBatch {
                 cols: self.cols.clone(),
                 diffs: self.diffs.clone(),
                 ptimes: self.ptimes.iter().map(|&t| t.max(min)).collect(),
+                origins: self.origins.clone(),
                 sel: self.sel.clone(),
             },
             _ => self.clone(),
@@ -244,18 +306,31 @@ impl ChangeBatch {
 /// One unit of operator output on the batch path.
 ///
 /// Operators that stay columnar emit [`BatchOut::Batch`]; operators that
-/// materialize per-row output (aggregates, fallback operators) emit
-/// [`BatchOut::Rows`]: *all* elements produced by one source row, stamped
-/// with that row's processing timestamp. Grouping per source row matters for
-/// error exactness — if a downstream operator fails on any element of the
-/// group, the per-row engine would discard the whole event's outputs, so the
-/// batch path must be able to do the same.
+/// fall back to per-row processing emit [`BatchOut::Rows`]: *all* elements
+/// produced by one source event, stamped with that event's processing
+/// timestamp. Keeping an event's outputs together matters for error
+/// exactness — if a downstream operator fails on any of them, the per-row
+/// engine would discard the whole event's outputs, so the batch path must be
+/// able to do the same: `Rows` by being one event, a `Batch` through its
+/// origin lane ([`ChangeBatch::event_range`]). An event never spans two
+/// `BatchOut`s.
 #[derive(Clone, Debug)]
 pub enum BatchOut {
     /// A still-columnar batch of changes.
     Batch(ChangeBatch),
-    /// The elements one source row produced, at that row's processing time.
+    /// The elements one source event produced, at that event's processing
+    /// time.
     Rows(Ts, Vec<Element>),
+}
+
+impl BatchOut {
+    /// What an operator leaves last in its output when it fails on an
+    /// event fed at `ptime`: no elements — a failing event records nothing
+    /// — but the clock has reached `ptime`, as the row oracle's had when it
+    /// took the event up.
+    pub fn failed_at(ptime: Ts) -> BatchOut {
+        BatchOut::Rows(ptime, Vec::new())
+    }
 }
 
 #[cfg(test)]
@@ -315,6 +390,26 @@ mod tests {
         assert_eq!(out.row(0), row!(9i64));
         assert_eq!(out.diff(0), 1);
         assert_eq!(out.ptime(1), Ts::from_millis(2));
+    }
+
+    #[test]
+    fn origins_survive_narrowing_and_projection() {
+        // Rows 0 and 1 are one event, row 2 another.
+        let b = batch().with_origins(vec![4, 4, 9]);
+        assert_eq!(b.event_range(0), 0..2);
+        assert_eq!(b.event_range(1), 0..2);
+        assert_eq!(b.event_range(2), 2..3);
+        let tail = b.slice(1, 3);
+        assert_eq!(tail.event_range(0), 0..1);
+        assert_eq!(tail.origin(0), b.origin(1));
+        let kept = b.select_logical(&[0, 1]);
+        assert_eq!(kept.event_range(1), 0..2);
+        let col = Column::from_values(vec![Value::Int(9), Value::Int(9)]);
+        let projected = kept.with_columns(vec![col.clone()]);
+        assert_eq!(projected.event_range(0), 0..2);
+        // Without the lane every row is its own event, however narrowed.
+        let plain = batch().select_logical(&[0, 2]).with_columns(vec![col]);
+        assert_eq!(plain.event_range(1), 1..2);
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl ColumnBuilder {
     pub fn with_capacity(capacity: usize) -> ColumnBuilder {
         ColumnBuilder {
             data: BuilderData::Empty,
-            nulls: Vec::new(),
+            nulls: Vec::with_capacity(capacity),
             any_null: false,
             pending_nulls: 0,
             capacity,

@@ -108,6 +108,15 @@ impl fmt::Display for Row {
     }
 }
 
+/// A row is its values: `Row`'s `Eq`, `Ord` and `Hash` are exactly the
+/// slice's, so a map keyed by rows can be probed with a borrowed
+/// `&[Value]` — no key row is built to look one up.
+impl std::borrow::Borrow<[Value]> for Row {
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
         Row::new(values)
@@ -169,6 +178,19 @@ mod tests {
         assert_eq!(row!(1i64, "a").to_string(), "(1, a)");
         assert_eq!(Row::empty().arity(), 0);
         assert_eq!(Row::empty().to_string(), "()");
+    }
+
+    #[test]
+    fn a_map_of_rows_is_probed_by_slice() {
+        use std::collections::{BTreeMap, HashMap};
+        let rows = [row!(1i64, "a"), row!(1i64, "b"), row!(2i64)];
+        let ordered: BTreeMap<Row, usize> = rows.iter().cloned().zip(0..).collect();
+        let hashed: HashMap<Row, usize> = rows.iter().cloned().zip(0..).collect();
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(ordered.get(row.values()), Some(&i));
+            assert_eq!(hashed.get(row.values()), Some(&i));
+        }
+        assert_eq!(ordered.get(&[Value::Int(1)][..]), None);
     }
 
     #[test]

@@ -299,6 +299,47 @@ fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
     }
 }
 
+/// The nexmark source interleaves Person and Auction rows with the Bids.
+/// A query that reads only Bid feeds every round as columnar runs — the
+/// other streams' events end none — and writes what the row path writes;
+/// one that joins the other two still ends a run at each change between
+/// them.
+#[test]
+fn streams_a_query_does_not_read_cost_it_no_columnar_round() {
+    use onesql_nexmark::queries::{Q1, Q5_HOT_ITEMS, Q8};
+    let mut engine = Engine::new();
+    register_nexmark_streams(&mut engine);
+    for (sql, reads_only_bid) in [(Q1, true), (Q5_HOT_ITEMS, true), (Q8, false)] {
+        let sql = format!("{sql} EMIT STREAM");
+        for workers in [1, 2] {
+            let run = |vectorize: bool| {
+                let config = DriverConfig {
+                    vectorize,
+                    ..sharded(workers)
+                };
+                let mut driver = PipelineDriver::new(&engine, &sql, config).unwrap();
+                let source = PartitionedNexmarkSource::seeded(7, NEXMARK_EVENTS, NEXMARK_PARTS);
+                driver.attach_partitioned_source(Box::new(source)).unwrap();
+                let (rows, sink) = collecting_sink();
+                driver.attach_sink(Box::new(sink)).unwrap();
+                let metrics = driver.run().unwrap().clone();
+                let rows = rows.lock().unwrap().clone();
+                (rows, metrics)
+            };
+            let (rows, metrics) = run(true);
+            let (oracle_rows, oracle_metrics) = run(false);
+            assert!(!rows.is_empty(), "{sql}");
+            assert_eq!(rows, oracle_rows, "{sql} at {workers} workers");
+            assert_eq!(metrics.rounds, oracle_metrics.rounds);
+            assert_eq!(oracle_metrics.vectorized_rounds, 0);
+            if reads_only_bid {
+                assert_eq!(metrics.fallback_rounds, 0, "{sql}");
+                assert_eq!(metrics.vectorized_rounds, metrics.rounds, "{sql}");
+            }
+        }
+    }
+}
+
 /// A channel that a poll drained answers `Idle` with its events, so a
 /// caller who publishes, steps and looks at the sink finds the rows there
 /// for every worker count; only a backlog longer than the batch is
