@@ -1437,11 +1437,6 @@ impl NetSink {
             publisher: NetPublisher::new(addr, partition, vec![stream], config),
         }
     }
-
-    /// The wrapped publisher (offsets, acks, drain waits).
-    pub fn publisher_mut(&mut self) -> &mut NetPublisher {
-        &mut self.publisher
-    }
 }
 
 impl Sink for NetSink {

@@ -629,9 +629,10 @@ pub struct DriverConfig {
     /// [`DriverConfig::batch_size`] for the whole run.
     pub adaptive: Option<AdaptiveBatch>,
     /// Feed consecutive same-stream events as columnar [`ChangeBatch`]es
-    /// when the query's operator tree supports it (the vectorized hot
+    /// where each worker's query can take them so (the vectorized hot
     /// path). Results are byte-identical either way; disable to force the
-    /// per-row oracle (e.g. for A/B benchmarking).
+    /// per-row oracle (e.g. for A/B benchmarking): polls stay rows and
+    /// every worker's query feeds one change at a time.
     pub vectorize: bool,
     /// Number of workers (= operator state shards). One worker runs inline
     /// on the driver's thread; more run on a thread each.
@@ -776,9 +777,10 @@ pub struct PipelineMetrics {
     /// Rounds in which some worker fed at least one columnar batch (the
     /// vectorized path), as the workers report at the drain barrier.
     pub vectorized_rounds: u64,
-    /// Rounds in which some worker fed at least one event per-row (stream
-    /// doesn't vectorize, single-event runs, or mixed-arity runs). Events
-    /// of a stream the plan does not read are no feed and count in neither.
+    /// Rounds in which some worker's query took at least one run per row
+    /// (the stream does not vectorize, or the run is a single event or of
+    /// mixed arity; see `RunningQuery::vectorizes`). Events of a stream the
+    /// plan does not read are no feed and count in neither.
     pub fallback_rounds: u64,
     /// Rows per batch handed to a worker.
     pub batch_rows: Histogram,

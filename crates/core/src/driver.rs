@@ -158,7 +158,7 @@ use crate::connect::{
 use crate::engine::Engine;
 use crate::hash::partition_of;
 use crate::observe::{self, Stopwatch};
-use crate::query::{apply_presentation, RunningQuery};
+use crate::query::{apply_presentation, Fed, RunningQuery};
 
 /// A consistent snapshot of an entire pipeline: per-worker
 /// operator state, per-partition source offsets, and the driver's merge /
@@ -219,27 +219,14 @@ struct DrainReply {
     fed_rows: bool,
 }
 
-/// How a worker feeds the events of one stream.
-#[derive(Clone, Copy, PartialEq)]
-enum Feed {
-    /// Consecutive events as one columnar run.
-    Columns,
-    /// One `change` per event: the row oracle.
-    Rows,
-    /// No leaf of the plan scans the stream: an event is checked and moves
-    /// the clock, and there is nothing to feed.
-    Unread,
-}
-
 /// One worker: a running query plus the bookkeeping that lets the driver
 /// talk to it the same way inline and across a thread.
 struct Shard {
     query: RunningQuery,
     /// The driver's stream table — routed events reference streams by
-    /// index — with how each stream is fed (the query's tree shape cannot
-    /// change under the driver, so it is decided once).
-    streams: Vec<(String, Feed)>,
-    vectorize: bool,
+    /// index — with whether the plan reads each stream (the query's tree
+    /// shape cannot change under the driver, so it is decided once).
+    streams: Vec<(String, bool)>,
     fed_batch: bool,
     fed_rows: bool,
     /// The first failure wins; later data commands are skipped and every
@@ -249,11 +236,10 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(query: RunningQuery, vectorize: bool) -> Shard {
+    fn new(query: RunningQuery) -> Shard {
         Shard {
             query,
             streams: Vec::new(),
-            vectorize,
             fed_batch: false,
             fed_rows: false,
             failure: None,
@@ -261,14 +247,15 @@ impl Shard {
     }
 
     fn declare(&mut self, stream: String) {
-        let feed = if self.query.ignores(&stream) {
-            Feed::Unread
-        } else if self.vectorize && self.query.vectorizes(&stream) {
-            Feed::Columns
-        } else {
-            Feed::Rows
-        };
-        self.streams.push((stream, feed));
+        let read = !self.query.ignores(&stream);
+        self.streams.push((stream, read));
+    }
+
+    fn note(&mut self, fed: Fed) {
+        match fed {
+            Fed::Columns => self.fed_batch = true,
+            Fed::Rows => self.fed_rows = true,
+        }
     }
 
     fn healthy(&self) -> Result<()> {
@@ -282,74 +269,51 @@ impl Shard {
         }
     }
 
-    /// Feed a routed batch of `(stream index, ptime, change)` events,
-    /// grouping consecutive same-stream events into columnar runs where
-    /// the plan vectorizes. Ptimes within a routed batch are monotone (the
-    /// driver stamps its clamped clock), so a run satisfies
-    /// [`ChangeBatch`]'s ordering. An event of a stream the plan does not
-    /// read ends no run: it is checked where it stands and the run goes on
-    /// past it. `trace_parent` is the driver round's span (0 = tracing off
-    /// or unsampled, so an unrecorded round spawns no orphan worker tree).
+    /// Feed a routed batch of `(stream index, ptime, change)` events as
+    /// maximal runs of one stream's events, each of which the query takes
+    /// in as columns or as rows ([`RunningQuery::vectorizes`]). Ptimes
+    /// within a routed batch are monotone (the driver stamps its clamped
+    /// clock), so a run satisfies [`ChangeBatch`]'s ordering. An event of a
+    /// stream the plan does not read ends no run: it is checked where it
+    /// stands and the run goes on past it. `trace_parent` is the driver
+    /// round's span (0 = tracing off or unsampled, so an unrecorded round
+    /// spawns no orphan worker tree).
     fn feed(&mut self, events: Vec<(usize, Ts, Change)>, trace_parent: u64) {
         let _span = (trace_parent != 0)
             .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
         self.apply(|shard| {
             let mut events = events.into_iter().peekable();
             while let Some((stream, ptime, change)) = events.next() {
-                let (name, feed) = &shard.streams[stream];
-                match feed {
-                    Feed::Unread => {
-                        shard.query.validate(name, &change.row)?;
-                        shard.query.advance_to(ptime)?;
-                    }
-                    Feed::Rows => {
-                        shard.fed_rows = true;
-                        shard.query.change(name, ptime, change)?;
-                    }
-                    Feed::Columns => {
-                        let mut run = vec![(ptime, change)];
-                        // What the unread events inside the run come to:
-                        // the clock the last valid one asks for, and the
-                        // error of the first invalid one, which ends it.
-                        let mut passed = ptime;
-                        let mut unread = Ok(());
-                        let in_run =
-                            |next: usize| next == stream || shard.streams[next].1 == Feed::Unread;
-                        while let Some((next, p, c)) = events.next_if(|(next, ..)| in_run(*next)) {
-                            if next == stream {
-                                run.push((p, c));
-                                continue;
-                            }
-                            unread = shard.query.validate(&shard.streams[next].0, &c.row);
-                            if unread.is_err() {
-                                break;
-                            }
-                            passed = p;
-                        }
-                        // A single event, or a mixed-arity run (invalid
-                        // rows), feeds per-row: that reproduces the
-                        // oracle's error exactly.
-                        let batch = (run.len() > 1)
-                            .then(|| ChangeBatch::from_changes(&run))
-                            .flatten();
-                        match batch {
-                            Some(batch) => {
-                                shard.fed_batch = true;
-                                shard.query.change_batch(name, &batch)?;
-                            }
-                            None => {
-                                shard.fed_rows = true;
-                                for (p, c) in run {
-                                    shard.query.change(name, p, c)?;
-                                }
-                            }
-                        }
-                        // An unread event after the run's last row left the
-                        // clock at its ptime.
-                        shard.query.advance_to(passed.max(shard.query.now()))?;
-                        unread?;
-                    }
+                let (name, read) = &shard.streams[stream];
+                if !read {
+                    shard.query.validate(name, &change.row)?;
+                    shard.query.advance_to(ptime)?;
+                    continue;
                 }
+                let mut run = vec![(ptime, change)];
+                // What the unread events inside the run come to: the clock
+                // the last valid one asks for, and the error of the first
+                // invalid one, which ends it.
+                let mut passed = ptime;
+                let mut unread = Ok(());
+                let in_run = |next: usize| next == stream || !shard.streams[next].1;
+                while let Some((next, p, c)) = events.next_if(|(next, ..)| in_run(*next)) {
+                    if next == stream {
+                        run.push((p, c));
+                        continue;
+                    }
+                    unread = shard.query.validate(&shard.streams[next].0, &c.row);
+                    if unread.is_err() {
+                        break;
+                    }
+                    passed = p;
+                }
+                let fed = shard.query.feed_run(name, run)?;
+                shard.note(fed);
+                // An unread event after the run's last row left the clock
+                // at its ptime.
+                shard.query.advance_to(passed.max(shard.query.now()))?;
+                unread?;
             }
             Ok(())
         });
@@ -360,13 +324,13 @@ impl Shard {
         let _span = (trace_parent != 0)
             .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
         self.apply(|shard| {
-            let (name, feed) = &shard.streams[stream];
-            match feed {
-                Feed::Columns => shard.fed_batch = true,
-                Feed::Rows => shard.fed_rows = true,
-                Feed::Unread => {}
+            let (name, read) = &shard.streams[stream];
+            let fed = shard.query.feed_batch(name, columns)?;
+            // A stream the plan does not read is no feed.
+            if *read {
+                shard.note(fed);
             }
-            shard.query.change_batch(name, columns)
+            Ok(())
         });
     }
 
@@ -424,11 +388,8 @@ enum WorkerSet {
 }
 
 impl WorkerSet {
-    fn start(queries: Vec<RunningQuery>, vectorize: bool) -> WorkerSet {
-        let shards: Vec<Shard> = queries
-            .into_iter()
-            .map(|query| Shard::new(query, vectorize))
-            .collect();
+    fn start(queries: Vec<RunningQuery>) -> WorkerSet {
+        let shards: Vec<Shard> = queries.into_iter().map(Shard::new).collect();
         if shards.len() == 1 {
             return WorkerSet::Inline(shards);
         }
@@ -631,7 +592,11 @@ impl PipelineDriver {
         config: DriverConfig,
     ) -> Result<PipelineDriver> {
         let queries = (0..config.workers)
-            .map(|_| engine.run(query.clone()))
+            .map(|_| {
+                let mut worker = engine.run(query.clone())?;
+                worker.set_vectorize(config.vectorize);
+                Ok(worker)
+            })
             .collect::<Result<Vec<RunningQuery>>>()?;
         let Some(first) = queries.first() else {
             return Err(Error::exec("need at least one worker"));
@@ -640,7 +605,7 @@ impl PipelineDriver {
         let ver_cols = onesql_exec::compile::version_columns(&query);
         let clock = first.now();
         Ok(PipelineDriver {
-            workers: WorkerSet::start(queries, config.vectorize),
+            workers: WorkerSet::start(queries),
             sources: Vec::new(),
             sinks: Vec::new(),
             config,
@@ -2216,11 +2181,15 @@ mod tests {
     /// 0, 1 and 2, and the same query to feed one change at a time.
     fn shard_and_oracle(sql: &str) -> (Shard, RunningQuery) {
         let e = auction_engine();
-        let mut shard = Shard::new(e.execute(sql).unwrap(), true);
+        let mut shard = Shard::new(e.execute(sql).unwrap());
         for stream in ["bid", "person", "auction"] {
             shard.declare(stream.to_string());
         }
         (shard, e.execute(sql).unwrap())
+    }
+
+    fn reads(shard: &Shard) -> Vec<bool> {
+        shard.streams.iter().map(|(_, read)| *read).collect()
     }
 
     /// Feed `events` to the worker as one routed batch and to the oracle per
@@ -2247,8 +2216,7 @@ mod tests {
     #[test]
     fn an_unread_stream_ends_no_run_and_moves_the_clock() {
         let (mut shard, mut oracle) = shard_and_oracle(AGG);
-        let feeds: Vec<Feed> = shard.streams.iter().map(|(_, feed)| *feed).collect();
-        assert!(feeds == [Feed::Columns, Feed::Unread, Feed::Unread]);
+        assert_eq!(reads(&shard), [true, false, false]);
         let bid = |i: i64| (0, Ts(i * 10), row!(i % 2, i, Ts(i * 10)));
         let person = |i: i64| (1, Ts(i * 10), row!(i, "p"));
         let events = vec![person(0), bid(1), bid(2), person(3), bid(4), person(5)];
@@ -2277,7 +2245,9 @@ mod tests {
             failure.as_deref(),
             Some("execution error: row arity 1 does not match schema arity 2")
         );
-        // Exactly the two Bids before it were fed: insert, retract, insert.
+        // Exactly the two Bids before it were fed, as one run: insert,
+        // retract, insert.
+        assert!(shard.fed_batch && !shard.fed_rows);
         assert_eq!(shard.query.changelog().len(), 3);
         assert_eq!(shard.query.now(), Ts(20));
     }
@@ -2286,8 +2256,7 @@ mod tests {
     fn streams_the_plan_joins_still_end_each_others_runs() {
         let sql = "SELECT P.name, A.id FROM Auction A JOIN Person P ON A.seller = P.id";
         let (mut shard, mut oracle) = shard_and_oracle(sql);
-        let feeds: Vec<Feed> = shard.streams.iter().map(|(_, feed)| *feed).collect();
-        assert!(feeds == [Feed::Unread, Feed::Columns, Feed::Columns]);
+        assert_eq!(reads(&shard), [false, true, true]);
         // The auction arrives between its seller's two registrations; had
         // the Person run gone on past it, both matches would carry the
         // auction's ptime instead of one the second registration's.
@@ -2300,6 +2269,8 @@ mod tests {
             (1, Ts(50), row!(3i64, "last")),
         ];
         assert_feeds_like_the_oracle(&mut shard, &mut oracle, events);
+        // Two Person runs went in as columns, the lone auction per row.
+        assert!(shard.fed_batch && shard.fed_rows);
         let ptimes: Vec<Ts> = shard
             .query
             .changelog()

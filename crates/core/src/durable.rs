@@ -33,7 +33,7 @@ use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use onesql_state::codec::{crc32, Codec, Decoder};
 use onesql_time::Watermark;
@@ -563,27 +563,10 @@ impl std::fmt::Debug for CheckpointStore {
     }
 }
 
-/// Encode a checkpoint to standalone framed bytes (preamble + payload),
-/// as the bench and the format doc's worked example use.
-pub fn encode_framed(pipeline: &str, checkpoint: &PipelineCheckpoint) -> Bytes {
-    let payload = EpochPayload {
-        pipeline: pipeline.to_ascii_lowercase(),
-        epoch: checkpoint.epoch,
-        checkpoint: checkpoint.clone(),
-    }
-    .to_bytes();
-    let mut framed = BytesMut::with_capacity(PREAMBLE_LEN + payload.len());
-    framed.put_slice(&CHECKPOINT_MAGIC);
-    framed.put_u16_le(FORMAT_VERSION);
-    framed.put_u64_le(payload.len() as u64);
-    framed.put_u32_le(crc32(&payload));
-    framed.put_slice(&payload);
-    framed.freeze()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use onesql_types::row;
 
     fn scratch_dir(name: &str) -> PathBuf {

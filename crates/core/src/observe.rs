@@ -210,11 +210,6 @@ pub fn set_sample(divisor: u64) {
     TRACE_SAMPLE.store(divisor.max(1), Ordering::Relaxed);
 }
 
-/// The current root-span sampling divisor.
-pub fn sample_divisor() -> u64 {
-    TRACE_SAMPLE.load(Ordering::Relaxed).max(1)
-}
-
 fn sample_this_root() -> bool {
     let n = TRACE_SAMPLE.load(Ordering::Relaxed);
     n <= 1 || ROOT_SEQ.fetch_add(1, Ordering::Relaxed).is_multiple_of(n)

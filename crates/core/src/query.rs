@@ -28,6 +28,19 @@ pub struct RunningQuery {
     input_schemas: BTreeMap<String, SchemaRef>,
     /// Optional per-stream watermark generators driven by inserted events.
     generators: BTreeMap<String, (usize, Box<dyn WatermarkGenerator>)>,
+    /// Whether a run may go in as columns at all. Off, every change goes
+    /// through [`RunningQuery::change`]: the row oracle a pipeline runs
+    /// under `DriverConfig::vectorize: false`.
+    vectorize: bool,
+}
+
+/// The path a run of changes took into a [`RunningQuery`], which a
+/// pipeline worker reports at its drain barrier.
+pub(crate) enum Fed {
+    /// One columnar batch.
+    Columns,
+    /// One [`RunningQuery::change`] per change.
+    Rows,
 }
 
 impl std::fmt::Debug for RunningQuery {
@@ -52,7 +65,13 @@ impl RunningQuery {
             executor,
             input_schemas,
             generators: BTreeMap::new(),
+            vectorize: true,
         }
+    }
+
+    /// Turn the columnar path on or off (see [`RunningQuery::vectorizes`]).
+    pub(crate) fn set_vectorize(&mut self, on: bool) {
+        self.vectorize = on;
     }
 
     /// The query's output schema.
@@ -138,13 +157,14 @@ impl RunningQuery {
         Ok(())
     }
 
-    /// Whether [`RunningQuery::change_batch`] takes the vectorized path for
-    /// `table`. Requires executor batch support (exactly one source leaf
-    /// scans the table, no processing-time timers in the tree) and no
-    /// watermark generator on the stream (a generator may emit a watermark
-    /// after *every* event, which a whole-batch feed cannot interleave).
+    /// Whether changes to `table` may go in as columns — the one place that
+    /// is decided. Requires the columnar path to be on, executor batch
+    /// support (exactly one source leaf scans the table, no
+    /// processing-time timers in the tree) and no watermark generator on
+    /// the stream (a generator may emit a watermark after *every* event,
+    /// which a whole-batch feed cannot interleave).
     pub fn vectorizes(&self, table: &str) -> bool {
-        !self.has_generator(table) && self.executor.supports_batches(table)
+        self.vectorize && !self.has_generator(table) && self.executor.supports_batches(table)
     }
 
     /// Apply a columnar run of changes, each at its own processing time.
@@ -154,27 +174,49 @@ impl RunningQuery {
     /// once per row; when the query does not vectorize for this table, that
     /// is literally what happens.
     pub fn change_batch(&mut self, table: &str, batch: &ChangeBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
+        self.feed_batch(table, batch).map(drop)
+    }
+
+    /// [`RunningQuery::change_batch`], reporting the path it took. As
+    /// columns, the rows before the first one validation rejects go in and
+    /// then its error comes out, as per-row feeding would have it.
+    pub(crate) fn feed_batch(&mut self, table: &str, batch: &ChangeBatch) -> Result<Fed> {
         if !self.vectorizes(table) {
-            for i in 0..batch.len() {
-                let (ptime, change) = batch.timed_change(i);
-                self.change(table, ptime, change)?;
-            }
-            return Ok(());
+            self.feed_rows(table, (0..batch.len()).map(|i| batch.timed_change(i)))?;
+            return Ok(Fed::Rows);
         }
-        let schema = self.stream_schema(table)?;
-        match first_invalid_row(&schema, batch) {
-            None => self.executor.feed_batch(table, batch),
-            Some((k, err)) => {
-                // Per-row feeding would have fed rows [0, k) before the
-                // validation error at row k surfaced.
-                let (prefix, _) = batch.split_at(k);
-                self.executor.feed_batch(table, &prefix)?;
-                Err(err)
+        if !batch.is_empty() {
+            let schema = self.stream_schema(table)?;
+            if let Some((k, err)) = first_invalid_row(&schema, batch) {
+                self.executor.feed_batch(table, &batch.slice(0, k))?;
+                return Err(err);
             }
+            self.executor.feed_batch(table, batch)?;
         }
+        Ok(Fed::Columns)
+    }
+
+    /// Apply a run of changes to `table` in processing-time order: as one
+    /// columnar batch when the run has more than one change, all of one
+    /// arity, and the table vectorizes; otherwise one change at a time,
+    /// which also reproduces the oracle's error for a mixed-arity run.
+    pub(crate) fn feed_run(&mut self, table: &str, run: Vec<(Ts, Change)>) -> Result<Fed> {
+        let columns = run.len() > 1 && self.vectorizes(table);
+        match columns.then(|| ChangeBatch::from_changes(&run)).flatten() {
+            Some(batch) => self.feed_batch(table, &batch),
+            None => self.feed_rows(table, run).map(|()| Fed::Rows),
+        }
+    }
+
+    /// The row oracle over a run: [`RunningQuery::change`] per change, up to
+    /// the first error.
+    fn feed_rows(
+        &mut self,
+        table: &str,
+        run: impl IntoIterator<Item = (Ts, Change)>,
+    ) -> Result<()> {
+        run.into_iter()
+            .try_for_each(|(ptime, change)| self.change(table, ptime, change))
     }
 
     /// Deliver a punctuated watermark on a stream: "as of processing time

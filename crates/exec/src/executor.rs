@@ -6,6 +6,7 @@ use onesql_tvr::{BatchOut, ChangeBatch, Changelog, Element};
 use onesql_types::{Duration, Error, Result, SchemaRef, Ts};
 
 use crate::operator::Operator;
+use crate::vector::process_event;
 
 /// Execution configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,15 +66,28 @@ impl OpNode {
         }
     }
 
-    fn initialize(&mut self, now: Ts, out: &mut Vec<Element>) -> Result<()> {
+    /// Run `visit` on each child in port order and push what it produced
+    /// through this node's operator on that child's port, at `now`.
+    fn walk(
+        &mut self,
+        now: Ts,
+        out: &mut Vec<Element>,
+        mut visit: impl FnMut(&mut OpNode, &mut Vec<Element>) -> Result<()>,
+    ) -> Result<()> {
         let mut child_out = Vec::new();
         for (port, child) in self.children.iter_mut().enumerate() {
-            child_out.clear();
-            child.initialize(now, &mut child_out)?;
+            visit(child, &mut child_out)?;
             for e in child_out.drain(..) {
                 self.op.process(port, e, now, out)?;
             }
         }
+        Ok(())
+    }
+
+    fn initialize(&mut self, now: Ts, out: &mut Vec<Element>) -> Result<()> {
+        self.walk(now, out, |child, child_out| {
+            child.initialize(now, child_out)
+        })?;
         self.op.initialize(now, out)
     }
 
@@ -90,15 +104,9 @@ impl OpNode {
             }
             return Ok(());
         }
-        let mut child_out = Vec::new();
-        for (port, child) in self.children.iter_mut().enumerate() {
-            child_out.clear();
-            child.feed(source_id, elem, now, &mut child_out)?;
-            for e in child_out.drain(..) {
-                self.op.process(port, e, now, out)?;
-            }
-        }
-        Ok(())
+        self.walk(now, out, |child, child_out| {
+            child.feed(source_id, elem, now, child_out)
+        })
     }
 
     fn contains_source(&self, source_id: usize) -> bool {
@@ -138,8 +146,7 @@ impl OpNode {
             // contract: outputs of rows strictly before the failing row),
             // then surface the earliest error — a forwarding failure belongs
             // to an earlier row than the child's own failure.
-            let forward_res = self.forward(port, child_out, out);
-            forward_res?;
+            self.forward(port, child_out, out)?;
             child_res?;
         }
         Ok(())
@@ -159,34 +166,14 @@ impl OpNode {
                 BatchOut::Rows(ts, elems) if elems.is_empty() => {
                     out.push(BatchOut::failed_at(ts));
                 }
-                BatchOut::Rows(ts, elems) => {
-                    let mut tmp = Vec::new();
-                    for e in elems {
-                        // On error, `tmp` is dropped: the per-row engine
-                        // discards a failing event's outputs wholesale.
-                        if let Err(e) = self.op.process(port, e, ts, &mut tmp) {
-                            out.push(BatchOut::failed_at(ts));
-                            return Err(e);
-                        }
-                    }
-                    if !tmp.is_empty() {
-                        out.push(BatchOut::Rows(ts, tmp));
-                    }
-                }
+                BatchOut::Rows(ts, elems) => process_event(&mut *self.op, port, ts, elems, out)?,
             }
         }
         Ok(())
     }
 
     fn tick(&mut self, now: Ts, out: &mut Vec<Element>) -> Result<()> {
-        let mut child_out = Vec::new();
-        for (port, child) in self.children.iter_mut().enumerate() {
-            child_out.clear();
-            child.tick(now, &mut child_out)?;
-            for e in child_out.drain(..) {
-                self.op.process(port, e, now, out)?;
-            }
-        }
+        self.walk(now, out, |child, child_out| child.tick(now, child_out))?;
         self.op.on_processing_time(now, out)
     }
 
@@ -352,7 +339,7 @@ impl Executor {
         let mut out = Vec::new();
         let now = self.now;
         self.root.initialize(now, &mut out)?;
-        self.record(out);
+        self.record(now, out);
         Ok(())
     }
 
@@ -371,19 +358,22 @@ impl Executor {
                 self.now, to
             )));
         }
-        loop {
-            match self.root.next_timer() {
-                Some(deadline) if deadline < to => {
-                    self.now = self.now.max(deadline);
-                    let mut out = Vec::new();
-                    let now = self.now;
-                    self.root.tick(now, &mut out)?;
-                    self.record(out);
-                }
-                _ => break,
-            }
-        }
+        self.fire_timers(Some(to))?;
         self.now = to;
+        Ok(())
+    }
+
+    /// Fire every timer due before `to` (every timer at all when `None`),
+    /// each at its own deadline.
+    fn fire_timers(&mut self, to: Option<Ts>) -> Result<()> {
+        let due = |deadline: &Ts| to.is_none_or(|to| *deadline < to);
+        while let Some(deadline) = self.root.next_timer().filter(due) {
+            self.now = self.now.max(deadline);
+            let mut out = Vec::new();
+            let now = self.now;
+            self.root.tick(now, &mut out)?;
+            self.record(now, out);
+        }
         Ok(())
     }
 
@@ -394,7 +384,7 @@ impl Executor {
         let mut out = Vec::new();
         let now = self.now;
         self.root.feed(source_id, &elem, now, &mut out)?;
-        self.record(out);
+        self.record(now, out);
         Ok(())
     }
 
@@ -407,7 +397,7 @@ impl Executor {
             let mut out = Vec::new();
             let now = self.now;
             self.root.feed(id, &elem, now, &mut out)?;
-            self.record(out);
+            self.record(now, out);
             n += 1;
         }
         Ok(())
@@ -419,13 +409,21 @@ impl Executor {
         self.leaf(table, 0).is_some()
     }
 
-    /// Whether [`Executor::feed_batch`] takes the vectorized path for
-    /// `table`: exactly one source leaf scans it (multi-leaf fan-out, e.g.
-    /// NEXMark Q7's double Bid scan, interleaves per *event* across leaves,
-    /// which a whole-batch feed cannot reproduce) and no operator in the
-    /// tree schedules processing-time timers.
+    /// Whether [`Executor::feed_batch`] accepts `table`: exactly one source
+    /// leaf scans it (multi-leaf fan-out, e.g. NEXMark Q7's double Bid
+    /// scan, interleaves per *event* across leaves, which a whole-batch
+    /// feed cannot reproduce) and no operator in the tree schedules
+    /// processing-time timers.
     pub fn supports_batches(&self, table: &str) -> bool {
-        !self.uses_timers && self.scans(table) && self.leaf(table, 1).is_none()
+        self.batch_leaf(table).is_some()
+    }
+
+    /// The one leaf scanning `table`, when the tree can take it batched.
+    fn batch_leaf(&self, table: &str) -> Option<usize> {
+        match (self.leaf(table, 0), self.leaf(table, 1)) {
+            (Some(id), None) if !self.uses_timers => Some(id),
+            _ => None,
+        }
     }
 
     /// Feed a columnar batch of data changes for `table`, each row at its
@@ -433,23 +431,21 @@ impl Executor {
     ///
     /// The resulting changelog — including any error and the outputs
     /// recorded before it — is byte-identical to feeding the rows one at a
-    /// time via [`Executor::feed`]. When the pipeline does not support
-    /// batches for this table, that is exactly what this method does.
+    /// time via [`Executor::feed`].
+    ///
+    /// Requires [`Executor::supports_batches`] for `table`; otherwise this
+    /// is an error that names the table, and nothing is fed.
     pub fn feed_batch(&mut self, table: &str, batch: &ChangeBatch) -> Result<()> {
+        let Some(id) = self.batch_leaf(table) else {
+            return Err(Error::exec(format!(
+                "table '{table}' cannot be fed as a batch: the plan scans it \
+                 from other than exactly one leaf, or schedules timers"
+            )));
+        };
         if batch.is_empty() {
             return Ok(());
         }
-        if !self.supports_batches(table) {
-            for i in 0..batch.len() {
-                self.feed(table, batch.ptime(i), Element::Data(batch.change(i)))?;
-            }
-            return Ok(());
-        }
         self.advance_to(batch.ptime(0))?;
-        let Some(id) = self.leaf(table, 0) else {
-            // The query does not read this table; ignore.
-            return Ok(());
-        };
         let mut out = Vec::new();
         let res = self.root.feed_batch(id, batch, &mut out);
         // Record even on error: `out` holds the outputs of the events before
@@ -470,14 +466,7 @@ impl Executor {
             self.feed_source(self.sources[i].id, at, Element::Watermark(Watermark::MAX))?;
         }
         // Final watermark may have armed last-gasp delay timers.
-        while let Some(deadline) = self.root.next_timer() {
-            self.now = self.now.max(deadline);
-            let mut out = Vec::new();
-            let now = self.now;
-            self.root.tick(now, &mut out)?;
-            self.record(out);
-        }
-        Ok(())
+        self.fire_timers(None)
     }
 
     /// Take a consistent checkpoint of the whole pipeline: every stateful
@@ -537,31 +526,20 @@ impl Executor {
                         }
                     }
                 }
-                BatchOut::Rows(ts, elems) => {
-                    self.now = self.now.max(ts);
-                    for e in elems {
-                        match e {
-                            Element::Data(change) => {
-                                if change.diff != 0 {
-                                    self.output.push(ts, change);
-                                }
-                            }
-                            Element::Watermark(wm) => {
-                                self.watermark.advance_to(wm);
-                            }
-                        }
-                    }
-                }
+                BatchOut::Rows(ts, elems) => self.record(ts, elems),
             }
         }
     }
 
-    fn record(&mut self, elements: Vec<Element>) {
+    /// Stamp the elements of one event fed at `ts` into the changelog,
+    /// moving the clock to `ts`.
+    fn record(&mut self, ts: Ts, elements: Vec<Element>) {
+        self.now = self.now.max(ts);
         for e in elements {
             match e {
                 Element::Data(change) => {
                     if change.diff != 0 {
-                        self.output.push(self.now, change);
+                        self.output.push(ts, change);
                     }
                 }
                 Element::Watermark(wm) => {
@@ -575,33 +553,35 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simple::{Filter, Source};
+    use crate::simple::{Filter, Source, UnionAll};
     use onesql_plan::expr::{BinOp, ScalarExpr};
     use onesql_types::{row, DataType, Field, Schema};
     use std::sync::Arc;
 
+    /// Source leaf `id`, scanning Bid(price).
+    fn bid_leaf(id: usize) -> OpNode {
+        let table = "bid".into();
+        let info = SourceInfo {
+            id,
+            table,
+            as_of: None,
+        };
+        OpNode::leaf(Box::new(Source), Some(info))
+    }
+
+    fn bid_executor(root: OpNode) -> Executor {
+        let schema = Schema::new(vec![Field::new("price", DataType::Int)]);
+        Executor::new(root, Arc::new(schema))
+    }
+
     fn simple_executor() -> Executor {
         // Filter(price > 2) over a Bid(price) source.
-        let source = OpNode::leaf(
-            Box::new(Source),
-            Some(SourceInfo {
-                id: 0,
-                table: "bid".into(),
-                as_of: None,
-            }),
-        );
-        let root = OpNode::unary(
-            Box::new(Filter::new(ScalarExpr::binary(
-                ScalarExpr::col(0),
-                BinOp::Gt,
-                ScalarExpr::lit(2i64),
-            ))),
-            source,
-        );
-        Executor::new(
-            root,
-            Arc::new(Schema::new(vec![Field::new("price", DataType::Int)])),
-        )
+        let price_above_2 =
+            ScalarExpr::binary(ScalarExpr::col(0), BinOp::Gt, ScalarExpr::lit(2i64));
+        bid_executor(OpNode::unary(
+            Box::new(Filter::new(price_above_2)),
+            bid_leaf(0),
+        ))
     }
 
     #[test]
@@ -666,6 +646,20 @@ mod tests {
         }
         assert_eq!(vectorized.changelog(), oracle.changelog());
         assert_eq!(vectorized.now(), oracle.now());
+
+        // A table the tree cannot batch — scanned by no leaf, or by two —
+        // is refused by name, and nothing is fed.
+        let self_union = OpNode::binary(Box::new(UnionAll::new()), bid_leaf(0), bid_leaf(1));
+        for (mut ex, table) in [
+            (simple_executor(), "Person"),
+            (bid_executor(self_union), "Bid"),
+        ] {
+            assert!(!ex.supports_batches(table));
+            let err = ex.feed_batch(table, &batch).unwrap_err().to_string();
+            assert!(err.contains(&format!("'{table}'")), "{err}");
+            assert!(ex.changelog().is_empty());
+            assert_eq!(ex.now(), Ts(0));
+        }
     }
 
     #[test]

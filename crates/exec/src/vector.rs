@@ -1,32 +1,24 @@
 //! Shared helpers for the vectorized (batch-at-a-time) operator path.
 //!
 //! The batch path must be *byte-identical* to feeding the same changes one
-//! at a time (the row oracle). Three mechanisms make that hold:
+//! at a time (the row oracle; docs/VECTORIZED.md has the whole argument).
+//! Two mechanisms every operator shares, both working on whole source
+//! events ([`ChangeBatch::event_range`]) so that the executor records all
+//! outputs of one event or none:
 //!
-//! 1. **Row-wise fallback** ([`process_batch_rowwise`]): replays a batch
-//!    through [`Operator::process`] row by row, the rows of one source event
-//!    into one output group stamped with that event's ptime. Since per-row
-//!    processing in row order *is* the oracle, any operator without a batch
-//!    override stays exact for free.
+//! 1. **The oracle, one event at a time** ([`process_event`]): an event's
+//!    elements go through [`Operator::process`] into one output group
+//!    stamped with its ptime. [`process_batch_rowwise`] — the default
+//!    `process_batch` — replays a batch that way, so any operator without a
+//!    batch override stays exact for free, and the executor forwards a
+//!    child's per-event output the same way.
 //!
 //! 2. **Split-and-repair** ([`split_and_repair`], used by the kernel-backed
-//!    overrides in `simple.rs`/`window.rs`/`aggregate.rs`): column kernels
-//!    may discover a row error in a different cross-row order than the
-//!    oracle would. When a kernel reports an error at row `k`, the operator
-//!    re-runs the rows before `k`'s event vectorized (recursively), that
-//!    event through the per-row oracle — which either reproduces the
-//!    oracle's exact error or, if the oracle actually succeeds on it (the
-//!    kernel merely *found* a different failing row first… impossible for
-//!    row `k` itself, but cheap to handle), keeps going with the suffix.
-//!    This loop converges to the oracle's first failing row and its exact
-//!    error message.
-//!
-//! 3. **Event atomicity**: the executor records all outputs of one source
-//!    event or none. A batch may hold several rows of one event (a hopping
-//!    window's assignments, an aggregate's retract/insert pair), told apart
-//!    by [`ChangeBatch::event_range`]; both mechanisms above work on whole
-//!    events, so a failure on an event's second row takes its first row's
-//!    output with it, as the oracle's does.
+//!    overrides): column kernels may discover a row error in a different
+//!    cross-row order than the oracle would. The events before the failing
+//!    row's re-run vectorized (recursively), that event goes through the
+//!    oracle — reproducing its exact error — and the rest resumes
+//!    vectorized, converging on the oracle's first failing row.
 //!
 //! Error contract for `process_batch` (all implementations): when it returns
 //! `Err`, `out` contains exactly the outputs attributable to events *before*
@@ -35,16 +27,13 @@
 //! [`BatchOut::failed_at`] the failing event's ptime, where the oracle's
 //! clock stood when it failed.
 
-use std::ops::Range;
-
 use onesql_tvr::{BatchOut, ChangeBatch, Element};
-use onesql_types::Result;
+use onesql_types::{Result, Ts};
 
 use crate::operator::Operator;
 
-/// Replay `batch` through `op.process` one row at a time (the oracle),
-/// wrapping each source event's outputs as one [`BatchOut::Rows`] stamped
-/// with that event's ptime.
+/// Replay `batch` through `op.process` one source event at a time
+/// ([`process_event`]).
 pub fn process_batch_rowwise<O: Operator + ?Sized>(
     op: &mut O,
     port: usize,
@@ -55,28 +44,29 @@ pub fn process_batch_rowwise<O: Operator + ?Sized>(
     while next < batch.len() {
         let event = batch.event_range(next);
         next = event.end;
-        process_event_rowwise(op, port, batch, event, out)?;
+        let ts = batch.ptime(event.start);
+        let elems = event.map(|i| Element::Data(batch.change(i)));
+        process_event(op, port, ts, elems, out)?;
     }
     Ok(())
 }
 
-/// Process the logical rows `event` of `batch` — all the rows of one source
-/// event — through the per-row oracle.
+/// Process the elements of one source event, fed at `ts`, through
+/// `op.process` — the per-row oracle — into one [`BatchOut::Rows`].
 ///
 /// On error the event's partial outputs are discarded (the oracle does not
 /// record a failing event's outputs), `out` is told when it failed
 /// ([`BatchOut::failed_at`]) and the error propagates.
-pub fn process_event_rowwise<O: Operator + ?Sized>(
+pub fn process_event<O: Operator + ?Sized>(
     op: &mut O,
     port: usize,
-    batch: &ChangeBatch,
-    event: Range<usize>,
+    ts: Ts,
+    elems: impl IntoIterator<Item = Element>,
     out: &mut Vec<BatchOut>,
 ) -> Result<()> {
-    let ts = batch.ptime(event.start);
     let mut tmp = Vec::new();
-    for i in event {
-        if let Err(e) = op.process(port, Element::Data(batch.change(i)), ts, &mut tmp) {
+    for elem in elems {
+        if let Err(e) = op.process(port, elem, ts, &mut tmp) {
             out.push(BatchOut::failed_at(ts));
             return Err(e);
         }
@@ -101,6 +91,6 @@ pub fn split_and_repair<O: Operator + ?Sized>(
     let before = batch.slice(0, event.start);
     let after = batch.slice(event.end, batch.len());
     op.process_batch(port, &before, out)?;
-    process_event_rowwise(op, port, batch, event, out)?;
+    process_batch_rowwise(op, port, &batch.slice(event.start, event.end), out)?;
     op.process_batch(port, &after, out)
 }

@@ -249,16 +249,8 @@ impl ChangeBatch {
         }
     }
 
-    /// Split at logical row `k`: rows `[0, k)` and rows `[k, len)`.
-    ///
-    /// Used by the error-repair path when a kernel reports a row error:
-    /// the prefix re-runs vectorized, the failing row re-runs through the
-    /// row-at-a-time oracle. Columns and lanes are shared.
-    pub fn split_at(&self, k: usize) -> (ChangeBatch, ChangeBatch) {
-        (self.slice(0, k), self.slice(k, self.len()))
-    }
-
-    /// The logical sub-range `[from, to)` of the batch.
+    /// The logical sub-range `[from, to)` of the batch. Columns and lanes
+    /// are shared.
     pub fn slice(&self, from: usize, to: usize) -> ChangeBatch {
         let sel: Vec<u32> = (from..to).map(|i| self.phys(i) as u32).collect();
         ChangeBatch {
@@ -373,7 +365,7 @@ mod tests {
     #[test]
     fn split_shares_storage() {
         let b = batch();
-        let (pre, rest) = b.split_at(1);
+        let (pre, rest) = (b.slice(0, 1), b.slice(1, b.len()));
         assert_eq!(pre.len(), 1);
         assert_eq!(rest.len(), 2);
         assert_eq!(rest.row(0), row!(2i64, "b"));

@@ -11,8 +11,7 @@
 //! - **Table encoding**: a multiset snapshot of rows at a point in time
 //!   ([`Bag`]), or a sequence of such snapshots.
 //! - **Stream encoding**: a changelog of `INSERT`/`DELETE` deltas over
-//!   processing time ([`Changelog`], rows of [`Change`]), optionally
-//!   re-encoded per-key as an upsert stream ([`upsert`]).
+//!   processing time ([`Changelog`], rows of [`Change`]).
 //!
 //! The conversions are exact inverses (verified by property tests):
 //! replaying a changelog yields the snapshot sequence, and differencing
@@ -28,11 +27,9 @@ pub mod batch;
 pub mod change;
 pub mod changelog;
 pub mod element;
-pub mod upsert;
 
 pub use bag::Bag;
 pub use batch::{BatchOut, ChangeBatch};
 pub use change::Change;
 pub use changelog::{Changelog, TimedChange};
 pub use element::Element;
-pub use upsert::{retractions_to_upserts, upserts_to_retractions, UpsertChange, UpsertOp};

@@ -147,6 +147,72 @@ fn csv_roundtrip_with_watermark_gated_emit() {
     assert_eq!(direct.table().unwrap(), readback.table().unwrap());
 }
 
+/// A columnar poll (the CSV source at one worker) into a query that cannot
+/// take the stream as columns goes in per row, and one that does not read
+/// the stream only moves the clock: the sink sees what the row oracle
+/// writes, and no round counts as vectorized.
+#[test]
+fn a_columnar_poll_the_query_cannot_batch_goes_in_per_row() {
+    let dir = scratch("columnar_poll_fallback");
+    let input = dir.join("bids.csv");
+    let mut f = std::fs::File::create(&input).unwrap();
+    for i in 0..200i64 {
+        let bidtime = Ts::hm(8, 0) + Duration::from_minutes(i / 4);
+        writeln!(f, "{},{},item{}", bidtime.to_clock_string(), i % 13, i % 5).unwrap();
+    }
+    drop(f);
+    let mut engine = bid_engine();
+    engine.register_stream(
+        "Person",
+        StreamBuilder::new()
+            .column("id", DataType::Int)
+            .column("name", DataType::String),
+    );
+    let timers = "SELECT bidtime, price FROM Bid EMIT STREAM AFTER DELAY INTERVAL '5' MINUTES";
+    let self_join = "SELECT MaxBid.wend, Bid.price, Bid.item FROM Bid, \
+         (SELECT MAX(T.price) maxPrice, T.wend wend FROM Tumble(data => TABLE(Bid), \
+          timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) T GROUP BY T.wend) MaxBid \
+         WHERE Bid.price = MaxBid.maxPrice AND Bid.bidtime >= MaxBid.wend - INTERVAL '10' MINUTE \
+         AND Bid.bidtime < MaxBid.wend EMIT STREAM";
+    let unread = "SELECT id, name FROM Person EMIT STREAM";
+    for (sql, reads) in [(timers, true), (self_join, true), (unread, false)] {
+        let run = |vectorize: bool| {
+            let config = DriverConfig {
+                batch_size: 16,
+                adaptive: None,
+                vectorize,
+                ..DriverConfig::default()
+            };
+            let mut pipeline = PipelineDriver::new(&engine, sql, config).unwrap();
+            let source = CsvFileSource::new(
+                &input,
+                "Bid",
+                Arc::new(bid_schema()),
+                FileSourceConfig {
+                    lateness: Duration::from_minutes(1),
+                    has_header: false,
+                },
+            );
+            pipeline.attach_source(Box::new(source.unwrap())).unwrap();
+            let (rendered, sink) = ChangelogSink::in_memory();
+            pipeline.attach_sink(Box::new(sink)).unwrap();
+            let metrics = pipeline.run().unwrap().clone();
+            let rendered = rendered.lock().unwrap().clone();
+            (rendered, metrics)
+        };
+        let (rows, metrics) = run(true);
+        let (oracle_rows, oracle_metrics) = run(false);
+        assert_eq!(rows, oracle_rows, "{sql}");
+        assert_eq!(rows.lines().count() > 1, reads, "{sql}: {rows}");
+        assert_eq!(metrics.events_in, 200);
+        assert_eq!(metrics.rounds, oracle_metrics.rounds, "{sql}");
+        assert_eq!(metrics.vectorized_rounds, 0, "{sql}");
+        // A stream the plan does not read is no feed at all.
+        assert_eq!(metrics.fallback_rounds > 0, reads, "{sql}");
+        assert_eq!(metrics.fallback_rounds, oracle_metrics.fallback_rounds);
+    }
+}
+
 /// The JSON-lines connectors round-trip typed rows the same way.
 #[test]
 fn jsonl_roundtrip() {

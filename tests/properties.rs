@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use onesql_core::{Engine, StreamBuilder};
-use onesql_tvr::{retractions_to_upserts, upserts_to_retractions, Bag, Change, Changelog};
+use onesql_tvr::{Bag, Change, Changelog};
 use onesql_types::{row, DataType, Duration, Row, Ts};
 
 // ---------------------------------------------------------------------------
@@ -51,52 +51,6 @@ proptest! {
         direct.apply(list.clone());
         let mut via = Bag::new();
         via.apply(onesql_tvr::change::consolidate(list));
-        prop_assert_eq!(direct, via);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Retraction ⇄ upsert encodings (App. B.2.3) are lossless.
-// ---------------------------------------------------------------------------
-
-/// Random upsert-style history over keys 0..4: per key, alternating
-/// insert/update/delete ops that respect the unique-key discipline.
-fn arb_keyed_history() -> impl Strategy<Value = Vec<Change>> {
-    prop::collection::vec((0i64..4, 0i64..100, prop::bool::ANY), 0..40).prop_map(|ops| {
-        let mut live: std::collections::BTreeMap<i64, i64> = Default::default();
-        let mut out = Vec::new();
-        for (key, value, delete) in ops {
-            match (live.get(&key).copied(), delete) {
-                (Some(old), true) => {
-                    out.push(Change::retract(row!(key, old)));
-                    live.remove(&key);
-                }
-                (Some(old), false) => {
-                    out.push(Change::retract(row!(key, old)));
-                    out.push(Change::insert(row!(key, value)));
-                    live.insert(key, value);
-                }
-                (None, _) => {
-                    out.push(Change::insert(row!(key, value)));
-                    live.insert(key, value);
-                }
-            }
-        }
-        out
-    })
-}
-
-proptest! {
-    #[test]
-    fn upsert_encoding_round_trips(history in arb_keyed_history()) {
-        let upserts = retractions_to_upserts(&history, &[0]).unwrap();
-        // Upsert streams are never longer than retraction streams.
-        prop_assert!(upserts.len() <= history.len());
-        let back = upserts_to_retractions(&upserts).unwrap();
-        let mut direct = Bag::new();
-        direct.apply(history);
-        let mut via = Bag::new();
-        via.apply(back);
         prop_assert_eq!(direct, via);
     }
 }
