@@ -1,23 +1,13 @@
 //! Positive and negative coverage for every `OSQL...` diagnostic class,
-//! plus span correctness and a never-panics property test.
+//! plus span correctness and a never-panics property test — all through
+//! `Session::lint_script` on a fresh session over the built-in
+//! connectors, so every case is judged the way execution would judge it.
 
-use onesql_plan::lint::{analyze_script, lint_script_text, Diagnostic, LintContext, Severity};
-use onesql_sql::parse_script_spanned;
+use onesql_plan::{Diagnostic, Severity};
 use proptest::prelude::*;
 
 fn lint(script: &str) -> Vec<Diagnostic> {
-    lint_script_text(script, &LintContext::default())
-}
-
-/// Lint with the in-script sources named in `volatile` reported
-/// non-replayable — the verdict a session copies from its connector
-/// registry; the analyzer itself names no connector.
-fn lint_with_non_replayable(script: &str, volatile: &[&str]) -> Vec<Diagnostic> {
-    let ctx = LintContext {
-        non_replayable: volatile.iter().map(|s| s.to_string()).collect(),
-        ..LintContext::default()
-    };
-    lint_script_text(script, &ctx)
+    onesql_connect::session().lint_script(script)
 }
 
 fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -251,7 +241,7 @@ fn osql004_negative_plain_replayable_pipeline_checkpoints_clean() {
 }
 
 #[test]
-fn osql004_follows_the_seeded_replayability_verdict() {
+fn osql004_follows_the_connectors_replayability_verdict() {
     // Whether a source can replay is its connector family's call (a plain
     // `net` source acks as it consumes, the PARTITIONED one holds acks
     // until a checkpoint is durable): the analyzer only reads the verdict.
@@ -260,7 +250,7 @@ fn osql004_follows_the_seeded_replayability_verdict() {
              CREATE SINK out WITH (connector = 'file', path = '/tmp/lint-out');
              INSERT INTO out SELECT price FROM feed EMIT STREAM;
              CHECKPOINT PIPELINE out TO '/tmp/lint-ck';";
-    let diags = lint_with_non_replayable(plain, &["feed"]);
+    let diags = lint(plain);
     assert_eq!(codes(&diags), vec!["OSQL004"]);
     assert_eq!(diags[0].severity, Severity::Warning);
     assert!(
@@ -272,7 +262,8 @@ fn osql004_follows_the_seeded_replayability_verdict() {
         .span
         .slice(plain)
         .starts_with("CHECKPOINT PIPELINE"));
-    assert_eq!(lint(plain), vec![], "no verdict: assumed replayable");
+    let partitioned = plain.replace("CREATE SOURCE", "CREATE PARTITIONED SOURCE");
+    assert_eq!(lint(&partitioned), vec![], "acks held until durable");
 }
 
 #[test]
@@ -284,7 +275,7 @@ fn osql004_non_replayable_sharded_source_warns() {
          GROUP BY auction, wstart EMIT STREAM AFTER WATERMARK;
          CHECKPOINT PIPELINE out TO '/tmp/lint-ck';"
     );
-    let diags = lint_with_non_replayable(&script, &["bids"]);
+    let diags = lint(&script);
     assert_eq!(codes(&diags), vec!["OSQL004"]);
     assert_eq!(diags[0].severity, Severity::Warning);
     assert!(
@@ -307,9 +298,10 @@ fn osql004_unknown_pipeline_is_error() {
 
 #[test]
 fn osql004_negative_replayable_sharded_pipeline_is_clean() {
+    // A partitioned file source takes one path per partition.
     let script = "SET workers = 2;
          CREATE PARTITIONED SOURCE bids (auction INT, t TIMESTAMP, price INT, WATERMARK FOR t)
-           WITH (connector = 'file', path = '/tmp/lint-in', partitions = 2);
+           WITH (connector = 'file', path = '/tmp/lint-in-0.csv,/tmp/lint-in-1.csv');
          CREATE SINK out WITH (connector = 'file', path = '/tmp/lint-out');
          INSERT INTO out SELECT auction, wstart, COUNT(*)
            FROM Tumble(data => TABLE(bids), timecol => DESCRIPTOR(t),
@@ -383,7 +375,7 @@ fn osql006_net_sink_stream_mismatch_fires() {
     let script = "CREATE SOURCE bids (t TIMESTAMP, price INT, WATERMARK FOR t)
            WITH (connector = 'channel');
          CREATE STREAM quotes (q INT, r INT, s INT);
-         CREATE SINK fwd WITH (connector = 'net', addr = '127.0.0.1:0', stream = 'quotes');
+         CREATE SINK fwd WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', stream = 'quotes');
          INSERT INTO fwd SELECT price FROM bids EMIT STREAM;";
     let diags = lint(script);
     assert_eq!(codes(&diags), vec!["OSQL006"]);
@@ -442,11 +434,13 @@ fn osql007_negative_fed_and_used_objects_are_clean() {
 // -- OSQL008: contradictory knobs -------------------------------------------
 
 #[test]
-fn osql008_min_batch_above_max_batch_fires() {
+fn osql008_min_batch_above_max_batch_is_the_sessions_refusal() {
+    // The session refuses the SET that empties the adaptive range, so the
+    // finding is that refusal (OSQL000), reported once, not also OSQL008.
     let diags = lint("SET min_batch = 100;\nSET max_batch = 50;");
-    assert_eq!(codes(&diags), vec!["OSQL008"]);
+    assert_eq!(codes(&diags), vec!["OSQL000"]);
     assert!(
-        diags[0].message.contains("min_batch = 100"),
+        diags[0].message.contains("below min_batch (100)"),
         "{}",
         diags[0].message
     );
@@ -508,16 +502,104 @@ fn diagnostics_render_with_line_and_column() {
 
 // -- never panics -----------------------------------------------------------
 
+/// Connector names the dry run hands `WITH` bags to, each with the option
+/// keys its source or sink reads (plus one the registry does not know).
+const CONNECTORS: [(&str, &[&str]); 8] = [
+    (
+        "file",
+        &[
+            "path",
+            "format",
+            "header",
+            "lateness_ms",
+            "mode",
+            "transactional",
+        ],
+    ),
+    ("channel", &["capacity", "partitions"]),
+    ("nexmark", &["events", "seed", "partitions"]),
+    (
+        "net",
+        &[
+            "addr",
+            "streams",
+            "stream",
+            "partitions",
+            "partition",
+            "poll_wait_ms",
+            "silence_limit_ms",
+            "producer_restarts",
+            "batch_events",
+            "spool_events",
+            "connect_timeout_ms",
+            "ack_wait_ms",
+            "keepalive_ms",
+        ],
+    ),
+    ("metrics", &["pipelines"]),
+    ("trace", &["pipelines"]),
+    ("changelog", &["path", "watermarks"]),
+    ("nope", &["path"]),
+];
+
+/// Keys no connector reads, or reads under another spelling.
+const NEAR_MISSES: [&str; 4] = ["lateness", "Path", "key", "PARTITIONS"];
+
+fn option_value() -> impl Strategy<Value = String> {
+    prop_oneof![
+        any::<u64>().prop_map(|n| n.to_string()),
+        (0u64..5).prop_map(|n| n.to_string()),
+        Just("TRUE".to_string()),
+        Just("FALSE".to_string()),
+        "'[a-z0-9:/,. =]{0,10}'",
+        Just("'tcp:127.0.0.1:0'".to_string()),
+        Just("'unix:/tmp/lint.sock'".to_string()),
+        Just("'s,q'".to_string()),
+        Just("'jsonl'".to_string()),
+        Just("'appends'".to_string()),
+    ]
+}
+
+/// `CREATE SOURCE` / `CREATE SINK` with an arbitrary connector and up to
+/// three arbitrary `WITH` options, mostly from that connector's own
+/// vocabulary: what reaches connector `declare`.
+fn connector_ddl() -> impl Strategy<Value = String> {
+    let object = prop_oneof![
+        Just("SOURCE s (t TIMESTAMP, v INT, WATERMARK FOR t)"),
+        Just("PARTITIONED SOURCE p (k INT, t TIMESTAMP, WATERMARK FOR t)"),
+        Just("SOURCE ghost"),
+        Just("PARTITIONED SOURCE ghost"),
+        Just("SINK out"),
+    ];
+    let options = proptest::collection::vec((0..20usize, option_value()), 0..4);
+    (object, 0..CONNECTORS.len(), options).prop_map(|(object, connector, options)| {
+        let (name, vocabulary) = CONNECTORS[connector];
+        let mut with = vec![format!("connector = '{name}'")];
+        with.extend(options.into_iter().map(|(key, value)| {
+            let key = match key.checked_sub(16) {
+                Some(miss) => NEAR_MISSES[miss],
+                None => vocabulary[key % vocabulary.len()],
+            };
+            format!("{key} = {value}")
+        }));
+        format!("CREATE {object} WITH ({})", with.join(", "))
+    })
+}
+
 /// Fragments that compose into scripts exercising every statement kind,
 /// valid or not — the analyzer must never panic, whatever the mix.
 fn fragment() -> impl Strategy<Value = String> {
     prop_oneof![
+        connector_ddl(),
+        connector_ddl(),
         Just("CREATE SOURCE s (t TIMESTAMP, v INT, WATERMARK FOR t) WITH (connector = 'channel')".to_string()),
         Just("CREATE PARTITIONED SOURCE p (k INT, t TIMESTAMP, WATERMARK FOR t) WITH (connector = 'channel', partitions = 2)".to_string()),
         Just("CREATE SOURCE ghost WITH (connector = 'nexmark', events = 10)".to_string()),
+        Just("CREATE SOURCE a WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', streams = 's')".to_string()),
         Just("CREATE SINK out WITH (connector = 'file', path = '/tmp/x')".to_string()),
-        Just("CREATE SINK fwd WITH (connector = 'net', addr = '127.0.0.1:0', stream = 's')".to_string()),
+        Just("CREATE SINK fwd WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', stream = 's')".to_string()),
         Just("CREATE STREAM q (a INT)".to_string()),
+        Just("CREATE STREAM s (t TIMESTAMP, v INT, WATERMARK FOR t)".to_string()),
         Just("CREATE TEMPORAL TABLE r (id INT, rate INT) WITH (key = 'id')".to_string()),
         Just("INSERT INTO out SELECT v FROM s EMIT STREAM".to_string()),
         Just("INSERT INTO out SELECT DISTINCT v FROM s EMIT STREAM".to_string()),
@@ -532,23 +614,21 @@ fn fragment() -> impl Strategy<Value = String> {
         Just("RESTORE PIPELINE out FROM '/tmp/ck'".to_string()),
         Just("SHOW PIPELINES".to_string()),
         Just("DROP SOURCE IF EXISTS s".to_string()),
+        Just("DROP SOURCE a".to_string()),
         Just("DROP STREAM IF EXISTS q".to_string()),
+        Just("DROP TABLE r".to_string()),
         Just("DROP SINK IF EXISTS out".to_string()),
         Just("EXPLAIN SELECT 1".to_string()),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn analyze_script_never_panics(stmts in proptest::collection::vec(fragment(), 0..8)) {
+    fn lint_script_never_panics(stmts in proptest::collection::vec(fragment(), 0..8)) {
         let script = stmts.join(";\n");
-        // Through the text entry point (parse may fail: still no panic)...
-        let _ = lint_script_text(&script, &LintContext::default());
-        // ...and through the parsed entry point when the script parses.
-        if let Ok(parsed) = parse_script_spanned(&script) {
-            let _ = analyze_script(&parsed, &LintContext::default());
-        }
+        // Parse failures included: still no panic.
+        let _ = lint(&script);
     }
 }

@@ -477,3 +477,63 @@ fn shipped_scripts_shard_clean_on_one_worker() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// The analyzer dry-runs the session's own DDL
+// ---------------------------------------------------------------------------
+
+#[test]
+fn dropping_and_recreating_an_adopting_source_lints_as_it_executes() {
+    // `a` adopts the pre-declared stream `s` rather than registering it,
+    // so DROP SOURCE a leaves `s` in the catalog for `b` to adopt again.
+    let script = "CREATE STREAM s (t TIMESTAMP, v INT, WATERMARK FOR t);
+         CREATE SOURCE a WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', streams = 's');
+         DROP SOURCE a;
+         CREATE SOURCE b WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', streams = 's');
+         CREATE SINK out WITH (connector = 'changelog');
+         INSERT INTO out SELECT v FROM s EMIT STREAM;";
+    let mut session = onesql_connect::session();
+    let diags = session.lint_script(script);
+    assert!(!codes(&diags).contains(&"OSQL000"), "{diags:?}");
+    session.execute("SET lint = 'strict'").unwrap();
+    let outcome = session.execute_script(script).unwrap();
+    assert_eq!(outcome.pipelines().len(), 1);
+}
+
+#[test]
+fn a_misspelled_source_option_is_the_sessions_own_error() {
+    let script = "CREATE STREAM first (x INT);
+         CREATE SOURCE f (t TIMESTAMP, v INT, WATERMARK FOR t)
+           WITH (connector = 'file', path = '/tmp/lint_lateness.csv', lateness = 5);
+         CREATE SINK out WITH (connector = 'changelog');
+         INSERT INTO out SELECT v FROM f EMIT STREAM;";
+    let mut session = onesql_connect::session();
+    let diags = session.lint_script(script);
+    let finding = &diags[0];
+    assert_eq!(
+        (finding.code, finding.severity, finding.statement),
+        ("OSQL000", Severity::Error, 1),
+        "{diags:?}"
+    );
+    assert!(
+        finding
+            .message
+            .contains("unknown option 'lateness'; supported options: ["),
+        "{}",
+        finding.message
+    );
+    // Word for word what execution stops at.
+    let mut unlinted = onesql_connect::session();
+    unlinted.execute("SET lint = 'off'").unwrap();
+    let executed = unlinted.execute_script(script).unwrap_err();
+    assert_eq!(finding.message, executed.to_string());
+
+    session.execute("SET lint = 'strict'").unwrap();
+    let refused = session.execute_script(script).unwrap_err().to_string();
+    assert!(
+        refused.contains("lint (strict)") && refused.contains("unknown option 'lateness'"),
+        "{refused}"
+    );
+    // Refused before the first statement ran.
+    assert!(session.engine().schema_of("first").is_err());
+}

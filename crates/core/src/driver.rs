@@ -1397,6 +1397,23 @@ impl PipelineDriver {
     /// the checkpoint is safely stored; skipping it entirely is always
     /// correct, just less memory-frugal upstream.
     pub fn ack_checkpoint(&mut self, checkpoint: &PipelineCheckpoint) -> Result<()> {
+        self.check_offsets_shape(checkpoint)?;
+        for (offsets, slot) in checkpoint.offsets.iter().zip(&mut self.sources) {
+            for (part, &offset) in offsets.iter().enumerate() {
+                slot.source.ack(part, offset)?;
+            }
+        }
+        // Second phase for two-phase sinks: the epoch is durable, staged
+        // rows below it are committed.
+        for sink in &mut self.sinks {
+            sink.commit_checkpoint(checkpoint.epoch)?;
+        }
+        Ok(())
+    }
+
+    /// Refuse a checkpoint whose offsets do not have this driver's shape:
+    /// one list per attached source, one offset per partition.
+    fn check_offsets_shape(&self, checkpoint: &PipelineCheckpoint) -> Result<()> {
         if checkpoint.offsets.len() != self.sources.len() {
             return Err(Error::exec(format!(
                 "checkpoint has {} sources, driver has {}",
@@ -1404,22 +1421,14 @@ impl PipelineDriver {
                 self.sources.len()
             )));
         }
-        for (slot, offsets) in checkpoint.offsets.iter().enumerate() {
-            if offsets.len() != self.sources[slot].parts.len() {
+        for (slot, (offsets, source)) in checkpoint.offsets.iter().zip(&self.sources).enumerate() {
+            if offsets.len() != source.parts.len() {
                 return Err(Error::exec(format!(
                     "checkpoint source {slot} has {} partitions, driver has {}",
                     offsets.len(),
-                    self.sources[slot].parts.len()
+                    source.parts.len()
                 )));
             }
-            for (part, &offset) in offsets.iter().enumerate() {
-                self.sources[slot].source.ack(part, offset)?;
-            }
-        }
-        // Second phase for two-phase sinks: the epoch is durable, staged
-        // rows below it are committed.
-        for sink in &mut self.sinks {
-            sink.commit_checkpoint(checkpoint.epoch)?;
         }
         Ok(())
     }
@@ -1440,22 +1449,7 @@ impl PipelineDriver {
                 self.workers.len()
             )));
         }
-        if checkpoint.offsets.len() != self.sources.len() {
-            return Err(Error::exec(format!(
-                "checkpoint has {} sources, driver has {}",
-                checkpoint.offsets.len(),
-                self.sources.len()
-            )));
-        }
-        for (slot, offsets) in checkpoint.offsets.iter().enumerate() {
-            if offsets.len() != self.sources[slot].parts.len() {
-                return Err(Error::exec(format!(
-                    "checkpoint source {slot} has {} partitions, driver has {}",
-                    offsets.len(),
-                    self.sources[slot].parts.len()
-                )));
-            }
-        }
+        self.check_offsets_shape(checkpoint)?;
         // The fields are public (checkpoints may round-trip through
         // external storage), so validate every vec we will index rather
         // than panicking on a truncated one.

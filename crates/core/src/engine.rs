@@ -142,6 +142,16 @@ impl Engine {
         &self.catalog
     }
 
+    /// The same catalog and configuration with no table contents (what a
+    /// dry run of DDL needs).
+    pub(crate) fn without_contents(&self) -> Engine {
+        Engine {
+            catalog: self.catalog.clone(),
+            tables: BTreeMap::new(),
+            config: self.config,
+        }
+    }
+
     /// Unregister a relation (stream or table). Errors when the name is
     /// unknown.
     pub fn drop_relation(&mut self, name: &str) -> Result<()> {

@@ -136,18 +136,16 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use onesql_plan::lint::{
-    analyze_script, Diagnostic, LintContext, LintMode, PipelineSeed, Severity, SinkSeed, SourceSeed,
-};
+use onesql_plan::lint::{Diagnostic, LintMode, Severity};
 use onesql_plan::statement::referenced_relations;
 use onesql_plan::{
     bind_statement, BoundQuery, BoundStatement, Catalog, ConnectorOptions, SessionKnob, TableKind,
     TraceMode,
 };
-use onesql_sql::ast::{DropKind, OptionValue, Statement};
+use onesql_sql::ast::{DropKind, Statement};
 use onesql_sql::{Span, SpannedStatement};
 use onesql_state::TemporalTable;
-use onesql_types::{Error, Result, Row, SchemaRef, Ts};
+use onesql_types::{Error, Result, Row, Schema, SchemaRef, Ts};
 
 use crate::connect::registry::{ConnectorRegistry, Exports, OptionBag, SinkSpec, SourceSpec};
 use crate::connect::{DriverConfig, PartitionedSource, PipelineMetrics};
@@ -160,14 +158,17 @@ use crate::query::RunningQuery;
 /// [`handle_key`], not yet committed to the session's handle store.
 type StagedHandles = Vec<(String, Vec<Box<dyn Any + Send>>)>;
 
+mod lint;
+
 /// Handle-store key: kind-prefixed so a source and a sink sharing a
 /// name cannot clobber each other's exported handles.
 fn handle_key(kind: &str, name: &str) -> String {
-    format!("{kind}:{}", name.to_ascii_lowercase())
+    format!("{kind}:{name}").to_ascii_lowercase()
 }
 
 /// A stored `CREATE SOURCE` definition: enough to instantiate a fresh
 /// connector per `INSERT`.
+#[derive(Clone)]
 struct SourceDef {
     /// Name as written in the DDL.
     name: String,
@@ -186,6 +187,7 @@ struct SourceDef {
 }
 
 /// A stored `CREATE SINK` definition.
+#[derive(Clone)]
 struct SinkDef {
     name: String,
     connector: String,
@@ -524,17 +526,312 @@ impl ScriptOutcome {
     }
 }
 
+/// What DDL and `SET` change: the catalog, the stored connector
+/// definitions, and the knobs later `INSERT`s are assembled under. A
+/// [`Session`] owns one and changes it only through the methods below;
+/// the linter dry-runs a script's DDL on a [`Definitions::dry_copy`]
+/// through the very same methods, so the two cannot disagree about what
+/// a statement does.
+struct Definitions {
+    /// The catalog, plus the contents of the tables DDL created.
+    engine: Engine,
+    /// `CREATE SOURCE` definitions, in creation order (which is also
+    /// pipeline attach order).
+    sources: Vec<SourceDef>,
+    sinks: Vec<SinkDef>,
+    /// Worker count, partition column and polling knobs for later
+    /// `INSERT`s (`SET workers` and friends).
+    config: DriverConfig,
+    /// Epochs a `CHECKPOINT PIPELINE` store retains (`SET
+    /// checkpoint_retain = K`).
+    checkpoint_retain: usize,
+}
+
+impl Definitions {
+    fn new() -> Definitions {
+        Definitions {
+            engine: Engine::new(),
+            sources: Vec::new(),
+            sinks: Vec::new(),
+            config: DriverConfig::default(),
+            checkpoint_retain: crate::durable::DEFAULT_RETAIN,
+        }
+    }
+
+    /// A copy without table contents: everything a dry run of DDL reads
+    /// or changes, and nothing it could change in the session.
+    fn dry_copy(&self) -> Definitions {
+        Definitions {
+            engine: self.engine.without_contents(),
+            sources: self.sources.clone(),
+            sinks: self.sinks.clone(),
+            config: self.config,
+            checkpoint_retain: self.checkpoint_retain,
+        }
+    }
+
+    fn create_stream(&mut self, name: String, schema: Schema) -> Result<StatementResult> {
+        self.ensure_unregistered(&name)?;
+        self.engine.register_stream_schema(&name, schema);
+        Ok(StatementResult::Created(name))
+    }
+
+    fn create_temporal_table(
+        &mut self,
+        name: String,
+        schema: Schema,
+        key: Vec<usize>,
+    ) -> Result<StatementResult> {
+        self.ensure_unregistered(&name)?;
+        self.engine
+            .register_temporal_table_schema(&name, schema, TemporalTable::with_key(key));
+        Ok(StatementResult::Created(name))
+    }
+
+    /// Validate the options against the connector family (`declare`,
+    /// which builds nothing), register the streams the source feeds, and
+    /// store the definition.
+    fn create_source(
+        &mut self,
+        registry: &ConnectorRegistry,
+        name: String,
+        partitioned: bool,
+        schema: Option<Schema>,
+        options: ConnectorOptions,
+    ) -> Result<StatementResult> {
+        if self.find_source(&name).is_some() {
+            return Err(Error::catalog(format!(
+                "source '{name}' already exists; DROP SOURCE it first"
+            )));
+        }
+        let schema: Option<SchemaRef> = schema.map(std::sync::Arc::new);
+        let mut bag = OptionBag::new(format!("source '{name}'"), &options);
+        let connector = bag.require_str("connector")?;
+        let factory = registry.source(&connector)?;
+        let (declared, replayable) = {
+            let spec = SourceSpec {
+                name: &name,
+                partitioned,
+                schema: schema.clone(),
+                catalog: self.engine.catalog(),
+            };
+            let declared = factory.declare(&spec, &mut bag)?;
+            bag.finish()?;
+            (declared, factory.replayable(&spec))
+        };
+        if declared.is_empty() {
+            return Err(Error::plan(format!(
+                "source '{name}' (connector '{connector}') declares no streams"
+            )));
+        }
+        // Validate every declared stream against the catalog *before*
+        // registering any of them, so a failed CREATE SOURCE leaves no
+        // partial stream registrations behind.
+        let mut to_register = Vec::new();
+        for (stream, stream_schema) in &declared {
+            match self.engine.catalog().resolve(stream) {
+                Ok((existing, TableKind::Stream)) => {
+                    if existing != *stream_schema {
+                        return Err(Error::catalog(format!(
+                            "source '{name}': stream '{stream}' is already \
+                             registered with a different schema"
+                        )));
+                    }
+                }
+                Ok((_, TableKind::Table)) => {
+                    return Err(Error::catalog(format!(
+                        "source '{name}': '{stream}' is already registered \
+                         as a table, not a stream"
+                    )));
+                }
+                Err(_) => to_register.push((stream.clone(), stream_schema.clone())),
+            }
+        }
+        let mut registered = Vec::with_capacity(to_register.len());
+        for (stream, stream_schema) in to_register {
+            registered.push(stream.to_ascii_lowercase());
+            self.engine
+                .register_stream_schema(stream, (*stream_schema).clone());
+        }
+        self.sources.push(SourceDef {
+            name: name.clone(),
+            connector,
+            partitioned,
+            schema,
+            streams: declared
+                .iter()
+                .map(|(s, _)| s.to_ascii_lowercase())
+                .collect(),
+            registered,
+            replayable,
+            options,
+        });
+        Ok(StatementResult::Created(name))
+    }
+
+    fn create_sink(
+        &mut self,
+        registry: &ConnectorRegistry,
+        name: String,
+        options: ConnectorOptions,
+    ) -> Result<StatementResult> {
+        if self.find_sink(&name).is_some() {
+            return Err(Error::catalog(format!(
+                "sink '{name}' already exists; DROP SINK it first"
+            )));
+        }
+        let mut bag = OptionBag::new(format!("sink '{name}'"), &options);
+        let connector = bag.require_str("connector")?;
+        let factory = registry.sink(&connector)?;
+        factory.declare(&SinkSpec { name: &name }, &mut bag)?;
+        bag.finish()?;
+        self.sinks.push(SinkDef {
+            name: name.clone(),
+            connector,
+            options,
+        });
+        Ok(StatementResult::Created(name))
+    }
+
+    fn drop_object(
+        &mut self,
+        kind: DropKind,
+        if_exists: bool,
+        name: &str,
+    ) -> Result<StatementResult> {
+        let existed = match kind {
+            DropKind::Source => match self.find_source(name) {
+                Some(idx) => {
+                    let def = self.sources.remove(idx);
+                    // Unregister the streams this CREATE itself added,
+                    // unless another live source still feeds them — so
+                    // a dropped source can be recreated with a new
+                    // schema, and no orphan stream lingers queryable.
+                    for stream in &def.registered {
+                        if !self.sources.iter().any(|d| d.streams.contains(stream)) {
+                            let _ = self.engine.drop_relation(stream);
+                        }
+                    }
+                    true
+                }
+                None => false,
+            },
+            DropKind::Sink => match self.find_sink(name) {
+                Some(idx) => {
+                    self.sinks.remove(idx);
+                    true
+                }
+                None => false,
+            },
+            DropKind::Stream | DropKind::Table => match self.engine.catalog().resolve(name) {
+                Ok((_, found)) => {
+                    if (found == TableKind::Stream) != (kind == DropKind::Stream) {
+                        let is = if found == TableKind::Stream {
+                            "stream"
+                        } else {
+                            "table"
+                        };
+                        return Err(Error::catalog(format!(
+                            "cannot DROP {} {name}: it is a {is}",
+                            kind.as_str()
+                        )));
+                    }
+                    // A stream a live source still feeds must not be
+                    // dropped out from under it: the dangling SourceDef
+                    // would rebuild connectors against a vanished (or
+                    // later re-declared, differently-shaped) stream.
+                    let lowered = name.to_ascii_lowercase();
+                    if let Some(feeder) = self.sources.iter().find(|d| d.streams.contains(&lowered))
+                    {
+                        return Err(Error::catalog(format!(
+                            "cannot DROP STREAM {name}: source '{}' feeds it; \
+                             DROP SOURCE {} first",
+                            feeder.name, feeder.name
+                        )));
+                    }
+                    self.engine.drop_relation(name)?;
+                    true
+                }
+                Err(_) => false,
+            },
+        };
+        if !existed && !if_exists {
+            return Err(Error::catalog(format!(
+                "cannot drop {} '{name}': no such object (use IF EXISTS to \
+                 tolerate absence)",
+                kind.as_str()
+            )));
+        }
+        Ok(StatementResult::Dropped(name.to_string()))
+    }
+
+    /// The knob half of a validated `SET`: the driver configuration later
+    /// `INSERT`s pick up (already-assembled pipelines keep the one they
+    /// were built with) and the checkpoint retention. `lint` and `trace`
+    /// belong to the session itself and change nothing here.
+    fn apply_knob(&mut self, knob: SessionKnob) -> Result<()> {
+        match knob {
+            SessionKnob::Workers(n) => self.config.workers = n,
+            SessionKnob::PartitionCol(col) => self.config.partition_col = col,
+            SessionKnob::BatchSize(n) => self.config.batch_size = n,
+            SessionKnob::MinBatch(n) => {
+                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
+                if n > adaptive.max_batch {
+                    return Err(Error::plan(format!(
+                        "SET min_batch = {n}: exceeds max_batch ({})",
+                        adaptive.max_batch
+                    )));
+                }
+                adaptive.min_batch = n;
+            }
+            SessionKnob::MaxBatch(n) => {
+                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
+                if n < adaptive.min_batch {
+                    return Err(Error::plan(format!(
+                        "SET max_batch = {n}: below min_batch ({})",
+                        adaptive.min_batch
+                    )));
+                }
+                adaptive.max_batch = n;
+            }
+            SessionKnob::MaxIdleRounds(n) => {
+                self.config.max_idle_rounds = if n == 0 { None } else { Some(n) };
+            }
+            SessionKnob::CheckpointRetain(k) => self.checkpoint_retain = k,
+            SessionKnob::Lint(_) | SessionKnob::Trace(_) => {}
+        }
+        Ok(())
+    }
+
+    fn ensure_unregistered(&self, name: &str) -> Result<()> {
+        if self.engine.catalog().resolve(name).is_ok() {
+            return Err(Error::catalog(format!(
+                "relation '{name}' already exists; DROP it first"
+            )));
+        }
+        Ok(())
+    }
+
+    fn find_source(&self, name: &str) -> Option<usize> {
+        self.sources
+            .iter()
+            .position(|d| d.name.eq_ignore_ascii_case(name))
+    }
+
+    fn find_sink(&self, name: &str) -> Option<usize> {
+        self.sinks
+            .iter()
+            .position(|d| d.name.eq_ignore_ascii_case(name))
+    }
+}
+
 /// The SQL-first facade over an [`Engine`]: executes multi-statement
 /// scripts where DDL mutates a persistent catalog and `INSERT INTO ...
 /// SELECT` assembles running pipelines. See the [module docs](self) for
 /// an end-to-end example.
 pub struct Session {
-    engine: Engine,
+    defs: Definitions,
     registry: ConnectorRegistry,
-    /// `CREATE SOURCE` definitions, in creation order (which is also
-    /// pipeline attach order).
-    sources: Vec<SourceDef>,
-    sinks: Vec<SinkDef>,
     /// Side handles exported by the most recent build of each connector,
     /// keyed by kind-prefixed lowercased connector name (a source and a
     /// sink may legally share a name without clobbering each other).
@@ -543,12 +840,6 @@ pub struct Session {
     /// addressable by `CHECKPOINT PIPELINE` / `RESTORE PIPELINE`
     /// statements across `execute` calls.
     pipelines: BTreeMap<String, SqlPipeline>,
-    /// Worker count, partition column and polling knobs for later
-    /// `INSERT`s (`SET workers` and friends).
-    config: DriverConfig,
-    /// Epochs a `CHECKPOINT PIPELINE` store retains (`SET
-    /// checkpoint_retain = K`).
-    checkpoint_retain: usize,
     /// How [`Session::execute_script`] treats lint findings (`SET lint =
     /// 'strict'|'warn'|'off'`; default `warn`).
     lint: LintMode,
@@ -561,33 +852,29 @@ impl Session {
     /// [`Session::set_driver_config`].
     pub fn new(registry: ConnectorRegistry) -> Session {
         Session {
-            engine: Engine::new(),
+            defs: Definitions::new(),
             registry,
-            sources: Vec::new(),
-            sinks: Vec::new(),
             handles: BTreeMap::new(),
             pipelines: BTreeMap::new(),
-            config: DriverConfig::default(),
-            checkpoint_retain: crate::durable::DEFAULT_RETAIN,
             lint: LintMode::default(),
         }
     }
 
     /// The underlying engine (catalog lookups, `explain`, table reads).
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        &self.defs.engine
     }
 
     /// Mutable engine access (e.g. to apply versions to a temporal table
     /// created by `CREATE TEMPORAL TABLE`).
     pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+        &mut self.defs.engine
     }
 
     /// Replace the whole configuration — worker count and partition
     /// column included — for pipelines assembled by later `INSERT`s.
     pub fn set_driver_config(&mut self, config: DriverConfig) {
-        self.config = config;
+        self.defs.config = config;
     }
 
     /// Run a multi-statement script: DDL mutates the catalog, `INSERT`s
@@ -596,9 +883,9 @@ impl Session {
     /// applied — scripts are not transactions).
     ///
     /// Unless `SET lint = 'off'`, the script is first run through the
-    /// static analyzer ([`onesql_plan::lint`]); findings come back on
-    /// [`ScriptOutcome::diagnostics`]. Under `SET lint = 'strict'`, any
-    /// `Error`-severity finding refuses execution up front.
+    /// static analyzer (see [`Session::lint_script`]); findings come back
+    /// on [`ScriptOutcome::diagnostics`]. Under `SET lint = 'strict'`,
+    /// any `Error`-severity finding refuses execution up front.
     pub fn execute_script(&mut self, sql: &str) -> Result<ScriptOutcome> {
         let statements = onesql_sql::parse_script_spanned(sql)?;
         let diagnostics = if self.lint == LintMode::Off {
@@ -626,9 +913,15 @@ impl Session {
         })
     }
 
-    /// `EXPLAIN LINT` / pre-execution analysis: run the static analyzer
-    /// over `sql` against the session's current catalog, source/sink
-    /// definitions, and knobs, without executing anything.
+    /// `EXPLAIN LINT` / pre-execution analysis of `sql` (see
+    /// [`onesql_plan::lint`] for the diagnostic codes), without executing
+    /// anything: a dry run of the script on a copy of the session's
+    /// catalog, source and sink definitions and knobs. The script's DDL
+    /// and `SET`s run on the copy through the same code execution runs,
+    /// so a statement the session would refuse is an `OSQL000` carrying
+    /// the session's own error; queries, `INSERT`s and checkpoint
+    /// statements are only analyzed. The dry run builds no connector and
+    /// leaves the session untouched.
     pub fn lint_script(&self, sql: &str) -> Vec<Diagnostic> {
         match onesql_sql::parse_script_spanned(sql) {
             Ok(statements) => self.lint_statements(&statements),
@@ -643,85 +936,10 @@ impl Session {
     }
 
     fn lint_statements(&self, statements: &[SpannedStatement]) -> Vec<Diagnostic> {
-        let ctx = self.lint_context(statements);
-        analyze_script(statements, &ctx)
-    }
-
-    /// The analyzer's seed: a catalog snapshot, the session's current
-    /// definitions and knobs, and — by asking the connector registry —
-    /// whether each in-script `CREATE SOURCE` could replay, plus the
-    /// streams each schema-less one would declare (`nexmark` declares
-    /// `Person`/`Auction`/`Bid`).
-    fn lint_context(&self, statements: &[SpannedStatement]) -> LintContext {
-        let mut ctx = LintContext {
-            catalog: self.engine.catalog().clone(),
-            workers: self.config.workers,
-            partition_col: self.config.partition_col,
-            ..LintContext::default()
-        };
-        for def in &self.sources {
-            ctx.sources.push(SourceSeed {
-                name: def.name.clone(),
-                connector: def.connector.clone(),
-                partitioned: def.partitioned,
-                replayable: def.replayable,
-                streams: def.streams.clone(),
-                partitions: match def.options.get("partitions") {
-                    Some(OptionValue::Number(n)) => n.parse().ok(),
-                    _ => None,
-                },
-            });
-        }
-        for def in &self.sinks {
-            ctx.sinks.push(SinkSeed {
-                name: def.name.clone(),
-                connector: def.connector.clone(),
-                stream: match def.options.get("stream") {
-                    Some(OptionValue::String(s)) => Some(s.clone()),
-                    _ => None,
-                },
-            });
-        }
-        for name in self.pipelines.keys() {
-            ctx.pipelines.push(PipelineSeed {
-                name: name.clone(),
-                // Adopted pipelines already hold live connectors; the
-                // analyzer has no definition to judge, so assume the best.
-                replayable: true,
-            });
-        }
-        for spanned in statements {
-            let Statement::CreateSource(c) = &spanned.statement else {
-                continue;
-            };
-            let Ok(options) = ConnectorOptions::new(&c.options) else {
-                continue; // the analyzer reports the bind error itself
-            };
-            let mut bag = OptionBag::new(format!("source '{}'", c.name), &options);
-            let Ok(connector) = bag.require_str("connector") else {
-                continue;
-            };
-            let Ok(factory) = self.registry.source(&connector) else {
-                continue;
-            };
-            let spec = SourceSpec {
-                name: &c.name,
-                partitioned: c.partitioned,
-                schema: None,
-                catalog: self.engine.catalog(),
-            };
-            let key = c.name.to_ascii_lowercase();
-            if !factory.replayable(&spec) {
-                ctx.non_replayable.insert(key.clone());
-            }
-            // An inline column list already names the one stream it feeds.
-            if c.columns.is_empty() {
-                if let Ok(declared) = factory.declare(&spec, &mut bag) {
-                    ctx.declared.insert(key, declared);
-                }
-            }
-        }
-        ctx
+        // Adopted pipelines already hold live connectors; with no
+        // definition to judge, they count as replayable.
+        let adopted = self.pipelines.keys().cloned();
+        lint::Linter::new(self.defs.dry_copy(), &self.registry, adopted).run(statements)
     }
 
     /// Run a single statement (optionally `;`-terminated).
@@ -752,11 +970,6 @@ impl Session {
     /// Take an adopted pipeline back out of session custody.
     pub fn take_pipeline(&mut self, name: &str) -> Option<SqlPipeline> {
         self.pipelines.remove(&name.to_ascii_lowercase())
-    }
-
-    /// Borrow an adopted pipeline.
-    pub fn pipeline_mut(&mut self, name: &str) -> Option<&mut SqlPipeline> {
-        self.pipelines.get_mut(&name.to_ascii_lowercase())
     }
 
     /// Resolve a `CHECKPOINT` / `RESTORE` target: pipelines in session
@@ -831,11 +1044,11 @@ impl Session {
         statement: &Statement,
         prior: &mut [StatementResult],
     ) -> Result<StatementResult> {
-        let bound = bind_statement(statement, self.engine.catalog())?;
+        let bound = bind_statement(statement, self.defs.engine.catalog())?;
         match bound {
-            BoundStatement::Query(query) => {
-                Ok(StatementResult::Query(Box::new(self.engine.run(query)?)))
-            }
+            BoundStatement::Query(query) => Ok(StatementResult::Query(Box::new(
+                self.defs.engine.run(query)?,
+            ))),
             BoundStatement::Explain(query) => Ok(StatementResult::Explained(query.explain())),
             BoundStatement::ExplainAnalyze(query) => self.explain_analyze(query),
             BoundStatement::ExplainLint { script } => {
@@ -895,11 +1108,24 @@ impl Session {
                 })
             }
             BoundStatement::Set(knob) => {
-                self.apply_knob(knob)?;
+                self.defs.apply_knob(knob)?;
+                match knob {
+                    SessionKnob::Lint(mode) => self.lint = mode,
+                    SessionKnob::Trace(TraceMode::Off) => observe::uninstall(),
+                    SessionKnob::Trace(TraceMode::On) => {
+                        observe::set_sample(1);
+                        observe::install(observe::recorder().clone());
+                    }
+                    SessionKnob::Trace(TraceMode::Sample(n)) => {
+                        observe::set_sample(n);
+                        observe::install(observe::recorder().clone());
+                    }
+                    _ => {}
+                }
                 Ok(StatementResult::Set(knob.name().to_string()))
             }
             BoundStatement::CheckpointPipeline { pipeline, path } => {
-                let retain = self.checkpoint_retain;
+                let retain = self.defs.checkpoint_retain;
                 let target = self.resolve_pipeline("CHECKPOINT PIPELINE", &pipeline, prior)?;
                 let epoch = target.checkpoint_to_retaining(&path, retain)?;
                 Ok(StatementResult::Checkpointed {
@@ -915,202 +1141,39 @@ impl Session {
                     epoch,
                 })
             }
-            BoundStatement::CreateStream { name, schema } => {
-                self.ensure_unregistered(&name)?;
-                self.engine.register_stream_schema(&name, schema);
-                Ok(StatementResult::Created(name))
-            }
+            BoundStatement::CreateStream { name, schema } => self.defs.create_stream(name, schema),
             BoundStatement::CreateTemporalTable { name, schema, key } => {
-                self.ensure_unregistered(&name)?;
-                self.engine.register_temporal_table_schema(
-                    &name,
-                    schema,
-                    TemporalTable::with_key(key),
-                );
-                Ok(StatementResult::Created(name))
+                self.defs.create_temporal_table(name, schema, key)
             }
             BoundStatement::CreateSource {
                 name,
                 partitioned,
                 schema,
                 options,
-            } => self.create_source(name, partitioned, schema, options),
+            } => self
+                .defs
+                .create_source(&self.registry, name, partitioned, schema, options),
             BoundStatement::CreateSink { name, options } => {
-                if self.find_sink(&name).is_some() {
-                    return Err(Error::catalog(format!(
-                        "sink '{name}' already exists; DROP SINK it first"
-                    )));
-                }
-                let mut bag = OptionBag::new(format!("sink '{name}'"), &options);
-                let connector = bag.require_str("connector")?;
-                let factory = self.registry.sink(&connector)?;
-                factory.declare(&SinkSpec { name: &name }, &mut bag)?;
-                bag.finish()?;
-                self.sinks.push(SinkDef {
-                    name: name.clone(),
-                    connector,
-                    options,
-                });
-                Ok(StatementResult::Created(name))
+                self.defs.create_sink(&self.registry, name, options)
             }
             BoundStatement::Insert { sink, query } => self.assemble_pipeline(&sink, query),
             BoundStatement::Drop {
                 kind,
                 if_exists,
                 name,
-            } => self.drop_object(kind, if_exists, &name),
-        }
-    }
-
-    /// Apply a validated `SET` knob. Later `INSERT`s pick the new values
-    /// up; already-assembled pipelines keep the configuration they were
-    /// built with.
-    fn apply_knob(&mut self, knob: SessionKnob) -> Result<()> {
-        match knob {
-            SessionKnob::Workers(n) => self.config.workers = n,
-            SessionKnob::PartitionCol(col) => self.config.partition_col = col,
-            SessionKnob::BatchSize(n) => self.config.batch_size = n,
-            SessionKnob::MinBatch(n) => {
-                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
-                if n > adaptive.max_batch {
-                    return Err(Error::plan(format!(
-                        "SET min_batch = {n}: exceeds max_batch ({})",
-                        adaptive.max_batch
-                    )));
-                }
-                adaptive.min_batch = n;
-            }
-            SessionKnob::MaxBatch(n) => {
-                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
-                if n < adaptive.min_batch {
-                    return Err(Error::plan(format!(
-                        "SET max_batch = {n}: below min_batch ({})",
-                        adaptive.min_batch
-                    )));
-                }
-                adaptive.max_batch = n;
-            }
-            SessionKnob::MaxIdleRounds(n) => {
-                self.config.max_idle_rounds = if n == 0 { None } else { Some(n) };
-            }
-            SessionKnob::CheckpointRetain(k) => self.checkpoint_retain = k,
-            SessionKnob::Lint(mode) => self.lint = mode,
-            SessionKnob::Trace(mode) => match mode {
-                TraceMode::Off => observe::uninstall(),
-                TraceMode::On => {
-                    observe::set_sample(1);
-                    observe::install(observe::recorder().clone());
-                }
-                TraceMode::Sample(n) => {
-                    observe::set_sample(n);
-                    observe::install(observe::recorder().clone());
-                }
-            },
-        }
-        Ok(())
-    }
-
-    fn ensure_unregistered(&self, name: &str) -> Result<()> {
-        if self.engine.catalog().resolve(name).is_ok() {
-            return Err(Error::catalog(format!(
-                "relation '{name}' already exists; DROP it first"
-            )));
-        }
-        Ok(())
-    }
-
-    fn find_source(&self, name: &str) -> Option<usize> {
-        self.sources
-            .iter()
-            .position(|d| d.name.eq_ignore_ascii_case(name))
-    }
-
-    fn find_sink(&self, name: &str) -> Option<usize> {
-        self.sinks
-            .iter()
-            .position(|d| d.name.eq_ignore_ascii_case(name))
-    }
-
-    fn create_source(
-        &mut self,
-        name: String,
-        partitioned: bool,
-        schema: Option<onesql_types::Schema>,
-        options: ConnectorOptions,
-    ) -> Result<StatementResult> {
-        if self.find_source(&name).is_some() {
-            return Err(Error::catalog(format!(
-                "source '{name}' already exists; DROP SOURCE it first"
-            )));
-        }
-        let schema: Option<SchemaRef> = schema.map(std::sync::Arc::new);
-        let mut bag = OptionBag::new(format!("source '{name}'"), &options);
-        let connector = bag.require_str("connector")?;
-        let factory = self.registry.source(&connector)?;
-        let (declared, replayable) = {
-            let spec = SourceSpec {
-                name: &name,
-                partitioned,
-                schema: schema.clone(),
-                catalog: self.engine.catalog(),
-            };
-            let declared = factory.declare(&spec, &mut bag)?;
-            bag.finish()?;
-            (declared, factory.replayable(&spec))
-        };
-        if declared.is_empty() {
-            return Err(Error::plan(format!(
-                "source '{name}' (connector '{connector}') declares no streams"
-            )));
-        }
-        // Validate every declared stream against the catalog *before*
-        // registering any of them, so a failed CREATE SOURCE leaves no
-        // partial stream registrations behind.
-        let mut to_register = Vec::new();
-        for (stream, stream_schema) in &declared {
-            match self.engine.catalog().resolve(stream) {
-                Ok((existing, TableKind::Stream)) => {
-                    if existing != *stream_schema {
-                        return Err(Error::catalog(format!(
-                            "source '{name}': stream '{stream}' is already \
-                             registered with a different schema"
-                        )));
-                    }
-                }
-                Ok((_, TableKind::Table)) => {
-                    return Err(Error::catalog(format!(
-                        "source '{name}': '{stream}' is already registered \
-                         as a table, not a stream"
-                    )));
-                }
-                Err(_) => to_register.push((stream.clone(), stream_schema.clone())),
+            } => {
+                let dropped = self.defs.drop_object(kind, if_exists, &name)?;
+                // A dropped connector's handles go with it (a stream or a
+                // table exports none).
+                self.handles.remove(&handle_key(kind.as_str(), &name));
+                Ok(dropped)
             }
         }
-        let mut registered = Vec::with_capacity(to_register.len());
-        for (stream, stream_schema) in to_register {
-            registered.push(stream.to_ascii_lowercase());
-            self.engine
-                .register_stream_schema(stream, (*stream_schema).clone());
-        }
-        self.sources.push(SourceDef {
-            name: name.clone(),
-            connector,
-            partitioned,
-            schema,
-            streams: declared
-                .iter()
-                .map(|(s, _)| s.to_ascii_lowercase())
-                .collect(),
-            registered,
-            replayable,
-            options,
-        });
-        Ok(StatementResult::Created(name))
     }
 
     fn assemble_pipeline(&mut self, sink: &str, query: BoundQuery) -> Result<StatementResult> {
-        let Some(sink_idx) = self.find_sink(sink) else {
-            let known: Vec<&str> = self.sinks.iter().map(|d| d.name.as_str()).collect();
+        let Some(sink_idx) = self.defs.find_sink(sink) else {
+            let known: Vec<&str> = self.defs.sinks.iter().map(|d| d.name.as_str()).collect();
             return Err(Error::catalog(format!(
                 "INSERT INTO {sink}: no such sink; known sinks: [{}]",
                 known.join(", ")
@@ -1123,7 +1186,7 @@ impl Session {
         // by relation name instead of replaying into mismatched state.
         let mut fingerprint = Vec::with_capacity(streams.len() + tables.len());
         for relation in streams.iter().chain(tables.iter()) {
-            let (schema, _) = self.engine.catalog().resolve(relation)?;
+            let (schema, _) = self.defs.engine.catalog().resolve(relation)?;
             fingerprint.push((
                 relation.clone(),
                 crate::durable::schema_fingerprint(&schema),
@@ -1134,7 +1197,7 @@ impl Session {
         // drops them with it. Their handles are only *staged*: committing
         // them before the whole pipeline assembles would let a failed
         // INSERT clobber a live pipeline's handles with dead ones.
-        let mut driver = PipelineDriver::with_query(&self.engine, query, self.config)?;
+        let mut driver = PipelineDriver::with_query(&self.defs.engine, query, self.defs.config)?;
         let mut staged =
             self.attach_feeding_sources(&mut driver, &format!("INSERT INTO {sink}"), &streams)?;
         driver.attach_sink(self.build_sink(sink_idx, &mut staged)?)?;
@@ -1163,7 +1226,7 @@ impl Session {
     fn explain_analyze(&self, query: BoundQuery) -> Result<StatementResult> {
         let plan = query.explain();
         let (streams, _tables) = referenced_relations(&query);
-        let mut driver = PipelineDriver::with_query(&self.engine, query, self.config)?;
+        let mut driver = PipelineDriver::with_query(&self.defs.engine, query, self.defs.config)?;
         // The staged handles are dropped, never committed.
         self.attach_feeding_sources(&mut driver, "EXPLAIN ANALYZE", &streams)?;
         let rows = driver.run()?.render_rows();
@@ -1180,8 +1243,13 @@ impl Session {
         what: &str,
         streams: &[String],
     ) -> Result<StagedHandles> {
-        let selected: Vec<usize> = (0..self.sources.len())
-            .filter(|&i| self.sources[i].streams.iter().any(|s| streams.contains(s)))
+        let selected: Vec<usize> = (0..self.defs.sources.len())
+            .filter(|&i| {
+                self.defs.sources[i]
+                    .streams
+                    .iter()
+                    .any(|s| streams.contains(s))
+            })
             .collect();
         // EVERY referenced stream must have a feeding source — a
         // partially fed query (one joined stream covered, the other
@@ -1191,7 +1259,7 @@ impl Session {
             .filter(|s| {
                 !selected
                     .iter()
-                    .any(|&i| self.sources[i].streams.contains(s))
+                    .any(|&i| self.defs.sources[i].streams.contains(s))
             })
             .map(String::as_str)
             .collect();
@@ -1219,7 +1287,7 @@ impl Session {
         idx: usize,
         staged: &mut StagedHandles,
     ) -> Result<Box<dyn PartitionedSource>> {
-        let def = &self.sources[idx];
+        let def = &self.defs.sources[idx];
         let factory = self.registry.source(&def.connector)?;
         let mut bag = OptionBag::new(
             format!("source '{}' (connector '{}')", def.name, def.connector),
@@ -1231,7 +1299,7 @@ impl Session {
             name: &def.name,
             partitioned: def.partitioned,
             schema: def.schema.clone(),
-            catalog: self.engine.catalog(),
+            catalog: self.defs.engine.catalog(),
         };
         let built = factory.build(&spec, &mut bag, &mut exports)?;
         staged.push((handle_key("source", &def.name), exports.into_items()));
@@ -1243,7 +1311,7 @@ impl Session {
         idx: usize,
         staged: &mut StagedHandles,
     ) -> Result<Box<dyn crate::connect::Sink>> {
-        let def = &self.sinks[idx];
+        let def = &self.defs.sinks[idx];
         let factory = self.registry.sink(&def.connector)?;
         let mut bag = OptionBag::new(
             format!("sink '{}' (connector '{}')", def.name, def.connector),
@@ -1255,89 +1323,6 @@ impl Session {
         staged.push((handle_key("sink", &def.name), exports.into_items()));
         Ok(built)
     }
-
-    fn drop_object(
-        &mut self,
-        kind: DropKind,
-        if_exists: bool,
-        name: &str,
-    ) -> Result<StatementResult> {
-        let existed = match kind {
-            DropKind::Source => match self.find_source(name) {
-                Some(idx) => {
-                    let def = self.sources.remove(idx);
-                    self.handles.remove(&handle_key("source", name));
-                    // Unregister the streams this CREATE itself added,
-                    // unless another live source still feeds them — so
-                    // a dropped source can be recreated with a new
-                    // schema, and no orphan stream lingers queryable.
-                    for stream in &def.registered {
-                        if !self.sources.iter().any(|d| d.streams.contains(stream)) {
-                            let _ = self.engine.drop_relation(stream);
-                        }
-                    }
-                    true
-                }
-                None => false,
-            },
-            DropKind::Sink => match self.find_sink(name) {
-                Some(idx) => {
-                    self.sinks.remove(idx);
-                    self.handles.remove(&handle_key("sink", name));
-                    true
-                }
-                None => false,
-            },
-            DropKind::Stream | DropKind::Table => match self.engine.catalog().resolve(name) {
-                Ok((_, found)) => {
-                    let wanted = if kind == DropKind::Stream {
-                        TableKind::Stream
-                    } else {
-                        TableKind::Table
-                    };
-                    if found != wanted {
-                        return Err(Error::catalog(format!(
-                            "cannot DROP {} {name}: it is a {}",
-                            if kind == DropKind::Stream {
-                                "STREAM"
-                            } else {
-                                "TABLE"
-                            },
-                            if found == TableKind::Stream {
-                                "stream"
-                            } else {
-                                "table"
-                            }
-                        )));
-                    }
-                    // A stream a live source still feeds must not be
-                    // dropped out from under it: the dangling SourceDef
-                    // would rebuild connectors against a vanished (or
-                    // later re-declared, differently-shaped) stream.
-                    let lowered = name.to_ascii_lowercase();
-                    if let Some(feeder) = self.sources.iter().find(|d| d.streams.contains(&lowered))
-                    {
-                        return Err(Error::catalog(format!(
-                            "cannot DROP STREAM {name}: source '{}' feeds it; \
-                             DROP SOURCE {} first",
-                            feeder.name, feeder.name
-                        )));
-                    }
-                    self.engine.drop_relation(name)?;
-                    true
-                }
-                Err(_) => false,
-            },
-        };
-        if !existed && !if_exists {
-            return Err(Error::catalog(format!(
-                "cannot drop {} '{name}': no such object (use IF EXISTS to \
-                 tolerate absence)",
-                kind.as_str()
-            )));
-        }
-        Ok(StatementResult::Dropped(name.to_string()))
-    }
 }
 
 impl std::fmt::Debug for Session {
@@ -1346,6 +1331,7 @@ impl std::fmt::Debug for Session {
             .field(
                 "sources",
                 &self
+                    .defs
                     .sources
                     .iter()
                     .map(|d| d.name.as_str())
@@ -1354,12 +1340,13 @@ impl std::fmt::Debug for Session {
             .field(
                 "sinks",
                 &self
+                    .defs
                     .sinks
                     .iter()
                     .map(|d| d.name.as_str())
                     .collect::<Vec<_>>(),
             )
-            .field("workers", &self.config.workers)
+            .field("workers", &self.defs.config.workers)
             .finish()
     }
 }

@@ -332,18 +332,6 @@ pub struct StreamRow {
     pub ver: u64,
 }
 
-impl StreamRow {
-    /// Render as a full row including the metadata columns, with `undo`
-    /// shown as the paper does (the string `undo` or empty).
-    pub fn to_full_row(&self) -> Row {
-        self.row.with_appended(&[
-            Value::str(if self.undo { "undo" } else { "" }),
-            Value::Ts(self.ptime),
-            Value::Int(self.ver as i64),
-        ])
-    }
-}
-
 /// Render a stamped changelog as an `EMIT STREAM` relation (Extension 4):
 /// each change becomes a row with `undo`, `ptime`, and `ver` columns, where
 /// `ver` counts revisions per event-time grouping, identified by
@@ -709,10 +697,6 @@ mod tests {
         assert_eq!((rows[2].ver, rows[2].undo), (1, true));
         assert_eq!((rows[3].ver, rows[3].undo), (2, false));
         assert_eq!(rows[2].ptime, Ts::hm(8, 13));
-        // Full-row rendering appends undo/ptime/ver.
-        let full = rows[2].to_full_row();
-        assert_eq!(full.arity(), 5);
-        assert_eq!(full.value(2).unwrap(), &Value::str("undo"));
     }
 
     #[test]

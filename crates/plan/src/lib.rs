@@ -32,10 +32,7 @@ pub use expr::{AggCall, AggFunc, ScalarExpr};
 pub use kernel::{
     compile as compile_kernel, eval as eval_kernel, Frame, Kernel, KernelError, Vector,
 };
-pub use lint::{
-    analyze_script, lint_script_text, render_report, Diagnostic, LintContext, LintMode,
-    PipelineSeed, Severity, SinkSeed, SourceSeed,
-};
+pub use lint::{render_report, Diagnostic, LintMode, Severity};
 pub use optimizer::optimize;
 pub use plan::{BoundQuery, EmitSpec, JoinKind, JoinTimeBound, LogicalPlan, SortKey, WindowKind};
 pub use statement::{bind_statement, BoundStatement, ConnectorOptions, SessionKnob, TraceMode};

@@ -22,27 +22,11 @@ impl Span {
         Span { start, end }
     }
 
-    /// The smallest span containing both `self` and `other`.
-    pub fn cover(self, other: Span) -> Span {
-        Span {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
-    }
-
     /// The source text this span points at (clamped to `src`).
     pub fn slice(self, src: &str) -> &str {
         let start = self.start.min(src.len());
         let end = self.end.clamp(start, src.len());
         &src[start..end]
-    }
-
-    /// 1-based `(line, column)` of the span start within `src`.
-    ///
-    /// Columns count bytes since the last newline, which matches columns
-    /// exactly for the ASCII SQL this dialect accepts.
-    pub fn line_col(self, src: &str) -> (usize, usize) {
-        line_col_at(src, self.start)
     }
 }
 

@@ -12,7 +12,6 @@
 //!
 //! - a compact binary [`codec`] for checkpoint encoding (built on `bytes`),
 //! - [`KeyedState`], the per-key state primitive operators build on,
-//! - an event-time [`TimerService`] fired by watermark advancement,
 //! - whole-operator [`Checkpoint`] snapshots with exact restore, and
 //! - [`TemporalTable`]: system-time versioned tables supporting
 //!   `AS OF SYSTEM TIME` (§6.1).
@@ -20,9 +19,7 @@
 pub mod codec;
 pub mod keyed;
 pub mod temporal;
-pub mod timer;
 
 pub use codec::{crc32, Codec, Decoder};
 pub use keyed::{Checkpoint, KeyedState, StateMetrics};
 pub use temporal::TemporalTable;
-pub use timer::TimerService;

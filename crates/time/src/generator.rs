@@ -4,9 +4,8 @@
 //! The paper (§3.2.2) treats the watermark as an input to the system —
 //! "deterministically or heuristically defined". These generators cover the
 //! common heuristics used by the open-source engines the paper draws on:
-//! perfectly ordered input ([`AscendingWatermarks`]), bounded skew
-//! ([`BoundedOutOfOrderness`], the "slack time" the paper mentions), and
-//! sources that carry no progress information ([`NoWatermarks`]).
+//! perfectly ordered input ([`AscendingWatermarks`]) and bounded skew
+//! ([`BoundedOutOfOrderness`], the "slack time" the paper mentions).
 //! Punctuated (source-provided) watermarks — used by the paper's own example
 //! timeline, where `WM -> 8:05` events appear inline — need no generator:
 //! the source injects them directly.
@@ -93,20 +92,6 @@ impl WatermarkGenerator for BoundedOutOfOrderness {
     }
 }
 
-/// A source with no completeness information: the watermark never advances.
-/// Queries over such a source still run, but event-time groupings never
-/// finalize (they behave as eventually-consistent materialized views).
-#[derive(Debug, Default, Clone)]
-pub struct NoWatermarks;
-
-impl WatermarkGenerator for NoWatermarks {
-    fn on_event(&mut self, _ts: Ts) {}
-
-    fn current(&self) -> Watermark {
-        Watermark::MIN
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,12 +132,5 @@ mod tests {
             assert!(w >= last, "watermark regressed: {w} < {last}");
             last = w;
         }
-    }
-
-    #[test]
-    fn no_watermarks_never_advances() {
-        let mut g = NoWatermarks;
-        g.on_event(Ts::hm(23, 59));
-        assert_eq!(g.current(), Watermark::MIN);
     }
 }

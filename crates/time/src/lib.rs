@@ -2,7 +2,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-//! Event-time semantics: watermarks, watermark generators, and clocks.
+//! Event-time semantics: watermarks and watermark generators.
 //!
 //! Implements §3.2 of the paper. A *watermark* is a monotonic function from
 //! processing time to event time: observed at processing time `y` with value
@@ -11,10 +11,8 @@
 //! (Extension 2), gate materialization (`EMIT AFTER WATERMARK`, Extension
 //! 5), and free operator state (§5, lesson 1).
 
-pub mod clock;
 pub mod generator;
 pub mod watermark;
 
-pub use clock::VirtualClock;
-pub use generator::{AscendingWatermarks, BoundedOutOfOrderness, NoWatermarks, WatermarkGenerator};
+pub use generator::{AscendingWatermarks, BoundedOutOfOrderness, WatermarkGenerator};
 pub use watermark::{Watermark, WatermarkTracker};

@@ -128,14 +128,6 @@ impl Bag {
         }
         changes
     }
-
-    /// Convert the whole bag into insert changes (diff from empty).
-    pub fn to_changes(&self) -> Vec<Change> {
-        self.rows
-            .iter()
-            .map(|(r, &d)| Change::with_diff(r.clone(), d))
-            .collect()
-    }
 }
 
 impl fmt::Display for Bag {
@@ -212,14 +204,6 @@ mod tests {
         assert_eq!(a2, b);
         // Diff to self is empty.
         assert!(a.diff(&a).is_empty());
-    }
-
-    #[test]
-    fn to_changes_round_trip() {
-        let a = Bag::from_rows(vec![row!(1i64), row!(1i64), row!(5i64)]);
-        let mut b = Bag::new();
-        b.apply(a.to_changes());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use onesql_types::{Row, Ts};
+use onesql_types::Ts;
 
 use crate::bag::Bag;
 use crate::change::Change;
@@ -53,13 +53,6 @@ impl Changelog {
         self.entries.reserve(additional);
     }
 
-    /// Append all changes from a batch at the same processing time.
-    pub fn push_batch(&mut self, ptime: Ts, changes: impl IntoIterator<Item = Change>) {
-        for c in changes {
-            self.push(ptime, c);
-        }
-    }
-
     /// All entries in processing-time order.
     pub fn entries(&self) -> &[TimedChange] {
         &self.entries
@@ -101,27 +94,12 @@ impl Changelog {
         let mut log = Changelog::new();
         let mut current = Bag::new();
         for (ptime, snap) in snapshots {
-            let changes = current.diff(&snap);
-            log.push_batch(ptime, changes);
+            for change in current.diff(&snap) {
+                log.push(ptime, change);
+            }
             current = snap;
         }
         log
-    }
-
-    /// The distinct processing times at which the TVR changed.
-    pub fn change_times(&self) -> Vec<Ts> {
-        let mut times: Vec<Ts> = self.entries.iter().map(|e| e.ptime).collect();
-        times.dedup();
-        times
-    }
-
-    /// Rows of the changelog rendered as a relation of
-    /// `(original columns..., diff, ptime)` — the changelog *as a TVR*.
-    pub fn as_rows(&self) -> Vec<(Row, i64, Ts)> {
-        self.entries
-            .iter()
-            .map(|e| (e.change.row.clone(), e.change.diff, e.ptime))
-            .collect()
     }
 }
 
@@ -189,24 +167,6 @@ mod tests {
         assert_eq!(log.snapshot_at(Ts::hm(8, 2)), s3);
         // Between observation times the snapshot holds steady.
         assert_eq!(log.snapshot_at(Ts(Ts::hm(8, 1).millis() + 1)), s2);
-    }
-
-    #[test]
-    fn change_times_dedup() {
-        let log = sample_log();
-        assert_eq!(
-            log.change_times(),
-            vec![Ts::hm(8, 8), Ts::hm(8, 12), Ts::hm(8, 13)]
-        );
-    }
-
-    #[test]
-    fn as_rows_exposes_metadata() {
-        let log = sample_log();
-        let rows = log.as_rows();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[2].1, -1);
-        assert_eq!(rows[2].2, Ts::hm(8, 13));
     }
 
     #[test]

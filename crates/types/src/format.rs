@@ -1,8 +1,5 @@
 //! ASCII table rendering in the style of the paper's listings.
 
-use crate::row::Row;
-use crate::schema::Schema;
-
 /// Render a table with the given column headers and pre-stringified cells,
 /// in the paper's listing style:
 ///
@@ -44,16 +41,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render rows against a schema, using each value's `Display`.
-pub fn format_table_with_header(schema: &Schema, rows: &[Row]) -> String {
-    let headers: Vec<&str> = schema.names();
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| r.values().iter().map(|v| v.to_string()).collect())
-        .collect();
-    format_table(&headers, &cells)
-}
-
 fn format_row_cells(cells: &[&str], widths: &[usize]) -> String {
     let mut line = String::new();
     for (cell, width) in cells.iter().zip(widths) {
@@ -68,10 +55,6 @@ fn format_row_cells(cells: &[&str], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datatype::DataType;
-    use crate::row;
-    use crate::schema::Field;
-    use crate::temporal::Ts;
 
     #[test]
     fn renders_padded_columns() {
@@ -89,17 +72,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4); // rule, header, rule, rule
         assert_eq!(lines[1], "| a |");
-    }
-
-    #[test]
-    fn schema_based_rendering() {
-        let schema = Schema::new(vec![
-            Field::new("bidtime", DataType::Timestamp),
-            Field::new("price", DataType::Int),
-        ]);
-        let out = format_table_with_header(&schema, &[row!(Ts::hm(8, 7), 2i64)]);
-        assert!(out.contains("| bidtime | price |"));
-        assert!(out.contains("| 8:07    | 2     |"));
     }
 
     #[test]

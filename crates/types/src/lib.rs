@@ -28,7 +28,7 @@ pub mod value;
 pub use column::{Column, ColumnBuilder, ColumnData};
 pub use datatype::DataType;
 pub use error::{Error, Result};
-pub use format::{format_table, format_table_with_header};
+pub use format::format_table;
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use temporal::{Duration, Ts};
