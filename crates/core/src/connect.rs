@@ -788,6 +788,9 @@ pub struct PipelineMetrics {
     pub batch_size: usize,
     /// Depth of the deterministic-merge hold-back buffer after the round.
     pub pending_depth: u64,
+    /// Live `EMIT STREAM` `ver` counters: one per event-time grouping the
+    /// pipeline has emitted, kept for its whole life.
+    pub version_counters: u64,
     /// Wall-clock per scheduling round, in microseconds.
     pub round_micros: Histogram,
     /// Wall-clock spent polling sources per round, in microseconds.
@@ -832,6 +835,7 @@ impl Default for PipelineMetrics {
             batch_rows: Histogram::new(),
             batch_size: 0,
             pending_depth: 0,
+            version_counters: 0,
             round_micros: Histogram::new(),
             poll_micros: Histogram::new(),
             merge_micros: Histogram::new(),
@@ -906,6 +910,10 @@ impl PipelineMetrics {
             MetricRow::gauge(
                 "pending_depth",
                 self.pending_depth.min(i64::MAX as u64) as i64,
+            ),
+            MetricRow::gauge(
+                "version_counters",
+                self.version_counters.min(i64::MAX as u64) as i64,
             ),
             MetricRow::gauge("input_watermark_ms", wm_millis(self.input_watermark)),
             MetricRow::gauge("output_watermark_ms", wm_millis(self.output_watermark)),

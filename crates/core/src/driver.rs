@@ -821,6 +821,7 @@ impl PipelineDriver {
         self.metrics.input_watermark = self.ledger.input_watermark();
         self.metrics.output_watermark = self.output_watermark;
         self.metrics.watermark_provenance = self.ledger.provenance();
+        self.metrics.version_counters = self.renderer.counters() as u64;
     }
 
     /// Per-stream watermark provenance: which source partition holds each
@@ -1508,6 +1509,21 @@ impl PipelineDriver {
     }
 
     fn restore_inner(&mut self, checkpoint: &PipelineCheckpoint) -> Result<()> {
+        // A checkpoint holds back each worker's entries in ptime order, none
+        // below its clock; a queue that is not would feed the merge (and the
+        // changelog) out of order. Refused before anything is restored, and
+        // like any failed restore it poisons: stepping would start over.
+        let held = |queue: &Vec<TimedChange>| {
+            queue.is_sorted_by_key(|entry| entry.ptime)
+                && queue
+                    .first()
+                    .is_none_or(|entry| entry.ptime >= checkpoint.clock)
+        };
+        if !checkpoint.pending.iter().all(held) {
+            return Err(Error::exec(
+                "checkpoint holds back entries out of ptime order or below its clock",
+            ));
+        }
         // Workers first (operator state), then sources (replay position).
         let states: Arc<[onesql_state::Checkpoint]> = checkpoint.workers.clone().into();
         self.workers
@@ -1592,7 +1608,8 @@ mod tests {
     };
     use crate::engine::StreamBuilder;
     use crate::session::Session;
-    use onesql_types::{row, DataType};
+    use onesql_state::Codec;
+    use onesql_types::{row, DataType, Duration};
 
     fn engine() -> Engine {
         let mut e = Engine::new();
@@ -2108,6 +2125,140 @@ mod tests {
             .all(|entry| entry.ptime >= checkpoint.clock));
         assert_eq!(checkpoint.events_out, driver.changelog().len() as u64);
         assert!(checkpoint.events_out > 0);
+    }
+
+    #[test]
+    fn version_counters_checkpoint_in_key_order_and_restore_to_the_same_bytes() {
+        // A projection of the event time: every bid is a grouping of its own.
+        const SQL: &str = "SELECT auction, price, ts FROM Bid EMIT STREAM";
+        let e = engine();
+        let version_cols = onesql_exec::compile::version_columns(&e.plan(SQL).unwrap());
+        assert_eq!(version_cols, [2]);
+        let parts = vec![bids(12_000, 0), bids(12_000, 5)];
+        for workers in [1usize, 2] {
+            let config = DriverConfig {
+                batch_size: 512,
+                adaptive: None,
+                ..sharded(workers)
+            };
+            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            driver
+                .attach_partitioned_source(script(parts.clone()))
+                .unwrap();
+            while driver.events_in() < 12_000 {
+                driver.step().unwrap();
+            }
+            let checkpoint = driver.checkpoint().unwrap();
+            let versions = &checkpoint.renderer_versions;
+            assert!(versions.len() >= 10_000, "{workers} workers");
+            assert!(versions.windows(2).all(|w| w[0].0 < w[1].0));
+
+            let mut restored = PipelineDriver::new(&e, SQL, config).unwrap();
+            restored
+                .attach_partitioned_source(script(parts.clone()))
+                .unwrap();
+            restored.restore(&checkpoint).unwrap();
+            let counters = restored.metrics().version_counters;
+            assert_eq!(counters, versions.len() as u64);
+            let mut again = restored.checkpoint().unwrap();
+            assert_eq!(again.epoch, checkpoint.epoch + 1);
+            again.epoch = checkpoint.epoch;
+            assert!(
+                again.to_bytes() == checkpoint.to_bytes(),
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Checkpoint `sql` two rounds in, let `craft` change the checkpoint as
+    /// a crafted file could, then restore it into a fresh driver and step
+    /// to the end: what the restore answered, and the first failing step's
+    /// error. Either may fail; neither may panic.
+    fn restore_crafted(
+        sql: &str,
+        craft: impl FnOnce(&mut PipelineCheckpoint),
+    ) -> (Result<()>, Error) {
+        let e = engine();
+        let config = DriverConfig {
+            batch_size: 4,
+            adaptive: None,
+            ..sharded(2)
+        };
+        let parts = vec![bids(40, 0)];
+        let mut driver = PipelineDriver::new(&e, sql, config).unwrap();
+        driver
+            .attach_partitioned_source(script(parts.clone()))
+            .unwrap();
+        driver.step().unwrap();
+        driver.step().unwrap();
+        let mut checkpoint = driver.checkpoint().unwrap();
+        craft(&mut checkpoint);
+        let mut restored = PipelineDriver::new(&e, sql, config).unwrap();
+        restored.attach_partitioned_source(script(parts)).unwrap();
+        let restore = restored.restore(&checkpoint);
+        let step = loop {
+            match restored.step() {
+                Err(e) => break e,
+                Ok(_) => assert!(!restored.is_finished(), "no step failed"),
+            }
+        };
+        (restore, step)
+    }
+
+    /// `ver` numbers one grouping, the empty one: every row revises it.
+    const UNGROUPED: &str = "SELECT auction, price FROM Bid EMIT STREAM";
+
+    fn pending_entry(ptime: Ts, diff: i64) -> TimedChange {
+        TimedChange {
+            ptime,
+            change: Change::with_diff(row!(1i64, 2i64), diff),
+        }
+    }
+
+    #[test]
+    fn a_crafted_version_counter_at_its_limit_is_an_error() {
+        let (restore, step) = restore_crafted(UNGROUPED, |checkpoint| {
+            assert_eq!(checkpoint.renderer_versions.len(), 1);
+            checkpoint.renderer_versions[0].1 = u64::MAX;
+        });
+        restore.unwrap();
+        assert!(step.to_string().contains("overflows"), "{step}");
+    }
+
+    #[test]
+    fn a_crafted_entry_with_too_many_revisions_is_an_error() {
+        let (restore, step) = restore_crafted(UNGROUPED, |checkpoint| {
+            let last = checkpoint.pending[0].last().map(|entry| entry.ptime);
+            let ptime = last.unwrap_or(checkpoint.clock);
+            checkpoint.pending[0].push(pending_entry(ptime, i64::MIN));
+        });
+        restore.unwrap();
+        assert!(step.to_string().contains("cannot render"), "{step}");
+    }
+
+    #[test]
+    fn a_crafted_held_back_queue_out_of_order_is_refused() {
+        let (restore, step) = restore_crafted(UNGROUPED, |checkpoint| {
+            let clock = checkpoint.clock;
+            checkpoint.pending[1] = vec![
+                pending_entry(clock + Duration(5), 1),
+                pending_entry(clock, 1),
+            ];
+        });
+        let refused = restore.unwrap_err().to_string();
+        assert!(refused.contains("out of ptime order"), "{refused}");
+        assert!(step.to_string().contains("poisoned"), "{step}");
+    }
+
+    #[test]
+    fn a_crafted_held_back_entry_below_the_clock_is_refused() {
+        let (restore, step) = restore_crafted(UNGROUPED, |checkpoint| {
+            let below = checkpoint.clock - Duration(1);
+            checkpoint.pending[0].insert(0, pending_entry(below, 1));
+        });
+        let refused = restore.unwrap_err().to_string();
+        assert!(refused.contains("below its clock"), "{refused}");
+        assert!(step.to_string().contains("poisoned"), "{step}");
     }
 
     #[test]

@@ -17,33 +17,23 @@
 //!   changelog with the `undo` / `ptime` / `ver` metadata columns, where
 //!   `ver` numbers revisions per event-time grouping (Listing 9).
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use onesql_state::{Checkpoint, Codec, StateMetrics};
 use onesql_time::Watermark;
 use onesql_tvr::{Change, Changelog, Element};
-use onesql_types::{Duration, Result, Row, Ts, Value};
+use onesql_types::{Duration, Error, Result, Row, Ts, Value};
 
 use crate::operator::Operator;
 
 /// Names of the metadata columns appended by `EMIT STREAM`.
 pub const STREAM_META_COLUMNS: [&str; 3] = ["undo", "ptime", "ver"];
 
-/// The event-time grouping key of a row: the values of its event-time
-/// columns. Rows with no event-time columns share a single global grouping.
-fn grouping_key(row: &Row, event_time_cols: &[usize]) -> Result<Row> {
-    let mut vals = Vec::with_capacity(event_time_cols.len());
-    for &i in event_time_cols {
-        vals.push(row.value(i)?.clone());
-    }
-    Ok(Row::new(vals))
-}
-
-/// The completion timestamp of a grouping key: the maximum of its event-time
-/// values. Empty keys (no event-time columns) complete only at end of
-/// stream.
+/// The completion timestamp of a grouping key (a row's event-time columns):
+/// the maximum of its event-time values. Empty keys (no event-time columns)
+/// complete only at end of stream.
 fn completion_ts(key: &Row) -> Ts {
     key.values()
         .iter()
@@ -84,8 +74,7 @@ impl Operator for WatermarkGate {
     ) -> Result<()> {
         match elem {
             Element::Data(change) => {
-                let key = grouping_key(&change.row, &self.event_time_cols)?;
-                let ts = completion_ts(&key);
+                let ts = completion_ts(&change.row.project(&self.event_time_cols)?);
                 if self.watermark.closes(ts) {
                     // Already complete (late-but-allowed revision): pass
                     // through so the materialized view converges.
@@ -107,15 +96,13 @@ impl Operator for WatermarkGate {
                 // Release everything now complete, in (ts, row) order, data
                 // before the watermark.
                 let watermark = self.watermark;
-                while self
-                    .pending
-                    .first_key_value()
-                    .is_some_and(|((ts, _), _)| watermark.closes(*ts))
-                {
-                    if let Some(((_, row), diff)) = self.pending.pop_first() {
-                        if diff != 0 {
-                            out.push(Element::Data(Change::with_diff(row, diff)));
-                        }
+                while let Some(entry) = self.pending.first_entry() {
+                    if !watermark.closes(entry.key().0) {
+                        break;
+                    }
+                    let ((_, row), diff) = entry.remove_entry();
+                    if diff != 0 {
+                        out.push(Element::Data(Change::with_diff(row, diff)));
                     }
                 }
                 out.push(Element::Watermark(watermark));
@@ -150,8 +137,10 @@ impl Operator for WatermarkGate {
     }
 }
 
-/// Encoded snapshot shape for [`DelayCoalescer`] checkpoints.
-type DelaySnapshot = (Ts, Vec<(Row, (Option<Ts>, Vec<(Row, i64)>))>);
+/// Encoded snapshot shape for [`DelayCoalescer`] checkpoints: the
+/// watermark, then each grouping's key, deadline and net changes.
+type DelaySnapshot = (Ts, Vec<DelayEntry>);
+type DelayEntry = (Row, (Option<Ts>, Vec<(Row, i64)>));
 
 /// Per-grouping pending state for [`DelayCoalescer`].
 #[derive(Debug, Default)]
@@ -220,7 +209,7 @@ impl Operator for DelayCoalescer {
     ) -> Result<()> {
         match elem {
             Element::Data(change) => {
-                let key = grouping_key(&change.row, &self.event_time_cols)?;
+                let key = change.row.project(&self.event_time_cols)?;
                 let bucket = self.buckets.entry(key).or_default();
                 let entry = bucket.delta.entry(change.row).or_insert(0);
                 *entry += change.diff;
@@ -278,39 +267,25 @@ impl Operator for DelayCoalescer {
     }
 
     fn checkpoint(&self) -> Result<Option<Checkpoint>> {
-        let buckets: DelaySnapshot = (
+        let bucket = |(key, b): (&Row, &DelayBucket)| {
+            let delta = b.delta.iter().map(|(r, d)| (r.clone(), *d)).collect();
+            (key.clone(), (b.deadline, delta))
+        };
+        let snapshot: DelaySnapshot = (
             self.watermark.ts(),
-            self.buckets
-                .iter()
-                .map(|(k, b)| {
-                    (
-                        k.clone(),
-                        (
-                            b.deadline,
-                            b.delta.iter().map(|(r, d)| (r.clone(), *d)).collect(),
-                        ),
-                    )
-                })
-                .collect(),
+            self.buckets.iter().map(bucket).collect(),
         );
-        Ok(Some(Checkpoint(buckets.to_bytes())))
+        Ok(Some(Checkpoint(snapshot.to_bytes())))
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()> {
         let (wm, buckets): DelaySnapshot = Codec::from_bytes(&checkpoint.0)?;
         self.watermark = Watermark(wm);
-        self.buckets = buckets
-            .into_iter()
-            .map(|(k, (deadline, delta))| {
-                (
-                    k,
-                    DelayBucket {
-                        deadline,
-                        delta: delta.into_iter().collect(),
-                    },
-                )
-            })
-            .collect();
+        let bucket = |(key, (deadline, delta)): DelayEntry| {
+            let delta = delta.into_iter().collect();
+            (key, DelayBucket { delta, deadline })
+        };
+        self.buckets = buckets.into_iter().map(bucket).collect();
         Ok(())
     }
 
@@ -345,59 +320,58 @@ pub fn render_stream(changelog: &Changelog, grouping_cols: &[usize]) -> Result<V
     Ok(out)
 }
 
-/// A grouping's key in a [`StreamRenderer`]'s version map. It compares as
-/// the slice of its grouping values, so the map iterates in the order rows
-/// of those values sort in and can be probed with a borrowed slice. Nearly
-/// every query numbers versions per *one* event-time column, and that one
-/// value is kept inline: a lookup then compares values held in the tree's
-/// own nodes instead of following a pointer per key, and building a key
-/// allocates nothing.
-enum GroupKey {
-    One(Value),
-    Row(Row),
-}
+/// The renderer's hasher: multiply-rotate (FxHash's scheme), a multiply
+/// per word where SipHash runs rounds. Grouping values come from the
+/// input, so it starts from a seed drawn once per renderer and folds the
+/// full product at the end, making the low bits a table indexes by depend
+/// on every bit. It is its own builder: the seed is the starting state.
+#[derive(Clone, Copy)]
+struct MulRotate(u64);
 
-impl Borrow<[Value]> for GroupKey {
-    fn borrow(&self) -> &[Value] {
-        match self {
-            GroupKey::One(value) => std::slice::from_ref(value),
-            GroupKey::Row(row) => row.values(),
+const MUL_ROTATE_K: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl Hasher for MulRotate {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
-}
 
-impl Ord for GroupKey {
-    fn cmp(&self, other: &GroupKey) -> Ordering {
-        match (self, other) {
-            (GroupKey::One(a), GroupKey::One(b)) => a.cmp(b),
-            _ => Borrow::<[Value]>::borrow(self).cmp(other.borrow()),
-        }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(MUL_ROTATE_K);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * u128::from(MUL_ROTATE_K);
+        (wide as u64) ^ ((wide >> 64) as u64)
     }
 }
 
-impl PartialOrd for GroupKey {
-    fn partial_cmp(&self, other: &GroupKey) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl BuildHasher for MulRotate {
+    type Hasher = MulRotate;
+
+    fn build_hasher(&self) -> MulRotate {
+        *self
     }
 }
-
-impl PartialEq for GroupKey {
-    fn eq(&self, other: &GroupKey) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for GroupKey {}
 
 /// Incremental form of [`render_stream`]: renders changelog entries as they
 /// materialize, keeping per-grouping `ver` counters across calls so a
 /// long-running consumer (e.g. a pipeline sink) numbers revisions exactly
-/// as a one-shot rendering of the full changelog would.
+/// as a one-shot rendering of the full changelog would. The counters are
+/// hashed — one probe per row, no allocation once a grouping has been seen
+/// — and only [`StreamRenderer::versions`] puts them in order.
 pub struct StreamRenderer {
     grouping_cols: Vec<usize>,
-    versions: BTreeMap<GroupKey, u64>,
+    /// Groupings of one TIMESTAMP value — a projection's event time, a
+    /// window's end — by its millis: nearly every query's.
+    by_ts: HashMap<i64, u64, MulRotate>,
+    /// Every other grouping (NULL, several columns, none), by its values.
+    by_row: HashMap<Row, u64, MulRotate>,
     /// The current entry's grouping values when there are several: what
-    /// the map is probed with, in a buffer reused across entries.
+    /// `by_row` is probed with, in a buffer reused across entries.
     key: Vec<Value>,
 }
 
@@ -405,11 +379,18 @@ impl StreamRenderer {
     /// Number versions per event-time grouping identified by
     /// `grouping_cols` (typically [`crate::compile::version_columns`]).
     pub fn new(grouping_cols: Vec<usize>) -> StreamRenderer {
+        let seed = MulRotate(RandomState::new().hash_one(0u8));
         StreamRenderer {
             key: Vec::with_capacity(grouping_cols.len()),
             grouping_cols,
-            versions: BTreeMap::new(),
+            by_ts: HashMap::with_hasher(seed),
+            by_row: HashMap::with_hasher(seed),
         }
+    }
+
+    /// Live counters: one per grouping seen so far.
+    pub fn counters(&self) -> usize {
+        self.by_ts.len() + self.by_row.len()
     }
 
     /// Snapshot the per-grouping version counters, in key order, for
@@ -417,24 +398,34 @@ impl StreamRenderer {
     /// with [`StreamRenderer::set_versions`] numbers post-restore
     /// revisions exactly as the uninterrupted rendering would.
     pub fn versions(&self) -> Vec<(Row, u64)> {
-        let entry = |(key, next): (&GroupKey, &u64)| match key {
-            GroupKey::One(value) => (Row::from_values([value.clone()]), *next),
-            GroupKey::Row(row) => (row.clone(), *next),
-        };
-        self.versions.iter().map(entry).collect()
+        let mut by_ts: Vec<(i64, u64)> = self.by_ts.iter().map(|(&t, &n)| (t, n)).collect();
+        by_ts.sort_unstable();
+        let by_ts = by_ts
+            .into_iter()
+            .map(|(t, n)| (Row::from_values([Value::Ts(Ts(t))]), n));
+        let by_row = self.by_row.iter().map(|(key, &n)| (key.clone(), n));
+        let mut versions: Vec<(Row, u64)> = by_ts.chain(by_row).collect();
+        // The one-TIMESTAMP run is sorted; the stable sort places the rest.
+        versions.sort_by(|(a, _), (b, _)| a.cmp(b));
+        versions
     }
 
     /// Restore counters captured by [`StreamRenderer::versions`],
     /// replacing any current state.
     pub fn set_versions(&mut self, versions: Vec<(Row, u64)>) {
-        let entry = |(key, next): (Row, u64)| match key.values() {
-            [one] => (GroupKey::One(one.clone()), next),
-            _ => (GroupKey::Row(key), next),
-        };
-        self.versions = versions.into_iter().map(entry).collect();
+        self.by_ts.clear();
+        self.by_row.clear();
+        for (key, next) in versions {
+            match key.values() {
+                [Value::Ts(ts)] => self.by_ts.insert(ts.millis(), next),
+                _ => self.by_row.insert(key, next),
+            };
+        }
     }
 
     /// Render one changelog entry, appending its unit revisions to `out`.
+    /// A counter or a revision count no rendering can hold (a crafted
+    /// checkpoint's) is an error, not an overflow.
     pub fn render_into(
         &mut self,
         entry: &onesql_tvr::TimedChange,
@@ -443,31 +434,20 @@ impl StreamRenderer {
         let change = &entry.change;
         // A change with |diff| > 1 renders as that many unit revisions.
         let revisions = change.diff.unsigned_abs();
+        let rows = usize::try_from(revisions).unwrap_or(usize::MAX);
+        out.try_reserve(rows)
+            .map_err(|_| Error::exec(format!("cannot render a change of diff {}", change.diff)))?;
         let first = match self.grouping_cols[..] {
-            // One grouping column, and a fresh value of it on most rows (a
-            // projection's own event time): the key is a copy of the
-            // value, so one descent finds or inserts it.
-            [col] => {
-                let key = GroupKey::One(change.row.value(col)?.clone());
-                let next = self.versions.entry(key).or_insert(0);
-                std::mem::replace(next, *next + revisions)
-            }
-            // A window's bounds (or no grouping at all), seen again on
-            // most rows: probe with the values in a reused buffer, and
-            // build a key row only for a grouping seen for the first time.
+            [col] => match change.row.value(col)? {
+                Value::Ts(ts) => advance(self.by_ts.entry(ts.millis()).or_insert(0), revisions)?,
+                one => advance_row(&mut self.by_row, std::slice::from_ref(one), revisions)?,
+            },
             _ => {
                 self.key.clear();
                 for &col in &self.grouping_cols {
                     self.key.push(change.row.value(col)?.clone());
                 }
-                match self.versions.get_mut(self.key.as_slice()) {
-                    Some(next) => std::mem::replace(next, *next + revisions),
-                    None => {
-                        let key = Row::from_values(self.key.iter().cloned());
-                        self.versions.insert(GroupKey::Row(key), revisions);
-                        0
-                    }
-                }
+                advance_row(&mut self.by_row, &self.key, revisions)?
             }
         };
         out.extend((first..first + revisions).map(|ver| StreamRow {
@@ -478,6 +458,26 @@ impl StreamRenderer {
         }));
         Ok(())
     }
+}
+
+/// Move a grouping's counter past `revisions` versions, returning the
+/// first of them.
+fn advance(next: &mut u64, revisions: u64) -> Result<u64> {
+    let first = *next;
+    *next = first
+        .checked_add(revisions)
+        .ok_or_else(|| Error::exec(format!("EMIT STREAM version {first} overflows")))?;
+    Ok(first)
+}
+
+/// [`advance`] the counter of the grouping `key`, building its key row only
+/// when the grouping is seen for the first time.
+fn advance_row(map: &mut HashMap<Row, u64, MulRotate>, key: &[Value], n: u64) -> Result<u64> {
+    if let Some(next) = map.get_mut(key) {
+        return advance(next, n);
+    }
+    map.insert(Row::from_values(key.iter().cloned()), n);
+    Ok(0)
 }
 
 #[cfg(test)]

@@ -93,6 +93,46 @@ fn round_counters_report_what_the_workers_fed() {
     }
 }
 
+/// `version_counters` is the size of the `ver` bookkeeping: on a projection
+/// like Q1, whose grouping is its own event time, one counter per distinct
+/// `dateTime` the sink received.
+#[test]
+fn version_counters_count_the_event_times_the_sink_saw() {
+    let dir = scratch_dir("version_counters");
+    for workers in [1usize, 2] {
+        let path = dir.join(format!("q1-{workers}.csv"));
+        let mut s = session();
+        let mut pipeline = s
+            .execute_script(&format!(
+                "SET workers = {workers};
+                 CREATE PARTITIONED SOURCE nex
+                   WITH (connector = 'nexmark', seed = 7, events = 2000, partitions = 2);
+                 CREATE SINK out WITH (connector = 'file', path = '{}');
+                 INSERT INTO out {} EMIT STREAM;",
+                path.display(),
+                queries::Q1
+            ))
+            .unwrap()
+            .into_pipeline()
+            .unwrap();
+        let rows = pipeline.run().unwrap().render_rows();
+        let gauge = rows.iter().find(|r| r.name == "version_counters").unwrap();
+        assert_eq!(gauge.kind, MetricKind::Gauge);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = text.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let at = header
+            .iter()
+            .position(|name| name.eq_ignore_ascii_case("datetime"))
+            .unwrap();
+        let times: std::collections::HashSet<&str> =
+            lines.map(|line| line.split(',').nth(at).unwrap()).collect();
+        assert!(times.len() > 100, "{workers} worker(s)");
+        assert_eq!(gauge.value, times.len() as i64, "{workers} worker(s)");
+    }
+}
+
 /// The counters whose values are determined by the *data* alone —
 /// identical between an uninterrupted run and a kill/restore run.
 /// Scheduling-shaped metrics (rounds, batch sizes, latency histograms)
