@@ -6,9 +6,10 @@
 //! kill/restore choreography from a [`Nemesis`] plan, `AS OF` probes,
 //! artifact capture, and the cross-run comparisons. One call to
 //! [`check`] replaces a hand-rolled kill-choreography test: it runs the
-//! scenario once uninterrupted (the reference), once under the nemesis,
-//! and once per configuration variation, then returns a [`Report`] of
-//! every oracle violation.
+//! scenario once uninterrupted (the reference), once under a nemesis
+//! plan — seeded ([`check_seeded`]) or explicit — and once per
+//! configuration variation, then returns a [`Report`] of every oracle
+//! violation.
 
 use std::path::PathBuf;
 
@@ -16,7 +17,7 @@ use onesql_connect::{Session, SqlPipeline};
 use onesql_core::HistoryTap;
 use onesql_types::{Error, Result, Row, Ts};
 
-use crate::nemesis::{KillCycle, Nemesis, NemesisConfig};
+use crate::nemesis::{KillCycle, Nemesis, NemesisPlan};
 use crate::oracle::{self, Violation};
 use onesql_core::HistoryEvent;
 
@@ -188,12 +189,15 @@ impl Report {
 }
 
 /// Run `scenario` under every oracle: reference run, nemesis run under
-/// `config`, variation runs, then all cross-run comparisons.
-pub fn check(scenario: &mut dyn Scenario, config: NemesisConfig) -> Result<Report> {
-    let seed = config.seed;
-    let mut nemesis = Nemesis::new(config);
-    let plan = nemesis.plan(scenario.total_events());
-
+/// `plan` (scheduling chunks drawn from `nemesis`), variation runs, then
+/// all cross-run comparisons. A plan with kill cycles must land at least
+/// one: a nemesis run that never restored proves nothing about recovery.
+pub fn check(
+    scenario: &mut dyn Scenario,
+    mut nemesis: Nemesis,
+    plan: &NemesisPlan,
+) -> Result<Report> {
+    let seed = nemesis.config().seed;
     let reference = execute_run(scenario, RunKind::Reference, None, &[])?;
     let nemesis_run = execute_run(scenario, RunKind::Nemesis, Some(&mut nemesis), &plan.cycles)?;
     let mut variations = Vec::new();
@@ -202,6 +206,15 @@ pub fn check(scenario: &mut dyn Scenario, config: NemesisConfig) -> Result<Repor
     }
 
     let mut violations = Vec::new();
+    if !plan.cycles.is_empty() && nemesis_run.incarnations == 1 {
+        violations.push(Violation {
+            oracle: "nemesis-landed",
+            detail: format!(
+                "the plan had {} kill cycle(s) and none landed",
+                plan.cycles.len()
+            ),
+        });
+    }
     violations.extend(reference.online_violations.iter().cloned());
     violations.extend(nemesis_run.online_violations.iter().cloned());
 
@@ -295,17 +308,13 @@ pub fn check(scenario: &mut dyn Scenario, config: NemesisConfig) -> Result<Repor
     })
 }
 
-/// Convenience wrapper: [`check`] under `seed` with default nemesis
-/// knobs, panicking on any violation.
+/// Convenience wrapper: [`check`] under the plan that default nemesis
+/// knobs draw from `seed`, panicking on any violation.
 pub fn check_seeded(scenario: &mut dyn Scenario, seed: u64) -> Report {
-    let report = check(
-        scenario,
-        NemesisConfig {
-            seed,
-            ..NemesisConfig::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("checker: scenario failed to run: {e}"));
+    let mut nemesis = Nemesis::seeded(seed);
+    let plan = nemesis.plan(scenario.total_events());
+    let report = check(scenario, nemesis, &plan)
+        .unwrap_or_else(|e| panic!("checker: scenario failed to run: {e}"));
     report.assert_ok();
     report
 }

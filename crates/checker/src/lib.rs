@@ -27,10 +27,15 @@
 //! variation — so one [`harness::check`] call replaces a hand-rolled
 //! kill-choreography test. See `docs/CHECKING.md` for the vocabulary and
 //! for how a new connector or operator opts in.
+//!
+//! Two families of [`Scenario`]s ship here: the NEXMark suite
+//! ([`NexmarkScenario`]) and the paper's own listings over its Bid
+//! timeline ([`paper`]), the latter killed at every event boundary.
 
 pub mod harness;
 pub mod nemesis;
 pub mod oracle;
+pub mod paper;
 pub mod scenarios;
 
 pub use harness::{

@@ -51,6 +51,29 @@ pub struct NemesisPlan {
     pub cycles: Vec<KillCycle>,
 }
 
+impl NemesisPlan {
+    /// One single-kill plan per event boundary of a run ingesting
+    /// `total_events`, for a scenario small enough to try them all: for
+    /// every `k` in `1..total_events`, a checkpoint and a kill after `k`
+    /// events, and (while `k + 1` events leave the stream unfinished) a
+    /// checkpoint after `k` with the kill after `k + 1`, so the restore
+    /// also discards output staged past the checkpoint.
+    pub fn every_kill_point(total_events: u64) -> Vec<NemesisPlan> {
+        let single = |checkpoint_at, kill_at| NemesisPlan {
+            cycles: vec![KillCycle {
+                checkpoint_at,
+                kill_at,
+            }],
+        };
+        (1..total_events)
+            .flat_map(|k| {
+                let staged = (k + 1 < total_events).then(|| single(k, k + 1));
+                std::iter::once(single(k, k)).chain(staged)
+            })
+            .collect()
+    }
+}
+
 /// The seeded fault injector; see the [module docs](self).
 #[derive(Debug)]
 pub struct Nemesis {
@@ -137,6 +160,16 @@ mod tests {
             assert!(cycle.kill_at >= cycle.checkpoint_at);
             assert!(cycle.kill_at < 4_000);
         }
+    }
+
+    #[test]
+    fn every_kill_point_covers_each_boundary_twice_but_the_last() {
+        let plans = NemesisPlan::every_kill_point(4);
+        let points: Vec<(u64, u64)> = plans
+            .iter()
+            .map(|p| (p.cycles[0].checkpoint_at, p.cycles[0].kill_at))
+            .collect();
+        assert_eq!(points, vec![(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`NexmarkScenario::plain`] swaps in a non-partitioned source; the
 //! checkpoint/restore choreography is the same for all of them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onesql_connect::{session, Session, SqlPipeline};
@@ -25,9 +25,55 @@ pub struct NexmarkScenario {
     config: ScriptConfig,
     /// `(workers, batch)` per uninterrupted variation run.
     alts: Vec<(usize, usize)>,
+    scratch: Scratch,
+}
+
+/// A scenario's scratch space: one directory per run under a root that
+/// is unique per scenario instance, not just per process (tests in one
+/// binary build scenarios for the same query concurrently). Removed when
+/// the scenario drops.
+#[derive(Debug)]
+pub(crate) struct Scratch {
     root: PathBuf,
     run: usize,
     run_dir: PathBuf,
+}
+
+impl Scratch {
+    pub(crate) fn new(tag: &str) -> Scratch {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let root = std::env::temp_dir().join("onesql_checker").join(format!(
+            "{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let run_dir = root.join("unstarted");
+        Scratch {
+            root,
+            run: 0,
+            run_dir,
+        }
+    }
+
+    /// Start the next run in a fresh directory.
+    pub(crate) fn next_run(&mut self) -> Result<()> {
+        self.run += 1;
+        self.run_dir = self.root.join(format!("run{}", self.run));
+        std::fs::create_dir_all(&self.run_dir)
+            .map_err(|e| Error::exec(format!("scratch dir {}: {e}", self.run_dir.display())))
+    }
+
+    /// The current run's directory.
+    pub(crate) fn dir(&self) -> &Path {
+        &self.run_dir
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
 }
 
 impl NexmarkScenario {
@@ -51,24 +97,11 @@ impl NexmarkScenario {
             events,
             ..ScriptConfig::default()
         };
-        // Unique per scenario, not just per process: tests in one binary
-        // build scenarios for the same query concurrently.
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let root = std::env::temp_dir().join("onesql_checker").join(format!(
-            "{}-{}-{}",
-            spec.name,
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let run_dir = root.join("unstarted");
         NexmarkScenario {
+            scratch: Scratch::new(spec.name),
             spec,
             config,
             alts,
-            root,
-            run: 0,
-            run_dir,
         }
     }
 
@@ -101,7 +134,7 @@ impl NexmarkScenario {
     }
 
     fn sink_path(&self) -> PathBuf {
-        self.run_dir.join("out.csv")
+        self.scratch.dir().join("out.csv")
     }
 
     fn run_config(&self, kind: RunKind) -> ScriptConfig {
@@ -144,10 +177,7 @@ impl Scenario for NexmarkScenario {
     }
 
     fn begin_run(&mut self, kind: RunKind) -> Result<()> {
-        self.run += 1;
-        self.run_dir = self.root.join(format!("run{}", self.run));
-        std::fs::create_dir_all(&self.run_dir)
-            .map_err(|e| Error::exec(format!("scratch dir {}: {e}", self.run_dir.display())))?;
+        self.scratch.next_run()?;
         // Stash the effective config for this run so killed incarnations
         // rebuild identically.
         self.config = self.run_config(kind);
@@ -163,7 +193,7 @@ impl Scenario for NexmarkScenario {
     }
 
     fn checkpoint_store(&self) -> PathBuf {
-        self.run_dir.join("store")
+        self.scratch.dir().join("store")
     }
 
     fn artifacts(&self) -> Vec<PathBuf> {

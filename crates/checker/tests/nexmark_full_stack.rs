@@ -6,7 +6,8 @@
 //! once under seeded kill/restore interleavings, plus worker-count and
 //! batch-size variations — and every oracle must pass: watermark-
 //! monotone, retraction-balanced, as-of-stable, replay-identical (and
-//! emit-gated for the `AFTER WATERMARK` variants).
+//! emit-gated for the `AFTER WATERMARK` variants). `check_seeded` also
+//! fails a run whose planned kills never landed.
 
 use onesql_checker::{check_seeded, NexmarkScenario};
 use proptest::prelude::*;
@@ -18,10 +19,6 @@ const EVENTS: u64 = 1_200;
 fn run(name: &str, seed: u64) {
     let mut scenario = NexmarkScenario::by_name(name, EVENTS);
     let report = check_seeded(&mut scenario, seed);
-    assert!(
-        report.nemesis.incarnations >= 2,
-        "{name}: the nemesis plan should have killed at least once"
-    );
     assert!(
         !report.reference.probes.is_empty(),
         "{name}: the harness should have taken AS OF probes"
@@ -77,11 +74,7 @@ fn plain_source_pipelines_survive_the_nemesis() {
     for (name, seed) in [("q7", 31), ("q5_hot_items", 32)] {
         let mut scenario = NexmarkScenario::by_name(name, EVENTS).plain();
         let report = check_seeded(&mut scenario, seed);
-        assert!(
-            report.nemesis.incarnations >= 2,
-            "{name}: the nemesis plan should have killed at least once"
-        );
-        assert!(!report.reference.probes.is_empty());
+        assert!(!report.reference.probes.is_empty(), "{name}");
     }
 }
 

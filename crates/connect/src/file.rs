@@ -187,7 +187,7 @@ impl TextFileSource {
         if let Some(max) = self.max_ts {
             // Trail the max by 1ms beyond the lateness bound: a watermark
             // asserts future events are *strictly* later, and files may
-            // hold several rows at one timestamp (cf. AscendingWatermarks).
+            // hold several rows at one timestamp.
             batch.watermark = Some(max - self.config.lateness - Duration(1));
         }
         Ok(batch)

@@ -2268,7 +2268,9 @@ fn parse_data_frame(
                      {expected} (events lost or replayed out of order)"
                 )));
             }
-            let mut events = Vec::with_capacity(count);
+            // `count` is the peer's claim: reserve no more than a frame can
+            // hold, and let the reader refuse a body shorter than it.
+            let mut events = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
                 let event = reader.event()?;
                 if event.stream as usize >= shared.streams.len() {
@@ -2768,6 +2770,58 @@ mod tests {
         let err = poll_until_err(&mut source);
         client.join().unwrap();
         assert!(err.contains("before FINISH"), "{err}");
+    }
+
+    #[test]
+    fn a_batch_claiming_u32_max_events_is_a_short_body() {
+        let mut source = tcp_source(&["S"], 1);
+        let addr = source.local_addr();
+        let client = std::thread::spawn(move || {
+            let mut conn = raw_handshake(&addr, &["S"]);
+            let mut body = vec![KIND_BATCH];
+            put_u64(&mut body, 0);
+            body.push(0);
+            put_i64(&mut body, 0);
+            put_u32(&mut body, u32::MAX);
+            write_frame(&mut conn, "test client", &body).unwrap();
+        });
+        let err = poll_until_err(&mut source);
+        client.join().unwrap();
+        assert!(err.contains("body shorter than its fields"), "{err}");
+    }
+
+    proptest::proptest! {
+        /// Whatever body a peer sends, HELLO and data-frame decoding answer
+        /// `Ok` or `Err` and never panic: raw bytes behind any frame kind,
+        /// and BATCH headers claiming any event count.
+        #[test]
+        fn decoding_arbitrary_bodies_never_panics(
+            kind in 0u8..8,
+            count in proptest::prelude::any::<u32>(),
+            batch_header in proptest::prelude::any::<bool>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let mut body = vec![kind];
+            if batch_header {
+                body[0] = KIND_BATCH;
+                put_u64(&mut body, 0);
+                body.push(1);
+                put_i64(&mut body, 0);
+                put_u32(&mut body, count);
+            }
+            body.extend_from_slice(&tail);
+            let shared = ListenerShared {
+                name: "fuzz".to_string(),
+                streams: vec!["S".to_string()],
+                parts: Vec::new(),
+                ready: (Mutex::new(false), Condvar::new()),
+                failure: Mutex::new(None),
+                allow_restart: false,
+                shutdown: AtomicBool::new(false),
+            };
+            let _ = parse_hello(&body);
+            let _ = parse_data_frame(&body, "fuzz", &mut 0, &shared);
+        }
     }
 
     #[test]

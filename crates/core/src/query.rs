@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use onesql_exec::{render_stream, Executor, StreamRow, STREAM_META_COLUMNS};
 use onesql_plan::BoundQuery;
 use onesql_state::StateMetrics;
-use onesql_time::{Watermark, WatermarkGenerator};
+use onesql_time::Watermark;
 use onesql_tvr::{Change, ChangeBatch, Changelog, Element};
 use onesql_types::{format_table, Error, Result, Row, Schema, SchemaRef, Ts, Value};
 
@@ -26,8 +26,6 @@ pub struct RunningQuery {
     query: BoundQuery,
     executor: Executor,
     input_schemas: BTreeMap<String, SchemaRef>,
-    /// Optional per-stream watermark generators driven by inserted events.
-    generators: BTreeMap<String, (usize, Box<dyn WatermarkGenerator>)>,
     /// Whether a run may go in as columns at all. Off, every change goes
     /// through [`RunningQuery::change`]: the row oracle a pipeline runs
     /// under `DriverConfig::vectorize: false`.
@@ -64,7 +62,6 @@ impl RunningQuery {
             query,
             executor,
             input_schemas,
-            generators: BTreeMap::new(),
             vectorize: true,
         }
     }
@@ -77,28 +74,6 @@ impl RunningQuery {
     /// The query's output schema.
     pub fn schema(&self) -> SchemaRef {
         self.executor.schema()
-    }
-
-    /// Attach a watermark generator to a stream: each inserted event feeds
-    /// the generator with the value of the stream's first event-time
-    /// column, and any watermark advancement is delivered automatically.
-    /// (The paper's own timeline instead uses explicit punctuated
-    /// watermarks via [`RunningQuery::watermark`].)
-    pub fn set_watermark_generator(
-        &mut self,
-        table: &str,
-        generator: Box<dyn WatermarkGenerator>,
-    ) -> Result<()> {
-        let schema = self.stream_schema(table)?;
-        let et_cols = schema.event_time_columns();
-        let col = *et_cols.first().ok_or_else(|| {
-            Error::plan(format!(
-                "stream '{table}' has no event-time column for watermark generation"
-            ))
-        })?;
-        self.generators
-            .insert(table.to_ascii_lowercase(), (col, generator));
-        Ok(())
     }
 
     fn stream_schema(&self, table: &str) -> Result<SchemaRef> {
@@ -126,45 +101,23 @@ impl RunningQuery {
     }
 
     /// Whether a valid change to `table` can only move the clock: no leaf of
-    /// the plan scans the stream and no watermark generator follows it.
+    /// the plan scans the stream.
     pub(crate) fn ignores(&self, table: &str) -> bool {
-        !self.executor.scans(table) && !self.has_generator(table)
-    }
-
-    fn has_generator(&self, table: &str) -> bool {
-        let generated = |name: &String| name.eq_ignore_ascii_case(table);
-        self.generators.keys().any(generated)
+        !self.executor.scans(table)
     }
 
     /// Apply an arbitrary change.
     pub fn change(&mut self, table: &str, ptime: Ts, change: Change) -> Result<()> {
         self.validate(table, &change.row)?;
-        let key = table.to_ascii_lowercase();
-        // Drive the optional watermark generator from the event timestamp.
-        let generated = if let Some((col, generator)) = self.generators.get_mut(&key) {
-            let ts = change.row.value(*col)?.as_ts()?;
-            generator.on_event(ts);
-            Some(generator.current())
-        } else {
-            None
-        };
-        self.executor.feed(table, ptime, Element::Data(change))?;
-        if let Some(wm) = generated {
-            if wm != Watermark::MIN {
-                self.executor.feed(table, ptime, Element::Watermark(wm))?;
-            }
-        }
-        Ok(())
+        self.executor.feed(table, ptime, Element::Data(change))
     }
 
     /// Whether changes to `table` may go in as columns — the one place that
-    /// is decided. Requires the columnar path to be on, executor batch
+    /// is decided. Requires the columnar path to be on and executor batch
     /// support (exactly one source leaf scans the table, no
-    /// processing-time timers in the tree) and no watermark generator on
-    /// the stream (a generator may emit a watermark after *every* event,
-    /// which a whole-batch feed cannot interleave).
+    /// processing-time timers in the tree).
     pub fn vectorizes(&self, table: &str) -> bool {
-        self.vectorize && !self.has_generator(table) && self.executor.supports_batches(table)
+        self.vectorize && self.executor.supports_batches(table)
     }
 
     /// Apply a columnar run of changes, each at its own processing time.
@@ -274,9 +227,7 @@ impl RunningQuery {
     }
 
     /// Restore operator state from a checkpoint taken on a query with the
-    /// same plan. The changelog restarts at the restore point; watermark
-    /// generators (if any) restart conservatively and catch up from new
-    /// events.
+    /// same plan. The changelog restarts at the restore point.
     pub fn restore(&mut self, checkpoint: &onesql_state::Checkpoint) -> Result<()> {
         self.executor.restore(checkpoint)
     }
@@ -414,8 +365,7 @@ fn first_invalid_row(schema: &Schema, batch: &ChangeBatch) -> Option<(usize, Err
 mod tests {
     use super::*;
     use crate::engine::{Engine, StreamBuilder};
-    use onesql_time::BoundedOutOfOrderness;
-    use onesql_types::{row, DataType, Duration};
+    use onesql_types::{row, DataType};
 
     fn engine() -> Engine {
         let mut e = Engine::new();
@@ -464,31 +414,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(q.table().unwrap(), vec![row!("B", 5i64), row!("C", 3i64)]);
-    }
-
-    #[test]
-    fn watermark_generator_advances_automatically() {
-        let e = engine();
-        let mut q = e
-            .execute(
-                "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
-                 timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
-                 GROUP BY wend EMIT AFTER WATERMARK",
-            )
-            .unwrap();
-        q.set_watermark_generator(
-            "Bid",
-            Box::new(BoundedOutOfOrderness::new(Duration::from_minutes(2))),
-        )
-        .unwrap();
-        q.insert("Bid", Ts::hm(8, 8), row!(Ts::hm(8, 7), 2i64, "A"))
-            .unwrap();
-        // Generator watermark: 8:07 - 2m = 8:05 < 8:10 -> gated.
-        assert!(q.table().unwrap().is_empty());
-        // Event at 8:13 pushes the watermark to 8:11 > 8:10 -> release.
-        q.insert("Bid", Ts::hm(8, 14), row!(Ts::hm(8, 13), 3i64, "B"))
-            .unwrap();
-        assert_eq!(q.table().unwrap(), vec![row!(Ts::hm(8, 10), 1i64)]);
     }
 
     #[test]

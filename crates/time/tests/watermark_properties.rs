@@ -1,52 +1,13 @@
-//! Property tests on the watermark machinery: monotonicity is the whole
+//! Property tests on the watermark tracker: monotonicity is the whole
 //! point of a watermark (§3.2.2: "a watermark is a monotonic function from
 //! processing time to event time").
 
 use proptest::prelude::*;
 
-use onesql_time::{
-    AscendingWatermarks, BoundedOutOfOrderness, Watermark, WatermarkGenerator, WatermarkTracker,
-};
-use onesql_types::{Duration, Ts};
+use onesql_time::{Watermark, WatermarkTracker};
+use onesql_types::Ts;
 
 proptest! {
-    /// Generators never regress, whatever the event order.
-    #[test]
-    fn generators_are_monotonic(
-        events in prop::collection::vec(-1_000_000i64..1_000_000, 1..100),
-        bound in 0i64..100_000,
-    ) {
-        let mut asc = AscendingWatermarks::new();
-        let mut boo = BoundedOutOfOrderness::new(Duration(bound));
-        let mut last_asc = Watermark::MIN;
-        let mut last_boo = Watermark::MIN;
-        for &e in &events {
-            asc.on_event(Ts(e));
-            boo.on_event(Ts(e));
-            prop_assert!(asc.current() >= last_asc);
-            prop_assert!(boo.current() >= last_boo);
-            last_asc = asc.current();
-            last_boo = boo.current();
-        }
-    }
-
-    /// The bounded generator's promise holds: no event it has seen is
-    /// *ahead* of watermark + bound... i.e. the watermark trails the max
-    /// seen by exactly the bound.
-    #[test]
-    fn bounded_promise(
-        events in prop::collection::vec(0i64..1_000_000, 1..100),
-        bound in 0i64..100_000,
-    ) {
-        let mut g = BoundedOutOfOrderness::new(Duration(bound));
-        let mut max_seen = i64::MIN;
-        for &e in &events {
-            g.on_event(Ts(e));
-            max_seen = max_seen.max(e);
-            prop_assert_eq!(g.current(), Watermark(Ts(max_seen - bound)));
-        }
-    }
-
     /// The tracker's combined watermark is always min over inputs, is
     /// monotonic, and only reports when it advances.
     #[test]

@@ -3,93 +3,57 @@
 //! A human-facing dashboard doesn't need every intermediate update — the
 //! paper's `EMIT STREAM AFTER DELAY` (Extension 6) coalesces the "torrent
 //! of updates" into one refresh per window per interval. This example runs
-//! the full NEXMark generator through Query 7 and compares the update
-//! volume of continuous vs. delayed emission.
+//! one SQL script per EMIT clause over the `nexmark` connector, which
+//! asserts its own watermarks, and compares the update volume of
+//! continuous vs. delayed emission.
 //!
 //! Run with: `cargo run --example auction_dashboard`
 
-use onesql_core::{Engine, StreamBuilder};
-use onesql_nexmark::{queries, GeneratorConfig, NexmarkEvent, NexmarkGenerator};
-use onesql_time::BoundedOutOfOrderness;
-use onesql_types::{DataType, Duration, Ts};
+use std::sync::{Arc, Mutex};
 
-fn nexmark_engine() -> Engine {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("bidder", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("dateTime"),
+use onesql::connect::session;
+use onesql_nexmark::queries;
+use onesql_types::Result;
+
+const EVENTS: u64 = 20_000;
+
+/// Run Q7 under `emit` into a changelog sink: the changelog rows it
+/// wrote, and its last five rendered lines.
+fn run(emit: &str) -> Result<(u64, Vec<String>)> {
+    let mut session = session();
+    let script = format!(
+        "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = {EVENTS});
+         CREATE SINK board WITH (connector = 'changelog');
+         INSERT INTO board {} {emit};",
+        queries::Q7
     );
-    engine
+    let mut pipeline = session.execute_script(&script)?.into_pipeline()?;
+    let rendered = session
+        .take_handle::<Arc<Mutex<String>>>("board")
+        .expect("changelog sink exports its buffer");
+    let metrics = pipeline.run()?;
+    let text = rendered.lock().unwrap();
+    let mut preview: Vec<String> = text.lines().rev().take(5).map(String::from).collect();
+    preview.reverse();
+    Ok((metrics.events_out, preview))
 }
 
-fn run(sql: &str, events: &[(Ts, NexmarkEvent)]) -> (usize, Vec<String>) {
-    let engine = nexmark_engine();
-    let mut q = engine.execute(sql).unwrap();
-    q.set_watermark_generator(
-        "Bid",
-        Box::new(BoundedOutOfOrderness::new(Duration::from_seconds(10))),
-    )
-    .unwrap();
-    for (ptime, event) in events {
-        if let NexmarkEvent::Bid(bid) = event {
-            q.insert("Bid", *ptime, bid.to_row()).unwrap();
-        }
-    }
-    q.finish(events.last().map(|(t, _)| *t).unwrap_or(Ts(0)) + Duration::from_minutes(1))
-        .unwrap();
-    let rows = q.stream_rows().unwrap();
-    let preview = rows
-        .iter()
-        .rev()
-        .take(5)
-        .map(|r| {
-            format!(
-                "  {}  ver {}  {}{}",
-                r.ptime,
-                r.ver,
-                if r.undo { "undo " } else { "     " },
-                r.row
-            )
-        })
-        .collect();
-    (rows.len(), preview)
-}
-
-fn main() {
-    let config = GeneratorConfig {
-        seed: 7,
-        inter_event_gap: Duration::from_millis(50),
-        max_skew: Duration::from_seconds(5),
-        ..GeneratorConfig::default()
-    };
-    let events = NexmarkGenerator::new(config).take(20_000);
-    let bids = events
-        .iter()
-        .filter(|(_, e)| matches!(e, NexmarkEvent::Bid(_)))
-        .count();
-    println!("generated {} events ({} bids)\n", events.len(), bids);
-
+fn main() -> Result<()> {
     println!(
-        "== Query 7: highest bid per 10-minute window ==\n{}\n",
+        "== Query 7 over {EVENTS} NEXMark events: highest bid per 10-minute window ==\n{}\n",
         queries::Q7
     );
 
-    let (continuous, preview) = run(queries::Q7, &events);
+    let (continuous, preview) = run("EMIT STREAM")?;
     println!("continuous emission: {continuous} changelog rows; last updates:");
     for line in preview {
-        println!("{line}");
+        println!("  {line}");
     }
 
     for delay_s in [10i64, 60] {
-        let sql = format!(
-            "{} EMIT STREAM AFTER DELAY INTERVAL '{delay_s}' SECONDS",
-            queries::Q7
-        );
-        let (delayed, _) = run(&sql, &events);
+        let (delayed, _) = run(&format!(
+            "EMIT STREAM AFTER DELAY INTERVAL '{delay_s}' SECONDS"
+        ))?;
         println!(
             "\nEMIT AFTER DELAY {delay_s}s: {delayed} changelog rows \
              ({:.1}x fewer updates)",
@@ -98,10 +62,10 @@ fn main() {
     }
 
     // The dashboard's "final answers only" mode.
-    let sql = format!("{} EMIT STREAM AFTER WATERMARK", queries::Q7);
-    let (finals, preview) = run(&sql, &events);
-    println!("\nEMIT AFTER WATERMARK: {finals} rows (one per window); winners:");
+    let (finals, preview) = run("EMIT STREAM AFTER WATERMARK")?;
+    println!("\nEMIT AFTER WATERMARK: {finals} rows (one per window and tied bid); winners:");
     for line in preview {
-        println!("{line}");
+        println!("  {line}");
     }
+    Ok(())
 }

@@ -3,10 +3,11 @@
 //! Appendix B.2.1: "Flink periodically writes a consistent checkpoint of
 //! the application state... For recovery, the application is restarted and
 //! all operators are initialized with the state of the last completed
-//! checkpoint." These tests run a stream halfway, checkpoint, rebuild the
-//! query from scratch, restore, feed the second half, and require the
-//! recovered run to be indistinguishable from an uninterrupted one.
+//! checkpoint." These tests kill a run mid-stream, restore it into a fresh
+//! instance, and require the recovered run to be indistinguishable from an
+//! uninterrupted one.
 
+use onesql_checker::paper::assert_listing;
 use onesql_core::{Engine, StreamBuilder};
 use onesql_nexmark::paper::{paper_timeline, PaperEvent, PAPER_Q7_SQL};
 use onesql_types::{row, DataType, Ts};
@@ -23,89 +24,31 @@ fn engine() -> Engine {
     e
 }
 
-/// Run `sql` over the paper timeline with a crash/restore after `split`
-/// events; return the final table.
-fn run_with_crash(sql: &str, split: usize) -> Vec<onesql_types::Row> {
-    let e = engine();
-    let timeline = paper_timeline();
-
-    let mut first = e.execute(sql).unwrap();
-    for event in &timeline[..split] {
-        match event {
-            PaperEvent::Insert { ptime, row } => first.insert("Bid", *ptime, row.clone()).unwrap(),
-            PaperEvent::Watermark { ptime, wm } => first.watermark("Bid", *ptime, *wm).unwrap(),
-        }
-    }
-    let checkpoint = first.checkpoint().unwrap();
-    let prefix = first.changelog().clone();
-    drop(first); // the "crash"
-
-    let mut second = e.execute(sql).unwrap();
-    second.restore(&checkpoint).unwrap();
-    for event in &timeline[split..] {
-        match event {
-            PaperEvent::Insert { ptime, row } => second.insert("Bid", *ptime, row.clone()).unwrap(),
-            PaperEvent::Watermark { ptime, wm } => second.watermark("Bid", *ptime, *wm).unwrap(),
-        }
-    }
-    // Combined result: replay the pre-crash changelog, then the recovered
-    // one.
-    let mut bag = prefix.snapshot();
-    for entry in second.changelog().entries() {
-        bag.update(entry.change.clone());
-    }
-    bag.to_rows()
-}
-
-fn run_uninterrupted(sql: &str) -> Vec<onesql_types::Row> {
-    let e = engine();
-    let mut q = e.execute(sql).unwrap();
-    for event in paper_timeline() {
-        match event {
-            PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
-            PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
-        }
-    }
-    q.table().unwrap()
-}
+// The paper timeline killed after every event, through the pipeline:
+// each script runs under the checker's paper scenario, which checkpoints,
+// kills and restores at every event boundary (once with nothing staged,
+// once with one event staged past the checkpoint) and requires the
+// paper's rows and the uninterrupted run's history after every restore.
+// Chunk seed 1 shuffles the scheduling the listing tests run under.
 
 #[test]
 fn q7_recovers_at_every_split_point() {
-    let expected = run_uninterrupted(PAPER_Q7_SQL);
-    for split in 0..=paper_timeline().len() {
-        let recovered = run_with_crash(PAPER_Q7_SQL, split);
-        assert_eq!(
-            recovered, expected,
-            "divergence with crash after event {split}"
-        );
-    }
+    assert_listing("Listing 9", 1, 1);
 }
 
 #[test]
 fn windowed_aggregate_recovers_mid_window() {
-    let sql = "SELECT wend, SUM(price), COUNT(*) FROM Tumble(data => TABLE(Bid), \
-               timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend";
-    let expected = run_uninterrupted(sql);
-    for split in [2, 4, 6, 8] {
-        assert_eq!(run_with_crash(sql, split), expected, "split {split}");
-    }
+    assert_listing("Tumble SUM/COUNT", 1, 1);
 }
 
 #[test]
 fn emit_after_watermark_gate_state_survives() {
-    let sql = format!("{PAPER_Q7_SQL} EMIT AFTER WATERMARK");
-    let expected = run_uninterrupted(&sql);
-    // Split while results are pending in the gate (after 8:13's events).
-    for split in [3, 5, 7] {
-        assert_eq!(run_with_crash(&sql, split), expected, "split {split}");
-    }
+    assert_listing("Listings 10-12", 1, 1);
 }
 
 #[test]
 fn distinct_state_survives() {
-    let sql = "SELECT DISTINCT price FROM Bid";
-    let expected = run_uninterrupted(sql);
-    assert_eq!(run_with_crash(sql, 4), expected);
+    assert_listing("DISTINCT price", 1, 1);
 }
 
 #[test]

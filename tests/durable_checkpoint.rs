@@ -84,10 +84,6 @@ fn q7_kill_restore_is_replay_identical_under_the_nemesis() {
         let mut scenario = onesql_checker::NexmarkScenario::by_name("q7", EVENTS);
         let report = onesql_checker::check_seeded(&mut scenario, seed);
         assert!(
-            report.nemesis.incarnations >= 2,
-            "seed {seed}: the nemesis should have killed at least once"
-        );
-        assert!(
             !report.reference.artifacts[0].1.is_empty(),
             "Q7 produced no output"
         );

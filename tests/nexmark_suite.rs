@@ -5,7 +5,6 @@
 use onesql_core::{Engine, StreamBuilder};
 use onesql_cql::CqlQuery7;
 use onesql_nexmark::{queries, GeneratorConfig, NexmarkEvent, NexmarkGenerator};
-use onesql_time::BoundedOutOfOrderness;
 use onesql_types::{row, DataType, Duration, Ts};
 
 fn nexmark_engine() -> Engine {
@@ -43,24 +42,22 @@ fn nexmark_engine() -> Engine {
     engine
 }
 
+const MAX_SKEW: Duration = Duration::from_seconds(3);
+
 fn events(n: usize, seed: u64) -> Vec<(Ts, NexmarkEvent)> {
     NexmarkGenerator::new(GeneratorConfig {
         seed,
-        max_skew: Duration::from_seconds(3),
+        max_skew: MAX_SKEW,
         ..GeneratorConfig::default()
     })
     .take(n)
 }
 
+/// Feed `n` generated events, each followed on every stream by the
+/// watermark the `nexmark` connector asserts after it.
 fn run(sql: &str, n: usize, seed: u64) -> onesql_core::RunningQuery {
     let engine = nexmark_engine();
     let mut q = engine.execute(sql).unwrap();
-    for stream in ["Bid", "Auction", "Person"] {
-        let _ = q.set_watermark_generator(
-            stream,
-            Box::new(BoundedOutOfOrderness::new(Duration::from_seconds(3))),
-        );
-    }
     let evts = events(n, seed);
     for (ptime, event) in &evts {
         let (stream, row) = match event {
@@ -69,6 +66,10 @@ fn run(sql: &str, n: usize, seed: u64) -> onesql_core::RunningQuery {
             NexmarkEvent::Person(p) => ("Person", p.to_row()),
         };
         q.insert(stream, *ptime, row).unwrap();
+        for stream in ["Bid", "Auction", "Person"] {
+            q.watermark(stream, *ptime, *ptime - MAX_SKEW - Duration(1))
+                .unwrap();
+        }
     }
     q.finish(evts.last().unwrap().0 + Duration::from_minutes(1))
         .unwrap();

@@ -1,361 +1,125 @@
-//! Reproduction of every listing in §4 and §6.5 of the paper, bit for bit.
+//! The paper's listings (§4 and §6.5) over its Bid timeline, each run
+//! through the production path by the checker's paper scenario: a SQL
+//! script through `Session::execute_script`, the driver, the stream
+//! renderer and a kill and restore at every event boundary. The expected
+//! rows, `undo` / `ptime` / `ver` included, live once, in
+//! `onesql_checker::paper`.
 //!
-//! Each test runs the paper's Query 7 (or the relevant variant) over the §4
-//! dataset and asserts the exact rows — including, for stream renderings,
-//! the `undo` / `ptime` / `ver` metadata — shown in the corresponding
-//! listing.
+//! Only the `format_table` rendering of Listing 3 reads a `RunningQuery`
+//! fed by hand: the pipeline has no such rendering.
 
-use onesql_core::{Engine, RunningQuery};
+use onesql_checker::paper::{assert_listing, check_listing, listing, PaperScenario};
+use onesql_checker::{check, Nemesis, NemesisPlan};
+use onesql_core::{Engine, StreamBuilder};
 use onesql_nexmark::paper::{paper_timeline, PaperEvent, PAPER_Q7_SQL};
-use onesql_types::{row, DataType, Row, Ts, Value};
-
-fn engine() -> Engine {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Bid",
-        onesql_core::StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    e
-}
-
-/// Run a query over the paper's timeline, feeding every event.
-fn run_paper_query(sql: &str) -> RunningQuery {
-    let e = engine();
-    let mut q = e.execute(sql).expect("query should plan and compile");
-    for event in paper_timeline() {
-        match event {
-            PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
-            PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
-        }
-    }
-    q
-}
-
-fn q7_row(ws: (i64, i64), we: (i64, i64), bt: (i64, i64), price: i64, item: &str) -> Row {
-    row!(
-        Ts::hm(ws.0, ws.1),
-        Ts::hm(we.0, we.1),
-        Ts::hm(bt.0, bt.1),
-        price,
-        item
-    )
-}
+use onesql_types::{DataType, Ts, Value};
 
 /// Listing 3: the full table view of Query 7 at 8:21.
 #[test]
 fn listing_03_q7_full_dataset() {
-    let q = run_paper_query(PAPER_Q7_SQL);
-    assert_eq!(
-        q.table_at(Ts::hm(8, 21)).unwrap(),
-        vec![
-            q7_row((8, 0), (8, 10), (8, 9), 5, "D"),
-            q7_row((8, 10), (8, 20), (8, 17), 6, "F"),
-        ]
-    );
+    assert_listing("Listing 3", 1, 0);
 }
 
 /// Listing 4: the same query observed at 8:13 shows partial results.
 #[test]
 fn listing_04_q7_partial_dataset() {
-    let q = run_paper_query(PAPER_Q7_SQL);
-    assert_eq!(
-        q.table_at(Ts::hm(8, 13)).unwrap(),
-        vec![
-            q7_row((8, 0), (8, 10), (8, 5), 4, "C"),
-            q7_row((8, 10), (8, 20), (8, 11), 3, "B"),
-        ]
-    );
+    assert_listing("Listing 4", 1, 0);
 }
 
-/// Listing 5: the raw Tumble TVF output at 8:21.
+/// Listing 5: the raw Tumble TVF output at 8:21, on one worker and on
+/// two (a TVF holds no cross-row state, so routing by `bidtime` splits
+/// nothing).
 #[test]
 fn listing_05_tumble_tvf() {
-    let q = run_paper_query(
-        "SELECT * FROM Tumble(
-           data => TABLE(Bid),
-           timecol => DESCRIPTOR(bidtime),
-           dur => INTERVAL '10' MINUTES,
-           offset => INTERVAL '0' MINUTES)",
-    );
-    // The paper lists rows in arrival order; the table view is a relation
-    // (we render it in row order), so compare as sets with window columns.
-    let rows = q.table_at(Ts::hm(8, 21)).unwrap();
-    assert_eq!(rows.len(), 6);
-    let expect = |bt: i64, price: i64, item: &str, ws: i64, we: i64| {
-        row!(Ts::hm(8, bt), price, item, Ts::hm(8, ws), Ts::hm(8, we))
-    };
-    for r in [
-        expect(7, 2, "A", 0, 10),
-        expect(11, 3, "B", 10, 20),
-        expect(5, 4, "C", 0, 10),
-        expect(9, 5, "D", 0, 10),
-        expect(13, 1, "E", 10, 20),
-        expect(17, 6, "F", 10, 20),
-    ] {
-        assert!(rows.contains(&r), "missing {r}");
-    }
+    assert_listing("Listing 5", 1, 0);
+    assert_listing("Listing 5", 2, 0);
 }
 
 /// Listing 6: Tumble + GROUP BY wend with MAX(wstart) and SUM(price).
 #[test]
 fn listing_06_tumble_group_by() {
-    let q = run_paper_query(
-        "SELECT MAX(wstart), wend, SUM(price)
-         FROM Tumble(
-           data => TABLE(Bid),
-           timecol => DESCRIPTOR(bidtime),
-           dur => INTERVAL '10' MINUTES)
-         GROUP BY wend",
-    );
-    assert_eq!(
-        q.table_at(Ts::hm(8, 21)).unwrap(),
-        vec![
-            row!(Ts::hm(8, 0), Ts::hm(8, 10), 11i64),
-            row!(Ts::hm(8, 10), Ts::hm(8, 20), 10i64),
-        ]
-    );
+    assert_listing("Listing 6", 1, 0);
 }
 
 /// Listing 7: the Hop TVF doubles each row across overlapping windows.
 #[test]
 fn listing_07_hop_tvf() {
-    let q = run_paper_query(
-        "SELECT * FROM Hop(
-           data => TABLE(Bid),
-           timecol => DESCRIPTOR(bidtime),
-           dur => INTERVAL '10' MINUTES,
-           hopsize => INTERVAL '5' MINUTES)",
-    );
-    let rows = q.table_at(Ts::hm(8, 21)).unwrap();
-    assert_eq!(rows.len(), 12);
-    // Spot-check bid A appears in both of its windows.
-    let a = |ws: i64, we: i64| row!(Ts::hm(8, 7), 2i64, "A", Ts::hm(8, ws), Ts::hm(8, we));
-    assert!(rows.contains(&a(0, 10)));
-    assert!(rows.contains(&a(5, 15)));
+    assert_listing("Listing 7", 1, 0);
+    assert_listing("Listing 7", 2, 0);
 }
 
 /// Listing 8: Hop + GROUP BY wend.
 #[test]
 fn listing_08_hop_group_by() {
-    let q = run_paper_query(
-        "SELECT MAX(wstart), wend, SUM(price)
-         FROM Hop(
-           data => TABLE(Bid),
-           timecol => DESCRIPTOR(bidtime),
-           dur => INTERVAL '10' MINUTES,
-           hopsize => INTERVAL '5' MINUTES)
-         GROUP BY wend",
-    );
-    assert_eq!(
-        q.table_at(Ts::hm(8, 21)).unwrap(),
-        vec![
-            row!(Ts::hm(8, 0), Ts::hm(8, 10), 11i64),
-            row!(Ts::hm(8, 5), Ts::hm(8, 15), 15i64),
-            row!(Ts::hm(8, 10), Ts::hm(8, 20), 10i64),
-            row!(Ts::hm(8, 15), Ts::hm(8, 25), 6i64),
-        ]
-    );
+    assert_listing("Listing 8", 1, 0);
 }
 
 /// Listing 9: `EMIT STREAM` renders the changelog with undo/ptime/ver.
 #[test]
 fn listing_09_emit_stream() {
-    let q = run_paper_query(PAPER_Q7_SQL);
-    let rows = q.stream_rows().unwrap();
-    let expected: Vec<(Row, bool, Ts, u64)> = vec![
-        (
-            q7_row((8, 0), (8, 10), (8, 7), 2, "A"),
-            false,
-            Ts::hm(8, 8),
-            0,
-        ),
-        (
-            q7_row((8, 10), (8, 20), (8, 11), 3, "B"),
-            false,
-            Ts::hm(8, 12),
-            0,
-        ),
-        (
-            q7_row((8, 0), (8, 10), (8, 7), 2, "A"),
-            true,
-            Ts::hm(8, 13),
-            1,
-        ),
-        (
-            q7_row((8, 0), (8, 10), (8, 5), 4, "C"),
-            false,
-            Ts::hm(8, 13),
-            2,
-        ),
-        (
-            q7_row((8, 0), (8, 10), (8, 5), 4, "C"),
-            true,
-            Ts::hm(8, 15),
-            3,
-        ),
-        (
-            q7_row((8, 0), (8, 10), (8, 9), 5, "D"),
-            false,
-            Ts::hm(8, 15),
-            4,
-        ),
-        (
-            q7_row((8, 10), (8, 20), (8, 11), 3, "B"),
-            true,
-            Ts::hm(8, 18),
-            1,
-        ),
-        (
-            q7_row((8, 10), (8, 20), (8, 17), 6, "F"),
-            false,
-            Ts::hm(8, 18),
-            2,
-        ),
-    ];
-    let got: Vec<(Row, bool, Ts, u64)> = rows
-        .iter()
-        .map(|r| (r.row.clone(), r.undo, r.ptime, r.ver))
-        .collect();
-    assert_eq!(got, expected);
+    assert_listing("Listing 9", 1, 0);
 }
 
 /// Listings 10–12: `EMIT AFTER WATERMARK` table views at 8:13, 8:16, 8:21.
 #[test]
 fn listing_10_11_12_emit_after_watermark() {
-    let sql = format!("{PAPER_Q7_SQL} EMIT AFTER WATERMARK");
-    let q = run_paper_query(&sql);
-    // Listing 10 (8:13): empty — nothing complete yet.
-    assert!(q.table_at(Ts::hm(8, 13)).unwrap().is_empty());
-    // Listing 11 (8:16): first window final.
-    assert_eq!(
-        q.table_at(Ts::hm(8, 16)).unwrap(),
-        vec![q7_row((8, 0), (8, 10), (8, 9), 5, "D")]
-    );
-    // Listing 12 (8:21): both windows final.
-    assert_eq!(
-        q.table_at(Ts::hm(8, 21)).unwrap(),
-        vec![
-            q7_row((8, 0), (8, 10), (8, 9), 5, "D"),
-            q7_row((8, 10), (8, 20), (8, 17), 6, "F"),
-        ]
-    );
+    assert_listing("Listings 10-12", 1, 0);
 }
 
 /// Listing 13: `EMIT STREAM AFTER WATERMARK` — exactly one final row per
 /// window, stamped with the watermark's arrival time.
 #[test]
 fn listing_13_emit_stream_after_watermark() {
-    let sql = format!("{PAPER_Q7_SQL} EMIT STREAM AFTER WATERMARK");
-    let q = run_paper_query(&sql);
-    let rows = q.stream_rows().unwrap();
-    let got: Vec<(Row, bool, Ts, u64)> = rows
-        .iter()
-        .map(|r| (r.row.clone(), r.undo, r.ptime, r.ver))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (
-                q7_row((8, 0), (8, 10), (8, 9), 5, "D"),
-                false,
-                Ts::hm(8, 16),
-                0
-            ),
-            (
-                q7_row((8, 10), (8, 20), (8, 17), 6, "F"),
-                false,
-                Ts::hm(8, 21),
-                0
-            ),
-        ]
-    );
+    assert_listing("Listing 13", 1, 0);
 }
 
 /// Listing 14: `EMIT STREAM AFTER DELAY '6' MINUTES` coalesces updates.
 #[test]
 fn listing_14_emit_stream_after_delay() {
-    let sql = format!("{PAPER_Q7_SQL} EMIT STREAM AFTER DELAY INTERVAL '6' MINUTES");
-    let mut q = run_paper_query(&sql);
-    // Let the last delay timer (armed at 8:15 for the first window, due at
-    // 8:21) fire: deadlines at time T fire once the clock passes T.
-    q.advance_to(Ts::hm(8, 22)).unwrap();
-    let rows = q.stream_rows().unwrap();
-    let got: Vec<(Row, bool, Ts, u64)> = rows
-        .iter()
-        .map(|r| (r.row.clone(), r.undo, r.ptime, r.ver))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (
-                q7_row((8, 0), (8, 10), (8, 5), 4, "C"),
-                false,
-                Ts::hm(8, 14),
-                0
-            ),
-            (
-                q7_row((8, 10), (8, 20), (8, 17), 6, "F"),
-                false,
-                Ts::hm(8, 18),
-                0
-            ),
-            (
-                q7_row((8, 0), (8, 10), (8, 5), 4, "C"),
-                true,
-                Ts::hm(8, 21),
-                1
-            ),
-            (
-                q7_row((8, 0), (8, 10), (8, 9), 5, "D"),
-                false,
-                Ts::hm(8, 21),
-                2
-            ),
-        ]
-    );
+    assert_listing("Listing 14", 1, 0);
 }
 
-/// The stream/table duality on the paper's data: replaying the EMIT STREAM
-/// changelog reproduces the table views at every instant.
+/// The stream/table duality on the paper's data: an `AS OF` probe after
+/// every event equals the fold of the changelog the sink heard up to it.
 #[test]
 fn stream_table_duality_on_paper_data() {
-    let q = run_paper_query(PAPER_Q7_SQL);
-    let log = q.changelog();
-    for minutes in 0..30 {
-        let at = Ts::hm(8, minutes);
-        let via_log: Vec<Row> = log.snapshot_at(at).to_rows();
-        assert_eq!(via_log, q.table_at(at).unwrap(), "divergence at {at}");
-    }
+    let timeline = paper_timeline();
+    let mut scenario = PaperScenario::new(&listing("Listing 9"), &timeline, 1);
+    let no_kill = NemesisPlan { cycles: Vec::new() };
+    let report = check(&mut scenario, Nemesis::seeded(0), &no_kill).unwrap();
+    report.assert_ok();
+    assert_eq!(report.reference.probes.len(), timeline.len() - 1);
 }
 
 /// Watermarks are irrelevant to the *final* plain-query answer: the same
-/// query over the recorded table (no watermarks at all) gives Listing 3.
+/// query over the bids alone (no watermarks at all) gives Listing 3.
 #[test]
 fn same_result_without_watermarks() {
-    let e = engine();
-    let mut q = e.execute(PAPER_Q7_SQL).unwrap();
-    for event in paper_timeline() {
-        if let PaperEvent::Insert { ptime, row } = event {
-            q.insert("Bid", ptime, row).unwrap();
-        }
-    }
-    assert_eq!(
-        q.table().unwrap(),
-        vec![
-            q7_row((8, 0), (8, 10), (8, 9), 5, "D"),
-            q7_row((8, 10), (8, 20), (8, 17), 6, "F"),
-        ]
-    );
+    let mut bids = paper_timeline();
+    bids.retain(|event| matches!(event, PaperEvent::Insert { .. }));
+    let violations = check_listing(&listing("Listing 3"), &bids, 1, 0).unwrap();
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 /// The formatted output of Listing 3, rendered in the paper's style with
 /// `$`-prefixed prices.
 #[test]
 fn listing_03_formatted_table() {
-    let q = run_paper_query(PAPER_Q7_SQL);
+    let mut engine = Engine::new();
+    engine.register_stream(
+        "Bid",
+        StreamBuilder::new()
+            .event_time_column("bidtime")
+            .column("price", DataType::Int)
+            .column("item", DataType::String),
+    );
+    let mut q = engine.execute(PAPER_Q7_SQL).unwrap();
+    for event in paper_timeline() {
+        match event {
+            PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
+            PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
+        }
+    }
     let fmt = |i: usize, v: &Value| {
         if i == 3 {
             format!("${v}")
