@@ -29,8 +29,8 @@ pub enum RunKind {
     /// The faulted run: kills, restores, shuffled scheduling.
     Nemesis,
     /// An uninterrupted run under the scenario's `i`-th alternate
-    /// configuration (different worker count, batch size, …); its final
-    /// table must match the reference's.
+    /// configuration (another worker count or batch size); its table must
+    /// match the reference's.
     Variation(usize),
 }
 
@@ -73,10 +73,14 @@ pub trait Scenario {
         ScenarioConfig::default()
     }
 
-    /// Uninterrupted configuration variations to verify (worker counts,
-    /// batch sizes). `0` disables the variation pass.
-    fn variations(&self) -> usize {
-        0
+    /// Uninterrupted configuration variations to verify, one entry each:
+    /// `true` for one at the reference's batch size (another worker
+    /// count), whose table must match the reference's at every instant the
+    /// reference probed and finally; `false` for one at another batch
+    /// size, which re-times the clock, so only its final table is
+    /// compared. Empty disables the variation pass.
+    fn variations(&self) -> Vec<bool> {
+        Vec::new()
     }
 
     /// Reset per-run state for a fresh run of `kind`.
@@ -131,8 +135,6 @@ pub struct RunRecord {
     pub effective: Vec<HistoryEvent>,
     /// The operator table after finish (final incarnation's view).
     pub table: Vec<Row>,
-    /// [`oracle::fold_table`] of the effective history.
-    pub fold: Vec<Row>,
     /// Probes taken during the run.
     pub probes: Vec<Probe>,
     /// `(path, bytes)` for every scenario artifact.
@@ -200,8 +202,9 @@ pub fn check(
     let seed = nemesis.config().seed;
     let reference = execute_run(scenario, RunKind::Reference, None, &[])?;
     let nemesis_run = execute_run(scenario, RunKind::Nemesis, Some(&mut nemesis), &plan.cycles)?;
+    let as_of = scenario.variations();
     let mut variations = Vec::new();
-    for v in 0..scenario.variations() {
+    for v in 0..as_of.len() {
         variations.push(execute_run(scenario, RunKind::Variation(v), None, &[])?);
     }
 
@@ -283,19 +286,17 @@ pub fn check(
         }
     }
 
-    // Variations: different worker/batch configurations re-time the
-    // changelog but must denote the same final table.
-    for (i, run) in variations.iter().enumerate() {
-        if run.fold != reference.fold {
-            violations.push(Violation {
-                oracle: "config-transparent",
-                detail: format!(
-                    "variation {i} folds to {} row(s), reference to {}",
-                    run.fold.len(),
-                    reference.fold.len()
-                ),
-            });
-        }
+    // Variations denote the same table: finally, and at every instant the
+    // reference probed unless the batch size re-times the clock.
+    let mut probed: Vec<Ts> = reference.probes.iter().map(|p| p.at).collect();
+    probed.dedup();
+    for (i, (run, &as_of)) in variations.iter().zip(&as_of).enumerate() {
+        let probes = if as_of { &probed[..] } else { &[] };
+        let found = oracle::config_transparent(&reference.effective, &run.effective, probes);
+        violations.extend(found.into_iter().map(|v| Violation {
+            detail: format!("variation {i}: {}", v.detail),
+            ..v
+        }));
     }
 
     Ok(Report {
@@ -433,7 +434,6 @@ fn execute_run(
     let table = pipeline.table()?;
     let raw = tap.events();
     let effective = oracle::effective_history(&raw);
-    let fold = oracle::fold_table(&effective);
     let mut artifacts = Vec::new();
     for path in scenario.artifacts() {
         let bytes = std::fs::read(&path)
@@ -448,7 +448,6 @@ fn execute_run(
         raw,
         effective,
         table,
-        fold,
         probes,
         artifacts,
         incarnations: incarnation + 1,

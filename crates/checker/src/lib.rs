@@ -19,7 +19,10 @@
 //!   of the watermark that releases it;
 //! - **replay-identical** — a killed-and-restored run's effective
 //!   history (and its committed sink bytes) equal the uninterrupted
-//!   run's.
+//!   run's;
+//! - **config-transparent** — a run on another worker count denotes the
+//!   same table, finally and `AS OF` every probed instant; one at another
+//!   batch size, finally.
 //!
 //! A seeded [`nemesis`] drives arbitrary-but-reproducible interleavings
 //! — uneven scheduling chunks, mid-stream checkpoints, staged-then-
@@ -43,8 +46,8 @@ pub use harness::{
 };
 pub use nemesis::{KillCycle, Nemesis, NemesisConfig, NemesisPlan};
 pub use oracle::{
-    as_of_stable, effective_history, emit_gated, emitted, fold_table, fold_table_at,
-    replay_identical, retraction_balanced, retraction_balanced_against, watermark_monotone,
-    watermarks, Violation,
+    as_of_stable, config_transparent, effective_history, emit_gated, emitted, fold_table,
+    fold_table_at, replay_identical, retraction_balanced, retraction_balanced_against,
+    watermark_monotone, watermarks, Violation,
 };
 pub use scenarios::NexmarkScenario;

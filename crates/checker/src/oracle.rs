@@ -101,14 +101,7 @@ pub fn watermarks(history: &[HistoryEvent]) -> Vec<Watermark> {
 /// stream/table duality applied to the changelog (inserts +1, retractions
 /// −1), negative multiplicities clamped, rows sorted.
 pub fn fold_table(history: &[HistoryEvent]) -> Vec<Row> {
-    let mut counts: BTreeMap<Row, i64> = BTreeMap::new();
-    for sr in emitted(history) {
-        *counts.entry(sr.row.clone()).or_default() += if sr.undo { -1 } else { 1 };
-    }
-    counts
-        .into_iter()
-        .flat_map(|(row, n)| (0..n.max(0)).map(move |_| row.clone()))
-        .collect()
+    fold_table_at(history, Ts::MAX)
 }
 
 /// Fold a history's emitted rows *up to and including* ptime `at` — the
@@ -305,6 +298,37 @@ pub fn as_of_stable(history: &[HistoryEvent], at: Ts, probed: &[Row]) -> Vec<Vio
     } else {
         Vec::new()
     }
+}
+
+/// **config-transparent**: a run under another configuration denotes the
+/// reference's table, finally and `AS OF` each of the `probes` instants —
+/// a group split across workers shows up as extra partial rows.
+pub fn config_transparent(
+    reference: &[HistoryEvent],
+    variation: &[HistoryEvent],
+    probes: &[Ts],
+) -> Vec<Violation> {
+    let instants = probes.iter().copied().chain([Ts::MAX]);
+    instants
+        .filter_map(|at| {
+            let (want, got) = (fold_table_at(reference, at), fold_table_at(variation, at));
+            let when = match at {
+                Ts::MAX => "finally".to_string(),
+                at => format!("AS OF {at:?}"),
+            };
+            (got != want).then(|| {
+                Violation::new(
+                    "config-transparent",
+                    format!(
+                        "{when} the variation folds to {} row(s), the reference to {} ({})",
+                        got.len(),
+                        want.len(),
+                        first_diff(&got, &want),
+                    ),
+                )
+            })
+        })
+        .collect()
 }
 
 fn row_ts(row: &Row, col: usize) -> Option<Ts> {

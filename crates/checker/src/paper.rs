@@ -59,10 +59,6 @@ pub struct Listing {
     pub sql: String,
     /// The paper's rows.
     pub expect: Expect,
-    /// Whether routing by the first column (`bidtime`) keeps every row's
-    /// result on one worker, so the listing also runs at two workers: true
-    /// only for the window TVFs, which hold no cross-row state.
-    pub shards: bool,
 }
 
 impl Listing {
@@ -146,25 +142,18 @@ pub fn listings() -> Vec<Listing> {
     let hop = "Hop(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), \
                dur => INTERVAL '10' MINUTES, hopsize => INTERVAL '5' MINUTES)";
     let final_q7 = vec![q7(0, 9, 5, "D"), q7(10, 17, 6, "F")];
-    let listing = |name, sql: String, expect, shards| Listing {
-        name,
-        sql,
-        expect,
-        shards,
-    };
+    let listing = |name, sql: String, expect| Listing { name, sql, expect };
     let table = |rows| Expect::Tables(vec![(hm(21), rows)]);
     vec![
         listing(
             "Listing 3",
             PAPER_Q7_SQL.to_string(),
             table(final_q7.clone()),
-            false,
         ),
         listing(
             "Listing 4",
             PAPER_Q7_SQL.to_string(),
             Expect::Tables(vec![(hm(13), vec![q7(0, 5, 4, "C"), q7(10, 11, 3, "B")])]),
-            false,
         ),
         listing(
             "Listing 5",
@@ -177,7 +166,6 @@ pub fn listings() -> Vec<Listing> {
                 tvf(13, 1, "E", 10, 20),
                 tvf(17, 6, "F", 10, 20),
             ]),
-            true,
         ),
         listing(
             "Listing 6",
@@ -186,7 +174,6 @@ pub fn listings() -> Vec<Listing> {
                 row!(hm(0), hm(10), 11i64),
                 row!(hm(10), hm(20), 10i64),
             ]),
-            false,
         ),
         listing(
             "Listing 7",
@@ -205,7 +192,6 @@ pub fn listings() -> Vec<Listing> {
                 tvf(17, 6, "F", 10, 20),
                 tvf(17, 6, "F", 15, 25),
             ]),
-            true,
         ),
         listing(
             "Listing 8",
@@ -216,7 +202,6 @@ pub fn listings() -> Vec<Listing> {
                 row!(hm(10), hm(20), 10i64),
                 row!(hm(15), hm(25), 6i64),
             ]),
-            false,
         ),
         listing(
             "Listing 9",
@@ -231,7 +216,6 @@ pub fn listings() -> Vec<Listing> {
                 (q7(10, 11, 3, "B"), true, hm(18), 1),
                 (q7(10, 17, 6, "F"), false, hm(18), 2),
             ]),
-            false,
         ),
         listing(
             "Listings 10-12",
@@ -241,7 +225,6 @@ pub fn listings() -> Vec<Listing> {
                 (hm(16), vec![q7(0, 9, 5, "D")]),
                 (hm(21), final_q7),
             ]),
-            false,
         ),
         listing(
             "Listing 13",
@@ -250,7 +233,6 @@ pub fn listings() -> Vec<Listing> {
                 (q7(0, 9, 5, "D"), false, hm(16), 0),
                 (q7(10, 17, 6, "F"), false, hm(21), 0),
             ]),
-            false,
         ),
         listing(
             "Listing 14",
@@ -261,19 +243,16 @@ pub fn listings() -> Vec<Listing> {
                 (q7(0, 5, 4, "C"), true, hm(21), 1),
                 (q7(0, 9, 5, "D"), false, hm(21), 2),
             ]),
-            false,
         ),
         listing(
             "Tumble SUM/COUNT",
             format!("SELECT wend, SUM(price), COUNT(*) FROM {tumble}) GROUP BY wend"),
             table(vec![row!(hm(10), 11i64, 3i64), row!(hm(20), 10i64, 3i64)]),
-            false,
         ),
         listing(
             "DISTINCT price",
             "SELECT DISTINCT price FROM Bid".to_string(),
             table((1..=6i64).map(|p| row!(p)).collect()),
-            false,
         ),
     ]
 }
@@ -325,23 +304,26 @@ pub fn check_listing(
     Ok(violations)
 }
 
-/// [`check_listing`] over the paper's timeline, panicking with the first
-/// violations unless the listing holds at every kill point.
-pub fn assert_listing(name: &str, workers: usize, chunk_seed: u64) {
+/// [`check_listing`] over the paper's timeline on one worker and on two,
+/// panicking with the first violations unless the listing holds at every
+/// kill point.
+pub fn assert_listing(name: &str, chunk_seed: u64) {
     let timeline = onesql_nexmark::paper::paper_timeline();
-    let violations = check_listing(&listing(name), &timeline, workers, chunk_seed)
-        .unwrap_or_else(|e| panic!("{name}: the paper scenario failed to run: {e}"));
-    let shown: Vec<String> = violations
-        .iter()
-        .take(4)
-        .map(|v| format!("  {v}"))
-        .collect();
-    assert!(
-        violations.is_empty(),
-        "{name} at {workers} worker(s), chunk seed {chunk_seed}: {} violation(s), first:\n{}",
-        violations.len(),
-        shown.join("\n")
-    );
+    for workers in [1, 2] {
+        let violations = check_listing(&listing(name), &timeline, workers, chunk_seed)
+            .unwrap_or_else(|e| panic!("{name}: the paper scenario failed to run: {e}"));
+        let shown: Vec<String> = violations
+            .iter()
+            .take(4)
+            .map(|v| format!("  {v}"))
+            .collect();
+        assert!(
+            violations.is_empty(),
+            "{name} at {workers} worker(s), chunk seed {chunk_seed}: {} violation(s), first:\n{}",
+            violations.len(),
+            shown.join("\n")
+        );
+    }
 }
 
 /// One listing over one schedule as a [`Scenario`].

@@ -4,8 +4,9 @@
 //! `CREATE [PARTITIONED] SOURCE … connector = 'nexmark'`, a transactional
 //! CSV file sink, and the `INSERT` that assembles the pipeline — which
 //! is exactly what [`crate::harness::check`] needs to kill, restore, and
-//! re-run it under every oracle. Queries hash routing cannot split
-//! (join/grouping keys off the routing column) run with one worker, and
+//! re-run it under every oracle. Every query runs on two workers and is
+//! compared with one and three (a query whose plan no key can shard runs
+//! on one whatever the count) and with another batch size, and
 //! [`NexmarkScenario::plain`] swaps in a non-partitioned source; the
 //! checkpoint/restore choreography is the same for all of them.
 
@@ -18,13 +19,19 @@ use onesql_types::{Error, Result};
 
 use crate::harness::{RunKind, Scenario, ScenarioConfig};
 
+/// Workers and batch size of the reference and nemesis runs. Small
+/// batches keep step granularity fine enough for the nemesis to land
+/// checkpoints and kills mid-stream.
+const WORKERS: usize = 2;
+const BATCH: usize = 16;
+/// `(workers, batch)` of each variation run.
+const VARIATIONS: [(usize, usize); 3] = [(1, BATCH), (3, BATCH), (3, 24)];
+
 /// One NEXMark suite query as a checkable full-stack pipeline.
 #[derive(Debug)]
 pub struct NexmarkScenario {
     spec: FullStackSpec,
     config: ScriptConfig,
-    /// `(workers, batch)` per uninterrupted variation run.
-    alts: Vec<(usize, usize)>,
     scratch: Scratch,
 }
 
@@ -77,23 +84,13 @@ impl Drop for Scratch {
 }
 
 impl NexmarkScenario {
-    /// A scenario for `spec` ingesting `events` events.
-    ///
-    /// Shardable queries run with 2 workers and verify variations at 1
-    /// and 3 workers (worker-count transparency); the rest pin 1 worker
-    /// and vary only the batch size.
+    /// A scenario for `spec` ingesting `events` events, on 2 workers with
+    /// variations at 1 and 3 (worker-count independence) and at another
+    /// batch size.
     pub fn new(spec: FullStackSpec, events: u64) -> NexmarkScenario {
-        let workers = if spec.shardable { 2 } else { 1 };
-        // Small batches keep step granularity fine enough for the
-        // nemesis to land checkpoints and kills mid-stream.
-        let alts = if spec.shardable {
-            vec![(1, 16), (3, 24)]
-        } else {
-            vec![(1, 24)]
-        };
         let config = ScriptConfig {
-            workers,
-            batch: 16,
+            workers: WORKERS,
+            batch: BATCH,
             events,
             ..ScriptConfig::default()
         };
@@ -101,7 +98,6 @@ impl NexmarkScenario {
             scratch: Scratch::new(spec.name),
             spec,
             config,
-            alts,
         }
     }
 
@@ -136,16 +132,6 @@ impl NexmarkScenario {
     fn sink_path(&self) -> PathBuf {
         self.scratch.dir().join("out.csv")
     }
-
-    fn run_config(&self, kind: RunKind) -> ScriptConfig {
-        let mut config = self.config.clone();
-        if let RunKind::Variation(i) = kind {
-            let (workers, batch) = self.alts[i];
-            config.workers = workers;
-            config.batch = batch;
-        }
-        config
-    }
 }
 
 impl Scenario for NexmarkScenario {
@@ -172,15 +158,20 @@ impl Scenario for NexmarkScenario {
         }
     }
 
-    fn variations(&self) -> usize {
-        self.alts.len()
+    fn variations(&self) -> Vec<bool> {
+        VARIATIONS
+            .iter()
+            .map(|&(_, batch)| batch == BATCH)
+            .collect()
     }
 
     fn begin_run(&mut self, kind: RunKind) -> Result<()> {
         self.scratch.next_run()?;
-        // Stash the effective config for this run so killed incarnations
-        // rebuild identically.
-        self.config = self.run_config(kind);
+        // Killed incarnations rebuild from the same config.
+        (self.config.workers, self.config.batch) = match kind {
+            RunKind::Variation(i) => VARIATIONS[i],
+            RunKind::Reference | RunKind::Nemesis => (WORKERS, BATCH),
+        };
         Ok(())
     }
 
@@ -188,7 +179,6 @@ impl Scenario for NexmarkScenario {
         let script = queries::full_stack_script(self.spec.sql, &self.sink_path(), &self.config);
         let mut s = session();
         let pipeline = s.execute_script(&script)?.into_pipeline()?;
-        debug_assert_eq!(pipeline.workers(), self.config.workers, "SET workers");
         Ok((s, pipeline))
     }
 

@@ -3,13 +3,14 @@
 //!
 //! Every query assembles via `Session::execute_script` (partitioned
 //! NEXMark source, transactional file sink), runs once uninterrupted and
-//! once under seeded kill/restore interleavings, plus worker-count and
-//! batch-size variations — and every oracle must pass: watermark-
-//! monotone, retraction-balanced, as-of-stable, replay-identical (and
-//! emit-gated for the `AFTER WATERMARK` variants). `check_seeded` also
-//! fails a run whose planned kills never landed.
+//! once under seeded kill/restore interleavings, plus worker-count
+//! variations — and every oracle must pass: watermark-monotone,
+//! retraction-balanced, as-of-stable, replay-identical,
+//! config-transparent (and emit-gated for the `AFTER WATERMARK`
+//! variants). `check_seeded` also fails a run whose planned kills never
+//! landed.
 
-use onesql_checker::{check_seeded, NexmarkScenario};
+use onesql_checker::{check_seeded, NexmarkScenario, RunKind, Scenario};
 use proptest::prelude::*;
 
 /// Events per query in the quick suite — enough for several windows and
@@ -48,6 +49,11 @@ fn q3_full_stack_survives_the_nemesis() {
 #[test]
 fn q4_full_stack_survives_the_nemesis() {
     run("q4_avg_by_category", 15);
+    // Categories span auctions, so no key shards it: `SET workers = 2`
+    // runs one worker.
+    let mut scenario = NexmarkScenario::by_name("q4_avg_by_category", EVENTS);
+    scenario.begin_run(RunKind::Reference).unwrap();
+    assert_eq!(scenario.build(0).unwrap().1.workers(), 1);
 }
 
 #[test]
@@ -66,8 +72,7 @@ fn q8_full_stack_survives_the_nemesis() {
 }
 
 /// A non-partitioned source: the kill/restore nemesis and every oracle
-/// over the inline one-worker path (q7 pins one worker), and — q5 being
-/// shardable — `SET workers = 2` over the same plain source, with 1- and
+/// with `SET workers = 2` over one source partition, with 1- and
 /// 3-worker variations.
 #[test]
 fn plain_source_pipelines_survive_the_nemesis() {

@@ -7,11 +7,11 @@
 
 use onesql_checker::harness::{RunKind, Scenario};
 use onesql_checker::{
-    emit_gated, replay_identical, retraction_balanced, retraction_balanced_against,
-    watermark_monotone, NexmarkScenario,
+    config_transparent, emit_gated, emitted, fold_table, replay_identical, retraction_balanced,
+    retraction_balanced_against, watermark_monotone, NexmarkScenario,
 };
-use onesql_core::{HistoryEvent, HistoryTap};
-use onesql_types::Row;
+use onesql_core::{HistoryEvent, HistoryTap, StreamRow};
+use onesql_types::{Row, Value};
 
 /// One uninterrupted full-stack run of a suite query; returns its raw
 /// history and final operator table.
@@ -129,6 +129,32 @@ fn an_early_emission_is_caught_by_emit_gated() {
         violations.iter().any(|v| v.oracle == "emit-gated"),
         "early emission went unnoticed: {violations:?}"
     );
+}
+
+#[test]
+fn a_split_group_is_caught_by_config_transparent() {
+    let (history, _) = record("q7", false, 800);
+    assert!(config_transparent(&history, &history, &[]).is_empty());
+
+    // The bug: a window's bids land on two workers, and each reports its
+    // own maximum — the winning row plus a partial one at a lower price.
+    let mut values = fold_table(&history)[0].values().to_vec();
+    let Value::Int(price) = values[3] else {
+        panic!("q7's column 3 is the price: {values:?}")
+    };
+    values[3] = Value::Int(price - 1);
+    let ptime = emitted(&history).last().expect("q7 emits rows").ptime;
+    let partial = StreamRow {
+        row: Row::new(values),
+        undo: false,
+        ptime,
+        ver: 0,
+    };
+    let mut mutated = history.clone();
+    mutated.push(HistoryEvent::Emitted(partial));
+    let violations = config_transparent(&history, &mutated, &[ptime]);
+    assert_eq!(violations.len(), 2, "finally and AS OF: {violations:?}");
+    assert!(violations.iter().all(|v| v.oracle == "config-transparent"));
 }
 
 #[test]

@@ -51,19 +51,16 @@ fn a_plan_whose_kill_never_lands_fails() {
     );
 }
 
-/// Every listing at every kill point, on one worker and — for the
-/// listings routing cannot split — on two, under several chunk seeds.
+/// Every listing at every kill point, on one worker and on two, under
+/// several chunk seeds.
 /// Run explicitly (CI's checker-stress job):
 /// `cargo test -q -p onesql_checker --release -- --ignored`.
 #[test]
 #[ignore = "deep sweep; run with --ignored (release)"]
 fn every_listing_survives_a_kill_at_every_event_boundary() {
     for l in listings() {
-        let worker_counts: &[usize] = if l.shards { &[1, 2] } else { &[1] };
-        for &workers in worker_counts {
-            for chunk_seed in 0..6 {
-                assert_listing(l.name, workers, chunk_seed);
-            }
+        for chunk_seed in 0..6 {
+            assert_listing(l.name, chunk_seed);
         }
     }
 }

@@ -127,7 +127,7 @@ fn osql001_distinct_over_stream_fires() {
     );
 }
 
-// -- OSQL002: shard-key misalignment ----------------------------------------
+// -- Shard keys: the plan picks them, so nothing is left to lint ---------
 
 const SHARDED_PRELUDE: &str = "\
 SET workers = 2;
@@ -136,63 +136,20 @@ CREATE PARTITIONED SOURCE bids (auction INT, t TIMESTAMP, price INT, WATERMARK F
 CREATE SINK out WITH (connector = 'file', path = '/tmp/lint-out');
 ";
 
+/// Grouping off column 0 at `workers = 2` lints clean: the plan routes by
+/// the grouping key, and `EXPLAIN` names it.
 #[test]
-fn osql002_group_key_off_partition_column_fires() {
-    // Routing hashes column 0 (auction); grouping by price splits groups
-    // across workers.
-    let script = format!(
-        "{SHARDED_PRELUDE}INSERT INTO out SELECT price, wstart, COUNT(*) \
-         FROM Tumble(data => TABLE(bids), timecol => DESCRIPTOR(t), \
-         dur => INTERVAL '1' MINUTE) \
-         GROUP BY price, wstart EMIT STREAM AFTER WATERMARK;"
-    );
-    let diags = lint(&script);
-    assert_eq!(codes(&diags), vec!["OSQL002"]);
-    assert_eq!(diags[0].severity, Severity::Warning);
-    assert!(
-        diags[0].message.contains("workers = 2"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn osql002_fires_over_a_non_partitioned_source_too() {
-    // `SET workers` applies to every pipeline, PARTITIONED keyword or not:
-    // column 0 of PRELUDE's bids is `t`, so grouping by auction splits.
-    let script = format!(
-        "SET workers = 2;
-         {PRELUDE}INSERT INTO out SELECT auction, wstart, COUNT(*) \
-         FROM Tumble(data => TABLE(bids), timecol => DESCRIPTOR(t), \
-         dur => INTERVAL '1' MINUTE) \
-         GROUP BY auction, wstart EMIT STREAM AFTER WATERMARK;"
-    );
-    assert_eq!(codes(&lint(&script)), vec!["OSQL002"]);
-    assert_eq!(lint(&script.replace("workers = 2", "workers = 1")), vec![]);
-}
-
-#[test]
-fn osql002_negative_group_key_on_partition_column_is_clean() {
-    let script = format!(
-        "{SHARDED_PRELUDE}INSERT INTO out SELECT auction, wstart, COUNT(*) \
-         FROM Tumble(data => TABLE(bids), timecol => DESCRIPTOR(t), \
-         dur => INTERVAL '1' MINUTE) \
-         GROUP BY auction, wstart EMIT STREAM AFTER WATERMARK;"
-    );
+fn grouping_off_column_0_lints_clean_and_routes_by_its_key() {
+    let query = "SELECT price, wstart, COUNT(*) FROM Tumble(data => TABLE(bids), \
+                 timecol => DESCRIPTOR(t), dur => INTERVAL '1' MINUTE) GROUP BY price, wstart";
+    let script = format!("{SHARDED_PRELUDE}INSERT INTO out {query} EMIT STREAM AFTER WATERMARK;");
     assert_eq!(lint(&script), vec![]);
-}
-
-#[test]
-fn osql002_negative_single_worker_never_fires() {
-    let script = "SET workers = 1;
-         CREATE PARTITIONED SOURCE bids (auction INT, t TIMESTAMP, price INT, WATERMARK FOR t)
-           WITH (connector = 'channel', partitions = 2);
-         CREATE SINK out WITH (connector = 'file', path = '/tmp/lint-out');
-         INSERT INTO out SELECT price, wstart, COUNT(*) \
-         FROM Tumble(data => TABLE(bids), timecol => DESCRIPTOR(t), \
-         dur => INTERVAL '1' MINUTE) \
-         GROUP BY price, wstart EMIT STREAM AFTER WATERMARK;";
-    assert_eq!(lint(script), vec![]);
+    let mut session = onesql_connect::session();
+    let outcome = session
+        .execute_script(&format!("{SHARDED_PRELUDE}EXPLAIN {query};"))
+        .unwrap();
+    let explain = outcome.explains()[0];
+    assert!(explain.contains("Route: bids by price\n"), "{explain}");
 }
 
 // -- OSQL003: windowed pipeline without the watermark gate ------------------

@@ -336,15 +336,6 @@ fn shipped_nexmark_scripts_lint_as_classified() {
             let codes = codes(&diags);
             let name = spec.name;
 
-            // The analyzer's shard-key verdict must match the suite's own
-            // hand-written `shardable` classification (default config runs
-            // 2 workers over a partitioned source).
-            assert_eq!(
-                codes.contains(&"OSQL002"),
-                !spec.shardable,
-                "{name} (gated={gated}): shard findings disagree with \
-                 FullStackSpec::shardable: {codes:?}"
-            );
             // Ungated windowed queries leak per-row revisions to the sink;
             // gating the EMIT clears the finding.
             assert_eq!(
@@ -455,27 +446,6 @@ fn example_durable_pipeline_script_lints_clean() {
            SELECT auction, price, dateTime FROM Bid WHERE price > 900 EMIT STREAM;",
     );
     assert!(codes(&diags).is_empty(), "diags: {diags:?}");
-}
-
-#[test]
-fn shipped_scripts_shard_clean_on_one_worker() {
-    let session = onesql_connect::session();
-    let sink = std::path::Path::new("/tmp/lint_gate1.csv");
-    let config = queries::ScriptConfig {
-        workers: 1,
-        partitions: 1,
-        gated: true,
-        ..queries::ScriptConfig::default()
-    };
-    for spec in queries::full_stack() {
-        let script = queries::full_stack_script(spec.sql, sink, &config);
-        let diags = session.lint_script(&script);
-        assert!(
-            !codes(&diags).contains(&"OSQL002"),
-            "{}: OSQL002 must not fire with workers = 1: {diags:?}",
-            spec.name
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------

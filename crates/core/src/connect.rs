@@ -635,13 +635,10 @@ pub struct DriverConfig {
     /// every worker's query feeds one change at a time.
     pub vectorize: bool,
     /// Number of workers (= operator state shards). One worker runs inline
-    /// on the driver's thread; more run on a thread each.
+    /// on the driver's thread; more run on a thread each, and every stream
+    /// routes by the key its plan implies ([`onesql_plan::routing()`]). A
+    /// plan no key can shard runs on one worker whatever this says.
     pub workers: usize,
-    /// Which input column is the partition key, for every stream (the
-    /// caller must pick a column consistent with the query's grouping /
-    /// join keys — the partition-alignment property). Unused with one
-    /// worker.
-    pub partition_col: usize,
 }
 
 impl Default for DriverConfig {
@@ -652,7 +649,6 @@ impl Default for DriverConfig {
             adaptive: Some(AdaptiveBatch::default()),
             vectorize: true,
             workers: 1,
-            partition_col: 0,
         }
     }
 }

@@ -16,9 +16,12 @@
 //!   into columns ([`PartitionedSource::poll_partition_columns`]) feeds
 //!   the vectorized executor path without materializing rows.
 //! - **W > 1** spawns one thread per worker. Each event routes by the
-//!   stable hash of its partition key ([`partition_of`]), so rows that can
-//!   ever combine (same group, same join key) always meet in the same
-//!   worker — the partition-alignment property.
+//!   stable hash ([`partition_of`]) of its stream's key, which the plan
+//!   picks ([`onesql_plan::routing()`]), so rows that can ever combine
+//!   (same group, same join key, same window) always meet in the same
+//!   worker — the partition-alignment property. A plan no key can shard
+//!   (a global aggregate, a Hop window grouped by `wend`) starts one
+//!   worker whatever the configured count.
 //!
 //! Workers keep no output. Every round's drain barrier moves what each
 //! worker produced into the driver's per-worker FIFO queue, and the merge
@@ -145,7 +148,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use onesql_exec::{StreamRenderer, StreamRow};
-use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, TableKind};
+use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, RouteKey, Routing, TableKind};
 use onesql_time::Watermark;
 use onesql_tvr::{Change, ChangeBatch, Changelog, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
@@ -517,6 +520,10 @@ pub struct PipelineDriver {
     advances: Vec<(String, Watermark)>,
     /// Global stream table: lowercased names, indices shared with workers.
     streams: Vec<String>,
+    /// What the plan routes each stream of `streams` by.
+    keys: Vec<RouteKey>,
+    /// The plan's routing verdict, read as streams attach.
+    routing: Routing,
     /// Monotone processing-time clock across all partitions.
     clock: Ts,
     /// Held-back changelog entries per worker, in arrival order (which is
@@ -581,9 +588,10 @@ impl PipelineDriver {
         PipelineDriver::with_query(engine, engine.plan(sql)?, config)
     }
 
-    /// The one way a pipeline comes to exist: run the planned `query` once
-    /// per worker and start the worker set (`config.workers` = 1 runs
-    /// inline, more spawn a thread each). Attach sources and sinks, then
+    /// The one way a pipeline comes to exist: derive the plan's routing,
+    /// run the planned `query` once per worker and start the worker set
+    /// (`config.workers` = 1 runs inline, more spawn a thread each; a plan
+    /// routed to one worker gets one). Attach sources and sinks, then
     /// [`PipelineDriver::run`] (or [`PipelineDriver::restore`] a
     /// checkpoint first). The engine is only borrowed.
     pub fn with_query(
@@ -591,7 +599,12 @@ impl PipelineDriver {
         query: BoundQuery,
         config: DriverConfig,
     ) -> Result<PipelineDriver> {
-        let queries = (0..config.workers)
+        let routing = onesql_plan::routing(&query.plan);
+        let workers = match routing {
+            Routing::Keyed(_) => config.workers,
+            Routing::OneWorker(_) => config.workers.min(1),
+        };
+        let queries = (0..workers)
             .map(|_| {
                 let mut worker = engine.run(query.clone())?;
                 worker.set_vectorize(config.vectorize);
@@ -615,8 +628,10 @@ impl PipelineDriver {
             ledger: WatermarkLedger::new(),
             advances: Vec::new(),
             streams: Vec::new(),
+            keys: Vec::new(),
+            routing,
             clock,
-            pending: (0..config.workers).map(|_| VecDeque::new()).collect(),
+            pending: (0..workers).map(|_| VecDeque::new()).collect(),
             deferred: None,
             changelog: Changelog::new(),
             query,
@@ -666,8 +681,7 @@ impl PipelineDriver {
     }
 
     /// Attach a partitioned source. Every stream it declares must be a
-    /// registered stream, wide enough to hold the partition column when
-    /// several workers share the rows. Fails once the pipeline has started
+    /// registered stream. Fails once the pipeline has started
     /// or restored a checkpoint (the per-stream watermark trackers are
     /// sized at attach time; growing them afterwards would wipe observed
     /// watermark state).
@@ -691,8 +705,8 @@ impl PipelineDriver {
         }
         let name = source.name();
         for stream in source.streams() {
-            let schema = match self.catalog.resolve(stream) {
-                Ok((schema, TableKind::Stream)) => schema,
+            match self.catalog.resolve(stream) {
+                Ok((_, TableKind::Stream)) => {}
                 Ok((_, TableKind::Table)) => {
                     return Err(Error::plan(format!(
                         "source '{name}' targets '{stream}', which is a table, \
@@ -704,15 +718,6 @@ impl PipelineDriver {
                         "source '{name}' targets unregistered stream '{stream}'"
                     )))
                 }
-            };
-            let col = self.config.partition_col;
-            if self.workers.len() > 1 && col >= schema.arity() {
-                return Err(Error::plan(format!(
-                    "source '{name}': stream '{stream}' has {} columns, so rows \
-                     cannot be routed to {} workers by partition column {col}",
-                    schema.arity(),
-                    self.workers.len()
-                )));
             }
         }
         let mut stream_ids = Vec::with_capacity(source.streams().len());
@@ -721,6 +726,7 @@ impl PipelineDriver {
             let id = match self.streams.iter().position(|s| *s == stream) {
                 Some(id) => id,
                 None => {
+                    self.keys.push(self.routing.key(&stream));
                     self.streams.push(stream.clone());
                     self.workers
                         .broadcast(move |shard| shard.declare(stream.clone()))?;
@@ -831,8 +837,8 @@ impl PipelineDriver {
     }
 
     /// One scheduling round: poll every unfinished partition once, hand
-    /// the round's events to the workers (routed by partition key when
-    /// there are several), then the round's watermark advances, then
+    /// the round's events to the workers (hashed by each stream's routing
+    /// key when there are several), then the round's watermark advances, then
     /// barrier and flush the deterministic merge. Returns events ingested;
     /// `Ok(0)` with unfinished sources means everything was idle.
     ///
@@ -1043,20 +1049,20 @@ impl PipelineDriver {
         })
     }
 
-    /// The worker that owns `change`'s partition key — worker 0 when it is
+    /// The worker that owns `change`'s routing key — worker 0 when it is
     /// the only one, whatever the row holds.
     fn worker_for(&self, stream_id: usize, change: &Change) -> Result<usize> {
         let workers = self.workers.len();
         if workers == 1 {
             return Ok(0);
         }
-        let key = change.row.value(self.config.partition_col).map_err(|_| {
+        let key = self.keys[stream_id].value(&change.row).map_err(|_| {
             Error::exec(format!(
-                "stream '{}' row has no partition column {}",
-                self.streams[stream_id], self.config.partition_col
+                "stream '{}' row is too narrow for its routing key {:?}",
+                self.streams[stream_id], self.keys[stream_id]
             ))
         })?;
-        Ok(partition_of(key, workers))
+        Ok(partition_of(&key, workers))
     }
 
     /// Hand a (non-empty) columnar poll to the lone inline worker as it
@@ -2429,7 +2435,7 @@ mod tests {
     #[test]
     fn failed_step_poisons_the_pipeline() {
         let e = engine();
-        // A row too short to hold the partition column: the first step
+        // A row too short to hold the routing key: the first step
         // fails after the source was polled, so the driver must refuse to
         // continue or checkpoint (the polled events never reached a
         // worker).
@@ -2442,25 +2448,5 @@ mod tests {
         assert!(err.contains("poisoned"), "{err}");
         let err = driver.checkpoint().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "{err}");
-    }
-
-    #[test]
-    fn attach_refuses_a_partition_column_the_stream_does_not_have() {
-        let e = engine();
-        let off_the_end = |workers| DriverConfig {
-            partition_col: 3,
-            ..sharded(workers)
-        };
-        let source = || script(vec![bids(5, 0)]);
-        let mut driver = PipelineDriver::new(&e, AGG, off_the_end(2)).unwrap();
-        let err = driver
-            .attach_partitioned_source(source())
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("partition column 3"), "{err}");
-        // One worker routes nothing, so the column is never read.
-        let mut driver = PipelineDriver::new(&e, AGG, off_the_end(1)).unwrap();
-        driver.attach_partitioned_source(source()).unwrap();
-        driver.run().unwrap();
     }
 }

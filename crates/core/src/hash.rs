@@ -3,9 +3,10 @@
 //! The paper's engines scale streaming SQL by hash-partitioning keyed
 //! operators across workers (Appendix B). Routing rows that can ever
 //! combine (same group, same join key) to the same worker — the
-//! *partition-alignment* property — only survives a restart if the hash
-//! does, so the pipeline driver routes with [`partition_of`] over a
-//! [`StableHasher`], never `DefaultHasher`.
+//! *partition-alignment* property — needs the right key, which the plan
+//! picks ([`onesql_plan::routing()`]), and only survives a restart if the
+//! hash does, so the pipeline driver hashes each row's key with
+//! [`partition_of`] over a [`StableHasher`], never `DefaultHasher`.
 
 use std::hash::{Hash, Hasher};
 

@@ -772,7 +772,6 @@ impl Definitions {
     fn apply_knob(&mut self, knob: SessionKnob) -> Result<()> {
         match knob {
             SessionKnob::Workers(n) => self.config.workers = n,
-            SessionKnob::PartitionCol(col) => self.config.partition_col = col,
             SessionKnob::BatchSize(n) => self.config.batch_size = n,
             SessionKnob::MinBatch(n) => {
                 let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
@@ -847,8 +846,8 @@ pub struct Session {
 
 impl Session {
     /// A session over a fresh [`Engine`], building connectors from
-    /// `registry`. `INSERT`s default to 1 worker, partition column 0, and
-    /// the default [`DriverConfig`]; see `SET workers` and friends, or
+    /// `registry`. `INSERT`s default to 1 worker and the default
+    /// [`DriverConfig`]; see `SET workers` and friends, or
     /// [`Session::set_driver_config`].
     pub fn new(registry: ConnectorRegistry) -> Session {
         Session {

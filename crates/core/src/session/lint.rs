@@ -231,7 +231,6 @@ impl<'a> Linter<'a> {
     /// The checks every query that runs as a pipeline gets.
     fn check_query(&mut self, query: &BoundQuery) {
         self.check_unbounded_state(query);
-        self.check_shard_alignment(query);
         self.check_no_event_time(query);
     }
 
@@ -276,35 +275,6 @@ impl<'a> Linter<'a> {
     fn check_unbounded_state(&mut self, query: &BoundQuery) {
         for msg in walks::unbounded_state(&query.plan) {
             self.push("OSQL001", Severity::Warning, msg);
-        }
-    }
-
-    // -- OSQL002: shard-key misalignment -----------------------------------
-
-    fn check_shard_alignment(&mut self, query: &BoundQuery) {
-        let (workers, partition_col) = (self.defs.config.workers, self.defs.config.partition_col);
-        if workers <= 1 {
-            return;
-        }
-        // The scans whose rows are hash-routed across workers: every
-        // stream a source feeds.
-        let routed: BTreeSet<String> = self
-            .defs
-            .sources
-            .iter()
-            .flat_map(|s| s.streams.iter().cloned())
-            .collect();
-        for msg in walks::shard_misalignments(&query.plan, &routed, partition_col) {
-            self.push(
-                "OSQL002",
-                Severity::Warning,
-                format!(
-                    "{msg} — with workers = {workers} rows sharing a key may land on \
-                     different workers, producing split or duplicated groups; \
-                     align the key with the routed partition column \
-                     (partition_col = {partition_col}) or SET workers = 1"
-                ),
-            );
         }
     }
 

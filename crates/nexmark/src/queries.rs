@@ -70,16 +70,7 @@ ON P.id = A.seller AND P.wstart = A.wstart AND P.wend = A.wend";
 
 /// All `(name, sql)` pairs, for suite-level tests and benches.
 pub fn all() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("q0", Q0),
-        ("q1", Q1),
-        ("q2", Q2),
-        ("q3", Q3),
-        ("q4_avg_by_category", Q4_AVG_PRICE_BY_CATEGORY),
-        ("q5_hot_items", Q5_HOT_ITEMS),
-        ("q7", Q7),
-        ("q8", Q8),
-    ]
+    full_stack().iter().map(|s| (s.name, s.sql)).collect()
 }
 
 /// How one suite query runs as a *full-stack* SQL script (DDL + INSERT
@@ -91,48 +82,30 @@ pub struct FullStackSpec {
     pub name: &'static str,
     /// The query text (no `EMIT` clause).
     pub sql: &'static str,
-    /// Whether running with more than one worker leaves the final table
-    /// unchanged: the driver hash-routes each stream on its
-    /// first column (`Bid.auction`, `Auction.id`, `Person.id`), so only
-    /// queries whose join/grouping keys align with that routing are
-    /// worker-count transparent.
-    pub shardable: bool,
     /// Output column holding the window-end (or window-start) timestamp
     /// for windowed queries; under `EMIT AFTER WATERMARK` no row may
     /// surface before a watermark reaches it.
     pub gate_col: Option<usize>,
 }
 
-/// The full suite with its sharding/gating classification.
+/// The full suite with its gating classification.
 pub fn full_stack() -> Vec<FullStackSpec> {
-    let spec = |name, sql, shardable, gate_col| FullStackSpec {
+    let spec = |name, sql, gate_col| FullStackSpec {
         name,
         sql,
-        shardable,
         gate_col,
     };
     vec![
-        // q0–q2 are stateless row-at-a-time transforms: any routing works.
-        spec("q0", Q0, true, None),
-        spec("q1", Q1, true, None),
-        spec("q2", Q2, true, None),
-        // q3 joins Auction.seller to Person.id, but Auction routes by id.
-        spec("q3", Q3, false, None),
-        // q4's join aligns (Bid.auction = Auction.id) but the category
-        // groups span workers.
-        spec(
-            "q4_avg_by_category",
-            Q4_AVG_PRICE_BY_CATEGORY,
-            false,
-            Some(1),
-        ),
-        // q5 groups by (auction, wend) and Bid routes by auction.
-        spec("q5_hot_items", Q5_HOT_ITEMS, true, Some(1)),
-        // q7's MAX is global per window.
-        spec("q7", Q7, false, Some(1)),
-        // q8 joins Auction.seller, routed by Auction.id; wstart (col 2)
-        // lower-bounds the window end, so it still gates soundly.
-        spec("q8", Q8, false, Some(2)),
+        spec("q0", Q0, None),
+        spec("q1", Q1, None),
+        spec("q2", Q2, None),
+        spec("q3", Q3, None),
+        spec("q4_avg_by_category", Q4_AVG_PRICE_BY_CATEGORY, Some(1)),
+        spec("q5_hot_items", Q5_HOT_ITEMS, Some(1)),
+        spec("q7", Q7, Some(1)),
+        // wstart (col 2) lower-bounds the window end, so it still gates
+        // soundly.
+        spec("q8", Q8, Some(2)),
     ]
 }
 

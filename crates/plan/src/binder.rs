@@ -1387,13 +1387,11 @@ mod tests {
         )
         .unwrap();
         // One SUM shared by all three uses.
-        fn find_agg(plan: &LogicalPlan) -> Option<usize> {
-            match plan {
-                LogicalPlan::Aggregate { aggs, .. } => Some(aggs.len()),
-                _ => plan.inputs().into_iter().find_map(find_agg),
-            }
-        }
-        assert_eq!(find_agg(&q.plan), Some(1));
+        let aggs = q.plan.nodes().into_iter().find_map(|node| match node {
+            LogicalPlan::Aggregate { aggs, .. } => Some(aggs.len()),
+            _ => None,
+        });
+        assert_eq!(aggs, Some(1));
     }
 
     #[test]
@@ -1472,13 +1470,11 @@ mod tests {
         let q =
             bind_sql("SELECT B.price FROM Bid B JOIN Category C ON B.price = C.id AND B.price > 5")
                 .unwrap();
-        fn find_join(plan: &LogicalPlan) -> Option<(&Vec<(usize, usize)>, bool)> {
-            match plan {
-                LogicalPlan::Join { equi, residual, .. } => Some((equi, residual.is_some())),
-                _ => plan.inputs().into_iter().find_map(find_join),
-            }
-        }
-        let (equi, has_residual) = find_join(&q.plan).unwrap();
+        let join = q.plan.nodes().into_iter().find_map(|node| match node {
+            LogicalPlan::Join { equi, residual, .. } => Some((equi, residual.is_some())),
+            _ => None,
+        });
+        let (equi, has_residual) = join.unwrap();
         assert_eq!(equi, &vec![(1, 0)]);
         assert!(has_residual);
     }
@@ -1520,13 +1516,11 @@ mod tests {
     #[test]
     fn between_desugars() {
         let q = bind_sql("SELECT price FROM Bid WHERE price BETWEEN 2 AND 4").unwrap();
-        fn find_filter(plan: &LogicalPlan) -> Option<String> {
-            match plan {
-                LogicalPlan::Filter { predicate, .. } => Some(predicate.to_string()),
-                _ => plan.inputs().into_iter().find_map(find_filter),
-            }
-        }
-        let pred = find_filter(&q.plan).unwrap();
+        let filter = q.plan.nodes().into_iter().find_map(|node| match node {
+            LogicalPlan::Filter { predicate, .. } => Some(predicate.to_string()),
+            _ => None,
+        });
+        let pred = filter.unwrap();
         assert!(pred.contains(">="), "{pred}");
         assert!(pred.contains("<="), "{pred}");
     }

@@ -24,6 +24,7 @@ pub mod kernel;
 pub mod lint;
 pub mod optimizer;
 pub mod plan;
+pub mod routing;
 pub mod statement;
 
 pub use binder::{bind, Binder};
@@ -35,6 +36,7 @@ pub use kernel::{
 pub use lint::{render_report, Diagnostic, LintMode, Severity};
 pub use optimizer::optimize;
 pub use plan::{BoundQuery, EmitSpec, JoinKind, JoinTimeBound, LogicalPlan, SortKey, WindowKind};
+pub use routing::{routing, RouteKey, Routing};
 pub use statement::{bind_statement, BoundStatement, ConnectorOptions, SessionKnob, TraceMode};
 
 use onesql_types::Result;

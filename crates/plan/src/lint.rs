@@ -8,7 +8,7 @@
 //! the copy. This module holds what that walk reports and reads — the
 //! [`Diagnostic`] type, [`Severity`], the `SET lint` [`LintMode`],
 //! [`render_report`] — and the pure walks over a bound [`LogicalPlan`]
-//! behind the state, sharding and watermark checks.
+//! behind the state and watermark checks.
 //!
 //! Every finding is a [`Diagnostic`] with a stable `OSQL...` code, a
 //! severity, a human message, and a byte-range [`Span`] into the original
@@ -22,7 +22,6 @@
 //! |---------|----------|---------|
 //! | OSQL000 | error    | statement fails to parse or bind, or the session would refuse it |
 //! | OSQL001 | warning  | unbounded keyed state (join / aggregate / distinct with no time bound) |
-//! | OSQL002 | warning  | shard-key misalignment under `workers > 1` |
 //! | OSQL003 | warning  | windowed pipeline emitting without `EMIT AFTER WATERMARK` |
 //! | OSQL004 | error    | `CHECKPOINT PIPELINE` that cannot checkpoint or restore |
 //! | OSQL005 | warning  | watermark-dependent query over a source with no event-time column |
@@ -30,13 +29,10 @@
 //! | OSQL007 | note/err | dead CREATEs; INSERT over a stream no source feeds |
 //! | OSQL008 | warning  | contradictory session knobs |
 
-use std::collections::BTreeSet;
-
 use onesql_sql::{line_col_at, Span};
 use onesql_types::{Error, Result};
 
 use crate::catalog::TableKind;
-use crate::expr::ScalarExpr;
 use crate::plan::LogicalPlan;
 
 /// How serious a [`Diagnostic`] is.
@@ -140,229 +136,87 @@ impl LintMode {
 /// OSQL001: one message per stateful operator in `plan` whose keyed state
 /// can never be freed, inputs first.
 pub fn unbounded_state(plan: &LogicalPlan) -> Vec<String> {
-    let mut out: Vec<String> = plan
-        .inputs()
-        .into_iter()
-        .flat_map(unbounded_state)
-        .collect();
-    let finding = match plan {
+    let mut nodes = plan.nodes();
+    nodes.reverse();
+    let findings = nodes.into_iter().filter_map(|node| match node {
         LogicalPlan::Join {
             left,
             right,
             time_bound: None,
             ..
-        } if left.is_unbounded() && right.is_unbounded() => {
+        } if left.is_unbounded() && right.is_unbounded() => Some(
             "stream-stream join has no time-bounded predicate: both \
              sides' state grows without bound because no watermark \
              ever proves a row can stop matching; bound one side's \
              event time relative to the other's (e.g. \
-             `L.t BETWEEN R.t - INTERVAL ... AND R.t`)"
-        }
+             `L.t BETWEEN R.t - INTERVAL ... AND R.t`)",
+        ),
         LogicalPlan::Aggregate {
             input,
             event_time_key: None,
             ..
-        } if input.is_unbounded() => {
+        } if input.is_unbounded() => Some(
             "aggregate over an unbounded stream groups by no \
              event-time column, so it runs in retraction mode and \
              keeps every group's state forever; group by a windowed \
-             column (wstart/wend) or accept unbounded state"
-        }
-        LogicalPlan::Distinct { input } if input.is_unbounded() => {
+             column (wstart/wend) or accept unbounded state",
+        ),
+        LogicalPlan::Distinct { input } if input.is_unbounded() => Some(
             "DISTINCT over an unbounded stream remembers every row \
-             ever seen; dedupe within windows instead"
-        }
-        _ => return out,
-    };
-    out.push(finding.to_string());
-    out
-}
-
-/// OSQL002: one message per stateful operator in `plan` whose keys do not
-/// carry the partition column (`partition_col`) of a scan over one of the
-/// `routed` streams (lowercased), i.e. whose groups several workers split.
-pub fn shard_misalignments(
-    plan: &LogicalPlan,
-    routed: &BTreeSet<String>,
-    partition_col: usize,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    routed_columns(plan, routed, partition_col, &mut out);
-    out
-}
-
-/// OSQL002 provenance walk. Returns the output columns that still carry a
-/// routed scan's partition key verbatim, and records misalignment
-/// findings for stateful operators whose keys are not routed.
-fn routed_columns(
-    plan: &LogicalPlan,
-    routed: &BTreeSet<String>,
-    partition_col: usize,
-    out: &mut Vec<String>,
-) -> BTreeSet<usize> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            schema,
-            kind: TableKind::Stream,
-            ..
-        } if routed.contains(&table.to_ascii_lowercase()) => {
-            if partition_col < schema.arity() {
-                BTreeSet::from([partition_col])
-            } else {
-                BTreeSet::new()
-            }
-        }
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => BTreeSet::new(),
-        // Filters and windows keep input columns at their indices
-        // (windows append wstart/wend after them).
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Window { input, .. } => {
-            routed_columns(input, routed, partition_col, out)
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let inner = routed_columns(input, routed, partition_col, out);
-            exprs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| match e {
-                    ScalarExpr::Column(c) if inner.contains(c) => Some(i),
-                    _ => None,
-                })
-                .collect()
-        }
-        LogicalPlan::Aggregate {
-            input, group_exprs, ..
-        } => {
-            let inner = routed_columns(input, routed, partition_col, out);
-            let sharded = scans_routed(input, routed);
-            let routed_keys: BTreeSet<usize> = group_exprs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| match e {
-                    ScalarExpr::Column(c) if inner.contains(c) => Some(i),
-                    _ => None,
-                })
-                .collect();
-            if sharded && routed_keys.is_empty() {
-                out.push(
-                    "aggregate over a source-fed stream groups by keys that \
-                     do not include the routed partition column"
-                        .to_string(),
-                );
-            }
-            routed_keys
-        }
-        LogicalPlan::Join {
-            left, right, equi, ..
-        } => {
-            let l = routed_columns(left, routed, partition_col, out);
-            let r = routed_columns(right, routed, partition_col, out);
-            let l_sharded = scans_routed(left, routed);
-            let r_sharded = scans_routed(right, routed);
-            let aligned = equi.iter().any(|(lc, rc)| l.contains(lc) && r.contains(rc));
-            if l_sharded && r_sharded && !aligned {
-                out.push(
-                    "stream-stream join over source-fed streams has no \
-                     equi-key pair on the routed partition columns"
-                        .to_string(),
-                );
-                BTreeSet::new()
-            } else {
-                let offset = left.schema().arity();
-                l.into_iter()
-                    .chain(r.into_iter().map(|i| i + offset))
-                    .collect()
-            }
-        }
-        LogicalPlan::UnionAll { left, right } => {
-            let l = routed_columns(left, routed, partition_col, out);
-            let r = routed_columns(right, routed, partition_col, out);
-            l.intersection(&r).copied().collect()
-        }
-        LogicalPlan::Distinct { input } => {
-            let inner = routed_columns(input, routed, partition_col, out);
-            if scans_routed(input, routed) && inner.is_empty() {
-                out.push(
-                    "DISTINCT over a source-fed stream keeps no routed \
-                     column, so duplicates landing on different workers \
-                     survive"
-                        .to_string(),
-                );
-            }
-            inner
-        }
-    }
-}
-
-fn scans_routed(plan: &LogicalPlan, routed: &BTreeSet<String>) -> bool {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            kind: TableKind::Stream,
-            ..
-        } => routed.contains(&table.to_ascii_lowercase()),
-        _ => plan.inputs().iter().any(|p| scans_routed(p, routed)),
-    }
+             ever seen; dedupe within windows instead",
+        ),
+        _ => None,
+    });
+    findings.map(str::to_string).collect()
 }
 
 /// OSQL003: what `plan` does that watermarks finalize (so emitting
 /// without the gate streams raw revisions), if anything.
 pub fn watermark_finalized_op(plan: &LogicalPlan) -> Option<&'static str> {
-    match plan {
+    plan.nodes().into_iter().find_map(|node| match node {
         LogicalPlan::Aggregate {
-            input,
-            event_time_key,
+            event_time_key: Some(_),
             ..
-        } => {
-            if event_time_key.is_some() {
-                Some("aggregates per event-time window")
-            } else {
-                watermark_finalized_op(input)
-            }
-        }
+        } => Some("aggregates per event-time window"),
         LogicalPlan::Window { .. } => Some("assigns event-time windows"),
-        _ => plan.inputs().iter().find_map(|p| watermark_finalized_op(p)),
-    }
+        _ => None,
+    })
 }
 
 /// OSQL005: one message per window in `plan` assigned from a column no
 /// watermark tracks, outermost first.
 pub fn unwatermarked_windows(plan: &LogicalPlan) -> Vec<String> {
-    let mut out = Vec::new();
-    if let LogicalPlan::Window {
-        input,
-        kind,
-        time_col,
-        ..
-    } = plan
-    {
-        let schema = input.schema();
-        if let Ok(field) = schema.field(*time_col) {
-            if !field.event_time {
-                out.push(format!(
-                    "{} windows are assigned from column '{}', which no \
-                     WATERMARK FOR clause tracks: the windows only finalize \
-                     at end of stream; declare `WATERMARK FOR {}` on the \
-                     source (or window on its watermarked column)",
-                    kind.name(),
-                    field.name,
-                    field.name,
-                ));
-            }
-        }
-    }
-    out.extend(plan.inputs().into_iter().flat_map(unwatermarked_windows));
-    out
+    let windows = plan.nodes().into_iter().filter_map(|node| match node {
+        LogicalPlan::Window {
+            input,
+            kind,
+            time_col,
+            ..
+        } => Some((input.schema().field(*time_col).ok()?.clone(), kind.name())),
+        _ => None,
+    });
+    windows
+        .filter(|(field, _)| !field.event_time)
+        .map(|(field, kind)| {
+            format!(
+                "{kind} windows are assigned from column '{}', which no \
+                 WATERMARK FOR clause tracks: the windows only finalize \
+                 at end of stream; declare `WATERMARK FOR {}` on the \
+                 source (or window on its watermarked column)",
+                field.name, field.name,
+            )
+        })
+        .collect()
 }
 
 /// OSQL005: does `plan` scan a stream with an event-time column?
 pub fn scans_event_time_stream(plan: &LogicalPlan) -> bool {
-    match plan {
+    plan.nodes().into_iter().any(|node| match node {
         LogicalPlan::Scan {
             schema,
             kind: TableKind::Stream,
             ..
         } => !schema.event_time_columns().is_empty(),
-        _ => plan.inputs().iter().any(|p| scans_event_time_stream(p)),
-    }
+        _ => false,
+    })
 }

@@ -601,10 +601,8 @@ mod tests {
     }
 
     fn find_join(plan: &LogicalPlan) -> Option<&LogicalPlan> {
-        match plan {
-            LogicalPlan::Join { .. } => Some(plan),
-            _ => plan.inputs().into_iter().find_map(find_join),
-        }
+        let join = |node: &&LogicalPlan| matches!(node, LogicalPlan::Join { .. });
+        plan.nodes().into_iter().find(join)
     }
 
     #[test]
@@ -684,15 +682,11 @@ mod tests {
              WHERE price > 2 AND wend > TIMESTAMP '8:10' GROUP BY wend",
         );
         // Expect: the price predicate sits below the Window node.
-        fn window_has_filter_below(plan: &LogicalPlan) -> bool {
-            match plan {
-                LogicalPlan::Window { input, .. } => {
-                    matches!(&**input, LogicalPlan::Filter { .. })
-                }
-                _ => plan.inputs().into_iter().any(window_has_filter_below),
-            }
-        }
-        assert!(window_has_filter_below(&q.plan), "{}", q.plan);
+        let filtered = |node: &&LogicalPlan| match node {
+            LogicalPlan::Window { input, .. } => matches!(&**input, LogicalPlan::Filter { .. }),
+            _ => false,
+        };
+        assert!(q.plan.nodes().iter().any(filtered), "{}", q.plan);
     }
 
     #[test]

@@ -193,18 +193,16 @@ impl LogicalPlan {
 
     /// True if any transitive input is an unbounded stream.
     pub fn is_unbounded(&self) -> bool {
-        match self {
-            LogicalPlan::Scan { kind, .. } => *kind == TableKind::Stream,
-            LogicalPlan::Values { .. } => false,
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Window { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Distinct { input } => input.is_unbounded(),
-            LogicalPlan::Join { left, right, .. } | LogicalPlan::UnionAll { left, right } => {
-                left.is_unbounded() || right.is_unbounded()
-            }
-        }
+        let stream = |node: &&LogicalPlan| {
+            matches!(
+                node,
+                LogicalPlan::Scan {
+                    kind: TableKind::Stream,
+                    ..
+                }
+            )
+        };
+        self.nodes().iter().any(stream)
     }
 
     /// Children of this node.
@@ -222,9 +220,11 @@ impl LogicalPlan {
         }
     }
 
-    /// Number of operator nodes in the tree.
-    pub fn node_count(&self) -> usize {
-        1 + self.inputs().iter().map(|i| i.node_count()).sum::<usize>()
+    /// This node and every transitive input, each before its inputs and
+    /// left inputs before right ones: plan order.
+    pub fn nodes(&self) -> Vec<&LogicalPlan> {
+        let inputs = self.inputs().into_iter().flat_map(LogicalPlan::nodes);
+        std::iter::once(self).chain(inputs).collect()
     }
 
     /// Output columns that identify "the same event-time window" across
@@ -472,13 +472,15 @@ impl BoundQuery {
         self.plan.schema()
     }
 
-    /// Render the plan as `EXPLAIN` output: the operator tree plus any
-    /// non-default `EMIT` materialization spec.
+    /// Render the plan as `EXPLAIN` output: the operator tree, any
+    /// non-default `EMIT` materialization spec, and the
+    /// [`crate::routing()`] verdict.
     pub fn explain(&self) -> String {
         let mut out = self.plan.to_string();
         if self.emit != EmitSpec::default() {
             out.push_str(&format!("Emit: {:?}\n", self.emit));
         }
+        out.push_str(&format!("Route: {}\n", crate::routing::explain(&self.plan)));
         out
     }
 }
@@ -632,6 +634,6 @@ mod tests {
                 predicate: ScalarExpr::lit(true),
             }),
         };
-        assert_eq!(plan.node_count(), 3);
+        assert_eq!(plan.nodes().len(), 3);
     }
 }

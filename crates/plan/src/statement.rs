@@ -173,8 +173,6 @@ pub enum BoundStatement {
 pub enum SessionKnob {
     /// `SET workers = N` — query workers for later `INSERT`s.
     Workers(usize),
-    /// `SET partition_col = N` — partition-key column index.
-    PartitionCol(usize),
     /// `SET batch_size = N` — events per source poll (initial size when
     /// adaptive batching is on).
     BatchSize(usize),
@@ -242,7 +240,6 @@ impl SessionKnob {
     pub fn name(self) -> &'static str {
         match self {
             SessionKnob::Workers(_) => "workers",
-            SessionKnob::PartitionCol(_) => "partition_col",
             SessionKnob::BatchSize(_) => "batch_size",
             SessionKnob::MinBatch(_) => "min_batch",
             SessionKnob::MaxBatch(_) => "max_batch",
@@ -255,9 +252,8 @@ impl SessionKnob {
 }
 
 /// The knob names `SET` accepts, for error messages.
-const KNOBS: [&str; 9] = [
+const KNOBS: [&str; 8] = [
     "workers",
-    "partition_col",
     "batch_size",
     "min_batch",
     "max_batch",
@@ -290,7 +286,6 @@ fn bind_set(name: &str, value: &OptionValue) -> Result<SessionKnob> {
     };
     match knob.as_str() {
         "workers" => Ok(SessionKnob::Workers(positive("a worker count")?)),
-        "partition_col" => Ok(SessionKnob::PartitionCol(uint("a column index")? as usize)),
         "batch_size" => Ok(SessionKnob::BatchSize(positive("a batch size")?)),
         "min_batch" => Ok(SessionKnob::MinBatch(positive("a batch size")?)),
         "max_batch" => Ok(SessionKnob::MaxBatch(positive("a batch size")?)),
@@ -492,40 +487,17 @@ pub fn build_schema(
 /// deduplicated, split by kind. The session uses the stream list to pick
 /// which source definitions feed an `INSERT`.
 pub fn referenced_relations(query: &BoundQuery) -> (Vec<String>, Vec<String>) {
-    let mut streams = BTreeSet::new();
-    let mut tables = BTreeSet::new();
-    collect_scans(&query.plan, &mut streams, &mut tables);
-    (streams.into_iter().collect(), tables.into_iter().collect())
-}
-
-fn collect_scans(
-    plan: &LogicalPlan,
-    streams: &mut BTreeSet<String>,
-    tables: &mut BTreeSet<String>,
-) {
-    match plan {
-        LogicalPlan::Scan { table, kind, .. } => {
-            let name = table.to_ascii_lowercase();
-            match kind {
-                TableKind::Stream => {
-                    streams.insert(name);
-                }
-                TableKind::Table => {
-                    tables.insert(name);
-                }
-            }
-        }
-        LogicalPlan::Values { .. } => {}
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Window { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Distinct { input } => collect_scans(input, streams, tables),
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::UnionAll { left, right } => {
-            collect_scans(left, streams, tables);
-            collect_scans(right, streams, tables);
+    let (mut streams, mut tables) = (BTreeSet::new(), BTreeSet::new());
+    for node in query.plan.nodes() {
+        if let LogicalPlan::Scan { table, kind, .. } = node {
+            let names = match kind {
+                TableKind::Stream => &mut streams,
+                TableKind::Table => &mut tables,
+            };
+            names.insert(table.to_ascii_lowercase());
         }
     }
+    (streams.into_iter().collect(), tables.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -652,11 +624,6 @@ mod tests {
     fn set_knobs_validate_name_and_type() {
         let b = bind_text("SET workers = 4").unwrap();
         assert!(matches!(b, BoundStatement::Set(SessionKnob::Workers(4))));
-        let b = bind_text("SET partition_col = 0").unwrap();
-        assert!(matches!(
-            b,
-            BoundStatement::Set(SessionKnob::PartitionCol(0))
-        ));
         let b = bind_text("SET checkpoint_retain = 5").unwrap();
         assert!(matches!(
             b,
@@ -671,6 +638,9 @@ mod tests {
         let err = bind_text("SET workres = 4").unwrap_err().to_string();
         assert!(err.contains("unknown session knob"), "{err}");
         assert!(err.contains("workers"), "lists the vocabulary: {err}");
+        // The plan derives the routing key: no knob sets it.
+        let err = bind_text(concat!("SET partition", "_col = 0")).unwrap_err();
+        assert!(err.to_string().contains("unknown session knob"), "{err}");
         let err = bind_text("SET workers = 0").unwrap_err().to_string();
         assert!(err.contains("at least 1"), "{err}");
         let err = bind_text("SET workers = 'four'").unwrap_err().to_string();

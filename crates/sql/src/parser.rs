@@ -1573,7 +1573,7 @@ mod tests {
         assert_eq!(name, "workers");
         assert_eq!(value, OptionValue::Number("4".into()));
 
-        round_trip_stmt("SET partition_col = 0");
+        round_trip_stmt("SET max_idle_rounds = 0");
         let s = round_trip_stmt("set MAX_BATCH = 1024");
         assert!(matches!(s, Statement::Set { .. }), "case-insensitive");
 

@@ -21,9 +21,7 @@ fn main() -> Result<()> {
     // stream `sys_metrics (mtime, pipeline, metric, kind, value)`;
     // every scheduling round of the watched pipeline becomes rows, so
     // the observer can window them like any other stream.
-    // One worker: Q7's global per-window MAX does not align with hash
-    // routing, so `EXPLAIN LINT` flags OSQL002 for workers > 1 (the
-    // driver still shards over the four source partitions).
+    // One worker drains all four source partitions.
     let script = format!(
         "SET workers = 1;
          SET batch_size = 64;

@@ -33,22 +33,22 @@ fn engine() -> Engine {
 
 #[test]
 fn q7_recovers_at_every_split_point() {
-    assert_listing("Listing 9", 1, 1);
+    assert_listing("Listing 9", 1);
 }
 
 #[test]
 fn windowed_aggregate_recovers_mid_window() {
-    assert_listing("Tumble SUM/COUNT", 1, 1);
+    assert_listing("Tumble SUM/COUNT", 1);
 }
 
 #[test]
 fn emit_after_watermark_gate_state_survives() {
-    assert_listing("Listings 10-12", 1, 1);
+    assert_listing("Listings 10-12", 1);
 }
 
 #[test]
 fn distinct_state_survives() {
-    assert_listing("DISTINCT price", 1, 1);
+    assert_listing("DISTINCT price", 1);
 }
 
 #[test]

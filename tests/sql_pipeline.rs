@@ -12,10 +12,10 @@ use std::sync::{Arc, Mutex};
 use onesql::connect::{register_nexmark_streams, session};
 use onesql::{
     ChangelogSink, ChannelPublisher, DriverConfig, Engine, NexmarkSource, PartitionedNexmarkSource,
-    PipelineDriver, StatementResult,
+    PartitionedSource, PartitionedVec, PipelineDriver, StatementResult,
 };
 use onesql_nexmark::queries;
-use onesql_types::{row, Ts};
+use onesql_types::{row, Row, Ts};
 
 const EVENTS: u64 = 3_000;
 const PARTS: usize = 4;
@@ -26,39 +26,37 @@ fn q7_emit() -> String {
     format!("{} EMIT STREAM", queries::Q7)
 }
 
-/// The changelog an imperatively wired plain-driver Q7 produces.
-fn imperative_plain() -> String {
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let (rendered, sink) = ChangelogSink::in_memory();
-    let mut driver = PipelineDriver::new(&engine, &q7_emit(), DriverConfig::default()).unwrap();
-    driver
-        .attach_source(Box::new(NexmarkSource::seeded(7, EVENTS)))
-        .unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
-    driver.run().unwrap();
-    let out = rendered.lock().unwrap().clone();
-    assert!(!out.is_empty(), "imperative Q7 produced no output");
-    out
-}
-
-/// The changelog an imperatively wired sharded Q7 produces.
-fn imperative_sharded() -> String {
+/// The changelog and final table an imperatively wired Q7 over `source`
+/// produces on `workers` workers.
+fn imperative(workers: usize, source: Box<dyn PartitionedSource>) -> (String, Vec<Row>) {
     let mut engine = Engine::new();
     register_nexmark_streams(&mut engine);
     let (rendered, sink) = ChangelogSink::in_memory();
     let config = DriverConfig {
-        workers: WORKERS,
+        workers,
         ..DriverConfig::default()
     };
     let mut driver = PipelineDriver::new(&engine, &q7_emit(), config).unwrap();
-    driver
-        .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(7, EVENTS, PARTS)))
-        .unwrap();
+    driver.attach_partitioned_source(source).unwrap();
     driver.attach_sink(Box::new(sink)).unwrap();
     driver.run().unwrap();
     let out = rendered.lock().unwrap().clone();
-    out
+    assert!(!out.is_empty(), "imperative Q7 produced no output");
+    (out, driver.table().unwrap())
+}
+
+/// The changelog an imperatively wired plain-driver Q7 produces.
+fn imperative_plain() -> String {
+    let source = PartitionedVec::single(NexmarkSource::seeded(7, EVENTS));
+    imperative(1, Box::new(source)).0
+}
+
+/// [`imperative`] over the partitioned source.
+fn imperative_sharded(workers: usize) -> (String, Vec<Row>) {
+    imperative(
+        workers,
+        Box::new(PartitionedNexmarkSource::seeded(7, EVENTS, PARTS)),
+    )
 }
 
 #[test]
@@ -112,7 +110,12 @@ fn sql_script_q7_matches_imperative_sharded_driver() {
         .expect("the in-memory changelog sink exports its buffer");
     let metrics = pipeline.run().unwrap();
     assert_eq!(metrics.events_in, EVENTS);
-    assert_eq!(*rendered.lock().unwrap(), imperative_sharded());
+    let (changelog, table) = imperative_sharded(WORKERS);
+    assert_eq!(*rendered.lock().unwrap(), changelog);
+    // Each ten-minute window lives on one worker, so the two workers'
+    // answer is the one worker's over the same input.
+    assert_eq!(pipeline.table().unwrap(), table);
+    assert_eq!(table, imperative_sharded(1).1);
 }
 
 // ---------------------------------------------------------------------------
@@ -527,35 +530,28 @@ fn failed_insert_does_not_clobber_live_handles() {
 
 /// The one behaviour change of folding the worker set into
 /// [`DriverConfig`]: the setter replaces the whole configuration, `SET
-/// workers` and `SET partition_col` included.
+/// workers` included.
 #[test]
-fn set_driver_config_replaces_workers_and_partition_col_too() {
+fn set_driver_config_replaces_workers_too() {
     let insert = "INSERT INTO out SELECT auction, COUNT(*) FROM Bid GROUP BY auction;";
     let mut session = session();
     session
         .execute_script(
-            "SET workers = 4; SET partition_col = 1;
+            "SET workers = 4;
              CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = 200);
              CREATE SINK out WITH (connector = 'changelog');",
         )
         .unwrap();
-    let misrouted = |session: &onesql::Session| {
-        let report = session.lint_script(insert);
-        report.iter().any(|d| d.code == "OSQL002")
+    let workers = |session: &mut onesql::Session| match session.execute(insert).unwrap() {
+        StatementResult::Pipeline(pipeline) => pipeline.workers(),
+        other => panic!("expected a pipeline, got {other:?}"),
     };
-    assert!(misrouted(&session), "4 workers keyed on price split groups");
-
+    assert_eq!(workers(&mut session), 4);
     session.set_driver_config(DriverConfig {
         vectorize: false,
         ..DriverConfig::default()
     });
-    let pipeline = session.execute(insert).unwrap();
-    let StatementResult::Pipeline(pipeline) = pipeline else {
-        panic!("expected a pipeline")
-    };
-    assert_eq!(pipeline.workers(), 1, "workers went back to the default");
-    session.execute("SET workers = 4").unwrap();
-    assert!(!misrouted(&session), "and so did the partition column");
+    assert_eq!(workers(&mut session), 1, "workers went back to the default");
 }
 
 /// `EXPLAIN ANALYZE` and `INSERT INTO` build the same pipeline from the
