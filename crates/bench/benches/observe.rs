@@ -1,8 +1,9 @@
 //! B10 — observability overhead on the ingest path.
 //!
-//! Two connector-runtime workloads (channel replay, NEXMark generator
-//! replay), run twice: once bare (no label) and once instrumented (a
-//! labelled driver publishing a snapshot to the global
+//! Two connector-runtime workloads (a scripted replay, NEXMark generator
+//! replay), run twice: once bare (`EXPLAIN ANALYZE`: no sink, no label)
+//! and once instrumented (an `INSERT` pipeline into a discarding sink,
+//! labelled by it and publishing a snapshot to the global
 //! [`MetricsHub`](onesql_core::MetricsHub) every scheduling round). The
 //! contract this bench enforces: the label costs **at most ~5%** of ingest
 //! throughput. Span overhead with tracing on is `trace.rs`'s guard.
@@ -12,56 +13,41 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use onesql_connect::{channel, NexmarkSource};
-use onesql_core::observe;
-use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
+mod common;
+
+use onesql_core::StreamBuilder;
 use onesql_types::{row, DataType, Ts};
+
+use onesql_core::observe;
 
 const N: usize = 20_000;
 const SQL: &str = "SELECT item, price FROM Bid WHERE price > 10";
 const LABEL: &str = "bench_observe";
 
-fn bid_engine() -> Engine {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    engine
-}
-
-fn run_channel(instrumented: bool) -> u64 {
-    let engine = bid_engine();
-    let (publisher, source) = channel("Bid", N + 1);
-    for i in 0..N as i64 {
-        publisher
-            .insert(Ts(i), row!(Ts(i), i % 100, "item"))
-            .unwrap();
-    }
-    drop(publisher);
-    let mut pipeline = PipelineDriver::new(&engine, SQL, DriverConfig::default()).unwrap();
-    pipeline.attach_source(Box::new(source)).unwrap();
-    if instrumented {
-        pipeline.set_label(LABEL);
-    }
-    pipeline.run().unwrap().events_in
+fn run_replay(instrumented: bool) -> u64 {
+    let bid = StreamBuilder::new()
+        .event_time_column("bidtime")
+        .column("price", DataType::Int)
+        .column("item", DataType::String);
+    let rows = (0..N as i64).map(|i| row!(Ts(i), i % 100, "item"));
+    let ddl = "CREATE SOURCE feed WITH (connector = 'replay');";
+    common::run(
+        &mut common::session(Some(common::bids(bid, rows))),
+        ddl,
+        SQL,
+        instrumented.then_some(LABEL),
+    )
 }
 
 fn run_nexmark(instrumented: bool) -> u64 {
-    let mut engine = Engine::new();
-    onesql_connect::register_nexmark_streams(&mut engine);
+    let ddl = format!("CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = {N});");
     let sql = "SELECT auction, price FROM Bid WHERE price > 100";
-    let mut pipeline = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-    pipeline
-        .attach_source(Box::new(NexmarkSource::seeded(7, N as u64)))
-        .unwrap();
-    if instrumented {
-        pipeline.set_label(LABEL);
-    }
-    pipeline.run().unwrap().events_in
+    common::run(
+        &mut common::session(None),
+        &ddl,
+        sql,
+        instrumented.then_some(LABEL),
+    )
 }
 
 /// Best-of-`rounds` wall clock: minimum is the noise-robust statistic for
@@ -81,15 +67,15 @@ fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("observe");
     group.sample_size(10);
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function("channel_bare", |b| {
-        b.iter(|| assert_eq!(run_channel(false), N as u64))
+    group.bench_function("replay_bare", |b| {
+        b.iter(|| assert_eq!(run_replay(false), N as u64))
     });
     group.bench_function("nexmark_bare", |b| {
         b.iter(|| assert_eq!(run_nexmark(false), N as u64))
     });
 
-    group.bench_function("channel_instrumented", |b| {
-        b.iter(|| assert_eq!(run_channel(true), N as u64))
+    group.bench_function("replay_instrumented", |b| {
+        b.iter(|| assert_eq!(run_replay(true), N as u64))
     });
     group.bench_function("nexmark_instrumented", |b| {
         b.iter(|| assert_eq!(run_nexmark(true), N as u64))
@@ -100,7 +86,7 @@ fn bench_observe(c: &mut Criterion) {
     // both sides equally: instrumented min-time within 5% of bare (plus a
     // 500us absolute floor so micro-jitter cannot fail a sub-ms run).
     for (name, f) in [
-        ("channel", run_channel as fn(bool) -> u64),
+        ("replay", run_replay as fn(bool) -> u64),
         ("nexmark", run_nexmark as fn(bool) -> u64),
     ] {
         let bare = min_time(10, || f(false));

@@ -1,9 +1,9 @@
 //! B11 — flight-recorder overhead on the ingest path.
 //!
-//! The B8/B10 ingest workloads, run three ways: **bare** (no label, no
-//! sink — spans are inert), **trace-off** (a labelled driver, tracing
-//! still uninstalled: every span site pays exactly one relaxed atomic
-//! load), and **trace-on** (the [`FlightRecorder`] installed at full
+//! The B8/B10 ingest workloads, run three ways: **bare** (`EXPLAIN
+//! ANALYZE`: no label, no sink — spans are inert), **trace-off** (an
+//! `INSERT` pipeline, labelled by its discarding sink, tracing still
+//! uninstalled: every span site pays exactly one relaxed atomic load), and **trace-on** (the [`FlightRecorder`] installed at full
 //! sampling, every driver span recorded). The contract this bench
 //! enforces: trace-off costs **at most ~1%** over bare, trace-on **at
 //! most ~5%**. Results are recorded in `BENCH_trace.json`.
@@ -13,56 +13,41 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use onesql_connect::{channel, NexmarkSource};
-use onesql_core::observe::{self, FlightRecorder};
-use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
+mod common;
+
+use onesql_core::StreamBuilder;
 use onesql_types::{row, DataType, Ts};
+
+use onesql_core::observe::{self, FlightRecorder};
 
 const N: usize = 20_000;
 const SQL: &str = "SELECT item, price FROM Bid WHERE price > 10";
 const LABEL: &str = "bench_trace";
 
-fn bid_engine() -> Engine {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    engine
-}
-
-fn run_channel(labelled: bool) -> u64 {
-    let engine = bid_engine();
-    let (publisher, source) = channel("Bid", N + 1);
-    for i in 0..N as i64 {
-        publisher
-            .insert(Ts(i), row!(Ts(i), i % 100, "item"))
-            .unwrap();
-    }
-    drop(publisher);
-    let mut pipeline = PipelineDriver::new(&engine, SQL, DriverConfig::default()).unwrap();
-    pipeline.attach_source(Box::new(source)).unwrap();
-    if labelled {
-        pipeline.set_label(LABEL);
-    }
-    pipeline.run().unwrap().events_in
+fn run_replay(labelled: bool) -> u64 {
+    let bid = StreamBuilder::new()
+        .event_time_column("bidtime")
+        .column("price", DataType::Int)
+        .column("item", DataType::String);
+    let rows = (0..N as i64).map(|i| row!(Ts(i), i % 100, "item"));
+    let ddl = "CREATE SOURCE feed WITH (connector = 'replay');";
+    common::run(
+        &mut common::session(Some(common::bids(bid, rows))),
+        ddl,
+        SQL,
+        labelled.then_some(LABEL),
+    )
 }
 
 fn run_nexmark(labelled: bool) -> u64 {
-    let mut engine = Engine::new();
-    onesql_connect::register_nexmark_streams(&mut engine);
+    let ddl = format!("CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = {N});");
     let sql = "SELECT auction, price FROM Bid WHERE price > 100";
-    let mut pipeline = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-    pipeline
-        .attach_source(Box::new(NexmarkSource::seeded(7, N as u64)))
-        .unwrap();
-    if labelled {
-        pipeline.set_label(LABEL);
-    }
-    pipeline.run().unwrap().events_in
+    common::run(
+        &mut common::session(None),
+        &ddl,
+        sql,
+        labelled.then_some(LABEL),
+    )
 }
 
 /// Best-of-`rounds` wall clock: minimum is the noise-robust statistic for
@@ -86,16 +71,16 @@ fn bench_trace(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace");
     group.sample_size(10);
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function("channel_bare", |b| {
-        b.iter(|| assert_eq!(run_channel(false), N as u64))
+    group.bench_function("replay_bare", |b| {
+        b.iter(|| assert_eq!(run_replay(false), N as u64))
     });
-    group.bench_function("channel_trace_off", |b| {
-        b.iter(|| assert_eq!(run_channel(true), N as u64))
+    group.bench_function("replay_trace_off", |b| {
+        b.iter(|| assert_eq!(run_replay(true), N as u64))
     });
     observe::set_sample(1);
     observe::install(ring.clone());
-    group.bench_function("channel_trace_on", |b| {
-        b.iter(|| assert_eq!(run_channel(true), N as u64))
+    group.bench_function("replay_trace_on", |b| {
+        b.iter(|| assert_eq!(run_replay(true), N as u64))
     });
     observe::uninstall();
     group.finish();
@@ -105,7 +90,7 @@ fn bench_trace(c: &mut Criterion) {
     // (each plus a 500us absolute floor so micro-jitter cannot fail a
     // sub-ms run).
     for (name, f) in [
-        ("channel", run_channel as fn(bool) -> u64),
+        ("replay", run_replay as fn(bool) -> u64),
         ("nexmark", run_nexmark as fn(bool) -> u64),
     ] {
         let bare = min_time(10, || f(false));

@@ -1,13 +1,15 @@
 //! B11 — vectorized columnar executor vs the row-at-a-time oracle.
 //!
-//! Three workloads, each fed once through [`RunningQuery::change`] (the
-//! scalar path) and once through [`RunningQuery::change_batch`] (the
-//! columnar path). Each side consumes its natural input: the scalar side
+//! Three workloads, each fed by hand through the row-oracle hook (see
+//! `onesql_core::query`): once through `RunningQuery::change` (the scalar
+//! path) and once through `RunningQuery::change_batch` (the columnar
+//! path). Each side consumes its natural input: the scalar side
 //! pre-built rows, the columnar side pre-built `ChangeBatch`es — the
 //! shape a columnar source (the CSV `poll_columns` path) hands the
-//! driver. A separate end-to-end `PipelineDriver` A/B on the cheap
-//! filter toggles [`DriverConfig::vectorize`] over a *row* source, so it
-//! pays the rows→columns run-grouping cost inside the measurement.
+//! driver. A separate end-to-end pipeline A/B on the cheap filter, run
+//! as a script, toggles [`DriverConfig::vectorize`] over a *row* source
+//! (a replay), so it pays the rows→columns run-grouping cost inside the
+//! measurement.
 //!
 //! The contract this bench enforces: the vectorized path sustains **at
 //! least 3x** the scalar throughput on the filter-dominated workload
@@ -19,10 +21,11 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use onesql_connect::channel;
-use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
+mod common;
+
+use onesql_core::{DriverConfig, Engine, StreamBuilder};
 use onesql_tvr::{Change, ChangeBatch};
-use onesql_types::{row, DataType, Row, Ts, Value};
+use onesql_types::{DataType, Row, Ts, Value};
 
 const N: usize = 50_000;
 /// Rows per columnar batch on the vectorized side.
@@ -41,16 +44,17 @@ const Q7_WINDOW: &str = "SELECT wend, MAX(price) \
      FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(ts), \
      dur => INTERVAL '10' MINUTE) GROUP BY wend EMIT AFTER WATERMARK";
 
+fn bid_stream() -> StreamBuilder {
+    StreamBuilder::new()
+        .event_time_column("ts")
+        .column("price", DataType::Int)
+        .column("bidder", DataType::Int)
+        .column("item", DataType::String)
+}
+
 fn bid_engine() -> Engine {
     let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("ts")
-            .column("price", DataType::Int)
-            .column("bidder", DataType::Int)
-            .column("item", DataType::String),
-    );
+    engine.register_stream("Bid", bid_stream());
     engine
 }
 
@@ -120,34 +124,19 @@ fn run_vectorized(sql: &str, batches: &[ChangeBatch], wm_every: Option<usize>) -
     q.changelog().len()
 }
 
-/// End-to-end: channel source through `PipelineDriver`, vectorization
+/// End-to-end: a replayed row source through a pipeline, vectorization
 /// toggled by config. The driver groups consecutive same-stream events
 /// into batches itself, so this measures the full hot path including
 /// polling, run-grouping, and output drain.
-fn run_driver(vectorize: bool) -> u64 {
-    let engine = bid_engine();
-    let (publisher, source) = channel("Bid", N + 1);
-    for i in 0..N {
-        publisher
-            .insert(
-                Ts(i as i64),
-                row!(
-                    event_time(i),
-                    (i as i64 * 7_919) % 1_000,
-                    (i as i64 * 104_729) % 500,
-                    "item"
-                ),
-            )
-            .unwrap();
-    }
-    drop(publisher);
-    let config = DriverConfig {
+fn run_driver(vectorize: bool, rows: &[(Ts, Change)]) -> u64 {
+    let rows = rows.iter().map(|(_, change)| change.row.clone());
+    let mut session = common::session(Some(common::bids(bid_stream(), rows)));
+    session.set_driver_config(DriverConfig {
         vectorize,
         ..DriverConfig::default()
-    };
-    let mut pipeline = PipelineDriver::new(&engine, CHEAP_FILTER, config).unwrap();
-    pipeline.attach_source(Box::new(source)).unwrap();
-    pipeline.run().unwrap().events_in
+    });
+    let ddl = "CREATE SOURCE feed WITH (connector = 'replay');";
+    common::run(&mut session, ddl, CHEAP_FILTER, Some("out"))
 }
 
 /// Best-of-`rounds` wall clock: minimum is the noise-robust statistic for
@@ -196,7 +185,7 @@ fn bench_vectorized(c: &mut Criterion) {
             "driver_scalar"
         };
         group.bench_function(label, |b| {
-            b.iter(|| assert_eq!(run_driver(vectorize), N as u64))
+            b.iter(|| assert_eq!(run_driver(vectorize, &rows), N as u64))
         });
     }
     group.finish();

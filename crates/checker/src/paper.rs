@@ -2,44 +2,28 @@
 //! of `onesql_nexmark::paper` and Listings 3–14 over it, run through the
 //! production path.
 //!
-//! A `paper` source connector replays the timeline's
-//! `(ptime, row | watermark)` schedule, one step per poll. Each
+//! The timeline's `(ptime, row | watermark)` schedule is a
+//! [`Replay`] registered as the `replay` source, fed one step per poll (its
+//! ptimes all differ). Each
 //! [`Listing`] is a SQL script run through `Session::execute_script` into
 //! the driver, and [`check_listing`] runs it under the harness once per
 //! event boundary ([`NemesisPlan::every_kill_point`]): every oracle must
 //! hold, and the effective history must carry the paper's rows — the
 //! `undo` / `ptime` / `ver` stream for `EMIT STREAM` listings, the table
 //! at the paper's instants for the others.
-//!
-//! The driver stamps a source's watermark at its clock, the newest event
-//! ptime, so a watermark that arrives on its own would borrow the ptime
-//! of the bid before it. The source therefore carries each watermark's
-//! arrival as an event on a second stream, `WatermarkArrivals`, that no
-//! listing reads: the event moves the clock to the paper's ptime, and the
-//! watermark in the same batch is stamped there.
-//!
-//! The connector is registered only in the sessions this module builds,
-//! never in `default_registry()`.
-
-use std::sync::Arc;
+//! A watermark's arrival moves the clock to the paper's ptime through the
+//! replay's clock stream, which no listing reads.
 
 use onesql_connect::{default_registry, Session, SqlPipeline};
-use onesql_core::connect::{
-    Exports, OptionBag, PartitionedSource, PartitionedVec, Source, SourceBatch, SourceConnector,
-    SourceEvent, SourceSpec, SourceStatus,
-};
+use onesql_core::connect::replay::Replay;
 use onesql_core::HistoryEvent;
 use onesql_nexmark::paper::{paper_bid_schema, PaperEvent, PAPER_Q7_SQL};
-use onesql_tvr::Change;
-use onesql_types::{row, DataType, Field, Result, Row, Schema, SchemaRef, Ts};
+use onesql_types::{row, Result, Row, Ts};
 
 use crate::harness::{check, RunKind, Scenario, ScenarioConfig};
 use crate::nemesis::{Nemesis, NemesisPlan};
 use crate::oracle::{emitted, fold_table_at, Violation};
 use crate::scenarios::Scratch;
-
-/// The stream carrying each watermark's arrival time; no listing reads it.
-const ARRIVALS: &str = "WatermarkArrivals";
 
 /// What a listing's rows must be.
 #[derive(Debug, Clone)]
@@ -373,11 +357,11 @@ impl Scenario for PaperScenario {
 
     fn build(&mut self, _incarnation: usize) -> Result<(Session, SqlPipeline)> {
         let mut registry = default_registry();
-        registry.register_source("paper", PaperConnector(self.schedule.clone()));
+        registry.register_source("replay", replay(&self.schedule));
         let mut session = Session::new(registry);
         let script = format!(
             "SET workers = {};
-             CREATE SOURCE timeline WITH (connector = 'paper');
+             CREATE SOURCE timeline WITH (connector = 'replay');
              CREATE SINK out WITH (connector = 'changelog');
              INSERT INTO out {};",
             self.workers, self.sql
@@ -391,73 +375,14 @@ impl Scenario for PaperScenario {
     }
 }
 
-/// `connector = 'paper'`: feeds `Bid` and `ARRIVALS` from a schedule.
-struct PaperConnector(Vec<PaperEvent>);
-
-impl SourceConnector for PaperConnector {
-    fn declare(&self, _: &SourceSpec, _: &mut OptionBag) -> Result<Vec<(String, SchemaRef)>> {
-        let arrivals = Schema::new(vec![Field::new("arrival", DataType::Timestamp)]);
-        Ok(vec![
-            ("Bid".to_string(), Arc::new(paper_bid_schema())),
-            (ARRIVALS.to_string(), Arc::new(arrivals)),
-        ])
+/// `schedule` as a [`Replay`] of the paper's `Bid` stream.
+pub fn replay(schedule: &[PaperEvent]) -> Replay {
+    let mut replay = Replay::new([("Bid", paper_bid_schema())]);
+    for event in schedule {
+        match event {
+            PaperEvent::Insert { ptime, row } => replay.insert(*ptime, "Bid", row.clone()),
+            PaperEvent::Watermark { ptime, wm } => replay.watermark(*ptime, *wm),
+        };
     }
-
-    fn build(
-        &self,
-        _: &SourceSpec,
-        _: &mut OptionBag,
-        _: &mut Exports,
-    ) -> Result<Box<dyn PartitionedSource>> {
-        Ok(Box::new(PartitionedVec::single(PaperSource {
-            streams: vec!["Bid".to_string(), ARRIVALS.to_string()],
-            schedule: self.0.clone(),
-            next: 0,
-        })))
-    }
-}
-
-/// Replays a schedule one step per poll; replayable, as a fresh instance
-/// replays the same steps.
-struct PaperSource {
-    streams: Vec<String>,
-    schedule: Vec<PaperEvent>,
-    next: usize,
-}
-
-impl Source for PaperSource {
-    fn name(&self) -> &str {
-        "paper"
-    }
-
-    fn streams(&self) -> &[String] {
-        &self.streams
-    }
-
-    fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
-        let mut batch = SourceBatch::empty(SourceStatus::Ready);
-        if let Some(step) = self.schedule.get(self.next).filter(|_| max_events > 0) {
-            self.next += 1;
-            let event = match step {
-                PaperEvent::Insert { ptime, row } => SourceEvent {
-                    stream: 0,
-                    ptime: *ptime,
-                    change: Change::insert(row.clone()),
-                },
-                PaperEvent::Watermark { ptime, wm } => {
-                    batch.watermark = Some(*wm);
-                    SourceEvent {
-                        stream: 1,
-                        ptime: *ptime,
-                        change: Change::insert(row!(*ptime)),
-                    }
-                }
-            };
-            batch.events.push(event);
-        }
-        if self.next == self.schedule.len() {
-            batch.status = SourceStatus::Finished;
-        }
-        Ok(batch)
-    }
+    replay
 }

@@ -61,11 +61,6 @@ impl ChangelogSink {
         Ok(sink)
     }
 
-    /// Render to stderr (handy in examples).
-    pub fn to_stderr() -> ChangelogSink {
-        ChangelogSink::to_writer(std::io::stderr())
-    }
-
     /// Render into a shared string buffer; returns `(buffer, sink)`.
     pub fn in_memory() -> (Arc<Mutex<String>>, ChangelogSink) {
         let buffer = Arc::new(Mutex::new(String::new()));

@@ -8,7 +8,8 @@
 //! The connector **runtime** — the [`Source`] / [`Sink`] traits in
 //! `onesql_core::connect` and the [`PipelineDriver`] in
 //! `onesql_core::driver` — lives in core and is re-exported here. This
-//! crate adds the concrete connectors:
+//! crate adds the concrete connectors, and [`default_registry`] names each
+//! family for `CREATE SOURCE` / `CREATE SINK ... WITH (connector = ...)`:
 //!
 //! | Connector | Kind | Purpose |
 //! |---|---|---|
@@ -25,30 +26,33 @@
 //!
 //! # Quickstart
 //!
+//! A pipeline is one script: the session builds its connectors from the
+//! `WITH` options and hands back their side handles.
+//!
 //! ```
-//! use onesql_connect::{channel, ChangelogSink, DriverConfig, PipelineDriver};
-//! use onesql_core::{Engine, StreamBuilder};
-//! use onesql_types::{row, DataType, Ts};
+//! use std::sync::{Arc, Mutex};
 //!
-//! let mut engine = Engine::new();
-//! engine.register_stream(
-//!     "Bid",
-//!     StreamBuilder::new()
-//!         .event_time_column("bidtime")
-//!         .column("price", DataType::Int),
-//! );
+//! use onesql_connect::{session, ChannelPublisher};
+//! use onesql_types::{row, Ts};
 //!
-//! // A channel source: feed rows from the test (or another thread).
-//! let (publisher, source) = channel("Bid", 64);
-//! let (rendered, sink) = ChangelogSink::in_memory();
+//! let mut session = session();
+//! let mut pipeline = session
+//!     .execute_script(
+//!         "CREATE SOURCE Bid (bidtime TIMESTAMP, price INT, WATERMARK FOR bidtime)
+//!            WITH (connector = 'channel');
+//!          CREATE SINK out WITH (connector = 'changelog');
+//!          INSERT INTO out SELECT price FROM Bid WHERE price > 2;",
+//!     )
+//!     .unwrap()
+//!     .into_pipeline()
+//!     .unwrap();
 //!
-//! // One constructor builds every pipeline; connectors attach to it.
-//! let sql = "SELECT price FROM Bid WHERE price > 2";
-//! let mut pipeline = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-//! pipeline.attach_source(Box::new(source)).unwrap();
-//! pipeline.attach_sink(Box::new(sink)).unwrap();
-//! publisher.insert(Ts::hm(8, 8), row!(Ts::hm(8, 7), 5i64)).unwrap();
-//! publisher.finish().unwrap();
+//! // The channel source exports its publishers, the changelog sink its
+//! // rendered text.
+//! let publishers = session.take_handle::<Vec<ChannelPublisher>>("Bid").unwrap();
+//! let rendered = session.take_handle::<Arc<Mutex<String>>>("out").unwrap();
+//! publishers[0].insert(Ts::hm(8, 8), row!(Ts::hm(8, 7), 5i64)).unwrap();
+//! publishers[0].finish().unwrap();
 //! let metrics = pipeline.run().unwrap();
 //! assert_eq!(metrics.events_in, 1);
 //! assert!(rendered.lock().unwrap().contains('5'));

@@ -28,7 +28,8 @@
 //! driver can name them without a dependency cycle.
 //!
 //! A source is just a type that hands the driver batches: the example in
-//! [`crate::driver`] implements one and runs it through a query end to end.
+//! [`crate::session`] implements one, registers its connector and runs it
+//! through a query end to end; [`replay`] is the scripted one tests use.
 
 use std::collections::BTreeMap;
 
@@ -40,6 +41,7 @@ use onesql_types::{Error, Result, Ts, Value};
 use crate::observe::{Histogram, MetricRow};
 
 pub mod registry;
+pub mod replay;
 
 pub use registry::{
     ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceConnector, SourceSpec,
@@ -1231,7 +1233,7 @@ mod tests {
     fn parts_that_cannot_replay_refuse_seeks() {
         let mut live = Scripted::new(8);
         live.replayable = false;
-        // Boxed, as `PipelineDriver::attach_source` wraps a plain source: the
+        // Boxed, as a connector may wrap a plain source: the
         // verdict must survive the `Box<dyn Source>` forwarding impl.
         let mut pv = PartitionedVec::single(Box::new(live) as Box<dyn Source>);
         assert_eq!((pv.name(), pv.partitions()), ("scripted", 1));

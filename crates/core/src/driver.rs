@@ -2,8 +2,8 @@
 //!
 //! A pipeline is N sources pumped through W ≥ 1 query workers into M
 //! sinks, the way the paper's engines do it (Appendix B). Every source is
-//! a [`PartitionedSource`] (a plain [`Source`] is a one-part
-//! [`PartitionedVec`]), and one [`PipelineDriver::step`] round is always
+//! a [`PartitionedSource`] (a plain [`Source`](crate::connect::Source) is
+//! a one-part [`PartitionedVec`](crate::connect::PartitionedVec)), and one [`PipelineDriver::step`] round is always
 //! the same: poll every unfinished partition, hand the round's events to
 //! the workers, then the round's per-stream watermark advances, then
 //! barrier, merge and emit (the emit one step later when the input is
@@ -11,7 +11,7 @@
 //! The only thing that varies is the **worker set**, chosen from the
 //! worker count alone:
 //!
-//! - **W = 1** runs the [`RunningQuery`] inline on the calling thread: no
+//! - **W = 1** runs the worker's query inline on the calling thread: no
 //!   routing hash, no channel, no thread hop. A source that polls straight
 //!   into columns ([`PartitionedSource::poll_partition_columns`]) feeds
 //!   the vectorized executor path without materializing rows.
@@ -82,62 +82,40 @@
 //!
 //! # Example
 //!
-//! Any plain [`Source`] rides the driver as a one-part [`PartitionedVec`];
-//! here three bids fan out over two hash-sharded workers and the merged
-//! result table comes back deterministic:
+//! A pipeline comes from a script; the driver is what it runs on. Here a
+//! replayed schedule of three bids fans out over two hash-sharded workers
+//! and the merged result table comes back deterministic:
 //!
 //! ```
-//! use onesql_core::connect::{Source, SourceBatch, SourceEvent, SourceStatus};
-//! use onesql_core::{DriverConfig, Engine, PipelineDriver, StreamBuilder};
-//! use onesql_tvr::Change;
-//! use onesql_types::{row, DataType, Result, Ts};
+//! use onesql_core::connect::replay::Replay;
+//! use onesql_core::{ConnectorRegistry, HistoryTap, Session, StreamBuilder};
+//! use onesql_types::{row, DataType, Ts};
 //!
-//! struct Bids(Vec<(i64, i64)>, Vec<String>);
-//!
-//! impl Source for Bids {
-//!     fn name(&self) -> &str {
-//!         "bids"
-//!     }
-//!     fn streams(&self) -> &[String] {
-//!         &self.1
-//!     }
-//!     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
-//!         let take = max_events.min(self.0.len());
-//!         let mut batch = SourceBatch::empty(SourceStatus::Ready);
-//!         for (i, (auction, price)) in self.0.drain(..take).enumerate() {
-//!             let ptime = Ts(i as i64);
-//!             batch.events.push(SourceEvent {
-//!                 stream: 0,
-//!                 ptime,
-//!                 change: Change::insert(row!(auction, price, ptime)),
-//!             });
-//!         }
-//!         if self.0.is_empty() {
-//!             batch.status = SourceStatus::Finished;
-//!         }
-//!         Ok(batch)
-//!     }
+//! let bid = StreamBuilder::new()
+//!     .column("auction", DataType::Int)
+//!     .column("price", DataType::Int)
+//!     .event_time_column("bidtime");
+//! let mut bids = Replay::new([("Bid", bid.build())]);
+//! for (i, (auction, price)) in [(1i64, 3i64), (2, 11), (1, 7)].into_iter().enumerate() {
+//!     let ptime = Ts(i as i64);
+//!     bids.insert(ptime, "Bid", row!(auction, price, ptime));
 //! }
-//!
-//! let mut engine = Engine::new();
-//! engine.register_stream(
-//!     "Bid",
-//!     StreamBuilder::new()
-//!         .column("auction", DataType::Int)
-//!         .column("price", DataType::Int)
-//!         .event_time_column("bidtime"),
-//! );
-//! let script = Bids(vec![(1, 3), (2, 11), (1, 7)], vec!["Bid".to_string()]);
-//! let sql = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
-//! let config = DriverConfig {
-//!     workers: 2,
-//!     ..DriverConfig::default()
-//! };
-//! let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
-//! driver.attach_source(Box::new(script)).unwrap();
-//! driver.run().unwrap();
+//! let mut registry = ConnectorRegistry::new();
+//! registry.register_source("replay", bids);
+//! registry.register_sink("history", HistoryTap::new());
+//! let mut pipeline = Session::new(registry)
+//!     .execute_script(
+//!         "SET workers = 2;
+//!          CREATE SOURCE feed WITH (connector = 'replay');
+//!          CREATE SINK out WITH (connector = 'history');
+//!          INSERT INTO out SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction;",
+//!     )
+//!     .unwrap()
+//!     .into_pipeline()
+//!     .unwrap();
+//! pipeline.run().unwrap();
 //! assert_eq!(
-//!     driver.table().unwrap(),
+//!     pipeline.table().unwrap(),
 //!     vec![row!(1i64, 2i64, 10i64), row!(2i64, 1i64, 11i64)],
 //! );
 //! ```
@@ -154,9 +132,8 @@ use onesql_tvr::{Change, ChangeBatch, Changelog, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
-    change_bytes, BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PartitionedVec,
-    PipelineMetrics, Sink, Source, SourceBatch, SourceMetrics, SourceStatus, WatermarkLedger,
-    WatermarkProvenance,
+    change_bytes, BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PipelineMetrics,
+    Sink, SourceBatch, SourceMetrics, SourceStatus, WatermarkLedger, WatermarkProvenance,
 };
 use crate::engine::Engine;
 use crate::hash::partition_of;
@@ -583,18 +560,13 @@ const POISONED: &str = "pipeline is poisoned by an earlier failure; \
                         restore the last checkpoint into a fresh driver";
 
 impl PipelineDriver {
-    /// [`Engine::plan`] `sql`, then [`PipelineDriver::with_query`].
-    pub fn new(engine: &Engine, sql: &str, config: DriverConfig) -> Result<PipelineDriver> {
-        PipelineDriver::with_query(engine, engine.plan(sql)?, config)
-    }
-
     /// The one way a pipeline comes to exist: derive the plan's routing,
     /// run the planned `query` once per worker and start the worker set
     /// (`config.workers` = 1 runs inline, more spawn a thread each; a plan
     /// routed to one worker gets one). Attach sources and sinks, then
     /// [`PipelineDriver::run`] (or [`PipelineDriver::restore`] a
     /// checkpoint first). The engine is only borrowed.
-    pub fn with_query(
+    pub(crate) fn with_query(
         engine: &Engine,
         query: BoundQuery,
         config: DriverConfig,
@@ -655,11 +627,6 @@ impl PipelineDriver {
         self.label = Some(label.into());
     }
 
-    /// The hub label, if one was set.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
-    }
-
     fn publish_snapshot(&mut self) {
         if self.label.is_none() {
             return;
@@ -685,7 +652,10 @@ impl PipelineDriver {
     /// or restored a checkpoint (the per-stream watermark trackers are
     /// sized at attach time; growing them afterwards would wipe observed
     /// watermark state).
-    pub fn attach_partitioned_source(&mut self, source: Box<dyn PartitionedSource>) -> Result<()> {
+    pub(crate) fn attach_partitioned_source(
+        &mut self,
+        source: Box<dyn PartitionedSource>,
+    ) -> Result<()> {
         if self.metrics.rounds > 0 || self.restored || self.poisoned {
             return Err(Error::plan(
                 "attach sources before stepping or restoring the pipeline",
@@ -763,11 +733,6 @@ impl PipelineDriver {
             non_empty_polls: 0,
         });
         Ok(())
-    }
-
-    /// Attach a plain source as a one-part [`PartitionedVec`].
-    pub fn attach_source(&mut self, source: Box<dyn Source>) -> Result<()> {
-        self.attach_partitioned_source(Box::new(PartitionedVec::single(source)))
     }
 
     /// Attach a sink; it is immediately bound to the query's output
@@ -1609,13 +1574,19 @@ impl std::fmt::Debug for PipelineDriver {
 mod tests {
     use super::*;
     use crate::connect::{
-        AdaptiveBatch, ConnectorRegistry, Exports, OptionBag, SinkConnector, SinkSpec, SourceBatch,
+        AdaptiveBatch, ConnectorRegistry, Exports, OptionBag, PartitionedVec, Source, SourceBatch,
         SourceConnector, SourceEvent, SourceSpec, LOW_PENDING,
     };
     use crate::engine::StreamBuilder;
+    use crate::history::HistoryTap;
     use crate::session::Session;
     use onesql_state::Codec;
     use onesql_types::{row, DataType, Duration};
+
+    /// [`Engine::plan`] `sql`, then [`PipelineDriver::with_query`].
+    fn planned(engine: &Engine, sql: &str, config: DriverConfig) -> Result<PipelineDriver> {
+        PipelineDriver::with_query(engine, engine.plan(sql)?, config)
+    }
 
     fn engine() -> Engine {
         let mut e = Engine::new();
@@ -1684,7 +1655,7 @@ mod tests {
         let parts = vec![bids(40, 0), bids(40, 3), bids(40, 7)];
         let mut tables = Vec::new();
         for workers in [1usize, 2, 4] {
-            let mut driver = PipelineDriver::new(&e, AGG, sharded(workers)).unwrap();
+            let mut driver = planned(&e, AGG, sharded(workers)).unwrap();
             driver
                 .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
@@ -1696,9 +1667,21 @@ mod tests {
     }
 
     #[test]
+    fn sources_attach_only_before_the_first_step() {
+        let mut driver = planned(&engine(), AGG, sharded(1)).unwrap();
+        driver
+            .attach_partitioned_source(script(vec![bids(4, 0)]))
+            .unwrap();
+        driver.step().unwrap();
+        let late = driver.attach_partitioned_source(script(vec![bids(4, 1)]));
+        let err = late.unwrap_err().to_string();
+        assert!(err.contains("before stepping"), "{err}");
+    }
+
+    #[test]
     fn zero_workers_rejected() {
         let e = engine();
-        assert!(PipelineDriver::new(&e, AGG, sharded(0)).is_err());
+        assert!(planned(&e, AGG, sharded(0)).is_err());
     }
 
     #[test]
@@ -1710,7 +1693,7 @@ mod tests {
                 adaptive: None,
                 ..sharded(workers)
             };
-            let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
+            let mut driver = planned(&e, AGG, config).unwrap();
             driver
                 .attach_partitioned_source(script(vec![bids(5, 0)]))
                 .unwrap();
@@ -1735,7 +1718,7 @@ mod tests {
             adaptive: None,
             ..sharded(2)
         };
-        let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
+        let mut driver = planned(&e, AGG, config).unwrap();
         driver
             .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
@@ -1743,21 +1726,21 @@ mod tests {
         let cp = driver.checkpoint().unwrap();
 
         // Wrong worker count.
-        let mut other = PipelineDriver::new(&e, AGG, sharded(3)).unwrap();
+        let mut other = planned(&e, AGG, sharded(3)).unwrap();
         other
             .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
         assert!(other.restore(&cp).is_err());
 
         // Wrong partition count.
-        let mut other = PipelineDriver::new(&e, AGG, sharded(2)).unwrap();
+        let mut other = planned(&e, AGG, sharded(2)).unwrap();
         other
             .attach_partitioned_source(script(vec![bids(10, 0), bids(10, 1)]))
             .unwrap();
         assert!(other.restore(&cp).is_err());
 
         // A driver that already ran refuses restore.
-        let mut other = PipelineDriver::new(&e, AGG, config).unwrap();
+        let mut other = planned(&e, AGG, config).unwrap();
         other
             .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
@@ -1767,7 +1750,7 @@ mod tests {
         // A restored driver seals its source set and refuses a second
         // restore: attaching would rebuild the watermark trackers and wipe
         // the state the restore just loaded.
-        let mut other = PipelineDriver::new(&e, AGG, config).unwrap();
+        let mut other = planned(&e, AGG, config).unwrap();
         other
             .attach_partitioned_source(script(vec![bids(20, 0)]))
             .unwrap();
@@ -1781,21 +1764,8 @@ mod tests {
         assert!(other.is_finished());
     }
 
-    /// Collects every row the driver writes.
-    struct Collect(Arc<std::sync::Mutex<Vec<StreamRow>>>);
-
-    impl Sink for Collect {
-        fn name(&self) -> &str {
-            "collect"
-        }
-        fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-            self.0.lock().unwrap().extend_from_slice(rows);
-            Ok(())
-        }
-    }
-
-    /// `script` / `Collect` as SQL connectors, so a [`Session`]
-    /// can assemble the pipeline the tests build by hand.
+    /// `script` as a SQL connector, so a [`Session`] can assemble the
+    /// pipeline the tests build by hand.
     struct ScriptConnector(Vec<Vec<(Ts, Row)>>);
 
     impl SourceConnector for ScriptConnector {
@@ -1813,24 +1783,6 @@ mod tests {
             _: &mut Exports,
         ) -> Result<Box<dyn PartitionedSource>> {
             Ok(script(self.0.clone()))
-        }
-    }
-
-    struct CollectConnector;
-
-    impl SinkConnector for CollectConnector {
-        fn declare(&self, _: &SinkSpec, _: &mut OptionBag) -> Result<()> {
-            Ok(())
-        }
-        fn build(
-            &self,
-            _: &SinkSpec,
-            _: &mut OptionBag,
-            out: &mut Exports,
-        ) -> Result<Box<dyn Sink>> {
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            out.put(seen.clone());
-            Ok(Box::new(Collect(seen)))
         }
     }
 
@@ -1853,12 +1805,12 @@ mod tests {
                 adaptive: None,
                 ..sharded(workers)
             };
-            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            let mut driver = planned(&e, SQL, config).unwrap();
             driver
                 .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+            let seen = HistoryTap::new();
+            driver.attach_sink(Box::new(seen.clone())).unwrap();
             driver.run().unwrap();
 
             // Nor on who assembled the pipeline: a `Session` hands the
@@ -1866,7 +1818,8 @@ mod tests {
             // same rows in the same order.
             let mut registry = ConnectorRegistry::new();
             registry.register_source("script", ScriptConnector(parts.clone()));
-            registry.register_sink("collect", CollectConnector);
+            let via_sql = HistoryTap::new();
+            registry.register_sink("collect", via_sql.clone());
             let mut session = Session::new(registry);
             session.set_driver_config(config);
             let mut pipeline = session
@@ -1881,13 +1834,10 @@ mod tests {
                 .unwrap();
             assert_eq!(pipeline.workers(), workers);
             pipeline.run().unwrap();
-            let via_sql: Arc<std::sync::Mutex<Vec<StreamRow>>> =
-                session.take_handle("out").unwrap();
-            assert_eq!(*via_sql.lock().unwrap(), *seen.lock().unwrap());
+            assert_eq!(via_sql.rows(), seen.rows());
 
             let mut rows: Vec<(Ts, Row, bool)> = seen
-                .lock()
-                .unwrap()
+                .rows()
                 .iter()
                 .map(|r: &StreamRow| (r.ptime, r.row.clone(), r.undo))
                 .collect();
@@ -1913,12 +1863,12 @@ mod tests {
                 adaptive: None,
                 ..sharded(workers)
             };
-            let mut driver = PipelineDriver::new(&e, AGG, config).unwrap();
+            let mut driver = planned(&e, AGG, config).unwrap();
             driver
                 .attach_partitioned_source(script(vec![bids(20, 0), bids(20, 3)]))
                 .unwrap();
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+            let seen = HistoryTap::new();
+            driver.attach_sink(Box::new(seen.clone())).unwrap();
 
             // Mid-run the log is the released prefix — what the sinks
             // hold — while a probe below the clock also sees the entries
@@ -1927,7 +1877,7 @@ mod tests {
                 driver.step().unwrap();
             }
             let rendered = onesql_exec::render_stream(driver.changelog(), &ver_cols).unwrap();
-            assert_eq!(rendered, *seen.lock().unwrap(), "{workers} workers");
+            assert_eq!(rendered, seen.rows(), "{workers} workers");
             let at = driver.clock() - onesql_types::Duration(1);
             let probe = driver.table_at(at).unwrap();
             assert!(!probe.is_empty(), "{workers} workers");
@@ -1947,7 +1897,7 @@ mod tests {
             // scratch reproduces their rows, `ver` numbers included.
             let rendered = onesql_exec::render_stream(driver.changelog(), &ver_cols).unwrap();
             assert!(!rendered.is_empty());
-            assert_eq!(rendered, *seen.lock().unwrap(), "{workers} workers");
+            assert_eq!(rendered, seen.rows(), "{workers} workers");
         }
         // One inline worker defers nothing, so below the clock its log
         // alone answers the probe; two threads over a source that is never
@@ -1983,12 +1933,12 @@ mod tests {
                 }),
                 ..sharded(workers)
             };
-            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            let mut driver = planned(&e, SQL, config).unwrap();
             driver
                 .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+            let seen = HistoryTap::new();
+            driver.attach_sink(Box::new(seen.clone())).unwrap();
             let mut sizes = Vec::new();
             while !driver.is_finished() {
                 driver.step().unwrap();
@@ -1996,8 +1946,7 @@ mod tests {
             }
             let rounds = driver.metrics().rounds;
             let mut rows: Vec<(Ts, Row, bool)> = seen
-                .lock()
-                .unwrap()
+                .rows()
                 .iter()
                 .map(|r: &StreamRow| (r.ptime, r.row.clone(), r.undo))
                 .collect();
@@ -2043,13 +1992,17 @@ mod tests {
             adaptive: None,
             ..sharded(2)
         };
-        let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+        let mut driver = planned(&e, SQL, config).unwrap();
         let steady = Script(bids(40, 0), vec!["Bid".to_string()]);
         let halting = EveryOtherPollIdle(Script(bids(40, 3), vec!["Bid".to_string()]), false);
-        driver.attach_source(Box::new(steady)).unwrap();
-        driver.attach_source(Box::new(halting)).unwrap();
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        driver.attach_sink(Box::new(Collect(seen.clone()))).unwrap();
+        driver
+            .attach_partitioned_source(Box::new(PartitionedVec::single(steady)))
+            .unwrap();
+        driver
+            .attach_partitioned_source(Box::new(PartitionedVec::single(halting)))
+            .unwrap();
+        let seen = HistoryTap::new();
+        driver.attach_sink(Box::new(seen.clone())).unwrap();
         for step in 0..8 {
             driver.step().unwrap();
             let owed = driver
@@ -2066,7 +2019,7 @@ mod tests {
                 // One answered `Idle` — the next poll may wait for input —
                 // so the sink already holds every entry below the clock.
                 assert!(driver.deferred.is_none() && owed == 0, "step {step}");
-                assert_eq!(seen.lock().unwrap().len(), driver.changelog().len());
+                assert_eq!(seen.rows().len(), driver.changelog().len());
                 // Four rows a step from one source, four every other step
                 // from the other: all out but those at the clock.
                 let ingested = (step + 1) * 6;
@@ -2098,7 +2051,7 @@ mod tests {
             ..sharded(2)
         };
         let deferring = |budget| {
-            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            let mut driver = planned(&e, SQL, config).unwrap();
             driver
                 .attach_partitioned_source(script(vec![bids(40, 0)]))
                 .unwrap();
@@ -2147,7 +2100,7 @@ mod tests {
                 adaptive: None,
                 ..sharded(workers)
             };
-            let mut driver = PipelineDriver::new(&e, SQL, config).unwrap();
+            let mut driver = planned(&e, SQL, config).unwrap();
             driver
                 .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
@@ -2159,7 +2112,7 @@ mod tests {
             assert!(versions.len() >= 10_000, "{workers} workers");
             assert!(versions.windows(2).all(|w| w[0].0 < w[1].0));
 
-            let mut restored = PipelineDriver::new(&e, SQL, config).unwrap();
+            let mut restored = planned(&e, SQL, config).unwrap();
             restored
                 .attach_partitioned_source(script(parts.clone()))
                 .unwrap();
@@ -2191,7 +2144,7 @@ mod tests {
             ..sharded(2)
         };
         let parts = vec![bids(40, 0)];
-        let mut driver = PipelineDriver::new(&e, sql, config).unwrap();
+        let mut driver = planned(&e, sql, config).unwrap();
         driver
             .attach_partitioned_source(script(parts.clone()))
             .unwrap();
@@ -2199,7 +2152,7 @@ mod tests {
         driver.step().unwrap();
         let mut checkpoint = driver.checkpoint().unwrap();
         craft(&mut checkpoint);
-        let mut restored = PipelineDriver::new(&e, sql, config).unwrap();
+        let mut restored = planned(&e, sql, config).unwrap();
         restored.attach_partitioned_source(script(parts)).unwrap();
         let restore = restored.restore(&checkpoint);
         let step = loop {
@@ -2270,8 +2223,7 @@ mod tests {
     #[test]
     fn merge_releases_fronts_by_ptime_then_worker_then_arrival() {
         let e = engine();
-        let mut driver =
-            PipelineDriver::new(&e, "SELECT auction, price FROM Bid", sharded(3)).unwrap();
+        let mut driver = planned(&e, "SELECT auction, price FROM Bid", sharded(3)).unwrap();
         // `(worker, arrival)` rows: every worker holds entries at ptime 5.
         let queue = |worker: i64, ptimes: &[i64]| -> VecDeque<TimedChange> {
             let entry = |(arrival, &ptime): (usize, &i64)| TimedChange {
@@ -2352,7 +2304,9 @@ mod tests {
     ) {
         let oracle_err = events.iter().find_map(|(stream, ptime, row)| {
             let name = ["bid", "person", "auction"][*stream];
-            oracle.insert(name, *ptime, row.clone()).err()
+            oracle
+                .change(name, *ptime, Change::insert(row.clone()))
+                .err()
         });
         let routed = |(stream, ptime, row)| (stream, ptime, Change::insert(row));
         shard.feed(events.into_iter().map(routed).collect(), 0);
@@ -2439,7 +2393,7 @@ mod tests {
         // fails after the source was polled, so the driver must refuse to
         // continue or checkpoint (the polled events never reached a
         // worker).
-        let mut driver = PipelineDriver::new(&e, AGG, sharded(2)).unwrap();
+        let mut driver = planned(&e, AGG, sharded(2)).unwrap();
         driver
             .attach_partitioned_source(script(vec![vec![(Ts(0), Row::new(vec![]))]]))
             .unwrap();

@@ -114,16 +114,6 @@ impl Engine {
 
     /// Register a temporal (system-time versioned) table; query historical
     /// snapshots with `AS OF SYSTEM TIME` (§6.1).
-    pub fn register_temporal_table(
-        &mut self,
-        name: impl Into<String>,
-        schema: StreamBuilder,
-        table: TemporalTable,
-    ) {
-        self.register_temporal_table_schema(name, schema.build(), table)
-    }
-
-    /// Register a temporal table from an explicit schema (the DDL path).
     pub fn register_temporal_table_schema(
         &mut self,
         name: impl Into<String>,
@@ -189,17 +179,20 @@ impl Engine {
         Ok(self.plan(sql)?.explain())
     }
 
-    /// Plan and start executing a query. Static tables referenced by the
-    /// query are loaded immediately (their TVRs are constant, so they carry
-    /// a final watermark); stream input is then fed through
-    /// [`RunningQuery`].
+    /// The row-oracle hook (see [`crate::query`]): plan `sql` and run it
+    /// as one query fed by hand. Not a way to run a query; that is
+    /// `Session::execute_script`.
+    #[doc(hidden)]
     pub fn execute(&self, sql: &str) -> Result<RunningQuery> {
         let bound = self.plan(sql)?;
         self.run(bound)
     }
 
-    /// Execute an already-planned query.
-    pub fn run(&self, bound: BoundQuery) -> Result<RunningQuery> {
+    /// Start executing an already-planned query: one pipeline worker, or a
+    /// bare `SELECT` over tables. Static tables referenced by the query
+    /// are loaded immediately (their TVRs are constant, so they carry a
+    /// final watermark); stream input is then fed by the driver.
+    pub(crate) fn run(&self, bound: BoundQuery) -> Result<RunningQuery> {
         let mut executor = compile(&bound, self.config)?;
         executor.initialize()?;
 
@@ -282,26 +275,42 @@ pub(crate) fn validate_row(schema: &Schema, row: &Row) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connect::replay::Replay;
+    use crate::session::{Session, StatementResult};
     use onesql_types::{row, Ts};
+
+    fn bid() -> StreamBuilder {
+        StreamBuilder::new()
+            .event_time_column("bidtime")
+            .column("price", DataType::Int)
+            .column("item", DataType::String)
+    }
+
+    fn category(engine: &mut Engine) {
+        engine
+            .register_table(
+                "Category",
+                StreamBuilder::new()
+                    .column("id", DataType::Int)
+                    .column("name", DataType::String),
+                vec![row!(1i64, "art"), row!(2i64, "cars")],
+            )
+            .unwrap();
+    }
 
     fn engine() -> Engine {
         let mut e = Engine::new();
-        e.register_stream(
-            "Bid",
-            StreamBuilder::new()
-                .event_time_column("bidtime")
-                .column("price", DataType::Int)
-                .column("item", DataType::String),
-        );
-        e.register_table(
-            "Category",
-            StreamBuilder::new()
-                .column("id", DataType::Int)
-                .column("name", DataType::String),
-            vec![row!(1i64, "art"), row!(2i64, "cars")],
-        )
-        .unwrap();
+        e.register_stream("Bid", bid());
+        category(&mut e);
         e
+    }
+
+    /// The table view a bare `SELECT` returns.
+    fn rows(session: &mut Session, sql: &str) -> Vec<Row> {
+        match session.execute(sql).unwrap() {
+            StatementResult::Rows(rows) => rows,
+            other => panic!("{sql}: expected rows, got {other:?}"),
+        }
     }
 
     #[test]
@@ -314,56 +323,64 @@ mod tests {
 
     #[test]
     fn static_table_queryable_immediately() {
-        let e = engine();
+        let mut session = Session::new(crate::ConnectorRegistry::new());
+        category(session.engine_mut());
         // Note: ORDER BY binds against the output schema, so the sort key
         // must be projected.
-        let q = e
-            .execute("SELECT id, name FROM Category ORDER BY id DESC")
-            .unwrap();
+        let sql = "SELECT id, name FROM Category ORDER BY id DESC";
         assert_eq!(
-            q.table().unwrap(),
+            rows(&mut session, sql),
             vec![row!(2i64, "cars"), row!(1i64, "art")]
         );
     }
 
     #[test]
     fn stream_joined_with_static_table() {
-        let e = engine();
-        let mut q = e
-            .execute("SELECT B.item, C.name FROM Bid B JOIN Category C ON B.price = C.id")
+        let mut replay = Replay::new([("Bid", bid().build())]);
+        replay.insert(Ts::hm(8, 0), "Bid", row!(Ts::hm(8, 0), 2i64, "x"));
+        let (mut session, _) = replay.session().unwrap();
+        category(session.engine_mut());
+        let sql = "INSERT INTO out SELECT B.item, C.name FROM Bid B \
+                   JOIN Category C ON B.price = C.id";
+        let mut pipeline = session
+            .execute_script(sql)
+            .unwrap()
+            .into_pipeline()
             .unwrap();
-        q.insert("Bid", Ts::hm(8, 0), row!(Ts::hm(8, 0), 2i64, "x"))
-            .unwrap();
-        assert_eq!(q.table().unwrap(), vec![row!("x", "cars")]);
+        pipeline.run().unwrap();
+        assert_eq!(pipeline.table().unwrap(), vec![row!("x", "cars")]);
     }
 
     #[test]
     fn temporal_table_as_of() {
-        let mut e = engine();
+        let mut session = Session::new(crate::ConnectorRegistry::new());
+        category(session.engine_mut());
         let mut t = TemporalTable::with_key(vec![0]);
         t.insert(Ts::hm(9, 0), row!("EUR", 114i64)).unwrap();
         t.insert(Ts::hm(10, 0), row!("EUR", 120i64)).unwrap();
-        e.register_temporal_table(
-            "Rates",
-            StreamBuilder::new()
-                .column("currency", DataType::String)
-                .column("rate", DataType::Int),
-            t,
+        let rates = StreamBuilder::new()
+            .column("currency", DataType::String)
+            .column("rate", DataType::Int);
+        let engine = session.engine_mut();
+        engine.register_temporal_table_schema("Rates", rates.build(), t);
+        let as_of = "SELECT rate FROM Rates AS OF SYSTEM TIME TIMESTAMP '9:30'";
+        assert_eq!(rows(&mut session, as_of), vec![row!(114i64)]);
+        assert_eq!(
+            rows(&mut session, "SELECT rate FROM Rates"),
+            vec![row!(120i64)]
         );
-        let q = e
-            .execute("SELECT rate FROM Rates AS OF SYSTEM TIME TIMESTAMP '9:30'")
-            .unwrap();
-        assert_eq!(q.table().unwrap(), vec![row!(114i64)]);
-        let q = e.execute("SELECT rate FROM Rates").unwrap();
-        assert_eq!(q.table().unwrap(), vec![row!(120i64)]);
         // Mutating through the engine is visible to later queries.
-        e.temporal_table_mut("Rates")
+        session
+            .engine_mut()
+            .temporal_table_mut("Rates")
             .unwrap()
             .insert(Ts::hm(11, 0), row!("EUR", 125i64))
             .unwrap();
-        let q = e.execute("SELECT rate FROM Rates").unwrap();
-        assert_eq!(q.table().unwrap(), vec![row!(125i64)]);
-        assert!(e.temporal_table_mut("Category").is_err());
+        assert_eq!(
+            rows(&mut session, "SELECT rate FROM Rates"),
+            vec![row!(125i64)]
+        );
+        assert!(session.engine_mut().temporal_table_mut("Category").is_err());
     }
 
     #[test]

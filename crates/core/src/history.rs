@@ -7,7 +7,8 @@
 //! watermark deliveries, checkpoint/restore epoch transitions, and the
 //! finish marker — in the order the sinks observed them. A [`HistoryTap`]
 //! is a cheap, cloneable handle to that record and a [`Sink`] like any
-//! other: attach a clone with [`crate::PipelineDriver::attach_sink`] and
+//! other: register it as a sink connector (or attach a clone with
+//! [`crate::PipelineDriver::attach_sink`]) and
 //! every sink callback appends the matching [`HistoryEvent`].
 //!
 //! The tap is deliberately shared (`Arc` underneath): a checker drives
@@ -24,7 +25,7 @@ use onesql_exec::StreamRow;
 use onesql_time::Watermark;
 use onesql_types::Result;
 
-use crate::connect::Sink;
+use crate::connect::{Exports, OptionBag, Sink, SinkConnector, SinkSpec};
 
 /// One observable event in a pipeline's history, in sink order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +70,16 @@ impl HistoryTap {
         self.log().clone()
     }
 
+    /// The rendered rows recorded so far, in sink order.
+    pub fn rows(&self) -> Vec<StreamRow> {
+        let log = self.log();
+        let rows = log.iter().filter_map(|event| match event {
+            HistoryEvent::Emitted(row) => Some(row.clone()),
+            _ => None,
+        });
+        rows.collect()
+    }
+
     fn log(&self) -> MutexGuard<'_, Vec<HistoryEvent>> {
         self.events
             .lock()
@@ -106,6 +117,19 @@ impl Sink for HistoryTap {
     fn flush(&mut self) -> Result<()> {
         self.log().push(HistoryEvent::Finished);
         Ok(())
+    }
+}
+
+/// A tap is also a sink family: registered under a name, every pipeline
+/// built over `CREATE SINK ... WITH (connector = '<name>')` records into
+/// this one tap.
+impl SinkConnector for HistoryTap {
+    fn declare(&self, _: &SinkSpec, _: &mut OptionBag) -> Result<()> {
+        Ok(())
+    }
+
+    fn build(&self, _: &SinkSpec, _: &mut OptionBag, _: &mut Exports) -> Result<Box<dyn Sink>> {
+        Ok(Box::new(self.clone()))
     }
 }
 

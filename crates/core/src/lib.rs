@@ -12,26 +12,37 @@
 //!
 //! # Quickstart
 //!
+//! One script declares the input, the output and the query; the session
+//! assembles the pipeline. Here the input is a [`connect::replay::Replay`]
+//! schedule and the output a [`HistoryTap`]:
+//!
 //! ```
-//! use onesql_core::{Engine, StreamBuilder};
+//! use onesql_core::connect::replay::Replay;
+//! use onesql_core::{ConnectorRegistry, HistoryTap, Session, StreamBuilder};
 //! use onesql_types::{row, DataType, Ts};
 //!
-//! let mut engine = Engine::new();
-//! engine.register_stream(
-//!     "Bid",
-//!     StreamBuilder::new()
-//!         .event_time_column("bidtime")
-//!         .column("price", DataType::Int)
-//!         .column("item", DataType::String),
-//! );
+//! let bid = StreamBuilder::new()
+//!     .event_time_column("bidtime")
+//!     .column("price", DataType::Int)
+//!     .column("item", DataType::String);
+//! let mut bids = Replay::new([("Bid", bid.build())]);
+//! bids.insert(Ts::hm(8, 8), "Bid", row!(Ts::hm(8, 7), 2i64, "A"))
+//!     .insert(Ts::hm(8, 12), "Bid", row!(Ts::hm(8, 11), 3i64, "B"));
 //!
-//! let mut q = engine
-//!     .execute("SELECT item, price FROM Bid WHERE price > 2")
+//! let mut registry = ConnectorRegistry::new();
+//! registry.register_source("replay", bids);
+//! registry.register_sink("history", HistoryTap::new());
+//! let mut pipeline = Session::new(registry)
+//!     .execute_script(
+//!         "CREATE SOURCE feed WITH (connector = 'replay');
+//!          CREATE SINK out WITH (connector = 'history');
+//!          INSERT INTO out SELECT item, price FROM Bid WHERE price > 2;",
+//!     )
+//!     .unwrap()
+//!     .into_pipeline()
 //!     .unwrap();
-//! q.insert("Bid", Ts::hm(8, 8), row!(Ts::hm(8, 7), 2i64, "A")).unwrap();
-//! q.insert("Bid", Ts::hm(8, 12), row!(Ts::hm(8, 11), 3i64, "B")).unwrap();
-//!
-//! assert_eq!(q.table_at(Ts::hm(8, 21)).unwrap(), vec![row!("B", 3i64)]);
+//! pipeline.run().unwrap();
+//! assert_eq!(pipeline.table_at(Ts::hm(8, 21)).unwrap(), vec![row!("B", 3i64)]);
 //! ```
 
 pub mod connect;
@@ -41,6 +52,7 @@ pub mod engine;
 pub mod hash;
 pub mod history;
 pub mod observe;
+#[doc(hidden)]
 pub mod query;
 pub mod session;
 
@@ -58,7 +70,6 @@ pub use observe::{
     FlightRecorder, Histogram, MetricKind, MetricRow, MetricsHub, PipelineSnapshot, TraceRecord,
     TraceSpan,
 };
-pub use query::RunningQuery;
 pub use session::{PipelineInfo, ScriptOutcome, Session, SqlPipeline, StatementResult};
 
 pub use onesql_exec::{ExecConfig, StreamRow};

@@ -1,27 +1,32 @@
-//! Running queries: feeding input, reading table and stream views.
+//! A planned query's executor, fed one worker's share of a pipeline.
+//!
+//! A [`RunningQuery`] is what a pipeline worker runs: the driver feeds it
+//! changes and watermarks and drains its changelog. It is not a way to
+//! run a query — that is `Session::execute_script` — and only the
+//! row-oracle hook below is visible outside the crate.
+//!
+//! **The row-oracle hook.** [`crate::Engine::execute`] and the methods of
+//! [`RunningQuery`] marked `#[doc(hidden)]` (`change`, `change_batch`,
+//! `watermark`, `finish`, `now`, `schema`, `changelog`, `checkpoint`,
+//! `restore`, `state_metrics` and `stream_rows`) let three callers feed
+//! one query by hand and compare the columnar path with the per-row one:
+//! `perfbench/src/layers.rs`, `crates/core/tests/vectorized_equiv.rs` and
+//! `crates/bench/benches/vectorized.rs`. Nothing else may use them.
 
 use std::collections::BTreeMap;
 
-use onesql_exec::{render_stream, Executor, StreamRow, STREAM_META_COLUMNS};
+use onesql_exec::{render_stream, Executor, StreamRow};
 use onesql_plan::BoundQuery;
 use onesql_state::StateMetrics;
 use onesql_time::Watermark;
 use onesql_tvr::{Change, ChangeBatch, Changelog, Element};
-use onesql_types::{format_table, Error, Result, Row, Schema, SchemaRef, Ts, Value};
+use onesql_types::{Error, Result, Row, Schema, SchemaRef, Ts};
 
 use crate::engine::validate_row;
 
-/// Custom cell formatter for table rendering: `(column index, value) ->
-/// cell text`.
-pub type ValueFormatter<'a> = &'a dyn Fn(usize, &Value) -> String;
-
-/// A live query over time-varying inputs.
-///
-/// Feed stream changes and watermarks in processing-time order, then read
-/// the result either as a **table** (a snapshot of the result TVR at any
-/// processing time — the paper's `8:13 > SELECT ...;` interactions) or as a
-/// **stream** (`EMIT STREAM`'s changelog rendering with `undo`/`ptime`/
-/// `ver` metadata).
+/// A live query over time-varying inputs: one pipeline worker's executor
+/// (see the [module docs](self)).
+#[doc(hidden)]
 pub struct RunningQuery {
     query: BoundQuery,
     executor: Executor,
@@ -39,17 +44,6 @@ pub(crate) enum Fed {
     Columns,
     /// One [`RunningQuery::change`] per change.
     Rows,
-}
-
-impl std::fmt::Debug for RunningQuery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunningQuery")
-            .field("schema", &self.schema().to_string())
-            .field("now", &self.now())
-            .field("watermark", &self.output_watermark())
-            .field("changes", &self.changelog().len())
-            .finish()
-    }
 }
 
 impl RunningQuery {
@@ -72,6 +66,7 @@ impl RunningQuery {
     }
 
     /// The query's output schema.
+    #[doc(hidden)]
     pub fn schema(&self) -> SchemaRef {
         self.executor.schema()
     }
@@ -81,16 +76,6 @@ impl RunningQuery {
             .get(&table.to_ascii_lowercase())
             .cloned()
             .ok_or_else(|| Error::catalog(format!("unknown stream '{table}'")))
-    }
-
-    /// Insert a row into a stream at processing time `ptime`.
-    pub fn insert(&mut self, table: &str, ptime: Ts, row: Row) -> Result<()> {
-        self.change(table, ptime, Change::insert(row))
-    }
-
-    /// Retract (delete) a row from a stream at processing time `ptime`.
-    pub fn retract(&mut self, table: &str, ptime: Ts, row: Row) -> Result<()> {
-        self.change(table, ptime, Change::retract(row))
     }
 
     /// Check `row` against the schema of stream `table`, as every way of
@@ -107,6 +92,7 @@ impl RunningQuery {
     }
 
     /// Apply an arbitrary change.
+    #[doc(hidden)]
     pub fn change(&mut self, table: &str, ptime: Ts, change: Change) -> Result<()> {
         self.validate(table, &change.row)?;
         self.executor.feed(table, ptime, Element::Data(change))
@@ -116,7 +102,7 @@ impl RunningQuery {
     /// is decided. Requires the columnar path to be on and executor batch
     /// support (exactly one source leaf scans the table, no
     /// processing-time timers in the tree).
-    pub fn vectorizes(&self, table: &str) -> bool {
+    pub(crate) fn vectorizes(&self, table: &str) -> bool {
         self.vectorize && self.executor.supports_batches(table)
     }
 
@@ -126,6 +112,7 @@ impl RunningQuery {
     /// order, the clock — is identical to calling [`RunningQuery::change`]
     /// once per row; when the query does not vectorize for this table, that
     /// is literally what happens.
+    #[doc(hidden)]
     pub fn change_batch(&mut self, table: &str, batch: &ChangeBatch) -> Result<()> {
         self.feed_batch(table, batch).map(drop)
     }
@@ -174,6 +161,7 @@ impl RunningQuery {
 
     /// Deliver a punctuated watermark on a stream: "as of processing time
     /// `ptime`, all future rows have event timestamps greater than `wm`".
+    #[doc(hidden)]
     pub fn watermark(&mut self, table: &str, ptime: Ts, wm: Ts) -> Result<()> {
         self.stream_schema(table)?;
         self.executor.feed(table, ptime, Element::watermark(wm))
@@ -181,32 +169,36 @@ impl RunningQuery {
 
     /// Advance the processing-time clock (firing `EMIT AFTER DELAY`
     /// deadlines on the way).
-    pub fn advance_to(&mut self, ptime: Ts) -> Result<()> {
+    pub(crate) fn advance_to(&mut self, ptime: Ts) -> Result<()> {
         self.executor.advance_to(ptime)
     }
 
     /// Declare all inputs complete at `ptime`: final watermarks are
     /// delivered and all pending materialization flushes.
+    #[doc(hidden)]
     pub fn finish(&mut self, ptime: Ts) -> Result<()> {
         self.executor.finish(ptime)
     }
 
     /// Current processing time.
+    #[doc(hidden)]
     pub fn now(&self) -> Ts {
         self.executor.now()
     }
 
     /// The output relation's watermark.
-    pub fn output_watermark(&self) -> Watermark {
+    pub(crate) fn output_watermark(&self) -> Watermark {
         self.executor.output_watermark()
     }
 
     /// Total operator state footprint (for observability/benchmarks).
+    #[doc(hidden)]
     pub fn state_metrics(&self) -> StateMetrics {
         self.executor.state_metrics()
     }
 
     /// The raw output changelog (the stream encoding of the result TVR).
+    #[doc(hidden)]
     pub fn changelog(&self) -> &Changelog {
         self.executor.changelog()
     }
@@ -215,94 +207,47 @@ impl RunningQuery {
     /// pipeline driver's drain, which appends the entries to its own merged
     /// log. From then on [`RunningQuery::changelog`], the table view and
     /// the stream view cover only what came after the take.
-    pub fn take_changelog(&mut self) -> Changelog {
+    pub(crate) fn take_changelog(&mut self) -> Changelog {
         self.executor.take_output()
     }
 
     /// Take a consistent checkpoint of all operator state (Appendix B.2.1).
     /// Restore it into a fresh `execute()` of the same SQL with
     /// [`RunningQuery::restore`].
+    #[doc(hidden)]
     pub fn checkpoint(&self) -> Result<onesql_state::Checkpoint> {
         self.executor.checkpoint()
     }
 
     /// Restore operator state from a checkpoint taken on a query with the
     /// same plan. The changelog restarts at the restore point.
+    #[doc(hidden)]
     pub fn restore(&mut self, checkpoint: &onesql_state::Checkpoint) -> Result<()> {
         self.executor.restore(checkpoint)
     }
 
-    /// Table view at processing time `at`: the snapshot of the result TVR,
-    /// with the query's `ORDER BY` / `LIMIT` applied.
-    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
-        let mut rows = self.executor.changelog().snapshot_at(at).to_rows();
+    /// The table view: the snapshot of the result TVR over everything
+    /// processed so far, with the query's `ORDER BY` / `LIMIT` applied.
+    pub(crate) fn table(&self) -> Result<Vec<Row>> {
+        let mut rows = self.executor.changelog().snapshot_at(Ts::MAX).to_rows();
         apply_presentation(&self.query, &mut rows)?;
         Ok(rows)
-    }
-
-    /// Table view over everything processed so far.
-    pub fn table(&self) -> Result<Vec<Row>> {
-        self.table_at(Ts::MAX)
     }
 
     /// Stream view (`EMIT STREAM`, Extension 4): the changelog rendered
     /// with `undo` / `ptime` / `ver` metadata columns. Versions count per
     /// event-time window (the plan's window-identity columns).
+    #[doc(hidden)]
     pub fn stream_rows(&self) -> Result<Vec<StreamRow>> {
         let ver_cols = onesql_exec::compile::version_columns(&self.query);
         render_stream(self.executor.changelog(), &ver_cols)
-    }
-
-    /// The schema of [`RunningQuery::stream_rows`] rendered as full rows:
-    /// output columns plus `undo`, `ptime`, `ver`.
-    pub fn stream_schema_with_meta(&self) -> Schema {
-        let mut fields = self.schema().fields().to_vec();
-        fields.push(onesql_types::Field::new(
-            STREAM_META_COLUMNS[0],
-            onesql_types::DataType::String,
-        ));
-        fields.push(onesql_types::Field::new(
-            STREAM_META_COLUMNS[1],
-            onesql_types::DataType::Timestamp,
-        ));
-        fields.push(onesql_types::Field::new(
-            STREAM_META_COLUMNS[2],
-            onesql_types::DataType::Int,
-        ));
-        Schema::new(fields)
-    }
-
-    /// Render the table view at `at` as an ASCII table in the paper's
-    /// listing style. `format_value` lets callers customize cells (e.g.
-    /// `$`-prefixed prices); pass `None` for plain `Display`.
-    pub fn table_string_at(
-        &self,
-        at: Ts,
-        format_value: Option<ValueFormatter<'_>>,
-    ) -> Result<String> {
-        let rows = self.table_at(at)?;
-        let schema = self.schema();
-        let headers: Vec<&str> = schema.names();
-        let cells: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                r.values()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match format_value {
-                        Some(f) => f(i, v),
-                        None => v.to_string(),
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(format_table(&headers, &cells))
     }
 }
 
 /// The table view's presentation step: `query`'s `ORDER BY`, then its
 /// `LIMIT`, over a snapshot of the whole result — the one place either is
-/// applied, for a [`RunningQuery`] and for a pipeline's merged log alike.
+/// applied, for a bare `SELECT`'s result and for a pipeline's merged log
+/// alike.
 pub(crate) fn apply_presentation(query: &BoundQuery, rows: &mut Vec<Row>) -> Result<()> {
     if !query.order_by.is_empty() {
         let mut err = None;
@@ -363,108 +308,83 @@ fn first_invalid_row(schema: &Schema, batch: &ChangeBatch) -> Option<(usize, Err
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::{Engine, StreamBuilder};
-    use onesql_types::{row, DataType};
+    use crate::connect::replay::Replay;
+    use onesql_types::{row, DataType, Field, Row, Schema, Ts, Value};
 
-    fn engine() -> Engine {
-        let mut e = Engine::new();
-        e.register_stream(
-            "Bid",
-            StreamBuilder::new()
-                .event_time_column("bidtime")
-                .column("price", DataType::Int)
-                .column("item", DataType::String),
-        );
-        e
+    fn bids() -> Replay {
+        let schema = Schema::new(vec![
+            Field::event_time("bidtime"),
+            Field::new("price", DataType::Int),
+            Field::new("item", DataType::String),
+        ]);
+        Replay::new([("Bid", schema)])
     }
 
     #[test]
     fn insert_validates_schema() {
-        let e = engine();
-        let mut q = e.execute("SELECT * FROM Bid").unwrap();
-        assert!(
-            q.insert("Bid", Ts(0), row!(Ts(0), 1i64)).is_err(),
-            "arity mismatch"
-        );
-        assert!(
-            q.insert("Bid", Ts(0), row!(Ts(0), "str", "A")).is_err(),
-            "type mismatch"
-        );
-        assert!(
-            q.insert(
-                "Bid",
-                Ts(0),
-                Row::new(vec![Value::Null, Value::Int(1), Value::str("A")])
-            )
-            .is_err(),
-            "null event time"
-        );
-        assert!(q.insert("Nope", Ts(0), row!(1i64)).is_err());
+        for (row, why) in [
+            (row!(Ts(0), 1i64), "arity mismatch"),
+            (row!(Ts(0), "str", "A"), "type mismatch"),
+            (
+                Row::new(vec![Value::Null, Value::Int(1), Value::str("A")]),
+                "null event time",
+            ),
+        ] {
+            let mut replay = bids();
+            replay.insert(Ts(0), "Bid", row);
+            assert!(replay.run("SELECT * FROM Bid").is_err(), "{why}");
+        }
+        let mut replay = bids();
+        replay.insert(Ts(0), "Nope", row!(1i64));
+        assert!(replay.run("SELECT * FROM Bid").is_err(), "unknown stream");
     }
 
     #[test]
     fn order_by_and_limit_apply_to_table_view() {
-        let e = engine();
-        let mut q = e
-            .execute("SELECT item, price FROM Bid ORDER BY price DESC LIMIT 2")
-            .unwrap();
+        let mut replay = bids();
         for (i, (p, it)) in [(2i64, "A"), (5, "B"), (3, "C")].iter().enumerate() {
-            q.insert("Bid", Ts(i as i64), row!(Ts(i as i64), *p, *it))
-                .unwrap();
+            replay.insert(Ts(i as i64), "Bid", row!(Ts(i as i64), *p, *it));
         }
-        assert_eq!(q.table().unwrap(), vec![row!("B", 5i64), row!("C", 3i64)]);
+        let sql = "SELECT item, price FROM Bid ORDER BY price DESC LIMIT 2";
+        let (pipeline, _) = replay.run(sql).unwrap();
+        let expected = vec![row!("B", 5i64), row!("C", 3i64)];
+        assert_eq!(pipeline.table().unwrap(), expected);
     }
 
     #[test]
-    fn stream_rows_and_meta_schema() {
-        let e = engine();
-        let mut q = e.execute("SELECT item FROM Bid EMIT STREAM").unwrap();
-        q.insert("Bid", Ts::hm(8, 8), row!(Ts::hm(8, 7), 2i64, "A"))
-            .unwrap();
-        let rows = q.stream_rows().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].ptime, Ts::hm(8, 8));
-        assert!(!rows[0].undo);
-        let meta = q.stream_schema_with_meta();
-        assert_eq!(meta.names(), vec!["item", "undo", "ptime", "ver"]);
-    }
-
-    #[test]
-    fn table_string_renders() {
-        let e = engine();
-        let mut q = e.execute("SELECT item, price FROM Bid").unwrap();
-        q.insert("Bid", Ts(0), row!(Ts(0), 2i64, "A")).unwrap();
-        let s = q.table_string_at(Ts::MAX, None).unwrap();
-        assert!(s.contains("| item | price |"), "{s}");
-        assert!(s.contains("| A    | 2     |"), "{s}");
-        // Custom formatter: money column.
-        let fmt = |i: usize, v: &Value| {
-            if i == 1 {
-                format!("${v}")
-            } else {
-                v.to_string()
-            }
-        };
-        let s = q.table_string_at(Ts::MAX, Some(&fmt)).unwrap();
-        assert!(s.contains("$2"), "{s}");
+    fn stream_rows_reach_the_sink_with_undo_ptime_and_ver() {
+        let mut replay = bids();
+        replay
+            .insert(Ts::hm(8, 8), "Bid", row!(Ts::hm(8, 7), 2i64, "A"))
+            .retract(Ts::hm(8, 9), "Bid", row!(Ts::hm(8, 7), 2i64, "A"));
+        let (_, tap) = replay.run("SELECT item FROM Bid EMIT STREAM").unwrap();
+        let rows: Vec<(Row, bool, Ts, u64)> = tap
+            .rows()
+            .into_iter()
+            .map(|r| (r.row, r.undo, r.ptime, r.ver))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (row!("A"), false, Ts::hm(8, 8), 0),
+                (row!("A"), true, Ts::hm(8, 9), 1),
+            ]
+        );
     }
 
     #[test]
     fn finish_flushes_everything() {
-        let e = engine();
-        let mut q = e
-            .execute(
-                "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
-                 timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
-                 GROUP BY wend EMIT AFTER WATERMARK",
-            )
-            .unwrap();
-        q.insert("Bid", Ts::hm(8, 8), row!(Ts::hm(8, 7), 2i64, "A"))
-            .unwrap();
-        assert!(q.table().unwrap().is_empty());
-        q.finish(Ts::hm(9, 0)).unwrap();
-        assert_eq!(q.table().unwrap(), vec![row!(Ts::hm(8, 10), 1i64)]);
-        assert!(q.output_watermark().is_final());
+        let mut replay = bids();
+        replay
+            .insert(Ts::hm(8, 8), "Bid", row!(Ts::hm(8, 7), 2i64, "A"))
+            .advance(Ts::hm(9, 0));
+        let sql = "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
+                   timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
+                   GROUP BY wend EMIT AFTER WATERMARK";
+        let (mut pipeline, _) = replay.run(sql).unwrap();
+        // Nothing before the end of input, the window once it finished.
+        assert!(pipeline.table_at(Ts::hm(8, 59)).unwrap().is_empty());
+        assert_eq!(pipeline.table().unwrap(), vec![row!(Ts::hm(8, 10), 1i64)]);
+        assert!(pipeline.metrics().output_watermark.is_final());
     }
 }

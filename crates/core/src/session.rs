@@ -11,9 +11,10 @@
 //! Definitions persist: a `CREATE` mutates the session catalog, later
 //! statements (in the same or a later script) bind against it, and every
 //! `INSERT` instantiates fresh connectors from the stored definitions.
-//! Pipeline assembly itself is [`PipelineDriver::with_query`] plus the
-//! driver's attach methods — the one constructor the imperative API uses
-//! too, handed the query the statement already bound.
+//! An `INSERT` is the only way a pipeline comes to exist: the session
+//! hands the query the statement already bound to the driver's one
+//! constructor and attaches fresh connectors. A bare `SELECT` reads only
+//! tables and returns their rows ([`StatementResult::Rows`]).
 //!
 //! Connector factories come from a [`ConnectorRegistry`] — the
 //! `onesql-connect` crate registers the built-in families (`file`,
@@ -21,18 +22,17 @@
 //!
 //! # Example
 //!
-//! A custom one-column counter connector, registered and then driven
-//! entirely from SQL:
+//! A custom one-column counter source, registered and then driven
+//! entirely from SQL into a [`HistoryTap`](crate::HistoryTap), which is
+//! a sink family too:
 //!
 //! ```
 //! use onesql_core::connect::{
-//!     ConnectorRegistry, Exports, OptionBag, PartitionedSource, PartitionedVec, Sink,
-//!     SinkConnector, SinkSpec, Source, SourceBatch, SourceConnector, SourceEvent, SourceSpec,
-//!     SourceStatus,
+//!     ConnectorRegistry, Exports, OptionBag, PartitionedSource, PartitionedVec, Source,
+//!     SourceBatch, SourceConnector, SourceEvent, SourceSpec, SourceStatus,
 //! };
-//! use onesql_core::session::Session;
+//! use onesql_core::{HistoryTap, Session};
 //! use onesql_types::{row, Result, SchemaRef, Ts};
-//! use std::sync::{Arc, Mutex};
 //!
 //! struct Counter(i64, i64, Vec<String>);
 //! impl Source for Counter {
@@ -82,40 +82,10 @@
 //!     }
 //! }
 //!
-//! struct Collect(Arc<Mutex<Vec<i64>>>);
-//! impl Sink for Collect {
-//!     fn name(&self) -> &str {
-//!         "collect"
-//!     }
-//!     fn write(&mut self, rows: &[onesql_core::StreamRow]) -> Result<()> {
-//!         let mut out = self.0.lock().unwrap();
-//!         for r in rows {
-//!             out.push(r.row.value(0)?.as_int()?);
-//!         }
-//!         Ok(())
-//!     }
-//! }
-//!
-//! struct CollectConnector;
-//! impl SinkConnector for CollectConnector {
-//!     fn declare(&self, _spec: &SinkSpec, _options: &mut OptionBag) -> Result<()> {
-//!         Ok(())
-//!     }
-//!     fn build(
-//!         &self,
-//!         _spec: &SinkSpec,
-//!         _options: &mut OptionBag,
-//!         exports: &mut Exports,
-//!     ) -> Result<Box<dyn Sink>> {
-//!         let rows = Arc::new(Mutex::new(Vec::new()));
-//!         exports.put(rows.clone());
-//!         Ok(Box::new(Collect(rows)))
-//!     }
-//! }
-//!
+//! let collected = HistoryTap::new();
 //! let mut registry = ConnectorRegistry::new();
 //! registry.register_source("counter", CounterConnector);
-//! registry.register_sink("collect", CollectConnector);
+//! registry.register_sink("collect", collected.clone());
 //!
 //! let mut session = Session::new(registry);
 //! let outcome = session
@@ -125,12 +95,9 @@
 //!          INSERT INTO out SELECT n FROM Numbers WHERE n % 2 = 0;",
 //!     )
 //!     .unwrap();
-//! let mut pipeline = outcome.into_pipeline().unwrap();
-//! let collected = session
-//!     .take_handle::<Arc<Mutex<Vec<i64>>>>("out")
-//!     .expect("the collect sink exported its buffer");
-//! pipeline.run().unwrap();
-//! assert_eq!(*collected.lock().unwrap(), vec![0, 2, 4, 6, 8]);
+//! outcome.into_pipeline().unwrap().run().unwrap();
+//! let rows: Vec<_> = collected.rows().into_iter().map(|r| r.row).collect();
+//! assert_eq!(rows, [0i64, 2, 4, 6, 8].map(|n| row!(n)));
 //! ```
 
 use std::any::Any;
@@ -152,7 +119,6 @@ use crate::connect::{DriverConfig, PartitionedSource, PipelineMetrics};
 use crate::driver::PipelineDriver;
 use crate::engine::Engine;
 use crate::observe::{self, MetricRow};
-use crate::query::RunningQuery;
 
 /// Side handles exported while building connectors, keyed by
 /// [`handle_key`], not yet committed to the session's handle store.
@@ -356,6 +322,7 @@ pub struct PipelineInfo {
 }
 
 /// What one statement produced.
+#[derive(Debug)]
 pub enum StatementResult {
     /// DDL registered an object (the name).
     Created(String),
@@ -391,8 +358,10 @@ pub enum StatementResult {
         /// The epoch restored from.
         epoch: u64,
     },
-    /// A bare query, running (feed it or read its table view).
-    Query(Box<RunningQuery>),
+    /// A bare `SELECT` over tables: its table view, with the query's
+    /// `ORDER BY` / `LIMIT` applied. A query that reads a stream runs as
+    /// a pipeline (`INSERT INTO <sink> SELECT ...`) instead.
+    Rows(Vec<Row>),
     /// An `INSERT INTO ... SELECT` pipeline, assembled and ready to run.
     Pipeline(SqlPipeline),
     /// `EXPLAIN LINT` output: the analyzed script text plus the static
@@ -427,52 +396,6 @@ impl StatementResult {
                 diagnostics,
             } => Some(onesql_plan::render_report(diagnostics, script)),
             _ => None,
-        }
-    }
-}
-
-impl std::fmt::Debug for StatementResult {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StatementResult::Created(n) => f.debug_tuple("Created").field(n).finish(),
-            StatementResult::Dropped(n) => f.debug_tuple("Dropped").field(n).finish(),
-            StatementResult::Explained(s) => f.debug_tuple("Explained").field(s).finish(),
-            StatementResult::Analyzed { plan, rows } => f
-                .debug_struct("Analyzed")
-                .field("plan", plan)
-                .field("rows", &rows.len())
-                .finish(),
-            StatementResult::Pipelines(infos) => f.debug_tuple("Pipelines").field(infos).finish(),
-            StatementResult::Set(n) => f.debug_tuple("Set").field(n).finish(),
-            StatementResult::Checkpointed { pipeline, epoch } => f
-                .debug_struct("Checkpointed")
-                .field("pipeline", pipeline)
-                .field("epoch", epoch)
-                .finish(),
-            StatementResult::Restored { pipeline, epoch } => f
-                .debug_struct("Restored")
-                .field("pipeline", pipeline)
-                .field("epoch", epoch)
-                .finish(),
-            StatementResult::Query(q) => f.debug_tuple("Query").field(q).finish(),
-            StatementResult::Pipeline(p) => f.debug_tuple("Pipeline").field(p).finish(),
-            StatementResult::Diagnostics { diagnostics, .. } => f
-                .debug_struct("Diagnostics")
-                .field("count", &diagnostics.len())
-                .finish(),
-            StatementResult::Trace(records) => {
-                f.debug_tuple("Trace").field(&records.len()).finish()
-            }
-            StatementResult::TraceExported {
-                pipeline,
-                path,
-                spans,
-            } => f
-                .debug_struct("TraceExported")
-                .field("pipeline", pipeline)
-                .field("path", path)
-                .field("spans", spans)
-                .finish(),
         }
     }
 }
@@ -1045,9 +968,7 @@ impl Session {
     ) -> Result<StatementResult> {
         let bound = bind_statement(statement, self.defs.engine.catalog())?;
         match bound {
-            BoundStatement::Query(query) => Ok(StatementResult::Query(Box::new(
-                self.defs.engine.run(query)?,
-            ))),
+            BoundStatement::Query(query) => self.table_rows(query),
             BoundStatement::Explain(query) => Ok(StatementResult::Explained(query.explain())),
             BoundStatement::ExplainAnalyze(query) => self.explain_analyze(query),
             BoundStatement::ExplainLint { script } => {
@@ -1214,6 +1135,24 @@ impl Session {
             fingerprint,
             driver: Box::new(driver),
         }))
+    }
+
+    /// A bare `SELECT`: the table view of a query that reads only tables.
+    /// Their TVRs are constant, so the answer is complete at once; a
+    /// stream's never is.
+    fn table_rows(&self, query: BoundQuery) -> Result<StatementResult> {
+        let (streams, _tables) = referenced_relations(&query);
+        if !streams.is_empty() {
+            return Err(Error::plan(format!(
+                "a bare SELECT cannot read stream(s) [{}]: their result never \
+                 completes; CREATE SINK and INSERT INTO it to run the query \
+                 as a pipeline",
+                streams.join(", ")
+            )));
+        }
+        let mut query = self.defs.engine.run(query)?;
+        query.finish(query.now())?;
+        Ok(StatementResult::Rows(query.table()?))
     }
 
     /// `EXPLAIN ANALYZE`: render the optimized plan, then *actually

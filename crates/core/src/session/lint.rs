@@ -186,9 +186,6 @@ impl<'a> Linter<'a> {
                             .map(|s| s.trim().to_string())
                             .filter(|s| !s.is_empty()),
                     );
-                    // `SET workers` may precede the CREATE; check the new
-                    // pairing here.
-                    self.check_idle_workers(self.defs.sources.len() - 1);
                 }
             }
             BoundStatement::CreateSink { name, options } => {
@@ -452,7 +449,6 @@ impl<'a> Linter<'a> {
     fn check_knob(&mut self, knob: SessionKnob) {
         let knobs = &mut self.knobs;
         match knob {
-            SessionKnob::Workers(_) => return self.check_idle_workers(0),
             SessionKnob::BatchSize(n) => knobs.batch_size = Some(n),
             SessionKnob::MinBatch(n) => knobs.min_batch = Some(n),
             SessionKnob::MaxBatch(n) => knobs.max_batch = Some(n),
@@ -479,33 +475,6 @@ impl<'a> Linter<'a> {
                  adaptive batcher will immediately raise the initial batch"
             );
             self.push("OSQL008", Severity::Warning, message);
-        }
-    }
-
-    /// `workers` above the `partitions` of a partitioned source, for the
-    /// sources from index `from` on.
-    fn check_idle_workers(&mut self, from: usize) {
-        let workers = self.defs.config.workers;
-        let findings: Vec<String> = self.defs.sources[from..]
-            .iter()
-            .filter(|src| src.partitioned)
-            .filter_map(|src| {
-                let parts = match src.options.get("partitions") {
-                    Some(OptionValue::Number(n)) => n.parse::<u64>().ok()?,
-                    _ => return None,
-                };
-                (workers > 1 && workers as u64 > parts).then(|| {
-                    format!(
-                        "SET workers = {workers} exceeds source '{}' partitions = \
-                         {parts}; the extra workers receive no partition and \
-                         sit idle",
-                        src.name
-                    )
-                })
-            })
-            .collect();
-        for msg in findings {
-            self.push("OSQL008", Severity::Warning, msg);
         }
     }
 }

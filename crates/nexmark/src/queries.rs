@@ -145,19 +145,21 @@ impl Default for ScriptConfig {
 /// CSV file sink at `sink_path`, and the `INSERT` that assembles the
 /// pipeline.
 pub fn full_stack_script(sql: &str, sink_path: &std::path::Path, config: &ScriptConfig) -> String {
+    let batch = config.batch;
     let (partitioned, partitions) = match config.partitions {
         0 => ("", String::new()),
         n => (" PARTITIONED", format!(", partitions = {n}")),
     };
     format!(
         "SET workers = {};
-         SET batch_size = {};
+         SET batch_size = {batch};
+         SET min_batch = {batch};
+         SET max_batch = {batch};
          CREATE{partitioned} SOURCE nex
            WITH (connector = 'nexmark', seed = {}, events = {}{partitions});
          CREATE SINK out WITH (connector = 'file', path = '{}', transactional = TRUE);
          INSERT INTO out {} EMIT STREAM{};",
         config.workers,
-        config.batch,
         config.seed,
         config.events,
         sink_path.display(),

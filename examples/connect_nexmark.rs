@@ -4,26 +4,30 @@
 //!
 //! Run with: `cargo run --example connect_nexmark`
 
-use onesql::connect::{ChangelogSink, DriverConfig, NexmarkSource, PipelineDriver};
-use onesql::core::Engine;
+use std::sync::{Arc, Mutex};
+
+use onesql::connect::session;
 use onesql_nexmark::queries;
 
 fn main() {
-    let mut engine = Engine::new();
-    onesql::connect::register_nexmark_streams(&mut engine);
+    // An end-to-end job is one script: source, sink, SQL.
+    let mut session = session();
+    let script = format!(
+        "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 42, events = 5000);
+         CREATE SINK out WITH (connector = 'changelog', watermarks = TRUE);
+         INSERT INTO out {};",
+        queries::Q7
+    );
+    let mut pipeline = session
+        .execute_script(&script)
+        .expect("Q7 plans")
+        .into_pipeline()
+        .expect("one INSERT, one pipeline");
+    let rendered = session
+        .take_handle::<Arc<Mutex<String>>>("out")
+        .expect("the in-memory changelog sink exports its buffer");
 
-    // An end-to-end job is three lines: source, sink, SQL.
-    let (rendered, sink) = ChangelogSink::in_memory();
-    let mut pipeline =
-        PipelineDriver::new(&engine, queries::Q7, DriverConfig::default()).expect("Q7 plans");
-    pipeline
-        .attach_source(Box::new(NexmarkSource::seeded(42, 5_000)))
-        .expect("streams registered");
-    pipeline
-        .attach_sink(Box::new(sink.with_watermarks()))
-        .unwrap();
-
-    let metrics = pipeline.run().expect("pipeline runs").clone();
+    let metrics = pipeline.run().expect("pipeline runs");
 
     let text = rendered.lock().unwrap();
     println!("{}", text.lines().take(30).collect::<Vec<_>>().join("\n"));

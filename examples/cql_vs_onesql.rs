@@ -9,10 +9,12 @@
 //!
 //! Run with: `cargo run --example cql_vs_onesql`
 
-use onesql_core::{Engine, StreamBuilder};
+use onesql_core::connect::replay::Replay;
 use onesql_cql::CqlQuery7;
-use onesql_nexmark::paper::{paper_timeline, PaperEvent, PAPER_Q7_CQL, PAPER_Q7_SQL};
-use onesql_types::{DataType, Ts};
+use onesql_nexmark::paper::{
+    paper_bid_schema, paper_timeline, PaperEvent, PAPER_Q7_CQL, PAPER_Q7_SQL,
+};
+use onesql_types::Ts;
 
 fn main() {
     // --- CQL baseline: heartbeats buffer and re-order the stream. -------
@@ -47,29 +49,19 @@ fn main() {
 
     // --- The paper's SQL: event time is data; watermarks are metadata. ---
     println!("== Proposed SQL (Listing 2) ==\n{PAPER_Q7_SQL}\n");
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    let q = {
-        let mut q = engine
-            .execute(&format!("{PAPER_Q7_SQL} EMIT STREAM AFTER WATERMARK"))
-            .unwrap();
-        for event in paper_timeline() {
-            match event {
-                PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
-                PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
-            }
-        }
-        q
-    };
+    let mut bids = Replay::new([("Bid", paper_bid_schema())]);
+    for event in paper_timeline() {
+        match event {
+            PaperEvent::Insert { ptime, row } => bids.insert(ptime, "Bid", row),
+            PaperEvent::Watermark { ptime, wm } => bids.watermark(ptime, wm),
+        };
+    }
+    let (_, sink) = bids
+        .run(&format!("{PAPER_Q7_SQL} EMIT STREAM AFTER WATERMARK"))
+        .unwrap();
     println!("EMIT STREAM AFTER WATERMARK output (same shape as Rstream, but");
     println!("computed directly on the out-of-order input — nothing dropped):");
-    for r in q.stream_rows().unwrap() {
+    for r in sink.rows() {
         println!("  ptime {}  {}", r.ptime, r.row);
     }
     println!(

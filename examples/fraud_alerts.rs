@@ -9,12 +9,14 @@
 //! This example flags bidders who place more than 3 bids inside a 1-minute
 //! window. With plain emission the alert row flickers in and out as counts
 //! cross the threshold; with `EMIT STREAM AFTER WATERMARK` exactly one
-//! final alert per (bidder, window) is delivered.
+//! final alert per (bidder, window) is delivered. Each query runs as the
+//! script `INSERT INTO out <query>` over a `replay` source.
 //!
 //! Run with: `cargo run --example fraud_alerts`
 
-use onesql_core::{Engine, StreamBuilder};
-use onesql_types::{row, DataType, Ts};
+use onesql_core::connect::replay::Replay;
+use onesql_core::StreamBuilder;
+use onesql_types::{format_table, row, DataType, Ts};
 
 const ALERT_SQL: &str = "\
 SELECT bidder, wend, COUNT(*) AS bids
@@ -24,19 +26,15 @@ GROUP BY bidder, wend
 HAVING COUNT(*) > 3";
 
 fn main() {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("bidder", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("dateTime"),
-    );
-
+    let bid = StreamBuilder::new()
+        .column("auction", DataType::Int)
+        .column("bidder", DataType::Int)
+        .column("price", DataType::Int)
+        .event_time_column("dateTime");
+    let mut bids = Replay::new([("Bid", bid.build())]);
     // Bidder 1 sniping auction 10 with a burst of 5 bids in one minute;
     // bidder 2 behaving normally.
-    let bids: Vec<(i64, i64, i64)> = vec![
+    let schedule: Vec<(i64, i64, i64)> = vec![
         // (second, bidder, price)
         (1, 1, 100),
         (5, 2, 110),
@@ -46,6 +44,12 @@ fn main() {
         (40, 1, 150),
         (70, 2, 160),
     ];
+    for (sec, bidder, price) in schedule {
+        let t = Ts(Ts::hm(9, 0).millis() + sec * 1000);
+        bids.insert(t, "Bid", row!(10i64, bidder, price, t));
+    }
+    // Source watermark: everything up to 9:02 has arrived.
+    bids.watermark(Ts::hm(9, 3), Ts::hm(9, 2));
 
     for (label, sql) in [
         ("eventually consistent (flickers)", ALERT_SQL.to_string()),
@@ -54,16 +58,9 @@ fn main() {
             format!("{ALERT_SQL} EMIT STREAM AFTER WATERMARK"),
         ),
     ] {
-        let mut q = engine.execute(&sql).unwrap();
-        for &(sec, bidder, price) in &bids {
-            let t = Ts(Ts::hm(9, 0).millis() + sec * 1000);
-            q.insert("Bid", t, row!(10i64, bidder, price, t)).unwrap();
-        }
-        // Source watermark: everything up to 9:02 has arrived.
-        q.watermark("Bid", Ts::hm(9, 3), Ts::hm(9, 2)).unwrap();
-
+        let (_, sink) = bids.run(&sql).unwrap();
         println!("== {label} ==");
-        let rows = q.stream_rows().unwrap();
+        let rows = sink.rows();
         for r in &rows {
             println!(
                 "  {}  {}{}",
@@ -76,19 +73,20 @@ fn main() {
     }
 
     // The per-bidder minute counts, for reference.
-    let mut q = engine
-        .execute(
+    let (counts, _) = bids
+        .run(
             "SELECT bidder, wend, COUNT(*) AS bids
              FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime),
                          dur => INTERVAL '1' MINUTE)
              GROUP BY bidder, wend ORDER BY bidder",
         )
         .unwrap();
-    for &(sec, bidder, price) in &bids {
-        let t = Ts(Ts::hm(9, 0).millis() + sec * 1000);
-        q.insert("Bid", t, row!(10i64, bidder, price, t)).unwrap();
-    }
-    q.finish(Ts::hm(9, 5)).unwrap();
+    let cells: Vec<Vec<String>> = counts
+        .table()
+        .unwrap()
+        .iter()
+        .map(|row| row.values().iter().map(ToString::to_string).collect())
+        .collect();
     println!("== Bid counts per bidder per minute ==");
-    print!("{}", q.table_string_at(Ts::MAX, None).unwrap());
+    print!("{}", format_table(&["bidder", "wend", "bids"], &cells));
 }

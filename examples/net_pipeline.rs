@@ -5,14 +5,11 @@
 //!
 //! Run with: `cargo run --release --example net_pipeline`
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
-use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource, PartitionedSource};
-use onesql::core::StreamRow;
+use onesql::connect::{default_registry, PartitionedNexmarkSource, PartitionedSource};
 use onesql::{
-    DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, PartitionedNetSource, PipelineDriver,
-    Sink, SourceStatus,
+    DriverConfig, HistoryTap, NetAddr, NetConfig, NetPublisher, Session, SourceStatus, SqlPipeline,
 };
 use onesql_types::Result;
 
@@ -27,20 +24,6 @@ fn net_config() -> NetConfig {
         connect_timeout: StdDuration::from_secs(30),
         poll_wait: StdDuration::from_secs(10),
         ..NetConfig::default()
-    }
-}
-
-struct CollectingSink {
-    rows: Arc<Mutex<Vec<StreamRow>>>,
-}
-
-impl Sink for CollectingSink {
-    fn name(&self) -> &str {
-        "collect"
-    }
-    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        self.rows.lock().unwrap().extend_from_slice(rows);
-        Ok(())
     }
 }
 
@@ -88,31 +71,39 @@ fn run_producer(addr: NetAddr) -> Result<()> {
     Ok(())
 }
 
-/// The consumer "process": Q7 sharded over 2 workers, fed only by the
-/// socket, polls aligned with the producer's frames.
-fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    let source = PartitionedNetSource::bind(
-        NetAddr::unix(path),
-        STREAMS.iter().map(|s| s.to_string()).collect(),
-        PARTS,
-        net_config(),
-    )
-    .unwrap();
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let rows = Arc::new(Mutex::new(Vec::new()));
-    let config = DriverConfig {
+/// The consumer "process", declared in SQL: Q7 sharded over 2 workers,
+/// fed only by the socket, polls aligned with the producer's frames, its
+/// output recorded by a tap.
+fn bind_consumer(path: &std::path::Path) -> (HistoryTap, SqlPipeline) {
+    let tap = HistoryTap::new();
+    let mut registry = default_registry();
+    registry.register_sink("tap", tap.clone());
+    let mut session = Session::new(registry);
+    session.set_driver_config(DriverConfig {
         workers: 2,
         batch_size: BATCH,
         adaptive: None,
         ..DriverConfig::default()
-    };
-    let mut driver = PipelineDriver::new(&engine, onesql_nexmark::queries::Q7, config).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
-    driver
-        .attach_sink(Box::new(CollectingSink { rows: rows.clone() }))
-        .unwrap();
-    (rows, driver)
+    });
+    let script = format!(
+        "CREATE STREAM Person (id INT, name STRING, email STRING, city STRING,
+                               state STRING, dateTime TIMESTAMP, WATERMARK FOR dateTime);
+         CREATE STREAM Auction (id INT, itemName STRING, initialBid INT, reserve INT,
+                                dateTime TIMESTAMP, expires TIMESTAMP, seller INT,
+                                category INT, WATERMARK FOR dateTime);
+         CREATE STREAM Bid (auction INT, bidder INT, price INT, dateTime TIMESTAMP,
+                            WATERMARK FOR dateTime);
+         CREATE PARTITIONED SOURCE feed
+           WITH (connector = 'net', addr = 'unix:{}', partitions = {PARTS},
+                 streams = '{}', poll_wait_ms = 10000);
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {};",
+        path.display(),
+        STREAMS.join(","),
+        onesql_nexmark::queries::Q7
+    );
+    let pipeline = session.execute_script(&script).unwrap().into_pipeline();
+    (tap, pipeline.unwrap())
 }
 
 fn main() {
@@ -125,14 +116,15 @@ fn main() {
 
     // First consumer: ingest half the stream, checkpoint, "crash".
     let (rows, mut victim) = bind_consumer(&path);
-    while !victim.is_finished() && victim.events_in() < EVENTS / 2 {
+    while victim.events_in() < EVENTS / 2 {
         victim.step().unwrap();
     }
-    let checkpoint = victim.checkpoint().unwrap();
+    let driver = victim.driver_mut();
+    let checkpoint = driver.checkpoint().unwrap();
     // In a real deployment the checkpoint is written to disk here; only
     // then is it acknowledged, letting the producer trim its spool.
-    victim.ack_checkpoint(&checkpoint).unwrap();
-    let observed_before = rows.lock().unwrap().len();
+    driver.ack_checkpoint(&checkpoint).unwrap();
+    let observed_before = rows.rows().len();
     println!(
         "killed consumer at {} events (checkpoint offsets {:?}), {} output rows so far",
         victim.events_in(),
@@ -144,7 +136,7 @@ fn main() {
     // Restored consumer: fresh listener on the same path, state from the
     // checkpoint; the producer reconnects and replays the missing suffix.
     let (resumed_rows, mut resumed) = bind_consumer(&path);
-    resumed.restore(&checkpoint).unwrap();
+    resumed.driver_mut().restore(&checkpoint).unwrap();
     resumed.run().unwrap();
     producer.join().unwrap().unwrap();
 
@@ -152,7 +144,7 @@ fn main() {
     println!(
         "restored consumer finished: {} events total, {} more output rows",
         metrics.events_in,
-        resumed_rows.lock().unwrap().len()
+        resumed_rows.rows().len()
     );
     assert_eq!(metrics.events_in, EVENTS);
     let _ = std::fs::remove_file(&path);

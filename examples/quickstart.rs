@@ -1,58 +1,54 @@
-//! Quickstart: one SQL dialect over a stream, three materializations.
+//! Quickstart: one SQL script over a stream, three materializations.
 //!
 //! Replays the paper's §4 bid timeline through a windowed aggregation and
 //! shows the same query rendered three ways: as an instantaneously updated
-//! table, as a changelog stream (`EMIT STREAM`), and gated on completeness
-//! (`EMIT AFTER WATERMARK`).
+//! table, as a changelog stream (what the sink hears), and gated on
+//! completeness (`EMIT AFTER WATERMARK`). Every run is the script
+//! `INSERT INTO out <query>` over a `replay` source.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use onesql_core::{Engine, RunningQuery, StreamBuilder};
-use onesql_nexmark::paper::{paper_timeline, PaperEvent};
-use onesql_types::{DataType, Ts};
+use onesql_core::connect::replay::Replay;
+use onesql_core::Session;
+use onesql_nexmark::paper::{paper_bid_schema, paper_timeline, PaperEvent};
+use onesql_types::{format_table, Row, Ts};
 
-fn engine() -> Engine {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    engine
-}
-
-fn feed_paper_timeline(q: &mut RunningQuery) {
-    for event in paper_timeline() {
-        match event {
-            PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
-            PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
-        }
-    }
+/// Print `rows` under `sql`'s column names, in the paper's listing style.
+fn print_table(session: &Session, sql: &str, rows: &[Row]) {
+    let schema = session.engine().plan(sql).unwrap().schema();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| row.values().iter().map(ToString::to_string).collect())
+        .collect();
+    print!("{}", format_table(&schema.names(), &cells));
 }
 
 fn main() {
-    let engine = engine();
+    let mut bids = Replay::new([("Bid", paper_bid_schema())]);
+    for event in paper_timeline() {
+        match event {
+            PaperEvent::Insert { ptime, row } => bids.insert(ptime, "Bid", row),
+            PaperEvent::Watermark { ptime, wm } => bids.watermark(ptime, wm),
+        };
+    }
     let sql = "SELECT MAX(wstart), wend, SUM(price) AS total
                FROM Tumble(data => TABLE(Bid),
                            timecol => DESCRIPTOR(bidtime),
                            dur => INTERVAL '10' MINUTE)
                GROUP BY wend";
-
-    println!("== Plan ==\n{}", engine.explain(sql).unwrap());
+    let (session, _) = bids.session().unwrap();
+    println!("== Plan ==\n{}", session.engine().explain(sql).unwrap());
 
     // 1. Table view: the relation as of 8:13 (partial) and 8:21 (full).
-    let mut q = engine.execute(sql).unwrap();
-    feed_paper_timeline(&mut q);
+    let (pipeline, sink) = bids.run(sql).unwrap();
     println!("== Table view at 8:13 (partial sums) ==");
-    print!("{}", q.table_string_at(Ts::hm(8, 13), None).unwrap());
+    print_table(&session, sql, &pipeline.table_at(Ts::hm(8, 13)).unwrap());
     println!("\n== Table view at 8:21 ==");
-    print!("{}", q.table_string_at(Ts::hm(8, 21), None).unwrap());
+    print_table(&session, sql, &pipeline.table_at(Ts::hm(8, 21)).unwrap());
 
     // 2. Stream view: the changelog with undo/ptime/ver metadata.
-    println!("\n== EMIT STREAM (changelog with undo/ptime/ver) ==");
-    for row in q.stream_rows().unwrap() {
+    println!("\n== The sink's changelog (undo/ptime/ver) ==");
+    for row in sink.rows() {
         println!(
             "  {}  ver {}  {}{}",
             row.ptime,
@@ -63,16 +59,16 @@ fn main() {
     }
 
     // 3. Completeness-gated view: only watermark-final rows.
-    let mut gated = engine
-        .execute(&format!("{sql} EMIT AFTER WATERMARK"))
-        .unwrap();
-    feed_paper_timeline(&mut gated);
+    let gated_sql = format!("{sql} EMIT AFTER WATERMARK");
+    let (mut gated, _) = bids.run(&gated_sql).unwrap();
     println!("\n== EMIT AFTER WATERMARK at 8:21 (only final windows) ==");
-    print!("{}", gated.table_string_at(Ts::hm(8, 21), None).unwrap());
+    print_table(&session, sql, &gated.table_at(Ts::hm(8, 21)).unwrap());
 
+    let metrics = gated.metrics();
     println!(
-        "\noutput watermark: {}, operator state: {} keys",
-        gated.output_watermark().ts(),
-        gated.state_metrics().keys
+        "\noutput watermark: {}, events in: {}, rows out: {}",
+        metrics.output_watermark.ts(),
+        metrics.events_in,
+        metrics.events_out
     );
 }

@@ -4,11 +4,8 @@
 //!
 //! Run with: `cargo run --example sharded_nexmark`
 
-use std::sync::{Arc, Mutex};
-
-use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource};
-use onesql::core::StreamRow;
-use onesql::{DriverConfig, Engine, PipelineDriver, Sink};
+use onesql::connect::default_registry;
+use onesql::{HistoryTap, Session, SqlPipeline};
 
 const EVENTS: u64 = 20_000;
 const PARTITIONS: usize = 4;
@@ -18,43 +15,32 @@ const SQL: &str = "SELECT wend, auction, COUNT(*), SUM(price), MAX(price) \
      FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(dateTime), \
      dur => INTERVAL '1' MINUTE) GROUP BY wend, auction EMIT AFTER WATERMARK";
 
-struct CollectingSink(Arc<Mutex<Vec<StreamRow>>>);
-
-impl Sink for CollectingSink {
-    fn name(&self) -> &str {
-        "collect"
-    }
-    fn write(&mut self, rows: &[StreamRow]) -> onesql_types::Result<()> {
-        self.0.lock().unwrap().extend_from_slice(rows);
-        Ok(())
-    }
-}
-
-fn pipeline() -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let rows = Arc::new(Mutex::new(Vec::new()));
-    let config = DriverConfig {
-        workers: WORKERS,
-        ..DriverConfig::default()
-    };
-    let mut driver = PipelineDriver::new(&engine, SQL, config).expect("pipeline plans");
-    driver
-        .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(
-            42, EVENTS, PARTITIONS,
-        )))
-        .expect("streams registered");
-    driver
-        .attach_sink(Box::new(CollectingSink(rows.clone())))
-        .unwrap();
-    (rows, driver)
+/// The pipeline, assembled by one script, and a tap recording what its
+/// sink heard.
+fn pipeline() -> (HistoryTap, SqlPipeline) {
+    let tap = HistoryTap::new();
+    let mut registry = default_registry();
+    registry.register_sink("tap", tap.clone());
+    let script = format!(
+        "SET workers = {WORKERS};
+         CREATE PARTITIONED SOURCE nex
+           WITH (connector = 'nexmark', seed = 42, events = {EVENTS}, partitions = {PARTITIONS});
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {SQL};"
+    );
+    let pipeline = Session::new(registry)
+        .execute_script(&script)
+        .expect("pipeline plans")
+        .into_pipeline()
+        .expect("one INSERT, one pipeline");
+    (tap, pipeline)
 }
 
 fn main() {
     // Reference: the uninterrupted run.
     let (reference_rows, mut reference) = pipeline();
     reference.run().expect("pipeline runs");
-    let reference_out = reference_rows.lock().unwrap().clone();
+    let reference_out = reference_rows.rows();
     println!(
         "uninterrupted: {EVENTS} events through {WORKERS} workers -> {} output rows",
         reference_out.len()
@@ -62,12 +48,12 @@ fn main() {
 
     // Take two: kill the pipeline halfway.
     let (rows, mut victim) = pipeline();
-    while !victim.is_finished() && victim.events_in() < EVENTS / 2 {
+    while victim.events_in() < EVENTS / 2 {
         victim.step().expect("step");
     }
-    let checkpoint = victim.checkpoint().expect("checkpoint");
+    let checkpoint = victim.driver_mut().checkpoint().expect("checkpoint");
     let consumed: u64 = checkpoint.offsets.iter().flatten().sum();
-    let mut observed = rows.lock().unwrap().clone();
+    let mut observed = rows.rows();
     println!(
         "crash after {consumed} events (offsets per partition: {:?}), \
          {} rows already at the sink",
@@ -78,9 +64,9 @@ fn main() {
 
     // Take three: fresh driver, fresh (replayable) sources, restore, run.
     let (resumed_rows, mut resumed) = pipeline();
-    resumed.restore(&checkpoint).expect("restore");
+    resumed.driver_mut().restore(&checkpoint).expect("restore");
     resumed.run().expect("resumed run");
-    observed.extend(resumed_rows.lock().unwrap().iter().cloned());
+    observed.extend(resumed_rows.rows());
 
     assert_eq!(
         observed, reference_out,
@@ -89,11 +75,11 @@ fn main() {
     println!(
         "resumed:       {} more rows -> {} total, byte-identical to the \
          uninterrupted changelog (exactly-once)",
-        observed.len() - rows.lock().unwrap().len(),
+        observed.len() - rows.rows().len(),
         observed.len()
     );
 
-    let metrics = resumed.metrics().clone();
+    let metrics = resumed.metrics();
     println!();
     println!("resumed pipeline metrics:");
     println!("  events in:      {}", metrics.events_in);

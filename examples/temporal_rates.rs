@@ -6,42 +6,42 @@
 //! currency exchange rate at the time when the order was placed".
 //!
 //! This example maintains a versioned exchange-rate table, queries
-//! historical snapshots with `AS OF SYSTEM TIME`, and performs the §8
-//! order-enrichment lookup through the temporal-table API.
+//! historical snapshots with bare `SELECT ... AS OF SYSTEM TIME`
+//! statements, and performs the §8 order-enrichment lookup through the
+//! temporal-table API.
 //!
 //! Run with: `cargo run --example temporal_rates`
 
-use onesql_core::{Engine, StreamBuilder};
-use onesql_state::TemporalTable;
-use onesql_types::{row, DataType, Ts};
+use onesql_connect::{session, StatementResult};
+use onesql_types::{format_table, row, Ts};
 
 fn main() {
-    // Build the rate table: EUR and GBP rates changing over the morning.
-    let mut rates = TemporalTable::with_key(vec![0]);
+    // The rate table: EUR and GBP rates changing over the morning.
+    let mut session = session();
+    session
+        .execute("CREATE TEMPORAL TABLE Rates (currency STRING, rate INT) WITH (key = 'currency')")
+        .unwrap();
+    let rates = session.engine_mut().temporal_table_mut("Rates").unwrap();
     rates.insert(Ts::hm(9, 0), row!("EUR", 109i64)).unwrap();
     rates.insert(Ts::hm(9, 0), row!("GBP", 127i64)).unwrap();
     rates.insert(Ts::hm(10, 30), row!("EUR", 114i64)).unwrap();
     rates.insert(Ts::hm(11, 15), row!("GBP", 125i64)).unwrap();
 
-    let mut engine = Engine::new();
-    engine.register_temporal_table(
-        "Rates",
-        StreamBuilder::new()
-            .column("currency", DataType::String)
-            .column("rate", DataType::Int),
-        rates,
-    );
-
     // 1. Historical snapshots via AS OF SYSTEM TIME.
     for at in ["9:30", "10:45", "12:00"] {
-        let q = engine
-            .execute(&format!(
-                "SELECT currency, rate FROM Rates AS OF SYSTEM TIME TIMESTAMP '{at}' \
-                 ORDER BY currency"
-            ))
-            .unwrap();
+        let sql = format!(
+            "SELECT currency, rate FROM Rates AS OF SYSTEM TIME TIMESTAMP '{at}' \
+             ORDER BY currency"
+        );
+        let StatementResult::Rows(rows) = session.execute(&sql).unwrap() else {
+            unreachable!("a bare SELECT returns its rows")
+        };
+        let cells: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| row.values().iter().map(ToString::to_string).collect())
+            .collect();
         println!("== Rates AS OF {at} ==");
-        print!("{}", q.table_string_at(Ts::MAX, None).unwrap());
+        print!("{}", format_table(&["currency", "rate"], &cells));
         println!();
     }
 
@@ -55,7 +55,7 @@ fn main() {
     ];
     println!("== Orders enriched with the rate at placement time ==");
     // Re-borrow the live temporal table for correlated lookups.
-    let rates = engine.temporal_table_mut("Rates").unwrap();
+    let rates = session.engine_mut().temporal_table_mut("Rates").unwrap();
     for (id, currency, amount, placed) in orders {
         let rate_row = rates
             .lookup_as_of(&row!(currency), placed)
@@ -70,7 +70,8 @@ fn main() {
 
     // 3. The table's own changelog is a TVR: show its history.
     println!("\n== Rate table changelog (system-time history) ==");
-    let history = engine
+    let history = session
+        .engine_mut()
         .temporal_table_mut("Rates")
         .unwrap()
         .history()

@@ -10,13 +10,12 @@
 //!
 //! Run with: `cargo run --release --example trace_pipeline`
 
-use onesql::connect::{json, register_nexmark_streams, session, NexmarkSource};
-use onesql::{
-    ChangelogSink, DriverConfig, Engine, NetAddr, NetConfig, NetSink, NetSource, PipelineDriver,
-    StatementResult,
-};
+use std::sync::{Arc, Mutex};
+
+use onesql::connect::{json, session};
+use onesql::{NetAddr, StatementResult};
 use onesql_nexmark::queries;
-use onesql_types::{DataType, Result};
+use onesql_types::Result;
 
 const EVENTS: u64 = 2_000;
 const PRODUCER: &str = "q7_producer";
@@ -28,53 +27,37 @@ fn main() -> Result<()> {
     let mut s = session();
     s.execute("SET trace = 'on'")?;
 
-    // Consumer side binds first; the producer connects lazily.
-    let source = NetSource::bind(
-        NetAddr::tcp("127.0.0.1:0"),
-        vec!["Mid".to_string()],
-        NetConfig::default(),
-    )?;
-    let addr = source.local_addr();
+    // The consumer "process" binds first; the producer connects lazily.
+    // Q7's output columns are its input schema, and a pipeline's trace
+    // label is its INSERT target.
+    let script = format!(
+        "CREATE SOURCE Mid (wstart TIMESTAMP, wend TIMESTAMP, btime TIMESTAMP,
+                            price INT, auction INT)
+           WITH (connector = 'net', addr = 'tcp:127.0.0.1:0');
+         CREATE SINK {CONSUMER} WITH (connector = 'changelog');
+         INSERT INTO {CONSUMER} SELECT wstart, price, auction FROM Mid EMIT STREAM;"
+    );
+    let mut consumer = s.execute_script(&script)?.into_pipeline()?;
+    let addr = s
+        .take_handle::<NetAddr>("Mid")
+        .expect("the net source exports its address");
+    let rendered = s
+        .take_handle::<Arc<Mutex<String>>>(CONSUMER)
+        .expect("the in-memory changelog sink exports its buffer");
 
     // The producer "process": Q7 over seeded NEXMark, shipped as the
     // stream `Mid`. Each BATCH frame carries the emitting span's ID.
     let producer = std::thread::spawn(move || -> Result<u64> {
-        let mut engine = Engine::new();
-        register_nexmark_streams(&mut engine);
-        let mut driver = PipelineDriver::new(
-            &engine,
-            &format!("{} EMIT STREAM", queries::Q7),
-            DriverConfig::default(),
-        )?;
-        driver.attach_source(Box::new(NexmarkSource::seeded(7, EVENTS)))?;
-        driver.attach_sink(Box::new(NetSink::connect(
-            addr,
-            "Mid",
-            0,
-            NetConfig::default(),
-        )))?;
-        driver.set_label(PRODUCER);
-        Ok(driver.run()?.events_out)
+        let script = format!(
+            "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = {EVENTS});
+             CREATE SINK {PRODUCER} WITH (connector = 'net', addr = '{addr}', stream = 'Mid');
+             INSERT INTO {PRODUCER} {} EMIT STREAM;",
+            queries::Q7
+        );
+        let mut producer = session().execute_script(&script)?.into_pipeline()?;
+        Ok(producer.run()?.events_out)
     });
-
-    // The consumer "process": Q7's output columns are its input schema.
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Mid",
-        onesql::StreamBuilder::new()
-            .column("wstart", DataType::Timestamp)
-            .column("wend", DataType::Timestamp)
-            .column("btime", DataType::Timestamp)
-            .column("price", DataType::Int)
-            .column("auction", DataType::Int),
-    );
-    let (rendered, sink) = ChangelogSink::in_memory();
-    let sql = "SELECT wstart, price, auction FROM Mid EMIT STREAM";
-    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default())?;
-    driver.attach_source(Box::new(source))?;
-    driver.attach_sink(Box::new(sink))?;
-    driver.set_label(CONSUMER);
-    let consumed = driver.run()?.events_in;
+    let consumed = consumer.run()?.events_in;
     let shipped = producer.join().expect("producer thread")?;
     s.execute("SET trace = 'off'")?;
     println!(

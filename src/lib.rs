@@ -9,6 +9,17 @@
 //! - [`connect`] — pluggable sources/sinks, the pipeline driver, and the
 //!   default connector registry behind `CREATE SOURCE / SINK` DDL
 //!   ([`connect::session`] is the one-line entry point).
+//!
+//! A query runs one way: as a script through [`Session::execute_script`].
+//! There is no handle to a query fed by hand:
+//!
+//! ```compile_fail
+//! use onesql::RunningQuery;
+//! ```
+//!
+//! ```compile_fail
+//! use onesql::core::RunningQuery;
+//! ```
 pub use onesql_connect as connect;
 pub use onesql_core as core;
 
@@ -21,6 +32,4 @@ pub use onesql_connect::{
     ShardedChannelSource, Sink, Source, SourceBatch, SourceEvent, SourceStatus, SqlPipeline,
     StatementResult, TxnFileSink,
 };
-pub use onesql_core::{
-    CheckpointStore, Engine, HistoryEvent, HistoryTap, RunningQuery, StreamBuilder,
-};
+pub use onesql_core::{CheckpointStore, Engine, HistoryEvent, HistoryTap, StreamBuilder};

@@ -7,21 +7,39 @@
 //! instance, and require the recovered run to be indistinguishable from an
 //! uninterrupted one.
 
-use onesql_checker::paper::assert_listing;
-use onesql_core::{Engine, StreamBuilder};
-use onesql_nexmark::paper::{paper_timeline, PaperEvent, PAPER_Q7_SQL};
+use onesql_checker::paper::{self, assert_listing};
+use onesql_core::connect::replay::Replay;
+use onesql_core::{HistoryTap, PipelineCheckpoint, SqlPipeline, StreamBuilder};
+use onesql_nexmark::paper::{paper_timeline, PAPER_Q7_SQL};
+use onesql_state::Codec;
 use onesql_types::{row, DataType, Ts};
 
-fn engine() -> Engine {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    e
+fn bids() -> Replay {
+    let bid = StreamBuilder::new()
+        .event_time_column("bidtime")
+        .column("price", DataType::Int)
+        .column("item", DataType::String);
+    Replay::new([("Bid", bid.build())])
+}
+
+/// `sql` over `replay`, assembled and not yet stepped.
+fn pipeline(replay: &Replay, sql: &str) -> (SqlPipeline, HistoryTap) {
+    let (mut session, tap) = replay.session().unwrap();
+    let script = format!("INSERT INTO out {sql};");
+    let pipeline = session
+        .execute_script(&script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap();
+    (pipeline, tap)
+}
+
+/// Step `pipeline` through its first `rounds` rounds, then checkpoint it.
+fn checkpoint_after(pipeline: &mut SqlPipeline, rounds: usize) -> PipelineCheckpoint {
+    for _ in 0..rounds {
+        pipeline.step().unwrap();
+    }
+    pipeline.driver_mut().checkpoint().unwrap()
 }
 
 // The paper timeline killed after every event, through the pipeline:
@@ -57,54 +75,37 @@ fn watermark_position_survives_restore() {
     // of the checkpoint.
     let sql = "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
                timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend";
-    let e = engine();
-    let mut q = e.execute(sql).unwrap();
-    q.insert("Bid", Ts::hm(8, 1), row!(Ts::hm(8, 1), 1i64, "A"))
-        .unwrap();
-    q.watermark("Bid", Ts::hm(8, 20), Ts::hm(8, 15)).unwrap();
-    let cp = q.checkpoint().unwrap();
+    let mut replay = bids();
+    replay
+        .insert(Ts::hm(8, 1), "Bid", row!(Ts::hm(8, 1), 1i64, "A"))
+        .watermark(Ts::hm(8, 20), Ts::hm(8, 15))
+        .insert(Ts::hm(8, 21), "Bid", row!(Ts::hm(8, 2), 1i64, "late"))
+        .insert(Ts::hm(8, 22), "Bid", row!(Ts::hm(8, 16), 1i64, "ok"));
+    let cp = checkpoint_after(&mut pipeline(&replay, sql).0, 2);
 
-    let mut restored = e.execute(sql).unwrap();
-    restored.restore(&cp).unwrap();
-    // Late event for the closed [8:00, 8:10) window: dropped.
-    restored
-        .insert("Bid", Ts::hm(8, 21), row!(Ts::hm(8, 2), 1i64, "late"))
-        .unwrap();
-    assert!(restored.changelog().is_empty());
-    // Fresh event for an open window: processed.
-    restored
-        .insert("Bid", Ts::hm(8, 22), row!(Ts::hm(8, 16), 1i64, "ok"))
-        .unwrap();
-    assert_eq!(
-        restored.changelog().snapshot().to_rows(),
-        vec![row!(Ts::hm(8, 20), 1i64)]
-    );
+    let (mut restored, sink) = pipeline(&replay, sql);
+    restored.driver_mut().restore(&cp).unwrap();
+    restored.run().unwrap();
+    // The late event for the closed [8:00, 8:10) window was dropped; the
+    // fresh one for an open window was processed.
+    assert_eq!(restored.table().unwrap(), vec![row!(Ts::hm(8, 20), 1i64)]);
+    assert_eq!(sink.rows().len(), 1, "{:?}", sink.rows());
 }
 
 #[test]
 fn restore_rejects_mismatched_plan() {
-    let e = engine();
-    let q = e.execute("SELECT DISTINCT price FROM Bid").unwrap();
-    let cp = q.checkpoint().unwrap();
-    let mut other = e
-        .execute("SELECT price, COUNT(*) FROM Bid GROUP BY price")
-        .unwrap();
+    let replay = paper::replay(&paper_timeline());
+    let (mut distinct, _) = pipeline(&replay, "SELECT DISTINCT price FROM Bid");
+    let cp = checkpoint_after(&mut distinct, 3);
+    let sql = "SELECT price, COUNT(*) FROM Bid GROUP BY price";
+    let (mut other, _) = pipeline(&replay, sql);
     // Different operator count/shape: must error, not corrupt.
-    assert!(other.restore(&cp).is_err());
+    assert!(other.driver_mut().restore(&cp).is_err());
 }
 
 #[test]
 fn checkpoint_is_deterministic() {
-    let e = engine();
-    let make = || {
-        let mut q = e.execute(PAPER_Q7_SQL).unwrap();
-        for event in paper_timeline().into_iter().take(5) {
-            match event {
-                PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
-                PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
-            }
-        }
-        q.checkpoint().unwrap()
-    };
+    let replay = paper::replay(&paper_timeline());
+    let make = || checkpoint_after(&mut pipeline(&replay, PAPER_Q7_SQL).0, 5).to_bytes();
     assert_eq!(make(), make());
 }

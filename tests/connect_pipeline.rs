@@ -1,34 +1,27 @@
 //! Integration tests for the connector subsystem: file / channel / NEXMark
-//! sources through real SQL into sinks, driven by the one-worker
-//! `PipelineDriver`.
+//! sources through real SQL into sinks, each pipeline assembled by a
+//! script on one worker.
+
+mod common;
 
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use crossbeam::channel::Receiver;
 use proptest::prelude::*;
 
 use onesql::connect::{
-    channel, channel_sink, ChangelogSink, CsvFileSink, CsvFileSource, CsvSinkMode, DriverConfig,
-    FileSourceConfig, JsonLinesSink, JsonLinesSource, NexmarkSource, PipelineDriver, Sink,
-    SinkEvent, Source, SourceBatch, SourceEvent, SourceStatus,
+    channel, default_registry, session, CsvFileSource, Exports, FileSourceConfig, OptionBag,
+    PartitionedVec, Sink, SinkConnector, SinkEvent, SinkSpec, Source, SourceBatch,
 };
-use onesql::core::{Engine, StreamBuilder};
+use onesql::core::connect::replay::Replay;
+use onesql::core::StreamBuilder;
+use onesql::{ChannelPublisher, DriverConfig, Session, SqlPipeline};
 use onesql_nexmark::queries;
 use onesql_time::Watermark;
-use onesql_tvr::Change;
 use onesql_types::{row, DataType, Duration, Schema, Ts};
 
-fn bid_engine() -> Engine {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    e
-}
+use common::Bespoke;
 
 fn bid_schema() -> Schema {
     StreamBuilder::new()
@@ -38,11 +31,23 @@ fn bid_schema() -> Schema {
         .build()
 }
 
+/// The `Bid` stream's columns, as a `CREATE SOURCE` declares them.
+const BID_COLUMNS: &str = "(bidtime TIMESTAMP, price INT, item STRING, WATERMARK FOR bidtime)";
+
 /// A scratch directory unique to the calling test.
 fn scratch(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("onesql_connect_tests").join(test);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// `script`'s one pipeline, assembled in `session`.
+fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
+    session
+        .execute_script(script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap()
 }
 
 const WINDOWED_SQL: &str = "SELECT wend, SUM(price) FROM Tumble(data => \
@@ -77,54 +82,32 @@ fn csv_roundtrip_with_watermark_gated_emit() {
 
     // Events are up to 6 minutes out of order; lateness must cover it for
     // the watermark gate to hold windows until truly complete.
-    let engine = bid_engine();
-    let mut pipeline = PipelineDriver::new(&engine, WINDOWED_SQL, DriverConfig::default()).unwrap();
-    pipeline
-        .attach_source(Box::new(
-            CsvFileSource::new(
-                &input,
-                "Bid",
-                Arc::new(bid_schema()),
-                FileSourceConfig {
-                    lateness: Duration::from_minutes(6),
-                    has_header: false,
-                },
-            )
-            .unwrap(),
-        ))
-        .unwrap();
-    pipeline
-        .attach_sink(Box::new(
-            CsvFileSink::headerless(&output, CsvSinkMode::Appends).unwrap(),
-        ))
-        .unwrap();
-    let metrics = pipeline.run().unwrap().clone();
+    let mut session = session();
+    let script = format!(
+        "CREATE SOURCE Bid {BID_COLUMNS}
+           WITH (connector = 'file', path = '{}', lateness_ms = 360000);
+         CREATE SINK windows
+           WITH (connector = 'file', path = '{}', header = FALSE, mode = 'appends');
+         INSERT INTO windows {WINDOWED_SQL};",
+        input.display(),
+        output.display()
+    );
+    let mut pipeline = assemble(&mut session, &script);
+    let metrics = pipeline.run().unwrap();
     assert_eq!(metrics.events_in, 6);
     assert!(metrics.watermarks_in >= 1, "{metrics:?}");
-    assert!(pipeline.is_finished());
+    assert!(pipeline.driver_mut().is_finished());
 
     // The sink file holds exactly the final windows; read it back through
     // a source into a fresh pass-through query (the full roundtrip).
-    let out_schema = Arc::new(
-        StreamBuilder::new()
-            .event_time_column("wend")
-            .column("total", DataType::Int)
-            .build(),
+    let script = format!(
+        "CREATE SOURCE Windows (wend TIMESTAMP, total INT, WATERMARK FOR wend)
+           WITH (connector = 'file', path = '{}');
+         CREATE SINK out WITH (connector = 'changelog');
+         INSERT INTO out SELECT wend, total FROM Windows;",
+        output.display()
     );
-    let mut reader = Engine::new();
-    reader.register_stream_schema("Windows", (*out_schema).clone());
-    let mut readback = PipelineDriver::new(
-        &reader,
-        "SELECT wend, total FROM Windows",
-        DriverConfig::default(),
-    )
-    .unwrap();
-    readback
-        .attach_source(Box::new(
-            CsvFileSource::new(&output, "Windows", out_schema, FileSourceConfig::default())
-                .unwrap(),
-        ))
-        .unwrap();
+    let mut readback = assemble(&mut onesql::connect::session(), &script);
     readback.run().unwrap();
     assert_eq!(
         readback.table().unwrap(),
@@ -135,16 +118,35 @@ fn csv_roundtrip_with_watermark_gated_emit() {
         ]
     );
 
-    // The same answer the in-process API produces.
-    let engine = bid_engine();
-    let mut direct = engine.execute(WINDOWED_SQL).unwrap();
+    // The same answer a replay of the bids produces.
+    let mut direct = Replay::new([("Bid", bid_schema())]);
     for (i, (ts, price, item)) in paper_bids().into_iter().enumerate() {
-        direct
-            .insert("Bid", Ts(i as i64), row!(ts, price, item))
-            .unwrap();
+        direct.insert(Ts(i as i64), "Bid", row!(ts, price, item));
     }
-    direct.finish(Ts(100)).unwrap();
+    direct.advance(Ts(100));
+    let (direct, _) = direct.run(WINDOWED_SQL).unwrap();
     assert_eq!(direct.table().unwrap(), readback.table().unwrap());
+}
+
+/// A CSV source that also declares `Person`, a stream it never feeds.
+struct AlsoPerson(CsvFileSource, Vec<String>);
+
+impl Source for AlsoPerson {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn streams(&self) -> &[String] {
+        &self.1
+    }
+    fn poll_batch(&mut self, max: usize) -> onesql_types::Result<SourceBatch> {
+        self.0.poll_batch(max)
+    }
+    fn poll_columns(
+        &mut self,
+        max: usize,
+    ) -> onesql_types::Result<Option<onesql::core::connect::ColumnarBatch>> {
+        self.0.poll_columns(max)
+    }
 }
 
 /// A columnar poll (the CSV source at one worker) into a query that cannot
@@ -161,13 +163,21 @@ fn a_columnar_poll_the_query_cannot_batch_goes_in_per_row() {
         writeln!(f, "{},{},item{}", bidtime.to_clock_string(), i % 13, i % 5).unwrap();
     }
     drop(f);
-    let mut engine = bid_engine();
-    engine.register_stream(
-        "Person",
-        StreamBuilder::new()
-            .column("id", DataType::Int)
-            .column("name", DataType::String),
-    );
+    let person = StreamBuilder::new()
+        .column("id", DataType::Int)
+        .column("name", DataType::String)
+        .build();
+    let streams = vec![("Bid", bid_schema()), ("Person", person)];
+    let csv = move || -> Box<dyn onesql::PartitionedSource> {
+        let config = FileSourceConfig {
+            lateness: Duration::from_minutes(1),
+            has_header: false,
+        };
+        let source = CsvFileSource::new(&input, "Bid", Arc::new(bid_schema()), config).unwrap();
+        let streams = vec!["Bid".to_string(), "Person".to_string()];
+        Box::new(PartitionedVec::single(AlsoPerson(source, streams)))
+    };
+    let csv = Arc::new(csv);
     let timers = "SELECT bidtime, price FROM Bid EMIT STREAM AFTER DELAY INTERVAL '5' MINUTES";
     let self_join = "SELECT MaxBid.wend, Bid.price, Bid.item FROM Bid, \
          (SELECT MAX(T.price) maxPrice, T.wend wend FROM Tumble(data => TABLE(Bid), \
@@ -177,26 +187,24 @@ fn a_columnar_poll_the_query_cannot_batch_goes_in_per_row() {
     let unread = "SELECT id, name FROM Person EMIT STREAM";
     for (sql, reads) in [(timers, true), (self_join, true), (unread, false)] {
         let run = |vectorize: bool| {
-            let config = DriverConfig {
+            let mut registry = default_registry();
+            let csv = csv.clone();
+            registry.register_source("csv", Bespoke::new(streams.clone(), move || csv()));
+            let mut session = Session::new(registry);
+            session.set_driver_config(DriverConfig {
                 batch_size: 16,
                 adaptive: None,
                 vectorize,
                 ..DriverConfig::default()
-            };
-            let mut pipeline = PipelineDriver::new(&engine, sql, config).unwrap();
-            let source = CsvFileSource::new(
-                &input,
-                "Bid",
-                Arc::new(bid_schema()),
-                FileSourceConfig {
-                    lateness: Duration::from_minutes(1),
-                    has_header: false,
-                },
+            });
+            let script = format!(
+                "CREATE SOURCE bids WITH (connector = 'csv');
+                 CREATE SINK out WITH (connector = 'changelog');
+                 INSERT INTO out {sql};"
             );
-            pipeline.attach_source(Box::new(source.unwrap())).unwrap();
-            let (rendered, sink) = ChangelogSink::in_memory();
-            pipeline.attach_sink(Box::new(sink)).unwrap();
-            let metrics = pipeline.run().unwrap().clone();
+            let mut pipeline = assemble(&mut session, &script);
+            let rendered = session.take_handle::<Arc<Mutex<String>>>("out").unwrap();
+            let metrics = pipeline.run().unwrap();
             let rendered = rendered.lock().unwrap().clone();
             (rendered, metrics)
         };
@@ -231,32 +239,15 @@ fn jsonl_roundtrip() {
     }
     drop(f);
 
-    let engine = bid_engine();
-    let mut pipeline = PipelineDriver::new(
-        &engine,
-        "SELECT item, price FROM Bid WHERE price >= 3",
-        DriverConfig::default(),
-    )
-    .unwrap();
-    pipeline
-        .attach_source(Box::new(
-            JsonLinesSource::new(
-                &input,
-                "Bid",
-                Arc::new(bid_schema()),
-                FileSourceConfig {
-                    lateness: Duration::from_minutes(6),
-                    has_header: false,
-                },
-            )
-            .unwrap(),
-        ))
-        .unwrap();
-    pipeline
-        .attach_sink(Box::new(
-            JsonLinesSink::new(&output, CsvSinkMode::Changelog).unwrap(),
-        ))
-        .unwrap();
+    let script = format!(
+        "CREATE SOURCE Bid {BID_COLUMNS}
+           WITH (connector = 'file', path = '{}', format = 'jsonl', lateness_ms = 360000);
+         CREATE SINK out WITH (connector = 'file', path = '{}', format = 'jsonl');
+         INSERT INTO out SELECT item, price FROM Bid WHERE price >= 3;",
+        input.display(),
+        output.display()
+    );
+    let mut pipeline = assemble(&mut session(), &script);
     let metrics = pipeline.run().unwrap();
     assert_eq!(metrics.events_in, 6);
     assert_eq!(metrics.events_out, 3); // prices 3, 4, 5 pass the filter
@@ -271,17 +262,15 @@ fn jsonl_roundtrip() {
 /// NEXMark source → query → changelog sink, all through the engine API.
 #[test]
 fn nexmark_to_changelog_sink_end_to_end() {
-    let mut engine = Engine::new();
-    onesql::connect::register_nexmark_streams(&mut engine);
-    let (rendered, sink) = ChangelogSink::in_memory();
-
-    let mut pipeline = PipelineDriver::new(&engine, queries::Q7, DriverConfig::default()).unwrap();
-    pipeline
-        .attach_source(Box::new(NexmarkSource::seeded(42, 2_000)))
-        .unwrap();
-    pipeline
-        .attach_sink(Box::new(sink.with_watermarks()))
-        .unwrap();
+    let mut session = session();
+    let script = format!(
+        "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 42, events = 2000);
+         CREATE SINK out WITH (connector = 'changelog', watermarks = TRUE);
+         INSERT INTO out {};",
+        queries::Q7
+    );
+    let mut pipeline = assemble(&mut session, &script);
+    let rendered = session.take_handle::<Arc<Mutex<String>>>("out").unwrap();
     let metrics = pipeline.run().unwrap();
 
     assert_eq!(metrics.events_in, 2_000);
@@ -307,17 +296,15 @@ fn nexmark_to_changelog_sink_end_to_end() {
 /// single-writer in-process run.
 #[test]
 fn channel_fan_in_across_threads() {
-    let engine = bid_engine();
-    let (publisher, source) = channel("Bid", 128);
-    let (sink, events) = channel_sink(1024);
-    let mut pipeline = PipelineDriver::new(
-        &engine,
-        "SELECT item, price FROM Bid WHERE price > 0",
-        DriverConfig::default(),
-    )
-    .unwrap();
-    pipeline.attach_source(Box::new(source)).unwrap();
-    pipeline.attach_sink(Box::new(sink)).unwrap();
+    let mut session = session();
+    let script = format!(
+        "CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'channel', capacity = 128);
+         CREATE SINK out WITH (connector = 'channel', capacity = 1024);
+         INSERT INTO out SELECT item, price FROM Bid WHERE price > 0;"
+    );
+    let mut pipeline = assemble(&mut session, &script);
+    let publisher = publishers(&mut session, "Bid");
+    let events = session.take_handle::<Receiver<SinkEvent>>("out").unwrap();
 
     let writers: Vec<_> = [0i64, 1]
         .into_iter()
@@ -354,33 +341,62 @@ fn channel_fan_in_across_threads() {
     assert!(flushed);
 }
 
+/// The one publisher of channel source `name`.
+fn publishers(session: &mut Session, name: &str) -> ChannelPublisher {
+    let mut publishers = session.take_handle::<Vec<ChannelPublisher>>(name).unwrap();
+    publishers.remove(0)
+}
+
 /// Attach-time validation: unknown streams and tables are rejected.
 #[test]
 fn attach_source_validates_streams() {
-    let mut engine = bid_engine();
-    engine
+    // A source whose instance feeds a stream the catalog does not have.
+    let stray = || -> Box<dyn onesql::PartitionedSource> {
+        Box::new(PartitionedVec::single(channel("Nope", 4).1))
+    };
+    let mut registry = default_registry();
+    registry.register_source("stray", Bespoke::new(vec![("Bid", bid_schema())], stray));
+    let mut session = Session::new(registry);
+    session
+        .engine_mut()
         .register_table(
             "Category",
             StreamBuilder::new().column("id", DataType::Int),
             vec![row!(1i64)],
         )
         .unwrap();
-    let mut pipeline =
-        PipelineDriver::new(&engine, "SELECT item FROM Bid", DriverConfig::default()).unwrap();
-    for (stream, refusal) in [
-        ("Nope", "targets unregistered stream 'Nope'"),
-        ("Category", "which is a table, not a stream"),
+    let err = session
+        .execute("CREATE SOURCE Category (id INT) WITH (connector = 'channel')")
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("registered as a table, not a stream"),
+        "{err}"
+    );
+    session
+        .execute_script(
+            "CREATE SOURCE stray WITH (connector = 'stray');
+             CREATE SINK out WITH (connector = 'changelog');",
+        )
+        .unwrap();
+    for (sql, refusal) in [
+        ("SELECT item FROM Bid", "targets unregistered stream 'Nope'"),
+        ("SELECT id FROM Category", "reads no streams"),
     ] {
-        let (_publisher, source) = channel(stream, 4);
-        let err = pipeline.attach_source(Box::new(source)).unwrap_err();
+        let err = session
+            .execute(&format!("INSERT INTO out {sql}"))
+            .unwrap_err();
         assert!(err.to_string().contains(refusal), "{err}");
     }
-    assert!(pipeline.step().is_err(), "no sources");
-    // A refused attach costs nothing: no offset moved, nothing is
-    // poisoned, and the pipeline runs over the source it does accept.
-    let (publisher, source) = channel("Bid", 4);
-    pipeline.attach_source(Box::new(source)).unwrap();
-    publisher.finish().unwrap();
+    // A refused INSERT costs nothing: no offset moved, nothing is
+    // poisoned, and a pipeline runs over the source the catalog accepts.
+    let script = format!(
+        "DROP SOURCE stray;
+         CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'channel', capacity = 4);
+         INSERT INTO out SELECT item FROM Bid;"
+    );
+    let mut pipeline = assemble(&mut session, &script);
+    publishers(&mut session, "Bid").finish().unwrap();
     assert!(pipeline.run().unwrap().output_watermark.is_final());
 }
 
@@ -389,6 +405,7 @@ fn attach_source_validates_streams() {
 // ---------------------------------------------------------------------------
 
 /// A sink that fails on demand.
+#[derive(Clone, Copy)]
 struct FailingSink {
     fail_write: bool,
     fail_flush: bool,
@@ -412,24 +429,38 @@ impl Sink for FailingSink {
     }
 }
 
+impl SinkConnector for FailingSink {
+    fn declare(&self, _: &SinkSpec, _: &mut OptionBag) -> onesql_types::Result<()> {
+        Ok(())
+    }
+    fn build(
+        &self,
+        _: &SinkSpec,
+        _: &mut OptionBag,
+        _: &mut Exports,
+    ) -> onesql_types::Result<Box<dyn Sink>> {
+        Ok(Box::new(FailingSink { ..*self }))
+    }
+}
+
 /// Six buffered bids into `sink`; the returned publisher keeps the
 /// channel (and so the pipeline) open.
-fn pipeline_into(sink: FailingSink) -> (onesql::ChannelPublisher, onesql::PipelineDriver) {
-    let engine = bid_engine();
-    let (publisher, source) = channel("Bid", 16);
+fn pipeline_into(sink: FailingSink) -> (ChannelPublisher, SqlPipeline) {
+    let mut registry = default_registry();
+    registry.register_sink("failing", sink);
+    let mut session = Session::new(registry);
+    let script = format!(
+        "CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'channel', capacity = 16);
+         CREATE SINK out WITH (connector = 'failing');
+         INSERT INTO out SELECT item, price FROM Bid EMIT STREAM;"
+    );
+    let pipeline = assemble(&mut session, &script);
+    let publisher = publishers(&mut session, "Bid");
     for (i, (ts, price, item)) in paper_bids().into_iter().enumerate() {
         publisher
             .insert(Ts(i as i64), row!(ts, price, item))
             .unwrap();
     }
-    let mut pipeline = PipelineDriver::new(
-        &engine,
-        "SELECT item, price FROM Bid EMIT STREAM",
-        DriverConfig::default(),
-    )
-    .unwrap();
-    pipeline.attach_source(Box::new(source)).unwrap();
-    pipeline.attach_sink(Box::new(sink)).unwrap();
     (publisher, pipeline)
 }
 
@@ -443,13 +474,13 @@ fn failed_finish_on_a_plain_pipeline_poisons_instead_of_finishing() {
     let err = pipeline.finish().unwrap_err().to_string();
     assert!(err.contains("sink flush refused"), "{err}");
     assert!(
-        !pipeline.is_finished(),
+        !pipeline.driver_mut().is_finished(),
         "a half-flushed pipeline must not report finished"
     );
     for err in [
         pipeline.finish().unwrap_err(),
         pipeline.step().unwrap_err(),
-        pipeline.checkpoint().unwrap_err(),
+        pipeline.driver_mut().checkpoint().unwrap_err(),
     ] {
         assert!(err.to_string().contains("poisoned"), "{err}");
     }
@@ -469,7 +500,7 @@ fn failed_step_on_a_plain_pipeline_cannot_be_stepped_past() {
     // would record offsets past events no sink ever saw.
     for err in [
         pipeline.step().unwrap_err(),
-        pipeline.checkpoint().unwrap_err(),
+        pipeline.driver_mut().checkpoint().unwrap_err(),
     ] {
         assert!(err.to_string().contains("poisoned"), "{err}");
     }
@@ -479,36 +510,24 @@ fn failed_step_on_a_plain_pipeline_cannot_be_stepped_past() {
 // Watermark monotonicity under arbitrary source interleavings.
 // ---------------------------------------------------------------------------
 
-/// A source that replays a script of batches, one per poll.
-struct ScriptedSource {
-    name: String,
-    streams: Vec<String>,
-    script: std::collections::VecDeque<SourceBatch>,
+/// A session with a `replay{i}` source family per schedule, and the
+/// DDL that creates one source of each.
+fn replays(schedules: Vec<Replay>) -> (Session, String) {
+    let mut registry = default_registry();
+    let mut script = String::new();
+    for (i, replay) in schedules.into_iter().enumerate() {
+        registry.register_source(format!("replay{i}"), replay);
+        script += &format!("CREATE SOURCE s{i} WITH (connector = 'replay{i}');\n");
+    }
+    (Session::new(registry), script)
 }
 
-impl ScriptedSource {
-    fn new(name: &str, stream: &str, script: Vec<SourceBatch>) -> ScriptedSource {
-        ScriptedSource {
-            name: name.to_string(),
-            streams: vec![stream.to_string()],
-            script: script.into(),
-        }
-    }
-}
-
-impl Source for ScriptedSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn streams(&self) -> &[String] {
-        &self.streams
-    }
-    fn poll_batch(&mut self, _max: usize) -> onesql_types::Result<SourceBatch> {
-        Ok(self
-            .script
-            .pop_front()
-            .unwrap_or_else(|| SourceBatch::empty(SourceStatus::Finished)))
-    }
+/// An empty schedule for the stream `S (ts, v)`.
+fn stream_s() -> Replay {
+    let s = StreamBuilder::new()
+        .event_time_column("ts")
+        .column("v", DataType::Int);
+    Replay::new([("S", s.build())])
 }
 
 /// One scripted step of one source: optionally an event, optionally a
@@ -531,44 +550,26 @@ proptest! {
     /// advances, and ends final.
     #[test]
     fn driver_watermarks_are_monotone(scripts in arb_script()) {
-        let mut engine = Engine::new();
-        engine.register_stream(
-            "S",
-            StreamBuilder::new().event_time_column("ts").column("v", DataType::Int),
-        );
-        let config = DriverConfig {
-            batch_size: 4,
-            ..DriverConfig::default()
-        };
-        let mut pipeline =
-            PipelineDriver::new(&engine, "SELECT ts, v FROM S EMIT STREAM", config).unwrap();
-        for (i, script) in scripts.iter().enumerate() {
-            let batches: Vec<SourceBatch> = script
-                .iter()
-                .map(|(event, wm)| {
-                    let mut batch = SourceBatch::empty(SourceStatus::Ready);
-                    if let Some(ts) = event {
-                        batch.events.push(SourceEvent {
-                            stream: 0,
-                            ptime: Ts(*ts),
-                            change: Change::insert(row!(Ts(*ts), *ts)),
-                        });
-                    }
-                    batch.watermark = wm.map(Ts);
-                    batch
-                })
-                .collect();
-            pipeline
-                .attach_source(Box::new(ScriptedSource::new(
-                    &format!("scripted-{i}"),
-                    "S",
-                    batches,
-                )))
-                .unwrap();
+        let mut schedules = Vec::new();
+        for script in &scripts {
+            let mut replay = stream_s();
+            for (k, (event, wm)) in (0i64..).zip(script) {
+                if let Some(ts) = event {
+                    replay.insert(Ts(*ts), "S", row!(Ts(*ts), *ts));
+                }
+                if let Some(wm) = wm {
+                    replay.watermark(Ts(k), Ts(*wm));
+                }
+            }
+            schedules.push(replay);
         }
-        let (sink, events) = channel_sink(1_000_000);
-        pipeline.attach_sink(Box::new(sink)).unwrap();
-        let metrics = pipeline.run().unwrap().clone();
+        let (mut session, mut script) = replays(schedules);
+        script += "SET batch_size = 4;
+                   CREATE SINK out WITH (connector = 'channel', capacity = 1000000);
+                   INSERT INTO out SELECT ts, v FROM S EMIT STREAM;";
+        let mut pipeline = assemble(&mut session, &script);
+        let events = session.take_handle::<Receiver<SinkEvent>>("out").unwrap();
+        let metrics = pipeline.run().unwrap();
 
         let mut last = Watermark::MIN;
         let mut watermarks = 0usize;
@@ -582,50 +583,29 @@ proptest! {
         prop_assert!(watermarks >= 1, "finish must deliver the final watermark");
         prop_assert!(last.is_final());
         prop_assert!(metrics.output_watermark.is_final());
-        // Every scripted event made it in.
-        let expected: u64 = scripts
-            .iter()
-            .flatten()
-            .filter(|(e, _)| e.is_some())
-            .count() as u64;
-        prop_assert_eq!(metrics.events_in, expected);
+        // Every scripted step made it in (a watermark arrives as an
+        // event on the replay's clock stream).
+        let expected = scripts.iter().flatten().map(|(e, wm)| {
+            u64::from(e.is_some()) + u64::from(wm.is_some())
+        });
+        prop_assert_eq!(metrics.events_in, expected.sum::<u64>());
     }
 }
 
 /// The driver's input watermark is the min over live sources.
 #[test]
 fn input_watermark_is_min_over_sources() {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "S",
-        StreamBuilder::new()
-            .event_time_column("ts")
-            .column("v", DataType::Int),
-    );
-    let fast = vec![SourceBatch {
-        events: vec![],
-        watermark: Some(Ts(500)),
-        status: SourceStatus::Ready,
-        ..SourceBatch::default()
-    }];
-    let slow = vec![SourceBatch {
-        events: vec![],
-        watermark: Some(Ts(100)),
-        status: SourceStatus::Ready,
-        ..SourceBatch::default()
-    }];
-    let mut pipeline =
-        PipelineDriver::new(&engine, "SELECT ts, v FROM S", DriverConfig::default()).unwrap();
-    pipeline
-        .attach_source(Box::new(ScriptedSource::new("fast", "S", fast)))
-        .unwrap();
-    pipeline
-        .attach_source(Box::new(ScriptedSource::new("slow", "S", slow)))
-        .unwrap();
+    let (mut fast, mut slow) = (stream_s(), stream_s());
+    fast.watermark(Ts(0), Ts(500)).advance(Ts(1));
+    slow.watermark(Ts(0), Ts(100)).advance(Ts(1));
+    let (mut session, mut script) = replays(vec![fast, slow]);
+    script += "CREATE SINK out WITH (connector = 'changelog');
+               INSERT INTO out SELECT ts, v FROM S;";
+    let mut pipeline = assemble(&mut session, &script);
     pipeline.step().unwrap();
     assert_eq!(pipeline.metrics().input_watermark, Watermark(Ts(100)));
-    // Both scripts exhausted -> next steps finish the pipeline.
+    // Both schedules exhausted -> the next step finishes the pipeline.
     pipeline.run().unwrap();
-    assert!(pipeline.is_finished());
+    assert!(pipeline.driver_mut().is_finished());
     assert!(pipeline.metrics().input_watermark.is_final());
 }

@@ -14,22 +14,51 @@
 //! exactly the unacknowledged suffix.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
-use onesql::connect::{register_nexmark_streams, PartitionedNexmarkSource, PartitionedSource};
-use onesql::core::StreamRow;
+use onesql::connect::{default_registry, session, PartitionedNexmarkSource, PartitionedSource};
 use onesql::{
-    DriverConfig, Engine, NetAddr, NetConfig, NetPublisher, NetSink, NetSource,
-    PartitionedNetSource, PipelineDriver, Sink, Source, StreamBuilder,
+    ChannelPublisher, DriverConfig, HistoryTap, NetAddr, NetConfig, NetPublisher,
+    PartitionedNetSource, Session, SqlPipeline,
 };
 use onesql_nexmark::queries;
-use onesql_types::{row, DataType, Result, Ts};
+use onesql_types::{row, Result, Ts};
 
 const NEXMARK_EVENTS: u64 = 6_000;
 const PARTS: usize = 4;
 const BATCH: usize = 256;
 const STREAMS: [&str; 3] = ["Person", "Auction", "Bid"];
+
+/// The NEXMark streams, declared for a net source that feeds them.
+const NEXMARK_STREAMS: &str = "
+    CREATE STREAM Person (id INT, name STRING, email STRING, city STRING,
+                          state STRING, dateTime TIMESTAMP, WATERMARK FOR dateTime);
+    CREATE STREAM Auction (id INT, itemName STRING, initialBid INT, reserve INT,
+                           dateTime TIMESTAMP, expires TIMESTAMP, seller INT, category INT,
+                           WATERMARK FOR dateTime);
+    CREATE STREAM Bid (auction INT, bidder INT, price INT, dateTime TIMESTAMP,
+                       WATERMARK FOR dateTime);";
+
+/// The `Bid` stream's columns, as a `CREATE SOURCE` declares them.
+const BID_COLUMNS: &str = "(auction INT, price INT, bidtime TIMESTAMP, WATERMARK FOR bidtime)";
+
+/// `script`'s one pipeline, assembled in `session`.
+fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
+    session
+        .execute_script(script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap()
+}
+
+/// A session under `config` whose sink family `tap` records into `tap`.
+fn tapped_session(tap: &HistoryTap, config: DriverConfig) -> Session {
+    let mut registry = default_registry();
+    registry.register_sink("tap", tap.clone());
+    let mut session = Session::new(registry);
+    session.set_driver_config(config);
+    session
+}
 
 /// Unique socket path per test, replaced on rebind (consumer restart).
 fn socket_path(tag: &str) -> std::path::PathBuf {
@@ -53,25 +82,6 @@ fn net_config() -> NetConfig {
         poll_wait: StdDuration::from_secs(10),
         ack_wait: StdDuration::from_secs(30),
         ..NetConfig::default()
-    }
-}
-
-struct CollectingSink {
-    rows: Arc<Mutex<Vec<StreamRow>>>,
-}
-
-fn collecting_sink() -> (Arc<Mutex<Vec<StreamRow>>>, CollectingSink) {
-    let rows = Arc::new(Mutex::new(Vec::new()));
-    (rows.clone(), CollectingSink { rows })
-}
-
-impl Sink for CollectingSink {
-    fn name(&self) -> &str {
-        "collect"
-    }
-    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        self.rows.lock().unwrap().extend_from_slice(rows);
-        Ok(())
     }
 }
 
@@ -157,45 +167,38 @@ fn run_producer_killed_at(addr: NetAddr, limit: u64) -> Result<()> {
 }
 
 /// The consumer "process": a sharded Q7 pipeline whose only input is the
-/// socket. Fixed poll batches aligned with the producer's frames keep the
-/// changelog a pure function of the byte stream.
-fn bind_consumer(path: &std::path::Path) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    bind_consumer_with(path, net_config())
-}
-
-fn bind_consumer_with(
-    path: &std::path::Path,
-    config: NetConfig,
-) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    let source = PartitionedNetSource::bind(
-        NetAddr::unix(path),
-        STREAMS.iter().map(|s| s.to_string()).collect(),
-        PARTS,
-        config,
-    )
-    .unwrap();
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let (rows, sink) = collecting_sink();
+/// socket, writing into `tap`. Fixed poll batches aligned with the
+/// producer's frames keep the changelog a pure function of the byte
+/// stream. With `restarts`, a dead producer connection releases its
+/// partition for the producer's next incarnation.
+fn bind_consumer(path: &std::path::Path, restarts: bool, tap: &HistoryTap) -> SqlPipeline {
     let config = DriverConfig {
         workers: 2,
         batch_size: BATCH,
         adaptive: None,
         ..DriverConfig::default()
     };
-    let mut driver = PipelineDriver::new(&engine, queries::Q7, config).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
-    (rows, driver)
+    let mut session = tapped_session(tap, config);
+    let script = format!(
+        "{NEXMARK_STREAMS}
+         CREATE PARTITIONED SOURCE feed
+           WITH (connector = 'net', addr = 'unix:{}', partitions = {PARTS},
+                 streams = 'Person,Auction,Bid', poll_wait_ms = 10000,
+                 producer_restarts = {restarts});
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {};",
+        path.display(),
+        queries::Q7
+    );
+    assemble(&mut session, &script)
 }
 
 /// One uninterrupted producer/consumer run; returns its observable
 /// history (the checker's reference).
-fn reference_history(tag: &str, config: NetConfig) -> Vec<onesql::HistoryEvent> {
+fn reference_history(tag: &str, restarts: bool) -> Vec<onesql::HistoryEvent> {
     let path = socket_path(tag);
-    let (_rows, mut driver) = bind_consumer_with(&path, config);
-    let tap = onesql::HistoryTap::new();
-    driver.attach_sink(Box::new(tap.clone())).unwrap();
+    let tap = HistoryTap::new();
+    let mut driver = bind_consumer(&path, restarts, &tap);
     let addr = NetAddr::unix(&path);
     let producer = std::thread::spawn(move || run_producer(addr));
     driver.run().unwrap();
@@ -216,7 +219,7 @@ fn nexmark_q7_survives_consumer_kills_under_the_nemesis() {
         effective_history, replay_identical, retraction_balanced, watermark_monotone, Nemesis,
     };
 
-    let reference = reference_history("q7-reference", net_config());
+    let reference = reference_history("q7-reference", false);
 
     // Victim: same workload, but the seeded nemesis decides where the
     // checkpoints land, how much uncommitted staging each wire kill
@@ -231,24 +234,24 @@ fn nexmark_q7_survives_consumer_kills_under_the_nemesis() {
         let addr = addr.clone();
         std::thread::spawn(move || run_producer(addr))
     };
-    let tap = onesql::HistoryTap::new();
-    let (_rows, mut victim) = bind_consumer(&path);
-    victim.attach_sink(Box::new(tap.clone())).unwrap();
+    let tap = HistoryTap::new();
+    let mut victim = bind_consumer(&path, false, &tap);
 
     for cycle in &plan.cycles {
-        while !victim.is_finished() && victim.events_in() < cycle.checkpoint_at {
-            victim.step().unwrap();
+        let driver = victim.driver_mut();
+        while !driver.is_finished() && driver.events_in() < cycle.checkpoint_at {
+            driver.step().unwrap();
         }
-        if victim.is_finished() {
+        if driver.is_finished() {
             break;
         }
-        let checkpoint = victim.checkpoint().unwrap();
+        let checkpoint = driver.checkpoint().unwrap();
         // The checkpoint is "persisted" (it lives in this test);
         // acknowledge it so the producer trims its spool — resume must
         // still work from exactly the acked offsets.
-        victim.ack_checkpoint(&checkpoint).unwrap();
-        while !victim.is_finished() && victim.events_in() < cycle.kill_at {
-            victim.step().unwrap();
+        driver.ack_checkpoint(&checkpoint).unwrap();
+        while !driver.is_finished() && driver.events_in() < cycle.kill_at {
+            driver.step().unwrap();
         }
         // The crash: driver, workers, net source, and listener all die.
         // The producer is connected to nothing and must hold its spool.
@@ -257,11 +260,8 @@ fn nexmark_q7_survives_consumer_kills_under_the_nemesis() {
         // The restored consumer "process": a fresh listener on the same
         // address, a fresh driver, state from the checkpoint. Its
         // handshake tells the reconnecting producer where to resume.
-        let (rows, resumed) = bind_consumer(&path);
-        let _ = rows;
-        victim = resumed;
-        victim.attach_sink(Box::new(tap.clone())).unwrap();
-        victim.restore(&checkpoint).unwrap();
+        victim = bind_consumer(&path, false, &tap);
+        victim.driver_mut().restore(&checkpoint).unwrap();
         let restored_events: u64 = checkpoint.offsets.iter().flatten().sum();
         assert_eq!(victim.metrics().events_in, restored_events);
     }
@@ -288,14 +288,9 @@ fn nexmark_q7_survives_producer_kill_and_restart() {
 
     // Consumer-side restart tolerance: a dead connection releases its
     // partition for the producer's next incarnation instead of
-    // poisoning the pipeline.
-    let restart_config = NetConfig {
-        producer_restarts: true,
-        ..net_config()
-    };
-
-    // Reference: same tolerant consumer, producer never killed.
-    let reference = reference_history("q7-pref", restart_config);
+    // poisoning the pipeline. Reference: same tolerant consumer, producer
+    // never killed.
+    let reference = reference_history("q7-pref", true);
 
     // Victim: the producer dies once each partition published ~half its
     // share, then a fresh producer process regenerates the same
@@ -305,9 +300,8 @@ fn nexmark_q7_survives_producer_kill_and_restart() {
     // notices, and there is nothing for `effective_history` to splice.
     let path = socket_path("q7-pkill");
     let addr = NetAddr::unix(&path);
-    let (_rows, mut driver) = bind_consumer_with(&path, restart_config);
-    let tap = onesql::HistoryTap::new();
-    driver.attach_sink(Box::new(tap.clone())).unwrap();
+    let tap = HistoryTap::new();
+    let mut driver = bind_consumer(&path, true, &tap);
     let kill_at = NEXMARK_EVENTS / PARTS as u64 / 2;
     let first = {
         let addr = addr.clone();
@@ -342,15 +336,15 @@ fn nexmark_q7_survives_producer_kill_and_restart() {
 
 #[test]
 fn filter_pipeline_over_tcp() {
-    let source = NetSource::bind(
-        NetAddr::tcp("127.0.0.1:0"),
-        vec!["Bid".to_string()],
-        NetConfig::default(),
-    )
-    .unwrap();
-    let addr = source.local_addr();
-    // Exercise the Source trait surface directly before attaching.
-    assert_eq!(source.streams(), &["Bid".to_string()]);
+    let tap = HistoryTap::new();
+    let mut session = tapped_session(&tap, DriverConfig::default());
+    let script = format!(
+        "CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'net', addr = 'tcp:127.0.0.1:0');
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out SELECT auction, price FROM Bid WHERE price >= 50 EMIT STREAM;"
+    );
+    let mut driver = assemble(&mut session, &script);
+    let addr = session.take_handle::<NetAddr>("Bid").unwrap();
 
     let producer = std::thread::spawn(move || -> Result<u64> {
         let mut publisher =
@@ -363,24 +357,11 @@ fn filter_pipeline_over_tcp() {
         Ok(publisher.offset())
     });
 
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("bidtime"),
-    );
-    let (rows, sink) = collecting_sink();
-    let sql = "SELECT auction, price FROM Bid WHERE price >= 50 EMIT STREAM";
-    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-    driver.attach_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
     let metrics = driver.run().unwrap();
     assert_eq!(metrics.events_in, 100);
     assert_eq!(metrics.events_out, 50);
     assert_eq!(producer.join().unwrap().unwrap(), 100);
-    assert_eq!(rows.lock().unwrap().len(), 50);
+    assert_eq!(tap.rows().len(), 50);
 }
 
 #[test]
@@ -389,34 +370,16 @@ fn restore_over_a_plain_net_source_is_refused() {
     // what a restored consumer would need; seeking by poll-and-discard
     // would eat whatever the live wire delivers next instead.
     const EVENTS: u64 = 20;
-    let bid_engine = || {
-        let mut engine = Engine::new();
-        engine.register_stream(
-            "Bid",
-            StreamBuilder::new()
-                .column("auction", DataType::Int)
-                .column("price", DataType::Int)
-                .event_time_column("bidtime"),
-        );
-        engine
-    };
     let consumer = || {
-        let source = NetSource::bind(
-            NetAddr::tcp("127.0.0.1:0"),
-            vec!["Bid".to_string()],
-            net_config(),
-        )
-        .unwrap();
-        let addr = source.local_addr();
-        let engine = bid_engine();
-        let mut driver = PipelineDriver::new(
-            &engine,
-            "SELECT auction, price FROM Bid EMIT STREAM",
-            DriverConfig::default(),
-        )
-        .unwrap();
-        driver.attach_source(Box::new(source)).unwrap();
-        (addr, driver)
+        let mut session = session();
+        let script = format!(
+            "CREATE SOURCE Bid {BID_COLUMNS}
+               WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', poll_wait_ms = 10000);
+             CREATE SINK out WITH (connector = 'changelog');
+             INSERT INTO out SELECT auction, price FROM Bid EMIT STREAM;"
+        );
+        let driver = assemble(&mut session, &script);
+        (session.take_handle::<NetAddr>("Bid").unwrap(), driver)
     };
 
     let (addr, mut victim) = consumer();
@@ -435,14 +398,18 @@ fn restore_over_a_plain_net_source_is_refused() {
     while victim.events_in() < EVENTS {
         victim.step().unwrap();
     }
-    let checkpoint = victim.checkpoint().unwrap();
+    let checkpoint = victim.driver_mut().checkpoint().unwrap();
     assert_eq!(checkpoint.offsets, vec![vec![EVENTS]]);
     drop(victim); // kill
     drop(checkpointed);
     producer.join().unwrap().unwrap();
 
     let (_addr, mut fresh) = consumer();
-    let err = fresh.restore(&checkpoint).unwrap_err().to_string();
+    let err = fresh
+        .driver_mut()
+        .restore(&checkpoint)
+        .unwrap_err()
+        .to_string();
     assert!(
         err.contains("net:tcp:127.0.0.1:0") && err.contains("not replayable"),
         "{err}"
@@ -456,35 +423,26 @@ fn restore_over_a_plain_net_source_is_refused() {
 #[test]
 fn pipelines_chain_through_net_sink() {
     // Downstream pipeline: consumes the upstream changelog as a stream.
-    let source = NetSource::bind(
-        NetAddr::tcp("127.0.0.1:0"),
-        vec!["Mid".to_string()],
-        NetConfig::default(),
-    )
-    .unwrap();
-    let addr = source.local_addr();
+    let mut downstream = session();
+    let script = "CREATE SOURCE Mid (auction INT, price INT)
+                    WITH (connector = 'net', addr = 'tcp:127.0.0.1:0');
+                  CREATE SINK out WITH (connector = 'changelog');
+                  INSERT INTO out SELECT auction, COUNT(*), SUM(price) FROM Mid GROUP BY auction;";
+    let mut driver = assemble(&mut downstream, script);
+    let addr = downstream.take_handle::<NetAddr>("Mid").unwrap();
 
     // Upstream pipeline in its own thread: filter bids, ship the output
-    // changelog through a NetSink.
+    // changelog through a net sink.
     let upstream = std::thread::spawn(move || -> Result<()> {
-        let (publisher, channel_source) = onesql::connect::channel("Bid", 64);
-        let mut engine = Engine::new();
-        engine.register_stream(
-            "Bid",
-            StreamBuilder::new()
-                .column("auction", DataType::Int)
-                .column("price", DataType::Int)
-                .event_time_column("bidtime"),
+        let mut session = session();
+        let script = format!(
+            "CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'channel', capacity = 64);
+             CREATE SINK mid WITH (connector = 'net', addr = '{addr}', stream = 'Mid');
+             INSERT INTO mid SELECT auction, price FROM Bid WHERE price > 10 EMIT STREAM;"
         );
-        let sql = "SELECT auction, price FROM Bid WHERE price > 10 EMIT STREAM";
-        let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default())?;
-        driver.attach_source(Box::new(channel_source))?;
-        driver.attach_sink(Box::new(NetSink::connect(
-            addr,
-            "Mid",
-            0,
-            NetConfig::default(),
-        )))?;
+        let mut driver = session.execute_script(&script)?.into_pipeline()?;
+        let mut publishers = session.take_handle::<Vec<ChannelPublisher>>("Bid").unwrap();
+        let publisher = publishers.remove(0);
         for i in 0..60i64 {
             publisher.insert(Ts(i), row!(i % 5, i, Ts(i)))?;
         }
@@ -492,17 +450,6 @@ fn pipelines_chain_through_net_sink() {
         driver.run()?;
         Ok(())
     });
-
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Mid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int),
-    );
-    let sql = "SELECT auction, COUNT(*), SUM(price) FROM Mid GROUP BY auction";
-    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-    driver.attach_source(Box::new(source)).unwrap();
     driver.run().unwrap();
     upstream.join().unwrap().unwrap();
 
@@ -530,33 +477,20 @@ fn pipelines_chain_through_net_sink() {
 
 #[test]
 fn malformed_frames_poison_the_sharded_driver() {
-    let source = PartitionedNetSource::bind(
-        NetAddr::tcp("127.0.0.1:0"),
-        vec!["Bid".to_string()],
-        1,
-        NetConfig {
-            poll_wait: StdDuration::from_millis(100),
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = source.local_addr();
-
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("bidtime"),
-    );
     let config = DriverConfig {
         workers: 2,
         ..DriverConfig::default()
     };
-    let mut driver =
-        PipelineDriver::new(&engine, "SELECT auction, price FROM Bid", config).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    let mut session = tapped_session(&HistoryTap::new(), config);
+    let script = format!(
+        "CREATE PARTITIONED SOURCE Bid {BID_COLUMNS}
+           WITH (connector = 'net', addr = 'tcp:127.0.0.1:0', partitions = 1,
+                 poll_wait_ms = 100);
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out SELECT auction, price FROM Bid;"
+    );
+    let mut driver = assemble(&mut session, &script);
+    let addr = session.take_handle::<NetAddr>("Bid").unwrap();
 
     // A "producer" speaking a future protocol version: the handshake is
     // rejected and the failure must reach the driver as a source error.
@@ -582,7 +516,7 @@ fn malformed_frames_poison_the_sharded_driver() {
     // The driver is now poisoned: stepping and checkpointing both refuse.
     let err = driver.step().unwrap_err().to_string();
     assert!(err.contains("poisoned"), "{err}");
-    let err = driver.checkpoint().unwrap_err().to_string();
+    let err = driver.driver_mut().checkpoint().unwrap_err().to_string();
     assert!(err.contains("poisoned"), "{err}");
 }
 
@@ -591,13 +525,19 @@ fn malformed_frames_poison_the_sharded_driver() {
 /// and a round must not be left unwritten across a wait.
 #[test]
 fn a_trickling_net_source_is_written_as_it_arrives_on_two_workers() {
-    let source = NetSource::bind(
-        NetAddr::tcp("127.0.0.1:0"),
-        vec!["Bid".to_string()],
-        NetConfig::default(),
-    )
-    .unwrap();
-    let addr = source.local_addr();
+    let config = DriverConfig {
+        workers: 2,
+        ..DriverConfig::default()
+    };
+    let tap = HistoryTap::new();
+    let mut session = tapped_session(&tap, config);
+    let script = format!(
+        "CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'net', addr = 'tcp:127.0.0.1:0');
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out SELECT auction, price FROM Bid EMIT STREAM;"
+    );
+    let mut driver = assemble(&mut session, &script);
+    let addr = session.take_handle::<NetAddr>("Bid").unwrap();
     let (go, wait) = std::sync::mpsc::channel::<()>();
     let producer = std::thread::spawn(move || -> Result<()> {
         let mut publisher =
@@ -613,35 +553,18 @@ fn a_trickling_net_source_is_written_as_it_arrives_on_two_workers() {
         publisher.finish()
     });
 
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("bidtime"),
-    );
-    let (rows, sink) = collecting_sink();
-    let config = DriverConfig {
-        workers: 2,
-        ..DriverConfig::default()
-    };
-    let sql = "SELECT auction, price FROM Bid EMIT STREAM";
-    let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
-    driver.attach_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
     for frame in 1..=3u64 {
         while driver.metrics().events_in < frame * 5 {
             driver.step().unwrap();
         }
         // All of the frame but its last row, which sits at the clock.
-        assert_eq!(rows.lock().unwrap().len() as u64, frame * 5 - 1);
+        assert_eq!(tap.rows().len() as u64, frame * 5 - 1);
         go.send(()).unwrap();
     }
     let metrics = driver.run().unwrap();
     producer.join().unwrap().unwrap();
     assert_eq!(metrics.events_out, 15);
-    assert_eq!(rows.lock().unwrap().len(), 15);
+    assert_eq!(tap.rows().len(), 15);
 }
 
 /// Checkpoints of a net-fed pipeline record per-partition offsets, and a

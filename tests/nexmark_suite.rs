@@ -2,44 +2,20 @@
 //! produces consistent results on generated workloads; the SQL Q7 agrees
 //! with the CQL baseline where their semantics coincide.
 
-use onesql_core::{Engine, StreamBuilder};
+use onesql_core::connect::replay::Replay;
+use onesql_core::{HistoryTap, SqlPipeline, StreamBuilder};
 use onesql_cql::CqlQuery7;
+use onesql_nexmark::model::{Auction, Bid, Person};
 use onesql_nexmark::{queries, GeneratorConfig, NexmarkEvent, NexmarkGenerator};
 use onesql_types::{row, DataType, Duration, Ts};
 
-fn nexmark_engine() -> Engine {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("bidder", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("dateTime"),
-    );
-    engine.register_stream(
-        "Auction",
-        StreamBuilder::new()
-            .column("id", DataType::Int)
-            .column("itemName", DataType::String)
-            .column("initialBid", DataType::Int)
-            .column("reserve", DataType::Int)
-            .event_time_column("dateTime")
-            .column("expires", DataType::Timestamp)
-            .column("seller", DataType::Int)
-            .column("category", DataType::Int),
-    );
-    engine.register_stream(
-        "Person",
-        StreamBuilder::new()
-            .column("id", DataType::Int)
-            .column("name", DataType::String)
-            .column("email", DataType::String)
-            .column("city", DataType::String)
-            .column("state", DataType::String)
-            .event_time_column("dateTime"),
-    );
-    engine
+/// The three NEXMark streams, with no schedule yet.
+fn nexmark_replay() -> Replay {
+    Replay::new([
+        ("Bid", Bid::schema()),
+        ("Auction", Auction::schema()),
+        ("Person", Person::schema()),
+    ])
 }
 
 const MAX_SKEW: Duration = Duration::from_seconds(3);
@@ -53,11 +29,10 @@ fn events(n: usize, seed: u64) -> Vec<(Ts, NexmarkEvent)> {
     .take(n)
 }
 
-/// Feed `n` generated events, each followed on every stream by the
-/// watermark the `nexmark` connector asserts after it.
-fn run(sql: &str, n: usize, seed: u64) -> onesql_core::RunningQuery {
-    let engine = nexmark_engine();
-    let mut q = engine.execute(sql).unwrap();
+/// Run `sql` over `n` generated events, each followed by the watermark
+/// the `nexmark` connector asserts after it.
+fn run(sql: &str, n: usize, seed: u64) -> (SqlPipeline, HistoryTap) {
+    let mut replay = nexmark_replay();
     let evts = events(n, seed);
     for (ptime, event) in &evts {
         let (stream, row) = match event {
@@ -65,31 +40,28 @@ fn run(sql: &str, n: usize, seed: u64) -> onesql_core::RunningQuery {
             NexmarkEvent::Auction(a) => ("Auction", a.to_row()),
             NexmarkEvent::Person(p) => ("Person", p.to_row()),
         };
-        q.insert(stream, *ptime, row).unwrap();
-        for stream in ["Bid", "Auction", "Person"] {
-            q.watermark(stream, *ptime, *ptime - MAX_SKEW - Duration(1))
-                .unwrap();
-        }
+        replay
+            .insert(*ptime, stream, row)
+            .watermark(*ptime, *ptime - MAX_SKEW - Duration(1));
     }
-    q.finish(evts.last().unwrap().0 + Duration::from_minutes(1))
-        .unwrap();
-    q
+    replay.advance(evts.last().unwrap().0 + Duration::from_minutes(1));
+    replay.run(sql).unwrap()
 }
 
 #[test]
 fn all_queries_plan_and_compile() {
-    let engine = nexmark_engine();
+    let (mut session, _) = nexmark_replay().session().unwrap();
     for (name, sql) in queries::all() {
-        let plan = engine.plan(sql);
+        let plan = session.engine().plan(sql);
         assert!(plan.is_ok(), "{name} failed to plan: {:?}", plan.err());
-        let running = engine.execute(sql);
-        assert!(running.is_ok(), "{name} failed to compile");
+        let pipeline = session.execute_script(&format!("INSERT INTO out {sql};"));
+        assert!(pipeline.is_ok(), "{name} failed to compile");
     }
 }
 
 #[test]
 fn q0_passthrough_preserves_all_bids() {
-    let q = run(queries::Q0, 1_000, 1);
+    let (q, _) = run(queries::Q0, 1_000, 1);
     let bids = events(1_000, 1)
         .iter()
         .filter(|(_, e)| matches!(e, NexmarkEvent::Bid(_)))
@@ -99,7 +71,7 @@ fn q0_passthrough_preserves_all_bids() {
 
 #[test]
 fn q1_converts_currency() {
-    let q = run(queries::Q1, 500, 2);
+    let (q, _) = run(queries::Q1, 500, 2);
     for r in q.table().unwrap() {
         let eur = r.value(2).unwrap().as_int().unwrap();
         assert!((0..10_000 * 89 / 100 + 1).contains(&eur));
@@ -108,7 +80,7 @@ fn q1_converts_currency() {
 
 #[test]
 fn q2_filters_by_auction_id() {
-    let q = run(queries::Q2, 2_000, 3);
+    let (q, _) = run(queries::Q2, 2_000, 3);
     for r in q.table().unwrap() {
         assert_eq!(r.value(0).unwrap().as_int().unwrap() % 123, 0);
     }
@@ -116,7 +88,7 @@ fn q2_filters_by_auction_id() {
 
 #[test]
 fn q3_join_is_consistent_with_manual_join() {
-    let q = run(queries::Q3, 3_000, 4);
+    let (q, _) = run(queries::Q3, 3_000, 4);
     let rows = q.table().unwrap();
     // Manual recomputation.
     let evts = events(3_000, 4);
@@ -143,7 +115,7 @@ fn q3_join_is_consistent_with_manual_join() {
 
 #[test]
 fn q5_hot_items_counts_match_batch() {
-    let q = run(queries::Q5_HOT_ITEMS, 2_000, 5);
+    let (q, _) = run(queries::Q5_HOT_ITEMS, 2_000, 5);
     let rows = q.table().unwrap();
     // Each row: (auction, wend, count). Recompute per (auction, wend).
     let mut expected: std::collections::BTreeMap<(i64, i64), i64> = Default::default();
@@ -175,7 +147,7 @@ fn q7_final_answers_agree_with_cql_baseline() {
     // Feed the same bid stream to both engines. Restrict to the case where
     // their semantics coincide: final (watermark-complete) windows.
     let n = 4_000;
-    let q = run(&format!("{} EMIT AFTER WATERMARK", queries::Q7), n, 6);
+    let (q, _) = run(&format!("{} EMIT AFTER WATERMARK", queries::Q7), n, 6);
     let sql_rows = q.table().unwrap();
 
     let mut cql = CqlQuery7::new();
@@ -224,7 +196,7 @@ fn q7_final_answers_agree_with_cql_baseline() {
 
 #[test]
 fn q8_finds_new_sellers() {
-    let q = run(queries::Q8, 3_000, 7);
+    let (q, _) = run(queries::Q8, 3_000, 7);
     // Every reported (id, name, wstart) must be a person who opened an
     // auction in the same 10s window.
     let evts = events(3_000, 7);
@@ -243,33 +215,18 @@ fn q8_finds_new_sellers() {
 
 #[test]
 fn deterministic_across_runs() {
-    let a = run(queries::Q7, 1_500, 8);
-    let b = run(queries::Q7, 1_500, 8);
+    let (a, a_sink) = run(queries::Q7, 1_500, 8);
+    let (b, b_sink) = run(queries::Q7, 1_500, 8);
     assert_eq!(a.table().unwrap(), b.table().unwrap());
-    assert_eq!(
-        a.stream_rows().unwrap().len(),
-        b.stream_rows().unwrap().len()
-    );
+    assert_eq!(a_sink.rows(), b_sink.rows());
 }
 
 #[test]
 fn category_table_joins_against_stream() {
-    let mut engine = nexmark_engine();
-    engine
-        .register_table(
-            "Category",
-            StreamBuilder::new()
-                .column("id", DataType::Int)
-                .column("name", DataType::String),
-            onesql_nexmark::model::category_rows(),
-        )
-        .unwrap();
-    let mut q = engine
-        .execute("SELECT A.id, C.name FROM Auction A JOIN Category C ON A.category = C.id")
-        .unwrap();
-    q.insert(
-        "Auction",
+    let mut replay = nexmark_replay();
+    replay.insert(
         Ts::hm(8, 0),
+        "Auction",
         row!(
             5000i64,
             "teapot",
@@ -280,7 +237,25 @@ fn category_table_joins_against_stream() {
             1000i64,
             12i64
         ),
-    )
-    .unwrap();
+    );
+    let (mut session, _) = replay.session().unwrap();
+    session
+        .engine_mut()
+        .register_table(
+            "Category",
+            StreamBuilder::new()
+                .column("id", DataType::Int)
+                .column("name", DataType::String),
+            onesql_nexmark::model::category_rows(),
+        )
+        .unwrap();
+    let sql = "INSERT INTO out SELECT A.id, C.name FROM Auction A \
+               JOIN Category C ON A.category = C.id;";
+    let mut q = session
+        .execute_script(sql)
+        .unwrap()
+        .into_pipeline()
+        .unwrap();
+    q.run().unwrap();
     assert_eq!(q.table().unwrap(), vec![row!(5000i64, "books")]);
 }

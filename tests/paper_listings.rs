@@ -5,15 +5,11 @@
 //! and on two (the plan routes each window to one worker, or runs the
 //! listing on one). The expected rows, `undo` / `ptime` / `ver`
 //! included, live once, in `onesql_checker::paper`.
-//!
-//! Only the `format_table` rendering of Listing 3 reads a `RunningQuery`
-//! fed by hand: the pipeline has no such rendering.
 
-use onesql_checker::paper::{assert_listing, check_listing, listing, PaperScenario};
+use onesql_checker::paper::{self, assert_listing, check_listing, listing, PaperScenario};
 use onesql_checker::{check, Nemesis, NemesisPlan, RunKind, Scenario};
-use onesql_core::{Engine, StreamBuilder};
 use onesql_nexmark::paper::{paper_timeline, PaperEvent, PAPER_Q7_SQL};
-use onesql_types::{DataType, Ts, Value};
+use onesql_types::{format_table, Ts};
 
 /// Listing 3: the full table view of Query 7 at 8:21.
 #[test]
@@ -114,29 +110,27 @@ fn same_result_without_watermarks() {
 /// `$`-prefixed prices.
 #[test]
 fn listing_03_formatted_table() {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    let mut q = engine.execute(PAPER_Q7_SQL).unwrap();
-    for event in paper_timeline() {
-        match event {
-            PaperEvent::Insert { ptime, row } => q.insert("Bid", ptime, row).unwrap(),
-            PaperEvent::Watermark { ptime, wm } => q.watermark("Bid", ptime, wm).unwrap(),
-        }
-    }
-    let fmt = |i: usize, v: &Value| {
-        if i == 3 {
-            format!("${v}")
-        } else {
-            v.to_string()
-        }
-    };
-    let s = q.table_string_at(Ts::hm(8, 21), Some(&fmt)).unwrap();
+    let replay = paper::replay(&paper_timeline());
+    let (pipeline, _) = replay.run(PAPER_Q7_SQL).unwrap();
+    let rows = pipeline.table_at(Ts::hm(8, 21)).unwrap();
+    let (session, _) = replay.session().unwrap();
+    let schema = session.engine().plan(PAPER_Q7_SQL).unwrap().schema();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            let cells = row.values().iter().enumerate();
+            cells
+                .map(|(i, v)| {
+                    if i == 3 {
+                        format!("${v}")
+                    } else {
+                        v.to_string()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let s = format_table(&schema.names(), &cells);
     assert!(
         s.contains("| wstart | wend | bidtime | price | item |"),
         "{s}"

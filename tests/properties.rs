@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 
-use onesql_core::{Engine, StreamBuilder};
+use onesql_core::connect::replay::Replay;
+use onesql_core::StreamBuilder;
 use onesql_tvr::{Bag, Change, Changelog};
 use onesql_types::{row, DataType, Duration, Row, Ts};
 
@@ -123,26 +124,18 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 fn windowed_sum(bids: &[(i64, i64)], order: &[usize]) -> Vec<Row> {
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int),
-    );
-    let mut q = engine
-        .execute(
-            "SELECT wend, SUM(price), COUNT(*) FROM Tumble(data => TABLE(Bid), \
-             timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend",
-        )
-        .unwrap();
+    let bid = StreamBuilder::new()
+        .event_time_column("bidtime")
+        .column("price", DataType::Int);
+    let mut replay = Replay::new([("Bid", bid.build())]);
     for (i, &idx) in order.iter().enumerate() {
         let (minute, price) = bids[idx];
-        q.insert("Bid", Ts(i as i64), row!(Ts::from_minutes(minute), price))
-            .unwrap();
+        replay.insert(Ts(i as i64), "Bid", row!(Ts::from_minutes(minute), price));
     }
-    q.finish(Ts(order.len() as i64)).unwrap();
-    q.table().unwrap()
+    replay.advance(Ts(order.len() as i64));
+    let sql = "SELECT wend, SUM(price), COUNT(*) FROM Tumble(data => TABLE(Bid), \
+               timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend";
+    replay.run(sql).unwrap().0.table().unwrap()
 }
 
 proptest! {

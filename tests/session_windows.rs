@@ -1,19 +1,20 @@
 //! End-to-end session windows through SQL (the paper's §8 extension:
-//! "transitive closure sessions (periods of contiguous activity)").
+//! "transitive closure sessions (periods of contiguous activity)"), each
+//! query run as a script over a replayed schedule.
 
-use onesql_core::{Engine, StreamBuilder};
+use onesql_core::connect::replay::Replay;
+use onesql_core::StreamBuilder;
 use onesql_types::{row, DataType, Ts};
 
-fn engine() -> Engine {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Click",
-        StreamBuilder::new()
-            .column("user_id", DataType::Int)
-            .column("page", DataType::String)
-            .event_time_column("ts"),
-    );
-    e
+fn click() -> StreamBuilder {
+    StreamBuilder::new()
+        .column("user_id", DataType::Int)
+        .column("page", DataType::String)
+        .event_time_column("ts")
+}
+
+fn clicks() -> Replay {
+    Replay::new([("Click", click().build())])
 }
 
 const SESSION_SQL: &str = "\
@@ -24,21 +25,17 @@ GROUP BY user_id, wstart, wend";
 
 #[test]
 fn contiguous_activity_forms_one_session() {
-    let e = engine();
-    let mut q = e.execute(SESSION_SQL).unwrap();
+    let mut replay = clicks();
     // User 7 clicks at 8:00, 8:03, 8:06 (each within 5m of the last), then
     // again at 8:30.
     for (i, m) in [0i64, 3, 6, 30].iter().enumerate() {
-        q.insert(
-            "Click",
-            Ts::hm(8, 40 + i as i64),
-            row!(7i64, "home", Ts::hm(8, *m)),
-        )
-        .unwrap();
+        let ptime = Ts::hm(8, 40 + i as i64);
+        replay.insert(ptime, "Click", row!(7i64, "home", Ts::hm(8, *m)));
     }
-    q.finish(Ts::hm(9, 0)).unwrap();
+    replay.advance(Ts::hm(9, 0));
+    let (pipeline, _) = replay.run(SESSION_SQL).unwrap();
     assert_eq!(
-        q.table().unwrap(),
+        pipeline.table().unwrap(),
         vec![
             // Session 1: [8:00, 8:06 + 5m) with 3 clicks.
             row!(7i64, Ts::hm(8, 0), Ts::hm(8, 11), 3i64),
@@ -50,92 +47,75 @@ fn contiguous_activity_forms_one_session() {
 
 #[test]
 fn sessions_are_per_user() {
-    let e = engine();
-    let mut q = e.execute(SESSION_SQL).unwrap();
-    q.insert("Click", Ts(1), row!(1i64, "a", Ts::hm(8, 0)))
-        .unwrap();
-    q.insert("Click", Ts(2), row!(2i64, "a", Ts::hm(8, 2)))
-        .unwrap();
-    q.finish(Ts(10)).unwrap();
-    let rows = q.table().unwrap();
+    let mut replay = clicks();
+    replay
+        .insert(Ts(1), "Click", row!(1i64, "a", Ts::hm(8, 0)))
+        .insert(Ts(2), "Click", row!(2i64, "a", Ts::hm(8, 2)))
+        .advance(Ts(10));
+    let rows = replay.run(SESSION_SQL).unwrap().0.table().unwrap();
     assert_eq!(rows.len(), 2, "different users never merge: {rows:?}");
 }
 
 #[test]
 fn out_of_order_bridging_event_merges_sessions() {
-    let e = engine();
-    let mut q = e.execute(SESSION_SQL).unwrap();
+    let mut replay = clicks();
     // Two distant bursts arrive first, the bridging click arrives late.
-    q.insert("Click", Ts(1), row!(1i64, "a", Ts::hm(8, 0)))
-        .unwrap();
-    q.insert("Click", Ts(2), row!(1i64, "b", Ts::hm(8, 8)))
-        .unwrap();
-    assert_eq!(q.table().unwrap().len(), 2);
-    q.insert("Click", Ts(3), row!(1i64, "c", Ts::hm(8, 4)))
-        .unwrap();
-    q.finish(Ts(10)).unwrap();
+    replay
+        .insert(Ts(1), "Click", row!(1i64, "a", Ts::hm(8, 0)))
+        .insert(Ts(2), "Click", row!(1i64, "b", Ts::hm(8, 8)))
+        .insert(Ts(3), "Click", row!(1i64, "c", Ts::hm(8, 4)))
+        .advance(Ts(10));
+    let (pipeline, _) = replay.run(SESSION_SQL).unwrap();
+    assert_eq!(pipeline.table_at(Ts(2)).unwrap().len(), 2);
     assert_eq!(
-        q.table().unwrap(),
+        pipeline.table().unwrap(),
         vec![row!(1i64, Ts::hm(8, 0), Ts::hm(8, 13), 3i64)]
     );
 }
 
 #[test]
 fn emit_after_watermark_finalizes_sessions() {
-    let e = engine();
-    let mut q = e
-        .execute(&format!("{SESSION_SQL} EMIT STREAM AFTER WATERMARK"))
-        .unwrap();
-    q.insert("Click", Ts(1), row!(1i64, "a", Ts::hm(8, 0)))
-        .unwrap();
-    q.insert("Click", Ts(2), row!(1i64, "b", Ts::hm(8, 3)))
-        .unwrap();
-    assert!(q.stream_rows().unwrap().is_empty(), "gated until final");
+    let mut replay = clicks();
     // Watermark past session end (8:08): the merged session materializes
-    // once, final.
-    q.watermark("Click", Ts(3), Ts::hm(8, 9)).unwrap();
-    let rows = q.stream_rows().unwrap();
+    // once, final, at the watermark's arrival; nothing before it.
+    replay
+        .insert(Ts(1), "Click", row!(1i64, "a", Ts::hm(8, 0)))
+        .insert(Ts(2), "Click", row!(1i64, "b", Ts::hm(8, 3)))
+        .watermark(Ts(3), Ts::hm(8, 9));
+    let sql = format!("{SESSION_SQL} EMIT STREAM AFTER WATERMARK");
+    let rows = replay.run(&sql).unwrap().1.rows();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].row, row!(1i64, Ts::hm(8, 0), Ts::hm(8, 8), 2i64));
+    assert_eq!(rows[0].ptime, Ts(3), "gated until final");
     assert!(!rows[0].undo);
 }
 
 #[test]
 fn session_aggregates_sum_and_max() {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Purchase",
-        StreamBuilder::new()
-            .column("user_id", DataType::Int)
-            .column("amount", DataType::Int)
-            .event_time_column("ts"),
-    );
-    let mut q = e
-        .execute(
-            "SELECT user_id, wstart, wend, SUM(amount), MAX(amount)
-             FROM Session(data => TABLE(Purchase), timecol => DESCRIPTOR(ts),
-                          gap => INTERVAL '10' MINUTE)
-             GROUP BY user_id, wstart, wend",
-        )
-        .unwrap();
-    q.insert("Purchase", Ts(1), row!(1i64, 30i64, Ts::hm(9, 0)))
-        .unwrap();
-    q.insert("Purchase", Ts(2), row!(1i64, 50i64, Ts::hm(9, 5)))
-        .unwrap();
-    q.insert("Purchase", Ts(3), row!(1i64, 20i64, Ts::hm(9, 9)))
-        .unwrap();
-    q.finish(Ts(10)).unwrap();
+    let purchase = StreamBuilder::new()
+        .column("user_id", DataType::Int)
+        .column("amount", DataType::Int)
+        .event_time_column("ts");
+    let mut replay = Replay::new([("Purchase", purchase.build())]);
+    replay
+        .insert(Ts(1), "Purchase", row!(1i64, 30i64, Ts::hm(9, 0)))
+        .insert(Ts(2), "Purchase", row!(1i64, 50i64, Ts::hm(9, 5)))
+        .insert(Ts(3), "Purchase", row!(1i64, 20i64, Ts::hm(9, 9)))
+        .advance(Ts(10));
+    let sql = "SELECT user_id, wstart, wend, SUM(amount), MAX(amount)
+               FROM Session(data => TABLE(Purchase), timecol => DESCRIPTOR(ts),
+                            gap => INTERVAL '10' MINUTE)
+               GROUP BY user_id, wstart, wend";
     assert_eq!(
-        q.table().unwrap(),
+        replay.run(sql).unwrap().0.table().unwrap(),
         vec![row!(1i64, Ts::hm(9, 0), Ts::hm(9, 19), 100i64, 50i64)]
     );
 }
 
 #[test]
 fn session_without_window_keys_is_rejected() {
-    let e = engine();
-    let err = e
-        .execute(
+    let err = clicks()
+        .run(
             "SELECT user_id, COUNT(*) FROM Session(data => TABLE(Click), \
              timecol => DESCRIPTOR(ts), gap => INTERVAL '5' MINUTE) GROUP BY user_id",
         )

@@ -9,38 +9,55 @@
 //! uninterrupted run — no duplicates, no gaps, same order, same `ver`
 //! numbering.
 
+mod common;
+
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use onesql::connect::{
-    register_nexmark_streams, sharded_channel, PartitionedFileSource, PartitionedNexmarkSource,
-    PartitionedSource, SourceBatch, SourceEvent, SourceStatus,
+    default_registry, PartitionedNexmarkSource, PartitionedSource, SourceBatch, SourceEvent,
+    SourceStatus,
 };
-use onesql::core::StreamRow;
-use onesql::{DriverConfig, Engine, PipelineDriver, Sink, StreamBuilder};
-use onesql_types::{row, DataType, Result, Row, Ts};
+use onesql::core::connect::replay::Replay;
+use onesql::{
+    ChannelPublisher, DriverConfig, HistoryTap, PipelineCheckpoint, Session, SqlPipeline,
+    StreamBuilder,
+};
+use onesql_nexmark::model::{Auction, Bid, Person};
+use onesql_types::{row, DataType, Result, Row, Schema, Ts};
 
-/// A sink that appends every output row to shared memory, so tests can
-/// compare the exact changelog two pipelines observed.
-struct CollectingSink {
-    rows: Arc<Mutex<Vec<StreamRow>>>,
+use common::Bespoke;
+
+/// A session under `config` whose sink family `tap` records into the
+/// returned tap, so tests can compare the exact changelog two pipelines
+/// observed.
+fn tapped_session(
+    mut registry: onesql::ConnectorRegistry,
+    config: DriverConfig,
+) -> (Session, HistoryTap) {
+    let tap = HistoryTap::new();
+    registry.register_sink("tap", tap.clone());
+    let mut session = Session::new(registry);
+    session.set_driver_config(config);
+    (session, tap)
 }
 
-fn collecting_sink() -> (Arc<Mutex<Vec<StreamRow>>>, CollectingSink) {
-    let rows = Arc::new(Mutex::new(Vec::new()));
-    (rows.clone(), CollectingSink { rows })
+/// `script`'s one pipeline, assembled in `session`.
+fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
+    session
+        .execute_script(script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap()
 }
 
-impl Sink for CollectingSink {
-    fn name(&self) -> &str {
-        "collect"
-    }
-    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        self.rows.lock().unwrap().extend_from_slice(rows);
-        Ok(())
-    }
+/// The NEXMark source `seeded(7, events, NEXMARK_PARTS)` as DDL.
+fn nexmark_source(events: u64) -> String {
+    format!(
+        "CREATE PARTITIONED SOURCE nex WITH (connector = 'nexmark', seed = 7, \
+         events = {events}, partitions = {NEXMARK_PARTS});"
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -68,29 +85,20 @@ fn sharded(workers: usize) -> DriverConfig {
     }
 }
 
-fn nexmark_sharded(
-    sql: &str,
-    workers: usize,
-    fixed_batch: bool,
-) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let (rows, sink) = collecting_sink();
+fn nexmark_sharded(sql: &str, workers: usize, fixed_batch: bool) -> (HistoryTap, SqlPipeline) {
     let mut config = sharded(workers);
     if fixed_batch {
         // Predictable round sizes, so tests can aim kills between rounds.
         config.adaptive = None;
     }
-    let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
-    driver
-        .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(
-            7,
-            NEXMARK_EVENTS,
-            NEXMARK_PARTS,
-        )))
-        .unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
-    (rows, driver)
+    let (mut session, tap) = tapped_session(default_registry(), config);
+    let script = format!(
+        "{}
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {sql};",
+        nexmark_source(NEXMARK_EVENTS)
+    );
+    (tap, assemble(&mut session, &script))
 }
 
 /// Run uninterrupted; then run again, kill after ~`split` events, restore
@@ -100,28 +108,21 @@ fn assert_exactly_once(sql: &str, workers: usize, split: u64, fixed_batch: bool)
     let reference = {
         let (rows, mut driver) = nexmark_sharded(sql, workers, fixed_batch);
         driver.run().unwrap();
-        let reference = rows.lock().unwrap().clone();
+        let reference = rows.rows();
         assert!(!reference.is_empty(), "query produced no output");
         reference
     };
 
     let (rows, mut victim) = nexmark_sharded(sql, workers, fixed_batch);
-    while !victim.is_finished() && victim.events_in() < split {
-        victim.step().unwrap();
-    }
-    assert!(
-        !victim.is_finished(),
-        "split {split} did not interrupt the stream; lower it"
-    );
-    let checkpoint = victim.checkpoint().unwrap();
-    let mut observed = rows.lock().unwrap().clone();
+    let checkpoint = checkpoint_at(&mut victim, split);
+    let mut observed = rows.rows();
     drop(victim); // the crash: worker threads reaped, all live state lost
 
     let (resumed_rows, mut resumed) = nexmark_sharded(sql, workers, fixed_batch);
-    resumed.restore(&checkpoint).unwrap();
+    resumed.driver_mut().restore(&checkpoint).unwrap();
     assert_eq!(resumed.metrics().events_in, checkpoint_events(&checkpoint));
     resumed.run().unwrap();
-    observed.extend(resumed_rows.lock().unwrap().iter().cloned());
+    observed.extend(resumed_rows.rows());
 
     assert_eq!(
         observed.len(),
@@ -134,13 +135,25 @@ fn assert_exactly_once(sql: &str, workers: usize, split: u64, fixed_batch: bool)
     );
 }
 
-fn checkpoint_events(cp: &onesql::PipelineCheckpoint) -> u64 {
+/// Step `pipeline` until it ingested `split` events, then checkpoint it.
+fn checkpoint_at(pipeline: &mut SqlPipeline, split: u64) -> PipelineCheckpoint {
+    while !pipeline.driver_mut().is_finished() && pipeline.events_in() < split {
+        pipeline.step().unwrap();
+    }
+    assert!(
+        !pipeline.driver_mut().is_finished(),
+        "split {split} did not interrupt the stream; lower it"
+    );
+    pipeline.driver_mut().checkpoint().unwrap()
+}
+
+fn checkpoint_events(cp: &PipelineCheckpoint) -> u64 {
     cp.offsets.iter().flatten().sum()
 }
 
 /// Fold a sink-observed changelog back into the table it encodes (inserts
 /// minus undos), sorted — the TVR duality, applied black-box.
-fn snapshot_of(rows: &[StreamRow]) -> Vec<Row> {
+fn snapshot_of(rows: &[onesql::core::StreamRow]) -> Vec<Row> {
     let mut counts: std::collections::BTreeMap<Row, i64> = std::collections::BTreeMap::new();
     for sr in rows {
         *counts.entry(sr.row.clone()).or_default() += if sr.undo { -1 } else { 1 };
@@ -175,32 +188,24 @@ fn double_kill_is_still_exactly_once() {
     let reference = {
         let (rows, mut driver) = nexmark_sharded(GATED_SQL, 2, true);
         driver.run().unwrap();
-        let r = rows.lock().unwrap().clone();
-        r
+        rows.rows()
     };
 
     let (rows, mut first) = nexmark_sharded(GATED_SQL, 2, true);
-    while !first.is_finished() && first.events_in() < 1_500 {
-        first.step().unwrap();
-    }
-    let cp1 = first.checkpoint().unwrap();
-    let mut observed = rows.lock().unwrap().clone();
+    let cp1 = checkpoint_at(&mut first, 1_500);
+    let mut observed = rows.rows();
     drop(first);
 
     let (rows, mut second) = nexmark_sharded(GATED_SQL, 2, true);
-    second.restore(&cp1).unwrap();
-    while !second.is_finished() && second.events_in() < 4_000 {
-        second.step().unwrap();
-    }
-    assert!(!second.is_finished());
-    let cp2 = second.checkpoint().unwrap();
-    observed.extend(rows.lock().unwrap().iter().cloned());
+    second.driver_mut().restore(&cp1).unwrap();
+    let cp2 = checkpoint_at(&mut second, 4_000);
+    observed.extend(rows.rows());
     drop(second);
 
     let (rows, mut third) = nexmark_sharded(GATED_SQL, 2, true);
-    third.restore(&cp2).unwrap();
+    third.driver_mut().restore(&cp2).unwrap();
     third.run().unwrap();
-    observed.extend(rows.lock().unwrap().iter().cloned());
+    observed.extend(rows.rows());
 
     assert_eq!(observed, reference);
 }
@@ -218,6 +223,15 @@ fn double_kill_is_still_exactly_once() {
 /// routes and stamps exactly as over `inner` but flushes every round at
 /// once — the one behaviour there was before rounds could be deferred.
 struct NeverSaturated(PartitionedNexmarkSource);
+
+/// The three NEXMark streams, as the `nexmark` connector declares them.
+fn nexmark_streams() -> Vec<(&'static str, Schema)> {
+    vec![
+        ("Person", Person::schema()),
+        ("Auction", Auction::schema()),
+        ("Bid", Bid::schema()),
+    ]
+}
 
 impl PartitionedSource for NeverSaturated {
     fn name(&self) -> &str {
@@ -243,10 +257,8 @@ impl PartitionedSource for NeverSaturated {
 
 #[test]
 fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
-    use onesql::{HistoryEvent, HistoryTap};
+    use onesql::HistoryEvent;
     use onesql_state::Codec;
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
     let config = DriverConfig {
         batch_size: 16,
         adaptive: None,
@@ -256,17 +268,23 @@ fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
     for spec in onesql_nexmark::queries::full_stack() {
         let sql = format!("{} EMIT STREAM", spec.sql);
         let build = |saturated: bool| {
-            let source = PartitionedNexmarkSource::seeded(7, 3_000, NEXMARK_PARTS);
-            let source: Box<dyn PartitionedSource> = if saturated {
-                Box::new(source)
-            } else {
-                Box::new(NeverSaturated(source))
+            let source = move || -> Box<dyn PartitionedSource> {
+                let source = PartitionedNexmarkSource::seeded(7, 3_000, NEXMARK_PARTS);
+                if saturated {
+                    Box::new(source)
+                } else {
+                    Box::new(NeverSaturated(source))
+                }
             };
-            let mut driver = PipelineDriver::new(&engine, &sql, config).unwrap();
-            driver.attach_partitioned_source(source).unwrap();
-            let tap = HistoryTap::new();
-            driver.attach_sink(Box::new(tap.clone())).unwrap();
-            (driver, tap)
+            let mut registry = default_registry();
+            registry.register_source("nexmark_of", Bespoke::new(nexmark_streams(), source));
+            let (mut session, tap) = tapped_session(registry, config);
+            let script = format!(
+                "CREATE SOURCE nex WITH (connector = 'nexmark_of');
+                 CREATE SINK out WITH (connector = 'tap');
+                 INSERT INTO out {sql};"
+            );
+            (assemble(&mut session, &script), tap)
         };
         let (mut deferring, deferred_history) = build(true);
         let (mut immediate, history) = build(false);
@@ -274,7 +292,7 @@ fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
         for step in 1.. {
             immediate.step().unwrap();
             deferring.step().unwrap();
-            if immediate.is_finished() {
+            if immediate.driver_mut().is_finished() {
                 break;
             }
             assert_eq!(deferring.clock(), immediate.clock(), "{}", spec.name);
@@ -285,13 +303,13 @@ fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
             owed_rows += emitted(history.events()) - emitted(deferred_history.events());
             // A checkpoint releases what is owed before it snapshots.
             if step % 7 == 0 {
-                let ours = deferring.checkpoint().unwrap();
-                let theirs = immediate.checkpoint().unwrap();
+                let ours = deferring.driver_mut().checkpoint().unwrap();
+                let theirs = immediate.driver_mut().checkpoint().unwrap();
                 assert_eq!(ours.to_bytes(), theirs.to_bytes(), "{}", spec.name);
                 assert_eq!(deferred_history.events(), history.events(), "{}", spec.name);
             }
         }
-        assert!(deferring.is_finished());
+        assert!(deferring.driver_mut().is_finished());
         // One worker runs inline and flushes every round.
         let deferred = owed_rows > 0 || deferring.workers() == 1;
         assert!(deferred, "{}: no round was ever deferred", spec.name);
@@ -308,8 +326,6 @@ fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
 #[test]
 fn streams_a_query_does_not_read_cost_it_no_columnar_round() {
     use onesql_nexmark::queries::{Q1, Q5_HOT_ITEMS, Q8};
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
     for (sql, reads_only_bid) in [(Q1, true), (Q5_HOT_ITEMS, true), (Q8, false)] {
         let sql = format!("{sql} EMIT STREAM");
         for workers in [1, 2] {
@@ -318,14 +334,15 @@ fn streams_a_query_does_not_read_cost_it_no_columnar_round() {
                     vectorize,
                     ..sharded(workers)
                 };
-                let mut driver = PipelineDriver::new(&engine, &sql, config).unwrap();
-                let source = PartitionedNexmarkSource::seeded(7, NEXMARK_EVENTS, NEXMARK_PARTS);
-                driver.attach_partitioned_source(Box::new(source)).unwrap();
-                let (rows, sink) = collecting_sink();
-                driver.attach_sink(Box::new(sink)).unwrap();
-                let metrics = driver.run().unwrap().clone();
-                let rows = rows.lock().unwrap().clone();
-                (rows, metrics)
+                let (mut session, rows) = tapped_session(default_registry(), config);
+                let script = format!(
+                    "{}
+                     CREATE SINK out WITH (connector = 'tap');
+                     INSERT INTO out {sql};",
+                    nexmark_source(NEXMARK_EVENTS)
+                );
+                let metrics = assemble(&mut session, &script).run().unwrap();
+                (rows.rows(), metrics)
             };
             let (rows, metrics) = run(true);
             let (oracle_rows, oracle_metrics) = run(false);
@@ -347,19 +364,14 @@ fn streams_a_query_does_not_read_cost_it_no_columnar_round() {
 /// deferred, across a poll that returns it without waiting.
 #[test]
 fn a_drained_channel_is_written_in_the_step_that_polled_it() {
-    let engine = bid_engine();
     for workers in [1usize, 2] {
         let config = DriverConfig {
             batch_size: 8,
             adaptive: None,
             ..sharded(workers)
         };
-        let (publishers, source) = sharded_channel("Bid", 1, 64);
         let sql = "SELECT auction, price FROM Bid EMIT STREAM";
-        let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
-        driver.attach_partitioned_source(Box::new(source)).unwrap();
-        let (rows, sink) = collecting_sink();
-        driver.attach_sink(Box::new(sink)).unwrap();
+        let (publishers, mut driver, rows) = channel_pipeline(1, sql, config);
         let publish = |range: std::ops::Range<i64>| {
             for i in range {
                 publishers[0].insert(Ts(i), row!(i % 3, i, Ts(i))).unwrap();
@@ -369,21 +381,21 @@ fn a_drained_channel_is_written_in_the_step_that_polled_it() {
         // so all but the row at the clock is out when `step` returns.
         publish(0..5);
         assert_eq!(driver.step().unwrap(), 5);
-        assert_eq!(rows.lock().unwrap().len(), 4, "{workers} workers");
+        assert_eq!(rows.rows().len(), 4, "{workers} workers");
         publish(5..13);
         assert_eq!(driver.step().unwrap(), 8);
-        assert_eq!(rows.lock().unwrap().len(), 12, "{workers} workers");
+        assert_eq!(rows.rows().len(), 12, "{workers} workers");
         // A backlog: threads leave the round for the next step, whose
         // poll is handed the rest of the queue at once.
         publish(13..25);
         assert_eq!(driver.step().unwrap(), 8);
         let written = if workers == 1 { 20 } else { 12 };
-        assert_eq!(rows.lock().unwrap().len(), written, "{workers} workers");
+        assert_eq!(rows.rows().len(), written, "{workers} workers");
         assert_eq!(driver.step().unwrap(), 4);
-        assert_eq!(rows.lock().unwrap().len(), 24, "{workers} workers");
+        assert_eq!(rows.rows().len(), 24, "{workers} workers");
         drop(publishers);
         driver.run().unwrap();
-        assert_eq!(rows.lock().unwrap().len(), 25, "{workers} workers");
+        assert_eq!(rows.rows().len(), 25, "{workers} workers");
     }
 }
 
@@ -391,16 +403,34 @@ fn a_drained_channel_is_written_in_the_step_that_polled_it() {
 // Sharded runs agree with unsharded execution, through real connectors.
 // ---------------------------------------------------------------------------
 
-fn bid_engine() -> Engine {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("bidtime"),
+fn bid_schema() -> Schema {
+    StreamBuilder::new()
+        .column("auction", DataType::Int)
+        .column("price", DataType::Int)
+        .event_time_column("bidtime")
+        .build()
+}
+
+/// The `Bid` stream's columns, as a `CREATE SOURCE` declares them.
+const BID_COLUMNS: &str = "(auction INT, price INT, bidtime TIMESTAMP, WATERMARK FOR bidtime)";
+
+/// `sql` under `config` over a `Bid` channel source of `partitions`
+/// partitions: its publishers, the pipeline and what its sink heard.
+fn channel_pipeline(
+    partitions: usize,
+    sql: &str,
+    config: DriverConfig,
+) -> (Vec<ChannelPublisher>, SqlPipeline, HistoryTap) {
+    let (mut session, tap) = tapped_session(default_registry(), config);
+    let script = format!(
+        "CREATE PARTITIONED SOURCE Bid {BID_COLUMNS}
+           WITH (connector = 'channel', partitions = {partitions}, capacity = 64);
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {sql};"
     );
-    e
+    let pipeline = assemble(&mut session, &script);
+    let publishers = session.take_handle::<Vec<ChannelPublisher>>("Bid").unwrap();
+    (publishers, pipeline, tap)
 }
 
 #[test]
@@ -422,34 +452,26 @@ fn partitioned_files_match_direct_execution() {
     }
 
     let sql = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
-    let schema = Arc::new(
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("bidtime")
-            .build(),
+    let (mut session, _) = tapped_session(default_registry(), sharded(3));
+    let paths: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
+    let script = format!(
+        "CREATE PARTITIONED SOURCE Bid {BID_COLUMNS}
+           WITH (connector = 'file', path = '{}');
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {sql};",
+        paths.join(",")
     );
-    let engine = bid_engine();
-    let mut driver = PipelineDriver::new(&engine, sql, sharded(3)).unwrap();
-    driver
-        .attach_partitioned_source(Box::new(
-            PartitionedFileSource::csv(&paths, "Bid", schema, Default::default()).unwrap(),
-        ))
-        .unwrap();
+    let mut driver = assemble(&mut session, &script);
     let metrics = driver.run().unwrap();
     assert_eq!(metrics.events_in, all_rows.len() as u64);
     assert!(metrics.input_watermark.is_final());
 
-    // The same rows fed directly into one in-process query.
-    let engine = bid_engine();
-    let mut direct = engine.execute(sql).unwrap();
+    // The same rows replayed into a one-worker pipeline.
+    let mut direct = Replay::new([("Bid", bid_schema())]);
     for (i, (auction, price, ts)) in all_rows.iter().enumerate() {
-        direct
-            .insert("Bid", Ts(i as i64), row!(*auction, *price, *ts))
-            .unwrap();
+        direct.insert(Ts(i as i64), "Bid", row!(*auction, *price, *ts));
     }
-    direct.finish(Ts::MAX).unwrap();
-    let mut expected = direct.table().unwrap();
+    let mut expected = direct.run(sql).unwrap().0.table().unwrap();
     expected.sort();
     assert_eq!(driver.table().unwrap(), expected);
 }
@@ -460,17 +482,9 @@ fn table_honours_order_by_and_limit_for_every_worker_count() {
     // to the merged table — not once per worker and then re-sorted away.
     let sql = "SELECT auction, price FROM Bid ORDER BY price DESC LIMIT 2";
     let bids = vec![(1i64, 30i64), (2, 10), (3, 40), (4, 20)];
-    let mut direct = bid_engine().execute(sql).unwrap();
-    for (i, (auction, price)) in bids.iter().enumerate() {
-        let row = row!(*auction, *price, Ts(*price));
-        direct.insert("Bid", Ts(i as i64), row).unwrap();
-    }
-    let expected = direct.table().unwrap();
-    assert_eq!(expected, vec![row!(3i64, 40i64), row!(1i64, 30i64)]);
+    let expected = vec![row!(3i64, 40i64), row!(1i64, 30i64)];
     for workers in [1usize, 2] {
-        let mut driver = PipelineDriver::new(&bid_engine(), sql, sharded(workers)).unwrap();
-        let source = ScriptedPartitions::new(vec![bids.clone()]);
-        driver.attach_partitioned_source(Box::new(source)).unwrap();
+        let mut driver = scripted_pipeline(std::slice::from_ref(&bids), workers, sql).1;
         driver.run().unwrap();
         assert_eq!(driver.table().unwrap(), expected, "{workers} workers");
     }
@@ -478,13 +492,8 @@ fn table_honours_order_by_and_limit_for_every_worker_count() {
 
 #[test]
 fn sharded_channels_fan_in_from_threads() {
-    let engine = bid_engine();
-    let (publishers, source) = sharded_channel("Bid", 4, 64);
-    let (rows, sink) = collecting_sink();
     let sql = "SELECT auction, price FROM Bid WHERE price >= 0 EMIT STREAM";
-    let mut driver = PipelineDriver::new(&engine, sql, sharded(2)).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
+    let (publishers, mut driver, rows) = channel_pipeline(4, sql, sharded(2));
 
     let handles: Vec<_> = publishers
         .into_iter()
@@ -505,11 +514,11 @@ fn sharded_channels_fan_in_from_threads() {
     let metrics = driver.run().unwrap();
     assert_eq!(metrics.events_in, 200);
     assert_eq!(metrics.events_out, 200);
-    assert_eq!(rows.lock().unwrap().len(), 200);
+    assert_eq!(rows.rows().len(), 200);
     assert!(metrics.output_watermark.is_final());
 
     // Channel shards are not replayable: a fresh instance refuses to seek.
-    let (_pubs, mut fresh) = sharded_channel("Bid", 4, 64);
+    let (_pubs, mut fresh) = onesql::connect::sharded_channel("Bid", 4, 64);
     assert!(fresh.seek(0, 10).is_err());
     assert!(
         fresh.seek(0, 0).is_ok(),
@@ -522,15 +531,10 @@ fn idle_rounds_release_watermarked_results_without_finish() {
     // A live pipeline (producers still connected) must deliver results a
     // watermark already released, even though no further events arrive to
     // advance the merge clock past them.
-    let engine = bid_engine();
-    let (publishers, source) = sharded_channel("Bid", 2, 32);
-    let (rows, sink) = collecting_sink();
     let sql = "SELECT wend, auction, SUM(price) FROM Tumble(data => TABLE(Bid), \
              timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
              GROUP BY wend, auction EMIT AFTER WATERMARK";
-    let mut driver = PipelineDriver::new(&engine, sql, sharded(2)).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
+    let (publishers, mut driver, rows) = channel_pipeline(2, sql, sharded(2));
 
     publishers[0]
         .insert(Ts::hm(8, 1), row!(1i64, 5i64, Ts::hm(8, 1)))
@@ -546,8 +550,11 @@ fn idle_rounds_release_watermarked_results_without_finish() {
     // release the held-back window result.
     driver.step().unwrap();
     driver.step().unwrap();
-    assert!(!driver.is_finished(), "producers are still connected");
-    let observed = rows.lock().unwrap().clone();
+    assert!(
+        !driver.driver_mut().is_finished(),
+        "producers are still connected"
+    );
+    let observed = rows.rows();
     assert_eq!(
         snapshot_of(&observed),
         vec![
@@ -561,7 +568,7 @@ fn idle_rounds_release_watermarked_results_without_finish() {
         p.finish().unwrap();
     }
     driver.run().unwrap();
-    assert_eq!(rows.lock().unwrap().len(), 2, "no duplicates at finish");
+    assert_eq!(rows.rows().len(), 2, "no duplicates at finish");
 }
 
 #[test]
@@ -570,15 +577,10 @@ fn stalled_ptime_busy_rounds_still_release_results() {
     // with a frozen clock) must not withhold watermark-released results:
     // the clock nudge applies to any non-advancing round, not just idle
     // ones.
-    let engine = bid_engine();
-    let (publishers, source) = sharded_channel("Bid", 1, 32);
-    let (rows, sink) = collecting_sink();
     let sql = "SELECT wend, auction, SUM(price) FROM Tumble(data => TABLE(Bid), \
              timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) \
              GROUP BY wend, auction EMIT AFTER WATERMARK";
-    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
+    let (publishers, mut driver, rows) = channel_pipeline(1, sql, DriverConfig::default());
 
     publishers[0]
         .insert(Ts::hm(8, 1), row!(1i64, 5i64, Ts::hm(8, 1)))
@@ -592,8 +594,8 @@ fn stalled_ptime_busy_rounds_still_release_results() {
         .insert(Ts::hm(8, 1), row!(1i64, 9i64, Ts::hm(8, 1)))
         .unwrap();
     driver.step().unwrap();
-    assert!(!driver.is_finished());
-    let observed = rows.lock().unwrap().clone();
+    assert!(!driver.driver_mut().is_finished());
+    let observed = rows.rows();
     assert_eq!(
         snapshot_of(&observed),
         vec![row!(Ts::hm(8, 10), 1i64, 5i64)],
@@ -603,38 +605,43 @@ fn stalled_ptime_busy_rounds_still_release_results() {
 
 #[test]
 fn sources_cannot_attach_mid_run() {
-    // Both drivers size their per-stream watermark trackers at attach
-    // time; attaching after the first step must be rejected, not corrupt
-    // watermark delivery.
-    let engine = bid_engine();
-    let (pubs, source) = sharded_channel("Bid", 1, 8);
-    let mut sharded =
-        PipelineDriver::new(&engine, "SELECT auction FROM Bid", DriverConfig::default()).unwrap();
-    sharded.attach_partitioned_source(Box::new(source)).unwrap();
-    sharded.step().unwrap();
-    let (_p2, late) = sharded_channel("Bid", 1, 8);
-    assert!(sharded.attach_partitioned_source(Box::new(late)).is_err());
-    drop(pubs);
-
-    let engine = bid_engine();
-    let (pubs, source) = onesql::connect::channel("Bid", 8);
-    let mut plain =
-        PipelineDriver::new(&engine, "SELECT auction FROM Bid", DriverConfig::default()).unwrap();
-    plain.attach_source(Box::new(source)).unwrap();
-    plain.step().unwrap();
-    let (_p2, late) = onesql::connect::channel("Bid", 8);
-    assert!(plain.attach_source(Box::new(late)).is_err());
-    drop(pubs);
+    // The driver sizes its per-stream watermark trackers at attach time,
+    // so a pipeline's sources are fixed when its INSERT assembles it: a
+    // source created for the same stream afterwards joins only later
+    // pipelines.
+    let mut bids = Replay::new([("Bid", bid_schema())]);
+    bids.insert(Ts(0), "Bid", row!(1i64, 1i64, Ts(0))).insert(
+        Ts(1),
+        "Bid",
+        row!(2i64, 2i64, Ts(1)),
+    );
+    let mut registry = default_registry();
+    registry.register_source("replay", bids);
+    let (mut session, _) = tapped_session(registry, DriverConfig::default());
+    let script = "CREATE SOURCE bids WITH (connector = 'replay');
+                  CREATE SINK out WITH (connector = 'tap');
+                  INSERT INTO out SELECT auction FROM Bid;";
+    let mut running = assemble(&mut session, script);
+    running.step().unwrap();
+    session
+        .execute("CREATE SOURCE again WITH (connector = 'replay')")
+        .unwrap();
+    assert_eq!(running.run().unwrap().sources.len(), 1);
+    let mut later = assemble(&mut session, "INSERT INTO out SELECT auction FROM Bid;");
+    assert_eq!(later.run().unwrap().sources.len(), 2);
 }
 
 #[test]
 fn adaptive_batches_grow_while_query_keeps_up() {
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let mut driver = PipelineDriver::new(&engine, STREAMING_SQL, sharded(2)).unwrap();
-    driver
-        .attach_partitioned_source(Box::new(PartitionedNexmarkSource::seeded(3, 20_000, 4)))
-        .unwrap();
+    let (mut session, _) = tapped_session(default_registry(), sharded(2));
+    let script = format!(
+        "CREATE PARTITIONED SOURCE nex
+           WITH (connector = 'nexmark', seed = 3, events = 20000, partitions = 4);
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {STREAMING_SQL};"
+    );
+    let mut pipeline = assemble(&mut session, &script);
+    let driver = pipeline.driver_mut();
     let initial = driver.current_batch_size();
     let mut grew = false;
     while !driver.is_finished() {
@@ -709,26 +716,35 @@ impl PartitionedSource for ScriptedPartitions {
     }
 }
 
-fn scripted_driver(
+/// `sql` over [`ScriptedPartitions`] of `scripts`, in tiny rounds, and
+/// what its sink heard.
+fn scripted_pipeline(
     scripts: &[Vec<(i64, i64)>],
     workers: usize,
-) -> (Arc<Mutex<Vec<StreamRow>>>, PipelineDriver) {
-    let engine = bid_engine();
-    let (rows, sink) = collecting_sink();
+    sql: &str,
+) -> (HistoryTap, SqlPipeline) {
     let config = DriverConfig {
         workers,
         batch_size: 3, // tiny rounds: many interleavings, many split points
         adaptive: None,
         ..DriverConfig::default()
     };
-    let sql = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
-    let mut driver = PipelineDriver::new(&engine, sql, config).unwrap();
-    driver
-        .attach_partitioned_source(Box::new(ScriptedPartitions::new(scripts.to_vec())))
-        .unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
-    (rows, driver)
+    let scripts = scripts.to_vec();
+    let build = move || -> Box<dyn PartitionedSource> {
+        Box::new(ScriptedPartitions::new(scripts.clone()))
+    };
+    let mut registry = default_registry();
+    registry.register_source("scripted", Bespoke::new(vec![("Bid", bid_schema())], build));
+    let (mut session, tap) = tapped_session(registry, config);
+    let script = format!(
+        "CREATE SOURCE scripted WITH (connector = 'scripted');
+         CREATE SINK out WITH (connector = 'tap');
+         INSERT INTO out {sql};"
+    );
+    (tap, assemble(&mut session, &script))
 }
+
+const AGG: &str = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
 
 fn arb_scripts() -> impl Strategy<Value = Vec<Vec<(i64, i64)>>> {
     prop::collection::vec(prop::collection::vec((0i64..8, 0i64..500), 1..16), 1..4)
@@ -745,31 +761,31 @@ proptest! {
         workers in 1usize..4,
         split_rounds in 1usize..5,
     ) {
-        let (reference_rows, mut reference) = scripted_driver(&scripts, workers);
+        let (reference_rows, mut reference) = scripted_pipeline(&scripts, workers, AGG);
         reference.run().unwrap();
-        let reference_out = reference_rows.lock().unwrap().clone();
+        let reference_out = reference_rows.rows();
         let reference_table = reference.table().unwrap();
 
-        let (rows, mut victim) = scripted_driver(&scripts, workers);
+        let (rows, mut victim) = scripted_pipeline(&scripts, workers, AGG);
         for _ in 0..split_rounds {
-            if victim.is_finished() {
+            if victim.driver_mut().is_finished() {
                 break;
             }
             victim.step().unwrap();
         }
-        if victim.is_finished() {
+        if victim.driver_mut().is_finished() {
             // Too little data to interrupt: the full run must still match.
-            prop_assert_eq!(rows.lock().unwrap().clone(), reference_out);
+            prop_assert_eq!(rows.rows(), reference_out);
             return;
         }
-        let checkpoint = victim.checkpoint().unwrap();
-        let mut observed = rows.lock().unwrap().clone();
+        let checkpoint = victim.driver_mut().checkpoint().unwrap();
+        let mut observed = rows.rows();
         drop(victim);
 
-        let (resumed_rows, mut resumed) = scripted_driver(&scripts, workers);
-        resumed.restore(&checkpoint).unwrap();
+        let (resumed_rows, mut resumed) = scripted_pipeline(&scripts, workers, AGG);
+        resumed.driver_mut().restore(&checkpoint).unwrap();
         resumed.run().unwrap();
-        observed.extend(resumed_rows.lock().unwrap().iter().cloned());
+        observed.extend(resumed_rows.rows());
 
         prop_assert_eq!(&observed, &reference_out);
         // The observable changelog folds back to the uninterrupted final
@@ -781,9 +797,9 @@ proptest! {
     /// final table as one worker, for any partition interleaving.
     #[test]
     fn worker_count_is_transparent(scripts in arb_scripts(), workers in 2usize..5) {
-        let (_, mut single) = scripted_driver(&scripts, 1);
+        let (_, mut single) = scripted_pipeline(&scripts, 1, AGG);
         single.run().unwrap();
-        let (_, mut sharded) = scripted_driver(&scripts, workers);
+        let (_, mut sharded) = scripted_pipeline(&scripts, workers, AGG);
         sharded.run().unwrap();
         prop_assert_eq!(single.table().unwrap(), sharded.table().unwrap());
     }
@@ -795,12 +811,15 @@ proptest! {
 /// aggregate: it runs on one worker whatever the count.
 #[test]
 fn groups_off_column_0_are_never_split() {
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
     let run = |sql: &str, workers| {
-        let source = PartitionedNexmarkSource::seeded(7, 20_000, NEXMARK_PARTS);
-        let mut driver = PipelineDriver::new(&engine, sql, sharded(workers)).unwrap();
-        driver.attach_partitioned_source(Box::new(source)).unwrap();
+        let (mut session, _) = tapped_session(default_registry(), sharded(workers));
+        let script = format!(
+            "{}
+             CREATE SINK out WITH (connector = 'tap');
+             INSERT INTO out {sql};",
+            nexmark_source(20_000)
+        );
+        let mut driver = assemble(&mut session, &script);
         driver.run().unwrap();
         (driver.workers(), driver.table().unwrap())
     };
@@ -821,10 +840,7 @@ fn groups_off_column_0_are_never_split() {
 #[test]
 fn checkpoint_records_per_partition_offsets() {
     let (_, mut driver) = nexmark_sharded(STREAMING_SQL, 2, true);
-    while !driver.is_finished() && driver.events_in() < 1_000 {
-        driver.step().unwrap();
-    }
-    let cp = driver.checkpoint().unwrap();
+    let cp = checkpoint_at(&mut driver, 1_000);
     assert_eq!(cp.workers.len(), 2);
     assert_eq!(cp.offsets.len(), 1, "one source");
     assert_eq!(cp.offsets[0].len(), NEXMARK_PARTS);
@@ -837,15 +853,8 @@ fn checkpoint_records_per_partition_offsets() {
 
 #[test]
 fn restore_rejects_non_replayable_source() {
-    let engine = bid_engine();
-    let (publishers, source) = sharded_channel("Bid", 2, 16);
-    let mut driver = PipelineDriver::new(
-        &engine,
-        "SELECT auction, price FROM Bid",
-        DriverConfig::default(),
-    )
-    .unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    let sql = "SELECT auction, price FROM Bid";
+    let (publishers, mut driver, _) = channel_pipeline(2, sql, DriverConfig::default());
     publishers[0]
         .insert(Ts(0), row!(1i64, 1i64, Ts(0)))
         .unwrap();
@@ -853,20 +862,12 @@ fn restore_rejects_non_replayable_source() {
         .insert(Ts(1), row!(2i64, 2i64, Ts(1)))
         .unwrap();
     driver.step().unwrap();
-    let cp = driver.checkpoint().unwrap();
+    let cp = driver.driver_mut().checkpoint().unwrap();
     assert_eq!(checkpoint_events(&cp), 2);
     drop(driver);
 
     // A fresh channel source cannot replay the two consumed events.
-    let engine = bid_engine();
-    let (_pubs, source) = sharded_channel("Bid", 2, 16);
-    let mut fresh = PipelineDriver::new(
-        &engine,
-        "SELECT auction, price FROM Bid",
-        DriverConfig::default(),
-    )
-    .unwrap();
-    fresh.attach_partitioned_source(Box::new(source)).unwrap();
-    let err = fresh.restore(&cp).unwrap_err().to_string();
+    let (_pubs, mut fresh, _) = channel_pipeline(2, sql, DriverConfig::default());
+    let err = fresh.driver_mut().restore(&cp).unwrap_err().to_string();
     assert!(err.contains("not replayable"), "{err}");
 }

@@ -1,38 +1,67 @@
 //! End-to-end SQL battery: every language feature exercised through the
-//! full parse → bind → optimize → execute pipeline on small streams.
+//! full parse → bind → optimize → execute pipeline on small streams, each
+//! query run as a script over a replayed schedule.
 
-use onesql_core::{Engine, RunningQuery, StreamBuilder};
-use onesql_types::{row, DataType, Row, Ts, Value};
+use onesql_core::connect::replay::Replay;
+use onesql_core::{Engine, Session, SqlPipeline, StreamBuilder};
+use onesql_types::{row, DataType, Duration, Row, Ts, Value};
 
-fn engine() -> Engine {
-    let mut e = Engine::new();
-    e.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    e.register_stream(
-        "Auction",
-        StreamBuilder::new()
-            .column("id", DataType::Int)
-            .column("seller", DataType::String)
-            .event_time_column("opened"),
-    );
-    e.register_table(
-        "Category",
-        StreamBuilder::new()
-            .column("id", DataType::Int)
-            .column("name", DataType::String),
-        vec![row!(1i64, "art"), row!(2i64, "cars"), row!(3i64, "books")],
-    )
-    .unwrap();
-    e
+fn bid() -> StreamBuilder {
+    StreamBuilder::new()
+        .event_time_column("bidtime")
+        .column("price", DataType::Int)
+        .column("item", DataType::String)
 }
 
-/// Feed five bids: A..E at minutes 1..5 with prices 2,4,4,1,5.
-fn feed_bids(q: &mut RunningQuery) {
+fn auction() -> StreamBuilder {
+    StreamBuilder::new()
+        .column("id", DataType::Int)
+        .column("seller", DataType::String)
+        .event_time_column("opened")
+}
+
+fn category(engine: &mut Engine) {
+    engine
+        .register_table(
+            "Category",
+            StreamBuilder::new()
+                .column("id", DataType::Int)
+                .column("name", DataType::String),
+            vec![row!(1i64, "art"), row!(2i64, "cars"), row!(3i64, "books")],
+        )
+        .unwrap();
+}
+
+fn replay() -> Replay {
+    Replay::new([("Bid", bid().build()), ("Auction", auction().build())])
+}
+
+/// A session over `replay` with the `Category` table loaded.
+fn session(replay: &Replay) -> Session {
+    let (mut session, _) = replay.session().unwrap();
+    category(session.engine_mut());
+    session
+}
+
+/// Run `sql` over `replay` in `session` to completion.
+fn run_in(mut session: Session, sql: &str) -> SqlPipeline {
+    let script = format!("INSERT INTO out {sql};");
+    let mut pipeline = session
+        .execute_script(&script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap();
+    pipeline.run().unwrap();
+    pipeline
+}
+
+fn run(replay: &Replay, sql: &str) -> SqlPipeline {
+    run_in(session(replay), sql)
+}
+
+/// Five bids: A..E at minutes 1..5 with prices 2,4,4,1,5.
+fn bids() -> Replay {
+    let mut replay = replay();
     let bids = [
         (1i64, 2i64, "A"),
         (2, 4, "B"),
@@ -41,17 +70,15 @@ fn feed_bids(q: &mut RunningQuery) {
         (5, 5, "E"),
     ];
     for (m, price, item) in bids {
-        q.insert("Bid", Ts::hm(8, m), row!(Ts::hm(8, m), price, item))
-            .unwrap();
+        replay.insert(Ts::hm(8, m), "Bid", row!(Ts::hm(8, m), price, item));
     }
+    replay
 }
 
 fn run_bids(sql: &str) -> Vec<Row> {
-    let e = engine();
-    let mut q = e.execute(sql).unwrap();
-    feed_bids(&mut q);
-    q.finish(Ts::hm(9, 0)).unwrap();
-    q.table().unwrap()
+    let mut replay = bids();
+    replay.advance(Ts::hm(9, 0));
+    run(&replay, sql).table().unwrap()
 }
 
 #[test]
@@ -77,11 +104,11 @@ fn global_aggregates() {
 
 #[test]
 fn global_aggregate_over_empty_stream_is_one_row() {
-    let e = engine();
-    let mut q = e.execute("SELECT COUNT(*), MAX(price) FROM Bid").unwrap();
-    q.finish(Ts::hm(9, 0)).unwrap();
+    let mut replay = replay();
+    replay.advance(Ts::hm(9, 0));
+    let pipeline = run(&replay, "SELECT COUNT(*), MAX(price) FROM Bid");
     assert_eq!(
-        q.table().unwrap(),
+        pipeline.table().unwrap(),
         vec![Row::new(vec![Value::Int(0), Value::Null])]
     );
 }
@@ -143,29 +170,22 @@ fn scalar_subquery_in_where() {
 
 #[test]
 fn stream_to_table_join() {
-    let e = engine();
-    let mut q = e
-        .execute(
-            "SELECT B.item, C.name FROM Bid B JOIN Category C ON B.price = C.id \
-             ORDER BY item",
-        )
-        .unwrap();
-    feed_bids(&mut q);
+    let pipeline = run(
+        &bids(),
+        "SELECT B.item, C.name FROM Bid B JOIN Category C ON B.price = C.id \
+         ORDER BY item",
+    );
     // price 2 -> cars, price 1 -> art; 4 and 5 have no category.
     assert_eq!(
-        q.table().unwrap(),
+        pipeline.table().unwrap(),
         vec![row!("A", "cars"), row!("D", "art")]
     );
 }
 
 #[test]
 fn left_join_null_extends() {
-    let e = engine();
-    let mut q = e
-        .execute("SELECT B.item, C.name FROM Bid B LEFT JOIN Category C ON B.price = C.id")
-        .unwrap();
-    feed_bids(&mut q);
-    let rows = q.table().unwrap();
+    let sql = "SELECT B.item, C.name FROM Bid B LEFT JOIN Category C ON B.price = C.id";
+    let rows = run(&bids(), sql).table().unwrap();
     assert_eq!(rows.len(), 5);
     assert!(rows.contains(&Row::new(vec![Value::str("E"), Value::Null])));
     assert!(rows.contains(&row!("A", "cars")));
@@ -173,36 +193,39 @@ fn left_join_null_extends() {
 
 #[test]
 fn stream_stream_join() {
-    let e = engine();
-    let mut q = e
-        .execute("SELECT B.item, A.seller FROM Bid B JOIN Auction A ON B.price = A.id")
-        .unwrap();
+    let mut replay = replay();
     // Auction arrives *after* the matching bid: the join must remember.
-    q.insert("Bid", Ts::hm(8, 1), row!(Ts::hm(8, 1), 7i64, "X"))
-        .unwrap();
-    assert!(q.table().unwrap().is_empty());
-    q.insert("Auction", Ts::hm(8, 2), row!(7i64, "alice", Ts::hm(8, 2)))
-        .unwrap();
-    assert_eq!(q.table().unwrap(), vec![row!("X", "alice")]);
-    // Retraction of the bid removes the join result.
-    q.retract("Bid", Ts::hm(8, 3), row!(Ts::hm(8, 1), 7i64, "X"))
-        .unwrap();
-    assert!(q.table().unwrap().is_empty());
+    // Retraction of the bid then removes the join result.
+    replay
+        .insert(Ts::hm(8, 1), "Bid", row!(Ts::hm(8, 1), 7i64, "X"))
+        .insert(Ts::hm(8, 2), "Auction", row!(7i64, "alice", Ts::hm(8, 2)))
+        .retract(Ts::hm(8, 3), "Bid", row!(Ts::hm(8, 1), 7i64, "X"));
+    let sql = "SELECT B.item, A.seller FROM Bid B JOIN Auction A ON B.price = A.id";
+    let pipeline = run(&replay, sql);
+    assert!(pipeline.table_at(Ts::hm(8, 1)).unwrap().is_empty());
+    assert_eq!(
+        pipeline.table_at(Ts::hm(8, 2)).unwrap(),
+        vec![row!("X", "alice")]
+    );
+    assert!(pipeline.table().unwrap().is_empty());
 }
 
 #[test]
 fn retractions_update_aggregates() {
-    let e = engine();
-    let mut q = e
-        .execute("SELECT item, SUM(price) AS total FROM Bid GROUP BY item")
-        .unwrap();
-    q.insert("Bid", Ts(1), row!(Ts(1), 10i64, "A")).unwrap();
-    q.insert("Bid", Ts(2), row!(Ts(2), 5i64, "A")).unwrap();
-    assert_eq!(q.table().unwrap(), vec![row!("A", 15i64)]);
-    q.retract("Bid", Ts(3), row!(Ts(1), 10i64, "A")).unwrap();
-    assert_eq!(q.table().unwrap(), vec![row!("A", 5i64)]);
-    q.retract("Bid", Ts(4), row!(Ts(2), 5i64, "A")).unwrap();
-    assert!(q.table().unwrap().is_empty(), "group vanishes at zero rows");
+    let mut replay = replay();
+    replay
+        .insert(Ts(1), "Bid", row!(Ts(1), 10i64, "A"))
+        .insert(Ts(2), "Bid", row!(Ts(2), 5i64, "A"))
+        .retract(Ts(3), "Bid", row!(Ts(1), 10i64, "A"))
+        .retract(Ts(4), "Bid", row!(Ts(2), 5i64, "A"));
+    let pipeline = run(
+        &replay,
+        "SELECT item, SUM(price) AS total FROM Bid GROUP BY item",
+    );
+    assert_eq!(pipeline.table_at(Ts(2)).unwrap(), vec![row!("A", 15i64)]);
+    assert_eq!(pipeline.table_at(Ts(3)).unwrap(), vec![row!("A", 5i64)]);
+    let table = pipeline.table().unwrap();
+    assert!(table.is_empty(), "group vanishes at zero rows");
 }
 
 #[test]
@@ -236,67 +259,59 @@ fn order_by_limit() {
     );
 }
 
+const WINDOW_COUNT: &str = "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
+     timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend";
+
+/// A bid, a watermark past its window, then a bid for the same window.
+fn straggler() -> Replay {
+    let mut replay = replay();
+    replay
+        .insert(Ts::hm(8, 1), "Bid", row!(Ts::hm(8, 1), 1i64, "A"))
+        .watermark(Ts::hm(8, 20), Ts::hm(8, 15))
+        .insert(Ts::hm(8, 21), "Bid", row!(Ts::hm(8, 2), 1i64, "late"));
+    replay
+}
+
 #[test]
 fn late_data_dropped_from_closed_windows() {
-    let e = engine();
-    let mut q = e
-        .execute(
-            "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
-             timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend",
-        )
-        .unwrap();
-    q.insert("Bid", Ts::hm(8, 1), row!(Ts::hm(8, 1), 1i64, "A"))
-        .unwrap();
-    q.watermark("Bid", Ts::hm(8, 20), Ts::hm(8, 15)).unwrap();
-    // This bid's window [8:00, 8:10) is closed: dropped (Extension 2).
-    q.insert("Bid", Ts::hm(8, 21), row!(Ts::hm(8, 2), 1i64, "late"))
-        .unwrap();
-    assert_eq!(q.table().unwrap(), vec![row!(Ts::hm(8, 10), 1i64)]);
+    // The second bid's window [8:00, 8:10) is closed: dropped
+    // (Extension 2).
+    let pipeline = run(&straggler(), WINDOW_COUNT);
+    assert_eq!(pipeline.table().unwrap(), vec![row!(Ts::hm(8, 10), 1i64)]);
 }
 
 #[test]
 fn allowed_lateness_admits_stragglers() {
-    let mut e = Engine::new().with_allowed_lateness(onesql_types::Duration::from_minutes(10));
-    e.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .event_time_column("bidtime")
-            .column("price", DataType::Int)
-            .column("item", DataType::String),
-    );
-    let mut q = e
-        .execute(
-            "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
-             timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) GROUP BY wend",
-        )
-        .unwrap();
-    q.insert("Bid", Ts::hm(8, 1), row!(Ts::hm(8, 1), 1i64, "A"))
-        .unwrap();
-    q.watermark("Bid", Ts::hm(8, 20), Ts::hm(8, 15)).unwrap();
+    let replay = straggler();
+    let mut session = session(&replay);
+    let engine = session.engine_mut();
+    *engine = std::mem::take(engine).with_allowed_lateness(Duration::from_minutes(10));
     // Within the 10-minute lateness: still counted.
-    q.insert("Bid", Ts::hm(8, 21), row!(Ts::hm(8, 2), 1i64, "late"))
-        .unwrap();
-    assert_eq!(q.table().unwrap(), vec![row!(Ts::hm(8, 10), 2i64)]);
+    let pipeline = run_in(session, WINDOW_COUNT);
+    assert_eq!(pipeline.table().unwrap(), vec![row!(Ts::hm(8, 10), 2i64)]);
 }
 
 #[test]
 fn errors_are_informative() {
-    let e = engine();
-    let err = e.execute("SELECT nope FROM Bid").unwrap_err();
-    assert!(err.to_string().contains("nope"), "{err}");
-    let err = e.execute("SELECT * FROM Missing").unwrap_err();
-    assert!(err.to_string().contains("Missing"), "{err}");
-    let err = e
-        .execute("SELECT item FROM Bid GROUP BY price")
-        .unwrap_err();
-    assert!(err.to_string().contains("GROUP BY"), "{err}");
-    let err = e.execute("SELECT price + item FROM Bid").unwrap_err();
-    assert!(err.to_string().to_lowercase().contains("type"), "{err}");
+    let mut session = session(&replay());
+    let mut err = |sql: &str| {
+        let script = format!("INSERT INTO out {sql};");
+        session.execute_script(&script).unwrap_err().to_string()
+    };
+    let e = err("SELECT nope FROM Bid");
+    assert!(e.contains("nope"), "{e}");
+    let e = err("SELECT * FROM Missing");
+    assert!(e.contains("Missing"), "{e}");
+    let e = err("SELECT item FROM Bid GROUP BY price");
+    assert!(e.contains("GROUP BY"), "{e}");
+    let e = err("SELECT price + item FROM Bid");
+    assert!(e.to_lowercase().contains("type"), "{e}");
 }
 
 #[test]
 fn explain_shows_streaming_decisions() {
-    let e = engine();
+    let session = session(&replay());
+    let e = session.engine();
     let plan = e
         .explain(
             "SELECT wend, MAX(price) FROM Tumble(data => TABLE(Bid), \
@@ -312,14 +327,13 @@ fn explain_shows_streaming_decisions() {
 
 #[test]
 fn changelog_is_consistent_with_table_at_every_instant() {
-    let e = engine();
-    let mut q = e
-        .execute("SELECT price, COUNT(*) FROM Bid GROUP BY price")
-        .unwrap();
-    feed_bids(&mut q);
-    let log = q.changelog().clone();
+    let mut pipeline = run(&bids(), "SELECT price, COUNT(*) FROM Bid GROUP BY price");
+    let log = pipeline.driver_mut().changelog().clone();
     for m in 0..10 {
         let at = Ts::hm(8, m);
-        assert_eq!(log.snapshot_at(at).to_rows(), q.table_at(at).unwrap());
+        assert_eq!(
+            log.snapshot_at(at).to_rows(),
+            pipeline.table_at(at).unwrap()
+        );
     }
 }

@@ -1,21 +1,26 @@
-//! The SQL-first pipeline API, black-box: a pipeline defined *entirely*
-//! by a SQL script (`CREATE SOURCE` / `CREATE SINK` / `INSERT INTO ...
-//! SELECT ... EMIT`) must behave exactly like the same pipeline wired
-//! imperatively through the `Engine` API — byte-identical sink
-//! changelogs on one worker and on several — plus the
+//! The SQL-first pipeline API, black-box: a pipeline whose source is
+//! defined *entirely* in SQL (`CREATE SOURCE` / `CREATE SINK` / `INSERT
+//! INTO ... SELECT ... EMIT`) must behave exactly like the same pipeline
+//! over a source built in Rust and registered as a bespoke connector —
+//! byte-identical sink changelogs on one worker and on several — plus the
 //! validation story: misspelled connectors and options, ill-typed
 //! values, and impossible recovery combinations all surface as
 //! descriptive errors, never panics.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
-use onesql::connect::{register_nexmark_streams, session};
+use onesql::connect::{default_registry, session};
 use onesql::{
-    ChangelogSink, ChannelPublisher, DriverConfig, Engine, NexmarkSource, PartitionedNexmarkSource,
-    PartitionedSource, PartitionedVec, PipelineDriver, StatementResult,
+    ChannelPublisher, DriverConfig, Engine, NexmarkSource, PartitionedNexmarkSource,
+    PartitionedSource, PartitionedVec, Session, StatementResult,
 };
+use onesql_nexmark::model::{Auction, Bid, Person};
 use onesql_nexmark::queries;
 use onesql_types::{row, Row, Ts};
+
+use common::Bespoke;
 
 const EVENTS: u64 = 3_000;
 const PARTS: usize = 4;
@@ -26,37 +31,50 @@ fn q7_emit() -> String {
     format!("{} EMIT STREAM", queries::Q7)
 }
 
-/// The changelog and final table an imperatively wired Q7 over `source`
-/// produces on `workers` workers.
-fn imperative(workers: usize, source: Box<dyn PartitionedSource>) -> (String, Vec<Row>) {
-    let mut engine = Engine::new();
-    register_nexmark_streams(&mut engine);
-    let (rendered, sink) = ChangelogSink::in_memory();
-    let config = DriverConfig {
-        workers,
-        ..DriverConfig::default()
-    };
-    let mut driver = PipelineDriver::new(&engine, &q7_emit(), config).unwrap();
-    driver.attach_partitioned_source(source).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
-    driver.run().unwrap();
+/// The changelog and final table Q7 produces on `workers` workers over
+/// the source `build` constructs in Rust, registered as a bespoke
+/// connector.
+fn imperative(
+    workers: usize,
+    build: impl Fn() -> Box<dyn PartitionedSource> + Send + Sync + 'static,
+) -> (String, Vec<Row>) {
+    let streams = vec![
+        ("Person", Person::schema()),
+        ("Auction", Auction::schema()),
+        ("Bid", Bid::schema()),
+    ];
+    let mut registry = default_registry();
+    registry.register_source("bespoke", Bespoke::new(streams, build));
+    let mut session = Session::new(registry);
+    let script = format!(
+        "SET workers = {workers};
+         CREATE SOURCE nex WITH (connector = 'bespoke');
+         CREATE SINK out WITH (connector = 'changelog');
+         INSERT INTO out {};",
+        q7_emit()
+    );
+    let outcome = session.execute_script(&script).unwrap();
+    let mut pipeline = outcome.into_pipeline().unwrap();
+    let rendered = session.take_handle::<Arc<Mutex<String>>>("out").unwrap();
+    pipeline.run().unwrap();
     let out = rendered.lock().unwrap().clone();
     assert!(!out.is_empty(), "imperative Q7 produced no output");
-    (out, driver.table().unwrap())
+    (out, pipeline.table().unwrap())
 }
 
-/// The changelog an imperatively wired plain-driver Q7 produces.
+/// The changelog Q7 produces over a plain source built in Rust.
 fn imperative_plain() -> String {
-    let source = PartitionedVec::single(NexmarkSource::seeded(7, EVENTS));
-    imperative(1, Box::new(source)).0
+    let build = || -> Box<dyn PartitionedSource> {
+        Box::new(PartitionedVec::single(NexmarkSource::seeded(7, EVENTS)))
+    };
+    imperative(1, build).0
 }
 
 /// [`imperative`] over the partitioned source.
 fn imperative_sharded(workers: usize) -> (String, Vec<Row>) {
-    imperative(
-        workers,
-        Box::new(PartitionedNexmarkSource::seeded(7, EVENTS, PARTS)),
-    )
+    imperative(workers, || {
+        Box::new(PartitionedNexmarkSource::seeded(7, EVENTS, PARTS))
+    })
 }
 
 #[test]
@@ -240,19 +258,55 @@ fn temporal_table_ddl_queries_as_of() {
     let table = session.engine_mut().temporal_table_mut("Rates").unwrap();
     table.insert(Ts::hm(9, 0), row!("EUR", 114i64)).unwrap();
     table.insert(Ts::hm(10, 0), row!("EUR", 120i64)).unwrap();
-    let StatementResult::Query(q) = session
+    let StatementResult::Rows(rows) = session
         .execute("SELECT rate FROM Rates AS OF SYSTEM TIME TIMESTAMP '9:30'")
         .unwrap()
     else {
-        panic!("expected a running query")
+        panic!("expected the table view")
     };
-    assert_eq!(q.table().unwrap(), vec![row!(114i64)]);
+    assert_eq!(rows, vec![row!(114i64)]);
+}
+
+#[test]
+fn bare_select_over_a_table_returns_its_ordered_limited_rows() {
+    let mut session = session();
+    session
+        .engine_mut()
+        .register_table(
+            "Category",
+            onesql::StreamBuilder::new()
+                .column("id", onesql_types::DataType::Int)
+                .column("name", onesql_types::DataType::String),
+            onesql_nexmark::model::category_rows(),
+        )
+        .unwrap();
+    let result = session
+        .execute("SELECT id, name FROM Category WHERE id > 10 ORDER BY id DESC LIMIT 2")
+        .unwrap();
+    let StatementResult::Rows(rows) = result else {
+        panic!("expected the table view, got {result:?}")
+    };
+    assert_eq!(rows, vec![row!(14i64, "art"), row!(13i64, "cars")]);
+}
+
+#[test]
+fn bare_select_over_a_stream_is_refused_toward_insert_into() {
+    let mut session = session();
+    session
+        .execute("CREATE SOURCE nex WITH (connector = 'nexmark', events = 10)")
+        .unwrap();
+    let err = session
+        .execute("SELECT price FROM Bid")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("[bid]"), "{err}");
+    assert!(err.contains("INSERT INTO"), "{err}");
 }
 
 #[test]
 fn trailing_semicolons_accepted_by_both_entry_points() {
     // A statement copied out of a script (with its `;`) must parse
-    // identically through Engine::plan/execute and Session::execute.
+    // identically through Engine::plan and Session::execute.
     let mut engine = Engine::new();
     engine.register_stream(
         "Bid",
@@ -262,11 +316,10 @@ fn trailing_semicolons_accepted_by_both_entry_points() {
     );
     engine.plan("SELECT price FROM Bid;").unwrap();
     engine.plan("SELECT price FROM Bid;;").unwrap();
-    engine
-        .execute("SELECT price FROM Bid; -- copied\n")
-        .unwrap();
     let mut session = session();
     session.execute("EXPLAIN SELECT 1;").unwrap();
+    let rows = session.execute("SELECT 1; -- copied\n").unwrap();
+    assert!(matches!(rows, StatementResult::Rows(r) if r == vec![row!(1i64)]));
 }
 
 // ---------------------------------------------------------------------------

@@ -18,17 +18,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
 
-use onesql::connect::{
-    json, register_nexmark_streams, sharded_channel, NexmarkSource, TraceSource,
-};
-use onesql::connect::{session, Source, SourceStatus};
+use onesql::connect::{json, session, Source, SourceStatus, TraceSource};
 use onesql::core::observe::{self, FlightRecorder, TraceRecord, TraceSink, TraceSpan};
-use onesql::{
-    ChangelogSink, DriverConfig, Engine, NetAddr, NetConfig, NetSink, NetSource, PipelineDriver,
-    StatementResult, StreamBuilder,
-};
+use onesql::{ChannelPublisher, NetAddr, StatementResult};
 use onesql_nexmark::queries;
-use onesql_types::{row, DataType, Result, Ts};
+use onesql_types::{row, Result, Ts};
 
 /// Tests that install the global trace sink (or retune sampling) must not
 /// interleave within this binary; the guard also absorbs a poisoned lock
@@ -58,55 +52,39 @@ fn nexmark_q7_over_the_wire_stitches_into_one_trace() {
     s.execute("SET trace = 'on'").unwrap();
 
     // Consumer side binds first so the producer's lazy connect succeeds.
-    let source = NetSource::bind(
-        NetAddr::tcp("127.0.0.1:0"),
-        vec!["Mid".to_string()],
-        NetConfig::default(),
-    )
-    .unwrap();
-    let addr = source.local_addr();
+    // Its only input is the socket; Q7's output columns become the `Mid`
+    // stream's schema. A pipeline's trace label is its INSERT target.
+    let mut consumer = session();
+    let script = format!(
+        "CREATE SOURCE Mid (wstart TIMESTAMP, wend TIMESTAMP, btime TIMESTAMP,
+                            price INT, auction INT)
+           WITH (connector = 'net', addr = 'tcp:127.0.0.1:0');
+         CREATE SINK {CONSUMER} WITH (connector = 'changelog');
+         INSERT INTO {CONSUMER} SELECT wstart, price, auction FROM Mid EMIT STREAM;"
+    );
+    let mut driver = consumer
+        .execute_script(&script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap();
+    let addr = consumer.take_handle::<NetAddr>("Mid").unwrap();
+    let rendered = consumer
+        .take_handle::<Arc<Mutex<String>>>(CONSUMER)
+        .unwrap();
 
     // The producer "process": Q7 over seeded NEXMark, output shipped
-    // through a NetSink. Its driver spans close while frames are pumped,
+    // through a net sink. Its driver spans close while frames are pumped,
     // so each BATCH frame carries the emitting span as trace context.
     let producer = std::thread::spawn(move || -> Result<()> {
-        let mut engine = Engine::new();
-        register_nexmark_streams(&mut engine);
-        let mut driver = PipelineDriver::new(
-            &engine,
-            &format!("{} EMIT STREAM", queries::Q7),
-            DriverConfig::default(),
-        )?;
-        driver.attach_source(Box::new(NexmarkSource::seeded(7, 1_500)))?;
-        driver.attach_sink(Box::new(NetSink::connect(
-            addr,
-            "Mid",
-            0,
-            NetConfig::default(),
-        )))?;
-        driver.set_label(PRODUCER);
-        driver.run()?;
+        let script = format!(
+            "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = 1500);
+             CREATE SINK {PRODUCER} WITH (connector = 'net', addr = '{addr}', stream = 'Mid');
+             INSERT INTO {PRODUCER} {} EMIT STREAM;",
+            queries::Q7
+        );
+        session().execute_script(&script)?.into_pipeline()?.run()?;
         Ok(())
     });
-
-    // The consumer "process": its only input is the socket. Q7's output
-    // columns become the `Mid` stream's schema.
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Mid",
-        StreamBuilder::new()
-            .column("wstart", DataType::Timestamp)
-            .column("wend", DataType::Timestamp)
-            .column("btime", DataType::Timestamp)
-            .column("price", DataType::Int)
-            .column("auction", DataType::Int),
-    );
-    let (rendered, sink) = ChangelogSink::in_memory();
-    let sql = "SELECT wstart, price, auction FROM Mid EMIT STREAM";
-    let mut driver = PipelineDriver::new(&engine, sql, DriverConfig::default()).unwrap();
-    driver.attach_source(Box::new(source)).unwrap();
-    driver.attach_sink(Box::new(sink)).unwrap();
-    driver.set_label(CONSUMER);
     driver.run().unwrap();
     producer.join().unwrap().unwrap();
     assert!(
@@ -261,22 +239,16 @@ fn watermark_provenance_names_the_stuck_partition() {
     let _guard = trace_lock()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (publishers, source) = sharded_channel("Bid", 2, 64);
-    let mut engine = Engine::new();
-    engine.register_stream(
-        "Bid",
-        StreamBuilder::new()
-            .column("auction", DataType::Int)
-            .column("price", DataType::Int)
-            .event_time_column("bidtime"),
-    );
-    let config = DriverConfig {
-        workers: 2,
-        ..DriverConfig::default()
-    };
-    let mut driver =
-        PipelineDriver::new(&engine, "SELECT auction, price FROM Bid", config).unwrap();
-    driver.attach_partitioned_source(Box::new(source)).unwrap();
+    let mut s = session();
+    s.execute("SET workers = 2").unwrap();
+    let script = "CREATE PARTITIONED SOURCE Bid (auction INT, price INT, bidtime TIMESTAMP,
+                                                WATERMARK FOR bidtime)
+                    WITH (connector = 'channel', partitions = 2);
+                  CREATE SINK out WITH (connector = 'changelog');
+                  INSERT INTO out SELECT auction, price FROM Bid;";
+    let mut pipeline = s.execute_script(script).unwrap().into_pipeline().unwrap();
+    let publishers = s.take_handle::<Vec<ChannelPublisher>>("Bid").unwrap();
+    let driver = pipeline.driver_mut();
 
     // Partition 0 races ahead; partition 1 says nothing at all.
     publishers[0]
