@@ -1,6 +1,6 @@
 //! B10 — observability overhead on the ingest path.
 //!
-//! Two connector-runtime workloads (a scripted replay, NEXMark generator
+//! Two connector-runtime workloads (a filled channel, NEXMark generator
 //! replay), run twice: once bare (`EXPLAIN ANALYZE`: no sink, no label)
 //! and once instrumented (an `INSERT` pipeline into a discarding sink,
 //! labelled by it and publishing a snapshot to the global
@@ -15,31 +15,34 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 mod common;
 
-use onesql_core::StreamBuilder;
+use onesql_core::{observe, StreamBuilder};
 use onesql_types::{row, DataType, Ts};
 
-use onesql_core::observe;
+use common::FilledChannel;
 
 const N: usize = 20_000;
 const SQL: &str = "SELECT item, price FROM Bid WHERE price > 10";
 const LABEL: &str = "bench_observe";
 
-fn run_replay(instrumented: bool) -> u64 {
-    let bid = StreamBuilder::new()
-        .event_time_column("bidtime")
-        .column("price", DataType::Int)
-        .column("item", DataType::String);
-    let rows = (0..N as i64).map(|i| row!(Ts(i), i % 100, "item"));
-    let ddl = "CREATE SOURCE feed WITH (connector = 'replay');";
+fn run_channel(instrumented: bool) -> (u64, u64) {
+    let filled = FilledChannel {
+        bid: StreamBuilder::new()
+            .event_time_column("bidtime")
+            .column("price", DataType::Int)
+            .column("item", DataType::String),
+        events: N,
+        row: |i| row!(Ts(i as i64), i as i64 % 100, "item"),
+    };
+    let ddl = "CREATE SOURCE feed WITH (connector = 'filled');";
     common::run(
-        &mut common::session(Some(common::bids(bid, rows))),
+        &mut common::session(Some(filled)),
         ddl,
         SQL,
         instrumented.then_some(LABEL),
     )
 }
 
-fn run_nexmark(instrumented: bool) -> u64 {
+fn run_nexmark(instrumented: bool) -> (u64, u64) {
     let ddl = format!("CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = {N});");
     let sql = "SELECT auction, price FROM Bid WHERE price > 100";
     common::run(
@@ -52,11 +55,11 @@ fn run_nexmark(instrumented: bool) -> u64 {
 
 /// Best-of-`rounds` wall clock: minimum is the noise-robust statistic for
 /// a same-process A/B comparison on a shared host.
-fn min_time(rounds: usize, mut f: impl FnMut() -> u64) -> Duration {
+fn min_time(rounds: usize, mut f: impl FnMut() -> (u64, u64)) -> Duration {
     (0..rounds)
         .map(|_| {
             let start = Instant::now();
-            assert_eq!(f(), N as u64);
+            assert_eq!(f().0, N as u64);
             start.elapsed()
         })
         .min()
@@ -67,18 +70,18 @@ fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("observe");
     group.sample_size(10);
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function("replay_bare", |b| {
-        b.iter(|| assert_eq!(run_replay(false), N as u64))
+    group.bench_function("channel_bare", |b| {
+        b.iter(|| assert_eq!(run_channel(false).0, N as u64))
     });
     group.bench_function("nexmark_bare", |b| {
-        b.iter(|| assert_eq!(run_nexmark(false), N as u64))
+        b.iter(|| assert_eq!(run_nexmark(false).0, N as u64))
     });
 
-    group.bench_function("replay_instrumented", |b| {
-        b.iter(|| assert_eq!(run_replay(true), N as u64))
+    group.bench_function("channel_instrumented", |b| {
+        b.iter(|| assert_eq!(run_channel(true).0, N as u64))
     });
     group.bench_function("nexmark_instrumented", |b| {
-        b.iter(|| assert_eq!(run_nexmark(true), N as u64))
+        b.iter(|| assert_eq!(run_nexmark(true).0, N as u64))
     });
     group.finish();
 
@@ -86,15 +89,19 @@ fn bench_observe(c: &mut Criterion) {
     // both sides equally: instrumented min-time within 5% of bare (plus a
     // 500us absolute floor so micro-jitter cannot fail a sub-ms run).
     for (name, f) in [
-        ("replay", run_replay as fn(bool) -> u64),
-        ("nexmark", run_nexmark as fn(bool) -> u64),
+        ("channel", run_channel as fn(bool) -> (u64, u64)),
+        ("nexmark", run_nexmark as fn(bool) -> (u64, u64)),
     ] {
+        // Like for like: both sides poll the same batches.
+        let rounds = f(false).1;
+        assert_eq!(f(true).1, rounds, "'{name}' rounds differ");
         let bare = min_time(10, || f(false));
         let instrumented = min_time(10, || f(true));
         observe::hub().clear(LABEL);
         let budget = bare + bare * 5 / 100 + Duration::from_micros(500);
         println!(
-            "observe overhead [{name}]: bare {:?}, instrumented {:?} (budget {:?})",
+            "observe overhead [{name}]: {rounds} rounds, bare {:?}, instrumented {:?} \
+             (budget {:?})",
             bare, instrumented, budget
         );
         assert!(

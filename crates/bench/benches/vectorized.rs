@@ -8,7 +8,7 @@
 //! shape a columnar source (the CSV `poll_columns` path) hands the
 //! driver. A separate end-to-end pipeline A/B on the cheap filter, run
 //! as a script, toggles [`DriverConfig::vectorize`] over a *row* source
-//! (a replay), so it pays the rows→columns run-grouping cost inside the
+//! (a channel), so it pays the rows→columns run-grouping cost inside the
 //! measurement.
 //!
 //! The contract this bench enforces: the vectorized path sustains **at
@@ -25,7 +25,9 @@ mod common;
 
 use onesql_core::{DriverConfig, Engine, StreamBuilder};
 use onesql_tvr::{Change, ChangeBatch};
-use onesql_types::{DataType, Row, Ts, Value};
+use onesql_types::{row, DataType, Row, Ts, Value};
+
+use common::FilledChannel;
 
 const N: usize = 50_000;
 /// Rows per columnar batch on the vectorized side.
@@ -124,19 +126,30 @@ fn run_vectorized(sql: &str, batches: &[ChangeBatch], wm_every: Option<usize>) -
     q.changelog().len()
 }
 
-/// End-to-end: a replayed row source through a pipeline, vectorization
+/// End-to-end: a channel source through a pipeline, vectorization
 /// toggled by config. The driver groups consecutive same-stream events
 /// into batches itself, so this measures the full hot path including
 /// polling, run-grouping, and output drain.
-fn run_driver(vectorize: bool, rows: &[(Ts, Change)]) -> u64 {
-    let rows = rows.iter().map(|(_, change)| change.row.clone());
-    let mut session = common::session(Some(common::bids(bid_stream(), rows)));
+fn run_driver(vectorize: bool) -> u64 {
+    let filled = FilledChannel {
+        bid: bid_stream(),
+        events: N,
+        row: |i| {
+            row!(
+                event_time(i),
+                (i as i64 * 7_919) % 1_000,
+                (i as i64 * 104_729) % 500,
+                "item"
+            )
+        },
+    };
+    let mut session = common::session(Some(filled));
     session.set_driver_config(DriverConfig {
         vectorize,
         ..DriverConfig::default()
     });
-    let ddl = "CREATE SOURCE feed WITH (connector = 'replay');";
-    common::run(&mut session, ddl, CHEAP_FILTER, Some("out"))
+    let ddl = "CREATE SOURCE feed WITH (connector = 'filled');";
+    common::run(&mut session, ddl, CHEAP_FILTER, Some("out")).0
 }
 
 /// Best-of-`rounds` wall clock: minimum is the noise-robust statistic for
@@ -185,7 +198,7 @@ fn bench_vectorized(c: &mut Criterion) {
             "driver_scalar"
         };
         group.bench_function(label, |b| {
-            b.iter(|| assert_eq!(run_driver(vectorize, &rows), N as u64))
+            b.iter(|| assert_eq!(run_driver(vectorize), N as u64))
         });
     }
     group.finish();

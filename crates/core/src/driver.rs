@@ -1679,6 +1679,13 @@ mod tests {
     }
 
     #[test]
+    fn a_pipeline_with_no_sources_refuses_to_step() {
+        let mut driver = planned(&engine(), AGG, sharded(1)).unwrap();
+        let err = driver.step().unwrap_err().to_string();
+        assert!(err.contains("no sources"), "{err}");
+    }
+
+    #[test]
     fn zero_workers_rejected() {
         let e = engine();
         assert!(planned(&e, AGG, sharded(0)).is_err());

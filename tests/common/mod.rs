@@ -1,10 +1,22 @@
-//! Test support shared by the integration tests.
+//! Test support shared by the integration tests. Every test binary that
+//! declares `mod common;` compiles its own copy and uses part of it.
+
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
 use onesql::connect::{Exports, OptionBag, SourceConnector, SourceSpec};
-use onesql::PartitionedSource;
+use onesql::{PartitionedSource, Session, SqlPipeline};
 use onesql_types::{Result, Schema, SchemaRef};
+
+/// `script`'s one pipeline, assembled in `session`.
+pub fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
+    session
+        .execute_script(script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap()
+}
 
 /// A source family declaring `streams` whose every `INSERT` gets a fresh
 /// `build()`: how a bespoke test source registers in a session.

@@ -21,7 +21,7 @@ use onesql_nexmark::queries;
 use onesql_time::Watermark;
 use onesql_types::{row, DataType, Duration, Schema, Ts};
 
-use common::Bespoke;
+use common::{assemble, Bespoke};
 
 fn bid_schema() -> Schema {
     StreamBuilder::new()
@@ -39,15 +39,6 @@ fn scratch(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("onesql_connect_tests").join(test);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// `script`'s one pipeline, assembled in `session`.
-fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
-    session
-        .execute_script(script)
-        .unwrap()
-        .into_pipeline()
-        .unwrap()
 }
 
 const WINDOWED_SQL: &str = "SELECT wend, SUM(price) FROM Tumble(data => \
@@ -347,15 +338,19 @@ fn publishers(session: &mut Session, name: &str) -> ChannelPublisher {
     publishers.remove(0)
 }
 
-/// Attach-time validation: unknown streams and tables are rejected.
+/// Attach-time validation: a source whose instance feeds an unknown
+/// stream or a table is refused when an `INSERT` attaches it, and a
+/// query over tables alone is refused before any source is built.
 #[test]
 fn attach_source_validates_streams() {
-    // A source whose instance feeds a stream the catalog does not have.
-    let stray = || -> Box<dyn onesql::PartitionedSource> {
-        Box::new(PartitionedVec::single(channel("Nope", 4).1))
-    };
+    // Families that declare `Bid` but whose instances feed `feeds`.
     let mut registry = default_registry();
-    registry.register_source("stray", Bespoke::new(vec![("Bid", bid_schema())], stray));
+    for (family, feeds) in [("stray", "Nope"), ("tabled", "Category")] {
+        let build = move || -> Box<dyn onesql::PartitionedSource> {
+            Box::new(PartitionedVec::single(channel(feeds, 4).1))
+        };
+        registry.register_source(family, Bespoke::new(vec![("Bid", bid_schema())], build));
+    }
     let mut session = Session::new(registry);
     session
         .engine_mut()
@@ -374,25 +369,28 @@ fn attach_source_validates_streams() {
         "{err}"
     );
     session
-        .execute_script(
-            "CREATE SOURCE stray WITH (connector = 'stray');
-             CREATE SINK out WITH (connector = 'changelog');",
-        )
+        .execute("CREATE SINK out WITH (connector = 'changelog')")
         .unwrap();
-    for (sql, refusal) in [
-        ("SELECT item FROM Bid", "targets unregistered stream 'Nope'"),
-        ("SELECT id FROM Category", "reads no streams"),
+    for (family, refusal) in [
+        ("stray", "targets unregistered stream 'Nope'"),
+        ("tabled", "which is a table, not a stream"),
     ] {
+        let script = format!("CREATE SOURCE src WITH (connector = '{family}');");
+        session.execute_script(&script).unwrap();
         let err = session
-            .execute(&format!("INSERT INTO out {sql}"))
+            .execute("INSERT INTO out SELECT item FROM Bid")
             .unwrap_err();
         assert!(err.to_string().contains(refusal), "{err}");
+        session.execute("DROP SOURCE src").unwrap();
     }
+    let err = session
+        .execute("INSERT INTO out SELECT id FROM Category")
+        .unwrap_err();
+    assert!(err.to_string().contains("reads no streams"), "{err}");
     // A refused INSERT costs nothing: no offset moved, nothing is
     // poisoned, and a pipeline runs over the source the catalog accepts.
     let script = format!(
-        "DROP SOURCE stray;
-         CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'channel', capacity = 4);
+        "CREATE SOURCE Bid {BID_COLUMNS} WITH (connector = 'channel', capacity = 4);
          INSERT INTO out SELECT item FROM Bid;"
     );
     let mut pipeline = assemble(&mut session, &script);

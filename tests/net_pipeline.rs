@@ -13,6 +13,8 @@
 //! the crash: its bounded replay spool plus the resume handshake re-send
 //! exactly the unacknowledged suffix.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration as StdDuration;
 
@@ -23,6 +25,8 @@ use onesql::{
 };
 use onesql_nexmark::queries;
 use onesql_types::{row, Result, Ts};
+
+use common::assemble;
 
 const NEXMARK_EVENTS: u64 = 6_000;
 const PARTS: usize = 4;
@@ -41,15 +45,6 @@ const NEXMARK_STREAMS: &str = "
 
 /// The `Bid` stream's columns, as a `CREATE SOURCE` declares them.
 const BID_COLUMNS: &str = "(auction INT, price INT, bidtime TIMESTAMP, WATERMARK FOR bidtime)";
-
-/// `script`'s one pipeline, assembled in `session`.
-fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
-    session
-        .execute_script(script)
-        .unwrap()
-        .into_pipeline()
-        .unwrap()
-}
 
 /// A session under `config` whose sink family `tap` records into `tap`.
 fn tapped_session(tap: &HistoryTap, config: DriverConfig) -> Session {

@@ -27,7 +27,7 @@ use onesql::{
 use onesql_nexmark::model::{Auction, Bid, Person};
 use onesql_types::{row, DataType, Result, Row, Schema, Ts};
 
-use common::Bespoke;
+use common::{assemble, Bespoke};
 
 /// A session under `config` whose sink family `tap` records into the
 /// returned tap, so tests can compare the exact changelog two pipelines
@@ -41,15 +41,6 @@ fn tapped_session(
     let mut session = Session::new(registry);
     session.set_driver_config(config);
     (session, tap)
-}
-
-/// `script`'s one pipeline, assembled in `session`.
-fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
-    session
-        .execute_script(script)
-        .unwrap()
-        .into_pipeline()
-        .unwrap()
 }
 
 /// The NEXMark source `seeded(7, events, NEXMARK_PARTS)` as DDL.

@@ -20,7 +20,7 @@ use onesql_nexmark::model::{Auction, Bid, Person};
 use onesql_nexmark::queries;
 use onesql_types::{row, Row, Ts};
 
-use common::Bespoke;
+use common::{assemble, Bespoke};
 
 const EVENTS: u64 = 3_000;
 const PARTS: usize = 4;
@@ -53,8 +53,7 @@ fn imperative(
          INSERT INTO out {};",
         q7_emit()
     );
-    let outcome = session.execute_script(&script).unwrap();
-    let mut pipeline = outcome.into_pipeline().unwrap();
+    let mut pipeline = assemble(&mut session, &script);
     let rendered = session.take_handle::<Arc<Mutex<String>>>("out").unwrap();
     pipeline.run().unwrap();
     let out = rendered.lock().unwrap().clone();
@@ -86,11 +85,7 @@ fn sql_script_q7_matches_imperative_plain_driver() {
          INSERT INTO out {};",
         q7_emit()
     );
-    let mut pipeline = session
-        .execute_script(&script)
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(&mut session, &script);
     assert_eq!(
         pipeline.workers(),
         1,
@@ -117,11 +112,7 @@ fn sql_script_q7_matches_imperative_sharded_driver() {
          INSERT INTO out {};",
         q7_emit()
     );
-    let mut pipeline = session
-        .execute_script(&script)
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(&mut session, &script);
     assert_eq!(pipeline.workers(), WORKERS, "SET workers applied");
     let rendered = session
         .take_handle::<Arc<Mutex<String>>>("out")
@@ -151,11 +142,10 @@ fn channel_pipeline_via_script_and_handles() {
         )
         .unwrap();
     // A later script binds against the persisted definitions.
-    let mut pipeline = session
-        .execute_script("INSERT INTO out SELECT price FROM Bid WHERE price > 2 EMIT STREAM;")
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(
+        &mut session,
+        "INSERT INTO out SELECT price FROM Bid WHERE price > 2 EMIT STREAM;",
+    );
     let publishers = session
         .take_handle::<Vec<ChannelPublisher>>("Bid")
         .expect("the channel source exports its publishers");
@@ -206,16 +196,13 @@ fn explain_drop_and_redefinition() {
 #[test]
 fn source_and_sink_sharing_a_name_keep_separate_handles() {
     let mut session = session();
-    let mut pipeline = session
-        .execute_script(
-            "CREATE SOURCE data (t TIMESTAMP, v INT, WATERMARK FOR t)
-               WITH (connector = 'channel');
-             CREATE SINK data WITH (connector = 'changelog');
-             INSERT INTO data SELECT v FROM data EMIT STREAM;",
-        )
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(
+        &mut session,
+        "CREATE SOURCE data (t TIMESTAMP, v INT, WATERMARK FOR t)
+           WITH (connector = 'channel');
+         CREATE SINK data WITH (connector = 'changelog');
+         INSERT INTO data SELECT v FROM data EMIT STREAM;",
+    );
     let publishers = session
         .take_handle::<Vec<ChannelPublisher>>("data")
         .expect("the source's publishers must survive the sink build");
@@ -535,18 +522,15 @@ fn side_irrelevant_net_options_are_rejected() {
 #[test]
 fn failed_insert_does_not_clobber_live_handles() {
     let mut session = session();
-    let mut pipeline = session
-        .execute_script(
-            "CREATE SOURCE S (t TIMESTAMP, v INT, WATERMARK FOR t)
-               WITH (connector = 'channel');
-             CREATE SINK good WITH (connector = 'changelog');
-             CREATE SINK other WITH (connector = 'changelog');
-             CREATE SINK bad WITH (connector = 'file', path = '/nonexistent-dir/x.csv');
-             INSERT INTO good SELECT v FROM S EMIT STREAM;",
-        )
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(
+        &mut session,
+        "CREATE SOURCE S (t TIMESTAMP, v INT, WATERMARK FOR t)
+           WITH (connector = 'channel');
+         CREATE SINK good WITH (connector = 'changelog');
+         CREATE SINK other WITH (connector = 'changelog');
+         CREATE SINK bad WITH (connector = 'file', path = '/nonexistent-dir/x.csv');
+         INSERT INTO good SELECT v FROM S EMIT STREAM;",
+    );
     // A later INSERT that fails at sink build (unwritable path) must
     // not replace the live pipeline's exported publishers.
     let err = session
@@ -650,17 +634,14 @@ fn checkpoint_restore_over_a_non_replayable_source_is_a_descriptive_error() {
     // pipeline must refuse descriptively (the pre-crash events exist
     // nowhere to replay from) — never panic, never silently drop data.
     let mut session = session();
-    let mut pipeline = session
-        .execute_script(
-            "SET workers = 2;
-             CREATE PARTITIONED SOURCE S (t TIMESTAMP, v INT, WATERMARK FOR t)
-               WITH (connector = 'channel', partitions = 2);
-             CREATE SINK out WITH (connector = 'changelog');
-             INSERT INTO out SELECT v FROM S EMIT STREAM;",
-        )
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(
+        &mut session,
+        "SET workers = 2;
+         CREATE PARTITIONED SOURCE S (t TIMESTAMP, v INT, WATERMARK FOR t)
+           WITH (connector = 'channel', partitions = 2);
+         CREATE SINK out WITH (connector = 'changelog');
+         INSERT INTO out SELECT v FROM S EMIT STREAM;",
+    );
     let publishers = session
         .take_handle::<Vec<ChannelPublisher>>("S")
         .expect("publishers exported");
@@ -749,15 +730,14 @@ fn sql_built_sources_keep_their_names() {
     ];
     for (create, select, name) in cases {
         let mut session = session();
-        let mut pipeline = session
-            .execute_script(&format!(
+        let mut pipeline = assemble(
+            &mut session,
+            &format!(
                 "{create};
                  CREATE SINK out WITH (connector = 'changelog');
                  INSERT INTO out {select} EMIT STREAM;"
-            ))
-            .unwrap()
-            .into_pipeline()
-            .unwrap();
+            ),
+        );
         let metrics = pipeline.metrics();
         assert_eq!(metrics.sources[0].name, name, "{create}");
         let holder = &metrics.watermark_provenance[0].holder;
@@ -791,11 +771,7 @@ fn file_to_file_pipeline_from_sql_only() {
         input.display(),
         output.display()
     );
-    let mut pipeline = session
-        .execute_script(&script)
-        .unwrap()
-        .into_pipeline()
-        .unwrap();
+    let mut pipeline = assemble(&mut session, &script);
     pipeline.run().unwrap();
     let written = std::fs::read_to_string(&output).unwrap();
     assert_eq!(written, "5\n9\n");
