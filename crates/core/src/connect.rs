@@ -789,6 +789,11 @@ pub struct PipelineMetrics {
     /// Live `EMIT STREAM` `ver` counters: one per event-time grouping the
     /// pipeline has emitted, kept for its whole life.
     pub version_counters: u64,
+    /// Entries in the driver's retained changelog, the result TVR that
+    /// `table()` and `table_at` read.
+    pub retained_rows: u64,
+    /// Heap bytes that changelog holds, as typed columns.
+    pub retained_bytes: u64,
     /// Wall-clock per scheduling round, in microseconds.
     pub round_micros: Histogram,
     /// Wall-clock spent polling sources per round, in microseconds.
@@ -834,6 +839,8 @@ impl Default for PipelineMetrics {
             batch_size: 0,
             pending_depth: 0,
             version_counters: 0,
+            retained_rows: 0,
+            retained_bytes: 0,
             round_micros: Histogram::new(),
             poll_micros: Histogram::new(),
             merge_micros: Histogram::new(),
@@ -912,6 +919,14 @@ impl PipelineMetrics {
             MetricRow::gauge(
                 "version_counters",
                 self.version_counters.min(i64::MAX as u64) as i64,
+            ),
+            MetricRow::gauge(
+                "retained_rows",
+                self.retained_rows.min(i64::MAX as u64) as i64,
+            ),
+            MetricRow::gauge(
+                "retained_bytes",
+                self.retained_bytes.min(i64::MAX as u64) as i64,
             ),
             MetricRow::gauge("input_watermark_ms", wm_millis(self.input_watermark)),
             MetricRow::gauge("output_watermark_ms", wm_millis(self.output_watermark)),

@@ -190,7 +190,7 @@ pub struct PipelineCheckpoint {
 struct DrainReply {
     /// Everything the worker produced since the previous drain, moved out
     /// of it.
-    entries: Changelog,
+    entries: Vec<TimedChange>,
     /// The worker's current output watermark.
     watermark: Watermark,
     /// Whether it fed a columnar batch since the previous drain.
@@ -514,6 +514,10 @@ pub struct PipelineDriver {
     /// Every entry the merge released, in the order the sinks saw it: the
     /// result TVR. The pipeline's only retained output.
     changelog: Changelog,
+    /// Per worker thread, the rows of entries the merge released, kept
+    /// until the next gather sends them back to be freed where they were
+    /// built (see [`PipelineDriver::flush`]).
+    returns: Vec<Vec<Row>>,
     /// The planned query, for the table view's `ORDER BY` / `LIMIT`.
     query: BoundQuery,
     renderer: StreamRenderer,
@@ -546,14 +550,24 @@ pub struct PipelineDriver {
 /// queue is in ptime order, so that front is the smallest held entry
 /// overall, and taking one front at a time keeps a worker's equal-ptime
 /// entries in arrival order — `(ptime, worker, arrival)` without a sort.
-/// With one worker this is "the prefix below the clock".
-fn pop_ready(pending: &mut [VecDeque<TimedChange>], below: Option<Ts>) -> Option<TimedChange> {
-    let ready = |entry: &TimedChange| below.is_none_or(|clock| entry.ptime < clock);
-    pending
+/// With one worker this is "the prefix below the clock". Returns the
+/// entry with the worker it came from.
+fn pop_ready(
+    pending: &mut [VecDeque<TimedChange>],
+    below: Option<Ts>,
+) -> Option<(usize, TimedChange)> {
+    let (worker, queue) = pending
         .iter_mut()
-        .filter(|queue| queue.front().is_some_and(ready))
-        .min_by_key(|queue| queue.front().map(|entry| entry.ptime))
-        .and_then(VecDeque::pop_front)
+        .enumerate()
+        .filter(|(_, queue)| releasable(queue, below))
+        .min_by_key(|(_, queue)| queue.front().map(|entry| entry.ptime))?;
+    Some((worker, queue.pop_front()?))
+}
+
+/// Whether `queue`'s front may leave the merge under `below`.
+fn releasable(queue: &VecDeque<TimedChange>, below: Option<Ts>) -> bool {
+    let ready = |entry: &TimedChange| below.is_none_or(|clock| entry.ptime < clock);
+    queue.front().is_some_and(ready)
 }
 
 const POISONED: &str = "pipeline is poisoned by an earlier failure; \
@@ -606,6 +620,7 @@ impl PipelineDriver {
             pending: (0..workers).map(|_| VecDeque::new()).collect(),
             deferred: None,
             changelog: Changelog::new(),
+            returns: (0..workers).map(|_| Vec::new()).collect(),
             query,
             renderer: StreamRenderer::new(ver_cols),
             schema,
@@ -793,6 +808,8 @@ impl PipelineDriver {
         self.metrics.output_watermark = self.output_watermark;
         self.metrics.watermark_provenance = self.ledger.provenance();
         self.metrics.version_counters = self.renderer.counters() as u64;
+        self.metrics.retained_rows = self.changelog.len() as u64;
+        self.metrics.retained_bytes = self.changelog.heap_bytes() as u64;
     }
 
     /// Per-stream watermark provenance: which source partition holds each
@@ -1079,7 +1096,7 @@ impl PipelineDriver {
         self.output_watermark = combined;
         self.metrics.vectorized_rounds += u64::from(fed_batch);
         self.metrics.fallback_rounds += u64::from(fed_rows);
-        Ok(())
+        self.return_rows()
     }
 
     /// Entries the merge must hold whatever happens: those stamped at or
@@ -1104,27 +1121,59 @@ impl PipelineDriver {
     /// Flush the deterministic merge: release every held entry with
     /// `ptime < below` (all of them at finish, `None`) in `(ptime, worker,
     /// arrival)` order, rendered with `EMIT STREAM` version numbering
-    /// shared across all workers, and append it to the merged changelog.
+    /// shared across all workers, and copy its values into the merged
+    /// changelog.
+    ///
+    /// The entry's row was built by a worker, and freeing it costs the
+    /// control thread several times what keeping it does. An inline
+    /// worker's rows are dropped in place; a worker thread's wait in its
+    /// bin of [`PipelineDriver::return_rows`].
     fn flush(&mut self, below: Option<Ts>) -> Result<()> {
-        let held = self.pending.iter().map(VecDeque::len).sum();
-        let mut released = std::iter::from_fn(|| pop_ready(&mut self.pending, below)).peekable();
-        if released.peek().is_some() {
+        if self.pending.iter().any(|queue| releasable(queue, below)) {
             // Current span while sinks write: a `NetSink` attaches it to
             // outgoing BATCH frames as the consumer side's trace parent.
             let _emit_span = observe::TraceSpan::child("driver.emit");
             let emit = Stopwatch::start();
+            let held = self.pending.iter().map(VecDeque::len).sum();
             let mut rows: Vec<StreamRow> = Vec::with_capacity(held);
-            for entry in released {
+            let mut released = Vec::with_capacity(held);
+            while let Some((worker, entry)) = pop_ready(&mut self.pending, below) {
                 self.renderer.render_into(&entry, &mut rows)?;
-                self.changelog.push(entry.ptime, entry.change);
+                released.push((worker, entry));
             }
             self.metrics.events_out += rows.len() as u64;
             for sink in &mut self.sinks {
                 sink.write(&rows)?;
             }
+            // Copied in a loop of its own once the sinks wrote: interleaved
+            // with the renderer's probes it measured slower on Q1.
+            let threads = matches!(self.workers, WorkerSet::Threads(_));
+            for (worker, entry) in released {
+                self.changelog.push(entry.ptime, &entry.change)?;
+                if threads {
+                    self.returns[worker].push(entry.change.row);
+                }
+            }
             self.metrics.emit_micros.record(emit.micros());
         }
         self.notify_sink_watermark()
+    }
+
+    /// Send each worker thread its bin of released rows, one job each, to
+    /// be dropped there. Called after a gather: the workers free them
+    /// while the control thread polls, instead of before their next
+    /// reply. The sinks are done with the rows by then, and the rendered
+    /// rows that shared them are gone, so the worker's drop is the last.
+    fn return_rows(&mut self) -> Result<()> {
+        for worker in 0..self.returns.len() {
+            let capacity = self.returns[worker].len();
+            if capacity == 0 {
+                continue;
+            }
+            let rows = std::mem::replace(&mut self.returns[worker], Vec::with_capacity(capacity));
+            self.workers.send(worker, move |_| drop(rows))?;
+        }
+        Ok(())
     }
 
     /// Report the combined output watermark to sinks — but only while no
@@ -1181,6 +1230,7 @@ impl PipelineDriver {
         self.workers.broadcast(move |shard| shard.finish(clock))?;
         self.drain_workers()?;
         self.flush(None)?;
+        self.return_rows()?;
         for sink in &mut self.sinks {
             sink.flush()?;
         }
@@ -2247,7 +2297,7 @@ mod tests {
         driver.clock = Ts(7);
         driver.flush(Some(Ts(7))).unwrap();
         let released = |driver: &PipelineDriver| -> Vec<(i64, Row)> {
-            let entries = driver.changelog().entries().iter();
+            let entries = driver.changelog().iter();
             entries
                 .map(|entry| (entry.ptime.millis(), entry.change.row.clone()))
                 .collect()

@@ -19,7 +19,7 @@ use onesql_exec::{render_stream, Executor, StreamRow};
 use onesql_plan::BoundQuery;
 use onesql_state::StateMetrics;
 use onesql_time::Watermark;
-use onesql_tvr::{Change, ChangeBatch, Changelog, Element};
+use onesql_tvr::{Bag, Change, ChangeBatch, Changelog, Element, TimedChange};
 use onesql_types::{Error, Result, Row, Schema, SchemaRef, Ts};
 
 use crate::engine::validate_row;
@@ -197,17 +197,24 @@ impl RunningQuery {
         self.executor.state_metrics()
     }
 
-    /// The raw output changelog (the stream encoding of the result TVR).
+    /// The raw output changelog (the stream encoding of the result TVR),
+    /// copied into a [`Changelog`] of its own.
     #[doc(hidden)]
-    pub fn changelog(&self) -> &Changelog {
-        self.executor.changelog()
+    pub fn changelog(&self) -> Changelog {
+        let mut log = Changelog::new();
+        for entry in self.executor.changelog() {
+            if let Err(e) = log.push(entry.ptime, &entry.change) {
+                unreachable!("the executor stamps its monotone clock: {e}");
+            }
+        }
+        log
     }
 
     /// Move the changelog recorded so far out, leaving it empty: the
     /// pipeline driver's drain, which appends the entries to its own merged
     /// log. From then on [`RunningQuery::changelog`], the table view and
     /// the stream view cover only what came after the take.
-    pub(crate) fn take_changelog(&mut self) -> Changelog {
+    pub(crate) fn take_changelog(&mut self) -> Vec<TimedChange> {
         self.executor.take_output()
     }
 
@@ -229,7 +236,9 @@ impl RunningQuery {
     /// The table view: the snapshot of the result TVR over everything
     /// processed so far, with the query's `ORDER BY` / `LIMIT` applied.
     pub(crate) fn table(&self) -> Result<Vec<Row>> {
-        let mut rows = self.executor.changelog().snapshot_at(Ts::MAX).to_rows();
+        let mut table = Bag::new();
+        table.apply(self.executor.changelog().iter().map(|e| e.change.clone()));
+        let mut rows = table.to_rows();
         apply_presentation(&self.query, &mut rows)?;
         Ok(rows)
     }
@@ -240,7 +249,7 @@ impl RunningQuery {
     #[doc(hidden)]
     pub fn stream_rows(&self) -> Result<Vec<StreamRow>> {
         let ver_cols = onesql_exec::compile::version_columns(&self.query);
-        render_stream(self.executor.changelog(), &ver_cols)
+        render_stream(&self.changelog(), &ver_cols)
     }
 }
 

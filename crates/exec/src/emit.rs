@@ -314,8 +314,8 @@ pub struct StreamRow {
 pub fn render_stream(changelog: &Changelog, grouping_cols: &[usize]) -> Result<Vec<StreamRow>> {
     let mut renderer = StreamRenderer::new(grouping_cols.to_vec());
     let mut out = Vec::with_capacity(changelog.len());
-    for entry in changelog.entries() {
-        renderer.render_into(entry, &mut out)?;
+    for entry in changelog.iter() {
+        renderer.render_into(&entry, &mut out)?;
     }
     Ok(out)
 }
@@ -685,10 +685,14 @@ mod tests {
         let mut log = Changelog::new();
         let w1 = Ts::hm(8, 10);
         let w2 = Ts::hm(8, 20);
-        log.push(Ts::hm(8, 8), Change::insert(row!(w1, "A")));
-        log.push(Ts::hm(8, 12), Change::insert(row!(w2, "B")));
-        log.push(Ts::hm(8, 13), Change::retract(row!(w1, "A")));
-        log.push(Ts::hm(8, 13), Change::insert(row!(w1, "C")));
+        for (ptime, change) in [
+            (Ts::hm(8, 8), Change::insert(row!(w1, "A"))),
+            (Ts::hm(8, 12), Change::insert(row!(w2, "B"))),
+            (Ts::hm(8, 13), Change::retract(row!(w1, "A"))),
+            (Ts::hm(8, 13), Change::insert(row!(w1, "C"))),
+        ] {
+            log.push(ptime, &change).unwrap();
+        }
         let rows = render_stream(&log, &ver_cols).unwrap();
         assert_eq!(rows.len(), 4);
         // Window 1 revisions: ver 0, 1, 2; window 2: ver 0.
@@ -702,7 +706,7 @@ mod tests {
     #[test]
     fn render_stream_multi_diff_expands() {
         let mut log = Changelog::new();
-        log.push(Ts(1), Change::with_diff(row!(7i64), 2));
+        log.push(Ts(1), &Change::with_diff(row!(7i64), 2)).unwrap();
         let rows = render_stream(&log, &[]).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!((rows[0].ver, rows[1].ver), (0, 1));

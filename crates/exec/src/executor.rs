@@ -2,7 +2,7 @@
 
 use onesql_state::StateMetrics;
 use onesql_time::Watermark;
-use onesql_tvr::{BatchOut, ChangeBatch, Changelog, Element};
+use onesql_tvr::{BatchOut, ChangeBatch, Element, TimedChange};
 use onesql_types::{Duration, Error, Result, SchemaRef, Ts};
 
 use crate::operator::Operator;
@@ -243,13 +243,13 @@ impl OpNode {
 
 /// Executes a compiled pipeline deterministically: callers feed elements in
 /// processing-time order; the executor stamps root outputs into the result
-/// [`Changelog`] and steps the clock through pending materialization
+/// changelog and steps the clock through pending materialization
 /// deadlines so `ptime` metadata is exact.
 pub struct Executor {
     root: OpNode,
     schema: SchemaRef,
     now: Ts,
-    output: Changelog,
+    output: Vec<TimedChange>,
     watermark: Watermark,
     initialized: bool,
     /// Every source leaf in tree order, and whether any operator schedules
@@ -270,7 +270,7 @@ impl Executor {
             root,
             schema,
             now: Ts(0),
-            output: Changelog::new(),
+            output: Vec::new(),
             watermark: Watermark::MIN,
             initialized: false,
         }
@@ -307,8 +307,9 @@ impl Executor {
         self.watermark
     }
 
-    /// The stamped output changelog (the result TVR's stream encoding).
-    pub fn changelog(&self) -> &Changelog {
+    /// The stamped output changelog (the result TVR's stream encoding),
+    /// one row per entry, in processing-time order.
+    pub fn changelog(&self) -> &[TimedChange] {
         &self.output
     }
 
@@ -316,7 +317,7 @@ impl Executor {
     /// for a consumer that keeps the result TVR itself (the pipeline
     /// driver's merged log), so the executor retains nothing. Callers that
     /// never take read the whole history from [`Executor::changelog`].
-    pub fn take_output(&mut self) -> Changelog {
+    pub fn take_output(&mut self) -> Vec<TimedChange> {
         let taken = std::mem::take(&mut self.output);
         // The next round's output is likely about this size: one allocation
         // then, instead of growing from nothing.
@@ -502,7 +503,7 @@ impl Executor {
         }
         self.now = now;
         self.watermark = Watermark(wm);
-        self.output = Changelog::new();
+        self.output = Vec::new();
         // A restored pipeline must not replay initialization effects
         // (constant rows, global-aggregate seeds) — they are part of the
         // checkpointed state.
@@ -522,7 +523,8 @@ impl Executor {
                         let ts = b.ptime(i);
                         self.now = self.now.max(ts);
                         if b.diff(i) != 0 {
-                            self.output.push(ts, b.change(i));
+                            let change = b.change(i);
+                            self.output.push(TimedChange { ptime: ts, change });
                         }
                     }
                 }
@@ -539,7 +541,7 @@ impl Executor {
             match e {
                 Element::Data(change) => {
                     if change.diff != 0 {
-                        self.output.push(ts, change);
+                        self.output.push(TimedChange { ptime: ts, change });
                     }
                 }
                 Element::Watermark(wm) => {
@@ -593,7 +595,7 @@ mod tests {
             .unwrap();
         let log = ex.changelog();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.entries()[0].ptime, Ts::hm(8, 8));
+        assert_eq!(log[0].ptime, Ts::hm(8, 8));
     }
 
     #[test]

@@ -67,12 +67,12 @@ impl TemporalTable {
             let key = row.project(key_cols)?;
             let chain = self.versions.entry(key).or_default();
             if let Some((_, Some(prev))) = chain.last() {
-                self.history.push(at, Change::retract(prev.clone()));
+                self.history.push(at, &Change::retract(prev.clone()))?;
             }
             chain.push((at, Some(row.clone())));
-            self.history.push(at, Change::insert(row));
+            self.history.push(at, &Change::insert(row))?;
         } else {
-            self.history.push(at, Change::insert(row));
+            self.history.push(at, &Change::insert(row))?;
         }
         Ok(())
     }
@@ -93,14 +93,14 @@ impl TemporalTable {
                 .ok_or_else(|| Error::exec(format!("delete of unknown key {key}")))?;
             match chain.last() {
                 Some((_, Some(prev))) => {
-                    self.history.push(at, Change::retract(prev.clone()));
+                    self.history.push(at, &Change::retract(prev.clone()))?;
                     chain.push((at, None));
                     Ok(())
                 }
                 _ => Err(Error::exec(format!("delete of already-deleted key {key}"))),
             }
         } else {
-            self.history.push(at, Change::retract(row));
+            self.history.push(at, &Change::retract(row))?;
             Ok(())
         }
     }

@@ -1,10 +1,24 @@
 //! Changelogs: the stream encoding of a TVR over processing time.
+//!
+//! A [`Changelog`] is kept as columns: dense segments of
+//! [`SEGMENT_ROWS`] entries, each one typed [`Column`] per row column
+//! (built with [`ColumnBuilder`]) beside a ptime lane and a diff lane.
+//! The ptime lane holds one run per distinct ptime (a flush releases many
+//! entries at a few clock values), the diff lane a byte per entry until a
+//! diff needs more. A four-column row of fixed-width values costs 33
+//! bytes there plus its share of a 12-byte run, where a [`TimedChange`]
+//! and its row's shared slice cost ~160. A segment seals when it is full
+//! or when an entry of another arity arrives, which starts the next one.
+//! Rows exist only on read: [`Changelog::iter`] and
+//! [`Changelog::snapshot_at`] build them, and `snapshot_at` finds its cut
+//! by binary search on the ptime runs, which is why [`Changelog::push`]
+//! refuses an entry older than the last.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use onesql_types::Ts;
+use onesql_types::{Column, ColumnBuilder, Row, Ts, Value};
 
 use crate::bag::Bag;
 use crate::change::Change;
@@ -20,14 +34,245 @@ pub struct TimedChange {
     pub change: Change,
 }
 
-/// A full changelog history of a TVR: changes ordered by processing time.
+/// Entries per segment: a full segment seals and the next starts.
+pub const SEGMENT_ROWS: usize = 4096;
+
+/// [`Changelog::push`] was handed an entry stamped before the log's last
+/// one. Processing time is monotone, so a changelog only grows at its end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder {
+    /// The ptime of the log's last entry.
+    pub last: Ts,
+    /// The refused entry's ptime.
+    pub ptime: Ts,
+}
+
+impl fmt::Display for OutOfOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "changelog append at ptime {} precedes the last entry's {}: \
+             appends must be in processing-time order",
+            self.ptime, self.last
+        )
+    }
+}
+
+impl std::error::Error for OutOfOrder {}
+
+impl From<OutOfOrder> for onesql_types::Error {
+    fn from(e: OutOfOrder) -> Self {
+        onesql_types::Error::exec(e.to_string())
+    }
+}
+
+/// One row column of a segment: still growing, or sealed.
+#[derive(Clone)]
+enum Lane {
+    Open(ColumnBuilder),
+    Sealed(Column),
+}
+
+impl Lane {
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Lane::Open(builder) => builder.value(i),
+            Lane::Sealed(column) => column.value(i),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Lane::Open(builder) => builder.heap_bytes(),
+            Lane::Sealed(column) => column.heap_bytes(),
+        }
+    }
+}
+
+/// A segment's ptimes, one run per distinct value: every entry a flush
+/// releases below one clock value shares a handful of ptimes.
+#[derive(Clone, Default)]
+struct PtimeRuns {
+    /// Each run's ptime, ascending.
+    values: Vec<Ts>,
+    /// One past each run's last entry.
+    ends: Vec<u32>,
+}
+
+impl PtimeRuns {
+    fn len(&self) -> usize {
+        self.ends.last().map_or(0, |&end| end as usize)
+    }
+
+    fn last(&self) -> Option<Ts> {
+        self.values.last().copied()
+    }
+
+    fn push(&mut self, ptime: Ts) {
+        match self.ends.last_mut() {
+            Some(end) if self.values.last() == Some(&ptime) => *end += 1,
+            _ => {
+                // A segment holds at most `SEGMENT_ROWS` entries.
+                let end = self.len() as u32 + 1;
+                self.values.push(ptime);
+                self.ends.push(end);
+            }
+        }
+    }
+
+    /// How many entries have `ptime <= at`.
+    fn cut(&self, at: Ts) -> usize {
+        match self.values.partition_point(|&ptime| ptime <= at) {
+            0 => 0,
+            runs => self.ends[runs - 1] as usize,
+        }
+    }
+
+    /// Every entry's ptime, in order.
+    fn iter(&self) -> impl Iterator<Item = Ts> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let lens = self
+            .ends
+            .iter()
+            .zip(starts)
+            .map(|(&end, start)| end - start);
+        let runs = self.values.iter().zip(lens);
+        runs.flat_map(|(&ptime, len)| std::iter::repeat_n(ptime, len as usize))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<Ts>()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+}
+
+/// A segment's diffs: a byte each while they fit one, as all but a
+/// consolidated change of more than 127 copies do.
+#[derive(Clone)]
+enum Diffs {
+    Narrow(Vec<i8>),
+    Wide(Vec<i64>),
+}
+
+impl Diffs {
+    fn push(&mut self, diff: i64) {
+        match self {
+            Diffs::Narrow(diffs) => match i8::try_from(diff) {
+                Ok(narrow) => diffs.push(narrow),
+                Err(_) => {
+                    let mut wide: Vec<i64> = diffs.iter().map(|&d| i64::from(d)).collect();
+                    wide.push(diff);
+                    *self = Diffs::Wide(wide);
+                }
+            },
+            Diffs::Wide(diffs) => diffs.push(diff),
+        }
+    }
+
+    fn get(&self, i: usize) -> i64 {
+        match self {
+            Diffs::Narrow(diffs) => i64::from(diffs[i]),
+            Diffs::Wide(diffs) => diffs[i],
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Diffs::Narrow(diffs) => diffs.capacity(),
+            Diffs::Wide(diffs) => diffs.capacity() * std::mem::size_of::<i64>(),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Diffs::Narrow(diffs) => diffs.shrink_to_fit(),
+            Diffs::Wide(diffs) => diffs.shrink_to_fit(),
+        }
+    }
+}
+
+/// Consecutive entries of one arity, as columns.
+#[derive(Clone)]
+struct Segment {
+    lanes: Vec<Lane>,
+    ptimes: PtimeRuns,
+    diffs: Diffs,
+    /// Heap bytes once sealed (a sealed segment never changes).
+    sealed_bytes: Option<usize>,
+}
+
+impl Segment {
+    fn new(arity: usize, capacity: usize) -> Segment {
+        Segment {
+            lanes: (0..arity)
+                .map(|_| Lane::Open(ColumnBuilder::with_capacity(capacity)))
+                .collect(),
+            ptimes: PtimeRuns::default(),
+            diffs: Diffs::Narrow(Vec::with_capacity(capacity)),
+            sealed_bytes: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ptimes.len()
+    }
+
+    fn takes(&self, arity: usize) -> bool {
+        self.sealed_bytes.is_none() && self.lanes.len() == arity && self.len() < SEGMENT_ROWS
+    }
+
+    fn seal(&mut self) {
+        if self.sealed_bytes.is_some() {
+            return;
+        }
+        for lane in &mut self.lanes {
+            if let Lane::Open(builder) = lane {
+                let builder = std::mem::replace(builder, ColumnBuilder::with_capacity(0));
+                *lane = Lane::Sealed(builder.finish());
+            }
+        }
+        self.ptimes.shrink_to_fit();
+        self.diffs.shrink_to_fit();
+        self.sealed_bytes = Some(self.measure());
+    }
+
+    fn measure(&self) -> usize {
+        let lanes: usize = self.lanes.iter().map(Lane::heap_bytes).sum();
+        lanes + self.ptimes.heap_bytes() + self.diffs.heap_bytes()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.sealed_bytes.unwrap_or_else(|| self.measure())
+    }
+
+    /// The first `n` entries, each row built as it is read.
+    fn entries(&self, n: usize) -> impl Iterator<Item = TimedChange> + '_ {
+        self.ptimes.iter().take(n).enumerate().map(|(i, ptime)| {
+            let row = Row::from_values(self.lanes.iter().map(|lane| lane.value(i)));
+            TimedChange {
+                ptime,
+                change: Change::with_diff(row, self.diffs.get(i)),
+            }
+        })
+    }
+}
+
+/// A full changelog history of a TVR: changes ordered by processing time,
+/// stored as typed columns (see the [module docs](self)).
 ///
 /// `Changelog` is itself a TVR (the paper's key observation): it can be
 /// viewed as a table of `(row, diff, ptime)` rows, and `snapshot_at` renders
-/// the *table* encoding at any processing time.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// the *table* encoding at any processing time. Two logs are equal when
+/// their entries are, however they fall into segments.
+#[derive(Clone, Default)]
 pub struct Changelog {
-    entries: Vec<TimedChange>,
+    segments: Vec<Segment>,
+    len: usize,
 }
 
 impl Changelog {
@@ -36,48 +281,93 @@ impl Changelog {
         Changelog::default()
     }
 
-    /// Append a change at `ptime`. `ptime` must be non-decreasing across
-    /// appends (processing time is monotonic); out-of-order appends panic in
-    /// debug builds and are accepted (as-if reordered) in release builds.
-    pub fn push(&mut self, ptime: Ts, change: Change) {
-        debug_assert!(
-            self.entries.last().is_none_or(|last| last.ptime <= ptime),
-            "changelog appends must be in processing-time order"
-        );
-        self.entries.push(TimedChange { ptime, change });
+    /// Append `change` at `ptime`, copying its values into the columns.
+    /// `ptime` must not precede the last entry's (processing time is
+    /// monotone); an older one is refused and the log is left as it was.
+    pub fn push(&mut self, ptime: Ts, change: &Change) -> Result<(), OutOfOrder> {
+        if let Some(last) = self.last_ptime().filter(|&last| ptime < last) {
+            return Err(OutOfOrder { last, ptime });
+        }
+        let values = change.row.values();
+        let segment = self.open_segment(values.len());
+        for (lane, value) in segment.lanes.iter_mut().zip(values) {
+            if let Lane::Open(builder) = lane {
+                builder.push(value.clone());
+            }
+        }
+        segment.ptimes.push(ptime);
+        segment.diffs.push(change.diff);
+        self.len += 1;
+        Ok(())
     }
 
-    /// Reserve room for at least `additional` more entries (the batch emit
-    /// path knows how many rows it is about to append).
-    pub fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
+    /// The open segment, if it takes another entry of `arity`; else seal
+    /// it and open the next. The first segment grows as it fills; once a
+    /// log has spilled past one, the next is sized for a full segment.
+    fn open_segment(&mut self, arity: usize) -> &mut Segment {
+        if !self.segments.last().is_some_and(|s| s.takes(arity)) {
+            let capacity = if self.segments.is_empty() {
+                0
+            } else {
+                SEGMENT_ROWS
+            };
+            if let Some(full) = self.segments.last_mut() {
+                full.seal();
+            }
+            self.segments.push(Segment::new(arity, capacity));
+        }
+        let open = self.segments.len() - 1;
+        &mut self.segments[open]
     }
 
-    /// All entries in processing-time order.
-    pub fn entries(&self) -> &[TimedChange] {
-        &self.entries
+    fn last_ptime(&self) -> Option<Ts> {
+        self.segments.last().and_then(|s| s.ptimes.last())
+    }
+
+    /// Every entry in processing-time order, each row built as it is
+    /// read.
+    pub fn iter(&self) -> impl Iterator<Item = TimedChange> + '_ {
+        self.segments
+            .iter()
+            .flat_map(|segment| segment.entries(segment.len()))
+    }
+
+    /// All entries in processing-time order, as rows.
+    pub fn entries(&self) -> Vec<TimedChange> {
+        self.iter().collect()
     }
 
     /// Number of changes recorded.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no changes were recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// Heap bytes the log holds: every lane at its allocated capacity,
+    /// null masks and string payloads included.
+    pub fn heap_bytes(&self) -> usize {
+        self.segments.iter().map(Segment::heap_bytes).sum::<usize>()
+            + self.segments.capacity() * std::mem::size_of::<Segment>()
     }
 
     /// The table encoding of the TVR at processing time `at` (inclusive):
     /// replay every change with `ptime <= at`. This is the "point-in-time
     /// view" used by the paper's `8:13 > SELECT ...;` listings.
     pub fn snapshot_at(&self, at: Ts) -> Bag {
+        // Segments wholly at or before `at`, then the cut inside the next.
+        let whole = self
+            .segments
+            .partition_point(|s| s.ptimes.last().is_some_and(|last| last <= at));
         let mut bag = Bag::new();
-        for e in &self.entries {
-            if e.ptime > at {
-                break;
-            }
-            bag.update(e.change.clone());
+        for segment in &self.segments[..whole] {
+            bag.apply(segment.entries(segment.len()).map(|e| e.change));
+        }
+        if let Some(segment) = self.segments.get(whole) {
+            bag.apply(segment.entries(segment.ptimes.cut(at)).map(|e| e.change));
         }
         bag
     }
@@ -89,35 +379,45 @@ impl Changelog {
 
     /// Build a changelog from a sequence of `(ptime, snapshot)` observations
     /// by differencing consecutive snapshots — the table→stream direction of
-    /// the duality. The sequence must be in processing-time order.
-    pub fn from_snapshots(snapshots: impl IntoIterator<Item = (Ts, Bag)>) -> Changelog {
+    /// the duality. The sequence must be in processing-time order; an
+    /// observation before its predecessor is refused.
+    pub fn from_snapshots(
+        snapshots: impl IntoIterator<Item = (Ts, Bag)>,
+    ) -> Result<Changelog, OutOfOrder> {
         let mut log = Changelog::new();
         let mut current = Bag::new();
+        let mut previous: Option<Ts> = None;
         for (ptime, snap) in snapshots {
+            if let Some(last) = previous.filter(|&last| ptime < last) {
+                return Err(OutOfOrder { last, ptime });
+            }
+            previous = Some(ptime);
             for change in current.diff(&snap) {
-                log.push(ptime, change);
+                log.push(ptime, &change)?;
             }
             current = snap;
         }
-        log
+        Ok(log)
     }
 }
 
-/// Consume the log entry by entry, in processing-time order — how a
-/// consumer that takes a log over (the pipeline driver's merge) moves the
-/// entries on instead of copying them.
-impl IntoIterator for Changelog {
-    type Item = TimedChange;
-    type IntoIter = std::vec::IntoIter<TimedChange>;
+impl PartialEq for Changelog {
+    fn eq(&self, other: &Changelog) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+impl Eq for Changelog {}
+
+impl fmt::Debug for Changelog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl fmt::Display for Changelog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.entries {
+        for e in self.iter() {
             writeln!(f, "{} {}", e.ptime, e.change)?;
         }
         Ok(())
@@ -131,10 +431,14 @@ mod tests {
 
     fn sample_log() -> Changelog {
         let mut log = Changelog::new();
-        log.push(Ts::hm(8, 8), Change::insert(row!("A", 2i64)));
-        log.push(Ts::hm(8, 12), Change::insert(row!("B", 3i64)));
-        log.push(Ts::hm(8, 13), Change::retract(row!("A", 2i64)));
-        log.push(Ts::hm(8, 13), Change::insert(row!("C", 4i64)));
+        log.push(Ts::hm(8, 8), &Change::insert(row!("A", 2i64)))
+            .unwrap();
+        log.push(Ts::hm(8, 12), &Change::insert(row!("B", 3i64)))
+            .unwrap();
+        log.push(Ts::hm(8, 13), &Change::retract(row!("A", 2i64)))
+            .unwrap();
+        log.push(Ts::hm(8, 13), &Change::insert(row!("C", 4i64)))
+            .unwrap();
         log
     }
 
@@ -161,19 +465,60 @@ mod tests {
             (Ts::hm(8, 0), s1.clone()),
             (Ts::hm(8, 1), s2.clone()),
             (Ts::hm(8, 2), s3.clone()),
-        ]);
+        ])
+        .unwrap();
         assert_eq!(log.snapshot_at(Ts::hm(8, 0)), s1);
         assert_eq!(log.snapshot_at(Ts::hm(8, 1)), s2);
         assert_eq!(log.snapshot_at(Ts::hm(8, 2)), s3);
         // Between observation times the snapshot holds steady.
         assert_eq!(log.snapshot_at(Ts(Ts::hm(8, 1).millis() + 1)), s2);
+        // Observations out of order are refused, not reordered.
+        let refused = Changelog::from_snapshots(vec![(Ts::hm(8, 1), s2), (Ts::hm(8, 0), s1)]);
+        assert_eq!(
+            refused.unwrap_err(),
+            OutOfOrder {
+                last: Ts::hm(8, 1),
+                ptime: Ts::hm(8, 0)
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "processing-time order")]
-    fn out_of_order_push_panics_in_debug() {
+    fn an_older_ptime_is_refused_and_the_log_kept() {
+        let mut log = sample_log();
+        let before = log.clone();
+        let err = log
+            .push(Ts::hm(8, 9), &Change::insert(row!("D", 5i64)))
+            .unwrap_err();
+        assert_eq!(err.last, Ts::hm(8, 13));
+        assert_eq!(log, before);
+        let err: onesql_types::Error = err.into();
+        assert!(err.to_string().contains("processing-time order"), "{err}");
+    }
+
+    #[test]
+    fn segments_seal_when_full_or_on_an_arity_change() {
         let mut log = Changelog::new();
-        log.push(Ts::hm(8, 10), Change::insert(row!(1i64)));
-        log.push(Ts::hm(8, 9), Change::insert(row!(2i64)));
+        for i in 0..SEGMENT_ROWS as i64 + 3 {
+            log.push(Ts(i / 64), &Change::insert(row!(i, i * 2)))
+                .unwrap();
+        }
+        log.push(Ts(1 << 20), &Change::with_diff(row!(7i64), -300))
+            .unwrap();
+        assert_eq!(log.segments.len(), 3);
+        assert_eq!(log.len(), SEGMENT_ROWS + 4);
+        let full = &log.segments[0];
+        assert!(full.sealed_bytes.is_some() && full.len() == SEGMENT_ROWS);
+        // Two INT lanes and a one-byte diff an entry, and one 12-byte run
+        // per distinct ptime.
+        assert_eq!(full.heap_bytes(), SEGMENT_ROWS * 17 + 64 * 12);
+        assert_eq!(log.segments[1].len(), 3);
+        // A diff no byte holds widens its segment's lane.
+        assert!(matches!(log.segments[2].diffs, Diffs::Wide(_)));
+        let last = log.entries().pop().unwrap();
+        assert_eq!(last.change, Change::with_diff(row!(7i64), -300));
+        assert_eq!(log.snapshot_at(Ts(0)).len(), 64);
+        assert_eq!(log.snapshot_at(Ts(63)).len(), SEGMENT_ROWS);
+        assert_eq!(log.snapshot_at(Ts(64)).len(), SEGMENT_ROWS + 3);
     }
 }

@@ -11,7 +11,7 @@
 //! - **Table encoding**: a multiset snapshot of rows at a point in time
 //!   ([`Bag`]), or a sequence of such snapshots.
 //! - **Stream encoding**: a changelog of `INSERT`/`DELETE` deltas over
-//!   processing time ([`Changelog`], rows of [`Change`]).
+//!   processing time ([`Changelog`]: [`Change`]s kept as typed columns).
 //!
 //! The conversions are exact inverses (verified by property tests):
 //! replaying a changelog yields the snapshot sequence, and differencing
@@ -31,5 +31,5 @@ pub mod element;
 pub use bag::Bag;
 pub use batch::{BatchOut, ChangeBatch};
 pub use change::Change;
-pub use changelog::{Changelog, TimedChange};
+pub use changelog::{Changelog, OutOfOrder, TimedChange};
 pub use element::Element;

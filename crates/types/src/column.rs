@@ -80,6 +80,37 @@ impl ColumnData {
             ColumnData::Mixed(vals) => vals.len(),
         }
     }
+
+    /// Heap bytes the storage holds: every slot at its allocated capacity,
+    /// the null mask, and each string's payload.
+    fn heap_bytes(&self) -> usize {
+        fn lane<T>(vals: &Vec<T>, nulls: &Option<Vec<bool>>) -> usize {
+            vals.capacity() * std::mem::size_of::<T>() + nulls.as_ref().map_or(0, Vec::capacity)
+        }
+        match self {
+            ColumnData::Int { vals, nulls } => lane(vals, nulls),
+            ColumnData::Float { vals, nulls } => lane(vals, nulls),
+            ColumnData::Bool { vals, nulls } => lane(vals, nulls),
+            ColumnData::Ts { vals, nulls } => lane(vals, nulls),
+            ColumnData::Interval { vals, nulls } => lane(vals, nulls),
+            ColumnData::Str { vals, nulls } => lane(vals, nulls) + str_bytes(vals),
+            ColumnData::Mixed(vals) => lane(vals, &None) + value_str_bytes(vals),
+        }
+    }
+}
+
+/// Payload bytes of the strings in `vals`.
+fn str_bytes(vals: &[Arc<str>]) -> usize {
+    vals.iter().map(|s| s.len()).sum()
+}
+
+/// Payload bytes of the strings among boxed `vals`.
+fn value_str_bytes(vals: &[Value]) -> usize {
+    let strings = vals.iter().filter_map(|v| match v {
+        Value::Str(s) => Some(s.len()),
+        _ => None,
+    });
+    strings.sum()
 }
 
 /// An immutable, cheaply-cloneable column of values.
@@ -140,6 +171,13 @@ impl Column {
     /// Borrow the physical storage (used by kernels for typed fast paths).
     pub fn data(&self) -> &ColumnData {
         &self.0
+    }
+
+    /// Heap bytes the column holds: its slots at allocated capacity, its
+    /// null mask, and the payload of every string it points to (counted
+    /// once per slot, even where slots share a string).
+    pub fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
     }
 
     /// Whether the value at `i` is SQL NULL.
@@ -322,6 +360,7 @@ impl fmt::Display for Column {
     }
 }
 
+#[derive(Clone)]
 enum BuilderData {
     Empty,
     Int(Vec<i64>),
@@ -339,6 +378,7 @@ enum BuilderData {
 /// different type demote the whole column to [`ColumnData::Mixed`]. Connector
 /// code that knows the schema up front can use the typed `push_*` methods to
 /// skip boxing entirely.
+#[derive(Clone)]
 pub struct ColumnBuilder {
     data: BuilderData,
     nulls: Vec<bool>,
@@ -583,6 +623,46 @@ impl ColumnBuilder {
     /// Whether no rows have been appended.
     pub fn is_empty(&self) -> bool {
         self.nulls.is_empty()
+    }
+
+    /// The value appended at `i`, read back before the column is finished.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn value(&self, i: usize) -> Value {
+        if self.nulls[i] {
+            return Value::Null;
+        }
+        match &self.data {
+            BuilderData::Empty => Value::Null,
+            BuilderData::Int(vals) => Value::Int(vals[i]),
+            BuilderData::Float(vals) => Value::Float(vals[i]),
+            BuilderData::Bool(vals) => Value::Bool(vals[i]),
+            BuilderData::Ts(vals) => Value::Ts(vals[i]),
+            BuilderData::Interval(vals) => Value::Interval(vals[i]),
+            BuilderData::Str(vals) => Value::Str(vals[i].clone()),
+            BuilderData::Mixed(vals) => vals[i].clone(),
+        }
+    }
+
+    /// Heap bytes the builder holds so far, counted as
+    /// [`Column::heap_bytes`] counts a finished column (the null mask in
+    /// full: a builder keeps it until [`ColumnBuilder::finish`]).
+    pub fn heap_bytes(&self) -> usize {
+        fn lane<T>(vals: &Vec<T>) -> usize {
+            vals.capacity() * std::mem::size_of::<T>()
+        }
+        let vals = match &self.data {
+            BuilderData::Empty => 0,
+            BuilderData::Int(vals) => lane(vals),
+            BuilderData::Float(vals) => lane(vals),
+            BuilderData::Bool(vals) => lane(vals),
+            BuilderData::Ts(vals) => lane(vals),
+            BuilderData::Interval(vals) => lane(vals),
+            BuilderData::Str(vals) => lane(vals) + str_bytes(vals),
+            BuilderData::Mixed(vals) => lane(vals) + value_str_bytes(vals),
+        };
+        vals + self.nulls.capacity()
     }
 
     /// Finish the column.

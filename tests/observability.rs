@@ -133,6 +133,60 @@ fn version_counters_count_the_event_times_the_sink_saw() {
     }
 }
 
+/// Run `sql` over 20 000 NEXMark events and read back `(events_in,
+/// retained_rows, retained_bytes)` from the rendered metric rows, the
+/// vocabulary `SHOW PIPELINES`, `EXPLAIN ANALYZE` and the `metrics`
+/// connector share.
+fn retained(knobs: &str, sql: &str) -> (i64, i64, i64) {
+    let mut s = session();
+    let mut pipeline = s
+        .execute_script(&format!(
+            "{knobs}
+             CREATE PARTITIONED SOURCE nex
+               WITH (connector = 'nexmark', seed = 7, events = 20000, partitions = 2);
+             CREATE SINK out WITH (connector = 'changelog');
+             INSERT INTO out {sql};"
+        ))
+        .unwrap()
+        .into_pipeline()
+        .unwrap();
+    let rows = pipeline.run().unwrap().render_rows();
+    let gauge = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name).unwrap();
+        assert_eq!(row.kind, MetricKind::Gauge, "{name}");
+        row.value
+    };
+    let events_in = rows.iter().find(|r| r.name == "events_in").unwrap().value;
+    (events_in, gauge("retained_rows"), gauge("retained_bytes"))
+}
+
+/// `retained_rows` / `retained_bytes` size the result changelog the driver
+/// keeps for `table()` and `table_at`: typed columns, so four 8-byte
+/// columns, a ptime and a diff come to at most 64 bytes a row.
+#[test]
+fn four_int_columns_are_retained_in_at_most_64_bytes_a_row() {
+    let (_, rows, bytes) = retained(
+        "SET workers = 2;",
+        "SELECT auction, bidder, price, price * 89 / 100 FROM Bid",
+    );
+    assert!(rows > 16_000, "{rows} rows");
+    assert!(bytes <= 64 * rows, "{bytes} bytes for {rows} rows");
+}
+
+/// A 1 % filter over 4 096-row batches keeps what passes, not the batch
+/// it was selected from: the bytes follow the rows kept, far below one a
+/// row read.
+#[test]
+fn a_selective_filter_retains_what_it_keeps_not_what_it_reads() {
+    let (read, rows, bytes) = retained(
+        "SET workers = 1; SET batch_size = 4096; SET max_batch = 4096;",
+        "SELECT auction, price FROM Bid WHERE price % 100 = 0",
+    );
+    assert!(rows > 0 && rows * 50 < read, "{rows} of {read} rows kept");
+    assert!(bytes <= 96 * rows, "{bytes} bytes for {rows} rows");
+    assert!(bytes < read, "{bytes} bytes for {read} rows read");
+}
+
 /// The counters whose values are determined by the *data* alone —
 /// identical between an uninterrupted run and a kill/restore run.
 /// Scheduling-shaped metrics (rounds, batch sizes, latency histograms)

@@ -34,7 +34,7 @@ proptest! {
             snapshots.push((Ts(i as i64), bag.clone()));
         }
         // Tables -> stream -> tables.
-        let log = Changelog::from_snapshots(snapshots.clone());
+        let log = Changelog::from_snapshots(snapshots.clone()).unwrap();
         for (t, snap) in &snapshots {
             prop_assert_eq!(&log.snapshot_at(*t), snap);
         }

@@ -45,7 +45,7 @@ fn one_semantic_object_two_encodings() {
     let snapshots: Vec<(Ts, Bag)> = (0..6)
         .map(|t| (Ts(t), stream_encoding.snapshot_at(Ts(t))))
         .collect();
-    let reconstructed = Changelog::from_snapshots(snapshots);
+    let reconstructed = Changelog::from_snapshots(snapshots).unwrap();
     for t in 0..6 {
         assert_eq!(
             reconstructed.snapshot_at(Ts(t)),
