@@ -90,7 +90,7 @@ fn run_scalar(sql: &str, rows: &[(Ts, Change)], wm_every: Option<usize>) -> usiz
             q.watermark("Bid", *ptime, event_time(i)).unwrap();
         }
     }
-    q.changelog().len()
+    q.changelog_len()
 }
 
 /// Pre-build the columnar batches a columnar source (e.g. the CSV
@@ -123,7 +123,7 @@ fn run_vectorized(sql: &str, batches: &[ChangeBatch], wm_every: Option<usize>) -
                 .unwrap();
         }
     }
-    q.changelog().len()
+    q.changelog_len()
 }
 
 /// End-to-end: a channel source through a pipeline, vectorization

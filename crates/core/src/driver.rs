@@ -28,12 +28,14 @@
 //! releases the queue fronts in `(ptime, worker, arrival)` order — each
 //! queue already is in ptime order, so no sort — with entries at the
 //! current clock held back until the clock passes them. Released entries
-//! are rendered for the sinks and appended to the one merged
-//! [`PipelineDriver::changelog`]: that log *is* the result TVR, the
-//! history the sinks observed, and what [`PipelineDriver::table_at`]
-//! snapshots. It is a pure function of the input and never depends on
-//! thread scheduling. One worker follows the same rule: the
-//! hold-back (and the clock nudge that releases it when ptimes stall) is
+//! are rendered for the sinks and then handed back to the worker that
+//! built them, which copies their values into its part of the result
+//! log, as columns, and frees their rows. Merged by `(ptime, worker)` —
+//! the release order — the parts are [`PipelineDriver::changelog`]: that
+//! log *is* the result TVR, the history the sinks observed, and what
+//! [`PipelineDriver::table_at`] snapshots. It is a pure function of the
+//! input and never depends on thread scheduling. One worker follows the
+//! same rule: the hold-back (and the clock nudge that releases it when ptimes stall) is
 //! part of how the clock moves, and the clock — hence every `ptime` a sink
 //! sees — must not depend on the worker count. Partitions combine their
 //! watermarks per stream as the min, exactly as
@@ -121,14 +123,15 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use onesql_exec::{StreamRenderer, StreamRow};
 use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, RouteKey, Routing, TableKind};
 use onesql_time::Watermark;
-use onesql_tvr::{Change, ChangeBatch, Changelog, TimedChange};
+use onesql_tvr::{Bag, Change, ChangeBatch, Changelog, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
@@ -197,6 +200,26 @@ struct DrainReply {
     fed_batch: bool,
     /// Whether it fed any event per-row since the previous drain.
     fed_rows: bool,
+}
+
+/// One worker's part of the result TVR: the entries it built that the
+/// merge released, in release order, kept as columns. The driver hands
+/// them over a bin per round; the worker copies the values in and frees
+/// the rows on the thread that built them.
+#[derive(Default)]
+struct Kept {
+    log: Mutex<KeptLog>,
+    /// Notified after every bin the worker took in.
+    signal: Condvar,
+    /// `log`'s heap bytes as of its last bin, for the gauge.
+    bytes: AtomicUsize,
+}
+
+#[derive(Default)]
+struct KeptLog {
+    log: Changelog,
+    /// Entries taken in so far, a refused one included.
+    absorbed: usize,
 }
 
 /// One worker: a running query plus the bookkeeping that lets the driver
@@ -336,6 +359,29 @@ impl Shard {
         self.healthy()?;
         self.query.checkpoint()
     }
+
+    /// Copy a bin of released entries into this worker's part of the
+    /// result TVR; their rows are freed here as the bin drops. An entry
+    /// out of ptime order fails the shard (its part stays ordered).
+    fn absorb(&mut self, kept: &Kept, released: Vec<TimedChange>) {
+        let mut part = lock(&kept.log);
+        for entry in &released {
+            if let Err(e) = part.log.push(entry.ptime, &entry.change) {
+                self.failure.get_or_insert(e.into());
+                break;
+            }
+        }
+        part.absorbed += released.len();
+        kept.bytes.store(part.log.heap_bytes(), Ordering::Relaxed);
+        drop(part);
+        kept.signal.notify_all();
+    }
+}
+
+/// A kept part's lock. Nothing under it can panic but an allocation
+/// failure, which aborts, so a poisoned lock still guards a whole log.
+fn lock(log: &Mutex<KeptLog>) -> MutexGuard<'_, KeptLog> {
+    log.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A command for a threaded worker: any of [`Shard`]'s methods, boxed.
@@ -390,6 +436,15 @@ impl WorkerSet {
         match self {
             WorkerSet::Inline(shards) => shards.len(),
             WorkerSet::Threads(workers) => workers.len(),
+        }
+    }
+
+    /// Whether worker `w` runs on a thread that has not stopped: one that
+    /// may still be at work on a job it was sent.
+    fn alive(&self, w: usize) -> bool {
+        match self {
+            WorkerSet::Inline(_) => false,
+            WorkerSet::Threads(workers) => !workers[w].handle.is_finished(),
         }
     }
 
@@ -511,13 +566,16 @@ pub struct PipelineDriver {
     /// output in `pending` and the next `step` emits it while the workers
     /// compute. `None` whenever nothing releasable is held.
     deferred: Option<Ts>,
-    /// Every entry the merge released, in the order the sinks saw it: the
-    /// result TVR. The pipeline's only retained output.
-    changelog: Changelog,
-    /// Per worker thread, the rows of entries the merge released, kept
-    /// until the next gather sends them back to be freed where they were
-    /// built (see [`PipelineDriver::flush`]).
-    returns: Vec<Vec<Row>>,
+    /// Every entry the merge released — the result TVR, the pipeline's
+    /// only retained output — in one part per worker. The merge releases
+    /// in `(ptime, worker, arrival)` order, so merging the parts by
+    /// `(ptime, worker)` gives back the order the sinks saw.
+    kept: Vec<Arc<Kept>>,
+    /// Per worker, the entries released since its last bin was handed
+    /// over (see [`PipelineDriver::return_rows`]).
+    returns: Vec<Vec<TimedChange>>,
+    /// Per worker, the entries handed over so far.
+    handed: Vec<usize>,
     /// The planned query, for the table view's `ORDER BY` / `LIMIT`.
     query: BoundQuery,
     renderer: StreamRenderer,
@@ -544,30 +602,35 @@ pub struct PipelineDriver {
     label: Option<String>,
 }
 
-/// Take the merge's next entry: the front with the smallest ptime among
-/// the queue fronts below `below` (among all fronts when `None`), the
-/// lowest worker winning ties (`min_by_key` keeps the first minimum). Each
-/// queue is in ptime order, so that front is the smallest held entry
-/// overall, and taking one front at a time keeps a worker's equal-ptime
-/// entries in arrival order — `(ptime, worker, arrival)` without a sort.
-/// With one worker this is "the prefix below the clock". Returns the
-/// entry with the worker it came from.
-fn pop_ready(
-    pending: &mut [VecDeque<TimedChange>],
-    below: Option<Ts>,
-) -> Option<(usize, TimedChange)> {
-    let (worker, queue) = pending
-        .iter_mut()
-        .enumerate()
-        .filter(|(_, queue)| releasable(queue, below))
-        .min_by_key(|(_, queue)| queue.front().map(|entry| entry.ptime))?;
-    Some((worker, queue.pop_front()?))
+/// How many of `queue`'s entries the merge may release under `below`
+/// (all of them when `None`): the queue is in ptime order, so a prefix.
+fn releasable(queue: &VecDeque<TimedChange>, below: Option<Ts>) -> usize {
+    match below {
+        Some(clock) => queue.partition_point(|entry| entry.ptime < clock),
+        None => queue.len(),
+    }
 }
 
-/// Whether `queue`'s front may leave the merge under `below`.
-fn releasable(queue: &VecDeque<TimedChange>, below: Option<Ts>) -> bool {
-    let ready = |entry: &TimedChange| below.is_none_or(|clock| entry.ptime < clock);
-    queue.front().is_some_and(ready)
+/// The merge order of ptime-ordered `queues`: the front with the smallest
+/// ptime next, the lowest worker winning ties. Taking one front at a time
+/// keeps a worker's equal-ptime entries in arrival order — `(ptime,
+/// worker, arrival)` without a sort. With one worker this is the queue.
+fn merge_order<'a>(queues: &'a [&'a [TimedChange]]) -> impl Iterator<Item = &'a TimedChange> {
+    let mut heads = vec![0; queues.len()];
+    std::iter::from_fn(move || {
+        let mut next: Option<(usize, &TimedChange)> = None;
+        for (w, queue) in queues.iter().enumerate() {
+            let Some(front) = queue.get(heads[w]) else {
+                continue;
+            };
+            if next.is_none_or(|(_, best)| front.ptime < best.ptime) {
+                next = Some((w, front));
+            }
+        }
+        let (w, front) = next?;
+        heads[w] += 1;
+        Some(front)
+    })
 }
 
 const POISONED: &str = "pipeline is poisoned by an earlier failure; \
@@ -619,8 +682,9 @@ impl PipelineDriver {
             clock,
             pending: (0..workers).map(|_| VecDeque::new()).collect(),
             deferred: None,
-            changelog: Changelog::new(),
+            kept: (0..workers).map(|_| Arc::default()).collect(),
             returns: (0..workers).map(|_| Vec::new()).collect(),
+            handed: vec![0; workers],
             query,
             renderer: StreamRenderer::new(ver_cols),
             schema,
@@ -808,8 +872,14 @@ impl PipelineDriver {
         self.metrics.output_watermark = self.output_watermark;
         self.metrics.watermark_provenance = self.ledger.provenance();
         self.metrics.version_counters = self.renderer.counters() as u64;
-        self.metrics.retained_rows = self.changelog.len() as u64;
-        self.metrics.retained_bytes = self.changelog.heap_bytes() as u64;
+        let released =
+            self.handed.iter().sum::<usize>() + self.returns.iter().map(Vec::len).sum::<usize>();
+        self.metrics.retained_rows = released as u64;
+        let bytes = self
+            .kept
+            .iter()
+            .map(|kept| kept.bytes.load(Ordering::Relaxed));
+        self.metrics.retained_bytes = bytes.sum::<usize>() as u64;
     }
 
     /// Per-stream watermark provenance: which source partition holds each
@@ -1121,59 +1191,81 @@ impl PipelineDriver {
     /// Flush the deterministic merge: release every held entry with
     /// `ptime < below` (all of them at finish, `None`) in `(ptime, worker,
     /// arrival)` order, rendered with `EMIT STREAM` version numbering
-    /// shared across all workers, and copy its values into the merged
-    /// changelog.
-    ///
-    /// The entry's row was built by a worker, and freeing it costs the
-    /// control thread several times what keeping it does. An inline
-    /// worker's rows are dropped in place; a worker thread's wait in its
-    /// bin of [`PipelineDriver::return_rows`].
+    /// shared across all workers, and put it in its worker's bin for the
+    /// result TVR. An inline worker takes its bin in at once.
     fn flush(&mut self, below: Option<Ts>) -> Result<()> {
-        if self.pending.iter().any(|queue| releasable(queue, below)) {
+        let cuts: Vec<usize> = self
+            .pending
+            .iter()
+            .map(|queue| releasable(queue, below))
+            .collect();
+        let released: usize = cuts.iter().sum();
+        if released > 0 {
             // Current span while sinks write: a `NetSink` attaches it to
             // outgoing BATCH frames as the consumer side's trace parent.
             let _emit_span = observe::TraceSpan::child("driver.emit");
             let emit = Stopwatch::start();
-            let held = self.pending.iter().map(VecDeque::len).sum();
-            let mut rows: Vec<StreamRow> = Vec::with_capacity(held);
-            let mut released = Vec::with_capacity(held);
-            while let Some((worker, entry)) = pop_ready(&mut self.pending, below) {
-                self.renderer.render_into(&entry, &mut rows)?;
-                released.push((worker, entry));
+            let mut rows: Vec<StreamRow> = Vec::with_capacity(released);
+            let queues: Vec<&[TimedChange]> = self
+                .pending
+                .iter_mut()
+                .zip(&cuts)
+                .map(|(queue, &cut)| &queue.make_contiguous()[..cut])
+                .collect();
+            for entry in merge_order(&queues) {
+                self.renderer.render_into(entry, &mut rows)?;
+            }
+            for ((queue, bin), &cut) in self.pending.iter_mut().zip(&mut self.returns).zip(&cuts) {
+                bin.extend(queue.drain(..cut));
             }
             self.metrics.events_out += rows.len() as u64;
             for sink in &mut self.sinks {
                 sink.write(&rows)?;
             }
-            // Copied in a loop of its own once the sinks wrote: interleaved
-            // with the renderer's probes it measured slower on Q1.
-            let threads = matches!(self.workers, WorkerSet::Threads(_));
-            for (worker, entry) in released {
-                self.changelog.push(entry.ptime, &entry.change)?;
-                if threads {
-                    self.returns[worker].push(entry.change.row);
-                }
-            }
             self.metrics.emit_micros.record(emit.micros());
+        }
+        if matches!(self.workers, WorkerSet::Inline(_)) {
+            self.return_rows()?;
         }
         self.notify_sink_watermark()
     }
 
-    /// Send each worker thread its bin of released rows, one job each, to
-    /// be dropped there. Called after a gather: the workers free them
-    /// while the control thread polls, instead of before their next
-    /// reply. The sinks are done with the rows by then, and the rendered
-    /// rows that shared them are gone, so the worker's drop is the last.
+    /// Hand each worker its bin of released entries, one job each: the
+    /// worker copies their values into its part of the result TVR and
+    /// frees their rows where it built them. Freeing a worker-built row
+    /// costs the control thread several times what keeping it does, and
+    /// the copy is work the control thread, the pipeline's bottleneck on
+    /// a projection, need not do. Worker threads get their bins after a
+    /// gather, to take them in while the control thread polls instead of
+    /// before their next reply; by then the sinks and the rendered rows
+    /// are done with the rows, so the worker's drop is the last.
     fn return_rows(&mut self) -> Result<()> {
         for worker in 0..self.returns.len() {
-            let capacity = self.returns[worker].len();
-            if capacity == 0 {
+            let held = self.returns[worker].len();
+            if held == 0 {
                 continue;
             }
-            let rows = std::mem::replace(&mut self.returns[worker], Vec::with_capacity(capacity));
-            self.workers.send(worker, move |_| drop(rows))?;
+            let released = std::mem::replace(&mut self.returns[worker], Vec::with_capacity(held));
+            self.handed[worker] += held;
+            let kept = Arc::clone(&self.kept[worker]);
+            self.workers
+                .send(worker, move |shard| shard.absorb(&kept, released))?;
         }
         Ok(())
+    }
+
+    /// Worker `w`'s part of the result TVR once it took in every bin it
+    /// was handed (at once unless its thread is still at work on one).
+    fn settled(&self, w: usize) -> MutexGuard<'_, KeptLog> {
+        let kept = &self.kept[w];
+        let mut part = lock(&kept.log);
+        while part.absorbed < self.handed[w] && self.workers.alive(w) {
+            let waited = kept
+                .signal
+                .wait_timeout(part, std::time::Duration::from_millis(10));
+            part = waited.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        part
     }
 
     /// Report the combined output watermark to sinks — but only while no
@@ -1281,10 +1373,30 @@ impl PipelineDriver {
     /// merge has released, in the order the sinks observed it. Entries
     /// still held back at the clock are not in it yet, nor — between two
     /// steps of worker threads over saturated input — is the last gathered
-    /// round. This is the pipeline's only retained output — the workers
-    /// keep none.
-    pub fn changelog(&self) -> &Changelog {
-        &self.changelog
+    /// round. This is the pipeline's only retained output — the workers'
+    /// queries keep none. Built on read from the per-worker parts (after
+    /// any worker thread still copying a bin in is done).
+    pub fn changelog(&self) -> Changelog {
+        let parts: Vec<MutexGuard<'_, KeptLog>> =
+            (0..self.kept.len()).map(|w| self.settled(w)).collect();
+        let mut parts: Vec<_> = parts
+            .iter()
+            .zip(&self.returns)
+            .map(|(part, bin)| part.log.iter().chain(bin.iter().cloned()).peekable())
+            .collect();
+        let mut merged = Changelog::new();
+        loop {
+            let heads = parts.iter_mut().enumerate();
+            let next = heads
+                .filter_map(|(w, part)| Some((part.peek()?.ptime, w)))
+                .min();
+            let Some(entry) = next.and_then(|(_, w)| parts[w].next()) else {
+                return merged;
+            };
+            if let Err(e) = merged.push(entry.ptime, &entry.change) {
+                unreachable!("the smallest head of ptime-ordered parts is in order: {e}");
+            }
+        }
     }
 
     /// The result table over everything processed so far:
@@ -1312,7 +1424,12 @@ impl PipelineDriver {
         if self.poisoned {
             return Err(Error::exec(POISONED));
         }
-        let mut table = self.changelog.snapshot_at(at);
+        let mut table = Bag::new();
+        for (w, bin) in self.returns.iter().enumerate() {
+            self.settled(w).log.replay_into(at, &mut table);
+            let bin = bin.iter().filter(|entry| entry.ptime <= at);
+            table.apply(bin.map(|entry| entry.change.clone()));
+        }
         let held = self.pending.iter().flatten();
         let held = held.filter(|entry| entry.ptime <= at);
         table.apply(held.map(|entry| entry.change.clone()));
@@ -2297,7 +2414,7 @@ mod tests {
         driver.clock = Ts(7);
         driver.flush(Some(Ts(7))).unwrap();
         let released = |driver: &PipelineDriver| -> Vec<(i64, Row)> {
-            let entries = driver.changelog().iter();
+            let entries = driver.changelog().into_iter();
             entries
                 .map(|entry| (entry.ptime.millis(), entry.change.row.clone()))
                 .collect()

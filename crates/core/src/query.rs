@@ -210,6 +210,13 @@ impl RunningQuery {
         log
     }
 
+    /// How many entries the output changelog holds, without the copy
+    /// [`RunningQuery::changelog`] makes.
+    #[doc(hidden)]
+    pub fn changelog_len(&self) -> usize {
+        self.executor.changelog().len()
+    }
+
     /// Move the changelog recorded so far out, leaving it empty: the
     /// pipeline driver's drain, which appends the entries to its own merged
     /// log. From then on [`RunningQuery::changelog`], the table view and
@@ -249,7 +256,7 @@ impl RunningQuery {
     #[doc(hidden)]
     pub fn stream_rows(&self) -> Result<Vec<StreamRow>> {
         let ver_cols = onesql_exec::compile::version_columns(&self.query);
-        render_stream(&self.changelog(), &ver_cols)
+        render_stream(self.executor.changelog(), &ver_cols)
     }
 }
 

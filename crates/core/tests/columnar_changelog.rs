@@ -87,18 +87,15 @@ fn value((int, float, string, ts, roll): Slot, kind: u8) -> Value {
 }
 
 /// Four slots (a run of a smaller arity uses the first ones) and a diff
-/// of magnitude 1 to 3, either sign; now and then one too wide for a
-/// byte.
+/// of magnitude 1 to 3, either sign.
 fn entry() -> impl Strategy<Value = (Vec<Slot>, i64)> {
-    let magnitude = prop_oneof![1..=3i64, 1..=3i64, 1..=3i64, 1..=3i64, 1..=3i64, Just(300)];
-    let diff = (magnitude, prop::bool::ANY).prop_map(|(n, undo)| if undo { -n } else { n });
+    let diff = (1..=3i64, prop::bool::ANY).prop_map(|(n, undo)| if undo { -n } else { n });
     (prop::collection::vec(slot(), 4), diff)
 }
 
 /// A run of entries of one arity: its column kinds, `ticks` ptime
-/// advances of `gap` spread evenly over it, whether its wide diffs stay
-/// wide, and whether it starts with an append older than the log's last
-/// entry.
+/// advances of `gap` spread evenly over it, and whether it starts with an
+/// append older than the log's last entry.
 #[derive(Debug, Clone)]
 struct Run {
     arity: usize,
@@ -106,7 +103,6 @@ struct Run {
     entries: Vec<(Vec<Slot>, i64)>,
     ticks: usize,
     gap: i64,
-    wide: bool,
     older_first: bool,
 }
 
@@ -120,15 +116,13 @@ fn run() -> impl Strategy<Value = Run> {
         prop::collection::vec(entry(), 1_500..4_500),
     ];
     let kinds = prop::collection::vec(0..10u8, 4);
-    let flags = (prop::bool::ANY, prop::bool::ANY);
-    (arity, kinds, entries, 0..=5usize, 1..=3i64, flags).prop_map(
-        |(arity, kinds, entries, ticks, gap, (wide, older_first))| Run {
+    (arity, kinds, entries, 0..=5usize, 1..=3i64, prop::bool::ANY).prop_map(
+        |(arity, kinds, entries, ticks, gap, older_first)| Run {
             arity,
             kinds,
             entries,
             ticks,
             gap,
-            wide,
             older_first,
         },
     )
@@ -162,12 +156,7 @@ fn build(runs: &[Run]) -> (Changelog, old::Changelog) {
                 .iter()
                 .zip(&run.kinds)
                 .map(|(slot, &kind)| value(*slot, kind));
-            let diff = if run.wide {
-                *diff
-            } else {
-                (*diff).clamp(-3, 3)
-            };
-            let change = Change::with_diff(Row::new(values.collect()), diff);
+            let change = Change::with_diff(Row::new(values.collect()), *diff);
             log.push(at, &change).unwrap();
             oracle.push(at, change);
         }

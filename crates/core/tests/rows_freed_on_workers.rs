@@ -1,8 +1,9 @@
 //! Allocation guard for the merge's retained output: a row a worker
-//! thread built is freed on that worker, not on the control thread that
-//! copies its values into the changelog. Freeing it on the control thread
-//! costs several times what keeping it does, and the control thread is
-//! the bottleneck of a cheap query.
+//! thread built is freed on that worker, which copies its values into its
+//! part of the changelog, not on the control thread that merged and
+//! rendered it. Freeing it on the control thread costs several times what
+//! keeping it does, and the control thread is the bottleneck of a cheap
+//! query.
 //!
 //! A counting global allocator tallies deallocations per thread: the
 //! control thread's must grow with the rounds it runs, not with the rows

@@ -17,13 +17,14 @@
 //!   changelog with the `undo` / `ptime` / `ver` metadata columns, where
 //!   `ver` numbers revisions per event-time grouping (Listing 9).
 
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hasher};
 
 use onesql_state::{Checkpoint, Codec, StateMetrics};
 use onesql_time::Watermark;
-use onesql_tvr::{Change, Changelog, Element};
+use onesql_tvr::{Change, Element, TimedChange};
 use onesql_types::{Duration, Error, Result, Row, Ts, Value};
 
 use crate::operator::Operator;
@@ -311,11 +312,15 @@ pub struct StreamRow {
 /// each change becomes a row with `undo`, `ptime`, and `ver` columns, where
 /// `ver` counts revisions per event-time grouping, identified by
 /// `grouping_cols` (typically [`crate::compile::version_columns`]).
-pub fn render_stream(changelog: &Changelog, grouping_cols: &[usize]) -> Result<Vec<StreamRow>> {
+pub fn render_stream<E: Borrow<TimedChange>>(
+    changelog: impl IntoIterator<Item = E>,
+    grouping_cols: &[usize],
+) -> Result<Vec<StreamRow>> {
     let mut renderer = StreamRenderer::new(grouping_cols.to_vec());
-    let mut out = Vec::with_capacity(changelog.len());
-    for entry in changelog.iter() {
-        renderer.render_into(&entry, &mut out)?;
+    let entries = changelog.into_iter();
+    let mut out = Vec::with_capacity(entries.size_hint().0);
+    for entry in entries {
+        renderer.render_into(entry.borrow(), &mut out)?;
     }
     Ok(out)
 }
@@ -426,11 +431,7 @@ impl StreamRenderer {
     /// Render one changelog entry, appending its unit revisions to `out`.
     /// A counter or a revision count no rendering can hold (a crafted
     /// checkpoint's) is an error, not an overflow.
-    pub fn render_into(
-        &mut self,
-        entry: &onesql_tvr::TimedChange,
-        out: &mut Vec<StreamRow>,
-    ) -> Result<()> {
+    pub fn render_into(&mut self, entry: &TimedChange, out: &mut Vec<StreamRow>) -> Result<()> {
         let change = &entry.change;
         // A change with |diff| > 1 renders as that many unit revisions.
         let revisions = change.diff.unsigned_abs();
@@ -483,6 +484,7 @@ fn advance_row(map: &mut HashMap<Row, u64, MulRotate>, key: &[Value], n: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onesql_tvr::Changelog;
     use onesql_types::{row, Field, Schema};
 
     fn wm(t: Ts) -> Element {

@@ -2,16 +2,13 @@
 //!
 //! A [`Changelog`] is kept as columns: dense segments of
 //! [`SEGMENT_ROWS`] entries, each one typed [`Column`] per row column
-//! (built with [`ColumnBuilder`]) beside a ptime lane and a diff lane.
-//! The ptime lane holds one run per distinct ptime (a flush releases many
-//! entries at a few clock values), the diff lane a byte per entry until a
-//! diff needs more. A four-column row of fixed-width values costs 33
-//! bytes there plus its share of a 12-byte run, where a [`TimedChange`]
-//! and its row's shared slice cost ~160. A segment seals when it is full
-//! or when an entry of another arity arrives, which starts the next one.
-//! Rows exist only on read: [`Changelog::iter`] and
+//! (built with [`ColumnBuilder`]) beside a ptime lane and a diff lane. A
+//! four-column row of fixed-width values costs 48 bytes there, where a
+//! [`TimedChange`] and its row's shared slice cost ~160. A segment seals
+//! when it is full or when an entry of another arity arrives, which
+//! starts the next one. Rows exist only on read: [`Changelog::iter`] and
 //! [`Changelog::snapshot_at`] build them, and `snapshot_at` finds its cut
-//! by binary search on the ptime runs, which is why [`Changelog::push`]
+//! by binary search on the ptime lanes, which is why [`Changelog::push`]
 //! refuses an entry older than the last.
 
 use std::fmt;
@@ -89,131 +86,24 @@ impl Lane {
     }
 }
 
-/// A segment's ptimes, one run per distinct value: every entry a flush
-/// releases below one clock value shares a handful of ptimes.
-#[derive(Clone, Default)]
-struct PtimeRuns {
-    /// Each run's ptime, ascending.
-    values: Vec<Ts>,
-    /// One past each run's last entry.
-    ends: Vec<u32>,
-}
-
-impl PtimeRuns {
-    fn len(&self) -> usize {
-        self.ends.last().map_or(0, |&end| end as usize)
-    }
-
-    fn last(&self) -> Option<Ts> {
-        self.values.last().copied()
-    }
-
-    fn push(&mut self, ptime: Ts) {
-        match self.ends.last_mut() {
-            Some(end) if self.values.last() == Some(&ptime) => *end += 1,
-            _ => {
-                // A segment holds at most `SEGMENT_ROWS` entries.
-                let end = self.len() as u32 + 1;
-                self.values.push(ptime);
-                self.ends.push(end);
-            }
-        }
-    }
-
-    /// How many entries have `ptime <= at`.
-    fn cut(&self, at: Ts) -> usize {
-        match self.values.partition_point(|&ptime| ptime <= at) {
-            0 => 0,
-            runs => self.ends[runs - 1] as usize,
-        }
-    }
-
-    /// Every entry's ptime, in order.
-    fn iter(&self) -> impl Iterator<Item = Ts> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let lens = self
-            .ends
-            .iter()
-            .zip(starts)
-            .map(|(&end, start)| end - start);
-        let runs = self.values.iter().zip(lens);
-        runs.flat_map(|(&ptime, len)| std::iter::repeat_n(ptime, len as usize))
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<Ts>()
-            + self.ends.capacity() * std::mem::size_of::<u32>()
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.values.shrink_to_fit();
-        self.ends.shrink_to_fit();
-    }
-}
-
-/// A segment's diffs: a byte each while they fit one, as all but a
-/// consolidated change of more than 127 copies do.
-#[derive(Clone)]
-enum Diffs {
-    Narrow(Vec<i8>),
-    Wide(Vec<i64>),
-}
-
-impl Diffs {
-    fn push(&mut self, diff: i64) {
-        match self {
-            Diffs::Narrow(diffs) => match i8::try_from(diff) {
-                Ok(narrow) => diffs.push(narrow),
-                Err(_) => {
-                    let mut wide: Vec<i64> = diffs.iter().map(|&d| i64::from(d)).collect();
-                    wide.push(diff);
-                    *self = Diffs::Wide(wide);
-                }
-            },
-            Diffs::Wide(diffs) => diffs.push(diff),
-        }
-    }
-
-    fn get(&self, i: usize) -> i64 {
-        match self {
-            Diffs::Narrow(diffs) => i64::from(diffs[i]),
-            Diffs::Wide(diffs) => diffs[i],
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Diffs::Narrow(diffs) => diffs.capacity(),
-            Diffs::Wide(diffs) => diffs.capacity() * std::mem::size_of::<i64>(),
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        match self {
-            Diffs::Narrow(diffs) => diffs.shrink_to_fit(),
-            Diffs::Wide(diffs) => diffs.shrink_to_fit(),
-        }
-    }
-}
-
 /// Consecutive entries of one arity, as columns.
 #[derive(Clone)]
 struct Segment {
     lanes: Vec<Lane>,
-    ptimes: PtimeRuns,
-    diffs: Diffs,
+    ptimes: Vec<Ts>,
+    diffs: Vec<i64>,
     /// Heap bytes once sealed (a sealed segment never changes).
     sealed_bytes: Option<usize>,
 }
 
 impl Segment {
-    fn new(arity: usize, capacity: usize) -> Segment {
+    fn new(arity: usize) -> Segment {
         Segment {
             lanes: (0..arity)
-                .map(|_| Lane::Open(ColumnBuilder::with_capacity(capacity)))
+                .map(|_| Lane::Open(ColumnBuilder::with_capacity(0)))
                 .collect(),
-            ptimes: PtimeRuns::default(),
-            diffs: Diffs::Narrow(Vec::with_capacity(capacity)),
+            ptimes: Vec::new(),
+            diffs: Vec::new(),
             sealed_bytes: None,
         }
     }
@@ -226,9 +116,10 @@ impl Segment {
         self.sealed_bytes.is_none() && self.lanes.len() == arity && self.len() < SEGMENT_ROWS
     }
 
-    fn seal(&mut self) {
+    /// Seal the segment; returns its heap bytes (0 if it already was).
+    fn seal(&mut self) -> usize {
         if self.sealed_bytes.is_some() {
-            return;
+            return 0;
         }
         for lane in &mut self.lanes {
             if let Lane::Open(builder) = lane {
@@ -238,25 +129,26 @@ impl Segment {
         }
         self.ptimes.shrink_to_fit();
         self.diffs.shrink_to_fit();
-        self.sealed_bytes = Some(self.measure());
+        let bytes = self.measure();
+        self.sealed_bytes = Some(bytes);
+        bytes
     }
 
     fn measure(&self) -> usize {
         let lanes: usize = self.lanes.iter().map(Lane::heap_bytes).sum();
-        lanes + self.ptimes.heap_bytes() + self.diffs.heap_bytes()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.sealed_bytes.unwrap_or_else(|| self.measure())
+        lanes
+            + self.ptimes.capacity() * std::mem::size_of::<Ts>()
+            + self.diffs.capacity() * std::mem::size_of::<i64>()
     }
 
     /// The first `n` entries, each row built as it is read.
     fn entries(&self, n: usize) -> impl Iterator<Item = TimedChange> + '_ {
-        self.ptimes.iter().take(n).enumerate().map(|(i, ptime)| {
+        let lanes = self.ptimes.iter().zip(&self.diffs).take(n);
+        lanes.enumerate().map(|(i, (&ptime, &diff))| {
             let row = Row::from_values(self.lanes.iter().map(|lane| lane.value(i)));
             TimedChange {
                 ptime,
-                change: Change::with_diff(row, self.diffs.get(i)),
+                change: Change::with_diff(row, diff),
             }
         })
     }
@@ -273,6 +165,8 @@ impl Segment {
 pub struct Changelog {
     segments: Vec<Segment>,
     len: usize,
+    /// Heap bytes of the sealed segments (all but the last).
+    sealed_bytes: usize,
 }
 
 impl Changelog {
@@ -302,26 +196,21 @@ impl Changelog {
     }
 
     /// The open segment, if it takes another entry of `arity`; else seal
-    /// it and open the next. The first segment grows as it fills; once a
-    /// log has spilled past one, the next is sized for a full segment.
+    /// it and open the next. A segment's lanes grow as it fills, so a
+    /// short log or one cut by arity changes holds little spare room.
     fn open_segment(&mut self, arity: usize) -> &mut Segment {
         if !self.segments.last().is_some_and(|s| s.takes(arity)) {
-            let capacity = if self.segments.is_empty() {
-                0
-            } else {
-                SEGMENT_ROWS
-            };
             if let Some(full) = self.segments.last_mut() {
-                full.seal();
+                self.sealed_bytes += full.seal();
             }
-            self.segments.push(Segment::new(arity, capacity));
+            self.segments.push(Segment::new(arity));
         }
         let open = self.segments.len() - 1;
         &mut self.segments[open]
     }
 
     fn last_ptime(&self) -> Option<Ts> {
-        self.segments.last().and_then(|s| s.ptimes.last())
+        self.segments.last().and_then(|s| s.ptimes.last().copied())
     }
 
     /// Every entry in processing-time order, each row built as it is
@@ -350,7 +239,9 @@ impl Changelog {
     /// Heap bytes the log holds: every lane at its allocated capacity,
     /// null masks and string payloads included.
     pub fn heap_bytes(&self) -> usize {
-        self.segments.iter().map(Segment::heap_bytes).sum::<usize>()
+        let open = self.segments.last().filter(|s| s.sealed_bytes.is_none());
+        self.sealed_bytes
+            + open.map_or(0, Segment::measure)
             + self.segments.capacity() * std::mem::size_of::<Segment>()
     }
 
@@ -358,18 +249,26 @@ impl Changelog {
     /// replay every change with `ptime <= at`. This is the "point-in-time
     /// view" used by the paper's `8:13 > SELECT ...;` listings.
     pub fn snapshot_at(&self, at: Ts) -> Bag {
+        let mut bag = Bag::new();
+        self.replay_into(at, &mut bag);
+        bag
+    }
+
+    /// Apply every change with `ptime <= at` to `bag`: [`Changelog::snapshot_at`]
+    /// over a bag that may already hold other changes (a bag is linear, so
+    /// several logs replayed into one give the snapshot of their union).
+    pub fn replay_into(&self, at: Ts, bag: &mut Bag) {
         // Segments wholly at or before `at`, then the cut inside the next.
         let whole = self
             .segments
-            .partition_point(|s| s.ptimes.last().is_some_and(|last| last <= at));
-        let mut bag = Bag::new();
+            .partition_point(|s| s.ptimes.last().is_some_and(|&last| last <= at));
         for segment in &self.segments[..whole] {
             bag.apply(segment.entries(segment.len()).map(|e| e.change));
         }
         if let Some(segment) = self.segments.get(whole) {
-            bag.apply(segment.entries(segment.ptimes.cut(at)).map(|e| e.change));
+            let cut = segment.ptimes.partition_point(|&ptime| ptime <= at);
+            bag.apply(segment.entries(cut).map(|e| e.change));
         }
-        bag
     }
 
     /// The final table encoding (replay everything).
@@ -398,6 +297,24 @@ impl Changelog {
             current = snap;
         }
         Ok(log)
+    }
+}
+
+impl IntoIterator for Changelog {
+    type Item = TimedChange;
+    type IntoIter = std::vec::IntoIter<TimedChange>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries().into_iter()
+    }
+}
+
+impl IntoIterator for &Changelog {
+    type Item = TimedChange;
+    type IntoIter = std::vec::IntoIter<TimedChange>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries().into_iter()
     }
 }
 
@@ -509,12 +426,12 @@ mod tests {
         assert_eq!(log.len(), SEGMENT_ROWS + 4);
         let full = &log.segments[0];
         assert!(full.sealed_bytes.is_some() && full.len() == SEGMENT_ROWS);
-        // Two INT lanes and a one-byte diff an entry, and one 12-byte run
-        // per distinct ptime.
-        assert_eq!(full.heap_bytes(), SEGMENT_ROWS * 17 + 64 * 12);
+        // Two INT lanes, a ptime and a diff: 32 bytes an entry.
+        assert_eq!(full.sealed_bytes, Some(SEGMENT_ROWS * 32));
+        let measured: usize = log.segments.iter().map(Segment::measure).sum();
+        let slots = log.segments.capacity() * std::mem::size_of::<Segment>();
+        assert_eq!(log.heap_bytes(), measured + slots);
         assert_eq!(log.segments[1].len(), 3);
-        // A diff no byte holds widens its segment's lane.
-        assert!(matches!(log.segments[2].diffs, Diffs::Wide(_)));
         let last = log.entries().pop().unwrap();
         assert_eq!(last.change, Change::with_diff(row!(7i64), -300));
         assert_eq!(log.snapshot_at(Ts(0)).len(), 64);
