@@ -11,7 +11,6 @@
 //! columns plus `undo` / `ptime` / `ver`) or, for final-only streams, as
 //! plain appended records that a source with the same schema reads back.
 
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
 use std::path::Path;
@@ -20,9 +19,11 @@ use onesql_core::connect::{
     ColumnarBatch, PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceEvent,
     SourceStatus, WrapsPartitioned,
 };
-use onesql_exec::StreamRow;
+use onesql_exec::{Cells, StreamBatch, StreamRow};
 use onesql_tvr::{Change, ChangeBatch};
-use onesql_types::{ColumnBuilder, Duration, Error, Result, Row, Schema, SchemaRef, Ts, Value};
+use onesql_types::{
+    digits, ColumnBuilder, Duration, Error, Result, Row, Schema, SchemaRef, Ts, Value,
+};
 
 use crate::json;
 use crate::text;
@@ -466,20 +467,43 @@ pub enum CsvSinkMode {
 /// Names of the metadata columns a changelog-mode sink appends.
 const META_NAMES: [&str; 3] = onesql_exec::STREAM_META_COLUMNS;
 
+/// A line's metadata: `undo`, `ptime`, `ver`, and the clock text of the
+/// last `ptime` written.
+type Meta<'a> = (bool, Ts, u64, &'a mut LastClock);
+
+/// The clock text of the last `ptime` a call wrote: the rows of one flush
+/// share a few ptimes, so most reuse it.
+#[derive(Default)]
+struct LastClock(Option<(Ts, digits::Encoded)>);
+
+impl LastClock {
+    fn append_to(&mut self, out: &mut Vec<u8>, ptime: Ts) {
+        match self.0 {
+            Some((last, text)) if last == ptime => out.extend_from_slice(text.as_bytes()),
+            _ => {
+                let text = digits::clock(ptime);
+                out.extend_from_slice(text.as_bytes());
+                self.0 = Some((ptime, text));
+            }
+        }
+    }
+}
+
 /// Row-to-bytes rendering shared by the plain and transactional file
 /// sinks: CSV or JSON-lines, changelog or appends mode, with the
-/// bind-time header line and extended JSON schema.
+/// bind-time header line and JSON keys. Rows and columnar batches go
+/// through the same per-type encoders ([`text`], [`json`]).
 struct LineRenderer {
     name: String,
     mode: CsvSinkMode,
     format: LineFormat,
-    /// JSON field-name schema, extended with the metadata columns in
-    /// changelog mode; built once at bind time.
-    json_schema: Option<Schema>,
+    /// Each JSON field's `"name":`, the metadata columns' after the data
+    /// columns' in changelog mode; built once at bind time.
+    json_keys: Option<Vec<Vec<u8>>>,
     header: bool,
     /// The lines of one `write` call; reused, so rendering a row
     /// allocates nothing once the buffer has grown to a round's size.
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl LineRenderer {
@@ -488,9 +512,9 @@ impl LineRenderer {
             name,
             mode,
             format,
-            json_schema: None,
+            json_keys: None,
             header,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -502,9 +526,9 @@ impl LineRenderer {
             // Column names are quoted as the string values they are.
             let meta = if changelog { &META_NAMES[..] } else { &[] };
             let names = schema.names().into_iter().chain(meta.iter().copied());
-            let mut line = String::new();
+            let mut line = Vec::new();
             text::push_csv_row(&mut line, &Row::from_values(names.map(Value::str)));
-            line
+            String::from_utf8_lossy(&line).into_owned()
         });
         let mut fields = schema.fields().to_vec();
         if changelog {
@@ -521,64 +545,162 @@ impl LineRenderer {
                 onesql_types::DataType::Int,
             ));
         }
-        self.json_schema = Some(Schema::new(fields));
+        self.json_keys = Some(json::object_keys(&Schema::new(fields)));
         Ok(header)
     }
 
-    /// Append `rows` to `out`, one terminated line each. On an error,
-    /// `out` holds the lines of the rows before the offending one.
-    fn render_into(&self, rows: &[StreamRow], out: &mut String) -> Result<()> {
-        let changelog = self.mode == CsvSinkMode::Changelog;
-        for sr in rows {
-            if !changelog && sr.undo {
-                return Err(Error::exec(format!(
-                    "{}: retraction reached an appends-mode sink; use \
-                     CsvSinkMode::Changelog or a watermark-gated query",
-                    self.name
-                )));
-            }
-            match self.format {
-                LineFormat::Csv => {
-                    text::push_csv_row(out, &sr.row);
-                    if changelog {
-                        // `true`/`false` (not the paper's "undo" rendering,
-                        // which ChangelogSink provides) so the column parses
-                        // back as the Bool the meta schema declares.
-                        out.push_str(if sr.undo { ",true," } else { ",false," });
-                        // Writing into a `String` cannot fail.
-                        let _ = sr.ptime.write_clock(out);
-                        let _ = write!(out, ",{}", sr.ver);
-                    }
-                }
-                LineFormat::JsonLines => {
-                    let schema = self.json_schema.as_ref().ok_or_else(|| {
-                        Error::exec(format!("{}: sink was never bound", self.name))
-                    })?;
-                    let meta = [
-                        Value::Bool(sr.undo),
-                        Value::Ts(sr.ptime),
-                        Value::Int(sr.ver as i64),
-                    ];
-                    let meta = if changelog { &meta[..] } else { &[] };
-                    json::push_row(out, schema, sr.row.values().iter().chain(meta));
-                }
-            }
-            out.push('\n');
+    /// Refuse a retraction in appends mode.
+    fn check(&self, undo: bool) -> Result<()> {
+        if undo && self.mode == CsvSinkMode::Appends {
+            return Err(Error::exec(format!(
+                "{}: retraction reached an appends-mode sink; use \
+                 CsvSinkMode::Changelog or a watermark-gated query",
+                self.name
+            )));
         }
         Ok(())
     }
 
-    /// Render `rows` into the reused buffer and hand the writer all of
-    /// their bytes in one `write_all`. A row that cannot be rendered fails
-    /// the call after the rows before it were written; none after it are.
-    fn write_rows(&mut self, rows: &[StreamRow], writer: &mut impl Write) -> Result<()> {
+    fn json_keys(&self) -> Result<&[Vec<u8>]> {
+        self.json_keys
+            .as_deref()
+            .ok_or_else(|| Error::exec(format!("{}: sink was never bound", self.name)))
+    }
+
+    /// Append one row's line: its data fields, written by `fields` (CSV
+    /// fields need their separators; JSON fields take the next key), then
+    /// the metadata in changelog mode.
+    fn render_line(
+        &self,
+        out: &mut Vec<u8>,
+        (undo, ptime, ver, clock): Meta<'_>,
+        csv: impl FnOnce(&mut Vec<u8>),
+        json: impl FnOnce(&mut json::Object<'_>),
+    ) -> Result<()> {
+        self.check(undo)?;
+        let changelog = self.mode == CsvSinkMode::Changelog;
+        match self.format {
+            LineFormat::Csv => {
+                csv(out);
+                if changelog {
+                    // `true`/`false` (not the paper's "undo" rendering,
+                    // which ChangelogSink provides) so the column parses
+                    // back as the Bool the meta schema declares.
+                    out.extend_from_slice(if undo { b",true," } else { b",false," });
+                    clock.append_to(out, ptime);
+                    out.push(b',');
+                    text::push_u64(out, ver);
+                }
+            }
+            LineFormat::JsonLines => {
+                let mut object = json::Object::open(out, self.json_keys()?);
+                json(&mut object);
+                if changelog {
+                    if let Some(out) = object.field() {
+                        text::push_bool(out, undo);
+                    }
+                    if let Some(out) = object.field() {
+                        text::push_int(out, ptime.millis());
+                    }
+                    if let Some(out) = object.field() {
+                        text::push_int(out, ver as i64);
+                    }
+                }
+                object.close();
+            }
+        }
+        out.push(b'\n');
+        Ok(())
+    }
+
+    /// Append `rows` to `out`, one terminated line each. On an error,
+    /// `out` holds the lines of the rows before the offending one.
+    fn render_rows(&self, rows: &[StreamRow], out: &mut Vec<u8>) -> Result<()> {
+        let mut clock = LastClock::default();
+        for sr in rows {
+            self.render_row(out, &sr.row, (sr.undo, sr.ptime, sr.ver, &mut clock))?;
+        }
+        Ok(())
+    }
+
+    /// One row's line, its values written by their types' encoders.
+    fn render_row(&self, out: &mut Vec<u8>, row: &Row, meta: Meta<'_>) -> Result<()> {
+        self.render_line(
+            out,
+            meta,
+            |out| text::push_csv_row(out, row),
+            |object| {
+                for value in row.values() {
+                    let Some(out) = object.field() else {
+                        break;
+                    };
+                    json::push_value(out, value);
+                }
+            },
+        )
+    }
+
+    /// [`LineRenderer::render_rows`] for the same rows as columns, each
+    /// value written by its column's encoder.
+    fn render_batch(&self, batch: &StreamBatch<'_>, out: &mut Vec<u8>) -> Result<()> {
+        let mut clock = LastClock::default();
+        for i in 0..batch.len() {
+            let row = batch.get(i);
+            let meta = (row.undo, row.ptime, row.ver, &mut clock);
+            let (columns, at) = match row.cells {
+                Cells::Columns(columns, at) => (columns, at),
+                Cells::Row(row) => {
+                    self.render_row(out, row, meta)?;
+                    continue;
+                }
+            };
+            self.render_line(
+                out,
+                meta,
+                |out| {
+                    for (c, column) in columns.iter().enumerate() {
+                        if c > 0 {
+                            out.push(b',');
+                        }
+                        text::push_csv_column(out, column, at);
+                    }
+                },
+                |object| {
+                    for column in columns {
+                        let Some(out) = object.field() else {
+                            break;
+                        };
+                        json::push_column(out, column, at);
+                    }
+                },
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Render into the reused buffer and hand the writer all of the bytes
+    /// in one `write_all`. A row that cannot be rendered fails the call
+    /// after the rows before it were written; none after it are.
+    fn write_with(
+        &mut self,
+        writer: &mut impl Write,
+        render: impl FnOnce(&Self, &mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        let rendered = self.render_into(rows, &mut buf);
-        let written = writer.write_all(buf.as_bytes());
+        let rendered = render(self, &mut buf);
+        let written = writer.write_all(&buf);
         self.buf = buf;
         written.map_err(|e| Error::exec(format!("{}: write error: {e}", self.name)))?;
         rendered
+    }
+
+    fn write_rows(&mut self, rows: &[StreamRow], writer: &mut impl Write) -> Result<()> {
+        self.write_with(writer, |r, buf| r.render_rows(rows, buf))
+    }
+
+    fn write_batch(&mut self, batch: &StreamBatch<'_>, writer: &mut impl Write) -> Result<()> {
+        self.write_with(writer, |r, buf| r.render_batch(batch, buf))
     }
 }
 
@@ -617,6 +739,10 @@ impl TextFileSink {
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
         self.renderer.write_rows(rows, &mut self.writer)
+    }
+
+    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
+        self.renderer.write_batch(batch, &mut self.writer)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -662,6 +788,9 @@ impl Sink for CsvFileSink {
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
         self.0.write(rows)
     }
+    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
+        self.0.write_batch(batch)
+    }
     fn flush(&mut self) -> Result<()> {
         self.0.flush()
     }
@@ -691,6 +820,9 @@ impl Sink for JsonLinesSink {
     }
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
         self.0.write(rows)
+    }
+    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
+        self.0.write_batch(batch)
     }
     fn flush(&mut self) -> Result<()> {
         self.0.flush()
@@ -900,6 +1032,14 @@ impl Sink for TxnFileSink {
         }
         let (renderer, writer) = self.active()?;
         renderer.write_rows(rows, writer)
+    }
+
+    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let (renderer, writer) = self.active()?;
+        renderer.write_batch(batch, writer)
     }
 
     fn on_checkpoint(&mut self, epoch: u64) -> Result<()> {
@@ -1179,6 +1319,22 @@ mod tests {
             }
         }
 
+        /// The JSON schema `bytes::renderer` binds, with its metadata
+        /// columns in changelog mode.
+        fn json_schema(mode: CsvSinkMode) -> Schema {
+            let names = ["plain", "quo\"ted", "com,ma"];
+            let mut fields: Vec<_> = names
+                .iter()
+                .map(|name| onesql_types::Field::new(*name, DataType::String))
+                .collect();
+            if mode == CsvSinkMode::Changelog {
+                fields.push(onesql_types::Field::new(META_NAMES[0], DataType::Bool));
+                fields.push(onesql_types::Field::new(META_NAMES[1], DataType::Timestamp));
+                fields.push(onesql_types::Field::new(META_NAMES[2], DataType::Int));
+            }
+            Schema::new(fields)
+        }
+
         pub fn render(r: &LineRenderer, sr: &StreamRow) -> Result<String> {
             if r.mode == CsvSinkMode::Appends && sr.undo {
                 return Err(Error::exec(format!(
@@ -1210,7 +1366,7 @@ mod tests {
                     } else {
                         sr.row.clone()
                     };
-                    let schema = r.json_schema.as_ref().unwrap();
+                    let schema = json_schema(r.mode);
                     let pairs = schema.fields().iter().zip(row.values());
                     let pair = |(f, v): (&onesql_types::Field, _)| {
                         format!("{}:{}", escape_json_string(&f.name), value_to_json(v))
@@ -1318,7 +1474,7 @@ mod tests {
                     for mode in [CsvSinkMode::Changelog, CsvSinkMode::Appends] {
                         let mut renderer = renderer(format, mode);
                         // Stale bytes of an earlier call must not leak.
-                        renderer.buf.push_str("stale");
+                        renderer.buf.extend_from_slice(b"stale");
                         let mut sunk = Vec::new();
                         let outcome = renderer.write_rows(&rows, &mut sunk);
                         let mut expected = String::new();

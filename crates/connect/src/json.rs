@@ -6,11 +6,11 @@
 //! rejected by the record layer).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
-use onesql_types::{DataType, Error, Result, Row, Schema, Value};
+use onesql_types::{Column, ColumnData, DataType, Error, Result, Row, Schema, Value};
 
-use crate::text;
+use crate::text::{self, null_at};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,42 +272,129 @@ impl Parser<'_> {
 }
 
 /// Append `s`, escaped and quoted, as a JSON string.
-pub fn push_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+pub fn push_string(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut plain = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escaped: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            // Every byte of a multi-byte character is >= 0x80.
+            b if b < 0x20 => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[plain..i]);
+        plain = i + 1;
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.extend_from_slice(escaped);
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[plain..]);
+    out.push(b'"');
+}
+
+/// Append a DOUBLE: a JSON number when finite; JSON has no infinities or
+/// NaN, so those are strings.
+#[inline]
+pub fn push_float(out: &mut Vec<u8>, f: f64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = if f.is_finite() {
+        write!(out, "{f}")
+    } else {
+        write!(out, "\"{f}\"")
+    };
 }
 
 /// Append a [`Value`] as a JSON fragment. Timestamps and intervals are
 /// integer milliseconds (lossless; the schema recovers the type on read).
-pub fn push_value(out: &mut String, value: &Value) {
-    // Writing into a `String` cannot fail.
-    let _ = match value {
-        Value::Null => out.write_str("null"),
-        Value::Bool(b) => write!(out, "{b}"),
-        Value::Int(i) => write!(out, "{i}"),
-        Value::Float(f) if f.is_finite() => write!(out, "{f}"),
-        // JSON has no infinities/NaN; encode as string.
-        Value::Float(f) => write!(out, "\"{f}\""),
-        Value::Str(s) => {
-            push_string(out, s);
-            Ok(())
+#[inline]
+pub fn push_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(b) => text::push_bool(out, *b),
+        Value::Int(i) => text::push_int(out, *i),
+        Value::Float(f) => push_float(out, *f),
+        Value::Str(s) => push_string(out, s),
+        Value::Ts(t) => text::push_int(out, t.millis()),
+        Value::Interval(d) => text::push_int(out, d.millis()),
+    }
+}
+
+/// Append slot `i` of `column` as a JSON fragment, exactly as
+/// [`push_value`] writes the value it holds.
+///
+/// # Panics
+/// Panics if `i` is out of range.
+#[inline]
+pub fn push_column(out: &mut Vec<u8>, column: &Column, i: usize) {
+    match column.data() {
+        ColumnData::Int { vals, nulls } if !null_at(nulls, i) => text::push_int(out, vals[i]),
+        ColumnData::Float { vals, nulls } if !null_at(nulls, i) => push_float(out, vals[i]),
+        ColumnData::Bool { vals, nulls } if !null_at(nulls, i) => text::push_bool(out, vals[i]),
+        ColumnData::Ts { vals, nulls } if !null_at(nulls, i) => {
+            text::push_int(out, vals[i].millis())
         }
-        Value::Ts(t) => write!(out, "{}", t.millis()),
-        Value::Interval(d) => write!(out, "{}", d.millis()),
+        ColumnData::Interval { vals, nulls } if !null_at(nulls, i) => {
+            text::push_int(out, vals[i].millis())
+        }
+        ColumnData::Str { vals, nulls } if !null_at(nulls, i) => push_string(out, &vals[i]),
+        ColumnData::Mixed(vals) => push_value(out, &vals[i]),
+        _ => out.extend_from_slice(b"null"),
+    }
+}
+
+/// Each field's key as an object writes it, `"name":`, escaped once.
+pub fn object_keys(schema: &Schema) -> Vec<Vec<u8>> {
+    let key = |field: &onesql_types::Field| {
+        let mut key = Vec::with_capacity(field.name.len() + 3);
+        push_string(&mut key, &field.name);
+        key.push(b':');
+        key
     };
+    schema.fields().iter().map(key).collect()
+}
+
+/// A one-line JSON object being written field by field, each under the
+/// next of its keys; once the keys run out, further fields are dropped.
+pub struct Object<'a> {
+    out: &'a mut Vec<u8>,
+    keys: std::slice::Iter<'a, Vec<u8>>,
+    first: bool,
+}
+
+impl<'a> Object<'a> {
+    /// Open an object whose fields take `keys` in order.
+    pub fn open(out: &'a mut Vec<u8>, keys: &'a [Vec<u8>]) -> Object<'a> {
+        out.push(b'{');
+        Object {
+            out,
+            keys: keys.iter(),
+            first: true,
+        }
+    }
+
+    /// The buffer to write the next field's value into, after its key;
+    /// `None` once every key is taken.
+    pub fn field(&mut self) -> Option<&mut Vec<u8>> {
+        let key = self.keys.next()?;
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        self.out.extend_from_slice(key);
+        Some(self.out)
+    }
+
+    /// Close the object.
+    pub fn close(self) {
+        self.out.push(b'}');
+    }
 }
 
 /// Convert a parsed JSON scalar to a [`Value`] of the schema's type.
@@ -319,11 +406,13 @@ pub fn json_to_value(json: &Json, data_type: DataType) -> Result<Value> {
         (Json::Int(i), DataType::Float) => Ok(Value::Float(*i as f64)),
         (Json::Int(i), DataType::Timestamp) => Ok(Value::Ts(onesql_types::Ts(*i))),
         (Json::Int(i), DataType::Interval) => Ok(Value::Interval(onesql_types::Duration(*i))),
-        (Json::Number(n), DataType::Int) => Ok(Value::Int(*n as i64)),
         (Json::Number(n), DataType::Float) => Ok(Value::Float(*n)),
-        (Json::Number(n), DataType::Timestamp) => Ok(Value::Ts(onesql_types::Ts(*n as i64))),
+        (Json::Number(n), DataType::Int) => whole(*n, data_type).map(Value::Int),
+        (Json::Number(n), DataType::Timestamp) => {
+            whole(*n, data_type).map(|ms| Value::Ts(onesql_types::Ts(ms)))
+        }
         (Json::Number(n), DataType::Interval) => {
-            Ok(Value::Interval(onesql_types::Duration(*n as i64)))
+            whole(*n, data_type).map(|ms| Value::Interval(onesql_types::Duration(ms)))
         }
         (Json::String(s), DataType::String) => Ok(Value::str(s.as_str())),
         (Json::String(s), DataType::Timestamp) => text::parse_ts(s).map(Value::Ts),
@@ -338,24 +427,38 @@ pub fn json_to_value(json: &Json, data_type: DataType) -> Result<Value> {
     }
 }
 
+/// A non-integer-syntax JSON number (`3.0`, `1e3`) read into an integer
+/// column: exact when it is a whole number in `i64`'s range, an error that
+/// names the column type otherwise, never truncated or saturated.
+fn whole(n: f64, data_type: DataType) -> Result<i64> {
+    // -2^63 and 2^63 are exact doubles; every double in between that has
+    // no fraction is an i64.
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    if n.fract() == 0.0 && (-LIMIT..LIMIT).contains(&n) {
+        return Ok(n as i64);
+    }
+    Err(Error::type_error(format!(
+        "JSON number {n} does not fit column type {data_type}"
+    )))
+}
+
 /// Append `values` as a one-line JSON object keyed by the schema's field
 /// names (the two are zipped, so a changelog sink chains its metadata
 /// values after a row's without building the wider row).
 pub fn push_row<'a>(
-    out: &mut String,
+    out: &mut Vec<u8>,
     schema: &Schema,
     values: impl IntoIterator<Item = &'a Value>,
 ) {
-    out.push('{');
-    for (i, (field, value)) in schema.fields().iter().zip(values).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_string(out, &field.name);
-        out.push(':');
+    let keys = object_keys(schema);
+    let mut object = Object::open(out, &keys);
+    for value in values {
+        let Some(out) = object.field() else {
+            break;
+        };
         push_value(out, value);
     }
-    out.push('}');
+    object.close();
 }
 
 /// Parse a one-line JSON object into a row matching the schema. Missing
@@ -396,8 +499,9 @@ mod tests {
     fn row_round_trips() {
         let s = schema();
         let r = row!(Ts::hm(8, 7), 42i64, "tea \"pot\", etc.");
-        let mut line = String::new();
+        let mut line = Vec::new();
         push_row(&mut line, &s, r.values());
+        let line = String::from_utf8(line).unwrap();
         assert_eq!(json_to_row(&line, &s).unwrap(), r);
     }
 
@@ -451,6 +555,41 @@ mod tests {
     }
 
     #[test]
+    fn numbers_read_into_integer_columns_exactly_or_not_at_all() {
+        let s = Schema::new(vec![
+            Field::new("n", DataType::Int),
+            Field::new("t", DataType::Timestamp),
+            Field::new("d", DataType::Interval),
+        ]);
+        let read = |text: &str| json_to_row(&format!(r#"{{"n": {text}}}"#), &s);
+        assert_eq!(read("3.0").unwrap(), row!(3i64, Value::Null, Value::Null));
+        assert_eq!(
+            read("1e3").unwrap(),
+            row!(1000i64, Value::Null, Value::Null)
+        );
+        let min = read("-9223372036854775808").unwrap();
+        assert_eq!(min, row!(i64::MIN, Value::Null, Value::Null));
+        for bad in ["1.5", "9223372036854775808", "-1e19", "1e300"] {
+            let err = read(bad).unwrap_err().to_string();
+            assert!(err.contains("BIGINT"), "{bad}: {err}");
+        }
+        for column in ["t", "d"] {
+            let err = json_to_row(&format!(r#"{{"{column}": 1.5}}"#), &s).unwrap_err();
+            let named = if column == "t" {
+                "TIMESTAMP"
+            } else {
+                "INTERVAL"
+            };
+            assert!(err.to_string().contains(named), "{err}");
+        }
+        let t = json_to_row(r#"{"t": 2e3, "d": -6e4}"#, &s).unwrap();
+        assert_eq!(
+            t,
+            row!(Value::Null, Ts(2_000), onesql_types::Duration(-60_000))
+        );
+    }
+
+    #[test]
     fn large_integers_round_trip_exactly() {
         // Above 2^53: corrupted if routed through f64.
         let s = Schema::new(vec![
@@ -459,8 +598,9 @@ mod tests {
         ]);
         let big = (1i64 << 53) + 1;
         let r = row!(big, Ts(i64::MAX - 7));
-        let mut line = String::new();
+        let mut line = Vec::new();
         push_row(&mut line, &s, r.values());
+        let line = String::from_utf8(line).unwrap();
         assert_eq!(json_to_row(&line, &s).unwrap(), r);
         // Float syntax still parses as float.
         let f = json_to_row(r#"{"id": 5, "t": 9}"#, &s).unwrap();

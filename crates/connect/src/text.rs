@@ -4,10 +4,18 @@
 //! clock strings, intervals compactly) and parse back under schema
 //! guidance, so a file written by a sink round-trips through a source with
 //! the same schema.
+//!
+//! Writing is one byte encoder per value type ([`push_int`],
+//! [`push_clock`], [`push_float`], [`push_bool`], [`push_interval`],
+//! [`push_csv_str`]), called alike for a boxed [`Value`] and for a typed
+//! [`Column`] slot, into a sink's reused byte buffer.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
-use onesql_types::{ColumnBuilder, DataType, Duration, Error, Result, Row, Schema, Ts, Value};
+use onesql_types::{
+    digits, Column, ColumnBuilder, ColumnData, DataType, Duration, Error, Result, Row, Schema, Ts,
+    Value,
+};
 
 /// Parse one text field into a [`Value`] of the given type. Empty text is
 /// NULL (except for strings, where it is the empty string).
@@ -147,14 +155,110 @@ pub fn parse_interval(text: &str) -> Result<Duration> {
     Ok(Duration(n * scale))
 }
 
+/// Append a BIGINT.
+#[inline]
+pub fn push_int(out: &mut Vec<u8>, i: i64) {
+    out.extend_from_slice(digits::i64(i).as_bytes());
+}
+
+/// Append an unsigned count (an `EMIT STREAM` `ver`).
+#[inline]
+pub fn push_u64(out: &mut Vec<u8>, n: u64) {
+    out.extend_from_slice(digits::u64(n).as_bytes());
+}
+
+/// Append a DOUBLE, as its `Display` writes it.
+#[inline]
+pub fn push_float(out: &mut Vec<u8>, f: f64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{f}");
+}
+
+/// Append a BOOLEAN as `true` / `false`.
+#[inline]
+pub fn push_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Append a TIMESTAMP as a clock string (`8:07`, `8:07:05.250`).
+#[inline]
+pub fn push_clock(out: &mut Vec<u8>, ts: Ts) {
+    out.extend_from_slice(digits::clock(ts).as_bytes());
+}
+
+/// Append an INTERVAL compactly (`10m`, `250ms`).
+#[inline]
+pub fn push_interval(out: &mut Vec<u8>, d: Duration) {
+    out.extend_from_slice(digits::interval(d).as_bytes());
+}
+
+/// Append a string as one CSV field: wrapped in quotes, its quotes
+/// doubled, when it holds a comma, a quote or a newline; as it is
+/// otherwise (nearly always).
+#[inline]
+pub fn push_csv_str(out: &mut Vec<u8>, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+        out.extend_from_slice(s.as_bytes());
+        return;
+    }
+    out.push(b'"');
+    for (i, part) in s.split('"').enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b"\"\"");
+        }
+        out.extend_from_slice(part.as_bytes());
+    }
+    out.push(b'"');
+}
+
 /// Append a value's text-field form to `out`: what its `Display` writes
-/// (timestamps as clock strings, intervals compactly), NULL as nothing.
-/// Every text sink renders through here, into a buffer it reuses, so a
-/// value costs no allocation.
-pub fn push_value(out: &mut String, value: &Value) {
-    if !value.is_null() {
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{value}");
+/// (timestamps as clock strings, intervals compactly), NULL as nothing,
+/// a string unquoted.
+#[inline]
+pub fn push_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Null => {}
+        Value::Bool(b) => push_bool(out, *b),
+        Value::Int(i) => push_int(out, *i),
+        Value::Float(f) => push_float(out, *f),
+        Value::Str(s) => out.extend_from_slice(s.as_bytes()),
+        Value::Ts(t) => push_clock(out, *t),
+        Value::Interval(d) => push_interval(out, *d),
+    }
+}
+
+/// Append a value as one CSV field: [`push_value`], a string quoted by
+/// [`push_csv_str`].
+#[inline]
+pub fn push_csv_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Str(s) => push_csv_str(out, s),
+        other => push_value(out, other),
+    }
+}
+
+/// Whether slot `i` of a typed column is NULL.
+#[inline]
+pub(crate) fn null_at(nulls: &Option<Vec<bool>>, i: usize) -> bool {
+    nulls.as_ref().is_some_and(|mask| mask[i])
+}
+
+/// Append slot `i` of `column` as one CSV field, exactly as
+/// [`push_csv_value`] writes the value it holds.
+///
+/// # Panics
+/// Panics if `i` is out of range.
+#[inline]
+pub fn push_csv_column(out: &mut Vec<u8>, column: &Column, i: usize) {
+    match column.data() {
+        ColumnData::Int { vals, nulls } if !null_at(nulls, i) => push_int(out, vals[i]),
+        ColumnData::Float { vals, nulls } if !null_at(nulls, i) => push_float(out, vals[i]),
+        ColumnData::Bool { vals, nulls } if !null_at(nulls, i) => push_bool(out, vals[i]),
+        ColumnData::Ts { vals, nulls } if !null_at(nulls, i) => push_clock(out, vals[i]),
+        ColumnData::Interval { vals, nulls } if !null_at(nulls, i) => push_interval(out, vals[i]),
+        ColumnData::Str { vals, nulls } if !null_at(nulls, i) => push_csv_str(out, &vals[i]),
+        ColumnData::Mixed(vals) => push_csv_value(out, &vals[i]),
+        _ => {}
     }
 }
 
@@ -212,36 +316,13 @@ pub fn csv_quotes_balanced(line: &str) -> bool {
     line.chars().filter(|&c| c == '"').count() % 2 == 0
 }
 
-/// Make `out[start..]`, a field just appended, a valid CSV field: when it
-/// holds a comma, a quote or a newline it is wrapped in quotes and its
-/// quotes doubled, in place; otherwise (nearly always) it is only scanned.
-fn quote_csv_field(out: &mut String, start: usize) {
-    let needs_quoting = |b: &u8| matches!(b, b',' | b'"' | b'\n');
-    if !out.as_bytes()[start..].iter().any(needs_quoting) {
-        return;
-    }
-    out.insert(start, '"');
-    let mut scanned = start + 1;
-    while let Some(quote) = out[scanned..].find('"') {
-        out.insert(scanned + quote, '"');
-        scanned += quote + 2;
-    }
-    out.push('"');
-}
-
 /// Append a row as one CSV record (no line terminator).
-pub fn push_csv_row(out: &mut String, row: &Row) {
+pub fn push_csv_row(out: &mut Vec<u8>, row: &Row) {
     for (i, value) in row.values().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        let start = out.len();
-        push_value(out, value);
-        // Only a string can hold a comma, a quote or a newline: the other
-        // types write digits, letters and `-` `+` `.` `:`.
-        if matches!(value, Value::Str(_)) {
-            quote_csv_field(out, start);
-        }
+        push_csv_value(out, value);
     }
 }
 
@@ -269,8 +350,9 @@ mod tests {
             (Value::Null, DataType::Int),
         ];
         for (value, dt) in cases {
-            let mut text = String::new();
+            let mut text = Vec::new();
             push_value(&mut text, &value);
+            let text = String::from_utf8(text).unwrap();
             let back = parse_value(&text, dt).unwrap();
             assert_eq!(back, value, "via {text:?}");
         }
@@ -279,8 +361,9 @@ mod tests {
     #[test]
     fn csv_quoting_round_trips() {
         let r = row!("a,b", "say \"hi\"", 7i64);
-        let mut line = String::new();
+        let mut line = Vec::new();
         push_csv_row(&mut line, &r);
+        let line = String::from_utf8(line).unwrap();
         assert_eq!(line, "\"a,b\",\"say \"\"hi\"\"\",7");
         let fields = split_csv_line(&line);
         assert_eq!(fields, vec!["a,b", "say \"hi\"", "7"]);

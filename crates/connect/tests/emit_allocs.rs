@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use onesql_connect::{CsvFileSink, CsvSinkMode, Sink, TxnFileSink};
 use onesql_exec::{StreamRenderer, StreamRow};
-use onesql_tvr::{Change, TimedChange};
+use onesql_tvr::{Change, Changelog, TimedChange};
 use onesql_types::{row, DataType, Field, Schema, SchemaRef, Ts};
 
 struct Counting;
@@ -102,6 +102,43 @@ fn assert_writes_without_allocating(mut sink: impl Sink, path: &std::path::Path)
     let text = std::fs::read_to_string(path).unwrap();
     assert_eq!(text.lines().count() as i64, 1 + 2 * ROWS);
     assert!(text.contains("\n1,0.908,8:00:00.007,\"a \"\"quoted\"\", one\",false,8:01,1\n"));
+}
+
+/// [`assert_writes_without_allocating`] for `write_batch`: the same rows
+/// as columns, `ver` numbered over one grouping so that it counts the
+/// rows as [`rows`] does.
+fn assert_writes_batches_without_allocating(mut sink: impl Sink, path: &std::path::Path) {
+    let mut log = Changelog::new();
+    for sr in rows() {
+        let change = Change::with_diff(sr.row, if sr.undo { -1 } else { 1 });
+        log.push(sr.ptime, &change).unwrap();
+    }
+    let mut parts = [log];
+    let batch = StreamRenderer::new(vec![])
+        .render_batch(&mut parts)
+        .unwrap();
+    sink.bind(schema()).unwrap();
+    sink.write_batch(&batch).unwrap();
+    let allocations = allocations_in(|| sink.write_batch(&batch).unwrap());
+    assert!(allocations < 8, "{allocations} allocations for {ROWS} rows");
+    sink.flush().unwrap();
+    let text = std::fs::read_to_string(path).unwrap();
+    assert_eq!(text.lines().count() as i64, 1 + 2 * ROWS);
+    assert!(text.contains("\n1,0.908,8:00:00.007,\"a \"\"quoted\"\", one\",false,8:01,1\n"));
+}
+
+#[test]
+fn txn_file_sink_write_batch_allocates_per_call_not_per_row() {
+    let path = scratch("txn-batch");
+    let sink = TxnFileSink::new(&path, CsvSinkMode::Changelog, true);
+    assert_writes_batches_without_allocating(sink, &path);
+}
+
+#[test]
+fn csv_file_sink_write_batch_allocates_per_call_not_per_row() {
+    let path = scratch("csv-batch");
+    let sink = CsvFileSink::new(&path, CsvSinkMode::Changelog).unwrap();
+    assert_writes_batches_without_allocating(sink, &path);
 }
 
 #[test]

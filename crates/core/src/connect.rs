@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use onesql_exec::StreamRow;
+use onesql_exec::{StreamBatch, StreamRow};
 use onesql_time::{Watermark, WatermarkTracker};
 use onesql_tvr::{Change, ChangeBatch};
 use onesql_types::{Error, Result, Ts, Value};
@@ -540,6 +540,12 @@ impl<W: WrapsPartitioned> PartitionedSource for W {
 
 /// A pluggable output connector. Receives the query's output changelog as
 /// [`StreamRow`]s: data columns plus `undo` / `ptime` / `ver` metadata.
+///
+/// The pipeline driver hands each flush over as one [`StreamBatch`], the
+/// same rows as columns, through [`Sink::write_batch`]. Its default builds
+/// the rows and calls [`Sink::write`], so a sink implements `write` and
+/// may override `write_batch` to encode the columns without building
+/// rows (the CSV and JSON-lines file sinks do).
 pub trait Sink {
     /// Connector instance name (for metrics and errors).
     fn name(&self) -> &str;
@@ -552,6 +558,14 @@ pub trait Sink {
 
     /// Consume a slice of newly materialized output rows.
     fn write(&mut self, rows: &[StreamRow]) -> Result<()>;
+
+    /// Consume newly materialized output rows as columns. It must write
+    /// what [`Sink::write`] does for the same rows, and fail at the same
+    /// row. Default: build the rows and [`Sink::write`] them.
+    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
+        let rows: Vec<StreamRow> = batch.stream_rows().collect();
+        self.write(&rows)
+    }
 
     /// The query's output watermark advanced. Default: ignore.
     fn on_watermark(&mut self, _wm: Watermark) -> Result<()> {

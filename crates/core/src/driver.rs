@@ -23,14 +23,17 @@
 //!   (a global aggregate, a Hop window grouped by `wend`) starts one
 //!   worker whatever the configured count.
 //!
-//! Workers keep no output. Every round's drain barrier moves what each
-//! worker produced into the driver's per-worker FIFO queue, and the merge
-//! releases the queue fronts in `(ptime, worker, arrival)` order — each
-//! queue already is in ptime order, so no sort — with entries at the
-//! current clock held back until the clock passes them. Released entries
-//! are rendered for the sinks and then handed back to the worker that
-//! built them, which copies their values into its part of the result
-//! log, as columns, and frees their rows. Merged by `(ptime, worker)` —
+//! Workers keep no output, and no row is built between an operator and a
+//! file sink. Every round's drain barrier moves what each worker recorded
+//! — a [`Changelog`] of sealed columnar segments — onto the driver's
+//! queue for that worker. A flush cuts each queue's prefix below the
+//! release bound (a binary search on the ptime lanes), with entries at
+//! the current clock held back until the clock passes them, and renders
+//! the prefixes for the sinks as one [`StreamBatch`](onesql_exec::StreamBatch):
+//! merged in `(ptime, worker, arrival)` order — each queue already is in
+//! ptime order, so no sort — with `ver` numbered from the grouping
+//! columns' lanes. The released segments then move, as they are, into
+//! their worker's part of the result log. Merged by `(ptime, worker)` —
 //! the release order — the parts are [`PipelineDriver::changelog`]: that
 //! log *is* the result TVR, the history the sinks observed, and what
 //! [`PipelineDriver::table_at`] snapshots. It is a pure function of the
@@ -122,13 +125,11 @@
 //! );
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use onesql_exec::{StreamRenderer, StreamRow};
+use onesql_exec::StreamRenderer;
 use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, RouteKey, Routing, TableKind};
 use onesql_time::Watermark;
 use onesql_tvr::{Bag, Change, ChangeBatch, Changelog, TimedChange};
@@ -192,34 +193,14 @@ pub struct PipelineCheckpoint {
 /// What a worker reports at a drain barrier.
 struct DrainReply {
     /// Everything the worker produced since the previous drain, moved out
-    /// of it.
-    entries: Vec<TimedChange>,
+    /// of it, sealed.
+    entries: Changelog,
     /// The worker's current output watermark.
     watermark: Watermark,
     /// Whether it fed a columnar batch since the previous drain.
     fed_batch: bool,
     /// Whether it fed any event per-row since the previous drain.
     fed_rows: bool,
-}
-
-/// One worker's part of the result TVR: the entries it built that the
-/// merge released, in release order, kept as columns. The driver hands
-/// them over a bin per round; the worker copies the values in and frees
-/// the rows on the thread that built them.
-#[derive(Default)]
-struct Kept {
-    log: Mutex<KeptLog>,
-    /// Notified after every bin the worker took in.
-    signal: Condvar,
-    /// `log`'s heap bytes as of its last bin, for the gauge.
-    bytes: AtomicUsize,
-}
-
-#[derive(Default)]
-struct KeptLog {
-    log: Changelog,
-    /// Entries taken in so far, a refused one included.
-    absorbed: usize,
 }
 
 /// One worker: a running query plus the bookkeeping that lets the driver
@@ -345,10 +326,14 @@ impl Shard {
         self.apply(|shard| shard.query.finish(at));
     }
 
-    fn drain(&mut self) -> Result<DrainReply> {
+    fn drain(&mut self, columnize: bool) -> Result<DrainReply> {
         self.healthy()?;
+        let mut entries = self.query.take_changelog();
+        if columnize {
+            entries.columnize();
+        }
         Ok(DrainReply {
-            entries: self.query.take_changelog(),
+            entries,
             watermark: self.query.output_watermark(),
             fed_batch: std::mem::take(&mut self.fed_batch),
             fed_rows: std::mem::take(&mut self.fed_rows),
@@ -359,29 +344,6 @@ impl Shard {
         self.healthy()?;
         self.query.checkpoint()
     }
-
-    /// Copy a bin of released entries into this worker's part of the
-    /// result TVR; their rows are freed here as the bin drops. An entry
-    /// out of ptime order fails the shard (its part stays ordered).
-    fn absorb(&mut self, kept: &Kept, released: Vec<TimedChange>) {
-        let mut part = lock(&kept.log);
-        for entry in &released {
-            if let Err(e) = part.log.push(entry.ptime, &entry.change) {
-                self.failure.get_or_insert(e.into());
-                break;
-            }
-        }
-        part.absorbed += released.len();
-        kept.bytes.store(part.log.heap_bytes(), Ordering::Relaxed);
-        drop(part);
-        kept.signal.notify_all();
-    }
-}
-
-/// A kept part's lock. Nothing under it can panic but an allocation
-/// failure, which aborts, so a poisoned lock still guards a whole log.
-fn lock(log: &Mutex<KeptLog>) -> MutexGuard<'_, KeptLog> {
-    log.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A command for a threaded worker: any of [`Shard`]'s methods, boxed.
@@ -436,15 +398,6 @@ impl WorkerSet {
         match self {
             WorkerSet::Inline(shards) => shards.len(),
             WorkerSet::Threads(workers) => workers.len(),
-        }
-    }
-
-    /// Whether worker `w` runs on a thread that has not stopped: one that
-    /// may still be at work on a job it was sent.
-    fn alive(&self, w: usize) -> bool {
-        match self {
-            WorkerSet::Inline(_) => false,
-            WorkerSet::Threads(workers) => !workers[w].handle.is_finished(),
         }
     }
 
@@ -560,7 +513,7 @@ pub struct PipelineDriver {
     clock: Ts,
     /// Held-back changelog entries per worker, in arrival order (which is
     /// ptime order by construction).
-    pending: Vec<VecDeque<TimedChange>>,
+    pending: Vec<Changelog>,
     /// The release bound (the clock at its gather) of a round whose flush
     /// is still owed: a saturated round on worker threads leaves its
     /// output in `pending` and the next `step` emits it while the workers
@@ -570,12 +523,7 @@ pub struct PipelineDriver {
     /// only retained output — in one part per worker. The merge releases
     /// in `(ptime, worker, arrival)` order, so merging the parts by
     /// `(ptime, worker)` gives back the order the sinks saw.
-    kept: Vec<Arc<Kept>>,
-    /// Per worker, the entries released since its last bin was handed
-    /// over (see [`PipelineDriver::return_rows`]).
-    returns: Vec<Vec<TimedChange>>,
-    /// Per worker, the entries handed over so far.
-    handed: Vec<usize>,
+    kept: Vec<Changelog>,
     /// The planned query, for the table view's `ORDER BY` / `LIMIT`.
     query: BoundQuery,
     renderer: StreamRenderer,
@@ -600,37 +548,6 @@ pub struct PipelineDriver {
     /// When set, the driver publishes a metrics snapshot to the global
     /// [`observe::hub`] under this name after every round.
     label: Option<String>,
-}
-
-/// How many of `queue`'s entries the merge may release under `below`
-/// (all of them when `None`): the queue is in ptime order, so a prefix.
-fn releasable(queue: &VecDeque<TimedChange>, below: Option<Ts>) -> usize {
-    match below {
-        Some(clock) => queue.partition_point(|entry| entry.ptime < clock),
-        None => queue.len(),
-    }
-}
-
-/// The merge order of ptime-ordered `queues`: the front with the smallest
-/// ptime next, the lowest worker winning ties. Taking one front at a time
-/// keeps a worker's equal-ptime entries in arrival order — `(ptime,
-/// worker, arrival)` without a sort. With one worker this is the queue.
-fn merge_order<'a>(queues: &'a [&'a [TimedChange]]) -> impl Iterator<Item = &'a TimedChange> {
-    let mut heads = vec![0; queues.len()];
-    std::iter::from_fn(move || {
-        let mut next: Option<(usize, &TimedChange)> = None;
-        for (w, queue) in queues.iter().enumerate() {
-            let Some(front) = queue.get(heads[w]) else {
-                continue;
-            };
-            if next.is_none_or(|(_, best)| front.ptime < best.ptime) {
-                next = Some((w, front));
-            }
-        }
-        let (w, front) = next?;
-        heads[w] += 1;
-        Some(front)
-    })
 }
 
 const POISONED: &str = "pipeline is poisoned by an earlier failure; \
@@ -680,11 +597,9 @@ impl PipelineDriver {
             keys: Vec::new(),
             routing,
             clock,
-            pending: (0..workers).map(|_| VecDeque::new()).collect(),
+            pending: (0..workers).map(|_| Changelog::new()).collect(),
             deferred: None,
-            kept: (0..workers).map(|_| Arc::default()).collect(),
-            returns: (0..workers).map(|_| Vec::new()).collect(),
-            handed: vec![0; workers],
+            kept: (0..workers).map(|_| Changelog::new()).collect(),
             query,
             renderer: StreamRenderer::new(ver_cols),
             schema,
@@ -872,14 +787,9 @@ impl PipelineDriver {
         self.metrics.output_watermark = self.output_watermark;
         self.metrics.watermark_provenance = self.ledger.provenance();
         self.metrics.version_counters = self.renderer.counters() as u64;
-        let released =
-            self.handed.iter().sum::<usize>() + self.returns.iter().map(Vec::len).sum::<usize>();
-        self.metrics.retained_rows = released as u64;
-        let bytes = self
-            .kept
-            .iter()
-            .map(|kept| kept.bytes.load(Ordering::Relaxed));
-        self.metrics.retained_bytes = bytes.sum::<usize>() as u64;
+        let kept = self.kept.iter();
+        self.metrics.retained_rows = kept.clone().map(Changelog::len).sum::<usize>() as u64;
+        self.metrics.retained_bytes = kept.map(Changelog::heap_bytes).sum::<usize>() as u64;
     }
 
     /// Per-stream watermark provenance: which source partition holds each
@@ -1154,11 +1064,17 @@ impl PipelineDriver {
     /// this round's events. On return, every command sent so far has been
     /// fully processed.
     fn drain_workers(&mut self) -> Result<()> {
-        let replies = self.workers.gather(|_, shard| shard.drain())?;
+        // A worker thread copies the rows its operators built into
+        // columns itself; an inline worker leaves them to the retained
+        // log, after the sinks have them.
+        let columnize = matches!(self.workers, WorkerSet::Threads(_));
+        let replies = self
+            .workers
+            .gather(move |_, shard| shard.drain(columnize))?;
         let mut combined = Watermark::MAX;
         let (mut fed_batch, mut fed_rows) = (false, false);
         for (w, reply) in replies.into_iter().enumerate() {
-            self.pending[w].extend(reply.entries);
+            self.pending[w].append(reply.entries)?;
             combined = combined.min(reply.watermark);
             fed_batch |= reply.fed_batch;
             fed_rows |= reply.fed_rows;
@@ -1166,15 +1082,13 @@ impl PipelineDriver {
         self.output_watermark = combined;
         self.metrics.vectorized_rounds += u64::from(fed_batch);
         self.metrics.fallback_rounds += u64::from(fed_rows);
-        self.return_rows()
+        Ok(())
     }
 
     /// Entries the merge must hold whatever happens: those stamped at or
     /// past the clock (each queue is in ptime order, so a suffix of it).
     fn held_back(&self) -> usize {
-        let held = |queue: &VecDeque<TimedChange>| {
-            queue.len() - queue.partition_point(|entry| entry.ptime < self.clock)
-        };
+        let held = |queue: &Changelog| queue.len() - queue.count_before(self.clock);
         self.pending.iter().map(held).sum()
     }
 
@@ -1191,88 +1105,36 @@ impl PipelineDriver {
     /// Flush the deterministic merge: release every held entry with
     /// `ptime < below` (all of them at finish, `None`) in `(ptime, worker,
     /// arrival)` order, rendered with `EMIT STREAM` version numbering
-    /// shared across all workers, and put it in its worker's bin for the
-    /// result TVR. An inline worker takes its bin in at once.
+    /// shared across all workers, and move it into its worker's part of
+    /// the result TVR.
     fn flush(&mut self, below: Option<Ts>) -> Result<()> {
-        let cuts: Vec<usize> = self
-            .pending
-            .iter()
-            .map(|queue| releasable(queue, below))
-            .collect();
-        let released: usize = cuts.iter().sum();
-        if released > 0 {
+        let cut = |queue: &mut Changelog| match below {
+            Some(clock) => queue.split_before(clock),
+            None => std::mem::take(queue),
+        };
+        let mut released: Vec<Changelog> = self.pending.iter_mut().map(cut).collect();
+        if released.iter().any(|part| !part.is_empty()) {
             // Current span while sinks write: a `NetSink` attaches it to
             // outgoing BATCH frames as the consumer side's trace parent.
             let _emit_span = observe::TraceSpan::child("driver.emit");
             let emit = Stopwatch::start();
-            let mut rows: Vec<StreamRow> = Vec::with_capacity(released);
-            let queues: Vec<&[TimedChange]> = self
-                .pending
-                .iter_mut()
-                .zip(&cuts)
-                .map(|(queue, &cut)| &queue.make_contiguous()[..cut])
-                .collect();
-            for entry in merge_order(&queues) {
-                self.renderer.render_into(entry, &mut rows)?;
+            let batch = self.renderer.render_batch(&mut released)?;
+            self.metrics.events_out += batch.len() as u64;
+            let written = (self.sinks.iter_mut()).try_for_each(|sink| sink.write_batch(&batch));
+            for (kept, part) in self.kept.iter_mut().zip(released) {
+                kept.absorb(part)?;
             }
-            for ((queue, bin), &cut) in self.pending.iter_mut().zip(&mut self.returns).zip(&cuts) {
-                bin.extend(queue.drain(..cut));
-            }
-            self.metrics.events_out += rows.len() as u64;
-            for sink in &mut self.sinks {
-                sink.write(&rows)?;
-            }
+            written?;
             self.metrics.emit_micros.record(emit.micros());
         }
-        if matches!(self.workers, WorkerSet::Inline(_)) {
-            self.return_rows()?;
-        }
         self.notify_sink_watermark()
-    }
-
-    /// Hand each worker its bin of released entries, one job each: the
-    /// worker copies their values into its part of the result TVR and
-    /// frees their rows where it built them. Freeing a worker-built row
-    /// costs the control thread several times what keeping it does, and
-    /// the copy is work the control thread, the pipeline's bottleneck on
-    /// a projection, need not do. Worker threads get their bins after a
-    /// gather, to take them in while the control thread polls instead of
-    /// before their next reply; by then the sinks and the rendered rows
-    /// are done with the rows, so the worker's drop is the last.
-    fn return_rows(&mut self) -> Result<()> {
-        for worker in 0..self.returns.len() {
-            let held = self.returns[worker].len();
-            if held == 0 {
-                continue;
-            }
-            let released = std::mem::replace(&mut self.returns[worker], Vec::with_capacity(held));
-            self.handed[worker] += held;
-            let kept = Arc::clone(&self.kept[worker]);
-            self.workers
-                .send(worker, move |shard| shard.absorb(&kept, released))?;
-        }
-        Ok(())
-    }
-
-    /// Worker `w`'s part of the result TVR once it took in every bin it
-    /// was handed (at once unless its thread is still at work on one).
-    fn settled(&self, w: usize) -> MutexGuard<'_, KeptLog> {
-        let kept = &self.kept[w];
-        let mut part = lock(&kept.log);
-        while part.absorbed < self.handed[w] && self.workers.alive(w) {
-            let waited = kept
-                .signal
-                .wait_timeout(part, std::time::Duration::from_millis(10));
-            part = waited.unwrap_or_else(PoisonError::into_inner).0;
-        }
-        part
     }
 
     /// Report the combined output watermark to sinks — but only while no
     /// entries are held back, so a sink never hears "complete up to W"
     /// before the rows W released.
     fn notify_sink_watermark(&mut self) -> Result<()> {
-        if !self.pending.iter().all(|p| p.is_empty()) {
+        if !self.pending.iter().all(Changelog::is_empty) {
             return Ok(());
         }
         if self.output_watermark > self.sink_watermark {
@@ -1322,7 +1184,6 @@ impl PipelineDriver {
         self.workers.broadcast(move |shard| shard.finish(clock))?;
         self.drain_workers()?;
         self.flush(None)?;
-        self.return_rows()?;
         for sink in &mut self.sinks {
             sink.flush()?;
         }
@@ -1374,15 +1235,12 @@ impl PipelineDriver {
     /// still held back at the clock are not in it yet, nor — between two
     /// steps of worker threads over saturated input — is the last gathered
     /// round. This is the pipeline's only retained output — the workers'
-    /// queries keep none. Built on read from the per-worker parts (after
-    /// any worker thread still copying a bin in is done).
+    /// queries keep none. Built on read from the per-worker parts.
     pub fn changelog(&self) -> Changelog {
-        let parts: Vec<MutexGuard<'_, KeptLog>> =
-            (0..self.kept.len()).map(|w| self.settled(w)).collect();
-        let mut parts: Vec<_> = parts
+        let mut parts: Vec<_> = self
+            .kept
             .iter()
-            .zip(&self.returns)
-            .map(|(part, bin)| part.log.iter().chain(bin.iter().cloned()).peekable())
+            .map(|part| part.iter().peekable())
             .collect();
         let mut merged = Changelog::new();
         loop {
@@ -1425,14 +1283,9 @@ impl PipelineDriver {
             return Err(Error::exec(POISONED));
         }
         let mut table = Bag::new();
-        for (w, bin) in self.returns.iter().enumerate() {
-            self.settled(w).log.replay_into(at, &mut table);
-            let bin = bin.iter().filter(|entry| entry.ptime <= at);
-            table.apply(bin.map(|entry| entry.change.clone()));
+        for log in self.kept.iter().chain(&self.pending) {
+            log.replay_into(at, &mut table);
         }
-        let held = self.pending.iter().flatten();
-        let held = held.filter(|entry| entry.ptime <= at);
-        table.apply(held.map(|entry| entry.change.clone()));
         let mut rows = table.to_rows();
         apply_presentation(&self.query, &mut rows)?;
         Ok(rows)
@@ -1501,11 +1354,7 @@ impl PipelineDriver {
             feeders: self.ledger.feeder_watermarks().to_vec(),
             clock: self.clock,
             batch_size: self.controller.size(),
-            pending: self
-                .pending
-                .iter()
-                .map(|p| p.iter().cloned().collect())
-                .collect(),
+            pending: self.pending.iter().map(Changelog::entries).collect(),
             renderer_versions: self.renderer.versions(),
             sink_watermark: self.sink_watermark,
             output_watermark: self.output_watermark,
@@ -1695,11 +1544,12 @@ impl PipelineDriver {
         }
         self.clock = checkpoint.clock;
         self.controller.set_size(checkpoint.batch_size);
-        self.pending = checkpoint
-            .pending
-            .iter()
-            .map(|p| p.iter().cloned().collect())
-            .collect();
+        for (queue, held) in self.pending.iter_mut().zip(&checkpoint.pending) {
+            for entry in held {
+                queue.push(entry.ptime, &entry.change)?;
+            }
+            queue.seal();
+        }
         self.renderer
             .set_versions(checkpoint.renderer_versions.clone());
         self.sink_watermark = checkpoint.sink_watermark;
@@ -1747,6 +1597,7 @@ mod tests {
     use crate::engine::StreamBuilder;
     use crate::history::HistoryTap;
     use crate::session::Session;
+    use onesql_exec::StreamRow;
     use onesql_state::Codec;
     use onesql_types::{row, DataType, Duration};
 
@@ -2084,6 +1935,30 @@ mod tests {
     }
 
     #[test]
+    fn the_retained_gauges_read_the_log_after_every_step() {
+        let e = engine();
+        for workers in [1usize, 2] {
+            let config = DriverConfig {
+                batch_size: 4,
+                adaptive: None,
+                ..sharded(workers)
+            };
+            let mut driver = planned(&e, AGG, config).unwrap();
+            let parts = script(vec![bids(20, 0), bids(20, 3)]);
+            driver.attach_partitioned_source(parts).unwrap();
+            while !driver.is_finished() {
+                driver.step().unwrap();
+                let rows = driver.changelog().len() as u64;
+                let bytes: usize = driver.kept.iter().map(Changelog::heap_bytes).sum();
+                let metrics = driver.metrics();
+                assert_eq!(metrics.retained_rows, rows, "{workers} workers");
+                assert_eq!(metrics.retained_bytes, bytes as u64, "{workers} workers");
+                assert_eq!(rows == 0, bytes == 0, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
     fn load_signal_and_clock_do_not_depend_on_the_worker_count() {
         const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
         let e = engine();
@@ -2179,12 +2054,11 @@ mod tests {
         driver.attach_sink(Box::new(seen.clone())).unwrap();
         for step in 0..8 {
             driver.step().unwrap();
-            let owed = driver
+            let owed: usize = driver
                 .pending
                 .iter()
-                .flatten()
-                .filter(|entry| entry.ptime < driver.clock)
-                .count();
+                .map(|queue| queue.count_before(driver.clock))
+                .sum();
             if step % 2 == 0 {
                 // Both sources answered `Ready` with events: the round's
                 // output waits for the next step.
@@ -2399,12 +2273,13 @@ mod tests {
         let e = engine();
         let mut driver = planned(&e, "SELECT auction, price FROM Bid", sharded(3)).unwrap();
         // `(worker, arrival)` rows: every worker holds entries at ptime 5.
-        let queue = |worker: i64, ptimes: &[i64]| -> VecDeque<TimedChange> {
-            let entry = |(arrival, &ptime): (usize, &i64)| TimedChange {
-                ptime: Ts(ptime),
-                change: Change::insert(row!(worker, arrival as i64)),
-            };
-            ptimes.iter().enumerate().map(entry).collect()
+        let queue = |worker: i64, ptimes: &[i64]| -> Changelog {
+            let mut queue = Changelog::new();
+            for (arrival, &ptime) in ptimes.iter().enumerate() {
+                let change = Change::insert(row!(worker, arrival as i64));
+                queue.push(Ts(ptime), &change).unwrap();
+            }
+            queue
         };
         driver.pending = vec![
             queue(0, &[5, 5, 7]),

@@ -72,5 +72,5 @@ pub use observe::{
 };
 pub use session::{PipelineInfo, ScriptOutcome, Session, SqlPipeline, StatementResult};
 
-pub use onesql_exec::{ExecConfig, StreamRow};
+pub use onesql_exec::{ExecConfig, StreamBatch, StreamRow};
 pub use onesql_plan::{render_report, BoundQuery, Diagnostic, EmitSpec, LintMode, Severity};

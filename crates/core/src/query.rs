@@ -19,7 +19,7 @@ use onesql_exec::{render_stream, Executor, StreamRow};
 use onesql_plan::BoundQuery;
 use onesql_state::StateMetrics;
 use onesql_time::Watermark;
-use onesql_tvr::{Bag, Change, ChangeBatch, Changelog, Element, TimedChange};
+use onesql_tvr::{Change, ChangeBatch, Changelog, Element};
 use onesql_types::{Error, Result, Row, Schema, SchemaRef, Ts};
 
 use crate::engine::validate_row;
@@ -198,16 +198,10 @@ impl RunningQuery {
     }
 
     /// The raw output changelog (the stream encoding of the result TVR),
-    /// copied into a [`Changelog`] of its own.
+    /// copied.
     #[doc(hidden)]
     pub fn changelog(&self) -> Changelog {
-        let mut log = Changelog::new();
-        for entry in self.executor.changelog() {
-            if let Err(e) = log.push(entry.ptime, &entry.change) {
-                unreachable!("the executor stamps its monotone clock: {e}");
-            }
-        }
-        log
+        self.executor.changelog().clone()
     }
 
     /// How many entries the output changelog holds, without the copy
@@ -221,7 +215,7 @@ impl RunningQuery {
     /// pipeline driver's drain, which appends the entries to its own merged
     /// log. From then on [`RunningQuery::changelog`], the table view and
     /// the stream view cover only what came after the take.
-    pub(crate) fn take_changelog(&mut self) -> Vec<TimedChange> {
+    pub(crate) fn take_changelog(&mut self) -> Changelog {
         self.executor.take_output()
     }
 
@@ -243,9 +237,7 @@ impl RunningQuery {
     /// The table view: the snapshot of the result TVR over everything
     /// processed so far, with the query's `ORDER BY` / `LIMIT` applied.
     pub(crate) fn table(&self) -> Result<Vec<Row>> {
-        let mut table = Bag::new();
-        table.apply(self.executor.changelog().iter().map(|e| e.change.clone()));
-        let mut rows = table.to_rows();
+        let mut rows = self.executor.changelog().snapshot().to_rows();
         apply_presentation(&self.query, &mut rows)?;
         Ok(rows)
     }

@@ -278,7 +278,7 @@ mod tests {
         let snap = snapshot(&ex);
         assert_eq!(snap.to_rows(), vec![row!(Ts::hm(8, 10), 2i64)]);
         // And the release was stamped at the watermark's processing time.
-        assert_eq!(ex.changelog()[0].ptime, Ts::hm(8, 16));
+        assert_eq!(ex.changelog().entries()[0].ptime, Ts::hm(8, 16));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! - [`render_stream`] — `EMIT STREAM` (Extension 4): renders a stamped
 //!   changelog with the `undo` / `ptime` / `ver` metadata columns, where
 //!   `ver` numbers revisions per event-time grouping (Listing 9).
+//!   [`StreamRenderer::render_batch`] renders the same rows as columns, a
+//!   [`StreamBatch`], without building them.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -24,8 +26,9 @@ use std::hash::{BuildHasher, Hasher};
 
 use onesql_state::{Checkpoint, Codec, StateMetrics};
 use onesql_time::Watermark;
-use onesql_tvr::{Change, Element, TimedChange};
-use onesql_types::{Duration, Error, Result, Row, Ts, Value};
+use onesql_tvr::changelog::Segment;
+use onesql_tvr::{Change, Changelog, Element, TimedChange};
+use onesql_types::{Column, ColumnData, Duration, Error, Result, Row, Ts, Value};
 
 use crate::operator::Operator;
 
@@ -308,6 +311,90 @@ pub struct StreamRow {
     pub ver: u64,
 }
 
+/// `EMIT STREAM` rows as columns: what one [`StreamRenderer::render_batch`]
+/// released, in release order, with no row built. Row `i` is an entry of
+/// one of the rendered logs' segments — its data values are that
+/// segment's [`Column`]s at one index, or a row an operator built
+/// ([`StreamBatch::get`]) — plus its `undo`, `ptime` and `ver`. An
+/// entry with `|diff| > 1` is that many rows, with consecutive `ver`s.
+pub struct StreamBatch<'a> {
+    segments: Vec<&'a Segment>,
+    /// Per row, its segment (an index into `segments`) and entry.
+    rows: Vec<(u32, u32)>,
+    vers: Vec<u64>,
+}
+
+/// One row of a [`StreamBatch`].
+pub struct BatchRow<'a> {
+    /// Where its data values are.
+    pub cells: Cells<'a>,
+    /// Whether it retracts a previous row.
+    pub undo: bool,
+    /// Its processing time.
+    pub ptime: Ts,
+    /// Its revision number within its event-time grouping.
+    pub ver: u64,
+}
+
+/// Where one [`StreamBatch`] row's data values are.
+pub enum Cells<'a> {
+    /// At one index of each column.
+    Columns(&'a [Column], usize),
+    /// In a row an operator built.
+    Row(&'a Row),
+}
+
+impl<'a> StreamBatch<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn entry(&self, i: usize) -> (&'a Segment, usize) {
+        let (segment, entry) = self.rows[i];
+        (self.segments[segment as usize], entry as usize)
+    }
+
+    /// Row `i`: where its data values are, and its metadata.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> BatchRow<'a> {
+        let (segment, entry) = self.entry(i);
+        let cells = match segment.rows().get(entry) {
+            Some(row) => Cells::Row(row),
+            None => Cells::Columns(segment.columns(), segment.offset() + entry),
+        };
+        BatchRow {
+            cells,
+            undo: segment.diffs()[entry] < 0,
+            ptime: segment.ptimes()[entry],
+            ver: self.vers[i],
+        }
+    }
+
+    /// Row `i`, built.
+    pub fn stream_row(&self, i: usize) -> StreamRow {
+        let (segment, entry) = self.entry(i);
+        StreamRow {
+            row: segment.row(entry),
+            undo: segment.diffs()[entry] < 0,
+            ptime: segment.ptimes()[entry],
+            ver: self.vers[i],
+        }
+    }
+
+    /// Every row, built, in order.
+    pub fn stream_rows(&self) -> impl Iterator<Item = StreamRow> + '_ {
+        (0..self.len()).map(|i| self.stream_row(i))
+    }
+}
+
 /// Render a stamped changelog as an `EMIT STREAM` relation (Extension 4):
 /// each change becomes a row with `undo`, `ptime`, and `ver` columns, where
 /// `ver` counts revisions per event-time grouping, identified by
@@ -434,23 +521,8 @@ impl StreamRenderer {
     pub fn render_into(&mut self, entry: &TimedChange, out: &mut Vec<StreamRow>) -> Result<()> {
         let change = &entry.change;
         // A change with |diff| > 1 renders as that many unit revisions.
-        let revisions = change.diff.unsigned_abs();
-        let rows = usize::try_from(revisions).unwrap_or(usize::MAX);
-        out.try_reserve(rows)
-            .map_err(|_| Error::exec(format!("cannot render a change of diff {}", change.diff)))?;
-        let first = match self.grouping_cols[..] {
-            [col] => match change.row.value(col)? {
-                Value::Ts(ts) => advance(self.by_ts.entry(ts.millis()).or_insert(0), revisions)?,
-                one => advance_row(&mut self.by_row, std::slice::from_ref(one), revisions)?,
-            },
-            _ => {
-                self.key.clear();
-                for &col in &self.grouping_cols {
-                    self.key.push(change.row.value(col)?.clone());
-                }
-                advance_row(&mut self.by_row, &self.key, revisions)?
-            }
-        };
+        let revisions = reserve(out, change.diff)?;
+        let first = self.first_version(revisions, |col| change.row.value(col).cloned())?;
         out.extend((first..first + revisions).map(|ver| StreamRow {
             row: change.row.clone(),
             undo: change.diff < 0,
@@ -459,6 +531,159 @@ impl StreamRenderer {
         }));
         Ok(())
     }
+
+    /// Render every entry of `parts` — each in ptime order, as a pipeline
+    /// worker's released output is — in `(ptime, part, position)` order,
+    /// numbering `ver` from the grouping columns' lanes, and return the
+    /// rows as columns. The parts are sealed first. Errors as
+    /// [`StreamRenderer::render_into`] does.
+    pub fn render_batch<'a>(&mut self, parts: &'a mut [Changelog]) -> Result<StreamBatch<'a>> {
+        for part in parts.iter_mut() {
+            part.seal();
+        }
+        let parts: &'a [Changelog] = parts;
+        let segments: Vec<&'a Segment> = parts.iter().flat_map(|p| p.segments()).collect();
+        if u32::try_from(segments.len()).is_err() {
+            return Err(Error::exec(
+                "cannot render more than u32::MAX segments at once",
+            ));
+        }
+        let order = merge_order(parts);
+        let mut batch = StreamBatch {
+            segments,
+            rows: Vec::new(),
+            vers: Vec::with_capacity(order.len()),
+        };
+        // Each segment's `ver` key: the one-TIMESTAMP grouping read
+        // straight off a lane without NULLs, or `None` to go by value.
+        let ts_lanes: Vec<Option<&[Ts]>> = batch
+            .segments
+            .iter()
+            .map(|lanes| match self.grouping_cols[..] {
+                [col] => match lanes.columns().get(col).map(Column::data) {
+                    Some(ColumnData::Ts { vals, nulls: None }) => Some(&vals[lanes.offset()..]),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        // The rows are the entries, unless one has `|diff| != 1`: from the
+        // first such on they are built apart.
+        let mut expanded: Option<Vec<(u32, u32)>> = None;
+        for (i, &(id, entry)) in order.iter().enumerate() {
+            let (lanes, entry) = (batch.segments[id as usize], entry as usize);
+            let diff = lanes.diffs()[entry];
+            let revisions = diff.unsigned_abs();
+            let first = match ts_lanes[id as usize] {
+                Some(vals) => advance(
+                    self.by_ts.entry(vals[entry].millis()).or_insert(0),
+                    revisions,
+                )?,
+                None => self.entry_version(lanes, entry, revisions)?,
+            };
+            if revisions == 1 && expanded.is_none() {
+                batch.vers.push(first);
+                continue;
+            }
+            let rows = expanded.get_or_insert_with(|| order[..i].to_vec());
+            reserve(rows, diff)?;
+            reserve(&mut batch.vers, diff)?;
+            rows.extend(std::iter::repeat_n((id, entry as u32), revisions as usize));
+            batch.vers.extend(first..first + revisions);
+        }
+        batch.rows = expanded.unwrap_or(order);
+        Ok(batch)
+    }
+
+    /// [`StreamRenderer::first_version`] of entry `entry` of `lanes`.
+    fn entry_version(&mut self, lanes: &Segment, entry: usize, revisions: u64) -> Result<u64> {
+        let (columns, at) = (lanes.columns(), lanes.offset() + entry);
+        let row = lanes.rows().get(entry);
+        self.first_version(revisions, |col| match row {
+            Some(row) => row.value(col).cloned(),
+            None => {
+                let column = columns.get(col).ok_or_else(|| {
+                    Error::exec(format!(
+                        "column index {col} out of range for row of arity {}",
+                        columns.len()
+                    ))
+                })?;
+                Ok(column.value(at))
+            }
+        })
+    }
+
+    /// Move the counter of the grouping whose column `col` holds
+    /// `value(col)` past `revisions` versions, returning the first.
+    fn first_version(
+        &mut self,
+        revisions: u64,
+        value: impl Fn(usize) -> Result<Value>,
+    ) -> Result<u64> {
+        match self.grouping_cols[..] {
+            [col] => match value(col)? {
+                Value::Ts(ts) => advance(self.by_ts.entry(ts.millis()).or_insert(0), revisions),
+                one => advance_row(&mut self.by_row, std::slice::from_ref(&one), revisions),
+            },
+            _ => {
+                self.key.clear();
+                for &col in &self.grouping_cols {
+                    self.key.push(value(col)?);
+                }
+                advance_row(&mut self.by_row, &self.key, revisions)
+            }
+        }
+    }
+}
+
+/// The release order of `parts`' entries, each part in ptime order: by
+/// ptime, then part, then position, as `(segment, entry)` with segments
+/// numbered across the parts in order.
+fn merge_order(parts: &[Changelog]) -> Vec<(u32, u32)> {
+    let mut order = Vec::with_capacity(parts.iter().map(Changelog::len).sum());
+    // Per part: its next segment's number, that segment's remaining
+    // ptimes, and the segments after it.
+    let mut heads = Vec::with_capacity(parts.len());
+    let mut first = 0u32;
+    for part in parts {
+        if let Some((head, rest)) = part.segments().split_first() {
+            heads.push((first, head.ptimes(), 0u32, rest));
+        }
+        first += part.segments().len() as u32;
+    }
+    while !heads.is_empty() {
+        let mut next = 0;
+        for p in 1..heads.len() {
+            if heads[p].1[0] < heads[next].1[0] {
+                next = p;
+            }
+        }
+        let (id, ptimes, entry, rest) = &mut heads[next];
+        order.push((*id, *entry));
+        *entry += 1;
+        *ptimes = &ptimes[1..];
+        if ptimes.is_empty() {
+            match rest.split_first() {
+                Some((head, later)) => {
+                    (*id, *ptimes, *entry, *rest) = (*id + 1, head.ptimes(), 0, later)
+                }
+                None => {
+                    heads.remove(next);
+                }
+            }
+        }
+    }
+    order
+}
+
+/// Make room in `out` for the unit revisions of a change of `diff`, and
+/// return how many there are: an error when no rendering can hold them.
+fn reserve<T>(out: &mut Vec<T>, diff: i64) -> Result<u64> {
+    let revisions = diff.unsigned_abs();
+    let rows = usize::try_from(revisions).unwrap_or(usize::MAX);
+    out.try_reserve(rows)
+        .map_err(|_| Error::exec(format!("cannot render a change of diff {diff}")))?;
+    Ok(revisions)
 }
 
 /// Move a grouping's counter past `revisions` versions, returning the

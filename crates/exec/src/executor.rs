@@ -2,7 +2,7 @@
 
 use onesql_state::StateMetrics;
 use onesql_time::Watermark;
-use onesql_tvr::{BatchOut, ChangeBatch, Element, TimedChange};
+use onesql_tvr::{BatchOut, ChangeBatch, Changelog, Element};
 use onesql_types::{Duration, Error, Result, SchemaRef, Ts};
 
 use crate::operator::Operator;
@@ -249,7 +249,7 @@ pub struct Executor {
     root: OpNode,
     schema: SchemaRef,
     now: Ts,
-    output: Vec<TimedChange>,
+    output: Changelog,
     watermark: Watermark,
     initialized: bool,
     /// Every source leaf in tree order, and whether any operator schedules
@@ -270,7 +270,7 @@ impl Executor {
             root,
             schema,
             now: Ts(0),
-            output: Vec::new(),
+            output: Changelog::new(),
             watermark: Watermark::MIN,
             initialized: false,
         }
@@ -308,21 +308,19 @@ impl Executor {
     }
 
     /// The stamped output changelog (the result TVR's stream encoding),
-    /// one row per entry, in processing-time order.
-    pub fn changelog(&self) -> &[TimedChange] {
+    /// in processing-time order.
+    pub fn changelog(&self) -> &Changelog {
         &self.output
     }
 
-    /// Move the output recorded so far out, leaving the changelog empty:
-    /// for a consumer that keeps the result TVR itself (the pipeline
-    /// driver's merged log), so the executor retains nothing. Callers that
-    /// never take read the whole history from [`Executor::changelog`].
-    pub fn take_output(&mut self) -> Vec<TimedChange> {
-        let taken = std::mem::take(&mut self.output);
-        // The next round's output is likely about this size: one allocation
-        // then, instead of growing from nothing.
-        self.output.reserve(taken.len());
-        taken
+    /// Move the output recorded so far out, sealed, leaving the changelog
+    /// empty: for a consumer that keeps the result TVR itself (the
+    /// pipeline driver's merged log), so the executor retains nothing.
+    /// Callers that never take read the whole history from
+    /// [`Executor::changelog`].
+    pub fn take_output(&mut self) -> Changelog {
+        self.output.seal();
+        std::mem::take(&mut self.output)
     }
 
     /// Aggregate state footprint across all operators.
@@ -340,8 +338,7 @@ impl Executor {
         let mut out = Vec::new();
         let now = self.now;
         self.root.initialize(now, &mut out)?;
-        self.record(now, out);
-        Ok(())
+        self.record(now, out)
     }
 
     /// Advance the processing-time clock to `to`, firing any delayed
@@ -373,7 +370,7 @@ impl Executor {
             let mut out = Vec::new();
             let now = self.now;
             self.root.tick(now, &mut out)?;
-            self.record(now, out);
+            self.record(now, out)?;
         }
         Ok(())
     }
@@ -385,8 +382,7 @@ impl Executor {
         let mut out = Vec::new();
         let now = self.now;
         self.root.feed(source_id, &elem, now, &mut out)?;
-        self.record(now, out);
-        Ok(())
+        self.record(now, out)
     }
 
     /// Feed one element into every source leaf scanning `table`.
@@ -398,7 +394,7 @@ impl Executor {
             let mut out = Vec::new();
             let now = self.now;
             self.root.feed(id, &elem, now, &mut out)?;
-            self.record(now, out);
+            self.record(now, out)?;
             n += 1;
         }
         Ok(())
@@ -452,7 +448,7 @@ impl Executor {
         // Record even on error: `out` holds the outputs of the events before
         // the failing one, which per-row feeding would have recorded already,
         // and the failing event's ptime, which it would have advanced to.
-        self.record_batch(out);
+        self.record_batch(out)?;
         if res.is_ok() {
             self.now = self.now.max(batch.ptime(batch.len() - 1));
         }
@@ -503,7 +499,7 @@ impl Executor {
         }
         self.now = now;
         self.watermark = Watermark(wm);
-        self.output = Vec::new();
+        self.output = Changelog::new();
         // A restored pipeline must not replay initialization effects
         // (constant rows, global-aggregate seeds) — they are part of the
         // checkpointed state.
@@ -513,35 +509,31 @@ impl Executor {
 
     /// Stamp batch outputs into the changelog, each row at its own ptime
     /// (the oracle stamps `self.now`, which per-row feeding would have
-    /// advanced to that row's ptime).
-    fn record_batch(&mut self, items: Vec<BatchOut>) {
+    /// advanced to that row's ptime). A batch goes in as columns.
+    fn record_batch(&mut self, items: Vec<BatchOut>) -> Result<()> {
         for item in items {
             match item {
                 BatchOut::Batch(b) => {
-                    self.output.reserve(b.len());
-                    for i in 0..b.len() {
-                        let ts = b.ptime(i);
-                        self.now = self.now.max(ts);
-                        if b.diff(i) != 0 {
-                            let change = b.change(i);
-                            self.output.push(TimedChange { ptime: ts, change });
-                        }
+                    if let Some(last) = b.len().checked_sub(1) {
+                        self.output.push_batch(&b)?;
+                        self.now = self.now.max(b.ptime(last));
                     }
                 }
-                BatchOut::Rows(ts, elems) => self.record(ts, elems),
+                BatchOut::Rows(ts, elems) => self.record(ts, elems)?,
             }
         }
+        Ok(())
     }
 
     /// Stamp the elements of one event fed at `ts` into the changelog,
     /// moving the clock to `ts`.
-    fn record(&mut self, ts: Ts, elements: Vec<Element>) {
+    fn record(&mut self, ts: Ts, elements: Vec<Element>) -> Result<()> {
         self.now = self.now.max(ts);
         for e in elements {
             match e {
                 Element::Data(change) => {
                     if change.diff != 0 {
-                        self.output.push(TimedChange { ptime: ts, change });
+                        self.output.push_row(ts, change)?;
                     }
                 }
                 Element::Watermark(wm) => {
@@ -549,6 +541,7 @@ impl Executor {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -593,7 +586,7 @@ mod tests {
             .unwrap();
         ex.feed("Bid", Ts::hm(8, 9), Element::insert(row!(1i64)))
             .unwrap();
-        let log = ex.changelog();
+        let log = ex.changelog().entries();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].ptime, Ts::hm(8, 8));
     }

@@ -36,6 +36,8 @@ pub mod vector;
 pub mod window;
 
 pub use compile::compile;
-pub use emit::{render_stream, StreamRenderer, StreamRow, STREAM_META_COLUMNS};
+pub use emit::{
+    render_stream, BatchRow, Cells, StreamBatch, StreamRenderer, StreamRow, STREAM_META_COLUMNS,
+};
 pub use executor::{ExecConfig, Executor};
 pub use operator::Operator;

@@ -25,6 +25,9 @@ use onesql_types::{Column, Row, Ts, Value};
 use crate::change::Change;
 use crate::element::Element;
 
+/// A batch's ptime and diff lanes.
+pub(crate) type TimeLanes = (Arc<[Ts]>, Arc<[i64]>);
+
 /// A columnar batch of timed changes flowing through the vectorized executor.
 #[derive(Clone, Debug)]
 pub struct ChangeBatch {
@@ -97,6 +100,13 @@ impl ChangeBatch {
         }
         let cols = builders.into_iter().map(|b| b.finish()).collect();
         Some(ChangeBatch::new_dense(cols, diffs, ptimes))
+    }
+
+    /// The ptime and diff lanes of a batch with no selection, shared.
+    pub(crate) fn dense_lanes(&self) -> Option<TimeLanes> {
+        self.sel
+            .is_none()
+            .then(|| (self.ptimes.clone(), self.diffs.clone()))
     }
 
     /// Number of (logical) rows.

@@ -294,6 +294,29 @@ impl Column {
         }
     }
 
+    /// Give back the storage's spare capacity, when no other handle shares
+    /// it.
+    pub fn shrink_to_fit(&mut self) {
+        fn shrink<T>(vals: &mut Vec<T>, nulls: &mut Option<Vec<bool>>) {
+            vals.shrink_to_fit();
+            if let Some(mask) = nulls {
+                mask.shrink_to_fit();
+            }
+        }
+        let Some(data) = Arc::get_mut(&mut self.0) else {
+            return;
+        };
+        match data {
+            ColumnData::Int { vals, nulls } => shrink(vals, nulls),
+            ColumnData::Float { vals, nulls } => shrink(vals, nulls),
+            ColumnData::Bool { vals, nulls } => shrink(vals, nulls),
+            ColumnData::Ts { vals, nulls } => shrink(vals, nulls),
+            ColumnData::Interval { vals, nulls } => shrink(vals, nulls),
+            ColumnData::Str { vals, nulls } => shrink(vals, nulls),
+            ColumnData::Mixed(vals) => vals.shrink_to_fit(),
+        }
+    }
+
     /// Gather rows at the given physical indices into a new dense column.
     ///
     /// # Panics

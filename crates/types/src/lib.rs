@@ -18,6 +18,7 @@
 
 pub mod column;
 pub mod datatype;
+pub mod digits;
 pub mod error;
 pub mod format;
 pub mod row;

@@ -12,6 +12,8 @@ use std::ops::{Add, AddAssign, Sub};
 
 use serde::{Deserialize, Serialize};
 
+use crate::digits;
+
 /// Milliseconds per second/minute/hour, used by constructors and formatting.
 pub const MILLIS_PER_SECOND: i64 = 1_000;
 /// Milliseconds per minute.
@@ -72,52 +74,12 @@ impl Ts {
         self.to_string()
     }
 
-    /// Write the [`Ts::to_clock_string`] form into `out`, digit by digit:
-    /// no intermediate string and no format machinery, so a sink rendering
-    /// two timestamps per row can afford it. [`fmt::Display`] is this.
+    /// Write the [`Ts::to_clock_string`] form into `out`, encoded by
+    /// [`digits::clock`]: no intermediate string and no format machinery.
+    /// [`fmt::Display`] is this.
     pub fn write_clock<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
-        if self == Ts::MAX {
-            return out.write_str("+inf");
-        }
-        if self == Ts::MIN {
-            return out.write_str("-inf");
-        }
-        if self.0 < 0 {
-            out.write_char('-')?;
-        }
-        let ms = self.0.unsigned_abs();
-        let (hour, minute) = (MILLIS_PER_HOUR as u64, MILLIS_PER_MINUTE as u64);
-        write_digits(out, ms / hour, 1)?;
-        out.write_char(':')?;
-        write_digits(out, ms % hour / minute, 2)?;
-        let rem_ms = ms % minute;
-        if rem_ms != 0 {
-            out.write_char(':')?;
-            write_digits(out, rem_ms / MILLIS_PER_SECOND as u64, 2)?;
-            out.write_char('.')?;
-            write_digits(out, rem_ms % MILLIS_PER_SECOND as u64, 3)?;
-        }
-        Ok(())
+        out.write_str(digits::clock(self).as_str())
     }
-}
-
-/// Write `n` in decimal, zero-padded on the left to at least `width` digits.
-fn write_digits<W: fmt::Write>(out: &mut W, mut n: u64, width: usize) -> fmt::Result {
-    // u64::MAX has 20 digits.
-    let mut digits = [b'0'; 20];
-    let mut first = digits.len();
-    loop {
-        first -= 1;
-        digits[first] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    let first = first.min(digits.len().saturating_sub(width));
-    digits[first..]
-        .iter()
-        .try_for_each(|&digit| out.write_char(digit as char))
 }
 
 impl fmt::Display for Ts {
@@ -202,16 +164,7 @@ impl Duration {
 
 impl fmt::Display for Duration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ms = self.0;
-        if ms % MILLIS_PER_HOUR == 0 {
-            write!(f, "{}h", ms / MILLIS_PER_HOUR)
-        } else if ms % MILLIS_PER_MINUTE == 0 {
-            write!(f, "{}m", ms / MILLIS_PER_MINUTE)
-        } else if ms % MILLIS_PER_SECOND == 0 {
-            write!(f, "{}s", ms / MILLIS_PER_SECOND)
-        } else {
-            write!(f, "{ms}ms")
-        }
+        f.write_str(digits::interval(*self).as_str())
     }
 }
 

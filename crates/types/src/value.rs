@@ -398,11 +398,11 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("NULL"),
             Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
+            Value::Int(i) => f.write_str(crate::digits::i64(*i).as_str()),
             Value::Float(v) => write!(f, "{v}"),
             Value::Str(s) => f.write_str(s),
-            Value::Ts(t) => write!(f, "{t}"),
-            Value::Interval(d) => write!(f, "{d}"),
+            Value::Ts(t) => t.write_clock(f),
+            Value::Interval(d) => f.write_str(crate::digits::interval(*d).as_str()),
         }
     }
 }
