@@ -25,7 +25,7 @@ use crate::harness::{RunKind, Scenario, ScenarioConfig};
 const WORKERS: usize = 2;
 const BATCH: usize = 16;
 /// `(workers, batch)` of each variation run.
-const VARIATIONS: [(usize, usize); 3] = [(1, BATCH), (3, BATCH), (3, 24)];
+const VARIATIONS: [(usize, usize); 4] = [(1, BATCH), (3, BATCH), (4, BATCH), (3, 24)];
 
 /// One NEXMark suite query as a checkable full-stack pipeline.
 #[derive(Debug)]
@@ -85,7 +85,7 @@ impl Drop for Scratch {
 
 impl NexmarkScenario {
     /// A scenario for `spec` ingesting `events` events, on 2 workers with
-    /// variations at 1 and 3 (worker-count independence) and at another
+    /// variations at 1, 3 and 4 (worker-count independence) and at another
     /// batch size.
     pub fn new(spec: FullStackSpec, events: u64) -> NexmarkScenario {
         let config = ScriptConfig {

@@ -603,7 +603,7 @@ impl LineRenderer {
                         text::push_int(out, ptime.millis());
                     }
                     if let Some(out) = object.field() {
-                        text::push_int(out, ver as i64);
+                        text::push_u64(out, ver);
                     }
                 }
                 object.close();
@@ -1357,12 +1357,10 @@ mod tests {
                     fields.join(",")
                 }
                 (LineFormat::JsonLines, mode) => {
-                    let row = if *mode == CsvSinkMode::Changelog {
-                        sr.row.with_appended(&[
-                            Value::Bool(sr.undo),
-                            Value::Ts(sr.ptime),
-                            Value::Int(sr.ver as i64),
-                        ])
+                    let changelog = *mode == CsvSinkMode::Changelog;
+                    let row = if changelog {
+                        sr.row
+                            .with_appended(&[Value::Bool(sr.undo), Value::Ts(sr.ptime)])
                     } else {
                         sr.row.clone()
                     };
@@ -1371,7 +1369,12 @@ mod tests {
                     let pair = |(f, v): (&onesql_types::Field, _)| {
                         format!("{}:{}", escape_json_string(&f.name), value_to_json(v))
                     };
-                    format!("{{{}}}", pairs.map(pair).collect::<Vec<_>>().join(","))
+                    let mut pairs: Vec<String> = pairs.map(pair).collect();
+                    if changelog {
+                        // A count, written as the CSV path writes it.
+                        pairs.push(format!("\"ver\":{}", sr.ver));
+                    }
+                    format!("{{{}}}", pairs.join(","))
                 }
             })
         }

@@ -109,3 +109,41 @@ proptest! {
         prop_assert_eq!(renderer.versions(), oracle.versions());
     }
 }
+
+/// A counter a crafted checkpoint carries past `i64::MAX` is refused
+/// before any sink writes it: `ver` is never printed outside BIGINT's
+/// range, so never as a negative JSON number.
+#[test]
+fn a_crafted_counter_past_i64_max_is_refused_not_printed() {
+    let out = std::env::temp_dir().join(format!("onesql_ver_limit_{}.jsonl", std::process::id()));
+    let script = format!(
+        "CREATE SOURCE nex WITH (connector = 'nexmark', seed = 3, events = 400);
+         CREATE SINK out WITH (connector = 'file', path = '{}', format = 'jsonl');
+         INSERT INTO out SELECT auction, price FROM Bid EMIT STREAM;",
+        out.display()
+    );
+    let pipeline = || onesql_connect::session().execute_script(&script).unwrap();
+    let mut first = pipeline().into_pipeline().unwrap();
+    first.driver_mut().step().unwrap();
+    let mut checkpoint = first.driver_mut().checkpoint().unwrap();
+    // One grouping: the query projects no event time.
+    assert_eq!(checkpoint.renderer_versions.len(), 1);
+    checkpoint.renderer_versions[0].1 = i64::MAX as u64 + 1;
+    drop(first);
+
+    let mut restored = pipeline().into_pipeline().unwrap();
+    restored.driver_mut().restore(&checkpoint).unwrap();
+    let refused = restored.run().unwrap_err().to_string();
+    assert!(refused.contains("overflows"), "{refused}");
+    let written = std::fs::read_to_string(&out).unwrap();
+    let vers = written
+        .lines()
+        .map(|line| line.rsplit_once("\"ver\":").unwrap().1);
+    for ver in vers {
+        assert!(
+            ver.trim_end_matches('}').parse::<i64>().unwrap() >= 0,
+            "{written}"
+        );
+    }
+    std::fs::remove_file(&out).unwrap();
+}

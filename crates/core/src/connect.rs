@@ -634,16 +634,17 @@ impl Default for AdaptiveBatch {
 /// Pipeline tuning: the worker set and the polling knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
-    /// Events requested from a source per poll; the *initial* size when
-    /// [`DriverConfig::adaptive`] is set.
+    /// Events requested from a source per poll at first; the adaptive
+    /// controller moves it within [`DriverConfig::adaptive`].
     pub batch_size: usize,
     /// Give up after this many consecutive all-idle rounds in
     /// [`PipelineDriver::run`](crate::driver::PipelineDriver::run) (`None`:
     /// yield and keep spinning, for channel sources fed by other threads).
     pub max_idle_rounds: Option<u64>,
-    /// Adaptive batch sizing from merge-buffer depth; `None` pins
-    /// [`DriverConfig::batch_size`] for the whole run.
-    pub adaptive: Option<AdaptiveBatch>,
+    /// Bounds of adaptive batch sizing from merge-buffer depth. Both
+    /// bounds equal to [`DriverConfig::batch_size`] pin the size for the
+    /// whole run.
+    pub adaptive: AdaptiveBatch,
     /// Feed consecutive same-stream events as columnar [`ChangeBatch`]es
     /// where each worker's query can take them so (the vectorized hot
     /// path). Results are byte-identical either way; disable to force the
@@ -662,7 +663,7 @@ impl Default for DriverConfig {
         DriverConfig {
             batch_size: 256,
             max_idle_rounds: None,
-            adaptive: Some(AdaptiveBatch::default()),
+            adaptive: AdaptiveBatch::default(),
             vectorize: true,
             workers: 1,
         }
@@ -681,7 +682,7 @@ impl Default for DriverConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchController {
     size: usize,
-    policy: Option<AdaptiveBatch>,
+    policy: AdaptiveBatch,
 }
 
 impl BatchController {
@@ -717,13 +718,10 @@ impl BatchController {
     /// crosses the bound (deep hold-back, stalled clock), whatever the
     /// reason.
     pub fn observe_load(&mut self, pending: usize) -> usize {
-        let Some(policy) = self.policy else {
-            return self.size;
-        };
         if pending >= HIGH_PENDING {
-            self.size = (self.size / 2).max(policy.min_batch).max(1);
+            self.size = (self.size / 2).max(self.policy.min_batch).max(1);
         } else if pending <= LOW_PENDING {
-            self.size = (self.size * 2).min(policy.max_batch.max(1));
+            self.size = (self.size * 2).min(self.policy.max_batch.max(1));
         }
         self.size
     }
@@ -1144,10 +1142,10 @@ mod tests {
     fn controller(initial: usize, min: usize, max: usize) -> BatchController {
         BatchController::new(&DriverConfig {
             batch_size: initial,
-            adaptive: Some(AdaptiveBatch {
+            adaptive: AdaptiveBatch {
                 min_batch: min,
                 max_batch: max,
-            }),
+            },
             ..DriverConfig::default()
         })
     }
@@ -1175,14 +1173,11 @@ mod tests {
     }
 
     #[test]
-    fn controller_fixed_when_adaptive_disabled() {
-        let mut c = BatchController::new(&DriverConfig {
-            batch_size: 17,
-            adaptive: None,
-            ..DriverConfig::default()
-        });
-        assert_eq!(c.observe_load(1_000_000), 17);
-        assert_eq!(c.observe_load(0), 17);
+    fn equal_bounds_pin_the_size() {
+        let mut c = controller(17, 17, 17);
+        for pending in [1_000_000, 0, HIGH_PENDING - 1, 0, HIGH_PENDING] {
+            assert_eq!(c.observe_load(pending), 17, "depth {pending}");
+        }
     }
 
     #[test]

@@ -1667,6 +1667,19 @@ mod tests {
         }
     }
 
+    /// [`sharded`], polling `batch` events every round.
+    fn fixed(batch: usize, workers: usize) -> DriverConfig {
+        let adaptive = AdaptiveBatch {
+            min_batch: batch,
+            max_batch: batch,
+        };
+        DriverConfig {
+            batch_size: batch,
+            adaptive,
+            ..sharded(workers)
+        }
+    }
+
     #[test]
     fn sharded_matches_unsharded_table() {
         let e = engine();
@@ -1713,12 +1726,7 @@ mod tests {
     fn table_reads_mid_run_and_after_finish() {
         let e = engine();
         for workers in [1usize, 2] {
-            let config = DriverConfig {
-                batch_size: 2,
-                adaptive: None,
-                ..sharded(workers)
-            };
-            let mut driver = planned(&e, AGG, config).unwrap();
+            let mut driver = planned(&e, AGG, fixed(2, workers)).unwrap();
             driver
                 .attach_partitioned_source(script(vec![bids(5, 0)]))
                 .unwrap();
@@ -1738,11 +1746,7 @@ mod tests {
     fn restore_validates_shapes() {
         let e = engine();
         // Small fixed batches so one step leaves the source mid-stream.
-        let config = DriverConfig {
-            batch_size: 4,
-            adaptive: None,
-            ..sharded(2)
-        };
+        let config = fixed(4, 2);
         let mut driver = planned(&e, AGG, config).unwrap();
         driver
             .attach_partitioned_source(script(vec![bids(20, 0)]))
@@ -1825,11 +1829,7 @@ mod tests {
         let parts = vec![bids(6, 0), stalled];
         let mut outputs = Vec::new();
         for workers in [1usize, 3] {
-            let config = DriverConfig {
-                batch_size: 3,
-                adaptive: None,
-                ..sharded(workers)
-            };
+            let config = fixed(3, workers);
             let mut driver = planned(&e, SQL, config).unwrap();
             driver
                 .attach_partitioned_source(script(parts.clone()))
@@ -1883,12 +1883,7 @@ mod tests {
         let ver_cols = onesql_exec::compile::version_columns(&e.plan(AGG).unwrap());
         let mut mid_run = Vec::new();
         for workers in [1usize, 2] {
-            let config = DriverConfig {
-                batch_size: 4,
-                adaptive: None,
-                ..sharded(workers)
-            };
-            let mut driver = planned(&e, AGG, config).unwrap();
+            let mut driver = planned(&e, AGG, fixed(4, workers)).unwrap();
             driver
                 .attach_partitioned_source(script(vec![bids(20, 0), bids(20, 3)]))
                 .unwrap();
@@ -1938,12 +1933,7 @@ mod tests {
     fn the_retained_gauges_read_the_log_after_every_step() {
         let e = engine();
         for workers in [1usize, 2] {
-            let config = DriverConfig {
-                batch_size: 4,
-                adaptive: None,
-                ..sharded(workers)
-            };
-            let mut driver = planned(&e, AGG, config).unwrap();
+            let mut driver = planned(&e, AGG, fixed(4, workers)).unwrap();
             let parts = script(vec![bids(20, 0), bids(20, 3)]);
             driver.attach_partitioned_source(parts).unwrap();
             while !driver.is_finished() {
@@ -1976,10 +1966,10 @@ mod tests {
         let mut outcomes = Vec::new();
         for workers in [1usize, 2] {
             let config = DriverConfig {
-                adaptive: Some(AdaptiveBatch {
+                adaptive: AdaptiveBatch {
                     min_batch: 32,
                     max_batch: 16_384,
-                }),
+                },
                 ..sharded(workers)
             };
             let mut driver = planned(&e, SQL, config).unwrap();
@@ -2036,12 +2026,7 @@ mod tests {
     fn nothing_is_deferred_across_a_poll_that_saw_idle() {
         const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
         let e = engine();
-        let config = DriverConfig {
-            batch_size: 4,
-            adaptive: None,
-            ..sharded(2)
-        };
-        let mut driver = planned(&e, SQL, config).unwrap();
+        let mut driver = planned(&e, SQL, fixed(4, 2)).unwrap();
         let steady = Script(bids(40, 0), vec!["Bid".to_string()]);
         let halting = EveryOtherPollIdle(Script(bids(40, 3), vec!["Bid".to_string()]), false);
         driver
@@ -2093,13 +2078,8 @@ mod tests {
     fn a_sink_failing_in_a_deferred_flush_poisons_the_pipeline() {
         const SQL: &str = "SELECT auction, price FROM Bid EMIT STREAM";
         let e = engine();
-        let config = DriverConfig {
-            batch_size: 4,
-            adaptive: None,
-            ..sharded(2)
-        };
         let deferring = |budget| {
-            let mut driver = planned(&e, SQL, config).unwrap();
+            let mut driver = planned(&e, SQL, fixed(4, 2)).unwrap();
             driver
                 .attach_partitioned_source(script(vec![bids(40, 0)]))
                 .unwrap();
@@ -2143,11 +2123,7 @@ mod tests {
         assert_eq!(version_cols, [2]);
         let parts = vec![bids(12_000, 0), bids(12_000, 5)];
         for workers in [1usize, 2] {
-            let config = DriverConfig {
-                batch_size: 512,
-                adaptive: None,
-                ..sharded(workers)
-            };
+            let config = fixed(512, workers);
             let mut driver = planned(&e, SQL, config).unwrap();
             driver
                 .attach_partitioned_source(script(parts.clone()))
@@ -2186,11 +2162,7 @@ mod tests {
         craft: impl FnOnce(&mut PipelineCheckpoint),
     ) -> (Result<()>, Error) {
         let e = engine();
-        let config = DriverConfig {
-            batch_size: 4,
-            adaptive: None,
-            ..sharded(2)
-        };
+        let config = fixed(4, 2);
         let parts = vec![bids(40, 0)];
         let mut driver = planned(&e, sql, config).unwrap();
         driver
@@ -2287,12 +2259,14 @@ mod tests {
             queue(2, &[4, 5, 5]),
         ];
         driver.clock = Ts(7);
+        // The order the sink is written in, not the retained log's, which
+        // `changelog()` merges again by itself.
+        let seen = HistoryTap::new();
+        driver.attach_sink(Box::new(seen.clone())).unwrap();
         driver.flush(Some(Ts(7))).unwrap();
-        let released = |driver: &PipelineDriver| -> Vec<(i64, Row)> {
-            let entries = driver.changelog().into_iter();
-            entries
-                .map(|entry| (entry.ptime.millis(), entry.change.row.clone()))
-                .collect()
+        let released = || -> Vec<(i64, Row)> {
+            let rows = seen.rows().into_iter();
+            rows.map(|sr| (sr.ptime.millis(), sr.row)).collect()
         };
         let mut expected = vec![
             (4, row!(2i64, 0i64)),
@@ -2303,12 +2277,12 @@ mod tests {
             (5, row!(2i64, 2i64)),
             (6, row!(1i64, 1i64)),
         ];
-        assert_eq!(released(&driver), expected);
+        assert_eq!(released(), expected);
         // The entry at the clock waits for the clock to pass it.
         assert_eq!(driver.pending[0].len(), 1);
         driver.flush(None).unwrap();
         expected.push((7, row!(0i64, 2i64)));
-        assert_eq!(released(&driver), expected);
+        assert_eq!(released(), expected);
     }
 
     /// Bid as in [`engine`], beside the two streams of a seller join.

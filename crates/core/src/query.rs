@@ -11,7 +11,7 @@
 //! `restore`, `state_metrics` and `stream_rows`) let three callers feed
 //! one query by hand and compare the columnar path with the per-row one:
 //! `perfbench/src/layers.rs`, `crates/core/tests/vectorized_equiv.rs` and
-//! `crates/bench/benches/vectorized.rs`. Nothing else may use them.
+//! `crates/core/tests/vectorized_speedup.rs`. Nothing else may use them.
 
 use std::collections::BTreeMap;
 

@@ -697,7 +697,7 @@ impl Definitions {
             SessionKnob::Workers(n) => self.config.workers = n,
             SessionKnob::BatchSize(n) => self.config.batch_size = n,
             SessionKnob::MinBatch(n) => {
-                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
+                let adaptive = &mut self.config.adaptive;
                 if n > adaptive.max_batch {
                     return Err(Error::plan(format!(
                         "SET min_batch = {n}: exceeds max_batch ({})",
@@ -707,7 +707,7 @@ impl Definitions {
                 adaptive.min_batch = n;
             }
             SessionKnob::MaxBatch(n) => {
-                let adaptive = self.config.adaptive.get_or_insert_with(Default::default);
+                let adaptive = &mut self.config.adaptive;
                 if n < adaptive.min_batch {
                     return Err(Error::plan(format!(
                         "SET max_batch = {n}: below min_batch ({})",

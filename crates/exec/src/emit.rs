@@ -568,12 +568,17 @@ impl StreamRenderer {
             })
             .collect();
         // The rows are the entries, unless one has `|diff| != 1`: from the
-        // first such on they are built apart.
+        // first such on they are built apart, room made before `ver` moves.
         let mut expanded: Option<Vec<(u32, u32)>> = None;
         for (i, &(id, entry)) in order.iter().enumerate() {
             let (lanes, entry) = (batch.segments[id as usize], entry as usize);
             let diff = lanes.diffs()[entry];
             let revisions = diff.unsigned_abs();
+            if revisions != 1 || expanded.is_some() {
+                let rows = expanded.get_or_insert_with(|| order[..i].to_vec());
+                reserve(rows, diff)?;
+                reserve(&mut batch.vers, diff)?;
+            }
             let first = match ts_lanes[id as usize] {
                 Some(vals) => advance(
                     self.by_ts.entry(vals[entry].millis()).or_insert(0),
@@ -581,15 +586,13 @@ impl StreamRenderer {
                 )?,
                 None => self.entry_version(lanes, entry, revisions)?,
             };
-            if revisions == 1 && expanded.is_none() {
-                batch.vers.push(first);
-                continue;
+            match &mut expanded {
+                None => batch.vers.push(first),
+                Some(rows) => {
+                    rows.extend(std::iter::repeat_n((id, entry as u32), revisions as usize));
+                    batch.vers.extend(first..first + revisions);
+                }
             }
-            let rows = expanded.get_or_insert_with(|| order[..i].to_vec());
-            reserve(rows, diff)?;
-            reserve(&mut batch.vers, diff)?;
-            rows.extend(std::iter::repeat_n((id, entry as u32), revisions as usize));
-            batch.vers.extend(first..first + revisions);
         }
         batch.rows = expanded.unwrap_or(order);
         Ok(batch)
@@ -687,11 +690,13 @@ fn reserve<T>(out: &mut Vec<T>, diff: i64) -> Result<u64> {
 }
 
 /// Move a grouping's counter past `revisions` versions, returning the
-/// first of them.
+/// first of them. A counter never passes `i64::MAX`, so every sink can
+/// write a `ver` as a BIGINT.
 fn advance(next: &mut u64, revisions: u64) -> Result<u64> {
     let first = *next;
     *next = first
         .checked_add(revisions)
+        .filter(|&next| next <= i64::MAX as u64)
         .ok_or_else(|| Error::exec(format!("EMIT STREAM version {first} overflows")))?;
     Ok(first)
 }
@@ -702,8 +707,10 @@ fn advance_row(map: &mut HashMap<Row, u64, MulRotate>, key: &[Value], n: u64) ->
     if let Some(next) = map.get_mut(key) {
         return advance(next, n);
     }
-    map.insert(Row::from_values(key.iter().cloned()), n);
-    Ok(0)
+    let mut next = 0;
+    let first = advance(&mut next, n)?;
+    map.insert(Row::from_values(key.iter().cloned()), next);
+    Ok(first)
 }
 
 #[cfg(test)]

@@ -8,9 +8,7 @@
 use std::time::Duration as StdDuration;
 
 use onesql::connect::{default_registry, PartitionedNexmarkSource, PartitionedSource};
-use onesql::{
-    DriverConfig, HistoryTap, NetAddr, NetConfig, NetPublisher, Session, SourceStatus, SqlPipeline,
-};
+use onesql::{HistoryTap, NetAddr, NetConfig, NetPublisher, Session, SourceStatus, SqlPipeline};
 use onesql_types::Result;
 
 const EVENTS: u64 = 6_000;
@@ -79,14 +77,11 @@ fn bind_consumer(path: &std::path::Path) -> (HistoryTap, SqlPipeline) {
     let mut registry = default_registry();
     registry.register_sink("tap", tap.clone());
     let mut session = Session::new(registry);
-    session.set_driver_config(DriverConfig {
-        workers: 2,
-        batch_size: BATCH,
-        adaptive: None,
-        ..DriverConfig::default()
-    });
+    // Equal bounds pin the poll size.
     let script = format!(
-        "CREATE STREAM Person (id INT, name STRING, email STRING, city STRING,
+        "SET workers = 2; SET batch_size = {BATCH};
+         SET min_batch = {BATCH}; SET max_batch = {BATCH};
+         CREATE STREAM Person (id INT, name STRING, email STRING, city STRING,
                                state STRING, dateTime TIMESTAMP, WATERMARK FOR dateTime);
          CREATE STREAM Auction (id INT, itemName STRING, initialBid INT, reserve INT,
                                 dateTime TIMESTAMP, expires TIMESTAMP, seller INT,

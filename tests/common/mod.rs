@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use onesql::connect::{Exports, OptionBag, SourceConnector, SourceSpec};
-use onesql::{PartitionedSource, Session, SqlPipeline};
+use onesql::connect::{AdaptiveBatch, Exports, OptionBag, SourceConnector, SourceSpec};
+use onesql::{DriverConfig, PartitionedSource, Session, SqlPipeline};
 use onesql_types::{Result, Schema, SchemaRef};
 
 /// `script`'s one pipeline, assembled in `session`.
@@ -16,6 +16,21 @@ pub fn assemble(session: &mut Session, script: &str) -> SqlPipeline {
         .unwrap()
         .into_pipeline()
         .unwrap()
+}
+
+/// `workers` workers polling `batch` events every round: equal adaptive
+/// bounds pin the size.
+pub fn fixed_batch(batch: usize, workers: usize) -> DriverConfig {
+    let adaptive = AdaptiveBatch {
+        min_batch: batch,
+        max_batch: batch,
+    };
+    DriverConfig {
+        workers,
+        batch_size: batch,
+        adaptive,
+        ..DriverConfig::default()
+    }
 }
 
 /// A source family declaring `streams` whose every `INSERT` gets a fresh

@@ -183,10 +183,8 @@ fn a_columnar_poll_the_query_cannot_batch_goes_in_per_row() {
             registry.register_source("csv", Bespoke::new(streams.clone(), move || csv()));
             let mut session = Session::new(registry);
             session.set_driver_config(DriverConfig {
-                batch_size: 16,
-                adaptive: None,
                 vectorize,
-                ..DriverConfig::default()
+                ..common::fixed_batch(16, 1)
             });
             let script = format!(
                 "CREATE SOURCE bids WITH (connector = 'csv');

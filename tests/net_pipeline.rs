@@ -167,13 +167,7 @@ fn run_producer_killed_at(addr: NetAddr, limit: u64) -> Result<()> {
 /// stream. With `restarts`, a dead producer connection releases its
 /// partition for the producer's next incarnation.
 fn bind_consumer(path: &std::path::Path, restarts: bool, tap: &HistoryTap) -> SqlPipeline {
-    let config = DriverConfig {
-        workers: 2,
-        batch_size: BATCH,
-        adaptive: None,
-        ..DriverConfig::default()
-    };
-    let mut session = tapped_session(tap, config);
+    let mut session = tapped_session(tap, common::fixed_batch(BATCH, 2));
     let script = format!(
         "{NEXMARK_STREAMS}
          CREATE PARTITIONED SOURCE feed

@@ -77,11 +77,12 @@ fn sharded(workers: usize) -> DriverConfig {
 }
 
 fn nexmark_sharded(sql: &str, workers: usize, fixed_batch: bool) -> (HistoryTap, SqlPipeline) {
-    let mut config = sharded(workers);
-    if fixed_batch {
-        // Predictable round sizes, so tests can aim kills between rounds.
-        config.adaptive = None;
-    }
+    // Fixed: predictable round sizes, so tests can aim kills between rounds.
+    let config = if fixed_batch {
+        common::fixed_batch(DriverConfig::default().batch_size, workers)
+    } else {
+        sharded(workers)
+    };
     let (mut session, tap) = tapped_session(default_registry(), config);
     let script = format!(
         "{}
@@ -250,11 +251,7 @@ impl PartitionedSource for NeverSaturated {
 fn deferred_rounds_reach_the_sinks_as_immediate_ones_do() {
     use onesql::HistoryEvent;
     use onesql_state::Codec;
-    let config = DriverConfig {
-        batch_size: 16,
-        adaptive: None,
-        ..sharded(2)
-    };
+    let config = common::fixed_batch(16, 2);
     // The checker's two-worker scenarios: the whole suite.
     for spec in onesql_nexmark::queries::full_stack() {
         let sql = format!("{} EMIT STREAM", spec.sql);
@@ -356,11 +353,7 @@ fn streams_a_query_does_not_read_cost_it_no_columnar_round() {
 #[test]
 fn a_drained_channel_is_written_in_the_step_that_polled_it() {
     for workers in [1usize, 2] {
-        let config = DriverConfig {
-            batch_size: 8,
-            adaptive: None,
-            ..sharded(workers)
-        };
+        let config = common::fixed_batch(8, workers);
         let sql = "SELECT auction, price FROM Bid EMIT STREAM";
         let (publishers, mut driver, rows) = channel_pipeline(1, sql, config);
         let publish = |range: std::ops::Range<i64>| {
@@ -714,12 +707,8 @@ fn scripted_pipeline(
     workers: usize,
     sql: &str,
 ) -> (HistoryTap, SqlPipeline) {
-    let config = DriverConfig {
-        workers,
-        batch_size: 3, // tiny rounds: many interleavings, many split points
-        adaptive: None,
-        ..DriverConfig::default()
-    };
+    // Tiny rounds: many interleavings, many split points.
+    let config = common::fixed_batch(3, workers);
     let scripts = scripts.to_vec();
     let build = move || -> Box<dyn PartitionedSource> {
         Box::new(ScriptedPartitions::new(scripts.clone()))
