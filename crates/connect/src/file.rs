@@ -16,8 +16,8 @@ use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
 use std::path::Path;
 
 use onesql_core::connect::{
-    ColumnarBatch, PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceEvent,
-    SourceStatus, WrapsPartitioned,
+    ColumnarBatch, PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceColumns,
+    SourceEvent, SourceStatus, WrapsPartitioned,
 };
 use onesql_exec::{Cells, StreamBatch, StreamRow};
 use onesql_tvr::{Change, ChangeBatch};
@@ -212,16 +212,8 @@ impl TextFileSource {
         let arity = self.schema.arity();
         if self.done {
             return Ok(Some(ColumnarBatch {
-                stream: 0,
-                columns: ChangeBatch::new_dense(
-                    (0..arity)
-                        .map(|_| ColumnBuilder::with_capacity(0).finish())
-                        .collect(),
-                    Vec::new(),
-                    Vec::new(),
-                ),
-                watermark: None,
                 status: SourceStatus::Finished,
+                ..ColumnarBatch::default()
             }));
         }
         let mut builders: Vec<ColumnBuilder> = (0..arity)
@@ -288,12 +280,12 @@ impl TextFileSource {
         let diffs = vec![1i64; ptimes.len()];
         let cols = builders.into_iter().map(ColumnBuilder::finish).collect();
         Ok(Some(ColumnarBatch {
-            stream: 0,
-            columns: ChangeBatch::new_dense(cols, diffs, ptimes),
+            columns: SourceColumns::single(0, ChangeBatch::new_dense(cols, diffs, ptimes)),
             watermark: self
                 .max_ts
                 .map(|max| max - self.config.lateness - Duration(1)),
             status,
+            trace_parent: None,
         }))
     }
 }
@@ -1608,19 +1600,17 @@ mod tests {
         assert_eq!(cb.watermark, rb.watermark);
         assert_eq!(cb.status, rb.status);
         let mut clock = Ts::MIN;
-        for (i, ev) in rb.events.iter().enumerate() {
+        for (ev, got) in rb.events.iter().zip(cb.columns.events()) {
             // The columnar lane pre-applies the driver's monotone clamp.
             clock = clock.max(ev.ptime);
-            assert_eq!(cb.columns.ptime(i), clock, "row {i}");
-            assert_eq!(cb.columns.change(i), ev.change, "row {i}");
+            assert_eq!(got.ptime, clock);
+            assert_eq!(got.change, ev.change);
         }
         // Numeric and timestamp fields land in typed, unboxed columns.
-        assert_eq!(
-            cb.columns.columns()[0].uniform_type(),
-            Some(DataType::Timestamp)
-        );
-        assert_eq!(cb.columns.columns()[1].uniform_type(), Some(DataType::Int));
-        assert!(cb.columns.columns()[1].has_nulls());
+        let columns = cb.columns.batches()[0].1.columns();
+        assert_eq!(columns[0].uniform_type(), Some(DataType::Timestamp));
+        assert_eq!(columns[1].uniform_type(), Some(DataType::Int));
+        assert!(columns[1].has_nulls());
 
         // Exhausted sources agree too.
         let rb = rows.poll_batch(16).unwrap();
@@ -1642,10 +1632,10 @@ mod tests {
         };
         // Uninterrupted: columnar polls all the way, counted in the offset.
         let mut straight = open("seek_straight.csv");
-        let head = straight.poll_partition_columns(0, 2).unwrap().unwrap();
+        let head = straight.poll_partition_columns(0, 2).unwrap();
         assert_eq!(head.columns.len(), 2);
         assert_eq!(straight.offset(0), 2, "columnar rows advance the offset");
-        let rest = straight.poll_partition_columns(0, 16).unwrap().unwrap();
+        let rest = straight.poll_partition_columns(0, 16).unwrap();
         assert_eq!(straight.offset(0), 5);
 
         // Resumed: `replay_seek` discards by *row* polls, then the driver
@@ -1653,12 +1643,10 @@ mod tests {
         let mut resumed = open("seek_resumed.csv");
         resumed.seek(0, 2).unwrap();
         assert_eq!(resumed.offset(0), 2);
-        let tail = resumed.poll_partition_columns(0, 16).unwrap().unwrap();
+        let tail = resumed.poll_partition_columns(0, 16).unwrap();
         assert_eq!(resumed.offset(0), 5);
         assert_eq!(tail.columns.len(), rest.columns.len());
-        for i in 0..rest.columns.len() {
-            assert_eq!(tail.columns.timed_change(i), rest.columns.timed_change(i));
-        }
+        assert_eq!(tail.columns.events(), rest.columns.events());
         assert_eq!(tail.watermark, rest.watermark);
         assert_eq!(tail.status, rest.status);
     }

@@ -88,10 +88,10 @@ pub use registry::{default_registry, session};
 pub use trace::{trace_schema, TraceSource};
 
 pub use onesql_core::connect::{
-    AdaptiveBatch, BatchController, ConnectorRegistry, DriverConfig, Exports, OptionBag,
-    PartitionedSource, PartitionedVec, PipelineMetrics, Sink, SinkConnector, SinkSpec, Source,
-    SourceBatch, SourceConnector, SourceEvent, SourceMetrics, SourceSpec, SourceStatus,
-    WrapsPartitioned,
+    AdaptiveBatch, BatchController, ColumnarBatch, ConnectorRegistry, DriverConfig, Exports,
+    OptionBag, PartitionedSource, PartitionedVec, PipelineMetrics, Sink, SinkConnector, SinkSpec,
+    Source, SourceBatch, SourceColumns, SourceConnector, SourceEvent, SourceMetrics, SourceSpec,
+    SourceStatus, WrapsPartitioned,
 };
 pub use onesql_core::driver::{PipelineCheckpoint, PipelineDriver};
 pub use onesql_core::observe::{MetricKind, MetricRow, MetricsHub, PipelineSnapshot};

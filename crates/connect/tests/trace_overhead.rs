@@ -3,9 +3,12 @@
 //! (`EXPLAIN ANALYZE`: no label, no sink, spans inert), trace-off (an
 //! `INSERT` into a discarding sink, which labels the pipeline; tracing
 //! uninstalled, so a span site costs one relaxed atomic load) and trace-on
-//! (a private [`FlightRecorder`] at full sampling). All three take the
-//! same rounds; best of 10, trace-off may cost 1 % over bare and trace-on
-//! 5 %, each plus 500 µs. A timing guard on a shared host, so ignored by
+//! (a private [`FlightRecorder`] at full sampling). The NEXMark workload
+//! runs a 4-partition source on two workers, through the batch router.
+//! All three sides take the same rounds. Their samples interleave (31
+//! times each, the side that goes first rotating), so drift on a shared
+//! host lands on every side alike; by the medians, trace-off may cost 1 %
+//! over bare and trace-on 5 %, each plus 500 µs. A timing guard on a shared host, so ignored by
 //! default: `cargo test -q -p onesql-connect --release --test
 //! trace_overhead -- --ignored --nocapture`.
 
@@ -115,22 +118,48 @@ fn run_channel(labelled: bool) -> (u64, u64) {
 }
 
 fn run_nexmark(labelled: bool) -> (u64, u64) {
-    let ddl = format!("CREATE SOURCE nex WITH (connector = 'nexmark', seed = 7, events = {N});");
+    let ddl = format!(
+        "SET workers = 2;
+         CREATE PARTITIONED SOURCE nex
+           WITH (connector = 'nexmark', seed = 7, events = {N}, partitions = 4);"
+    );
     let sql = "SELECT auction, price FROM Bid WHERE price > 100";
     run(&ddl, sql, labelled)
 }
 
-/// Best-of-`rounds` wall clock: the noise-robust statistic for an A/B in
-/// one process on a shared host.
-fn min_time(rounds: usize, mut f: impl FnMut() -> (u64, u64)) -> Duration {
-    (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            assert_eq!(f().0, N as u64);
-            start.elapsed()
-        })
-        .min()
-        .unwrap()
+/// Samples per side.
+const SAMPLES: usize = 31;
+
+/// One run's wall clock.
+fn timed(f: impl FnOnce() -> (u64, u64)) -> Duration {
+    let start = Instant::now();
+    assert_eq!(f().0, N as u64);
+    start.elapsed()
+}
+
+/// The median bare, trace-off and trace-on wall clocks of `run`, the
+/// sides sampled in turn; trace-on records into `ring`.
+fn medians(run: fn(bool) -> (u64, u64), ring: &Arc<FlightRecorder>) -> [Duration; 3] {
+    let mut samples: [Vec<Duration>; 3] = Default::default();
+    for round in 0..SAMPLES {
+        for side in (0..3).map(|k| (round + k) % 3) {
+            let sample = match side {
+                0 => timed(|| run(false)),
+                1 => timed(|| run(true)),
+                _ => {
+                    observe::install(ring.clone());
+                    let on = timed(|| run(true));
+                    observe::uninstall();
+                    on
+                }
+            };
+            samples[side].push(sample);
+        }
+    }
+    samples.map(|mut side| {
+        side.sort();
+        side[SAMPLES / 2]
+    })
 }
 
 #[test]
@@ -146,12 +175,8 @@ fn tracing_costs_at_most_1_percent_off_and_5_percent_on() {
         // Like for like: every side polls the same batches.
         let rounds = f(false).1;
         assert_eq!(f(true).1, rounds, "'{name}' rounds differ");
-        let bare = min_time(10, || f(false));
-        let off = min_time(10, || f(true));
         observe::set_sample(1);
-        observe::install(ring.clone());
-        let on = min_time(10, || f(true));
-        observe::uninstall();
+        let [bare, off, on] = medians(f, &ring);
         observe::hub().clear(LABEL);
         assert!(!ring.is_empty(), "trace-on recorded no spans");
         ring.clear();

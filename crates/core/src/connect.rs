@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use onesql_exec::{StreamBatch, StreamRow};
 use onesql_time::{Watermark, WatermarkTracker};
 use onesql_tvr::{Change, ChangeBatch};
-use onesql_types::{Error, Result, Ts, Value};
+use onesql_types::{ColumnBuilder, Error, Result, Ts};
 
 use crate::observe::{Histogram, MetricRow};
 
@@ -112,24 +112,203 @@ impl SourceBatch {
     }
 }
 
-/// A columnar batch of changes for one stream, plus the same progress
-/// information a [`SourceBatch`] carries. The columnar analog of
-/// [`SourceBatch`] for sources that parse input directly into columns
-/// (e.g. chunked CSV), skipping per-row materialization entirely.
-///
-/// Ptimes must be monotone non-decreasing within the batch (clamp to a
-/// running max while building); the driver applies its global clock
-/// clamp on top via [`ChangeBatch::clamp_ptimes`].
-#[derive(Debug, Clone)]
+/// One poll's events as typed lanes, plus the same progress information a
+/// [`SourceBatch`] carries: what a columnar poll
+/// ([`Source::poll_columns`], [`PartitionedSource::poll_partition_columns`])
+/// returns, for sources that generate or parse straight into columns.
+#[derive(Debug, Clone, Default)]
 pub struct ColumnarBatch {
-    /// Index into the source's [`Source::streams`] list.
-    pub stream: usize,
-    /// The changes, already columnar.
-    pub columns: ChangeBatch,
+    /// The events.
+    pub columns: SourceColumns,
     /// Same meaning as [`SourceBatch::watermark`].
     pub watermark: Option<Ts>,
     /// Same meaning as [`SourceBatch::status`].
     pub status: SourceStatus,
+    /// Same meaning as [`SourceBatch::trace_parent`].
+    pub trace_parent: Option<u64>,
+}
+
+impl ColumnarBatch {
+    /// The rows-to-columns adaptor: a row poll's events as columns, with
+    /// its progress as it is. Every source without a columnar poll of its
+    /// own reaches the driver through here.
+    pub fn from_rows(batch: SourceBatch) -> Result<ColumnarBatch> {
+        Ok(ColumnarBatch {
+            columns: SourceColumns::from_events(&batch.events)?,
+            watermark: batch.watermark,
+            status: batch.status,
+            trace_parent: batch.trace_parent,
+        })
+    }
+}
+
+/// A poll's events as columns: dense [`ChangeBatch`]es, each holding
+/// events of one of the source's streams, and — when there are several —
+/// an order lane that interleaves them back into arrival order.
+///
+/// - Each batch's rows are its events in arrival order; `order[k]` is the
+///   index of the batch the `k`-th event to arrive is in. A nexmark poll
+///   is one batch per declared stream and `order` its stream lane.
+/// - A stream may own several batches, one per row arity, when rows of a
+///   malformed poll disagree on it: every batch stays dense, and the
+///   first invalid row still fails where the row poll would.
+/// - Ptimes are non-decreasing in arrival order, across the batches
+///   (clamp to a running max while building); the driver applies its
+///   global clock clamp on top.
+#[derive(Debug, Clone, Default)]
+pub struct SourceColumns {
+    /// Each batch with the index (into [`Source::streams`]) of its stream.
+    batches: Vec<(usize, ChangeBatch)>,
+    /// Per event in arrival order, its batch (read only when there are
+    /// several).
+    order: Vec<u16>,
+}
+
+impl SourceColumns {
+    /// The events of one stream, in arrival order.
+    pub fn single(stream: usize, batch: ChangeBatch) -> SourceColumns {
+        SourceColumns {
+            batches: vec![(stream, batch)],
+            order: Vec::new(),
+        }
+    }
+
+    /// Several batches and the order lane that interleaves them (see the
+    /// type's docs). Errors unless `order` names every row of every batch
+    /// exactly once.
+    pub fn interleaved(
+        batches: Vec<(usize, ChangeBatch)>,
+        order: Vec<u16>,
+    ) -> Result<SourceColumns> {
+        let mut counts = vec![0usize; batches.len()];
+        for &b in &order {
+            match counts.get_mut(usize::from(b)) {
+                Some(count) => *count += 1,
+                None => {
+                    return Err(Error::exec(format!(
+                        "order lane names batch {b} of {}",
+                        batches.len()
+                    )))
+                }
+            }
+        }
+        if counts
+            .iter()
+            .zip(&batches)
+            .any(|(&n, (_, batch))| n != batch.len())
+        {
+            return Err(Error::exec(
+                "order lane does not count each batch's rows exactly",
+            ));
+        }
+        Ok(SourceColumns { batches, order })
+    }
+
+    /// The rows-to-columns adaptor over a row poll's events: one batch per
+    /// `(stream, arity)` in order of first arrival, each event's ptime
+    /// raised to the running max.
+    pub fn from_events(events: &[SourceEvent]) -> Result<SourceColumns> {
+        struct Group {
+            stream: usize,
+            arity: usize,
+            cols: Vec<ColumnBuilder>,
+            ptimes: Vec<Ts>,
+            diffs: Vec<i64>,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        let mut order = Vec::with_capacity(events.len());
+        let mut clock = Ts::MIN;
+        let mut last = 0;
+        for event in events {
+            let arity = event.change.row.arity();
+            let same = |g: &Group| g.stream == event.stream && g.arity == arity;
+            if !groups.get(last).is_some_and(same) {
+                last = match groups.iter().position(same) {
+                    Some(g) => g,
+                    None if groups.len() > usize::from(u16::MAX) => {
+                        return Err(Error::exec(format!(
+                            "a poll of {} events mixes more than {} (stream, arity) pairs",
+                            events.len(),
+                            u16::MAX
+                        )))
+                    }
+                    None => {
+                        let cols = (0..arity).map(|_| ColumnBuilder::with_capacity(0));
+                        groups.push(Group {
+                            stream: event.stream,
+                            arity,
+                            cols: cols.collect(),
+                            ptimes: Vec::new(),
+                            diffs: Vec::new(),
+                        });
+                        groups.len() - 1
+                    }
+                };
+            }
+            let group = &mut groups[last];
+            for (col, value) in group.cols.iter_mut().zip(event.change.row.values()) {
+                col.push(value.clone());
+            }
+            clock = clock.max(event.ptime);
+            group.ptimes.push(clock);
+            group.diffs.push(event.change.diff);
+            order.push(last as u16);
+        }
+        let batches = groups.into_iter().map(|g| {
+            let cols = g.cols.into_iter().map(ColumnBuilder::finish).collect();
+            (g.stream, ChangeBatch::new_dense(cols, g.diffs, g.ptimes))
+        });
+        Ok(SourceColumns {
+            batches: batches.collect(),
+            order,
+        })
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.batches.iter().map(|(_, batch)| batch.len()).sum()
+    }
+
+    /// Whether the poll carried no event.
+    pub fn is_empty(&self) -> bool {
+        self.batches.iter().all(|(_, batch)| batch.is_empty())
+    }
+
+    /// The batches, each with its stream's index.
+    pub fn batches(&self) -> &[(usize, ChangeBatch)] {
+        &self.batches
+    }
+
+    /// The order lane, or `None` when there is one batch (its rows are the
+    /// arrival order).
+    pub fn order(&self) -> Option<&[u16]> {
+        (self.batches.len() > 1).then_some(self.order.as_slice())
+    }
+
+    /// The batches and the order lane, moved out.
+    pub fn into_parts(self) -> (Vec<(usize, ChangeBatch)>, Option<Vec<u16>>) {
+        let order = (self.batches.len() > 1).then_some(self.order);
+        (self.batches, order)
+    }
+
+    /// The events in arrival order, as rows.
+    pub fn events(&self) -> Vec<SourceEvent> {
+        let mut next = vec![0usize; self.batches.len()];
+        let mut event = |b: usize| {
+            let (stream, batch) = &self.batches[b];
+            let i = next[b];
+            next[b] += 1;
+            SourceEvent {
+                stream: *stream,
+                ptime: batch.ptime(i),
+                change: batch.change(i),
+            }
+        };
+        match self.order() {
+            Some(order) => order.iter().map(|&b| event(usize::from(b))).collect(),
+            None => (0..self.len()).map(|_| event(0)).collect(),
+        }
+    }
 }
 
 /// A pluggable input connector.
@@ -149,13 +328,15 @@ pub trait Source {
     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch>;
 
     /// Columnar poll: sources that can produce changes already in
-    /// columnar form override this to return `Some`, and a one-worker
-    /// driver feeds the batch straight into the vectorized executor path
-    /// without materializing rows. `None` (the default) means "use
-    /// [`Source::poll_batch`]". A vectorizing driver calls this *instead
-    /// of* `poll_batch` each round, so an override must carry the same
-    /// watermark/status progress a row batch would; a driver with
-    /// vectorization disabled never calls it.
+    /// columnar form override this to return `Some`, and the driver routes
+    /// and feeds the lanes without materializing rows. `None` (the
+    /// default) means "use [`Source::poll_batch`]", whose rows the driver
+    /// turns into columns ([`ColumnarBatch::from_rows`]). The driver calls
+    /// this *instead of* `poll_batch` every round, at every worker count,
+    /// so an override must hold exactly the events a row poll of the same
+    /// `max_events` returns, and the same watermark and status. A source of
+    /// several streams returns them interleaved ([`SourceColumns`]: a
+    /// batch per stream and the order lane).
     fn poll_columns(&mut self, _max_events: usize) -> Result<Option<ColumnarBatch>> {
         Ok(None)
     }
@@ -221,19 +402,21 @@ pub trait PartitionedSource {
     /// order, its watermark asserts only its own future events).
     fn poll_partition(&mut self, partition: usize, max_events: usize) -> Result<SourceBatch>;
 
-    /// Columnar poll of one partition, with [`Source::poll_columns`]'s
-    /// contract: `Some` replaces that round's [`poll_partition`] and must
-    /// advance [`offset`] by the rows it carries; `None` (the default)
-    /// means "use `poll_partition`".
+    /// Columnar poll of one partition: what the driver calls every round,
+    /// with [`Source::poll_columns`]'s contract. It holds exactly the
+    /// events [`poll_partition`] would return for the same `max_events`,
+    /// interleaved across the streams as [`SourceColumns`] says, and
+    /// advances [`offset`] by them. The default adapts `poll_partition`'s
+    /// rows ([`ColumnarBatch::from_rows`]).
     ///
     /// [`poll_partition`]: PartitionedSource::poll_partition
     /// [`offset`]: PartitionedSource::offset
     fn poll_partition_columns(
         &mut self,
-        _partition: usize,
-        _max_events: usize,
-    ) -> Result<Option<ColumnarBatch>> {
-        Ok(None)
+        partition: usize,
+        max_events: usize,
+    ) -> Result<ColumnarBatch> {
+        ColumnarBatch::from_rows(self.poll_partition(partition, max_events)?)
     }
 
     /// The partition's replayable position: events emitted so far.
@@ -442,12 +625,14 @@ impl<S: Source> PartitionedSource for PartitionedVec<S> {
         &mut self,
         partition: usize,
         max_events: usize,
-    ) -> Result<Option<ColumnarBatch>> {
+    ) -> Result<ColumnarBatch> {
         self.check_partition(partition)?;
-        let batch = self.parts[partition].poll_columns(max_events)?;
-        if let Some(batch) = &batch {
-            self.offsets[partition] += batch.columns.len() as u64;
-        }
+        let part = &mut self.parts[partition];
+        let batch = match part.poll_columns(max_events)? {
+            Some(batch) => batch,
+            None => ColumnarBatch::from_rows(part.poll_batch(max_events)?)?,
+        };
+        self.offsets[partition] += batch.columns.len() as u64;
         Ok(batch)
     }
 
@@ -520,7 +705,7 @@ impl<W: WrapsPartitioned> PartitionedSource for W {
         &mut self,
         partition: usize,
         max_events: usize,
-    ) -> Result<Option<ColumnarBatch>> {
+    ) -> Result<ColumnarBatch> {
         self.parts_mut()
             .poll_partition_columns(partition, max_events)
     }
@@ -740,7 +925,7 @@ pub struct SourceMetrics {
     /// Events fed into the query from this source.
     pub events: u64,
     /// Estimated payload bytes fed from this source (see
-    /// [`change_bytes`]).
+    /// [`ChangeBatch::payload_bytes`]).
     pub bytes: u64,
     /// Polls that returned at least one event.
     pub non_empty_polls: u64,
@@ -748,24 +933,6 @@ pub struct SourceMetrics {
     pub watermark: Watermark,
     /// Whether the source has finished.
     pub finished: bool,
-}
-
-/// Estimated payload size of one change, in bytes: 8 per fixed-width value
-/// (int, float, timestamp, interval), 1 per null/bool, string length for
-/// strings. A stable, cheap estimator — not a wire format — so byte
-/// counters mean the same thing on every connector and survive checkpoints
-/// deterministically.
-pub fn change_bytes(change: &Change) -> u64 {
-    change
-        .row
-        .values()
-        .iter()
-        .map(|v| match v {
-            Value::Null | Value::Bool(_) => 1u64,
-            Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 8,
-            Value::Str(s) => s.len() as u64,
-        })
-        .sum()
 }
 
 /// Pipeline-wide accounting, readable at any time via
@@ -788,11 +955,11 @@ pub struct PipelineMetrics {
     /// vectorized path), as the workers report at the drain barrier.
     pub vectorized_rounds: u64,
     /// Rounds in which some worker's query took at least one run per row
-    /// (the stream does not vectorize, or the run is a single event or of
-    /// mixed arity; see `RunningQuery::vectorizes`). Events of a stream the
+    /// (the stream does not vectorize, or the run is a single event; see
+    /// `RunningQuery::vectorizes`). Events of a stream the
     /// plan does not read are no feed and count in neither.
     pub fallback_rounds: u64,
-    /// Rows per batch handed to a worker.
+    /// Events per poll share handed to a worker.
     pub batch_rows: Histogram,
     /// The batch size the adaptive controller chose for the next poll.
     pub batch_size: usize,

@@ -12,16 +12,27 @@
 //! worker count alone:
 //!
 //! - **W = 1** runs the worker's query inline on the calling thread: no
-//!   routing hash, no channel, no thread hop. A source that polls straight
-//!   into columns ([`PartitionedSource::poll_partition_columns`]) feeds
-//!   the vectorized executor path without materializing rows.
-//! - **W > 1** spawns one thread per worker. Each event routes by the
-//!   stable hash ([`partition_of`]) of its stream's key, which the plan
-//!   picks ([`onesql_plan::routing()`]), so rows that can ever combine
-//!   (same group, same join key, same window) always meet in the same
-//!   worker — the partition-alignment property. A plan no key can shard
-//!   (a global aggregate, a Hop window grouped by `wend`) starts one
-//!   worker whatever the configured count.
+//!   routing hash, no channel, no thread hop.
+//! - **W > 1** spawns one thread per worker. Each stream routes by the
+//!   stable hash ([`partition_of`]) of its key, which the plan picks
+//!   ([`onesql_plan::routing()`]), so rows that can ever combine (same
+//!   group, same join key, same window) always meet in the same worker —
+//!   the partition-alignment property. A plan no key can shard (a global
+//!   aggregate, a Hop window grouped by `wend`) starts one worker whatever
+//!   the configured count.
+//!
+//! Input is columns at every worker count. Every poll is a
+//! [`ColumnarBatch`]: a source that
+//! generates or parses into typed lanes hands them over as they are, and
+//! a row poll goes through the one rows-to-columns adaptor at the source
+//! boundary. The driver clamps each batch's ptimes to its clock once,
+//! hashes each batch's route-key column once into W selection vectors,
+//! and sends every worker views of the poll's batches (columns are shared,
+//! nothing is copied) with the order its events arrived in. A worker cuts
+//! its share into maximal runs of one read stream and feeds each as a
+//! batch (a one-row run as a row); an event of a stream the plan does not
+//! read ends no run, it is validated and moves the clock. No `Row` is
+//! built between a columnar source and an operator.
 //!
 //! Workers keep no output, and no row is built between an operator and a
 //! file sink. Every round's drain barrier moves what each worker recorded
@@ -132,12 +143,12 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use onesql_exec::StreamRenderer;
 use onesql_plan::{BoundQuery, Catalog, MemoryCatalog, RouteKey, Routing, TableKind};
 use onesql_time::Watermark;
-use onesql_tvr::{Bag, Change, ChangeBatch, Changelog, TimedChange};
+use onesql_tvr::{Bag, ChangeBatch, Changelog, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
-    change_bytes, BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PipelineMetrics,
-    Sink, SourceBatch, SourceMetrics, SourceStatus, WatermarkLedger, WatermarkProvenance,
+    BatchController, ColumnarBatch, DriverConfig, PartitionedSource, PipelineMetrics, Sink,
+    SourceColumns, SourceMetrics, SourceStatus, WatermarkLedger, WatermarkProvenance,
 };
 use crate::engine::Engine;
 use crate::hash::partition_of;
@@ -253,69 +264,101 @@ impl Shard {
         }
     }
 
-    /// Feed a routed batch of `(stream index, ptime, change)` events as
-    /// maximal runs of one stream's events, each of which the query takes
-    /// in as columns or as rows ([`RunningQuery::vectorizes`]). Ptimes
-    /// within a routed batch are monotone (the driver stamps its clamped
-    /// clock), so a run satisfies [`ChangeBatch`]'s ordering. An event of a
-    /// stream the plan does not read ends no run: it is checked where it
-    /// stands and the run goes on past it. `trace_parent` is the driver
-    /// round's span (0 = tracing off or unsampled, so an unrecorded round
-    /// spawns no orphan worker tree).
-    fn feed(&mut self, events: Vec<(usize, Ts, Change)>, trace_parent: u64) {
+    /// Feed a worker's share of a poll as maximal runs of one read
+    /// stream's events, each of which the query takes in as columns or as
+    /// rows ([`RunningQuery::feed_run`]). Ptimes are monotone in arrival
+    /// order (the driver clamps them to its clock), so a run satisfies
+    /// [`ChangeBatch`]'s ordering. An event of a stream the plan does not
+    /// read ends no run: it is checked where it stands and the run goes on
+    /// past it. `trace_parent` is the driver round's span (0 = tracing off
+    /// or unsampled, so an unrecorded round spawns no orphan worker tree).
+    fn feed(&mut self, share: Share, trace_parent: u64) {
         let _span = (trace_parent != 0)
             .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
-        self.apply(|shard| {
-            let mut events = events.into_iter().peekable();
-            while let Some((stream, ptime, change)) = events.next() {
-                let (name, read) = &shard.streams[stream];
-                if !read {
-                    shard.query.validate(name, &change.row)?;
-                    shard.query.advance_to(ptime)?;
-                    continue;
-                }
-                let mut run = vec![(ptime, change)];
-                // What the unread events inside the run come to: the clock
-                // the last valid one asks for, and the error of the first
-                // invalid one, which ends it.
-                let mut passed = ptime;
-                let mut unread = Ok(());
-                let in_run = |next: usize| next == stream || !shard.streams[next].1;
-                while let Some((next, p, c)) = events.next_if(|(next, ..)| in_run(*next)) {
-                    if next == stream {
-                        run.push((p, c));
-                        continue;
-                    }
-                    unread = shard.query.validate(&shard.streams[next].0, &c.row);
-                    if unread.is_err() {
-                        break;
-                    }
-                    passed = p;
-                }
-                let fed = shard.query.feed_run(name, run)?;
-                shard.note(fed);
-                // An unread event after the run's last row left the clock
-                // at its ptime.
-                shard.query.advance_to(passed.max(shard.query.now()))?;
-                unread?;
+        self.apply(|shard| match &share.order {
+            Some(order) => shard.feed_runs(&share.batches, order.iter().map(|&b| usize::from(b))),
+            None => {
+                let rows = share.batches.first().map_or(0, |(_, batch)| batch.len());
+                shard.feed_runs(&share.batches, std::iter::repeat_n(0, rows))
             }
-            Ok(())
         });
     }
 
-    /// Feed a batch a source produced already columnar.
-    fn feed_columns(&mut self, stream: usize, columns: &ChangeBatch, trace_parent: u64) {
-        let _span = (trace_parent != 0)
-            .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
-        self.apply(|shard| {
-            let (name, read) = &shard.streams[stream];
-            let fed = shard.query.feed_batch(name, columns)?;
-            // A stream the plan does not read is no feed.
-            if *read {
-                shard.note(fed);
+    /// [`Shard::feed`]'s walk: `order` names, per event in arrival order,
+    /// the batch it is the next row of.
+    fn feed_runs(
+        &mut self,
+        batches: &[(usize, ChangeBatch)],
+        order: impl Iterator<Item = usize>,
+    ) -> Result<()> {
+        let mut order = order.peekable();
+        // Rows taken from each batch so far, and each unread batch's first
+        // invalid row (looked for when the batch is first reached).
+        let mut taken = vec![0usize; batches.len()];
+        let mut invalid: Vec<Option<Option<(usize, Error)>>> = vec![None; batches.len()];
+        while let Some(b) = order.next() {
+            let (stream, batch) = &batches[b];
+            let first = taken[b];
+            taken[b] += 1;
+            if !self.streams[*stream].1 {
+                self.check_unread(batches, &mut invalid, b, first)?;
+                self.query.advance_to(batch.ptime(first))?;
+                continue;
             }
-            Ok(())
-        });
+            // What the unread events inside the run come to: the clock
+            // the last valid one asks for, and the error of the first
+            // invalid one, which ends it.
+            let mut passed = batch.ptime(first);
+            let mut unread = Ok(());
+            while let Some(&next) = order.peek() {
+                if next != b {
+                    if self.streams[batches[next].0].1 {
+                        break;
+                    }
+                    unread = self.check_unread(batches, &mut invalid, next, taken[next]);
+                    if unread.is_err() {
+                        break;
+                    }
+                    passed = batches[next].1.ptime(taken[next]);
+                }
+                taken[next] += 1;
+                order.next();
+            }
+            let sliced;
+            let run = if first == 0 && taken[b] == batch.len() {
+                batch
+            } else {
+                sliced = batch.slice(first, taken[b]);
+                &sliced
+            };
+            let fed = self.query.feed_run(&self.streams[*stream].0, run)?;
+            self.note(fed);
+            // An unread event after the run's last row left the clock
+            // at its ptime.
+            self.query.advance_to(passed.max(self.query.now()))?;
+            unread?;
+        }
+        Ok(())
+    }
+
+    /// Validate row `row` of batch `b`, of a stream the plan does not
+    /// read, as feeding it would: the batch is screened once, the first
+    /// time one of its rows comes up.
+    fn check_unread(
+        &self,
+        batches: &[(usize, ChangeBatch)],
+        invalid: &mut [Option<Option<(usize, Error)>>],
+        b: usize,
+        row: usize,
+    ) -> Result<()> {
+        let (stream, batch) = &batches[b];
+        if invalid[b].is_none() {
+            invalid[b] = Some(self.query.first_invalid(&self.streams[*stream].0, batch)?);
+        }
+        match &invalid[b] {
+            Some(Some((at, err))) if *at == row => Err(err.clone()),
+            _ => Ok(()),
+        }
     }
 
     fn watermark(&mut self, stream: usize, ptime: Ts, wm: Ts) {
@@ -343,6 +386,20 @@ impl Shard {
     fn checkpoint(&self) -> Result<onesql_state::Checkpoint> {
         self.healthy()?;
         self.query.checkpoint()
+    }
+}
+
+/// One worker's share of a poll: views of the poll's batches, each with
+/// its global stream index, and — when there are several — the order the
+/// share's events arrived in (per event, its batch).
+struct Share {
+    batches: Vec<(usize, ChangeBatch)>,
+    order: Option<Vec<u16>>,
+}
+
+impl Share {
+    fn len(&self) -> usize {
+        self.batches.iter().map(|(_, batch)| batch.len()).sum()
     }
 }
 
@@ -833,12 +890,6 @@ impl PipelineDriver {
         let round = Stopwatch::start();
         let round_clock = self.clock;
         let batch_size = self.controller.size();
-        let worker_count = self.workers.len();
-        // A lone inline worker can take a source's columns as they are;
-        // routing across several needs rows.
-        let columnar = worker_count == 1 && self.config.vectorize;
-        let mut routed: Vec<Vec<(usize, Ts, Change)>> =
-            (0..worker_count).map(|_| Vec::new()).collect();
         let mut ingested = 0usize;
         let mut poll_micros = 0u64;
         // Saturated input: every partition polled answered `Ready` with
@@ -851,52 +902,29 @@ impl PipelineDriver {
                 }
                 let poll = Stopwatch::start();
                 let source = &mut self.sources[slot].source;
-                let columns = if columnar {
-                    source.poll_partition_columns(part, batch_size)?
-                } else {
-                    None
-                };
-                // A columnar poll replaces the row poll; its progress half
-                // is handled exactly as a row batch's.
-                let mut batch = match &columns {
-                    Some(cb) => SourceBatch {
-                        watermark: cb.watermark,
-                        ..SourceBatch::empty(cb.status)
-                    },
-                    None => source.poll_partition(part, batch_size)?,
-                };
+                let ColumnarBatch {
+                    columns,
+                    watermark,
+                    status,
+                    trace_parent,
+                } = source.poll_partition_columns(part, batch_size)?;
                 poll_micros = poll_micros.saturating_add(poll.micros());
-                let polled = columns
-                    .as_ref()
-                    .map_or(batch.events.len(), |cb| cb.columns.len());
+                let polled = columns.len();
                 if polled > 0 {
                     self.sources[slot].non_empty_polls += 1;
                 }
-                saturated &= polled > 0 && batch.status == SourceStatus::Ready;
+                saturated &= polled > 0 && status == SourceStatus::Ready;
                 // The ingest span parents under the wire-carried producer
                 // span when the partition supplied one, else this round.
-                let _ingest = (polled > 0 || batch.watermark.is_some()).then(|| {
-                    observe::TraceSpan::with_parent(
-                        "driver.ingest",
-                        batch.trace_parent.unwrap_or(0),
-                    )
-                    .partition(part.min(i32::MAX as usize) as i32)
+                let _ingest = (polled > 0 || watermark.is_some()).then(|| {
+                    observe::TraceSpan::with_parent("driver.ingest", trace_parent.unwrap_or(0))
+                        .partition(part.min(i32::MAX as usize) as i32)
                 });
-                let mut bytes = 0u64;
-                if let Some(cb) = columns.filter(|cb| !cb.columns.is_empty()) {
-                    // Rows polled earlier this round come first.
-                    self.dispatch(&mut routed)?;
-                    bytes = self.feed_columns(slot, cb)?;
-                }
-                for event in std::mem::take(&mut batch.events) {
-                    let stream_id = self.stream_id(slot, event.stream)?;
-                    // Processing time is monotone across every partition;
-                    // a partition whose clock lags is dragged forward.
-                    self.clock = self.clock.max(event.ptime);
-                    let worker = self.worker_for(stream_id, &event.change)?;
-                    bytes += change_bytes(&event.change);
-                    routed[worker].push((stream_id, self.clock, event.change));
-                }
+                let bytes = if polled > 0 {
+                    self.ingest(slot, columns)?
+                } else {
+                    0
+                };
                 let state = &mut self.sources[slot].parts[part];
                 state.events += polled as u64;
                 state.bytes += bytes;
@@ -907,11 +935,11 @@ impl PipelineDriver {
                 if polled > 0 {
                     self.ledger.note_event(feeder, self.clock);
                 }
-                if let Some(wm) = batch.watermark {
+                if let Some(wm) = watermark {
                     self.ledger
                         .observe(feeder, Watermark(wm), &mut self.advances);
                 }
-                if batch.status == SourceStatus::Finished {
+                if status == SourceStatus::Finished {
                     self.sources[slot].parts[part].finished = true;
                     // A finished partition asserts completeness: it stops
                     // constraining its streams' watermarks.
@@ -920,10 +948,9 @@ impl PipelineDriver {
                 }
             }
         }
-        // Events first (they were polled before the watermark assertions),
-        // then the per-stream advances, broadcast to every worker because
-        // watermarks are assertions about whole streams.
-        self.dispatch(&mut routed)?;
+        // Events went first (they were polled before the watermark
+        // assertions), then the per-stream advances, broadcast to every
+        // worker because watermarks are assertions about whole streams.
         let mut advances = std::mem::take(&mut self.advances);
         for (stream, combined) in advances.drain(..) {
             let stream_id = self
@@ -1011,52 +1038,96 @@ impl PipelineDriver {
         })
     }
 
-    /// The worker that owns `change`'s routing key — worker 0 when it is
-    /// the only one, whatever the row holds.
-    fn worker_for(&self, stream_id: usize, change: &Change) -> Result<usize> {
-        let workers = self.workers.len();
-        if workers == 1 {
-            return Ok(0);
+    /// Hand a (non-empty) poll to the workers: each batch's ptimes
+    /// clamped once to the monotone clock, the batches split by their
+    /// route keys ([`PipelineDriver::route`]), each worker sent its share.
+    /// Returns the poll's payload bytes.
+    fn ingest(&mut self, slot: usize, columns: SourceColumns) -> Result<u64> {
+        let (batches, order) = columns.into_parts();
+        // Ptimes are monotone in arrival order, so clamping every batch to
+        // the clock the poll found is the per-event running max.
+        let floor = self.clock;
+        let mut bytes = 0;
+        let mut inputs = Vec::with_capacity(batches.len());
+        for (stream, batch) in batches {
+            let stream_id = self.stream_id(slot, stream)?;
+            let batch = batch.clamp_ptimes(floor);
+            if let Some(last) = batch.len().checked_sub(1) {
+                self.clock = self.clock.max(batch.ptime(last));
+            }
+            bytes += batch.payload_bytes();
+            inputs.push((stream_id, batch));
         }
-        let key = self.keys[stream_id].value(&change.row).map_err(|_| {
-            Error::exec(format!(
-                "stream '{}' row is too narrow for its routing key {:?}",
-                self.streams[stream_id], self.keys[stream_id]
-            ))
-        })?;
-        Ok(partition_of(&key, workers))
-    }
-
-    /// Hand a (non-empty) columnar poll to the lone inline worker as it
-    /// is, under the same monotone-clock clamp the row path applies per
-    /// event. Returns its payload bytes.
-    fn feed_columns(&mut self, slot: usize, cb: ColumnarBatch) -> Result<u64> {
-        let stream_id = self.stream_id(slot, cb.stream)?;
-        let rows = cb.columns.len();
-        let columns = cb.columns.clamp_ptimes(self.clock);
-        self.clock = self.clock.max(columns.ptime(rows - 1));
-        self.metrics.batch_rows.record(rows as u64);
-        let bytes = (0..rows).map(|i| columns.row_bytes(i)).sum();
         let span = observe::current_span();
-        self.workers.send(0, move |shard| {
-            shard.feed_columns(stream_id, &columns, span)
-        })?;
+        for (worker, share) in self.route(inputs, order)?.into_iter().enumerate() {
+            let events = share.len();
+            if events > 0 {
+                self.metrics.batch_rows.record(events as u64);
+                self.workers
+                    .send(worker, move |shard| shard.feed(share, span))?;
+            }
+        }
         Ok(bytes)
     }
 
-    /// Send each worker the events routed to it so far this round.
-    fn dispatch(&mut self, routed: &mut [Vec<(usize, Ts, Change)>]) -> Result<()> {
-        for (worker, batch) in routed.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(batch);
-            self.metrics.batch_rows.record(batch.len() as u64);
-            let span = observe::current_span();
-            self.workers
-                .send(worker, move |shard| shard.feed(batch, span))?;
+    /// Split a poll across the workers: every batch's route-key column is
+    /// hashed once per row ([`partition_of`]) into one selection vector
+    /// per worker, each worker gets a view of every batch
+    /// ([`ChangeBatch::select_logical`]; the columns are shared) and its
+    /// own order lane. A lone worker takes the poll as it is.
+    fn route(
+        &self,
+        batches: Vec<(usize, ChangeBatch)>,
+        order: Option<Vec<u16>>,
+    ) -> Result<Vec<Share>> {
+        let workers = self.workers.len();
+        if workers == 1 {
+            return Ok(vec![Share { batches, order }]);
         }
-        Ok(())
+        let mut sels: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); batches.len()]; workers];
+        // Per batch, the worker of each row (read only to split `order`).
+        let mut owners: Vec<Vec<u32>> = Vec::with_capacity(batches.len());
+        for (b, (stream, batch)) in batches.iter().enumerate() {
+            let key = self.keys[*stream];
+            let mut owner = Vec::with_capacity(if order.is_some() { batch.len() } else { 0 });
+            if !batch.is_empty() {
+                let column = batch.columns().get(key.column()).ok_or_else(|| {
+                    Error::exec(format!(
+                        "stream '{}' row is too narrow for its routing key {key:?}",
+                        self.streams[*stream]
+                    ))
+                })?;
+                for i in 0..batch.len() {
+                    let value = key.route(column.value(batch.phys(i)));
+                    let w = partition_of(&value, workers);
+                    sels[w][b].push(i as u32);
+                    if order.is_some() {
+                        owner.push(w as u32);
+                    }
+                }
+            }
+            owners.push(owner);
+        }
+        let mut lanes = order.map(|order| {
+            let mut lanes = vec![Vec::new(); workers];
+            let mut taken = vec![0usize; batches.len()];
+            for b in order {
+                let i = usize::from(b);
+                lanes[owners[i][taken[i]] as usize].push(b);
+                taken[i] += 1;
+            }
+            lanes
+        });
+        let shares = sels.into_iter().enumerate().map(|(w, sels)| {
+            let views = batches.iter().zip(sels);
+            Share {
+                batches: views
+                    .map(|((stream, batch), sel)| (*stream, batch.select_logical(&sel)))
+                    .collect(),
+                order: lanes.as_mut().map(|lanes| std::mem::take(&mut lanes[w])),
+            }
+        });
+        Ok(shares.collect())
     }
 
     /// Barrier: every worker reports its new changelog entries (into the
@@ -1599,6 +1670,7 @@ mod tests {
     use crate::session::Session;
     use onesql_exec::StreamRow;
     use onesql_state::Codec;
+    use onesql_tvr::Change;
     use onesql_types::{row, DataType, Duration};
 
     /// [`Engine::plan`] `sql`, then [`PipelineDriver::with_query`].
@@ -2318,8 +2390,9 @@ mod tests {
         shard.streams.iter().map(|(_, read)| *read).collect()
     }
 
-    /// Feed `events` to the worker as one routed batch and to the oracle per
-    /// row, up to its first error; both end in the same state.
+    /// Feed `events` to the worker as one poll's share (through the
+    /// rows-to-columns adaptor) and to the oracle per row, up to its first
+    /// error; both end in the same state.
     fn assert_feeds_like_the_oracle(
         shard: &mut Shard,
         oracle: &mut RunningQuery,
@@ -2331,8 +2404,14 @@ mod tests {
                 .change(name, *ptime, Change::insert(row.clone()))
                 .err()
         });
-        let routed = |(stream, ptime, row)| (stream, ptime, Change::insert(row));
-        shard.feed(events.into_iter().map(routed).collect(), 0);
+        let event = |(stream, ptime, row)| SourceEvent {
+            stream,
+            ptime,
+            change: Change::insert(row),
+        };
+        let events: Vec<SourceEvent> = events.into_iter().map(event).collect();
+        let (batches, order) = SourceColumns::from_events(&events).unwrap().into_parts();
+        shard.feed(Share { batches, order }, 0);
         assert_eq!(
             shard.failure.as_ref().map(Error::to_string),
             oracle_err.as_ref().map(Error::to_string)

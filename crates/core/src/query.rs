@@ -137,15 +137,25 @@ impl RunningQuery {
     }
 
     /// Apply a run of changes to `table` in processing-time order: as one
-    /// columnar batch when the run has more than one change, all of one
-    /// arity, and the table vectorizes; otherwise one change at a time,
-    /// which also reproduces the oracle's error for a mixed-arity run.
-    pub(crate) fn feed_run(&mut self, table: &str, run: Vec<(Ts, Change)>) -> Result<Fed> {
-        let columns = run.len() > 1 && self.vectorizes(table);
-        match columns.then(|| ChangeBatch::from_changes(&run)).flatten() {
-            Some(batch) => self.feed_batch(table, &batch),
-            None => self.feed_rows(table, run).map(|()| Fed::Rows),
+    /// columnar batch when the run has more than one change and the table
+    /// vectorizes; otherwise one change at a time.
+    pub(crate) fn feed_run(&mut self, table: &str, run: &ChangeBatch) -> Result<Fed> {
+        if run.len() > 1 {
+            return self.feed_batch(table, run);
         }
+        self.feed_rows(table, (0..run.len()).map(|i| run.timed_change(i)))?;
+        Ok(Fed::Rows)
+    }
+
+    /// The first row of `batch` that [`RunningQuery::validate`] rejects
+    /// for stream `table`, with its error.
+    pub(crate) fn first_invalid(
+        &self,
+        table: &str,
+        batch: &ChangeBatch,
+    ) -> Result<Option<(usize, Error)>> {
+        let schema = self.stream_schema(table)?;
+        Ok(first_invalid_row(&schema, batch))
     }
 
     /// The row oracle over a run: [`RunningQuery::change`] per change, up to

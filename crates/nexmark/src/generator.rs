@@ -88,6 +88,90 @@ impl NexmarkEvent {
     }
 }
 
+/// One generated event as the generator draws it, before any string is
+/// built: every text field but a person's email (which is
+/// `{name}{id}@example.com`) is one of the constant tables below, named by
+/// its index. [`NexmarkGenerator::next_event`] is this plus the strings;
+/// a source that keeps each constant once builds no string per event.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Draw {
+    /// A person: `name` indexes [`FIRST_NAMES`], `city` both [`CITIES`]
+    /// and [`STATES`].
+    Person {
+        /// Unique person id.
+        id: i64,
+        /// Index into [`FIRST_NAMES`].
+        name: usize,
+        /// Index into [`CITIES`] and [`STATES`].
+        city: usize,
+        /// Event time of registration.
+        date_time: Ts,
+    },
+    /// An auction: `item` indexes [`ITEMS`]; the rest is
+    /// [`Auction`]'s fields.
+    Auction {
+        /// Unique auction id.
+        id: i64,
+        /// Index into [`ITEMS`].
+        item: usize,
+        /// Starting bid.
+        initial_bid: i64,
+        /// Reserve price.
+        reserve: i64,
+        /// Event time the auction opened.
+        date_time: Ts,
+        /// Event time the auction closes.
+        expires: Ts,
+        /// Seller's person id.
+        seller: i64,
+        /// Category id.
+        category: i64,
+    },
+    /// A bid (no text fields).
+    Bid(Bid),
+}
+
+impl Draw {
+    /// The model event with its strings built.
+    pub fn event(self) -> NexmarkEvent {
+        match self {
+            Draw::Person {
+                id,
+                name,
+                city,
+                date_time,
+            } => NexmarkEvent::Person(Person {
+                id,
+                name: FIRST_NAMES[name].to_string(),
+                email: format!("{}{id}@example.com", FIRST_NAMES[name]),
+                city: CITIES[city].to_string(),
+                state: STATES[city].to_string(),
+                date_time,
+            }),
+            Draw::Auction {
+                id,
+                item,
+                initial_bid,
+                reserve,
+                date_time,
+                expires,
+                seller,
+                category,
+            } => NexmarkEvent::Auction(Auction {
+                id,
+                item_name: ITEMS[item].to_string(),
+                initial_bid,
+                reserve,
+                date_time,
+                expires,
+                seller,
+                category,
+            }),
+            Draw::Bid(bid) => NexmarkEvent::Bid(bid),
+        }
+    }
+}
+
 /// The generator: an iterator of `(ptime, event)` pairs in processing-time
 /// order.
 pub struct NexmarkGenerator {
@@ -98,10 +182,12 @@ pub struct NexmarkGenerator {
     next_auction_id: i64,
 }
 
-const FIRST_NAMES: [&str; 8] = [
+/// The first names a person is drawn with.
+pub const FIRST_NAMES: [&str; 8] = [
     "ada", "grace", "alan", "edsger", "barbara", "donald", "tony", "leslie",
 ];
-const CITIES: [&str; 6] = [
+/// The cities a person is drawn in.
+pub const CITIES: [&str; 6] = [
     "seattle",
     "berlin",
     "oakridge",
@@ -109,8 +195,10 @@ const CITIES: [&str; 6] = [
     "phoenix",
     "kyoto",
 ];
-const STATES: [&str; 6] = ["wa", "be", "tn", "nh", "az", "kp"];
-const ITEMS: [&str; 8] = [
+/// The state of each city in [`CITIES`], at the same index.
+pub const STATES: [&str; 6] = ["wa", "be", "tn", "nh", "az", "kp"];
+/// The items an auction is drawn for.
+pub const ITEMS: [&str; 8] = [
     "teapot", "vase", "stamp", "comic", "guitar", "lens", "clock", "globe",
 ];
 
@@ -137,6 +225,13 @@ impl NexmarkGenerator {
 
     /// Generate the next `(ptime, event)`.
     pub fn next_event(&mut self) -> (Ts, NexmarkEvent) {
+        let (ptime, draw) = self.next_draw();
+        (ptime, draw.event())
+    }
+
+    /// Draw the next `(ptime, event)` without building its strings: the
+    /// same sequence [`NexmarkGenerator::next_event`] yields.
+    pub fn next_draw(&mut self) -> (Ts, Draw) {
         let seq = self.sequence;
         self.sequence += 1;
         let ptime = self.config.start + Duration(self.config.inter_event_gap.millis() * seq as i64);
@@ -148,14 +243,14 @@ impl NexmarkGenerator {
         let event_time = ptime - skew;
 
         let slot = seq % TOTAL_PROPORTION;
-        let event = if slot < PERSON_PROPORTION {
-            NexmarkEvent::Person(self.make_person(event_time))
+        let draw = if slot < PERSON_PROPORTION {
+            self.draw_person(event_time)
         } else if slot < PERSON_PROPORTION + AUCTION_PROPORTION {
-            NexmarkEvent::Auction(self.make_auction(event_time))
+            self.draw_auction(event_time)
         } else {
-            NexmarkEvent::Bid(self.make_bid(event_time))
+            Draw::Bid(self.make_bid(event_time))
         };
-        (ptime, event)
+        (ptime, draw)
     }
 
     /// Generate a batch of `n` events.
@@ -163,34 +258,38 @@ impl NexmarkGenerator {
         (0..n).map(|_| self.next_event()).collect()
     }
 
-    fn make_person(&mut self, date_time: Ts) -> Person {
+    fn draw_person(&mut self, date_time: Ts) -> Draw {
         let id = self.next_person_id;
         self.next_person_id += 1;
-        let name = FIRST_NAMES[self.rng.gen_range(0..FIRST_NAMES.len())];
-        let idx = self.rng.gen_range(0..CITIES.len());
-        Person {
+        let name = self.rng.gen_range(0..FIRST_NAMES.len());
+        let city = self.rng.gen_range(0..CITIES.len());
+        Draw::Person {
             id,
-            name: name.to_string(),
-            email: format!("{name}{id}@example.com"),
-            city: CITIES[idx].to_string(),
-            state: STATES[idx].to_string(),
+            name,
+            city,
             date_time,
         }
     }
 
-    fn make_auction(&mut self, date_time: Ts) -> Auction {
+    /// The draws in the order the generator has always made them:
+    /// initial bid, item, reserve, seller, category.
+    fn draw_auction(&mut self, date_time: Ts) -> Draw {
         let id = self.next_auction_id;
         self.next_auction_id += 1;
         let initial_bid = self.rng.gen_range(1..100i64);
-        Auction {
+        let item = self.rng.gen_range(0..ITEMS.len());
+        let reserve = initial_bid + self.rng.gen_range(1..100i64);
+        let seller = self.random_person_id();
+        let category = 10 + self.rng.gen_range(0..5i64);
+        Draw::Auction {
             id,
-            item_name: ITEMS[self.rng.gen_range(0..ITEMS.len())].to_string(),
+            item,
             initial_bid,
-            reserve: initial_bid + self.rng.gen_range(1..100i64),
+            reserve,
             date_time,
             expires: date_time + self.config.auction_lifetime,
-            seller: self.random_person_id(),
-            category: 10 + self.rng.gen_range(0..5i64),
+            seller,
+            category,
         }
     }
 

@@ -23,5 +23,5 @@ pub mod model;
 pub mod paper;
 pub mod queries;
 
-pub use generator::{GeneratorConfig, NexmarkEvent, NexmarkGenerator};
+pub use generator::{Draw, GeneratorConfig, NexmarkEvent, NexmarkGenerator};
 pub use paper::{paper_timeline, PaperEvent, PAPER_Q7_SQL};

@@ -21,9 +21,7 @@
 //! operator accepts wins, so an unconstrained stream keeps column 0. A
 //! plan with more than 65 536 assignments runs on one worker.
 
-use std::borrow::Cow;
-
-use onesql_types::{DataType, Duration, Result, Row, SchemaRef, Ts, Value};
+use onesql_types::{DataType, Duration, SchemaRef, Ts, Value};
 
 use crate::catalog::TableKind;
 use crate::expr::ScalarExpr;
@@ -49,21 +47,21 @@ pub enum RouteKey {
 }
 
 impl RouteKey {
-    /// The value `row` is routed by; an error when the row is narrower
-    /// than the key's column.
-    pub fn value<'r>(&self, row: &'r Row) -> Result<Cow<'r, Value>> {
-        Ok(match (*self, row.value(self.col())?) {
-            (RouteKey::Tumble { dur, offset, .. }, Value::Ts(ts)) => {
-                let (d, o) = (dur.millis(), offset.millis());
-                Cow::Owned(Value::Ts(Ts((ts.millis() - o).div_euclid(d) * d + o)))
-            }
-            (_, value) => Cow::Borrowed(value),
-        })
-    }
-
-    fn col(&self) -> usize {
+    /// The column a row is routed by.
+    pub fn column(&self) -> usize {
         let (RouteKey::Column(col) | RouteKey::Tumble { col, .. }) = *self;
         col
+    }
+
+    /// The value a row whose key column holds `value` is routed by.
+    pub fn route(&self, value: Value) -> Value {
+        match (*self, value) {
+            (RouteKey::Tumble { dur, offset, .. }, Value::Ts(ts)) => {
+                let (d, o) = (dur.millis(), offset.millis());
+                Value::Ts(Ts((ts.millis() - o).div_euclid(d) * d + o))
+            }
+            (_, value) => value,
+        }
     }
 }
 
@@ -188,7 +186,7 @@ pub(crate) fn explain(plan: &LogicalPlan) -> String {
         .iter()
         .zip(streams(plan))
         .map(|((stream, key), (_, schema))| {
-            let column = &schema.fields()[key.col()].name;
+            let column = &schema.fields()[key.column()].name;
             match *key {
                 RouteKey::Column(_) => format!("{stream} by {column}"),
                 RouteKey::Tumble { dur, offset, .. } if offset == Duration::ZERO => {
@@ -260,7 +258,7 @@ fn carried<'p>(
         } => {
             let mut cols = vec![None; schema.arity()];
             if let Some((_, key)) = keys.iter().find(|(s, _)| s.eq_ignore_ascii_case(table)) {
-                cols[key.col()] = Some(match *key {
+                cols[key.column()] = Some(match *key {
                     RouteKey::Column(_) => Carry::Value,
                     RouteKey::Tumble { dur, offset, .. } => Carry::Time(dur, offset),
                 });

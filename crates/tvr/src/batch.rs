@@ -289,19 +289,12 @@ impl ChangeBatch {
         }
     }
 
-    /// Wire-payload size of logical row `i`, matching the per-change
-    /// accounting used by the pipeline drivers (1 byte for NULL/booleans,
-    /// 8 for fixed-width scalars, string byte length for VARCHAR).
-    pub fn row_bytes(&self, i: usize) -> u64 {
-        let p = self.phys(i);
-        self.cols
-            .iter()
-            .map(|c| match c.value(p) {
-                Value::Null | Value::Bool(_) => 1u64,
-                Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 8,
-                Value::Str(s) => s.len() as u64,
-            })
-            .sum()
+    /// Estimated payload bytes of the visible rows, summed column by
+    /// column ([`Column::payload_bytes`]): the total the drivers count as
+    /// ingested bytes.
+    pub fn payload_bytes(&self) -> u64 {
+        let sel = self.sel.as_deref();
+        self.cols.iter().map(|c| c.payload_bytes(sel)).sum()
     }
 }
 
@@ -425,12 +418,16 @@ mod tests {
     }
 
     #[test]
-    fn row_bytes_accounting() {
-        let changes = vec![(
-            Ts::from_millis(1),
-            Change::insert(row!(1i64, "abc", Value::Null)),
-        )];
+    fn payload_bytes_accounting() {
+        let changes = vec![
+            (
+                Ts::from_millis(1),
+                Change::insert(row!(1i64, "abc", Value::Null)),
+            ),
+            (Ts::from_millis(1), Change::insert(row!(2i64, "de", 7i64))),
+        ];
         let b = ChangeBatch::from_changes(&changes).unwrap();
-        assert_eq!(b.row_bytes(0), 8 + 3 + 1);
+        assert_eq!(b.payload_bytes(), (8 + 3 + 1) + (8 + 2 + 8));
+        assert_eq!(b.select_logical(&[1]).payload_bytes(), 8 + 2 + 8);
     }
 }

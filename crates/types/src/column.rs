@@ -317,6 +317,51 @@ impl Column {
         }
     }
 
+    /// Estimated payload bytes of the rows at `rows` (every row when
+    /// `None`): 8 per fixed-width value (int, float, timestamp, interval),
+    /// 1 per null or boolean, a string's length for a string. A stable,
+    /// cheap estimator — not a wire format — so byte counters mean the same
+    /// thing on every connector and survive checkpoints deterministically.
+    ///
+    /// # Panics
+    /// Panics if any index is out of range.
+    pub fn payload_bytes(&self, rows: Option<&[u32]>) -> u64 {
+        fn fixed(len: usize, nulls: &Option<Vec<bool>>, rows: Option<&[u32]>) -> u64 {
+            let null_count = match (nulls, rows) {
+                (None, _) => 0,
+                (Some(mask), None) => mask.iter().filter(|&&n| n).count(),
+                (Some(mask), Some(rows)) => rows.iter().filter(|&&i| mask[i as usize]).count(),
+            };
+            let len = rows.map_or(len, <[u32]>::len);
+            (8 * (len - null_count) + null_count) as u64
+        }
+        let each = |len: usize, at: &dyn Fn(usize) -> u64| -> u64 {
+            match rows {
+                None => (0..len).map(at).sum(),
+                Some(rows) => rows.iter().map(|&i| at(i as usize)).sum(),
+            }
+        };
+        match self.data() {
+            ColumnData::Int { vals, nulls } => fixed(vals.len(), nulls, rows),
+            ColumnData::Float { vals, nulls } => fixed(vals.len(), nulls, rows),
+            ColumnData::Ts { vals, nulls } => fixed(vals.len(), nulls, rows),
+            ColumnData::Interval { vals, nulls } => fixed(vals.len(), nulls, rows),
+            ColumnData::Bool { vals, .. } => rows.map_or(vals.len(), <[u32]>::len) as u64,
+            ColumnData::Str { vals, nulls } => each(vals.len(), &|i| {
+                if nulls.as_ref().is_some_and(|n| n[i]) {
+                    1
+                } else {
+                    vals[i].len() as u64
+                }
+            }),
+            ColumnData::Mixed(vals) => each(vals.len(), &|i| match &vals[i] {
+                Value::Null | Value::Bool(_) => 1,
+                Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 8,
+                Value::Str(s) => s.len() as u64,
+            }),
+        }
+    }
+
     /// Gather rows at the given physical indices into a new dense column.
     ///
     /// # Panics
@@ -404,8 +449,11 @@ enum BuilderData {
 #[derive(Clone)]
 pub struct ColumnBuilder {
     data: BuilderData,
+    /// The null mask, built at the first NULL: empty while there is none,
+    /// one flag per row appended after.
     nulls: Vec<bool>,
-    any_null: bool,
+    /// Rows appended.
+    len: usize,
     /// Number of leading nulls buffered before the type is known.
     pending_nulls: usize,
     capacity: usize,
@@ -416,20 +464,31 @@ impl ColumnBuilder {
     pub fn with_capacity(capacity: usize) -> ColumnBuilder {
         ColumnBuilder {
             data: BuilderData::Empty,
-            nulls: Vec::with_capacity(capacity),
-            any_null: false,
+            nulls: Vec::new(),
+            len: 0,
             pending_nulls: 0,
             capacity,
         }
     }
 
     fn note(&mut self, is_null: bool) {
-        self.nulls.push(is_null);
-        self.any_null |= is_null;
+        if is_null && self.nulls.is_empty() {
+            self.nulls.reserve(self.capacity.max(self.len + 1));
+            self.nulls.resize(self.len, false);
+        }
+        if !self.nulls.is_empty() || is_null {
+            self.nulls.push(is_null);
+        }
+        self.len += 1;
+    }
+
+    /// Whether row `i` (appended) is NULL.
+    fn null_at(&self, i: usize) -> bool {
+        self.nulls.get(i).copied().unwrap_or(false)
     }
 
     fn demote(&mut self) -> &mut Vec<Value> {
-        let mut boxed: Vec<Value> = Vec::with_capacity(self.capacity.max(self.nulls.len() + 1));
+        let mut boxed: Vec<Value> = Vec::with_capacity(self.capacity.max(self.len + 1));
         match std::mem::replace(&mut self.data, BuilderData::Empty) {
             BuilderData::Empty => {
                 boxed.extend(std::iter::repeat_n(Value::Null, self.pending_nulls));
@@ -437,7 +496,7 @@ impl ColumnBuilder {
             }
             BuilderData::Int(vals) => {
                 for (i, v) in vals.into_iter().enumerate() {
-                    boxed.push(if self.nulls[i] {
+                    boxed.push(if self.null_at(i) {
                         Value::Null
                     } else {
                         Value::Int(v)
@@ -446,7 +505,7 @@ impl ColumnBuilder {
             }
             BuilderData::Float(vals) => {
                 for (i, v) in vals.into_iter().enumerate() {
-                    boxed.push(if self.nulls[i] {
+                    boxed.push(if self.null_at(i) {
                         Value::Null
                     } else {
                         Value::Float(v)
@@ -455,7 +514,7 @@ impl ColumnBuilder {
             }
             BuilderData::Bool(vals) => {
                 for (i, v) in vals.into_iter().enumerate() {
-                    boxed.push(if self.nulls[i] {
+                    boxed.push(if self.null_at(i) {
                         Value::Null
                     } else {
                         Value::Bool(v)
@@ -464,7 +523,7 @@ impl ColumnBuilder {
             }
             BuilderData::Ts(vals) => {
                 for (i, v) in vals.into_iter().enumerate() {
-                    boxed.push(if self.nulls[i] {
+                    boxed.push(if self.null_at(i) {
                         Value::Null
                     } else {
                         Value::Ts(v)
@@ -473,7 +532,7 @@ impl ColumnBuilder {
             }
             BuilderData::Interval(vals) => {
                 for (i, v) in vals.into_iter().enumerate() {
-                    boxed.push(if self.nulls[i] {
+                    boxed.push(if self.null_at(i) {
                         Value::Null
                     } else {
                         Value::Interval(v)
@@ -482,7 +541,7 @@ impl ColumnBuilder {
             }
             BuilderData::Str(vals) => {
                 for (i, v) in vals.into_iter().enumerate() {
-                    boxed.push(if self.nulls[i] {
+                    boxed.push(if self.null_at(i) {
                         Value::Null
                     } else {
                         Value::Str(v)
@@ -640,12 +699,12 @@ impl ColumnBuilder {
 
     /// Number of rows appended so far.
     pub fn len(&self) -> usize {
-        self.nulls.len()
+        self.len
     }
 
     /// Whether no rows have been appended.
     pub fn is_empty(&self) -> bool {
-        self.nulls.is_empty()
+        self.len == 0
     }
 
     /// The value appended at `i`, read back before the column is finished.
@@ -653,7 +712,8 @@ impl ColumnBuilder {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn value(&self, i: usize) -> Value {
-        if self.nulls[i] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        if self.null_at(i) {
             return Value::Null;
         }
         match &self.data {
@@ -669,8 +729,8 @@ impl ColumnBuilder {
     }
 
     /// Heap bytes the builder holds so far, counted as
-    /// [`Column::heap_bytes`] counts a finished column (the null mask in
-    /// full: a builder keeps it until [`ColumnBuilder::finish`]).
+    /// [`Column::heap_bytes`] counts a finished column (the null mask, once
+    /// a NULL started it, in full).
     pub fn heap_bytes(&self) -> usize {
         fn lane<T>(vals: &Vec<T>) -> usize {
             vals.capacity() * std::mem::size_of::<T>()
@@ -690,11 +750,7 @@ impl ColumnBuilder {
 
     /// Finish the column.
     pub fn finish(self) -> Column {
-        let nulls = if self.any_null {
-            Some(self.nulls)
-        } else {
-            None
-        };
+        let nulls = (!self.nulls.is_empty()).then_some(self.nulls);
         let data = match self.data {
             BuilderData::Empty => {
                 // Either truly empty or all-null: box it.
@@ -770,6 +826,21 @@ mod tests {
         assert_eq!(g.value(0), Value::Int(30));
         assert_eq!(g.value(1), Value::Int(10));
         assert!(!g.has_nulls());
+    }
+
+    #[test]
+    fn payload_bytes_count_each_value_as_a_change_does() {
+        let ints = Column::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]);
+        assert_eq!(ints.payload_bytes(None), 8 + 1 + 8);
+        assert_eq!(ints.payload_bytes(Some(&[1, 1, 2])), 1 + 1 + 8);
+        let strs = Column::from_values(vec![Value::str("abc"), Value::Null]);
+        assert_eq!(strs.payload_bytes(None), 3 + 1);
+        let mixed = Column::from_values(vec![Value::Int(1), Value::str("ab"), Value::Bool(true)]);
+        assert_eq!(mixed.payload_bytes(Some(&[1, 2])), 2 + 1);
+        assert_eq!(
+            Column::repeat(&Value::Bool(false), 4).payload_bytes(None),
+            4
+        );
     }
 
     #[test]

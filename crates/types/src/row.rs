@@ -123,11 +123,12 @@ impl From<Vec<Value>> for Row {
     }
 }
 
-/// Build a row from a list of things convertible to [`Value`].
+/// Build a row from a list of things convertible to [`Value`], with one
+/// allocation (the shared slice; no intermediate `Vec`).
 #[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        $crate::Row::new(vec![$($crate::Value::from($v)),*])
+        $crate::Row::from_values([$($crate::Value::from($v)),*])
     };
 }
 
