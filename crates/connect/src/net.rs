@@ -1,7 +1,7 @@
 //! Network connectors: pipelines that span processes.
 //!
-//! A producer process pushes `SourceBatch`-shaped data — row changes,
-//! watermark assertions, end-of-stream — through a length-prefixed,
+//! A producer process pushes `SourceBatch`-shaped data — changes as typed
+//! columns, watermark assertions, end-of-stream — through a length-prefixed,
 //! CRC-protected binary framing over TCP or unix sockets; a consumer
 //! process accepts those connections as the partitions of a
 //! [`PartitionedNetSource`] feeding a (sharded) pipeline. The partition /
@@ -67,24 +67,22 @@ pub use source::{NetPartStats, NetSource, PartitionedNetSource};
 /// First bytes of every connection: `b"OSQW"` (onesql wire).
 pub const WIRE_MAGIC: [u8; 4] = *b"OSQW";
 /// Protocol version carried right after the magic; bumped on any change
-/// to the frame layout. Version 2 appended two optional trailing sections
-/// to version-1 bodies: `BATCH` gained a trace-context field (`u8` flag +
-/// `u64` producer span id) so consumer-side spans can stitch into the
-/// producer's trace, and `KEEPALIVE` gained the producer's current
-/// watermark (`u8` flag + `i64` millis) so lag attribution survives idle
-/// stretches. Producers write [`WIRE_VERSION`] and consumers accept
+/// to the frame layout. Version 3 carries a `BATCH` frame's events as
+/// columns: one `onesql_tvr::lanes` run per (stream, arity) and an order
+/// lane that interleaves them, where version 2 tagged every value of
+/// every event. Producers write [`WIRE_VERSION`] and consumers accept
 /// nothing else: any other announced version is refused at the preamble.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 /// Upper bound on a frame body; larger length prefixes are rejected as
 /// corruption before any allocation happens.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-const KIND_HELLO: u8 = 1;
-const KIND_HELLO_ACK: u8 = 2;
-const KIND_BATCH: u8 = 3;
-const KIND_ACK: u8 = 4;
-const KIND_FINISH: u8 = 5;
-const KIND_KEEPALIVE: u8 = 6;
+pub(super) const KIND_HELLO: u8 = 1;
+pub(super) const KIND_HELLO_ACK: u8 = 2;
+pub(super) const KIND_BATCH: u8 = 3;
+pub(super) const KIND_ACK: u8 = 4;
+pub(super) const KIND_FINISH: u8 = 5;
+pub(super) const KIND_KEEPALIVE: u8 = 6;
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) of `data`, as appended to
 /// every frame body. One checksum definition serves both the wire format

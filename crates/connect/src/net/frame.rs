@@ -1,5 +1,6 @@
 //! Framing: addresses, connections and listeners behind one face, the
-//! value and event codec, and reading and writing whole frames.
+//! `BATCH` frame codec over `onesql_tvr::lanes`, and reading and writing
+//! whole frames.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -7,9 +8,12 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration as StdDuration;
 
-use onesql_types::{Error, Result, Row, Ts, Value};
+use onesql_core::connect::SourceColumns;
+use onesql_tvr::lanes::{self, RunWriter};
+use onesql_tvr::ChangeBatch;
+use onesql_types::{Column, Error, Result, Ts};
 
-use super::{crc32, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
+use super::{crc32, KIND_BATCH, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
 
 // ---------------------------------------------------------------------------
 // Addresses, connections, listeners: TCP and unix sockets behind one face.
@@ -151,26 +155,8 @@ impl NetListener {
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec: values, events, frames.
+// BATCH frames: events as lane-codec runs (`onesql_tvr::lanes`).
 // ---------------------------------------------------------------------------
-
-pub(super) const TAG_NULL: u8 = 0;
-pub(super) const TAG_BOOL: u8 = 1;
-pub(super) const TAG_INT: u8 = 2;
-pub(super) const TAG_FLOAT: u8 = 3;
-pub(super) const TAG_STR: u8 = 4;
-pub(super) const TAG_TS: u8 = 5;
-pub(super) const TAG_INTERVAL: u8 = 6;
-
-/// One event as it crosses the wire: a change to one of the handshake's
-/// declared streams at a processing time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(super) struct WireEvent {
-    pub(super) stream: u16,
-    pub(super) ptime: Ts,
-    pub(super) diff: i64,
-    pub(super) row: Row,
-}
 
 pub(super) fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -185,61 +171,11 @@ pub(super) fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(super) fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(TAG_NULL),
-        Value::Bool(b) => {
-            buf.push(TAG_BOOL);
-            buf.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.push(TAG_INT);
-            put_i64(buf, *i);
-        }
-        Value::Float(f) => {
-            buf.push(TAG_FLOAT);
-            put_u64(buf, f.to_bits());
-        }
-        Value::Str(s) => {
-            buf.push(TAG_STR);
-            put_u32(buf, s.len() as u32);
-            buf.extend_from_slice(s.as_bytes());
-        }
-        Value::Ts(t) => {
-            buf.push(TAG_TS);
-            put_i64(buf, t.millis());
-        }
-        Value::Interval(d) => {
-            buf.push(TAG_INTERVAL);
-            put_i64(buf, d.millis());
-        }
-    }
-}
-
-pub(super) fn put_event(buf: &mut Vec<u8>, event: &WireEvent) {
-    put_u16(buf, event.stream);
-    put_i64(buf, event.ptime.millis());
-    put_i64(buf, event.diff);
-    put_u16(buf, event.row.arity() as u16);
-    for value in event.row.values() {
-        put_value(buf, value);
-    }
-}
-
-/// Encoded size of one event, for bounding frame bodies before encoding.
-pub(super) fn event_encoded_len(event: &WireEvent) -> usize {
-    let values: usize = event
-        .row
-        .values()
-        .iter()
-        .map(|v| match v {
-            Value::Null => 1,
-            Value::Bool(_) => 2,
-            Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 9,
-            Value::Str(s) => 5 + s.len(),
-        })
-        .sum();
-    2 + 8 + 8 + 2 + values
+/// An optional field as the wire writes it: a `u8` flag and the value, or
+/// zeros.
+pub(super) fn put_flagged(buf: &mut Vec<u8>, v: Option<i64>) {
+    buf.push(u8::from(v.is_some()));
+    put_i64(buf, v.unwrap_or(0));
 }
 
 /// Soft cap on a frame body the producer assembles: comfortably inside
@@ -248,6 +184,290 @@ pub(super) fn event_encoded_len(event: &WireEvent) -> usize {
 /// cross it — a deterministic function of the event stream, so the
 /// determinism contract is unaffected.
 pub(super) const FRAME_BODY_SOFT_CAP: usize = (MAX_FRAME_LEN as usize) - 4096;
+
+/// What a BATCH body's fixed fields take: kind, base offset, watermark,
+/// event and run counts, trace context.
+const BATCH_FIXED: usize = 1 + 8 + 9 + 4 + 2 + 9;
+
+/// What one run adds to a body beyond its events' bound: its stream, its
+/// header and its column headers.
+fn run_overhead(arity: usize) -> usize {
+    2 + 16 + 2 * arity
+}
+
+/// Bytes an event adds to a body, beyond its values' bound
+/// ([`lanes::value_len`]): an i64 diff, a ptime run of its own and its
+/// order-lane slot.
+pub(super) const EVENT_OVERHEAD: usize = 8 + 12 + 2;
+
+/// A `BATCH` frame being filled: one lane-codec run per (stream, arity),
+/// in order of first arrival, the order lane that interleaves them, and
+/// the frame's watermark. Writers are kept from frame to frame, so a
+/// publisher in a steady state encodes without allocating.
+#[derive(Default)]
+pub(super) struct FrameBuilder {
+    runs: Vec<(u16, RunWriter)>,
+    /// Writers of earlier frames, kept for their buffers.
+    spare: Vec<RunWriter>,
+    /// Per event, the index of its run.
+    order: Vec<u16>,
+    /// The run the last event went to.
+    last: usize,
+    /// The highest watermark asserted while the frame was open.
+    pub(super) watermark: Option<Ts>,
+    /// A bound on the encoded body.
+    bytes: usize,
+}
+
+impl FrameBuilder {
+    /// Events in the frame.
+    pub(super) fn events(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the frame holds neither an event nor a watermark.
+    pub(super) fn is_empty(&self) -> bool {
+        self.order.is_empty() && self.watermark.is_none()
+    }
+
+    /// A bound on the body this frame encodes to.
+    pub(super) fn bytes(&self) -> usize {
+        BATCH_FIXED + self.bytes
+    }
+
+    /// Raise the frame's watermark to `wm`.
+    pub(super) fn watermark(&mut self, wm: Ts) {
+        self.watermark = Some(self.watermark.map_or(wm, |prev| prev.max(wm)));
+    }
+
+    /// Append an event of `stream` with `arity` columns: `cells` pushes
+    /// its values into the run, `bytes` bounds them.
+    pub(super) fn push(
+        &mut self,
+        stream: u16,
+        arity: usize,
+        ptime: Ts,
+        diff: i64,
+        bytes: usize,
+        cells: impl FnOnce(&mut RunWriter),
+    ) -> Result<()> {
+        let fits = |(s, run): &(u16, RunWriter)| *s == stream && run.arity() == arity;
+        if !self.runs.get(self.last).is_some_and(fits) {
+            self.last = match self.runs.iter().position(fits) {
+                Some(r) => r,
+                None if self.runs.len() > usize::from(u16::MAX) => {
+                    return Err(Error::exec(format!(
+                        "a frame mixes more than {} (stream, arity) pairs",
+                        u16::MAX
+                    )))
+                }
+                None => {
+                    let mut run = self.spare.pop().unwrap_or_default();
+                    run.reset(arity);
+                    self.runs.push((stream, run));
+                    self.bytes += run_overhead(arity);
+                    self.runs.len() - 1
+                }
+            };
+        }
+        let run = &mut self.runs[self.last].1;
+        cells(run);
+        run.end_row(ptime, diff);
+        self.order.push(self.last as u16);
+        self.bytes += bytes + EVENT_OVERHEAD;
+        Ok(())
+    }
+
+    /// Append `times.len()` events of `stream` whose values are the
+    /// entries from `at` on of `columns`, each at its `(ptime, diff)`;
+    /// `bytes` bounds the values.
+    pub(super) fn push_range(
+        &mut self,
+        stream: u16,
+        columns: &[Column],
+        at: usize,
+        times: &[(Ts, i64)],
+        bytes: usize,
+    ) -> Result<()> {
+        let n = times.len();
+        let Some(((ptime, diff), rest)) = times.split_first() else {
+            return Ok(());
+        };
+        self.push(stream, columns.len(), *ptime, *diff, bytes, |run| {
+            for (c, column) in columns.iter().enumerate() {
+                run.push_range(c, column, at, n);
+            }
+        })?;
+        let run = &mut self.runs[self.last].1;
+        for (ptime, diff) in rest {
+            run.end_row(*ptime, *diff);
+        }
+        let last = self.last as u16;
+        self.order.resize(self.order.len() + rest.len(), last);
+        self.bytes += rest.len() * EVENT_OVERHEAD;
+        Ok(())
+    }
+
+    /// Append row `i` of `batch`, an event of `stream`.
+    pub(super) fn push_batch_row(
+        &mut self,
+        stream: u16,
+        batch: &ChangeBatch,
+        i: usize,
+    ) -> Result<()> {
+        let at = batch.phys(i);
+        let bytes = batch.columns().iter().map(|c| lanes::cell_len(c, at)).sum();
+        let (ptime, diff) = (batch.ptime(i), batch.diff(i));
+        self.push(stream, batch.arity(), ptime, diff, bytes, |run| {
+            for (c, column) in batch.columns().iter().enumerate() {
+                run.push_cell(c, column, at);
+            }
+        })
+    }
+
+    /// Append the frame's `BATCH` body, as it starts at `base` and was put
+    /// together under the producer-side span `trace` (0: none), to `out`;
+    /// the builder is left empty.
+    pub(super) fn encode(&mut self, base: u64, trace: u64, out: &mut Vec<u8>) {
+        out.reserve(self.bytes());
+        out.push(KIND_BATCH);
+        put_u64(out, base);
+        put_flagged(out, self.watermark.take().map(Ts::millis));
+        put_u32(out, self.order.len() as u32);
+        put_u16(out, self.runs.len() as u16);
+        for (stream, run) in &self.runs {
+            put_u16(out, *stream);
+            run.encode_into(out);
+        }
+        if self.runs.len() > 1 {
+            for &r in &self.order {
+                put_u16(out, r);
+            }
+        }
+        // The trace context: the span current on the producer when the
+        // frame closed (the driver's emit span, for a sink write); 0 when
+        // tracing is off or the root was unsampled, shipped as "absent"
+        // so the consumer never parents onto a span nobody recorded.
+        put_flagged(out, (trace != 0).then_some(trace as i64));
+        self.spare.extend(self.runs.drain(..).map(|(_, run)| run));
+        self.order.clear();
+        self.last = 0;
+        self.bytes = 0;
+    }
+
+    /// Refill an empty builder with `frame`'s events from the `skip`-th on
+    /// (in arrival order) and its watermark.
+    pub(super) fn refill(&mut self, frame: &BatchFrame, skip: usize) -> Result<()> {
+        let batches = frame.columns.batches();
+        let mut next = vec![0usize; batches.len()];
+        for k in 0..frame.columns.len() {
+            let b = frame
+                .columns
+                .order()
+                .map_or(0, |order| usize::from(order[k]));
+            let (stream, batch) = &batches[b];
+            let i = next[b];
+            next[b] += 1;
+            if k >= skip {
+                self.push_batch_row(*stream as u16, batch, i)?;
+            }
+        }
+        self.watermark = frame.watermark;
+        Ok(())
+    }
+}
+
+/// A decoded `BATCH` frame.
+pub(super) struct BatchFrame {
+    pub(super) watermark: Option<Ts>,
+    /// Its events: a dense batch per (stream, arity), interleaved by the
+    /// order lane; ptimes never fall in arrival order.
+    pub(super) columns: SourceColumns,
+    /// The producer-side span it was put together under.
+    pub(super) trace: Option<u64>,
+}
+
+/// Decode a `BATCH` body whose kind byte `reader` has read; the base offset
+/// is the caller's to check. Counts are checked against the bytes left
+/// before anything is sized by them.
+pub(super) fn parse_batch(reader: &mut FrameReader<'_>) -> Result<BatchFrame> {
+    reader.u64()?;
+    let has_wm = reader.u8()? != 0;
+    let wm = reader.i64()?;
+    let events = reader.u32()? as usize;
+    let runs = reader.u16()? as usize;
+    if (runs == 0) != (events == 0) {
+        return Err(Error::exec(format!(
+            "malformed frame: {events} events in {runs} runs"
+        )));
+    }
+    let mut batches = Vec::with_capacity(runs.min(reader.left() / 2));
+    let mut rows = 0usize;
+    for _ in 0..runs {
+        let stream = usize::from(reader.u16()?);
+        let batch = reader.run()?;
+        if batch.is_empty() {
+            return Err(Error::exec("malformed frame: an empty run"));
+        }
+        rows += batch.len();
+        batches.push((stream, batch));
+    }
+    if rows != events {
+        return Err(Error::exec(format!(
+            "malformed frame: runs hold {rows} events, the header says {events}"
+        )));
+    }
+    let columns = if runs > 1 {
+        let lane = reader.take(events * 2)?;
+        let order = lane
+            .chunks_exact(2)
+            .map(|b| u16::from_le_bytes([b[0], b[1]]))
+            .collect();
+        raise_ptimes(SourceColumns::interleaved(batches, order)?)?
+    } else {
+        batches
+            .pop()
+            .map_or_else(SourceColumns::default, |(s, b)| SourceColumns::single(s, b))
+    };
+    let has_trace = reader.u8()? != 0;
+    let span = reader.u64()?;
+    reader.done()?;
+    Ok(BatchFrame {
+        watermark: has_wm.then_some(Ts(wm)),
+        columns,
+        trace: (has_trace && span != 0).then_some(span),
+    })
+}
+
+/// Raise each event's ptime to the running maximum in arrival order, as
+/// [`SourceColumns`] asks. Each run already is; only interleaved runs
+/// whose ptimes cross are rebuilt.
+fn raise_ptimes(columns: SourceColumns) -> Result<SourceColumns> {
+    let (batches, order) = columns.into_parts();
+    let order = order.unwrap_or_default();
+    let mut lanes: Vec<Vec<Ts>> = batches.iter().map(|_| Vec::new()).collect();
+    let mut clock = Ts::MIN;
+    let mut raised = false;
+    for &b in &order {
+        let (b, (_, batch)) = (usize::from(b), &batches[usize::from(b)]);
+        let ptime = batch.ptime(lanes[b].len());
+        raised |= ptime < clock;
+        clock = clock.max(ptime);
+        lanes[b].push(clock);
+    }
+    if !raised {
+        return SourceColumns::interleaved(batches, order);
+    }
+    let batches = batches
+        .into_iter()
+        .zip(lanes)
+        .map(|((stream, batch), ptimes)| {
+            let diffs = (0..batch.len()).map(|i| batch.diff(i)).collect();
+            let batch = ChangeBatch::new_dense(batch.columns().to_vec(), diffs, ptimes);
+            (stream, batch)
+        });
+    SourceColumns::interleaved(batches.collect(), order)
+}
 
 /// A bounds-checked little-endian reader over a frame body.
 pub(super) struct FrameReader<'a> {
@@ -269,6 +489,10 @@ impl<'a> FrameReader<'a> {
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     pub(super) fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
@@ -293,40 +517,13 @@ impl<'a> FrameReader<'a> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
-    pub(super) fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            TAG_NULL => Value::Null,
-            TAG_BOOL => Value::Bool(self.u8()? != 0),
-            TAG_INT => Value::Int(self.i64()?),
-            TAG_FLOAT => Value::Float(f64::from_bits(self.u64()?)),
-            TAG_STR => {
-                let len = self.u32()? as usize;
-                let bytes = self.take(len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| Error::exec("malformed frame: string is not UTF-8"))?;
-                Value::str(s)
-            }
-            TAG_TS => Value::Ts(Ts(self.i64()?)),
-            TAG_INTERVAL => Value::Interval(onesql_types::Duration(self.i64()?)),
-            tag => return Err(Error::exec(format!("malformed frame: value tag {tag}"))),
-        })
-    }
-
-    pub(super) fn event(&mut self) -> Result<WireEvent> {
-        let stream = self.u16()?;
-        let ptime = Ts(self.i64()?);
-        let diff = self.i64()?;
-        let arity = self.u16()? as usize;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(self.value()?);
-        }
-        Ok(WireEvent {
-            stream,
-            ptime,
-            diff,
-            row: Row::new(values),
-        })
+    /// One lane-codec run.
+    fn run(&mut self) -> Result<ChangeBatch> {
+        let mut rest = &self.buf[self.pos..];
+        let batch = lanes::decode_run(&mut rest)
+            .map_err(|e| Error::exec(format!("malformed frame: {e}")))?;
+        self.pos = self.buf.len() - rest.len();
+        Ok(batch)
     }
 
     pub(super) fn done(&self) -> Result<()> {
@@ -342,15 +539,29 @@ pub(super) fn io_err(context: &str, e: std::io::Error) -> Error {
     Error::exec(format!("{context}: {e}"))
 }
 
+/// Close a frame assembled in `wire` behind four reserved bytes: fill in
+/// the body's length and append its CRC, giving `len | body | crc32(body)`.
+pub(super) fn seal_frame(wire: &mut Vec<u8>) {
+    let len = (wire.len() - 4) as u32;
+    wire[..4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&wire[4..]);
+    put_u32(wire, crc);
+}
+
+/// Put a sealed frame on the wire.
+pub(super) fn write_wire(conn: &mut NetConn, context: &str, wire: &[u8]) -> Result<()> {
+    conn.write_all(wire)
+        .and_then(|()| conn.flush())
+        .map_err(|e| io_err(context, e))
+}
+
 /// Write one frame: `len | body | crc32(body)`.
 pub(super) fn write_frame(conn: &mut NetConn, context: &str, body: &[u8]) -> Result<()> {
     let mut wire = Vec::with_capacity(body.len() + 8);
-    put_u32(&mut wire, body.len() as u32);
+    wire.extend_from_slice(&[0; 4]);
     wire.extend_from_slice(body);
-    put_u32(&mut wire, crc32(body));
-    conn.write_all(&wire)
-        .and_then(|()| conn.flush())
-        .map_err(|e| io_err(context, e))
+    seal_frame(&mut wire);
+    write_wire(conn, context, &wire)
 }
 
 /// How reading one frame ended, classified so restart-tolerant readers

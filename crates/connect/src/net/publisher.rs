@@ -8,37 +8,64 @@ use std::time::{Duration as StdDuration, Instant};
 
 use onesql_core::connect::Sink;
 use onesql_core::observe;
-use onesql_exec::StreamRow;
+use onesql_exec::{Cells, StreamBatch, StreamRow};
 use onesql_time::Watermark;
+use onesql_tvr::lanes::{self, RunWriter};
 use onesql_tvr::Change;
-use onesql_types::{Error, Result, Row, Ts};
+use onesql_types::{Error, Result, Row, Ts, Value};
 
 use super::frame::*;
 use super::*;
 
-/// An item in the producer's replay spool. Watermarks are spooled inline
-/// at their positions between events and each remembers which frame
-/// delivered it, so a reconnect replays exactly the watermarks the
-/// consumer has not seen: a resume offset alone cannot distinguish a
-/// watermark that rode the frame *ending* at that offset (delivered)
-/// from one still waiting to ride the next frame (not delivered) — the
-/// recorded frame end does.
-#[derive(Debug, Clone)]
-pub(super) enum SpoolItem {
-    Event(WireEvent),
-    Watermark {
-        wm: Ts,
-        /// End offset of the frame that carried this watermark to the
-        /// consumer; `None` until it has been sent.
-        sent_frame_end: Option<u64>,
-    },
+/// A closed frame in the producer's replay spool: its bytes as they go on
+/// the wire (`len | body | crc`), kept until the consumer acknowledges
+/// every event in it. A resume at a frame boundary re-sends them as they
+/// are; only a resume inside a frame decodes it and re-encodes the rest.
+struct SpooledFrame {
+    /// The offset of its first event.
+    base: u64,
+    events: u64,
+    /// The watermark it carries, applied after its events: the consumer
+    /// has seen it iff it consumed the whole frame.
+    watermark: Option<Ts>,
+    /// Whether it went out on some connection: one that never did cannot
+    /// have been consumed, whatever the resume offset says.
+    sent: bool,
+    wire: Vec<u8>,
 }
+
+impl SpooledFrame {
+    fn end(&self) -> u64 {
+        self.base + self.events
+    }
+
+    /// What the spool bound counts it as: its events, and a watermark-only
+    /// frame as one.
+    fn weight(&self) -> usize {
+        (self.events as usize).max(1)
+    }
+
+    fn decode(&self) -> Result<BatchFrame> {
+        let mut reader = FrameReader::new(&self.wire[4..self.wire.len() - 4]);
+        reader.u8()?;
+        parse_batch(&mut reader)
+    }
+}
+
+/// Spare frame buffers kept for reuse, at most.
+const SPARE_FRAMES: usize = 8;
 
 /// The producer half of a network pipeline: connects to a
 /// [`PartitionedNetSource`] (or [`NetSource`]) and pushes events,
 /// watermarks, and end-of-stream for **one** partition.
 ///
-/// Exactly-once machinery: every item sent is retained in a bounded spool
+/// Events go straight into the typed lanes of the open frame; a frame
+/// closes at [`NetConfig::batch_events`] events (or the byte cap), is
+/// encoded once, and its bytes are what goes on the wire and into the
+/// replay spool. Watermarks ride the frame that is open when they are
+/// asserted.
+///
+/// Exactly-once machinery: every frame sent is retained in a bounded spool
 /// until the consumer acknowledges it (acks are sent when the consuming
 /// driver checkpoints, and once more when it finishes). If the consumer
 /// dies, the next send notices, reconnects within
@@ -50,21 +77,24 @@ pub struct NetPublisher {
     partition: u32,
     streams: Vec<String>,
     config: NetConfig,
+    /// `net publisher <addr>#<partition>`, for errors.
+    context: String,
     conn: Option<NetConn>,
     /// Set by the ack-reader thread when its connection dies.
     conn_dead: Arc<AtomicBool>,
     /// Highest offset the consumer has acknowledged (monotone).
     acked: Arc<AtomicU64>,
-    /// Items not yet acknowledged, oldest first.
-    spool: VecDeque<SpoolItem>,
-    /// Offset of the first event in the spool (== trim floor).
-    spool_base: u64,
-    /// Trailing spool items not yet written to the current connection.
+    /// Closed frames not yet acknowledged, oldest first.
+    spool: VecDeque<SpooledFrame>,
+    /// Trailing spool frames not yet written to the current connection.
     unsent: usize,
-    /// Offset of the next event to write on the current connection (the
-    /// base offset of the next frame); kept in step with `unsent` so
-    /// frames need no spool rescans to learn their base.
-    send_cursor: u64,
+    /// The spool's weight plus the open frame's events: what
+    /// [`NetConfig::spool_events`] bounds.
+    spooled: usize,
+    /// The frame being filled; its events are the last `events()` offsets.
+    open: FrameBuilder,
+    /// Buffers of trimmed frames, for the next ones.
+    spare: Vec<Vec<u8>>,
     /// Offset the next appended event will get.
     next_offset: u64,
     /// `finish` was called; replays re-send the FINISH frame too.
@@ -74,11 +104,13 @@ pub struct NetPublisher {
     /// When the last KEEPALIVE frame went out.
     last_keepalive: Option<Instant>,
     /// Highest watermark published so far; carried on KEEPALIVE frames
-    /// (wire v2) so consumer-side lag attribution survives idle
-    /// stretches.
+    /// so consumer-side lag attribution survives idle stretches.
     last_wm: Option<Ts>,
     /// Telemetry; see [`NetPublisherStats`].
     stats: NetPublisherStats,
+    /// The `(ptime, diff)` of the events [`NetPublisher::append_entries`]
+    /// is gathering, kept for its buffer.
+    times: Vec<(Ts, i64)>,
 }
 
 /// Wire telemetry of one [`NetPublisher`], via [`NetPublisher::stats`].
@@ -91,7 +123,7 @@ pub struct NetPublisherStats {
     /// Connections established (handshake completed); every one past
     /// the first was a reconnect.
     pub connections: u64,
-    /// Spool items a reconnect rewound for re-sending: how much work
+    /// Events a reconnect rewound for re-sending: how much work
     /// exactly-once recovery actually re-did.
     pub replayed: u64,
 }
@@ -107,6 +139,7 @@ impl NetPublisher {
         config: NetConfig,
     ) -> NetPublisher {
         NetPublisher {
+            context: format!("net publisher {addr}#{partition}"),
             addr,
             partition: partition as u32,
             streams,
@@ -115,15 +148,17 @@ impl NetPublisher {
             conn_dead: Arc::new(AtomicBool::new(false)),
             acked: Arc::new(AtomicU64::new(0)),
             spool: VecDeque::new(),
-            spool_base: 0,
             unsent: 0,
-            send_cursor: 0,
+            spooled: 0,
+            open: FrameBuilder::default(),
+            spare: Vec::new(),
             next_offset: 0,
             finished: false,
             finish_sent: false,
             last_keepalive: None,
             last_wm: None,
             stats: NetPublisherStats::default(),
+            times: Vec::new(),
         }
     }
 
@@ -133,7 +168,7 @@ impl NetPublisher {
     }
 
     /// Wire telemetry so far: frames/bytes written, connections made,
-    /// spool items replayed by reconnects.
+    /// events replayed by reconnects.
     pub fn stats(&self) -> NetPublisherStats {
         self.stats
     }
@@ -152,18 +187,115 @@ impl NetPublisher {
     /// Publish a change on `stream` (an index into the declared stream
     /// list) at processing time `ptime`.
     pub fn send(&mut self, stream: usize, ptime: Ts, change: Change) -> Result<()> {
+        self.append_row(stream, ptime, change.diff, change.row.values())
+    }
+
+    /// Insert `row` on `stream` at `ptime` (diff `+1`).
+    pub fn insert(&mut self, stream: usize, ptime: Ts, row: Row) -> Result<()> {
+        self.append_row(stream, ptime, 1, row.values())
+    }
+
+    /// Publish one change whose values are `values`.
+    fn append_row(&mut self, stream: usize, ptime: Ts, diff: i64, values: &[Value]) -> Result<()> {
+        let bytes = values.iter().map(lanes::value_len).sum();
+        self.append(stream, ptime, diff, values.len(), bytes, |run| {
+            for (c, value) in values.iter().enumerate() {
+                run.push_value(c, value);
+            }
+        })
+    }
+
+    /// Publish row `i` of `batch` on `stream` and as many rows after it as
+    /// are the next entries of the same columns and fit the open frame,
+    /// their values copied column by column; how many.
+    fn append_entries(
+        &mut self,
+        stream: usize,
+        batch: &StreamBatch<'_>,
+        i: usize,
+    ) -> Result<usize> {
+        let diff = |undo: bool| if undo { -1 } else { 1 };
+        let first = batch.get(i);
+        let (columns, at) = match first.cells {
+            Cells::Columns(columns, at) => (columns, at),
+            Cells::Row(row) => {
+                let diff = diff(first.undo);
+                return self
+                    .append_row(stream, first.ptime, diff, row.values())
+                    .map(|()| 1);
+            }
+        };
+        let room = self.config.batch_events.saturating_sub(self.open.events());
+        let mut times = std::mem::take(&mut self.times);
+        times.clear();
+        times.push((first.ptime, diff(first.undo)));
+        while times.len() < room && i + times.len() < batch.len() {
+            let next = batch.get(i + times.len());
+            match next.cells {
+                Cells::Columns(c, a) if std::ptr::eq(c, columns) && a == at + times.len() => {
+                    times.push((next.ptime, diff(next.undo)));
+                }
+                _ => break,
+            }
+        }
+        let n = times.len();
+        let bytes = columns
+            .iter()
+            .map(|c| lanes::range_len(c, at, n))
+            .sum::<usize>();
+        // One copy per column, unless an event must be looked at alone: a
+        // frame this would overfill, a spool this would overfill, events
+        // below a restarted producer's floor.
+        let whole = n > 1
+            && !self.finished
+            && stream < self.streams.len()
+            && self.next_offset >= self.acked()
+            && self.spooled + n <= self.config.spool_events
+            && self.open.bytes() + 64 + bytes + n * EVENT_OVERHEAD <= FRAME_BODY_SOFT_CAP;
+        let result = if whole {
+            self.open
+                .push_range(stream as u16, columns, at, &times, bytes)
+                .and_then(|()| {
+                    self.next_offset += n as u64;
+                    self.spooled += n;
+                    self.close_full()
+                })
+        } else {
+            times
+                .iter()
+                .enumerate()
+                .try_for_each(|(k, &(ptime, diff))| {
+                    let bytes = columns.iter().map(|c| lanes::cell_len(c, at + k)).sum();
+                    self.append(stream, ptime, diff, columns.len(), bytes, |run| {
+                        for (c, column) in columns.iter().enumerate() {
+                            run.push_cell(c, column, at + k);
+                        }
+                    })
+                })
+        };
+        self.times = times;
+        result.map(|()| n)
+    }
+
+    /// Append one event to the open frame — `cells` pushes its `arity`
+    /// values, `bytes` bounds their encoding — closing and sending the
+    /// frame once it is full.
+    fn append(
+        &mut self,
+        stream: usize,
+        ptime: Ts,
+        diff: i64,
+        arity: usize,
+        bytes: usize,
+        cells: impl FnOnce(&mut RunWriter),
+    ) -> Result<()> {
         if self.finished {
-            return Err(Error::exec(format!(
-                "net publisher {}#{}: send after finish",
-                self.addr, self.partition
-            )));
+            return Err(Error::exec(format!("{}: send after finish", self.context)));
         }
         if stream >= self.streams.len() {
             return Err(Error::exec(format!(
-                "net publisher {}#{}: stream index {stream} out of range \
-                 ({} declared)",
-                self.addr,
-                self.partition,
+                "{}: stream index {stream} out of range ({} declared)",
+                self.context,
                 self.streams.len()
             )));
         }
@@ -172,78 +304,70 @@ impl NetPublisher {
         // re-publishing its stream to a consumer that already checkpointed
         // part of it. Those events are provably durable downstream: count
         // them, send nothing.
-        if self.next_offset < self.acked() {
+        if self.next_offset < self.acked() && self.open.events() == 0 {
             self.next_offset += 1;
             return Ok(());
         }
-        let event = WireEvent {
-            stream: stream as u16,
-            ptime,
-            diff: change.diff,
-            row: change.row,
-        };
         // Reject rows that cannot fit any legal frame *before* spooling
         // them: once spooled they would be replayed forever, and the
         // consumer would misdiagnose the oversized frame as corruption.
-        // The 32 bytes mirror the header slack frame collection reserves.
-        let encoded = event_encoded_len(&event);
-        if encoded + 32 > FRAME_BODY_SOFT_CAP {
+        let alone = FrameBuilder::default().bytes() + 64 + bytes + EVENT_OVERHEAD;
+        if alone > FRAME_BODY_SOFT_CAP {
             return Err(Error::exec(format!(
-                "net publisher {}#{}: a single event encodes to {encoded} bytes, \
-                 beyond the {FRAME_BODY_SOFT_CAP}-byte frame bound",
-                self.addr, self.partition
+                "{}: a single event encodes to {bytes} bytes, beyond the \
+                 {FRAME_BODY_SOFT_CAP}-byte frame bound",
+                self.context
             )));
         }
         self.reserve_spool_slot()?;
-        if self.spool.is_empty() {
-            // Everything before this event is acked (or was never
-            // spooled, for a restarted producer below the ack floor).
-            self.spool_base = self.next_offset;
+        if self.open.events() > 0 && self.open.bytes() + alone > FRAME_BODY_SOFT_CAP {
+            self.close_open();
+            self.pump()?;
         }
-        self.spool.push_back(SpoolItem::Event(event));
-        self.unsent += 1;
+        self.open
+            .push(stream as u16, arity, ptime, diff, bytes, cells)?;
         self.next_offset += 1;
-        self.pump(false)
+        self.spooled += 1;
+        self.close_full()
     }
 
-    /// Insert `row` on `stream` at `ptime` (diff `+1`).
-    pub fn insert(&mut self, stream: usize, ptime: Ts, row: Row) -> Result<()> {
-        self.send(stream, ptime, Change::insert(row))
+    /// Close and send the open frame once it holds `batch_events` events.
+    fn close_full(&mut self) -> Result<()> {
+        if self.open.events() < self.config.batch_events {
+            return Ok(());
+        }
+        self.close_open();
+        self.pump()
     }
 
     /// Assert that all future events (on every declared stream) have
-    /// event times strictly greater than `wm`. Flushes the pending frame
-    /// so the watermark's position in the stream is exactly here.
+    /// event times strictly greater than `wm`. It rides the open frame,
+    /// applied after that frame's events.
     pub fn watermark(&mut self, wm: Ts) -> Result<()> {
         if self.finished {
             return Err(Error::exec(format!(
-                "net publisher {}#{}: watermark after finish",
-                self.addr, self.partition
+                "{}: watermark after finish",
+                self.context
             )));
         }
         // Below the acknowledged floor the consumer already heard a
-        // watermark at this position (see the same check in `send`); at
+        // watermark at this position (see the same check in `append`); at
         // or above it, send — a duplicate watermark is absorbed by the
         // consumer's monotone ledger, a missing one would stall gates.
         self.last_wm = Some(self.last_wm.map_or(wm, |prev| prev.max(wm)));
         if self.next_offset < self.acked() {
             return Ok(());
         }
-        self.reserve_spool_slot()?;
-        if self.spool.is_empty() {
-            self.spool_base = self.next_offset;
-        }
-        self.spool.push_back(SpoolItem::Watermark {
-            wm,
-            sent_frame_end: None,
-        });
-        self.unsent += 1;
-        self.pump(false)
+        self.open.watermark(wm);
+        Ok(())
     }
 
     /// Send any buffered partial frame now.
     pub fn flush(&mut self) -> Result<()> {
-        self.pump(true)
+        if !self.open.is_empty() {
+            self.close_open();
+        }
+        self.pump()
     }
 
     /// Send a `KEEPALIVE` frame when one is due: at most once per
@@ -280,33 +404,29 @@ impl NetPublisher {
         let deadline = now + self.config.connect_timeout;
         self.ensure_conn(deadline)?;
         if !had_conn && self.unsent > 0 {
-            // Reconnecting rewound unacknowledged items: replaying them
+            // Reconnecting rewound unacknowledged frames: replaying them
             // is better proof of life than an empty keepalive.
             self.last_keepalive = Some(Instant::now());
-            return self.pump(true);
+            return self.pump();
         }
-        let context = format!("net publisher {}#{}", self.addr, self.partition);
+        // The offset of the next event to go out on this connection
+        // (informational), and the current watermark, so the consumer's
+        // watermark-lag attribution keeps working while we idle.
+        let cursor = match self.spool.len().checked_sub(self.unsent) {
+            Some(first) if self.unsent > 0 => self.spool[first].base,
+            _ => self.next_offset - self.open.events() as u64,
+        };
         let mut body = Vec::with_capacity(18);
         body.push(KIND_KEEPALIVE);
-        put_u64(&mut body, self.send_cursor);
-        // Wire v2: carry the current watermark so the consumer's
-        // watermark-lag attribution keeps working while we idle.
-        match self.last_wm {
-            Some(wm) => {
-                body.push(1);
-                put_i64(&mut body, wm.millis());
-            }
-            None => {
-                body.push(0);
-                put_i64(&mut body, 0);
-            }
-        }
+        put_u64(&mut body, cursor);
+        put_flagged(&mut body, self.last_wm.map(Ts::millis));
         let Some(mut conn) = self.conn.take() else {
             return Err(Error::exec(format!(
-                "{context}: connection vanished after ensure"
+                "{}: connection vanished after ensure",
+                self.context
             )));
         };
-        let result = write_frame(&mut conn, &context, &body);
+        let result = write_frame(&mut conn, &self.context, &body);
         match result {
             Ok(()) => {
                 self.note_frame(body.len());
@@ -326,9 +446,9 @@ impl NetPublisher {
         if self.finished {
             return Ok(());
         }
-        self.pump(true)?;
+        self.flush()?;
         self.finished = true;
-        self.pump(true)
+        self.pump()
     }
 
     /// One drain maintenance step: reconnect-and-replay if the connection
@@ -347,7 +467,7 @@ impl NetPublisher {
             return Ok(true);
         }
         if self.conn.is_none() || self.conn_dead.load(Ordering::Acquire) {
-            self.pump(true)?;
+            self.flush()?;
         }
         self.trim();
         Ok(self.acked() >= self.next_offset)
@@ -367,10 +487,9 @@ impl NetPublisher {
             }
             if Instant::now() >= deadline {
                 return Err(Error::exec(format!(
-                    "net publisher {}#{}: consumer acknowledged only {} of {} \
-                     events within the drain timeout",
-                    self.addr,
-                    self.partition,
+                    "{}: consumer acknowledged only {} of {} events within the \
+                     drain timeout",
+                    self.context,
                     self.acked(),
                     self.next_offset
                 )));
@@ -379,70 +498,85 @@ impl NetPublisher {
         }
     }
 
-    /// Drop spool items the consumer has acknowledged.
+    /// Close the open frame: encode it once into the spool.
+    fn close_open(&mut self) {
+        let events = self.open.events() as u64;
+        let base = self.next_offset - events;
+        let watermark = self.open.watermark;
+        let mut wire = self.spare.pop().unwrap_or_default();
+        wire.clear();
+        wire.extend_from_slice(&[0; 4]);
+        self.open.encode(base, observe::current_span(), &mut wire);
+        seal_frame(&mut wire);
+        let frame = SpooledFrame {
+            base,
+            events,
+            watermark,
+            sent: false,
+            wire,
+        };
+        self.spooled += frame.weight() - events as usize;
+        self.spool.push_back(frame);
+        self.unsent += 1;
+    }
+
+    /// Drop spool frames the consumer has acknowledged.
     fn trim(&mut self) {
         let acked = self.acked();
         while self.spool.len() > self.unsent {
             match self.spool.front() {
-                Some(SpoolItem::Event(_)) if self.spool_base < acked => {
-                    self.spool.pop_front();
-                    self.spool_base += 1;
-                }
-                // A watermark is disposable once the frame that carried
-                // it is fully acknowledged.
-                Some(SpoolItem::Watermark { sent_frame_end, .. })
-                    if sent_frame_end.is_some_and(|end| end <= acked) =>
-                {
-                    self.spool.pop_front();
+                Some(frame) if frame.end() <= acked => {
+                    self.spooled -= frame.weight();
+                    if let Some(frame) = self.spool.pop_front() {
+                        self.recycle(frame.wire);
+                    }
                 }
                 _ => break,
             }
         }
     }
 
-    /// Make room for one more spool item, waiting for acks when the
-    /// bounded spool is full.
+    fn recycle(&mut self, wire: Vec<u8>) {
+        if self.spare.len() < SPARE_FRAMES {
+            self.spare.push(wire);
+        }
+    }
+
+    /// Make room for one more event, waiting for acks when the bounded
+    /// spool is full.
     fn reserve_spool_slot(&mut self) -> Result<()> {
-        if self.spool.len() < self.config.spool_events {
+        if self.spooled < self.config.spool_events {
             return Ok(());
         }
         let deadline = Instant::now() + self.config.ack_wait;
         loop {
             // Acks only move when a connection is alive to carry them.
             if self.conn.is_none() || self.conn_dead.load(Ordering::Acquire) {
-                self.pump(false)?;
+                self.pump()?;
             }
             self.trim();
-            if self.spool.len() < self.config.spool_events {
+            if self.spooled < self.config.spool_events {
                 return Ok(());
             }
             if Instant::now() >= deadline {
                 return Err(Error::exec(format!(
-                    "net publisher {}#{}: replay spool full ({} items) and the \
-                     consumer is not acknowledging — is it checkpointing?",
-                    self.addr,
-                    self.partition,
-                    self.spool.len()
+                    "{}: replay spool full ({} events) and the consumer is not \
+                     acknowledging — is it checkpointing?",
+                    self.context, self.spooled
                 )));
             }
             std::thread::sleep(StdDuration::from_millis(2));
         }
     }
 
-    /// Ensure a live connection, then encode-and-send unsent spool items
-    /// as frames. Frames break only at `batch_events`; watermarks ride
-    /// the frame containing them (applied after its events — delaying a
-    /// monotone lower bound is always legal), so every mid-stream frame
-    /// carries at least one event and the consumer's event offset fully
-    /// determines what it has consumed. A trailing partial frame is held
-    /// back unless `force` is set (or `finish` was called). On a broken
-    /// connection the whole cycle — reconnect, handshake, rewind to the
-    /// consumer's resume offset, re-send — retries until
-    /// [`NetConfig::connect_timeout`] elapses.
-    fn pump(&mut self, force: bool) -> Result<()> {
+    /// Ensure a live connection, then write the unsent spool frames (and
+    /// FINISH, once finished). On a broken connection the whole cycle —
+    /// reconnect, handshake, rewind to the consumer's resume offset,
+    /// re-send — retries until [`NetConfig::connect_timeout`] elapses.
+    fn pump(&mut self) -> Result<()> {
         let deadline = Instant::now() + self.config.connect_timeout;
         loop {
-            match self.try_pump(force, deadline) {
+            match self.try_pump(deadline) {
                 Ok(()) => {
                     self.trim();
                     return Ok(());
@@ -462,7 +596,7 @@ impl NetPublisher {
         }
     }
 
-    fn try_pump(&mut self, force: bool, deadline: Instant) -> Result<()> {
+    fn try_pump(&mut self, deadline: Instant) -> Result<()> {
         let finish_pending = self.finished && !self.finish_sent;
         if self.unsent == 0
             && !finish_pending
@@ -471,122 +605,33 @@ impl NetPublisher {
         {
             return Ok(());
         }
-        // A frame needs `batch_events` events before it closes (and
-        // unsent counts watermark items too, so it is an upper bound on
-        // pending events): until then a non-forced pump has nothing to
-        // do, and skipping the scan keeps the per-send cost O(1) instead
-        // of rescanning the partial frame on every append.
-        if !force && !self.finished && self.unsent < self.config.batch_events {
-            return Ok(());
-        }
         self.ensure_conn(deadline)?;
-        let context = format!("net publisher {}#{}", self.addr, self.partition);
+        let Some(mut conn) = self.conn.take() else {
+            return Err(Error::exec(format!(
+                "{}: connection vanished after ensure",
+                self.context
+            )));
+        };
+        let result = self.write_unsent(&mut conn);
+        self.conn = Some(conn);
+        result
+    }
+
+    fn write_unsent(&mut self, conn: &mut NetConn) -> Result<()> {
         while self.unsent > 0 {
-            let start = self.spool.len() - self.unsent;
-            // Collect one frame: up to `batch_events` events (or the
-            // frame-body byte cap, whichever closes first), absorbing
-            // every watermark item encountered (leading, interleaved, or
-            // immediately trailing) into the frame's single watermark
-            // field — watermarks are monotone, so the max wins.
-            let mut events: Vec<&WireEvent> = Vec::new();
-            let mut watermark: Option<Ts> = None;
-            let mut items = 0usize;
-            let mut bytes = 32usize; // frame header slack
-            let mut capped = false;
-            for item in self.spool.iter().skip(start) {
-                match item {
-                    SpoolItem::Event(e) => {
-                        if events.len() == self.config.batch_events {
-                            break;
-                        }
-                        let len = event_encoded_len(e);
-                        if bytes + len > FRAME_BODY_SOFT_CAP {
-                            capped = !events.is_empty();
-                            break;
-                        }
-                        bytes += len;
-                        events.push(e);
-                        items += 1;
-                    }
-                    SpoolItem::Watermark { wm, .. } => {
-                        watermark = Some(watermark.map_or(*wm, |prev| prev.max(*wm)));
-                        items += 1;
-                    }
-                }
-            }
-            let full = events.len() == self.config.batch_events || capped;
-            if !(full || force || self.finished) {
-                break; // partial frame: wait for more data
-            }
-            if items == 0 {
-                break;
-            }
-            let base_offset = self.send_cursor;
-            let frame_end = base_offset + events.len() as u64;
-            let mut body = Vec::with_capacity(64 + events.len() * 32);
-            body.push(KIND_BATCH);
-            put_u64(&mut body, base_offset);
-            match watermark {
-                Some(wm) => {
-                    body.push(1);
-                    put_i64(&mut body, wm.millis());
-                }
-                None => {
-                    body.push(0);
-                    put_i64(&mut body, 0);
-                }
-            }
-            put_u32(&mut body, events.len() as u32);
-            for event in &events {
-                put_event(&mut body, event);
-            }
-            drop(events);
-            // Wire v2: trace context. The span current on this thread is
-            // the producer-side span responsible for putting the frame on
-            // the wire (the driver's emit span when pumped inline from a
-            // sink write); 0 when tracing is off or the root was
-            // unsampled, shipped as "absent" so the consumer never
-            // parents onto a span nobody recorded.
-            let trace_span = observe::current_span();
-            if trace_span != 0 {
-                body.push(1);
-                put_u64(&mut body, trace_span);
-            } else {
-                body.push(0);
-                put_u64(&mut body, 0);
-            }
-            let Some(mut conn) = self.conn.take() else {
-                return Err(Error::exec(format!(
-                    "{context}: connection vanished after ensure"
-                )));
-            };
-            let result = write_frame(&mut conn, &context, &body);
-            self.conn = Some(conn);
-            result?;
-            self.note_frame(body.len());
-            // The frame is on the wire: record which frame carried each
-            // watermark (what reconnect rewinds key on) and advance the
-            // send cursor past the frame's events.
-            for item in self.spool.range_mut(start..start + items) {
-                if let SpoolItem::Watermark { sent_frame_end, .. } = item {
-                    *sent_frame_end = Some(frame_end);
-                }
-            }
-            self.send_cursor = frame_end;
-            self.unsent -= items;
+            let at = self.spool.len() - self.unsent;
+            let frame = &mut self.spool[at];
+            write_wire(conn, &self.context, &frame.wire)?;
+            frame.sent = true;
+            let bytes = frame.wire.len() - 8;
+            self.note_frame(bytes);
+            self.unsent -= 1;
         }
-        if self.finished && !self.finish_sent && self.unsent == 0 {
+        if self.finished && !self.finish_sent {
             let mut body = Vec::with_capacity(9);
             body.push(KIND_FINISH);
             put_u64(&mut body, self.next_offset);
-            let Some(mut conn) = self.conn.take() else {
-                return Err(Error::exec(format!(
-                    "{context}: connection vanished after ensure"
-                )));
-            };
-            let result = write_frame(&mut conn, &context, &body);
-            self.conn = Some(conn);
-            result?;
+            write_frame(conn, &self.context, &body)?;
             self.note_frame(body.len());
             self.finish_sent = true;
         }
@@ -594,8 +639,8 @@ impl NetPublisher {
     }
 
     /// Connect (with retries until `deadline`), run the handshake, rewind
-    /// the unsent cursor to the consumer's resume offset, and spawn the
-    /// ack-reader thread for the new connection.
+    /// the spool to the consumer's resume offset, and spawn the ack-reader
+    /// thread for the new connection.
     fn ensure_conn(&mut self, deadline: Instant) -> Result<()> {
         if self.conn.is_some() && !self.conn_dead.load(Ordering::Acquire) {
             return Ok(());
@@ -603,7 +648,7 @@ impl NetPublisher {
         if let Some(conn) = self.conn.take() {
             conn.shutdown();
         }
-        let context = format!("net publisher {}#{}", self.addr, self.partition);
+        let context = self.context.clone();
         let mut conn = loop {
             match self.addr.connect() {
                 Ok(conn) => break conn,
@@ -653,11 +698,14 @@ impl NetPublisher {
         }
         let resume = reader.u64()?;
         reader.done()?;
-        if resume < self.spool_base {
+        let floor = self
+            .spool
+            .front()
+            .map_or(self.next_offset - self.open.events() as u64, |f| f.base);
+        if resume < floor {
             return Err(Error::exec(format!(
                 "{context}: consumer asks to resume at {resume} but the spool \
-                 was already trimmed to {} (acked earlier); cannot replay",
-                self.spool_base
+                 was already trimmed to {floor} (acked earlier); cannot replay"
             )));
         }
         conn.set_read_timeout(None)
@@ -669,47 +717,8 @@ impl NetPublisher {
         // published — a restarted producer re-publishing its deterministic
         // stream — in which case sends below the floor are dropped.)
         self.acked.fetch_max(resume, Ordering::AcqRel);
-
-        // Rewind: everything the consumer has not consumed is unsent for
-        // this connection — events at or past `resume`, and watermarks
-        // that were never sent or whose carrying frame ended past
-        // `resume` (the recorded frame end, not the watermark's position,
-        // decides: the consumer consumed a watermark iff it consumed the
-        // whole frame that carried it). Scanning backwards finds the
-        // longest consumed prefix; in the misaligned-resume corner (a
-        // checkpoint taken mid-frame) an ambiguous watermark is dropped
-        // rather than risking an offset gap — losing a watermark only
-        // delays releases, never data.
-        let mut offset = self.spool_base
-            + self
-                .spool
-                .iter()
-                .filter(|i| matches!(i, SpoolItem::Event(_)))
-                .count() as u64;
-        let mut first_unsent = 0;
-        for (idx, item) in self.spool.iter().enumerate().rev() {
-            let consumed = match item {
-                SpoolItem::Event(_) => {
-                    offset -= 1;
-                    offset < resume
-                }
-                SpoolItem::Watermark { sent_frame_end, .. } => {
-                    sent_frame_end.is_some_and(|end| end <= resume)
-                }
-            };
-            if consumed {
-                first_unsent = idx + 1;
-                break;
-            }
-        }
-        let was_unsent = self.unsent;
-        self.unsent = self.spool.len() - first_unsent;
-        // Items the rewind re-opened had already been written once:
-        // that is the replay work this reconnect costs.
-        let replayed = self.unsent.saturating_sub(was_unsent) as u64;
-        self.stats.replayed += replayed;
+        self.rewind(resume)?;
         self.stats.connections += 1;
-        self.send_cursor = resume;
         self.finish_sent = false;
 
         // Fresh liveness flag per connection so a stale reader thread
@@ -735,6 +744,61 @@ impl NetPublisher {
         self.conn = Some(conn);
         Ok(())
     }
+
+    /// Make everything the consumer has not consumed unsent for the new
+    /// connection. A frame was consumed iff it went out and ended at or
+    /// before `resume` (its watermark is applied after its events, so only
+    /// a whole frame delivers it). A frame that starts at or past `resume`
+    /// goes out again as it is; one that `resume` cuts — a checkpoint
+    /// taken inside a frame — is decoded, sliced at `resume` and
+    /// re-encoded, keeping its watermark, and so is the open frame.
+    fn rewind(&mut self, resume: u64) -> Result<()> {
+        let old = std::mem::take(&mut self.spool);
+        let mut replayed = 0;
+        for frame in old {
+            if frame.end() <= resume && (frame.sent || frame.watermark.is_none()) {
+                self.recycle(frame.wire);
+                continue;
+            }
+            let frame = if frame.base < resume {
+                let decoded = frame.decode()?;
+                let mut sliced = FrameBuilder::default();
+                sliced.refill(&decoded, (resume - frame.base) as usize)?;
+                let mut wire = vec![0; 4];
+                sliced.encode(resume, decoded.trace.unwrap_or(0), &mut wire);
+                seal_frame(&mut wire);
+                SpooledFrame {
+                    base: resume,
+                    events: frame.end().saturating_sub(resume),
+                    watermark: frame.watermark,
+                    sent: frame.sent,
+                    wire,
+                }
+            } else {
+                frame
+            };
+            if frame.sent {
+                replayed += frame.events;
+            }
+            self.spool.push_back(frame);
+        }
+        let open_base = self.next_offset - self.open.events() as u64;
+        if open_base < resume && self.open.events() > 0 {
+            // A restarted producer whose first handshake finds events of
+            // its open frame already delivered: keep the rest.
+            let mut body = Vec::new();
+            self.open.encode(open_base, 0, &mut body);
+            let mut reader = FrameReader::new(&body);
+            reader.u8()?;
+            let decoded = parse_batch(&mut reader)?;
+            self.open.refill(&decoded, (resume - open_base) as usize)?;
+        }
+        self.unsent = self.spool.len();
+        self.spooled =
+            self.spool.iter().map(SpooledFrame::weight).sum::<usize>() + self.open.events();
+        self.stats.replayed += replayed;
+        Ok(())
+    }
 }
 
 impl Drop for NetPublisher {
@@ -755,7 +819,7 @@ impl std::fmt::Debug for NetPublisher {
             .field("partition", &self.partition)
             .field("offset", &self.next_offset)
             .field("acked", &self.acked())
-            .field("spooled", &self.spool.len())
+            .field("spooled", &self.spooled)
             .finish()
     }
 }
@@ -764,13 +828,14 @@ impl std::fmt::Debug for NetPublisher {
 /// over the wire, where a [`NetSource`] re-ingests it as a stream: the
 /// glue that chains pipelines across processes.
 ///
-/// Each output [`StreamRow`] crosses as one wire event — the data row
-/// with `diff = -1` for an `undo` and `+1` otherwise, at the row's
-/// materialization `ptime`. `ver` numbering is *not* shipped: the
+/// Each output row crosses as one wire event — the data row with
+/// `diff = -1` for an `undo` and `+1` otherwise, at the row's
+/// materialization `ptime` — written from the operator's columns into the
+/// frame's lanes, no row built. `ver` numbering is *not* shipped: the
 /// downstream pipeline derives its own revision numbers from the changes
 /// it ingests, exactly as it would for any other source. Output
-/// watermarks are forwarded as watermark frames, and pipeline finish
-/// becomes end-of-stream.
+/// watermarks are forwarded on the frames, and pipeline finish becomes
+/// end-of-stream.
 pub struct NetSink {
     name: String,
     publisher: NetPublisher,
@@ -801,8 +866,17 @@ impl Sink for NetSink {
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
         for sr in rows {
-            let change = Change::with_diff(sr.row.clone(), if sr.undo { -1 } else { 1 });
-            self.publisher.send(0, sr.ptime, change)?;
+            let diff = if sr.undo { -1 } else { 1 };
+            self.publisher
+                .append_row(0, sr.ptime, diff, sr.row.values())?;
+        }
+        Ok(())
+    }
+
+    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
+        let mut i = 0;
+        while i < batch.len() {
+            i += self.publisher.append_entries(0, batch, i)?;
         }
         Ok(())
     }

@@ -1,6 +1,5 @@
 //! The reader side: [`PartitionedNetSource`] and [`NetSource`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
@@ -8,10 +7,9 @@ use std::time::{Duration as StdDuration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use onesql_core::connect::{
-    PartitionedSource, PartitionedVec, Source, SourceBatch, SourceEvent, SourceStatus,
-    WrapsPartitioned,
+    ColumnarBatch, PartitionedSource, PartitionedVec, Source, SourceBatch, SourceColumns,
+    SourceStatus, WrapsPartitioned,
 };
-use onesql_tvr::Change;
 use onesql_types::{Error, Result, Ts};
 
 use super::frame::*;
@@ -19,14 +17,8 @@ use super::*;
 
 /// What a connection's reader thread hands the polling source.
 pub(super) enum Decoded {
-    Batch {
-        events: Vec<SourceEvent>,
-        watermark: Option<Ts>,
-        /// Producer-side span id carried in the frame (wire v2); the
-        /// ingesting driver parents its ingest span on it so both sides
-        /// stitch into one trace.
-        trace: Option<u64>,
-    },
+    /// A decoded `BATCH` frame.
+    Batch(Pending),
     /// A `KEEPALIVE` frame: the producer is alive but has nothing to
     /// say. Carries no events and moves no offsets; it refreshes the
     /// partition's silence clock, and (wire v2) may restate the
@@ -119,13 +111,8 @@ pub(super) struct NetPartition {
     slot: usize,
     rx: Receiver<Decoded>,
     shared: Arc<ListenerShared>,
-    /// Events of the frame currently being emitted.
-    pending: VecDeque<SourceEvent>,
-    /// The frame's watermark, emitted with its last events.
-    pending_wm: Option<Ts>,
-    /// The frame's producer-side trace span (wire v2), attached to every
-    /// batch that drains the frame's events.
-    pending_trace: Option<u64>,
+    /// The frame currently being emitted.
+    pending: Option<Pending>,
     finished: bool,
     failed: Option<String>,
     poll_wait: StdDuration,
@@ -192,7 +179,28 @@ impl Source for NetPartition {
         &self.streams
     }
 
+    /// The row adapter over [`Source::poll_columns`]: the same poll, its
+    /// events built as rows.
     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
+        let batch = self.poll(max_events)?;
+        Ok(SourceBatch {
+            events: batch.columns.events(),
+            watermark: batch.watermark,
+            status: batch.status,
+            trace_parent: batch.trace_parent,
+        })
+    }
+
+    fn poll_columns(&mut self, max_events: usize) -> Result<Option<ColumnarBatch>> {
+        self.poll(max_events).map(Some)
+    }
+}
+
+impl NetPartition {
+    /// Up to `max_events` events of the pending frame — the whole frame's
+    /// batches as they were decoded when it fits — waiting for the next
+    /// frame when none is pending.
+    fn poll(&mut self, max_events: usize) -> Result<ColumnarBatch> {
         // First poll: the driver is running, so any checkpoint restore
         // (seek) already happened — release the handshake replies.
         {
@@ -206,29 +214,23 @@ impl Source for NetPartition {
             }
         }
         self.check_failures()?;
-        if self.finished && self.pending.is_empty() {
-            return Ok(SourceBatch::empty(SourceStatus::Finished));
-        }
-        if self.pending.is_empty() {
+        let idle = |watermark| ColumnarBatch {
+            watermark,
+            status: SourceStatus::Idle,
+            ..ColumnarBatch::default()
+        };
+        if self.pending.is_none() && !self.finished {
             match self.rx.recv_timeout(self.poll_wait) {
-                Ok(Decoded::Batch {
-                    events,
-                    watermark,
-                    trace,
-                }) => {
-                    self.pending.extend(events);
-                    self.pending_wm = watermark;
-                    self.pending_trace = trace;
+                Ok(Decoded::Batch(frame)) => {
+                    self.pending = Some(frame);
                     self.last_heard = Some(Instant::now());
                 }
                 Ok(Decoded::Keepalive { watermark }) => {
-                    // Proof of life; a v2 keepalive may also restate the
+                    // Proof of life; a keepalive may also restate the
                     // producer's watermark (duplicates are absorbed by
                     // the driver's monotone ledger).
                     self.last_heard = Some(Instant::now());
-                    let mut batch = SourceBatch::empty(SourceStatus::Idle);
-                    batch.watermark = watermark;
-                    return Ok(batch);
+                    return Ok(idle(watermark));
                 }
                 Ok(Decoded::Finished) => {
                     self.finished = true;
@@ -240,7 +242,7 @@ impl Source for NetPartition {
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     self.check_silence()?;
-                    return Ok(SourceBatch::empty(SourceStatus::Idle));
+                    return Ok(idle(None));
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     let msg = format!("{}: reader threads are gone", self.name);
@@ -249,27 +251,96 @@ impl Source for NetPartition {
                 }
             }
         }
-        let take = max_events.min(self.pending.len());
-        let mut batch = SourceBatch::empty(SourceStatus::Ready);
-        batch.events.extend(self.pending.drain(..take));
-        if !batch.events.is_empty() {
-            batch.trace_parent = self.pending_trace;
+        let mut batch = ColumnarBatch {
+            status: SourceStatus::Ready,
+            ..ColumnarBatch::default()
+        };
+        if let Some(frame) = &mut self.pending {
+            batch.columns = frame.take(max_events)?;
+            if !batch.columns.is_empty() {
+                batch.trace_parent = frame.trace;
+            }
+            if frame.taken < frame.len {
+                return Ok(batch);
+            }
+            batch.watermark = frame.watermark;
+            self.pending = None;
         }
-        if self.pending.is_empty() {
-            batch.watermark = self.pending_wm.take();
-            self.pending_trace = None;
-            // The frame is used up. Unless the reader thread has already
-            // queued the next one, the next poll waits for the peer (up to
-            // `poll_wait`), and `Ready` would promise that it does not.
-            batch.status = if self.finished {
-                SourceStatus::Finished
-            } else if self.rx.is_empty() {
-                SourceStatus::Idle
-            } else {
-                SourceStatus::Ready
-            };
-        }
+        // The frame is used up. Unless the reader thread has already
+        // queued the next one, the next poll waits for the peer (up to
+        // `poll_wait`), and `Ready` would promise that it does not.
+        batch.status = if self.finished {
+            SourceStatus::Finished
+        } else if self.rx.is_empty() {
+            SourceStatus::Idle
+        } else {
+            SourceStatus::Ready
+        };
         Ok(batch)
+    }
+}
+
+/// A decoded `BATCH` frame waiting to be polled.
+pub(super) struct Pending {
+    columns: SourceColumns,
+    len: usize,
+    /// Events already polled.
+    taken: usize,
+    /// Emitted with the frame's last events.
+    watermark: Option<Ts>,
+    /// The producer-side span the frame was put together under, attached
+    /// to every batch that drains its events: the ingesting driver
+    /// parents its ingest span on it, stitching both sides into one trace.
+    trace: Option<u64>,
+}
+
+impl Pending {
+    fn new(frame: BatchFrame) -> Pending {
+        Pending {
+            len: frame.columns.len(),
+            columns: frame.columns,
+            taken: 0,
+            watermark: frame.watermark,
+            trace: frame.trace,
+        }
+    }
+
+    /// The next `max_events` events (fewer at the frame's end): the
+    /// decoded batches themselves when that is all of them, else views.
+    fn take(&mut self, max_events: usize) -> Result<SourceColumns> {
+        let (from, n) = (self.taken, max_events.min(self.len - self.taken));
+        self.taken += n;
+        if from == 0 && n == self.len {
+            return Ok(std::mem::take(&mut self.columns));
+        }
+        let batches = self.columns.batches();
+        let Some(order) = self.columns.order() else {
+            let (stream, batch) = &batches[0];
+            return Ok(SourceColumns::single(*stream, batch.slice(from, from + n)));
+        };
+        // Each batch's rows before `from`, and in the taken range.
+        let mut start = vec![0usize; batches.len()];
+        for &b in &order[..from] {
+            start[usize::from(b)] += 1;
+        }
+        let mut count = vec![0usize; batches.len()];
+        for &b in &order[from..from + n] {
+            count[usize::from(b)] += 1;
+        }
+        // Keep the batches the range reaches, renumbered.
+        let mut renumber = vec![0u16; batches.len()];
+        let mut kept = Vec::new();
+        for (b, (stream, batch)) in batches.iter().enumerate() {
+            if count[b] > 0 {
+                renumber[b] = kept.len() as u16;
+                kept.push((*stream, batch.slice(start[b], start[b] + count[b])));
+            }
+        }
+        let order = order[from..from + n]
+            .iter()
+            .map(|&b| renumber[usize::from(b)])
+            .collect();
+        SourceColumns::interleaved(kept, order)
     }
 }
 
@@ -348,9 +419,7 @@ impl PartitionedNetSource {
                 slot: p,
                 rx,
                 shared: shared.clone(),
-                pending: VecDeque::new(),
-                pending_wm: None,
-                pending_trace: None,
+                pending: None,
                 finished: false,
                 failed: None,
                 poll_wait: config.poll_wait,
@@ -810,45 +879,25 @@ pub(super) fn parse_data_frame(
     let mut reader = FrameReader::new(body);
     match reader.u8()? {
         KIND_BATCH => {
-            let base = reader.u64()?;
-            let has_wm = reader.u8()? != 0;
-            let wm_millis = reader.i64()?;
-            let count = reader.u32()? as usize;
+            let base = FrameReader::new(&body[1..]).u64()?;
             if base != *expected {
                 return Err(Error::exec(format!(
                     "{context}: offset gap — batch starts at {base}, expected \
                      {expected} (events lost or replayed out of order)"
                 )));
             }
-            // `count` is the peer's claim: reserve no more than a frame can
-            // hold, and let the reader refuse a body shorter than it.
-            let mut events = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let event = reader.event()?;
-                if event.stream as usize >= shared.streams.len() {
-                    return Err(Error::exec(format!(
-                        "{context}: event references stream index {}, but only \
-                         {} streams were declared",
-                        event.stream,
-                        shared.streams.len()
-                    )));
-                }
-                events.push(SourceEvent {
-                    stream: event.stream as usize,
-                    ptime: event.ptime,
-                    change: Change::with_diff(event.row, event.diff),
-                });
+            let frame = parse_batch(&mut reader)?;
+            if let Some((stream, _)) =
+                (frame.columns.batches().iter()).find(|(stream, _)| *stream >= shared.streams.len())
+            {
+                return Err(Error::exec(format!(
+                    "{context}: event references stream index {stream}, but only \
+                     {} streams were declared",
+                    shared.streams.len()
+                )));
             }
-            let has_trace = reader.u8()? != 0;
-            let span = reader.u64()?;
-            let trace = (has_trace && span != 0).then_some(span);
-            reader.done()?;
-            *expected += count as u64;
-            Ok(Some(Decoded::Batch {
-                events,
-                watermark: has_wm.then_some(Ts(wm_millis)),
-                trace,
-            }))
+            *expected += frame.columns.len() as u64;
+            Ok(Some(Decoded::Batch(Pending::new(frame))))
         }
         KIND_FINISH => {
             let final_offset = reader.u64()?;
@@ -919,6 +968,17 @@ impl NetSource {
     pub fn stats(&self) -> NetPartStats {
         self.inner.part_stats()[0]
     }
+
+    /// No checkpoints, no replay: consumed == durable. Ack eagerly so the
+    /// producer's spool stays trimmed over unbounded streams.
+    fn ack_consumed(&mut self) -> Result<()> {
+        let offset = self.inner.offset(0);
+        if offset > self.acked {
+            self.inner.ack(0, offset)?;
+            self.acked = offset;
+        }
+        Ok(())
+    }
 }
 
 impl Source for NetSource {
@@ -932,14 +992,14 @@ impl Source for NetSource {
 
     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
         let batch = self.inner.poll_partition(0, max_events)?;
-        // No checkpoints, no replay: consumed == durable. Ack eagerly so
-        // the producer's spool stays trimmed over unbounded streams.
-        let offset = self.inner.offset(0);
-        if offset > self.acked {
-            self.inner.ack(0, offset)?;
-            self.acked = offset;
-        }
+        self.ack_consumed()?;
         Ok(batch)
+    }
+
+    fn poll_columns(&mut self, max_events: usize) -> Result<Option<ColumnarBatch>> {
+        let batch = self.inner.poll_partition_columns(0, max_events)?;
+        self.ack_consumed()?;
+        Ok(Some(batch))
     }
 
     /// Acked on consume: the producer has already trimmed what a restore

@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 use onesql_core::connect::{PartitionedSource, Source, SourceStatus};
-use onesql_types::{Ts, Value};
+use onesql_types::{Result, Row, Ts, Value};
 
 use super::frame::*;
 use super::source::*;
@@ -68,37 +68,68 @@ fn crc32_known_vector() {
     assert_eq!(crc32(b""), 0);
 }
 
-#[test]
-fn value_and_event_codec_roundtrip() {
-    let event = WireEvent {
-        stream: 2,
-        ptime: Ts(123_456),
-        diff: -3,
-        row: row!(
-            Value::Null,
-            true,
-            -42i64,
-            1.5f64,
-            "héllo\nworld",
-            Ts(-7),
-            onesql_types::Duration(99)
-        ),
-    };
-    let mut buf = Vec::new();
-    put_event(&mut buf, &event);
-    let mut reader = FrameReader::new(&buf);
-    let decoded = reader.event().unwrap();
-    reader.done().unwrap();
-    assert_eq!(decoded, event);
+/// A `BATCH` body at `base` holding `events` (stream, ptime, diff, row),
+/// built as a publisher builds one.
+fn batch_body(base: u64, wm: Option<Ts>, events: &[(u16, Ts, i64, Row)], trace: u64) -> Vec<u8> {
+    let mut frame = FrameBuilder::default();
+    for (stream, ptime, diff, row) in events {
+        let values = row.values();
+        frame
+            .push(*stream, values.len(), *ptime, *diff, 0, |run| {
+                for (c, value) in values.iter().enumerate() {
+                    run.push_value(c, value);
+                }
+            })
+            .unwrap();
+    }
+    if let Some(wm) = wm {
+        frame.watermark(wm);
+    }
+    let mut body = Vec::new();
+    frame.encode(base, trace, &mut body);
+    body
+}
+
+fn parse(body: &[u8]) -> Result<BatchFrame> {
+    let mut reader = FrameReader::new(body);
+    assert_eq!(reader.u8()?, KIND_BATCH);
+    parse_batch(&mut reader)
 }
 
 #[test]
-fn nan_floats_survive_the_wire() {
-    let mut buf = Vec::new();
-    put_value(&mut buf, &Value::Float(f64::NAN));
-    let mut reader = FrameReader::new(&buf);
-    // Value's Eq is total (bitwise for NaN), so equality holds.
-    assert_eq!(reader.value().unwrap(), Value::Float(f64::NAN));
+fn batch_frames_roundtrip_interleaved_streams_and_arities() {
+    let events = vec![
+        (0, Ts(1), 1, row!(1i64, "a")),
+        (1, Ts(2), -1, row!(f64::NAN)),
+        (0, Ts(2), 3, row!(Value::Null, "b,\"\n")),
+        (0, Ts(3), 1, row!(7i64)),
+        (1, Ts(3), 1, row!(-0.0f64)),
+    ];
+    let body = batch_body(40, Some(Ts(9)), &events, 0xAB);
+    let frame = parse(&body).unwrap();
+    assert_eq!(frame.watermark, Some(Ts(9)));
+    assert_eq!(frame.trace, Some(0xAB));
+    // Stream 0 holds two arities: a batch each, in order of arrival.
+    assert_eq!(frame.columns.batches().len(), 3);
+    let back: Vec<(u16, Ts, i64, Row)> = frame
+        .columns
+        .events()
+        .into_iter()
+        .map(|e| (e.stream as u16, e.ptime, e.change.diff, e.change.row))
+        .collect();
+    assert_eq!(back, events);
+}
+
+#[test]
+fn interleaved_ptimes_are_raised_in_arrival_order() {
+    let events = vec![
+        (0, Ts(5), 1, row!(1i64)),
+        (1, Ts(3), 1, row!(2i64)),
+        (0, Ts(6), 1, row!(3i64)),
+    ];
+    let frame = parse(&batch_body(0, None, &events, 0)).unwrap();
+    let ptimes: Vec<Ts> = frame.columns.events().iter().map(|e| e.ptime).collect();
+    assert_eq!(ptimes, [Ts(5), Ts(5), Ts(6)]);
 }
 
 #[test]
@@ -164,9 +195,9 @@ fn ready_is_answered_only_over_a_backlog() {
 
 #[test]
 fn any_other_wire_version_is_refused() {
-    // 1 is what an old producer announces: nothing writes that
-    // dialect any more, so it is refused like 0 or a future version.
-    for version in [0u16, 1, 99] {
+    // 1 and 2 are what older producers announce: nothing writes those
+    // dialects any more, so they are refused like 0 or a future version.
+    for version in [0u16, 1, 2, 99] {
         let mut source = tcp_source(&["S"], 1);
         let addr = source.local_addr();
         let client = std::thread::spawn(move || {
@@ -176,56 +207,25 @@ fn any_other_wire_version_is_refused() {
         });
         let err = poll_until_err(&mut source);
         client.join().unwrap();
-        let refusal = format!("wire version {version} (this build speaks 2)");
+        let refusal = format!("wire version {version} (this build speaks 3)");
         assert!(err.contains(&refusal), "{err}");
     }
 }
 
 #[test]
-fn v2_batch_trace_context_reaches_source_batch() {
+fn batch_trace_context_reaches_source_batch() {
     let mut source = tcp_source(&["S"], 1);
     let addr = source.local_addr();
     let client = std::thread::spawn(move || {
         let mut conn = raw_handshake(&addr, &["S"]);
-        // Frame 1: trace context present.
-        let mut body = vec![KIND_BATCH];
-        put_u64(&mut body, 0);
-        body.push(0);
-        put_i64(&mut body, 0);
-        put_u32(&mut body, 1);
-        put_event(
-            &mut body,
-            &WireEvent {
-                stream: 0,
-                ptime: Ts(1),
-                diff: 1,
-                row: row!(1i64),
-            },
-        );
-        body.push(1);
-        put_u64(&mut body, 0xABC0_0001);
-        write_frame(&mut conn, "v2 client", &body).unwrap();
-        // Frame 2: trace context absent (flag 0).
-        let mut body = vec![KIND_BATCH];
-        put_u64(&mut body, 1);
-        body.push(0);
-        put_i64(&mut body, 0);
-        put_u32(&mut body, 1);
-        put_event(
-            &mut body,
-            &WireEvent {
-                stream: 0,
-                ptime: Ts(2),
-                diff: 1,
-                row: row!(2i64),
-            },
-        );
-        body.push(0);
-        put_u64(&mut body, 0);
-        write_frame(&mut conn, "v2 client", &body).unwrap();
+        // Frame 1: trace context present; frame 2: absent.
+        let body = batch_body(0, None, &[(0, Ts(1), 1, row!(1i64))], 0xABC0_0001);
+        write_frame(&mut conn, "test client", &body).unwrap();
+        let body = batch_body(1, None, &[(0, Ts(2), 1, row!(2i64))], 0);
+        write_frame(&mut conn, "test client", &body).unwrap();
         let mut body = vec![KIND_FINISH];
         put_u64(&mut body, 2);
-        write_frame(&mut conn, "v2 client", &body).unwrap();
+        write_frame(&mut conn, "test client", &body).unwrap();
     });
     let mut traces = Vec::new();
     for _ in 0..200 {
@@ -242,7 +242,7 @@ fn v2_batch_trace_context_reaches_source_batch() {
 }
 
 #[test]
-fn v2_keepalive_carries_watermark() {
+fn keepalive_carries_watermark() {
     let mut source = tcp_source(&["S"], 1);
     let addr = source.local_addr();
     let client = std::thread::spawn(move || {
@@ -251,10 +251,10 @@ fn v2_keepalive_carries_watermark() {
         put_u64(&mut body, 0);
         body.push(1);
         put_i64(&mut body, 777);
-        write_frame(&mut conn, "v2 client", &body).unwrap();
+        write_frame(&mut conn, "test client", &body).unwrap();
         let mut body = vec![KIND_FINISH];
         put_u64(&mut body, 0);
-        write_frame(&mut conn, "v2 client", &body).unwrap();
+        write_frame(&mut conn, "test client", &body).unwrap();
     });
     let mut watermark = None;
     for _ in 0..200 {
@@ -383,47 +383,84 @@ fn clean_disconnect_before_finish_surfaces_as_error() {
     assert!(err.contains("before FINISH"), "{err}");
 }
 
+/// A `BATCH` body at offset 0 whose one run claims `rows` rows of four
+/// INT columns over `lanes` bytes of lanes.
+fn claiming_batch(rows: u32, lanes: &[u8]) -> Vec<u8> {
+    let mut body = vec![KIND_BATCH];
+    put_u64(&mut body, 0);
+    put_flagged(&mut body, None);
+    put_u32(&mut body, rows);
+    put_u16(&mut body, 1); // one run
+    put_u16(&mut body, 0); // of stream 0
+    put_u32(&mut body, rows);
+    put_u16(&mut body, 4);
+    body.extend_from_slice(lanes);
+    body
+}
+
 #[test]
-fn a_batch_claiming_u32_max_events_is_a_short_body() {
+fn a_batch_claiming_u32_max_rows_is_a_short_body() {
     let mut source = tcp_source(&["S"], 1);
     let addr = source.local_addr();
     let client = std::thread::spawn(move || {
         let mut conn = raw_handshake(&addr, &["S"]);
-        let mut body = vec![KIND_BATCH];
-        put_u64(&mut body, 0);
-        body.push(0);
-        put_i64(&mut body, 0);
-        put_u32(&mut body, u32::MAX);
+        let body = claiming_batch(u32::MAX, &[8, 1, 0, 0, 0, 0, 0, 0, 0]);
         write_frame(&mut conn, "test client", &body).unwrap();
     });
     let err = poll_until_err(&mut source);
     client.join().unwrap();
-    assert!(err.contains("body shorter than its fields"), "{err}");
+    assert!(err.contains("longer than the bytes left"), "{err}");
 }
 
 proptest::proptest! {
     /// Whatever body a peer sends, HELLO and data-frame decoding answer
     /// `Ok` or `Err` and never panic: raw bytes behind any frame kind,
-    /// and BATCH headers claiming any event count.
+    /// BATCH headers claiming any event and run counts, runs claiming any
+    /// row count, arity and diff width, and real frames cut or corrupted
+    /// anywhere.
     #[test]
     fn decoding_arbitrary_bodies_never_panics(
         kind in 0u8..8,
+        shape in 0u8..4,
         count in proptest::prelude::any::<u32>(),
-        batch_header in proptest::prelude::any::<bool>(),
+        runs in proptest::prelude::any::<u16>(),
+        arity in proptest::prelude::any::<u16>(),
+        width in 0u8..10,
+        cut in proptest::prelude::any::<u16>(),
+        flip in proptest::prelude::any::<u8>(),
         tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
     ) {
         let mut body = vec![kind];
-        if batch_header {
+        if shape > 0 {
             body[0] = KIND_BATCH;
             put_u64(&mut body, 0);
-            body.push(1);
-            put_i64(&mut body, 0);
+            put_flagged(&mut body, Some(0));
             put_u32(&mut body, count);
+            put_u16(&mut body, runs);
+        }
+        if shape > 1 {
+            put_u16(&mut body, 0);
+            put_u32(&mut body, count);
+            put_u16(&mut body, arity);
+            body.push(width);
         }
         body.extend_from_slice(&tail);
+        if shape == 3 {
+            // A real two-stream frame, cut short and one byte changed.
+            let events = [
+                (0, Ts(1), 1, row!(1i64, "x", Value::Null)),
+                (1, Ts(2), -1, row!(true, 2.5f64)),
+                (0, Ts(2), 1, row!(Value::Null, "y", 3i64)),
+            ];
+            body = batch_body(0, Some(Ts(4)), &events, 7);
+            body.truncate(usize::from(cut) % (body.len() + 1));
+            if let Some(byte) = body.get_mut(usize::from(flip) % 64) {
+                *byte ^= flip;
+            }
+        }
         let shared = ListenerShared {
             name: "fuzz".to_string(),
-            streams: vec!["S".to_string()],
+            streams: vec!["S".to_string(), "T".to_string()],
             parts: Vec::new(),
             ready: (Mutex::new(false), Condvar::new()),
             failure: Mutex::new(None),
@@ -441,11 +478,8 @@ fn offset_gap_surfaces_as_error() {
     let addr = source.local_addr();
     let client = std::thread::spawn(move || {
         let mut conn = raw_handshake(&addr, &["S"]);
-        let mut body = vec![KIND_BATCH];
-        put_u64(&mut body, 7); // expected offset is 0
-        body.push(0);
-        put_i64(&mut body, 0);
-        put_u32(&mut body, 0);
+        // The expected offset is 0.
+        let body = batch_body(7, None, &[(0, Ts(1), 1, row!(1i64))], 0);
         write_frame(&mut conn, "test client", &body).unwrap();
     });
     let err = poll_until_err(&mut source);

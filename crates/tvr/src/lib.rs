@@ -27,6 +27,7 @@ pub mod batch;
 pub mod change;
 pub mod changelog;
 pub mod element;
+pub mod lanes;
 
 pub use bag::Bag;
 pub use batch::{BatchOut, ChangeBatch};
