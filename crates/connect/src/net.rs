@@ -11,8 +11,9 @@
 //! - **Writer side**: [`NetPublisher`] (raw event/watermark publishing,
 //!   one connection = one partition) and [`NetSink`] (a [`Sink`] adapter
 //!   so one pipeline's output changelog becomes another process's input
-//!   stream). Every event the publisher sends is retained in a **bounded
-//!   replay spool** until the consumer acknowledges it, so a consumer
+//!   stream). Every frame the publisher sends is retained, as its bytes,
+//!   in a **bounded replay spool** until the consumer acknowledges its
+//!   events, so a consumer
 //!   that crashes and restores from a [`PipelineCheckpoint`] can
 //!   reconnect and have exactly the unacknowledged suffix replayed —
 //!   exactly-once across the process boundary.
@@ -38,14 +39,15 @@
 //! (never coalescing frames that happen to have both arrived); watermarks
 //! **ride event frames** instead of traveling alone, so mid-stream frames
 //! always carry events and the consumer's event offset fully determines
-//! its consumption point; and every spooled watermark records which frame
-//! carried it, so a reconnect replays exactly the watermarks the consumer
-//! never consumed, at their original stream positions. Frame boundaries
-//! themselves are the producer's batching decision, so for byte-identical
-//! resume keep the producer's `batch_events` aligned with the consumer's
-//! poll batch size (fixed, not adaptive), and checkpoint at poll
-//! boundaries — which is the only place the driver checkpoints
-//! anyway.
+//! its consumption point; and the spool keeps frames as they were sent,
+//! so a reconnect re-sends the frames the consumer has not wholly
+//! consumed, cut where they were cut and with their watermarks — only a
+//! frame the resume offset falls inside is re-encoded, from that offset
+//! on. A poll cuts a frame at the same events whether the frame came
+//! whole or re-encoded from the resume offset, so for byte-identical
+//! resume keep the consumer's poll batch size fixed (not adaptive) and
+//! checkpoint at poll boundaries — which is the only place the driver
+//! checkpoints anyway; the producer's `batch_events` need not match it.
 //!
 //! [`PipelineCheckpoint`]: onesql_core::driver::PipelineCheckpoint
 //! [`PartitionedSource`]: onesql_core::connect::PartitionedSource
@@ -97,9 +99,9 @@ pub use onesql_state::codec::crc32;
 /// Tuning for both ends of a network pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Producer: events per `BATCH` frame. For byte-identical
-    /// kill/restore keep this equal to the consumer driver's (fixed) poll
-    /// batch size — see the module docs on determinism.
+    /// Producer: events per `BATCH` frame. A consumer polls at most one
+    /// frame at a time, so frames smaller than its poll batch size make
+    /// its rounds smaller too; see the module docs on determinism.
     pub batch_events: usize,
     /// Producer: bound on the replay spool (items retained until the
     /// consumer acknowledges them). When full, sends wait up to

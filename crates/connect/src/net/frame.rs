@@ -13,7 +13,7 @@ use onesql_tvr::lanes::{self, RunWriter};
 use onesql_tvr::ChangeBatch;
 use onesql_types::{Column, Error, Result, Ts};
 
-use super::{crc32, KIND_BATCH, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
+use super::{crc32, KIND_BATCH, KIND_HELLO, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
 
 // ---------------------------------------------------------------------------
 // Addresses, connections, listeners: TCP and unix sockets behind one face.
@@ -171,6 +171,27 @@ pub(super) fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// A frame body of `kind` and one offset: `HELLO_ACK`, `ACK`, `FINISH`.
+pub(super) fn offset_body(kind: u8, offset: u64) -> Vec<u8> {
+    let mut body = Vec::with_capacity(9);
+    body.push(kind);
+    put_u64(&mut body, offset);
+    body
+}
+
+/// The `HELLO` body: the partition a connection claims and the streams it
+/// feeds.
+pub(super) fn hello_body(partition: u32, streams: &[String]) -> Vec<u8> {
+    let mut body = vec![KIND_HELLO];
+    put_u32(&mut body, partition);
+    put_u16(&mut body, streams.len() as u16);
+    for stream in streams {
+        put_u16(&mut body, stream.len() as u16);
+        body.extend_from_slice(stream.as_bytes());
+    }
+    body
+}
+
 /// An optional field as the wire writes it: a `u8` flag and the value, or
 /// zeros.
 pub(super) fn put_flagged(buf: &mut Vec<u8>, v: Option<i64>) {
@@ -187,7 +208,7 @@ pub(super) const FRAME_BODY_SOFT_CAP: usize = (MAX_FRAME_LEN as usize) - 4096;
 
 /// What a BATCH body's fixed fields take: kind, base offset, watermark,
 /// event and run counts, trace context.
-const BATCH_FIXED: usize = 1 + 8 + 9 + 4 + 2 + 9;
+pub(super) const BATCH_FIXED: usize = 1 + 8 + 9 + 4 + 2 + 9;
 
 /// What one run adds to a body beyond its events' bound: its stream, its
 /// header and its column headers.
@@ -199,6 +220,12 @@ fn run_overhead(arity: usize) -> usize {
 /// ([`lanes::value_len`]): an i64 diff, a ptime run of its own and its
 /// order-lane slot.
 pub(super) const EVENT_OVERHEAD: usize = 8 + 12 + 2;
+
+/// A bound on what an event whose values take `bytes` adds to a body,
+/// a run of its own included.
+pub(super) fn event_bound(bytes: usize) -> usize {
+    bytes + EVENT_OVERHEAD + 64
+}
 
 /// A `BATCH` frame being filled: one lane-codec run per (stream, arity),
 /// in order of first arrival, the order lane that interleaves them, and
@@ -215,6 +242,9 @@ pub(super) struct FrameBuilder {
     last: usize,
     /// The highest watermark asserted while the frame was open.
     pub(super) watermark: Option<Ts>,
+    /// The highest ptime so far: a later event's is raised to it, so a
+    /// frame's ptimes never fall in arrival order.
+    clock: Option<Ts>,
     /// A bound on the encoded body.
     bytes: usize,
 }
@@ -270,6 +300,8 @@ impl FrameBuilder {
                 }
             };
         }
+        let ptime = self.clock.map_or(ptime, |clock| clock.max(ptime));
+        self.clock = Some(ptime);
         let run = &mut self.runs[self.last].1;
         cells(run);
         run.end_row(ptime, diff);
@@ -299,30 +331,15 @@ impl FrameBuilder {
             }
         })?;
         let run = &mut self.runs[self.last].1;
-        for (ptime, diff) in rest {
-            run.end_row(*ptime, *diff);
+        for &(ptime, diff) in rest {
+            let ptime = self.clock.map_or(ptime, |clock| clock.max(ptime));
+            self.clock = Some(ptime);
+            run.end_row(ptime, diff);
         }
         let last = self.last as u16;
         self.order.resize(self.order.len() + rest.len(), last);
         self.bytes += rest.len() * EVENT_OVERHEAD;
         Ok(())
-    }
-
-    /// Append row `i` of `batch`, an event of `stream`.
-    pub(super) fn push_batch_row(
-        &mut self,
-        stream: u16,
-        batch: &ChangeBatch,
-        i: usize,
-    ) -> Result<()> {
-        let at = batch.phys(i);
-        let bytes = batch.columns().iter().map(|c| lanes::cell_len(c, at)).sum();
-        let (ptime, diff) = (batch.ptime(i), batch.diff(i));
-        self.push(stream, batch.arity(), ptime, diff, bytes, |run| {
-            for (c, column) in batch.columns().iter().enumerate() {
-                run.push_cell(c, column, at);
-            }
-        })
     }
 
     /// Append the frame's `BATCH` body, as it starts at `base` and was put
@@ -352,6 +369,7 @@ impl FrameBuilder {
         self.spare.extend(self.runs.drain(..).map(|(_, run)| run));
         self.order.clear();
         self.last = 0;
+        self.clock = None;
         self.bytes = 0;
     }
 
@@ -368,9 +386,17 @@ impl FrameBuilder {
             let (stream, batch) = &batches[b];
             let i = next[b];
             next[b] += 1;
-            if k >= skip {
-                self.push_batch_row(*stream as u16, batch, i)?;
+            if k < skip {
+                continue;
             }
+            let at = batch.phys(i);
+            let bytes = batch.columns().iter().map(|c| lanes::cell_len(c, at)).sum();
+            let (ptime, diff) = (batch.ptime(i), batch.diff(i));
+            self.push(*stream as u16, batch.arity(), ptime, diff, bytes, |run| {
+                for (c, column) in batch.columns().iter().enumerate() {
+                    run.push_cell(c, column, at);
+                }
+            })?;
         }
         self.watermark = frame.watermark;
         Ok(())
@@ -423,12 +449,13 @@ pub(super) fn parse_batch(reader: &mut FrameReader<'_>) -> Result<BatchFrame> {
             .chunks_exact(2)
             .map(|b| u16::from_le_bytes([b[0], b[1]]))
             .collect();
-        raise_ptimes(SourceColumns::interleaved(batches, order)?)?
+        SourceColumns::interleaved(batches, order)?
     } else {
         batches
             .pop()
             .map_or_else(SourceColumns::default, |(s, b)| SourceColumns::single(s, b))
     };
+    check_ptimes(&columns)?;
     let has_trace = reader.u8()? != 0;
     let span = reader.u64()?;
     reader.done()?;
@@ -439,34 +466,25 @@ pub(super) fn parse_batch(reader: &mut FrameReader<'_>) -> Result<BatchFrame> {
     })
 }
 
-/// Raise each event's ptime to the running maximum in arrival order, as
-/// [`SourceColumns`] asks. Each run already is; only interleaved runs
-/// whose ptimes cross are rebuilt.
-fn raise_ptimes(columns: SourceColumns) -> Result<SourceColumns> {
-    let (batches, order) = columns.into_parts();
-    let order = order.unwrap_or_default();
-    let mut lanes: Vec<Vec<Ts>> = batches.iter().map(|_| Vec::new()).collect();
+/// Refuse interleaved runs whose ptimes fall in arrival order, against
+/// [`SourceColumns`]' contract: a writer raises them as it goes
+/// ([`FrameBuilder`]), and each run's come decoded that way.
+fn check_ptimes(columns: &SourceColumns) -> Result<()> {
+    let (Some(order), batches) = (columns.order(), columns.batches()) else {
+        return Ok(());
+    };
+    let mut next = vec![0usize; batches.len()];
     let mut clock = Ts::MIN;
-    let mut raised = false;
-    for &b in &order {
-        let (b, (_, batch)) = (usize::from(b), &batches[usize::from(b)]);
-        let ptime = batch.ptime(lanes[b].len());
-        raised |= ptime < clock;
-        clock = clock.max(ptime);
-        lanes[b].push(clock);
+    for &b in order {
+        let b = usize::from(b);
+        let ptime = batches[b].1.ptime(next[b]);
+        next[b] += 1;
+        if ptime < clock {
+            return Err(Error::exec("malformed frame: ptimes fall between runs"));
+        }
+        clock = ptime;
     }
-    if !raised {
-        return SourceColumns::interleaved(batches, order);
-    }
-    let batches = batches
-        .into_iter()
-        .zip(lanes)
-        .map(|((stream, batch), ptimes)| {
-            let diffs = (0..batch.len()).map(|i| batch.diff(i)).collect();
-            let batch = ChangeBatch::new_dense(batch.columns().to_vec(), diffs, ptimes);
-            (stream, batch)
-        });
-    SourceColumns::interleaved(batches.collect(), order)
+    Ok(())
 }
 
 /// A bounds-checked little-endian reader over a frame body.

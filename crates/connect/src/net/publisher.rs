@@ -251,7 +251,8 @@ impl NetPublisher {
             && stream < self.streams.len()
             && self.next_offset >= self.acked()
             && self.spooled + n <= self.config.spool_events
-            && self.open.bytes() + 64 + bytes + n * EVENT_OVERHEAD <= FRAME_BODY_SOFT_CAP;
+            && self.open.bytes() + event_bound(bytes) + (n - 1) * EVENT_OVERHEAD
+                <= FRAME_BODY_SOFT_CAP;
         let result = if whole {
             self.open
                 .push_range(stream as u16, columns, at, &times, bytes)
@@ -311,8 +312,7 @@ impl NetPublisher {
         // Reject rows that cannot fit any legal frame *before* spooling
         // them: once spooled they would be replayed forever, and the
         // consumer would misdiagnose the oversized frame as corruption.
-        let alone = FrameBuilder::default().bytes() + 64 + bytes + EVENT_OVERHEAD;
-        if alone > FRAME_BODY_SOFT_CAP {
+        if BATCH_FIXED + event_bound(bytes) > FRAME_BODY_SOFT_CAP {
             return Err(Error::exec(format!(
                 "{}: a single event encodes to {bytes} bytes, beyond the \
                  {FRAME_BODY_SOFT_CAP}-byte frame bound",
@@ -320,7 +320,7 @@ impl NetPublisher {
             )));
         }
         self.reserve_spool_slot()?;
-        if self.open.events() > 0 && self.open.bytes() + alone > FRAME_BODY_SOFT_CAP {
+        if self.open.events() > 0 && self.open.bytes() + event_bound(bytes) > FRAME_BODY_SOFT_CAP {
             self.close_open();
             self.pump()?;
         }
@@ -628,9 +628,7 @@ impl NetPublisher {
             self.unsent -= 1;
         }
         if self.finished && !self.finish_sent {
-            let mut body = Vec::with_capacity(9);
-            body.push(KIND_FINISH);
-            put_u64(&mut body, self.next_offset);
+            let body = offset_body(KIND_FINISH, self.next_offset);
             write_frame(conn, &self.context, &body)?;
             self.note_frame(body.len());
             self.finish_sent = true;
@@ -668,14 +666,7 @@ impl NetPublisher {
         opening.extend_from_slice(&WIRE_MAGIC);
         opening.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         conn.write_all(&opening).map_err(|e| io_err(&context, e))?;
-        let mut body = Vec::with_capacity(64);
-        body.push(KIND_HELLO);
-        put_u32(&mut body, self.partition);
-        put_u16(&mut body, self.streams.len() as u16);
-        for stream in &self.streams {
-            put_u16(&mut body, stream.len() as u16);
-            body.extend_from_slice(stream.as_bytes());
-        }
+        let body = hello_body(self.partition, &self.streams);
         write_frame(&mut conn, &context, &body)?;
 
         // HELLO_ACK tells us where to resume. The consumer holds the

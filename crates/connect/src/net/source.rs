@@ -508,9 +508,7 @@ impl WrapsPartitioned for PartitionedNetSource {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(conn) = writer.as_mut() {
-            let mut body = Vec::with_capacity(9);
-            body.push(KIND_ACK);
-            put_u64(&mut body, offset);
+            let body = offset_body(KIND_ACK, offset);
             if write_frame(conn, "net ack", &body).is_err() {
                 *writer = None;
             }
@@ -757,9 +755,7 @@ pub(super) fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
             return;
         }
     }
-    let mut body = Vec::with_capacity(9);
-    body.push(KIND_HELLO_ACK);
-    put_u64(&mut body, resume);
+    let body = offset_body(KIND_HELLO_ACK, resume);
     if let Err(e) = write_frame(&mut conn, &context, &body) {
         // The producer died before hearing HELLO_ACK: nothing was
         // delivered on this connection, so with restarts tolerated the

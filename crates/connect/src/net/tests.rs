@@ -6,6 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 use onesql_core::connect::{PartitionedSource, Source, SourceStatus};
+use onesql_tvr::lanes::RunWriter;
 use onesql_types::{Result, Row, Ts, Value};
 
 use super::frame::*;
@@ -38,14 +39,8 @@ fn raw_handshake(addr: &NetAddr, streams: &[&str]) -> NetConn {
     let mut conn = addr.connect().unwrap();
     conn.write_all(&WIRE_MAGIC).unwrap();
     conn.write_all(&WIRE_VERSION.to_le_bytes()).unwrap();
-    let mut body = vec![KIND_HELLO];
-    put_u32(&mut body, 0);
-    put_u16(&mut body, streams.len() as u16);
-    for s in streams {
-        put_u16(&mut body, s.len() as u16);
-        body.extend_from_slice(s.as_bytes());
-    }
-    write_frame(&mut conn, "test client", &body).unwrap();
+    let streams: Vec<String> = streams.iter().map(|s| s.to_string()).collect();
+    write_frame(&mut conn, "test client", &hello_body(0, &streams)).unwrap();
     let ack = read_frame(&mut conn, "test client").unwrap().unwrap();
     assert_eq!(ack[0], KIND_HELLO_ACK);
     conn
@@ -118,6 +113,31 @@ fn batch_frames_roundtrip_interleaved_streams_and_arities() {
         .map(|e| (e.stream as u16, e.ptime, e.change.diff, e.change.row))
         .collect();
     assert_eq!(back, events);
+}
+
+#[test]
+fn interleaved_runs_whose_ptimes_fall_are_refused() {
+    let run = |ptime: i64| {
+        let mut run = RunWriter::new(1);
+        run.push_value(0, &Value::Int(ptime));
+        run.end_row(Ts(ptime), 1);
+        let mut bytes = Vec::new();
+        run.encode_into(&mut bytes);
+        bytes
+    };
+    let mut body = vec![KIND_BATCH];
+    put_u64(&mut body, 0);
+    put_flagged(&mut body, None);
+    put_u32(&mut body, 2);
+    put_u16(&mut body, 2);
+    for (stream, ptime) in [(0u16, 5), (1, 3)] {
+        put_u16(&mut body, stream);
+        body.extend(run(ptime));
+    }
+    body.extend([0, 0, 1, 0]); // the order lane: run 0, then run 1
+    put_flagged(&mut body, None);
+    let err = parse(&body).err().unwrap().to_string();
+    assert!(err.contains("ptimes fall between runs"), "{err}");
 }
 
 #[test]
@@ -1063,4 +1083,63 @@ fn zero_byte_probe_connection_is_ignored() {
     }
     producer.join().unwrap();
     assert_eq!(events, 1, "the real producer still works after a probe");
+}
+
+/// The frames of the worked example in `docs/WIRE_FORMAT.md`, as this
+/// build writes them: preamble, `HELLO`, `HELLO_ACK`, one `BATCH`,
+/// `FINISH` and `ACK`.
+fn worked_example() -> Vec<Vec<u8>> {
+    let sealed = |body: &[u8]| {
+        let mut wire = vec![0; 4];
+        wire.extend_from_slice(body);
+        seal_frame(&mut wire);
+        wire
+    };
+    let mut preamble = WIRE_MAGIC.to_vec();
+    preamble.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    let events = [(0, Ts(60_000), 1, row!(7i64, 42i64))];
+    vec![
+        preamble,
+        sealed(&hello_body(0, &["Bid".to_string()])),
+        sealed(&offset_body(KIND_HELLO_ACK, 0)),
+        sealed(&batch_body(0, Some(Ts(59_999)), &events, 0)),
+        sealed(&offset_body(KIND_FINISH, 1)),
+        sealed(&offset_body(KIND_ACK, 1)),
+    ]
+}
+
+/// The document's worked example is these bytes: each `text` block of
+/// its "Worked example" section holds one frame, a line's bytes in hex
+/// before two spaces and the line's comment.
+#[test]
+fn wire_format_example_matches_docs() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/WIRE_FORMAT.md"
+    ))
+    .unwrap();
+    let example = &doc[doc.find("## Worked example").unwrap()..];
+    let mut documented = Vec::new();
+    let mut block: Option<Vec<u8>> = None;
+    for line in example.lines() {
+        match (line.trim(), &mut block) {
+            ("```text", None) => block = Some(Vec::new()),
+            ("```", Some(_)) => documented.extend(block.take()),
+            (_, Some(bytes)) => {
+                let hex = line.split("  ").next().unwrap_or("");
+                bytes.extend(
+                    hex.split_whitespace()
+                        .map(|b| u8::from_str_radix(b, 16).unwrap()),
+                );
+            }
+            _ => {}
+        }
+    }
+    let hex = |frame: &[u8]| {
+        let bytes: Vec<String> = frame.iter().map(|b| format!("{b:02x}")).collect();
+        bytes.join(" ")
+    };
+    let written: Vec<String> = worked_example().iter().map(|f| hex(f)).collect();
+    let documented: Vec<String> = documented.iter().map(|f| hex(f)).collect();
+    assert_eq!(documented, written);
 }

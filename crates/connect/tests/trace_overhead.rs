@@ -5,15 +5,19 @@
 //! uninstalled, so a span site costs one relaxed atomic load) and trace-on
 //! (a private [`FlightRecorder`] at full sampling). The NEXMark workload
 //! runs a 4-partition source on two workers, through the batch router.
-//! All three sides take the same rounds. Their samples interleave (31
-//! times each, the side that goes first rotating), so drift on a shared
-//! host lands on every side alike; by the medians, trace-off may cost 1 %
-//! over bare and trace-on 5 %, each plus 500 µs. A timing guard on a shared host, so ignored by
+//! All three sides take the same rounds. A sample is the CPU time the
+//! run's threads spent on a CPU — the kernel's per-thread runtime, summed
+//! over every thread of the process, the workers that exit with the run
+//! included (`getrusage(RUSAGE_SELF)`) — so time a shared host spends on
+//! other processes does not count, as it does in wall time. The samples
+//! interleave (31 times each, the side that goes first rotating), so drift
+//! lands on every side alike; by the medians, trace-off may cost 1 % over
+//! bare and trace-on 5 %, each plus 500 µs. A cost guard, so ignored by
 //! default: `cargo test -q -p onesql-connect --release --test
 //! trace_overhead -- --ignored --nocapture`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use onesql_connect::{channel, default_registry, PartitionedSource, PartitionedVec};
 use onesql_core::connect::{Exports, OptionBag, Sink, SinkConnector, SinkSpec};
@@ -130,14 +134,46 @@ fn run_nexmark(labelled: bool) -> (u64, u64) {
 /// Samples per side.
 const SAMPLES: usize = 31;
 
-/// One run's wall clock.
-fn timed(f: impl FnOnce() -> (u64, u64)) -> Duration {
-    let start = Instant::now();
-    assert_eq!(f().0, N as u64);
-    start.elapsed()
+/// `struct timeval`.
+#[repr(C)]
+#[derive(Default)]
+struct TimeVal {
+    sec: i64,
+    usec: i64,
 }
 
-/// The median bare, trace-off and trace-on wall clocks of `run`, the
+/// `struct rusage` on 64-bit Linux: two times, then fourteen counters.
+#[repr(C)]
+#[derive(Default)]
+struct Usage {
+    user: TimeVal,
+    system: TimeVal,
+    counters: [i64; 14],
+}
+
+extern "C" {
+    fn getrusage(who: i32, usage: *mut Usage) -> i32;
+}
+
+/// The on-CPU time of every thread this process has run, live or exited.
+fn process_cpu() -> Duration {
+    let mut usage = Usage::default();
+    // SAFETY: `usage` is a live, writable `struct rusage` (64-bit Linux
+    // layout); `RUSAGE_SELF` (0) asks for the whole process.
+    assert_eq!(unsafe { getrusage(0, &mut usage) }, 0);
+    let micros =
+        |t: &TimeVal| Duration::from_secs(t.sec as u64) + Duration::from_micros(t.usec as u64);
+    micros(&usage.user) + micros(&usage.system)
+}
+
+/// One run's on-CPU time, over all its threads.
+fn timed(f: impl FnOnce() -> (u64, u64)) -> Duration {
+    let start = process_cpu();
+    assert_eq!(f().0, N as u64);
+    process_cpu() - start
+}
+
+/// The median bare, trace-off and trace-on CPU times of `run`, the
 /// sides sampled in turn; trace-on records into `ring`.
 fn medians(run: fn(bool) -> (u64, u64), ring: &Arc<FlightRecorder>) -> [Duration; 3] {
     let mut samples: [Vec<Duration>; 3] = Default::default();
@@ -163,7 +199,7 @@ fn medians(run: fn(bool) -> (u64, u64), ring: &Arc<FlightRecorder>) -> [Duration
 }
 
 #[test]
-#[ignore = "a timing guard: run it alone, with --release"]
+#[ignore = "a cost guard: run it alone, with --release"]
 fn tracing_costs_at_most_1_percent_off_and_5_percent_on() {
     // A private ring, so the guard never fills the process recorder that
     // `SHOW TRACE` reads.
