@@ -21,7 +21,7 @@ pub(super) enum Decoded {
     Batch(Pending),
     /// A `KEEPALIVE` frame: the producer is alive but has nothing to
     /// say. Carries no events and moves no offsets; it refreshes the
-    /// partition's silence clock, and (wire v2) may restate the
+    /// partition's silence clock, and may restate the
     /// producer's current watermark — a duplicate is absorbed by the
     /// consumer's monotone ledger.
     Keepalive {
@@ -255,15 +255,15 @@ impl NetPartition {
             status: SourceStatus::Ready,
             ..ColumnarBatch::default()
         };
-        if let Some(frame) = &mut self.pending {
-            batch.columns = frame.take(max_events)?;
+        if let Some(pending) = &mut self.pending {
+            batch.columns = pending.take(max_events)?;
             if !batch.columns.is_empty() {
-                batch.trace_parent = frame.trace;
+                batch.trace_parent = pending.frame.trace;
             }
-            if frame.taken < frame.len {
+            if pending.taken < pending.len {
                 return Ok(batch);
             }
-            batch.watermark = frame.watermark;
+            batch.watermark = pending.frame.watermark;
             self.pending = None;
         }
         // The frame is used up. Unless the reader thread has already
@@ -280,28 +280,23 @@ impl NetPartition {
     }
 }
 
-/// A decoded `BATCH` frame waiting to be polled.
+/// A decoded `BATCH` frame waiting to be polled. Its watermark goes out
+/// with its last events; its trace span with every batch of its events,
+/// so the ingesting driver parents its ingest span on the producer's.
 pub(super) struct Pending {
-    columns: SourceColumns,
+    frame: BatchFrame,
     len: usize,
     /// Events already polled.
     taken: usize,
-    /// Emitted with the frame's last events.
-    watermark: Option<Ts>,
-    /// The producer-side span the frame was put together under, attached
-    /// to every batch that drains its events: the ingesting driver
-    /// parents its ingest span on it, stitching both sides into one trace.
-    trace: Option<u64>,
 }
 
 impl Pending {
     fn new(frame: BatchFrame) -> Pending {
+        let len = frame.columns.len();
         Pending {
-            len: frame.columns.len(),
-            columns: frame.columns,
+            frame,
+            len,
             taken: 0,
-            watermark: frame.watermark,
-            trace: frame.trace,
         }
     }
 
@@ -310,11 +305,12 @@ impl Pending {
     fn take(&mut self, max_events: usize) -> Result<SourceColumns> {
         let (from, n) = (self.taken, max_events.min(self.len - self.taken));
         self.taken += n;
+        let columns = &mut self.frame.columns;
         if from == 0 && n == self.len {
-            return Ok(std::mem::take(&mut self.columns));
+            return Ok(std::mem::take(columns));
         }
-        let batches = self.columns.batches();
-        let Some(order) = self.columns.order() else {
+        let batches = columns.batches();
+        let Some(order) = columns.order() else {
             let (stream, batch) = &batches[0];
             return Ok(SourceColumns::single(*stream, batch.slice(from, from + n)));
         };
