@@ -11,7 +11,7 @@ use std::time::Duration as StdDuration;
 use onesql_core::connect::SourceColumns;
 use onesql_tvr::lanes::{self, RunWriter};
 use onesql_tvr::ChangeBatch;
-use onesql_types::{Column, Error, Result, Ts};
+use onesql_types::{Error, Result, Ts};
 
 use super::{crc32, KIND_BATCH, KIND_HELLO, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
 
@@ -208,24 +208,17 @@ pub(super) const FRAME_BODY_SOFT_CAP: usize = (MAX_FRAME_LEN as usize) - 4096;
 
 /// What a BATCH body's fixed fields take: kind, base offset, watermark,
 /// event and run counts, trace context.
-pub(super) const BATCH_FIXED: usize = 1 + 8 + 9 + 4 + 2 + 9;
+const BATCH_FIXED: usize = 1 + 8 + 9 + 4 + 2 + 9;
 
-/// What one run adds to a body beyond its events' bound: its stream, its
-/// header and its column headers.
+/// What one run adds to a body beyond its events: its stream, and its
+/// header and column headers.
 fn run_overhead(arity: usize) -> usize {
-    2 + 16 + 2 * arity
+    2 + lanes::run_bound(arity, 0, 0)
 }
 
-/// Bytes an event adds to a body, beyond its values' bound
-/// ([`lanes::value_len`]): an i64 diff, a ptime run of its own and its
-/// order-lane slot.
-pub(super) const EVENT_OVERHEAD: usize = 8 + 12 + 2;
-
-/// A bound on what an event whose values take `bytes` adds to a body,
-/// a run of its own included.
-pub(super) fn event_bound(bytes: usize) -> usize {
-    bytes + EVENT_OVERHEAD + 64
-}
+/// What an event adds to a body beyond its values' [`lanes::value_len`]s:
+/// [`lanes::ROW_BOUND`] and its order-lane slot.
+const EVENT_OVERHEAD: usize = lanes::ROW_BOUND + 2;
 
 /// A `BATCH` frame being filled: one lane-codec run per (stream, arity),
 /// in order of first arrival, the order lane that interleaves them, and
@@ -245,7 +238,7 @@ pub(super) struct FrameBuilder {
     /// The highest ptime so far: a later event's is raised to it, so a
     /// frame's ptimes never fall in arrival order.
     clock: Option<Ts>,
-    /// A bound on the encoded body.
+    /// A bound on the encoded body beyond [`BATCH_FIXED`].
     bytes: usize,
 }
 
@@ -261,8 +254,15 @@ impl FrameBuilder {
     }
 
     /// A bound on the body this frame encodes to.
-    pub(super) fn bytes(&self) -> usize {
+    pub(super) fn bound(&self) -> usize {
         BATCH_FIXED + self.bytes
+    }
+
+    /// Whether [`FrameBuilder::bound`] stays within
+    /// [`FRAME_BODY_SOFT_CAP`] with `n` more events of `arity` columns
+    /// whose values' [`lanes::value_len`]s sum to `values`.
+    pub(super) fn fits(&self, arity: usize, n: usize, values: usize) -> bool {
+        self.bound() + run_overhead(arity) + n * EVENT_OVERHEAD + values <= FRAME_BODY_SOFT_CAP
     }
 
     /// Raise the frame's watermark to `wm`.
@@ -270,22 +270,23 @@ impl FrameBuilder {
         self.watermark = Some(self.watermark.map_or(wm, |prev| prev.max(wm)));
     }
 
-    /// Append an event of `stream` with `arity` columns: `cells` pushes
-    /// its values into the run, `bytes` bounds them.
+    /// Append `times.len()` events of `stream` with `arity` columns, each
+    /// at its `(ptime, diff)`: `cells` pushes all their values into the
+    /// run, whose [`lanes::value_len`]s sum to `values`.
     pub(super) fn push(
         &mut self,
         stream: u16,
         arity: usize,
-        ptime: Ts,
-        diff: i64,
-        bytes: usize,
+        times: &[(Ts, i64)],
+        values: usize,
         cells: impl FnOnce(&mut RunWriter),
     ) -> Result<()> {
         let fits = |(s, run): &(u16, RunWriter)| *s == stream && run.arity() == arity;
         if !self.runs.get(self.last).is_some_and(fits) {
             self.last = match self.runs.iter().position(fits) {
                 Some(r) => r,
-                None if self.runs.len() > usize::from(u16::MAX) => {
+                // The run count and the order lane's indices are u16s.
+                None if self.runs.len() >= usize::from(u16::MAX) => {
                     return Err(Error::exec(format!(
                         "a frame mixes more than {} (stream, arity) pairs",
                         u16::MAX
@@ -300,45 +301,16 @@ impl FrameBuilder {
                 }
             };
         }
-        let ptime = self.clock.map_or(ptime, |clock| clock.max(ptime));
-        self.clock = Some(ptime);
         let run = &mut self.runs[self.last].1;
         cells(run);
-        run.end_row(ptime, diff);
-        self.order.push(self.last as u16);
-        self.bytes += bytes + EVENT_OVERHEAD;
-        Ok(())
-    }
-
-    /// Append `times.len()` events of `stream` whose values are the
-    /// entries from `at` on of `columns`, each at its `(ptime, diff)`;
-    /// `bytes` bounds the values.
-    pub(super) fn push_range(
-        &mut self,
-        stream: u16,
-        columns: &[Column],
-        at: usize,
-        times: &[(Ts, i64)],
-        bytes: usize,
-    ) -> Result<()> {
-        let n = times.len();
-        let Some(((ptime, diff), rest)) = times.split_first() else {
-            return Ok(());
-        };
-        self.push(stream, columns.len(), *ptime, *diff, bytes, |run| {
-            for (c, column) in columns.iter().enumerate() {
-                run.push_range(c, column, at, n);
-            }
-        })?;
-        let run = &mut self.runs[self.last].1;
-        for &(ptime, diff) in rest {
+        for &(ptime, diff) in times {
             let ptime = self.clock.map_or(ptime, |clock| clock.max(ptime));
             self.clock = Some(ptime);
             run.end_row(ptime, diff);
         }
-        let last = self.last as u16;
-        self.order.resize(self.order.len() + rest.len(), last);
-        self.bytes += rest.len() * EVENT_OVERHEAD;
+        self.order
+            .resize(self.order.len() + times.len(), self.last as u16);
+        self.bytes += times.len() * EVENT_OVERHEAD + values;
         Ok(())
     }
 
@@ -346,7 +318,8 @@ impl FrameBuilder {
     /// together under the producer-side span `trace` (0: none), to `out`;
     /// the builder is left empty.
     pub(super) fn encode(&mut self, base: u64, trace: u64, out: &mut Vec<u8>) {
-        out.reserve(self.bytes());
+        let start = out.len();
+        out.reserve(self.bound());
         out.push(KIND_BATCH);
         put_u64(out, base);
         put_flagged(out, self.watermark.take().map(Ts::millis));
@@ -366,6 +339,7 @@ impl FrameBuilder {
         // tracing is off or the root was unsampled, shipped as "absent"
         // so the consumer never parents onto a span nobody recorded.
         put_flagged(out, (trace != 0).then_some(trace as i64));
+        debug_assert!(out.len() - start <= self.bound());
         self.spare.extend(self.runs.drain(..).map(|(_, run)| run));
         self.order.clear();
         self.last = 0;
@@ -390,9 +364,9 @@ impl FrameBuilder {
                 continue;
             }
             let at = batch.phys(i);
-            let bytes = batch.columns().iter().map(|c| lanes::cell_len(c, at)).sum();
-            let (ptime, diff) = (batch.ptime(i), batch.diff(i));
-            self.push(*stream as u16, batch.arity(), ptime, diff, bytes, |run| {
+            let values = batch.columns().iter().map(|c| lanes::cell_len(c, at)).sum();
+            let times = [(batch.ptime(i), batch.diff(i))];
+            self.push(*stream as u16, batch.arity(), &times, values, |run| {
                 for (c, column) in batch.columns().iter().enumerate() {
                     run.push_cell(c, column, at);
                 }

@@ -198,7 +198,7 @@ impl NetPublisher {
     /// Publish one change whose values are `values`.
     fn append_row(&mut self, stream: usize, ptime: Ts, diff: i64, values: &[Value]) -> Result<()> {
         let bytes = values.iter().map(lanes::value_len).sum();
-        self.append(stream, ptime, diff, values.len(), bytes, |run| {
+        self.append(stream, values.len(), &[(ptime, diff)], bytes, |run| {
             for (c, value) in values.iter().enumerate() {
                 run.push_value(c, value);
             }
@@ -239,95 +239,94 @@ impl NetPublisher {
             }
         }
         let n = times.len();
-        let bytes = columns
-            .iter()
-            .map(|c| lanes::range_len(c, at, n))
-            .sum::<usize>();
-        // One copy per column, unless an event must be looked at alone: a
-        // frame this would overfill, a spool this would overfill, events
-        // below a restarted producer's floor.
-        let whole = n > 1
-            && !self.finished
-            && stream < self.streams.len()
-            && self.next_offset >= self.acked()
-            && self.spooled + n <= self.config.spool_events
-            && self.open.bytes() + event_bound(bytes) + (n - 1) * EVENT_OVERHEAD
-                <= FRAME_BODY_SOFT_CAP;
-        let result = if whole {
-            self.open
-                .push_range(stream as u16, columns, at, &times, bytes)
-                .and_then(|()| {
-                    self.next_offset += n as u64;
-                    self.spooled += n;
-                    self.close_full()
-                })
+        let bytes = columns.iter().map(|c| lanes::range_len(c, at, n)).sum();
+        // One copy per column, unless the events must go one at a time.
+        let result = if n == 1 || self.takes(stream, columns.len(), n, bytes) {
+            self.append(stream, columns.len(), &times, bytes, |run| {
+                for (c, column) in columns.iter().enumerate() {
+                    run.push_range(c, column, at, n);
+                }
+            })
         } else {
-            times
-                .iter()
-                .enumerate()
-                .try_for_each(|(k, &(ptime, diff))| {
-                    let bytes = columns.iter().map(|c| lanes::cell_len(c, at + k)).sum();
-                    self.append(stream, ptime, diff, columns.len(), bytes, |run| {
-                        for (c, column) in columns.iter().enumerate() {
-                            run.push_cell(c, column, at + k);
-                        }
-                    })
+            times.iter().enumerate().try_for_each(|(k, time)| {
+                let bytes = columns.iter().map(|c| lanes::cell_len(c, at + k)).sum();
+                self.append(stream, columns.len(), &[*time], bytes, |run| {
+                    for (c, column) in columns.iter().enumerate() {
+                        run.push_cell(c, column, at + k);
+                    }
                 })
+            })
         };
         self.times = times;
         result.map(|()| n)
     }
 
-    /// Append one event to the open frame — `cells` pushes its `arity`
-    /// values, `bytes` bounds their encoding — closing and sending the
-    /// frame once it is full.
+    /// Whether `n` events of `stream` with `arity` columns, their values'
+    /// [`lanes::value_len`]s summing to `bytes`, go into the open frame as
+    /// they are: the publisher is not finished, the stream is declared,
+    /// they are not below a restarted producer's floor, and the spool and
+    /// the open frame have room for them.
+    fn takes(&self, stream: usize, arity: usize, n: usize, bytes: usize) -> bool {
+        !self.finished
+            && stream < self.streams.len()
+            && self.next_offset >= self.acked()
+            && self.spooled + n <= self.config.spool_events
+            && self.open.fits(arity, n, bytes)
+    }
+
+    /// Append events to the open frame — `times` are their `(ptime,
+    /// diff)`s, `cells` pushes their `arity` values, `bytes` sums those
+    /// values' [`lanes::value_len`]s — closing and sending the frame once
+    /// it is full. Several events go in only when the open frame
+    /// [`takes`](NetPublisher::takes) them; one is made room for.
     fn append(
         &mut self,
         stream: usize,
-        ptime: Ts,
-        diff: i64,
         arity: usize,
+        times: &[(Ts, i64)],
         bytes: usize,
         cells: impl FnOnce(&mut RunWriter),
     ) -> Result<()> {
-        if self.finished {
-            return Err(Error::exec(format!("{}: send after finish", self.context)));
+        if !self.takes(stream, arity, times.len(), bytes) {
+            debug_assert_eq!(times.len(), 1);
+            if self.finished {
+                return Err(Error::exec(format!("{}: send after finish", self.context)));
+            }
+            if stream >= self.streams.len() {
+                return Err(Error::exec(format!(
+                    "{}: stream index {stream} out of range ({} declared)",
+                    self.context,
+                    self.streams.len()
+                )));
+            }
+            // The consumer's handshake may have acknowledged offsets this
+            // publisher never sent — a restarted producer deterministically
+            // re-publishing its stream to a consumer that already
+            // checkpointed part of it. Those events are provably durable
+            // downstream: count them, send nothing.
+            if self.next_offset < self.acked() && self.open.events() == 0 {
+                self.next_offset += 1;
+                return Ok(());
+            }
+            // Reject rows that cannot fit any legal frame *before* spooling
+            // them: once spooled they would be replayed forever, and the
+            // consumer would misdiagnose the oversized frame as corruption.
+            if !FrameBuilder::default().fits(arity, 1, bytes) {
+                return Err(Error::exec(format!(
+                    "{}: a single event encodes to {bytes} bytes, beyond the \
+                     {FRAME_BODY_SOFT_CAP}-byte frame bound",
+                    self.context
+                )));
+            }
+            self.reserve_spool_slot()?;
+            if !self.open.fits(arity, 1, bytes) {
+                self.close_open();
+                self.pump()?;
+            }
         }
-        if stream >= self.streams.len() {
-            return Err(Error::exec(format!(
-                "{}: stream index {stream} out of range ({} declared)",
-                self.context,
-                self.streams.len()
-            )));
-        }
-        // The consumer's handshake may have acknowledged offsets this
-        // publisher never sent — a restarted producer deterministically
-        // re-publishing its stream to a consumer that already checkpointed
-        // part of it. Those events are provably durable downstream: count
-        // them, send nothing.
-        if self.next_offset < self.acked() && self.open.events() == 0 {
-            self.next_offset += 1;
-            return Ok(());
-        }
-        // Reject rows that cannot fit any legal frame *before* spooling
-        // them: once spooled they would be replayed forever, and the
-        // consumer would misdiagnose the oversized frame as corruption.
-        if BATCH_FIXED + event_bound(bytes) > FRAME_BODY_SOFT_CAP {
-            return Err(Error::exec(format!(
-                "{}: a single event encodes to {bytes} bytes, beyond the \
-                 {FRAME_BODY_SOFT_CAP}-byte frame bound",
-                self.context
-            )));
-        }
-        self.reserve_spool_slot()?;
-        if self.open.events() > 0 && self.open.bytes() + event_bound(bytes) > FRAME_BODY_SOFT_CAP {
-            self.close_open();
-            self.pump()?;
-        }
-        self.open
-            .push(stream as u16, arity, ptime, diff, bytes, cells)?;
-        self.next_offset += 1;
-        self.spooled += 1;
+        self.open.push(stream as u16, arity, times, bytes, cells)?;
+        self.next_offset += times.len() as u64;
+        self.spooled += times.len();
         self.close_full()
     }
 

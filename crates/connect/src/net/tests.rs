@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 use onesql_core::connect::{PartitionedSource, Source, SourceStatus};
-use onesql_tvr::lanes::RunWriter;
+use onesql_tvr::lanes::{self, RunWriter};
 use onesql_types::{Result, Row, Ts, Value};
 
 use super::frame::*;
@@ -68,14 +68,7 @@ fn crc32_known_vector() {
 fn batch_body(base: u64, wm: Option<Ts>, events: &[(u16, Ts, i64, Row)], trace: u64) -> Vec<u8> {
     let mut frame = FrameBuilder::default();
     for (stream, ptime, diff, row) in events {
-        let values = row.values();
-        frame
-            .push(*stream, values.len(), *ptime, *diff, 0, |run| {
-                for (c, value) in values.iter().enumerate() {
-                    run.push_value(c, value);
-                }
-            })
-            .unwrap();
+        push_row(&mut frame, *stream, *ptime, *diff, row).unwrap();
     }
     if let Some(wm) = wm {
         frame.watermark(wm);
@@ -83,6 +76,76 @@ fn batch_body(base: u64, wm: Option<Ts>, events: &[(u16, Ts, i64, Row)], trace: 
     let mut body = Vec::new();
     frame.encode(base, trace, &mut body);
     body
+}
+
+/// Push `row` into `frame` as `NetPublisher::send` does.
+fn push_row(frame: &mut FrameBuilder, stream: u16, ptime: Ts, diff: i64, row: &Row) -> Result<()> {
+    let values = row.values();
+    let bytes = values.iter().map(lanes::value_len).sum();
+    frame.push(stream, values.len(), &[(ptime, diff)], bytes, |run| {
+        for (c, value) in values.iter().enumerate() {
+            run.push_value(c, value);
+        }
+    })
+}
+
+#[test]
+fn null_heavy_frames_stay_within_their_bound() {
+    // The publisher pushes an event only while the frame's bound stays
+    // within FRAME_BODY_SOFT_CAP, so a body within its bound is within
+    // the cap. NULLs in typed lanes take a placeholder and a bitmap bit.
+    let text: Arc<str> = Arc::from("x".repeat(900));
+    let mut ints = vec![Value::Str(text.clone())];
+    ints.extend((0..20).map(Value::Int));
+    let mut nulls = vec![Value::Str(text)];
+    nulls.extend((0..20).map(|_| Value::Null));
+    let mut lone = vec![Row::from_values(ints.clone())];
+    lone.extend((1..200).map(|_| Row::from_values(nulls.clone())));
+    let mixed = [
+        // NULLs first, then the lanes' type, then values that demote
+        // them to MIXED.
+        Row::from_values(nulls),
+        Row::from_values(ints),
+        row!(Value::Null, true),
+        row!(1.5f64, Value::Null),
+        row!("s", Value::Null),
+    ];
+    // Typed lanes that fill with NULLs after one value; and NULL-first,
+    // demoted lanes over two streams.
+    let shapes = [lone, mixed.iter().cycle().take(200).cloned().collect()];
+    for rows in shapes {
+        let mut frame = FrameBuilder::default();
+        for (i, row) in rows.iter().enumerate() {
+            push_row(&mut frame, (i % 2) as u16, Ts(i as i64), 1, row).unwrap();
+        }
+        let bound = frame.bound();
+        let mut body = Vec::new();
+        frame.encode(0, 0, &mut body);
+        assert!(
+            body.len() <= bound,
+            "{} bytes over a bound of {bound}",
+            body.len()
+        );
+        assert_eq!(parse(&body).unwrap().columns.len(), 200);
+    }
+}
+
+#[test]
+fn a_frame_holds_at_most_u16_max_runs() {
+    let mut frame = FrameBuilder::default();
+    let times = [(Ts(0), 1)];
+    for stream in 0..u16::MAX {
+        frame.push(stream, 0, &times, 0, |_| {}).unwrap();
+    }
+    let err = frame.push(0, 1, &times, 0, |_| {}).unwrap_err().to_string();
+    assert!(err.contains("more than 65535"), "{err}");
+    // A run already open still takes events.
+    frame.push(7, 0, &times, 0, |_| {}).unwrap();
+    let mut body = Vec::new();
+    frame.encode(0, 0, &mut body);
+    let columns = parse(&body).unwrap().columns;
+    assert_eq!(columns.batches().len(), usize::from(u16::MAX));
+    assert_eq!(columns.len(), usize::from(u16::MAX) + 1);
 }
 
 fn parse(body: &[u8]) -> Result<BatchFrame> {

@@ -7,9 +7,7 @@
 //! ```text
 //! u32 rows | u16 arity
 //! u8 diff width (1 | 8) | diff × rows          i8 or i64 each
-//! u8 ptime form, then
-//!   0: u32 runs | (i64 ptime, u32 count) × runs   run-length; counts sum to rows
-//!   1: i64 base | u32 offset × rows               ptime = base + offset
+//! u32 runs | (i64 ptime, u32 count) × runs      run-length; counts sum to rows
 //! column × arity:
 //!   u8 type | u8 has nulls (0 | 1) | [null bitmap: ⌈rows / 8⌉ bytes, bit r of byte r / 8]
 //!   payload:
@@ -18,9 +16,6 @@
 //!     STR                        rows × u32 byte length, then the UTF-8 bytes
 //!     MIXED                      rows × tagged value: u8 tag | payload
 //! ```
-//!
-//! The writer picks the smaller ptime form: runs when ptimes repeat, a
-//! base and offsets when nearly every row has its own.
 //!
 //! A typed lane holds a placeholder (zero, or the empty string) at each
 //! null slot. A column whose values do not share one type, or that holds
@@ -60,26 +55,37 @@ const TAG_TS: u8 = 5;
 const TAG_INTERVAL: u8 = 6;
 
 /// Bytes a run's header takes before its lanes: rows, arity, the diff
-/// width and the ptime form.
-const RUN_HEADER: usize = 4 + 2 + 1 + 1;
+/// width and the ptime run count.
+const RUN_HEADER: usize = 4 + 2 + 1 + 4;
 
-/// Ptime forms.
-const PTIME_RUNS: u8 = 0;
-const PTIME_OFFSETS: u8 = 1;
+/// What a row adds to a run beyond its values, at most: an i64 diff and a
+/// ptime run of its own.
+pub const ROW_BOUND: usize = 8 + 12;
 
-/// Bytes `value` takes in a MIXED lane: an upper bound of what it takes in
-/// any lane, and what a writer's size estimate counts for it.
+/// A bound on the bytes a run of `rows` rows with `arity` columns takes,
+/// given the [`value_len`]s of its values summed: its header, column
+/// headers, and [`ROW_BOUND`] per row.
+pub fn run_bound(arity: usize, rows: usize, values: usize) -> usize {
+    RUN_HEADER + 2 * arity + rows * ROW_BOUND + values
+}
+
+/// What [`run_bound`] counts for `value`: its tagged bytes, and 9 for a
+/// NULL. Every value takes at most that less one byte in a typed lane —
+/// a NULL its placeholder, of 8 bytes at most — and that byte pays for
+/// the lane's null bitmap; in a MIXED lane a value takes its tagged bytes.
 pub fn value_len(value: &Value) -> usize {
     match value {
-        Value::Null => 1,
         Value::Bool(_) => 2,
-        Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 9,
+        Value::Null | Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 9,
         Value::Str(s) => 5 + s.len(),
     }
 }
 
 /// [`value_len`] of the value at `at` of `column`, without boxing it.
 pub fn cell_len(column: &Column, at: usize) -> usize {
+    if column.is_null(at) {
+        return 9;
+    }
     match column.data() {
         ColumnData::Bool { .. } => 2,
         ColumnData::Str { vals, .. } => 5 + vals[at].len(),
@@ -91,10 +97,11 @@ pub fn cell_len(column: &Column, at: usize) -> usize {
 /// [`cell_len`] summed over `from..from + n` of `column`.
 pub fn range_len(column: &Column, from: usize, n: usize) -> usize {
     match column.data() {
-        ColumnData::Bool { .. } => 2 * n,
-        ColumnData::Str { vals, .. } => vals[from..from + n].iter().map(|s| 5 + s.len()).sum(),
-        ColumnData::Mixed(vals) => vals[from..from + n].iter().map(value_len).sum(),
-        _ => 9 * n,
+        ColumnData::Int { .. }
+        | ColumnData::Float { .. }
+        | ColumnData::Ts { .. }
+        | ColumnData::Interval { .. } => 9 * n,
+        _ => (from..from + n).map(|at| cell_len(column, at)).sum(),
     }
 }
 
@@ -387,8 +394,6 @@ pub struct RunWriter {
     lanes: Vec<Lane>,
     /// Run-length ptimes: each distinct consecutive ptime and its count.
     ptimes: Vec<(Ts, u32)>,
-    /// The least and greatest ptime.
-    span: (Ts, Ts),
     diffs: Vec<i64>,
     /// Whether every diff so far fits in one byte.
     narrow: bool,
@@ -407,7 +412,6 @@ impl RunWriter {
         self.lanes.resize_with(arity, Lane::default);
         self.lanes.iter_mut().for_each(Lane::reset);
         self.ptimes.clear();
-        self.span = (Ts::MAX, Ts::MIN);
         self.diffs.clear();
         self.narrow = true;
     }
@@ -458,38 +462,10 @@ impl RunWriter {
     pub fn end_row(&mut self, ptime: Ts, diff: i64) {
         match self.ptimes.last_mut() {
             Some((last, count)) if *last == ptime => *count += 1,
-            _ => {
-                self.ptimes.push((ptime, 1));
-                self.span = (self.span.0.min(ptime), self.span.1.max(ptime));
-            }
+            _ => self.ptimes.push((ptime, 1)),
         }
         self.narrow &= i8::try_from(diff).is_ok();
         self.diffs.push(diff);
-    }
-
-    /// Logical row `i` of `batch`, with its ptime and diff.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range or the arities differ.
-    pub fn push_batch_row(&mut self, batch: &ChangeBatch, i: usize) {
-        let at = batch.phys(i);
-        for (lane, column) in self.lanes.iter_mut().zip(batch.columns()) {
-            lane.push_cell(column, at);
-        }
-        self.end_row(batch.ptime(i), batch.diff(i));
-    }
-
-    /// The ptime form and its bytes: offsets when they fit and are
-    /// smaller than the runs.
-    fn ptime_form(&self) -> (u8, usize) {
-        let runs = 4 + 12 * self.ptimes.len();
-        let offsets = 8 + 4 * self.diffs.len();
-        let fits = self.span.1 .0.abs_diff(self.span.0 .0) <= u64::from(u32::MAX);
-        if fits && offsets < runs {
-            (PTIME_OFFSETS, offsets)
-        } else {
-            (PTIME_RUNS, runs)
-        }
     }
 
     /// Bytes [`RunWriter::encode_into`] appends.
@@ -497,7 +473,7 @@ impl RunWriter {
         let width = if self.narrow { 1 } else { 8 };
         RUN_HEADER
             + self.diffs.len() * width
-            + self.ptime_form().1
+            + 12 * self.ptimes.len()
             + self.lanes.iter().map(Lane::encoded_len).sum::<usize>()
     }
 
@@ -515,37 +491,15 @@ impl RunWriter {
                 out.extend_from_slice(&d.to_le_bytes());
             }
         }
-        let (form, _) = self.ptime_form();
-        out.push(form);
-        if form == PTIME_OFFSETS {
-            let base = self.span.0;
-            out.extend_from_slice(&base.0.to_le_bytes());
-            for &(ptime, count) in &self.ptimes {
-                let offset = (ptime.0.abs_diff(base.0) as u32).to_le_bytes();
-                for _ in 0..count {
-                    out.extend_from_slice(&offset);
-                }
-            }
-        } else {
-            out.extend_from_slice(&(self.ptimes.len() as u32).to_le_bytes());
-            for (ptime, count) in &self.ptimes {
-                out.extend_from_slice(&ptime.0.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-            }
+        out.extend_from_slice(&(self.ptimes.len() as u32).to_le_bytes());
+        for (ptime, count) in &self.ptimes {
+            out.extend_from_slice(&ptime.0.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
         }
         for lane in &self.lanes {
             lane.encode_into(out);
         }
     }
-}
-
-/// The bytes of `batch` as one run (its visible rows, in order).
-pub fn encode_batch(batch: &ChangeBatch, out: &mut Vec<u8>) {
-    let mut writer = RunWriter::new(batch.arity());
-    for i in 0..batch.len() {
-        writer.push_batch_row(batch, i);
-    }
-    writer.encode_into(out);
 }
 
 fn short(what: &str) -> Error {
@@ -705,34 +659,21 @@ pub fn decode_run(input: &mut &[u8]) -> Result<ChangeBatch> {
         8 => words(input.lane(rows, 8, "a diff lane")?).collect(),
         width => return Err(Error::exec(format!("malformed run: diff width {width}"))),
     };
+    let runs = input.u32("a ptime run count")? as usize;
     let mut ptimes = Vec::with_capacity(rows);
     let mut clock = Ts::MIN;
-    match input.u8("a ptime form")? {
-        PTIME_RUNS => {
-            let runs = input.u32("a ptime run count")? as usize;
-            for run in input.lane(runs, 12, "a ptime lane")?.chunks_exact(12) {
-                let count = u32_at(run, 8) as usize;
-                if count > rows - ptimes.len() {
-                    return Err(Error::exec("malformed run: ptime runs overrun the rows"));
-                }
-                clock = clock.max(Ts(i64_at(run, 0)));
-                ptimes.extend(std::iter::repeat_n(clock, count));
-            }
-            if ptimes.len() != rows {
-                return Err(Error::exec(
-                    "malformed run: ptime runs fall short of the rows",
-                ));
-            }
+    for run in input.lane(runs, 12, "a ptime lane")?.chunks_exact(12) {
+        let count = u32_at(run, 8) as usize;
+        if count > rows - ptimes.len() {
+            return Err(Error::exec("malformed run: ptime runs overrun the rows"));
         }
-        PTIME_OFFSETS => {
-            let base = input.i64("a ptime base")?;
-            for offset in input.lane(rows, 4, "a ptime lane")?.chunks_exact(4) {
-                let ptime = Ts(base.saturating_add(i64::from(u32_at(offset, 0))));
-                clock = clock.max(ptime);
-                ptimes.push(clock);
-            }
-        }
-        form => return Err(Error::exec(format!("malformed run: ptime form {form}"))),
+        clock = clock.max(Ts(i64_at(run, 0)));
+        ptimes.extend(std::iter::repeat_n(clock, count));
+    }
+    if ptimes.len() != rows {
+        return Err(Error::exec(
+            "malformed run: ptime runs fall short of the rows",
+        ));
     }
     // Every column header takes two bytes.
     if arity > input.left() / 2 {

@@ -7,8 +7,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use onesql_tvr::lanes::{decode_run, encode_batch, RunWriter};
-use onesql_tvr::{Change, ChangeBatch};
+use onesql_tvr::lanes::{cell_len, decode_run, range_len, run_bound, value_len, RunWriter};
+use onesql_tvr::Change;
 use onesql_types::{Column, Duration, Row, Ts, Value};
 use proptest::prelude::*;
 
@@ -60,14 +60,13 @@ fn a_run_claiming_u32_max_rows_over_short_lanes_allocates_nothing_for_them() {
     assert!(largest < 1024, "allocated {largest} bytes for a lie");
 
     // A narrow diff lane that fits, then a ptime lane that does not: the
-    // diffs are sized by bytes that are there, the ptimes by none.
+    // diffs are sized by bytes that are there, the ptime runs by none.
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&64u32.to_le_bytes());
     bytes.extend_from_slice(&1u16.to_le_bytes());
     bytes.push(1);
     bytes.extend_from_slice(&[1; 64]);
-    bytes.push(1); // ptime offsets
-    bytes.extend_from_slice(&0i64.to_le_bytes());
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
     bytes.extend_from_slice(&[0; 16]);
     let (largest, decoded) = largest_allocation(|| decode_run(&mut bytes.as_slice()));
     let err = decoded.unwrap_err().to_string();
@@ -118,13 +117,14 @@ fn value(kind: Kind, word: u64) -> Value {
     }
 }
 
-/// Rows of `kinds` from `words`: a cell is NULL when its word says so.
-fn rows(kinds: &[Kind], words: &[u64]) -> Vec<Row> {
+/// Rows of `kinds` from `words`: a cell is NULL when its word is a
+/// multiple of `nulls`.
+fn rows(kinds: &[Kind], words: &[u64], nulls: u64) -> Vec<Row> {
     let width = kinds.len().max(1);
     (words.chunks_exact(width))
         .map(|row| {
             let cells = kinds.iter().zip(row).map(|(&kind, &word)| {
-                if word % 5 == 0 {
+                if word.is_multiple_of(nulls) {
                     Value::Null
                 } else {
                     value(kind, word)
@@ -146,7 +146,8 @@ proptest! {
     /// A run of any arity, types, nulls, ptimes and diffs comes back from
     /// its bytes as it went in — pushed value by value, cell by cell from
     /// columns, or as column ranges — with each ptime raised to the
-    /// running maximum.
+    /// running maximum; and it takes no more bytes than `run_bound` says,
+    /// counted by value, by cell or by range.
     #[test]
     fn encoding_then_decoding_a_run_returns_it(
         kinds in proptest::collection::vec(0usize..7, 0..5),
@@ -154,9 +155,10 @@ proptest! {
         steps in proptest::collection::vec(0i64..3, 0..40),
         diffs in proptest::collection::vec(-3i64..4, 0..40),
         wide in any::<bool>(),
+        nulls in 1u64..8,
     ) {
         let kinds: Vec<Kind> = kinds.into_iter().map(|k| KINDS[k]).collect();
-        let rows = rows(&kinds, &words);
+        let rows = rows(&kinds, &words, nulls);
         let n = if kinds.is_empty() { words.len().min(40) } else { rows.len() };
         let rows: Vec<Row> = (0..n)
             .map(|i| rows.get(i).cloned().unwrap_or_else(|| Row::from_values([])))
@@ -194,17 +196,27 @@ proptest! {
         writer.encode_into(&mut by_value);
         prop_assert_eq!(by_value.len(), writer.encoded_len());
         prop_assert_eq!(decode_all(&by_value), expected.clone());
+        let values = rows.iter().flat_map(|r| r.values()).map(value_len).sum();
+        prop_assert!(by_value.len() <= run_bound(kinds.len(), n, values));
 
         // From columns: cell by cell, and as ranges.
         let columns: Vec<Column> = (0..kinds.len())
             .map(|col| Column::from_values(rows.iter().map(|r| r.values()[col].clone()).collect()))
             .collect();
-        let (ptimes, lane): (Vec<Ts>, Vec<i64>) =
-            expected.iter().map(|(t, c)| (*t, c.diff)).unzip();
-        let batch = ChangeBatch::new_dense(columns.clone(), lane, ptimes);
+        let mut cells = RunWriter::new(kinds.len());
+        for (i, (t, c)) in expected.iter().enumerate() {
+            for (col, column) in columns.iter().enumerate() {
+                cells.push_cell(col, column, i);
+            }
+            cells.end_row(*t, c.diff);
+        }
         let mut by_cell = Vec::new();
-        encode_batch(&batch, &mut by_cell);
+        cells.encode_into(&mut by_cell);
         prop_assert_eq!(decode_all(&by_cell), expected.clone());
+        let values = (0..n)
+            .flat_map(|i| columns.iter().map(move |column| cell_len(column, i)))
+            .sum();
+        prop_assert!(by_cell.len() <= run_bound(kinds.len(), n, values));
 
         let mut ranges = RunWriter::new(kinds.len());
         let half = n / 2;
@@ -219,5 +231,7 @@ proptest! {
         let mut by_range = Vec::new();
         ranges.encode_into(&mut by_range);
         prop_assert_eq!(decode_all(&by_range), expected);
+        let values = columns.iter().map(|column| range_len(column, 0, n)).sum();
+        prop_assert!(by_range.len() <= run_bound(kinds.len(), n, values));
     }
 }
