@@ -344,39 +344,6 @@ impl Source for CsvFileSource {
     }
 }
 
-/// Reads a JSON-lines file as a stream of inserts.
-pub struct JsonLinesSource(TextFileSource);
-
-impl JsonLinesSource {
-    /// Open `path`, parsing each line as a JSON object against `schema`.
-    pub fn new(
-        path: impl AsRef<Path>,
-        stream: impl Into<String>,
-        schema: SchemaRef,
-        config: FileSourceConfig,
-    ) -> Result<JsonLinesSource> {
-        Ok(JsonLinesSource(TextFileSource::open(
-            path,
-            stream,
-            schema,
-            LineFormat::JsonLines,
-            config,
-        )?))
-    }
-}
-
-impl Source for JsonLinesSource {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn streams(&self) -> &[String] {
-        &self.0.streams
-    }
-    fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
-        self.0.poll(max_events)
-    }
-}
-
 /// A partitioned file source: N ≥ 1 files feeding one stream, one partition
 /// per file — the on-disk analog of a partitioned Kafka topic, and what
 /// the `file` connector builds for one path as for several.
@@ -481,10 +448,10 @@ impl LastClock {
     }
 }
 
-/// Row-to-bytes rendering shared by the plain and transactional file
-/// sinks: CSV or JSON-lines, changelog or appends mode, with the
-/// bind-time header line and JSON keys. Rows and columnar batches go
-/// through the same per-type encoders ([`text`], [`json`]).
+/// Row-to-bytes rendering of the file sink: CSV or JSON-lines, changelog
+/// or appends mode, with the bind-time header line and JSON keys. Rows
+/// and columnar batches go through the same per-type encoders ([`text`],
+/// [`json`]).
 struct LineRenderer {
     name: String,
     mode: CsvSinkMode,
@@ -696,136 +663,11 @@ impl LineRenderer {
     }
 }
 
-struct TextFileSink {
-    renderer: LineRenderer,
-    writer: BufWriter<File>,
-}
-
-impl TextFileSink {
-    fn create(
-        path: impl AsRef<Path>,
-        mode: CsvSinkMode,
-        format: LineFormat,
-        header: bool,
-    ) -> Result<TextFileSink> {
-        let path = path.as_ref();
-        let file = File::create(path)
-            .map_err(|e| Error::exec(format!("cannot create '{}': {e}", path.display())))?;
-        Ok(TextFileSink {
-            renderer: LineRenderer::new(format!("file:{}", path.display()), mode, format, header),
-            writer: BufWriter::new(file),
-        })
-    }
-
-    fn name(&self) -> &str {
-        &self.renderer.name
-    }
-
-    fn bind(&mut self, schema: SchemaRef) -> Result<()> {
-        if let Some(header) = self.renderer.bind(schema)? {
-            writeln!(self.writer, "{header}")
-                .map_err(|e| Error::exec(format!("{}: write error: {e}", self.renderer.name)))?;
-        }
-        Ok(())
-    }
-
-    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        self.renderer.write_rows(rows, &mut self.writer)
-    }
-
-    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
-        self.renderer.write_batch(batch, &mut self.writer)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.writer
-            .flush()
-            .map_err(|e| Error::exec(format!("{}: flush error: {e}", self.renderer.name)))
-    }
-}
-
-/// Writes output rows to a CSV file.
-pub struct CsvFileSink(TextFileSink);
-
-impl CsvFileSink {
-    /// Create (truncate) `path`; a header line is written at bind time.
-    pub fn new(path: impl AsRef<Path>, mode: CsvSinkMode) -> Result<CsvFileSink> {
-        Ok(CsvFileSink(TextFileSink::create(
-            path,
-            mode,
-            LineFormat::Csv,
-            true,
-        )?))
-    }
-
-    /// Create without a header line (so a `CsvFileSource` with
-    /// `has_header: false` reads the output back directly).
-    pub fn headerless(path: impl AsRef<Path>, mode: CsvSinkMode) -> Result<CsvFileSink> {
-        Ok(CsvFileSink(TextFileSink::create(
-            path,
-            mode,
-            LineFormat::Csv,
-            false,
-        )?))
-    }
-}
-
-impl Sink for CsvFileSink {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn bind(&mut self, schema: SchemaRef) -> Result<()> {
-        self.0.bind(schema)
-    }
-    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        self.0.write(rows)
-    }
-    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
-        self.0.write_batch(batch)
-    }
-    fn flush(&mut self) -> Result<()> {
-        self.0.flush()
-    }
-}
-
-/// Writes output rows as JSON-lines.
-pub struct JsonLinesSink(TextFileSink);
-
-impl JsonLinesSink {
-    /// Create (truncate) `path`.
-    pub fn new(path: impl AsRef<Path>, mode: CsvSinkMode) -> Result<JsonLinesSink> {
-        Ok(JsonLinesSink(TextFileSink::create(
-            path,
-            mode,
-            LineFormat::JsonLines,
-            false,
-        )?))
-    }
-}
-
-impl Sink for JsonLinesSink {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn bind(&mut self, schema: SchemaRef) -> Result<()> {
-        self.0.bind(schema)
-    }
-    fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        self.0.write(rows)
-    }
-    fn write_batch(&mut self, batch: &StreamBatch<'_>) -> Result<()> {
-        self.0.write_batch(batch)
-    }
-    fn flush(&mut self) -> Result<()> {
-        self.0.flush()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Transactional (two-phase) file sink
+// The file sink: two-phase
 // ---------------------------------------------------------------------------
 
-/// Magic opening a transactional sink's staging sidecar.
+/// Magic opening a file sink's staging sidecar.
 const TXN_MAGIC: [u8; 4] = *b"OSQT";
 
 /// Staged `(epoch, length)` entries the sidecar keeps after a commit.
@@ -834,7 +676,7 @@ const TXN_MAGIC: [u8; 4] = *b"OSQT";
 /// restorable; 64 leaves a wide margin while bounding sidecar growth.
 const TXN_RETAIN: usize = 64;
 
-/// Lifecycle of a transactional sink instance.
+/// Lifecycle of a file sink instance.
 enum TxnState {
     /// Built and bound, fate undecided: the first `write` starts a fresh
     /// output file; an `on_restore` recovers the previous incarnation's.
@@ -845,17 +687,19 @@ enum TxnState {
     Finished,
 }
 
-/// A two-phase file sink for exactly-once *sink files*, not just
-/// changelogs: rows append to the destination file as usual, but every
-/// checkpoint barrier durably stages the association `(epoch, committed
-/// byte length)` in a `<path>.txn` sidecar **before** the pipeline
-/// checkpoint itself is persisted, and `ack_checkpoint` commits it.
-/// Restoring epoch E in a fresh process truncates the file back to E's
-/// recorded length — discarding exactly the uncommitted staging the
-/// replay will regenerate — so a pipeline killed at any point and
-/// restored produces a destination file *byte-identical* to an
-/// uninterrupted run. A normal finish removes the sidecar, leaving the
-/// same final artifacts either way.
+/// The file sink, CSV (with or without a header) or JSON-lines, and the
+/// only one the `file` connector builds. It is two-phase, for
+/// exactly-once *sink files*, not just changelogs: rows append to the
+/// destination file as usual, but every checkpoint barrier durably
+/// stages the association `(epoch, committed byte length)` in a
+/// `<path>.txn` sidecar **before** the pipeline checkpoint itself is
+/// persisted, and `ack_checkpoint` commits it. Restoring epoch E in a
+/// fresh process truncates the file back to E's recorded length —
+/// discarding exactly the uncommitted staging the replay will
+/// regenerate — so a pipeline killed at any point and restored produces
+/// a destination file *byte-identical* to an uninterrupted run. A normal
+/// finish removes the sidecar, leaving the same final artifacts either
+/// way.
 ///
 /// The sidecar is framed like every durable-checkpoint file (magic +
 /// version + length + CRC, atomic tmp-rename; see
@@ -875,14 +719,14 @@ pub struct TxnFileSink {
 }
 
 impl TxnFileSink {
-    /// A transactional sink writing `path` (sidecar `path.txn`). No file
-    /// is touched until the first write (fresh start) or `on_restore`
-    /// (recovery) decides this instance's fate.
+    /// A CSV sink writing `path` (sidecar `path.txn`), with a header line
+    /// if `header`. No file is touched until the first write (fresh
+    /// start) or `on_restore` (recovery) decides this instance's fate.
     pub fn new(path: impl AsRef<Path>, mode: CsvSinkMode, header: bool) -> TxnFileSink {
         TxnFileSink::with_format(path, mode, LineFormat::Csv, header)
     }
 
-    /// A transactional JSON-lines sink.
+    /// A JSON-lines sink.
     pub fn json_lines(path: impl AsRef<Path>, mode: CsvSinkMode) -> TxnFileSink {
         TxnFileSink::with_format(path, mode, LineFormat::JsonLines, false)
     }
@@ -898,12 +742,7 @@ impl TxnFileSink {
         sidecar_name.push(".txn");
         let sidecar = path.with_file_name(sidecar_name);
         TxnFileSink {
-            renderer: LineRenderer::new(
-                format!("txnfile:{}", path.display()),
-                mode,
-                format,
-                header,
-            ),
+            renderer: LineRenderer::new(format!("file:{}", path.display()), mode, format, header),
             path,
             sidecar,
             header: None,
@@ -912,6 +751,26 @@ impl TxnFileSink {
             committed: 0,
             writer: None,
         }
+    }
+
+    /// Refuse a destination that cannot be written, so a pipeline fails
+    /// when it is built rather than at its first output row. Neither an
+    /// existing file nor a missing one changes: the probe removes the
+    /// file it creates.
+    pub(crate) fn check_writable(&self) -> Result<()> {
+        let probe = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&self.path);
+        match probe {
+            Ok(_) => std::fs::remove_file(&self.path),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => std::fs::OpenOptions::new()
+                .append(true)
+                .open(&self.path)
+                .map(drop),
+            Err(e) => Err(e),
+        }
+        .map_err(|e| self.err(format!("cannot create '{}': {e}", self.path.display())))
     }
 
     fn err(&self, msg: impl std::fmt::Display) -> onesql_types::Error {
@@ -954,10 +813,11 @@ impl TxnFileSink {
         Ok((committed, epochs))
     }
 
-    /// Fresh start: create (truncate) the destination, write the header,
-    /// record the txn baseline. Overwrites any stale sidecar from an
-    /// abandoned earlier run — the same truncate-and-redo a
-    /// non-transactional sink performs on its output file.
+    /// Fresh start: create (truncate) the destination and write the
+    /// header. A stale sidecar from an abandoned earlier run is overwritten
+    /// with the empty baseline, durably, so that no restore can cut the
+    /// new file to a length recorded for the old one. Without a sidecar
+    /// there is nothing to overwrite; the first checkpoint writes one.
     fn start_fresh(&mut self) -> Result<()> {
         let file = File::create(&self.path)
             .map_err(|e| self.err(format!("cannot create '{}': {e}", self.path.display())))?;
@@ -971,7 +831,9 @@ impl TxnFileSink {
         self.writer = Some(writer);
         self.epochs.clear();
         self.committed = 0;
-        self.write_sidecar()?;
+        if self.sidecar.exists() {
+            self.write_sidecar()?;
+        }
         self.state = TxnState::Active;
         Ok(())
     }
@@ -990,21 +852,19 @@ impl TxnFileSink {
         let writer = self
             .writer
             .as_mut()
-            .ok_or_else(|| Error::exec("transactional sink is active without an open writer"))?;
+            .ok_or_else(|| Error::exec("file sink is active without an open writer"))?;
         Ok((&mut self.renderer, writer))
     }
 
-    /// Flush buffered lines and return the file's current byte length.
-    fn flushed_len(&mut self) -> Result<u64> {
+    /// Flush buffered lines, sync the file and return its byte length.
+    fn synced_len(&mut self) -> Result<u64> {
         let (renderer, writer) = self.active()?;
-        writer
-            .flush()
-            .map_err(|e| Error::exec(format!("{}: flush error: {e}", renderer.name)))?;
-        let meta = writer
-            .get_ref()
-            .metadata()
-            .map_err(|e| Error::exec(format!("{}: cannot stat: {e}", renderer.name)))?;
-        Ok(meta.len())
+        let err =
+            |what: &str, e: std::io::Error| Error::exec(format!("{}: {what}: {e}", renderer.name));
+        writer.flush().map_err(|e| err("flush error", e))?;
+        let file = writer.get_ref();
+        file.sync_all().map_err(|e| err("sync error", e))?;
+        Ok(file.metadata().map_err(|e| err("cannot stat", e))?.len())
     }
 }
 
@@ -1038,15 +898,7 @@ impl Sink for TxnFileSink {
         // Phase one, durable *before* the checkpoint itself persists:
         // sync the data, then atomically stage (epoch, length). Whichever
         // epochs the store ends up retaining, their boundaries exist.
-        let len = self.flushed_len()?;
-        let writer = self
-            .writer
-            .as_mut()
-            .ok_or_else(|| Error::exec("transactional sink lost its writer after flush"))?;
-        writer
-            .get_ref()
-            .sync_all()
-            .map_err(|e| self.err(format!("sync error: {e}")))?;
+        let len = self.synced_len()?;
         if let Some(&(last, _)) = self.epochs.last() {
             if epoch <= last {
                 return Err(self.err(format!(
@@ -1083,8 +935,8 @@ impl Sink for TxnFileSink {
         }
         if !self.sidecar.exists() {
             return Err(self.err(format!(
-                "no transactional staging state at '{}'; was the previous run's \
-                 sink transactional and checkpointed?",
+                "no staging sidecar at '{}'; did the previous run checkpoint \
+                 into this file?",
                 self.sidecar.display()
             )));
         }
@@ -1127,26 +979,40 @@ impl Sink for TxnFileSink {
 
     fn flush(&mut self) -> Result<()> {
         // The pipeline finished: make the output final. An empty run
-        // still materializes the (header-only) file, exactly like the
-        // non-transactional sink; the sidecar is removed because there is
-        // no staging left to recover. The driver flushes sinks *before*
-        // acking final source offsets, so if a later finish step fails,
-        // the output here is already complete and durable — a subsequent
-        // restore attempt errors loudly on the missing sidecar rather
-        // than duplicating rows into a finished file.
-        self.flushed_len()?;
-        let writer = self
-            .writer
-            .as_mut()
-            .ok_or_else(|| Error::exec("transactional sink lost its writer after flush"))?;
-        writer
-            .get_ref()
-            .sync_all()
-            .map_err(|e| self.err(format!("sync error: {e}")))?;
-        std::fs::remove_file(&self.sidecar)
-            .map_err(|e| self.err(format!("cannot remove sidecar: {e}")))?;
+        // still materializes the (header-only) file; the sidecar is
+        // removed because there is no staging left to recover. The
+        // driver flushes sinks *before* acking final source offsets, so
+        // if a later finish step fails, the output here is already
+        // complete and durable — a subsequent restore attempt errors
+        // loudly on the missing sidecar rather than duplicating rows into
+        // a finished file.
+        self.synced_len()?;
+        match std::fs::remove_file(&self.sidecar) {
+            // A run that never checkpointed may never have written one.
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(self.err(format!("cannot remove sidecar: {e}")));
+            }
+            _ => {}
+        }
         self.state = TxnState::Finished;
         Ok(())
+    }
+}
+
+/// The CSV constructor the frozen benchmark harness (`perfbench/`)
+/// calls; every file sink is a [`TxnFileSink`].
+pub enum CsvFileSink {}
+
+impl CsvFileSink {
+    /// A [`TxnFileSink`] writing CSV with a header line to `path`; errors
+    /// if `path` cannot be written.
+    // The frozen harness names this constructor; the type it returns is
+    // the one file sink.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(path: impl AsRef<Path>, mode: CsvSinkMode) -> Result<TxnFileSink> {
+        let sink = TxnFileSink::new(path, mode, true);
+        sink.check_writable()?;
+        Ok(sink)
     }
 }
 
@@ -1562,7 +1428,7 @@ mod tests {
         let mut sink = TxnFileSink::new(&path, CsvSinkMode::Appends, false);
         sink.bind(out_schema()).unwrap();
         let err = sink.on_restore(1).unwrap_err().to_string();
-        assert!(err.contains("no transactional staging state"), "{err}");
+        assert!(err.contains("no staging sidecar"), "{err}");
 
         // Stage epoch 1, then ask for an epoch that was never staged.
         sink.write(&[stream_row(1)]).unwrap();
@@ -1582,6 +1448,17 @@ mod tests {
         sink.bind(out_schema()).unwrap();
         let err = sink.on_restore(1).unwrap_err().to_string();
         assert!(err.contains("committed output is missing"), "{err}");
+
+        // A fresh start voids the stale sidecar: its epoch 1 described the
+        // abandoned run's file, not the new one.
+        let mut sink = TxnFileSink::new(&path, CsvSinkMode::Appends, false);
+        sink.bind(out_schema()).unwrap();
+        sink.write(&[stream_row(5)]).unwrap();
+        drop(sink);
+        let mut sink = TxnFileSink::new(&path, CsvSinkMode::Appends, false);
+        sink.bind(out_schema()).unwrap();
+        let err = sink.on_restore(1).unwrap_err().to_string();
+        assert!(err.contains("epoch 1 was never staged"), "{err}");
     }
 
     #[test]
@@ -1678,10 +1555,21 @@ mod tests {
 
     #[test]
     fn json_lines_source_has_no_columnar_path() {
-        let path = scratch_file("rows.jsonl", "");
-        let mut source =
-            JsonLinesSource::new(&path, "Bid", schema(), FileSourceConfig::default()).unwrap();
-        assert!(source.poll_columns(16).unwrap().is_none());
+        // Its columns are its row poll through the rows-to-columns adaptor.
+        let content = "{\"bidtime\": 60000, \"price\": 2, \"item\": \"a\"}\n\
+                       {\"bidtime\": 30000, \"price\": 3, \"item\": null}\n";
+        let open = |name: &str| {
+            let path = scratch_file(name, content);
+            PartitionedFileSource::json_lines(&[path], "Bid", schema(), FileSourceConfig::default())
+                .unwrap()
+        };
+        let (mut rows, mut cols) = (open("rows.jsonl"), open("cols.jsonl"));
+        let adapted = ColumnarBatch::from_rows(rows.poll_partition(0, 16).unwrap()).unwrap();
+        let polled = cols.poll_partition_columns(0, 16).unwrap();
+        assert_eq!(polled.columns.len(), 2);
+        assert_eq!(polled.columns.events(), adapted.columns.events());
+        assert_eq!(polled.watermark, adapted.watermark);
+        assert_eq!(polled.status, adapted.status);
     }
 
     #[test]

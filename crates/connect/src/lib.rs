@@ -13,9 +13,9 @@
 //!
 //! | Connector | Kind | Purpose |
 //! |---|---|---|
-//! | [`CsvFileSource`] / [`CsvFileSink`] | file | schema-driven CSV ingestion and materialization |
-//! | [`JsonLinesSource`] / [`JsonLinesSink`] | file | JSON-lines with typed fields |
-//! | [`PartitionedFileSource`] | file | one partition per file |
+//! | [`CsvFileSource`] | file | schema-driven CSV ingestion |
+//! | [`PartitionedFileSource`] | file | one partition per CSV or JSON-lines file |
+//! | [`TxnFileSink`] | file | two-phase CSV or JSON-lines output, byte-identical after a restore |
 //! | [`channel()`] / [`channel_sink`] | memory | crossbeam-backed feeds for tests and multi-producer fan-in |
 //! | [`sharded_channel`] | memory | N channel shards as source partitions |
 //! | [`NexmarkSource`] | generator | the NEXMark Person/Auction/Bid workload as a source |
@@ -75,8 +75,7 @@ pub use channel::{
     ShardedChannelSource, SinkEvent,
 };
 pub use file::{
-    CsvFileSink, CsvFileSource, CsvSinkMode, FileSourceConfig, JsonLinesSink, JsonLinesSource,
-    PartitionedFileSource, TxnFileSink,
+    CsvFileSink, CsvFileSource, CsvSinkMode, FileSourceConfig, PartitionedFileSource, TxnFileSink,
 };
 pub use metrics::{metrics_schema, MetricsSource};
 pub use net::{

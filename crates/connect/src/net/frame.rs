@@ -2,6 +2,7 @@
 //! `BATCH` frame codec over `onesql_tvr::lanes`, and reading and writing
 //! whole frames.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -227,6 +228,8 @@ const EVENT_OVERHEAD: usize = lanes::ROW_BOUND + 2;
 #[derive(Default)]
 pub(super) struct FrameBuilder {
     runs: Vec<(u16, RunWriter)>,
+    /// Each run's index in `runs`, by (stream, arity).
+    index: HashMap<(u16, usize), usize>,
     /// Writers of earlier frames, kept for their buffers.
     spare: Vec<RunWriter>,
     /// Per event, the index of its run.
@@ -283,8 +286,8 @@ impl FrameBuilder {
     ) -> Result<()> {
         let fits = |(s, run): &(u16, RunWriter)| *s == stream && run.arity() == arity;
         if !self.runs.get(self.last).is_some_and(fits) {
-            self.last = match self.runs.iter().position(fits) {
-                Some(r) => r,
+            self.last = match self.index.get(&(stream, arity)) {
+                Some(&r) => r,
                 // The run count and the order lane's indices are u16s.
                 None if self.runs.len() >= usize::from(u16::MAX) => {
                     return Err(Error::exec(format!(
@@ -296,6 +299,7 @@ impl FrameBuilder {
                     let mut run = self.spare.pop().unwrap_or_default();
                     run.reset(arity);
                     self.runs.push((stream, run));
+                    self.index.insert((stream, arity), self.runs.len() - 1);
                     self.bytes += run_overhead(arity);
                     self.runs.len() - 1
                 }
@@ -341,6 +345,7 @@ impl FrameBuilder {
         put_flagged(out, (trace != 0).then_some(trace as i64));
         debug_assert!(out.len() - start <= self.bound());
         self.spare.extend(self.runs.drain(..).map(|(_, run)| run));
+        self.index.clear();
         self.order.clear();
         self.last = 0;
         self.clock = None;

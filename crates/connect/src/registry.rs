@@ -15,10 +15,13 @@
 //! | `net` | source | `addr` | `partitions`, `streams`, consumer-side net tuning |
 //! | `metrics` | source | `pipelines` | — |
 //! | `trace` | source | — | `pipelines` |
-//! | `file` | sink | `path` | `format`, `mode`, `header`, `transactional` |
+//! | `file` | sink | `path` | `format`, `mode`, `header`, `transactional` (`TRUE` only) |
 //! | `changelog` | sink | — | `path`, `watermarks` |
 //! | `channel` | sink | — | `capacity` |
 //! | `net` | sink | `addr`, `stream` | `partition`, producer-side net tuning |
+//!
+//! Every `file` sink is two-phase ([`TxnFileSink`]); its `transactional`
+//! key is accepted only as `TRUE`, for scripts that still say it.
 //!
 //! The full grammar and option tables live in `docs/SQL_REFERENCE.md`.
 
@@ -35,9 +38,7 @@ use onesql_types::{Duration, Error, Result, SchemaRef};
 
 use crate::changelog::ChangelogSink;
 use crate::channel::{channel_sink, sharded_channel};
-use crate::file::{
-    CsvFileSink, CsvSinkMode, FileSourceConfig, JsonLinesSink, PartitionedFileSource, TxnFileSink,
-};
+use crate::file::{CsvSinkMode, FileSourceConfig, PartitionedFileSource, TxnFileSink};
 use crate::net::{NetAddr, NetConfig, NetSink, NetSource, PartitionedNetSource};
 use crate::nexmark::PartitionedNexmarkSource;
 
@@ -446,14 +447,14 @@ impl SourceConnector for NetSourceConnector {
 // sinks
 // ---------------------------------------------------------------------------
 
-/// CSV / JSON-lines file sink.
+/// CSV / JSON-lines file sink, always two-phase ([`TxnFileSink`]).
 struct FileSinkConnector;
 
 impl FileSinkConnector {
     fn parse(
         spec: &SinkSpec,
         options: &mut OptionBag,
-    ) -> Result<(String, FileFormat, CsvSinkMode, bool, bool)> {
+    ) -> Result<(String, FileFormat, CsvSinkMode, bool)> {
         let path = options.require_str("path")?;
         let format = file_format(options)?;
         let mode = match options.opt_str("mode")?.as_deref() {
@@ -475,8 +476,15 @@ impl FileSinkConnector {
                 spec.name
             )));
         }
-        let transactional = options.opt_bool("transactional")?.unwrap_or(false);
-        Ok((path, format, mode, header.unwrap_or(true), transactional))
+        // Kept so scripts that say `transactional = TRUE` still run.
+        if options.opt_bool("transactional")? == Some(false) {
+            return Err(Error::plan(format!(
+                "sink '{}': option 'transactional' cannot be FALSE: every file \
+                 sink is two-phase (drop the option)",
+                spec.name
+            )));
+        }
+        Ok((path, format, mode, header.unwrap_or(true)))
     }
 }
 
@@ -491,21 +499,16 @@ impl SinkConnector for FileSinkConnector {
         options: &mut OptionBag,
         _exports: &mut Exports,
     ) -> Result<Box<dyn Sink>> {
-        let (path, format, mode, header, transactional) = Self::parse(spec, options)?;
-        if transactional {
-            // Two-phase mode: nothing is touched on disk until the first
-            // write (fresh run) or a RESTORE (recovery) decides whether
-            // this instance continues the previous incarnation's file.
-            return Ok(match format {
-                FileFormat::Csv => Box::new(TxnFileSink::new(&path, mode, header)),
-                FileFormat::JsonLines => Box::new(TxnFileSink::json_lines(&path, mode)),
-            });
-        }
-        Ok(match format {
-            FileFormat::Csv if header => Box::new(CsvFileSink::new(&path, mode)?),
-            FileFormat::Csv => Box::new(CsvFileSink::headerless(&path, mode)?),
-            FileFormat::JsonLines => Box::new(JsonLinesSink::new(&path, mode)?),
-        })
+        let (path, format, mode, header) = Self::parse(spec, options)?;
+        // The file keeps its bytes until the first write (fresh run) or a
+        // RESTORE (recovery) decides whether this instance continues the
+        // previous incarnation's file.
+        let sink = match format {
+            FileFormat::Csv => TxnFileSink::new(&path, mode, header),
+            FileFormat::JsonLines => TxnFileSink::json_lines(&path, mode),
+        };
+        sink.check_writable()?;
+        Ok(Box::new(sink))
     }
 }
 

@@ -1,9 +1,8 @@
-//! The file sinks' columnar path against the line renderer it stands
+//! The file sink's columnar path against the line renderer it stands
 //! beside: `write_batch` over a `StreamBatch` writes the bytes the row
 //! renderer wrote for the same rows — byte for byte, header included — and
-//! the bytes the sinks' own row `write` writes, in CSV with and without a
-//! header and JSON lines, in changelog and appends mode, plain and
-//! transactional. An appends-mode sink that meets an `undo` fails at the
+//! the bytes the sink's own row `write` writes, in CSV with and without a
+//! header and JSON lines, in changelog and appends mode. An appends-mode sink that meets an `undo` fails at the
 //! same row with the same error, the rows before it written.
 //!
 //! The oracle (`mod old`) is that renderer as it was before the sinks got
@@ -13,7 +12,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use onesql_connect::{CsvFileSink, CsvSinkMode, JsonLinesSink, Sink, TxnFileSink};
+use onesql_connect::{CsvSinkMode, Sink, TxnFileSink};
 use onesql_exec::{render_stream, StreamRenderer, StreamRow, STREAM_META_COLUMNS};
 use onesql_tvr::{Change, ChangeBatch, Changelog, TimedChange};
 use onesql_types::{DataType, Duration, Field, Row, Schema, SchemaRef, Ts, Value};
@@ -338,39 +337,21 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir.join(format!("{name}-{}-{case}", std::process::id()))
 }
 
-/// Every file sink, by how its bytes are framed: `(kind, json, header)`.
-const SINKS: [(&str, bool, bool); 5] = [
+/// Every file sink format, by how its bytes are framed: `(kind, json,
+/// header)`.
+const SINKS: [(&str, bool, bool); 3] = [
     ("csv", false, true),
     ("csv-headerless", false, false),
     ("json", true, false),
-    ("txn-csv", false, true),
-    ("txn-json", true, false),
 ];
 
 fn open(kind: &str, path: &std::path::Path, mode: CsvSinkMode) -> (Box<dyn Sink>, String) {
-    let name = |prefix: &str| format!("{prefix}:{}", path.display());
-    match kind {
-        "csv" => (
-            Box::new(CsvFileSink::new(path, mode).unwrap()),
-            name("file"),
-        ),
-        "csv-headerless" => (
-            Box::new(CsvFileSink::headerless(path, mode).unwrap()),
-            name("file"),
-        ),
-        "json" => (
-            Box::new(JsonLinesSink::new(path, mode).unwrap()),
-            name("file"),
-        ),
-        "txn-csv" => (
-            Box::new(TxnFileSink::new(path, mode, true)),
-            name("txnfile"),
-        ),
-        _ => (
-            Box::new(TxnFileSink::json_lines(path, mode)),
-            name("txnfile"),
-        ),
-    }
+    let sink = match kind {
+        "csv" => TxnFileSink::new(path, mode, true),
+        "csv-headerless" => TxnFileSink::new(path, mode, false),
+        _ => TxnFileSink::json_lines(path, mode),
+    };
+    (Box::new(sink), format!("file:{}", path.display()))
 }
 
 /// Write through a fresh sink of `kind`; the file's bytes and the error,

@@ -31,7 +31,7 @@
 //! [`crate::session`] implements one, registers its connector and runs it
 //! through a query end to end; [`replay`] is the scripted one tests use.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use onesql_exec::{StreamBatch, StreamRow};
 use onesql_time::{Watermark, WatermarkTracker};
@@ -216,6 +216,8 @@ impl SourceColumns {
             diffs: Vec<i64>,
         }
         let mut groups: Vec<Group> = Vec::new();
+        // Each group's index in `groups`, by (stream, arity).
+        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
         let mut order = Vec::with_capacity(events.len());
         let mut clock = Ts::MIN;
         let mut last = 0;
@@ -223,8 +225,8 @@ impl SourceColumns {
             let arity = event.change.row.arity();
             let same = |g: &Group| g.stream == event.stream && g.arity == arity;
             if !groups.get(last).is_some_and(same) {
-                last = match groups.iter().position(same) {
-                    Some(g) => g,
+                last = match index.get(&(event.stream, arity)) {
+                    Some(&g) => g,
                     None if groups.len() > usize::from(u16::MAX) => {
                         return Err(Error::exec(format!(
                             "a poll of {} events mixes more than {} (stream, arity) pairs",
@@ -241,6 +243,7 @@ impl SourceColumns {
                             ptimes: Vec::new(),
                             diffs: Vec::new(),
                         });
+                        index.insert((event.stream, arity), groups.len() - 1);
                         groups.len() - 1
                     }
                 };
@@ -1315,6 +1318,39 @@ mod tests {
             },
             ..DriverConfig::default()
         })
+    }
+
+    fn event(stream: usize, row: onesql_types::Row) -> SourceEvent {
+        SourceEvent {
+            stream,
+            ptime: Ts(0),
+            change: Change::insert(row),
+        }
+    }
+
+    #[test]
+    fn from_events_makes_a_batch_per_stream_and_arity_up_to_u16_max() {
+        use onesql_types::{row, Row};
+        let events = [
+            event(0, row!(1i64)),
+            event(1, row!(2i64)),
+            event(0, row!(3i64, 4i64)),
+            event(1, row!(5i64)),
+            event(0, row!(6i64)),
+        ];
+        let (batches, order) = SourceColumns::from_events(&events).unwrap().into_parts();
+        let shape: Vec<_> = batches.iter().map(|(s, b)| (*s, b.len())).collect();
+        assert_eq!(shape, [(0, 2), (1, 2), (0, 1)]);
+        assert_eq!(order, Some(vec![0, 1, 2, 1, 0]));
+
+        let mut events: Vec<SourceEvent> = (0..=usize::from(u16::MAX))
+            .map(|stream| event(stream, Row::new(vec![])))
+            .collect();
+        let columns = SourceColumns::from_events(&events).unwrap();
+        assert_eq!(columns.batches().len(), usize::from(u16::MAX) + 1);
+        events.push(event(0, row!(1i64)));
+        let err = SourceColumns::from_events(&events).unwrap_err().to_string();
+        assert!(err.contains("more than 65535"), "{err}");
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub fn all() -> Vec<(&'static str, &'static str)> {
 
 /// How one suite query runs as a *full-stack* SQL script (DDL + INSERT
 /// through `Session::execute_script`, partitioned NEXMark source,
-/// transactional file sink).
+/// two-phase file sink).
 #[derive(Debug, Clone, Copy)]
 pub struct FullStackSpec {
     /// Suite name (`q0` … `q8`).
@@ -141,7 +141,7 @@ impl Default for ScriptConfig {
 }
 
 /// Render one suite query as a complete SQL script: knobs, a NEXMark
-/// source (partitioned unless `config.partitions` is 0), a transactional
+/// source (partitioned unless `config.partitions` is 0), a (two-phase)
 /// CSV file sink at `sink_path`, and the `INSERT` that assembles the
 /// pipeline.
 pub fn full_stack_script(sql: &str, sink_path: &std::path::Path, config: &ScriptConfig) -> String {
@@ -157,7 +157,7 @@ pub fn full_stack_script(sql: &str, sink_path: &std::path::Path, config: &Script
          SET max_batch = {batch};
          CREATE{partitioned} SOURCE nex
            WITH (connector = 'nexmark', seed = {}, events = {}{partitions});
-         CREATE SINK out WITH (connector = 'file', path = '{}', transactional = TRUE);
+         CREATE SINK out WITH (connector = 'file', path = '{}');
          INSERT INTO out {} EMIT STREAM{};",
         config.workers,
         config.seed,

@@ -1,5 +1,5 @@
 //! Durable exactly-once recovery, scripted end to end: a pure-SQL
-//! NEXMark pipeline writes a transactional file sink, checkpoints to a
+//! NEXMark pipeline writes a (two-phase) file sink, checkpoints to a
 //! durable on-disk store mid-stream, gets "killed" (dropped, session and
 //! all), and a **fresh** session restores it purely via
 //! `RESTORE PIPELINE ... FROM '<path>'` — producing a sink file
@@ -22,7 +22,7 @@ fn script(sink: &Path) -> String {
          SET max_batch = 256;
          CREATE PARTITIONED SOURCE nex
            WITH (connector = 'nexmark', seed = 42, events = {EVENTS}, partitions = 4);
-         CREATE SINK out WITH (connector = 'file', path = '{}', transactional = TRUE);
+         CREATE SINK out WITH (connector = 'file', path = '{}');
          INSERT INTO out
            SELECT auction, price, dateTime FROM Bid WHERE price > 900 EMIT STREAM;",
         sink.display()

@@ -25,11 +25,10 @@ pub use onesql_core as core;
 
 pub use onesql_connect::{
     ChangelogSink, ChannelPublisher, ChannelSink, ChannelSource, ConnectorRegistry, CsvFileSink,
-    CsvFileSource, CsvSinkMode, DriverConfig, FileSourceConfig, JsonLinesSink, JsonLinesSource,
-    NetAddr, NetConfig, NetPublisher, NetSink, NetSource, NexmarkSource, PartitionedFileSource,
-    PartitionedNetSource, PartitionedNexmarkSource, PartitionedSource, PartitionedVec,
-    PipelineCheckpoint, PipelineDriver, PipelineMetrics, ScriptOutcome, Session,
-    ShardedChannelSource, Sink, Source, SourceBatch, SourceEvent, SourceStatus, SqlPipeline,
-    StatementResult, TxnFileSink,
+    CsvFileSource, CsvSinkMode, DriverConfig, FileSourceConfig, NetAddr, NetConfig, NetPublisher,
+    NetSink, NetSource, NexmarkSource, PartitionedFileSource, PartitionedNetSource,
+    PartitionedNexmarkSource, PartitionedSource, PartitionedVec, PipelineCheckpoint,
+    PipelineDriver, PipelineMetrics, ScriptOutcome, Session, ShardedChannelSource, Sink, Source,
+    SourceBatch, SourceEvent, SourceStatus, SqlPipeline, StatementResult, TxnFileSink,
 };
 pub use onesql_core::{CheckpointStore, Engine, HistoryEvent, HistoryTap, StreamBuilder};

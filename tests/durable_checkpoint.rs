@@ -367,29 +367,36 @@ fn checkpoint_statement_requires_a_known_pipeline() {
 // Every pipeline checkpoints: a non-partitioned source, one inline worker.
 // ---------------------------------------------------------------------------
 
+/// A windowed `GROUP BY`: its output retracts, so it needs a changelog.
+const WINDOWED_COUNTS: &str = "SELECT auction, wend, COUNT(*), SUM(price)
+       FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
+                   dur => INTERVAL '10' SECOND)
+       GROUP BY auction, wend EMIT STREAM";
+
+/// A filter: its output only inserts, so an appends-mode sink takes it.
+const HIGH_BIDS: &str = "SELECT auction, price, bidtime FROM Bid WHERE price > 16";
+
 /// A non-partitioned CSV `file` source — the columnar poll path — through
-/// a windowed `GROUP BY` into a transactional file sink.
-fn csv_script(input: &Path, sink_path: &Path) -> String {
+/// `query` into a `file` sink with the extra `WITH` options `sink`.
+fn csv_script(input: &Path, sink_path: &Path, sink: &str, query: &str) -> String {
     format!(
         "SET batch_size = 32;
          SET max_batch = 32;
          CREATE SOURCE Bid (auction INT, price INT, bidtime TIMESTAMP, WATERMARK FOR bidtime)
            WITH (connector = 'file', path = '{}');
-         CREATE SINK out WITH (connector = 'file', path = '{}', transactional = TRUE);
-         INSERT INTO out
-           SELECT auction, wend, COUNT(*), SUM(price)
-           FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
-                       dur => INTERVAL '10' SECOND)
-           GROUP BY auction, wend EMIT STREAM;",
+         CREATE SINK out WITH (connector = 'file', path = '{}'{sink});
+         INSERT INTO out {query};",
         input.display(),
         sink_path.display()
     )
 }
 
-#[test]
-fn plain_csv_pipeline_checkpoints_and_restores_through_sql() {
+/// Run the CSV pipeline once uninterrupted, and once checkpointed at a
+/// third of the input, killed at half and restored in a fresh session:
+/// the two sink files must be byte-identical.
+fn assert_kill_restore_is_byte_identical(name: &str, sink: &str, query: &str) {
     const ROWS: u64 = 600;
-    let dir = scratch_dir("plain-csv");
+    let dir = scratch_dir(name);
     let input = dir.join("bids.csv");
     let csv: String = (0..ROWS)
         .map(|i| format!("{},{},{}\n", i % 7, 10 + i % 13, i * 250))
@@ -397,13 +404,13 @@ fn plain_csv_pipeline_checkpoints_and_restores_through_sql() {
     std::fs::write(&input, csv).unwrap();
     let (store, reference, recovered) = (
         dir.join("store"),
-        dir.join("reference.csv"),
-        dir.join("recovered.csv"),
+        dir.join("reference.out"),
+        dir.join("recovered.out"),
     );
-    let assemble = |sink: &Path| {
+    let assemble = |out: &Path| {
         let mut s = session();
         let pipeline = s
-            .execute_script(&csv_script(&input, sink))
+            .execute_script(&csv_script(&input, out, sink, query))
             .unwrap()
             .into_pipeline()
             .unwrap();
@@ -440,17 +447,60 @@ fn plain_csv_pipeline_checkpoints_and_restores_through_sql() {
     let mut s2 = session();
     let script = format!(
         "{} RESTORE PIPELINE out FROM '{}';",
-        csv_script(&input, &recovered),
+        csv_script(&input, &recovered, sink, query),
         store.display()
     );
     let mut restored = s2.execute_script(&script).unwrap().into_pipeline().unwrap();
     assert!(restored.events_in() >= ROWS / 3 && restored.events_in() < ROWS / 2);
     restored.run().unwrap();
-    assert_eq!(
-        std::fs::read(&recovered).unwrap(),
-        expected,
-        "the killed-and-restored sink file differs from the uninterrupted run's"
+    let got = std::fs::read(&recovered).unwrap();
+    assert!(
+        got == expected,
+        "{name}: the killed-and-restored sink file differs from the uninterrupted \
+         run's: {} of {} lines, {} of {} bytes",
+        got.split(|&b| b == b'\n').count() - 1,
+        expected.split(|&b| b == b'\n').count() - 1,
+        got.len(),
+        expected.len()
     );
+}
+
+#[test]
+fn plain_csv_pipeline_checkpoints_and_restores_through_sql() {
+    // The compatibility key: `TRUE` is what every file sink does.
+    assert_kill_restore_is_byte_identical("plain-csv", ", transactional = TRUE", WINDOWED_COUNTS);
+}
+
+/// Every `file` sink is two-phase: with default options, without a
+/// header, and in JSON-lines in both modes.
+#[test]
+fn a_file_sink_is_byte_identical_after_restore_whatever_its_options() {
+    for (name, sink, query) in [
+        ("default-sink", "", WINDOWED_COUNTS),
+        ("headerless", ", header = FALSE", WINDOWED_COUNTS),
+        ("jsonl-changelog", ", format = 'jsonl'", WINDOWED_COUNTS),
+        (
+            "jsonl-appends",
+            ", format = 'jsonl', mode = 'appends'",
+            HIGH_BIDS,
+        ),
+    ] {
+        assert_kill_restore_is_byte_identical(name, sink, query);
+    }
+}
+
+#[test]
+fn transactional_false_is_refused_naming_the_key() {
+    let dir = scratch_dir("txn-false");
+    let mut s = session();
+    let err = s
+        .execute(&format!(
+            "CREATE SINK out WITH (connector = 'file', path = '{}', transactional = FALSE)",
+            dir.join("out.csv").display()
+        ))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("'transactional'"), "{err}");
 }
 
 // ---------------------------------------------------------------------------
