@@ -12,7 +12,7 @@
 use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use onesql_core::connect::Sink;
@@ -21,6 +21,14 @@ use onesql_time::Watermark;
 use onesql_types::{Error, Result, SchemaRef};
 
 enum Target {
+    /// A file, created (truncated) at its first line — the header, held
+    /// back from `bind` — so a sink that is built and then refused a
+    /// restore leaves what the killed run wrote untouched.
+    File {
+        path: PathBuf,
+        header: Option<String>,
+        writer: Option<BufWriter<File>>,
+    },
     Writer(Box<dyn Write + Send>),
     Shared(Arc<Mutex<String>>),
 }
@@ -51,14 +59,24 @@ impl ChangelogSink {
         }
     }
 
-    /// Render to a file at `path`.
+    /// Render to a file at `path`. Building only probes that the path can
+    /// be written; the file is truncated at the first line.
     pub fn to_file(path: impl AsRef<Path>) -> Result<ChangelogSink> {
         let path = path.as_ref();
-        let file = File::create(path)
-            .map_err(|e| Error::exec(format!("cannot create '{}': {e}", path.display())))?;
-        let mut sink = ChangelogSink::to_writer(BufWriter::new(file));
-        sink.name = format!("changelog:{}", path.display());
-        Ok(sink)
+        let name = format!("changelog:{}", path.display());
+        crate::file::check_writable(path).map_err(|e| Error::exec(format!("{name}: {e}")))?;
+        Ok(ChangelogSink {
+            name,
+            target: Target::File {
+                path: path.to_path_buf(),
+                header: None,
+                writer: None,
+            },
+            show_watermarks: false,
+            columns: Vec::new(),
+            ptime: String::new(),
+            data: String::new(),
+        })
     }
 
     /// Render into a shared string buffer; returns `(buffer, sink)`.
@@ -86,10 +104,17 @@ impl ChangelogSink {
     /// Write one line. Over the two fields it needs, not `self`, so
     /// `write` can format from its row buffers while it emits.
     fn emit(target: &mut Target, name: &str, line: fmt::Arguments<'_>) -> Result<()> {
+        let write_error = |e| Error::exec(format!("{name}: write error: {e}"));
         match target {
-            Target::Writer(w) => {
-                writeln!(w, "{line}").map_err(|e| Error::exec(format!("{name}: write error: {e}")))
+            Target::File {
+                path,
+                header,
+                writer,
+            } => {
+                let w = ChangelogSink::open(path, header, writer, name)?;
+                writeln!(w, "{line}").map_err(write_error)
             }
+            Target::Writer(w) => writeln!(w, "{line}").map_err(write_error),
             Target::Shared(buf) => {
                 let mut buf = buf
                     .lock()
@@ -99,6 +124,30 @@ impl ChangelogSink {
                 Ok(())
             }
         }
+    }
+
+    /// A file target's writer, creating the file and writing the
+    /// held-back header first if this is its first use.
+    fn open<'w>(
+        path: &Path,
+        header: &mut Option<String>,
+        writer: &'w mut Option<BufWriter<File>>,
+        name: &str,
+    ) -> Result<&'w mut BufWriter<File>> {
+        if writer.is_none() {
+            let file = File::create(path).map_err(|e| {
+                Error::exec(format!("{name}: cannot create '{}': {e}", path.display()))
+            })?;
+            let mut w = BufWriter::new(file);
+            if let Some(header) = header.take() {
+                writeln!(w, "{header}")
+                    .map_err(|e| Error::exec(format!("{name}: write error: {e}")))?;
+            }
+            *writer = Some(w);
+        }
+        writer
+            .as_mut()
+            .ok_or_else(|| Error::exec(format!("{name}: file is not open")))
     }
 }
 
@@ -110,6 +159,10 @@ impl Sink for ChangelogSink {
     fn bind(&mut self, schema: SchemaRef) -> Result<()> {
         self.columns = schema.names().iter().map(|n| n.to_string()).collect();
         let columns = self.columns.join(", ");
+        if let Target::File { header, .. } = &mut self.target {
+            *header = Some(format!("-- changelog of ({columns})"));
+            return Ok(());
+        }
         let header = format_args!("-- changelog of ({columns})");
         ChangelogSink::emit(&mut self.target, &self.name, header)
     }
@@ -140,11 +193,36 @@ impl Sink for ChangelogSink {
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<()> {
-        if let Target::Writer(w) = &mut self.target {
-            w.flush()
-                .map_err(|e| Error::exec(format!("{}: flush error: {e}", self.name)))?;
+    /// A restored pipeline would append to a file it has not recovered —
+    /// or truncate it at the first line — so a restore into a file is
+    /// refused before anything is written. The two-phase `file` connector
+    /// is the one that resumes a file.
+    fn on_restore(&mut self, _epoch: u64) -> Result<()> {
+        if let Target::File { path, .. } = &self.target {
+            return Err(Error::unsupported(format!(
+                "{}: the 'changelog' connector cannot resume '{}' after a restore \
+                 (it would lose the rows the checkpointed run wrote); write to a \
+                 sink with connector = 'file', which is two-phase",
+                self.name,
+                path.display()
+            )));
         }
         Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        let name = &self.name;
+        let w: &mut dyn Write = match &mut self.target {
+            // An empty run still leaves its header-only file.
+            Target::File {
+                path,
+                header,
+                writer,
+            } => ChangelogSink::open(path, header, writer, name)?,
+            Target::Writer(w) => w,
+            Target::Shared(_) => return Ok(()),
+        };
+        w.flush()
+            .map_err(|e| Error::exec(format!("{name}: flush error: {e}")))
     }
 }

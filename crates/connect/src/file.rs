@@ -667,6 +667,25 @@ impl LineRenderer {
 // The file sink: two-phase
 // ---------------------------------------------------------------------------
 
+/// Refuse a destination that cannot be written, so a pipeline fails when
+/// it is built rather than at its first output row. Neither an existing
+/// file nor a missing one changes: the probe removes the file it creates.
+pub(crate) fn check_writable(path: &Path) -> std::result::Result<(), String> {
+    let probe = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(path);
+    match probe {
+        Ok(_) => std::fs::remove_file(path),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map(drop),
+        Err(e) => Err(e),
+    }
+    .map_err(|e| format!("cannot create '{}': {e}", path.display()))
+}
+
 /// Magic opening a file sink's staging sidecar.
 const TXN_MAGIC: [u8; 4] = *b"OSQT";
 
@@ -753,24 +772,9 @@ impl TxnFileSink {
         }
     }
 
-    /// Refuse a destination that cannot be written, so a pipeline fails
-    /// when it is built rather than at its first output row. Neither an
-    /// existing file nor a missing one changes: the probe removes the
-    /// file it creates.
+    /// Refuse a destination that cannot be written ([`check_writable`]).
     pub(crate) fn check_writable(&self) -> Result<()> {
-        let probe = std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&self.path);
-        match probe {
-            Ok(_) => std::fs::remove_file(&self.path),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => std::fs::OpenOptions::new()
-                .append(true)
-                .open(&self.path)
-                .map(drop),
-            Err(e) => Err(e),
-        }
-        .map_err(|e| self.err(format!("cannot create '{}': {e}", self.path.display())))
+        check_writable(&self.path).map_err(|e| self.err(e))
     }
 
     fn err(&self, msg: impl std::fmt::Display) -> onesql_types::Error {

@@ -21,7 +21,8 @@
 //! | `net` | sink | `addr`, `stream` | `partition`, producer-side net tuning |
 //!
 //! Every `file` sink is two-phase ([`TxnFileSink`]); its `transactional`
-//! key is accepted only as `TRUE`, for scripts that still say it.
+//! key is accepted only as `TRUE`, for scripts that still say it. A
+//! `changelog` sink with a `path` is not, and refuses a restore.
 //!
 //! The full grammar and option tables live in `docs/SQL_REFERENCE.md`.
 

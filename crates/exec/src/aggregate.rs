@@ -122,7 +122,8 @@ impl Accumulator {
 
     /// Merge another accumulator of the same shape into this one (used by
     /// session-window merging, where two sessions' partial aggregates
-    /// combine). Panics if the shapes differ (same plan ⇒ same shape).
+    /// combine). Panics if the shapes differ: one plan builds one shape,
+    /// and a restore refuses accumulators that do not fit the plan.
     pub fn merge(&mut self, other: &Accumulator) {
         assert_eq!(self.func, other.func, "accumulator shape mismatch");
         assert_eq!(self.distinct, other.distinct, "accumulator shape mismatch");
@@ -231,6 +232,39 @@ impl Accumulator {
     }
 }
 
+/// Refuse restored accumulators that are not the ones `aggs` builds — one
+/// per call, of its function, `DISTINCT` and `COUNT(*)` — so a checkpoint
+/// of another plan is a typed error, not an index or shape panic at the
+/// next change.
+pub(crate) fn check_accumulators(accs: &[Accumulator], aggs: &[AggCall]) -> Result<()> {
+    let fits = accs.len() == aggs.len()
+        && accs.iter().zip(aggs).all(|(acc, call)| {
+            (acc.func, acc.distinct, acc.count_star)
+                == (call.func, call.distinct, call.arg.is_none())
+        });
+    if fits {
+        return Ok(());
+    }
+    let shape = |func: AggFunc, distinct: bool, star: bool| {
+        let distinct = if distinct { "DISTINCT " } else { "" };
+        let arg = if star { "*" } else { "x" };
+        format!("{}({distinct}{arg})", func.name())
+    };
+    let found: Vec<String> = accs
+        .iter()
+        .map(|a| shape(a.func, a.distinct, a.count_star))
+        .collect();
+    let wanted: Vec<String> = aggs
+        .iter()
+        .map(|c| shape(c.func, c.distinct, c.arg.is_none()))
+        .collect();
+    Err(Error::exec(format!(
+        "checkpoint does not match the plan: it holds aggregates [{}], the plan computes [{}]",
+        found.join(", "),
+        wanted.join(", ")
+    )))
+}
+
 impl Codec for Accumulator {
     fn encode(&self, buf: &mut bytes::BytesMut) {
         let func_tag: u8 = match self.func {
@@ -320,14 +354,6 @@ impl GroupState {
             live_rows: 0,
         }
     }
-
-    /// Append the current value of every aggregate to `out`.
-    fn values_into(&self, out: &mut Vec<Value>) -> Result<()> {
-        for acc in &self.accs {
-            out.push(acc.value()?);
-        }
-        Ok(())
-    }
 }
 
 impl Codec for GroupState {
@@ -340,6 +366,54 @@ impl Codec for GroupState {
             accs: Vec::decode(input)?,
             live_rows: i64::decode(input)?,
         })
+    }
+}
+
+/// Where [`Aggregate::fold`] reports a group's output row: its aggregate
+/// values before the change (when it had a row) and after (when it has
+/// one).
+trait FoldSink {
+    fn before(&mut self, accs: &[Accumulator]) -> Result<()>;
+    fn after(&mut self, accs: &[Accumulator]) -> Result<()>;
+}
+
+/// The row oracle's sink: the values, as rows will hold them.
+#[derive(Default)]
+struct RowValues {
+    old: Vec<Value>,
+    new: Vec<Value>,
+}
+
+impl FoldSink for RowValues {
+    fn before(&mut self, accs: &[Accumulator]) -> Result<()> {
+        values_into(accs, &mut self.old)
+    }
+    fn after(&mut self, accs: &[Accumulator]) -> Result<()> {
+        values_into(accs, &mut self.new)
+    }
+}
+
+fn values_into(accs: &[Accumulator], out: &mut Vec<Value>) -> Result<()> {
+    for acc in accs {
+        out.push(acc.value()?);
+    }
+    Ok(())
+}
+
+/// The batch path's sink: row `i` of `batch` writes its retract and its
+/// insert straight into the output columns.
+struct BatchRow<'a> {
+    output: &'a mut FoldOutput,
+    batch: &'a ChangeBatch,
+    i: usize,
+}
+
+impl FoldSink for BatchRow<'_> {
+    fn before(&mut self, accs: &[Accumulator]) -> Result<()> {
+        self.output.push(self.batch, self.i, -1, accs)
+    }
+    fn after(&mut self, accs: &[Accumulator]) -> Result<()> {
+        self.output.push(self.batch, self.i, 1, accs)
     }
 }
 
@@ -368,16 +442,52 @@ impl FoldOutput {
         }
     }
 
-    /// One output row of `batch`'s logical row `i`, draining its aggregate
-    /// values out of `values`.
-    fn push(&mut self, batch: &ChangeBatch, i: usize, diff: i64, values: &mut Vec<Value>) {
-        self.rows.push(i as u32);
-        for (column, value) in self.aggs.iter_mut().zip(values.drain(..)) {
-            column.push(value);
+    /// One output row of `batch`'s logical row `i`, with the aggregate
+    /// values of `accs`. On an error no row is left half written.
+    fn push(
+        &mut self,
+        batch: &ChangeBatch,
+        i: usize,
+        diff: i64,
+        accs: &[Accumulator],
+    ) -> Result<()> {
+        let n = self.rows.len();
+        for (j, acc) in accs.iter().enumerate() {
+            match acc.value() {
+                Ok(value) => self.aggs[j].push(value),
+                Err(e) => {
+                    self.aggs[..j]
+                        .iter_mut()
+                        .for_each(|column| column.truncate(n));
+                    return Err(e);
+                }
+            }
         }
+        self.rows.push(i as u32);
         self.diffs.push(diff);
         self.ptimes.push(batch.ptime(i));
         self.origins.push(batch.origin(i));
+        Ok(())
+    }
+
+    /// Drop the last two rows — a retract and an insert of one group —
+    /// when their aggregate values are equal: the change left the group's
+    /// output row as it was.
+    fn drop_unchanged_pair(&mut self) {
+        let n = self.rows.len();
+        let same = self
+            .aggs
+            .iter()
+            .all(|column| column.value(n - 2) == column.value(n - 1));
+        if same {
+            for column in &mut self.aggs {
+                column.truncate(n - 2);
+            }
+            self.rows.truncate(n - 2);
+            self.diffs.truncate(n - 2);
+            self.ptimes.truncate(n - 2);
+            self.origins.truncate(n - 2);
+        }
     }
 
     /// The batch: group-key columns (`keys`, as evaluated over the input)
@@ -491,10 +601,10 @@ impl Aggregate {
         Ok(false)
     }
 
-    /// Fold one change into the group `key` names — found in one descent
-    /// by the borrowed values; a key row and a fresh group are built only
-    /// on the group's first sight — and leave the aggregate values of its
-    /// output row before and after the change in `old` and `new`. Returns
+    /// Fold one change into the group `key` names — found in one hashed
+    /// probe by the borrowed values; a key row and a fresh group are built
+    /// only on the group's first sight — and hand `sink` the accumulators
+    /// of its output row before and after the change. Returns
     /// whether the group had an output row before, and whether it has one
     /// now. `arg(j)` is the change's argument to aggregate `j` (`None` for
     /// `COUNT(*)`). Shared by the per-row and batch paths so their
@@ -504,18 +614,15 @@ impl Aggregate {
         key: &[Value],
         arg: impl Fn(usize) -> Option<Value>,
         diff: i64,
-        old: &mut Vec<Value>,
-        new: &mut Vec<Value>,
+        sink: &mut impl FoldSink,
     ) -> Result<(bool, bool)> {
         // The global group (no GROUP BY) shows a row even when empty.
         let is_global = self.group_exprs.is_empty();
-        old.clear();
-        new.clear();
         let (group, had_row) = match self.state.get_mut(key) {
             Some(group) => {
                 let had_row = group.live_rows > 0 || is_global;
                 if had_row {
-                    group.values_into(old)?;
+                    sink.before(&group.accs)?;
                 }
                 (group, had_row)
             }
@@ -532,7 +639,7 @@ impl Aggregate {
         }
         let has_row = group.live_rows > 0 || is_global;
         if has_row {
-            group.values_into(new)?;
+            sink.after(&group.accs)?;
         } else {
             self.state.remove(key);
         }
@@ -549,8 +656,9 @@ impl Aggregate {
         diff: i64,
         out: &mut Vec<Element>,
     ) -> Result<()> {
-        let (mut old, mut new) = (Vec::new(), Vec::new());
-        let (had_row, has_row) = self.fold(key, |j| args[j].clone(), diff, &mut old, &mut new)?;
+        let mut values = RowValues::default();
+        let (had_row, has_row) = self.fold(key, |j| args[j].clone(), diff, &mut values)?;
+        let RowValues { old, new } = values;
         if had_row == has_row && old == new {
             return Ok(());
         }
@@ -600,7 +708,7 @@ impl Operator for Aggregate {
         if self.group_exprs.is_empty() {
             let group = GroupState::fresh(&self.aggs);
             let mut initial = Vec::new();
-            group.values_into(&mut initial)?;
+            values_into(&group.accs, &mut initial)?;
             self.state.put(Row::empty(), group);
             out.push(Element::insert(Row::new(initial)));
         }
@@ -652,8 +760,10 @@ impl Operator for Aggregate {
     /// in order, because every change emits against the state the changes
     /// before it left. Nothing is built per row: the key is read into one
     /// reused buffer, arguments go from their columns to the accumulators,
+    /// aggregate values go from the accumulators to the output columns,
     /// and the output — the per-change retract/insert sequence the
-    /// changelog encodes — is gathered into one columnar batch.
+    /// changelog encodes, a pair whose values are equal taken back — is
+    /// gathered into one columnar batch.
     fn process_batch(
         &mut self,
         port: usize,
@@ -674,7 +784,6 @@ impl Operator for Aggregate {
         let n = batch.len();
         let mut output = FoldOutput::new(self.aggs.len(), 2 * n);
         let mut key = Vec::with_capacity(keys.len());
-        let (mut old, mut new) = (Vec::new(), Vec::new());
         let mut failed = None;
         for i in 0..n {
             key.clear();
@@ -684,17 +793,15 @@ impl Operator for Aggregate {
                 if late {
                     return Ok((false, false));
                 }
-                self.fold(&key, arg, batch.diff(i), &mut old, &mut new)
+                let mut sink = BatchRow {
+                    output: &mut output,
+                    batch,
+                    i,
+                };
+                self.fold(&key, arg, batch.diff(i), &mut sink)
             });
             match change {
-                Ok((had_row, has_row)) if had_row != has_row || old != new => {
-                    if had_row {
-                        output.push(batch, i, -1, &mut old);
-                    }
-                    if has_row {
-                        output.push(batch, i, 1, &mut new);
-                    }
-                }
+                Ok((true, true)) => output.drop_unchanged_pair(),
                 Ok(_) => {}
                 Err(e) => {
                     failed = Some((i, e));
@@ -731,9 +838,23 @@ impl Operator for Aggregate {
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()> {
         let (wm, late, state_bytes): (Ts, u64, bytes::Bytes) = Codec::from_bytes(&checkpoint.0)?;
+        let mut state: KeyedState<GroupState> = KeyedState::new();
+        state.restore(&Checkpoint(state_bytes))?;
+        for (key, group) in state.iter() {
+            if key.arity() != self.group_exprs.len() {
+                return Err(Error::exec(format!(
+                    "checkpoint does not match the plan: a group key has {} columns, \
+                     the plan groups by {}",
+                    key.arity(),
+                    self.group_exprs.len()
+                )));
+            }
+            check_accumulators(&group.accs, &self.aggs)?;
+        }
         self.watermark = Watermark(wm);
         self.late_dropped = late;
-        self.state.restore(&Checkpoint(state_bytes))
+        self.state = state;
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -988,6 +1109,133 @@ mod tests {
         let out = push(&mut agg, Element::watermark(Ts::hm(8, 5)));
         assert!(out.is_empty());
     }
+
+    #[test]
+    fn restore_refuses_accumulators_the_plan_does_not_build() {
+        let mut source = source_shape_with(|_| {});
+        push(&mut source, Element::insert(row!("w1", 2i64)));
+        let cp = source.checkpoint().unwrap().unwrap();
+
+        // MAX alone: one accumulator too many.
+        let mut fewer = agg_max_by_key();
+        let err = fewer.restore(&cp).unwrap_err().to_string();
+        assert!(err.contains("does not match the plan"), "{err}");
+        assert!(err.contains("MAX(x), COUNT(*)"), "{err}");
+        // Nothing was restored: the operator still folds from empty.
+        assert_eq!(fewer.state_metrics().keys, 0);
+        let out = push(&mut fewer, Element::insert(row!("w1", 3i64)));
+        assert_eq!(out, vec![Element::insert(row!("w1", 3i64))]);
+
+        // Same count, other function; other DISTINCT; other key arity.
+        let mut min = source_shape_with(|aggs| aggs[0].func = AggFunc::Min);
+        let mut count_col = source_shape_with(|aggs| aggs[1].arg = Some(ScalarExpr::col(1)));
+        let mut distinct = source_shape_with(|aggs| aggs[0].distinct = true);
+        let mut wider = source_shape_with(|_| {});
+        wider.group_exprs.push(ScalarExpr::col(1));
+        for op in [&mut min, &mut count_col, &mut distinct, &mut wider] {
+            let err = op.restore(&cp).unwrap_err().to_string();
+            assert!(err.contains("does not match the plan"), "{err}");
+        }
+        // The plan it came from takes it.
+        let mut same = source_shape_with(|_| {});
+        same.restore(&cp).unwrap();
+        assert_eq!(same.state_metrics().keys, 1);
+    }
+
+    /// GROUP BY col0: MAX(col1), COUNT(*), with `edit` applied to the calls.
+    fn source_shape_with(edit: impl FnOnce(&mut Vec<AggCall>)) -> Aggregate {
+        let mut aggs = vec![
+            AggCall {
+                func: AggFunc::Max,
+                arg: Some(ScalarExpr::col(1)),
+                distinct: false,
+            },
+            AggCall {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+            },
+        ];
+        edit(&mut aggs);
+        Aggregate::new(vec![ScalarExpr::col(0)], aggs, None, Duration::ZERO)
+    }
+
+    /// An `Aggregate` checkpoint, pinned byte for byte: groups first seen
+    /// out of key order, one emptied by a retraction, a `MAX` multiset and
+    /// an advanced watermark. The groups are hashed in memory; the
+    /// checkpoint still writes them in key order.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let mut agg = Aggregate::new(
+            vec![ScalarExpr::col(0), ScalarExpr::col(1)],
+            vec![
+                AggCall {
+                    func: AggFunc::Count,
+                    arg: None,
+                    distinct: false,
+                },
+                AggCall {
+                    func: AggFunc::Max,
+                    arg: Some(ScalarExpr::col(2)),
+                    distinct: false,
+                },
+            ],
+            None,
+            Duration::ZERO,
+        );
+        for (key, n, price, diff) in [
+            ("w", 3i64, 7i64, 1),
+            ("b", 9, 2, 1),
+            ("w", 3, 9, 1),
+            ("a", 1, 4, 1),
+            ("z", 0, 1, 1),
+            ("w", 3, 7, -1),
+            ("z", 0, 1, -1),
+            ("b", 2, 5, 1),
+        ] {
+            let row = row!(key, n, price);
+            let change = if diff > 0 {
+                Element::insert(row)
+            } else {
+                Element::retract(row)
+            };
+            push(&mut agg, change);
+        }
+        push(&mut agg, Element::watermark(Ts::hm(8, 10)));
+        let bytes = agg.checkpoint().unwrap().unwrap().0;
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let lines: Vec<&str> = (0..hex.len())
+            .step_by(64)
+            .map(|i| &hex[i..hex.len().min(i + 64)])
+            .collect();
+        assert_eq!(lines, GOLDEN_CHECKPOINT, "the checkpoint's bytes moved");
+    }
+
+    /// `checkpoint_bytes_are_pinned`'s checkpoint in hex, 32 bytes a line,
+    /// as the ordered-tree state wrote it.
+    const GOLDEN_CHECKPOINT: &[&str] = &[
+        "c09bc00100000000000000000000000080020000000000000400000000000000",
+        "0200000000000000040100000000000000610201000000000000000200000000",
+        "0000000000010100000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000003000001000000000000000100000000",
+        "0000000400000000000000000000000000000000000000000010400101010000",
+        "0000000000020400000000000000010000000000000001000000000000000200",
+        "0000000000000401000000000000006202020000000000000002000000000000",
+        "0000000101000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000030000010000000000000001000000000000",
+        "0005000000000000000000000000000000000000000000144001010100000000",
+        "0000000205000000000000000100000000000000010000000000000002000000",
+        "0000000004010000000000000062020900000000000000020000000000000000",
+        "0001010000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000300000100000000000000010000000000000002",
+        "0000000000000000000000000000000000000000000040010101000000000000",
+        "0002020000000000000001000000000000000100000000000000020000000000",
+        "0000040100000000000000770203000000000000000200000000000000000001",
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000003000001000000000000000100000000000000090000",
+        "0000000000000000000000000000000000000022400101010000000000000002",
+        "090000000000000001000000000000000100000000000000",
+    ];
 
     #[test]
     fn min_max_empty_is_null() {

@@ -20,11 +20,9 @@
 //!   [`StreamBatch`], without building them.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hasher};
 
-use onesql_state::{Checkpoint, Codec, StateMetrics};
+use onesql_state::{Checkpoint, Codec, MulRotate, StateMetrics};
 use onesql_time::Watermark;
 use onesql_tvr::changelog::Segment;
 use onesql_tvr::{Change, Changelog, Element, TimedChange};
@@ -412,43 +410,6 @@ pub fn render_stream<E: Borrow<TimedChange>>(
     Ok(out)
 }
 
-/// The renderer's hasher: multiply-rotate (FxHash's scheme), a multiply
-/// per word where SipHash runs rounds. Grouping values come from the
-/// input, so it starts from a seed drawn once per renderer and folds the
-/// full product at the end, making the low bits a table indexes by depend
-/// on every bit. It is its own builder: the seed is the starting state.
-#[derive(Clone, Copy)]
-struct MulRotate(u64);
-
-const MUL_ROTATE_K: u64 = 0xf135_7aea_2e62_a9c5;
-
-impl Hasher for MulRotate {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(MUL_ROTATE_K);
-    }
-
-    fn finish(&self) -> u64 {
-        let wide = u128::from(self.0) * u128::from(MUL_ROTATE_K);
-        (wide as u64) ^ ((wide >> 64) as u64)
-    }
-}
-
-impl BuildHasher for MulRotate {
-    type Hasher = MulRotate;
-
-    fn build_hasher(&self) -> MulRotate {
-        *self
-    }
-}
-
 /// Incremental form of [`render_stream`]: renders changelog entries as they
 /// materialize, keeping per-grouping `ver` counters across calls so a
 /// long-running consumer (e.g. a pipeline sink) numbers revisions exactly
@@ -471,7 +432,7 @@ impl StreamRenderer {
     /// Number versions per event-time grouping identified by
     /// `grouping_cols` (typically [`crate::compile::version_columns`]).
     pub fn new(grouping_cols: Vec<usize>) -> StreamRenderer {
-        let seed = MulRotate(RandomState::new().hash_one(0u8));
+        let seed = MulRotate::random();
         StreamRenderer {
             key: Vec::with_capacity(grouping_cols.len()),
             grouping_cols,

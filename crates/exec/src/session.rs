@@ -21,7 +21,7 @@ use onesql_time::Watermark;
 use onesql_tvr::Element;
 use onesql_types::{Duration, Error, Result, Row, Ts, Value};
 
-use crate::aggregate::Accumulator;
+use crate::aggregate::{check_accumulators, Accumulator};
 use crate::operator::Operator;
 
 /// One live session: an interval with partial aggregates.
@@ -271,10 +271,16 @@ impl Operator for SessionAggregate {
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> onesql_types::Result<()> {
-        let (wm, late, state): (Ts, u64, bytes::Bytes) = Codec::from_bytes(&checkpoint.0)?;
+        let (wm, late, state_bytes): (Ts, u64, bytes::Bytes) = Codec::from_bytes(&checkpoint.0)?;
+        let mut state: KeyedState<Vec<Session>> = KeyedState::new();
+        state.restore(&Checkpoint(state_bytes))?;
+        for session in state.iter().flat_map(|(_, sessions)| sessions) {
+            check_accumulators(&session.accs, &self.aggs)?;
+        }
         self.watermark = Watermark(wm);
         self.late_dropped = late;
-        self.state.restore(&Checkpoint(state))
+        self.state = state;
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -312,6 +318,33 @@ mod tests {
             Duration::ZERO,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn restore_refuses_accumulators_the_plan_does_not_build() {
+        let mut agg = session_agg(5);
+        push(&mut agg, event("u", 10, 0));
+        push(&mut agg, event("v", 20, 1));
+        let cp = agg.checkpoint().unwrap().unwrap();
+
+        // COUNT(*) alone, and COUNT(*) with SUM(DISTINCT amount).
+        let mut fewer = session_agg(5);
+        fewer.aggs.pop();
+        let mut distinct = session_agg(5);
+        distinct.aggs[1].distinct = true;
+        for op in [&mut fewer, &mut distinct] {
+            let err = op.restore(&cp).unwrap_err().to_string();
+            assert!(err.contains("does not match the plan"), "{err}");
+            assert_eq!(op.state_metrics().keys, 0, "nothing was restored");
+            // Merging into the session stays well-formed.
+            push(op, event("u", 30, 2));
+        }
+
+        let mut same = session_agg(5);
+        same.restore(&cp).unwrap();
+        assert_eq!(same.state_metrics().keys, 2);
+        let out = push(&mut same, event("u", 30, 2));
+        assert_eq!(out.len(), 2, "the restored session merges: {out:?}");
     }
 
     /// Event at minute `m` with a 5-minute gap.

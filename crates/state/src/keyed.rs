@@ -1,13 +1,15 @@
 //! Keyed operator state with checkpoint/restore.
 
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use onesql_types::{Result, Row};
 
 use crate::codec::{Codec, Decoder};
+use crate::hash::MulRotate;
 
 /// A whole-operator state snapshot, as produced by
 /// [`KeyedState::checkpoint`]. Checkpoints are plain bytes so they can be
@@ -33,22 +35,36 @@ pub struct StateMetrics {
     pub encoded_bytes: usize,
 }
 
-/// Ordered per-key state: the primitive all stateful operators build on.
+/// Per-key state: the primitive all stateful operators build on.
 ///
 /// Keys are [`Row`]s (grouping keys, join keys, window keys); values are any
-/// [`Codec`] type. Iteration is in key order, making execution
-/// deterministic. This is the in-memory stand-in for the paper's
-/// RocksDB-backed keyed state (Appendix B.2.1).
-#[derive(Debug, Clone, Default)]
+/// [`Codec`] type. The table is hashed ([`MulRotate`], seeded per table),
+/// so a change costs one probe whatever the number of keys. Key order is
+/// produced only where it is observed: [`KeyedState::checkpoint`] writes
+/// the entries sorted by key, so equal contents give equal bytes whatever
+/// the seed or the insertion order. This is the in-memory stand-in for the
+/// paper's RocksDB-backed keyed state (Appendix B.2.1).
+#[derive(Debug, Clone)]
 pub struct KeyedState<V> {
-    map: BTreeMap<Row, V>,
+    map: HashMap<Row, V, MulRotate>,
+}
+
+impl<V> Default for KeyedState<V> {
+    fn default() -> KeyedState<V> {
+        KeyedState::new()
+    }
 }
 
 impl<V> KeyedState<V> {
-    /// Empty state.
+    /// Empty state, hashed from a random seed.
     pub fn new() -> KeyedState<V> {
+        KeyedState::with_hasher(MulRotate::random())
+    }
+
+    /// Empty state hashed by `hasher`.
+    pub fn with_hasher(hasher: MulRotate) -> KeyedState<V> {
         KeyedState {
-            map: BTreeMap::new(),
+            map: HashMap::with_hasher(hasher),
         }
     }
 
@@ -68,12 +84,13 @@ impl<V> KeyedState<V> {
     }
 
     /// Mutably borrow the value for `key`: a `&Row`, or the bare
-    /// `&[Value]` a row borrows as, so a hot path probes with a reused
-    /// buffer and builds a key row only for a key it has to insert.
+    /// `&[Value]` a row borrows as (and hashes as), so a hot path probes
+    /// with a reused buffer and builds a key row only for a key it has to
+    /// insert.
     pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         Row: Borrow<Q>,
-        Q: Ord + ?Sized,
+        Q: Hash + Eq + ?Sized,
     {
         self.map.get_mut(key)
     }
@@ -103,46 +120,34 @@ impl<V> KeyedState<V> {
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         Row: Borrow<Q>,
-        Q: Ord + ?Sized,
+        Q: Hash + Eq + ?Sized,
     {
         self.map.remove(key)
     }
 
     /// Drop all keys for which `predicate` returns true; returns how many
-    /// were freed.
+    /// were freed. The keys are visited in no particular order.
     pub fn retire_where(&mut self, mut predicate: impl FnMut(&Row, &V) -> bool) -> usize {
         let before = self.map.len();
         self.map.retain(|k, v| !predicate(k, v));
         before - self.map.len()
     }
 
-    /// Iterate `(key, value)` in key order.
+    /// Iterate `(key, value)` in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&Row, &V)> {
         self.map.iter()
-    }
-
-    /// Iterate keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &Row> {
-        self.map.keys()
-    }
-
-    /// Remove and return all entries, leaving the state empty.
-    pub fn drain(&mut self) -> Vec<(Row, V)> {
-        std::mem::take(&mut self.map).into_iter().collect()
-    }
-
-    /// Clear all state.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
 impl<V: Codec> KeyedState<V> {
-    /// Serialize the full state into a [`Checkpoint`].
+    /// Serialize the full state into a [`Checkpoint`], entries in key
+    /// order.
     pub fn checkpoint(&self) -> Checkpoint {
+        let mut entries: Vec<(&Row, &V)> = self.map.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut buf = BytesMut::new();
-        buf.put_u64_le(self.map.len() as u64);
-        for (k, v) in &self.map {
+        buf.put_u64_le(entries.len() as u64);
+        for (k, v) in entries {
             k.encode(&mut buf);
             v.encode(&mut buf);
         }
@@ -153,7 +158,7 @@ impl<V: Codec> KeyedState<V> {
     pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()> {
         let mut d = Decoder::new(&checkpoint.0);
         let n = u64::decode(&mut d)? as usize;
-        let mut map = BTreeMap::new();
+        let mut map = HashMap::with_hasher(*self.map.hasher());
         for _ in 0..n {
             let k = Row::decode(&mut d)?;
             let v = V::decode(&mut d)?;
@@ -219,13 +224,21 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_key_ordered() {
-        let mut s: KeyedState<i64> = KeyedState::new();
-        s.put(row!(3i64), 0);
-        s.put(row!(1i64), 0);
-        s.put(row!(2i64), 0);
-        let keys: Vec<Row> = s.keys().cloned().collect();
-        assert_eq!(keys, vec![row!(1i64), row!(2i64), row!(3i64)]);
+    fn checkpoint_is_key_ordered_whatever_the_seed() {
+        let mut ordered: KeyedState<i64> = KeyedState::with_hasher(MulRotate::with_seed(1));
+        let mut reversed: KeyedState<i64> = KeyedState::with_hasher(MulRotate::with_seed(2));
+        for i in 0..100i64 {
+            ordered.put(row!(i), i);
+            reversed.put(row!(99 - i), 99 - i);
+        }
+        let cp = ordered.checkpoint();
+        assert_eq!(cp, reversed.checkpoint());
+        let mut d = Decoder::new(&cp.0);
+        assert_eq!(u64::decode(&mut d).unwrap(), 100);
+        for i in 0..100i64 {
+            assert_eq!(Row::decode(&mut d).unwrap(), row!(i));
+            assert_eq!(i64::decode(&mut d).unwrap(), i);
+        }
     }
 
     #[test]
@@ -277,15 +290,5 @@ mod tests {
         let m2 = s.metrics();
         assert_eq!(m2.keys, 0);
         assert!(m2.encoded_bytes < m1.encoded_bytes);
-    }
-
-    #[test]
-    fn drain_empties_state() {
-        let mut s: KeyedState<i64> = KeyedState::new();
-        s.put(row!(1i64), 1);
-        s.put(row!(2i64), 2);
-        let all = s.drain();
-        assert_eq!(all.len(), 2);
-        assert!(s.is_empty());
     }
 }

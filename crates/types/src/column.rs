@@ -452,6 +452,8 @@ pub struct ColumnBuilder {
     /// The null mask, built at the first NULL: empty while there is none,
     /// one flag per row appended after.
     nulls: Vec<bool>,
+    /// The row of the NULL that built the mask.
+    first_null: usize,
     /// Rows appended.
     len: usize,
     /// Number of leading nulls buffered before the type is known.
@@ -465,6 +467,7 @@ impl ColumnBuilder {
         ColumnBuilder {
             data: BuilderData::Empty,
             nulls: Vec::new(),
+            first_null: 0,
             len: 0,
             pending_nulls: 0,
             capacity,
@@ -473,6 +476,7 @@ impl ColumnBuilder {
 
     fn note(&mut self, is_null: bool) {
         if is_null && self.nulls.is_empty() {
+            self.first_null = self.len;
             self.nulls.reserve(self.capacity.max(self.len + 1));
             self.nulls.resize(self.len, false);
         }
@@ -702,6 +706,31 @@ impl ColumnBuilder {
         self.len
     }
 
+    /// Drop every row from `len` on. The rows left finish as they would
+    /// have without the dropped ones, null mask included; the type the
+    /// first non-null value fixed stays.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        self.len = len;
+        if len <= self.first_null {
+            self.nulls.clear();
+        } else {
+            self.nulls.truncate(len);
+        }
+        match &mut self.data {
+            BuilderData::Empty => self.pending_nulls = len,
+            BuilderData::Int(v) => v.truncate(len),
+            BuilderData::Float(v) => v.truncate(len),
+            BuilderData::Bool(v) => v.truncate(len),
+            BuilderData::Ts(v) => v.truncate(len),
+            BuilderData::Interval(v) => v.truncate(len),
+            BuilderData::Str(v) => v.truncate(len),
+            BuilderData::Mixed(v) => v.truncate(len),
+        }
+    }
+
     /// Whether no rows have been appended.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -816,6 +845,35 @@ mod tests {
         assert_eq!(c.value(0), Value::Null);
         assert_eq!(c.value(1), Value::Int(7));
         assert_eq!(c.value(2), Value::str("x"));
+    }
+
+    #[test]
+    fn a_truncated_builder_finishes_as_if_the_rows_never_came() {
+        let mut b = ColumnBuilder::with_capacity(4);
+        b.push_int(1);
+        b.push_null();
+        b.push_int(2);
+        b.truncate(1);
+        b.push_int(3);
+        let c = b.finish();
+        assert_eq!(c.len(), 2);
+        assert_eq!((c.value(0), c.value(1)), (Value::Int(1), Value::Int(3)));
+        assert!(!c.has_nulls(), "the mask went with the NULL that built it");
+
+        let mut b = ColumnBuilder::with_capacity(4);
+        b.push_null();
+        b.push_int(1);
+        b.push_null();
+        b.truncate(2);
+        let c = b.finish();
+        assert_eq!((c.value(0), c.value(1)), (Value::Null, Value::Int(1)));
+        assert!(c.has_nulls() && c.len() == 2);
+
+        let mut b = ColumnBuilder::with_capacity(4);
+        b.push_null();
+        b.push_null();
+        b.truncate(1);
+        assert_eq!(b.finish().len(), 1);
     }
 
     #[test]

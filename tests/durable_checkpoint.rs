@@ -377,46 +377,56 @@ const WINDOWED_COUNTS: &str = "SELECT auction, wend, COUNT(*), SUM(price)
 const HIGH_BIDS: &str = "SELECT auction, price, bidtime FROM Bid WHERE price > 16";
 
 /// A non-partitioned CSV `file` source — the columnar poll path — through
-/// `query` into a `file` sink with the extra `WITH` options `sink`.
-fn csv_script(input: &Path, sink_path: &Path, sink: &str, query: &str) -> String {
+/// `query` into the sink `WITH (sink)`.
+fn csv_script(input: &Path, sink: &str, query: &str) -> String {
     format!(
         "SET batch_size = 32;
          SET max_batch = 32;
          CREATE SOURCE Bid (auction INT, price INT, bidtime TIMESTAMP, WATERMARK FOR bidtime)
            WITH (connector = 'file', path = '{}');
-         CREATE SINK out WITH (connector = 'file', path = '{}'{sink});
+         CREATE SINK out WITH ({sink});
          INSERT INTO out {query};",
         input.display(),
-        sink_path.display()
     )
+}
+
+/// Rows of [`write_bids`]'s input.
+const ROWS: u64 = 600;
+
+/// Bids in CSV for [`csv_script`]'s source, in `dir`.
+fn write_bids(dir: &Path) -> PathBuf {
+    let input = dir.join("bids.csv");
+    let csv: String = (0..ROWS)
+        .map(|i| format!("{},{},{}\n", i % 7, 10 + i % 13, i * 250))
+        .collect();
+    std::fs::write(&input, csv).unwrap();
+    input
+}
+
+/// Assemble [`csv_script`] in a fresh session.
+fn assemble_csv(script: &str) -> (onesql::Session, SqlPipeline) {
+    let mut s = session();
+    let pipeline = s.execute_script(script).unwrap().into_pipeline().unwrap();
+    assert_eq!(pipeline.workers(), 1);
+    (s, pipeline)
 }
 
 /// Run the CSV pipeline once uninterrupted, and once checkpointed at a
 /// third of the input, killed at half and restored in a fresh session:
 /// the two sink files must be byte-identical.
 fn assert_kill_restore_is_byte_identical(name: &str, sink: &str, query: &str) {
-    const ROWS: u64 = 600;
     let dir = scratch_dir(name);
-    let input = dir.join("bids.csv");
-    let csv: String = (0..ROWS)
-        .map(|i| format!("{},{},{}\n", i % 7, 10 + i % 13, i * 250))
-        .collect();
-    std::fs::write(&input, csv).unwrap();
+    let input = write_bids(&dir);
     let (store, reference, recovered) = (
         dir.join("store"),
         dir.join("reference.out"),
         dir.join("recovered.out"),
     );
-    let assemble = |out: &Path| {
-        let mut s = session();
-        let pipeline = s
-            .execute_script(&csv_script(&input, out, sink, query))
-            .unwrap()
-            .into_pipeline()
-            .unwrap();
-        assert_eq!(pipeline.workers(), 1);
-        (s, pipeline)
+    let script = |out: &Path| {
+        let sink = format!("connector = 'file', path = '{}'{sink}", out.display());
+        csv_script(&input, &sink, query)
     };
+    let assemble = |out: &Path| assemble_csv(&script(out));
 
     let (_s, mut straight) = assemble(&reference);
     let metrics = straight.run().unwrap();
@@ -447,7 +457,7 @@ fn assert_kill_restore_is_byte_identical(name: &str, sink: &str, query: &str) {
     let mut s2 = session();
     let script = format!(
         "{} RESTORE PIPELINE out FROM '{}';",
-        csv_script(&input, &recovered, sink, query),
+        script(&recovered),
         store.display()
     );
     let mut restored = s2.execute_script(&script).unwrap().into_pipeline().unwrap();
@@ -487,6 +497,49 @@ fn a_file_sink_is_byte_identical_after_restore_whatever_its_options() {
     ] {
         assert_kill_restore_is_byte_identical(name, sink, query);
     }
+}
+
+/// The `changelog` connector writes its file in one phase, so it cannot
+/// resume one: a restore into it is refused, naming the connector and
+/// pointing to `connector = 'file'`, and what the killed run wrote stays
+/// as it was — building the restored sink truncates nothing.
+#[test]
+fn a_changelog_file_refuses_restore_and_keeps_what_the_killed_run_wrote() {
+    let dir = scratch_dir("changelog-file");
+    let input = write_bids(&dir);
+    let (store, out) = (dir.join("store"), dir.join("changelog.txt"));
+    let sink = format!("connector = 'changelog', path = '{}'", out.display());
+    let script = csv_script(&input, &sink, WINDOWED_COUNTS);
+
+    let (mut s1, mut victim) = assemble_csv(&script);
+    step_until(&mut victim, ROWS / 3);
+    s1.adopt_pipeline(victim).unwrap();
+    s1.execute(&format!("CHECKPOINT PIPELINE out TO '{}'", store.display()))
+        .unwrap();
+    let mut victim = s1.take_pipeline("out").unwrap();
+    step_until(&mut victim, ROWS / 2);
+    drop(victim); // kill
+    let written = std::fs::read(&out).unwrap();
+    assert!(written.starts_with(b"-- changelog of (auction, wend"));
+    assert!(written.len() > 1_000, "the killed run wrote rows");
+
+    let mut s = session();
+    let err = s
+        .execute_script(&format!(
+            "{script} RESTORE PIPELINE out FROM '{}';",
+            store.display()
+        ))
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("'changelog' connector") && err.contains("connector = 'file'"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        written,
+        "the file was touched"
+    );
 }
 
 #[test]
