@@ -21,13 +21,12 @@ use onesql_time::Watermark;
 use onesql_types::{Error, Result, SchemaRef};
 
 enum Target {
-    /// A file, created (truncated) at its first line — the header, held
-    /// back from `bind` — so a sink that is built and then refused a
-    /// restore leaves what the killed run wrote untouched.
-    File {
+    /// A file not created yet: the first line creates (truncates) it,
+    /// after the header `bind` held back, so a sink that is built and then
+    /// refused a restore leaves the file as the killed run left it.
+    Pending {
         path: PathBuf,
         header: Option<String>,
-        writer: Option<BufWriter<File>>,
     },
     Writer(Box<dyn Write + Send>),
     Shared(Arc<Mutex<String>>),
@@ -47,16 +46,20 @@ pub struct ChangelogSink {
 }
 
 impl ChangelogSink {
-    /// Render to any writer.
-    pub fn to_writer(writer: impl Write + Send + 'static) -> ChangelogSink {
+    fn new(name: String, target: Target) -> ChangelogSink {
         ChangelogSink {
-            name: "changelog".to_string(),
-            target: Target::Writer(Box::new(writer)),
+            name,
+            target,
             show_watermarks: false,
             columns: Vec::new(),
             ptime: String::new(),
             data: String::new(),
         }
+    }
+
+    /// Render to any writer.
+    pub fn to_writer(writer: impl Write + Send + 'static) -> ChangelogSink {
+        ChangelogSink::new("changelog".to_string(), Target::Writer(Box::new(writer)))
     }
 
     /// Render to a file at `path`. Building only probes that the path can
@@ -65,33 +68,18 @@ impl ChangelogSink {
         let path = path.as_ref();
         let name = format!("changelog:{}", path.display());
         crate::file::check_writable(path).map_err(|e| Error::exec(format!("{name}: {e}")))?;
-        Ok(ChangelogSink {
-            name,
-            target: Target::File {
-                path: path.to_path_buf(),
-                header: None,
-                writer: None,
-            },
-            show_watermarks: false,
-            columns: Vec::new(),
-            ptime: String::new(),
-            data: String::new(),
-        })
+        let path = path.to_path_buf();
+        let target = Target::Pending { path, header: None };
+        Ok(ChangelogSink::new(name, target))
     }
 
     /// Render into a shared string buffer; returns `(buffer, sink)`.
     pub fn in_memory() -> (Arc<Mutex<String>>, ChangelogSink) {
         let buffer = Arc::new(Mutex::new(String::new()));
+        let target = Target::Shared(buffer.clone());
         (
-            buffer.clone(),
-            ChangelogSink {
-                name: "changelog:memory".to_string(),
-                target: Target::Shared(buffer),
-                show_watermarks: false,
-                columns: Vec::new(),
-                ptime: String::new(),
-                data: String::new(),
-            },
+            buffer,
+            ChangelogSink::new("changelog:memory".to_string(), target),
         )
     }
 
@@ -104,17 +92,14 @@ impl ChangelogSink {
     /// Write one line. Over the two fields it needs, not `self`, so
     /// `write` can format from its row buffers while it emits.
     fn emit(target: &mut Target, name: &str, line: fmt::Arguments<'_>) -> Result<()> {
-        let write_error = |e| Error::exec(format!("{name}: write error: {e}"));
         match target {
-            Target::File {
-                path,
-                header,
-                writer,
-            } => {
-                let w = ChangelogSink::open(path, header, writer, name)?;
-                writeln!(w, "{line}").map_err(write_error)
+            Target::Pending { .. } => {
+                ChangelogSink::create(target, name)?;
+                ChangelogSink::emit(target, name, line)
             }
-            Target::Writer(w) => writeln!(w, "{line}").map_err(write_error),
+            Target::Writer(w) => {
+                writeln!(w, "{line}").map_err(|e| Error::exec(format!("{name}: write error: {e}")))
+            }
             Target::Shared(buf) => {
                 let mut buf = buf
                     .lock()
@@ -126,28 +111,19 @@ impl ChangelogSink {
         }
     }
 
-    /// A file target's writer, creating the file and writing the
-    /// held-back header first if this is its first use.
-    fn open<'w>(
-        path: &Path,
-        header: &mut Option<String>,
-        writer: &'w mut Option<BufWriter<File>>,
-        name: &str,
-    ) -> Result<&'w mut BufWriter<File>> {
-        if writer.is_none() {
-            let file = File::create(path).map_err(|e| {
+    /// Create a pending file and write the header `bind` held back.
+    fn create(target: &mut Target, name: &str) -> Result<()> {
+        if let Target::Pending { path, header } = target {
+            let file = File::create(&*path).map_err(|e| {
                 Error::exec(format!("{name}: cannot create '{}': {e}", path.display()))
             })?;
-            let mut w = BufWriter::new(file);
-            if let Some(header) = header.take() {
-                writeln!(w, "{header}")
-                    .map_err(|e| Error::exec(format!("{name}: write error: {e}")))?;
+            let header = header.take();
+            *target = Target::Writer(Box::new(BufWriter::new(file)));
+            if let Some(header) = header {
+                ChangelogSink::emit(target, name, format_args!("{header}"))?;
             }
-            *writer = Some(w);
         }
-        writer
-            .as_mut()
-            .ok_or_else(|| Error::exec(format!("{name}: file is not open")))
+        Ok(())
     }
 }
 
@@ -159,7 +135,7 @@ impl Sink for ChangelogSink {
     fn bind(&mut self, schema: SchemaRef) -> Result<()> {
         self.columns = schema.names().iter().map(|n| n.to_string()).collect();
         let columns = self.columns.join(", ");
-        if let Target::File { header, .. } = &mut self.target {
+        if let Target::Pending { header, .. } = &mut self.target {
             *header = Some(format!("-- changelog of ({columns})"));
             return Ok(());
         }
@@ -198,7 +174,7 @@ impl Sink for ChangelogSink {
     /// refused before anything is written. The two-phase `file` connector
     /// is the one that resumes a file.
     fn on_restore(&mut self, _epoch: u64) -> Result<()> {
-        if let Target::File { path, .. } = &self.target {
+        if let Target::Pending { path, .. } = &self.target {
             return Err(Error::unsupported(format!(
                 "{}: the 'changelog' connector cannot resume '{}' after a restore \
                  (it would lose the rows the checkpointed run wrote); write to a \
@@ -211,18 +187,12 @@ impl Sink for ChangelogSink {
     }
 
     fn flush(&mut self) -> Result<()> {
-        let name = &self.name;
-        let w: &mut dyn Write = match &mut self.target {
-            // An empty run still leaves its header-only file.
-            Target::File {
-                path,
-                header,
-                writer,
-            } => ChangelogSink::open(path, header, writer, name)?,
-            Target::Writer(w) => w,
-            Target::Shared(_) => return Ok(()),
-        };
-        w.flush()
-            .map_err(|e| Error::exec(format!("{name}: flush error: {e}")))
+        // An empty run still leaves its header-only file.
+        ChangelogSink::create(&mut self.target, &self.name)?;
+        if let Target::Writer(w) = &mut self.target {
+            w.flush()
+                .map_err(|e| Error::exec(format!("{}: flush error: {e}", self.name)))?;
+        }
+        Ok(())
     }
 }

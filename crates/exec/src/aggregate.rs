@@ -237,31 +237,26 @@ impl Accumulator {
 /// of another plan is a typed error, not an index or shape panic at the
 /// next change.
 pub(crate) fn check_accumulators(accs: &[Accumulator], aggs: &[AggCall]) -> Result<()> {
-    let fits = accs.len() == aggs.len()
-        && accs.iter().zip(aggs).all(|(acc, call)| {
-            (acc.func, acc.distinct, acc.count_star)
-                == (call.func, call.distinct, call.arg.is_none())
-        });
-    if fits {
+    let found = || accs.iter().map(|a| (a.func, a.distinct, a.count_star));
+    let wanted = || aggs.iter().map(|c| (c.func, c.distinct, c.arg.is_none()));
+    if found().eq(wanted()) {
         return Ok(());
     }
-    let shape = |func: AggFunc, distinct: bool, star: bool| {
-        let distinct = if distinct { "DISTINCT " } else { "" };
-        let arg = if star { "*" } else { "x" };
-        format!("{}({distinct}{arg})", func.name())
-    };
-    let found: Vec<String> = accs
-        .iter()
-        .map(|a| shape(a.func, a.distinct, a.count_star))
-        .collect();
-    let wanted: Vec<String> = aggs
-        .iter()
-        .map(|c| shape(c.func, c.distinct, c.arg.is_none()))
-        .collect();
+    fn list(shapes: impl Iterator<Item = (AggFunc, bool, bool)>) -> String {
+        let shape = |(func, distinct, star): (AggFunc, bool, bool)| {
+            let distinct = if distinct { "DISTINCT " } else { "" };
+            format!(
+                "{}({distinct}{})",
+                func.name(),
+                if star { "*" } else { "x" }
+            )
+        };
+        shapes.map(shape).collect::<Vec<_>>().join(", ")
+    }
     Err(Error::exec(format!(
         "checkpoint does not match the plan: it holds aggregates [{}], the plan computes [{}]",
-        found.join(", "),
-        wanted.join(", ")
+        list(found()),
+        list(wanted())
     )))
 }
 
