@@ -860,6 +860,7 @@ impl Operator for Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onesql_tvr::Change;
     use onesql_types::row;
 
     fn agg_max_by_key() -> Aggregate {
@@ -1135,6 +1136,45 @@ mod tests {
         let mut same = source_shape_with(|_| {});
         same.restore(&cp).unwrap();
         assert_eq!(same.state_metrics().keys, 1);
+    }
+
+    /// A value that fails half way through an output row (`COUNT(*)`
+    /// written, `SUM` overflowing) leaves the batch's output whole: the
+    /// events before the failing one, then the failure's clock.
+    #[test]
+    fn a_failing_value_leaves_no_half_written_output_row() {
+        let mut agg = Aggregate::new(
+            vec![ScalarExpr::col(0)],
+            vec![
+                AggCall {
+                    func: AggFunc::Count,
+                    arg: None,
+                    distinct: false,
+                },
+                AggCall {
+                    func: AggFunc::Sum,
+                    arg: Some(ScalarExpr::col(1)),
+                    distinct: false,
+                },
+            ],
+            None,
+            Duration::ZERO,
+        );
+        let changes = [
+            (Ts(1), Change::insert(row!("k", i64::MAX))),
+            (Ts(2), Change::insert(row!("j", 5i64))),
+            (Ts(3), Change::insert(row!("k", 1i64))),
+        ];
+        let batch = ChangeBatch::from_changes(&changes).unwrap();
+        let mut out = Vec::new();
+        let err = agg.process_batch(0, &batch, &mut out).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
+        let [BatchOut::Batch(done), BatchOut::Rows(at, rows)] = &out[..] else {
+            panic!("expected the first two events' batch, then the failure: {out:?}");
+        };
+        assert_eq!((*at, rows.len()), (Ts(3), 0));
+        let done: Vec<Row> = (0..done.len()).map(|i| done.row(i)).collect();
+        assert_eq!(done, vec![row!("k", 1i64, i64::MAX), row!("j", 1i64, 5i64)]);
     }
 
     /// GROUP BY col0: MAX(col1), COUNT(*), with `edit` applied to the calls.
