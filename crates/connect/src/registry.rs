@@ -178,6 +178,11 @@ impl SourceConnector for FileConnector {
             }
         }))
     }
+
+    /// Every line of a file is an insertion.
+    fn retracts(&self, _spec: &SourceSpec) -> bool {
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +293,11 @@ impl SourceConnector for NexmarkConnector {
         Ok(Box::new(PartitionedNexmarkSource::new(
             config, events, partitions,
         )))
+    }
+
+    /// The generator only ever emits new persons, auctions and bids.
+    fn retracts(&self, _spec: &SourceSpec) -> bool {
+        false
     }
 }
 

@@ -261,6 +261,15 @@ pub trait SourceConnector: Send + Sync {
     fn replayable(&self, _spec: &SourceSpec) -> bool {
         true
     }
+
+    /// Whether a source built from `spec` can emit a retraction (a
+    /// negative diff). A stream whose every source answers no is
+    /// insert-only to the plan, and a `MIN`/`MAX` over it keeps one value
+    /// instead of a multiset; a retraction from such a source then fails
+    /// the pipeline with a typed error. Default: yes.
+    fn retracts(&self, _spec: &SourceSpec) -> bool {
+        true
+    }
 }
 
 /// Factory for one `connector='...'` sink family.

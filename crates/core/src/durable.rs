@@ -28,12 +28,13 @@
 //! PIPELINE <id> TO '<path>'` / `RESTORE PIPELINE <id> FROM '<path>'`
 //! drive this store from SQL via [`crate::session::Session`].
 
+use std::borrow::Cow;
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 
 use onesql_state::codec::{crc32, Codec, Decoder};
 use onesql_time::Watermark;
@@ -51,8 +52,10 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"OSQM";
 /// Version 2 appended per-source/per-partition byte counters to the
 /// checkpoint payload (metrics continuity across restores); version 3
 /// dropped the merge sequence numbers (a per-worker counter, and one
-/// beside every held-back entry) the sort-free merge no longer has.
-pub const FORMAT_VERSION: u16 = 3;
+/// beside every held-back entry) the sort-free merge no longer has;
+/// version 4 gave every aggregate accumulator a mode byte (a `MIN`/`MAX`
+/// over an input that only inserts keeps one value, not a multiset).
+pub const FORMAT_VERSION: u16 = 4;
 /// Epochs a store keeps by default before pruning the oldest.
 pub const DEFAULT_RETAIN: usize = 3;
 
@@ -70,14 +73,14 @@ const FINGERPRINT_SEED: u64 = 0x05EE_D0C4_EC9F_0001;
 /// Frame `payload` with the standard preamble and write it to `path`
 /// atomically: the bytes go to `<path>.tmp` (synced), then rename into
 /// place. A kill at any point leaves either the previous file or the
-/// complete new one.
+/// complete new one. The preamble and the payload are two writes, so the
+/// payload is never copied into a framed buffer.
 pub fn write_atomic(path: &Path, magic: [u8; 4], payload: &[u8]) -> Result<()> {
-    let mut framed = BytesMut::with_capacity(PREAMBLE_LEN + payload.len());
-    framed.put_slice(&magic);
-    framed.put_u16_le(FORMAT_VERSION);
-    framed.put_u64_le(payload.len() as u64);
-    framed.put_u32_le(crc32(payload));
-    framed.put_slice(payload);
+    let mut preamble = [0u8; PREAMBLE_LEN];
+    preamble[..4].copy_from_slice(&magic);
+    preamble[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    preamble[6..14].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    preamble[14..].copy_from_slice(&crc32(payload).to_le_bytes());
 
     let tmp = tmp_path(path);
     let io = |what: &str, e: std::io::Error| {
@@ -87,7 +90,9 @@ pub fn write_atomic(path: &Path, magic: [u8; 4], payload: &[u8]) -> Result<()> {
         ))
     };
     let mut file = fs::File::create(&tmp).map_err(|e| io("create tmp", e))?;
-    file.write_all(&framed).map_err(|e| io("write", e))?;
+    file.write_all(&preamble)
+        .and_then(|()| file.write_all(payload))
+        .map_err(|e| io("write", e))?;
     file.sync_all().map_err(|e| io("sync", e))?;
     drop(file);
     fs::rename(&tmp, path).map_err(|e| io("rename into place", e))?;
@@ -244,6 +249,19 @@ impl Codec for PipelineCheckpoint {
         self.source_bytes.encode(buf);
     }
 
+    fn encoded_len(&self) -> usize {
+        self.workers.encoded_len()
+            + self.offsets.encoded_len()
+            + self.finished.encoded_len()
+            + self.feeders.encoded_len()
+            + 8 // clock
+            + 8 // batch_size
+            + self.pending.encoded_len()
+            + self.renderer_versions.encoded_len()
+            + 8 * 5 // two watermarks, events_out, watermarks_in, epoch
+            + self.source_bytes.encoded_len()
+    }
+
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(PipelineCheckpoint {
             workers: Vec::<onesql_state::Checkpoint>::decode(input)?,
@@ -267,24 +285,28 @@ impl Codec for PipelineCheckpoint {
 
 /// What an epoch file's payload holds: the checkpoint plus enough
 /// identity to catch a file restored into the wrong pipeline even when
-/// the manifest around it was swapped or lost.
-struct EpochPayload {
+/// the manifest around it was swapped or lost. A save borrows the
+/// checkpoint; a load owns what it decoded.
+struct EpochPayload<'a> {
     pipeline: String,
     epoch: u64,
-    checkpoint: PipelineCheckpoint,
+    checkpoint: Cow<'a, PipelineCheckpoint>,
 }
 
-impl Codec for EpochPayload {
+impl Codec for EpochPayload<'_> {
     fn encode(&self, buf: &mut BytesMut) {
         self.pipeline.encode(buf);
         self.epoch.encode(buf);
         self.checkpoint.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.pipeline.encoded_len() + 8 + self.checkpoint.encoded_len()
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(EpochPayload {
             pipeline: String::decode(input)?,
             epoch: u64::decode(input)?,
-            checkpoint: PipelineCheckpoint::decode(input)?,
+            checkpoint: Cow::Owned(PipelineCheckpoint::decode(input)?),
         })
     }
 }
@@ -490,9 +512,10 @@ impl CheckpointStore {
         let payload = EpochPayload {
             pipeline: self.manifest.pipeline.clone(),
             epoch,
-            checkpoint: checkpoint.clone(),
+            checkpoint: Cow::Borrowed(checkpoint),
         };
-        let bytes = payload.to_bytes();
+        let mut bytes = BytesMut::with_capacity(payload.encoded_len());
+        payload.encode(&mut bytes);
         // File first, manifest second: a kill between the two leaves an
         // unreferenced file, never a referenced hole.
         write_atomic(&self.epoch_path(epoch), CHECKPOINT_MAGIC, &bytes)?;
@@ -549,7 +572,7 @@ impl CheckpointStore {
                 decoded.epoch
             )));
         }
-        Ok(decoded.checkpoint)
+        Ok(decoded.checkpoint.into_owned())
     }
 }
 
@@ -625,7 +648,9 @@ mod tests {
     #[test]
     fn checkpoint_codec_round_trips() {
         let cp = sample_checkpoint(3);
-        let back = PipelineCheckpoint::from_bytes(&cp.to_bytes()).unwrap();
+        let bytes = cp.to_bytes();
+        assert_eq!(cp.encoded_len(), bytes.len());
+        let back = PipelineCheckpoint::from_bytes(&bytes).unwrap();
         assert_checkpoint_eq(&cp, &back);
     }
 
@@ -695,15 +720,16 @@ mod tests {
         let err = store.load_epoch(1).unwrap_err().to_string();
         assert!(err.contains("magic"), "{err}");
 
-        // Future version, and the previous one (a version 2 file: its
-        // payload still carries the merge sequence numbers).
-        for (byte, version) in [(0xFF, "version 255"), (2, "version 2,")] {
+        // A future version, and older ones: a version 3 file's
+        // accumulators carry no mode, a version 2 file's payload still
+        // carries the merge sequence numbers.
+        for (byte, version) in [(0xFF, "version 255"), (3, "version 3,"), (2, "version 2,")] {
             let mut other = pristine.clone();
             other[4] = byte;
             fs::write(&path, &other).unwrap();
             let err = store.load_epoch(1).unwrap_err().to_string();
             assert!(err.contains(version), "{err}");
-            assert!(err.contains("reads version 3"), "{err}");
+            assert!(err.contains("reads version 4"), "{err}");
         }
 
         // Restore intact, then break the manifest instead.
@@ -802,7 +828,7 @@ mod tests {
         };
         assert_eq!(
             hex(dir.join("MANIFEST")),
-            "4f 53 51 4d 03 00 3e 00 00 00 00 00 00 00 fc 98 \
+            "4f 53 51 4d 04 00 3e 00 00 00 00 00 00 00 fc 98 \
              54 41 03 00 00 00 00 00 00 00 6f 75 74 01 00 00 \
              00 00 00 00 00 03 00 00 00 00 00 00 00 62 69 64 \
              f3 31 e5 9b b6 e8 6b 15 03 00 00 00 00 00 00 00 \
@@ -813,7 +839,7 @@ mod tests {
         );
         assert_eq!(
             hex(dir.join("epoch-1.ckpt")),
-            "4f 53 51 43 03 00 c6 00 00 00 00 00 00 00 0e 79 \
+            "4f 53 51 43 04 00 c6 00 00 00 00 00 00 00 0e 79 \
              b2 a0 03 00 00 00 00 00 00 00 6f 75 74 01 00 00 \
              00 00 00 00 00 01 00 00 00 00 00 00 00 02 00 00 \
              00 00 00 00 00 77 30 01 00 00 00 00 00 00 00 01 \

@@ -149,6 +149,8 @@ struct SourceDef {
     registered: Vec<String>,
     /// The connector's `SourceConnector::replayable` verdict, for lint.
     replayable: bool,
+    /// The connector's `SourceConnector::retracts` verdict, for the plan.
+    retracts: bool,
     options: ConnectorOptions,
 }
 
@@ -531,7 +533,7 @@ impl Definitions {
         let mut bag = OptionBag::new(format!("source '{name}'"), &options);
         let connector = bag.require_str("connector")?;
         let factory = registry.source(&connector)?;
-        let (declared, replayable) = {
+        let (declared, replayable, retracts) = {
             let spec = SourceSpec {
                 name: &name,
                 partitioned,
@@ -540,7 +542,7 @@ impl Definitions {
             };
             let declared = factory.declare(&spec, &mut bag)?;
             bag.finish()?;
-            (declared, factory.replayable(&spec))
+            (declared, factory.replayable(&spec), factory.retracts(&spec))
         };
         if declared.is_empty() {
             return Err(Error::plan(format!(
@@ -587,6 +589,7 @@ impl Definitions {
                 .collect(),
             registered,
             replayable,
+            retracts,
             options,
         });
         Ok(StatementResult::Created(name))
@@ -732,6 +735,26 @@ impl Definitions {
             )));
         }
         Ok(())
+    }
+
+    /// Declare in `query`'s plan which of the `streams` it reads only
+    /// insert: those whose every source says it never retracts
+    /// (`SourceConnector::retracts`). A stream no source feeds keeps the
+    /// binder's assumption that it can.
+    fn declare_insert_only(&self, query: &mut BoundQuery, streams: &[String]) {
+        let insert_only: Vec<String> = streams
+            .iter()
+            .filter(|stream| {
+                let feeders: Vec<&SourceDef> = self
+                    .sources
+                    .iter()
+                    .filter(|d| d.streams.contains(stream))
+                    .collect();
+                !feeders.is_empty() && feeders.iter().all(|d| !d.retracts)
+            })
+            .cloned()
+            .collect();
+        query.plan.declare_insert_only(&insert_only);
     }
 
     fn find_source(&self, name: &str) -> Option<usize> {
@@ -1091,7 +1114,7 @@ impl Session {
         }
     }
 
-    fn assemble_pipeline(&mut self, sink: &str, query: BoundQuery) -> Result<StatementResult> {
+    fn assemble_pipeline(&mut self, sink: &str, mut query: BoundQuery) -> Result<StatementResult> {
         let Some(sink_idx) = self.defs.find_sink(sink) else {
             let known: Vec<&str> = self.defs.sinks.iter().map(|d| d.name.as_str()).collect();
             return Err(Error::catalog(format!(
@@ -1113,6 +1136,7 @@ impl Session {
             ));
         }
         fingerprint.sort();
+        self.defs.declare_insert_only(&mut query, &streams);
         // Connectors attach straight to the driver, so a failed assembly
         // drops them with it. Their handles are only *staged*: committing
         // them before the whole pipeline assembles would let a failed
@@ -1161,9 +1185,10 @@ impl Session {
     /// telemetry next to the plan. The throwaway run keeps its handles
     /// staged so it cannot clobber a live pipeline's exports, and it is
     /// deliberately unlabelled so it never publishes to the metrics hub.
-    fn explain_analyze(&self, query: BoundQuery) -> Result<StatementResult> {
+    fn explain_analyze(&self, mut query: BoundQuery) -> Result<StatementResult> {
         let plan = query.explain();
         let (streams, _tables) = referenced_relations(&query);
+        self.defs.declare_insert_only(&mut query, &streams);
         let mut driver = PipelineDriver::with_query(&self.defs.engine, query, self.defs.config)?;
         // The staged handles are dropped, never committed.
         self.attach_feeding_sources(&mut driver, "EXPLAIN ANALYZE", &streams)?;

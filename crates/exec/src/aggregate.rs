@@ -28,10 +28,12 @@ use onesql_types::{Column, ColumnBuilder, Duration, Error, Result, Row, Ts, Valu
 use crate::operator::Operator;
 use crate::vector::split_and_repair;
 
-/// A retractable accumulator for one aggregate call within one group.
+/// An accumulator for one aggregate call within one group.
 ///
-/// Supports `add(value, ±diff)` for all functions; `MIN`/`MAX` (and all
-/// `DISTINCT` variants) keep a value multiset so retractions are exact.
+/// Supports `add(value, ±diff)` for every function. `DISTINCT` variants,
+/// and `MIN`/`MAX` over an input that can retract, keep a value multiset
+/// so retractions are exact; a `MIN`/`MAX` over an input that only
+/// inserts keeps its one extremum and refuses a retraction.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,
@@ -49,8 +51,32 @@ pub struct Accumulator {
     float_sum: f64,
     /// Tag remembering the numeric flavor of SUM inputs.
     sum_kind: Option<SumKind>,
-    /// Value multiset, maintained for MIN/MAX and DISTINCT aggregates.
-    values: Option<BTreeMap<Value, i64>>,
+    /// The argument values kept beside the counts and sums.
+    kept: Kept,
+}
+
+/// What an accumulator keeps of its argument values; its mode.
+#[derive(Debug, Clone)]
+enum Kept {
+    /// Nothing more: `COUNT`, `SUM` and `AVG` without `DISTINCT`.
+    Nothing,
+    /// Every value with its multiplicity: `DISTINCT` aggregates, and
+    /// `MIN`/`MAX` over an input that can retract.
+    Multiset(BTreeMap<Value, i64>),
+    /// The extremum so far: `MIN`/`MAX` over an input that only inserts,
+    /// where one value is all an extremum needs.
+    OneValue(Option<Value>),
+}
+
+impl Kept {
+    /// The mode byte a checkpoint writes before what is kept.
+    fn tag(&self) -> u8 {
+        match self {
+            Kept::Nothing => 0,
+            Kept::Multiset(_) => 1,
+            Kept::OneValue(_) => 2,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,30 +87,48 @@ enum SumKind {
 }
 
 impl Accumulator {
-    /// Fresh accumulator for an aggregate call.
-    pub fn new(func: AggFunc, distinct: bool) -> Accumulator {
-        Self::with_count_star(func, distinct, false)
-    }
-
-    /// Fresh accumulator, marking `COUNT(*)` explicitly.
-    pub fn with_count_star(func: AggFunc, distinct: bool, count_star: bool) -> Accumulator {
-        let needs_values = distinct || matches!(func, AggFunc::Min | AggFunc::Max);
+    /// Fresh accumulator for `call`. Whether its input can retract
+    /// (`LogicalPlan::retracts`) decides what a `MIN`/`MAX` keeps.
+    pub fn for_call(call: &AggCall, input_retracts: bool) -> Accumulator {
+        let extremum = matches!(call.func, AggFunc::Min | AggFunc::Max);
+        let kept = if extremum && !input_retracts {
+            Kept::OneValue(None)
+        } else if extremum || call.distinct {
+            Kept::Multiset(BTreeMap::new())
+        } else {
+            Kept::Nothing
+        };
         Accumulator {
-            func,
-            distinct,
-            count_star,
+            func: call.func,
+            distinct: call.distinct,
+            count_star: call.arg.is_none(),
             rows: 0,
             nonnull: 0,
             int_sum: 0,
             float_sum: 0.0,
             sum_kind: None,
-            values: needs_values.then(BTreeMap::new),
+            kept,
         }
     }
 
+    /// Refuse a retraction this accumulator cannot take back: a one-value
+    /// `MIN`/`MAX` no longer has the value below its extremum.
+    fn check_diff(&self, diff: i64) -> Result<()> {
+        if diff < 0 && matches!(self.kept, Kept::OneValue(_)) {
+            return Err(Error::exec(format!(
+                "a retraction reached {}, which keeps one value because the plan \
+                 found its input insert-only",
+                self.call()
+            )));
+        }
+        Ok(())
+    }
+
     /// Apply one input row's argument value with a signed weight.
-    /// `value = None` means the call is `COUNT(*)` (no argument).
+    /// `value = None` means the call is `COUNT(*)` (no argument). A
+    /// refused retraction changes nothing.
     pub fn add(&mut self, value: Option<&Value>, diff: i64) -> Result<()> {
+        self.check_diff(diff)?;
         self.rows += diff;
         let Some(v) = value else {
             return Ok(());
@@ -93,11 +137,19 @@ impl Accumulator {
             return Ok(());
         }
         self.nonnull += diff;
-        if let Some(values) = &mut self.values {
-            let e = values.entry(v.clone()).or_insert(0);
-            *e += diff;
-            if *e == 0 {
-                values.remove(v);
+        match &mut self.kept {
+            Kept::Nothing => {}
+            Kept::Multiset(values) => {
+                let e = values.entry(v.clone()).or_insert(0);
+                *e += diff;
+                if *e == 0 {
+                    values.remove(v);
+                }
+            }
+            Kept::OneValue(held) => {
+                if held.as_ref().is_none_or(|h| beats(self.func, v, h)) {
+                    *held = Some(v.clone());
+                }
             }
         }
         // Sums (only consulted by SUM/AVG, but cheap to maintain).
@@ -136,44 +188,65 @@ impl Accumulator {
         } else if other.sum_kind == Some(SumKind::Float) {
             self.sum_kind = Some(SumKind::Float);
         }
-        if let (Some(mine), Some(theirs)) = (self.values.as_mut(), other.values.as_ref()) {
-            for (v, d) in theirs {
-                let e = mine.entry(v.clone()).or_insert(0);
-                *e += d;
-                if *e == 0 {
-                    mine.remove(v);
+        match (&mut self.kept, &other.kept) {
+            (Kept::Multiset(mine), Kept::Multiset(theirs)) => {
+                for (v, d) in theirs {
+                    let e = mine.entry(v.clone()).or_insert(0);
+                    *e += d;
+                    if *e == 0 {
+                        mine.remove(v);
+                    }
                 }
             }
+            (Kept::OneValue(mine), Kept::OneValue(Some(theirs))) => {
+                if mine.as_ref().is_none_or(|m| beats(self.func, theirs, m)) {
+                    *mine = Some(theirs.clone());
+                }
+            }
+            (Kept::Nothing, Kept::Nothing) | (Kept::OneValue(_), Kept::OneValue(None)) => {}
+            _ => panic!("accumulator shape mismatch"),
         }
     }
 
     /// Current aggregate value.
     pub fn value(&self) -> Result<Value> {
+        let distinct = match &self.kept {
+            Kept::Multiset(values) if self.distinct => Some(values),
+            _ => None,
+        };
         match self.func {
             AggFunc::Count => {
-                if self.distinct {
-                    let n = self.values.as_ref().map_or(0, |m| m.len()) as i64;
-                    Ok(Value::Int(n))
+                if let Some(values) = distinct {
+                    Ok(Value::Int(values.len() as i64))
                 } else if self.count_star {
                     Ok(Value::Int(self.rows))
                 } else {
                     Ok(Value::Int(self.nonnull))
                 }
             }
-            AggFunc::Sum => self.sum_value(),
+            AggFunc::Sum => match distinct {
+                Some(values) => {
+                    let mut acc: Option<Value> = None;
+                    for v in values.keys() {
+                        acc = Some(match acc {
+                            None => v.clone(),
+                            Some(a) => a.add(v)?,
+                        });
+                    }
+                    Ok(acc.unwrap_or(Value::Null))
+                }
+                None => self.sum_value(),
+            },
             AggFunc::Avg => {
-                let (sum, count) = if self.distinct {
-                    let mut s = 0.0;
-                    let mut n = 0i64;
-                    if let Some(values) = self.values.as_ref() {
+                let (sum, count) = match distinct {
+                    Some(values) => {
+                        let mut s = 0.0;
                         for v in values.keys() {
                             s += v.as_float()?;
                         }
-                        n = values.len() as i64;
+                        (s, values.len() as i64)
                     }
-                    (s, n)
-                } else {
-                    (self.float_sum, self.nonnull)
+                    None => (self.float_sum, self.nonnull),
                 };
                 if count == 0 {
                     Ok(Value::Null)
@@ -181,37 +254,18 @@ impl Accumulator {
                     Ok(Value::Float(sum / count as f64))
                 }
             }
-            AggFunc::Min => Ok(self
-                .values
-                .as_ref()
-                .and_then(|m| m.keys().next().cloned())
-                .unwrap_or(Value::Null)),
-            AggFunc::Max => Ok(self
-                .values
-                .as_ref()
-                .and_then(|m| m.keys().next_back().cloned())
-                .unwrap_or(Value::Null)),
+            AggFunc::Min | AggFunc::Max => Ok(match &self.kept {
+                Kept::Multiset(values) if self.func == AggFunc::Min => values.keys().next(),
+                Kept::Multiset(values) => values.keys().next_back(),
+                Kept::OneValue(held) => held.as_ref(),
+                Kept::Nothing => None,
+            }
+            .cloned()
+            .unwrap_or(Value::Null)),
         }
     }
 
     fn sum_value(&self) -> Result<Value> {
-        if self.distinct {
-            // `distinct` keeps `values`; an absent map means no input yet.
-            let Some(values) = self.values.as_ref() else {
-                return Ok(Value::Null);
-            };
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut acc: Option<Value> = None;
-            for v in values.keys() {
-                acc = Some(match acc {
-                    None => v.clone(),
-                    Some(a) => a.add(v)?,
-                });
-            }
-            return Ok(acc.unwrap_or(Value::Null));
-        }
         if self.nonnull == 0 {
             return Ok(Value::Null);
         }
@@ -230,33 +284,46 @@ impl Accumulator {
             None => Ok(Value::Null),
         }
     }
+
+    /// The call this accumulator computes, as `MAX(DISTINCT x)` or
+    /// `COUNT(*)`.
+    fn call(&self) -> String {
+        let distinct = if self.distinct { "DISTINCT " } else { "" };
+        let arg = if self.count_star { "*" } else { "x" };
+        format!("{}({distinct}{arg})", self.func.name())
+    }
 }
 
-/// Refuse restored accumulators that are not the ones `aggs` builds — one
-/// per call, of its function, `DISTINCT` and `COUNT(*)` — so a checkpoint
-/// of another plan is a typed error, not an index or shape panic at the
-/// next change.
-pub(crate) fn check_accumulators(accs: &[Accumulator], aggs: &[AggCall]) -> Result<()> {
-    let found = || accs.iter().map(|a| (a.func, a.distinct, a.count_star));
-    let wanted = || aggs.iter().map(|c| (c.func, c.distinct, c.arg.is_none()));
-    if found().eq(wanted()) {
+/// Whether `candidate` replaces `held` as a one-value `MIN`/`MAX`'s
+/// extremum. Only a strictly better value does, so of equal values the
+/// first stays, as it does as a multiset's key.
+fn beats(func: AggFunc, candidate: &Value, held: &Value) -> bool {
+    match func {
+        AggFunc::Min => candidate < held,
+        _ => candidate > held,
+    }
+}
+
+/// Refuse restored accumulators that are not the ones the plan builds —
+/// `fresh`, one per call, of its function, `DISTINCT`, `COUNT(*)` and
+/// mode — so a checkpoint of another plan is a typed error, not an index
+/// or shape panic, nor a wrong extremum, at the next change.
+pub(crate) fn check_accumulators(accs: &[Accumulator], fresh: &[Accumulator]) -> Result<()> {
+    let shape = |a: &Accumulator| (a.func, a.distinct, a.count_star, a.kept.tag());
+    if accs.iter().map(shape).eq(fresh.iter().map(shape)) {
         return Ok(());
     }
-    fn list(shapes: impl Iterator<Item = (AggFunc, bool, bool)>) -> String {
-        let shape = |(func, distinct, star): (AggFunc, bool, bool)| {
-            let distinct = if distinct { "DISTINCT " } else { "" };
-            format!(
-                "{}({distinct}{})",
-                func.name(),
-                if star { "*" } else { "x" }
-            )
+    let list = |accs: &[Accumulator]| {
+        let shape = |acc: &Accumulator| match acc.kept {
+            Kept::OneValue(_) => format!("{} kept as one value", acc.call()),
+            _ => acc.call(),
         };
-        shapes.map(shape).collect::<Vec<_>>().join(", ")
-    }
+        accs.iter().map(shape).collect::<Vec<_>>()
+    };
     Err(Error::exec(format!(
         "checkpoint does not match the plan: it holds aggregates [{}], the plan computes [{}]",
-        list(found()),
-        list(wanted())
+        list(accs).join(", "),
+        list(fresh).join(", ")
     )))
 }
 
@@ -285,11 +352,31 @@ impl Codec for Accumulator {
             Some(SumKind::Interval) => 3,
         };
         buf.put_u8(kind_tag);
-        let values: Option<Vec<(Value, i64)>> = self
-            .values
-            .as_ref()
-            .map(|m| m.iter().map(|(v, d)| (v.clone(), *d)).collect());
-        values.encode(buf);
+        buf.put_u8(self.kept.tag());
+        match &self.kept {
+            Kept::Nothing => {}
+            Kept::Multiset(values) => {
+                buf.put_u64_le(values.len() as u64);
+                for (v, d) in values {
+                    v.encode(buf);
+                    d.encode(buf);
+                }
+            }
+            Kept::OneValue(held) => held.encode(buf),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        // Tags, flags, counts, sums, sum kind and mode byte.
+        const FIXED: usize = 1 + 1 + 1 + 8 + 8 + 16 + 8 + 1 + 1;
+        FIXED
+            + match &self.kept {
+                Kept::Nothing => 0,
+                Kept::Multiset(values) => {
+                    8 + values.keys().map(|v| v.encoded_len() + 8).sum::<usize>()
+                }
+                Kept::OneValue(held) => held.encoded_len(),
+            }
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
@@ -316,7 +403,16 @@ impl Codec for Accumulator {
             3 => Some(SumKind::Interval),
             t => return Err(Error::exec(format!("bad sum-kind tag {t} in checkpoint"))),
         };
-        let values: Option<Vec<(Value, i64)>> = Codec::decode(input)?;
+        let kept = match u8::decode(input)? {
+            0 => Kept::Nothing,
+            1 => Kept::Multiset(Vec::<(Value, i64)>::decode(input)?.into_iter().collect()),
+            2 => Kept::OneValue(Option::decode(input)?),
+            t => {
+                return Err(Error::exec(format!(
+                    "bad accumulator mode {t} in checkpoint"
+                )))
+            }
+        };
         Ok(Accumulator {
             func,
             distinct,
@@ -326,7 +422,7 @@ impl Codec for Accumulator {
             int_sum,
             float_sum,
             sum_kind,
-            values: values.map(|v| v.into_iter().collect()),
+            kept,
         })
     }
 }
@@ -340,11 +436,12 @@ struct GroupState {
 }
 
 impl GroupState {
-    fn fresh(aggs: &[AggCall]) -> GroupState {
+    /// A group before its first change, with `calls`' accumulators.
+    fn fresh(calls: &[AggCall], input_retracts: bool) -> GroupState {
         GroupState {
-            accs: aggs
+            accs: calls
                 .iter()
-                .map(|a| Accumulator::with_count_star(a.func, a.distinct, a.arg.is_none()))
+                .map(|call| Accumulator::for_call(call, input_retracts))
                 .collect(),
             live_rows: 0,
         }
@@ -355,6 +452,9 @@ impl Codec for GroupState {
     fn encode(&self, buf: &mut bytes::BytesMut) {
         self.accs.encode(buf);
         self.live_rows.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.accs.encoded_len() + 8
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(GroupState {
@@ -516,6 +616,9 @@ impl FoldOutput {
 pub struct Aggregate {
     group_exprs: Vec<ScalarExpr>,
     aggs: Vec<AggCall>,
+    /// A group before its first change: the accumulators `aggs` build
+    /// over this input.
+    fresh: GroupState,
     /// Index within the group key of a watermarked event-time column.
     event_time_key: Option<usize>,
     /// Extra slack before closed-group state is dropped (Extension 2 notes
@@ -531,15 +634,19 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
-    /// Build from plan parameters.
+    /// Build from plan parameters. `input_retracts` is the input's
+    /// `LogicalPlan::retracts`: over an input that only inserts, `MIN` and
+    /// `MAX` keep one value.
     pub fn new(
         group_exprs: Vec<ScalarExpr>,
         aggs: Vec<AggCall>,
         event_time_key: Option<usize>,
         allowed_lateness: Duration,
+        input_retracts: bool,
     ) -> Aggregate {
         Aggregate {
             group_exprs,
+            fresh: GroupState::fresh(&aggs, input_retracts),
             aggs,
             event_time_key,
             allowed_lateness,
@@ -611,6 +718,14 @@ impl Aggregate {
         diff: i64,
         sink: &mut impl FoldSink,
     ) -> Result<(bool, bool)> {
+        // A retraction a one-value accumulator refuses fails before any
+        // group changes.
+        if diff < 0 {
+            self.fresh
+                .accs
+                .iter()
+                .try_for_each(|acc| acc.check_diff(diff))?;
+        }
         // The global group (no GROUP BY) shows a row even when empty.
         let is_global = self.group_exprs.is_empty();
         let (group, had_row) = match self.state.get_mut(key) {
@@ -623,9 +738,11 @@ impl Aggregate {
             }
             None => {
                 let key = Row::from_values(key.iter().cloned());
-                let aggs = &self.aggs;
-                let fresh = || GroupState::fresh(aggs);
-                (self.state.entry_or_insert_with(key, fresh), false)
+                let fresh = &self.fresh;
+                (
+                    self.state.entry_or_insert_with(key, || fresh.clone()),
+                    false,
+                )
             }
         };
         group.live_rows += diff;
@@ -701,7 +818,7 @@ impl Operator for Aggregate {
         // A global aggregate (no GROUP BY) over an empty input is one row
         // (COUNT = 0, other aggregates NULL), per standard SQL. Seed it.
         if self.group_exprs.is_empty() {
-            let group = GroupState::fresh(&self.aggs);
+            let group = self.fresh.clone();
             let mut initial = Vec::new();
             values_into(&group.accs, &mut initial)?;
             self.state.put(Row::empty(), group);
@@ -844,7 +961,7 @@ impl Operator for Aggregate {
                     self.group_exprs.len()
                 )));
             }
-            check_accumulators(&group.accs, &self.aggs)?;
+            check_accumulators(&group.accs, &self.fresh.accs)?;
         }
         self.watermark = Watermark(wm);
         self.late_dropped = late;
@@ -874,6 +991,7 @@ mod tests {
             }],
             None,
             Duration::ZERO,
+            true,
         )
     }
 
@@ -940,6 +1058,7 @@ mod tests {
             ],
             None,
             Duration::ZERO,
+            true,
         );
         let mut out = Vec::new();
         agg.initialize(Ts(0), &mut out).unwrap();
@@ -987,6 +1106,7 @@ mod tests {
             ],
             None,
             Duration::ZERO,
+            true,
         );
         push(&mut agg, Element::insert(row!("k", 10i64)));
         let out = push(&mut agg, Element::insert(row!("k", 20i64)));
@@ -1024,6 +1144,7 @@ mod tests {
             ],
             None,
             Duration::ZERO,
+            true,
         );
         let mut out = Vec::new();
         agg.initialize(Ts(0), &mut out).unwrap();
@@ -1051,6 +1172,7 @@ mod tests {
             }],
             Some(0),
             Duration::ZERO,
+            true,
         );
         push(&mut agg, Element::insert(row!(Ts::hm(8, 10), 1i64)));
         assert_eq!(agg.state_metrics().keys, 1);
@@ -1078,6 +1200,7 @@ mod tests {
             }],
             Some(0),
             Duration::from_minutes(5),
+            true,
         );
         push(&mut agg, Element::insert(row!(Ts::hm(8, 10), 1i64)));
         // Watermark at 8:12 closes the group but is within lateness.
@@ -1159,6 +1282,7 @@ mod tests {
             ],
             None,
             Duration::ZERO,
+            true,
         );
         let changes = [
             (Ts(1), Change::insert(row!("k", i64::MAX))),
@@ -1192,15 +1316,31 @@ mod tests {
             },
         ];
         edit(&mut aggs);
-        Aggregate::new(vec![ScalarExpr::col(0)], aggs, None, Duration::ZERO)
+        Aggregate::new(vec![ScalarExpr::col(0)], aggs, None, Duration::ZERO, true)
     }
 
-    /// An `Aggregate` checkpoint, pinned byte for byte: groups first seen
-    /// out of key order, one emptied by a retraction, a `MAX` multiset and
-    /// an advanced watermark. The groups are hashed in memory; the
+    /// An `Aggregate` checkpoint, pinned byte for byte, in each mode:
+    /// groups first seen out of key order and an advanced watermark; over
+    /// an input that can retract, a group emptied by a retraction and a
+    /// `MAX` multiset; over one that only inserts, the same inserts and a
+    /// `MAX` kept as one value. The groups are hashed in memory; the
     /// checkpoint still writes them in key order.
     #[test]
     fn checkpoint_bytes_are_pinned() {
+        assert_eq!(
+            pinned_checkpoint(true),
+            GOLDEN_CHECKPOINT,
+            "the multiset checkpoint's bytes moved"
+        );
+        assert_eq!(
+            pinned_checkpoint(false),
+            GOLDEN_ONE_VALUE_CHECKPOINT,
+            "the one-value checkpoint's bytes moved"
+        );
+    }
+
+    /// `checkpoint_bytes_are_pinned`'s checkpoint in hex, 32 bytes a line.
+    fn pinned_checkpoint(input_retracts: bool) -> Vec<String> {
         let mut agg = Aggregate::new(
             vec![ScalarExpr::col(0), ScalarExpr::col(1)],
             vec![
@@ -1217,6 +1357,7 @@ mod tests {
             ],
             None,
             Duration::ZERO,
+            input_retracts,
         );
         for (key, n, price, diff) in [
             ("w", 3i64, 7i64, 1),
@@ -1231,23 +1372,24 @@ mod tests {
             let row = row!(key, n, price);
             let change = if diff > 0 {
                 Element::insert(row)
-            } else {
+            } else if input_retracts {
                 Element::retract(row)
+            } else {
+                continue;
             };
             push(&mut agg, change);
         }
         push(&mut agg, Element::watermark(Ts::hm(8, 10)));
         let bytes = agg.checkpoint().unwrap().unwrap().0;
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        let lines: Vec<&str> = (0..hex.len())
+        (0..hex.len())
             .step_by(64)
-            .map(|i| &hex[i..hex.len().min(i + 64)])
-            .collect();
-        assert_eq!(lines, GOLDEN_CHECKPOINT, "the checkpoint's bytes moved");
+            .map(|i| hex[i..hex.len().min(i + 64)].to_string())
+            .collect()
     }
 
-    /// `checkpoint_bytes_are_pinned`'s checkpoint in hex, 32 bytes a line,
-    /// as the ordered-tree state wrote it.
+    /// The multiset checkpoint: the bytes the ordered-tree state wrote
+    /// before accumulators had modes (mode 1 is the old `Some` tag).
     const GOLDEN_CHECKPOINT: &[&str] = &[
         "c09bc00100000000000000000000000080020000000000000400000000000000",
         "0200000000000000040100000000000000610201000000000000000200000000",
@@ -1272,19 +1414,156 @@ mod tests {
         "090000000000000001000000000000000100000000000000",
     ];
 
+    /// The one-value checkpoint.
+    const GOLDEN_ONE_VALUE_CHECKPOINT: &[&str] = &[
+        "c09bc001000000000000000000000000d3020000000000000500000000000000",
+        "0200000000000000040100000000000000610201000000000000000200000000",
+        "0000000000010100000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000003000001000000000000000100000000",
+        "0000000400000000000000000000000000000000000000000010400102010204",
+        "0000000000000001000000000000000200000000000000040100000000000000",
+        "6202020000000000000002000000000000000000010100000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000003",
+        "0000010000000000000001000000000000000500000000000000000000000000",
+        "0000000000000000144001020102050000000000000001000000000000000200",
+        "0000000000000401000000000000006202090000000000000002000000000000",
+        "0000000101000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000030000010000000000000001000000000000",
+        "0002000000000000000000000000000000000000000000004001020102020000",
+        "0000000000010000000000000002000000000000000401000000000000007702",
+        "0300000000000000020000000000000000000102000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000030000",
+        "0200000000000000020000000000000010000000000000000000000000000000",
+        "0000000000003040010201020900000000000000020000000000000002000000",
+        "000000000401000000000000007a020000000000000000020000000000000000",
+        "0001010000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000300000100000000000000010000000000000001",
+        "000000000000000000000000000000000000000000f03f010201020100000000",
+        "0000000100000000000000",
+    ];
+
+    fn call(func: AggFunc) -> AggCall {
+        AggCall {
+            func,
+            arg: Some(ScalarExpr::col(0)),
+            distinct: false,
+        }
+    }
+
     #[test]
     fn min_max_empty_is_null() {
-        let mut acc = Accumulator::new(AggFunc::Max, false);
+        let mut acc = Accumulator::for_call(&call(AggFunc::Max), true);
         assert_eq!(acc.value().unwrap(), Value::Null);
         acc.add(Some(&Value::Int(3)), 1).unwrap();
         assert_eq!(acc.value().unwrap(), Value::Int(3));
         acc.add(Some(&Value::Int(3)), -1).unwrap();
         assert_eq!(acc.value().unwrap(), Value::Null);
+        let one_value = Accumulator::for_call(&call(AggFunc::Max), false);
+        assert_eq!(one_value.value().unwrap(), Value::Null);
+    }
+
+    /// Over an input that only inserts, `MIN`/`MAX` keep one value, and a
+    /// retraction is refused with an error naming the aggregate, the
+    /// accumulator unchanged.
+    #[test]
+    fn a_one_value_extremum_refuses_a_retraction() {
+        for (func, want) in [(AggFunc::Max, 5i64), (AggFunc::Min, 1)] {
+            let mut acc = Accumulator::for_call(&call(func), false);
+            for v in [3i64, 5, 1, 5] {
+                acc.add(Some(&Value::Int(v)), 1).unwrap();
+            }
+            acc.add(Some(&Value::Null), 1).unwrap();
+            assert_eq!(acc.value().unwrap(), Value::Int(want));
+            let err = acc.add(Some(&Value::Int(want)), -1).unwrap_err();
+            let named = format!("reached {}(x), which keeps one value", func.name());
+            assert!(err.to_string().contains(&named), "{err}");
+            assert_eq!(acc.value().unwrap(), Value::Int(want));
+        }
+    }
+
+    /// A retraction reaching an insert-only `MAX` fails the event on both
+    /// paths, before any group changes: no wrong `MAX` is emitted.
+    #[test]
+    fn an_insert_only_aggregate_fails_at_a_retraction() {
+        let mut agg = source_shape_with(|_| {});
+        agg.fresh = GroupState::fresh(&agg.aggs, false);
+        push(&mut agg, Element::insert(row!("w1", 2i64)));
+        push(&mut agg, Element::insert(row!("w1", 4i64)));
+        let before = agg.checkpoint().unwrap();
+        let mut out = Vec::new();
+        let err = agg
+            .process(0, Element::retract(row!("w1", 4i64)), Ts(0), &mut out)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("reached MAX(x), which keeps one"),
+            "{err}"
+        );
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(agg.checkpoint().unwrap(), before);
+
+        let changes = [
+            (Ts(1), Change::insert(row!("w2", 7i64))),
+            (Ts(2), Change::retract(row!("w3", 1i64))),
+        ];
+        let batch = ChangeBatch::from_changes(&changes).unwrap();
+        let mut out = Vec::new();
+        let err = agg.process_batch(0, &batch, &mut out).unwrap_err();
+        assert!(err.to_string().contains("which keeps one value"), "{err}");
+        let [BatchOut::Batch(done), BatchOut::Rows(at, _)] = &out[..] else {
+            panic!("expected the first event's batch, then the failure: {out:?}");
+        };
+        assert_eq!((done.len(), *at), (1, Ts(2)));
+        assert_eq!(agg.state_metrics().keys, 2, "no group opened for w3");
+    }
+
+    /// A checkpoint taken with `MAX` kept as a multiset is refused by an
+    /// operator whose plan keeps it as one value, and the other way round.
+    #[test]
+    fn restore_refuses_accumulators_in_the_other_mode() {
+        let mut multiset = source_shape_with(|_| {});
+        let mut one_value = source_shape_with(|_| {});
+        one_value.fresh = GroupState::fresh(&one_value.aggs, false);
+        for op in [&mut multiset, &mut one_value] {
+            push(op, Element::insert(row!("w1", 2i64)));
+            push(op, Element::insert(row!("w1", 4i64)));
+        }
+        let multiset_cp = multiset.checkpoint().unwrap().unwrap();
+        let one_value_cp = one_value.checkpoint().unwrap().unwrap();
+        assert!(one_value_cp.size_bytes() < multiset_cp.size_bytes());
+
+        let err = one_value.restore(&multiset_cp).unwrap_err().to_string();
+        assert!(err.contains("does not match the plan"), "{err}");
+        assert!(
+            err.contains("[MAX(x), COUNT(*)], the plan computes [MAX(x) kept as one value"),
+            "{err}"
+        );
+        let err = multiset.restore(&one_value_cp).unwrap_err().to_string();
+        assert!(err.contains("does not match the plan"), "{err}");
+        // Each takes its own mode's checkpoint.
+        one_value.restore(&one_value_cp).unwrap();
+        multiset.restore(&multiset_cp).unwrap();
+    }
+
+    /// `KeyedState::metrics` counts what the checkpoint would write, in
+    /// both accumulator modes, without writing it.
+    #[test]
+    fn encoded_bytes_count_the_checkpoint_in_both_modes() {
+        for input_retracts in [true, false] {
+            let mut agg = source_shape_with(|aggs| aggs[0].distinct = true);
+            agg.fresh = GroupState::fresh(&agg.aggs, input_retracts);
+            for (key, price) in [("w1", 2i64), ("w2", 9), ("w1", 4), ("w1", 2)] {
+                push(&mut agg, Element::insert(row!(key, price)));
+            }
+            push(&mut agg, Element::insert(row!("w3", Value::Null)));
+            let metrics = agg.state.metrics();
+            assert_eq!(metrics.keys, 3);
+            assert_eq!(metrics.encoded_bytes, agg.state.checkpoint().size_bytes());
+        }
     }
 
     #[test]
     fn sum_interval_and_float() {
-        let mut acc = Accumulator::new(AggFunc::Sum, false);
+        let mut acc = Accumulator::for_call(&call(AggFunc::Sum), true);
         acc.add(Some(&Value::Interval(Duration::from_minutes(3))), 1)
             .unwrap();
         acc.add(Some(&Value::Interval(Duration::from_minutes(4))), 1)
@@ -1294,7 +1573,7 @@ mod tests {
             Value::Interval(Duration::from_minutes(7))
         );
 
-        let mut acc = Accumulator::new(AggFunc::Sum, false);
+        let mut acc = Accumulator::for_call(&call(AggFunc::Sum), true);
         acc.add(Some(&Value::Float(1.5)), 1).unwrap();
         acc.add(Some(&Value::Int(2)), 1).unwrap();
         assert_eq!(acc.value().unwrap(), Value::Float(3.5));

@@ -118,6 +118,7 @@ fn compile_plan(plan: &LogicalPlan, config: ExecConfig, next_source: &mut usize)
                     aggs.clone(),
                     *event_time_key,
                     config.allowed_lateness,
+                    input.retracts(),
                 )),
                 compile_plan(input, config, next_source)?,
             )

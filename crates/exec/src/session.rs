@@ -13,7 +13,8 @@
 //! Limitations (documented design choice): input must be insert-only —
 //! retracting an event could *split* a merged session, which requires
 //! keeping every raw event; engines in the paper's lineage (Flink, Beam)
-//! impose the same restriction on merging windows.
+//! impose the same restriction on merging windows. Since no retraction
+//! reaches the accumulators, a `MIN`/`MAX` keeps one value.
 
 use onesql_plan::{AggCall, ScalarExpr};
 use onesql_state::{Checkpoint, Codec, Decoder, KeyedState, StateMetrics};
@@ -37,6 +38,9 @@ impl Codec for Session {
         self.start.encode(buf);
         self.end.encode(buf);
         self.accs.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        16 + self.accs.encoded_len()
     }
     fn decode(input: &mut Decoder<'_>) -> onesql_types::Result<Self> {
         Ok(Session {
@@ -73,6 +77,8 @@ pub struct SessionAggregate {
     /// For each partition expr, its position in the output layout.
     partition_positions: Vec<usize>,
     aggs: Vec<AggCall>,
+    /// A new event's accumulators, before its values are added.
+    fresh: Vec<Accumulator>,
     /// Provisional window columns in the input.
     wstart_col: usize,
     wend_col: usize,
@@ -121,6 +127,10 @@ impl SessionAggregate {
             wend_pos,
             key_arity: group_exprs.len(),
             partition_positions,
+            fresh: aggs
+                .iter()
+                .map(|call| Accumulator::for_call(call, false))
+                .collect(),
             aggs,
             wstart_col,
             wend_col,
@@ -147,13 +157,6 @@ impl SessionAggregate {
             vals[self.key_arity + i] = acc.value()?;
         }
         Ok(Row::new(vals))
-    }
-
-    fn fresh_accs(&self) -> Vec<Accumulator> {
-        self.aggs
-            .iter()
-            .map(|a| Accumulator::with_count_star(a.func, a.distinct, a.arg.is_none()))
-            .collect()
     }
 }
 
@@ -191,7 +194,7 @@ impl Operator for SessionAggregate {
                 let key = Row::new(key_vals);
 
                 // Partial aggregates for the new event.
-                let mut accs = self.fresh_accs();
+                let mut accs = self.fresh.clone();
                 for (acc, call) in accs.iter_mut().zip(&self.aggs) {
                     let arg = match &call.arg {
                         Some(e) => Some(e.eval(&change.row)?),
@@ -275,7 +278,7 @@ impl Operator for SessionAggregate {
         let mut state: KeyedState<Vec<Session>> = KeyedState::new();
         state.restore(&Checkpoint(state_bytes))?;
         for session in state.iter().flat_map(|(_, sessions)| sessions) {
-            check_accumulators(&session.accs, &self.aggs)?;
+            check_accumulators(&session.accs, &self.fresh)?;
         }
         self.watermark = Watermark(wm);
         self.late_dropped = late;
@@ -299,20 +302,27 @@ mod tests {
     /// Group by user, wstart, wend; aggregate COUNT(*), SUM(amount).
     fn session_agg(gap_min: i64) -> SessionAggregate {
         let _ = gap_min;
+        session_agg_with(|_| {})
+    }
+
+    /// `session_agg`'s operator, with `edit` applied to its calls.
+    fn session_agg_with(edit: impl FnOnce(&mut Vec<AggCall>)) -> SessionAggregate {
+        let mut aggs = vec![
+            AggCall {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+            },
+            AggCall {
+                func: AggFunc::Sum,
+                arg: Some(ScalarExpr::col(1)),
+                distinct: false,
+            },
+        ];
+        edit(&mut aggs);
         SessionAggregate::new(
             &[ScalarExpr::col(0), ScalarExpr::col(3), ScalarExpr::col(4)],
-            vec![
-                AggCall {
-                    func: AggFunc::Count,
-                    arg: None,
-                    distinct: false,
-                },
-                AggCall {
-                    func: AggFunc::Sum,
-                    arg: Some(ScalarExpr::col(1)),
-                    distinct: false,
-                },
-            ],
+            aggs,
             3,
             4,
             Duration::ZERO,
@@ -328,10 +338,10 @@ mod tests {
         let cp = agg.checkpoint().unwrap().unwrap();
 
         // COUNT(*) alone, and COUNT(*) with SUM(DISTINCT amount).
-        let mut fewer = session_agg(5);
-        fewer.aggs.pop();
-        let mut distinct = session_agg(5);
-        distinct.aggs[1].distinct = true;
+        let mut fewer = session_agg_with(|aggs| {
+            aggs.pop();
+        });
+        let mut distinct = session_agg_with(|aggs| aggs[1].distinct = true);
         for op in [&mut fewer, &mut distinct] {
             let err = op.restore(&cp).unwrap_err().to_string();
             assert!(err.contains("does not match the plan"), "{err}");
@@ -345,6 +355,52 @@ mod tests {
         assert_eq!(same.state_metrics().keys, 2);
         let out = push(&mut same, event("u", 30, 2));
         assert_eq!(out.len(), 2, "the restored session merges: {out:?}");
+    }
+
+    /// `MAX(amount)` keeps one value here, since no retraction reaches a
+    /// session's accumulators; a checkpoint whose `MAX` kept a multiset
+    /// is refused, and the other way round.
+    #[test]
+    fn restore_refuses_accumulators_in_the_other_mode() {
+        let max = |aggs: &mut Vec<AggCall>| aggs[1].func = AggFunc::Max;
+        let mut one_value = session_agg_with(max);
+        let mut multiset = session_agg_with(max);
+        multiset.fresh = multiset
+            .aggs
+            .iter()
+            .map(|call| Accumulator::for_call(call, true))
+            .collect();
+        for op in [&mut one_value, &mut multiset] {
+            push(op, event("u", 10, 0));
+            push(op, event("u", 30, 2));
+        }
+        let one_value_cp = one_value.checkpoint().unwrap().unwrap();
+        let multiset_cp = multiset.checkpoint().unwrap().unwrap();
+        assert!(one_value_cp.size_bytes() < multiset_cp.size_bytes());
+
+        let err = session_agg_with(max)
+            .restore(&multiset_cp)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("does not match the plan"), "{err}");
+        assert!(err.contains("[COUNT(*), MAX(x)]"), "{err}");
+        assert!(err.contains("MAX(x) kept as one value]"), "{err}");
+        let err = multiset.restore(&one_value_cp).unwrap_err().to_string();
+        assert!(err.contains("does not match the plan"), "{err}");
+
+        let mut same = session_agg_with(max);
+        same.restore(&one_value_cp).unwrap();
+        let out = push(&mut same, event("u", 20, 4));
+        assert_eq!(
+            out.last(),
+            Some(&Element::insert(row!(
+                "u",
+                Ts::from_minutes(0),
+                Ts::from_minutes(9),
+                3i64,
+                30i64
+            )))
+        );
     }
 
     /// Event at minute `m` with a 5-minute gap.

@@ -90,6 +90,7 @@ fn hop_aggregate_project() -> Executor {
         ],
         Some(1),
         Duration::ZERO,
+        true,
     );
     let identity = Project::new((0..4).map(ScalarExpr::col).collect());
     let tree = OpNode::unary(

@@ -383,6 +383,7 @@ impl<'a> Binder<'a> {
                     schema,
                     kind,
                     as_of,
+                    retracts: true,
                 })
             }
             ast::TableRef::Derived { query, alias } => {

@@ -741,6 +741,7 @@ mod tests {
             schema: Arc::new(Schema::new(vec![Field::new("x", DataType::Int)])),
             kind: TableKind::Stream,
             as_of: None,
+            retracts: true,
         };
         let plan = LogicalPlan::Filter {
             input: Box::new(LogicalPlan::Filter {

@@ -24,6 +24,11 @@ pub enum LogicalPlan {
         kind: TableKind,
         /// `AS OF SYSTEM TIME` snapshot point for temporal tables (§6.1).
         as_of: Option<Ts>,
+        /// Whether the relation's changes can carry a negative diff. The
+        /// binder assumes they can; a session clears it for a stream whose
+        /// every source declares that it only inserts
+        /// ([`LogicalPlan::declare_insert_only`]).
+        retracts: bool,
     },
     /// A constant relation (e.g. `SELECT 1` has one empty row).
     Values {
@@ -203,6 +208,57 @@ impl LogicalPlan {
             )
         };
         self.nodes().iter().any(stream)
+    }
+
+    /// Whether this node's output can carry a negative diff (an `undo`).
+    /// A scan answers for its relation; filter, project and the `Tumble`
+    /// and `Hop` windows inherit from their input; an inner join, `UNION
+    /// ALL` and `DISTINCT` retract if any input does. An aggregate revises
+    /// its rows, a session window merges them, and an outer join retracts
+    /// its NULL-padded rows, so each retracts, as does a `VALUES`.
+    pub fn retracts(&self) -> bool {
+        match self {
+            LogicalPlan::Scan { retracts, .. } => *retracts,
+            LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+                input.retracts()
+            }
+            LogicalPlan::Window { input, kind, .. } => {
+                matches!(kind, WindowKind::Session { .. }) || input.retracts()
+            }
+            LogicalPlan::Join {
+                left, right, kind, ..
+            } => *kind != JoinKind::Inner || left.retracts() || right.retracts(),
+            LogicalPlan::UnionAll { left, right } => left.retracts() || right.retracts(),
+            LogicalPlan::Distinct { input } => input.retracts(),
+            LogicalPlan::Values { .. } | LogicalPlan::Aggregate { .. } => true,
+        }
+    }
+
+    /// Mark the scans of the streams `insert_only` names (lowercased) as
+    /// unable to retract.
+    pub fn declare_insert_only(&mut self, insert_only: &[String]) {
+        match self {
+            LogicalPlan::Scan {
+                table,
+                kind: TableKind::Stream,
+                retracts,
+                ..
+            } => {
+                if insert_only.contains(&table.to_ascii_lowercase()) {
+                    *retracts = false;
+                }
+            }
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Window { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Distinct { input } => input.declare_insert_only(insert_only),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::UnionAll { left, right } => {
+                left.declare_insert_only(insert_only);
+                right.declare_insert_only(insert_only);
+            }
+        }
     }
 
     /// Children of this node.
@@ -518,6 +574,7 @@ mod tests {
             schema: bid_schema(),
             kind: TableKind::Stream,
             as_of: None,
+            retracts: true,
         }
     }
 
@@ -542,6 +599,7 @@ mod tests {
             schema: bid_schema(),
             kind: TableKind::Table,
             as_of: None,
+            retracts: true,
         };
         assert!(!bounded.is_unbounded());
         let join = LogicalPlan::Join {

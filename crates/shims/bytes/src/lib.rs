@@ -3,8 +3,10 @@
 //! Implements the subset of the API this workspace uses: [`Bytes`] (cheaply
 //! clonable immutable buffer), [`BytesMut`] (append buffer), and the
 //! little-endian accessors of [`Buf`] / [`BufMut`]. Backed by
-//! `Arc<[u8]>` / `Vec<u8>` rather than the real crate's vtable machinery;
-//! semantics relevant to the checkpoint codec are identical.
+//! `Arc<Vec<u8>>` / `Vec<u8>` rather than the real crate's vtable
+//! machinery, so that, as in the real crate, freezing a buffer moves its
+//! bytes instead of copying them; semantics relevant to the checkpoint
+//! codec are identical.
 
 #![forbid(unsafe_code)]
 // Mirrors the real crate's contract: `get_*` panic on underflow, so the
@@ -16,17 +18,17 @@ use std::sync::Arc;
 
 /// An immutable, cheaply clonable byte buffer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Bytes(Arc<[u8]>);
+pub struct Bytes(Arc<Vec<u8>>);
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes(Arc::from(&[][..]))
+        Bytes(Arc::new(Vec::new()))
     }
 
     /// Copy a slice into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes(Arc::from(data))
+        Bytes(Arc::new(data.to_vec()))
     }
 
     /// Length in bytes.
@@ -76,8 +78,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Bytes {
-        Bytes(Arc::from(v.into_boxed_slice()))
+    /// Takes the vector's allocation, trimmed to its length; no byte is
+    /// copied.
+    fn from(mut v: Vec<u8>) -> Bytes {
+        v.shrink_to_fit();
+        Bytes(Arc::new(v))
     }
 }
 

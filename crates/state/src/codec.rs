@@ -80,6 +80,16 @@ pub trait Codec: Sized {
     /// Decode a value from the front of `input`, consuming its bytes.
     fn decode(input: &mut Decoder<'_>) -> Result<Self>;
 
+    /// The number of bytes [`Codec::encode`] appends for `self`: what a
+    /// buffer is sized by before encoding, and how a state counts its
+    /// bytes without building them. The default encodes into a scratch
+    /// buffer; the types checkpoints are made of count directly.
+    fn encoded_len(&self) -> usize {
+        let mut buf = BytesMut::new();
+        self.encode(&mut buf);
+        buf.len()
+    }
+
     /// Encode into a fresh buffer.
     fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
@@ -163,6 +173,9 @@ impl Codec for i64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_i64_le(*self);
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         input.read_i64()
     }
@@ -172,6 +185,9 @@ impl Codec for u64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(*self);
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         input.read_u64()
     }
@@ -180,6 +196,9 @@ impl Codec for u64 {
 impl Codec for bool {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
+    }
+    fn encoded_len(&self) -> usize {
+        1
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         match input.read_u8()? {
@@ -194,6 +213,9 @@ impl Codec for Ts {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_i64_le(self.millis());
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(Ts(input.read_i64()?))
     }
@@ -202,6 +224,9 @@ impl Codec for Ts {
 impl Codec for Duration {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_i64_le(self.millis());
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(Duration(input.read_i64()?))
@@ -212,6 +237,9 @@ impl Codec for String {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(self.len() as u64);
         buf.put_slice(self.as_bytes());
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         let len = input.read_len()?;
@@ -261,6 +289,14 @@ impl Codec for Value {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Str(s) => 8 + s.len(),
+            Value::Int(_) | Value::Float(_) | Value::Ts(_) | Value::Interval(_) => 8,
+        }
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(match input.read_u8()? {
             TAG_NULL => Value::Null,
@@ -292,6 +328,9 @@ impl Codec for Row {
             v.encode(buf);
         }
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.values().iter().map(Codec::encoded_len).sum::<usize>()
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         let n = input.read_len()?;
         let mut values = Vec::with_capacity(n.min(1024));
@@ -308,6 +347,9 @@ impl<T: Codec> Codec for Vec<T> {
         for v in self {
             v.encode(buf);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Codec::encoded_len).sum::<usize>()
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         let n = input.read_len()?;
@@ -329,6 +371,9 @@ impl<T: Codec> Codec for Option<T> {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Codec::encoded_len)
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         match input.read_u8()? {
             0 => Ok(None),
@@ -343,6 +388,9 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok((A::decode(input)?, B::decode(input)?))
     }
@@ -353,6 +401,9 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
         self.0.encode(buf);
         self.1.encode(buf);
         self.2.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok((A::decode(input)?, B::decode(input)?, C::decode(input)?))
@@ -365,6 +416,9 @@ impl<A: Codec, B: Codec, C: Codec, D: Codec> Codec for (A, B, C, D) {
         self.1.encode(buf);
         self.2.encode(buf);
         self.3.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len() + self.3.encoded_len()
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok((
@@ -381,6 +435,9 @@ impl Codec for Bytes {
         buf.put_u64_le(self.len() as u64);
         buf.put_slice(self);
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         let len = input.read_len()?;
         Ok(Bytes::copy_from_slice(input.take(len)?))
@@ -391,6 +448,9 @@ impl Codec for u8 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
     }
+    fn encoded_len(&self) -> usize {
+        1
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         input.read_u8()
     }
@@ -399,6 +459,9 @@ impl Codec for u8 {
 impl Codec for Watermark {
     fn encode(&self, buf: &mut BytesMut) {
         self.ts().encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(Watermark(Ts::decode(input)?))
@@ -409,6 +472,9 @@ impl Codec for Change {
     fn encode(&self, buf: &mut BytesMut) {
         self.diff.encode(buf);
         self.row.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.row.encoded_len()
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         let diff = i64::decode(input)?;
@@ -427,6 +493,9 @@ impl Codec for TimedChange {
         self.ptime.encode(buf);
         self.change.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.change.encoded_len()
+    }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(TimedChange {
             ptime: Ts::decode(input)?,
@@ -438,6 +507,9 @@ impl Codec for TimedChange {
 impl Codec for crate::keyed::Checkpoint {
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.0.len()
     }
     fn decode(input: &mut Decoder<'_>) -> Result<Self> {
         Ok(crate::keyed::Checkpoint(Bytes::decode(input)?))
@@ -451,6 +523,7 @@ mod tests {
 
     fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
+        assert_eq!(v.encoded_len(), bytes.len(), "{v:?}");
         let back = T::from_bytes(&bytes).unwrap();
         assert_eq!(back, v);
     }
@@ -499,6 +572,12 @@ mod tests {
         round_trip(Some(row!(3i64)));
         round_trip((Ts::hm(1, 0), row!(1i64)));
         round_trip((1i64, 2i64, String::from("three")));
+        round_trip((
+            true,
+            7u8,
+            Duration::from_minutes(1),
+            Bytes::copy_from_slice(b"four"),
+        ));
     }
 
     #[test]

@@ -141,17 +141,28 @@ impl<V> KeyedState<V> {
 
 impl<V: Codec> KeyedState<V> {
     /// Serialize the full state into a [`Checkpoint`], entries in key
-    /// order.
+    /// order, into a buffer sized for it up front.
     pub fn checkpoint(&self) -> Checkpoint {
         let mut entries: Vec<(&Row, &V)> = self.map.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         buf.put_u64_le(entries.len() as u64);
         for (k, v) in entries {
             k.encode(&mut buf);
             v.encode(&mut buf);
         }
         Checkpoint(buf.freeze())
+    }
+
+    /// The size of [`KeyedState::checkpoint`]'s bytes, counted without
+    /// sorting or encoding anything.
+    fn encoded_len(&self) -> usize {
+        let entries: usize = self
+            .map
+            .iter()
+            .map(|(k, v)| k.encoded_len() + v.encoded_len())
+            .sum();
+        8 + entries
     }
 
     /// Restore state exactly as of a checkpoint, replacing current contents.
@@ -177,7 +188,7 @@ impl<V: Codec> KeyedState<V> {
     pub fn metrics(&self) -> StateMetrics {
         StateMetrics {
             keys: self.map.len(),
-            encoded_bytes: self.checkpoint().size_bytes(),
+            encoded_bytes: self.encoded_len(),
         }
     }
 }
@@ -286,6 +297,7 @@ mod tests {
         }
         let m1 = s.metrics();
         assert_eq!(m1.keys, 100);
+        assert_eq!(m1.encoded_bytes, s.checkpoint().size_bytes());
         s.retire_where(|_, _| true);
         let m2 = s.metrics();
         assert_eq!(m2.keys, 0);

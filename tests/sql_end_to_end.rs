@@ -228,6 +228,86 @@ fn retractions_update_aggregates() {
     assert!(table.is_empty(), "group vanishes at zero rows");
 }
 
+/// `MAX` over a source that can retract keeps every value: retracting
+/// the maximum falls back to the next one.
+#[test]
+fn retracting_the_max_falls_back_to_the_next_value() {
+    let pipeline = run(&max_schedule(), MAX_BY_ITEM);
+    assert_eq!(pipeline.table_at(Ts(2)).unwrap(), vec![row!("A", 10i64)]);
+    assert_eq!(pipeline.table().unwrap(), vec![row!("A", 5i64)]);
+}
+
+/// A source that declares it only inserts, yet emits a retraction: the
+/// plan gave `MAX` one value, so the retraction fails the pipeline with
+/// an error naming the aggregate, and no wrong `MAX` reaches the sink.
+#[test]
+fn a_retraction_from_a_source_declared_insert_only_is_refused() {
+    use onesql_core::connect::registry::{
+        ConnectorRegistry, Exports, OptionBag, SourceConnector, SourceSpec,
+    };
+    use onesql_core::connect::PartitionedSource;
+    use onesql_core::HistoryTap;
+    use onesql_types::{Result, SchemaRef};
+
+    struct InsertOnly(Replay);
+    impl SourceConnector for InsertOnly {
+        fn declare(
+            &self,
+            spec: &SourceSpec,
+            options: &mut OptionBag,
+        ) -> Result<Vec<(String, SchemaRef)>> {
+            self.0.declare(spec, options)
+        }
+        fn build(
+            &self,
+            spec: &SourceSpec,
+            options: &mut OptionBag,
+            exports: &mut Exports,
+        ) -> Result<Box<dyn PartitionedSource>> {
+            self.0.build(spec, options, exports)
+        }
+        fn retracts(&self, _: &SourceSpec) -> bool {
+            false
+        }
+    }
+
+    let tap = HistoryTap::new();
+    let mut registry = ConnectorRegistry::new();
+    registry.register_source("insert_only", InsertOnly(max_schedule()));
+    registry.register_sink("history", tap.clone());
+    let mut session = Session::new(registry);
+    let script = format!(
+        "CREATE SOURCE feed WITH (connector = 'insert_only');
+         CREATE SINK out WITH (connector = 'history');
+         INSERT INTO out {MAX_BY_ITEM};"
+    );
+    let mut pipeline = session
+        .execute_script(&script)
+        .unwrap()
+        .into_pipeline()
+        .unwrap();
+    let err = pipeline.run().unwrap_err().to_string();
+    assert!(
+        err.contains("a retraction reached MAX(x), which keeps one value"),
+        "{err}"
+    );
+    for heard in tap.rows() {
+        assert!(heard.row.value(1).unwrap() != &Value::Int(5), "{heard:?}");
+    }
+}
+
+const MAX_BY_ITEM: &str = "SELECT item, MAX(price) FROM Bid GROUP BY item";
+
+/// Bids of 10 and 5 on one item, then the 10 retracted.
+fn max_schedule() -> Replay {
+    let mut replay = replay();
+    replay
+        .insert(Ts(1), "Bid", row!(Ts(1), 10i64, "A"))
+        .insert(Ts(2), "Bid", row!(Ts(2), 5i64, "A"))
+        .retract(Ts(3), "Bid", row!(Ts(1), 10i64, "A"));
+    replay
+}
+
 #[test]
 fn hop_windows_count_overlaps() {
     let rows = run_bids(

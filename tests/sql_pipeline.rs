@@ -158,6 +158,37 @@ fn channel_pipeline_via_script_and_handles() {
     assert_eq!(metrics.events_out, 7, "prices 3..=9 pass the filter");
 }
 
+/// A `channel` can retract, so `MAX` over it keeps every price: taking
+/// back the maximum revises the group to the next one.
+#[test]
+fn max_over_a_channel_takes_back_a_retracted_maximum() {
+    let mut session = session();
+    session
+        .execute_script(
+            "CREATE SOURCE Bid (bidtime TIMESTAMP, price INT, WATERMARK FOR bidtime)
+               WITH (connector = 'channel');
+             CREATE SINK out WITH (connector = 'changelog');",
+        )
+        .unwrap();
+    let mut pipeline = assemble(
+        &mut session,
+        "INSERT INTO out SELECT MAX(price) AS top FROM Bid EMIT STREAM;",
+    );
+    let publishers = session.take_handle::<Vec<ChannelPublisher>>("Bid").unwrap();
+    let rendered = session.take_handle::<Arc<Mutex<String>>>("out").unwrap();
+    publishers[0].insert(Ts(1), row!(Ts(1), 10i64)).unwrap();
+    publishers[0].insert(Ts(2), row!(Ts(2), 5i64)).unwrap();
+    publishers[0].retract(Ts(3), row!(Ts(1), 10i64)).unwrap();
+    publishers[0].finish().unwrap();
+    pipeline.run().unwrap();
+    assert_eq!(pipeline.table().unwrap(), vec![row!(5i64)]);
+    let out = rendered.lock().unwrap().clone();
+    assert!(
+        out.contains("undo  10") && out.contains("+     5 "),
+        "{out}"
+    );
+}
+
 #[test]
 fn explain_drop_and_redefinition() {
     let mut session = session();
